@@ -84,10 +84,11 @@ int Run(int argc, char** argv) {
     SetLogLevel(level);
   }
 
+  serve::ServerOptions options;
+  serve::ParseFrontendFlags(flags, &options);
   const std::string index_path = flags.GetString("index");
-  const std::string socket_path = flags.GetString("socket");
-  const bool have_port = flags.Has("port");
-  if (index_path.empty() || (socket_path.empty() == !have_port)) {
+  const std::string& socket_path = options.unix_socket_path;
+  if (index_path.empty() || (socket_path.empty() == !flags.Has("port"))) {
     return Usage();
   }
 
@@ -113,25 +114,8 @@ int Run(int argc, char** argv) {
     LogInfo("ipin_oracled: exact summaries loaded from " + graph_path);
   }
 
-  serve::ServerOptions options;
-  options.unix_socket_path = socket_path;
-  options.tcp_port = have_port ? static_cast<int>(flags.GetInt("port", 0)) : -1;
-  options.num_workers = static_cast<int>(flags.GetInt("workers", 4));
-  options.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue_capacity", 64));
-  options.max_connections =
-      static_cast<size_t>(flags.GetInt("max_connections", 64));
-  options.default_deadline_ms = flags.GetInt("default_deadline_ms", 1000);
   options.exact_budget_ms = flags.GetInt("exact_budget_ms", 50);
-  options.retry_after_ms = flags.GetInt("retry_after_ms", 50);
-  options.drain_deadline_ms = flags.GetInt("drain_deadline_ms", 2000);
-  options.slow_query_us = flags.GetInt("slow_query_us", 100000);
-  options.flight_recorder_size =
-      static_cast<size_t>(flags.GetInt("flight_size", 256));
-  options.flight_slow_size =
-      static_cast<size_t>(flags.GetInt("flight_slow_size", 64));
   options.audit_rate = flags.GetDouble("audit_rate", 0.0);
-  options.stats_window_s = flags.GetInt("stats_window_s", 10);
   // Sharded deployments (ipin_routerd + per-shard indexes from ipin_shard):
   // the identity is echoed by the stats verb so operators and the shard
   // drill can tell backends apart.

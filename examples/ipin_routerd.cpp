@@ -98,10 +98,11 @@ int Run(int argc, char** argv) {
     SetLogLevel(level);
   }
 
+  serve::RouterOptions options;
+  serve::ParseFrontendFlags(flags, &options);
   const std::string map_path = flags.GetString("map");
-  const std::string socket_path = flags.GetString("socket");
-  const bool have_port = flags.Has("port");
-  if (map_path.empty() || (socket_path.empty() == !have_port)) {
+  const std::string& socket_path = options.unix_socket_path;
+  if (map_path.empty() || (socket_path.empty() == !flags.Has("port"))) {
     return Usage();
   }
 
@@ -118,17 +119,6 @@ int Run(int argc, char** argv) {
     return 2;
   }
 
-  serve::RouterOptions options;
-  options.unix_socket_path = socket_path;
-  options.tcp_port = have_port ? static_cast<int>(flags.GetInt("port", 0)) : -1;
-  options.num_workers = static_cast<int>(flags.GetInt("workers", 4));
-  options.queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue_capacity", 64));
-  options.max_connections =
-      static_cast<size_t>(flags.GetInt("max_connections", 64));
-  options.default_deadline_ms = flags.GetInt("default_deadline_ms", 1000);
-  options.retry_after_ms = flags.GetInt("retry_after_ms", 50);
-  options.drain_deadline_ms = flags.GetInt("drain_deadline_ms", 2000);
   options.connect_timeout_ms = flags.GetInt("connect_timeout_ms", 250);
   options.shard_deadline_margin_ms =
       flags.GetInt("shard_deadline_margin_ms", 20);
@@ -137,12 +127,6 @@ int Run(int argc, char** argv) {
       static_cast<int>(flags.GetInt("suspect_after", 1));
   options.health.down_after = static_cast<int>(flags.GetInt("down_after", 3));
   options.health.probe_interval_ms = flags.GetInt("probe_interval_ms", 200);
-  options.slow_query_us = flags.GetInt("slow_query_us", 100000);
-  options.flight_recorder_size =
-      static_cast<size_t>(flags.GetInt("flight_size", 256));
-  options.flight_slow_size =
-      static_cast<size_t>(flags.GetInt("flight_slow_size", 64));
-  options.stats_window_s = flags.GetInt("stats_window_s", 10);
 
   const std::string trace_out = flags.GetString("trace_out", "");
   if (!trace_out.empty()) obs::StartTraceRecording();

@@ -22,6 +22,7 @@
 #include "ipin/common/random.h"
 #include "ipin/common/string_util.h"
 #include "ipin/serve/port_file.h"
+#include "ipin/serve/protocol.h"
 
 namespace ipin::serve {
 namespace {
@@ -30,27 +31,6 @@ int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::string JsonEscape(const std::string& in) {
-  std::string out;
-  out.reserve(in.size());
-  for (const char c : in) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        out += c;
-    }
-  }
-  return out;
 }
 
 std::optional<std::string> ReadFileBytes(const std::string& path) {

@@ -22,10 +22,7 @@ const char* ModeName(QueryMode mode) {
 void AppendRecordJson(const RequestRecord& record,
                       std::chrono::steady_clock::time_point now,
                       std::string* out) {
-  const int64_t age_us =
-      std::chrono::duration_cast<std::chrono::microseconds>(now -
-                                                            record.completed)
-          .count();
+  const int64_t age_us = ToMicros(now - record.completed);
   if (record.shard >= 0) {
     out->append(StrFormat("{\"shard\":%d,", record.shard));
   } else {

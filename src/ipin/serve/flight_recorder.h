@@ -42,6 +42,11 @@
 
 namespace ipin::serve {
 
+/// A stage duration in the microseconds every RequestRecord field uses.
+inline int64_t ToMicros(std::chrono::steady_clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
+}
+
 /// One completed request, as the flight recorder saw it.
 struct RequestRecord {
   uint64_t trace_id = 0;

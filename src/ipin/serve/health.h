@@ -34,7 +34,7 @@
 //   * Promotion. When the active endpoint's circuit opens, the tracker
 //     advances `active` to the next endpoint that is not down (wrapping).
 //     All subsequent legs go to the promoted replica — unlike hedging,
-//     which only re-sends a straggling leg to the mirror once.
+//     which only re-sends one straggling leg to the next endpoint.
 //   * Demotion. When a probe recovers the PRIMARY (endpoint 0) while a
 //     replica is active, `active` returns to the primary. A replica
 //     recovering while another endpoint serves does not steal traffic.

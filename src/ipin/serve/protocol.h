@@ -73,8 +73,9 @@
 //           including windowed rates/latencies (win_qps, win_p99_us, ...)
 //           over the server's stats window when observability is compiled
 //           in.
-//   reload  ask the server to reload its index file now (also triggered by
-//           the background reloader); answers after the attempt with
+//   reload  ask the server to reload its index file now (a router re-reads
+//           its shard map; also triggered by the background reloader and,
+//           for a router, SIGHUP); answers after the attempt with
 //           "info": {"epoch": ..., "rolled_back": 0|1}.
 //   metrics full metrics snapshot in "payload", answered inline — the
 //           scrape endpoint. "format": "prom" (default, Prometheus text
@@ -230,6 +231,15 @@ struct Response {
   std::string payload;
 };
 
+/// A response to `request`: its id and trace id echoed, `status` set.
+inline Response ReplyTo(const Request& request, StatusCode status) {
+  Response response;
+  response.id = request.id;
+  response.trace_id = request.trace_id;
+  response.status = status;
+  return response;
+}
+
 /// Parses one request line (without the trailing newline). On failure
 /// returns nullopt and, when `error` is non-null, stores the reason; *id_out
 /// (when non-null) receives the request id if one could be read, so the
@@ -245,6 +255,10 @@ std::optional<Response> ParseResponse(std::string_view line);
 
 /// Serializes a response as one line, with the trailing '\n'.
 std::string SerializeResponse(const Response& response);
+
+/// Escapes `s` for use inside a JSON string literal (the serving tier's
+/// hand-rolled writers: protocol lines, shard maps, chaos ledgers).
+std::string JsonEscape(std::string_view s);
 
 }  // namespace ipin::serve
 

@@ -1,29 +1,25 @@
 #ifndef IPIN_SERVE_ROUTER_H_
 #define IPIN_SERVE_ROUTER_H_
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "ipin/common/thread_pool.h"
-#include "ipin/obs/window.h"
 #include "ipin/serve/client.h"
-#include "ipin/serve/flight_recorder.h"
+#include "ipin/serve/frontend.h"
 #include "ipin/serve/health.h"
-#include "ipin/serve/protocol.h"
-#include "ipin/serve/queue.h"
 #include "ipin/serve/shard_map.h"
 
-// The scatter-gather router of the sharded serving tier (DESIGN.md §11): a
-// daemon core speaking the same newline-JSON protocol as OracleServer, but
-// answering each query by fanning it out to per-shard ipin_oracled backends
-// and merging their partials.
+// The scatter-gather router of the sharded serving tier (DESIGN.md §11): the
+// handler ipin_routerd plugs into the shared serving frontend (frontend.h,
+// which owns sockets, framing, admission, deadlines, reload, drain, and the
+// robustness model). It answers each query by fanning it out to per-shard
+// ipin_oracled backends and merging their partials.
 //
 //   * Exact merge. Shard legs are sent with want_ranks=true; each backend
 //     returns the per-cell max-rank vector of its seed subset. Seeds
@@ -38,12 +34,20 @@
 //     skipped outright (their seeds are reported missing immediately
 //     instead of burning the deadline) and recovered by a background prober
 //     sending cheap health RPCs.
-//   * Deadlines and hedging. Each leg gets the request's remaining budget
-//     minus shard_deadline_margin_ms (so the router always has time left to
-//     merge and answer). With hedge_after_ms > 0 a leg's first attempt is
-//     capped at that much; a straggler or failure is then retried once on
-//     the shard's mirror endpoint (or the primary again) with the remaining
-//     budget — one slow replica no longer sets the request's latency.
+//   * Deadlines. Each leg gets the request's remaining budget minus
+//     shard_deadline_margin_ms, so the router always has time left to
+//     merge and answer.
+//   * One ordered endpoint list per shard: the primary, then its replicas
+//     (shard_map.h), each serving the same shard file. The health tracker
+//     runs its state machine per endpoint and keeps an active endpoint per
+//     shard: when the active endpoint's circuit opens the next live one is
+//     PROMOTED (all subsequent legs dial it), a probe healing the primary
+//     demotes it again, and the shard only reports down when every
+//     endpoint is down. With hedge_after_ms > 0 a leg's first attempt is
+//     capped at that much, and a straggler or failure is retried once on
+//     the endpoint after the active one (the same one when the list has a
+//     single entry) with the remaining budget — one slow endpoint no
+//     longer sets the request's latency.
 //   * Partial results. If at least one owning shard answers, the router
 //     answers OK with degraded=true when any shard is missing, plus
 //     shards_total / shards_answered and a conservative coverage bound
@@ -51,100 +55,73 @@
 //     shard answers does the client see UNAVAILABLE (with retry_after_ms).
 //     BAD_REQUEST from a shard (seed out of range — deterministic, since
 //     every shard keeps the full node space) is propagated as BAD_REQUEST.
-//   * Resharding. The shard map hot-reloads through ShardMapManager ("reload"
-//     verb or SIGHUP in ipin_routerd): epoch-swapped pickup, rollback on a
-//     corrupt map. In-flight requests finish their fan-out on the map (and
-//     client fleet) they started with. Router responses report the
-//     shard-map epoch. While the map carries a transition block (a live
-//     reshard, see shard_map.h), the router DOUBLE-DISPATCHES every seed
-//     whose owner differs between the epochs: the seed rides its new
-//     owner's leg AND a fallback leg to its old owner, concurrently. The
-//     merge is cellwise max — idempotent — so the overlap cannot double-
-//     count, and the answer stays bit-identical to the single-index answer
-//     as long as either owner is up. A seed counts as covered when ANY leg
-//     carrying it answers; coverage/degraded are computed per seed, so a
-//     SIGKILLed new owner mid-migration costs nothing while the old owner
-//     still answers. topk fans out to both epochs' fleets and dedupes
-//     candidates by node id (estimates agree — same sketches).
-//   * Replica failover. Each shard may list R replicas in the map (v2),
-//     each serving the same shard file. The health tracker runs its state
-//     machine per endpoint and keeps an active endpoint per shard: when the
-//     active endpoint's circuit opens a replica is PROMOTED (all subsequent
-//     legs dial it, not just hedged retries), and a probe healing the
-//     primary demotes the replica. The shard only reports down when every
-//     endpoint is down. The "reshard_status" admin verb reports transition
-//     state and per-epoch down counts.
+//   * Resharding. The reload closure re-reads the shard map through
+//     ShardMapManager (as does SIGHUP in ipin_routerd): epoch-swapped
+//     pickup, rollback on a corrupt map. In-flight requests finish their
+//     fan-out on the map (and client fleet) they started with. While the
+//     map carries a transition block (a live reshard, see shard_map.h),
+//     the router DOUBLE-DISPATCHES every seed whose owner differs between
+//     the epochs: the seed rides its new owner's leg AND a fallback leg to
+//     its old owner, concurrently. The merge is cellwise max — idempotent
+//     — so the answer stays bit-identical to the single-index answer as
+//     long as either owner is up; coverage counts a seed once ANY leg
+//     carrying it answers. topk fans out to both epochs' fleets and
+//     dedupes candidates by node id. The "reshard_status" verb reports
+//     transition state and per-epoch down counts.
 //
 // Failpoint sites: serve.shard.connect (leg fails before dialing),
 // serve.shard.rpc (each RPC attempt fails — error_prob(p) gives seeded
 // random shard faults), serve.shard.merge (the merge step fails →
 // INTERNAL), serve.shard.map (reload rollback, see shard_map.h).
 //
-// Observability (on top of the serve.* request metrics, which the router
-// shares so ipin_top works unchanged): serve.shard.legs{,.ok,.failed,
-// .skipped}, serve.shard.hedged, serve.shard.leg_us, serve.shard.probe{,.ok},
-// serve.shard.health.* and serve.shard.down_count (health.h),
-// serve.shard.map.{ok,rollback}, serve.requests.partial,
-// serve.latency.route_us. The client's trace_id rides every shard leg
-// (parent_span = trace_id), so one id spans the router lane and each
-// backend's lanes; the flight recorder keeps one record per leg (with its
-// shard number) plus one per request.
+// Observability (on top of the frontend's serve.* request metrics; stats
+// adds win_partial_per_s and win_leg_fail_per_s): serve.shard.legs{,.ok,
+// .failed,.skipped}, serve.shard.hedged, serve.shard.leg_us,
+// serve.shard.probe{,.ok}, serve.shard.health.* and serve.shard.down_count
+// (health.h), serve.shard.map.{ok,rollback}, serve.requests.partial, the
+// serve.route lane and serve.latency.route_us. The client's trace_id
+// rides every shard leg (parent_span = trace_id), so one id spans the
+// router lane and each backend's lanes; the flight recorder keeps one
+// record per leg (with its shard number) plus one per request.
 
 namespace ipin::serve {
 
-struct RouterOptions {
-  /// Exactly one of the two endpoints, as in ServerOptions.
-  std::string unix_socket_path;
-  int tcp_port = -1;
-
-  int num_workers = 4;
-  size_t queue_capacity = 64;
-  size_t max_connections = 64;
-
-  int64_t default_deadline_ms = 1000;
-  int64_t retry_after_ms = 50;
-  int64_t drain_deadline_ms = 2000;
-  int64_t write_timeout_ms = 2000;
-
+struct RouterOptions : FrontendOptions {
   /// Per-leg connect budget to a shard backend.
   int64_t connect_timeout_ms = 250;
   /// Carved off the request's remaining budget to form each leg's deadline,
   /// reserving time for the merge + response write.
   int64_t shard_deadline_margin_ms = 20;
   /// > 0: cap a leg's first attempt here and retry a straggler once on the
-  /// mirror (or primary) with the remaining budget. 0 disables hedging.
+  /// shard's next endpoint with the remaining budget. 0 disables hedging.
   int64_t hedge_after_ms = 0;
 
   ShardHealthOptions health;
-
-  size_t flight_recorder_size = 256;
-  size_t flight_slow_size = 64;
-  int64_t slow_query_us = 100000;
-  int64_t stats_window_s = 10;
 };
 
-class RouterServer {
+class RouterServer : private FrontendHandler {
  public:
   /// `map` must outlive the server (and should usually have a map installed
   /// before Start, though the router answers UNAVAILABLE until one is).
   RouterServer(ShardMapManager* map, RouterOptions options);
-  ~RouterServer();
+  ~RouterServer() override;
 
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
 
-  /// Binds, listens, and spawns acceptor + workers + the shard prober.
+  /// Binds, listens, and starts serving plus the shard prober.
   bool Start();
 
-  /// Graceful drain, mirroring OracleServer::Shutdown. Idempotent.
+  /// Graceful drain (Frontend::Shutdown), then stops the prober.
+  /// Idempotent.
   void Shutdown();
 
-  bool running() const { return running_.load(std::memory_order_acquire); }
-  int bound_port() const { return bound_port_; }
-  size_t queue_depth() const { return queue_.Depth(); }
+  bool running() const { return frontend_.running(); }
+  int bound_port() const { return frontend_.bound_port(); }
+  size_t queue_depth() const { return frontend_.queue_depth(); }
 
-  std::string DebugDump() const { return flight_->DumpJson(); }
-  const FlightRecorder& flight_recorder() const { return *flight_; }
+  std::string DebugDump() const { return frontend_.flight()->DumpJson(); }
+  const FlightRecorder& flight_recorder() const { return *frontend_.flight(); }
 
   /// Health states of the current fleet's shards (empty before the first
   /// query/probe touched a fleet). Test/introspection hook.
@@ -153,18 +130,6 @@ class RouterServer {
   const RouterOptions& options() const { return options_; }
 
  private:
-  using Clock = std::chrono::steady_clock;
-
-  struct Connection;
-
-  struct Task {
-    Request request;
-    Clock::time_point deadline;
-    Clock::time_point enqueued;
-    int64_t admission_us = 0;
-    std::shared_ptr<Connection> conn;
-  };
-
   // One shard-map epoch's worth of backends: the map, its health tracker,
   // and a pool of reusable clients per shard endpoint. Legs hold the fleet
   // via shared_ptr, so a reshard builds a fresh fleet while in-flight
@@ -188,12 +153,10 @@ class RouterServer {
                                          size_t endpoint);
     void Return(bool prev, size_t shard, size_t endpoint,
                 std::unique_ptr<OracleClient> client);
-    /// A fresh, unpooled client for the given endpoint index (0 = primary,
-    /// i = replicas[i-1]); prefer_mirror picks the mirror endpoint when the
-    /// shard has one (hedged retries only — mirrors are not replicas).
+    /// A fresh, unpooled client for the given index into the shard's
+    /// ordered endpoint list (ShardInfo::endpoint_at).
     std::unique_ptr<OracleClient> NewClient(bool prev, size_t shard,
-                                            size_t endpoint,
-                                            bool prefer_mirror) const;
+                                            size_t endpoint) const;
 
     const std::shared_ptr<const ShardMap> map;
     const uint64_t epoch;
@@ -224,20 +187,12 @@ class RouterServer {
     std::vector<std::optional<Response>> results;  // one per leg
   };
 
-  void AcceptLoop();
-  void ReadLoop(std::shared_ptr<Connection> conn);
-  void WorkerLoop();
+  Response Evaluate(const Request& request,
+                    Clock::time_point deadline) override;
+  uint64_t Epoch() const override { return map_->Epoch(); }
+  void AppendStats(StatsInfo* info) override;
+  Response ReshardStatus(const Request& request) override;
   void ProbeLoop();
-  void ReapFinishedReaders();
-
-  void HandleRequest(const std::shared_ptr<Connection>& conn,
-                     Request&& request);
-  /// The scatter-gather evaluation of one query/topk request.
-  Response EvaluateScatter(const Request& request, Clock::time_point deadline);
-  Response StatsResponse(const Request& request);
-  void RecordRejected(uint64_t trace_id, int64_t id, QueryMode mode,
-                      size_t num_seeds, StatusCode status,
-                      Clock::time_point received);
 
   /// The fleet for the current shard-map epoch, building one on first use
   /// or after a reshard. nullptr while no map is installed.
@@ -254,30 +209,8 @@ class RouterServer {
       const Request& leg, Clock::time_point leg_deadline,
       FlightRecorder* flight);
 
-  static void WriteResponse(const std::shared_ptr<Connection>& conn,
-                            const Response& response,
-                            int64_t write_timeout_ms);
-
   ShardMapManager* const map_;
   const RouterOptions options_;
-
-  int listen_fd_ = -1;
-  int bound_port_ = -1;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> draining_{false};
-  Clock::time_point drain_deadline_{};
-
-  BoundedQueue<Task> queue_;
-  std::thread acceptor_;
-  std::unique_ptr<ThreadPool> worker_pool_;
-
-  std::mutex conns_mu_;
-  struct ReaderSlot {
-    std::thread thread;
-    std::shared_ptr<Connection> conn;
-  };
-  std::vector<ReaderSlot> readers_;
-  size_t active_connections_ = 0;
 
   mutable std::mutex fleet_mu_;
   std::shared_ptr<ShardFleet> fleet_;
@@ -287,11 +220,8 @@ class RouterServer {
   std::thread prober_;
   bool probe_stop_ = false;
 
-  // shared_ptr: leg closures carry it past the scatter wait (see
-  // RunShardLeg).
-  std::shared_ptr<FlightRecorder> flight_;
-  obs::WindowedAggregator window_;
-  std::atomic<uint64_t> next_trace_id_{1};
+  // Last: destroyed (and so shut down) before the state it calls into.
+  Frontend frontend_;
 };
 
 }  // namespace ipin::serve

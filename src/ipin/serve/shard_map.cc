@@ -15,40 +15,13 @@
 #include "ipin/common/logging.h"
 #include "ipin/common/string_util.h"
 #include "ipin/obs/metrics.h"
+#include "ipin/serve/protocol.h"
 
 namespace ipin::serve {
 namespace {
 
 constexpr char kSchemaV1[] = "ipin.shardmap.v1";
 constexpr char kSchemaV2[] = "ipin.shardmap.v2";
-
-// Writer side is hand-rolled like protocol.cc (common/json is a reader).
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 bool Fail(std::string* error, std::string reason) {
   if (error != nullptr) *error = std::move(reason);
@@ -65,7 +38,7 @@ std::optional<std::string> ReadFileToString(const std::string& path) {
 }
 
 // Reads one endpoint from a shard object; `prefix` is "" for the primary
-// endpoint, "mirror_" for the hedging target. True when the fields are
+// endpoint or a replica, "mirror_" for a v1 mirror. True when the fields are
 // well-formed (including "entirely absent", which leaves *out invalid —
 // the caller decides whether that is acceptable).
 bool ParseEndpoint(const JsonValue& shard, const std::string& prefix,
@@ -129,16 +102,31 @@ std::optional<ShardMap> ParseAssignment(const JsonValue& doc,
       Fail(error, "shard " + info.name + " has no endpoint");
       return std::nullopt;
     }
-    if (!ParseEndpoint(entry, "mirror_", &info.mirror, error)) {
-      return std::nullopt;
-    }
+    const auto add_replica = [&](ShardEndpoint ep) {
+      if (!ep.valid()) {
+        return Fail(error, "shard " + info.name + ": replica has no endpoint");
+      }
+      if (info.replicas.size() >= kMaxReplicas) {
+        return Fail(error, "shard " + info.name + ": replicas must be an " +
+                               "array of at most " +
+                               std::to_string(kMaxReplicas) + " endpoints");
+      }
+      if (ep == info.endpoint) {
+        return Fail(error, "shard " + info.name +
+                               ": replica duplicates the primary endpoint");
+      }
+      for (const ShardEndpoint& prior : info.replicas) {
+        if (ep == prior) {
+          return Fail(error, "shard " + info.name + ": duplicate replica");
+        }
+      }
+      info.replicas.push_back(std::move(ep));
+      return true;
+    };
     const JsonValue* replicas = entry.Find("replicas");
     if (replicas != nullptr) {
-      if (!replicas->is_array() ||
-          replicas->array_items().size() > kMaxReplicas) {
-        Fail(error, "shard " + info.name + ": replicas must be an array of " +
-                        "at most " + std::to_string(kMaxReplicas) +
-                        " endpoints");
+      if (!replicas->is_array()) {
+        Fail(error, "shard " + info.name + ": replicas must be an array");
         return std::nullopt;
       }
       for (const JsonValue& replica : replicas->array_items()) {
@@ -147,24 +135,17 @@ std::optional<ShardMap> ParseAssignment(const JsonValue& doc,
           return std::nullopt;
         }
         ShardEndpoint ep;
-        if (!ParseEndpoint(replica, "", &ep, error)) return std::nullopt;
-        if (!ep.valid()) {
-          Fail(error, "shard " + info.name + ": replica has no endpoint");
+        if (!ParseEndpoint(replica, "", &ep, error) || !add_replica(ep)) {
           return std::nullopt;
         }
-        if (ep == info.endpoint) {
-          Fail(error, "shard " + info.name +
-                          ": replica duplicates the primary endpoint");
-          return std::nullopt;
-        }
-        for (const ShardEndpoint& prior : info.replicas) {
-          if (ep == prior) {
-            Fail(error, "shard " + info.name + ": duplicate replica");
-            return std::nullopt;
-          }
-        }
-        info.replicas.push_back(std::move(ep));
       }
+    }
+    // A v1 mirror is one more replica: hedged retries simply go to the
+    // next endpoint of the list.
+    ShardEndpoint mirror;
+    if (!ParseEndpoint(entry, "mirror_", &mirror, error) ||
+        (mirror.valid() && !add_replica(mirror))) {
+      return std::nullopt;
     }
     info.index_file = entry.FindString("index_file", "");
     info.fingerprint = entry.FindString("fingerprint", "");
@@ -178,41 +159,25 @@ std::optional<ShardMap> ParseAssignment(const JsonValue& doc,
   return map;
 }
 
+// `"unix_socket": ...` or `"tcp_host": ..., "tcp_port": ...`; empty for an
+// invalid endpoint.
+std::string EndpointJson(const ShardEndpoint& ep) {
+  if (!ep.unix_socket_path.empty()) {
+    return "\"unix_socket\": \"" + JsonEscape(ep.unix_socket_path) + "\"";
+  }
+  if (ep.tcp_port < 0) return {};
+  return "\"tcp_host\": \"" + JsonEscape(ep.tcp_host) +
+         "\", \"tcp_port\": " + std::to_string(ep.tcp_port);
+}
+
 void AppendShardJson(std::string* out, const ShardInfo& shard) {
   *out += "{\"name\": \"" + JsonEscape(shard.name) + "\"";
-  const auto append_endpoint = [out](const std::string& prefix,
-                                     const ShardEndpoint& ep) {
-    if (!ep.unix_socket_path.empty()) {
-      *out += ", \"" + prefix + "unix_socket\": \"" +
-              JsonEscape(ep.unix_socket_path) + "\"";
-    } else if (ep.tcp_port >= 0) {
-      *out += ", \"" + prefix + "tcp_host\": \"" + JsonEscape(ep.tcp_host) +
-              "\", \"" + prefix + "tcp_port\": " + std::to_string(ep.tcp_port);
-    }
-  };
-  append_endpoint("", shard.endpoint);
-  if (shard.mirror.valid()) append_endpoint("mirror_", shard.mirror);
+  if (shard.endpoint.valid()) *out += ", " + EndpointJson(shard.endpoint);
   if (!shard.replicas.empty()) {
     *out += ", \"replicas\": [";
     for (size_t r = 0; r < shard.replicas.size(); ++r) {
       if (r > 0) *out += ", ";
-      *out += "{";
-      // append_endpoint writes a leading ", " — splice it out of the
-      // object opener.
-      std::string ep;
-      const auto append_bare = [&ep](const std::string& prefix,
-                                     const ShardEndpoint& e) {
-        if (!e.unix_socket_path.empty()) {
-          ep += "\"" + prefix + "unix_socket\": \"" +
-                JsonEscape(e.unix_socket_path) + "\"";
-        } else if (e.tcp_port >= 0) {
-          ep += "\"" + prefix + "tcp_host\": \"" + JsonEscape(e.tcp_host) +
-                "\", \"" + prefix + "tcp_port\": " +
-                std::to_string(e.tcp_port);
-        }
-      };
-      append_bare("", shard.replicas[r]);
-      *out += ep + "}";
+      *out += "{" + EndpointJson(shard.replicas[r]) + "}";
     }
     *out += "]";
   }

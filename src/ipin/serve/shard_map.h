@@ -51,22 +51,24 @@
 //      {"name": "shard0", "unix_socket": "/tmp/ipin-shard0.sock",
 //       "index_file": "shard0.bin", "fingerprint": "crc32c:89ab12cd",
 //       "replicas": [{"unix_socket": "/tmp/ipin-shard0r.sock"}]},
-//      {"name": "shard1", "tcp_host": "127.0.0.1", "tcp_port": 7101,
-//       "mirror_unix_socket": "/tmp/ipin-shard1b.sock"}],
+//      {"name": "shard1", "tcp_host": "127.0.0.1", "tcp_port": 7101}],
 //    "transition": {"virtual_points": 64, "shards": [...]}}
 //
 // Each shard needs a name (unique; it seeds the ring points, so renaming a
 // shard moves its ownership) and exactly one primary endpoint (unix_socket
-// or tcp_port [+ tcp_host, default 127.0.0.1]). An optional mirror endpoint
-// (mirror_unix_socket / mirror_tcp_port [+ mirror_tcp_host]) is where the
-// router sends hedged retries for straggling legs.
+// or tcp_port [+ tcp_host, default 127.0.0.1]).
 //
 // v2 additions:
-//   * "replicas": up to kMaxReplicas failover endpoints per shard, each a
-//     daemon serving the SAME shard file. Distinct from the mirror: the
-//     mirror absorbs hedged retries of a slow leg, a replica is PROMOTED by
-//     the router's health tracker when the primary's circuit opens and
-//     carries all subsequent legs until a probe recovers the primary.
+//   * "replicas": up to kMaxReplicas more endpoints per shard, each a
+//     daemon serving the SAME shard file. The primary and its replicas form
+//     one ordered endpoint list (ShardInfo::endpoint_at) and that list is
+//     the only redundancy concept: the router's health tracker PROMOTES the
+//     next live endpoint when the active one's circuit opens (it carries all
+//     subsequent legs until a probe recovers the primary), and a hedged
+//     retry of a straggling leg goes to the endpoint after the active one.
+//     A v1 map's mirror endpoint (mirror_unix_socket / mirror_tcp_port
+//     [+ mirror_tcp_host]) parses as one more replica, under the same
+//     duplicate and kMaxReplicas checks, and is written back as a replica.
 //   * "index_file" / "fingerprint": the shard's index file (relative name)
 //     and its crc32c fingerprint ("crc32c:%08x" over the file bytes), bound
 //     at materialization time by ipin_shard and checked by `ipin_shard
@@ -96,10 +98,7 @@ struct ShardEndpoint {
 struct ShardInfo {
   std::string name;
   ShardEndpoint endpoint;
-  /// Optional hedging target; !valid() when the shard has no mirror
-  /// (the default: no socket path and tcp_port = -1).
-  ShardEndpoint mirror;
-  /// Failover endpoints (v2). Each serves the same shard file as the
+  /// Further endpoints (v2). Each serves the same shard file as the
   /// primary; the router promotes replicas[0], replicas[1], ... in order
   /// when the active endpoint goes down.
   std::vector<ShardEndpoint> replicas;
@@ -107,9 +106,16 @@ struct ShardInfo {
   std::string index_file;
   /// "crc32c:%08x" over the index file's bytes (v2; set by ipin_shard).
   std::string fingerprint;
+
+  /// The ordered endpoint list: 0 = the primary, i = replicas[i - 1].
+  size_t num_endpoints() const { return 1 + replicas.size(); }
+  const ShardEndpoint& endpoint_at(size_t i) const {
+    return i == 0 ? endpoint : replicas[i - 1];
+  }
 };
 
-/// Upper bound on replicas per shard (a sanity cap, not a tuning knob).
+/// Upper bound on replicas per shard, a v1 mirror included (a sanity cap,
+/// not a tuning knob).
 inline constexpr size_t kMaxReplicas = 4;
 
 class ShardMap {

@@ -28,11 +28,15 @@ std::vector<ShardInfo> MakeShards(size_t n) {
   return shards;
 }
 
+#ifndef IPIN_OBS_DISABLED
+// The rollback counter compiles out under IPIN_OBS_DISABLED; the rollback
+// behaviour itself is asserted in every build.
 uint64_t RollbackCount() {
   return obs::MetricsRegistry::Global()
       .GetCounter("serve.shard.map.rollback")
       ->Value();
 }
+#endif
 
 TEST(ShardMapTest, OwnershipIsDeterministicAndCoversEveryNode) {
   const ShardMap a(MakeShards(3));
@@ -88,7 +92,8 @@ TEST(ShardMapTest, JsonRoundTripPreservesOwnership) {
   std::vector<ShardInfo> shards = MakeShards(3);
   shards[1].endpoint = ShardEndpoint{};
   shards[1].endpoint.tcp_port = 7101;
-  shards[1].mirror.unix_socket_path = "/tmp/ipin-shard1b.sock";
+  shards[1].replicas.resize(1);
+  shards[1].replicas[0].unix_socket_path = "/tmp/ipin-shard1b.sock";
   const ShardMap map(shards, 32);
 
   std::string error;
@@ -97,10 +102,11 @@ TEST(ShardMapTest, JsonRoundTripPreservesOwnership) {
   EXPECT_EQ(reparsed->num_shards(), 3u);
   EXPECT_EQ(reparsed->virtual_points(), 32);
   EXPECT_EQ(reparsed->shard(1).endpoint.tcp_port, 7101);
-  EXPECT_EQ(reparsed->shard(1).mirror.unix_socket_path,
+  ASSERT_EQ(reparsed->shard(1).replicas.size(), 1u);
+  EXPECT_EQ(reparsed->shard(1).replicas[0].unix_socket_path,
             "/tmp/ipin-shard1b.sock");
-  EXPECT_TRUE(reparsed->shard(1).mirror.valid());
-  EXPECT_FALSE(reparsed->shard(0).mirror.valid());
+  EXPECT_EQ(reparsed->shard(1).num_endpoints(), 2u);
+  EXPECT_TRUE(reparsed->shard(0).replicas.empty());
   for (NodeId u = 0; u < 5000; ++u) {
     ASSERT_EQ(map.OwnerOf(u), reparsed->OwnerOf(u)) << "node " << u;
   }
@@ -260,6 +266,60 @@ TEST(ShardMapV2Test, ParseRejectsNestedTransitionsAndBadReplicas) {
   EXPECT_FALSE(error.empty());
 }
 
+TEST(ShardMapV2Test, V1MirrorParsesAsTheNextReplica) {
+  // A v1 map's mirror endpoint is one more entry of the ordered endpoint
+  // list: replicas[0] when the shard lists none.
+  std::string error;
+  const auto map = ShardMap::Parse(
+      R"({"schema":"ipin.shardmap.v1","shards":[)"
+      R"({"name":"a","unix_socket":"/tmp/a.sock",)"
+      R"("mirror_unix_socket":"/tmp/a-mirror.sock"},)"
+      R"({"name":"b","tcp_port":7101,"mirror_tcp_port":7102}]})",
+      &error);
+  ASSERT_TRUE(map.has_value()) << error;
+  ASSERT_EQ(map->shard(0).replicas.size(), 1u);
+  EXPECT_EQ(map->shard(0).replicas[0].unix_socket_path, "/tmp/a-mirror.sock");
+  EXPECT_EQ(&map->shard(0).endpoint_at(1), &map->shard(0).replicas[0]);
+  ASSERT_EQ(map->shard(1).replicas.size(), 1u);
+  EXPECT_EQ(map->shard(1).replicas[0].tcp_port, 7102);
+  EXPECT_EQ(map->shard(1).replicas[0].tcp_host, "127.0.0.1");
+
+  // Written back as a replica, under the v2 tag, and stable from there.
+  const std::string json = map->ToJson();
+  EXPECT_NE(json.find("ipin.shardmap.v2"), std::string::npos) << json;
+  EXPECT_EQ(json.find("mirror_"), std::string::npos) << json;
+  const auto reparsed = ShardMap::Parse(json, &error);
+  ASSERT_TRUE(reparsed.has_value()) << error;
+  EXPECT_EQ(reparsed->ToJson(), json);
+
+  // A mirror follows the listed replicas and obeys the same checks.
+  const auto appended = ShardMap::Parse(
+      R"({"schema":"ipin.shardmap.v2","shards":[)"
+      R"({"name":"a","unix_socket":"/tmp/a.sock",)"
+      R"("replicas":[{"unix_socket":"/tmp/a-r.sock"}],)"
+      R"("mirror_unix_socket":"/tmp/a-mirror.sock"}]})",
+      &error);
+  ASSERT_TRUE(appended.has_value()) << error;
+  ASSERT_EQ(appended->shard(0).replicas.size(), 2u);
+  EXPECT_EQ(appended->shard(0).replicas[1].unix_socket_path,
+            "/tmp/a-mirror.sock");
+  EXPECT_FALSE(ShardMap::Parse(R"({"schema":"ipin.shardmap.v1","shards":[)"
+                               R"({"name":"a","unix_socket":"/tmp/a.sock",)"
+                               R"("mirror_unix_socket":"/tmp/a.sock"}]})",
+                               &error)
+                   .has_value())
+      << "a mirror duplicating the primary is rejected";
+  std::string full = R"({"schema":"ipin.shardmap.v2","shards":[)"
+                     R"({"name":"a","unix_socket":"/tmp/a.sock","replicas":[)";
+  for (size_t r = 0; r < kMaxReplicas; ++r) {
+    full += (r > 0 ? "," : "") + std::string(R"({"unix_socket":"/tmp/a)") +
+            std::to_string(r) + R"(.sock"})";
+  }
+  full += R"(],"mirror_unix_socket":"/tmp/a-mirror.sock"}]})";
+  EXPECT_FALSE(ShardMap::Parse(full, &error).has_value())
+      << "a mirror past kMaxReplicas is rejected";
+}
+
 class ShardIndexTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -367,12 +427,16 @@ TEST_F(ShardMapManagerTest, CorruptMapRollsBackAndKeepsServing) {
   ASSERT_EQ(manager.Reload(), ReloadStatus::kOk);
   const auto before = manager.Current();
 
+#ifndef IPIN_OBS_DISABLED
   const uint64_t rollbacks = RollbackCount();
+#endif
   WriteMap("{\"schema\": \"ipin.shardmap.v1\", \"shards\": garbage");
   EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
   EXPECT_EQ(manager.Epoch(), 1u);
   EXPECT_EQ(manager.Current(), before);
+#ifndef IPIN_OBS_DISABLED
   EXPECT_EQ(RollbackCount(), rollbacks + 1);
+#endif
 }
 
 // The robustness satellite: N consecutive corrupt reloads each roll back,
@@ -384,21 +448,27 @@ TEST_F(ShardMapManagerTest, RepeatedCorruptReloadsKeepOldEpochThenRecover) {
   ASSERT_EQ(manager.Reload(), ReloadStatus::kOk);
   const auto good = manager.Current();
 
+#ifndef IPIN_OBS_DISABLED
   const uint64_t rollbacks = RollbackCount();
+#endif
   constexpr int kAttempts = 5;
   for (int i = 0; i < kAttempts; ++i) {
     WriteMap("corrupt attempt " + std::to_string(i));
     EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
     EXPECT_EQ(manager.Epoch(), 1u);
     EXPECT_EQ(manager.Current(), good);
+#ifndef IPIN_OBS_DISABLED
     EXPECT_EQ(RollbackCount(), rollbacks + static_cast<uint64_t>(i) + 1);
+#endif
   }
 
   WriteMap(ShardMap(MakeShards(4)).ToJson());
   EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
   EXPECT_EQ(manager.Epoch(), 2u);
   EXPECT_EQ(manager.Current()->num_shards(), 4u);
+#ifndef IPIN_OBS_DISABLED
   EXPECT_EQ(RollbackCount(), rollbacks + kAttempts);
+#endif
 }
 
 TEST_F(ShardMapManagerTest, FailpointForcesRollback) {

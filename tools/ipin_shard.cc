@@ -148,9 +148,9 @@ std::string OldPiecePath(const serve::ShardMap& map, size_t i,
   return {};
 }
 
-/// The grown shard list: old shards keep their names, endpoints, mirrors
-/// and replicas (their ring points — hence their retained ownership — are a
-/// pure function of the name); new shards get the first free "shard<k>"
+/// The grown shard list: old shards keep their names and endpoints,
+/// replicas included (their ring points — hence their retained ownership —
+/// are a pure function of the name); new shards get the first free "shard<k>"
 /// names and <socket_prefix><k>.sock endpoints.
 std::vector<serve::ShardInfo> GrowShards(const serve::ShardMap& old_map,
                                          size_t new_n,
@@ -275,11 +275,10 @@ int RunShow(const FlagMap& flags) {
             ? info.endpoint.unix_socket_path
             : StrFormat("%s:%d", info.endpoint.tcp_host.c_str(),
                         info.endpoint.tcp_port);
-    std::printf("  %-10s %-32s owns %6zu/%zu (%.1f%%)%s%s\n",
+    std::printf("  %-10s %-32s owns %6zu/%zu (%.1f%%)%s\n",
                 info.name.c_str(), endpoint.c_str(), owned[i], num_nodes,
                 100.0 * static_cast<double>(owned[i]) /
                     static_cast<double>(num_nodes),
-                info.mirror.valid() ? "  [mirrored]" : "",
                 info.replicas.empty()
                     ? ""
                     : StrFormat("  [%zu replicas]", info.replicas.size())
