@@ -1,9 +1,12 @@
 #include "ipin/common/safe_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -19,23 +22,32 @@ constexpr char kMagic[8] = {'I', 'P', 'I', 'N', 'S', 'A', 'F', '1'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + 3 * sizeof(uint32_t);
 constexpr size_t kFrameHeaderSize = 3 * sizeof(uint32_t);
 
-// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), byte-at-a-time
-// table. Software only: portable, and these files are read/written once per
-// build, so checksum throughput is nowhere near the critical path.
-const uint32_t* Crc32cTable() {
-  static const uint32_t* table = [] {
-    auto* t = new uint32_t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
-      }
-      t[i] = crc;
+// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), slicing-by-8.
+// tables[0] is the classic byte-at-a-time table; tables[k][b] is the CRC
+// state after byte b followed by k zero bytes, so one step folds eight
+// input bytes with eight independent lookups instead of a serial chain of
+// eight. Same CRC values as the byte-at-a-time loop, several times faster.
+using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables tables{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
     }
-    return t;
-  }();
-  return table;
+    tables[0][i] = crc;
+  }
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = (prev >> 8) ^ tables[0][prev & 0xff];
+    }
+  }
+  return tables;
 }
+
+constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
 
 template <typename T>
 void AppendRaw(std::string* out, T value) {
@@ -59,13 +71,55 @@ std::string DirectoryOf(const std::string& path) {
 }  // namespace
 
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
-  const uint32_t* table = Crc32cTable();
+  // The eight-byte step loads a word whose low byte is the first input
+  // byte; like the file formats themselves, that assumes little-endian.
+  static_assert(std::endian::native == std::endian::little);
+  const Crc32cTables& t = kCrc32cTables;
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xff];
+  for (; size >= 8; bytes += 8, size -= 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    word ^= crc;
+    crc = t[7][word & 0xff] ^ t[6][(word >> 8) & 0xff] ^
+          t[5][(word >> 16) & 0xff] ^ t[4][(word >> 24) & 0xff] ^
+          t[3][(word >> 32) & 0xff] ^ t[2][(word >> 40) & 0xff] ^
+          t[1][(word >> 48) & 0xff] ^ t[0][word >> 56];
+  }
+  for (; size > 0; ++bytes, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *bytes) & 0xff];
   }
   return ~crc;
+}
+
+bool ReadWholeFile(const std::string& path, std::string* contents) {
+  contents->clear();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  const size_t expected =
+      ::fstat(fd, &st) == 0 && st.st_size > 0 ? static_cast<size_t>(st.st_size)
+                                              : 0;
+  // One spare byte, so a file whose size matches fstat ends with a 0-byte
+  // read rather than a regrow.
+  contents->resize(expected + 1);
+  size_t size = 0;
+  for (;;) {
+    if (size == contents->size()) contents->resize(2 * size);
+    const ssize_t n =
+        ::read(fd, contents->data() + size, contents->size() - size);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      contents->clear();
+      return false;
+    }
+    if (n == 0) break;
+    size += static_cast<size_t>(n);
+  }
+  ::close(fd);
+  contents->resize(size);
+  return true;
 }
 
 SafeFileWriter::SafeFileWriter(std::string path, uint32_t file_type,
@@ -193,14 +247,10 @@ SafeOpenStatus SafeFileReader::Open(const std::string& path,
     exhausted_ = true;
     return SafeOpenStatus::kMissing;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  if (!ReadWholeFile(path, &buffer_)) {
     exhausted_ = true;
     return SafeOpenStatus::kMissing;
   }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  buffer_ = std::move(contents);
   if (buffer_.size() < sizeof(kMagic)) {
     exhausted_ = true;
     return SafeOpenStatus::kTruncated;
@@ -225,8 +275,8 @@ SafeOpenStatus SafeFileReader::Open(const std::string& path,
   return SafeOpenStatus::kOk;
 }
 
-FrameStatus SafeFileReader::ReadFrame(std::string* payload) {
-  payload->clear();
+FrameStatus SafeFileReader::ReadFrame(std::string_view* payload) {
+  *payload = {};
   if (exhausted_) return FrameStatus::kEndOfFile;
   if (offset_ == buffer_.size()) {
     exhausted_ = true;
@@ -253,7 +303,7 @@ FrameStatus SafeFileReader::ReadFrame(std::string* payload) {
   if (Crc32c(static_cast<const void*>(data), payload_len) != payload_crc) {
     return FrameStatus::kCorrupt;  // this frame only; the next is intact
   }
-  payload->assign(data, payload_len);
+  *payload = std::string_view(data, payload_len);
   return FrameStatus::kOk;
 }
 

@@ -37,8 +37,9 @@
 
 namespace ipin {
 
-/// CRC-32C (Castagnoli), the checksum used by the framing layer. Software
-/// table implementation; `seed` chains incremental computations.
+/// CRC-32C (Castagnoli), the checksum used by the framing layer. Portable
+/// slicing-by-8 (eight bytes per step through eight 256-entry tables);
+/// `seed` chains incremental computations.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
   return Crc32c(data.data(), data.size(), seed);
@@ -98,8 +99,8 @@ enum class FrameStatus {
 };
 
 /// Reads a file written by SafeFileWriter, frame by frame, verifying every
-/// checksum. The whole file is buffered on open (these files are read once
-/// into memory anyway by their consumers).
+/// checksum. The whole file is buffered on open with one read sized by
+/// fstat (these files are read once into memory anyway by their consumers).
 class SafeFileReader {
  public:
   /// Opens and validates the header. `expected_type` guards against feeding
@@ -109,10 +110,17 @@ class SafeFileReader {
   /// Format version from the header (valid after a kOk Open).
   uint32_t version() const { return version_; }
 
-  /// Reads the next frame into *payload. On kCorrupt with CanContinue(),
-  /// the damaged frame was skipped and the next call reads the following
-  /// frame; otherwise the reader is exhausted.
-  FrameStatus ReadFrame(std::string* payload);
+  /// Bytes held in memory: the whole file, header included.
+  size_t file_size() const { return buffer_.size(); }
+
+  /// Bytes not yet consumed by ReadFrame.
+  size_t remaining() const { return buffer_.size() - offset_; }
+
+  /// Points *payload at the next frame's bytes inside the reader's buffer
+  /// (valid until the next Open or the reader's destruction). On kCorrupt
+  /// with CanContinue(), the damaged frame was skipped and the next call
+  /// reads the following frame; otherwise the reader is exhausted.
+  FrameStatus ReadFrame(std::string_view* payload);
 
   /// True while later frames are still reachable after a kCorrupt frame.
   bool CanContinue() const { return !exhausted_; }
@@ -123,6 +131,11 @@ class SafeFileReader {
   uint32_t version_ = 0;
   bool exhausted_ = false;
 };
+
+/// Reads the whole file at `path` into *contents with one fstat-sized
+/// read (growing only if the file is longer than fstat said, e.g. a pipe).
+/// False if the file cannot be opened or read.
+bool ReadWholeFile(const std::string& path, std::string* contents);
 
 /// Convenience: true if `path` exists and begins with the safe_io magic
 /// (used for format auto-detection against legacy files).

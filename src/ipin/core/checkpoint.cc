@@ -354,7 +354,7 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
   if (reader.Open(path, kCheckpointFileType) != SafeOpenStatus::kOk) {
     return false;
   }
-  std::string payload;
+  std::string_view payload;
   if (reader.ReadFrame(&payload) != FrameStatus::kOk ||
       !ParseMeta(payload, meta) || !meta->fp.Matches(expected) ||
       meta->edges_processed > meta->fp.num_interactions) {

@@ -33,21 +33,16 @@ IrsApprox::IrsApprox(size_t num_nodes, Duration window,
 }
 
 IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
-                     std::vector<std::unique_ptr<VersionedHll>> sketches)
+                     SketchArena arena)
     : window_(window),
       options_(options),
-      num_nodes_(sketches.size()),
-      sketches_(std::move(sketches)) {
+      num_nodes_(arena.num_nodes()),
+      arena_(std::make_unique<SketchArena>(std::move(arena))),
+      sealed_(true) {
   IPIN_CHECK_GE(window, 1);
-  for (const auto& sketch : sketches_) {
-    if (sketch != nullptr) {
-      IPIN_CHECK_EQ(sketch->precision(), options_.precision);
-      IPIN_CHECK_EQ(sketch->salt(), options_.salt);
-    }
-  }
-  // Restored instances (oracle load, shard extraction) are final and
-  // query-facing; pack them for the query hot paths right away.
-  Seal();
+  IPIN_CHECK_EQ(arena_->precision(), options_.precision);
+  IPIN_CHECK_EQ(arena_->salt(), options_.salt);
+  PublishArenaGauges();
 }
 
 void IrsApprox::Seal() {
@@ -63,6 +58,10 @@ void IrsApprox::Seal() {
   sealed_ = true;
   sketches_.clear();
   sketches_.shrink_to_fit();
+  PublishArenaGauges();
+}
+
+void IrsApprox::PublishArenaGauges() const {
   IPIN_GAUGE_SET("sketch.arena.bytes", arena_->MemoryUsageBytes());
   IPIN_GAUGE_SET("sketch.arena.entries", arena_->TotalEntries());
 }

@@ -54,12 +54,12 @@ class IrsApprox {
   /// time order.
   IrsApprox(size_t num_nodes, Duration window, const IrsApproxOptions& options);
 
-  /// Reassembles an instance from per-node sketches (nullptr = node never
-  /// sent). Used by the oracle persistence layer (oracle_io.h) and shard
-  /// extraction; every non-null sketch must match `options`' precision and
-  /// salt (checked). The result is sealed (query-facing from birth).
+  /// Wraps an already-packed arena (its precision and salt must match
+  /// `options`; checked). Used by the oracle persistence layer
+  /// (oracle_io.h), shard extraction and reshard reconstruction, which fill
+  /// the arena directly. The result is sealed (query-facing from birth).
   IrsApprox(Duration window, const IrsApproxOptions& options,
-            std::vector<std::unique_ptr<VersionedHll>> sketches);
+            SketchArena arena);
 
   /// Processes one interaction; MUST be called in non-increasing time order
   /// (checked). Only valid while the instance is unsealed.
@@ -72,12 +72,12 @@ class IrsApprox {
   /// max-rank plane. Compute/ComputeParallel return UNSEALED so the pack +
   /// free cost stays out of the timed build scan (fig3); call Seal() at the
   /// build->query handoff, before sustained querying. The restore paths
-  /// (oracle load, shard extraction) seal automatically — those instances
-  /// are query-facing from birth. Idempotent. After sealing,
+  /// (oracle load, shard extraction) never hold unsealed sketches: they
+  /// build the arena directly. Idempotent. After sealing,
   /// ProcessInteraction is forbidden (checked).
   void Seal();
 
-  /// True once Seal() ran (directly or via a Compute/restore path).
+  /// True once Seal() ran, and for instances built from an arena.
   bool sealed() const { return sealed_; }
 
   /// The packed sketch store, or nullptr while unsealed. Query hot loops
@@ -146,6 +146,9 @@ class IrsApprox {
   // once per completed build (by Compute and the checkpointed variant).
   void PublishBuildMetrics() const;
 
+  // Sets the sketch.arena.* gauges from the live arena.
+  void PublishArenaGauges() const;
+
   Duration window_;
   IrsApproxOptions options_;
   size_t num_nodes_ = 0;
@@ -164,7 +167,8 @@ class IrsApprox {
   std::unique_ptr<SketchArena> arena_;
   bool sealed_ = false;
   // Per-sketch lifetime tallies, captured by Seal() before the sketches
-  // are freed so the Total*() accessors keep working.
+  // are freed so the Total*() accessors keep working (zero for instances
+  // built from an arena: their build history is not stored).
   size_t sealed_insert_attempts_ = 0;
   size_t sealed_evictions_ = 0;
   size_t sealed_merge_entries_scanned_ = 0;

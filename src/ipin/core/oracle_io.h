@@ -18,6 +18,11 @@
 // instead of vanishing: every chunk whose checksum verifies is loaded, the
 // rest are dropped and reported (robustness.index.* metrics, log warnings).
 // Files written by the pre-safe_io format ("IPINIDX1") are still readable.
+//
+// Restore builds the served form directly: the file is read with one
+// sized read, every frame is verified (slicing-by-8 CRC32C) and measured,
+// and each node's bytes are parsed straight into a SketchArena sized once.
+// No VersionedHll is constructed and nothing is sealed at restore.
 
 namespace ipin {
 

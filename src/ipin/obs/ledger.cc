@@ -413,7 +413,7 @@ LedgerLoadResult LoadRunLedger(const std::string& path) {
   // its CRC (or no longer parses) is dropped, not fatal.
   std::string merged = "{";
   bool any_member = false;
-  std::string payload;
+  std::string_view payload;
   for (;;) {
     const FrameStatus status = reader.ReadFrame(&payload);
     if (status == FrameStatus::kEndOfFile) break;
@@ -430,7 +430,7 @@ LedgerLoadResult LoadRunLedger(const std::string& path) {
     }
     const size_t open_brace = payload.find('{');
     const size_t close_brace = payload.rfind('}');
-    const std::string inner =
+    const std::string_view inner =
         payload.substr(open_brace + 1, close_brace - open_brace - 1);
     if (inner.empty()) continue;
     if (any_member) merged += ",";

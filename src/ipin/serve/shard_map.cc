@@ -339,14 +339,20 @@ std::string ShardMap::ToJson() const {
 
 IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
                             size_t shard) {
-  std::vector<std::unique_ptr<VersionedHll>> sketches(full.num_nodes());
+  std::vector<NodeId> owned;
+  SketchArena::Capacity capacity;
   for (NodeId u = 0; u < full.num_nodes(); ++u) {
     const SketchView sketch = full.Sketch(u);
     if (sketch && map.OwnerOf(u) == shard) {
-      sketches[u] = sketch.Materialize();
+      owned.push_back(u);
+      ++capacity.sketches;
+      capacity.entries += sketch.NumEntries();
     }
   }
-  return IrsApprox(full.window(), full.options(), std::move(sketches));
+  SketchArena arena(full.options().precision, full.options().salt,
+                    full.num_nodes(), capacity);
+  for (const NodeId u : owned) arena.AppendCopy(u, full.Sketch(u));
+  return IrsApprox(full.window(), full.options(), std::move(arena));
 }
 
 ShardMapManager::ShardMapManager(std::string map_path)

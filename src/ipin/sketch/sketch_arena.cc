@@ -13,61 +13,95 @@ obs::MemoryTally& SketchArenaMemTally() {
   return tally;
 }
 
-SketchArena::SketchArena(
-    int precision, uint64_t salt,
-    std::span<const std::unique_ptr<VersionedHll>> sketches)
+SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,
+                         Capacity capacity)
     : precision_(precision),
       salt_(salt),
       beta_(static_cast<size_t>(1) << precision),
-      num_nodes_(sketches.size()) {
+      num_nodes_(num_nodes) {
   IPIN_CHECK_GE(precision, 4);
   IPIN_CHECK_LE(precision, 18);
-
-  // Pass 1: count slots and entries so every array is allocated exactly once.
-  size_t total_entries = 0;
-  for (const auto& sketch : sketches) {
-    if (sketch == nullptr) continue;
-    IPIN_CHECK_EQ(sketch->precision(), precision_);
-    IPIN_CHECK_EQ(sketch->salt(), salt_);
-    ++num_allocated_;
-    total_entries += sketch->NumEntries();
-  }
-
   rank_plane_.resize(num_nodes_ * beta_, 0);
   slot_of_.resize(num_nodes_, kNoSlot);
-  cell_counts_.resize(num_allocated_ * beta_, 0);
-  slot_entry_base_.resize(num_allocated_ + 1, 0);
-  entry_ranks_.resize(total_entries);
-  entry_times_.resize(total_entries);
+  cell_counts_.resize(capacity.sketches * beta_, 0);
+  slot_entry_base_.resize(capacity.sketches + 1, 0);
+  entry_ranks_.resize(capacity.entries);
+  entry_times_.resize(capacity.entries);
+}
 
-  // Pass 2: pack. Entries keep their in-cell order (ascending time,
-  // strictly ascending rank — the vHLL invariant the kernels rely on).
-  size_t next_slot = 0;
-  size_t next_entry = 0;
-  for (size_t u = 0; u < num_nodes_; ++u) {
-    const VersionedHll* sketch = sketches[u].get();
+namespace {
+
+SketchArena::Capacity CapacityFor(
+    std::span<const std::unique_ptr<VersionedHll>> sketches) {
+  SketchArena::Capacity capacity;
+  for (const auto& sketch : sketches) {
     if (sketch == nullptr) continue;
-    const size_t s = next_slot++;
-    slot_of_[u] = static_cast<uint32_t>(s);
-    const std::span<const uint8_t> ranks = sketch->max_ranks();
-    std::memcpy(rank_plane_.data() + u * beta_, ranks.data(), beta_);
-    uint8_t* counts = cell_counts_.data() + s * beta_;
-    slot_entry_base_[s] = next_entry;
-    for (size_t c = 0; c < beta_; ++c) {
-      const VersionedHll::CellList& list = sketch->cell(c);
-      // u8 per-cell counts: an undominated list holds at most 64 entries
-      // (strictly ascending u8 ranks bounded by the hash width).
-      IPIN_CHECK_LE(list.size(), 64u);
-      counts[c] = static_cast<uint8_t>(list.size());
-      for (const VersionedHll::Entry& e : list) {
-        entry_ranks_[next_entry] = e.rank;
-        entry_times_[next_entry] = e.time;
-        ++next_entry;
-      }
+    ++capacity.sketches;
+    capacity.entries += sketch->NumEntries();
+  }
+  return capacity;
+}
+
+}  // namespace
+
+SketchArena::SketchArena(
+    int precision, uint64_t salt,
+    std::span<const std::unique_ptr<VersionedHll>> sketches)
+    : SketchArena(precision, salt, sketches.size(), CapacityFor(sketches)) {
+  // Entries keep their in-cell order (ascending time, strictly ascending
+  // rank — the vHLL invariant the kernels rely on).
+  for (size_t u = 0; u < num_nodes_; ++u) {
+    if (sketches[u] != nullptr) {
+      AppendCopy(static_cast<NodeId>(u), SketchView(sketches[u].get()));
     }
   }
-  slot_entry_base_[num_allocated_] = next_entry;
-  IPIN_CHECK_EQ(next_entry, total_entries);
+}
+
+void SketchArena::AppendCopy(NodeId u, const SketchView& sketch) {
+  IPIN_CHECK(sketch.valid());
+  IPIN_CHECK_EQ(sketch.precision(), precision_);
+  IPIN_CHECK_EQ(sketch.salt(), salt_);
+  bool appended = false;
+  if (sketch.hll_ != nullptr) {
+    const VersionedHll& hll = *sketch.hll_;
+    appended = AppendNode(u, [&hll](size_t c, uint8_t* ranks, int64_t* times,
+                                    size_t room) {
+      const VersionedHll::CellList& list = hll.cell(c);
+      if (list.size() > room) return -1;
+      for (size_t i = 0; i < list.size(); ++i) {
+        ranks[i] = list[i].rank;
+        times[i] = list[i].time;
+      }
+      return static_cast<int>(list.size());
+    });
+  } else {
+    const SketchArena& src = *sketch.arena_;
+    const size_t s = src.slot(sketch.node_);
+    const uint8_t* counts = src.cell_counts_.data() + s * beta_;
+    size_t entry = src.slot_entry_base_[s];
+    appended = AppendNode(u, [&](size_t c, uint8_t* ranks, int64_t* times,
+                                 size_t room) {
+      const size_t n = counts[c];
+      if (n > room) return -1;
+      std::memcpy(ranks, src.entry_ranks_.data() + entry, n);
+      std::memcpy(times, src.entry_times_.data() + entry,
+                  n * sizeof(int64_t));
+      entry += n;
+      return static_cast<int>(n);
+    });
+  }
+  IPIN_CHECK(appended);
+}
+
+void SketchArena::RollBack(size_t num_allocated, NodeId first, NodeId end) {
+  IPIN_CHECK_LE(num_allocated, num_allocated_);
+  for (NodeId u = first; u < end; ++u) {
+    if (!has_node(u) || slot_of_[u] < num_allocated) continue;
+    slot_of_[u] = kNoSlot;
+    std::fill_n(rank_plane_.data() + static_cast<size_t>(u) * beta_, beta_,
+                uint8_t{0});
+  }
+  num_allocated_ = num_allocated;
 }
 
 size_t SketchArena::NodeNumEntries(NodeId u) const {
@@ -102,9 +136,6 @@ void SketchArena::BoundedMaxInto(NodeId u, Timestamp bound,
 
 namespace {
 
-// Mirrors the VersionedHll serialization layout (vhll.cc) byte for byte.
-constexpr uint8_t kVhllFormatVersion = 1;
-
 template <typename T>
 void AppendRaw(std::string* out, T value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
@@ -117,7 +148,8 @@ void SketchArena::SerializeNode(NodeId u, std::string* out) const {
   const size_t s = slot(u);
   const uint8_t* counts = cell_counts_.data() + s * beta_;
   size_t entry = slot_entry_base_[s];
-  AppendRaw<uint8_t>(out, kVhllFormatVersion);
+  // Mirrors the VersionedHll serialization layout (vhll.cc) byte for byte.
+  AppendRaw<uint8_t>(out, VersionedHll::kFormatVersion);
   AppendRaw<uint8_t>(out, static_cast<uint8_t>(precision_));
   AppendRaw<uint64_t>(out, salt_);
   for (size_t c = 0; c < beta_; ++c) {
@@ -128,17 +160,6 @@ void SketchArena::SerializeNode(NodeId u, std::string* out) const {
       AppendRaw<int64_t>(out, entry_times_[entry]);
     }
   }
-}
-
-std::unique_ptr<VersionedHll> SketchArena::MaterializeNode(NodeId u) const {
-  // Round-trip through the wire format: exact by construction, and this
-  // path (shard extraction) is nowhere near hot.
-  std::string blob;
-  SerializeNode(u, &blob);
-  size_t offset = 0;
-  std::optional<VersionedHll> sketch = VersionedHll::Deserialize(blob, &offset);
-  IPIN_CHECK(sketch.has_value());
-  return std::make_unique<VersionedHll>(std::move(*sketch));
 }
 
 bool SketchArena::CheckNodeInvariants(NodeId u) const {
@@ -208,11 +229,6 @@ void SketchView::Serialize(std::string* out) const {
 bool SketchView::CheckInvariants() const {
   if (hll_ != nullptr) return hll_->CheckInvariants();
   return arena_->CheckNodeInvariants(node_);
-}
-
-std::unique_ptr<VersionedHll> SketchView::Materialize() const {
-  if (hll_ != nullptr) return std::make_unique<VersionedHll>(*hll_);
-  return arena_->MaterializeNode(node_);
 }
 
 }  // namespace ipin

@@ -2,12 +2,14 @@
 #define IPIN_SKETCH_SKETCH_ARENA_H_
 
 #include <cstddef>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "ipin/common/check.h"
 #include "ipin/graph/types.h"
 #include "ipin/obs/memtally.h"
 #include "ipin/sketch/vhll.h"
@@ -27,11 +29,19 @@
 //                in cell order, split into parallel rank/time arrays for the
 //                windowed bounded-max kernel.
 //
+// Every array is sized once, up front, and filled one node at a time by
+// AppendNode — the single fill path behind sealing a build, restoring a
+// saved index (oracle_io parses each node's bytes straight into the arena;
+// nothing is sealed at restore) and copying nodes between arenas (shard
+// extraction, reshard reconstruction).
+//
 // Serialization is byte-compatible with VersionedHll::Serialize, so
 // oracle_io round-trips unchanged whether a node is serialized from a live
 // sketch or from the arena.
 
 namespace ipin {
+
+class SketchView;
 
 /// Byte tally charged for all arena allocations (component "sketch_arena");
 /// published as the mem.sketch_arena.* gauges.
@@ -42,18 +52,52 @@ class SketchArena {
   /// Slot sentinel for nodes that never received a sketch.
   static constexpr uint32_t kNoSlot = 0xffffffffu;
 
-  /// Seals `sketches` (indexed by node id; null entries = absent node) into
-  /// packed form. The arena copies everything out; callers free the source
-  /// sketches afterwards.
+  /// Room an arena is allocated with: sketches (slots) and (rank, time)
+  /// pairs across all of them.
+  struct Capacity {
+    size_t sketches = 0;
+    size_t entries = 0;
+  };
+
+  /// An arena over `num_nodes` nodes, all absent, with every array
+  /// allocated for `capacity`. Fill it with AppendNode/AppendCopy.
+  SketchArena(int precision, uint64_t salt, size_t num_nodes,
+              Capacity capacity);
+
+  /// Seals `sketches` (indexed by node id; null entries = absent node):
+  /// sizes the arena exactly and appends every sketch in node order. The
+  /// arena copies everything out; callers free the source sketches
+  /// afterwards.
   SketchArena(int precision, uint64_t salt,
               std::span<const std::unique_ptr<VersionedHll>> sketches);
+
+  /// Appends node `u` (< num_nodes, not yet present) in the next free slot.
+  /// `fill_cell(c, ranks, times, room)` is called once per cell in
+  /// ascending cell order; it writes cell c's pairs (at most `room`) to
+  /// ranks[]/times[] and returns how many it wrote, or -1 if it cannot.
+  /// Every cell is checked against the vHLL invariants: at most 64 pairs,
+  /// ranks non-zero and strictly ascending, times non-descending. If
+  /// fill_cell fails, a check fails or the arena is full, node `u` stays
+  /// absent and false is returned.
+  template <typename FillCell>
+  bool AppendNode(NodeId u, FillCell&& fill_cell);
+
+  /// Appends a copy of `sketch` (either storage mode; precision and salt
+  /// must match) as node `u`. The source is trusted: failure is a bug
+  /// (checked).
+  void AppendCopy(NodeId u, const SketchView& sketch);
+
+  /// Removes every node appended since NumAllocated() was `num_allocated`,
+  /// so a group of appends that fails part-way leaves nothing behind. All
+  /// of those nodes must lie in [first, end).
+  void RollBack(size_t num_allocated, NodeId first, NodeId end);
 
   int precision() const { return precision_; }
   uint64_t salt() const { return salt_; }
   size_t num_cells() const { return beta_; }
   size_t num_nodes() const { return num_nodes_; }
 
-  /// True if node `u` had a sketch when the arena was sealed.
+  /// True if node `u` has a sketch.
   bool has_node(NodeId u) const {
     return u < num_nodes_ && slot_of_[u] != kNoSlot;
   }
@@ -71,7 +115,7 @@ class SketchArena {
   size_t NodeNumEntries(NodeId u) const;
 
   /// Total stored pairs across all nodes.
-  size_t TotalEntries() const { return entry_ranks_.size(); }
+  size_t TotalEntries() const { return slot_entry_base_[num_allocated_]; }
 
   /// Unbounded estimate for node `u` via the dispatched kernel.
   double EstimateNode(NodeId u) const;
@@ -89,10 +133,6 @@ class SketchArena {
   /// VersionedHll::Serialize would have produced for the sealed sketch.
   /// Must not be called for absent nodes.
   void SerializeNode(NodeId u, std::string* out) const;
-
-  /// Reconstructs node `u` as a standalone mutable sketch (shard
-  /// extraction). Must not be called for absent nodes.
-  std::unique_ptr<VersionedHll> MaterializeNode(NodeId u) const;
 
   /// Verifies the per-cell invariants of node `u`'s stored entries and that
   /// its rank-plane row matches them. Test helper; true for absent nodes.
@@ -115,11 +155,46 @@ class SketchArena {
   size_t num_allocated_ = 0;
   TallyVec<uint8_t> rank_plane_;        // num_nodes x beta
   TallyVec<uint32_t> slot_of_;          // num_nodes, kNoSlot when absent
-  TallyVec<uint8_t> cell_counts_;       // num_allocated x beta
-  TallyVec<uint64_t> slot_entry_base_;  // num_allocated + 1
-  TallyVec<uint8_t> entry_ranks_;       // total entries, cell order
+  TallyVec<uint8_t> cell_counts_;       // capacity.sketches x beta
+  TallyVec<uint64_t> slot_entry_base_;  // capacity.sketches + 1
+  TallyVec<uint8_t> entry_ranks_;       // capacity.entries, cell order
   TallyVec<int64_t> entry_times_;       // parallel to entry_ranks_
 };
+
+template <typename FillCell>
+bool SketchArena::AppendNode(NodeId u, FillCell&& fill_cell) {
+  IPIN_CHECK_LT(u, num_nodes_);
+  IPIN_CHECK_EQ(slot_of_[u], kNoSlot);
+  const size_t s = num_allocated_;
+  if (s + 1 >= slot_entry_base_.size()) return false;  // no free slot
+  uint8_t* counts = cell_counts_.data() + s * beta_;
+  uint8_t* row = rank_plane_.data() + static_cast<size_t>(u) * beta_;
+  size_t entry = slot_entry_base_[s];
+  for (size_t c = 0; c < beta_; ++c) {
+    uint8_t* ranks = entry_ranks_.data() + entry;
+    int64_t* times = entry_times_.data() + entry;
+    const size_t room = entry_ranks_.size() - entry;
+    const int filled = fill_cell(c, ranks, times, room);
+    bool ok = filled >= 0 && filled <= 64 &&
+              static_cast<size_t>(filled) <= room;
+    const size_t n = ok ? static_cast<size_t>(filled) : 0;
+    for (size_t i = 0; ok && i < n; ++i) {
+      ok = ranks[i] != 0 &&
+           (i == 0 || (ranks[i] > ranks[i - 1] && times[i] >= times[i - 1]));
+    }
+    if (!ok) {
+      std::fill(row, row + beta_, uint8_t{0});
+      return false;
+    }
+    counts[c] = static_cast<uint8_t>(n);
+    row[c] = n == 0 ? 0 : ranks[n - 1];
+    entry += n;
+  }
+  slot_of_[u] = static_cast<uint32_t>(s);
+  slot_entry_base_[s + 1] = entry;
+  num_allocated_ = s + 1;
+  return true;
+}
 
 /// Uniform read handle over one node's sketch in either storage mode:
 /// a live VersionedHll during a build, or an arena slot once sealed.
@@ -168,10 +243,10 @@ class SketchView {
   void Serialize(std::string* out) const;
   bool CheckInvariants() const;
 
-  /// Deep copy into a standalone mutable sketch.
-  std::unique_ptr<VersionedHll> Materialize() const;
-
  private:
+  friend class SketchArena;  // AppendCopy reads either store directly
+
+
   const VersionedHll* hll_ = nullptr;
   const SketchArena* arena_ = nullptr;
   NodeId node_ = kInvalidNode;

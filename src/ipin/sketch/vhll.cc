@@ -188,12 +188,11 @@ bool VersionedHll::CheckInvariants() const {
 namespace {
 
 // Serialization layout (little-endian):
-//   u8  format version (1)
+//   u8  format version (kFormatVersion)
 //   u8  precision
 //   u64 salt
 //   per cell (2^precision of them): u32 count, then count x (u8 rank,
 //   i64 time).
-constexpr uint8_t kVhllFormatVersion = 1;
 
 template <typename T>
 void AppendRaw(std::string* out, T value) {
@@ -211,7 +210,7 @@ bool ReadRaw(std::string_view data, size_t* offset, T* value) {
 }  // namespace
 
 void VersionedHll::Serialize(std::string* out) const {
-  AppendRaw<uint8_t>(out, kVhllFormatVersion);
+  AppendRaw<uint8_t>(out, kFormatVersion);
   AppendRaw<uint8_t>(out, static_cast<uint8_t>(precision_));
   AppendRaw<uint64_t>(out, salt_);
   for (const CellList& list : cells_) {
@@ -228,7 +227,7 @@ std::optional<VersionedHll> VersionedHll::Deserialize(std::string_view data,
   uint8_t version = 0;
   uint8_t precision = 0;
   uint64_t salt = 0;
-  if (!ReadRaw(data, offset, &version) || version != kVhllFormatVersion) {
+  if (!ReadRaw(data, offset, &version) || version != kFormatVersion) {
     return std::nullopt;
   }
   if (!ReadRaw(data, offset, &precision) || precision < 4 || precision > 18) {

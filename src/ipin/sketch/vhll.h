@@ -42,6 +42,9 @@ obs::MemoryTally& VhllMemTally();
 /// callers that only ever issue windowed queries (EstimateBefore).
 class VersionedHll {
  public:
+  /// Leading byte of every Serialize encoding (layout in vhll.cc).
+  static constexpr uint8_t kFormatVersion = 1;
+
   /// One (rank, timestamp) pair of a cell list.
   struct Entry {
     uint8_t rank = 0;

@@ -3,12 +3,14 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
+#include "ipin/common/random.h"
 
 namespace ipin {
 namespace {
@@ -64,12 +66,63 @@ TEST(Crc32cTest, SeedChainsIncrementally) {
   EXPECT_EQ(whole, chained);
 }
 
+// Bit-at-a-time CRC-32C straight from the polynomial: the reference the
+// table-driven implementation must match.
+uint32_t BitwiseCrc32c(const unsigned char* data, size_t size) {
+  uint32_t crc = ~0u;
+  for (size_t i = 0; i < size; ++i) {
+    crc ^= data[i];
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32cTest, Rfc3720Vectors) {
+  std::string ascending(32, '\0');
+  for (int i = 0; i < 32; ++i) ascending[i] = static_cast<char>(i);
+  EXPECT_EQ(Crc32c(std::string(32, '\0')), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(std::string(32, '\xff')), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(ascending), 0x46DD794Eu);
+}
+
+// Every length 0..1024 at every start alignment mod 8, so the eight-byte
+// loop, its tail and an unaligned head are all covered.
+TEST(Crc32cTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(11);
+  std::vector<unsigned char> buffer(1024 + 8);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.NextUint64());
+  }
+  for (size_t align = 0; align < 8; ++align) {
+    for (size_t len = 0; len <= 1024; ++len) {
+      const unsigned char* data = buffer.data() + align;
+      ASSERT_EQ(Crc32c(data, len), BitwiseCrc32c(data, len))
+          << "align " << align << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32cTest, SeedChainsAcrossEverySplit) {
+  Rng rng(12);
+  std::string data(100, '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextUint64());
+  const uint32_t whole = Crc32c(data);
+  const std::string_view view = data;
+  for (size_t split = 0; split <= data.size(); ++split) {
+    EXPECT_EQ(Crc32c(view.substr(split), Crc32c(view.substr(0, split))),
+              whole)
+        << "split " << split;
+  }
+}
+
 TEST_F(SafeIoTest, RoundtripMultipleFrames) {
   WriteFrames({"alpha", std::string(10000, 'x'), "", "omega"}, 7);
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
   EXPECT_EQ(reader.version(), 7u);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, "alpha");
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
@@ -120,7 +173,7 @@ TEST_F(SafeIoTest, CorruptPayloadSkippedReaderContinues) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, "first");
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
@@ -139,7 +192,7 @@ TEST_F(SafeIoTest, CorruptFrameHeaderEndsFile) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
   EXPECT_FALSE(reader.CanContinue());
@@ -153,7 +206,7 @@ TEST_F(SafeIoTest, TruncationMidFrameDetected) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kTruncated);
   EXPECT_FALSE(reader.CanContinue());
@@ -196,7 +249,7 @@ TEST_F(SafeIoTest, ShortWriteFailpointYieldsTruncatedFile) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kTruncated);
 }
 
@@ -220,6 +273,24 @@ TEST_F(SafeIoTest, EmptyFileIsTruncated) {
   WriteFileBytes("");
   SafeFileReader reader;
   EXPECT_EQ(reader.Open(path_, kType), SafeOpenStatus::kTruncated);
+}
+
+TEST_F(SafeIoTest, ReadWholeFileReadsExactlyTheFile) {
+  const std::string contents(100000, 'z');
+  WriteFileBytes(contents);
+  std::string got;
+  ASSERT_TRUE(ReadWholeFile(path_, &got));
+  EXPECT_EQ(got, contents);
+  EXPECT_FALSE(ReadWholeFile(path_ + ".absent", &got));
+  EXPECT_TRUE(got.empty());
+}
+
+// procfs files report size 0 to fstat, so the read must grow its buffer.
+TEST_F(SafeIoTest, ReadWholeFileGrowsPastTheFstatSize) {
+  std::string got;
+  ASSERT_TRUE(ReadWholeFile("/proc/self/maps", &got));
+  EXPECT_GT(got.size(), 1u);
+  EXPECT_NE(got.find('\n'), std::string::npos);
 }
 
 }  // namespace

@@ -91,19 +91,83 @@ TEST(SketchArenaTest, EstimatesMatchSourceSketches) {
   }
 }
 
-TEST(SketchArenaTest, MaterializeRoundTrips) {
+// AppendCopy from either store reproduces the node exactly, and an arena
+// sized from the copied nodes is exactly as large as the sealed one.
+TEST(SketchArenaTest, AppendCopyFromEitherStoreIsExact) {
   const auto sketches = BuildSketches(20, 4);
-  const SketchArena arena(kPrecision, kSalt, std::span(sketches));
+  const SketchArena sealed(kPrecision, kSalt, std::span(sketches));
+  const SketchArena::Capacity capacity{sealed.NumAllocated(),
+                                       sealed.TotalEntries()};
+  SketchArena from_arena(kPrecision, kSalt, 20, capacity);
+  SketchArena from_hll(kPrecision, kSalt, 20, capacity);
   for (NodeId u = 0; u < 20; ++u) {
     if (sketches[u] == nullptr) continue;
-    const auto copy = arena.MaterializeNode(u);
-    ASSERT_NE(copy, nullptr);
-    EXPECT_TRUE(copy->CheckInvariants());
-    std::string want, got;
-    sketches[u]->Serialize(&want);
-    copy->Serialize(&got);
-    EXPECT_EQ(got, want) << "node " << u;
+    from_arena.AppendCopy(u, SketchView(&sealed, u));
+    from_hll.AppendCopy(u, SketchView(sketches[u].get()));
   }
+  for (const SketchArena* copy : {&from_arena, &from_hll}) {
+    EXPECT_EQ(copy->NumAllocated(), sealed.NumAllocated());
+    EXPECT_EQ(copy->TotalEntries(), sealed.TotalEntries());
+    EXPECT_EQ(copy->MemoryUsageBytes(), sealed.MemoryUsageBytes());
+    for (NodeId u = 0; u < 20; ++u) {
+      ASSERT_EQ(copy->has_node(u), sealed.has_node(u)) << "node " << u;
+      EXPECT_TRUE(copy->CheckNodeInvariants(u)) << "node " << u;
+      const auto want = sealed.rank_row(u);
+      const auto got = copy->rank_row(u);
+      EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+          << "node " << u;
+      if (!sealed.has_node(u)) continue;
+      std::string a, b;
+      sealed.SerializeNode(u, &a);
+      copy->SerializeNode(u, &b);
+      EXPECT_EQ(b, a) << "node " << u;
+    }
+  }
+}
+
+// A cell that breaks a vHLL invariant rejects the whole node, and RollBack
+// removes nodes appended after a mark without touching earlier ones.
+TEST(SketchArenaTest, AppendRejectsBadCellsAndRollsBack) {
+  SketchArena arena(kPrecision, kSalt, 4, {4, 16});
+  const auto one_pair = [](uint8_t rank) {
+    return [rank](size_t c, uint8_t* ranks, int64_t* times, size_t) {
+      if (c != 0) return 0;
+      ranks[0] = rank;
+      times[0] = 5;
+      return 1;
+    };
+  };
+  ASSERT_TRUE(arena.AppendNode(0, one_pair(3)));
+  EXPECT_FALSE(arena.AppendNode(1, one_pair(0)));  // rank 0 is never stored
+  EXPECT_FALSE(arena.AppendNode(
+      1, [](size_t, uint8_t* ranks, int64_t* times, size_t room) {
+        if (room < 2) return -1;
+        ranks[0] = 4;  // ranks must strictly ascend
+        ranks[1] = 4;
+        times[0] = times[1] = 1;
+        return 2;
+      }));
+  EXPECT_FALSE(arena.AppendNode(
+      1, [](size_t, uint8_t*, int64_t*, size_t) { return 65; }));
+  EXPECT_FALSE(arena.has_node(1));
+  for (const uint8_t r : arena.rank_row(1)) EXPECT_EQ(r, 0);
+
+  const size_t mark = arena.NumAllocated();
+  ASSERT_TRUE(arena.AppendNode(1, one_pair(7)));
+  ASSERT_TRUE(arena.AppendNode(2, one_pair(9)));
+  arena.RollBack(mark, 1, 3);
+  EXPECT_EQ(arena.NumAllocated(), 1u);
+  EXPECT_EQ(arena.TotalEntries(), 1u);
+  EXPECT_TRUE(arena.has_node(0));
+  EXPECT_EQ(arena.rank_row(0)[0], 3);
+  for (const NodeId u : {NodeId{1}, NodeId{2}}) {
+    EXPECT_FALSE(arena.has_node(u));
+    for (const uint8_t r : arena.rank_row(u)) EXPECT_EQ(r, 0);
+  }
+  // The freed slots are reusable.
+  ASSERT_TRUE(arena.AppendNode(2, one_pair(1)));
+  EXPECT_EQ(arena.NodeNumEntries(2), 1u);
+  EXPECT_TRUE(arena.CheckNodeInvariants(2));
 }
 
 TEST(SketchArenaTest, ViewAgreesAcrossStorageModes) {

@@ -40,7 +40,7 @@
 //       [--socket_prefix=/tmp/ipin-shard] [--sample=64] [--seed=42]
 //
 //     Materializes the reshard: reconstructs the full index from the old
-//     pieces (every node's sketch lives in exactly one old piece), extracts
+//     pieces (every node's sketch lives in its owner's old piece), extracts
 //     and writes all <new_n> new pieces, re-loads each written file (CRC
 //     walk) and spot-checks rank equality on --sample random owned nodes
 //     against the reconstruction, then writes a v2 map whose "transition"
@@ -381,16 +381,14 @@ int RunPlan(const FlagMap& flags) {
   return 0;
 }
 
-/// Loads the old pieces and reassembles the full index (every node's sketch
-/// lives in exactly one old piece — checked). nullopt (with a message on
-/// stderr) on any load, ownership, or disjointness violation.
+/// Loads the old pieces and reassembles the full index, copying each
+/// node's sketch arena-to-arena from its owner's piece. Every piece may
+/// hold only nodes its shard owns (checked), so the pieces are disjoint.
+/// nullopt (with a message on stderr) on any load or ownership violation.
 std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
                                               const std::string& map_dir,
                                               const std::string& in_prefix) {
-  std::vector<std::unique_ptr<VersionedHll>> sketches;
-  size_t num_nodes = 0;
-  std::optional<Duration> window;
-  IrsApproxOptions options;
+  std::vector<IrsApprox> pieces;
   for (size_t i = 0; i < old_map.num_shards(); ++i) {
     const std::string path = OldPiecePath(old_map, i, map_dir, in_prefix);
     if (path.empty()) {
@@ -400,22 +398,18 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
                    i, old_map.shard(i).name.c_str());
       return std::nullopt;
     }
-    const IndexLoadResult load = LoadInfluenceIndexDetailed(path);
+    IndexLoadResult load = LoadInfluenceIndexDetailed(path);
     if (!load.usable()) {
       std::fprintf(stderr, "ipin_shard: cannot load piece '%s'\n",
                    path.c_str());
       return std::nullopt;
     }
     const IrsApprox& piece = *load.index;
-    if (i == 0) {
-      num_nodes = piece.num_nodes();
-      window = piece.window();
-      options = piece.options();
-      sketches.resize(num_nodes);
-    } else if (piece.num_nodes() != num_nodes ||
-               piece.window() != *window ||
-               piece.options().precision != options.precision ||
-               piece.options().salt != options.salt) {
+    if (i > 0 && (piece.num_nodes() != pieces[0].num_nodes() ||
+                  piece.window() != pieces[0].window() ||
+                  piece.options().precision !=
+                      pieces[0].options().precision ||
+                  piece.options().salt != pieces[0].options().salt)) {
       std::fprintf(stderr,
                    "ipin_shard: piece '%s' disagrees with piece 0 on node "
                    "space, window, or sketch parameters\n",
@@ -423,9 +417,7 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
       return std::nullopt;
     }
     for (NodeId u = 0; u < piece.num_nodes(); ++u) {
-      const SketchView sketch = piece.Sketch(u);
-      if (!sketch) continue;
-      if (old_map.OwnerOf(u) != i) {
+      if (piece.Sketch(u) && old_map.OwnerOf(u) != i) {
         std::fprintf(stderr,
                      "ipin_shard: piece '%s' holds node %llu owned by "
                      "shard %zu\n",
@@ -433,20 +425,29 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
                      old_map.OwnerOf(u));
         return std::nullopt;
       }
-      if (sketches[u] != nullptr) {
-        std::fprintf(stderr,
-                     "ipin_shard: node %llu appears in two pieces\n",
-                     static_cast<unsigned long long>(u));
-        return std::nullopt;
-      }
-      sketches[u] = sketch.Materialize();
     }
+    pieces.push_back(std::move(*load.index));
   }
-  if (!window.has_value()) {
+  if (pieces.empty()) {
     std::fprintf(stderr, "ipin_shard: old map has no shards\n");
     return std::nullopt;
   }
-  return IrsApprox(*window, options, std::move(sketches));
+
+  const IrsApprox& first = pieces[0];
+  SketchArena::Capacity capacity;
+  for (NodeId u = 0; u < first.num_nodes(); ++u) {
+    const SketchView sketch = pieces[old_map.OwnerOf(u)].Sketch(u);
+    if (!sketch) continue;
+    ++capacity.sketches;
+    capacity.entries += sketch.NumEntries();
+  }
+  SketchArena arena(first.options().precision, first.options().salt,
+                    first.num_nodes(), capacity);
+  for (NodeId u = 0; u < first.num_nodes(); ++u) {
+    const SketchView sketch = pieces[old_map.OwnerOf(u)].Sketch(u);
+    if (sketch) arena.AppendCopy(u, sketch);
+  }
+  return IrsApprox(first.window(), first.options(), std::move(arena));
 }
 
 int RunRebalance(const FlagMap& flags) {
