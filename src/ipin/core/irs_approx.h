@@ -70,8 +70,9 @@ class IrsApprox {
   /// after sealing are bit-identical to before (same entries, same
   /// kernels), just faster: unions and estimates stream the contiguous
   /// max-rank plane. Compute/ComputeParallel return UNSEALED so the pack +
-  /// free cost stays out of the timed build scan (fig3); call Seal() at the
-  /// build->query handoff, before sustained querying. The restore paths
+  /// free cost stays out of the timed build scan (fig3; about 9% of the
+  /// scan, measured in DESIGN.md §12). Call Seal() at the build->query
+  /// handoff, before sustained querying. The restore paths
   /// (oracle load, shard extraction) never hold unsealed sketches: they
   /// build the arena directly. Idempotent. After sealing,
   /// ProcessInteraction is forbidden (checked).

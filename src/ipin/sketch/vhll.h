@@ -1,6 +1,7 @@
 #ifndef IPIN_SKETCH_VHLL_H_
 #define IPIN_SKETCH_VHLL_H_
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -14,8 +15,8 @@
 
 namespace ipin {
 
-/// Byte tally charged for every vHLL cell-list allocation (component
-/// "vhll"); published as the mem.vhll.* gauges.
+/// Byte tally charged for every vHLL allocation (cell heads, entry pool,
+/// max-rank cache; component "vhll"); published as the mem.vhll.* gauges.
 obs::MemoryTally& VhllMemTally();
 
 /// Versioned HyperLogLog sketch (Section 3.2.2 of the paper).
@@ -40,6 +41,20 @@ obs::MemoryTally& VhllMemTally();
 /// eligibility has expired), so dropping them would bias Estimate(); the
 /// IRS algorithm therefore never calls CompactExpired. It is provided for
 /// callers that only ever issue windowed queries (EstimateBefore).
+///
+/// Storage: one pooled entry buffer per sketch, not one heap vector per
+/// cell. `pool_` holds every cell's entries; `heads_[c]` gives the offset,
+/// length and capacity of cell c's block. Block capacities are powers of
+/// two from 1 to 64 (a list never exceeds 64 entries: ranks are distinct
+/// and at most 64 - precision + 1). A full cell moves to a block twice its
+/// size, taken from the free list of that size class or, when the list is
+/// empty, appended to the end of the pool; the old block goes onto its
+/// own class's free list, linked through its first entry's time field.
+/// Blocks never shrink and the pool never compacts, so a sketch's
+/// footprint is its pool capacity — free-listed blocks included — plus
+/// the two beta-sized arrays; MemoryUsageBytes() reports exactly that.
+/// A sketch owns three heap buffers instead of beta + 2, which is what
+/// makes the build scan and freeing the sketches at Seal() cheap.
 class VersionedHll {
  public:
   /// Leading byte of every Serialize encoding (layout in vhll.cc).
@@ -51,10 +66,12 @@ class VersionedHll {
     Timestamp time = 0;
   };
 
-  /// Cell lists charge the "vhll" MemoryTally for their allocations, so
-  /// mem.vhll.bytes reports measured (allocator-counted) footprint.
-  using CellList =
-      std::vector<Entry, obs::TallyAllocator<Entry, &VhllMemTally>>;
+  /// Read-only view of one cell's entries inside the sketch's pool. Valid
+  /// until the next mutation of the sketch.
+  using CellList = std::span<const Entry>;
+
+  /// Longest possible cell list, and the largest block size class.
+  static constexpr size_t kMaxCellEntries = 64;
 
   /// `precision` must be in [4, 18]; all sketches that will ever be merged
   /// must share `precision` and `salt`.
@@ -113,7 +130,7 @@ class VersionedHll {
 
   int precision() const { return precision_; }
   uint64_t salt() const { return salt_; }
-  size_t num_cells() const { return cells_.size(); }
+  size_t num_cells() const { return heads_.size(); }
 
   /// Total number of stored (rank, time) pairs across all cells.
   size_t NumEntries() const;
@@ -134,7 +151,9 @@ class VersionedHll {
   size_t NumCellUpdates() const { return cell_updates_; }
 
   /// The raw list of cell `i` (ascending time, strictly ascending rank).
-  const CellList& cell(size_t i) const { return cells_[i]; }
+  CellList cell(size_t i) const {
+    return {pool_.data() + heads_[i].offset, heads_[i].len};
+  }
 
   /// Per-cell max rank (0 for an empty cell), maintained on every mutation.
   /// Contiguous, so cellwise-max union loops (the oracle's hot path) touch
@@ -162,20 +181,48 @@ class VersionedHll {
   static std::optional<VersionedHll> Deserialize(std::string_view data,
                                                  size_t* offset);
 
-  /// Approximate heap footprint in bytes (vector headers + allocations).
+  /// Heap footprint in bytes: the capacity of the cell heads, the entry
+  /// pool (free-listed blocks included) and the max-rank cache. Equals what
+  /// the sketch charges the "vhll" tally.
   size_t MemoryUsageBytes() const;
 
  private:
+  template <typename T>
+  using TallyVector = std::vector<T, obs::TallyAllocator<T, &VhllMemTally>>;
+
+  // Where cell c's block lives in pool_: entries [offset, offset + len),
+  // block capacity `cap` (0 for a cell that never held an entry).
+  struct CellHead {
+    uint32_t offset = 0;
+    uint8_t len = 0;
+    uint8_t cap = 0;
+  };
+
+  // Block size classes 1, 2, 4 ... kMaxCellEntries; class k holds 2^k.
+  static constexpr size_t kNumSizeClasses = 7;
+  static constexpr uint32_t kNoBlock = UINT32_MAX;
+
+  // Moves cell `head` to a block twice its capacity and returns the
+  // block's first entry. May reallocate pool_.
+  Entry* GrowCell(CellHead& head);
+  // Returns the offset of a free block of `cap` entries (a power of two),
+  // reusing a free-listed one when there is one. May reallocate pool_.
+  uint32_t AllocateBlock(size_t cap);
+  void FreeBlock(uint32_t offset, size_t cap);
+
   int precision_;
   uint64_t salt_;
   size_t insert_attempts_ = 0;
   size_t evictions_ = 0;
   size_t merge_entries_scanned_ = 0;
   size_t cell_updates_ = 0;
-  std::vector<CellList, obs::TallyAllocator<CellList, &VhllMemTally>> cells_;
-  // Cache of cells_[c].back().rank (0 when empty), kept in sync by every
+  TallyVector<CellHead> heads_;
+  TallyVector<Entry> pool_;
+  // Head of each size class's free list (kNoBlock when empty).
+  std::array<uint32_t, kNumSizeClasses> free_blocks_;
+  // Cache of cell(c).back().rank (0 when empty), kept in sync by every
   // mutating method so Estimate() and the union fast paths are O(beta).
-  std::vector<uint8_t, obs::TallyAllocator<uint8_t, &VhllMemTally>> max_ranks_;
+  TallyVector<uint8_t> max_ranks_;
 };
 
 }  // namespace ipin

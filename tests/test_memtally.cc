@@ -139,9 +139,9 @@ TEST(TallyAllocatorTest, IrsExactTallyMatchesContainerAccounting) {
       << "measured=" << measured << " expected=" << expected;
 }
 
-// Same criterion for mem.vhll.bytes: cell-list vectors charge the tally;
-// the independent number is the sum of capacity * sizeof(Entry) over all
-// cell lists plus each sketch's cells_ vector itself.
+// mem.vhll.bytes: every vHLL allocation (cell heads, entry pool, max-rank
+// cache) charges the tally, and MemoryUsageBytes() reports the capacity of
+// exactly those buffers, so the tally delta equals their sum to the byte.
 TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
   obs::MemoryTally& tally = obs::GetMemoryTally("vhll");
   const int64_t before = tally.CurrentBytes();
@@ -158,21 +158,17 @@ TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
   const int64_t measured = tally.CurrentBytes() - before;
 
   int64_t expected = 0;
+  size_t entries = 0;
   for (const VersionedHll& sketch : sketches) {
-    const size_t beta = static_cast<size_t>(1) << sketch.precision();
-    expected += static_cast<int64_t>(
-        beta * sizeof(VersionedHll::CellList));  // cells_ vector
-    for (size_t c = 0; c < beta; ++c) {
-      expected += static_cast<int64_t>(sketch.cell(c).capacity() *
-                                       sizeof(VersionedHll::Entry));
-    }
+    expected += static_cast<int64_t>(sketch.MemoryUsageBytes());
+    entries += sketch.NumEntries();
   }
 
   ASSERT_GT(measured, 0);
-  ASSERT_GT(expected, 0);
-  EXPECT_NEAR(static_cast<double>(measured), static_cast<double>(expected),
-              0.10 * static_cast<double>(expected))
-      << "measured=" << measured << " expected=" << expected;
+  EXPECT_EQ(measured, expected);
+  // The pool holds at least every stored pair.
+  EXPECT_GE(measured,
+            static_cast<int64_t>(entries * sizeof(VersionedHll::Entry)));
 }
 
 TEST(TallyAllocatorTest, BottomKChargesAndReleases) {

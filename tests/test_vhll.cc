@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -24,6 +26,27 @@ class VhllModel {
 
   void Add(size_t cell, uint8_t rank, Timestamp t) {
     cells_[cell].push_back({rank, t});
+  }
+
+  // Mirrors MergeWithFloor (and, with floor = min, MergeWindow/MergeAll):
+  // every pair of `other` with time < bound, its time clamped up to floor.
+  void MergeFrom(const VhllModel& other, Timestamp floor, Timestamp bound) {
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      for (const Pair& p : other.cells_[c]) {
+        if (p.t < bound) cells_[c].push_back({p.rank, std::max(p.t, floor)});
+      }
+    }
+  }
+
+  // Mirrors CompactExpired: forgets every pair with time >= bound.
+  void DropFrom(Timestamp bound) {
+    for (auto& pairs : cells_) {
+      std::erase_if(pairs, [bound](const Pair& p) { return p.t >= bound; });
+    }
+  }
+
+  void Clear() {
+    for (auto& pairs : cells_) pairs.clear();
   }
 
   uint8_t MaxRankBefore(size_t cell, Timestamp bound) const {
@@ -339,6 +362,203 @@ TEST(VhllTest, AddReturnsWhetherSketchChanged) {
   EXPECT_TRUE(vhll.Add(42, 10));
   EXPECT_FALSE(vhll.Add(42, 10));  // identical insert is a no-op
   EXPECT_TRUE(vhll.Add(42, 5));    // earlier sighting improves the entry
+}
+
+// Drives a few cells of a pooled sketch through every block size class and
+// back, many times: each cycle grows every cell to 64 entries (ranks 1..64
+// with time rising in rank never dominate each other, so the order they
+// arrive in does not matter), trims it, then evicts it down to 1 entry. The
+// pairs arrive through every mutating operation, and freed blocks are
+// handed from cell to cell. After every batch the sketch must still be
+// lossless (model agreement), structurally sound, and charge the "vhll"
+// tally exactly MemoryUsageBytes().
+TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
+  constexpr size_t kCells = 4;
+  constexpr int kMaxRank = static_cast<int>(VersionedHll::kMaxCellEntries);
+  constexpr Timestamp kFar = std::numeric_limits<Timestamp>::max() / 4;
+  constexpr Timestamp kNoFloor = std::numeric_limits<Timestamp>::min();
+  obs::MemoryTally& tally = VhllMemTally();
+  const int64_t tally_before = tally.CurrentBytes();
+  Rng rng(2024);
+  VersionedHll a(4);  // the sketch under test
+  VersionedHll b(4);  // merge source
+  VhllModel model_a(16);
+  VhllModel model_b(16);
+  // Each cycle uses earlier times than the last, so its pairs are never
+  // dominated by the previous cycle's survivor.
+  Timestamp base = 1'000'000;
+
+  const auto check = [&](const char* where, int cycle) {
+    SCOPED_TRACE(testing::Message() << where << " cycle " << cycle);
+    ASSERT_TRUE(a.CheckInvariants());
+    ASSERT_TRUE(b.CheckInvariants());
+    const std::vector<Timestamp> bounds = {
+        base,       base + 101, base + 120, base + 140,
+        base + 165, base + 2000, kFar};
+    ExpectAgreesWithModel(a, model_a, bounds);
+    ExpectAgreesWithModel(b, model_b, bounds);
+    EXPECT_EQ(tally.CurrentBytes() - tally_before,
+              static_cast<int64_t>(a.MemoryUsageBytes() +
+                                   b.MemoryUsageBytes()));
+  };
+
+  for (int cycle = 0; cycle < 8; ++cycle) {
+    base -= 1000;
+    b.Clear();
+    model_b.Clear();
+    std::vector<std::pair<size_t, uint8_t>> pending;
+    for (size_t c = 0; c < kCells; ++c) {
+      for (int r = 1; r <= kMaxRank; ++r) {
+        pending.emplace_back(c, static_cast<uint8_t>(r));
+      }
+    }
+    rng.Shuffle(&pending);
+
+    // Grow: each pair goes in directly or through b and one of the merges.
+    for (size_t i = 0; i < pending.size(); ++i) {
+      const auto [c, r] = pending[i];
+      const Timestamp t = base + 100 + r;
+      if (rng.NextBounded(4) == 0) {
+        a.AddEntry(c, r, t);
+        model_a.Add(c, r, t);
+      } else {
+        b.AddEntry(c, r, t);
+        model_b.Add(c, r, t);
+      }
+      if (i % 16 != 15) continue;
+      const Timestamp cut = base + 100 + 1 + static_cast<Timestamp>(
+                                                 rng.NextBounded(kMaxRank + 1));
+      switch (rng.NextBounded(3)) {
+        case 0:  // keeps b's pairs with time < cut
+          a.MergeWindow(b, cut - 50, 50);
+          model_a.MergeFrom(model_b, kNoFloor, cut);
+          break;
+        case 1:
+          a.MergeAll(b);
+          model_a.MergeFrom(model_b, kNoFloor, kFar);
+          break;
+        default:  // clamps b's early pairs up to `cut`
+          a.MergeWithFloor(b, cut, kFar);
+          model_a.MergeFrom(model_b, cut, kFar);
+          break;
+      }
+      check("grow", cycle);
+    }
+    a.MergeAll(b);
+    model_a.MergeFrom(model_b, kNoFloor, kFar);
+    check("grown", cycle);
+    for (size_t c = 0; c < kCells; ++c) {
+      ASSERT_EQ(a.cell(c).size(), VersionedHll::kMaxCellEntries) << c;
+    }
+
+    // Shrink: trim the newest pairs, then evict each cell down to one pair
+    // that dominates the rest.
+    const Timestamp trim = base + 100 + 2 +
+                           static_cast<Timestamp>(rng.NextBounded(kMaxRank));
+    a.CompactExpired(trim, 0);
+    model_a.DropFrom(trim);
+    check("trimmed", cycle);
+    for (size_t c = 0; c < kCells; ++c) {
+      const auto top = static_cast<uint8_t>(kMaxRank);
+      if (rng.NextBounded(2) == 0) {
+        a.AddEntry(c, top, base + 100);
+        model_a.Add(c, top, base + 100);
+      } else {
+        b.AddEntry(c, top, base + 100);
+        model_b.Add(c, top, base + 100);
+        a.MergeAll(b);
+        model_a.MergeFrom(model_b, kNoFloor, kFar);
+      }
+      ASSERT_EQ(a.cell(c).size(), 1u) << c;
+    }
+    check("evicted", cycle);
+
+    // Every other cycle regrows from empty instead of from one pair.
+    if (cycle % 2 == 1) {
+      a.Clear();
+      model_a.Clear();
+      check("cleared", cycle);
+    }
+  }
+}
+
+// A cell that grows up the size classes frees each outgrown block, and
+// the next cell to grow takes those blocks instead of extending the pool.
+// Clear() keeps the pool, so regrowing from empty fits in it too.
+TEST(VhllTest, PoolStorageIsReused) {
+  VersionedHll vhll(4);
+  const auto grow = [&vhll](size_t cell, int entries) {
+    for (int r = 1; r <= entries; ++r) {
+      vhll.AddEntry(cell, static_cast<uint8_t>(r), r);
+    }
+  };
+  grow(0, 64);
+  const size_t bytes = vhll.MemoryUsageBytes();
+  grow(1, 32);
+  EXPECT_EQ(vhll.cell(1).size(), 32u);
+  EXPECT_EQ(vhll.MemoryUsageBytes(), bytes);
+  EXPECT_TRUE(vhll.CheckInvariants());
+
+  vhll.Clear();
+  grow(0, 64);
+  EXPECT_EQ(vhll.cell(0).size(), 64u);
+  EXPECT_EQ(vhll.MemoryUsageBytes(), bytes);
+  EXPECT_TRUE(vhll.CheckInvariants());
+}
+
+// Checkpoint resume: a deserialized sketch must keep evolving exactly like
+// the one it was saved from, including growing cells past the blocks
+// Deserialize sized for them.
+TEST(VhllTest, DeserializedSketchKeepsGrowing) {
+  Rng rng(808);
+  for (int trial = 0; trial < 10; ++trial) {
+    VersionedHll original(5, 11);
+    VersionedHll source(5, 11);
+    for (int i = 0; i < 400; ++i) {
+      original.AddEntry(rng.NextBounded(32),
+                        static_cast<uint8_t>(1 + rng.NextBounded(30)),
+                        static_cast<Timestamp>(rng.NextBounded(500)));
+    }
+    std::string bytes;
+    original.Serialize(&bytes);
+    size_t offset = 0;
+    std::optional<VersionedHll> copy = VersionedHll::Deserialize(bytes, &offset);
+    ASSERT_TRUE(copy.has_value());
+    ASSERT_EQ(offset, bytes.size());
+
+    for (int op = 0; op < 600; ++op) {
+      const size_t cell = rng.NextBounded(32);
+      const auto rank = static_cast<uint8_t>(1 + rng.NextBounded(50));
+      const auto t = static_cast<Timestamp>(rng.NextBounded(500));
+      switch (rng.NextBounded(10)) {
+        case 0: {
+          const Timestamp merge_time = static_cast<Timestamp>(rng.NextBounded(500));
+          original.MergeWindow(source, merge_time, 100);
+          copy->MergeWindow(source, merge_time, 100);
+          break;
+        }
+        case 1:
+          original.MergeWithFloor(source, t, t + 200);
+          copy->MergeWithFloor(source, t, t + 200);
+          break;
+        case 2:
+          source.AddEntry(cell, rank, t);
+          break;
+        default:
+          original.AddEntry(cell, rank, t);
+          copy->AddEntry(cell, rank, t);
+          break;
+      }
+    }
+    original.CompactExpired(300, 100);
+    copy->CompactExpired(300, 100);
+    ASSERT_TRUE(copy->CheckInvariants());
+    std::string want;
+    std::string got;
+    original.Serialize(&want);
+    copy->Serialize(&got);
+    EXPECT_EQ(got, want) << "trial " << trial;
+  }
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};
