@@ -120,6 +120,10 @@ int CmdGenerate(const FlagMap& flags) {
   const double scale = flags.GetDouble("scale", 0.01);
   const std::string out = flags.GetString("out");
   if (out.empty()) return Usage();
+  if (!(scale > 0.0 && scale <= 1.0)) {
+    std::fprintf(stderr, "--scale must lie in (0, 1], got %g\n", scale);
+    return Usage();
+  }
   const auto config = GetDatasetConfig(dataset, scale);
   if (!config.has_value()) {
     std::fprintf(stderr, "unknown dataset '%s' (known:", dataset.c_str());

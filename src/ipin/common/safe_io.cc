@@ -12,8 +12,15 @@
 #include <cstring>
 #include <fstream>
 
+#include "ipin/common/check.h"
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
+#include "ipin/common/memory.h"
+#include "ipin/common/simd_target.h"
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#endif
 
 namespace ipin {
 namespace {
@@ -70,7 +77,9 @@ std::string DirectoryOf(const std::string& path) {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+namespace internal {
+
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed) {
   // The eight-byte step loads a word whose low byte is the first input
   // byte; like the file formats themselves, that assumes little-endian.
   static_assert(std::endian::native == std::endian::little);
@@ -92,6 +101,50 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
   return ~crc;
 }
 
+#if defined(__x86_64__)
+// The SSE4.2 crc32 instruction computes exactly this polynomial, reflected,
+// on the running (pre-inverted) state, so it is a drop-in for the tables:
+// one instruction folds eight bytes.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t size,
+                                                       uint32_t seed) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint64_t crc = ~seed;
+  for (; size >= 8; bytes += 8, size -= 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    crc = _mm_crc32_u64(crc, word);
+  }
+  auto crc32 = static_cast<uint32_t>(crc);
+  for (; size > 0; ++bytes, --size) crc32 = _mm_crc32_u8(crc32, *bytes);
+  return ~crc32;
+}
+#else
+uint32_t Crc32cSse42(const void*, size_t, uint32_t) {
+  CheckFailed(__FILE__, __LINE__,
+              "no SSE4.2 crc32 instruction on this architecture");
+}
+#endif
+
+}  // namespace internal
+
+namespace {
+
+using Crc32cFn = uint32_t (*)(const void*, size_t, uint32_t);
+
+Crc32cFn ResolveCrc32c() {
+  return ResolvedSimdTarget() != SimdTarget::kScalar && CpuHasSse42Crc32()
+             ? &internal::Crc32cSse42
+             : &internal::Crc32cPortable;
+}
+
+}  // namespace
+
+uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+  static const Crc32cFn crc32c = ResolveCrc32c();
+  return crc32c(data, size, seed);
+}
+
 bool ReadWholeFile(const std::string& path, std::string* contents) {
   contents->clear();
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -102,6 +155,8 @@ bool ReadWholeFile(const std::string& path, std::string* contents) {
                                               : 0;
   // One spare byte, so a file whose size matches fstat ends with a 0-byte
   // read rather than a regrow.
+  contents->reserve(expected + 1);
+  AdviseHugePages(contents->data(), contents->capacity());
   contents->resize(expected + 1);
   size_t size = 0;
   for (;;) {
@@ -188,13 +243,12 @@ bool SafeFileWriter::WriteAll(const void* data, size_t size) {
 
 bool SafeFileWriter::AppendFrame(std::string_view payload) {
   if (!ok_) return false;
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  AppendRaw<uint32_t>(&frame, static_cast<uint32_t>(payload.size()));
-  AppendRaw<uint32_t>(&frame, Crc32c(payload));
-  AppendRaw<uint32_t>(&frame, Crc32c(frame));  // guards the length itself
-  frame.append(payload);
-  ok_ = WriteAll(frame.data(), frame.size());
+  frame_.clear();
+  AppendRaw<uint32_t>(&frame_, static_cast<uint32_t>(payload.size()));
+  AppendRaw<uint32_t>(&frame_, Crc32c(payload));
+  AppendRaw<uint32_t>(&frame_, Crc32c(frame_));  // guards the length itself
+  frame_.append(payload);
+  ok_ = WriteAll(frame_.data(), frame_.size());
   return ok_;
 }
 

@@ -37,13 +37,25 @@
 
 namespace ipin {
 
-/// CRC-32C (Castagnoli), the checksum used by the framing layer. Portable
-/// slicing-by-8 (eight bytes per step through eight 256-entry tables);
-/// `seed` chains incremental computations.
+/// CRC-32C (Castagnoli), the checksum used by the framing layer; `seed`
+/// chains incremental computations. Runs on the SSE4.2 crc32 instruction
+/// when the CPU has it and the process-wide SIMD target
+/// (common/simd_target.h) is not scalar, else on portable slicing-by-8
+/// (eight bytes per step through eight 256-entry tables). Both give the
+/// same values.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
   return Crc32c(data.data(), data.size(), seed);
 }
+
+namespace internal {
+
+/// The two implementations behind Crc32c, exposed so tests can check each
+/// directly. Crc32cSse42 may only be called when CpuHasSse42Crc32().
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed);
+uint32_t Crc32cSse42(const void* data, size_t size, uint32_t seed);
+
+}  // namespace internal
 
 /// Writes one framed file atomically. Usage:
 ///   SafeFileWriter writer(path, kMyFileType, kMyVersion);
@@ -76,6 +88,7 @@ class SafeFileWriter {
 
   std::string path_;
   std::string tmp_path_;
+  std::string frame_;  // one frame's bytes, reused across AppendFrame calls
   int fd_ = -1;
   bool ok_ = false;
   bool committed_ = false;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 #include <fstream>
+#include <optional>
+#include <span>
 #include <vector>
 
 #include "ipin/common/failpoint.h"
@@ -22,15 +24,21 @@ obs::MemoryTally& OracleIoMemTally() {
   return tally;
 }
 
-// Framed (safe_io) format: file type tag "IIDX", version 2.
+// Framed (safe_io) format: file type tag "IIDX".
 //   frame 0: i64 window, u8 precision, u64 salt, u64 num_nodes,
 //            u32 chunk_size
-//   frame k: u64 first_node (= (k - 1) * chunk_size), u32 count, then per
-//            node u8 present [+ VersionedHll::Serialize blob]
+//   frame k (version 3, written today): u64 first_node
+//            (= (k - 1) * chunk_size), u32 count, u64 entries,
+//            u8 present[count], u8 cell_counts[present x beta],
+//            u8 ranks[entries], i64 times[entries] — the chunk's slice of
+//            the SketchArena's own arrays (SketchArena::ContiguousRange);
+//   frame k (version 2, still read): u64 first_node, u32 count, then per
+//            node u8 present [+ VersionedHll::Serialize blob].
 // Chunks cover [0, num_nodes) in order, kChunkSize nodes each, so a dropped
 // frame loses exactly one known slice of nodes.
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX" little-endian
-constexpr uint32_t kIndexFormatVersion = 2;
+constexpr uint32_t kIndexFormatVersion = 3;
+constexpr uint32_t kIndexFormatVersionV2 = 2;
 constexpr uint32_t kChunkSize = 256;
 
 // Pre-safe_io format (version 1): raw "IPINIDX1" header + body, written
@@ -76,9 +84,13 @@ bool ParseIndexHeader(std::string_view payload, IndexHeader* header) {
 }
 
 // The smallest chunk frame: safe_io's 12-byte frame header plus the chunk's
-// u64 first_node and u32 count.
+// u64 first_node and u32 count (a version-3 chunk is longer still).
 constexpr uint64_t kChunkPrefixBytes = sizeof(uint64_t) + sizeof(uint32_t);
 constexpr uint64_t kMinChunkFrameBytes = 12 + kChunkPrefixBytes;
+// A version-3 chunk's fixed prefix: first_node, count, entries.
+constexpr size_t kChunkV3PrefixBytes = kChunkPrefixBytes + sizeof(uint64_t);
+// Bytes per stored pair in a version-3 chunk: u8 rank + i64 time.
+constexpr size_t kPairBytes = sizeof(uint8_t) + sizeof(int64_t);
 
 // A header is checked against the file before anything is sized by
 // num_nodes. Every chunk frame costs at least kMinChunkFrameBytes (a
@@ -97,7 +109,6 @@ bool HeaderFitsFile(const IndexHeader& header, size_t remaining) {
 // count above 64 (the vHLL bound) or `room`.
 int ReadCell(std::string_view data, size_t* offset, uint8_t* ranks,
              int64_t* times, size_t room) {
-  constexpr size_t kPairBytes = sizeof(uint8_t) + sizeof(int64_t);
   uint32_t count = 0;
   if (!ReadRaw(data, offset, &count) || count > 64 || count > room ||
       (data.size() - *offset) / kPairBytes < count) {
@@ -114,9 +125,9 @@ int ReadCell(std::string_view data, size_t* offset, uint8_t* ranks,
   return static_cast<int>(count);
 }
 
-// The per-node parser shared by the framed and legacy loaders. Reads one
-// node record at *offset — u8 present [+ VersionedHll::Serialize blob with
-// the index's precision and salt] — in one of two modes:
+// The per-node parser shared by the version-2 framed and legacy loaders.
+// Reads one node record at *offset — u8 present [+ VersionedHll::Serialize
+// blob with the index's precision and salt] — in one of two modes:
 //   measure (arena == nullptr): checks the record's framing and adds its
 //       sketch and pairs to *measured;
 //   parse: appends the sketch to `arena` as node `u`, every vHLL invariant
@@ -155,33 +166,40 @@ bool ParseNode(std::string_view data, size_t* offset, uint8_t precision,
   return true;
 }
 
-// One CRC-verified chunk frame whose nodes all measured cleanly.
+// One CRC-verified chunk frame whose framing checked out. For version 3
+// the four sections are views into the payload.
 struct MeasuredChunk {
   size_t section = 0;
   std::string_view payload;
   uint64_t first_node = 0;
   uint32_t count = 0;
+  std::span<const uint8_t> present, cell_counts, ranks, time_bytes;
 };
 
-// Checks that frame `section` is the chunk the documented order puts there
-// — it starts at node section * chunk_size and covers its whole slice, so
-// no node can be placed twice — and measures its nodes into *measured.
-// False (nothing added) if the chunk is misplaced or any record is
-// malformed.
-bool MeasureChunk(std::string_view payload, const IndexHeader& header,
-                  size_t section, MeasuredChunk* chunk,
-                  SketchArena::Capacity* measured) {
+// True if a chunk starting at `first_node` with `count` nodes is the one
+// the documented order puts at frame `section`: it starts at node
+// section * chunk_size and covers its whole slice, so no node can be placed
+// twice.
+bool ChunkInPlace(const IndexHeader& header, size_t section,
+                  uint64_t first_node, uint32_t count) {
+  const uint64_t want_first = section * uint64_t{header.chunk_size};
+  return first_node == want_first &&
+         count == std::min<uint64_t>(header.chunk_size,
+                                     header.num_nodes - first_node);
+}
+
+// Version 2: checks that frame `section` is in place and measures its
+// nodes into *measured. False (nothing added) if the chunk is misplaced or
+// any record is malformed.
+bool MeasureChunkV2(std::string_view payload, const IndexHeader& header,
+                    size_t section, MeasuredChunk* chunk,
+                    SketchArena::Capacity* measured) {
   size_t offset = 0;
   uint64_t first_node = 0;
   uint32_t count = 0;
   if (!ReadRaw(payload, &offset, &first_node) ||
-      !ReadRaw(payload, &offset, &count)) {
-    return false;
-  }
-  const uint64_t want_first = section * uint64_t{header.chunk_size};
-  if (first_node != want_first ||
-      count != std::min<uint64_t>(header.chunk_size,
-                                  header.num_nodes - first_node)) {
+      !ReadRaw(payload, &offset, &count) ||
+      !ChunkInPlace(header, section, first_node, count)) {
     return false;
   }
   SketchArena::Capacity sizes;
@@ -192,16 +210,67 @@ bool MeasureChunk(std::string_view payload, const IndexHeader& header,
     }
   }
   if (offset != payload.size()) return false;
-  *chunk = {section, payload, first_node, count};
+  *chunk = {section, payload, first_node, count, {}, {}, {}, {}};
   measured->sketches += sizes.sketches;
   measured->entries += sizes.entries;
   return true;
 }
 
-// Appends a measured chunk's nodes to `arena`. On any failure the chunk's
-// appends are rolled back, so a dropped section loses exactly its slice.
-bool ParseChunk(const MeasuredChunk& chunk, const IndexHeader& header,
-                SketchArena* arena) {
+// Version 3: measuring is arithmetic. The chunk must be in place, every
+// present byte 0 or 1, and the payload exactly
+// 20 + count + present x beta + 9 x entries bytes; the sections are then
+// cut out of it. The contents are checked when they are appended.
+bool MeasureChunkV3(std::string_view payload, const IndexHeader& header,
+                    size_t section, MeasuredChunk* chunk,
+                    SketchArena::Capacity* measured) {
+  size_t offset = 0;
+  uint64_t first_node = 0;
+  uint32_t count = 0;
+  uint64_t entries = 0;
+  if (!ReadRaw(payload, &offset, &first_node) ||
+      !ReadRaw(payload, &offset, &count) ||
+      !ReadRaw(payload, &offset, &entries) ||
+      !ChunkInPlace(header, section, first_node, count) ||
+      payload.size() - offset < count) {
+    return false;
+  }
+  const auto* bytes = reinterpret_cast<const uint8_t*>(payload.data());
+  const std::span<const uint8_t> present(bytes + offset, count);
+  uint8_t flags = 0;
+  size_t sketches = 0;
+  for (const uint8_t p : present) {
+    flags |= p;
+    sketches += p;
+  }
+  if (flags > 1) return false;
+  offset += count;
+  const size_t beta = size_t{1} << header.precision;
+  const size_t rest = payload.size() - offset;
+  if (entries > rest / kPairBytes ||
+      rest != sketches * beta + entries * kPairBytes) {
+    return false;
+  }
+  const size_t counts_bytes = sketches * beta;
+  const size_t num_entries = static_cast<size_t>(entries);
+  chunk->section = section;
+  chunk->payload = payload;
+  chunk->first_node = first_node;
+  chunk->count = count;
+  chunk->present = present;
+  chunk->cell_counts = {bytes + offset, counts_bytes};
+  chunk->ranks = {bytes + offset + counts_bytes, num_entries};
+  chunk->time_bytes = {bytes + offset + counts_bytes + num_entries,
+                       num_entries * sizeof(int64_t)};
+  measured->sketches += sketches;
+  measured->entries += num_entries;
+  return true;
+}
+
+// Appends a measured version-2 chunk's nodes to `arena`. On any failure the
+// chunk's appends are rolled back, so a dropped section loses exactly its
+// slice.
+bool ParseChunkV2(const MeasuredChunk& chunk, const IndexHeader& header,
+                  SketchArena* arena) {
   const size_t mark = arena->NumAllocated();
   const NodeId first = static_cast<NodeId>(chunk.first_node);
   const NodeId end = static_cast<NodeId>(chunk.first_node + chunk.count);
@@ -214,6 +283,46 @@ bool ParseChunk(const MeasuredChunk& chunk, const IndexHeader& header,
     }
   }
   return true;
+}
+
+// Appends a measured chunk of either version; false (nothing appended) if
+// its contents break an invariant.
+bool AppendChunk(const MeasuredChunk& chunk, const IndexHeader& header,
+                 uint32_t version, SketchArena* arena) {
+  if (version == kIndexFormatVersionV2) {
+    return ParseChunkV2(chunk, header, arena);
+  }
+  return arena->AppendNodes(static_cast<NodeId>(chunk.first_node),
+                            chunk.present, chunk.cell_counts, chunk.ranks,
+                            chunk.time_bytes);
+}
+
+// Writes the version-3 payload of `count` nodes — arena nodes
+// [local_first, local_first + count), stored as `range` — that the file
+// numbers from `first_node`, into *buffer (grown, never shrunk). Returns
+// the payload's length.
+size_t EncodeChunk(const SketchArena& arena, NodeId local_first,
+                   uint64_t first_node, uint32_t count,
+                   const SketchArena::NodeRange& range, std::string* buffer) {
+  const uint64_t entries = range.ranks.size();
+  const size_t size = kChunkV3PrefixBytes + count + range.cell_counts.size() +
+                      range.ranks.size() + range.times.size_bytes();
+  if (buffer->size() < size) buffer->resize(size);
+  char* out = buffer->data();
+  const auto put = [&out](const void* data, size_t n) {
+    if (n != 0) std::memcpy(out, data, n);
+    out += n;
+  };
+  put(&first_node, sizeof(first_node));
+  put(&count, sizeof(count));
+  put(&entries, sizeof(entries));
+  for (uint32_t i = 0; i < count; ++i) {
+    *out++ = arena.has_node(local_first + i) ? 1 : 0;
+  }
+  put(range.cell_counts.data(), range.cell_counts.size());
+  put(range.ranks.data(), range.ranks.size());
+  put(range.times.data(), range.times.size_bytes());
+  return size;
 }
 
 bool HasLegacyMagic(const std::string& path) {
@@ -302,33 +411,54 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   }
   SafeFileWriter writer(path, kIndexFileType, kIndexFormatVersion);
 
+  const int precision = index.options().precision;
+  const uint64_t salt = index.options().salt;
   std::string header;
   AppendRaw<int64_t>(&header, index.window());
-  AppendRaw<uint8_t>(&header, static_cast<uint8_t>(index.options().precision));
-  AppendRaw<uint64_t>(&header, index.options().salt);
+  AppendRaw<uint8_t>(&header, static_cast<uint8_t>(precision));
+  AppendRaw<uint64_t>(&header, salt);
   AppendRaw<uint64_t>(&header, index.num_nodes());
   AppendRaw<uint32_t>(&header, kChunkSize);
   if (!writer.AppendFrame(header)) return false;
 
   std::string chunk;
   obs::ScopedMemoryCharge charge(OracleIoMemTally(), chunk.capacity());
+  const SketchArena* arena = index.arena();
   for (uint64_t first = 0; first < index.num_nodes(); first += kChunkSize) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(kChunkSize, index.num_nodes() - first));
-    chunk.clear();
-    AppendRaw<uint64_t>(&chunk, first);
-    AppendRaw<uint32_t>(&chunk, count);
-    for (uint64_t u = first; u < first + count; ++u) {
-      const SketchView sketch = index.Sketch(static_cast<NodeId>(u));
-      AppendRaw<uint8_t>(&chunk, sketch ? 1 : 0);
-      if (sketch) sketch.Serialize(&chunk);
+    const NodeId lo = static_cast<NodeId>(first);
+    const NodeId hi = static_cast<NodeId>(first + count);
+    std::optional<SketchArena::NodeRange> range;
+    if (arena != nullptr) range = arena->ContiguousRange(lo, hi);
+    size_t size = 0;
+    if (range.has_value()) {
+      size = EncodeChunk(*arena, lo, first, count, *range, &chunk);
+    } else {
+      // Unsealed sketches (or an arena filled out of node order): pack the
+      // chunk into a scratch arena first, so one encoder writes every file.
+      SketchArena::Capacity capacity;
+      for (NodeId u = lo; u < hi; ++u) {
+        if (const SketchView sketch = index.Sketch(u)) {
+          ++capacity.sketches;
+          capacity.entries += sketch.NumEntries();
+        }
+      }
+      SketchArena scratch(precision, salt, count, capacity);
+      for (NodeId u = lo; u < hi; ++u) {
+        if (const SketchView sketch = index.Sketch(u)) {
+          scratch.AppendCopy(u - lo, sketch);
+        }
+      }
+      size = EncodeChunk(scratch, 0, first, count,
+                         *scratch.ContiguousRange(0, count), &chunk);
     }
     charge.Resize(chunk.capacity());
     // Torn-section injection: hand safe_io a CRC-consistent but truncated
     // payload, producing a frame that verifies yet fails to parse — the
     // "corrupt section" recovery path, distinct from a torn file.
     const auto short_write = IPIN_FAILPOINT("oracle_io.write.short");
-    std::string_view payload = chunk;
+    std::string_view payload(chunk.data(), size);
     if (short_write.short_write != failpoint::Result::kNoLimit) {
       payload = payload.substr(0, short_write.short_write);
     }
@@ -367,6 +497,14 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
     return result;
   }
 
+  const uint32_t version = reader.version();
+  if (version != kIndexFormatVersion && version != kIndexFormatVersionV2) {
+    LogError(StrFormat("index %s: unknown format version %u", path.c_str(),
+                       version));
+    result.status = IndexLoadStatus::kCorrupt;
+    return result;
+  }
+
   // The reader holds the whole file for the duration of the load.
   const obs::ScopedMemoryCharge charge(OracleIoMemTally(), reader.file_size());
   std::string_view payload;
@@ -391,6 +529,8 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
 
   // Pass 1: verify every frame and measure the chunks, so the arena is
   // sized once.
+  const auto measure_chunk =
+      version == kIndexFormatVersionV2 ? &MeasureChunkV2 : &MeasureChunkV3;
   result.sections_total = static_cast<size_t>(header.num_sections());
   std::vector<MeasuredChunk> chunks;
   chunks.reserve(result.sections_total);
@@ -400,7 +540,7 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
     const FrameStatus status = reader.ReadFrame(&payload);
     if (status == FrameStatus::kOk) {
       MeasuredChunk chunk;
-      if (MeasureChunk(payload, header, sections_read, &chunk, &capacity)) {
+      if (measure_chunk(payload, header, sections_read, &chunk, &capacity)) {
         chunks.push_back(chunk);
       } else {
         ++result.sections_dropped;
@@ -425,11 +565,11 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
     break;
   }
 
-  // Pass 2: parse each measured chunk straight into the arena.
+  // Pass 2: append each measured chunk straight into the arena.
   SketchArena arena(header.precision, header.salt, header.num_nodes,
                     capacity);
   for (const MeasuredChunk& chunk : chunks) {
-    if (!ParseChunk(chunk, header, &arena)) {
+    if (!AppendChunk(chunk, header, version, &arena)) {
       ++result.sections_dropped;
       LogWarning(StrFormat("index %s: section %zu unparsable, dropped",
                            path.c_str(), chunk.section));

@@ -12,17 +12,32 @@
 // lets a deployment precompute it offline and serve influence-oracle
 // queries (Section 4.1) without re-scanning the interaction log.
 //
-// Since the crash-safety work the index is written through common/safe_io:
-// atomically (temp file + fsync + rename) and framed, with one CRC32C-
-// protected section per chunk of nodes. A damaged file therefore degrades
-// instead of vanishing: every chunk whose checksum verifies is loaded, the
-// rest are dropped and reported (robustness.index.* metrics, log warnings).
-// Files written by the pre-safe_io format ("IPINIDX1") are still readable.
+// The index is written through common/safe_io: atomically (temp file +
+// fsync + rename) and framed, with one CRC32C-protected section per chunk
+// of 256 nodes. A damaged file therefore degrades instead of vanishing:
+// every chunk whose checksum and checks pass is loaded, the rest are
+// dropped and reported (robustness.index.* metrics, log warnings).
 //
-// Restore builds the served form directly: the file is read with one
-// sized read, every frame is verified (slicing-by-8 CRC32C) and measured,
-// and each node's bytes are parsed straight into a SketchArena sized once.
+// The file (type "IIDX", version 3) is the sealed SketchArena's own
+// arrays: a header section (window, precision, salt, num_nodes,
+// chunk_size), then per chunk
+//   u64 first_node, u32 count, u64 entries, u8 present[count],
+//   u8 cell_counts[present x beta], u8 ranks[entries], i64 times[entries]
+// — the chunk's slices of the arena's per-cell counts and rank/time
+// arrays. The max-rank plane is not stored. Save bulk-copies those slices
+// (an unsealed index is first packed chunk by chunk into a scratch arena);
+// restore reads the file with one sized read, verifies every frame, sizes
+// each chunk by arithmetic (its payload must be exactly
+// 20 + count + present x beta + 9 x entries bytes), then bulk-copies each
+// chunk into an arena allocated once and checks it there: counts at most
+// 64 and summing to entries, ranks non-zero, and within a cell ranks
+// strictly ascending and times non-descending. The rank plane is rebuilt
+// on the way. A chunk out of place or failing any check is dropped whole.
 // No VersionedHll is constructed and nothing is sealed at restore.
+//
+// Version 2 files (per-node VersionedHll::Serialize blobs in the same
+// chunk frames) and the pre-safe_io format ("IPINIDX1") are still read;
+// nothing writes them any more.
 
 namespace ipin {
 
@@ -46,12 +61,13 @@ struct IndexLoadResult {
   bool usable() const { return index.has_value(); }
 };
 
-/// Writes the index to `path` atomically in the framed safe_io format.
+/// Writes the index (sealed or not) to `path` atomically, in the version-3
+/// framed format.
 /// Returns false on I/O error (the previous file at `path`, if any, is left
 /// intact). Failpoints: oracle_io.save, oracle_io.write.short.
 bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path);
 
-/// Reads an index written by SaveInfluenceIndex (either format), reporting
+/// Reads an index written by SaveInfluenceIndex (any format), reporting
 /// exactly what happened. Corrupt sections of a framed file are dropped:
 /// the affected nodes lose their sketches (their IRS estimates become 0)
 /// and the load reports kDegraded — callers decide whether degraded service

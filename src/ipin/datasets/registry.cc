@@ -5,6 +5,8 @@
 
 #include "ipin/common/check.h"
 #include "ipin/common/hash.h"
+#include "ipin/common/logging.h"
+#include "ipin/common/string_util.h"
 
 namespace ipin {
 namespace {
@@ -47,8 +49,10 @@ std::vector<std::string> ListDatasetNames() {
 
 std::optional<SyntheticConfig> GetDatasetConfig(const std::string& name,
                                                 double scale) {
-  IPIN_CHECK_GT(scale, 0.0);
-  IPIN_CHECK_LE(scale, 1.0);
+  if (!(scale > 0.0 && scale <= 1.0)) {  // NaN fails too
+    LogError(StrFormat("dataset scale must lie in (0, 1], got %g", scale));
+    return std::nullopt;
+  }
   for (const NamedDataset& d : AllDatasets()) {
     if (d.stats.name != name) continue;
     SyntheticConfig config;

@@ -30,7 +30,8 @@ std::vector<std::string> ListDatasetNames();
 /// (node and interaction counts multiply by `scale`; the time span in days
 /// is kept, at one-minute resolution). Activity/community parameters are
 /// tuned per dataset family (email vs social vs tweet burst).
-/// Returns nullopt for an unknown name.
+/// Returns nullopt for an unknown name, and (logging an error) for a scale
+/// outside (0, 1].
 std::optional<SyntheticConfig> GetDatasetConfig(const std::string& name,
                                                 double scale);
 

@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 
+#include "ipin/common/check.h"
 #include "ipin/common/logging.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/sketch/estimators.h"
@@ -337,60 +337,15 @@ constexpr KernelOps kNeonOps = {
 // Dispatch.
 // ---------------------------------------------------------------------------
 
-SimdTarget DetectBestTarget() {
-#ifdef IPIN_KERNELS_X86
-  if (__builtin_cpu_supports("avx2")) return SimdTarget::kAvx2;
-  return SimdTarget::kSse2;
-#elif defined(IPIN_KERNELS_NEON)
-  return SimdTarget::kNeon;
-#else
-  return SimdTarget::kScalar;
-#endif
-}
-
-bool ParseSimdTarget(const std::string& text, SimdTarget* out) {
-  std::string lower;
-  lower.reserve(text.size());
-  for (const char ch : text) {
-    lower.push_back(ch >= 'A' && ch <= 'Z' ? static_cast<char>(ch - 'A' + 'a')
-                                           : ch);
-  }
-  if (lower == "scalar") {
-    *out = SimdTarget::kScalar;
-  } else if (lower == "sse2") {
-    *out = SimdTarget::kSse2;
-  } else if (lower == "avx2") {
-    *out = SimdTarget::kAvx2;
-  } else if (lower == "neon") {
-    *out = SimdTarget::kNeon;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 struct Dispatch {
   SimdTarget target;
   const KernelOps* ops;
 };
 
 Dispatch ResolveDispatch() {
-  SimdTarget target = DetectBestTarget();
-  if (const char* env = std::getenv("IPIN_SIMD"); env != nullptr && *env) {
-    SimdTarget requested;
-    if (!ParseSimdTarget(env, &requested)) {
-      LogWarning(std::string("IPIN_SIMD=") + env +
-                 " is not a known target (scalar|sse2|avx2|neon); using " +
-                 SimdTargetName(target));
-    } else if (KernelsFor(requested) == nullptr) {
-      LogWarning(std::string("IPIN_SIMD=") + env +
-                 " is not runnable on this build/CPU; using " +
-                 SimdTargetName(target));
-    } else {
-      target = requested;
-    }
-  }
+  const SimdTarget target = ResolvedSimdTarget();
   const KernelOps* ops = KernelsFor(target);
+  IPIN_CHECK(ops != nullptr);
   LogInfo(std::string("sketch kernels dispatched: ") + SimdTargetName(target));
   IPIN_GAUGE_SET("sketch.kernel.target", static_cast<int>(target));
   switch (target) {
@@ -417,20 +372,6 @@ const Dispatch& GetDispatch() {
 
 }  // namespace
 
-const char* SimdTargetName(SimdTarget target) {
-  switch (target) {
-    case SimdTarget::kScalar:
-      return "scalar";
-    case SimdTarget::kSse2:
-      return "sse2";
-    case SimdTarget::kAvx2:
-      return "avx2";
-    case SimdTarget::kNeon:
-      return "neon";
-  }
-  return "unknown";
-}
-
 const KernelOps* KernelsFor(SimdTarget target) {
   switch (target) {
     case SimdTarget::kScalar:
@@ -443,7 +384,7 @@ const KernelOps* KernelsFor(SimdTarget target) {
 #endif
     case SimdTarget::kAvx2:
 #ifdef IPIN_KERNELS_X86
-      return __builtin_cpu_supports("avx2") ? &kAvx2Ops : nullptr;
+      return SimdTargetRunnable(SimdTarget::kAvx2) ? &kAvx2Ops : nullptr;
 #else
       return nullptr;
 #endif

@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <span>
 
+#include "ipin/common/simd_target.h"
+
 // Vectorized sketch kernels (DESIGN.md §12). The oracle's hot path reduces
 // to three integer/table primitives over per-cell max-rank arrays:
 //
@@ -14,7 +16,8 @@
 //                        struct-of-arrays entry storage
 //
 // Each primitive has one implementation per SIMD target, selected once per
-// process from CPUID (overridable with IPIN_SIMD=avx2|sse2|neon|scalar).
+// process from CPUID (overridable with IPIN_SIMD=avx2|sse2|neon|scalar; see
+// common/simd_target.h).
 // Every target is bit-identical by construction: the max/compare kernels
 // are pure integer ops, and the estimate fixes its floating-point summation
 // order (ascending rank over the histogram, every term exact), so the same
@@ -24,15 +27,8 @@
 
 namespace ipin::kernels {
 
-enum class SimdTarget {
-  kScalar = 0,
-  kSse2 = 1,
-  kAvx2 = 2,
-  kNeon = 3,
-};
-
-/// Lower-case target name ("scalar", "sse2", "avx2", "neon").
-const char* SimdTargetName(SimdTarget target);
+using ::ipin::SimdTarget;
+using ::ipin::SimdTargetName;
 
 struct KernelOps {
   /// dst[i] = max(dst[i], src[i]) for i in [0, n). Unions are folds of this.
@@ -53,9 +49,8 @@ struct KernelOps {
                            size_t total, int64_t bound, uint8_t* dst);
 };
 
-/// The kernel table for the dispatched target. Resolution happens once per
-/// process: IPIN_SIMD env override if runnable, else the best CPUID-detected
-/// target; the choice is logged and published as the sketch.kernel.* gauges.
+/// The kernel table for the dispatched target, ResolvedSimdTarget(). The
+/// choice is logged and published as the sketch.kernel.* gauges.
 const KernelOps& Dispatched();
 
 /// The target Dispatched() resolved to.

@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "ipin/common/check.h"
+#include "ipin/common/memory.h"
 #include "ipin/sketch/kernels.h"
 
 namespace ipin {
@@ -13,6 +14,19 @@ obs::MemoryTally& SketchArenaMemTally() {
   return tally;
 }
 
+namespace {
+
+// Sizes one of the arena's arrays exactly, huge-page-backed where the
+// kernel allows: every array is written whole right away.
+template <typename Vec, typename T>
+void Allocate(Vec* array, size_t size, T value) {
+  array->reserve(size);
+  AdviseHugePages(array->data(), size * sizeof(T));
+  array->resize(size, value);
+}
+
+}  // namespace
+
 SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,
                          Capacity capacity)
     : precision_(precision),
@@ -21,12 +35,12 @@ SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,
       num_nodes_(num_nodes) {
   IPIN_CHECK_GE(precision, 4);
   IPIN_CHECK_LE(precision, 18);
-  rank_plane_.resize(num_nodes_ * beta_, 0);
-  slot_of_.resize(num_nodes_, kNoSlot);
-  cell_counts_.resize(capacity.sketches * beta_, 0);
-  slot_entry_base_.resize(capacity.sketches + 1, 0);
-  entry_ranks_.resize(capacity.entries);
-  entry_times_.resize(capacity.entries);
+  Allocate(&rank_plane_, num_nodes_ * beta_, uint8_t{0});
+  Allocate(&slot_of_, num_nodes_, kNoSlot);
+  Allocate(&cell_counts_, capacity.sketches * beta_, uint8_t{0});
+  Allocate(&slot_entry_base_, capacity.sketches + 1, uint64_t{0});
+  Allocate(&entry_ranks_, capacity.entries, uint8_t{0});
+  Allocate(&entry_times_, capacity.entries, int64_t{0});
 }
 
 namespace {
@@ -102,6 +116,109 @@ void SketchArena::RollBack(size_t num_allocated, NodeId first, NodeId end) {
                 uint8_t{0});
   }
   num_allocated_ = num_allocated;
+}
+
+std::optional<SketchArena::NodeRange> SketchArena::ContiguousRange(
+    NodeId first, NodeId end) const {
+  IPIN_CHECK_LE(first, end);
+  IPIN_CHECK_LE(end, num_nodes_);
+  size_t first_slot = 0;
+  size_t sketches = 0;
+  for (NodeId u = first; u < end; ++u) {
+    if (!has_node(u)) continue;
+    if (sketches == 0) {
+      first_slot = slot(u);
+    } else if (slot(u) != first_slot + sketches) {
+      return std::nullopt;
+    }
+    ++sketches;
+  }
+  const size_t begin = slot_entry_base_[first_slot];
+  const size_t entries = slot_entry_base_[first_slot + sketches] - begin;
+  NodeRange range;
+  range.cell_counts = {cell_counts_.data() + first_slot * beta_,
+                       sketches * beta_};
+  range.ranks = {entry_ranks_.data() + begin, entries};
+  range.times = {entry_times_.data() + begin, entries};
+  return range;
+}
+
+bool SketchArena::AppendNodes(NodeId first, std::span<const uint8_t> present,
+                              std::span<const uint8_t> cell_counts,
+                              std::span<const uint8_t> ranks,
+                              std::span<const uint8_t> time_bytes) {
+  IPIN_CHECK_LE(first, num_nodes_);
+  IPIN_CHECK_LE(present.size(), num_nodes_ - first);
+  size_t sketches = 0;
+  for (const uint8_t p : present) sketches += p != 0 ? 1 : 0;
+  const size_t entries = ranks.size();
+  const size_t s0 = num_allocated_;
+  const size_t e0 = slot_entry_base_[s0];
+  if (cell_counts.size() != sketches * beta_ ||
+      time_bytes.size() != entries * sizeof(int64_t) ||
+      sketches > slot_entry_base_.size() - 1 - s0 ||
+      entries > entry_ranks_.size() - e0) {
+    return false;
+  }
+  // Counts first: every one at most 64, together exactly the pairs given,
+  // so the walk below never indexes past them.
+  size_t sum = 0;
+  uint8_t max_count = 0;
+  for (const uint8_t n : cell_counts) {
+    sum += n;
+    max_count = std::max(max_count, n);
+  }
+  if (max_count > 64 || sum != entries) return false;
+
+  uint8_t* counts = cell_counts_.data() + s0 * beta_;
+  uint8_t* r = entry_ranks_.data() + e0;
+  int64_t* t = entry_times_.data() + e0;
+  std::memcpy(counts, cell_counts.data(), cell_counts.size());
+  std::memcpy(r, ranks.data(), entries);
+  std::memcpy(t, time_bytes.data(), time_bytes.size());
+
+  // Cell walk: each row cell is its list's last (largest) rank, and
+  // cell_start marks where every list begins. An empty cell reads a byte it
+  // then masks off (r[0], or a zero when there are no pairs at all), so the
+  // loop has no data-dependent branch.
+  static constexpr uint8_t kNoPairs = 0;
+  const uint8_t* last_of = entries > 0 ? r : &kNoPairs;
+  std::vector<uint8_t> cell_start(entries + 1, 0);
+  size_t s = s0;
+  size_t end = 0;
+  for (size_t i = 0; i < present.size(); ++i) {
+    if (present[i] == 0) continue;
+    const NodeId u = first + static_cast<NodeId>(i);
+    IPIN_CHECK_EQ(slot_of_[u], kNoSlot);
+    const uint8_t* node_counts = counts + (s - s0) * beta_;
+    uint8_t* row = rank_plane_.data() + static_cast<size_t>(u) * beta_;
+    for (size_t c = 0; c < beta_; ++c) {
+      const size_t n = node_counts[c];
+      cell_start[end] = 1;
+      end += n;
+      const uint8_t keep = n != 0 ? 0xff : 0;
+      row[c] = last_of[end - (end != 0 ? 1 : 0)] & keep;
+    }
+    slot_of_[u] = static_cast<uint32_t>(s);
+    slot_entry_base_[s + 1] = e0 + end;
+    ++s;
+  }
+  num_allocated_ = s;
+
+  // Entry pass: ranks non-zero; inside a list, ranks strictly ascend and
+  // times never descend.
+  uint8_t bad = 0;
+  for (size_t i = 0; i < entries; ++i) bad |= r[i] == 0 ? 1 : 0;
+  for (size_t i = 1; i < entries; ++i) {
+    const uint8_t out_of_order =
+        (r[i] <= r[i - 1] ? 1 : 0) | (t[i] < t[i - 1] ? 1 : 0);
+    bad |= out_of_order & (cell_start[i] ^ 1);
+  }
+  if (bad != 0) {
+    RollBack(s0, first, first + static_cast<NodeId>(present.size()));
+    return false;
+  }
+  return true;
 }
 
 size_t SketchArena::NodeNumEntries(NodeId u) const {

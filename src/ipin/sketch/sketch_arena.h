@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -29,15 +30,16 @@
 //                in cell order, split into parallel rank/time arrays for the
 //                windowed bounded-max kernel.
 //
-// Every array is sized once, up front, and filled one node at a time by
-// AppendNode — the single fill path behind sealing a build, restoring a
-// saved index (oracle_io parses each node's bytes straight into the arena;
-// nothing is sealed at restore) and copying nodes between arenas (shard
-// extraction, reshard reconstruction).
+// Every array is sized once, up front. Nodes are filled one at a time by
+// AppendNode (sealing a build, copying nodes between arenas for shard
+// extraction and reshard reconstruction, reading the older index formats),
+// or a run at a time by AppendNodes, which restores a saved index: the
+// index file stores each 256-node chunk as the ContiguousRange of this
+// layout, so a restore is a bulk copy plus one checking pass (oracle_io).
+// Both fill paths enforce the same invariants.
 //
-// Serialization is byte-compatible with VersionedHll::Serialize, so
-// oracle_io round-trips unchanged whether a node is serialized from a live
-// sketch or from the arena.
+// SerializeNode is byte-compatible with VersionedHll::Serialize, so a node
+// encodes identically whether it comes from a live sketch or the arena.
 
 namespace ipin {
 
@@ -86,6 +88,35 @@ class SketchArena {
   /// must match) as node `u`. The source is trusted: failure is a bug
   /// (checked).
   void AppendCopy(NodeId u, const SketchView& sketch);
+
+  /// The stored form of a run of nodes: their per-cell entry counts and
+  /// (rank, time) pairs, each one contiguous range of the arena's arrays.
+  struct NodeRange {
+    std::span<const uint8_t> cell_counts;  // beta per present node
+    std::span<const uint8_t> ranks;        // every pair, cell order
+    std::span<const int64_t> times;        // parallel to ranks
+  };
+
+  /// The storage of nodes [first, end) as three contiguous ranges, or
+  /// nullopt when their slots are not consecutive in node order. Arenas
+  /// filled in node order (Seal, restore, shard extraction) always are.
+  std::optional<NodeRange> ContiguousRange(NodeId first, NodeId end) const;
+
+  /// Appends nodes [first, first + present.size()) in one step, from the
+  /// layout ContiguousRange returns: present[i] != 0 marks node first + i
+  /// as having a sketch, `cell_counts` holds beta counts per present node,
+  /// `ranks` every pair's rank in cell order, and `time_bytes` their
+  /// little-endian i64 times (8 bytes per rank, any alignment). The ranges
+  /// are copied in bulk, then checked against the vHLL invariants
+  /// AppendNode enforces — counts at most 64 and summing to ranks.size(),
+  /// ranks non-zero and strictly ascending within a cell, times
+  /// non-descending — and the rank-plane rows are built. Nodes in the run
+  /// must be absent. If a size disagrees, a check fails or the arena is
+  /// full, nothing is appended and false is returned.
+  bool AppendNodes(NodeId first, std::span<const uint8_t> present,
+                   std::span<const uint8_t> cell_counts,
+                   std::span<const uint8_t> ranks,
+                   std::span<const uint8_t> time_bytes);
 
   /// Removes every node appended since NumAllocated() was `num_allocated`,
   /// so a group of appends that fails part-way leaves nothing behind. All

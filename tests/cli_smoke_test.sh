@@ -90,6 +90,14 @@ grep -q "cannot open dataset" "${WORK}/err2.txt" \
   || { echo "missing dataset should print a cannot-open line" >&2; exit 1; }
 "${CLI}" frobnicate 2>/dev/null
 [ $? -ne 0 ] || { echo "expected failure on unknown command" >&2; exit 1; }
+# A scale outside (0, 1] is a usage error, not a crash.
+"${CLI}" generate --dataset=enron --scale=2 --out="${WORK}/never.txt" \
+  2>"${WORK}/err_scale.txt"
+[ $? -eq 2 ] || { echo "--scale=2 should exit 2" >&2; exit 1; }
+grep -q "scale must lie in" "${WORK}/err_scale.txt" \
+  || { echo "--scale=2 should say why" >&2; exit 1; }
+[ ! -e "${WORK}/never.txt" ] \
+  || { echo "--scale=2 must not write output" >&2; exit 1; }
 set -e
 
 # Lenient parsing: a damaged edge file loads with --lenient, fails without.

@@ -4,15 +4,19 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ipin/common/logging.h"
 #include "ipin/common/random.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/core/checkpoint.h"
 #include "ipin/core/oracle_io.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/graph_io.h"
+#include "ipin/sketch/sketch_arena.h"
 #include "ipin/sketch/versioned_bottom_k.h"
 #include "ipin/sketch/vhll.h"
 
@@ -127,6 +131,98 @@ TEST_F(IoFuzzTest, SavedIndexSurvivesRandomCorruption) {
       EXPECT_TRUE(got == want || got == 0.0)
           << "trial " << trial << " node " << u << ": silently-wrong estimate "
           << got << " (saved " << want << ")";
+    }
+  }
+}
+
+// Version-3 files from SaveInfluenceIndex under two kinds of damage: byte
+// flips and truncation of the file (which the frame CRCs catch), and
+// hostile chunk payloads re-framed with valid CRCs (which only the chunk's
+// own checks can catch). Every load ends in a clean status, and every node
+// the loaded arena holds passes the vHLL invariants; nodes outside the
+// damaged chunk are exactly as saved.
+TEST_F(IoFuzzTest, SavedV3IndexSurvivesFlipsAndHostileChunks) {
+  constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
+  const InteractionGraph g = GenerateUniformRandomNetwork(700, 3000, 4000, 24);
+  IrsApprox index = IrsApprox::Compute(g, 400, {/*precision=*/4});
+  index.Seal();
+  ASSERT_TRUE(SaveInfluenceIndex(index, path_));
+  std::string pristine;
+  {
+    std::ifstream in(path_, std::ios::binary);
+    pristine.assign((std::istreambuf_iterator<char>(in)),
+                    std::istreambuf_iterator<char>());
+  }
+  SafeFileReader reader;
+  ASSERT_EQ(reader.Open(path_, kIndexFileType), SafeOpenStatus::kOk);
+  const uint32_t version = reader.version();
+  std::vector<std::string> frames;
+  std::string_view payload;
+  while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+    frames.emplace_back(payload);
+  }
+  ASSERT_EQ(frames.size(), 4u);  // header + three chunks
+
+  Rng rng(9);
+  for (int trial = 0; trial < 200; ++trial) {
+    size_t damaged = 0;  // chunk frame edited, 0 = none (file-level damage)
+    if (trial % 4 == 0) {
+      std::string corrupted = pristine;
+      corrupted[rng.NextBounded(corrupted.size())] ^=
+          static_cast<char>(1u << rng.NextBounded(8));
+      WriteBytes(corrupted);
+    } else if (trial % 4 == 1) {
+      WriteBytes(pristine.substr(0, rng.NextBounded(pristine.size())));
+    } else {
+      std::vector<std::string> edited = frames;
+      damaged = 1 + rng.NextBounded(frames.size() - 1);
+      std::string& chunk = edited[damaged];
+      const size_t edits = 1 + rng.NextBounded(3);
+      for (size_t e = 0; e < edits; ++e) {
+        const size_t pos = rng.NextBounded(chunk.size());
+        switch (rng.NextBounded(4)) {
+          case 0:  // overwrite a byte
+            chunk[pos] = static_cast<char>(rng.NextUint64());
+            break;
+          case 1:  // small add to a byte: counts and ranks stay plausible
+            chunk[pos] = static_cast<char>(chunk[pos] + 1);
+            break;
+          case 2:  // cut the payload
+            chunk.resize(pos);
+            break;
+          default:  // drop one byte
+            chunk.erase(pos, 1);
+            break;
+        }
+        if (chunk.empty()) break;
+      }
+      SafeFileWriter writer(path_, kIndexFileType, version);
+      for (const std::string& frame : edited) {
+        ASSERT_TRUE(writer.AppendFrame(frame));
+      }
+      ASSERT_TRUE(writer.Commit());
+    }
+
+    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+    const bool usable_status = result.status == IndexLoadStatus::kOk ||
+                               result.status == IndexLoadStatus::kDegraded;
+    ASSERT_EQ(result.usable(), usable_status) << trial;
+    if (!result.usable()) continue;
+    ASSERT_LE(result.sections_dropped, result.sections_total) << trial;
+    ASSERT_EQ(result.index->num_nodes(), index.num_nodes()) << trial;
+    const SketchArena& arena = *result.index->arena();
+    for (NodeId u = 0; u < index.num_nodes(); ++u) {
+      ASSERT_TRUE(arena.CheckNodeInvariants(u))
+          << "trial " << trial << " node " << u;
+      const double got = result.index->EstimateIrsSize(u);
+      const double want = index.EstimateIrsSize(u);
+      if (damaged != 0 && u / 256 == damaged - 1) continue;
+      EXPECT_TRUE(got == want || got == 0.0)
+          << "trial " << trial << " node " << u << ": silently-wrong estimate "
+          << got << " (saved " << want << ")";
+      if (damaged != 0) {
+        EXPECT_EQ(got, want) << trial;
+      }
     }
   }
 }

@@ -496,6 +496,289 @@ TEST_F(CraftedIndexTest, FailedChunkLosesExactlyItsSlice) {
   }
 }
 
+// --- Hand-crafted version-3 files ------------------------------------------
+//
+// Version 3 chunk frame k = u64 first_node, u32 count, u64 entries,
+// u8 present[count], u8 cell_counts[present x beta], u8 ranks[entries],
+// i64 times[entries].
+
+constexpr uint32_t kIndexFormatVersionV3 = 3;
+constexpr size_t kCraftBeta = size_t{1} << kCraftPrecision;
+
+// One node's cell lists, beta of them; no lists at all = absent node.
+using Cells = std::vector<std::vector<std::pair<uint8_t, int64_t>>>;
+
+// The cell lists of a VersionedHll::Serialize blob (or none for "").
+Cells CellsOfBlob(const std::string& blob) {
+  if (blob.empty()) return {};
+  Cells cells(kCraftBeta);
+  size_t offset = 2 + sizeof(uint64_t);  // version, precision, salt
+  for (auto& cell : cells) {
+    uint32_t count = 0;
+    std::memcpy(&count, blob.data() + offset, sizeof(count));
+    offset += sizeof(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      int64_t time = 0;
+      std::memcpy(&time, blob.data() + offset + 1, sizeof(time));
+      cell.emplace_back(static_cast<uint8_t>(blob[offset]), time);
+      offset += 1 + sizeof(time);
+    }
+  }
+  return cells;
+}
+
+// The sections of a version-3 chunk, kept apart so a test can damage one
+// before Encode() lays them out.
+struct ChunkV3 {
+  uint64_t first_node = 0;
+  uint32_t count = 0;
+  uint64_t entries = 0;
+  std::string present, cell_counts, ranks, times;
+
+  ChunkV3(uint64_t first, const std::vector<Cells>& nodes)
+      : first_node(first), count(static_cast<uint32_t>(nodes.size())) {
+    for (const Cells& cells : nodes) {
+      Put<uint8_t>(&present, cells.empty() ? 0 : 1);
+      for (const auto& cell : cells) {
+        Put<uint8_t>(&cell_counts, static_cast<uint8_t>(cell.size()));
+        for (const auto& [rank, time] : cell) {
+          Put<uint8_t>(&ranks, rank);
+          Put<int64_t>(&times, time);
+          ++entries;
+        }
+      }
+    }
+  }
+
+  std::string Encode() const {
+    std::string frame;
+    Put<uint64_t>(&frame, first_node);
+    Put<uint32_t>(&frame, count);
+    Put<uint64_t>(&frame, entries);
+    return frame + present + cell_counts + ranks + times;
+  }
+};
+
+std::vector<Cells> CellsOfBlobs(std::vector<std::string>::const_iterator begin,
+                                std::vector<std::string>::const_iterator end) {
+  std::vector<Cells> nodes;
+  for (auto it = begin; it != end; ++it) nodes.push_back(CellsOfBlob(*it));
+  return nodes;
+}
+
+class CraftedV3IndexTest : public CraftedIndexTest {
+ protected:
+  void WriteV3Frames(const std::vector<std::string>& frames) const {
+    SafeFileWriter writer(path_, kIndexFileType, kIndexFormatVersionV3);
+    for (const std::string& frame : frames) {
+      ASSERT_TRUE(writer.AppendFrame(frame));
+    }
+    ASSERT_TRUE(writer.Commit());
+  }
+
+  // Twelve random nodes (node 6 absent) in three 4-node chunks.
+  void SetUp() override {
+    CraftedIndexTest::SetUp();
+    Rng rng(31);
+    for (int i = 0; i < 12; ++i) {
+      blobs_.push_back(i == 6 ? "" : RandomBlob(&rng));
+    }
+  }
+  ChunkV3 Chunk(int k) const {
+    return ChunkV3(4 * k, CellsOfBlobs(blobs_.begin() + 4 * k,
+                                       blobs_.begin() + 4 * k + 4));
+  }
+
+  // Writes chunks 0 and 2 intact around `middle` and expects exactly
+  // chunk 1's nodes to be dropped.
+  void ExpectOnlyMiddleDropped(const std::string& middle,
+                               const std::string& what) {
+    SCOPED_TRACE(what);
+    WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), middle,
+                   Chunk(2).Encode()});
+    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+    ASSERT_TRUE(result.usable());
+    EXPECT_EQ(result.status, IndexLoadStatus::kDegraded);
+    EXPECT_EQ(result.sections_total, 3u);
+    EXPECT_EQ(result.sections_dropped, 1u);
+    EXPECT_EQ(result.index->NumAllocatedSketches(), 8u);
+    for (NodeId u = 0; u < 12; ++u) {
+      ExpectNode(*result.index, u, u >= 4 && u < 8 ? "" : blobs_[u]);
+      EXPECT_TRUE(result.index->arena()->CheckNodeInvariants(u));
+    }
+  }
+
+  std::vector<std::string> blobs_;
+};
+
+TEST_F(CraftedV3IndexTest, CraftedFileLoadsExactly) {
+  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), Chunk(1).Encode(),
+                 Chunk(2).Encode()});
+  const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+  ASSERT_EQ(result.status, IndexLoadStatus::kOk);
+  EXPECT_EQ(result.index->NumAllocatedSketches(), 11u);
+  for (NodeId u = 0; u < 12; ++u) ExpectNode(*result.index, u, blobs_[u]);
+}
+
+TEST_F(CraftedV3IndexTest, HostileHeaderFailsCleanly) {
+  WriteV3Frames({HeaderFrame(uint64_t{1} << 50, 256)});
+  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
+            IndexLoadStatus::kCorrupt);
+  WriteV3Frames({HeaderFrame(uint64_t{1} << 32, 0xffffffffu),
+                 Chunk(0).Encode()});
+  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
+            IndexLoadStatus::kCorrupt);
+  // More chunks than the bytes after the header could frame.
+  WriteV3Frames({HeaderFrame(256 * 1000, 256), Chunk(0).Encode()});
+  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
+            IndexLoadStatus::kCorrupt);
+}
+
+// The payload must be exactly 20 + count + present x beta + 9 x entries
+// bytes; any disagreement drops the chunk and nothing else.
+TEST_F(CraftedV3IndexTest, PayloadLengthMustMatchItsCounts) {
+  ChunkV3 more_entries = Chunk(1);
+  ++more_entries.entries;
+  ExpectOnlyMiddleDropped(more_entries.Encode(), "entries + 1");
+
+  ChunkV3 fewer_entries = Chunk(1);
+  --fewer_entries.entries;
+  ExpectOnlyMiddleDropped(fewer_entries.Encode(), "entries - 1");
+
+  ChunkV3 huge_entries = Chunk(1);
+  huge_entries.entries = ~uint64_t{0} / 9 + 1;  // 9 x entries wraps
+  ExpectOnlyMiddleDropped(huge_entries.Encode(), "entries overflow");
+
+  ChunkV3 absent = Chunk(1);
+  absent.present[0] = 0;  // one node fewer than the counts provide for
+  ExpectOnlyMiddleDropped(absent.Encode(), "present flag cleared");
+
+  ChunkV3 extra = Chunk(1);
+  extra.present[2] = 1;  // node 6 claimed, but it has no counts
+  ExpectOnlyMiddleDropped(extra.Encode(), "present flag set");
+
+  ChunkV3 two = Chunk(1);
+  two.present[0] = 2;  // not a flag
+  ExpectOnlyMiddleDropped(two.Encode(), "present byte 2");
+
+  ChunkV3 short_times = Chunk(1);
+  short_times.times.pop_back();
+  ExpectOnlyMiddleDropped(short_times.Encode(), "truncated times");
+
+  ChunkV3 long_times = Chunk(1);
+  long_times.times.push_back('\0');
+  ExpectOnlyMiddleDropped(long_times.Encode(), "trailing byte");
+
+  ExpectOnlyMiddleDropped(Chunk(1).Encode().substr(0, 19), "short prefix");
+
+  ChunkV3 more_nodes = Chunk(1);
+  ++more_nodes.count;
+  more_nodes.present.push_back('\0');
+  ExpectOnlyMiddleDropped(more_nodes.Encode(), "count + 1");
+}
+
+// Well-framed chunks whose contents break a vHLL invariant: only the
+// append's checks catch these, and they drop exactly the chunk.
+TEST_F(CraftedV3IndexTest, BadCellsDropExactlyTheirChunk) {
+  std::vector<Cells> nodes = CellsOfBlobs(blobs_.begin() + 4,
+                                          blobs_.begin() + 8);
+  const auto with_node5_cell0 =
+      [&](std::vector<std::pair<uint8_t, int64_t>> pairs) {
+        std::vector<Cells> bad = nodes;
+        bad[1][0] = std::move(pairs);
+        return ChunkV3(4, bad);
+      };
+  // The good version of the edit loads: ranks may fall across cells.
+  ChunkV3 good = with_node5_cell0({{60, 1}, {61, 1}, {62, 5}});
+  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), good.Encode(),
+                 Chunk(2).Encode()});
+  ASSERT_EQ(LoadInfluenceIndexDetailed(path_).status, IndexLoadStatus::kOk);
+
+  ChunkV3 sum_high = Chunk(1);
+  ++sum_high.cell_counts[kCraftBeta + 3];  // counts sum to entries + 1
+  ExpectOnlyMiddleDropped(sum_high.Encode(), "counts sum above entries");
+
+  // The chunk's last cell claims one pair more than there is: only the
+  // sum check sees it, as no pair moves to another cell.
+  ChunkV3 last_high = Chunk(1);
+  ++last_high.cell_counts.back();
+  ExpectOnlyMiddleDropped(last_high.Encode(), "last cell above entries");
+
+  // Same total, but every cell boundary after the first non-empty cell
+  // moves back one pair. Whether that breaks an order or not, whatever
+  // loads must hold the invariants.
+  ChunkV3 sum_shifted = Chunk(1);
+  for (char& n : sum_shifted.cell_counts) {
+    if (n != 0) {
+      --n;
+      break;
+    }
+  }
+  ++sum_shifted.cell_counts.back();
+  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), sum_shifted.Encode(),
+                 Chunk(2).Encode()});
+  {
+    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+    ASSERT_TRUE(result.usable());
+    for (NodeId u = 0; u < 12; ++u) {
+      EXPECT_TRUE(result.index->arena()->CheckNodeInvariants(u)) << u;
+    }
+  }
+
+  std::vector<std::pair<uint8_t, int64_t>> sixty_five;
+  for (int i = 0; i < 65; ++i) {
+    sixty_five.emplace_back(static_cast<uint8_t>(i + 1), i);
+  }
+  ExpectOnlyMiddleDropped(with_node5_cell0(sixty_five).Encode(), "count 65");
+  ExpectOnlyMiddleDropped(with_node5_cell0({{0, 1}}).Encode(), "rank 0");
+  ExpectOnlyMiddleDropped(with_node5_cell0({{3, 1}, {0, 2}}).Encode(),
+                          "rank 0 second");
+  ExpectOnlyMiddleDropped(with_node5_cell0({{4, 1}, {4, 2}}).Encode(),
+                          "equal ranks");
+  ExpectOnlyMiddleDropped(with_node5_cell0({{4, 1}, {3, 2}}).Encode(),
+                          "descending ranks");
+  ExpectOnlyMiddleDropped(with_node5_cell0({{3, 5}, {4, 4}}).Encode(),
+                          "descending time");
+}
+
+TEST_F(CraftedV3IndexTest, MisplacedChunksAreDropped) {
+  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), Chunk(0).Encode(),
+                 Chunk(2).Encode()});
+  IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+  ASSERT_TRUE(result.usable());
+  EXPECT_EQ(result.sections_dropped, 1u);
+  for (NodeId u = 0; u < 12; ++u) {
+    ExpectNode(*result.index, u, u >= 4 && u < 8 ? "" : blobs_[u]);
+  }
+
+  WriteV3Frames({HeaderFrame(12, 4), Chunk(1).Encode(), Chunk(0).Encode(),
+                 Chunk(2).Encode()});
+  result = LoadInfluenceIndexDetailed(path_);
+  ASSERT_TRUE(result.usable());
+  EXPECT_EQ(result.sections_dropped, 2u);
+  EXPECT_EQ(result.index->NumAllocatedSketches(), 4u);
+  for (NodeId u = 0; u < 12; ++u) {
+    ExpectNode(*result.index, u, u < 8 ? "" : blobs_[u]);
+  }
+
+  ChunkV3 wrapping = Chunk(1);
+  wrapping.first_node = ~uint64_t{0} - 1;
+  ExpectOnlyMiddleDropped(wrapping.Encode(), "wrapping first_node");
+
+  // A v2 chunk in a v3 file is malformed, not reinterpreted.
+  ExpectOnlyMiddleDropped(
+      ChunkFrame(4, {blobs_.begin() + 4, blobs_.begin() + 8}), "v2 chunk");
+}
+
+// A version this loader does not know is refused whole.
+TEST_F(CraftedIndexTest, UnknownVersionIsCorrupt) {
+  SafeFileWriter writer(path_, kIndexFileType, 4);
+  ASSERT_TRUE(writer.AppendFrame(HeaderFrame(0, 256)));
+  ASSERT_TRUE(writer.Commit());
+  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
+            IndexLoadStatus::kCorrupt);
+}
+
 // Two sealed indexes agree on every query surface, byte for byte, and
 // their arenas are the same size.
 void ExpectSameIndex(const IrsApprox& want, const IrsApprox& got) {
@@ -582,6 +865,73 @@ TEST_F(OracleIoTest, LoadChargesTheWholeFileBuffer) {
   ASSERT_TRUE(LoadInfluenceIndexDetailed(path_).usable());
   EXPECT_GE(tally.PeakBytes() - before, static_cast<int64_t>(file_size));
   EXPECT_EQ(tally.CurrentBytes(), before);
+}
+
+// The version-2 encoding of a built index — crafted here, as nothing
+// writes it any more — restores to exactly the arena the version-3 file
+// does.
+TEST_F(OracleIoTest, V2FileLoadsToTheSameArenaAsV3) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(700, 5000, 9000, 23);
+  IrsApproxOptions options;
+  options.precision = 6;
+  options.salt = 5;
+  IrsApprox built = IrsApprox::Compute(g, 2500, options);
+  built.Seal();
+  ASSERT_TRUE(SaveInfluenceIndex(built, path_));
+
+  const std::string v2_path = path_ + ".v2";
+  {
+    SafeFileWriter writer(v2_path, kIndexFileType, kIndexFormatVersion);
+    ASSERT_TRUE(writer.AppendFrame([&] {
+      std::string frame;
+      Put<int64_t>(&frame, built.window());
+      Put<uint8_t>(&frame, static_cast<uint8_t>(options.precision));
+      Put<uint64_t>(&frame, options.salt);
+      Put<uint64_t>(&frame, built.num_nodes());
+      Put<uint32_t>(&frame, 256);
+      return frame;
+    }()));
+    for (uint64_t first = 0; first < built.num_nodes(); first += 256) {
+      const uint64_t end = std::min<uint64_t>(first + 256, built.num_nodes());
+      std::string frame;
+      Put<uint64_t>(&frame, first);
+      Put<uint32_t>(&frame, static_cast<uint32_t>(end - first));
+      for (uint64_t u = first; u < end; ++u) {
+        const SketchView sketch = built.Sketch(static_cast<NodeId>(u));
+        Put<uint8_t>(&frame, sketch ? 1 : 0);
+        if (sketch) sketch.Serialize(&frame);
+      }
+      ASSERT_TRUE(writer.AppendFrame(frame));
+    }
+    ASSERT_TRUE(writer.Commit());
+  }
+
+  const IndexLoadResult v3 = LoadInfluenceIndexDetailed(path_);
+  const IndexLoadResult v2 = LoadInfluenceIndexDetailed(v2_path);
+  std::remove(v2_path.c_str());
+  ASSERT_EQ(v3.status, IndexLoadStatus::kOk);
+  ASSERT_EQ(v2.status, IndexLoadStatus::kOk);
+  EXPECT_EQ(v2.sections_total, v3.sections_total);
+  ExpectSameIndex(*v3.index, *v2.index);
+  ExpectSameIndex(built, *v3.index);
+  for (NodeId u = 0; u < built.num_nodes(); ++u) {
+    EXPECT_EQ(v2.index->EstimateIrsSize(u), v3.index->EstimateIrsSize(u));
+  }
+}
+
+// An unsealed index and its sealed twin write the same bytes: both go
+// through the one chunk encoder.
+TEST_F(OracleIoTest, SealedAndUnsealedIndexesWriteTheSameFile) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(600, 4000, 9000, 29);
+  IrsApproxOptions options;
+  options.precision = 5;
+  IrsApprox index = IrsApprox::Compute(g, 2000, options);
+  ASSERT_FALSE(index.sealed());
+  ASSERT_TRUE(SaveInfluenceIndex(index, path_));
+  const std::string unsealed = ReadFileBytes();
+  index.Seal();
+  ASSERT_TRUE(SaveInfluenceIndex(index, path_));
+  EXPECT_EQ(ReadFileBytes(), unsealed);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/random.h"
+#include "ipin/common/simd_target.h"
 
 namespace ipin {
 namespace {
@@ -114,6 +115,85 @@ TEST(Crc32cTest, SeedChainsAcrossEverySplit) {
     EXPECT_EQ(Crc32c(view.substr(split), Crc32c(view.substr(0, split))),
               whole)
         << "split " << split;
+  }
+}
+
+// Both implementations behind Crc32c, checked directly rather than through
+// whichever one IPIN_SIMD and the CPU select for the process.
+struct Crc32cImpl {
+  const char* name;
+  uint32_t (*fn)(const void*, size_t, uint32_t);
+};
+
+std::vector<Crc32cImpl> Crc32cImpls() {
+  std::vector<Crc32cImpl> impls = {{"portable", &internal::Crc32cPortable}};
+  if (CpuHasSse42Crc32()) impls.push_back({"sse4.2", &internal::Crc32cSse42});
+  return impls;
+}
+
+uint32_t Crc(const Crc32cImpl& impl, std::string_view data,
+             uint32_t seed = 0) {
+  return impl.fn(data.data(), data.size(), seed);
+}
+
+TEST(Crc32cImplTest, Rfc3720Vectors) {
+  std::string ascending(32, '\0');
+  std::string descending(32, '\0');
+  for (int i = 0; i < 32; ++i) {
+    ascending[i] = static_cast<char>(i);
+    descending[i] = static_cast<char>(31 - i);
+  }
+  for (const Crc32cImpl& impl : Crc32cImpls()) {
+    SCOPED_TRACE(impl.name);
+    EXPECT_EQ(Crc(impl, std::string(32, '\0')), 0x8A9136AAu);
+    EXPECT_EQ(Crc(impl, std::string(32, '\xff')), 0x62A8AB43u);
+    EXPECT_EQ(Crc(impl, ascending), 0x46DD794Eu);
+    EXPECT_EQ(Crc(impl, descending), 0x113FDB5Cu);
+    EXPECT_EQ(Crc(impl, "123456789"), 0xE3069283u);
+    EXPECT_EQ(Crc(impl, ""), 0u);
+  }
+}
+
+TEST(Crc32cImplTest, MatchesBitwiseReferenceAtEveryLengthAndAlignment) {
+  Rng rng(13);
+  std::vector<unsigned char> buffer(1024 + 8);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.NextUint64());
+  }
+  for (const Crc32cImpl& impl : Crc32cImpls()) {
+    for (size_t align = 0; align < 8; ++align) {
+      for (size_t len = 0; len <= 1024; ++len) {
+        const unsigned char* data = buffer.data() + align;
+        ASSERT_EQ(impl.fn(data, len, 0), BitwiseCrc32c(data, len))
+            << impl.name << " align " << align << " len " << len;
+      }
+    }
+  }
+}
+
+TEST(Crc32cImplTest, SeedChainsAtEverySplit) {
+  Rng rng(14);
+  std::string data(300, '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextUint64());
+  const std::string_view view = data;
+  const uint32_t whole = BitwiseCrc32c(
+      reinterpret_cast<const unsigned char*>(data.data()), data.size());
+  for (const Crc32cImpl& impl : Crc32cImpls()) {
+    for (size_t split = 0; split <= data.size(); ++split) {
+      const uint32_t head = Crc(impl, view.substr(0, split));
+      ASSERT_EQ(Crc(impl, view.substr(split), head), whole)
+          << impl.name << " split " << split;
+    }
+  }
+}
+
+// The dispatched Crc32c is one of the two, so it agrees with both.
+TEST(Crc32cImplTest, DispatchedAgreesWithEveryImplementation) {
+  Rng rng(15);
+  std::string data(4099, '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextUint64());
+  for (const Crc32cImpl& impl : Crc32cImpls()) {
+    EXPECT_EQ(Crc32c(data, 7), Crc(impl, data, 7)) << impl.name;
   }
 }
 

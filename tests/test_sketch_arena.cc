@@ -1,7 +1,10 @@
 #include "ipin/sketch/sketch_arena.h"
 
+#include <algorithm>
+#include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -168,6 +171,119 @@ TEST(SketchArenaTest, AppendRejectsBadCellsAndRollsBack) {
   ASSERT_TRUE(arena.AppendNode(2, one_pair(1)));
   EXPECT_EQ(arena.NodeNumEntries(2), 1u);
   EXPECT_TRUE(arena.CheckNodeInvariants(2));
+}
+
+// The bytes of a ContiguousRange's times, as a saved index stores them.
+std::vector<uint8_t> TimeBytes(std::span<const int64_t> times) {
+  std::vector<uint8_t> bytes(times.size_bytes());
+  if (!bytes.empty()) std::memcpy(bytes.data(), times.data(), bytes.size());
+  return bytes;
+}
+
+// Runs of nodes copied in bulk through ContiguousRange + AppendNodes
+// reproduce the sealed arena exactly: rows, entries, encodings and size.
+TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
+  const auto sketches = BuildSketches(20, 6);
+  const SketchArena sealed(kPrecision, kSalt, std::span(sketches));
+  SketchArena copy(kPrecision, kSalt, 20,
+                   {sealed.NumAllocated(), sealed.TotalEntries()});
+  for (const auto& [first, end] :
+       {std::pair<NodeId, NodeId>{0, 7}, {7, 8}, {8, 20}}) {
+    const auto range = sealed.ContiguousRange(first, end);
+    ASSERT_TRUE(range.has_value());
+    std::vector<uint8_t> present;
+    for (NodeId u = first; u < end; ++u) present.push_back(sealed.has_node(u));
+    ASSERT_TRUE(copy.AppendNodes(first, present, range->cell_counts,
+                                 range->ranks, TimeBytes(range->times)));
+  }
+  EXPECT_EQ(copy.NumAllocated(), sealed.NumAllocated());
+  EXPECT_EQ(copy.TotalEntries(), sealed.TotalEntries());
+  EXPECT_EQ(copy.MemoryUsageBytes(), sealed.MemoryUsageBytes());
+  for (NodeId u = 0; u < 20; ++u) {
+    ASSERT_EQ(copy.has_node(u), sealed.has_node(u)) << "node " << u;
+    EXPECT_TRUE(copy.CheckNodeInvariants(u)) << "node " << u;
+    const auto want = sealed.rank_row(u);
+    const auto got = copy.rank_row(u);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "node " << u;
+    if (!sealed.has_node(u)) continue;
+    std::string a, b;
+    sealed.SerializeNode(u, &a);
+    copy.SerializeNode(u, &b);
+    EXPECT_EQ(b, a) << "node " << u;
+  }
+
+  // Slots out of node order have no contiguous range.
+  const size_t entries = sealed.NodeNumEntries(0) + sealed.NodeNumEntries(2);
+  SketchArena shuffled(kPrecision, kSalt, 3, {2, entries});
+  shuffled.AppendCopy(2, SketchView(&sealed, 2));
+  shuffled.AppendCopy(0, SketchView(&sealed, 0));
+  EXPECT_FALSE(shuffled.ContiguousRange(0, 3).has_value());
+  EXPECT_TRUE(shuffled.ContiguousRange(0, 1).has_value());
+}
+
+// A run that breaks any invariant appends nothing and leaves earlier nodes
+// as they were; the arena stays usable.
+TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
+  constexpr size_t kBeta = size_t{1} << kPrecision;
+  // Node 0: cell 0 holds (2, 10), (5, 20); cell 1 holds (1, 5). Node 1:
+  // cell 3 holds (4, 7).
+  const std::vector<uint8_t> present = {1, 1};
+  std::vector<uint8_t> counts(2 * kBeta, 0);
+  counts[0] = 2;
+  counts[1] = 1;
+  counts[kBeta + 3] = 1;
+  const std::vector<uint8_t> ranks = {2, 5, 1, 4};
+  const std::vector<int64_t> times = {10, 20, 5, 7};
+
+  SketchArena arena(kPrecision, kSalt, 4, {3, 5});
+  const auto one_pair = [](size_t c, uint8_t* r, int64_t* t, size_t) {
+    if (c != 0) return 0;
+    r[0] = 9;
+    t[0] = 1;
+    return 1;
+  };
+  ASSERT_TRUE(arena.AppendNode(3, one_pair));
+  const auto expect_rejected = [&](std::vector<uint8_t> c,
+                                   std::vector<uint8_t> r,
+                                   std::vector<int64_t> t, const char* what) {
+    EXPECT_FALSE(arena.AppendNodes(1, present, c, r, TimeBytes(t))) << what;
+    EXPECT_EQ(arena.NumAllocated(), 1u) << what;
+    for (const NodeId u : {NodeId{1}, NodeId{2}}) {
+      EXPECT_FALSE(arena.has_node(u)) << what;
+      for (const uint8_t x : arena.rank_row(u)) EXPECT_EQ(x, 0) << what;
+    }
+  };
+  std::vector<uint8_t> c = counts;
+  c[5] = 1;  // counts sum to 5, four pairs given
+  expect_rejected(c, ranks, times, "sum");
+  expect_rejected(counts, {2, 5, 1}, {10, 20, 5}, "sizes");
+  expect_rejected(counts, {2, 2, 1, 4}, times, "equal ranks");
+  expect_rejected(counts, {0, 5, 1, 4}, times, "rank 0");
+  expect_rejected(counts, {2, 5, 1, 0}, times, "rank 0 last");
+  expect_rejected(counts, ranks, {20, 10, 5, 7}, "descending time");
+  c = counts;
+  c[0] = 65;
+  c[1] = 0;
+  c[kBeta + 3] = 0;
+  std::vector<uint8_t> many(65);
+  for (size_t i = 0; i < many.size(); ++i) {
+    many[i] = static_cast<uint8_t>(i + 1);
+  }
+  expect_rejected(c, many, std::vector<int64_t>(65, 0), "count 65");
+
+  // The same run, valid: ranks may fall and times go back across cells.
+  ASSERT_TRUE(arena.AppendNodes(1, present, counts, ranks, TimeBytes(times)));
+  EXPECT_EQ(arena.rank_row(1)[0], 5);
+  EXPECT_EQ(arena.rank_row(1)[1], 1);
+  EXPECT_EQ(arena.rank_row(2)[3], 4);
+  EXPECT_EQ(arena.NodeNumEntries(1), 3u);
+  EXPECT_EQ(arena.NodeNumEntries(2), 1u);
+  EXPECT_EQ(arena.rank_row(3)[0], 9);
+  for (NodeId u = 0; u < 4; ++u) EXPECT_TRUE(arena.CheckNodeInvariants(u));
+  // Full: no room for another sketch.
+  EXPECT_FALSE(arena.AppendNodes(0, std::vector<uint8_t>{1},
+                                 std::vector<uint8_t>(kBeta, 0), {}, {}));
 }
 
 TEST(SketchArenaTest, ViewAgreesAcrossStorageModes) {

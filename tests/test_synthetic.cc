@@ -1,10 +1,12 @@
 #include "ipin/datasets/synthetic.h"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 
 #include <gtest/gtest.h>
 
+#include "ipin/common/logging.h"
 #include "ipin/datasets/registry.h"
 #include "ipin/graph/static_graph.h"
 
@@ -119,6 +121,15 @@ TEST(RegistryTest, ScaleShrinksCounts) {
 
 TEST(RegistryTest, UnknownNameGivesNullopt) {
   EXPECT_FALSE(GetDatasetConfig("not-a-dataset", 0.5).has_value());
+}
+
+// A scale outside (0, 1] is an input error, not a crash.
+TEST(RegistryTest, OutOfRangeScaleGivesNullopt) {
+  SetLogLevel(LogLevel::kError);
+  for (const double scale : {0.0, -0.5, 1.5, std::nan("")}) {
+    EXPECT_FALSE(GetDatasetConfig("slashdot", scale).has_value()) << scale;
+  }
+  EXPECT_TRUE(GetDatasetConfig("slashdot", 1.0).has_value());
 }
 
 TEST(RegistryTest, LoadSyntheticDatasetRuns) {
