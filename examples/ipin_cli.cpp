@@ -101,6 +101,24 @@ bool FileReadable(const std::string& path) {
   return true;
 }
 
+// The sketch flags, checked here so a bad value is a usage error rather
+// than an assertion inside the library: --window-pct must be >= 0 and
+// --precision must lie in [4, 18] (beta = 2^precision cells).
+bool SketchFlagsValid(const FlagMap& flags) {
+  const double window_pct = flags.GetDouble("window-pct", 10.0);
+  if (!(window_pct >= 0.0)) {
+    std::fprintf(stderr, "--window-pct must be >= 0, got %g\n", window_pct);
+    return false;
+  }
+  const int64_t precision = flags.GetInt("precision", 9);
+  if (precision < 4 || precision > 18) {
+    std::fprintf(stderr, "--precision must lie in [4, 18], got %lld\n",
+                 static_cast<long long>(precision));
+    return false;
+  }
+  return true;
+}
+
 std::vector<NodeId> ParseSeeds(const std::string& arg, size_t num_nodes) {
   std::vector<NodeId> seeds;
   for (const auto piece : SplitString(arg, ",")) {
@@ -224,6 +242,7 @@ int CmdStats(const FlagMap& flags) {
 }
 
 int CmdBuildIndex(const FlagMap& flags) {
+  if (!SketchFlagsValid(flags)) return Usage();
   int rc = 1;
   const auto graph = LoadGraphArg(flags, flags.GetString("in"), &rc);
   if (!graph.has_value()) return rc;
@@ -300,6 +319,7 @@ int CmdQuery(const FlagMap& flags) {
 }
 
 int CmdSimulate(const FlagMap& flags) {
+  if (!SketchFlagsValid(flags)) return Usage();
   int rc = 1;
   const auto graph = LoadGraphArg(flags, flags.GetString("in"), &rc);
   if (!graph.has_value()) return rc;
@@ -335,6 +355,7 @@ int CmdConvert(const FlagMap& flags) {
 // with random oracle queries, and prints a pipeline health summary. Pair
 // with --metrics_out to capture the full instrumentation in JSON.
 int CmdReport(const FlagMap& flags) {
+  if (!SketchFlagsValid(flags)) return Usage();
   int rc = 1;
   const auto graph = LoadGraphArg(flags, flags.GetString("in"), &rc);
   if (!graph.has_value()) return rc;

@@ -85,7 +85,11 @@ int Run(int argc, char** argv) {
   }
 
   serve::ServerOptions options;
-  serve::ParseFrontendFlags(flags, &options);
+  std::string options_error;
+  if (!serve::ParseFrontendFlags(flags, &options, &options_error)) {
+    std::fprintf(stderr, "ipin_oracled: %s\n", options_error.c_str());
+    return Usage();
+  }
   const std::string index_path = flags.GetString("index");
   const std::string& socket_path = options.unix_socket_path;
   if (index_path.empty() || (socket_path.empty() == !flags.Has("port"))) {

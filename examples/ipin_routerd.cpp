@@ -99,7 +99,11 @@ int Run(int argc, char** argv) {
   }
 
   serve::RouterOptions options;
-  serve::ParseFrontendFlags(flags, &options);
+  std::string options_error;
+  if (!serve::ParseFrontendFlags(flags, &options, &options_error)) {
+    std::fprintf(stderr, "ipin_routerd: %s\n", options_error.c_str());
+    return Usage();
+  }
   const std::string map_path = flags.GetString("map");
   const std::string& socket_path = options.unix_socket_path;
   if (map_path.empty() || (socket_path.empty() == !flags.Has("port"))) {

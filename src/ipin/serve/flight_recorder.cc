@@ -48,10 +48,9 @@ void AppendRecordJson(const RequestRecord& record,
 }  // namespace
 
 void FlightRecorder::Ring::Push(const RequestRecord& record) {
-  if (capacity == 0) return;
   if (slots.size() < capacity) {
     slots.push_back(record);
-  } else {
+  } else if (capacity > 0) {
     slots[next % capacity] = record;
   }
   ++next;
@@ -76,15 +75,23 @@ FlightRecorder::FlightRecorder(size_t recent_capacity, size_t slow_capacity,
       recent_(recent_capacity),
       slow_(slow_capacity) {}
 
-void FlightRecorder::Record(RequestRecord record) {
+uint64_t FlightRecorder::File(RequestRecord record) {
   record.completed = std::chrono::steady_clock::now();
   std::lock_guard<std::mutex> lock(mu_);
-  ++recorded_;
+  const uint64_t seq = recent_.next;
   recent_.Push(record);
-  if (record.total_us > slow_threshold_us_) {
-    ++slow_recorded_;
-    slow_.Push(record);
+  return seq;
+}
+
+void FlightRecorder::Complete(uint64_t seq, RequestRecord record) {
+  record.completed = std::chrono::steady_clock::now();
+  std::lock_guard<std::mutex> lock(mu_);
+  // Push number `seq` is still in the ring unless `capacity` pushes
+  // followed it.
+  if (recent_.next - seq <= recent_.capacity) {
+    recent_.slots[seq % recent_.capacity] = record;
   }
+  if (record.total_us > slow_threshold_us_) slow_.Push(record);
 }
 
 std::string FlightRecorder::DumpJson() const {
@@ -97,8 +104,8 @@ std::string FlightRecorder::DumpJson() const {
     std::lock_guard<std::mutex> lock(mu_);
     recent = recent_.OldestFirst();
     slow = slow_.OldestFirst();
-    recorded = recorded_;
-    slow_recorded = slow_recorded_;
+    recorded = recent_.next;
+    slow_recorded = slow_.next;
   }
   std::string out = StrFormat(
       "{\"schema\":\"ipin.debug.v1\",\"slow_threshold_us\":%lld,"
@@ -131,12 +138,12 @@ std::vector<RequestRecord> FlightRecorder::SlowSnapshot() const {
 
 uint64_t FlightRecorder::recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return recorded_;
+  return recent_.next;
 }
 
 uint64_t FlightRecorder::slow_recorded() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return slow_recorded_;
+  return slow_.next;
 }
 
 }  // namespace ipin::serve

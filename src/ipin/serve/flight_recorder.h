@@ -38,7 +38,10 @@
 //               "write_us": 55, "total_us": 2337}
 //
 // age_us is the time between the request's completion and the dump, so a
-// reader can line records up against log timestamps.
+// reader can line records up against log timestamps. A served query is
+// filed before its response is written (write_us 0, total_us so far) and
+// completed after, so a client that reads the recorder once its answer
+// arrives finds it.
 
 namespace ipin::serve {
 
@@ -70,7 +73,7 @@ struct RequestRecord {
   int64_t eval_us = 0;
   int64_t write_us = 0;
   int64_t total_us = 0;
-  /// When the request completed (set by Record()).
+  /// When the request completed (set by File() and again by Complete()).
   std::chrono::steady_clock::time_point completed{};
 };
 
@@ -84,8 +87,16 @@ class FlightRecorder {
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
 
-  /// Records one completed request (stamps record.completed itself).
-  void Record(RequestRecord record);
+  /// Records one completed request: File, then Complete.
+  void Record(const RequestRecord& record) { Complete(File(record), record); }
+
+  /// Files a request into the recent ring before its response is written
+  /// and returns its sequence number. Not yet classified as slow.
+  uint64_t File(RequestRecord record);
+  /// Replaces the filed record `seq` with `record` (the same request, with
+  /// its write and total times), unless the ring has overwritten it since,
+  /// and adds it to the slow ring if total_us exceeds the threshold.
+  void Complete(uint64_t seq, RequestRecord record);
 
   /// Renders the "ipin.debug.v1" document described above.
   std::string DumpJson() const;
@@ -108,15 +119,13 @@ class FlightRecorder {
     std::vector<RequestRecord> OldestFirst() const;
     const size_t capacity;
     std::vector<RequestRecord> slots;
-    size_t next = 0;  // absolute count of pushes
+    uint64_t next = 0;  // absolute count of pushes, the recorded() counts
   };
 
   const int64_t slow_threshold_us_;
   mutable std::mutex mu_;
   Ring recent_;
   Ring slow_;
-  uint64_t recorded_ = 0;
-  uint64_t slow_recorded_ = 0;
 };
 
 }  // namespace ipin::serve

@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <condition_variable>
 #include <cstring>
 #include <deque>
 
@@ -37,7 +36,7 @@ void SetSendTimeout(int fd, int64_t timeout_ms) {
 // most timeout_ms; the elapsed check on top bounds the WHOLE response even
 // against a peer that drains one byte per timeout window. A peer that stops
 // reading therefore costs at most ~2x timeout_ms of thread time, never a
-// wedged reader/worker.
+// wedged reader.
 bool WriteAll(int fd, const std::string& data, int64_t timeout_ms) {
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(timeout_ms);
@@ -62,17 +61,30 @@ bool WriteAll(int fd, const std::string& data, int64_t timeout_ms) {
   return true;
 }
 
+// Why `options` would leave every query hanging, or "" if they serve.
+std::string OptionsError(const FrontendOptions& options) {
+  if (options.num_workers < 1) return "workers must be at least 1";
+  if (options.max_connections < 1) return "max_connections must be at least 1";
+  if (options.default_deadline_ms < 0 || options.drain_deadline_ms < 0 ||
+      options.retry_after_ms < 0) {
+    return "deadlines and retry_after_ms must not be negative";
+  }
+  return "";
+}
+
 }  // namespace
 
-void ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options) {
+bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
+                        std::string* error) {
   options->unix_socket_path = flags.GetString("socket");
   options->tcp_port =
       flags.Has("port") ? static_cast<int>(flags.GetInt("port", 0)) : -1;
   options->num_workers = static_cast<int>(flags.GetInt("workers", 4));
-  options->queue_capacity =
-      static_cast<size_t>(flags.GetInt("queue_capacity", 64));
-  options->max_connections =
-      static_cast<size_t>(flags.GetInt("max_connections", 64));
+  // Read signed: a negative count must not wrap into a huge size_t.
+  const int64_t queue_capacity = flags.GetInt("queue_capacity", 64);
+  options->queue_capacity = static_cast<size_t>(queue_capacity);
+  options->max_connections = static_cast<size_t>(
+      std::max<int64_t>(0, flags.GetInt("max_connections", 64)));
   options->default_deadline_ms = flags.GetInt("default_deadline_ms", 1000);
   options->retry_after_ms = flags.GetInt("retry_after_ms", 50);
   options->drain_deadline_ms = flags.GetInt("drain_deadline_ms", 2000);
@@ -82,6 +94,60 @@ void ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options) {
   options->flight_slow_size =
       static_cast<size_t>(flags.GetInt("flight_slow_size", 64));
   options->stats_window_s = flags.GetInt("stats_window_s", 10);
+  *error = queue_capacity < 0 ? "queue_capacity must not be negative"
+                              : OptionsError(*options);
+  return error->empty();
+}
+
+AdmissionGate::Entry AdmissionGate::Enter(Clock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(mu_);
+  if (holders_ < permits_ && line_.empty()) {
+    ++holders_;
+  } else {
+    if (line_.size() >= max_waiters_) return Entry::kRefused;
+    Waiter me;
+    const auto spot = line_.insert(line_.end(), &me);
+    IPIN_GAUGE_SET("serve.queue.depth", line_.size());
+    // HandOff passes the permit (and takes `me` off the line) under mu_;
+    // Drain wakes every waiter to re-read the drain deadline.
+    while (!me.admitted) {
+      if (me.cv.wait_until(lock, std::min(deadline, drain_deadline_)) ==
+              std::cv_status::timeout &&
+          !me.admitted) {
+        line_.erase(spot);
+        IPIN_GAUGE_SET("serve.queue.depth", line_.size());
+        return Entry::kExpired;
+      }
+    }
+  }
+  if (Clock::now() >= std::min(deadline, drain_deadline_)) {
+    --holders_;
+    HandOff();
+    return Entry::kExpired;
+  }
+  return Entry::kAdmitted;
+}
+
+void AdmissionGate::Leave() {
+  std::lock_guard<std::mutex> lock(mu_);
+  --holders_;
+  HandOff();
+}
+
+void AdmissionGate::HandOff() {
+  if (holders_ >= permits_ || line_.empty()) return;
+  Waiter* next = line_.front();
+  line_.pop_front();
+  ++holders_;
+  next->admitted = true;
+  next->cv.notify_one();  // under mu_: the waiter cannot unwind before this
+  IPIN_GAUGE_SET("serve.queue.depth", line_.size());
+}
+
+void AdmissionGate::Drain(Clock::time_point drain_deadline) {
+  std::lock_guard<std::mutex> lock(mu_);
+  drain_deadline_ = drain_deadline;
+  for (Waiter* waiter : line_) waiter->cv.notify_one();
 }
 
 struct Frontend::Connection {
@@ -119,7 +185,8 @@ Frontend::Frontend(FrontendHandler* handler, const FrontendOptions& options,
       options_(options),
       role_(std::move(role)),
       reload_(std::move(reload)),
-      queue_(options_.queue_capacity),
+      gate_(static_cast<size_t>(std::max(0, options_.num_workers)),
+            options_.queue_capacity),
       flight_(std::make_shared<FlightRecorder>(options_.flight_recorder_size,
                                                options_.flight_slow_size,
                                                options_.slow_query_us)),
@@ -189,6 +256,10 @@ bool Frontend::Listen() {
 
 bool Frontend::Start() {
   if (running_.load(std::memory_order_acquire)) return true;
+  if (const std::string error = OptionsError(options_); !error.empty()) {
+    LogError(StrFormat("%s: %s", role_.log_prefix, error.c_str()));
+    return false;
+  }
   if (!Listen()) return false;
 
   running_.store(true, std::memory_order_release);
@@ -202,9 +273,10 @@ bool Frontend::Start() {
 #endif
 
   // Dedicated reload thread: a slow or wedged reload blocks only this
-  // thread — never a connection reader or query worker — and Shutdown()
-  // can abandon it (detach) if it outlasts the drain deadline. It captures
-  // refcounted state and the handler's reload closure, never `this`.
+  // thread — never a connection reader or an evaluation slot — and
+  // Shutdown() can abandon it (detach) if it outlasts the drain deadline.
+  // It captures refcounted state and the handler's reload closure, never
+  // `this`.
   reload_state_ = std::make_shared<ReloadState>();
   reload_thread_ = std::thread([state = reload_state_, reload = reload_,
                                 write_timeout = options_.write_timeout_ms] {
@@ -244,11 +316,6 @@ bool Frontend::Start() {
   });
 
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  worker_pool_ =
-      std::make_unique<ThreadPool>(static_cast<size_t>(options_.num_workers));
-  for (int i = 0; i < options_.num_workers; ++i) {
-    worker_pool_->Submit([this] { WorkerLoop(); });
-  }
   LogInfo(StrFormat(
       "%s: listening on %s (%d workers, queue %zu)", role_.log_prefix,
       !options_.unix_socket_path.empty()
@@ -376,7 +443,7 @@ void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
   const int64_t write_timeout = options_.write_timeout_ms;
   switch (request.method) {
     case Method::kHealth: {
-      // Answered inline so liveness probes work even with a full queue.
+      // Answered inline so liveness probes work with every slot busy.
       IPIN_LATENCY_SCOPE("serve.latency.health_us");
       Response response = ReplyTo(request, StatusCode::kOk);
       response.epoch = handler_->Epoch();
@@ -391,7 +458,7 @@ void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
     }
     case Method::kMetrics: {
       // The scrape endpoint: answered inline (like health) so a dashboard
-      // keeps seeing metrics precisely when the queue is full and they
+      // keeps seeing metrics precisely when every slot is busy and they
       // matter most. The registry classes exist in every build, so this
       // answers (with an empty-ish registry) even under IPIN_OBS_DISABLED.
       IPIN_LATENCY_SCOPE("serve.latency.metrics_us");
@@ -407,7 +474,7 @@ void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
     }
     case Method::kDebug: {
       // Flight-recorder dump, inline for the same reason as metrics: the
-      // slow queries it explains are exactly when workers are busy.
+      // slow queries it explains are exactly when evaluations are busy.
       IPIN_LATENCY_SCOPE("serve.latency.debug_us");
       Response response = ReplyTo(request, StatusCode::kOk);
       response.epoch = handler_->Epoch();
@@ -426,71 +493,107 @@ void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
       break;
   }
 
-  // Admission control for queries. A query without a trace id gets one
-  // here, so every path below (responses, spans, flight records, logs) can
-  // refer to the request by it.
+  // A query without a trace id gets one here, so every path below
+  // (responses, spans, flight records, logs) can refer to the request by it.
   if (request.trace_id == 0) {
     request.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   }
   const uint64_t trace_id = request.trace_id;
   IPIN_TRACE_ASYNC_BEGIN("serve.request", trace_id);
 
-  // TryPush takes the task by value, so the request is gone either way:
-  // snapshot what the rejection paths need first.
-  const int64_t id = request.id;
-  const QueryMode mode = request.mode;
-  const size_t num_seeds = request.seeds.size();
-  StatusCode rejected = StatusCode::kUnavailable;
-  if (!draining_.load(std::memory_order_acquire)) {
-    const int64_t deadline_ms = request.deadline_ms > 0
-                                    ? request.deadline_ms
-                                    : options_.default_deadline_ms;
-    Task task;
-    task.deadline = now + std::chrono::milliseconds(deadline_ms);
-    task.enqueued = now;
-    task.conn = conn;
-    task.admission_us = ToMicros(Clock::now() - now);
-    task.request = std::move(request);
-    if (queue_.TryPush(std::move(task))) {
-      IPIN_TRACE_ASYNC_BEGIN("serve.queue", trace_id);
-      IPIN_COUNTER_ADD("serve.requests.accepted", 1);
-      IPIN_GAUGE_SET("serve.queue.depth", queue_.Depth());
-      return;
-    }
-    // Load shedding: reject now with a backoff hint rather than queueing
-    // beyond capacity.
-    rejected = StatusCode::kOverloaded;
-    IPIN_COUNTER_ADD("serve.requests.shed", 1);
-  }
-  Response response;
-  response.id = id;
-  response.trace_id = trace_id;
-  response.status = rejected;
-  response.retry_after_ms = options_.retry_after_ms;
-  if (rejected == StatusCode::kUnavailable) {
-    response.error = "server is draining";
-  }
-  WriteResponse(conn, response, write_timeout);
-
-  // A rejected query still lands in the flight recorder, all admission.
   RequestRecord record;
   record.trace_id = trace_id;
-  record.id = id;
-  record.mode = mode;
-  record.status = rejected;
-  record.num_seeds = num_seeds;
-  record.epoch = handler_->Epoch();
-  record.total_us = ToMicros(Clock::now() - now);
-  record.admission_us = record.total_us;
-  flight_->Record(record);
+  record.id = request.id;
+  record.mode = request.mode;
+  record.num_seeds = request.seeds.size();
+  const Response response = AdmitAndEvaluate(request, now, &record);
+  record.status = response.status;
+  record.degraded = response.degraded;
+  // Rejections carry no epoch on the wire; their records still do.
+  record.epoch = response.epoch != 0 ? response.epoch : handler_->Epoch();
+
+  // Filed before the write, so a client that reads the recorder as soon
+  // as its answer arrives finds the record; completed after it.
+  const Clock::time_point write_start = Clock::now();
+  record.total_us = ToMicros(write_start - now);
+  const uint64_t seq = flight_->File(record);
+  IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
+  WriteResponse(conn, response, write_timeout);
+  const Clock::time_point done = Clock::now();
+  IPIN_TRACE_ASYNC_END("serve.write", trace_id);
   IPIN_TRACE_ASYNC_END("serve.request", trace_id);
+  record.write_us = ToMicros(done - write_start);
+  record.total_us = ToMicros(done - now);
+  flight_->Complete(seq, record);
+  if (record.total_us > options_.slow_query_us) {
+    LogWarning(StrFormat(
+        "%s: slow %s trace_id=%s id=%lld status=%s total_us=%lld "
+        "(admission=%lld queue=%lld %s=%lld write=%lld)",
+        role_.log_prefix, role_.request_noun, TraceIdToHex(trace_id).c_str(),
+        static_cast<long long>(record.id), StatusCodeName(record.status),
+        static_cast<long long>(record.total_us),
+        static_cast<long long>(record.admission_us),
+        static_cast<long long>(record.queue_us), role_.eval_stage,
+        static_cast<long long>(record.eval_us),
+        static_cast<long long>(record.write_us)));
+  }
+}
+
+Response Frontend::AdmitAndEvaluate(const Request& request,
+                                    Clock::time_point start,
+                                    RequestRecord* record) {
+  if (draining_.load(std::memory_order_acquire)) {
+    Response response = ReplyTo(request, StatusCode::kUnavailable);
+    response.retry_after_ms = options_.retry_after_ms;
+    response.error = "server is draining";
+    record->admission_us = ToMicros(Clock::now() - start);
+    return response;
+  }
+  const Clock::time_point deadline =
+      start + std::chrono::milliseconds(request.deadline_ms > 0
+                                            ? request.deadline_ms
+                                            : options_.default_deadline_ms);
+  const Clock::time_point queued = Clock::now();
+  record->admission_us = ToMicros(queued - start);
+  IPIN_TRACE_ASYNC_BEGIN("serve.queue", request.trace_id);
+  const AdmissionGate::Entry entry = gate_.Enter(deadline);
+  IPIN_TRACE_ASYNC_END("serve.queue", request.trace_id);
+  if (entry == AdmissionGate::Entry::kRefused) {
+    // Load shedding: reject now with a backoff hint rather than waiting
+    // beyond capacity.
+    IPIN_COUNTER_ADD("serve.requests.shed", 1);
+    Response response = ReplyTo(request, StatusCode::kOverloaded);
+    response.retry_after_ms = options_.retry_after_ms;
+    return response;
+  }
+  IPIN_COUNTER_ADD("serve.requests.accepted", 1);
+  const Clock::time_point entered = Clock::now();
+  record->queue_us = ToMicros(entered - queued);
+  IPIN_HISTOGRAM_RECORD("serve.queue.wait_us", record->queue_us);
+  if (entry == AdmissionGate::Entry::kExpired) {
+    // Past its deadline (or the drain deadline) before its turn: answered
+    // without occupying an evaluation slot.
+    IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
+    Response response = ReplyTo(request, StatusCode::kDeadlineExceeded);
+    response.epoch = handler_->Epoch();
+    return response;
+  }
+  IPIN_TRACE_ASYNC_BEGIN(role_.eval_lane, request.trace_id);
+  Response response = handler_->Evaluate(request, deadline);
+  gate_.Leave();  // before the write: a slow reader holds no slot
+  record->eval_us = ToMicros(Clock::now() - entered);
+  IPIN_TRACE_ASYNC_END(role_.eval_lane, request.trace_id);
+  if (latency_ != nullptr) {
+    latency_->Record(static_cast<uint64_t>(record->eval_us));
+  }
+  return response;
 }
 
 void Frontend::HandleReload(const std::shared_ptr<Connection>& conn,
                             const Request& request) {
   // Handed to the dedicated reload thread (which also writes the response):
-  // a slow or wedged reload never occupies a query worker or this reader,
-  // and queries keep flowing from the old epoch while it runs.
+  // a slow or wedged reload never occupies an evaluation slot or this
+  // reader, and queries keep flowing from the old epoch while it runs.
   Response response = ReplyTo(request, StatusCode::kUnavailable);
   if (draining_.load(std::memory_order_acquire)) {
     response.error = "server is draining";
@@ -512,75 +615,6 @@ void Frontend::HandleReload(const std::shared_ptr<Connection>& conn,
   WriteResponse(conn, response, options_.write_timeout_ms);
 }
 
-void Frontend::WorkerLoop() {
-  while (true) {
-    auto task = queue_.Pop();
-    if (!task.has_value()) return;  // drained and empty
-    IPIN_GAUGE_SET("serve.queue.depth", queue_.Depth());
-    const Clock::time_point now = Clock::now();
-    const uint64_t trace_id = task->request.trace_id;
-    const int64_t queue_us = ToMicros(now - task->enqueued);
-    IPIN_HISTOGRAM_RECORD("serve.queue.wait_us", queue_us);
-    IPIN_TRACE_ASYNC_END("serve.queue", trace_id);
-
-    // During drain, requests older than the drain deadline are answered
-    // immediately; the rest still get evaluated.
-    const bool past_drain =
-        draining_.load(std::memory_order_acquire) && now >= drain_deadline_;
-
-    Response response;
-    int64_t eval_us = 0;
-    if (now >= task->deadline || past_drain) {
-      // Early drop at dequeue: an expired request never occupies a worker
-      // for evaluation.
-      response = ReplyTo(task->request, StatusCode::kDeadlineExceeded);
-      response.epoch = handler_->Epoch();
-      IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
-    } else {
-      IPIN_TRACE_ASYNC_BEGIN(role_.eval_lane, trace_id);
-      const Clock::time_point eval_start = Clock::now();
-      response = handler_->Evaluate(task->request, task->deadline);
-      eval_us = ToMicros(Clock::now() - eval_start);
-      IPIN_TRACE_ASYNC_END(role_.eval_lane, trace_id);
-      if (latency_ != nullptr) latency_->Record(static_cast<uint64_t>(eval_us));
-    }
-    IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
-    const Clock::time_point write_start = Clock::now();
-    WriteResponse(task->conn, response, options_.write_timeout_ms);
-    const Clock::time_point done = Clock::now();
-    IPIN_TRACE_ASYNC_END("serve.write", trace_id);
-    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
-
-    RequestRecord record;
-    record.trace_id = trace_id;
-    record.id = task->request.id;
-    record.mode = task->request.mode;
-    record.status = response.status;
-    record.degraded = response.degraded;
-    record.num_seeds = task->request.seeds.size();
-    record.epoch = response.epoch;
-    record.admission_us = task->admission_us;
-    record.queue_us = queue_us;
-    record.eval_us = eval_us;
-    record.write_us = ToMicros(done - write_start);
-    record.total_us = ToMicros(done - task->enqueued);
-    flight_->Record(record);
-    if (record.total_us > options_.slow_query_us) {
-      LogWarning(StrFormat(
-          "%s: slow %s trace_id=%s id=%lld status=%s total_us=%lld "
-          "(admission=%lld queue=%lld %s=%lld write=%lld)",
-          role_.log_prefix, role_.request_noun,
-          TraceIdToHex(trace_id).c_str(), static_cast<long long>(record.id),
-          StatusCodeName(record.status),
-          static_cast<long long>(record.total_us),
-          static_cast<long long>(record.admission_us),
-          static_cast<long long>(record.queue_us), role_.eval_stage,
-          static_cast<long long>(record.eval_us),
-          static_cast<long long>(record.write_us)));
-    }
-  }
-}
-
 Response Frontend::StatsResponse(const Request& request) {
   Response response = ReplyTo(request, StatusCode::kOk);
   response.epoch = handler_->Epoch();
@@ -590,7 +624,7 @@ Response Frontend::StatsResponse(const Request& request) {
     active = active_connections_;
   }
   response.info = {
-      {"queue_depth", static_cast<double>(queue_.Depth())},
+      {"queue_depth", static_cast<double>(gate_.waiting())},
       {"queue_capacity", static_cast<double>(options_.queue_capacity)},
       {"workers", static_cast<double>(options_.num_workers)},
       {"connections_active", static_cast<double>(active)},
@@ -645,6 +679,7 @@ void Frontend::Shutdown() {
   drain_deadline_ =
       Clock::now() + std::chrono::milliseconds(options_.drain_deadline_ms);
   draining_.store(true, std::memory_order_release);
+  gate_.Drain(drain_deadline_);
 
   // 1. Stop accepting connections.
   if (acceptor_.joinable()) acceptor_.join();
@@ -656,22 +691,18 @@ void Frontend::Shutdown() {
     ::unlink(options_.unix_socket_path.c_str());
   }
 
-  // 2. Stop reading new requests: half-close every connection. Responses
-  // for queued work still go out on the write side.
+  // 2. Stop reading new requests: half-close every connection. Readers
+  // admitted to or waiting at the gate still answer on the write side.
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& slot : readers_) ::shutdown(slot.conn->fd, SHUT_RD);
   }
 
-  // 3. Drain the queue: workers answer everything still in it (evaluating
-  // while the drain deadline allows), then exit on the empty signal.
-  queue_.Drain();
-  worker_pool_.reset();  // ThreadPool dtor joins once every WorkerLoop exits
-
-  // 4. Readers have seen EOF by now (and any reader stuck writing to a
-  // non-consuming peer is released by the write timeout); join and release
-  // the connections (closing each fd once its last in-flight response
-  // holder is gone).
+  // 3. Join the readers: each answers what it holds (evaluated while the
+  // drain deadline allows, DEADLINE_EXCEEDED after), then sees EOF; one
+  // stuck writing to a non-consuming peer is released by the write
+  // timeout. Joining releases the connections (closing each fd once its
+  // last in-flight response holder is gone).
   std::vector<ReaderSlot> readers;
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
@@ -681,12 +712,11 @@ void Frontend::Shutdown() {
     if (slot.thread.joinable()) slot.thread.join();
   }
 
-  // 5. Readers are gone, so no new reload jobs can arrive: stop the reload
+  // 4. Readers are gone, so no new reload jobs can arrive: stop the reload
   // thread, bounded by the drain deadline.
   StopReloadThread();
   window_.Stop();
-  IPIN_GAUGE_SET("serve.queue.depth", 0);
-  LogInfo(StrFormat("%s: drained, all workers stopped", role_.log_prefix));
+  LogInfo(StrFormat("%s: drained, all readers stopped", role_.log_prefix));
 }
 
 void Frontend::StopReloadThread() {

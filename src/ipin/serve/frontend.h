@@ -3,8 +3,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -12,48 +14,46 @@
 #include <utility>
 #include <vector>
 
-#include "ipin/common/thread_pool.h"
 #include "ipin/obs/window.h"
 #include "ipin/serve/flight_recorder.h"
 #include "ipin/serve/index_manager.h"
 #include "ipin/serve/protocol.h"
-#include "ipin/serve/queue.h"
 
 // The serving frontend shared by both daemons: ipin_oracled's OracleServer
 // (server.h) and ipin_routerd's RouterServer (router.h) differ only in how
 // they evaluate a query, so everything around that evaluation lives here
 // once. It speaks the newline-delimited JSON protocol of protocol.h over a
-// Unix-domain or localhost-TCP socket, with one reader thread per
-// connection, a bounded queue, and a worker pool. Robustness model
+// Unix-domain or localhost-TCP socket; each connection's reader thread
+// parses, admits, evaluates and answers its requests. Robustness model
 // (DESIGN.md §9):
 //
-//   * Admission control. Parsed query requests go through a bounded queue
-//     (BoundedQueue); when it is full the reader answers OVERLOADED with a
-//     retry_after_ms hint instead of queueing — offered load beyond
-//     capacity is shed at the door and the queue-depth gauge stays bounded.
-//     Connections beyond max_connections are answered OVERLOADED
-//     ("connection limit reached") and closed; a request line over 1 MiB
-//     drops only its own connection.
+//   * Admission control. A query passes an AdmissionGate on its reader:
+//     at most num_workers evaluations run at once and at most
+//     queue_capacity readers wait, in arrival order; beyond that it is
+//     answered OVERLOADED with a retry_after_ms hint — load is shed at the
+//     door and the queue-depth gauge stays bounded. Connections beyond
+//     max_connections are answered OVERLOADED ("connection limit reached")
+//     and closed; a request line over 1 MiB drops only its own connection.
 //   * Deadlines. Every query carries a deadline (its own or the default)
-//     fixed at admission. Workers re-check it at dequeue (an expired
-//     request is answered DEADLINE_EXCEEDED without evaluation) and hand it
-//     to the handler, which evaluates under it.
-//   * Inline verbs. health, stats, metrics, debug and reshard_status are
-//     answered on the reader thread, so liveness probes and dashboards keep
-//     working precisely when the queue is full.
+//     fixed at admission. One that passes before the query's turn at the
+//     gate is answered DEADLINE_EXCEEDED without evaluation; otherwise the
+//     handler evaluates under it. The slot is released before the response
+//     is written, so a slow consumer never holds an evaluation slot.
+//   * Inline verbs. health, stats, metrics, debug and reshard_status skip
+//     the gate, so probes and dashboards work when every slot is busy.
 //   * Hot reload. "reload" requests are handed to a dedicated reload thread
 //     that runs the handler's reload closure, so a slow or wedged reload
-//     never occupies a query worker or a connection reader. The closure
+//     never occupies an evaluation slot or a connection reader. The closure
 //     captures only the index or shard-map manager, never the handler.
 //   * Slow-consumer protection. Response writes carry a send timeout
 //     (write_timeout_ms); a client that pipelines requests but never reads
 //     its socket gets its connection marked broken and torn down instead
-//     of wedging the reader or a worker in a blocking send forever.
-//   * Graceful shutdown. Shutdown() stops accepting, rejects new requests,
-//     answers everything already queued (evaluated if the drain deadline
-//     allows, DEADLINE_EXCEEDED otherwise), flushes the responses, then
-//     joins every thread. The write timeout and the drain deadline bound
-//     every join except a reload wedged inside its loader, which is
+//     of wedging its reader in a blocking send forever.
+//   * Graceful shutdown. Shutdown() stops accepting, rejects new requests
+//     and half-closes every connection; readers at the gate still answer
+//     (evaluated while the drain deadline allows, DEADLINE_EXCEEDED after)
+//     before they are joined. The write timeout and the drain deadline
+//     bound every join except a reload wedged inside its loader, which is
 //     detached (and logged) rather than waited on forever; it touches only
 //     refcounted state and the manager, which outlives the daemon.
 //
@@ -61,9 +61,10 @@
 // id — the client's, or one assigned at admission — that links its stages
 // (serve.request / serve.queue / the handler's evaluation lane /
 // serve.write) as Chrome-trace async events, tags slow-request log lines,
-// and is echoed in the response. Every completed query (including shed and
-// expired ones) lands in the flight recorder with per-stage timings; ones
-// over slow_query_us also land in its slow ring and log a warning. A
+// and is echoed in the response. Every query (including shed and expired
+// ones) is filed in the flight recorder before its response is written and
+// completed after; ones over slow_query_us also land in its slow ring and
+// log a warning. A
 // WindowedAggregator samples the metrics registry once a second for the
 // stats verb's win_* fields, which ipin_top reads.
 //
@@ -71,9 +72,9 @@
 // (connection read errors).
 //
 // Metrics (under serve.*): requests.{accepted,shed,deadline_exceeded,bad},
-// queue.depth, queue.wait_us, connections.active, write.timeouts,
-// latency.{health,stats,metrics,debug,reload}_us, plus the handler's
-// evaluation latency histogram.
+// queue.depth (readers waiting at the gate), queue.wait_us,
+// connections.active, write.timeouts, latency.{health,stats,metrics,debug,
+// reload}_us, plus the handler's evaluation latency histogram.
 //
 // Under -DIPIN_OBS_DISABLED the trace events and windowed stats compile
 // out; the flight recorder and the metrics/debug verbs keep answering so
@@ -93,6 +94,7 @@ struct FrontendOptions {
   std::string unix_socket_path;
   int tcp_port = -1;
 
+  /// Evaluations that run at once, and requests that may wait for one.
   int num_workers = 4;
   size_t queue_capacity = 64;
   size_t max_connections = 64;
@@ -101,8 +103,8 @@ struct FrontendOptions {
   int64_t default_deadline_ms = 1000;
   /// Backoff hint attached to OVERLOADED / UNAVAILABLE responses.
   int64_t retry_after_ms = 50;
-  /// During Shutdown(), queued requests older than this are answered
-  /// DEADLINE_EXCEEDED instead of evaluated.
+  /// During Shutdown(), requests not admitted to an evaluation within this
+  /// are answered DEADLINE_EXCEEDED instead of evaluated.
   int64_t drain_deadline_ms = 2000;
   /// Bound on writing one response to a connection; a peer that stops
   /// reading past this is treated as broken and its connection torn down.
@@ -121,8 +123,58 @@ struct FrontendOptions {
 /// --workers, --queue_capacity, --max_connections, --default_deadline_ms,
 /// --retry_after_ms, --drain_deadline_ms, --slow_query_us, --flight_size,
 /// --flight_slow_size and --stats_window_s (absent flags keep the defaults
-/// above; without --port, tcp_port stays -1).
-void ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options);
+/// above; without --port, tcp_port stays -1). False, with the reason in
+/// *error, for options that would hang every query: fewer than one worker
+/// or connection, or a negative capacity, deadline or retry hint.
+bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
+                        std::string* error);
+
+/// The frontend's admission gate: at most `permits` holders; up to
+/// `max_waiters` more wait, admitted in arrival order, and a caller beyond
+/// that is refused. A waiter gives up at its deadline or, after Drain(),
+/// the drain deadline. The waiter count is the serve.queue.depth gauge.
+class AdmissionGate {
+ public:
+  using Clock = std::chrono::steady_clock;
+  /// kAdmitted holds a permit (call Leave()); kRefused found the line
+  /// full; kExpired saw its deadline or the drain deadline pass first.
+  enum class Entry { kAdmitted, kRefused, kExpired };
+
+  AdmissionGate(size_t permits, size_t max_waiters)
+      : permits_(permits), max_waiters_(max_waiters) {}
+
+  /// Takes a permit, waiting behind earlier callers if none is free.
+  Entry Enter(Clock::time_point deadline);
+  /// Returns a permit, handing it to the longest waiter.
+  void Leave();
+  /// Waiters keep being admitted until `drain_deadline`, then expire.
+  void Drain(Clock::time_point drain_deadline);
+
+  size_t waiting() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return line_.size();
+  }
+  size_t holders() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return holders_;
+  }
+
+ private:
+  struct Waiter {
+    std::condition_variable cv;
+    bool admitted = false;
+  };
+
+  /// Passes a free permit to the longest waiter. Requires mu_.
+  void HandOff();
+
+  const size_t permits_;
+  const size_t max_waiters_;
+  mutable std::mutex mu_;
+  size_t holders_ = 0;
+  std::list<Waiter*> line_;
+  Clock::time_point drain_deadline_ = Clock::time_point::max();
+};
 
 /// The names a daemon reports under. Fixed per daemon, not settable; every
 /// string must be a literal (trace events keep the pointer).
@@ -159,8 +211,8 @@ class FrontendHandler {
 
   virtual ~FrontendHandler() = default;
 
-  /// Evaluates one admitted query or topk request on a worker thread. The
-  /// response must carry the request's id and trace id.
+  /// Evaluates one admitted query or topk request on its connection's
+  /// reader thread. The response must carry the request's id and trace id.
   virtual Response Evaluate(const Request& request,
                             Clock::time_point deadline) = 0;
   /// Epoch of what is being served (index or shard map); 0 while nothing
@@ -185,8 +237,9 @@ class Frontend {
   Frontend(const Frontend&) = delete;
   Frontend& operator=(const Frontend&) = delete;
 
-  /// Binds, listens, and spawns the acceptor, reload thread and workers.
-  /// False (with a logged reason) on bind/listen failure.
+  /// Binds, listens, and spawns the acceptor and the reload thread. False
+  /// (with a logged reason) on options ParseFrontendFlags would reject or
+  /// a bind/listen failure.
   bool Start();
 
   /// Graceful drain as described above. Idempotent.
@@ -195,8 +248,8 @@ class Frontend {
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// Port actually bound (TCP mode; useful with tcp_port = 0).
   int bound_port() const { return bound_port_; }
-  /// Current queue depth (bounded by the queue capacity).
-  size_t queue_depth() const { return queue_.Depth(); }
+  /// Requests waiting at the admission gate (at most queue_capacity).
+  size_t queue_depth() const { return gate_.waiting(); }
 
   /// Refcounted so work that may outlive the frontend (router shard legs)
   /// can keep recording into it.
@@ -204,15 +257,6 @@ class Frontend {
 
  private:
   struct Connection;
-
-  struct Task {
-    Request request;
-    Clock::time_point deadline;
-    Clock::time_point enqueued;
-    /// Time spent in parse + admission before the queue push.
-    int64_t admission_us = 0;
-    std::shared_ptr<Connection> conn;
-  };
 
   // Reload requests run on a dedicated thread; the state it shares with
   // the frontend is refcounted so a wedged reload can be detached at
@@ -222,14 +266,17 @@ class Frontend {
   bool Listen();
   void AcceptLoop();
   void ReadLoop(std::shared_ptr<Connection> conn);
-  void WorkerLoop();
   void ReapFinishedReaders();
   void StopReloadThread();
 
   /// Answers the inline verbs, hands reloads to the reload thread, and
-  /// admits queries into the queue.
+  /// admits, evaluates and answers queries.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      Request&& request);
+  /// Passes a query through the gate and evaluates it, unless it is
+  /// rejected first; fills the record's admission, queue and eval stages.
+  Response AdmitAndEvaluate(const Request& request, Clock::time_point start,
+                            RequestRecord* record);
   void HandleReload(const std::shared_ptr<Connection>& conn,
                     const Request& request);
   Response StatsResponse(const Request& request);
@@ -253,13 +300,8 @@ class Frontend {
   std::atomic<bool> draining_{false};
   Clock::time_point drain_deadline_{};
 
-  BoundedQueue<Task> queue_;
+  AdmissionGate gate_;
   std::thread acceptor_;
-  // Workers run as num_workers long-lived WorkerLoop tasks on the shared
-  // pool abstraction (common/thread_pool.h); Shutdown drains the queue
-  // (WorkerLoop exits on the empty signal) and resets the pool, whose
-  // destructor joins.
-  std::unique_ptr<ThreadPool> worker_pool_;
   std::shared_ptr<ReloadState> reload_state_;
   std::thread reload_thread_;
 

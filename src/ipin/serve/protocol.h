@@ -16,9 +16,9 @@
 // Transport: a byte stream (Unix-domain or localhost TCP socket). Each
 // request and each response is exactly one JSON object on one line,
 // terminated by '\n' (newline-delimited JSON). A connection may pipeline
-// requests, but responses carry NO ordering guarantee: queries are fanned
-// out to a worker pool and complete in evaluation order, and health/stats
-// answers (plus shed/drain rejections) jump the queue by design. A client
+// requests. Today's servers answer one connection's requests in arrival
+// order (its reader thread evaluates each in turn), but the protocol
+// guarantees NO ordering and a server may answer in any order. A client
 // with more than one request in flight MUST assign each a unique "id" and
 // correlate responses by the echoed id; the ids of concurrent requests on
 // one connection must not collide (the default id 0 is only safe for
@@ -68,7 +68,7 @@
 //           descending (ties broken by ascending node id, so shard partials
 //           merge deterministically). Response carries "topk".
 //   health  cheap liveness probe, answered inline by the connection reader
-//           (never queued, so it works even when the queue is full).
+//           (never gated, so it works even when every slot is busy).
 //   stats   server gauges (queue depth, epoch, workers, ...) in "info",
 //           including windowed rates/latencies (win_qps, win_p99_us, ...)
 //           over the server's stats window when observability is compiled
@@ -132,9 +132,10 @@
 //   OK                 the request was served.
 //   BAD_REQUEST        unparsable JSON, unknown method, seed out of range.
 //   DEADLINE_EXCEEDED  the deadline passed before or during evaluation;
-//                      expired requests are dropped at dequeue without
-//                      occupying a worker for evaluation.
-//   OVERLOADED         admission control shed the request (queue full);
+//                      a request that expires while waiting for an
+//                      evaluation slot is answered without evaluation.
+//   OVERLOADED         admission control shed the request (every slot
+//                      busy and the waiting line full);
 //                      retry after retry_after_ms.
 //   UNAVAILABLE        no index is loaded, or the server is draining.
 //   INTERNAL           unexpected server-side failure (e.g. injected eval

@@ -5,6 +5,7 @@
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/string_util.h"
+#include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/trace_events.h"
 #include "ipin/sketch/estimators.h"
@@ -381,11 +382,11 @@ Response RouterServer::Evaluate(const Request& request,
   }
 
   // Scatter. Legs run on the shared global pool and rendezvous through a
-  // refcounted Gather; the worker waits until every leg delivered or the
-  // request deadline passed. A straggler completing later writes into the
-  // still-alive Gather and is ignored. Legs capture only refcounted state
-  // (fleet, gather, flight) — never `this` — so a leg stuck in a socket
-  // timeout cannot dangle across server shutdown.
+  // refcounted Gather; the evaluating reader waits until every leg
+  // delivered or the request deadline passed. A straggler completing later
+  // writes into the still-alive Gather and is ignored. Legs capture only
+  // refcounted state (fleet, gather, flight) — never `this` — so a leg
+  // stuck in a socket timeout cannot dangle across server shutdown.
   auto gather = std::make_shared<Gather>();
   gather->pending = legs.size();
   gather->results.resize(legs.size());

@@ -176,10 +176,10 @@ class RouterServer : private FrontendHandler {
     std::vector<std::vector<std::unique_ptr<Pool>>> prev_pools;
   };
 
-  // Scatter-gather rendezvous: one slot per leg, workers wait on the cv
-  // until every leg delivered or the deadline passed. Refcounted so a
-  // straggler leg completing after the wait timed out writes into a live
-  // object (its result is simply ignored).
+  // Scatter-gather rendezvous: one slot per leg, the evaluating reader
+  // waits on the cv until every leg delivered or the deadline passed.
+  // Refcounted so a straggler leg completing after the wait timed out
+  // writes into a live object (its result is simply ignored).
   struct Gather {
     std::mutex mu;
     std::condition_variable cv;

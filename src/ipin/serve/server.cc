@@ -7,6 +7,7 @@
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/string_util.h"
+#include "ipin/common/thread_pool.h"
 #include "ipin/core/influence_oracle.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/sketch/estimators.h"
@@ -229,8 +230,8 @@ void OracleServer::MaybeAudit(const IndexSnapshot& snapshot,
     return;
   }
   IPIN_COUNTER_ADD("serve.audit.sampled", 1);
-  // Fire-and-forget on the shared global pool (NOT the serve worker pool):
-  // the exact re-evaluation never holds a serving worker, and the captured
+  // Fire-and-forget on the shared global pool: the exact re-evaluation
+  // never holds the query's reader or evaluation slot, and the captured
   // shared_ptr keeps the audited epoch's exact map alive even across a
   // reload or server shutdown.
   GlobalPool().Submit([exact, seeds, estimate] {

@@ -16,10 +16,10 @@
 //
 //   * Evaluation. Queries snapshot the IndexManager epoch and run under a
 //     QueryBudget bounded by the request deadline, so one oversized query
-//     cannot hold a worker past it. topk ranks the sketched nodes.
+//     cannot hold an evaluation slot past it. topk ranks the sketched nodes.
 //   * Graceful degradation. "exact"/"auto" queries run the exact oracle
 //     under an exact-latency budget; when the budget trips, the exact map
-//     is unloaded, or an eval fault is injected, the worker falls back to
+//     is unloaded, or an eval fault is injected, the query falls back to
 //     the sketch estimate and sets degraded=true.
 //   * Hot reload. The reload closure swaps the IndexManager epoch
 //     atomically and rolls back on any validation failure (the old epoch

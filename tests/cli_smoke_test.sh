@@ -98,6 +98,26 @@ grep -q "scale must lie in" "${WORK}/err_scale.txt" \
   || { echo "--scale=2 should say why" >&2; exit 1; }
 [ ! -e "${WORK}/never.txt" ] \
   || { echo "--scale=2 must not write output" >&2; exit 1; }
+# Sketch flags the library would assert on are usage errors, not aborts.
+for cmd in build-index report; do
+  for precision in 3 19; do
+    "${CLI}" "${cmd}" --in="${WORK}/net.txt" --precision="${precision}" \
+      --out="${WORK}/never.bin" 2>"${WORK}/err_precision.txt"
+    [ $? -eq 2 ] \
+      || { echo "${cmd} --precision=${precision} should exit 2" >&2; exit 1; }
+    grep -q "precision must lie in" "${WORK}/err_precision.txt" \
+      || { echo "${cmd} --precision=${precision} should say why" >&2; exit 1; }
+  done
+done
+for cmd in build-index report; do
+  "${CLI}" "${cmd}" --in="${WORK}/net.txt" --window-pct=-5 \
+    --out="${WORK}/never.bin" 2>"${WORK}/err_window.txt"
+  [ $? -eq 2 ] || { echo "${cmd} --window-pct=-5 should exit 2" >&2; exit 1; }
+  grep -q "window-pct must be >= 0" "${WORK}/err_window.txt" \
+    || { echo "${cmd} --window-pct=-5 should say why" >&2; exit 1; }
+done
+[ ! -e "${WORK}/never.bin" ] \
+  || { echo "a rejected sketch flag must not write output" >&2; exit 1; }
 set -e
 
 # Lenient parsing: a damaged edge file loads with --lenient, fails without.

@@ -110,6 +110,16 @@ for i in $(seq 0 $((NUM_SHARDS - 1))); do start_shard "${i}"; done
 register_pid $! "single"
 wait_ready "${WORK}/single.port" "$!" "${WORK}/single.log"
 
+# A router with no evaluation slot would hang every query: usage, exit 2.
+set +e
+"${ROUTER}" --map="${WORK}/map.json" --socket="${ROUTER_SOCK}" --workers=0 \
+  > /dev/null 2> "${WORK}/bad_flag.txt"
+rc=$?
+set -e
+[ "${rc}" -eq 2 ] || fail "--workers=0 should exit 2, got ${rc}"
+grep -q "usage: ipin_routerd" "${WORK}/bad_flag.txt" \
+  || fail "--workers=0 should print usage"
+
 "${ROUTER}" --map="${WORK}/map.json" --socket="${ROUTER_SOCK}" --workers=2 \
   --port_file="${WORK}/router.port" \
   --suspect_after=1 --down_after=2 --probe_interval_ms=100 \

@@ -116,6 +116,21 @@ field() { sed -n "s/.*$2=\([^ ]*\).*/\1/p" "$1" | head -1; }
   --out="${WORK}/index.bin" > /dev/null
 cp "${WORK}/index.bin" "${WORK}/index.good"
 
+# --- Options that would leave every query hanging are usage errors -------
+# --workers=0 would start no evaluation slot; a negative queue capacity
+# would wrap. Both must print usage and exit 2 before binding the socket.
+for bad in --workers=0 --queue_capacity=-1 --max_connections=0; do
+  set +e
+  "${DAEMON}" --index="${WORK}/index.bin" --socket="${SOCK}" "${bad}" \
+    > /dev/null 2> "${WORK}/bad_flag.txt"
+  rc=$?
+  set -e
+  [ "${rc}" -eq 2 ] || fail "${bad} should exit 2, got ${rc}"
+  grep -q "usage: ipin_oracled" "${WORK}/bad_flag.txt" \
+    || fail "${bad} should print usage"
+  test ! -e "${SOCK}" || fail "${bad} must not bind the socket"
+done
+
 # --- Phase 1: basic serving + clean SIGTERM drain ------------------------
 "${DAEMON}" --index="${WORK}/index.bin" --socket="${SOCK}" \
   --port_file="${PORT_FILE}" --graph="${WORK}/net.txt" --workers=2 \

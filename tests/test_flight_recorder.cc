@@ -125,6 +125,59 @@ TEST(FlightRecorderTest, DumpJsonMatchesSchema) {
   EXPECT_EQ(record.FindString("trace_id", ""), TraceIdToHex(8 * 0x1111));
 }
 
+TEST(FlightRecorderTest, FiledRecordIsDumpedBeforeItCompletes) {
+  FlightRecorder recorder(8, 8, /*slow_threshold_us=*/500);
+  // Filed before the response write: stages so far, no write or total.
+  RequestRecord record = MakeRecord(9, 2000);
+  record.write_us = 0;
+  record.total_us = record.admission_us + record.queue_us + record.eval_us;
+  const uint64_t seq = recorder.File(record);
+
+  auto doc = JsonValue::Parse(recorder.DumpJson());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->FindNumber("recorded", -1), 1.0);
+  ASSERT_EQ(doc->Find("recent")->array_items().size(), 1u);
+  const JsonValue& filed = doc->Find("recent")->array_items()[0];
+  EXPECT_EQ(filed.FindNumber("id", -1), 9.0);
+  EXPECT_EQ(filed.FindNumber("eval_us", -1), 1980.0);
+  EXPECT_EQ(filed.FindNumber("write_us", -1), 0.0);
+  EXPECT_EQ(filed.FindNumber("total_us", -1), 1995.0);
+  // Slowness is decided at completion, not at filing.
+  EXPECT_EQ(doc->FindNumber("slow_recorded", -1), 0.0);
+  EXPECT_TRUE(doc->Find("slow")->array_items().empty());
+
+  // Completed after the write: the same slot, now with write and total.
+  record.write_us = 5;
+  record.total_us = 2000;
+  recorder.Complete(seq, record);
+  doc = JsonValue::Parse(recorder.DumpJson());
+  ASSERT_TRUE(doc.has_value());
+  EXPECT_EQ(doc->FindNumber("recorded", -1), 1.0);
+  ASSERT_EQ(doc->Find("recent")->array_items().size(), 1u);
+  const JsonValue& completed = doc->Find("recent")->array_items()[0];
+  EXPECT_EQ(completed.FindNumber("write_us", -1), 5.0);
+  EXPECT_EQ(completed.FindNumber("total_us", -1), 2000.0);
+  EXPECT_EQ(doc->FindNumber("slow_recorded", -1), 1.0);
+  ASSERT_EQ(doc->Find("slow")->array_items().size(), 1u);
+  EXPECT_EQ(doc->Find("slow")->array_items()[0].FindNumber("id", -1), 9.0);
+}
+
+TEST(FlightRecorderTest, CompletingAnOverwrittenSlotLeavesItAlone) {
+  FlightRecorder recorder(/*recent_capacity=*/2, 4, /*slow_threshold_us=*/500);
+  const uint64_t seq = recorder.File(MakeRecord(1, 100));
+  recorder.Record(MakeRecord(2, 100));
+  recorder.Record(MakeRecord(3, 100));  // overwrites id 1's slot
+  recorder.Complete(seq, MakeRecord(1, 900));
+  const auto recent = recorder.RecentSnapshot();
+  ASSERT_EQ(recent.size(), 2u);
+  EXPECT_EQ(recent[0].id, 2);
+  EXPECT_EQ(recent[1].id, 3);
+  // Still classified: a slow request is kept even if its recent slot went.
+  const auto slow = recorder.SlowSnapshot();
+  ASSERT_EQ(slow.size(), 1u);
+  EXPECT_EQ(slow[0].id, 1);
+}
+
 TEST(FlightRecorderTest, DumpOfEmptyRecorderIsValidJson) {
   FlightRecorder recorder(4, 4, 1000);
   const auto doc = JsonValue::Parse(recorder.DumpJson());

@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "ipin/common/failpoint.h"
+#include "ipin/common/flags.h"
 #include "ipin/common/logging.h"
 #include "ipin/core/irs_exact.h"
 #include "ipin/datasets/synthetic.h"
@@ -31,7 +33,9 @@
 // RouterServer fronting one shard backend, over real Unix sockets. The
 // cases cover frontend paths no daemon-specific suite reaches: the
 // connection cap, the request-line cap, the win_* stats keys ipin_top
-// reads, and draining in-flight requests. A last case drives the router's
+// reads, draining in-flight requests, the admission gate's bound on
+// concurrent evaluations, pipelined queries on one connection, and options
+// that would leave every query hanging. A last case drives the router's
 // hedged retry onto a replica.
 
 namespace ipin::serve {
@@ -323,6 +327,99 @@ TEST_P(ServeFrontendTest, ShutdownAnswersInFlightRequests) {
   EXPECT_EQ(dropped.load(), 0);
 }
 
+TEST_P(ServeFrontendTest, OneWorkerRunsOneEvaluationAtATime) {
+  FrontendOptions options;
+  options.num_workers = 1;
+  StartDaemon(options);
+  // Every evaluation takes at least 50 ms: the exact attempt on the oracle,
+  // the shard RPC on the router.
+  ASSERT_TRUE(failpoint::Set("serve.eval", "delay(50)"));
+  ASSERT_TRUE(failpoint::Set("serve.shard.rpc", "delay(50)"));
+
+  constexpr int kClients = 3;
+  std::atomic<int> ok{0};
+  std::vector<std::thread> clients;
+  const auto start = std::chrono::steady_clock::now();
+  for (int t = 0; t < kClients; ++t) {
+    clients.emplace_back([&] {
+      OracleClient client = Client();
+      const auto response =
+          client.Query({1, 2}, QueryMode::kExact, /*deadline_ms=*/5000);
+      if (response.has_value() && response->status == StatusCode::kOk) ++ok;
+    });
+  }
+  for (auto& t : clients) t.join();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_EQ(ok.load(), kClients);
+  // No two of the three evaluations overlapped.
+  EXPECT_GE(elapsed, std::chrono::milliseconds(50 * kClients));
+}
+
+TEST_P(ServeFrontendTest, PipelinedQueriesOnOneConnectionAllAnswered) {
+  StartDaemon();
+  const int fd = ConnectUnix(socket_);
+  ASSERT_GE(fd, 0);
+  constexpr int kQueries = 5;
+  std::string burst;
+  for (int i = 1; i <= kQueries; ++i) {
+    Request request;
+    request.id = 100 + i;
+    request.seeds = {static_cast<NodeId>(i), static_cast<NodeId>(2 * i)};
+    request.mode = QueryMode::kSketch;
+    burst += SerializeRequest(request);
+  }
+  ASSERT_TRUE(SendAll(fd, burst));
+
+  // Each id once, with its own seeds' estimate.
+  std::set<int64_t> ids;
+  for (int n = 0; n < kQueries; ++n) {
+    const auto response = ParseResponse(ReadLine(fd));
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, StatusCode::kOk);
+    const int64_t i = response->id - 100;
+    ASSERT_GE(i, 1);
+    ASSERT_LE(i, kQueries);
+    EXPECT_EQ(response->estimate,
+              full_->EstimateUnionSize(std::vector<NodeId>{
+                  static_cast<NodeId>(i), static_cast<NodeId>(2 * i)}));
+    ids.insert(response->id);
+  }
+  EXPECT_EQ(ids.size(), static_cast<size_t>(kQueries));
+  ::close(fd);
+}
+
+TEST_P(ServeFrontendTest, StartRefusesOptionsThatWouldHangEveryQuery) {
+  const auto refused = [&](const FrontendOptions& frontend) {
+    FrontendOptions options = frontend;
+    options.unix_socket_path = socket_;
+    if (GetParam() == Daemon::kOracle) {
+      ServerOptions server;
+      static_cast<FrontendOptions&>(server) = options;
+      return !OracleServer(index_.get(), server).Start();
+    }
+    map_ = std::make_unique<ShardMapManager>("");
+    RouterOptions router;
+    static_cast<FrontendOptions&>(router) = options;
+    return !RouterServer(map_.get(), router).Start();
+  };
+  FrontendOptions options;
+  options.num_workers = 0;
+  EXPECT_TRUE(refused(options)) << "no worker";
+  options = {};
+  options.max_connections = 0;
+  EXPECT_TRUE(refused(options)) << "no connection";
+  options = {};
+  options.default_deadline_ms = -1;
+  EXPECT_TRUE(refused(options)) << "negative deadline";
+  options = {};
+  options.drain_deadline_ms = -1;
+  EXPECT_TRUE(refused(options)) << "negative drain deadline";
+  options = {};
+  options.retry_after_ms = -1;
+  EXPECT_TRUE(refused(options)) << "negative retry hint";
+  EXPECT_FALSE(refused(FrontendOptions{})) << "the defaults serve";
+}
+
 INSTANTIATE_TEST_SUITE_P(BothDaemons, ServeFrontendTest,
                          ::testing::Values(Daemon::kOracle, Daemon::kRouter),
                          [](const auto& info) {
@@ -388,6 +485,31 @@ TEST_F(RouterHedgingTest, HedgedLegRetriesOnTheNextEndpoint) {
   router_->Shutdown();
   ::close(listener);
   ::unlink(blackhole.c_str());
+}
+
+TEST(FrontendFlagsTest, RejectsValuesThatWouldHang) {
+  const auto parse = [](std::vector<std::string> args, std::string* error) {
+    args.insert(args.begin(), "daemon");
+    std::vector<char*> argv;
+    for (std::string& arg : args) argv.push_back(arg.data());
+    FrontendOptions options;
+    return ParseFrontendFlags(
+        FlagMap::Parse(static_cast<int>(argv.size()), argv.data()), &options,
+        error);
+  };
+  std::string error;
+  EXPECT_TRUE(parse({"--socket=/tmp/x.sock"}, &error)) << error;
+  EXPECT_TRUE(parse({"--socket=/tmp/x.sock", "--queue_capacity=0"}, &error))
+      << error;
+  for (const char* bad :
+       {"--workers=0", "--workers=-2", "--max_connections=0",
+        "--max_connections=-1", "--queue_capacity=-1",
+        "--default_deadline_ms=-1", "--drain_deadline_ms=-5",
+        "--retry_after_ms=-1"}) {
+    error.clear();
+    EXPECT_FALSE(parse({"--socket=/tmp/x.sock", bad}, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
 }
 
 }  // namespace

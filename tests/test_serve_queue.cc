@@ -1,149 +1,200 @@
-#include "ipin/serve/queue.h"
-
 #include <atomic>
+#include <chrono>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ipin/serve/frontend.h"
+
+// The frontend's admission gate: the bound on concurrent evaluations, the
+// bounded FIFO of readers waiting for one, and the deadlines that expire
+// waiters (their own, and the drain deadline).
+
 namespace ipin::serve {
 namespace {
 
-TEST(BoundedQueueTest, FifoWithinCapacity) {
-  BoundedQueue<int> queue(3);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_TRUE(queue.TryPush(3));
-  EXPECT_EQ(queue.Depth(), 3u);
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_EQ(queue.Pop(), 2);
-  EXPECT_EQ(queue.Pop(), 3);
-  EXPECT_EQ(queue.Depth(), 0u);
+using Clock = AdmissionGate::Clock;
+using Entry = AdmissionGate::Entry;
+
+Clock::time_point In(int64_t ms) {
+  return Clock::now() + std::chrono::milliseconds(ms);
 }
 
-TEST(BoundedQueueTest, RejectsBeyondCapacity) {
-  BoundedQueue<int> queue(2);
-  EXPECT_TRUE(queue.TryPush(1));
-  EXPECT_TRUE(queue.TryPush(2));
-  EXPECT_FALSE(queue.TryPush(3));  // load shedding, never blocks
-  EXPECT_EQ(queue.Depth(), 2u);
-  EXPECT_EQ(queue.Pop(), 1);
-  EXPECT_TRUE(queue.TryPush(3));  // slot freed
-}
-
-TEST(BoundedQueueTest, TryPopNeverBlocks) {
-  BoundedQueue<int> queue(2);
-  EXPECT_EQ(queue.TryPop(), std::nullopt);
-  queue.TryPush(7);
-  EXPECT_EQ(queue.TryPop(), 7);
-  EXPECT_EQ(queue.TryPop(), std::nullopt);
-}
-
-TEST(BoundedQueueTest, DrainRejectsPushesButEmptiesBacklog) {
-  BoundedQueue<int> queue(4);
-  queue.TryPush(1);
-  queue.TryPush(2);
-  queue.Drain();
-  EXPECT_TRUE(queue.draining());
-  EXPECT_FALSE(queue.TryPush(3));  // no new work during drain
-  EXPECT_EQ(queue.Pop(), 1);       // backlog still answered
-  EXPECT_EQ(queue.Pop(), 2);
-  EXPECT_EQ(queue.Pop(), std::nullopt);  // consumer exit signal
-}
-
-TEST(BoundedQueueTest, DrainWakesBlockedConsumers) {
-  BoundedQueue<int> queue(4);
-  std::atomic<int> woke{0};
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&queue, &woke] {
-      while (queue.Pop().has_value()) {
-      }
-      ++woke;
-    });
+// Spins until `gate` has `n` waiters (bounded, so a broken gate fails
+// instead of hanging).
+bool WaitForWaiters(const AdmissionGate& gate, size_t n) {
+  for (int spin = 0; spin < 5000; ++spin) {
+    if (gate.waiting() == n) return true;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  queue.TryPush(1);
-  queue.Drain();
-  for (auto& t : consumers) t.join();
-  EXPECT_EQ(woke.load(), 3);
+  return false;
 }
 
-TEST(BoundedQueueTest, ReopenAllowsPushesAgain) {
-  BoundedQueue<int> queue(2);
-  queue.Drain();
-  EXPECT_FALSE(queue.TryPush(1));
-  queue.Reopen();
-  EXPECT_TRUE(queue.TryPush(1));
+TEST(AdmissionGateTest, AdmitsImmediatelyWhileAPermitIsFree) {
+  AdmissionGate gate(/*permits=*/2, /*max_waiters=*/0);
+  EXPECT_EQ(gate.Enter(In(1000)), Entry::kAdmitted);
+  EXPECT_EQ(gate.Enter(In(1000)), Entry::kAdmitted);
+  EXPECT_EQ(gate.holders(), 2u);
+  gate.Leave();
+  gate.Leave();
+  EXPECT_EQ(gate.holders(), 0u);
 }
 
-TEST(BoundedQueueTest, ConcurrentProducersConsumersLoseNothing) {
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 2000;
-  BoundedQueue<int> queue(16);
-  std::atomic<int64_t> consumed_sum{0};
-  std::atomic<int> consumed_count{0};
+TEST(AdmissionGateTest, WaitersAreAdmittedInArrivalOrder) {
+  AdmissionGate gate(/*permits=*/1, /*max_waiters=*/8);
+  ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
 
-  std::vector<std::thread> consumers;
-  for (int i = 0; i < 3; ++i) {
-    consumers.emplace_back([&] {
-      while (const auto item = queue.Pop()) {
-        consumed_sum += *item;
-        ++consumed_count;
+  constexpr int kWaiters = 5;
+  std::mutex mu;
+  std::vector<int> order;
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < kWaiters; ++i) {
+    waiters.emplace_back([&, i] {
+      ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+      {
+        std::lock_guard<std::mutex> lock(mu);
+        order.push_back(i);
+      }
+      gate.Leave();
+    });
+    // Each waiter joins the line before the next one starts.
+    ASSERT_TRUE(WaitForWaiters(gate, static_cast<size_t>(i + 1)));
+  }
+  gate.Leave();
+  for (auto& t : waiters) t.join();
+  ASSERT_EQ(order.size(), static_cast<size_t>(kWaiters));
+  for (int i = 0; i < kWaiters; ++i) EXPECT_EQ(order[i], i);
+  EXPECT_EQ(gate.holders(), 0u);
+  EXPECT_EQ(gate.waiting(), 0u);
+}
+
+TEST(AdmissionGateTest, NeverMoreHoldersThanPermits) {
+  constexpr size_t kPermits = 2;
+  AdmissionGate gate(kPermits, /*max_waiters=*/64);
+  std::atomic<int> inside{0};
+  std::atomic<int> most{0};
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 8; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 200; ++i) {
+        if (gate.Enter(In(10000)) != Entry::kAdmitted) continue;
+        const int now = ++inside;
+        int seen = most.load();
+        while (now > seen && !most.compare_exchange_weak(seen, now)) {
+        }
+        std::this_thread::yield();
+        --inside;
+        ++admitted;
+        gate.Leave();
       }
     });
   }
-
-  // Producers spin on TryPush: every item eventually gets through, the
-  // queue just bounds how many are in flight.
-  int64_t produced_sum = 0;
-  std::vector<std::thread> producers;
-  std::mutex sum_mu;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      int64_t local = 0;
-      for (int i = 0; i < kPerProducer; ++i) {
-        const int value = p * kPerProducer + i;
-        while (!queue.TryPush(value)) std::this_thread::yield();
-        local += value;
-      }
-      std::lock_guard<std::mutex> lock(sum_mu);
-      produced_sum += local;
-    });
-  }
-  for (auto& t : producers) t.join();
-  queue.Drain();
-  for (auto& t : consumers) t.join();
-
-  EXPECT_EQ(consumed_count.load(), kProducers * kPerProducer);
-  EXPECT_EQ(consumed_sum.load(), produced_sum);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(admitted.load(), 8 * 200);
+  EXPECT_LE(most.load(), static_cast<int>(kPermits));
+  EXPECT_EQ(gate.holders(), 0u);
 }
 
-TEST(BoundedQueueTest, DepthNeverExceedsCapacityUnderContention) {
-  BoundedQueue<int> queue(8);
-  std::atomic<bool> stop{false};
-  std::atomic<bool> over{false};
-
-  std::thread watcher([&] {
-    while (!stop) {
-      if (queue.Depth() > queue.capacity()) over = true;
-    }
+TEST(AdmissionGateTest, RefusesWaitersBeyondCapacity) {
+  AdmissionGate gate(/*permits=*/1, /*max_waiters=*/1);
+  ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+  std::thread waiter([&] {
+    EXPECT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+    gate.Leave();
   });
-  std::thread consumer([&] {
-    while (queue.Pop().has_value()) {
-    }
-  });
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 4; ++p) {
-    producers.emplace_back([&] {
-      for (int i = 0; i < 5000; ++i) (void)queue.TryPush(i);
+  ASSERT_TRUE(WaitForWaiters(gate, 1));
+  // The line is full: refused at once, never blocking.
+  const auto start = Clock::now();
+  EXPECT_EQ(gate.Enter(In(5000)), Entry::kRefused);
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(1));
+  EXPECT_EQ(gate.waiting(), 1u);
+  gate.Leave();
+  waiter.join();
+  // Capacity freed: the next caller gets in.
+  EXPECT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+  gate.Leave();
+}
+
+TEST(AdmissionGateTest, ZeroCapacityRefusesEveryWaiter) {
+  AdmissionGate gate(/*permits=*/1, /*max_waiters=*/0);
+  ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+  EXPECT_EQ(gate.Enter(In(5000)), Entry::kRefused);
+  gate.Leave();
+}
+
+TEST(AdmissionGateTest, DrainStillAdmitsTheWaiters) {
+  AdmissionGate gate(/*permits=*/1, /*max_waiters=*/4);
+  ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+  std::atomic<int> admitted{0};
+  std::vector<std::thread> waiters;
+  for (int i = 0; i < 3; ++i) {
+    waiters.emplace_back([&] {
+      if (gate.Enter(In(5000)) == Entry::kAdmitted) {
+        ++admitted;
+        gate.Leave();
+      }
     });
   }
-  for (auto& t : producers) t.join();
-  queue.Drain();
-  consumer.join();
-  stop = true;
-  watcher.join();
-  EXPECT_FALSE(over.load());
+  ASSERT_TRUE(WaitForWaiters(gate, 3));
+  gate.Drain(In(5000));
+  gate.Leave();
+  for (auto& t : waiters) t.join();
+  EXPECT_EQ(admitted.load(), 3);
+}
+
+TEST(AdmissionGateTest, WaiterPastTheDrainDeadlineExpires) {
+  AdmissionGate gate(/*permits=*/1, /*max_waiters=*/4);
+  ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+  std::thread waiter(
+      [&] { EXPECT_EQ(gate.Enter(In(5000)), Entry::kExpired); });
+  ASSERT_TRUE(WaitForWaiters(gate, 1));
+  // The drain deadline, not the waiter's own 5 s, ends the wait.
+  const auto start = Clock::now();
+  gate.Drain(In(20));
+  waiter.join();
+  EXPECT_LT(Clock::now() - start, std::chrono::seconds(2));
+  EXPECT_EQ(gate.waiting(), 0u);
+  // Past the drain deadline even a free permit is not taken.
+  gate.Leave();
+  EXPECT_EQ(gate.Enter(In(5000)), Entry::kExpired);
+  EXPECT_EQ(gate.holders(), 0u);
+}
+
+TEST(AdmissionGateTest, WaiterWhoseDeadlinePassesIsReportedExpired) {
+  AdmissionGate gate(/*permits=*/1, /*max_waiters=*/4);
+  ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+  const auto start = Clock::now();
+  EXPECT_EQ(gate.Enter(In(30)), Entry::kExpired);
+  EXPECT_GE(Clock::now() - start, std::chrono::milliseconds(30));
+  EXPECT_EQ(gate.waiting(), 0u);  // it left the line
+  EXPECT_EQ(gate.holders(), 1u);  // and took no permit
+  gate.Leave();
+
+  // A deadline already past on entry expires even with a permit free, and
+  // the permit is not kept.
+  EXPECT_EQ(gate.Enter(Clock::now() - std::chrono::milliseconds(1)),
+            Entry::kExpired);
+  EXPECT_EQ(gate.holders(), 0u);
+}
+
+TEST(AdmissionGateTest, ExpiredWaiterDoesNotBlockTheOnesBehindIt) {
+  AdmissionGate gate(/*permits=*/1, /*max_waiters=*/4);
+  ASSERT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+  std::thread early(
+      [&] { EXPECT_EQ(gate.Enter(In(200)), Entry::kExpired); });
+  ASSERT_TRUE(WaitForWaiters(gate, 1));
+  std::thread late([&] {
+    EXPECT_EQ(gate.Enter(In(5000)), Entry::kAdmitted);
+    gate.Leave();
+  });
+  ASSERT_TRUE(WaitForWaiters(gate, 2));
+  early.join();  // gave up at its deadline
+  gate.Leave();
+  late.join();
+  EXPECT_EQ(gate.holders(), 0u);
 }
 
 }  // namespace
