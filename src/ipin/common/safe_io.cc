@@ -10,7 +10,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "ipin/common/check.h"
 #include "ipin/common/failpoint.h"
@@ -359,15 +358,6 @@ FrameStatus SafeFileReader::ReadFrame(std::string_view* payload) {
   }
   *payload = std::string_view(data, payload_len);
   return FrameStatus::kOk;
-}
-
-bool LooksLikeSafeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  return in.gcount() == sizeof(magic) &&
-         std::memcmp(magic, kMagic, sizeof(kMagic)) == 0;
 }
 
 }  // namespace ipin

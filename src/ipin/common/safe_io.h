@@ -150,10 +150,6 @@ class SafeFileReader {
 /// False if the file cannot be opened or read.
 bool ReadWholeFile(const std::string& path, std::string* contents);
 
-/// Convenience: true if `path` exists and begins with the safe_io magic
-/// (used for format auto-detection against legacy files).
-bool LooksLikeSafeFile(const std::string& path);
-
 }  // namespace ipin
 
 #endif  // IPIN_COMMON_SAFE_IO_H_

@@ -15,6 +15,7 @@
 #include "ipin/common/logging.h"
 #include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
+#include "ipin/core/oracle_io.h"
 #include "ipin/obs/ledger.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/progress.h"
@@ -89,7 +90,9 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP" little-endian
-constexpr uint32_t kCheckpointVersion = 1;
+// Version 2: approx chunks are sketch chunks (oracle_io.h). Files of other
+// versions fail verification and are skipped.
+constexpr uint32_t kCheckpointVersion = 2;
 constexpr uint32_t kChunkSize = 256;  // nodes per frame
 constexpr uint8_t kAlgoExact = 1;
 constexpr uint8_t kAlgoApprox = 2;
@@ -229,13 +232,15 @@ void PruneCheckpoints(const std::string& dir, uint8_t algo, size_t keep) {
 // ---- per-algorithm chunk encodings ----------------------------------------
 
 // Exact: per node, u64 entry count then (u32 target, i64 time) pairs sorted
-// by target id — deterministic bytes for identical summaries.
-void SerializeExactChunk(const IrsExact& irs, NodeId first, uint32_t count,
-                         std::string* out) {
+// by target id — deterministic bytes for identical summaries. Like
+// EncodeSketchChunk, writes the chunk into *out and returns its length.
+size_t SerializeExactChunk(const IrsExact& irs, uint64_t first,
+                           uint32_t count, std::string* out) {
+  out->clear();
   AppendRaw<uint64_t>(out, first);
   AppendRaw<uint32_t>(out, count);
   std::vector<std::pair<NodeId, Timestamp>> entries;
-  for (NodeId u = first; u < first + count; ++u) {
+  for (NodeId u = static_cast<NodeId>(first); u < first + count; ++u) {
     const IrsSummaryMap& summary = irs.Summary(u);
     entries.assign(summary.begin(), summary.end());
     std::sort(entries.begin(), entries.end());
@@ -245,6 +250,7 @@ void SerializeExactChunk(const IrsExact& irs, NodeId first, uint32_t count,
       AppendRaw<int64_t>(out, t);
     }
   }
+  return out->size();
 }
 
 bool ParseExactChunk(std::string_view payload, NodeId expected_first,
@@ -275,42 +281,29 @@ bool ParseExactChunk(std::string_view payload, NodeId expected_first,
   return offset == payload.size();
 }
 
-// Approx: per node, u8 present + VersionedHll::Serialize blob.
-void SerializeApproxChunk(const IrsApprox& irs, NodeId first, uint32_t count,
-                          std::string* out) {
-  AppendRaw<uint64_t>(out, first);
-  AppendRaw<uint32_t>(out, count);
-  for (NodeId u = first; u < first + count; ++u) {
-    const SketchView sketch = irs.Sketch(u);
-    AppendRaw<uint8_t>(out, sketch ? 1 : 0);
-    if (sketch) sketch.Serialize(out);
-  }
-}
-
-bool ParseApproxChunk(std::string_view payload, NodeId expected_first,
-                      uint32_t expected_count, const Fingerprint& fp,
-                      IrsApprox* irs) {
-  size_t offset = 0;
-  uint64_t first = 0;
-  uint32_t count = 0;
-  if (!ReadRaw(payload, &offset, &first) ||
-      !ReadRaw(payload, &offset, &count) || first != expected_first ||
-      count != expected_count || first + count > fp.num_nodes) {
+// Approx: the index file's sketch chunk, written by EncodeSketchChunk
+// (oracle_io.h). The chunk is checked into a scratch arena, then each
+// node's cells refill a VersionedHll for the scan to keep growing.
+bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
+                        uint32_t expected_count, const Fingerprint& fp,
+                        IrsApprox* irs) {
+  SketchChunk chunk;
+  if (!MeasureSketchChunk(payload, fp.precision, expected_first,
+                          expected_count, &chunk)) {
     return false;
   }
-  for (NodeId u = static_cast<NodeId>(first); u < first + count; ++u) {
-    uint8_t present = 0;
-    if (!ReadRaw(payload, &offset, &present)) return false;
-    if (present == 0) continue;
-    auto sketch = VersionedHll::Deserialize(payload, &offset);
-    if (!sketch.has_value() || sketch->precision() != fp.precision ||
-        sketch->salt() != fp.salt) {
-      return false;
-    }
+  SketchArena scratch(fp.precision, fp.salt, expected_count, chunk.size);
+  if (!chunk.AppendTo(&scratch, 0)) return false;
+  for (NodeId i = 0; i < expected_count; ++i) {
+    if (!scratch.has_node(i)) continue;
+    const SketchArena::NodeRange cells = *scratch.ContiguousRange(i, i + 1);
     CheckpointAccess::InstallSketch(
-        irs, u, std::make_unique<VersionedHll>(std::move(*sketch)));
+        irs, expected_first + i,
+        std::make_unique<VersionedHll>(fp.precision, fp.salt,
+                                       cells.cell_counts, cells.ranks,
+                                       cells.times));
   }
-  return offset == payload.size();
+  return true;
 }
 
 // ---- save / load ----------------------------------------------------------
@@ -332,9 +325,10 @@ bool SaveCheckpoint(const Irs& irs, const MetaFrame& meta,
   for (uint64_t first = 0; first < meta.fp.num_nodes; first += kChunkSize) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(kChunkSize, meta.fp.num_nodes - first));
-    payload.clear();
-    serialize_chunk(irs, static_cast<NodeId>(first), count, &payload);
-    if (!writer.AppendFrame(payload)) return false;
+    const size_t size = serialize_chunk(irs, first, count, &payload);
+    if (!writer.AppendFrame(std::string_view(payload.data(), size))) {
+      return false;
+    }
   }
   return writer.Commit();
 }
@@ -351,7 +345,8 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
     return false;
   }
   SafeFileReader reader;
-  if (reader.Open(path, kCheckpointFileType) != SafeOpenStatus::kOk) {
+  if (reader.Open(path, kCheckpointFileType) != SafeOpenStatus::kOk ||
+      reader.version() != kCheckpointVersion) {
     return false;
   }
   std::string_view payload;
@@ -539,7 +534,7 @@ IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
                                     return IrsApprox(graph.num_nodes(),
                                                      window, irs_options);
                                   },
-                                  ParseApproxChunk)
+                                  RestoreApproxChunk)
                       : 0;
 
   obs::ProgressPhase phase("irs.approx.scan", m);
@@ -553,17 +548,16 @@ IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
       since_tick = 0;
     }
     if (enabled) {
-      MaybeCheckpoint(irs, fp, done, m, options, stats, SerializeApproxChunk);
+      MaybeCheckpoint(irs, fp, done, m, options, stats, EncodeSketchChunk);
     }
   }
   phase.SetDone(done);
   CheckpointAccess::Publish(irs);
   PublishCheckpointMetrics(*stats);
   // Checkpointed builds feed the save/serve path directly, so pack into the
-  // arena here (plain Compute() defers this to the caller). Earlier mid-scan
-  // checkpoints serialized from the mutable sketches — the same bytes
-  // SerializeNode produces from the arena, so a full rebuild and a resumed
-  // one still emit identical files.
+  // arena here (plain Compute() defers this to the caller). A resumed build
+  // holds the same cell lists as an uninterrupted one, so both seal to the
+  // same arena and save to identical files.
   irs.Seal();
   return irs;
 }

@@ -2,8 +2,11 @@
 #define IPIN_CORE_ORACLE_IO_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "ipin/core/irs_approx.h"
 
@@ -20,24 +23,21 @@
 //
 // The file (type "IIDX", version 3) is the sealed SketchArena's own
 // arrays: a header section (window, precision, salt, num_nodes,
-// chunk_size), then per chunk
-//   u64 first_node, u32 count, u64 entries, u8 present[count],
-//   u8 cell_counts[present x beta], u8 ranks[entries], i64 times[entries]
+// chunk_size), then one sketch chunk per 256 nodes (EncodeSketchChunk)
 // — the chunk's slices of the arena's per-cell counts and rank/time
 // arrays. The max-rank plane is not stored. Save bulk-copies those slices
 // (an unsealed index is first packed chunk by chunk into a scratch arena);
-// restore reads the file with one sized read, verifies every frame, sizes
-// each chunk by arithmetic (its payload must be exactly
-// 20 + count + present x beta + 9 x entries bytes), then bulk-copies each
-// chunk into an arena allocated once and checks it there: counts at most
-// 64 and summing to entries, ranks non-zero, and within a cell ranks
-// strictly ascending and times non-descending. The rank plane is rebuilt
-// on the way. A chunk out of place or failing any check is dropped whole.
-// No VersionedHll is constructed and nothing is sealed at restore.
+// restore reads the file with one sized read, verifies every frame,
+// measures each chunk (MeasureSketchChunk), then bulk-copies each chunk
+// into an arena allocated once and checks it there (SketchArena::
+// AppendNodes). The rank plane is rebuilt on the way. A chunk out of place
+// or failing any check is dropped whole. No VersionedHll is constructed
+// and nothing is sealed at restore.
 //
-// Version 2 files (per-node VersionedHll::Serialize blobs in the same
-// chunk frames) and the pre-safe_io format ("IPINIDX1") are still read;
-// nothing writes them any more.
+// The sketch chunk is the only byte layout for a set of vHLL sketches:
+// build checkpoints (checkpoint.h) store theirs the same way. Files of
+// versions 1 and 2 (per-node sketch blobs) are no longer read: they load
+// as kCorrupt, and the index is rebuilt from its interaction log.
 
 namespace ipin {
 
@@ -47,14 +47,15 @@ enum class IndexLoadStatus {
   kDegraded,   // index usable, but >= 1 corrupt/unreachable section dropped
   kMissing,    // file absent or unreadable
   kTruncated,  // file ends before the index header is complete
-  kCorrupt,    // header (or legacy body) fails verification; nothing usable
+  kCorrupt,    // header fails verification, or a retired format version;
+               // nothing usable
 };
 
 struct IndexLoadResult {
   IndexLoadStatus status = IndexLoadStatus::kMissing;
   /// Set for kOk and kDegraded.
   std::optional<IrsApprox> index;
-  /// Section accounting (new format only; legacy files are all-or-nothing).
+  /// Section accounting: the chunk frames in the file, and those dropped.
   size_t sections_total = 0;
   size_t sections_dropped = 0;
 
@@ -67,17 +68,46 @@ struct IndexLoadResult {
 /// intact). Failpoints: oracle_io.save, oracle_io.write.short.
 bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path);
 
-/// Reads an index written by SaveInfluenceIndex (any format), reporting
-/// exactly what happened. Corrupt sections of a framed file are dropped:
-/// the affected nodes lose their sketches (their IRS estimates become 0)
+/// Reads an index written by SaveInfluenceIndex, reporting exactly what
+/// happened. Corrupt sections of a framed file are dropped: the affected
+/// nodes lose their sketches (their IRS estimates become 0)
 /// and the load reports kDegraded — callers decide whether degraded service
 /// is acceptable. Every dropped section is counted in the
 /// robustness.index.sections_dropped metric.
 IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path);
 
-/// Compatibility wrapper: the index from any usable load (kOk or kDegraded,
-/// the latter logged as a warning), nullopt otherwise.
-std::optional<IrsApprox> LoadInfluenceIndex(const std::string& path);
+/// One sketch chunk: the stored form of `count` consecutive nodes
+/// starting at `first_node`, as views into an encoded payload —
+///   u64 first_node, u32 count, u64 entries, u8 present[count],
+///   u8 cell_counts[present x beta], u8 ranks[entries], i64 times[entries]
+/// — i.e. a present flag per node plus the nodes' SketchArena::NodeRange.
+struct SketchChunk {
+  uint64_t first_node = 0;
+  uint32_t count = 0;
+  SketchArena::Capacity size;  // present sketches, stored pairs
+  std::span<const uint8_t> present, cell_counts, ranks, time_bytes;
+
+  /// Appends the chunk's sketches to `arena` as nodes [first, first +
+  /// count), every vHLL invariant checked (SketchArena::AppendNodes).
+  /// False, with nothing appended, if one fails.
+  bool AppendTo(SketchArena* arena, NodeId first) const {
+    return arena->AppendNodes(first, present, cell_counts, ranks, time_bytes);
+  }
+};
+
+/// Encodes nodes [first, first + count) of `index` (sealed or not) as one
+/// sketch chunk into *buffer (grown, never shrunk). Returns the payload's
+/// length.
+size_t EncodeSketchChunk(const IrsApprox& index, uint64_t first,
+                         uint32_t count, std::string* buffer);
+
+/// Measures an encoded chunk of sketches with `precision`: it must cover
+/// exactly [first, first + count), every present byte be 0 or 1, and the
+/// payload be exactly 20 + count + present x beta + 9 x entries bytes. On
+/// success *chunk views into `payload`; the contents are checked by
+/// SketchChunk::AppendTo.
+bool MeasureSketchChunk(std::string_view payload, int precision,
+                        uint64_t first, uint32_t count, SketchChunk* chunk);
 
 }  // namespace ipin
 

@@ -425,8 +425,11 @@ std::string SerializeResponse(const Response& response) {
     out += ", \"topk\": [";
     for (size_t i = 0; i < response.topk.size(); ++i) {
       if (i > 0) out += ", ";
-      out += "[" + std::to_string(response.topk[i].first) + ", " +
-             JsonNumber(response.topk[i].second) + "]";
+      out += '[';
+      out += std::to_string(response.topk[i].first);
+      out += ", ";
+      out += JsonNumber(response.topk[i].second);
+      out += ']';
     }
     out += "]";
   }

@@ -177,7 +177,9 @@ void AppendShardJson(std::string* out, const ShardInfo& shard) {
     *out += ", \"replicas\": [";
     for (size_t r = 0; r < shard.replicas.size(); ++r) {
       if (r > 0) *out += ", ";
-      *out += "{" + EndpointJson(shard.replicas[r]) + "}";
+      *out += '{';
+      *out += EndpointJson(shard.replicas[r]);
+      *out += '}';
     }
     *out += "]";
   }

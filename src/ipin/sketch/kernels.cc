@@ -36,7 +36,7 @@ namespace {
 // ---------------------------------------------------------------------------
 // Shared estimate epilogue.
 //
-// Deserialized ranks are only bounded by the list-length invariant, not by
+// Ranks restored from a file are only bounded by the cell invariants, not by
 // value, so the histogram covers the full uint8_t range. Each term
 // hist[r] * 2^-r is exact in double (hist[r] <= 2^18 well under 2^53, the
 // power is a power of two), and the terms are summed in fixed ascending-rank

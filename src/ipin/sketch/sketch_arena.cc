@@ -251,34 +251,6 @@ void SketchArena::BoundedMaxInto(NodeId u, Timestamp bound,
       entry_times_.data() + base, beta_, total, bound, dst);
 }
 
-namespace {
-
-template <typename T>
-void AppendRaw(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-}  // namespace
-
-void SketchArena::SerializeNode(NodeId u, std::string* out) const {
-  IPIN_CHECK(has_node(u));
-  const size_t s = slot(u);
-  const uint8_t* counts = cell_counts_.data() + s * beta_;
-  size_t entry = slot_entry_base_[s];
-  // Mirrors the VersionedHll serialization layout (vhll.cc) byte for byte.
-  AppendRaw<uint8_t>(out, VersionedHll::kFormatVersion);
-  AppendRaw<uint8_t>(out, static_cast<uint8_t>(precision_));
-  AppendRaw<uint64_t>(out, salt_);
-  for (size_t c = 0; c < beta_; ++c) {
-    const size_t n = counts[c];
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(n));
-    for (size_t i = 0; i < n; ++i, ++entry) {
-      AppendRaw<uint8_t>(out, entry_ranks_[entry]);
-      AppendRaw<int64_t>(out, entry_times_[entry]);
-    }
-  }
-}
-
 bool SketchArena::CheckNodeInvariants(NodeId u) const {
   if (!has_node(u)) return true;
   const size_t s = slot(u);
@@ -333,14 +305,6 @@ void SketchView::MaxRanks(Timestamp bound, std::vector<uint8_t>* ranks) const {
   }
   IPIN_CHECK_EQ(ranks->size(), arena_->num_cells());
   arena_->BoundedMaxInto(node_, bound, ranks->data());
-}
-
-void SketchView::Serialize(std::string* out) const {
-  if (hll_ != nullptr) {
-    hll_->Serialize(out);
-    return;
-  }
-  arena_->SerializeNode(node_, out);
 }
 
 bool SketchView::CheckInvariants() const {

@@ -7,7 +7,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "ipin/common/check.h"
@@ -32,14 +31,11 @@
 //
 // Every array is sized once, up front. Nodes are filled one at a time by
 // AppendNode (sealing a build, copying nodes between arenas for shard
-// extraction and reshard reconstruction, reading the older index formats),
-// or a run at a time by AppendNodes, which restores a saved index: the
-// index file stores each 256-node chunk as the ContiguousRange of this
+// extraction and reshard reconstruction), or a run at a time by
+// AppendNodes, which restores saved sketches: index files and build
+// checkpoints store each 256-node chunk as the ContiguousRange of this
 // layout, so a restore is a bulk copy plus one checking pass (oracle_io).
 // Both fill paths enforce the same invariants.
-//
-// SerializeNode is byte-compatible with VersionedHll::Serialize, so a node
-// encodes identically whether it comes from a live sketch or the arena.
 
 namespace ipin {
 
@@ -160,11 +156,6 @@ class SketchArena {
   /// dst[c] = max(dst[c], max rank among cell c entries with time < bound).
   void BoundedMaxInto(NodeId u, Timestamp bound, uint8_t* dst) const;
 
-  /// Appends node `u`'s encoding to *out, byte-identical to what
-  /// VersionedHll::Serialize would have produced for the sealed sketch.
-  /// Must not be called for absent nodes.
-  void SerializeNode(NodeId u, std::string* out) const;
-
   /// Verifies the per-cell invariants of node `u`'s stored entries and that
   /// its rank-plane row matches them. Test helper; true for absent nodes.
   bool CheckNodeInvariants(NodeId u) const;
@@ -229,9 +220,9 @@ bool SketchArena::AppendNode(NodeId u, FillCell&& fill_cell) {
 
 /// Uniform read handle over one node's sketch in either storage mode:
 /// a live VersionedHll during a build, or an arena slot once sealed.
-/// Query code written against SketchView works identically in both modes —
-/// including Serialize, which is byte-identical either way (the mid-build
-/// checkpoint writer and the sealed oracle writer share this contract).
+/// Query code written against SketchView works identically in both modes,
+/// and AppendCopy stores either one the same way (so a mid-build checkpoint
+/// and a sealed index write the same chunk bytes).
 class SketchView {
  public:
   SketchView() = default;
@@ -271,12 +262,10 @@ class SketchView {
   /// like VersionedHll::MaxRanks.
   void MaxRanks(Timestamp bound, std::vector<uint8_t>* ranks) const;
 
-  void Serialize(std::string* out) const;
   bool CheckInvariants() const;
 
  private:
   friend class SketchArena;  // AppendCopy reads either store directly
-
 
   const VersionedHll* hll_ = nullptr;
   const SketchArena* arena_ = nullptr;

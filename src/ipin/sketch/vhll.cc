@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "ipin/common/check.h"
 #include "ipin/common/hash.h"
@@ -22,6 +21,32 @@ VersionedHll::VersionedHll(int precision, uint64_t salt)
   heads_.resize(static_cast<size_t>(1) << precision);
   max_ranks_.resize(heads_.size(), 0);
   free_blocks_.fill(kNoBlock);
+}
+
+VersionedHll::VersionedHll(int precision, uint64_t salt,
+                           std::span<const uint8_t> cell_counts,
+                           std::span<const uint8_t> ranks,
+                           std::span<const int64_t> times)
+    : VersionedHll(precision, salt) {
+  IPIN_CHECK_EQ(cell_counts.size(), heads_.size());
+  IPIN_CHECK_EQ(ranks.size(), times.size());
+  size_t entry = 0;
+  for (size_t c = 0; c < heads_.size(); ++c) {
+    const size_t n = cell_counts[c];
+    if (n == 0) continue;
+    IPIN_CHECK_LE(n, kMaxCellEntries);
+    IPIN_CHECK_LE(n, ranks.size() - entry);
+    const size_t cap = std::bit_ceil(n);
+    const uint32_t block = AllocateBlock(cap);
+    Entry* const list = pool_.data() + block;
+    for (size_t i = 0; i < n; ++i, ++entry) {
+      list[i] = {ranks[entry], times[entry]};
+    }
+    heads_[c] = {block, static_cast<uint8_t>(n), static_cast<uint8_t>(cap)};
+    max_ranks_[c] = list[n - 1].rank;
+  }
+  IPIN_CHECK_EQ(entry, ranks.size());
+  IPIN_DCHECK(CheckInvariants());
 }
 
 bool VersionedHll::Add(uint64_t item, Timestamp t) {
@@ -226,83 +251,6 @@ bool VersionedHll::CheckInvariants() const {
     }
   }
   return true;
-}
-
-namespace {
-
-// Serialization layout (little-endian):
-//   u8  format version (kFormatVersion)
-//   u8  precision
-//   u64 salt
-//   per cell (2^precision of them): u32 count, then count x (u8 rank,
-//   i64 time).
-
-template <typename T>
-void AppendRaw(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadRaw(std::string_view data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
-}  // namespace
-
-void VersionedHll::Serialize(std::string* out) const {
-  AppendRaw<uint8_t>(out, kFormatVersion);
-  AppendRaw<uint8_t>(out, static_cast<uint8_t>(precision_));
-  AppendRaw<uint64_t>(out, salt_);
-  for (size_t c = 0; c < heads_.size(); ++c) {
-    const CellList list = cell(c);
-    AppendRaw<uint32_t>(out, static_cast<uint32_t>(list.size()));
-    for (const Entry& e : list) {
-      AppendRaw<uint8_t>(out, e.rank);
-      AppendRaw<int64_t>(out, e.time);
-    }
-  }
-}
-
-std::optional<VersionedHll> VersionedHll::Deserialize(std::string_view data,
-                                                      size_t* offset) {
-  uint8_t version = 0;
-  uint8_t precision = 0;
-  uint64_t salt = 0;
-  if (!ReadRaw(data, offset, &version) || version != kFormatVersion) {
-    return std::nullopt;
-  }
-  if (!ReadRaw(data, offset, &precision) || precision < 4 || precision > 18) {
-    return std::nullopt;
-  }
-  if (!ReadRaw(data, offset, &salt)) return std::nullopt;
-
-  // One pass: each non-empty cell gets the smallest block that holds it,
-  // appended to the pool in cell order.
-  VersionedHll sketch(precision, salt);
-  for (size_t c = 0; c < sketch.heads_.size(); ++c) {
-    uint32_t count = 0;
-    if (!ReadRaw(data, offset, &count)) return std::nullopt;
-    // A cell holds at most 64 undominated ranks; anything larger is corrupt.
-    if (count > kMaxCellEntries) return std::nullopt;
-    if (count == 0) continue;
-    const size_t cap = std::bit_ceil(size_t{count});
-    const uint32_t block = sketch.AllocateBlock(cap);
-    Entry* const list = sketch.pool_.data() + block;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (!ReadRaw(data, offset, &list[i].rank) ||
-          !ReadRaw(data, offset, &list[i].time)) {
-        return std::nullopt;
-      }
-    }
-    sketch.heads_[c] = {block, static_cast<uint8_t>(count),
-                        static_cast<uint8_t>(cap)};
-    sketch.max_ranks_[c] = list[count - 1].rank;
-  }
-  if (!sketch.CheckInvariants()) return std::nullopt;
-  return sketch;
 }
 
 size_t VersionedHll::MemoryUsageBytes() const {

@@ -4,10 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "ipin/graph/types.h"
@@ -57,9 +54,6 @@ obs::MemoryTally& VhllMemTally();
 /// makes the build scan and freeing the sketches at Seal() cheap.
 class VersionedHll {
  public:
-  /// Leading byte of every Serialize encoding (layout in vhll.cc).
-  static constexpr uint8_t kFormatVersion = 1;
-
   /// One (rank, timestamp) pair of a cell list.
   struct Entry {
     uint8_t rank = 0;
@@ -76,6 +70,17 @@ class VersionedHll {
   /// `precision` must be in [4, 18]; all sketches that will ever be merged
   /// must share `precision` and `salt`.
   explicit VersionedHll(int precision, uint64_t salt = 0);
+
+  /// A sketch holding the given cell lists, in the stored form of a
+  /// SketchArena node (its NodeRange): `cell_counts` (one per cell) cut
+  /// `ranks` and the parallel `times` into lists in cell order. The lists
+  /// must already satisfy the vHLL invariants, as an arena's checked ones
+  /// do; the sizes are checked. Each cell gets the smallest block that
+  /// holds it. Lifetime tallies start at zero.
+  VersionedHll(int precision, uint64_t salt,
+               std::span<const uint8_t> cell_counts,
+               std::span<const uint8_t> ranks,
+               std::span<const int64_t> times);
 
   /// Inserts item observed at time `t` (hashes the item internally).
   /// Returns true if the sketch changed.
@@ -170,16 +175,6 @@ class VersionedHll {
   /// Verifies the per-cell invariants (sortedness, strict domination-freeness).
   /// Test helper; O(total entries).
   bool CheckInvariants() const;
-
-  /// Appends a self-contained binary encoding (precision, salt, cell lists)
-  /// to *out. Little-endian, versioned; see vhll.cc for the layout.
-  void Serialize(std::string* out) const;
-
-  /// Reads an encoding produced by Serialize from data starting at *offset,
-  /// advancing *offset past it. Returns nullopt on truncation or corruption
-  /// (including invariant violations).
-  static std::optional<VersionedHll> Deserialize(std::string_view data,
-                                                 size_t* offset);
 
   /// Heap footprint in bytes: the capacity of the cell heads, the entry
   /// pool (free-listed blocks included) and the max-rank cache. Equals what

@@ -19,6 +19,7 @@
 #include "ipin/sketch/sketch_arena.h"
 #include "ipin/sketch/versioned_bottom_k.h"
 #include "ipin/sketch/vhll.h"
+#include "test_util.h"
 
 namespace ipin {
 namespace {
@@ -89,10 +90,10 @@ TEST_F(IoFuzzTest, IndexLoaderSurvivesBinarySoup) {
   Rng rng(4);
   for (int trial = 0; trial < 30; ++trial) {
     std::string soup;
-    if (trial % 3 == 0) soup += "IPINIDX1";  // valid magic, garbage body
+    if (trial % 3 == 0) soup += "IPINIDX1";  // the retired version-1 magic
     soup += RandomBytes(&rng, 1 + rng.NextBounded(3000), false);
     WriteBytes(soup);
-    EXPECT_FALSE(LoadInfluenceIndex(path_).has_value());
+    EXPECT_FALSE(LoadInfluenceIndexDetailed(path_).index.has_value());
   }
 }
 
@@ -131,6 +132,30 @@ TEST_F(IoFuzzTest, SavedIndexSurvivesRandomCorruption) {
       EXPECT_TRUE(got == want || got == 0.0)
           << "trial " << trial << " node " << u << ": silently-wrong estimate "
           << got << " (saved " << want << ")";
+    }
+  }
+}
+
+// One to three random edits of a chunk payload, stopping once it is empty:
+// overwrite a byte, add one to a byte (counts and ranks stay plausible),
+// cut the payload, or drop a byte.
+void EditChunk(Rng* rng, std::string* chunk) {
+  const size_t edits = 1 + rng->NextBounded(3);
+  for (size_t e = 0; e < edits && !chunk->empty(); ++e) {
+    const size_t pos = rng->NextBounded(chunk->size());
+    switch (rng->NextBounded(4)) {
+      case 0:
+        (*chunk)[pos] = static_cast<char>(rng->NextUint64());
+        break;
+      case 1:
+        (*chunk)[pos] = static_cast<char>((*chunk)[pos] + 1);
+        break;
+      case 2:
+        chunk->resize(pos);
+        break;
+      default:
+        chunk->erase(pos, 1);
+        break;
     }
   }
 }
@@ -176,26 +201,7 @@ TEST_F(IoFuzzTest, SavedV3IndexSurvivesFlipsAndHostileChunks) {
     } else {
       std::vector<std::string> edited = frames;
       damaged = 1 + rng.NextBounded(frames.size() - 1);
-      std::string& chunk = edited[damaged];
-      const size_t edits = 1 + rng.NextBounded(3);
-      for (size_t e = 0; e < edits; ++e) {
-        const size_t pos = rng.NextBounded(chunk.size());
-        switch (rng.NextBounded(4)) {
-          case 0:  // overwrite a byte
-            chunk[pos] = static_cast<char>(rng.NextUint64());
-            break;
-          case 1:  // small add to a byte: counts and ranks stay plausible
-            chunk[pos] = static_cast<char>(chunk[pos] + 1);
-            break;
-          case 2:  // cut the payload
-            chunk.resize(pos);
-            break;
-          default:  // drop one byte
-            chunk.erase(pos, 1);
-            break;
-        }
-        if (chunk.empty()) break;
-      }
+      EditChunk(&rng, &edited[damaged]);
       SafeFileWriter writer(path_, kIndexFileType, version);
       for (const std::string& frame : edited) {
         ASSERT_TRUE(writer.AppendFrame(frame));
@@ -227,33 +233,38 @@ TEST_F(IoFuzzTest, SavedV3IndexSurvivesFlipsAndHostileChunks) {
   }
 }
 
-// Randomized corruption of checkpoint files: a resumed build must never
-// crash and must always end bit-identical to an uninterrupted run (a
-// damaged checkpoint is skipped, worst case falling back to a fresh scan).
-TEST_F(IoFuzzTest, CheckpointResumeSurvivesRandomCorruption) {
-  namespace fs = std::filesystem;
-  const InteractionGraph g = GenerateUniformRandomNetwork(40, 160, 400, 22);
-  const IrsExact want = IrsExact::Compute(g, 60);
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
 
-  const std::string dir = path_ + ".ckpt";
-  const CheckpointOptions options{dir, /*every_edges=*/32, /*keep=*/3};
-  (void)ComputeIrsExactCheckpointed(g, 60, options);
-  std::vector<std::pair<std::string, std::string>> pristine;  // path, bytes
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    pristine.emplace_back(entry.path().string(),
-                          std::string((std::istreambuf_iterator<char>(in)),
-                                      std::istreambuf_iterator<char>()));
+void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+// Every file in `dir`, as (path, bytes).
+std::vector<std::pair<std::string, std::string>> ReadDir(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    files.emplace_back(entry.path().string(), ReadFile(entry.path().string()));
   }
-  ASSERT_FALSE(pristine.empty());
+  return files;
+}
 
-  Rng rng(7);
-  for (int trial = 0; trial < 40; ++trial) {
-    // Restore all files, then damage a random subset.
-    for (const auto& [p, bytes] : pristine) {
-      std::ofstream out(p, std::ios::binary | std::ios::trunc);
-      out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    }
+// Runs `trials` rounds over the checkpoints in `dir`: restore every file,
+// damage a random subset (a bit flip or a truncation each), then call
+// `resume(trial)`.
+template <typename Resume>
+void DamageCheckpointsAndResume(const std::string& dir, uint64_t seed,
+                                int trials, Resume resume) {
+  auto pristine = ReadDir(dir);
+  ASSERT_FALSE(pristine.empty());
+  Rng rng(seed);
+  for (int trial = 0; trial < trials; ++trial) {
+    for (const auto& [p, bytes] : pristine) WriteFile(p, bytes);
     for (const auto& [p, bytes] : pristine) {
       if (rng.NextBounded(2) == 0) continue;
       std::string corrupted = bytes;
@@ -263,10 +274,40 @@ TEST_F(IoFuzzTest, CheckpointResumeSurvivesRandomCorruption) {
       } else {
         corrupted.resize(rng.NextBounded(corrupted.size()));
       }
-      std::ofstream out(p, std::ios::binary | std::ios::trunc);
-      out.write(corrupted.data(),
-                static_cast<std::streamsize>(corrupted.size()));
+      WriteFile(p, corrupted);
     }
+    resume(trial);
+    // The rerun may have rewritten checkpoints; re-list for the next round.
+    pristine = ReadDir(dir);
+  }
+}
+
+// Bit-identical comparison of two approx builds: the same nodes hold
+// sketches, with the same cells.
+void ExpectSameSketches(const IrsApprox& got, const IrsApprox& want,
+                        int trial) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes()) << trial;
+  for (NodeId u = 0; u < want.num_nodes(); ++u) {
+    const SketchView a = got.Sketch(u);
+    const SketchView b = want.Sketch(u);
+    ASSERT_EQ(a.valid(), b.valid()) << "trial " << trial << " node " << u;
+    if (b) {
+      ASSERT_EQ(CellsOf(a), CellsOf(b)) << "trial " << trial << " node " << u;
+    }
+  }
+}
+
+// Randomized corruption of checkpoint files: a resumed build must never
+// crash and must always end bit-identical to an uninterrupted run (a
+// damaged checkpoint is skipped, worst case falling back to a fresh scan).
+TEST_F(IoFuzzTest, CheckpointResumeSurvivesRandomCorruption) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(40, 160, 400, 22);
+  const std::string dir = path_ + ".ckpt";
+  const CheckpointOptions options{dir, /*every_edges=*/32, /*keep=*/3};
+
+  const IrsExact want = IrsExact::Compute(g, 60);
+  (void)ComputeIrsExactCheckpointed(g, 60, options);
+  DamageCheckpointsAndResume(dir, 7, 40, [&](int trial) {
     const IrsExact got = ComputeIrsExactCheckpointed(g, 60, options);
     for (NodeId u = 0; u < want.num_nodes(); ++u) {
       ASSERT_EQ(got.Summary(u).size(), want.Summary(u).size())
@@ -277,38 +318,82 @@ TEST_F(IoFuzzTest, CheckpointResumeSurvivesRandomCorruption) {
         ASSERT_EQ(it->second, t) << trial;
       }
     }
-    // The rerun may have rewritten checkpoints; re-list for the next round.
-    pristine.clear();
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      std::ifstream in(entry.path(), std::ios::binary);
-      pristine.emplace_back(entry.path().string(),
-                            std::string((std::istreambuf_iterator<char>(in)),
-                                        std::istreambuf_iterator<char>()));
-    }
-  }
-  fs::remove_all(dir);
+  });
+  std::filesystem::remove_all(dir);
+
+  // The approx scan's checkpoints hold sketch chunks; 600 nodes make three
+  // of them per file.
+  const InteractionGraph big = GenerateUniformRandomNetwork(600, 1200, 900, 23);
+  const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
+  const IrsApprox want_approx = IrsApprox::Compute(big, 90, sketch);
+  const CheckpointOptions approx_options{dir, /*every_edges=*/250,
+                                         /*keep=*/3};
+  (void)ComputeIrsApproxCheckpointed(big, 90, sketch, approx_options);
+  DamageCheckpointsAndResume(dir, 8, 30, [&](int trial) {
+    const IrsApprox got =
+        ComputeIrsApproxCheckpointed(big, 90, sketch, approx_options);
+    ExpectSameSketches(got, want_approx, trial);
+  });
+  std::filesystem::remove_all(dir);
 }
 
-TEST(VhllFuzzTest, DeserializeSurvivesBitFlips) {
-  // A valid blob with one flipped byte must either fail cleanly or yield a
-  // sketch that still satisfies its invariants.
-  VersionedHll sketch(5, 3);
-  Rng rng(5);
-  for (int i = 0; i < 200; ++i) {
-    sketch.Add(rng.NextUint64(), static_cast<Timestamp>(rng.NextBounded(50)));
+// Hostile sketch chunks re-framed with valid CRCs, which only the chunk's
+// own checks can catch, in the only checkpoint there is. Resuming must not
+// crash. A chunk that fails its checks makes the build skip the
+// checkpoint and end bit-identical to an uninterrupted run; one that
+// passes them yields sketches that hold the vHLL invariants.
+TEST_F(IoFuzzTest, ApproxCheckpointSurvivesHostileChunks) {
+  constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP"
+  const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
+  const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
+  const IrsApprox want = IrsApprox::Compute(g, 90, sketch);
+  const std::string dir = path_ + ".ckpt";
+  const CheckpointOptions options{dir, /*every_edges=*/1000, /*keep=*/1};
+  (void)ComputeIrsApproxCheckpointed(g, 90, sketch, options);
+  const auto files = ReadDir(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string& path = files[0].first;
+
+  SafeFileReader reader;
+  ASSERT_EQ(reader.Open(path, kCheckpointFileType), SafeOpenStatus::kOk);
+  const uint32_t version = reader.version();
+  std::vector<std::string> frames;
+  std::string_view payload;
+  while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+    frames.emplace_back(payload);
   }
-  std::string blob;
-  sketch.Serialize(&blob);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string corrupted = blob;
-    const size_t pos = rng.NextBounded(corrupted.size());
-    corrupted[pos] = static_cast<char>(rng.NextUint64() & 0xff);
-    size_t offset = 0;
-    const auto result = VersionedHll::Deserialize(corrupted, &offset);
-    if (result.has_value()) {
-      EXPECT_TRUE(result->CheckInvariants());
+  ASSERT_EQ(frames.size(), 4u);  // meta + three chunks
+
+  Rng rng(10);
+  size_t skipped = 0;
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<std::string> edited = frames;
+    EditChunk(&rng, &edited[1 + rng.NextBounded(frames.size() - 1)]);
+    {
+      SafeFileWriter writer(path, kCheckpointFileType, version);
+      for (const std::string& frame : edited) {
+        ASSERT_TRUE(writer.AppendFrame(frame));
+      }
+      ASSERT_TRUE(writer.Commit());
+    }
+
+    CheckpointStats stats;
+    const IrsApprox got =
+        ComputeIrsApproxCheckpointed(g, 90, sketch, options, &stats);
+    if (stats.invalid_checkpoints_skipped == 1) {
+      ++skipped;
+      ExpectSameSketches(got, want, trial);
+    } else {
+      ASSERT_EQ(stats.resumed_edges, 1000u) << trial;
+      for (NodeId u = 0; u < got.num_nodes(); ++u) {
+        ASSERT_TRUE(got.Sketch(u).CheckInvariants())
+            << "trial " << trial << " node " << u;
+      }
     }
   }
+  EXPECT_GT(skipped, 30u);
+  EXPECT_LT(skipped, 60u);  // some edits pass every check
+  std::filesystem::remove_all(dir);
 }
 
 TEST(BottomKFuzzTest, DeserializeSurvivesBitFlips) {

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -19,6 +19,7 @@
 #include "ipin/serve/shard_map.h"
 #include "ipin/sketch/sketch_arena.h"
 #include "ipin/sketch/vhll.h"
+#include "test_util.h"
 
 namespace ipin {
 namespace {
@@ -48,79 +49,6 @@ class OracleIoTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST(VhllSerializeTest, RoundtripPreservesEverything) {
-  VersionedHll original(7, 42);
-  Rng rng(5);
-  for (int i = 0; i < 5000; ++i) {
-    original.Add(rng.NextUint64(),
-                 static_cast<Timestamp>(rng.NextBounded(1000)));
-  }
-  std::string blob;
-  original.Serialize(&blob);
-  size_t offset = 0;
-  const auto restored = VersionedHll::Deserialize(blob, &offset);
-  ASSERT_TRUE(restored.has_value());
-  EXPECT_EQ(offset, blob.size());
-  EXPECT_EQ(restored->precision(), 7);
-  EXPECT_EQ(restored->salt(), 42u);
-  EXPECT_EQ(restored->NumEntries(), original.NumEntries());
-  EXPECT_DOUBLE_EQ(restored->Estimate(), original.Estimate());
-  for (size_t c = 0; c < original.num_cells(); ++c) {
-    const auto& a = original.cell(c);
-    const auto& b = restored->cell(c);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a[i].rank, b[i].rank);
-      EXPECT_EQ(a[i].time, b[i].time);
-    }
-  }
-}
-
-TEST(VhllSerializeTest, TruncatedBlobRejected) {
-  VersionedHll sketch(5);
-  sketch.Add(1, 10);
-  sketch.Add(2, 20);
-  std::string blob;
-  sketch.Serialize(&blob);
-  for (const size_t cut : {size_t{0}, size_t{1}, blob.size() / 2,
-                           blob.size() - 1}) {
-    size_t offset = 0;
-    EXPECT_FALSE(
-        VersionedHll::Deserialize(std::string_view(blob.data(), cut), &offset)
-            .has_value())
-        << "cut " << cut;
-  }
-}
-
-TEST(VhllSerializeTest, CorruptVersionRejected) {
-  VersionedHll sketch(5);
-  sketch.Add(1, 10);
-  std::string blob;
-  sketch.Serialize(&blob);
-  blob[0] = 99;  // bogus format version
-  size_t offset = 0;
-  EXPECT_FALSE(VersionedHll::Deserialize(blob, &offset).has_value());
-}
-
-TEST(VhllSerializeTest, MultipleSketchesInOneBuffer) {
-  VersionedHll a(4, 1);
-  VersionedHll b(6, 2);
-  a.Add(10, 1);
-  b.Add(20, 2);
-  std::string blob;
-  a.Serialize(&blob);
-  b.Serialize(&blob);
-  size_t offset = 0;
-  const auto ra = VersionedHll::Deserialize(blob, &offset);
-  const auto rb = VersionedHll::Deserialize(blob, &offset);
-  ASSERT_TRUE(ra.has_value());
-  ASSERT_TRUE(rb.has_value());
-  EXPECT_EQ(offset, blob.size());
-  EXPECT_EQ(ra->precision(), 4);
-  EXPECT_EQ(rb->precision(), 6);
-  EXPECT_EQ(rb->salt(), 2u);
-}
-
 TEST_F(OracleIoTest, IndexRoundtripPreservesEstimates) {
   const InteractionGraph g = GenerateUniformRandomNetwork(120, 1500, 4000, 9);
   IrsApproxOptions options;
@@ -129,7 +57,7 @@ TEST_F(OracleIoTest, IndexRoundtripPreservesEstimates) {
   const IrsApprox index = IrsApprox::Compute(g, 800, options);
 
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
-  const auto loaded = LoadInfluenceIndex(path_);
+  const auto loaded = LoadInfluenceIndexDetailed(path_).index;
   ASSERT_TRUE(loaded.has_value());
 
   EXPECT_EQ(loaded->num_nodes(), index.num_nodes());
@@ -151,7 +79,7 @@ TEST_F(OracleIoTest, MissingFileFails) {
       LoadInfluenceIndexDetailed("/nonexistent/nothing.bin");
   EXPECT_EQ(result.status, IndexLoadStatus::kMissing);
   EXPECT_FALSE(result.usable());
-  EXPECT_FALSE(LoadInfluenceIndex("/nonexistent/nothing.bin").has_value());
+  EXPECT_FALSE(result.index.has_value());
 }
 
 TEST_F(OracleIoTest, GarbageFileFails) {
@@ -228,7 +156,7 @@ TEST_F(OracleIoTest, FailedSaveLeavesOldIndexIntact) {
   failpoint::ClearAll();
 
   EXPECT_EQ(ReadFileBytes(), before);
-  const auto loaded = LoadInfluenceIndex(path_);
+  const auto loaded = LoadInfluenceIndexDetailed(path_).index;
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->window(), 300);
 }
@@ -254,46 +182,12 @@ TEST_F(OracleIoTest, TornSectionsDegradeGracefully) {
   }
 }
 
-// Files written by the pre-safe_io in-place format are still readable.
-TEST_F(OracleIoTest, LegacyFormatStillLoads) {
-  VersionedHll sketch(6, 3);
-  sketch.Add(42, 10);
-  sketch.Add(7, 20);
-
-  std::string legacy = "IPINIDX1";
-  const auto append = [&legacy](const void* p, size_t n) {
-    legacy.append(reinterpret_cast<const char*>(p), n);
-  };
-  const int64_t window = 123;
-  const uint8_t precision = 6;
-  const uint64_t salt = 3;
-  const uint64_t num_nodes = 3;
-  append(&window, sizeof(window));
-  append(&precision, sizeof(precision));
-  append(&salt, sizeof(salt));
-  append(&num_nodes, sizeof(num_nodes));
-  const uint8_t absent = 0, present = 1;
-  append(&absent, 1);
-  append(&present, 1);
-  sketch.Serialize(&legacy);
-  append(&absent, 1);
-  WriteFileBytes(legacy);
-
-  const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
-  EXPECT_EQ(result.status, IndexLoadStatus::kOk);
-  ASSERT_TRUE(result.usable());
-  EXPECT_EQ(result.index->num_nodes(), 3u);
-  EXPECT_EQ(result.index->window(), 123);
-  ASSERT_TRUE(result.index->Sketch(1).valid());
-  EXPECT_DOUBLE_EQ(result.index->EstimateIrsSize(1), sketch.Estimate());
-}
-
 TEST_F(OracleIoTest, EmptyIndexRoundtrips) {
   IrsApproxOptions options;
   options.precision = 6;
   const IrsApprox index(5, 10, options);  // no interactions processed
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
-  const auto loaded = LoadInfluenceIndex(path_);
+  const auto loaded = LoadInfluenceIndexDetailed(path_).index;
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->num_nodes(), 5u);
   EXPECT_EQ(loaded->NumAllocatedSketches(), 0u);
@@ -302,14 +196,16 @@ TEST_F(OracleIoTest, EmptyIndexRoundtrips) {
 // --- Hand-crafted framed files -------------------------------------------
 //
 // The framed index format (oracle_io.cc): safe_io file type "IIDX",
-// version 2; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
-// u32 chunk_size; chunk frame k = u64 first_node, u32 count, then per node
-// u8 present [+ VersionedHll::Serialize blob].
+// version 3; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
+// u32 chunk_size; chunk frame k = u64 first_node, u32 count, u64 entries,
+// u8 present[count], u8 cell_counts[present x beta], u8 ranks[entries],
+// i64 times[entries].
 
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
-constexpr uint32_t kIndexFormatVersion = 2;
+constexpr uint32_t kIndexFormatVersion = 3;
 constexpr int kCraftPrecision = 4;
 constexpr uint64_t kCraftSalt = 9;
+constexpr size_t kCraftBeta = size_t{1} << kCraftPrecision;
 
 template <typename T>
 void Put(std::string* out, T value) {
@@ -326,216 +222,34 @@ std::string HeaderFrame(uint64_t num_nodes, uint32_t chunk_size) {
   return frame;
 }
 
-// A chunk frame holding `blobs` (an empty blob = absent node).
-std::string ChunkFrame(uint64_t first_node,
-                       const std::vector<std::string>& blobs) {
-  std::string frame;
-  Put<uint64_t>(&frame, first_node);
-  Put<uint32_t>(&frame, static_cast<uint32_t>(blobs.size()));
-  for (const std::string& blob : blobs) {
-    Put<uint8_t>(&frame, blob.empty() ? 0 : 1);
-    frame += blob;
-  }
-  return frame;
-}
+// One node's cell lists, beta of them; no lists at all = absent node.
+using Cells = std::vector<std::vector<std::pair<uint8_t, int64_t>>>;
 
-std::string RandomBlob(Rng* rng) {
+Cells RandomCells(Rng* rng) {
   VersionedHll sketch(kCraftPrecision, kCraftSalt);
   const size_t items = 1 + rng->NextBounded(200);
   for (size_t i = 0; i < items; ++i) {
     sketch.Add(rng->NextUint64(),
                static_cast<Timestamp>(rng->NextBounded(1000)));
   }
-  std::string blob;
-  sketch.Serialize(&blob);
-  return blob;
-}
-
-// A blob whose cell 0 declares `count` pairs and holds `pairs`; every other
-// cell is empty.
-std::string BlobWithCell0(uint32_t count,
-                          const std::vector<std::pair<uint8_t, int64_t>>& pairs) {
-  std::string blob;
-  Put<uint8_t>(&blob, VersionedHll::kFormatVersion);
-  Put<uint8_t>(&blob, kCraftPrecision);
-  Put<uint64_t>(&blob, kCraftSalt);
-  Put<uint32_t>(&blob, count);
-  for (const auto& [rank, time] : pairs) {
-    Put<uint8_t>(&blob, rank);
-    Put<int64_t>(&blob, time);
-  }
-  for (size_t c = 1; c < (size_t{1} << kCraftPrecision); ++c) {
-    Put<uint32_t>(&blob, 0);
-  }
-  return blob;
-}
-
-class CraftedIndexTest : public OracleIoTest {
- protected:
-  void WriteFrames(const std::vector<std::string>& frames) const {
-    SafeFileWriter writer(path_, kIndexFileType, kIndexFormatVersion);
-    for (const std::string& frame : frames) {
-      ASSERT_TRUE(writer.AppendFrame(frame));
-    }
-    ASSERT_TRUE(writer.Commit());
-  }
-
-  // Node u of the loaded index serializes to exactly `blob` (or is absent
-  // with an all-zero rank row when `blob` is empty).
-  static void ExpectNode(const IrsApprox& index, NodeId u,
-                         const std::string& blob) {
-    const SketchView sketch = index.Sketch(u);
-    ASSERT_EQ(sketch.valid(), !blob.empty()) << "node " << u;
-    if (blob.empty()) {
-      for (const uint8_t r : index.arena()->rank_row(u)) {
-        ASSERT_EQ(r, 0) << "node " << u;
-      }
-      return;
-    }
-    std::string got;
-    sketch.Serialize(&got);
-    EXPECT_EQ(got, blob) << "node " << u;
-  }
-};
-
-TEST_F(CraftedIndexTest, HostileHeaderFailsCleanly) {
-  // 2^50 nodes would size a rank plane of 2^54 bytes.
-  WriteFrames({HeaderFrame(uint64_t{1} << 50, 256)});
-  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
-            IndexLoadStatus::kCorrupt);
-
-  // A chunk size beyond the writer's lets one frame claim 2^32 nodes.
-  Rng rng(1);
-  WriteFrames({HeaderFrame(uint64_t{1} << 32, 0xffffffffu),
-               ChunkFrame(0, {RandomBlob(&rng)})});
-  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
-            IndexLoadStatus::kCorrupt);
-
-  // The legacy loader: every node needs at least its present byte.
-  std::string legacy = "IPINIDX1";
-  Put<int64_t>(&legacy, 100);
-  Put<uint8_t>(&legacy, kCraftPrecision);
-  Put<uint64_t>(&legacy, kCraftSalt);
-  Put<uint64_t>(&legacy, uint64_t{1} << 50);
-  legacy += std::string(64, '\0');
-  WriteFileBytes(legacy);
-  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
-            IndexLoadStatus::kCorrupt);
-}
-
-// Chunk k must start at node k * chunk_size: a duplicated, reordered or
-// overflowing chunk is dropped, so no node is ever placed twice.
-TEST_F(CraftedIndexTest, MisplacedChunksAreDropped) {
-  Rng rng(2);
-  std::vector<std::string> blobs;
-  for (int i = 0; i < 8; ++i) blobs.push_back(i == 5 ? "" : RandomBlob(&rng));
-  const std::string chunk0 =
-      ChunkFrame(0, {blobs.begin(), blobs.begin() + 4});
-  const std::string chunk1 =
-      ChunkFrame(4, {blobs.begin() + 4, blobs.end()});
-
-  WriteFrames({HeaderFrame(8, 4), chunk0, chunk0});  // duplicated
-  IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
-  ASSERT_TRUE(result.usable());
-  EXPECT_EQ(result.status, IndexLoadStatus::kDegraded);
-  EXPECT_EQ(result.sections_total, 2u);
-  EXPECT_EQ(result.sections_dropped, 1u);
-  for (NodeId u = 0; u < 8; ++u) {
-    ExpectNode(*result.index, u, u < 4 ? blobs[u] : "");
-  }
-
-  WriteFrames({HeaderFrame(8, 4), chunk1, chunk0});  // reordered
-  result = LoadInfluenceIndexDetailed(path_);
-  ASSERT_TRUE(result.usable());
-  EXPECT_EQ(result.sections_dropped, 2u);
-  EXPECT_EQ(result.index->NumAllocatedSketches(), 0u);
-
-  // first_node + count would wrap around.
-  const std::string wrapping = ChunkFrame(
-      ~uint64_t{0} - 1, {blobs.begin(), blobs.begin() + 4});
-  WriteFrames({HeaderFrame(8, 4), wrapping, chunk1});
-  result = LoadInfluenceIndexDetailed(path_);
-  ASSERT_TRUE(result.usable());
-  EXPECT_EQ(result.sections_dropped, 1u);
-  for (NodeId u = 0; u < 8; ++u) {
-    ExpectNode(*result.index, u, u < 4 ? "" : blobs[u]);
-  }
-}
-
-// A CRC-valid chunk that fails at its 3rd node loses its whole slice —
-// including the two nodes parsed before the failure — and nothing else.
-TEST_F(CraftedIndexTest, FailedChunkLosesExactlyItsSlice) {
-  Rng rng(3);
-  std::vector<std::string> blobs;
-  for (int i = 0; i < 12; ++i) blobs.push_back(RandomBlob(&rng));
-  const std::vector<std::string> bad_third_nodes = {
-      // A cell count of 65: no undominated list is that long.
-      BlobWithCell0(65, std::vector<std::pair<uint8_t, int64_t>>(65, {1, 0})),
-      // Well-framed, but ranks descend: only the full parse catches it.
-      BlobWithCell0(2, {{5, 1}, {3, 2}}),
-  };
-  for (const std::string& bad : bad_third_nodes) {
-    std::vector<std::string> middle(blobs.begin() + 4, blobs.begin() + 8);
-    middle[2] = bad;
-    WriteFrames({HeaderFrame(12, 4),
-                 ChunkFrame(0, {blobs.begin(), blobs.begin() + 4}),
-                 ChunkFrame(4, middle),
-                 ChunkFrame(8, {blobs.begin() + 8, blobs.end()})});
-    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
-    ASSERT_TRUE(result.usable());
-    EXPECT_EQ(result.status, IndexLoadStatus::kDegraded);
-    EXPECT_EQ(result.sections_dropped, 1u);
-    EXPECT_EQ(result.index->NumAllocatedSketches(), 8u);
-    for (NodeId u = 0; u < 12; ++u) {
-      const bool dropped = u >= 4 && u < 8;
-      ExpectNode(*result.index, u, dropped ? "" : blobs[u]);
-      if (dropped) {
-        EXPECT_EQ(result.index->EstimateIrsSize(u), 0.0);
-      }
-    }
-  }
-}
-
-// --- Hand-crafted version-3 files ------------------------------------------
-//
-// Version 3 chunk frame k = u64 first_node, u32 count, u64 entries,
-// u8 present[count], u8 cell_counts[present x beta], u8 ranks[entries],
-// i64 times[entries].
-
-constexpr uint32_t kIndexFormatVersionV3 = 3;
-constexpr size_t kCraftBeta = size_t{1} << kCraftPrecision;
-
-// One node's cell lists, beta of them; no lists at all = absent node.
-using Cells = std::vector<std::vector<std::pair<uint8_t, int64_t>>>;
-
-// The cell lists of a VersionedHll::Serialize blob (or none for "").
-Cells CellsOfBlob(const std::string& blob) {
-  if (blob.empty()) return {};
   Cells cells(kCraftBeta);
-  size_t offset = 2 + sizeof(uint64_t);  // version, precision, salt
-  for (auto& cell : cells) {
-    uint32_t count = 0;
-    std::memcpy(&count, blob.data() + offset, sizeof(count));
-    offset += sizeof(count);
-    for (uint32_t i = 0; i < count; ++i) {
-      int64_t time = 0;
-      std::memcpy(&time, blob.data() + offset + 1, sizeof(time));
-      cell.emplace_back(static_cast<uint8_t>(blob[offset]), time);
-      offset += 1 + sizeof(time);
+  for (size_t c = 0; c < kCraftBeta; ++c) {
+    for (const VersionedHll::Entry& e : sketch.cell(c)) {
+      cells[c].emplace_back(e.rank, e.time);
     }
   }
   return cells;
 }
 
-// The sections of a version-3 chunk, kept apart so a test can damage one
-// before Encode() lays them out.
-struct ChunkV3 {
+// The sections of a chunk, kept apart so a test can damage one before
+// Encode() lays them out.
+struct Chunk {
   uint64_t first_node = 0;
   uint32_t count = 0;
   uint64_t entries = 0;
   std::string present, cell_counts, ranks, times;
 
-  ChunkV3(uint64_t first, const std::vector<Cells>& nodes)
+  Chunk(uint64_t first, std::span<const Cells> nodes)
       : first_node(first), count(static_cast<uint32_t>(nodes.size())) {
     for (const Cells& cells : nodes) {
       Put<uint8_t>(&present, cells.empty() ? 0 : 1);
@@ -559,43 +273,90 @@ struct ChunkV3 {
   }
 };
 
-std::vector<Cells> CellsOfBlobs(std::vector<std::string>::const_iterator begin,
-                                std::vector<std::string>::const_iterator end) {
-  std::vector<Cells> nodes;
-  for (auto it = begin; it != end; ++it) nodes.push_back(CellsOfBlob(*it));
-  return nodes;
+// The per-node records of the retired formats: u8 present, then for a
+// present node a sketch blob — u8 blob version 1, u8 precision, u64 salt,
+// and per cell u32 count plus count x (u8 rank, i64 time).
+std::string RetiredNodeRecords(std::span<const Cells> nodes) {
+  std::string out;
+  for (const Cells& cells : nodes) {
+    Put<uint8_t>(&out, cells.empty() ? 0 : 1);
+    if (cells.empty()) continue;
+    Put<uint8_t>(&out, 1);
+    Put<uint8_t>(&out, kCraftPrecision);
+    Put<uint64_t>(&out, kCraftSalt);
+    for (const auto& cell : cells) {
+      Put<uint32_t>(&out, static_cast<uint32_t>(cell.size()));
+      for (const auto& [rank, time] : cell) {
+        Put<uint8_t>(&out, rank);
+        Put<int64_t>(&out, time);
+      }
+    }
+  }
+  return out;
 }
 
-class CraftedV3IndexTest : public CraftedIndexTest {
+// A version-2 chunk frame: u64 first_node, u32 count, node records.
+std::string RetiredChunkFrame(uint64_t first_node,
+                              std::span<const Cells> nodes) {
+  std::string frame;
+  Put<uint64_t>(&frame, first_node);
+  Put<uint32_t>(&frame, static_cast<uint32_t>(nodes.size()));
+  return frame + RetiredNodeRecords(nodes);
+}
+
+class CraftedV3IndexTest : public OracleIoTest {
  protected:
-  void WriteV3Frames(const std::vector<std::string>& frames) const {
-    SafeFileWriter writer(path_, kIndexFileType, kIndexFormatVersionV3);
+  void WriteFrames(const std::vector<std::string>& frames,
+                   uint32_t version = kIndexFormatVersion) const {
+    SafeFileWriter writer(path_, kIndexFileType, version);
     for (const std::string& frame : frames) {
       ASSERT_TRUE(writer.AppendFrame(frame));
     }
     ASSERT_TRUE(writer.Commit());
   }
 
+  // Node u of the loaded index holds exactly `want` (or is absent with an
+  // all-zero rank row when `want` is empty).
+  static void ExpectNode(const IrsApprox& index, NodeId u, const Cells& want) {
+    const SketchView sketch = index.Sketch(u);
+    ASSERT_EQ(sketch.valid(), !want.empty()) << "node " << u;
+    if (want.empty()) {
+      for (const uint8_t r : index.arena()->rank_row(u)) {
+        ASSERT_EQ(r, 0) << "node " << u;
+      }
+      return;
+    }
+    SketchCells cells{kCraftPrecision, kCraftSalt, {}, {}, {}};
+    for (const auto& cell : want) {
+      cells.counts.push_back(static_cast<uint8_t>(cell.size()));
+      for (const auto& [rank, time] : cell) {
+        cells.ranks.push_back(rank);
+        cells.times.push_back(time);
+      }
+    }
+    EXPECT_EQ(CellsOf(sketch), cells) << "node " << u;
+  }
+
   // Twelve random nodes (node 6 absent) in three 4-node chunks.
   void SetUp() override {
-    CraftedIndexTest::SetUp();
+    OracleIoTest::SetUp();
     Rng rng(31);
     for (int i = 0; i < 12; ++i) {
-      blobs_.push_back(i == 6 ? "" : RandomBlob(&rng));
+      nodes_.push_back(i == 6 ? Cells{} : RandomCells(&rng));
     }
   }
-  ChunkV3 Chunk(int k) const {
-    return ChunkV3(4 * k, CellsOfBlobs(blobs_.begin() + 4 * k,
-                                       blobs_.begin() + 4 * k + 4));
+  std::span<const Cells> Slice(int k) const {
+    return std::span(nodes_).subspan(4 * k, 4);
   }
+  Chunk ChunkOf(int k) const { return Chunk(4 * k, Slice(k)); }
 
   // Writes chunks 0 and 2 intact around `middle` and expects exactly
   // chunk 1's nodes to be dropped.
   void ExpectOnlyMiddleDropped(const std::string& middle,
                                const std::string& what) {
     SCOPED_TRACE(what);
-    WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), middle,
-                   Chunk(2).Encode()});
+    WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), middle,
+                 ChunkOf(2).Encode()});
     const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
     ASSERT_TRUE(result.usable());
     EXPECT_EQ(result.status, IndexLoadStatus::kDegraded);
@@ -603,33 +364,35 @@ class CraftedV3IndexTest : public CraftedIndexTest {
     EXPECT_EQ(result.sections_dropped, 1u);
     EXPECT_EQ(result.index->NumAllocatedSketches(), 8u);
     for (NodeId u = 0; u < 12; ++u) {
-      ExpectNode(*result.index, u, u >= 4 && u < 8 ? "" : blobs_[u]);
+      ExpectNode(*result.index, u, u >= 4 && u < 8 ? Cells{} : nodes_[u]);
       EXPECT_TRUE(result.index->arena()->CheckNodeInvariants(u));
     }
   }
 
-  std::vector<std::string> blobs_;
+  std::vector<Cells> nodes_;
 };
 
 TEST_F(CraftedV3IndexTest, CraftedFileLoadsExactly) {
-  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), Chunk(1).Encode(),
-                 Chunk(2).Encode()});
+  WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), ChunkOf(1).Encode(),
+               ChunkOf(2).Encode()});
   const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
   ASSERT_EQ(result.status, IndexLoadStatus::kOk);
   EXPECT_EQ(result.index->NumAllocatedSketches(), 11u);
-  for (NodeId u = 0; u < 12; ++u) ExpectNode(*result.index, u, blobs_[u]);
+  for (NodeId u = 0; u < 12; ++u) ExpectNode(*result.index, u, nodes_[u]);
 }
 
 TEST_F(CraftedV3IndexTest, HostileHeaderFailsCleanly) {
-  WriteV3Frames({HeaderFrame(uint64_t{1} << 50, 256)});
+  // 2^50 nodes would size a rank plane of 2^54 bytes.
+  WriteFrames({HeaderFrame(uint64_t{1} << 50, 256)});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
-  WriteV3Frames({HeaderFrame(uint64_t{1} << 32, 0xffffffffu),
-                 Chunk(0).Encode()});
+  // A chunk size beyond the writer's lets one frame claim 2^32 nodes.
+  WriteFrames({HeaderFrame(uint64_t{1} << 32, 0xffffffffu),
+               ChunkOf(0).Encode()});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
   // More chunks than the bytes after the header could frame.
-  WriteV3Frames({HeaderFrame(256 * 1000, 256), Chunk(0).Encode()});
+  WriteFrames({HeaderFrame(256 * 1000, 256), ChunkOf(0).Encode()});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
 }
@@ -637,41 +400,41 @@ TEST_F(CraftedV3IndexTest, HostileHeaderFailsCleanly) {
 // The payload must be exactly 20 + count + present x beta + 9 x entries
 // bytes; any disagreement drops the chunk and nothing else.
 TEST_F(CraftedV3IndexTest, PayloadLengthMustMatchItsCounts) {
-  ChunkV3 more_entries = Chunk(1);
+  Chunk more_entries = ChunkOf(1);
   ++more_entries.entries;
   ExpectOnlyMiddleDropped(more_entries.Encode(), "entries + 1");
 
-  ChunkV3 fewer_entries = Chunk(1);
+  Chunk fewer_entries = ChunkOf(1);
   --fewer_entries.entries;
   ExpectOnlyMiddleDropped(fewer_entries.Encode(), "entries - 1");
 
-  ChunkV3 huge_entries = Chunk(1);
+  Chunk huge_entries = ChunkOf(1);
   huge_entries.entries = ~uint64_t{0} / 9 + 1;  // 9 x entries wraps
   ExpectOnlyMiddleDropped(huge_entries.Encode(), "entries overflow");
 
-  ChunkV3 absent = Chunk(1);
+  Chunk absent = ChunkOf(1);
   absent.present[0] = 0;  // one node fewer than the counts provide for
   ExpectOnlyMiddleDropped(absent.Encode(), "present flag cleared");
 
-  ChunkV3 extra = Chunk(1);
+  Chunk extra = ChunkOf(1);
   extra.present[2] = 1;  // node 6 claimed, but it has no counts
   ExpectOnlyMiddleDropped(extra.Encode(), "present flag set");
 
-  ChunkV3 two = Chunk(1);
+  Chunk two = ChunkOf(1);
   two.present[0] = 2;  // not a flag
   ExpectOnlyMiddleDropped(two.Encode(), "present byte 2");
 
-  ChunkV3 short_times = Chunk(1);
+  Chunk short_times = ChunkOf(1);
   short_times.times.pop_back();
   ExpectOnlyMiddleDropped(short_times.Encode(), "truncated times");
 
-  ChunkV3 long_times = Chunk(1);
+  Chunk long_times = ChunkOf(1);
   long_times.times.push_back('\0');
   ExpectOnlyMiddleDropped(long_times.Encode(), "trailing byte");
 
-  ExpectOnlyMiddleDropped(Chunk(1).Encode().substr(0, 19), "short prefix");
+  ExpectOnlyMiddleDropped(ChunkOf(1).Encode().substr(0, 19), "short prefix");
 
-  ChunkV3 more_nodes = Chunk(1);
+  Chunk more_nodes = ChunkOf(1);
   ++more_nodes.count;
   more_nodes.present.push_back('\0');
   ExpectOnlyMiddleDropped(more_nodes.Encode(), "count + 1");
@@ -680,34 +443,33 @@ TEST_F(CraftedV3IndexTest, PayloadLengthMustMatchItsCounts) {
 // Well-framed chunks whose contents break a vHLL invariant: only the
 // append's checks catch these, and they drop exactly the chunk.
 TEST_F(CraftedV3IndexTest, BadCellsDropExactlyTheirChunk) {
-  std::vector<Cells> nodes = CellsOfBlobs(blobs_.begin() + 4,
-                                          blobs_.begin() + 8);
+  const std::vector<Cells> nodes(Slice(1).begin(), Slice(1).end());
   const auto with_node5_cell0 =
       [&](std::vector<std::pair<uint8_t, int64_t>> pairs) {
         std::vector<Cells> bad = nodes;
         bad[1][0] = std::move(pairs);
-        return ChunkV3(4, bad);
+        return Chunk(4, bad);
       };
   // The good version of the edit loads: ranks may fall across cells.
-  ChunkV3 good = with_node5_cell0({{60, 1}, {61, 1}, {62, 5}});
-  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), good.Encode(),
-                 Chunk(2).Encode()});
+  Chunk good = with_node5_cell0({{60, 1}, {61, 1}, {62, 5}});
+  WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), good.Encode(),
+               ChunkOf(2).Encode()});
   ASSERT_EQ(LoadInfluenceIndexDetailed(path_).status, IndexLoadStatus::kOk);
 
-  ChunkV3 sum_high = Chunk(1);
+  Chunk sum_high = ChunkOf(1);
   ++sum_high.cell_counts[kCraftBeta + 3];  // counts sum to entries + 1
   ExpectOnlyMiddleDropped(sum_high.Encode(), "counts sum above entries");
 
   // The chunk's last cell claims one pair more than there is: only the
   // sum check sees it, as no pair moves to another cell.
-  ChunkV3 last_high = Chunk(1);
+  Chunk last_high = ChunkOf(1);
   ++last_high.cell_counts.back();
   ExpectOnlyMiddleDropped(last_high.Encode(), "last cell above entries");
 
   // Same total, but every cell boundary after the first non-empty cell
   // moves back one pair. Whether that breaks an order or not, whatever
   // loads must hold the invariants.
-  ChunkV3 sum_shifted = Chunk(1);
+  Chunk sum_shifted = ChunkOf(1);
   for (char& n : sum_shifted.cell_counts) {
     if (n != 0) {
       --n;
@@ -715,8 +477,8 @@ TEST_F(CraftedV3IndexTest, BadCellsDropExactlyTheirChunk) {
     }
   }
   ++sum_shifted.cell_counts.back();
-  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), sum_shifted.Encode(),
-                 Chunk(2).Encode()});
+  WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), sum_shifted.Encode(),
+               ChunkOf(2).Encode()});
   {
     const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
     ASSERT_TRUE(result.usable());
@@ -742,41 +504,59 @@ TEST_F(CraftedV3IndexTest, BadCellsDropExactlyTheirChunk) {
 }
 
 TEST_F(CraftedV3IndexTest, MisplacedChunksAreDropped) {
-  WriteV3Frames({HeaderFrame(12, 4), Chunk(0).Encode(), Chunk(0).Encode(),
-                 Chunk(2).Encode()});
+  WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), ChunkOf(0).Encode(),
+               ChunkOf(2).Encode()});
   IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
   ASSERT_TRUE(result.usable());
   EXPECT_EQ(result.sections_dropped, 1u);
   for (NodeId u = 0; u < 12; ++u) {
-    ExpectNode(*result.index, u, u >= 4 && u < 8 ? "" : blobs_[u]);
+    ExpectNode(*result.index, u, u >= 4 && u < 8 ? Cells{} : nodes_[u]);
   }
 
-  WriteV3Frames({HeaderFrame(12, 4), Chunk(1).Encode(), Chunk(0).Encode(),
-                 Chunk(2).Encode()});
+  WriteFrames({HeaderFrame(12, 4), ChunkOf(1).Encode(), ChunkOf(0).Encode(),
+               ChunkOf(2).Encode()});
   result = LoadInfluenceIndexDetailed(path_);
   ASSERT_TRUE(result.usable());
   EXPECT_EQ(result.sections_dropped, 2u);
   EXPECT_EQ(result.index->NumAllocatedSketches(), 4u);
   for (NodeId u = 0; u < 12; ++u) {
-    ExpectNode(*result.index, u, u < 8 ? "" : blobs_[u]);
+    ExpectNode(*result.index, u, u < 8 ? Cells{} : nodes_[u]);
   }
 
-  ChunkV3 wrapping = Chunk(1);
+  Chunk wrapping = ChunkOf(1);
   wrapping.first_node = ~uint64_t{0} - 1;
   ExpectOnlyMiddleDropped(wrapping.Encode(), "wrapping first_node");
 
-  // A v2 chunk in a v3 file is malformed, not reinterpreted.
-  ExpectOnlyMiddleDropped(
-      ChunkFrame(4, {blobs_.begin() + 4, blobs_.begin() + 8}), "v2 chunk");
+  // A version-2 chunk in a version-3 file is malformed, not reinterpreted.
+  ExpectOnlyMiddleDropped(RetiredChunkFrame(4, Slice(1)), "v2 chunk");
 }
 
 // A version this loader does not know is refused whole.
-TEST_F(CraftedIndexTest, UnknownVersionIsCorrupt) {
-  SafeFileWriter writer(path_, kIndexFileType, 4);
-  ASSERT_TRUE(writer.AppendFrame(HeaderFrame(0, 256)));
-  ASSERT_TRUE(writer.Commit());
+TEST_F(CraftedV3IndexTest, UnknownVersionIsCorrupt) {
+  WriteFrames({HeaderFrame(0, 256)}, 4);
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
+}
+
+// The retired formats — version 2 (per-node sketch blobs in IIDX frames)
+// and the unframed version 1 — are refused whole, however well formed.
+TEST_F(CraftedV3IndexTest, RetiredFormatsLoadAsCorrupt) {
+  WriteFrames({HeaderFrame(12, 4), RetiredChunkFrame(0, Slice(0)),
+               RetiredChunkFrame(4, Slice(1)), RetiredChunkFrame(8, Slice(2))},
+              2);
+  IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+  EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
+  EXPECT_FALSE(result.index.has_value());
+
+  std::string v1 = "IPINIDX1";
+  Put<int64_t>(&v1, 100);
+  Put<uint8_t>(&v1, kCraftPrecision);
+  Put<uint64_t>(&v1, kCraftSalt);
+  Put<uint64_t>(&v1, nodes_.size());
+  WriteFileBytes(v1 + RetiredNodeRecords(nodes_));
+  result = LoadInfluenceIndexDetailed(path_);
+  EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
+  EXPECT_FALSE(result.index.has_value());
 }
 
 // Two sealed indexes agree on every query surface, byte for byte, and
@@ -799,10 +579,8 @@ void ExpectSameIndex(const IrsApprox& want, const IrsApprox& got) {
         << "node " << u;
     ASSERT_EQ(b.NodeNumEntries(u), a.NodeNumEntries(u)) << "node " << u;
     if (!a.has_node(u)) continue;
-    std::string bytes_a, bytes_b;
-    a.SerializeNode(u, &bytes_a);
-    b.SerializeNode(u, &bytes_b);
-    ASSERT_EQ(bytes_b, bytes_a) << "node " << u;
+    ASSERT_EQ(CellsOf(SketchView(&b, u)), CellsOf(SketchView(&a, u)))
+        << "node " << u;
   }
   Rng rng(17);
   for (int trial = 0; trial < 50; ++trial) {
@@ -865,58 +643,6 @@ TEST_F(OracleIoTest, LoadChargesTheWholeFileBuffer) {
   ASSERT_TRUE(LoadInfluenceIndexDetailed(path_).usable());
   EXPECT_GE(tally.PeakBytes() - before, static_cast<int64_t>(file_size));
   EXPECT_EQ(tally.CurrentBytes(), before);
-}
-
-// The version-2 encoding of a built index — crafted here, as nothing
-// writes it any more — restores to exactly the arena the version-3 file
-// does.
-TEST_F(OracleIoTest, V2FileLoadsToTheSameArenaAsV3) {
-  const InteractionGraph g = GenerateUniformRandomNetwork(700, 5000, 9000, 23);
-  IrsApproxOptions options;
-  options.precision = 6;
-  options.salt = 5;
-  IrsApprox built = IrsApprox::Compute(g, 2500, options);
-  built.Seal();
-  ASSERT_TRUE(SaveInfluenceIndex(built, path_));
-
-  const std::string v2_path = path_ + ".v2";
-  {
-    SafeFileWriter writer(v2_path, kIndexFileType, kIndexFormatVersion);
-    ASSERT_TRUE(writer.AppendFrame([&] {
-      std::string frame;
-      Put<int64_t>(&frame, built.window());
-      Put<uint8_t>(&frame, static_cast<uint8_t>(options.precision));
-      Put<uint64_t>(&frame, options.salt);
-      Put<uint64_t>(&frame, built.num_nodes());
-      Put<uint32_t>(&frame, 256);
-      return frame;
-    }()));
-    for (uint64_t first = 0; first < built.num_nodes(); first += 256) {
-      const uint64_t end = std::min<uint64_t>(first + 256, built.num_nodes());
-      std::string frame;
-      Put<uint64_t>(&frame, first);
-      Put<uint32_t>(&frame, static_cast<uint32_t>(end - first));
-      for (uint64_t u = first; u < end; ++u) {
-        const SketchView sketch = built.Sketch(static_cast<NodeId>(u));
-        Put<uint8_t>(&frame, sketch ? 1 : 0);
-        if (sketch) sketch.Serialize(&frame);
-      }
-      ASSERT_TRUE(writer.AppendFrame(frame));
-    }
-    ASSERT_TRUE(writer.Commit());
-  }
-
-  const IndexLoadResult v3 = LoadInfluenceIndexDetailed(path_);
-  const IndexLoadResult v2 = LoadInfluenceIndexDetailed(v2_path);
-  std::remove(v2_path.c_str());
-  ASSERT_EQ(v3.status, IndexLoadStatus::kOk);
-  ASSERT_EQ(v2.status, IndexLoadStatus::kOk);
-  EXPECT_EQ(v2.sections_total, v3.sections_total);
-  ExpectSameIndex(*v3.index, *v2.index);
-  ExpectSameIndex(built, *v3.index);
-  for (NodeId u = 0; u < built.num_nodes(); ++u) {
-    EXPECT_EQ(v2.index->EstimateIrsSize(u), v3.index->EstimateIrsSize(u));
-  }
 }
 
 // An unsealed index and its sealed twin write the same bytes: both go

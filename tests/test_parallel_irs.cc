@@ -21,6 +21,7 @@
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/graph_io.h"
 #include "ipin/obs/metrics.h"
+#include "test_util.h"
 
 namespace ipin {
 namespace {
@@ -44,14 +45,12 @@ InteractionGraph TestGraph() {
                                       /*time_span=*/20000, /*seed=*/19);
 }
 
-// Serialized bytes of every per-node sketch plus the allocation pattern;
-// two IRS builds are bit-identical iff these strings match.
-std::string Fingerprint(const IrsApprox& irs) {
-  std::string out;
+// The stored cells of every per-node sketch plus the allocation pattern;
+// two IRS builds are bit-identical iff these match.
+std::vector<SketchCells> Fingerprint(const IrsApprox& irs) {
+  std::vector<SketchCells> out(irs.num_nodes());
   for (NodeId u = 0; u < irs.num_nodes(); ++u) {
-    const SketchView sketch = irs.Sketch(u);
-    out.push_back(sketch ? '1' : '0');
-    if (sketch) sketch.Serialize(&out);
+    if (const SketchView sketch = irs.Sketch(u)) out[u] = CellsOf(sketch);
   }
   return out;
 }
@@ -62,7 +61,7 @@ TEST_F(ParallelIrsTest, SlabStitchedBuildIsBitIdentical) {
 
   SetGlobalThreads(1);
   const IrsApprox sequential = IrsApprox::Compute(g, window, Options(6));
-  const std::string expected = Fingerprint(sequential);
+  const auto expected = Fingerprint(sequential);
 
   SetGlobalThreads(4);
   for (const size_t slabs : {2u, 4u, 7u}) {
@@ -82,7 +81,7 @@ TEST_F(ParallelIrsTest, ComputeDispatchMatchesSequential) {
   const Duration window = 1200;
 
   SetGlobalThreads(1);
-  const std::string expected =
+  const auto expected =
       Fingerprint(IrsApprox::Compute(g, window, Options(7)));
 
   SetGlobalThreads(7);
@@ -92,7 +91,7 @@ TEST_F(ParallelIrsTest, ComputeDispatchMatchesSequential) {
 TEST_F(ParallelIrsTest, TinyGraphFallsBackToSequential) {
   const InteractionGraph g = GenerateUniformRandomNetwork(20, 200, 500, 3);
   SetGlobalThreads(1);
-  const std::string expected =
+  const auto expected =
       Fingerprint(IrsApprox::Compute(g, 50, Options(6)));
   SetGlobalThreads(4);
   // Too small for even one full slab: ComputeParallel degrades to the

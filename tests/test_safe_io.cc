@@ -341,14 +341,6 @@ TEST_F(SafeIoTest, WriteErrorFailpointFailsAppend) {
   EXPECT_FALSE(writer.Commit());
 }
 
-TEST_F(SafeIoTest, LooksLikeSafeFileDetectsFormat) {
-  WriteFrames({"x"});
-  EXPECT_TRUE(LooksLikeSafeFile(path_));
-  WriteFileBytes("IPINIDX1 something legacy");
-  EXPECT_FALSE(LooksLikeSafeFile(path_));
-  EXPECT_FALSE(LooksLikeSafeFile(path_ + ".absent"));
-}
-
 TEST_F(SafeIoTest, EmptyFileIsTruncated) {
   WriteFileBytes("");
   SafeFileReader reader;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -13,6 +12,7 @@
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/source_sets.h"
 #include "ipin/graph/interaction_graph.h"
+#include "test_util.h"
 
 namespace ipin {
 namespace {
@@ -39,16 +39,27 @@ std::vector<std::unique_ptr<VersionedHll>> BuildSketches(size_t num_nodes,
   return sketches;
 }
 
-TEST(SketchArenaTest, SerializeNodeIsByteIdenticalToVersionedHll) {
+// Sealing stores every cell list as it is: the node's range holds, cell
+// by cell, the source sketch's (rank, time) pairs in order.
+TEST(SketchArenaTest, SealedNodeStoresTheSourceCellLists) {
   const auto sketches = BuildSketches(20, 1);
   const SketchArena arena(kPrecision, kSalt, std::span(sketches));
   for (NodeId u = 0; u < 20; ++u) {
     ASSERT_EQ(arena.has_node(u), sketches[u] != nullptr) << "node " << u;
     if (sketches[u] == nullptr) continue;
-    std::string want, got;
-    sketches[u]->Serialize(&want);
-    arena.SerializeNode(u, &got);
-    EXPECT_EQ(got, want) << "node " << u;
+    const SketchArena::NodeRange range = *arena.ContiguousRange(u, u + 1);
+    ASSERT_EQ(range.cell_counts.size(), sketches[u]->num_cells());
+    size_t entry = 0;
+    for (size_t c = 0; c < sketches[u]->num_cells(); ++c) {
+      const VersionedHll::CellList list = sketches[u]->cell(c);
+      ASSERT_EQ(range.cell_counts[c], list.size()) << "node " << u;
+      for (const VersionedHll::Entry& e : list) {
+        EXPECT_EQ(range.ranks[entry], e.rank) << "node " << u;
+        EXPECT_EQ(range.times[entry], e.time) << "node " << u;
+        ++entry;
+      }
+    }
+    EXPECT_EQ(entry, range.ranks.size()) << "node " << u;
   }
 }
 
@@ -120,10 +131,8 @@ TEST(SketchArenaTest, AppendCopyFromEitherStoreIsExact) {
       EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
           << "node " << u;
       if (!sealed.has_node(u)) continue;
-      std::string a, b;
-      sealed.SerializeNode(u, &a);
-      copy->SerializeNode(u, &b);
-      EXPECT_EQ(b, a) << "node " << u;
+      EXPECT_EQ(CellsOf(SketchView(copy, u)), CellsOf(SketchView(&sealed, u)))
+          << "node " << u;
     }
   }
 }
@@ -207,10 +216,8 @@ TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
         << "node " << u;
     if (!sealed.has_node(u)) continue;
-    std::string a, b;
-    sealed.SerializeNode(u, &a);
-    copy.SerializeNode(u, &b);
-    EXPECT_EQ(b, a) << "node " << u;
+    EXPECT_EQ(CellsOf(SketchView(&copy, u)), CellsOf(SketchView(&sealed, u)))
+        << "node " << u;
   }
 
   // Slots out of node order have no contiguous range.
@@ -300,10 +307,7 @@ TEST(SketchArenaTest, ViewAgreesAcrossStorageModes) {
     EXPECT_EQ(sealed_view.NumEntries(), build_view.NumEntries());
     EXPECT_EQ(sealed_view.Estimate(), build_view.Estimate());
     EXPECT_TRUE(sealed_view.CheckInvariants());
-    std::string a, b;
-    build_view.Serialize(&a);
-    sealed_view.Serialize(&b);
-    EXPECT_EQ(b, a) << "node " << u;
+    EXPECT_EQ(CellsOf(sealed_view), CellsOf(build_view)) << "node " << u;
     EXPECT_EQ(sealed_view.EstimateBefore(400, &scratch_a),
               build_view.EstimateBefore(400, &scratch_b))
         << "node " << u;
@@ -362,10 +366,8 @@ TEST(SketchArenaTest, SealedIrsAnswersAreBitIdenticalToUnsealed) {
     EXPECT_EQ(sealed.EstimateIrsSize(u), streamed.EstimateIrsSize(u))
         << "node " << u;
     if (!sealed.Sketch(u)) continue;
-    std::string a, b;
-    streamed.Sketch(u).Serialize(&a);
-    sealed.Sketch(u).Serialize(&b);
-    EXPECT_EQ(b, a) << "node " << u;
+    EXPECT_EQ(CellsOf(sealed.Sketch(u)), CellsOf(streamed.Sketch(u)))
+        << "node " << u;
   }
   const std::vector<std::vector<NodeId>> seed_sets = {
       {0}, {1, 2, 3}, {4, 9, 14, 19, 24}, {39}};

@@ -1,14 +1,18 @@
 #ifndef IPIN_TESTS_TEST_UTIL_H_
 #define IPIN_TESTS_TEST_UTIL_H_
 
+#include <cstdint>
 #include <map>
+#include <ostream>
 #include <vector>
 
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/graph/types.h"
+#include "ipin/sketch/sketch_arena.h"
 
 // Shared fixtures for the core-algorithm tests: the paper's running
-// examples, with nodes a..f mapped to ids 0..5.
+// examples, with nodes a..f mapped to ids 0..5, and a storage-independent
+// snapshot of a sketch's cells.
 
 namespace ipin {
 
@@ -45,6 +49,39 @@ inline std::vector<std::map<NodeId, Timestamp>> FigureOneSummariesW3() {
       /*e=*/{{kC, 7}, {kB, 4}, {kF, 2}},
       /*f=*/{},
   };
+}
+
+/// Everything a sketch stores, in the arena's layout: per-cell entry counts
+/// and every (rank, time) pair in cell order. Two sketches hold the same
+/// cell lists iff their SketchCells compare equal, whatever their storage.
+struct SketchCells {
+  int precision = 0;
+  uint64_t salt = 0;
+  std::vector<uint8_t> counts;
+  std::vector<uint8_t> ranks;
+  std::vector<int64_t> times;
+
+  bool operator==(const SketchCells&) const = default;
+};
+
+/// Failure messages name the sketch's size instead of dumping its bytes.
+inline void PrintTo(const SketchCells& cells, std::ostream* os) {
+  *os << "{precision " << cells.precision << ", salt " << cells.salt << ", "
+      << cells.ranks.size() << " pairs}";
+}
+
+/// Copies `sketch` into a one-node SketchArena (AppendCopy) and returns the
+/// node's ContiguousRange.
+inline SketchCells CellsOf(const SketchView& sketch) {
+  SketchArena arena(sketch.precision(), sketch.salt(), 1,
+                    {1, sketch.NumEntries()});
+  arena.AppendCopy(0, sketch);
+  const SketchArena::NodeRange range = *arena.ContiguousRange(0, 1);
+  return {sketch.precision(),
+          sketch.salt(),
+          {range.cell_counts.begin(), range.cell_counts.end()},
+          {range.ranks.begin(), range.ranks.end()},
+          {range.times.begin(), range.times.end()}};
 }
 
 }  // namespace ipin
