@@ -106,9 +106,9 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
 // accumulate task-level accounting: how many chunks ran under the tag, the
 // summed and slowest chunk execution times, and the caller-side wall time of
 // the tagged sections. From those the skew and utilization of a phase are
-// derived — e.g. a slab-stitched IRS build where one slab dominates shows
-// up as a high imbalance ratio instead of having to be inferred from total
-// wall time. Accounting compiles out under IPIN_OBS_DISABLED (the API stays,
+// derived — e.g. a cell-partitioned IRS build where one part's cells hold
+// most of the entries shows up as a high imbalance ratio instead of having
+// to be inferred from total wall time. Accounting compiles out under IPIN_OBS_DISABLED (the API stays,
 // profiles are simply empty). Untagged sections (the serving worker loops)
 // are not accounted.
 

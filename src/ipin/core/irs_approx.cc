@@ -15,11 +15,22 @@
 namespace ipin {
 namespace {
 
-// Below this edge count the slab build's fixed costs (P sketch arrays, the
-// stitch pass) outweigh any speedup; stay on the one-pass scan.
-constexpr size_t kParallelBuildMinEdges = 4096;
-// Never cut slabs smaller than this many edges.
-constexpr size_t kMinSlabEdges = 1024;
+// Algorithm 3's step for edge (u, v, t) on the cells of `part`: ApproxAdd
+// of v into phi(u), then ApproxMerge of phi(v) (`sketch_v`, null while v
+// has no sketch). Self-loops do neither, like in IrsExact: a node is not
+// in its own IRS, and merging a sketch into itself is a no-op. A merge can
+// still fold u's own hash in via a temporal cycle — a one-item bias the
+// sketch cannot distinguish, documented in DESIGN.md. Returns true if it
+// merged.
+bool ScanEdge(const Interaction& edge, VersionedHll& sketch_u,
+              const VersionedHll* sketch_v, Duration window, size_t part) {
+  const auto [u, v, t] = edge;
+  if (u == v) return false;
+  sketch_u.AddInPart(static_cast<uint64_t>(v), t, part);
+  if (sketch_v == nullptr) return false;
+  sketch_u.MergeWindow(*sketch_v, t, window, part);
+  return true;
+}
 
 }  // namespace
 
@@ -68,153 +79,64 @@ void IrsApprox::PublishArenaGauges() const {
 
 IrsApprox IrsApprox::Compute(const InteractionGraph& graph, Duration window,
                              const IrsApproxOptions& options) {
-  const size_t threads = GlobalThreads();
-  if (threads > 1 && graph.num_interactions() >= kParallelBuildMinEdges) {
-    return ComputeParallel(graph, window, options, threads);
-  }
-  return ComputeSequential(graph, window, options);
+  return ComputeParallel(graph, window, options, GlobalThreads());
 }
 
-IrsApprox IrsApprox::ComputeSequential(const InteractionGraph& graph,
-                                       Duration window,
-                                       const IrsApproxOptions& options) {
-  IPIN_TRACE_SPAN("irs.approx.compute");
-  IPIN_CHECK(graph.is_sorted());
-  IrsApprox irs(graph.num_nodes(), window, options);
-  const auto& edges = graph.interactions();
-  obs::ProgressPhase phase("irs.approx.scan", edges.size());
-  size_t since_tick = 0;
-  for (size_t i = edges.size(); i > 0; --i) {
-    irs.ProcessInteraction(edges[i - 1]);
-    // Chunked ticks keep the per-edge path atomics-free.
-    if (++since_tick == (size_t{64} << 10)) {
-      phase.Tick(since_tick);
-      since_tick = 0;
-    }
-  }
-  phase.SetDone(edges.size());
-  irs.PublishBuildMetrics();
-  return irs;
-}
-
-// Correctness sketch (full argument in DESIGN.md §10). A node's final cell
-// lists are the canonical Pareto frontier (domination pruning, Lemma 3) of
-// the set of (rank, channel-end-time) pairs that reach it, and AddEntry
-// produces that frontier regardless of insertion order — so any schedule
-// inserting the same pair set yields bit-identical sketches. Slab builds
-// insert exactly the pairs carried by channels confined to one slab; every
-// channel crossing a slab boundary decomposes into its maximal suffix
-// (already folded into the stitched suffix sketches) plus slab-local hops,
-// which the stitch scan replays: scanning slab i right-to-left, each edge
-// (u, v, t) pulls v's suffix-derived entries (prop[v], accumulated by later
-// slab-i edges) and v's final suffix sketch through the same
-// window-bounded MergeWindow the one-pass scan would have applied at that
-// edge. Entries from the suffix all have time >= the slab boundary, so
-// once t + window <= boundary nothing further can cross and the scan
-// breaks early — with a window far smaller than the trace span the stitch
-// touches only a thin band per boundary.
+// Cell-partitioned scan (DESIGN.md §10). Algorithm 3 touches a sketch only
+// cell by cell, so worker k runs the whole reverse scan but applies only
+// the inserts that land in part k of each sketch. Every cell then receives
+// exactly the inserts of the one-pass scan, in the same order, so the
+// sketches are bit-identical for every part count.
 IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
                                      Duration window,
                                      const IrsApproxOptions& options,
-                                     size_t num_slabs) {
+                                     size_t num_parts) {
+  IPIN_TRACE_SPAN("irs.approx.compute");
   IPIN_CHECK(graph.is_sorted());
-  const auto& edges = graph.interactions();
-  const size_t m = edges.size();
-  const size_t n = graph.num_nodes();
-  size_t slabs_wanted = std::max<size_t>(num_slabs, 1);
-  if (slabs_wanted > 1 && m / slabs_wanted < kMinSlabEdges) {
-    slabs_wanted = std::max<size_t>(1, m / kMinSlabEdges);
-  }
-  if (slabs_wanted <= 1 || m == 0) {
-    return ComputeSequential(graph, window, options);
-  }
-  IPIN_TRACE_SPAN("irs.approx.compute_parallel");
-  const size_t P = slabs_wanted;
-
-  // Slab i owns edge indices [bounds[i], bounds[i+1]); slabs are contiguous
-  // in the sorted edge array, so equal-timestamp runs may split across a
-  // boundary — harmless, the stitch replays those edges too.
-  std::vector<size_t> bounds(P + 1);
-  for (size_t i = 0; i <= P; ++i) bounds[i] = i * m / P;
-
-  // Phase 1: independent reverse scans, one (partial) IrsApprox per slab.
-  std::vector<IrsApprox> slabs;
-  slabs.reserve(P);
-  for (size_t i = 0; i < P; ++i) slabs.emplace_back(n, window, options);
-  {
-    IPIN_TRACE_SPAN("irs.approx.parallel.slab_build");
-    obs::ProgressPhase phase("irs.approx.slab_build", P);
-    ParallelFor(0, P, 1, [&](size_t lo, size_t hi) {
-      for (size_t i = lo; i < hi; ++i) {
-        for (size_t j = bounds[i + 1]; j > bounds[i]; --j) {
-          slabs[i].ProcessInteraction(edges[j - 1]);
-        }
-        phase.Tick();
-      }
-    });
-  }
-
-  // Phases 2+3, right to left: compute the boundary propagation for slab i
-  // against the already-stitched suffix, then fold slab i's local sketches
-  // and the propagated entries into the final ones.
-  std::vector<std::unique_ptr<VersionedHll>> final_sketches =
-      std::move(slabs[P - 1].sketches_);
-  size_t merge_calls = slabs[P - 1].merge_calls_;
-  obs::ProgressPhase stitch_phase("irs.approx.stitch", P - 1);
-  for (size_t i = P - 1; i-- > 0;) {
-    IPIN_TRACE_SPAN("irs.approx.parallel.stitch");
-    const Timestamp boundary = edges[bounds[i + 1]].time;
-    // prop[x]: entries of the suffix that flow into x via slab-i edges,
-    // built by replaying the reverse scan over the boundary band.
-    std::vector<std::unique_ptr<VersionedHll>> prop(n);
-    for (size_t j = bounds[i + 1]; j > bounds[i]; --j) {
-      const auto [u, v, t] = edges[j - 1];
-      if (t + window <= boundary) break;  // suffix out of reach from here on
-      if (u == v) continue;  // self-loops never propagate (Algorithm 3)
-      const VersionedHll* from_prop = prop[v].get();
-      const VersionedHll* from_final = final_sketches[v].get();
-      if (from_prop == nullptr && from_final == nullptr) continue;
-      if (prop[u] == nullptr) {
-        prop[u] = std::make_unique<VersionedHll>(options.precision,
-                                                 options.salt);
-      }
-      if (from_prop != nullptr) {
-        prop[u]->MergeWindow(*from_prop, t, window);
-        ++merge_calls;
-      }
-      if (from_final != nullptr) {
-        prop[u]->MergeWindow(*from_final, t, window);
-        ++merge_calls;
-      }
+  const std::span<const Interaction> edges = graph.interactions();
+  const size_t num_cells = size_t{1} << options.precision;
+  const size_t parts = std::clamp<size_t>(num_parts, 1, num_cells);
+  IrsApprox irs(graph.num_nodes(), window, options);
+  // last_sent[v] is one past the index of v's last edge as a source (0 if
+  // v never sends). The one-pass scan allocates phi(v) at that edge, so
+  // while scanning edge i - 1 it holds a sketch for v iff last_sent[v] > i.
+  std::vector<size_t> last_sent(irs.num_nodes_, 0);
+  for (size_t i = 0; i < edges.size(); ++i) last_sent[edges[i].src] = i + 1;
+  for (size_t v = 0; v < irs.num_nodes_; ++v) {
+    if (last_sent[v] > 0) {
+      irs.sketches_[v] = std::make_unique<VersionedHll>(
+          options.precision, options.salt, parts);
     }
-    merge_calls += slabs[i].merge_calls_;
-    auto& local = slabs[i].sketches_;
-    ParallelFor(0, n, 1024, [&](size_t lo, size_t hi) {
-      for (size_t x = lo; x < hi; ++x) {
-        if (local[x] != nullptr) {
-          if (final_sketches[x] == nullptr) {
-            final_sketches[x] = std::move(local[x]);
-          } else {
-            final_sketches[x]->MergeAll(*local[x]);
-          }
-        }
-        // A node with propagated entries was the source of some slab-i
-        // edge, so its local sketch exists and final_sketches[x] is set.
-        if (prop[x] != nullptr) final_sketches[x]->MergeAll(*prop[x]);
-      }
-    });
-    stitch_phase.Tick();
   }
 
-  // Assemble directly (not via the restoring ctor, which seals): like the
-  // sequential path, parallel builds return unsealed so the pack + free cost
-  // lands at the build->query handoff, outside the timed build.
-  IrsApprox irs(n, window, options);
-  irs.sketches_ = std::move(final_sketches);
-  irs.saw_interaction_ = true;
-  irs.last_time_ = edges.front().time;
-  irs.edges_scanned_ = m;
-  irs.merge_calls_ = merge_calls;
+  obs::ProgressPhase phase("irs.approx.scan", edges.size());
+  ParallelFor(0, parts, 1, [&](size_t lo, size_t hi) {
+    for (size_t part = lo; part < hi; ++part) {
+      size_t merges = 0;
+      size_t since_tick = 0;
+      for (size_t i = edges.size(); i > 0; --i) {
+        const Interaction& edge = edges[i - 1];
+        const NodeId v = edge.dst;
+        merges += ScanEdge(edge, *irs.sketches_[edge.src],
+                           last_sent[v] > i ? irs.sketches_[v].get() : nullptr,
+                           window, part);
+        // Worker 0 reports progress; chunked ticks keep the per-edge path
+        // atomics-free.
+        if (part == 0 && ++since_tick == (size_t{64} << 10)) {
+          phase.Tick(since_tick);
+          since_tick = 0;
+        }
+      }
+      if (part == 0) irs.merge_calls_ = merges;
+    }
+  });
+  phase.SetDone(edges.size());
+
+  irs.edges_scanned_ = edges.size();
+  if (!edges.empty()) {
+    irs.saw_interaction_ = true;
+    irs.last_time_ = edges.front().time;
+  }
   irs.PublishBuildMetrics();
   return irs;
 }
@@ -253,20 +175,9 @@ void IrsApprox::ProcessInteraction(const Interaction& interaction) {
   saw_interaction_ = true;
 
   ++edges_scanned_;
-  VersionedHll* sketch_u = MutableSketch(u);
-  // ApproxAdd: v joins sigma(u) with channel end time t. Self-loops are
-  // filtered like in IrsExact (a node is not in its own IRS); a merge can
-  // still fold u's own hash in via a temporal cycle — a one-item bias the
-  // sketch cannot distinguish, documented in DESIGN.md.
-  if (u != v) sketch_u->Add(static_cast<uint64_t>(v), t);
-  // ApproxMerge: fold in phi(v) entries still inside the window. Self-loops
-  // would merge the sketch into itself (a no-op); skip like IrsExact.
-  if (u == v) return;
-  const VersionedHll* sketch_v = sketches_[v].get();
-  if (sketch_v != nullptr) {
-    ++merge_calls_;
-    sketch_u->MergeWindow(*sketch_v, t, window_);
-  }
+  VersionedHll& sketch_u = *MutableSketch(u);
+  merge_calls_ +=
+      ScanEdge(interaction, sketch_u, sketches_[v].get(), window_, /*part=*/0);
 }
 
 double IrsApprox::EstimateIrsSize(NodeId u) const {

@@ -31,24 +31,25 @@ struct IrsApproxOptions {
 /// relative error of ~1.04/sqrt(beta).
 class IrsApprox {
  public:
-  /// Runs the full reverse scan over a time-sorted interaction list.
-  /// Dispatches to ComputeParallel when the global thread count
-  /// (common/thread_pool.h) is > 1 and the graph is large enough for the
-  /// slab overhead to pay off; the result is identical either way.
+  /// Runs the full reverse scan over a time-sorted interaction list:
+  /// ComputeParallel with one part per global thread
+  /// (common/thread_pool.h). The result does not depend on the thread
+  /// count.
   static IrsApprox Compute(const InteractionGraph& graph, Duration window,
                            const IrsApproxOptions& options = {});
 
-  /// Parallel build (DESIGN.md §10): splits the reverse scan into
-  /// `num_slabs` contiguous time slabs built independently, then stitches
-  /// right-to-left so entries from later slabs flow across slab boundaries
-  /// exactly as the one-pass scan would have propagated them. Per-node
-  /// sketches are bit-identical to the sequential Compute for every slab
-  /// count (cross-validated in tests/test_parallel_irs.cc); slab builds and
-  /// per-node folds run on the global pool.
+  /// Cell-partitioned build (DESIGN.md §10): every sender's sketch is
+  /// split into P = min(max(num_parts, 1), beta) contiguous cell ranges,
+  /// and P workers on the global pool each run the whole one-pass reverse
+  /// scan over their own range of every sketch. No vHLL operation reads
+  /// two cells together, so each cell receives exactly the inserts of the
+  /// one-pass scan in the same order: sketches, tallies and counters are
+  /// bit-identical for every part count (cross-validated in
+  /// tests/test_parallel_irs.cc). P = 1 is the sequential scan.
   static IrsApprox ComputeParallel(const InteractionGraph& graph,
                                    Duration window,
                                    const IrsApproxOptions& options,
-                                   size_t num_slabs);
+                                   size_t num_parts);
 
   /// Empty instance; feed interactions with ProcessInteraction in reverse
   /// time order.
@@ -138,11 +139,6 @@ class IrsApprox {
 
   VersionedHll* MutableSketch(NodeId u);
 
-  // The plain one-pass reverse scan (the paper's Algorithm 3 verbatim).
-  static IrsApprox ComputeSequential(const InteractionGraph& graph,
-                                     Duration window,
-                                     const IrsApproxOptions& options);
-
   // Rolls the plain-member scan tallies up into the metrics registry; called
   // once per completed build (by Compute and the checkpointed variant).
   void PublishBuildMetrics() const;
@@ -159,9 +155,11 @@ class IrsApprox {
   // Compute() rolls them up into the metrics registry once per build.
   size_t edges_scanned_ = 0;
   size_t merge_calls_ = 0;
-  // Dual-mode storage. While building, sketches are allocated lazily (a
-  // node that never sends has an empty IRS and needs no sketch — phi(v) =
-  // {} in the exact algorithm, memory proportional to *active* sources).
+  // Dual-mode storage. While building, only nodes that send own a sketch
+  // (a node that never sends has an empty IRS and needs no sketch — phi(v)
+  // = {} in the exact algorithm, memory proportional to *active* sources):
+  // ProcessInteraction allocates it at the node's first send, Compute up
+  // front for every sender.
   // Seal() packs them into arena_ and frees them; exactly one of the two
   // representations is live at a time.
   std::vector<std::unique_ptr<VersionedHll>> sketches_;

@@ -7,8 +7,8 @@
 
 // Progress/heartbeat engine for batch jobs (builds, seed selection, Monte
 // Carlo runs). Long phases register themselves with a ProgressPhase RAII
-// scope and tick work-unit counters (edges scanned, slabs built, greedy
-// rounds, TCIC runs); a background reporter thread periodically turns the
+// scope and tick work-unit counters (edges scanned, greedy rounds, TCIC
+// runs); a background reporter thread periodically turns the
 // innermost active phase into
 //
 //   * a machine-readable heartbeat line (schema ipin.heartbeat.v1, one JSON

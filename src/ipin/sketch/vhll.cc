@@ -14,13 +14,15 @@ obs::MemoryTally& VhllMemTally() {
   return tally;
 }
 
-VersionedHll::VersionedHll(int precision, uint64_t salt)
+VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts)
     : precision_(precision), salt_(salt) {
   IPIN_CHECK_GE(precision, 4);
   IPIN_CHECK_LE(precision, 18);
   heads_.resize(static_cast<size_t>(1) << precision);
   max_ranks_.resize(heads_.size(), 0);
-  free_blocks_.fill(kNoBlock);
+  IPIN_CHECK_GE(num_parts, 1u);
+  IPIN_CHECK_LE(num_parts, heads_.size());
+  more_parts_.resize(num_parts - 1);
 }
 
 VersionedHll::VersionedHll(int precision, uint64_t salt,
@@ -37,8 +39,8 @@ VersionedHll::VersionedHll(int precision, uint64_t salt,
     IPIN_CHECK_LE(n, kMaxCellEntries);
     IPIN_CHECK_LE(n, ranks.size() - entry);
     const size_t cap = std::bit_ceil(n);
-    const uint32_t block = AllocateBlock(cap);
-    Entry* const list = pool_.data() + block;
+    const uint32_t block = AllocateBlock(first_part_, cap);
+    Entry* const list = first_part_.pool.data() + block;
     for (size_t i = 0; i < n; ++i, ++entry) {
       list[i] = {ranks[entry], times[entry]};
     }
@@ -60,12 +62,24 @@ bool VersionedHll::AddHash(uint64_t hash, Timestamp t) {
   return AddEntry(cell, static_cast<uint8_t>(r), t);
 }
 
+bool VersionedHll::AddInPart(uint64_t item, Timestamp t, size_t part) {
+  const uint64_t hash = Hash64(item, salt_);
+  if (PartOf(hash & (heads_.size() - 1)) != part) return false;
+  return AddHash(hash, t);
+}
+
 bool VersionedHll::AddEntry(size_t cell_index, uint8_t rank, Timestamp t) {
   IPIN_DCHECK(cell_index < heads_.size());
+  Part& p = part(PartOf(cell_index));
+  ++p.insert_attempts;
+  return Insert(p, cell_index, rank, t, &p.evictions);
+}
+
+bool VersionedHll::Insert(Part& p, size_t cell_index, uint8_t rank,
+                          Timestamp t, size_t* evicted) {
   IPIN_DCHECK(rank > 0);
-  ++insert_attempts_;
   CellHead& head = heads_[cell_index];
-  Entry* list = pool_.data() + head.offset;
+  Entry* list = p.pool.data() + head.offset;
   const size_t len = head.len;
 
   // Lists are ascending in both time and rank. Locate the first entry with
@@ -89,11 +103,11 @@ bool VersionedHll::AddEntry(size_t cell_index, uint8_t rank, Timestamp t) {
   while (end < len && list[end].rank <= rank) ++end;
 
   if (end == pos) {
-    if (len == head.cap) list = GrowCell(head);
+    if (len == head.cap) list = GrowCell(p, head);
     std::copy_backward(list + pos, list + len, list + len + 1);
     ++head.len;
   } else {
-    evictions_ += end - pos;  // dominated pairs dropped for the new one
+    *evicted += end - pos;  // dominated pairs dropped for the new one
     std::copy(list + end, list + len, list + pos + 1);
     head.len = static_cast<uint8_t>(len - (end - pos - 1));
   }
@@ -103,63 +117,70 @@ bool VersionedHll::AddEntry(size_t cell_index, uint8_t rank, Timestamp t) {
   return true;
 }
 
-VersionedHll::Entry* VersionedHll::GrowCell(CellHead& head) {
+VersionedHll::Entry* VersionedHll::GrowCell(Part& p, CellHead& head) {
   IPIN_CHECK_LT(head.cap, kMaxCellEntries);
   const size_t cap = head.cap == 0 ? 1 : 2 * size_t{head.cap};
-  const uint32_t block = AllocateBlock(cap);
-  Entry* const dst = pool_.data() + block;
-  std::copy_n(pool_.data() + head.offset, head.len, dst);
-  if (head.cap > 0) FreeBlock(head.offset, head.cap);
+  const uint32_t block = AllocateBlock(p, cap);
+  Entry* const dst = p.pool.data() + block;
+  std::copy_n(p.pool.data() + head.offset, head.len, dst);
+  if (head.cap > 0) FreeBlock(p, head.offset, head.cap);
   head.offset = block;
   head.cap = static_cast<uint8_t>(cap);
   return dst;
 }
 
-uint32_t VersionedHll::AllocateBlock(size_t cap) {
-  uint32_t& free_head = free_blocks_[std::countr_zero(cap)];
+uint32_t VersionedHll::AllocateBlock(Part& p, size_t cap) {
+  uint32_t& free_head = p.free_blocks[std::countr_zero(cap)];
   if (free_head != kNoBlock) {
     const uint32_t block = free_head;
-    free_head = static_cast<uint32_t>(pool_[block].time);
+    free_head = static_cast<uint32_t>(p.pool[block].time);
     return block;
   }
-  IPIN_CHECK_LE(pool_.size() + cap, size_t{kNoBlock});
-  const auto block = static_cast<uint32_t>(pool_.size());
-  pool_.resize(pool_.size() + cap);
+  IPIN_CHECK_LE(p.pool.size() + cap, size_t{kNoBlock});
+  const auto block = static_cast<uint32_t>(p.pool.size());
+  p.pool.resize(p.pool.size() + cap);
   return block;
 }
 
-void VersionedHll::FreeBlock(uint32_t offset, size_t cap) {
-  uint32_t& free_head = free_blocks_[std::countr_zero(cap)];
-  pool_[offset].time = free_head;
+void VersionedHll::FreeBlock(Part& p, uint32_t offset, size_t cap) {
+  uint32_t& free_head = p.free_blocks[std::countr_zero(cap)];
+  p.pool[offset].time = free_head;
   free_head = offset;
 }
 
 void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
                                Duration window) {
-  IPIN_CHECK_EQ(precision_, other.precision_);
-  IPIN_CHECK_EQ(salt_, other.salt_);
-  const Timestamp bound = merge_time + window;  // keep entries with t < bound
-  size_t scanned = 0;
-  size_t kept = 0;
-  for (size_t c = 0; c < heads_.size(); ++c) {
-    for (const Entry& e : other.cell(c)) {
-      if (e.time >= bound) break;  // ascending time: rest is out of window
-      ++scanned;
-      kept += AddEntry(c, e.rank, e.time);
-    }
+  for (size_t k = 0; k < num_parts(); ++k) {
+    MergeWindow(other, merge_time, window, k);
   }
-  merge_entries_scanned_ += scanned;
-  cell_updates_ += kept;
 }
 
-void VersionedHll::MergeAll(const VersionedHll& other) {
+void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
+                               Duration window, size_t part_index) {
   IPIN_CHECK_EQ(precision_, other.precision_);
   IPIN_CHECK_EQ(salt_, other.salt_);
-  for (size_t c = 0; c < heads_.size(); ++c) {
-    for (const Entry& e : other.cell(c)) {
-      AddEntry(c, e.rank, e.time);
+  IPIN_CHECK_EQ(num_parts(), other.num_parts());
+  const Timestamp bound = merge_time + window;  // keep entries with t < bound
+  // One part lookup per call, not per cell: this loop is the build's hot
+  // path.
+  Part& p = part(part_index);
+  const Entry* const from = other.part(part_index).pool.data();
+  size_t scanned = 0;
+  size_t kept = 0;
+  size_t evicted = 0;
+  const size_t end = PartBegin(part_index + 1);
+  for (size_t c = PartBegin(part_index); c < end; ++c) {
+    const CellHead& head = other.heads_[c];
+    for (const Entry& e : std::span(from + head.offset, head.len)) {
+      if (e.time >= bound) break;  // ascending time: rest is out of window
+      ++scanned;
+      kept += Insert(p, c, e.rank, e.time, &evicted);
     }
   }
+  p.insert_attempts += scanned;
+  p.evictions += evicted;
+  p.merge_entries_scanned += scanned;
+  p.cell_updates += kept;
 }
 
 bool VersionedHll::MergeWithFloor(const VersionedHll& other, Timestamp floor,
@@ -211,19 +232,27 @@ void VersionedHll::CompactExpired(Timestamp frontier, Duration window) {
   const Timestamp bound = frontier + window;
   for (size_t c = 0; c < heads_.size(); ++c) {
     CellHead& head = heads_[c];
-    const Entry* list = pool_.data() + head.offset;
+    const CellList list = cell(c);
     while (head.len > 0 && list[head.len - 1].time >= bound) --head.len;
     max_ranks_[c] = head.len == 0 ? 0 : list[head.len - 1].rank;
   }
 }
 
 void VersionedHll::Clear() {
-  // Keeps the pool's capacity (like clearing a vector) but forgets every
-  // block: the next inserts carve fresh blocks from the start of the pool.
-  pool_.clear();
+  // Keeps the pools' capacity (like clearing a vector) but forgets every
+  // block: the next inserts carve fresh blocks from the start of the pools.
+  for (size_t k = 0; k < num_parts(); ++k) {
+    part(k).pool.clear();
+    part(k).free_blocks.fill(kNoBlock);
+  }
   std::fill(heads_.begin(), heads_.end(), CellHead{});
-  free_blocks_.fill(kNoBlock);
   std::fill(max_ranks_.begin(), max_ranks_.end(), 0);
+}
+
+size_t VersionedHll::SumOverParts(size_t Part::*tally) const {
+  size_t total = 0;
+  for (size_t k = 0; k < num_parts(); ++k) total += part(k).*tally;
+  return total;
 }
 
 size_t VersionedHll::NumEntries() const {
@@ -235,7 +264,8 @@ size_t VersionedHll::NumEntries() const {
 bool VersionedHll::CheckInvariants() const {
   for (size_t c = 0; c < heads_.size(); ++c) {
     const CellHead& head = heads_[c];
-    if (head.len > head.cap || size_t{head.offset} + head.cap > pool_.size()) {
+    if (head.len > head.cap ||
+        size_t{head.offset} + head.cap > part(PartOf(c)).pool.size()) {
       return false;
     }
     const CellList list = cell(c);
@@ -254,9 +284,13 @@ bool VersionedHll::CheckInvariants() const {
 }
 
 size_t VersionedHll::MemoryUsageBytes() const {
-  return heads_.capacity() * sizeof(CellHead) +
-         pool_.capacity() * sizeof(Entry) +
-         max_ranks_.capacity() * sizeof(uint8_t);
+  size_t bytes = heads_.capacity() * sizeof(CellHead) +
+                 max_ranks_.capacity() * sizeof(uint8_t) +
+                 more_parts_.capacity() * sizeof(Part);
+  for (size_t k = 0; k < num_parts(); ++k) {
+    bytes += part(k).pool.capacity() * sizeof(Entry);
+  }
+  return bytes;
 }
 
 }  // namespace ipin

@@ -39,19 +39,27 @@ obs::MemoryTally& VhllMemTally();
 /// IRS algorithm therefore never calls CompactExpired. It is provided for
 /// callers that only ever issue windowed queries (EstimateBefore).
 ///
-/// Storage: one pooled entry buffer per sketch, not one heap vector per
-/// cell. `pool_` holds every cell's entries; `heads_[c]` gives the offset,
-/// length and capacity of cell c's block. Block capacities are powers of
-/// two from 1 to 64 (a list never exceeds 64 entries: ranks are distinct
-/// and at most 64 - precision + 1). A full cell moves to a block twice its
-/// size, taken from the free list of that size class or, when the list is
-/// empty, appended to the end of the pool; the old block goes onto its
-/// own class's free list, linked through its first entry's time field.
-/// Blocks never shrink and the pool never compacts, so a sketch's
-/// footprint is its pool capacity — free-listed blocks included — plus
-/// the two beta-sized arrays; MemoryUsageBytes() reports exactly that.
-/// A sketch owns three heap buffers instead of beta + 2, which is what
-/// makes the build scan and freeing the sketches at Seal() cheap.
+/// Storage: pooled entry buffers, not one heap vector per cell. The cells
+/// are split into `num_parts` contiguous ranges ("parts"; part k holds
+/// cells [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns an entry
+/// pool, its free lists and its lifetime tallies. `heads_[c]` gives the
+/// offset (into c's part's pool), length and capacity of cell c's block.
+/// Block capacities are powers of two from 1 to 64 (a list never exceeds
+/// 64 entries: ranks are distinct and at most 64 - precision + 1). A full
+/// cell moves to a block twice its size, taken from the free list of that
+/// size class or, when the list is empty, appended to the end of the pool;
+/// the old block goes onto its own class's free list, linked through its
+/// first entry's time field. Blocks never shrink and pools never compact,
+/// so a sketch's footprint is its pools' capacity — free-listed blocks
+/// included — plus the two beta-sized arrays and, with more than one part,
+/// the array of parts 1..P-1; MemoryUsageBytes() reports exactly that.
+///
+/// No operation reads two cells together, so parts never interact: a
+/// parallel build gives each worker one part of every sketch, and workers
+/// write disjoint cells of `heads_` and `max_ranks_` (IrsApprox::Compute).
+/// Part 0 lives inline, so a one-part sketch — every sketch outside the
+/// partitioned build — owns three heap buffers instead of beta + 2, which
+/// is what makes the build scan and freeing the sketches at Seal() cheap.
 class VersionedHll {
  public:
   /// One (rank, timestamp) pair of a cell list.
@@ -67,16 +75,18 @@ class VersionedHll {
   /// Longest possible cell list, and the largest block size class.
   static constexpr size_t kMaxCellEntries = 64;
 
-  /// `precision` must be in [4, 18]; all sketches that will ever be merged
-  /// must share `precision` and `salt`.
-  explicit VersionedHll(int precision, uint64_t salt = 0);
+  /// `precision` must be in [4, 18] and `num_parts` in [1, beta]; all
+  /// sketches that will ever be merged must share `precision` and `salt`,
+  /// and MergeWindow's operands also `num_parts` (checked).
+  explicit VersionedHll(int precision, uint64_t salt = 0,
+                        size_t num_parts = 1);
 
   /// A sketch holding the given cell lists, in the stored form of a
   /// SketchArena node (its NodeRange): `cell_counts` (one per cell) cut
   /// `ranks` and the parallel `times` into lists in cell order. The lists
   /// must already satisfy the vHLL invariants, as an arena's checked ones
   /// do; the sizes are checked. Each cell gets the smallest block that
-  /// holds it. Lifetime tallies start at zero.
+  /// holds it. The sketch has one part; lifetime tallies start at zero.
   VersionedHll(int precision, uint64_t salt,
                std::span<const uint8_t> cell_counts,
                std::span<const uint8_t> ranks,
@@ -90,6 +100,11 @@ class VersionedHll {
   /// sketch changed.
   bool AddHash(uint64_t hash, Timestamp t);
 
+  /// As Add, but only when the item hashes into a cell of part `part`;
+  /// returns false without touching the sketch otherwise. One worker per
+  /// part, each offered every item, inserts exactly what Add would.
+  bool AddInPart(uint64_t item, Timestamp t, size_t part);
+
   /// Inserts an explicit (cell, rank, time) triple, applying domination
   /// pruning (the paper's ApproxAdd). Exposed for merges and tests.
   /// Returns true if the sketch changed (entry kept).
@@ -100,9 +115,10 @@ class VersionedHll {
   void MergeWindow(const VersionedHll& other, Timestamp merge_time,
                    Duration window);
 
-  /// Unrestricted merge (all entries); used when unioning the final
-  /// per-node sketches in the influence oracle.
-  void MergeAll(const VersionedHll& other);
+  /// As above, restricted to the cells of part `part`. Merging every part
+  /// once is the full merge.
+  void MergeWindow(const VersionedHll& other, Timestamp merge_time,
+                   Duration window, size_t part);
 
   /// Merge for sliding-window neighborhood profiles (Kumar et al. 2015):
   /// folds in entries of `other` with time < bound, CLAMPING each merged
@@ -136,28 +152,36 @@ class VersionedHll {
   int precision() const { return precision_; }
   uint64_t salt() const { return salt_; }
   size_t num_cells() const { return heads_.size(); }
+  size_t num_parts() const { return more_parts_.size() + 1; }
+
+  /// The part that holds cell `c`: floor(c * P / beta).
+  size_t PartOf(size_t c) const { return (c * num_parts()) >> precision_; }
 
   /// Total number of stored (rank, time) pairs across all cells.
   size_t NumEntries() const;
 
   /// Lifetime count of AddEntry calls (before domination filtering); the
   /// ratio NumEntries()/NumInsertAttempts() measures what pruning saves.
-  size_t NumInsertAttempts() const { return insert_attempts_; }
+  size_t NumInsertAttempts() const {
+    return SumOverParts(&Part::insert_attempts);
+  }
 
   /// Lifetime count of stored pairs evicted because a newly inserted pair
   /// dominated them (the flip side of NumInsertAttempts' rejected inserts).
-  size_t NumEvictions() const { return evictions_; }
+  size_t NumEvictions() const { return SumOverParts(&Part::evictions); }
 
   /// Lifetime count of entries examined by MergeWindow (window-eligible
   /// pairs read from the other sketch) and of those that survived
   /// domination filtering and updated a cell. Plain tallies: the merge
   /// loop stays atomics-free and callers roll them up into the registry.
-  size_t NumMergeEntriesScanned() const { return merge_entries_scanned_; }
-  size_t NumCellUpdates() const { return cell_updates_; }
+  size_t NumMergeEntriesScanned() const {
+    return SumOverParts(&Part::merge_entries_scanned);
+  }
+  size_t NumCellUpdates() const { return SumOverParts(&Part::cell_updates); }
 
   /// The raw list of cell `i` (ascending time, strictly ascending rank).
   CellList cell(size_t i) const {
-    return {pool_.data() + heads_[i].offset, heads_[i].len};
+    return {part(PartOf(i)).pool.data() + heads_[i].offset, heads_[i].len};
   }
 
   /// Per-cell max rank (0 for an empty cell), maintained on every mutation.
@@ -177,16 +201,17 @@ class VersionedHll {
   bool CheckInvariants() const;
 
   /// Heap footprint in bytes: the capacity of the cell heads, the entry
-  /// pool (free-listed blocks included) and the max-rank cache. Equals what
-  /// the sketch charges the "vhll" tally.
+  /// pools (free-listed blocks included), the max-rank cache and the array
+  /// of parts 1..P-1. Equals what the sketch charges the "vhll" tally.
   size_t MemoryUsageBytes() const;
 
  private:
   template <typename T>
   using TallyVector = std::vector<T, obs::TallyAllocator<T, &VhllMemTally>>;
 
-  // Where cell c's block lives in pool_: entries [offset, offset + len),
-  // block capacity `cap` (0 for a cell that never held an entry).
+  // Where cell c's block lives in its part's pool: entries
+  // [offset, offset + len), block capacity `cap` (0 for a cell that never
+  // held an entry).
   struct CellHead {
     uint32_t offset = 0;
     uint8_t len = 0;
@@ -197,27 +222,49 @@ class VersionedHll {
   static constexpr size_t kNumSizeClasses = 7;
   static constexpr uint32_t kNoBlock = UINT32_MAX;
 
+  // The storage of one cell range, touched only by operations on its cells.
+  struct Part {
+    Part() { free_blocks.fill(kNoBlock); }
+    TallyVector<Entry> pool;
+    // Head of each size class's free list (kNoBlock when empty).
+    std::array<uint32_t, kNumSizeClasses> free_blocks;
+    size_t insert_attempts = 0;
+    size_t evictions = 0;
+    size_t merge_entries_scanned = 0;
+    size_t cell_updates = 0;
+  };
+
+  Part& part(size_t k) { return k == 0 ? first_part_ : more_parts_[k - 1]; }
+  const Part& part(size_t k) const {
+    return k == 0 ? first_part_ : more_parts_[k - 1];
+  }
+  // First cell of part k (k == num_parts() gives the end of the last part).
+  size_t PartBegin(size_t k) const {
+    return (k * heads_.size() + num_parts() - 1) / num_parts();
+  }
+  size_t SumOverParts(size_t Part::*tally) const;
+
+  // ApproxAdd of (rank, t) into cell c, whose block lives in p's pool:
+  // AddEntry without the lookup and the tallies. Adds the number of pairs
+  // the new one dominated to *evicted. Returns true if the pair was kept.
+  bool Insert(Part& p, size_t c, uint8_t rank, Timestamp t, size_t* evicted);
   // Moves cell `head` to a block twice its capacity and returns the
-  // block's first entry. May reallocate pool_.
-  Entry* GrowCell(CellHead& head);
+  // block's first entry. May reallocate p.pool.
+  Entry* GrowCell(Part& p, CellHead& head);
   // Returns the offset of a free block of `cap` entries (a power of two),
-  // reusing a free-listed one when there is one. May reallocate pool_.
-  uint32_t AllocateBlock(size_t cap);
-  void FreeBlock(uint32_t offset, size_t cap);
+  // reusing a free-listed one when there is one. May reallocate p.pool.
+  uint32_t AllocateBlock(Part& p, size_t cap);
+  void FreeBlock(Part& p, uint32_t offset, size_t cap);
 
   int precision_;
   uint64_t salt_;
-  size_t insert_attempts_ = 0;
-  size_t evictions_ = 0;
-  size_t merge_entries_scanned_ = 0;
-  size_t cell_updates_ = 0;
   TallyVector<CellHead> heads_;
-  TallyVector<Entry> pool_;
-  // Head of each size class's free list (kNoBlock when empty).
-  std::array<uint32_t, kNumSizeClasses> free_blocks_;
   // Cache of cell(c).back().rank (0 when empty), kept in sync by every
   // mutating method so Estimate() and the union fast paths are O(beta).
   TallyVector<uint8_t> max_ranks_;
+  Part first_part_;
+  // Parts 1..P-1; empty (no allocation) for a one-part sketch.
+  TallyVector<Part> more_parts_;
 };
 
 }  // namespace ipin

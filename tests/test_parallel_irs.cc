@@ -100,6 +100,58 @@ TEST_F(ParallelIrsTest, TinyGraphFallsBackToSequential) {
             expected);
 }
 
+// The build tallies and the counters they publish count the work of the
+// one-pass scan, whatever the thread count.
+TEST_F(ParallelIrsTest, BuildTalliesDoNotDependOnThreadCount) {
+  const InteractionGraph g = TestGraph();
+  const char* const kCounters[] = {
+      "sketch.vhll.insert_attempts", "sketch.vhll.merge_entries_scanned",
+      "sketch.vhll.cell_updates", "sketch.vhll.dominance_evictions",
+      "sketch.vhll.merges"};
+  struct Tallies {
+    std::vector<size_t> totals;
+    std::vector<uint64_t> counters;
+  };
+  const auto build = [&](size_t threads) {
+    SetGlobalThreads(threads);
+    auto& registry = obs::MetricsRegistry::Global();
+    std::vector<uint64_t> before;
+    for (const char* name : kCounters) {
+      before.push_back(registry.GetCounter(name)->Value());
+    }
+    const IrsApprox irs = IrsApprox::Compute(g, 2500, Options(6));
+    Tallies tallies;
+    tallies.totals = {irs.TotalInsertAttempts(), irs.TotalEvictions(),
+                      irs.TotalMergeEntriesScanned(), irs.TotalCellUpdates()};
+    for (size_t i = 0; i < std::size(kCounters); ++i) {
+      tallies.counters.push_back(
+          registry.GetCounter(kCounters[i])->Value() - before[i]);
+    }
+    return tallies;
+  };
+
+  const Tallies sequential = build(1);
+  EXPECT_GT(sequential.totals[0], 0u);
+  for (const size_t threads : {2u, 7u}) {
+    const Tallies parallel = build(threads);
+    EXPECT_EQ(parallel.totals, sequential.totals) << threads << " threads";
+    EXPECT_EQ(parallel.counters, sequential.counters) << threads << " threads";
+  }
+}
+
+// beta = 16 cells: 16 threads give every part one cell, and 32 threads are
+// capped at one part per cell.
+TEST_F(ParallelIrsTest, OneCellPerPartMatchesSequential) {
+  const InteractionGraph g = TestGraph();
+  SetGlobalThreads(1);
+  const auto expected = Fingerprint(IrsApprox::Compute(g, 2500, Options(4)));
+  for (const size_t threads : {16u, 32u}) {
+    SetGlobalThreads(threads);
+    EXPECT_EQ(Fingerprint(IrsApprox::Compute(g, 2500, Options(4))), expected)
+        << threads << " threads";
+  }
+}
+
 TEST_F(ParallelIrsTest, GreedySeedSelectionIsThreadCountInvariant) {
   const InteractionGraph g = TestGraph();
   SetGlobalThreads(1);

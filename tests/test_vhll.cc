@@ -16,6 +16,10 @@
 namespace ipin {
 namespace {
 
+// A MergeWindow window past every timestamp these tests use: the merge
+// keeps every entry of the other sketch.
+constexpr Duration kWholeWindow = std::numeric_limits<Timestamp>::max() / 4;
+
 // Reference model: remembers every (cell, rank, time) triple ever inserted
 // and answers per-cell max-rank queries exactly. The vHLL with domination
 // pruning must agree with this model for EVERY time bound — that is the
@@ -28,7 +32,7 @@ class VhllModel {
     cells_[cell].push_back({rank, t});
   }
 
-  // Mirrors MergeWithFloor (and, with floor = min, MergeWindow/MergeAll):
+  // Mirrors MergeWithFloor (and, with floor = min, MergeWindow):
   // every pair of `other` with time < bound, its time clamped up to floor.
   void MergeFrom(const VhllModel& other, Timestamp floor, Timestamp bound) {
     for (size_t c = 0; c < cells_.size(); ++c) {
@@ -229,7 +233,7 @@ TEST(VhllTest, MergeAllTakesEverything) {
   VersionedHll b(8);
   for (uint64_t i = 0; i < 800; ++i) a.Add(i, 1);
   for (uint64_t i = 400; i < 1200; ++i) b.Add(i, 2);
-  a.MergeAll(b);
+  a.MergeWindow(b, 0, kWholeWindow);
   EXPECT_NEAR(a.Estimate(), 1200.0, 200.0);
   EXPECT_TRUE(a.CheckInvariants());
 }
@@ -252,7 +256,7 @@ TEST(VhllTest, MergePreservesPerBoundMaxRanks) {
       }
       model.Add(cell, rank, t);
     }
-    a.MergeAll(b);
+    a.MergeWindow(b, 0, kWholeWindow);
     ASSERT_TRUE(a.CheckInvariants());
     ExpectAgreesWithModel(a, model, {0, 10, 20, 40, 79, 80, 200});
   }
@@ -434,7 +438,7 @@ TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
           model_a.MergeFrom(model_b, kNoFloor, cut);
           break;
         case 1:
-          a.MergeAll(b);
+          a.MergeWindow(b, 0, kWholeWindow);
           model_a.MergeFrom(model_b, kNoFloor, kFar);
           break;
         default:  // clamps b's early pairs up to `cut`
@@ -444,7 +448,7 @@ TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
       }
       check("grow", cycle);
     }
-    a.MergeAll(b);
+    a.MergeWindow(b, 0, kWholeWindow);
     model_a.MergeFrom(model_b, kNoFloor, kFar);
     check("grown", cycle);
     for (size_t c = 0; c < kCells; ++c) {
@@ -466,7 +470,7 @@ TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
       } else {
         b.AddEntry(c, top, base + 100);
         model_b.Add(c, top, base + 100);
-        a.MergeAll(b);
+        a.MergeWindow(b, 0, kWholeWindow);
         model_a.MergeFrom(model_b, kNoFloor, kFar);
       }
       ASSERT_EQ(a.cell(c).size(), 1u) << c;
@@ -555,6 +559,75 @@ TEST(VhllTest, RefilledSketchKeepsGrowing) {
     EXPECT_EQ(CellsOf(SketchView(&copy)), CellsOf(SketchView(&original)))
         << "trial " << trial;
   }
+}
+
+// A sketch split into parts holds the same cells and tallies as a one-part
+// sketch fed the same operations, whether a merge runs in one call or one
+// part at a time, and its byte count covers every part's pool. A one-part
+// sketch allocates no part array.
+TEST(VhllTest, PartitionedSketchMatchesOnePart) {
+  constexpr int kPrecision = 5;  // 32 cells in parts [0, 11), [11, 22), [22, 32)
+  constexpr size_t kCells = size_t{1} << kPrecision;
+  obs::MemoryTally& tally = VhllMemTally();
+  const int64_t tally_before = tally.CurrentBytes();
+  Rng rng(4242);
+  VersionedHll whole(kPrecision, 5);
+  VersionedHll whole_source(kPrecision, 5);
+  VersionedHll split(kPrecision, 5, 3);
+  VersionedHll split_source(kPrecision, 5, 3);
+  ASSERT_EQ(split.num_parts(), 3u);
+  EXPECT_EQ(split.PartOf(10), 0u);
+  EXPECT_EQ(split.PartOf(11), 1u);
+  EXPECT_EQ(split.PartOf(21), 1u);
+  EXPECT_EQ(split.PartOf(22), 2u);
+  EXPECT_EQ(split.PartOf(kCells - 1), 2u);
+  // Cell heads (8 bytes a cell) and the max-rank cache, nothing else.
+  EXPECT_EQ(whole.MemoryUsageBytes(), kCells * (8 + 1));
+
+  for (int op = 0; op < 3000; ++op) {
+    const size_t cell = rng.NextBounded(kCells);
+    const auto rank = static_cast<uint8_t>(1 + rng.NextBounded(40));
+    const auto t = static_cast<Timestamp>(rng.NextBounded(2000));
+    switch (rng.NextBounded(8)) {
+      case 0:
+        whole.MergeWindow(whole_source, t, 300);
+        split.MergeWindow(split_source, t, 300);
+        break;
+      case 1:
+        whole.MergeWindow(whole_source, t, 300);
+        for (const size_t part : {2u, 0u, 1u}) {
+          split.MergeWindow(split_source, t, 300, part);
+        }
+        break;
+      case 2:
+        whole_source.AddEntry(cell, rank, t);
+        split_source.AddEntry(cell, rank, t);
+        break;
+      case 3: {
+        const uint64_t item = rng.NextUint64();
+        whole.Add(item, t);
+        for (size_t part = 0; part < split.num_parts(); ++part) {
+          split.AddInPart(item, t, part);
+        }
+        break;
+      }
+      default:
+        whole.AddEntry(cell, rank, t);
+        split.AddEntry(cell, rank, t);
+        break;
+    }
+  }
+  ASSERT_TRUE(split.CheckInvariants());
+  EXPECT_EQ(CellsOf(SketchView(&split)), CellsOf(SketchView(&whole)));
+  EXPECT_EQ(split.NumInsertAttempts(), whole.NumInsertAttempts());
+  EXPECT_EQ(split.NumEvictions(), whole.NumEvictions());
+  EXPECT_EQ(split.NumMergeEntriesScanned(), whole.NumMergeEntriesScanned());
+  EXPECT_EQ(split.NumCellUpdates(), whole.NumCellUpdates());
+  EXPECT_GT(split.NumEvictions(), 0u);
+  EXPECT_EQ(tally.CurrentBytes() - tally_before,
+            static_cast<int64_t>(
+                whole.MemoryUsageBytes() + whole_source.MemoryUsageBytes() +
+                split.MemoryUsageBytes() + split_source.MemoryUsageBytes()));
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};
