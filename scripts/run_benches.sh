@@ -8,11 +8,14 @@
 #                          [--reps=3] [--scale=0.05] [--datasets=slashdot]
 #                          [--threads=1] [--ledger-dir=DIR]
 #
-#   --quick      micro-benches only (micro_irs, micro_sketch,
-#                micro_structures), 2 reps, minimal measuring time —
-#                the CI smoke configuration, a couple of minutes.
-#   full (default) additionally runs the fig3/fig4/table4 harnesses and
-#                uses 3 reps.
+#   --quick      micro-benches (micro_irs, micro_sketch, micro_structures)
+#                plus the table4_memory harness, 2 reps, minimal measuring
+#                time — the CI smoke configuration, a couple of minutes.
+#                table4_memory's vHLL and sealed-arena byte tallies are
+#                allocator-counted, so every push compares deterministic
+#                memory numbers against the committed baseline.
+#   full (default) additionally runs the fig3/fig4/serving/reshard
+#                harnesses and uses 3 reps.
 #   --threads=N  worker-pool size for every bench (harnesses get --threads=N,
 #                micro benches inherit it via IPIN_THREADS). Defaults to 1 so
 #                bench-history documents stay comparable across machines;
@@ -118,30 +121,31 @@ for bench in "${MICRO_BENCHES[@]}"; do
 done
 
 # --- harness benches (ipin.metrics.v1 reports) ----------------------------
+HARNESSES=(table4_memory)
 if [[ $QUICK == 0 ]]; then
   HARNESSES=(fig3_processing_time fig4_oracle_query table4_memory
              oracle_serving oracle_serving_shards reshard)
-  for bench in "${HARNESSES[@]}"; do
-    # oracle_serving_shards is the same binary in scatter-gather mode: the
-    # router over 2/4/8 in-process shards, its own history document.
-    exe="$bench"
-    extra=()
-    if [[ "$bench" == oracle_serving_shards ]]; then
-      exe=oracle_serving
-      extra=(--sharded_only=1 --shards=2,4,8)
-    fi
-    reps=()
-    for ((r = 1; r <= REPS; ++r)); do
-      rep_file="$OUT_DIR/reps/${bench}.rep${r}.json"
-      echo "== bench_${bench} rep $r/$REPS"
-      "$BUILD_DIR/bench/bench_${exe}" "${extra[@]}" \
-        --datasets="$DATASETS" --scale="$SCALE" --threads="$THREADS" \
-        --metrics_out="$rep_file" >/dev/null
-      reps+=("$rep_file")
-    done
-    aggregate "$bench" "${reps[@]}"
-  done
 fi
+for bench in "${HARNESSES[@]}"; do
+  # oracle_serving_shards is the same binary in scatter-gather mode: the
+  # router over 2/4/8 in-process shards, its own history document.
+  exe="$bench"
+  extra=()
+  if [[ "$bench" == oracle_serving_shards ]]; then
+    exe=oracle_serving
+    extra=(--sharded_only=1 --shards=2,4,8)
+  fi
+  reps=()
+  for ((r = 1; r <= REPS; ++r)); do
+    rep_file="$OUT_DIR/reps/${bench}.rep${r}.json"
+    echo "== bench_${bench} rep $r/$REPS"
+    "$BUILD_DIR/bench/bench_${exe}" "${extra[@]}" \
+      --datasets="$DATASETS" --scale="$SCALE" --threads="$THREADS" \
+      --metrics_out="$rep_file" >/dev/null
+    reps+=("$rep_file")
+  done
+  aggregate "$bench" "${reps[@]}"
+done
 
 echo
 echo "bench-history documents:"

@@ -75,36 +75,58 @@ void SketchArena::AppendCopy(NodeId u, const SketchView& sketch) {
   IPIN_CHECK(sketch.valid());
   IPIN_CHECK_EQ(sketch.precision(), precision_);
   IPIN_CHECK_EQ(sketch.salt(), salt_);
-  bool appended = false;
   if (sketch.hll_ != nullptr) {
-    const VersionedHll& hll = *sketch.hll_;
-    appended = AppendNode(u, [&hll](size_t c, uint8_t* ranks, int64_t* times,
-                                    size_t room) {
-      const VersionedHll::CellList& list = hll.cell(c);
-      if (list.size() > room) return -1;
-      for (size_t i = 0; i < list.size(); ++i) {
-        ranks[i] = list[i].rank;
-        times[i] = list[i].time;
-      }
-      return static_cast<int>(list.size());
-    });
-  } else {
-    const SketchArena& src = *sketch.arena_;
-    const size_t s = src.slot(sketch.node_);
-    const uint8_t* counts = src.cell_counts_.data() + s * beta_;
-    size_t entry = src.slot_entry_base_[s];
-    appended = AppendNode(u, [&](size_t c, uint8_t* ranks, int64_t* times,
-                                 size_t room) {
-      const size_t n = counts[c];
-      if (n > room) return -1;
-      std::memcpy(ranks, src.entry_ranks_.data() + entry, n);
-      std::memcpy(times, src.entry_times_.data() + entry,
-                  n * sizeof(int64_t));
-      entry += n;
-      return static_cast<int>(n);
-    });
+    AppendSketch(u, *sketch.hll_);
+    return;
   }
+  const SketchArena& src = *sketch.arena_;
+  const size_t s = src.slot(sketch.node_);
+  const uint8_t* counts = src.cell_counts_.data() + s * beta_;
+  size_t entry = src.slot_entry_base_[s];
+  const bool appended = AppendNode(
+      u, [&](size_t c, uint8_t* ranks, int64_t* times, size_t room) {
+        const size_t n = counts[c];
+        if (n > room) return -1;
+        if (n == 0) return 0;  // an arena without pairs has null arrays
+        std::memcpy(ranks, src.entry_ranks_.data() + entry, n);
+        std::memcpy(times, src.entry_times_.data() + entry,
+                    n * sizeof(int64_t));
+        entry += n;
+        return static_cast<int>(n);
+      });
   IPIN_CHECK(appended);
+}
+
+void SketchArena::AppendSketch(NodeId u, const VersionedHll& hll) {
+  IPIN_CHECK_LT(u, num_nodes_);
+  IPIN_CHECK_EQ(slot_of_[u], kNoSlot);
+  const size_t s = num_allocated_;
+  IPIN_CHECK_LT(s + 1, slot_entry_base_.size());
+  const size_t base = slot_entry_base_[s];
+  IPIN_CHECK_LE(hll.NumEntries(), entry_ranks_.size() - base);
+  // The sketch keeps its invariants and its max-rank cache on every
+  // mutation, so its cells are copied, not re-checked, and the rank-plane
+  // row is that cache. Each cell's ranks and times are two runs of at most
+  // 64; they are copied by plain loops, as a memcpy call per run would cost
+  // more than the few entries a cell holds.
+  uint8_t* counts = cell_counts_.data() + s * beta_;
+  uint8_t* ranks = entry_ranks_.data() + base;
+  int64_t* times = entry_times_.data() + base;
+  for (size_t c = 0; c < beta_; ++c) {
+    const VersionedHll::CellList list = hll.cell(c);
+    const size_t n = list.size();
+    counts[c] = static_cast<uint8_t>(n);
+    for (size_t i = 0; i < n; ++i) ranks[i] = list.ranks()[i];
+    for (size_t i = 0; i < n; ++i) times[i] = list.times()[i];
+    ranks += n;
+    times += n;
+  }
+  std::memcpy(rank_plane_.data() + static_cast<size_t>(u) * beta_,
+              hll.max_ranks().data(), beta_);
+  slot_of_[u] = static_cast<uint32_t>(s);
+  slot_entry_base_[s + 1] = static_cast<size_t>(ranks - entry_ranks_.data());
+  num_allocated_ = s + 1;
+  IPIN_DCHECK(CheckNodeInvariants(u));
 }
 
 void SketchArena::RollBack(size_t num_allocated, NodeId first, NodeId end) {

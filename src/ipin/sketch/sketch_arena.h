@@ -30,12 +30,14 @@
 //                windowed bounded-max kernel.
 //
 // Every array is sized once, up front. Nodes are filled one at a time by
-// AppendNode (sealing a build, copying nodes between arenas for shard
-// extraction and reshard reconstruction), or a run at a time by
-// AppendNodes, which restores saved sketches: index files and build
-// checkpoints store each 256-node chunk as the ContiguousRange of this
-// layout, so a restore is a bulk copy plus one checking pass (oracle_io).
-// Both fill paths enforce the same invariants.
+// AppendCopy (sealing a build: a VersionedHll's pool already keeps ranks
+// and times in split arrays, so each cell is two copied runs; or copying
+// nodes between arenas for shard extraction and reshard reconstruction,
+// through AppendNode), or a run at a time by AppendNodes, which restores
+// saved sketches: index files and build checkpoints store each 256-node
+// chunk as the ContiguousRange of this layout, so a restore is a bulk copy
+// plus one checking pass (oracle_io). AppendNode and AppendNodes enforce
+// the same invariants; a build sketch maintains them itself.
 
 namespace ipin {
 
@@ -169,6 +171,9 @@ class SketchArena {
 
   /// Slot of node u; callers must have checked has_node.
   size_t slot(NodeId u) const { return slot_of_[u]; }
+
+  /// AppendCopy of a build sketch (checked, like AppendCopy).
+  void AppendSketch(NodeId u, const VersionedHll& hll);
 
   int precision_;
   uint64_t salt_;

@@ -32,20 +32,25 @@ VersionedHll::VersionedHll(int precision, uint64_t salt,
     : VersionedHll(precision, salt) {
   IPIN_CHECK_EQ(cell_counts.size(), heads_.size());
   IPIN_CHECK_EQ(ranks.size(), times.size());
+  size_t slots = 0;
+  for (const uint8_t n : cell_counts) {
+    IPIN_CHECK_LE(n, kMaxCellEntries);
+    slots += n == 0 ? 0 : std::bit_ceil(size_t{n});
+  }
+  first_part_.ranks.reserve(slots);
+  first_part_.times.reserve(slots);
   size_t entry = 0;
   for (size_t c = 0; c < heads_.size(); ++c) {
     const size_t n = cell_counts[c];
     if (n == 0) continue;
-    IPIN_CHECK_LE(n, kMaxCellEntries);
     IPIN_CHECK_LE(n, ranks.size() - entry);
     const size_t cap = std::bit_ceil(n);
     const uint32_t block = AllocateBlock(first_part_, cap);
-    Entry* const list = first_part_.pool.data() + block;
-    for (size_t i = 0; i < n; ++i, ++entry) {
-      list[i] = {ranks[entry], times[entry]};
-    }
+    std::copy_n(ranks.data() + entry, n, first_part_.ranks.data() + block);
+    std::copy_n(times.data() + entry, n, first_part_.times.data() + block);
+    entry += n;
     heads_[c] = {block, static_cast<uint8_t>(n), static_cast<uint8_t>(cap)};
-    max_ranks_[c] = list[n - 1].rank;
+    max_ranks_[c] = first_part_.ranks[block + n - 1];
   }
   IPIN_CHECK_EQ(entry, ranks.size());
   IPIN_DCHECK(CheckInvariants());
@@ -79,72 +84,94 @@ bool VersionedHll::Insert(Part& p, size_t cell_index, uint8_t rank,
                           Timestamp t, size_t* evicted) {
   IPIN_DCHECK(rank > 0);
   CellHead& head = heads_[cell_index];
-  Entry* list = p.pool.data() + head.offset;
+  uint8_t* ranks = p.ranks.data() + head.offset;
+  Timestamp* times = p.times.data() + head.offset;
   const size_t len = head.len;
 
   // Lists are ascending in both time and rank. Locate the first entry with
   // time > t; every entry before it has time <= t, and the largest rank in
   // that prefix sits immediately before the insertion point.
   size_t pos = len;
-  while (pos > 0 && list[pos - 1].time > t) --pos;
+  while (pos > 0 && times[pos - 1] > t) --pos;
 
-  if (pos > 0 && list[pos - 1].rank >= rank) {
+  if (pos > 0 && ranks[pos - 1] >= rank) {
     return false;  // dominated by an earlier (or simultaneous) >=-rank entry
   }
 
   // Entries sharing timestamp t all have rank < `rank` at this point (the
   // prefix max did), so the new pair dominates them too; pull them into the
   // removal run.
-  while (pos > 0 && list[pos - 1].time == t) --pos;
+  while (pos > 0 && times[pos - 1] == t) --pos;
 
   // The new pair dominates every later entry with rank <= `rank`; since
   // ranks ascend, those form a contiguous run starting at pos.
   size_t end = pos;
-  while (end < len && list[end].rank <= rank) ++end;
+  while (end < len && ranks[end] <= rank) ++end;
 
+  // The shifts below are plain loops that move both arrays in one pass: a
+  // list is short, and a memmove call per array costs more than the move.
   if (end == pos) {
-    if (len == head.cap) list = GrowCell(p, head);
-    std::copy_backward(list + pos, list + len, list + len + 1);
+    if (len == head.cap) {
+      GrowCell(p, head);
+      ranks = p.ranks.data() + head.offset;
+      times = p.times.data() + head.offset;
+    }
+    for (size_t i = len; i > pos; --i) {
+      ranks[i] = ranks[i - 1];
+      times[i] = times[i - 1];
+    }
     ++head.len;
   } else {
     *evicted += end - pos;  // dominated pairs dropped for the new one
-    std::copy(list + end, list + len, list + pos + 1);
+    for (size_t i = end, j = pos + 1; i < len; ++i, ++j) {
+      ranks[j] = ranks[i];
+      times[j] = times[i];
+    }
     head.len = static_cast<uint8_t>(len - (end - pos - 1));
   }
-  list[pos] = Entry{rank, t};
+  ranks[pos] = rank;
+  times[pos] = t;
   // Ranks ascend within a list, so the cached cell max is just the tail.
-  max_ranks_[cell_index] = list[head.len - 1].rank;
+  max_ranks_[cell_index] = ranks[head.len - 1];
   return true;
 }
 
-VersionedHll::Entry* VersionedHll::GrowCell(Part& p, CellHead& head) {
+void VersionedHll::GrowCell(Part& p, CellHead& head) {
   IPIN_CHECK_LT(head.cap, kMaxCellEntries);
   const size_t cap = head.cap == 0 ? 1 : 2 * size_t{head.cap};
   const uint32_t block = AllocateBlock(p, cap);
-  Entry* const dst = p.pool.data() + block;
-  std::copy_n(p.pool.data() + head.offset, head.len, dst);
+  std::copy_n(p.ranks.data() + head.offset, head.len, p.ranks.data() + block);
+  std::copy_n(p.times.data() + head.offset, head.len, p.times.data() + block);
   if (head.cap > 0) FreeBlock(p, head.offset, head.cap);
   head.offset = block;
   head.cap = static_cast<uint8_t>(cap);
-  return dst;
 }
 
 uint32_t VersionedHll::AllocateBlock(Part& p, size_t cap) {
   uint32_t& free_head = p.free_blocks[std::countr_zero(cap)];
   if (free_head != kNoBlock) {
     const uint32_t block = free_head;
-    free_head = static_cast<uint32_t>(p.pool[block].time);
+    free_head = static_cast<uint32_t>(p.times[block]);
     return block;
   }
-  IPIN_CHECK_LE(p.pool.size() + cap, size_t{kNoBlock});
-  const auto block = static_cast<uint32_t>(p.pool.size());
-  p.pool.resize(p.pool.size() + cap);
-  return block;
+  const size_t size = p.ranks.size();
+  IPIN_CHECK_LE(size + cap, size_t{kNoBlock});
+  if (size + cap > p.ranks.capacity()) {
+    // Grow by a quarter, not by doubling: the pools are most of a build's
+    // memory, and doubling leaves up to half of every pool unused.
+    const size_t capacity =
+        std::max(size + cap, p.ranks.capacity() + p.ranks.capacity() / 4);
+    p.ranks.reserve(capacity);
+    p.times.reserve(capacity);
+  }
+  p.ranks.resize(size + cap);
+  p.times.resize(size + cap);
+  return static_cast<uint32_t>(size);
 }
 
 void VersionedHll::FreeBlock(Part& p, uint32_t offset, size_t cap) {
   uint32_t& free_head = p.free_blocks[std::countr_zero(cap)];
-  p.pool[offset].time = free_head;
+  p.times[offset] = free_head;
   free_head = offset;
 }
 
@@ -164,17 +191,19 @@ void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
   // One part lookup per call, not per cell: this loop is the build's hot
   // path.
   Part& p = part(part_index);
-  const Entry* const from = other.part(part_index).pool.data();
+  const Part& from = other.part(part_index);
+  const uint8_t* const from_ranks = from.ranks.data();
+  const Timestamp* const from_times = from.times.data();
   size_t scanned = 0;
   size_t kept = 0;
   size_t evicted = 0;
   const size_t end = PartBegin(part_index + 1);
   for (size_t c = PartBegin(part_index); c < end; ++c) {
     const CellHead& head = other.heads_[c];
-    for (const Entry& e : std::span(from + head.offset, head.len)) {
-      if (e.time >= bound) break;  // ascending time: rest is out of window
+    for (size_t i = head.offset; i < size_t{head.offset} + head.len; ++i) {
+      if (from_times[i] >= bound) break;  // ascending time: rest is out
       ++scanned;
-      kept += Insert(p, c, e.rank, e.time, &evicted);
+      kept += Insert(p, c, from_ranks[i], from_times[i], &evicted);
     }
   }
   p.insert_attempts += scanned;
@@ -221,9 +250,9 @@ void VersionedHll::MaxRanks(Timestamp bound,
     // Times ascend and ranks strictly ascend, so the in-window entries are
     // a prefix whose max rank is its last entry — no max fold needed.
     size_t k = 0;
-    while (k < list.size() && list[k].time < bound) ++k;
-    if (k > 0 && list[k - 1].rank > (*ranks)[c]) {
-      (*ranks)[c] = list[k - 1].rank;
+    while (k < list.size() && list.times()[k] < bound) ++k;
+    if (k > 0 && list.ranks()[k - 1] > (*ranks)[c]) {
+      (*ranks)[c] = list.ranks()[k - 1];
     }
   }
 }
@@ -233,8 +262,8 @@ void VersionedHll::CompactExpired(Timestamp frontier, Duration window) {
   for (size_t c = 0; c < heads_.size(); ++c) {
     CellHead& head = heads_[c];
     const CellList list = cell(c);
-    while (head.len > 0 && list[head.len - 1].time >= bound) --head.len;
-    max_ranks_[c] = head.len == 0 ? 0 : list[head.len - 1].rank;
+    while (head.len > 0 && list.times()[head.len - 1] >= bound) --head.len;
+    max_ranks_[c] = head.len == 0 ? 0 : list.ranks()[head.len - 1];
   }
 }
 
@@ -242,7 +271,8 @@ void VersionedHll::Clear() {
   // Keeps the pools' capacity (like clearing a vector) but forgets every
   // block: the next inserts carve fresh blocks from the start of the pools.
   for (size_t k = 0; k < num_parts(); ++k) {
-    part(k).pool.clear();
+    part(k).ranks.clear();
+    part(k).times.clear();
     part(k).free_blocks.fill(kNoBlock);
   }
   std::fill(heads_.begin(), heads_.end(), CellHead{});
@@ -262,10 +292,17 @@ size_t VersionedHll::NumEntries() const {
 }
 
 bool VersionedHll::CheckInvariants() const {
+  for (size_t k = 0; k < num_parts(); ++k) {
+    const Part& p = part(k);
+    if (p.ranks.size() != p.times.size() ||
+        p.ranks.capacity() != p.times.capacity()) {
+      return false;
+    }
+  }
   for (size_t c = 0; c < heads_.size(); ++c) {
     const CellHead& head = heads_[c];
     if (head.len > head.cap ||
-        size_t{head.offset} + head.cap > part(PartOf(c)).pool.size()) {
+        size_t{head.offset} + head.cap > part(PartOf(c)).ranks.size()) {
       return false;
     }
     const CellList list = cell(c);
@@ -288,7 +325,8 @@ size_t VersionedHll::MemoryUsageBytes() const {
                  max_ranks_.capacity() * sizeof(uint8_t) +
                  more_parts_.capacity() * sizeof(Part);
   for (size_t k = 0; k < num_parts(); ++k) {
-    bytes += part(k).pool.capacity() * sizeof(Entry);
+    bytes += part(k).ranks.capacity() * sizeof(uint8_t) +
+             part(k).times.capacity() * sizeof(Timestamp);
   }
   return bytes;
 }

@@ -42,23 +42,28 @@ obs::MemoryTally& VhllMemTally();
 /// Storage: pooled entry buffers, not one heap vector per cell. The cells
 /// are split into `num_parts` contiguous ranges ("parts"; part k holds
 /// cells [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns an entry
-/// pool, its free lists and its lifetime tallies. `heads_[c]` gives the
-/// offset (into c's part's pool), length and capacity of cell c's block.
-/// Block capacities are powers of two from 1 to 64 (a list never exceeds
-/// 64 entries: ranks are distinct and at most 64 - precision + 1). A full
-/// cell moves to a block twice its size, taken from the free list of that
-/// size class or, when the list is empty, appended to the end of the pool;
-/// the old block goes onto its own class's free list, linked through its
-/// first entry's time field. Blocks never shrink and pools never compact,
-/// so a sketch's footprint is its pools' capacity — free-listed blocks
-/// included — plus the two beta-sized arrays and, with more than one part,
-/// the array of parts 1..P-1; MemoryUsageBytes() reports exactly that.
+/// pool, its free lists and its lifetime tallies. A pool is two parallel
+/// arrays at the same offsets, u8 ranks and i64 times — the encoding of the
+/// sealed SketchArena and of the index file — so an entry costs 9 bytes,
+/// not a padded 16-byte pair. `heads_[c]` gives the offset (into c's
+/// part's pool), length and capacity of cell c's block. Block capacities
+/// are powers of two from 1 to 64 (a list never exceeds 64 entries: ranks
+/// are distinct and at most 64 - precision + 1). A full cell moves to a
+/// block twice its size, taken from the free list of that size class or,
+/// when the list is empty, appended to the end of the pool; the old block
+/// goes onto its own class's free list, linked through its first time
+/// slot. A pool that runs out of room grows by a quarter, not by vector
+/// doubling, so at most a fifth of its slots are unused tail. Blocks never
+/// shrink and pools never compact, so a sketch's footprint is its pools'
+/// capacity — free-listed blocks included — plus the two beta-sized arrays
+/// and, with more than one part, the array of parts 1..P-1;
+/// MemoryUsageBytes() reports exactly that.
 ///
 /// No operation reads two cells together, so parts never interact: a
 /// parallel build gives each worker one part of every sketch, and workers
 /// write disjoint cells of `heads_` and `max_ranks_` (IrsApprox::Compute).
 /// Part 0 lives inline, so a one-part sketch — every sketch outside the
-/// partitioned build — owns three heap buffers instead of beta + 2, which
+/// partitioned build — owns four heap buffers instead of beta + 2, which
 /// is what makes the build scan and freeing the sketches at Seal() cheap.
 class VersionedHll {
  public:
@@ -68,9 +73,50 @@ class VersionedHll {
     Timestamp time = 0;
   };
 
-  /// Read-only view of one cell's entries inside the sketch's pool. Valid
-  /// until the next mutation of the sketch.
-  using CellList = std::span<const Entry>;
+  /// Read-only view of one cell's entries: its runs of ranks and times in
+  /// the part's pool, read as (rank, time) pairs. Valid until the next
+  /// mutation of the sketch.
+  class CellList {
+   public:
+    // For range-for loops. Yields Entry values, not references: no Entry
+    // is stored.
+    class Iterator {
+     public:
+      Iterator(const uint8_t* rank, const Timestamp* time)
+          : rank_(rank), time_(time) {}
+      Entry operator*() const { return {*rank_, *time_}; }
+      Iterator& operator++() {
+        ++rank_;
+        ++time_;
+        return *this;
+      }
+      bool operator==(const Iterator& other) const {
+        return rank_ == other.rank_;
+      }
+
+     private:
+      const uint8_t* rank_;
+      const Timestamp* time_;
+    };
+
+    CellList(const uint8_t* ranks, const Timestamp* times, size_t size)
+        : ranks_(ranks), times_(times), size_(size) {}
+
+    size_t size() const { return size_; }
+    bool empty() const { return size_ == 0; }
+    Entry operator[](size_t i) const { return {ranks_[i], times_[i]}; }
+    Entry back() const { return (*this)[size_ - 1]; }
+    Iterator begin() const { return {ranks_, times_}; }
+    Iterator end() const { return {ranks_ + size_, times_ + size_}; }
+    /// The cell's ranks and times as contiguous runs of size() each.
+    const uint8_t* ranks() const { return ranks_; }
+    const Timestamp* times() const { return times_; }
+
+   private:
+    const uint8_t* ranks_;
+    const Timestamp* times_;
+    size_t size_;
+  };
 
   /// Longest possible cell list, and the largest block size class.
   static constexpr size_t kMaxCellEntries = 64;
@@ -86,7 +132,8 @@ class VersionedHll {
   /// `ranks` and the parallel `times` into lists in cell order. The lists
   /// must already satisfy the vHLL invariants, as an arena's checked ones
   /// do; the sizes are checked. Each cell gets the smallest block that
-  /// holds it. The sketch has one part; lifetime tallies start at zero.
+  /// holds it, and the pool is sized to exactly those blocks. The sketch
+  /// has one part; lifetime tallies start at zero.
   VersionedHll(int precision, uint64_t salt,
                std::span<const uint8_t> cell_counts,
                std::span<const uint8_t> ranks,
@@ -181,7 +228,10 @@ class VersionedHll {
 
   /// The raw list of cell `i` (ascending time, strictly ascending rank).
   CellList cell(size_t i) const {
-    return {part(PartOf(i)).pool.data() + heads_[i].offset, heads_[i].len};
+    const Part& p = part(PartOf(i));
+    const CellHead& head = heads_[i];
+    return {p.ranks.data() + head.offset, p.times.data() + head.offset,
+            head.len};
   }
 
   /// Per-cell max rank (0 for an empty cell), maintained on every mutation.
@@ -201,8 +251,9 @@ class VersionedHll {
   bool CheckInvariants() const;
 
   /// Heap footprint in bytes: the capacity of the cell heads, the entry
-  /// pools (free-listed blocks included), the max-rank cache and the array
-  /// of parts 1..P-1. Equals what the sketch charges the "vhll" tally.
+  /// pools (9 bytes a slot, free-listed blocks and unused tail included),
+  /// the max-rank cache and the array of parts 1..P-1. Equals what the
+  /// sketch charges the "vhll" tally.
   size_t MemoryUsageBytes() const;
 
  private:
@@ -225,7 +276,10 @@ class VersionedHll {
   // The storage of one cell range, touched only by operations on its cells.
   struct Part {
     Part() { free_blocks.fill(kNoBlock); }
-    TallyVector<Entry> pool;
+    // The entry pool: ranks[i] and times[i] are one entry. Both arrays
+    // always have the same size and the same capacity.
+    TallyVector<uint8_t> ranks;
+    TallyVector<Timestamp> times;
     // Head of each size class's free list (kNoBlock when empty).
     std::array<uint32_t, kNumSizeClasses> free_blocks;
     size_t insert_attempts = 0;
@@ -248,11 +302,11 @@ class VersionedHll {
   // AddEntry without the lookup and the tallies. Adds the number of pairs
   // the new one dominated to *evicted. Returns true if the pair was kept.
   bool Insert(Part& p, size_t c, uint8_t rank, Timestamp t, size_t* evicted);
-  // Moves cell `head` to a block twice its capacity and returns the
-  // block's first entry. May reallocate p.pool.
-  Entry* GrowCell(Part& p, CellHead& head);
+  // Moves cell `head` to a block twice its capacity. May reallocate p's
+  // pool.
+  void GrowCell(Part& p, CellHead& head);
   // Returns the offset of a free block of `cap` entries (a power of two),
-  // reusing a free-listed one when there is one. May reallocate p.pool.
+  // reusing a free-listed one when there is one. May reallocate p's pool.
   uint32_t AllocateBlock(Part& p, size_t cap);
   void FreeBlock(Part& p, uint32_t offset, size_t cap);
 

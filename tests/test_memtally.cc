@@ -166,9 +166,10 @@ TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
 
   ASSERT_GT(measured, 0);
   EXPECT_EQ(measured, expected);
-  // The pool holds at least every stored pair.
+  // The pools hold at least every stored pair: a u8 rank and an i64 time.
   EXPECT_GE(measured,
-            static_cast<int64_t>(entries * sizeof(VersionedHll::Entry)));
+            static_cast<int64_t>(entries * (sizeof(uint8_t) +
+                                            sizeof(Timestamp))));
 }
 
 TEST(TallyAllocatorTest, BottomKChargesAndReleases) {

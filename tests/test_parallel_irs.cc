@@ -1,10 +1,11 @@
 // Cross-validation of every parallel code path against its sequential
-// counterpart (DESIGN.md §10): the slab-stitched IRS build must be
-// bit-identical to the one-pass scan, greedy/CELF seed selection and the
-// TCIC Monte Carlo mean must not depend on the thread count, and the
-// chunked graph parser must accept/skip exactly the same lines. Thread
-// counts are pinned explicitly so the parallel paths are exercised even on
-// single-core CI runners.
+// counterpart (DESIGN.md §10): the cell-partitioned IRS build, where each
+// worker applies the one reverse scan to its own cell range of every
+// sketch, must be bit-identical to the one-part scan with the same tallies;
+// greedy/CELF seed selection and the TCIC Monte Carlo mean must not depend
+// on the thread count; and the chunked graph parser must accept/skip
+// exactly the same lines. Thread counts are pinned explicitly so the
+// parallel paths are exercised even on single-core CI runners.
 
 #include <cstdio>
 #include <fstream>
@@ -13,11 +14,14 @@
 
 #include <gtest/gtest.h>
 
+#include "ipin/common/safe_io.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/core/influence_maximization.h"
 #include "ipin/core/influence_oracle.h"
 #include "ipin/core/irs_approx.h"
+#include "ipin/core/oracle_io.h"
 #include "ipin/core/tcic.h"
+#include "ipin/datasets/registry.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/graph_io.h"
 #include "ipin/obs/metrics.h"
@@ -37,8 +41,8 @@ IrsApproxOptions Options(int precision) {
   return options;
 }
 
-// Big enough that ComputeParallel keeps up to 7 slabs (>= 1024 edges each)
-// instead of falling back to the sequential scan.
+// A dense random log (8000 interactions among 300 nodes) shared by the
+// build tests.
 InteractionGraph TestGraph() {
   return GenerateUniformRandomNetwork(/*num_nodes=*/300,
                                       /*num_interactions=*/8000,
@@ -75,8 +79,8 @@ TEST_F(ParallelIrsTest, SlabStitchedBuildIsBitIdentical) {
 }
 
 TEST_F(ParallelIrsTest, ComputeDispatchMatchesSequential) {
-  // Compute() itself routes large graphs to the parallel build when the
-  // global thread count is > 1; the caller must not be able to tell.
+  // Compute() splits every sketch into one part per global thread; the
+  // caller must not be able to tell.
   const InteractionGraph g = TestGraph();
   const Duration window = 1200;
 
@@ -94,8 +98,8 @@ TEST_F(ParallelIrsTest, TinyGraphFallsBackToSequential) {
   const auto expected =
       Fingerprint(IrsApprox::Compute(g, 50, Options(6)));
   SetGlobalThreads(4);
-  // Too small for even one full slab: ComputeParallel degrades to the
-  // one-pass scan rather than over-splitting.
+  // A graph this small leaves most cells of each part empty; the parts
+  // still reproduce the one-part sketches exactly.
   EXPECT_EQ(Fingerprint(IrsApprox::ComputeParallel(g, 50, Options(6), 4)),
             expected);
 }
@@ -137,6 +141,46 @@ TEST_F(ParallelIrsTest, BuildTalliesDoNotDependOnThreadCount) {
     EXPECT_EQ(parallel.totals, sequential.totals) << threads << " threads";
     EXPECT_EQ(parallel.counters, sequential.counters) << threads << " threads";
   }
+}
+
+// The build's output, pinned so that a change to how sketches are stored
+// during the build cannot move it: on a fixed enron-shaped log (beta = 512,
+// omega = 10% of the span) the four lifetime tallies and the CRC32C of the
+// saved index file, unsealed and sealed, are these constants at 1 part and
+// at 3.
+TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
+  constexpr size_t kInsertAttempts = 634865;
+  constexpr size_t kEvictions = 184667;
+  constexpr size_t kMergeEntriesScanned = 623384;
+  constexpr size_t kCellUpdates = 333295;
+  constexpr size_t kEntries = 160109;
+  constexpr uint32_t kIndexCrc32c = 0xb138a64b;
+  SyntheticConfig config = *GetDatasetConfig("enron", 0.01);
+  config.seed = 25;
+  const InteractionGraph g = GenerateInteractionNetwork(config);
+  ASSERT_EQ(g.num_interactions(), 11481u);
+  const std::string path =
+      ::testing::TempDir() + "/ipin_pinned_" +
+      std::to_string(reinterpret_cast<uintptr_t>(this)) + ".idx";
+  for (const size_t parts : {1u, 3u}) {
+    SCOPED_TRACE(testing::Message() << parts << " parts");
+    SetGlobalThreads(parts);
+    IrsApprox irs = IrsApprox::ComputeParallel(g, g.WindowFromPercent(10),
+                                               Options(9), parts);
+    EXPECT_EQ(irs.TotalInsertAttempts(), kInsertAttempts);
+    EXPECT_EQ(irs.TotalEvictions(), kEvictions);
+    EXPECT_EQ(irs.TotalMergeEntriesScanned(), kMergeEntriesScanned);
+    EXPECT_EQ(irs.TotalCellUpdates(), kCellUpdates);
+    EXPECT_EQ(irs.TotalSketchEntries(), kEntries);
+    for (const bool sealed : {false, true}) {
+      if (sealed) irs.Seal();
+      ASSERT_TRUE(SaveInfluenceIndex(irs, path));
+      std::string bytes;
+      ASSERT_TRUE(ReadWholeFile(path, &bytes));
+      EXPECT_EQ(Crc32c(bytes), kIndexCrc32c) << "sealed " << sealed;
+    }
+  }
+  std::remove(path.c_str());
 }
 
 // beta = 16 cells: 16 threads give every part one cell, and 32 threads are

@@ -4,10 +4,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <optional>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "ipin/common/hash.h"
 #include "ipin/common/random.h"
 #include "ipin/sketch/estimators.h"
 #include "ipin/sketch/hll.h"
@@ -628,6 +630,300 @@ TEST(VhllTest, PartitionedSketchMatchesOnePart) {
             static_cast<int64_t>(
                 whole.MemoryUsageBytes() + whole_source.MemoryUsageBytes() +
                 split.MemoryUsageBytes() + split_source.MemoryUsageBytes()));
+}
+
+// Reference model of one sketch, written from the paper's rule alone:
+// per-cell vectors of (rank, time) pairs. A pair is rejected when a stored
+// pair dominates it (no later, no lower-ranked); a kept pair evicts every
+// stored pair it dominates. It counts the same four lifetime tallies as
+// VersionedHll and knows nothing of blocks, pools or free lists.
+class DominationModel {
+ public:
+  DominationModel(int precision, uint64_t salt, size_t num_parts)
+      : precision_(precision),
+        salt_(salt),
+        num_parts_(num_parts),
+        cells_(size_t{1} << precision) {}
+
+  void AddEntry(size_t cell, uint8_t rank, Timestamp t) {
+    ++insert_attempts;
+    Insert(cell, rank, t);
+  }
+
+  // Add's hashing, restricted to the cells of part `part`.
+  void AddInPart(uint64_t item, Timestamp t, size_t part) {
+    const uint64_t hash = Hash64(item, salt_);
+    const size_t cell = hash & (cells_.size() - 1);
+    if (cell < PartBegin(part) || cell >= PartBegin(part + 1)) return;
+    const int rank = std::min(RhoLsb(hash >> precision_), 64 - precision_ + 1);
+    AddEntry(cell, static_cast<uint8_t>(rank), t);
+  }
+
+  void MergeWindow(const DominationModel& other, Timestamp merge_time,
+                   Duration window, size_t part) {
+    for (size_t c = PartBegin(part); c < PartBegin(part + 1); ++c) {
+      for (const Pair& p : other.cells_[c]) {
+        if (p.t >= merge_time + window) continue;
+        ++insert_attempts;
+        ++merge_entries_scanned;
+        cell_updates += Insert(c, p.rank, p.t) ? 1 : 0;
+      }
+    }
+  }
+
+  void MergeWithFloor(const DominationModel& other, Timestamp floor,
+                      Timestamp bound) {
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      for (const Pair& p : other.cells_[c]) {
+        if (p.t < bound) AddEntry(c, p.rank, std::max(p.t, floor));
+      }
+    }
+  }
+
+  void CompactExpired(Timestamp frontier, Duration window) {
+    for (auto& pairs : cells_) {
+      std::erase_if(pairs, [&](const Pair& p) {
+        return p.t >= frontier + window;
+      });
+    }
+  }
+
+  void Clear() {
+    for (auto& pairs : cells_) pairs.clear();
+  }
+
+  // A model of the sketch refilled from this one's cells: same lists, no
+  // history, one part.
+  DominationModel Refilled() const {
+    DominationModel copy(precision_, salt_, 1);
+    copy.cells_ = cells_;
+    return copy;
+  }
+
+  // The refill constructor's input: counts, ranks and times in cell order.
+  SketchCells Stored() const {
+    SketchCells out{precision_, salt_, {}, {}, {}};
+    for (const auto& pairs : cells_) {
+      out.counts.push_back(static_cast<uint8_t>(pairs.size()));
+      for (const Pair& p : pairs) {
+        out.ranks.push_back(p.rank);
+        out.times.push_back(p.t);
+      }
+    }
+    return out;
+  }
+
+  struct Pair {
+    uint8_t rank;
+    Timestamp t;
+  };
+  const std::vector<Pair>& cell(size_t c) const { return cells_[c]; }
+  size_t num_cells() const { return cells_.size(); }
+  size_t num_parts() const { return num_parts_; }
+
+  size_t insert_attempts = 0;
+  size_t evictions = 0;
+  size_t merge_entries_scanned = 0;
+  size_t cell_updates = 0;
+
+ private:
+  // Part k is cells [ceil(k * beta / P), ceil((k + 1) * beta / P)).
+  size_t PartBegin(size_t k) const {
+    return (k * cells_.size() + num_parts_ - 1) / num_parts_;
+  }
+
+  bool Insert(size_t cell, uint8_t rank, Timestamp t) {
+    std::vector<Pair>& pairs = cells_[cell];
+    for (const Pair& p : pairs) {
+      if (p.t <= t && p.rank >= rank) return false;
+    }
+    const size_t before = pairs.size();
+    std::erase_if(pairs, [&](const Pair& p) {
+      return t <= p.t && rank >= p.rank;
+    });
+    evictions += before - pairs.size();
+    const auto at = std::find_if(pairs.begin(), pairs.end(),
+                                 [t](const Pair& p) { return p.t > t; });
+    pairs.insert(at, {rank, t});
+    return true;
+  }
+
+  int precision_;
+  uint64_t salt_;
+  size_t num_parts_;
+  std::vector<std::vector<Pair>> cells_;
+};
+
+void ExpectMatchesModel(const VersionedHll& sketch,
+                        const DominationModel& model) {
+  ASSERT_TRUE(sketch.CheckInvariants());
+  ASSERT_EQ(sketch.num_cells(), model.num_cells());
+  size_t entries = 0;
+  for (size_t c = 0; c < model.num_cells(); ++c) {
+    const VersionedHll::CellList list = sketch.cell(c);
+    const std::vector<DominationModel::Pair>& want = model.cell(c);
+    ASSERT_EQ(list.size(), want.size()) << "cell " << c;
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(list[i].rank, want[i].rank) << "cell " << c << " entry " << i;
+      EXPECT_EQ(list[i].time, want[i].t) << "cell " << c << " entry " << i;
+    }
+    EXPECT_EQ(sketch.max_ranks()[c], want.empty() ? 0 : want.back().rank)
+        << "cell " << c;
+    entries += want.size();
+  }
+  EXPECT_EQ(sketch.NumEntries(), entries);
+  EXPECT_EQ(sketch.NumInsertAttempts(), model.insert_attempts);
+  EXPECT_EQ(sketch.NumEvictions(), model.evictions);
+  EXPECT_EQ(sketch.NumMergeEntriesScanned(), model.merge_entries_scanned);
+  EXPECT_EQ(sketch.NumCellUpdates(), model.cell_updates);
+}
+
+// Random batches of every mutation against DominationModel, at 1 to 4
+// parts: after each batch the cell lists, the max-rank cache, the entry
+// count and the four lifetime tallies must equal the model's, and the
+// sketches' byte counts must add up to what they charged the "vhll" tally.
+// Long ascending runs push cells through every block size class, so the
+// pools grow, free-list blocks and get refilled from them.
+TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
+  constexpr int kPrecision = 4;  // 16 cells: lists grow long
+  constexpr uint64_t kSalt = 77;
+  constexpr int kMaxRank = 64 - kPrecision + 1;
+  obs::MemoryTally& tally = VhllMemTally();
+  Rng rng(2525);
+  for (size_t parts = 1; parts <= 4; ++parts) {
+    SCOPED_TRACE(testing::Message() << parts << " parts");
+    const int64_t tally_before = tally.CurrentBytes();
+    // a: the sketch under test; b: merge source, same part count.
+    std::optional<VersionedHll> a(std::in_place, kPrecision, kSalt, parts);
+    VersionedHll b(kPrecision, kSalt, parts);
+    DominationModel model_a(kPrecision, kSalt, parts);
+    DominationModel model_b(kPrecision, kSalt, parts);
+    size_t longest = 0;
+    const auto time = [&rng] {
+      return static_cast<Timestamp>(rng.NextBounded(4000));
+    };
+    const auto rank = [&rng] {
+      return static_cast<uint8_t>(1 + rng.NextBounded(kMaxRank));
+    };
+
+    for (int batch = 0; batch < 60; ++batch) {
+      for (int op = 0; op < 40; ++op) {
+        const size_t cell = rng.NextBounded(16);
+        switch (rng.NextBounded(12)) {
+          case 0:
+          case 1: {
+            const Timestamp t = time();
+            const uint8_t r = rank();
+            a->AddEntry(cell, r, t);
+            model_a.AddEntry(cell, r, t);
+            break;
+          }
+          case 2:
+          case 3: {
+            const Timestamp t = time();
+            const uint8_t r = rank();
+            b.AddEntry(cell, r, t);
+            model_b.AddEntry(cell, r, t);
+            break;
+          }
+          case 4: {
+            const uint64_t item = rng.NextUint64();
+            const Timestamp t = time();
+            for (size_t part = 0; part < parts; ++part) {
+              a->AddInPart(item, t, part);
+              model_a.AddInPart(item, t, part);
+            }
+            break;
+          }
+          case 5: {
+            // A staircase: ascending ranks at ascending times, none
+            // dominating another, so the cell climbs the size classes.
+            const auto steps = static_cast<int>(1 + rng.NextBounded(40));
+            Timestamp t = time();
+            for (int r = 1; r <= std::min(steps, kMaxRank); ++r) {
+              t += 1 + static_cast<Timestamp>(rng.NextBounded(5));
+              b.AddEntry(cell, static_cast<uint8_t>(r), t);
+              model_b.AddEntry(cell, static_cast<uint8_t>(r), t);
+            }
+            break;
+          }
+          case 6:
+          case 7: {
+            const Timestamp merge_time = time();
+            const auto window = static_cast<Duration>(rng.NextBounded(3000));
+            if (rng.NextBounded(2) == 0) {
+              a->MergeWindow(b, merge_time, window);
+              for (size_t part = 0; part < parts; ++part) {
+                model_a.MergeWindow(model_b, merge_time, window, part);
+              }
+            } else {
+              const size_t part = rng.NextBounded(parts);
+              a->MergeWindow(b, merge_time, window, part);
+              model_a.MergeWindow(model_b, merge_time, window, part);
+            }
+            break;
+          }
+          case 8: {
+            const Timestamp floor = time();
+            const Timestamp bound = floor + time();
+            a->MergeWithFloor(b, floor, bound);
+            model_a.MergeWithFloor(model_b, floor, bound);
+            break;
+          }
+          case 9: {
+            if (rng.NextBounded(8) != 0) break;
+            const Timestamp frontier = time();
+            const auto window = static_cast<Duration>(rng.NextBounded(1000));
+            a->CompactExpired(frontier, window);
+            model_a.CompactExpired(frontier, window);
+            break;
+          }
+          case 10: {
+            if (rng.NextBounded(10) != 0) break;
+            if (rng.NextBounded(2) == 0) {
+              a->Clear();
+              model_a.Clear();
+            } else {
+              b.Clear();
+              model_b.Clear();
+            }
+            break;
+          }
+          default: {
+            if (rng.NextBounded(10) != 0) break;
+            // Checkpoint resume: the one-part sketch refilled from a's
+            // stored cells. At one part it replaces a and lives on; with
+            // more (a refill always has one part) it is checked and dropped.
+            const SketchCells stored = model_a.Stored();
+            if (parts == 1) {
+              a.emplace(kPrecision, kSalt, stored.counts, stored.ranks,
+                        stored.times);
+              model_a = model_a.Refilled();
+            } else {
+              const VersionedHll copy(kPrecision, kSalt, stored.counts,
+                                      stored.ranks, stored.times);
+              ExpectMatchesModel(copy, model_a.Refilled());
+            }
+            break;
+          }
+        }
+      }
+      SCOPED_TRACE(testing::Message() << "batch " << batch);
+      ExpectMatchesModel(*a, model_a);
+      ExpectMatchesModel(b, model_b);
+      EXPECT_EQ(tally.CurrentBytes() - tally_before,
+                static_cast<int64_t>(a->MemoryUsageBytes() +
+                                     b.MemoryUsageBytes()));
+      if (testing::Test::HasFailure()) return;
+      for (size_t c = 0; c < model_a.num_cells(); ++c) {
+        longest = std::max(longest, model_a.cell(c).size());
+      }
+    }
+    // The run reached the largest size classes and pruned along the way.
+    EXPECT_GT(longest, VersionedHll::kMaxCellEntries / 2);
+    EXPECT_GT(model_a.evictions, 0u);
+    EXPECT_GT(model_a.cell_updates, 0u);
+  }
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};
