@@ -241,49 +241,6 @@ void BM_KernelEstimateFromRanksDispatched(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelEstimateFromRanksDispatched)->Arg(9)->Arg(12);
 
-// The windowed materialization kernel over arena-layout entry lists.
-void RunBoundedMaxInto(benchmark::State& state,
-                       const kernels::KernelOps& ops) {
-  const int precision = static_cast<int>(state.range(0));
-  const size_t beta = size_t{1} << precision;
-  VersionedHll sketch(precision);
-  Rng rng(10);
-  for (int i = 0; i < 50000; ++i) {
-    sketch.Add(rng.NextUint64(), static_cast<Timestamp>(rng.NextBounded(10000)));
-  }
-  std::vector<uint8_t> counts(beta);
-  std::vector<uint8_t> ranks;
-  std::vector<int64_t> times;
-  for (size_t c = 0; c < beta; ++c) {
-    counts[c] = static_cast<uint8_t>(sketch.cell(c).size());
-    for (const auto& e : sketch.cell(c)) {
-      ranks.push_back(e.rank);
-      times.push_back(e.time);
-    }
-  }
-  std::vector<uint8_t> dst(beta);
-  for (auto _ : state) {
-    std::fill(dst.begin(), dst.end(), 0);
-    ops.bounded_max_into(counts.data(), ranks.data(), times.data(), beta,
-                         ranks.size(), 5000, dst.data());
-    benchmark::DoNotOptimize(dst.data());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(ranks.size()));
-}
-
-void BM_KernelBoundedMaxIntoScalar(benchmark::State& state) {
-  RunBoundedMaxInto(state,
-                    *kernels::KernelsFor(kernels::SimdTarget::kScalar));
-}
-BENCHMARK(BM_KernelBoundedMaxIntoScalar)->Arg(6)->Arg(9);
-
-void BM_KernelBoundedMaxIntoDispatched(benchmark::State& state) {
-  state.SetLabel(kernels::SimdTargetName(kernels::DispatchedTarget()));
-  RunBoundedMaxInto(state, kernels::Dispatched());
-}
-BENCHMARK(BM_KernelBoundedMaxIntoDispatched)->Arg(6)->Arg(9);
-
 void BM_BottomKAdd(benchmark::State& state) {
   BottomK sketch(static_cast<size_t>(state.range(0)));
   Rng rng(7);

@@ -23,9 +23,7 @@ import re
 import subprocess
 import sys
 
-# Kernels under contract. BoundedMaxInto is deliberately absent: its SSE2 and
-# NEON rows alias the scalar routine by design (no packed 64-bit compare),
-# and the AVX2 win is modest on short cells.
+# Kernels under contract.
 ENFORCED = ("UnionEstimate", "CellwiseMax", "EstimateFromRanks")
 
 NAME_RE = re.compile(r"^BM_Kernel(\w+?)(Scalar|Dispatched)/(\d+)$")

@@ -90,9 +90,10 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP" little-endian
-// Version 2: approx chunks are sketch chunks (oracle_io.h). Files of other
+// Version 3: approx chunks are sketch chunks (oracle_io.h) whose times are
+// offsets in the TimeEncoding the meta frame records. Files of other
 // versions fail verification and are skipped.
-constexpr uint32_t kCheckpointVersion = 2;
+constexpr uint32_t kCheckpointVersion = 3;
 constexpr uint32_t kChunkSize = 256;  // nodes per frame
 constexpr uint8_t kAlgoExact = 1;
 constexpr uint8_t kAlgoApprox = 2;
@@ -131,7 +132,8 @@ struct Fingerprint {
   }
 };
 
-// Scan position + tallies carried in the meta frame beside the fingerprint.
+// Scan position + tallies carried in the meta frame beside the fingerprint,
+// and the encoding of the approx chunks' times (unused by exact builds).
 struct MetaFrame {
   Fingerprint fp;
   uint64_t edges_processed = 0;
@@ -139,6 +141,7 @@ struct MetaFrame {
   uint8_t saw_interaction = 0;
   uint32_t chunk_size = 0;
   uint64_t tally[4] = {0, 0, 0, 0};
+  TimeEncoding times;
 };
 
 uint64_t GraphHash(const InteractionGraph& graph) {
@@ -164,6 +167,8 @@ void SerializeMeta(const MetaFrame& meta, std::string* out) {
   AppendRaw<uint8_t>(out, meta.saw_interaction);
   AppendRaw<uint32_t>(out, meta.chunk_size);
   for (const uint64_t t : meta.tally) AppendRaw<uint64_t>(out, t);
+  AppendRaw<int64_t>(out, meta.times.base);
+  AppendRaw<uint8_t>(out, meta.times.width);
 }
 
 bool ParseMeta(std::string_view payload, MetaFrame* meta) {
@@ -184,7 +189,12 @@ bool ParseMeta(std::string_view payload, MetaFrame* meta) {
   for (uint64_t& t : meta->tally) {
     if (!ReadRaw(payload, &offset, &t)) return false;
   }
-  return offset == payload.size() && meta->chunk_size >= 1;
+  if (!ReadRaw(payload, &offset, &meta->times.base) ||
+      !ReadRaw(payload, &offset, &meta->times.width)) {
+    return false;
+  }
+  return offset == payload.size() && meta->chunk_size >= 1 &&
+         meta->times.valid();
 }
 
 const char* AlgoName(uint8_t algo) {
@@ -234,8 +244,8 @@ void PruneCheckpoints(const std::string& dir, uint8_t algo, size_t keep) {
 // Exact: per node, u64 entry count then (u32 target, i64 time) pairs sorted
 // by target id — deterministic bytes for identical summaries. Like
 // EncodeSketchChunk, writes the chunk into *out and returns its length.
-size_t SerializeExactChunk(const IrsExact& irs, uint64_t first,
-                           uint32_t count, std::string* out) {
+size_t SerializeExactChunk(const IrsExact& irs, const MetaFrame& /*meta*/,
+                           uint64_t first, uint32_t count, std::string* out) {
   out->clear();
   AppendRaw<uint64_t>(out, first);
   AppendRaw<uint32_t>(out, count);
@@ -254,8 +264,9 @@ size_t SerializeExactChunk(const IrsExact& irs, uint64_t first,
 }
 
 bool ParseExactChunk(std::string_view payload, NodeId expected_first,
-                     uint32_t expected_count, const Fingerprint& fp,
+                     uint32_t expected_count, const MetaFrame& meta,
                      IrsExact* irs) {
+  const Fingerprint& fp = meta.fp;
   size_t offset = 0;
   uint64_t first = 0;
   uint32_t count = 0;
@@ -282,26 +293,41 @@ bool ParseExactChunk(std::string_view payload, NodeId expected_first,
 }
 
 // Approx: the index file's sketch chunk, written by EncodeSketchChunk
-// (oracle_io.h). The chunk is checked into a scratch arena, then each
-// node's cells refill a VersionedHll for the scan to keep growing.
+// (oracle_io.h) in the meta frame's time encoding: the one the build's
+// sketches would seal to (exact builds store no times this way).
+TimeEncoding ChunkTimes(const IrsExact& /*irs*/) { return {}; }
+TimeEncoding ChunkTimes(const IrsApprox& irs) { return irs.time_encoding(); }
+
+size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
+                            uint64_t first, uint32_t count, std::string* out) {
+  return EncodeSketchChunk(irs, meta.times, first, count, out);
+}
+
+// The chunk is checked into a scratch arena, then each node's cells, their
+// times decoded, refill a VersionedHll for the scan to keep growing.
 bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
-                        uint32_t expected_count, const Fingerprint& fp,
+                        uint32_t expected_count, const MetaFrame& meta,
                         IrsApprox* irs) {
+  const Fingerprint& fp = meta.fp;
   SketchChunk chunk;
-  if (!MeasureSketchChunk(payload, fp.precision, expected_first,
-                          expected_count, &chunk)) {
+  if (!MeasureSketchChunk(payload, fp.precision, meta.times.width,
+                          expected_first, expected_count, &chunk)) {
     return false;
   }
-  SketchArena scratch(fp.precision, fp.salt, expected_count, chunk.size);
+  SketchArena scratch(fp.precision, fp.salt, expected_count, chunk.size,
+                      meta.times);
   if (!chunk.AppendTo(&scratch, 0)) return false;
+  std::vector<Timestamp> times;
   for (NodeId i = 0; i < expected_count; ++i) {
     if (!scratch.has_node(i)) continue;
     const SketchArena::NodeRange cells = *scratch.ContiguousRange(i, i + 1);
+    times.resize(cells.ranks.size());
+    for (size_t e = 0; e < times.size(); ++e) times[e] = cells.time(e);
     CheckpointAccess::InstallSketch(
         irs, expected_first + i,
         std::make_unique<VersionedHll>(fp.precision, fp.salt,
                                        cells.cell_counts, cells.ranks,
-                                       cells.times));
+                                       times));
   }
   return true;
 }
@@ -325,7 +351,7 @@ bool SaveCheckpoint(const Irs& irs, const MetaFrame& meta,
   for (uint64_t first = 0; first < meta.fp.num_nodes; first += kChunkSize) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(kChunkSize, meta.fp.num_nodes - first));
-    const size_t size = serialize_chunk(irs, first, count, &payload);
+    const size_t size = serialize_chunk(irs, meta, first, count, &payload);
     if (!writer.AppendFrame(std::string_view(payload.data(), size))) {
       return false;
     }
@@ -360,7 +386,7 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(meta->chunk_size, meta->fp.num_nodes - first));
     if (reader.ReadFrame(&payload) != FrameStatus::kOk ||
-        !parse_chunk(payload, static_cast<NodeId>(first), count, expected,
+        !parse_chunk(payload, static_cast<NodeId>(first), count, *meta,
                      irs)) {
       return false;
     }
@@ -414,6 +440,7 @@ void MaybeCheckpoint(const Irs& irs, const Fingerprint& fp, uint64_t done,
   meta.saw_interaction = CheckpointAccess::SawInteraction(irs) ? 1 : 0;
   meta.chunk_size = kChunkSize;
   CheckpointAccess::GetTallies(irs, meta.tally);
+  meta.times = ChunkTimes(irs);
   if (SaveCheckpoint(irs, meta, options.dir, serialize_chunk)) {
     ++stats->checkpoints_written;
     obs::RunLedger::Global().RecordEvent(
@@ -548,7 +575,7 @@ IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
       since_tick = 0;
     }
     if (enabled) {
-      MaybeCheckpoint(irs, fp, done, m, options, stats, EncodeSketchChunk);
+      MaybeCheckpoint(irs, fp, done, m, options, stats, SerializeApproxChunk);
     }
   }
   phase.SetDone(done);

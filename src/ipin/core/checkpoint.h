@@ -12,9 +12,10 @@
 // 2/3). The scan is the expensive step of the whole pipeline; on a 100M-edge
 // log, a crash at edge 90M must not cost 90M edges of rework. With
 // checkpointing enabled, the scan state is written through common/safe_io
-// every N edges — a meta frame (position, tallies, fingerprint) plus one
-// frame per 256 nodes, holding their summaries (exact) or their sketches in
-// the index file's sketch chunk layout (approx, oracle_io.h) — and a
+// every N edges — a meta frame (position, tallies, fingerprint, and the
+// time encoding of the sketch chunks) plus one frame per 256 nodes, holding
+// their summaries (exact) or their sketches in the index file's sketch
+// chunk layout (approx, oracle_io.h) — and a
 // restarted build resumes from the newest checkpoint that verifies,
 // falling back to the next-older one when the newest is damaged or of
 // another format version. A resumed build produces results identical to an

@@ -86,6 +86,13 @@ class IrsApprox {
   /// (influence_oracle.cc) use it to stream rank-plane rows directly.
   const SketchArena* arena() const { return arena_.get(); }
 
+  /// The encoding of stored times (time_codec.h): the arena's once sealed;
+  /// before that, the one Seal() would choose (O(cells)). Saves and
+  /// checkpoints write times in it.
+  TimeEncoding time_encoding() const {
+    return sealed_ ? arena_->time_encoding() : TimeEncodingOf(sketches_);
+  }
+
   /// Estimated |sigma_omega(u)|.
   double EstimateIrsSize(NodeId u) const;
 

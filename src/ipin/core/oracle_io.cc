@@ -23,15 +23,18 @@ obs::MemoryTally& OracleIoMemTally() {
   return tally;
 }
 
-// Framed (safe_io) format: file type tag "IIDX".
+// Framed (safe_io) format: file type tag "IIDX", version 4.
 //   frame 0: i64 window, u8 precision, u64 salt, u64 num_nodes,
-//            u32 chunk_size
+//            u32 chunk_size, i64 base_time, u8 time_width
 //   frame k: the sketch chunk (SketchChunk, oracle_io.h) of nodes
-//            [(k - 1) * chunk_size, k * chunk_size).
+//            [(k - 1) * chunk_size, k * chunk_size), each pair's time
+//            stored as a time_width-byte offset from base_time
+//            (TimeEncoding, sketch/time_codec.h).
 // Chunks cover [0, num_nodes) in order, kChunkSize nodes each, so a dropped
-// frame loses exactly one known slice of nodes.
+// frame loses exactly one known slice of nodes. The header's encoding must
+// be valid: width 4 or 8, and every offset decoding to an i64.
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX" little-endian
-constexpr uint32_t kIndexFormatVersion = 3;
+constexpr uint32_t kIndexFormatVersion = 4;
 constexpr uint32_t kChunkSize = 256;
 
 template <typename T>
@@ -53,6 +56,7 @@ struct IndexHeader {
   uint64_t salt = 0;
   uint64_t num_nodes = 0;
   uint32_t chunk_size = 0;
+  TimeEncoding times;
 
   uint64_t num_sections() const {
     return num_nodes / chunk_size + (num_nodes % chunk_size != 0 ? 1 : 0);
@@ -65,11 +69,14 @@ bool ParseIndexHeader(std::string_view payload, IndexHeader* header) {
       !ReadRaw(payload, &offset, &header->precision) ||
       !ReadRaw(payload, &offset, &header->salt) ||
       !ReadRaw(payload, &offset, &header->num_nodes) ||
-      !ReadRaw(payload, &offset, &header->chunk_size)) {
+      !ReadRaw(payload, &offset, &header->chunk_size) ||
+      !ReadRaw(payload, &offset, &header->times.base) ||
+      !ReadRaw(payload, &offset, &header->times.width)) {
     return false;
   }
   return header->window >= 1 && header->precision >= 4 &&
-         header->precision <= 18 && header->chunk_size >= 1;
+         header->precision <= 18 && header->chunk_size >= 1 &&
+         header->times.valid();
 }
 
 // A chunk's fixed prefix: u64 first_node, u32 count, u64 entries.
@@ -79,8 +86,6 @@ constexpr size_t kChunkPrefixBytes =
 // plus the chunk's first_node and count.
 constexpr uint64_t kMinChunkFrameBytes =
     12 + sizeof(uint64_t) + sizeof(uint32_t);
-// Bytes per stored pair: u8 rank + i64 time.
-constexpr size_t kPairBytes = sizeof(uint8_t) + sizeof(int64_t);
 
 // A header is checked against the file before anything is sized by
 // num_nodes. Every chunk frame costs at least kMinChunkFrameBytes (a
@@ -102,7 +107,7 @@ size_t EncodeChunk(const SketchArena& arena, NodeId local_first,
                    const SketchArena::NodeRange& range, std::string* buffer) {
   const uint64_t entries = range.ranks.size();
   const size_t size = kChunkPrefixBytes + count + range.cell_counts.size() +
-                      range.ranks.size() + range.times.size_bytes();
+                      range.ranks.size() + range.time_bytes.size();
   if (buffer->size() < size) buffer->resize(size);
   char* out = buffer->data();
   const auto put = [&out](const void* data, size_t n) {
@@ -117,24 +122,25 @@ size_t EncodeChunk(const SketchArena& arena, NodeId local_first,
   }
   put(range.cell_counts.data(), range.cell_counts.size());
   put(range.ranks.data(), range.ranks.size());
-  put(range.times.data(), range.times.size_bytes());
+  put(range.time_bytes.data(), range.time_bytes.size());
   return size;
 }
 
 }  // namespace
 
-size_t EncodeSketchChunk(const IrsApprox& index, uint64_t first,
-                         uint32_t count, std::string* buffer) {
+size_t EncodeSketchChunk(const IrsApprox& index, const TimeEncoding& times,
+                         uint64_t first, uint32_t count, std::string* buffer) {
   const NodeId lo = static_cast<NodeId>(first);
   const NodeId hi = static_cast<NodeId>(first + count);
   const SketchArena* arena = index.arena();
-  if (arena != nullptr) {
+  if (arena != nullptr && arena->time_encoding() == times) {
     if (const auto range = arena->ContiguousRange(lo, hi)) {
       return EncodeChunk(*arena, lo, first, count, *range, buffer);
     }
   }
-  // Unsealed sketches (or an arena filled out of node order): pack the
-  // chunk into a scratch arena first, so one encoder writes every chunk.
+  // Unsealed sketches (or an arena filled out of node order, or in another
+  // encoding): pack the chunk into a scratch arena first, so one encoder
+  // writes every chunk.
   SketchArena::Capacity capacity;
   for (NodeId u = lo; u < hi; ++u) {
     if (const SketchView sketch = index.Sketch(u)) {
@@ -143,7 +149,7 @@ size_t EncodeSketchChunk(const IrsApprox& index, uint64_t first,
     }
   }
   SketchArena scratch(index.options().precision, index.options().salt, count,
-                      capacity);
+                      capacity, times);
   for (NodeId u = lo; u < hi; ++u) {
     if (const SketchView sketch = index.Sketch(u)) {
       scratch.AppendCopy(u - lo, sketch);
@@ -156,7 +162,8 @@ size_t EncodeSketchChunk(const IrsApprox& index, uint64_t first,
 // Measuring is arithmetic: the sections are cut out of the payload once
 // its prefix, present bytes and length agree.
 bool MeasureSketchChunk(std::string_view payload, int precision,
-                        uint64_t first, uint32_t count, SketchChunk* chunk) {
+                        size_t time_width, uint64_t first, uint32_t count,
+                        SketchChunk* chunk) {
   size_t offset = 0;
   uint64_t first_node = 0;
   uint32_t num_nodes = 0;
@@ -178,9 +185,10 @@ bool MeasureSketchChunk(std::string_view payload, int precision,
   if (flags > 1) return false;
   offset += count;
   const size_t beta = size_t{1} << precision;
+  const size_t pair_bytes = 1 + time_width;  // u8 rank + time offset
   const size_t rest = payload.size() - offset;
-  if (entries > rest / kPairBytes ||
-      rest != sketches * beta + entries * kPairBytes) {
+  if (entries > rest / pair_bytes ||
+      rest != sketches * beta + entries * pair_bytes) {
     return false;
   }
   const size_t counts_bytes = sketches * beta;
@@ -192,7 +200,7 @@ bool MeasureSketchChunk(std::string_view payload, int precision,
   chunk->cell_counts = {bytes + offset, counts_bytes};
   chunk->ranks = {bytes + offset + counts_bytes, num_entries};
   chunk->time_bytes = {bytes + offset + counts_bytes + num_entries,
-                       num_entries * sizeof(int64_t)};
+                       num_entries * time_width};
   return true;
 }
 
@@ -209,6 +217,9 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   AppendRaw<uint64_t>(&header, index.options().salt);
   AppendRaw<uint64_t>(&header, index.num_nodes());
   AppendRaw<uint32_t>(&header, kChunkSize);
+  const TimeEncoding times = index.time_encoding();
+  AppendRaw<int64_t>(&header, times.base);
+  AppendRaw<uint8_t>(&header, times.width);
   if (!writer.AppendFrame(header)) return false;
 
   std::string chunk;
@@ -216,7 +227,7 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   for (uint64_t first = 0; first < index.num_nodes(); first += kChunkSize) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(kChunkSize, index.num_nodes() - first));
-    const size_t size = EncodeSketchChunk(index, first, count, &chunk);
+    const size_t size = EncodeSketchChunk(index, times, first, count, &chunk);
     charge.Resize(chunk.capacity());
     // Torn-section injection: hand safe_io a CRC-consistent but truncated
     // payload, producing a frame that verifies yet fails to parse — the
@@ -305,8 +316,8 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
       const auto count = static_cast<uint32_t>(
           std::min<uint64_t>(header.chunk_size, header.num_nodes - first));
       SketchChunk chunk;
-      if (MeasureSketchChunk(payload, header.precision, first, count,
-                             &chunk)) {
+      if (MeasureSketchChunk(payload, header.precision, header.times.width,
+                             first, count, &chunk)) {
         chunks.push_back(chunk);
         capacity.sketches += chunk.size.sketches;
         capacity.entries += chunk.size.entries;
@@ -335,7 +346,7 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
 
   // Pass 2: append each measured chunk straight into the arena.
   SketchArena arena(header.precision, header.salt, header.num_nodes,
-                    capacity);
+                    capacity, header.times);
   for (const SketchChunk& chunk : chunks) {
     if (!chunk.AppendTo(&arena, static_cast<NodeId>(chunk.first_node))) {
       ++result.sections_dropped;

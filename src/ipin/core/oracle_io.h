@@ -21,23 +21,25 @@
 // every chunk whose checksum and checks pass is loaded, the rest are
 // dropped and reported (robustness.index.* metrics, log warnings).
 //
-// The file (type "IIDX", version 3) is the sealed SketchArena's own
+// The file (type "IIDX", version 4) is the sealed SketchArena's own
 // arrays: a header section (window, precision, salt, num_nodes,
-// chunk_size), then one sketch chunk per 256 nodes (EncodeSketchChunk)
-// — the chunk's slices of the arena's per-cell counts and rank/time
-// arrays. The max-rank plane is not stored. Save bulk-copies those slices
-// (an unsealed index is first packed chunk by chunk into a scratch arena);
-// restore reads the file with one sized read, verifies every frame,
-// measures each chunk (MeasureSketchChunk), then bulk-copies each chunk
-// into an arena allocated once and checks it there (SketchArena::
-// AppendNodes). The rank plane is rebuilt on the way. A chunk out of place
-// or failing any check is dropped whole. No VersionedHll is constructed
-// and nothing is sealed at restore.
+// chunk_size, and the index's TimeEncoding — base time and offset width),
+// then one sketch chunk per 256 nodes (EncodeSketchChunk) — the chunk's
+// slices of the arena's per-cell counts, ranks and time offsets (u32 when
+// the index's times span less than 2^32, u64 otherwise). The max-rank
+// plane is not stored. Save bulk-copies those slices (an unsealed index is
+// first packed chunk by chunk into a scratch arena in the encoding Seal()
+// would choose); restore reads the file with one sized read, verifies
+// every frame, measures each chunk (MeasureSketchChunk), then bulk-copies
+// each chunk into an arena allocated once in the header's encoding and
+// checks it there (SketchArena::AppendNodes). The rank plane is rebuilt on
+// the way. A chunk out of place or failing any check is dropped whole. No
+// VersionedHll is constructed and nothing is sealed at restore.
 //
 // The sketch chunk is the only byte layout for a set of vHLL sketches:
 // build checkpoints (checkpoint.h) store theirs the same way. Files of
-// versions 1 and 2 (per-node sketch blobs) are no longer read: they load
-// as kCorrupt, and the index is rebuilt from its interaction log.
+// versions 1 to 3 (per-node sketch blobs; i64 times) are no longer read:
+// they load as kCorrupt, and the index is rebuilt from its interaction log.
 
 namespace ipin {
 
@@ -62,7 +64,7 @@ struct IndexLoadResult {
   bool usable() const { return index.has_value(); }
 };
 
-/// Writes the index (sealed or not) to `path` atomically, in the version-3
+/// Writes the index (sealed or not) to `path` atomically, in the version-4
 /// framed format.
 /// Returns false on I/O error (the previous file at `path`, if any, is left
 /// intact). Failpoints: oracle_io.save, oracle_io.write.short.
@@ -79,7 +81,8 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path);
 /// One sketch chunk: the stored form of `count` consecutive nodes
 /// starting at `first_node`, as views into an encoded payload —
 ///   u64 first_node, u32 count, u64 entries, u8 present[count],
-///   u8 cell_counts[present x beta], u8 ranks[entries], i64 times[entries]
+///   u8 cell_counts[present x beta], u8 ranks[entries],
+///   time offsets[entries] (4 or 8 bytes each, per the file's TimeEncoding)
 /// — i.e. a present flag per node plus the nodes' SketchArena::NodeRange.
 struct SketchChunk {
   uint64_t first_node = 0;
@@ -87,27 +90,30 @@ struct SketchChunk {
   SketchArena::Capacity size;  // present sketches, stored pairs
   std::span<const uint8_t> present, cell_counts, ranks, time_bytes;
 
-  /// Appends the chunk's sketches to `arena` as nodes [first, first +
-  /// count), every vHLL invariant checked (SketchArena::AppendNodes).
-  /// False, with nothing appended, if one fails.
+  /// Appends the chunk's sketches to `arena` (in the encoding the chunk
+  /// was written in) as nodes [first, first + count), every vHLL invariant
+  /// checked (SketchArena::AppendNodes). False, with nothing appended, if
+  /// one fails.
   bool AppendTo(SketchArena* arena, NodeId first) const {
     return arena->AppendNodes(first, present, cell_counts, ranks, time_bytes);
   }
 };
 
 /// Encodes nodes [first, first + count) of `index` (sealed or not) as one
-/// sketch chunk into *buffer (grown, never shrunk). Returns the payload's
-/// length.
-size_t EncodeSketchChunk(const IrsApprox& index, uint64_t first,
-                         uint32_t count, std::string* buffer);
+/// sketch chunk into *buffer (grown, never shrunk), its times in `times`,
+/// which must hold every one (index.time_encoding() does). Returns the
+/// payload's length.
+size_t EncodeSketchChunk(const IrsApprox& index, const TimeEncoding& times,
+                         uint64_t first, uint32_t count, std::string* buffer);
 
-/// Measures an encoded chunk of sketches with `precision`: it must cover
-/// exactly [first, first + count), every present byte be 0 or 1, and the
-/// payload be exactly 20 + count + present x beta + 9 x entries bytes. On
-/// success *chunk views into `payload`; the contents are checked by
-/// SketchChunk::AppendTo.
+/// Measures an encoded chunk of sketches with `precision` and time offsets
+/// of `time_width` bytes: it must cover exactly [first, first + count),
+/// every present byte be 0 or 1, and the payload be exactly 20 + count +
+/// present x beta + (1 + time_width) x entries bytes. On success *chunk
+/// views into `payload`; the contents are checked by SketchChunk::AppendTo.
 bool MeasureSketchChunk(std::string_view payload, int precision,
-                        uint64_t first, uint32_t count, SketchChunk* chunk);
+                        size_t time_width, uint64_t first, uint32_t count,
+                        SketchChunk* chunk);
 
 }  // namespace ipin
 

@@ -351,8 +351,10 @@ IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
       capacity.entries += sketch.NumEntries();
     }
   }
+  // The shard keeps its parent's time encoding, so every pair's time
+  // offset is copied unchanged.
   SketchArena arena(full.options().precision, full.options().salt,
-                    full.num_nodes(), capacity);
+                    full.num_nodes(), capacity, full.time_encoding());
   for (const NodeId u : owned) arena.AppendCopy(u, full.Sketch(u));
   return IrsApprox(full.window(), full.options(), std::move(arena));
 }

@@ -185,9 +185,10 @@ class ShardMap {
 };
 
 /// Copies out the slice of `full` that `shard` owns under `map`: same
-/// num_nodes, same window/precision/salt, with only the owned nodes'
-/// sketches retained (see the exactness invariants above). Pair with
-/// SaveInfluenceIndex to write shard files a per-shard ipin_oracled serves.
+/// num_nodes, same window/precision/salt and time encoding, with only the
+/// owned nodes' sketches retained (see the exactness invariants above).
+/// Pair with SaveInfluenceIndex to write shard files a per-shard
+/// ipin_oracled serves.
 IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
                             size_t shard);
 

@@ -1,7 +1,6 @@
 #include "ipin/sketch/kernels.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 #include <string>
@@ -132,29 +131,9 @@ double EstimateInterleaved(const uint8_t* ranks, size_t n, size_t bins) {
   return EstimateFromHistogram(hist[0], bins, n);
 }
 
-IPIN_NO_AUTOVEC
-void BoundedMaxIntoScalar(const uint8_t* counts, const uint8_t* ranks,
-                          const int64_t* times, size_t num_cells,
-                          size_t /*total*/, int64_t bound, uint8_t* dst) {
-  size_t base = 0;
-  for (size_t c = 0; c < num_cells; ++c) {
-    const size_t n = counts[c];
-    // Times ascend within a cell, so the in-window entries are a prefix;
-    // ranks strictly ascend, so the prefix's max rank is its last entry.
-    size_t k = 0;
-    while (k < n && times[base + k] < bound) ++k;
-    if (k > 0) {
-      const uint8_t r = ranks[base + k - 1];
-      if (r > dst[c]) dst[c] = r;
-    }
-    base += n;
-  }
-}
-
 constexpr KernelOps kScalarOps = {
     &CellwiseMaxU8Scalar,
     &EstimateFromRanksScalar,
-    &BoundedMaxIntoScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -194,9 +173,6 @@ double EstimateFromRanksSse2(const uint8_t* ranks, size_t n) {
 constexpr KernelOps kSse2Ops = {
     &CellwiseMaxU8Sse2,
     &EstimateFromRanksSse2,
-    // SSE2 has no packed 64-bit compare; the per-cell walk is short (<= 64
-    // entries) and branchy, so the scalar routine is the right tool.
-    &BoundedMaxIntoScalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -258,42 +234,9 @@ __attribute__((target("avx2"))) double EstimateFromRanksAvx2(
   return EstimateInterleaved(ranks, n, static_cast<size_t>(rmax) + 1);
 }
 
-__attribute__((target("avx2"))) void BoundedMaxIntoAvx2(
-    const uint8_t* counts, const uint8_t* ranks, const int64_t* times,
-    size_t num_cells, size_t total, int64_t bound, uint8_t* dst) {
-  const __m256i bound_v = _mm256_set1_epi64x(bound);
-  size_t base = 0;
-  for (size_t c = 0; c < num_cells; ++c) {
-    const size_t n = counts[c];
-    size_t k = 0;
-    // Count the `time < bound` prefix four timestamps at a stride; the
-    // ascending-time invariant makes the comparison mask a run of ones, so
-    // countr_one on the first non-full mask finishes the search.
-    while (k + 4 <= n && base + k + 4 <= total) {
-      const __m256i t = _mm256_loadu_si256(
-          reinterpret_cast<const __m256i*>(times + base + k));
-      const unsigned mask = static_cast<unsigned>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(_mm256_cmpgt_epi64(bound_v, t))));
-      if (mask != 0xFu) {
-        k += static_cast<size_t>(std::countr_one(mask));
-        goto prefix_done;
-      }
-      k += 4;
-    }
-    while (k < n && times[base + k] < bound) ++k;
-  prefix_done:
-    if (k > 0) {
-      const uint8_t r = ranks[base + k - 1];
-      if (r > dst[c]) dst[c] = r;
-    }
-    base += n;
-  }
-}
-
 constexpr KernelOps kAvx2Ops = {
     &CellwiseMaxU8Avx2,
     &EstimateFromRanksAvx2,
-    &BoundedMaxIntoAvx2,
 };
 
 #endif  // IPIN_KERNELS_X86
@@ -328,7 +271,6 @@ double EstimateFromRanksNeon(const uint8_t* ranks, size_t n) {
 constexpr KernelOps kNeonOps = {
     &CellwiseMaxU8Neon,
     &EstimateFromRanksNeon,
-    &BoundedMaxIntoScalar,
 };
 
 #endif  // IPIN_KERNELS_NEON

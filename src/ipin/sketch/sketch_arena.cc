@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <limits>
 
 #include "ipin/common/check.h"
 #include "ipin/common/memory.h"
@@ -28,19 +29,37 @@ void Allocate(Vec* array, size_t size, T value) {
 }  // namespace
 
 SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,
-                         Capacity capacity)
+                         Capacity capacity, TimeEncoding times)
     : precision_(precision),
       salt_(salt),
       beta_(static_cast<size_t>(1) << precision),
-      num_nodes_(num_nodes) {
+      num_nodes_(num_nodes),
+      times_(times) {
   IPIN_CHECK_GE(precision, 4);
   IPIN_CHECK_LE(precision, 18);
-  Allocate(&rank_plane_, num_nodes_ * beta_, uint8_t{0});
-  Allocate(&slot_of_, num_nodes_, kNoSlot);
+  IPIN_CHECK(times_.valid());
+  Allocate(&rank_plane_, (capacity.sketches + 1) * beta_, uint8_t{0});
+  Allocate(&row_of_, num_nodes_, uint32_t{0});
   Allocate(&cell_counts_, capacity.sketches * beta_, uint8_t{0});
   Allocate(&slot_entry_base_, capacity.sketches + 1, uint64_t{0});
   Allocate(&entry_ranks_, capacity.entries, uint8_t{0});
-  Allocate(&entry_times_, capacity.entries, int64_t{0});
+  Allocate(&entry_times_, capacity.entries * times_.width, uint8_t{0});
+}
+
+TimeEncoding TimeEncodingOf(
+    std::span<const std::unique_ptr<VersionedHll>> sketches) {
+  Timestamp first = std::numeric_limits<Timestamp>::max();
+  Timestamp last = std::numeric_limits<Timestamp>::min();
+  for (const auto& sketch : sketches) {
+    if (sketch == nullptr) continue;
+    for (size_t c = 0; c < sketch->num_cells(); ++c) {
+      const VersionedHll::CellList list = sketch->cell(c);
+      if (list.empty()) continue;
+      first = std::min(first, list.times()[0]);
+      last = std::max(last, list.times()[list.size() - 1]);
+    }
+  }
+  return TimeEncoding::Covering(first, last);
 }
 
 namespace {
@@ -61,7 +80,8 @@ SketchArena::Capacity CapacityFor(
 SketchArena::SketchArena(
     int precision, uint64_t salt,
     std::span<const std::unique_ptr<VersionedHll>> sketches)
-    : SketchArena(precision, salt, sketches.size(), CapacityFor(sketches)) {
+    : SketchArena(precision, salt, sketches.size(), CapacityFor(sketches),
+                  TimeEncodingOf(sketches)) {
   // Entries keep their in-cell order (ascending time, strictly ascending
   // rank — the vHLL invariant the kernels rely on).
   for (size_t u = 0; u < num_nodes_; ++u) {
@@ -79,19 +99,20 @@ void SketchArena::AppendCopy(NodeId u, const SketchView& sketch) {
     AppendSketch(u, *sketch.hll_);
     return;
   }
+  // Decoded and re-encoded pair by pair: between arenas of one encoding
+  // (a shard keeps its parent's) the offsets come out unchanged.
   const SketchArena& src = *sketch.arena_;
   const size_t s = src.slot(sketch.node_);
   const uint8_t* counts = src.cell_counts_.data() + s * beta_;
   size_t entry = src.slot_entry_base_[s];
   const bool appended = AppendNode(
-      u, [&](size_t c, uint8_t* ranks, int64_t* times, size_t room) {
+      u, [&](size_t c, uint8_t* ranks, Timestamp* times, size_t room) {
         const size_t n = counts[c];
         if (n > room) return -1;
-        if (n == 0) return 0;  // an arena without pairs has null arrays
-        std::memcpy(ranks, src.entry_ranks_.data() + entry, n);
-        std::memcpy(times, src.entry_times_.data() + entry,
-                    n * sizeof(int64_t));
-        entry += n;
+        for (size_t i = 0; i < n; ++i, ++entry) {
+          ranks[i] = src.entry_ranks_[entry];
+          times[i] = src.TimeAt(entry);
+        }
         return static_cast<int>(n);
       });
   IPIN_CHECK(appended);
@@ -99,32 +120,38 @@ void SketchArena::AppendCopy(NodeId u, const SketchView& sketch) {
 
 void SketchArena::AppendSketch(NodeId u, const VersionedHll& hll) {
   IPIN_CHECK_LT(u, num_nodes_);
-  IPIN_CHECK_EQ(slot_of_[u], kNoSlot);
+  IPIN_CHECK_EQ(row_of_[u], 0u);
   const size_t s = num_allocated_;
   IPIN_CHECK_LT(s + 1, slot_entry_base_.size());
   const size_t base = slot_entry_base_[s];
   IPIN_CHECK_LE(hll.NumEntries(), entry_ranks_.size() - base);
   // The sketch keeps its invariants and its max-rank cache on every
-  // mutation, so its cells are copied, not re-checked, and the rank-plane
-  // row is that cache. Each cell's ranks and times are two runs of at most
-  // 64; they are copied by plain loops, as a memcpy call per run would cost
-  // more than the few entries a cell holds.
+  // mutation, so its cells are copied, not re-checked (a cell's times
+  // ascend, so the encoding holds them if it holds the ends), and the
+  // rank-plane row is that cache. Plain loops copy each cell's runs of at
+  // most 64: a memcpy call per run would cost more.
   uint8_t* counts = cell_counts_.data() + s * beta_;
-  uint8_t* ranks = entry_ranks_.data() + base;
-  int64_t* times = entry_times_.data() + base;
-  for (size_t c = 0; c < beta_; ++c) {
-    const VersionedHll::CellList list = hll.cell(c);
-    const size_t n = list.size();
-    counts[c] = static_cast<uint8_t>(n);
-    for (size_t i = 0; i < n; ++i) ranks[i] = list.ranks()[i];
-    for (size_t i = 0; i < n; ++i) times[i] = list.times()[i];
-    ranks += n;
-    times += n;
-  }
-  std::memcpy(rank_plane_.data() + static_cast<size_t>(u) * beta_,
-              hll.max_ranks().data(), beta_);
-  slot_of_[u] = static_cast<uint32_t>(s);
-  slot_entry_base_[s + 1] = static_cast<size_t>(ranks - entry_ranks_.data());
+  uint8_t* const ranks = entry_ranks_.data();
+  uint8_t* const times = entry_times_.data();
+  const int64_t time_base = times_.base;
+  size_t entry = base;
+  WithTimeCodec(times_.width, [&](auto codec) {
+    for (size_t c = 0; c < beta_; ++c) {
+      const VersionedHll::CellList list = hll.cell(c);
+      const size_t n = list.size();
+      counts[c] = static_cast<uint8_t>(n);
+      if (n == 0) continue;
+      IPIN_CHECK(times_.Holds(list.times()[0]) &&
+                 times_.Holds(list.times()[n - 1]));
+      for (size_t i = 0; i < n; ++i) ranks[entry + i] = list.ranks()[i];
+      for (size_t i = 0; i < n; ++i, ++entry) {
+        codec.Store(times, entry, codec.Encode(time_base, list.times()[i]));
+      }
+    }
+  });
+  std::memcpy(slot_row(s), hll.max_ranks().data(), beta_);
+  row_of_[u] = static_cast<uint32_t>(s + 1);
+  slot_entry_base_[s + 1] = entry;
   num_allocated_ = s + 1;
   IPIN_DCHECK(CheckNodeInvariants(u));
 }
@@ -132,10 +159,7 @@ void SketchArena::AppendSketch(NodeId u, const VersionedHll& hll) {
 void SketchArena::RollBack(size_t num_allocated, NodeId first, NodeId end) {
   IPIN_CHECK_LE(num_allocated, num_allocated_);
   for (NodeId u = first; u < end; ++u) {
-    if (!has_node(u) || slot_of_[u] < num_allocated) continue;
-    slot_of_[u] = kNoSlot;
-    std::fill_n(rank_plane_.data() + static_cast<size_t>(u) * beta_, beta_,
-                uint8_t{0});
+    if (has_node(u) && slot(u) >= num_allocated) row_of_[u] = 0;
   }
   num_allocated_ = num_allocated;
 }
@@ -161,7 +185,9 @@ std::optional<SketchArena::NodeRange> SketchArena::ContiguousRange(
   range.cell_counts = {cell_counts_.data() + first_slot * beta_,
                        sketches * beta_};
   range.ranks = {entry_ranks_.data() + begin, entries};
-  range.times = {entry_times_.data() + begin, entries};
+  range.time_bytes = {entry_times_.data() + begin * times_.width,
+                      entries * times_.width};
+  range.times = times_;
   return range;
 }
 
@@ -174,10 +200,11 @@ bool SketchArena::AppendNodes(NodeId first, std::span<const uint8_t> present,
   size_t sketches = 0;
   for (const uint8_t p : present) sketches += p != 0 ? 1 : 0;
   const size_t entries = ranks.size();
+  const size_t width = times_.width;
   const size_t s0 = num_allocated_;
   const size_t e0 = slot_entry_base_[s0];
   if (cell_counts.size() != sketches * beta_ ||
-      time_bytes.size() != entries * sizeof(int64_t) ||
+      time_bytes.size() != entries * width ||
       sketches > slot_entry_base_.size() - 1 - s0 ||
       entries > entry_ranks_.size() - e0) {
     return false;
@@ -192,12 +219,16 @@ bool SketchArena::AppendNodes(NodeId first, std::span<const uint8_t> present,
   }
   if (max_count > 64 || sum != entries) return false;
 
+  // An empty range may have no storage at all, and memcpy takes no null
+  // pointer even for zero bytes.
   uint8_t* counts = cell_counts_.data() + s0 * beta_;
   uint8_t* r = entry_ranks_.data() + e0;
-  int64_t* t = entry_times_.data() + e0;
-  std::memcpy(counts, cell_counts.data(), cell_counts.size());
-  std::memcpy(r, ranks.data(), entries);
-  std::memcpy(t, time_bytes.data(), time_bytes.size());
+  uint8_t* t = entry_times_.data() + e0 * width;
+  if (sketches != 0) std::memcpy(counts, cell_counts.data(), cell_counts.size());
+  if (entries != 0) {
+    std::memcpy(r, ranks.data(), entries);
+    std::memcpy(t, time_bytes.data(), time_bytes.size());
+  }
 
   // Cell walk: each row cell is its list's last (largest) rank, and
   // cell_start marks where every list begins. An empty cell reads a byte it
@@ -211,9 +242,9 @@ bool SketchArena::AppendNodes(NodeId first, std::span<const uint8_t> present,
   for (size_t i = 0; i < present.size(); ++i) {
     if (present[i] == 0) continue;
     const NodeId u = first + static_cast<NodeId>(i);
-    IPIN_CHECK_EQ(slot_of_[u], kNoSlot);
+    IPIN_CHECK_EQ(row_of_[u], 0u);
     const uint8_t* node_counts = counts + (s - s0) * beta_;
-    uint8_t* row = rank_plane_.data() + static_cast<size_t>(u) * beta_;
+    uint8_t* row = slot_row(s);
     for (size_t c = 0; c < beta_; ++c) {
       const size_t n = node_counts[c];
       cell_start[end] = 1;
@@ -221,21 +252,24 @@ bool SketchArena::AppendNodes(NodeId first, std::span<const uint8_t> present,
       const uint8_t keep = n != 0 ? 0xff : 0;
       row[c] = last_of[end - (end != 0 ? 1 : 0)] & keep;
     }
-    slot_of_[u] = static_cast<uint32_t>(s);
+    row_of_[u] = static_cast<uint32_t>(s + 1);
     slot_entry_base_[s + 1] = e0 + end;
     ++s;
   }
   num_allocated_ = s;
 
   // Entry pass: ranks non-zero; inside a list, ranks strictly ascend and
-  // times never descend.
+  // times never descend. Offsets order as their times do.
   uint8_t bad = 0;
   for (size_t i = 0; i < entries; ++i) bad |= r[i] == 0 ? 1 : 0;
-  for (size_t i = 1; i < entries; ++i) {
-    const uint8_t out_of_order =
-        (r[i] <= r[i - 1] ? 1 : 0) | (t[i] < t[i - 1] ? 1 : 0);
-    bad |= out_of_order & (cell_start[i] ^ 1);
-  }
+  WithTimeCodec(width, [&](auto codec) {
+    for (size_t i = 1; i < entries; ++i) {
+      const uint8_t out_of_order =
+          (r[i] <= r[i - 1] ? 1 : 0) |
+          (codec.Load(t, i) < codec.Load(t, i - 1) ? 1 : 0);
+      bad |= out_of_order & (cell_start[i] ^ 1);
+    }
+  });
   if (bad != 0) {
     RollBack(s0, first, first + static_cast<NodeId>(present.size()));
     return false;
@@ -250,34 +284,14 @@ size_t SketchArena::NodeNumEntries(NodeId u) const {
 }
 
 double SketchArena::EstimateNode(NodeId u) const {
-  return kernels::Dispatched().estimate_from_ranks(
-      rank_plane_.data() + static_cast<size_t>(u) * beta_, beta_);
-}
-
-double SketchArena::EstimateNodeBefore(NodeId u, Timestamp bound,
-                                       std::vector<uint8_t>* scratch) const {
-  scratch->assign(beta_, 0);
-  BoundedMaxInto(u, bound, scratch->data());
-  return kernels::Dispatched().estimate_from_ranks(scratch->data(), beta_);
-}
-
-void SketchArena::BoundedMaxInto(NodeId u, Timestamp bound,
-                                 uint8_t* dst) const {
-  if (!has_node(u)) return;
-  const size_t s = slot(u);
-  const size_t base = slot_entry_base_[s];
-  const size_t total = slot_entry_base_[s + 1] - base;
-  static_assert(sizeof(Timestamp) == sizeof(int64_t));
-  kernels::Dispatched().bounded_max_into(
-      cell_counts_.data() + s * beta_, entry_ranks_.data() + base,
-      entry_times_.data() + base, beta_, total, bound, dst);
+  return kernels::Dispatched().estimate_from_ranks(rank_row(u).data(), beta_);
 }
 
 bool SketchArena::CheckNodeInvariants(NodeId u) const {
   if (!has_node(u)) return true;
   const size_t s = slot(u);
   const uint8_t* counts = cell_counts_.data() + s * beta_;
-  const uint8_t* row = rank_plane_.data() + static_cast<size_t>(u) * beta_;
+  const uint8_t* row = rank_row(u).data();
   size_t entry = slot_entry_base_[s];
   for (size_t c = 0; c < beta_; ++c) {
     const size_t n = counts[c];
@@ -288,9 +302,7 @@ bool SketchArena::CheckNodeInvariants(NodeId u) const {
         if (entry_ranks_[entry + i] <= entry_ranks_[entry + i - 1]) {
           return false;
         }
-        if (entry_times_[entry + i] < entry_times_[entry + i - 1]) {
-          return false;
-        }
+        if (TimeAt(entry + i) < TimeAt(entry + i - 1)) return false;
       }
     }
     const uint8_t expected = n == 0 ? 0 : entry_ranks_[entry + n - 1];
@@ -302,31 +314,16 @@ bool SketchArena::CheckNodeInvariants(NodeId u) const {
 
 size_t SketchArena::MemoryUsageBytes() const {
   return rank_plane_.capacity() * sizeof(uint8_t) +
-         slot_of_.capacity() * sizeof(uint32_t) +
+         row_of_.capacity() * sizeof(uint32_t) +
          cell_counts_.capacity() * sizeof(uint8_t) +
          slot_entry_base_.capacity() * sizeof(uint64_t) +
          entry_ranks_.capacity() * sizeof(uint8_t) +
-         entry_times_.capacity() * sizeof(int64_t);
+         entry_times_.capacity() * sizeof(uint8_t);
 }
 
 double SketchView::Estimate() const {
   if (hll_ != nullptr) return hll_->Estimate();
   return arena_->EstimateNode(node_);
-}
-
-double SketchView::EstimateBefore(Timestamp bound,
-                                  std::vector<uint8_t>* scratch) const {
-  if (hll_ != nullptr) return hll_->EstimateBefore(bound, scratch);
-  return arena_->EstimateNodeBefore(node_, bound, scratch);
-}
-
-void SketchView::MaxRanks(Timestamp bound, std::vector<uint8_t>* ranks) const {
-  if (hll_ != nullptr) {
-    hll_->MaxRanks(bound, ranks);
-    return;
-  }
-  IPIN_CHECK_EQ(ranks->size(), arena_->num_cells());
-  arena_->BoundedMaxInto(node_, bound, ranks->data());
 }
 
 bool SketchView::CheckInvariants() const {

@@ -43,9 +43,10 @@ obs::MemoryTally& VhllMemTally();
 /// are split into `num_parts` contiguous ranges ("parts"; part k holds
 /// cells [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns an entry
 /// pool, its free lists and its lifetime tallies. A pool is two parallel
-/// arrays at the same offsets, u8 ranks and i64 times — the encoding of the
-/// sealed SketchArena and of the index file — so an entry costs 9 bytes,
-/// not a padded 16-byte pair. `heads_[c]` gives the offset (into c's
+/// arrays at the same offsets, u8 ranks and i64 times — the split layout
+/// of the sealed SketchArena and of the index file, which store the times
+/// as narrower offsets (time_codec.h) — so an entry costs 9 bytes, not a
+/// padded 16-byte pair. `heads_[c]` gives the offset (into c's
 /// part's pool), length and capacity of cell c's block. Block capacities
 /// are powers of two from 1 to 64 (a list never exceeds 64 entries: ranks
 /// are distinct and at most 64 - precision + 1). A full cell moves to a

@@ -261,13 +261,13 @@ TEST_F(CheckpointTest, PreviousVersionCheckpointIsSkipped) {
   {
     SafeFileReader reader;
     ASSERT_EQ(reader.Open(path, kCheckpointFileType), SafeOpenStatus::kOk);
-    ASSERT_EQ(reader.version(), 2u);
+    ASSERT_EQ(reader.version(), 3u);
     std::string_view payload;
     while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
       frames.emplace_back(payload);
     }
   }
-  SafeFileWriter writer(path, kCheckpointFileType, /*version=*/1);
+  SafeFileWriter writer(path, kCheckpointFileType, /*version=*/2);
   for (const std::string& frame : frames) {
     ASSERT_TRUE(writer.AppendFrame(frame));
   }

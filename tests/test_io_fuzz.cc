@@ -1,8 +1,10 @@
 // Robustness fuzzing of the text/binary parsers: random byte soup must
 // never crash the loaders — they either parse or cleanly return nullopt.
 
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -160,13 +162,13 @@ void EditChunk(Rng* rng, std::string* chunk) {
   }
 }
 
-// Version-3 files from SaveInfluenceIndex under two kinds of damage: byte
+// Files from SaveInfluenceIndex under two kinds of damage: byte
 // flips and truncation of the file (which the frame CRCs catch), and
 // hostile chunk payloads re-framed with valid CRCs (which only the chunk's
 // own checks can catch). Every load ends in a clean status, and every node
 // the loaded arena holds passes the vHLL invariants; nodes outside the
 // damaged chunk are exactly as saved.
-TEST_F(IoFuzzTest, SavedV3IndexSurvivesFlipsAndHostileChunks) {
+TEST_F(IoFuzzTest, SavedV4IndexSurvivesFlipsAndHostileChunks) {
   constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
   const InteractionGraph g = GenerateUniformRandomNetwork(700, 3000, 4000, 24);
   IrsApprox index = IrsApprox::Compute(g, 400, {/*precision=*/4});
@@ -393,6 +395,231 @@ TEST_F(IoFuzzTest, ApproxCheckpointSurvivesHostileChunks) {
   }
   EXPECT_GT(skipped, 30u);
   EXPECT_LT(skipped, 60u);  // some edits pass every check
+  std::filesystem::remove_all(dir);
+}
+
+// The frames of the framed file at `path`, and its version.
+std::vector<std::string> ReadFrames(const std::string& path, uint32_t type,
+                                    uint32_t* version) {
+  SafeFileReader reader;
+  EXPECT_EQ(reader.Open(path, type), SafeOpenStatus::kOk);
+  *version = reader.version();
+  std::vector<std::string> frames;
+  std::string_view payload;
+  while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+    frames.emplace_back(payload);
+  }
+  return frames;
+}
+
+void WriteFrames(const std::string& path, uint32_t type, uint32_t version,
+                 const std::vector<std::string>& frames) {
+  SafeFileWriter writer(path, type, version);
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(writer.AppendFrame(frame));
+  }
+  ASSERT_TRUE(writer.Commit());
+}
+
+// A sketch chunk (oracle_io.h) of sketches with 2^precision cells, its time
+// offsets (in `from`) re-encoded as the low `width` bytes of each time
+// minus `base`. At width 8 and base 0 these are the i64 times of the
+// retired formats.
+std::string ReencodeTimes(const std::string& chunk, int precision,
+                          const TimeEncoding& from, size_t width,
+                          int64_t base) {
+  uint32_t count = 0;
+  uint64_t entries = 0;
+  std::memcpy(&count, chunk.data() + 8, sizeof(count));
+  std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
+  size_t present = 0;
+  for (uint32_t i = 0; i < count; ++i) present += chunk[20 + i] != 0 ? 1 : 0;
+  const size_t at = 20 + count + (present << precision) + entries;
+  std::string out = chunk.substr(0, at);
+  const auto* offsets = reinterpret_cast<const uint8_t*>(chunk.data()) + at;
+  for (size_t i = 0; i < entries; ++i) {
+    const uint64_t offset = static_cast<uint64_t>(from.Decode(offsets, i)) -
+                            static_cast<uint64_t>(base);
+    out.append(reinterpret_cast<const char*>(&offset), width);
+  }
+  return out;
+}
+
+constexpr uint32_t kIndexType = 0x58444949;       // "IIDX"
+constexpr uint32_t kCheckpointType = 0x504b4349;  // "ICKP"
+// Offsets in an IIDX v4 header frame: i64 window, u8 precision, u64 salt,
+// u64 num_nodes, u32 chunk_size, then i64 base_time and u8 time_width.
+constexpr size_t kBaseTimeAt = 29;
+constexpr size_t kTimeWidthAt = 37;
+
+// A header frame with its time encoding replaced.
+std::string WithTimes(std::string header, int64_t base, uint8_t width) {
+  std::memcpy(header.data() + kBaseTimeAt, &base, sizeof(base));
+  header[kTimeWidthAt] = static_cast<char>(width);
+  return header;
+}
+
+// The uniform network of SavedV4IndexSurvivesFlipsAndHostileChunks, its
+// times in nanoseconds from 2023 when `nanoseconds` is set (a span beyond
+// 2^32, so the index keeps 8-byte offsets).
+InteractionGraph TestNetwork(bool nanoseconds) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(700, 3000, 4000, 24);
+  if (!nanoseconds) return g;
+  InteractionGraph scaled(g.num_nodes());
+  for (const Interaction& e : g.interactions()) {
+    scaled.AddInteraction(e.src, e.dst,
+                          1'700'000'000'000'000'000 + e.time * 1'000'000'000);
+  }
+  scaled.SortByTime();
+  return scaled;
+}
+
+// Hostile time encodings in IIDX v4 files. A header's time width other than
+// 4 or 8, or a base time from which some offset of the width decodes past
+// INT64_MAX, makes the file kCorrupt. A CRC-valid chunk whose length fits
+// the other width is dropped, never read at that width; the rest of the
+// file loads as saved.
+TEST_F(IoFuzzTest, HostileV4TimeEncodingsFailCleanly) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
+  for (const bool nanoseconds : {false, true}) {
+    SCOPED_TRACE(nanoseconds ? "u64 offsets" : "u32 offsets");
+    IrsApprox index = IrsApprox::Compute(TestNetwork(nanoseconds), 400,
+                                         {/*precision=*/4});
+    index.Seal();
+    const TimeEncoding times = index.time_encoding();
+    ASSERT_EQ(times.width, nanoseconds ? 8 : 4);
+    ASSERT_TRUE(SaveInfluenceIndex(index, path_));
+    uint32_t version = 0;
+    const std::vector<std::string> frames =
+        ReadFrames(path_, kIndexType, &version);
+    ASSERT_EQ(frames.size(), 4u);  // header + three chunks
+    const auto load_with_header = [&](const std::string& header) {
+      std::vector<std::string> edited = frames;
+      edited[0] = header;
+      WriteFrames(path_, kIndexType, version, edited);
+      return LoadInfluenceIndexDetailed(path_);
+    };
+
+    for (const uint8_t width : {0, 1, 2, 3, 5, 7, 9, 16, 255}) {
+      const IndexLoadResult result =
+          load_with_header(WithTimes(frames[0], times.base, width));
+      EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt) << int{width};
+      EXPECT_FALSE(result.usable());
+    }
+    for (const TimeEncoding overflow :
+         {TimeEncoding{kMax - kU32 + 1, 4}, TimeEncoding{kMax, 4},
+          TimeEncoding{kMin + 1, 8}, TimeEncoding{0, 8}}) {
+      EXPECT_EQ(
+          load_with_header(WithTimes(frames[0], overflow.base, overflow.width))
+              .status,
+          IndexLoadStatus::kCorrupt)
+          << overflow.base << " width " << int{overflow.width};
+    }
+    // The largest base a u32 offset allows still loads, its chunks intact.
+    EXPECT_EQ(load_with_header(WithTimes(frames[0], kMax - kU32, 4)).status,
+              times.width == 4 ? IndexLoadStatus::kOk
+                               : IndexLoadStatus::kDegraded);
+
+    // The header claims the other width: no chunk fits it.
+    const TimeEncoding other = times.width == 4 ? TimeEncoding{}
+                                                : TimeEncoding{0, 4};
+    IndexLoadResult result =
+        load_with_header(WithTimes(frames[0], other.base, other.width));
+    EXPECT_EQ(result.status, IndexLoadStatus::kDegraded);
+    EXPECT_EQ(result.sections_dropped, 3u);
+    EXPECT_EQ(result.index->NumAllocatedSketches(), 0u);
+
+    // One chunk re-encoded at the other width: only it is dropped.
+    for (size_t k = 1; k < frames.size(); ++k) {
+      std::vector<std::string> edited = frames;
+      edited[k] =
+          ReencodeTimes(frames[k], 4, times, other.width, times.base);
+      ASSERT_NE(edited[k].size(), frames[k].size());
+      WriteFrames(path_, kIndexType, version, edited);
+      result = LoadInfluenceIndexDetailed(path_);
+      ASSERT_EQ(result.status, IndexLoadStatus::kDegraded) << k;
+      EXPECT_EQ(result.sections_dropped, 1u) << k;
+      for (NodeId u = 0; u < index.num_nodes(); ++u) {
+        const bool dropped = u / 256 == k - 1;
+        ASSERT_EQ(result.index->Sketch(u).valid(),
+                  !dropped && index.Sketch(u).valid())
+            << "chunk " << k << " node " << u;
+        if (!dropped && index.Sketch(u)) {
+          ASSERT_EQ(CellsOf(result.index->Sketch(u)), CellsOf(index.Sketch(u)))
+              << "chunk " << k << " node " << u;
+        }
+      }
+    }
+  }
+}
+
+// A well-formed version-3 index (i64 times, no time encoding in the
+// header) is refused whole, and the error says to rebuild it.
+TEST_F(IoFuzzTest, RetiredV3IndexLoadsAsCorruptWithTheRebuildMessage) {
+  IrsApprox index = IrsApprox::Compute(TestNetwork(false), 400,
+                                       {/*precision=*/4});
+  index.Seal();
+  ASSERT_TRUE(SaveInfluenceIndex(index, path_));
+  uint32_t version = 0;
+  std::vector<std::string> frames = ReadFrames(path_, kIndexType, &version);
+  ASSERT_EQ(version, 4u);
+  frames[0].resize(kBaseTimeAt);
+  for (size_t k = 1; k < frames.size(); ++k) {
+    frames[k] = ReencodeTimes(frames[k], 4, index.time_encoding(), 8, 0);
+  }
+  WriteFrames(path_, kIndexType, 3, frames);
+
+  std::vector<std::string> errors;
+  SetLogSink([&errors](LogLevel level, const std::string& message) {
+    if (level == LogLevel::kError) errors.push_back(message);
+  });
+  const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+  SetLogSink(nullptr);
+  EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
+  EXPECT_FALSE(result.usable());
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("version 3 is not read"), std::string::npos)
+      << errors[0];
+  EXPECT_NE(errors[0].find("rebuild it with ipin_cli build-index"),
+            std::string::npos)
+      << errors[0];
+}
+
+// A well-formed version-2 checkpoint (i64 times, no time encoding in the
+// meta frame) is skipped, and the build runs fresh to the uninterrupted
+// result.
+TEST_F(IoFuzzTest, V2CheckpointIsSkippedCleanly) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
+  const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
+  const std::string dir = path_ + ".ckpt";
+  const CheckpointOptions options{dir, /*every_edges=*/1000, /*keep=*/1};
+  (void)ComputeIrsApproxCheckpointed(g, 90, sketch, options);
+  const auto files = ReadDir(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string& path = files[0].first;
+  uint32_t version = 0;
+  std::vector<std::string> frames =
+      ReadFrames(path, kCheckpointType, &version);
+  ASSERT_EQ(version, 3u);
+  // The meta frame ends with the chunks' i64 base time and u8 width.
+  std::string& meta = frames[0];
+  TimeEncoding times;
+  std::memcpy(&times.base, meta.data() + meta.size() - 9, sizeof(times.base));
+  times.width = static_cast<uint8_t>(meta.back());
+  meta.resize(meta.size() - 9);
+  for (size_t k = 1; k < frames.size(); ++k) {
+    frames[k] = ReencodeTimes(frames[k], 4, times, 8, 0);
+  }
+  WriteFrames(path, kCheckpointType, 2, frames);
+
+  CheckpointStats stats;
+  const IrsApprox got =
+      ComputeIrsApproxCheckpointed(g, 90, sketch, options, &stats);
+  EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
+  EXPECT_EQ(stats.resumed_edges, 0u);
+  ExpectSameSketches(got, IrsApprox::Compute(g, 90, sketch), 0);
   std::filesystem::remove_all(dir);
 }
 

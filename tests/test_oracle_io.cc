@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <set>
 #include <span>
 #include <string>
 #include <utility>
@@ -14,6 +16,7 @@
 #include "ipin/common/logging.h"
 #include "ipin/common/random.h"
 #include "ipin/common/safe_io.h"
+#include "ipin/core/checkpoint.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/obs/memtally.h"
 #include "ipin/serve/shard_map.h"
@@ -196,13 +199,15 @@ TEST_F(OracleIoTest, EmptyIndexRoundtrips) {
 // --- Hand-crafted framed files -------------------------------------------
 //
 // The framed index format (oracle_io.cc): safe_io file type "IIDX",
-// version 3; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
-// u32 chunk_size; chunk frame k = u64 first_node, u32 count, u64 entries,
-// u8 present[count], u8 cell_counts[present x beta], u8 ranks[entries],
-// i64 times[entries].
+// version 4; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
+// u32 chunk_size, i64 base_time, u8 time_width; chunk frame k = u64
+// first_node, u32 count, u64 entries, u8 present[count],
+// u8 cell_counts[present x beta], u8 ranks[entries], then each time as a
+// time_width-byte offset from base_time. The crafted files use base 0 and
+// u32 offsets.
 
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
-constexpr uint32_t kIndexFormatVersion = 3;
+constexpr uint32_t kIndexFormatVersion = 4;
 constexpr int kCraftPrecision = 4;
 constexpr uint64_t kCraftSalt = 9;
 constexpr size_t kCraftBeta = size_t{1} << kCraftPrecision;
@@ -219,6 +224,8 @@ std::string HeaderFrame(uint64_t num_nodes, uint32_t chunk_size) {
   Put<uint64_t>(&frame, kCraftSalt);
   Put<uint64_t>(&frame, num_nodes);
   Put<uint32_t>(&frame, chunk_size);
+  Put<int64_t>(&frame, 0);  // base_time
+  Put<uint8_t>(&frame, 4);  // time_width
   return frame;
 }
 
@@ -257,7 +264,7 @@ struct Chunk {
         Put<uint8_t>(&cell_counts, static_cast<uint8_t>(cell.size()));
         for (const auto& [rank, time] : cell) {
           Put<uint8_t>(&ranks, rank);
-          Put<int64_t>(&times, time);
+          Put<uint32_t>(&times, static_cast<uint32_t>(time));
           ++entries;
         }
       }
@@ -304,7 +311,7 @@ std::string RetiredChunkFrame(uint64_t first_node,
   return frame + RetiredNodeRecords(nodes);
 }
 
-class CraftedV3IndexTest : public OracleIoTest {
+class CraftedV4IndexTest : public OracleIoTest {
  protected:
   void WriteFrames(const std::vector<std::string>& frames,
                    uint32_t version = kIndexFormatVersion) const {
@@ -372,7 +379,7 @@ class CraftedV3IndexTest : public OracleIoTest {
   std::vector<Cells> nodes_;
 };
 
-TEST_F(CraftedV3IndexTest, CraftedFileLoadsExactly) {
+TEST_F(CraftedV4IndexTest, CraftedFileLoadsExactly) {
   WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), ChunkOf(1).Encode(),
                ChunkOf(2).Encode()});
   const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
@@ -381,7 +388,7 @@ TEST_F(CraftedV3IndexTest, CraftedFileLoadsExactly) {
   for (NodeId u = 0; u < 12; ++u) ExpectNode(*result.index, u, nodes_[u]);
 }
 
-TEST_F(CraftedV3IndexTest, HostileHeaderFailsCleanly) {
+TEST_F(CraftedV4IndexTest, HostileHeaderFailsCleanly) {
   // 2^50 nodes would size a rank plane of 2^54 bytes.
   WriteFrames({HeaderFrame(uint64_t{1} << 50, 256)});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
@@ -397,9 +404,9 @@ TEST_F(CraftedV3IndexTest, HostileHeaderFailsCleanly) {
             IndexLoadStatus::kCorrupt);
 }
 
-// The payload must be exactly 20 + count + present x beta + 9 x entries
+// The payload must be exactly 20 + count + present x beta + 5 x entries
 // bytes; any disagreement drops the chunk and nothing else.
-TEST_F(CraftedV3IndexTest, PayloadLengthMustMatchItsCounts) {
+TEST_F(CraftedV4IndexTest, PayloadLengthMustMatchItsCounts) {
   Chunk more_entries = ChunkOf(1);
   ++more_entries.entries;
   ExpectOnlyMiddleDropped(more_entries.Encode(), "entries + 1");
@@ -409,7 +416,7 @@ TEST_F(CraftedV3IndexTest, PayloadLengthMustMatchItsCounts) {
   ExpectOnlyMiddleDropped(fewer_entries.Encode(), "entries - 1");
 
   Chunk huge_entries = ChunkOf(1);
-  huge_entries.entries = ~uint64_t{0} / 9 + 1;  // 9 x entries wraps
+  huge_entries.entries = ~uint64_t{0} / 5 + 1;  // 5 x entries wraps
   ExpectOnlyMiddleDropped(huge_entries.Encode(), "entries overflow");
 
   Chunk absent = ChunkOf(1);
@@ -442,7 +449,7 @@ TEST_F(CraftedV3IndexTest, PayloadLengthMustMatchItsCounts) {
 
 // Well-framed chunks whose contents break a vHLL invariant: only the
 // append's checks catch these, and they drop exactly the chunk.
-TEST_F(CraftedV3IndexTest, BadCellsDropExactlyTheirChunk) {
+TEST_F(CraftedV4IndexTest, BadCellsDropExactlyTheirChunk) {
   const std::vector<Cells> nodes(Slice(1).begin(), Slice(1).end());
   const auto with_node5_cell0 =
       [&](std::vector<std::pair<uint8_t, int64_t>> pairs) {
@@ -503,7 +510,7 @@ TEST_F(CraftedV3IndexTest, BadCellsDropExactlyTheirChunk) {
                           "descending time");
 }
 
-TEST_F(CraftedV3IndexTest, MisplacedChunksAreDropped) {
+TEST_F(CraftedV4IndexTest, MisplacedChunksAreDropped) {
   WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), ChunkOf(0).Encode(),
                ChunkOf(2).Encode()});
   IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
@@ -527,20 +534,20 @@ TEST_F(CraftedV3IndexTest, MisplacedChunksAreDropped) {
   wrapping.first_node = ~uint64_t{0} - 1;
   ExpectOnlyMiddleDropped(wrapping.Encode(), "wrapping first_node");
 
-  // A version-2 chunk in a version-3 file is malformed, not reinterpreted.
+  // A version-2 chunk in a version-4 file is malformed, not reinterpreted.
   ExpectOnlyMiddleDropped(RetiredChunkFrame(4, Slice(1)), "v2 chunk");
 }
 
 // A version this loader does not know is refused whole.
-TEST_F(CraftedV3IndexTest, UnknownVersionIsCorrupt) {
-  WriteFrames({HeaderFrame(0, 256)}, 4);
+TEST_F(CraftedV4IndexTest, UnknownVersionIsCorrupt) {
+  WriteFrames({HeaderFrame(0, 256)}, 5);
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
 }
 
 // The retired formats — version 2 (per-node sketch blobs in IIDX frames)
 // and the unframed version 1 — are refused whole, however well formed.
-TEST_F(CraftedV3IndexTest, RetiredFormatsLoadAsCorrupt) {
+TEST_F(CraftedV4IndexTest, RetiredFormatsLoadAsCorrupt) {
   WriteFrames({HeaderFrame(12, 4), RetiredChunkFrame(0, Slice(0)),
                RetiredChunkFrame(4, Slice(1)), RetiredChunkFrame(8, Slice(2))},
               2);
@@ -658,6 +665,120 @@ TEST_F(OracleIoTest, SealedAndUnsealedIndexesWriteTheSameFile) {
   index.Seal();
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
   EXPECT_EQ(ReadFileBytes(), unsealed);
+}
+
+// Every node of `got` holds exactly the cells and estimate of the same
+// node of `want`.
+void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (NodeId u = 0; u < want.num_nodes(); ++u) {
+    ASSERT_EQ(got.Sketch(u).valid(), want.Sketch(u).valid()) << "node " << u;
+    EXPECT_EQ(got.EstimateIrsSize(u), want.EstimateIrsSize(u)) << "node " << u;
+    if (!want.Sketch(u)) continue;
+    ASSERT_EQ(CellsOf(got.Sketch(u)), CellsOf(want.Sketch(u))) << "node " << u;
+  }
+}
+
+// Times spanning 2^32 or more (nanosecond-style timestamps) keep 8-byte
+// offsets; a span of exactly 2^32 - 1 still takes u32 offsets. At either
+// width, every store of a build — sealed, saved and loaded, cut into
+// shards, checkpointed, killed and resumed — holds the unsealed build's
+// cells and estimates bit for bit.
+TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
+  struct Case {
+    Timestamp first;
+    uint64_t span;
+    uint8_t width;
+  };
+  for (const Case& c : {Case{1'700'000'000'000'000'000, uint64_t{1} << 40, 8},
+                        Case{-7, (uint64_t{1} << 32) - 1, 4}}) {
+    SCOPED_TRACE(testing::Message() << "span " << c.span);
+    // Nodes 0..49 interact at random times; node 50 sends only at the first
+    // time and node 52 only at the last, so both ends of the span are kept.
+    InteractionGraph g(54);
+    Rng rng(c.span);
+    g.AddInteraction(50, 51, c.first);
+    g.AddInteraction(52, 53, c.first + static_cast<Timestamp>(c.span));
+    for (int i = 0; i < 600; ++i) {
+      g.AddInteraction(static_cast<NodeId>(rng.NextBounded(50)),
+                       static_cast<NodeId>(rng.NextBounded(50)),
+                       c.first + static_cast<Timestamp>(rng.NextBounded(c.span)));
+    }
+    g.SortByTime();
+    const Duration window = static_cast<Duration>(c.span / 8);
+    const IrsApproxOptions options{/*precision=*/5, /*salt=*/11};
+
+    const IrsApprox unsealed = IrsApprox::Compute(g, window, options);
+    const TimeEncoding times = unsealed.time_encoding();
+    EXPECT_EQ(times.width, c.width);
+    if (c.width == 4) {
+      EXPECT_EQ(times.base, c.first);
+    }
+
+    IrsApprox sealed = IrsApprox::Compute(g, window, options);
+    sealed.Seal();
+    EXPECT_EQ(sealed.time_encoding(), times);
+    ExpectSameCells(unsealed, sealed);
+    // The decoded times are the log's own, both ends of the span included.
+    std::set<Timestamp> logged;
+    for (const Interaction& e : g.interactions()) logged.insert(e.time);
+    std::set<Timestamp> stored;
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (!sealed.Sketch(u)) continue;
+      const SketchCells cells = CellsOf(sealed.Sketch(u));
+      stored.insert(cells.times.begin(), cells.times.end());
+    }
+    ASSERT_FALSE(stored.empty());
+    EXPECT_TRUE(std::includes(logged.begin(), logged.end(), stored.begin(),
+                              stored.end()));
+    EXPECT_EQ(*stored.begin(), c.first);
+    EXPECT_EQ(*stored.rbegin(), c.first + static_cast<Timestamp>(c.span));
+
+    ASSERT_TRUE(SaveInfluenceIndex(unsealed, path_));
+    const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
+    ASSERT_EQ(loaded.status, IndexLoadStatus::kOk);
+    EXPECT_EQ(loaded.index->time_encoding(), times);
+    ExpectSameCells(unsealed, *loaded.index);
+
+    std::vector<serve::ShardInfo> shards(2);
+    for (size_t i = 0; i < shards.size(); ++i) {
+      shards[i].name = "shard" + std::to_string(i);
+      shards[i].endpoint.unix_socket_path =
+          "/tmp/ipin-shard" + std::to_string(i) + ".sock";
+    }
+    const serve::ShardMap map(shards);
+    ASSERT_EQ(map.num_shards(), 2u);
+    for (size_t s = 0; s < map.num_shards(); ++s) {
+      const IrsApprox shard = serve::ExtractShardIndex(*loaded.index, map, s);
+      EXPECT_EQ(shard.time_encoding(), times);
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        if (map.OwnerOf(u) != s || !unsealed.Sketch(u)) continue;
+        ASSERT_EQ(CellsOf(shard.Sketch(u)), CellsOf(unsealed.Sketch(u)))
+            << "shard " << s << " node " << u;
+        EXPECT_EQ(shard.EstimateIrsSize(u), unsealed.EstimateIrsSize(u));
+      }
+    }
+
+    // Named without the fixture's address, which a death test's child
+    // need not share.
+    const std::string dir = ::testing::TempDir() + "/ipin_time_width_" +
+                            std::to_string(c.width) + ".ckpt";
+    std::filesystem::remove_all(dir);
+    const CheckpointOptions checkpoints{dir, /*every_edges=*/100};
+    EXPECT_EXIT(
+        {
+          failpoint::Set("checkpoint.save", "crash_after_n(2)");
+          (void)ComputeIrsApproxCheckpointed(g, window, options, checkpoints);
+        },
+        ::testing::ExitedWithCode(134), "failpoint");
+    CheckpointStats stats;
+    const IrsApprox resumed = ComputeIrsApproxCheckpointed(
+        g, window, options, checkpoints, &stats);
+    EXPECT_EQ(stats.resumed_edges, 200u);
+    EXPECT_EQ(resumed.time_encoding(), times);
+    ExpectSameCells(unsealed, resumed);
+    std::filesystem::remove_all(dir);
+  }
 }
 
 }  // namespace

@@ -154,7 +154,7 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   constexpr size_t kMergeEntriesScanned = 623384;
   constexpr size_t kCellUpdates = 333295;
   constexpr size_t kEntries = 160109;
-  constexpr uint32_t kIndexCrc32c = 0xb138a64b;
+  constexpr uint32_t kIndexCrc32c = 0xe6f192da;
   SyntheticConfig config = *GetDatasetConfig("enron", 0.01);
   config.seed = 25;
   const InteractionGraph g = GenerateInteractionNetwork(config);

@@ -1,7 +1,7 @@
 #include "ipin/sketch/sketch_arena.h"
 
 #include <algorithm>
-#include <cstring>
+#include <limits>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -55,7 +55,7 @@ TEST(SketchArenaTest, SealedNodeStoresTheSourceCellLists) {
       ASSERT_EQ(range.cell_counts[c], list.size()) << "node " << u;
       for (const VersionedHll::Entry& e : list) {
         EXPECT_EQ(range.ranks[entry], e.rank) << "node " << u;
-        EXPECT_EQ(range.times[entry], e.time) << "node " << u;
+        EXPECT_EQ(range.time(entry), e.time) << "node " << u;
         ++entry;
       }
     }
@@ -92,16 +92,9 @@ TEST(SketchArenaTest, RankPlaneAndCountsMatchSource) {
 TEST(SketchArenaTest, EstimatesMatchSourceSketches) {
   const auto sketches = BuildSketches(20, 3);
   const SketchArena arena(kPrecision, kSalt, std::span(sketches));
-  std::vector<uint8_t> scratch_a, scratch_b;
   for (NodeId u = 0; u < 20; ++u) {
     if (sketches[u] == nullptr) continue;
     EXPECT_EQ(arena.EstimateNode(u), sketches[u]->Estimate()) << "node " << u;
-    for (const Timestamp bound : {Timestamp{0}, Timestamp{100},
-                                  Timestamp{500}, Timestamp{2000}}) {
-      EXPECT_EQ(arena.EstimateNodeBefore(u, bound, &scratch_a),
-                sketches[u]->EstimateBefore(bound, &scratch_b))
-          << "node " << u << " bound " << bound;
-    }
   }
 }
 
@@ -112,8 +105,10 @@ TEST(SketchArenaTest, AppendCopyFromEitherStoreIsExact) {
   const SketchArena sealed(kPrecision, kSalt, std::span(sketches));
   const SketchArena::Capacity capacity{sealed.NumAllocated(),
                                        sealed.TotalEntries()};
-  SketchArena from_arena(kPrecision, kSalt, 20, capacity);
-  SketchArena from_hll(kPrecision, kSalt, 20, capacity);
+  SketchArena from_arena(kPrecision, kSalt, 20, capacity,
+                         sealed.time_encoding());
+  SketchArena from_hll(kPrecision, kSalt, 20, capacity,
+                       sealed.time_encoding());
   for (NodeId u = 0; u < 20; ++u) {
     if (sketches[u] == nullptr) continue;
     from_arena.AppendCopy(u, SketchView(&sealed, u));
@@ -137,10 +132,61 @@ TEST(SketchArenaTest, AppendCopyFromEitherStoreIsExact) {
   }
 }
 
+// The narrowest encoding is chosen from the span alone: u32 offsets from
+// the first time up to a span of 2^32 - 1, u64 offsets from INT64_MIN
+// beyond. Only valid encodings decode every offset of their width.
+TEST(SketchArenaTest, TimeEncodingIsTheNarrowestThatHoldsTheSpan) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(TimeEncoding::Covering(-3, -3 + kU32), (TimeEncoding{-3, 4}));
+  EXPECT_EQ(TimeEncoding::Covering(-3, -2 + kU32), TimeEncoding{});
+  EXPECT_EQ(TimeEncoding::Covering(kMax - kU32, kMax),
+            (TimeEncoding{kMax - kU32, 4}));
+  EXPECT_EQ(TimeEncoding::Covering(kMin, kMax), TimeEncoding{});
+  EXPECT_EQ(TimeEncoding::Covering(1, 0), (TimeEncoding{0, 4}));  // no times
+  EXPECT_TRUE(TimeEncoding{}.valid());
+  EXPECT_TRUE((TimeEncoding{kMax - kU32, 4}.valid()));
+  EXPECT_FALSE((TimeEncoding{kMax - kU32 + 1, 4}.valid()));
+  EXPECT_FALSE((TimeEncoding{0, 8}.valid()));
+  EXPECT_FALSE((TimeEncoding{0, 2}.valid()));
+
+  const TimeEncoding narrow{100, 4};
+  EXPECT_TRUE(narrow.Holds(100));
+  EXPECT_TRUE(narrow.Holds(100 + kU32));
+  EXPECT_FALSE(narrow.Holds(99));
+  EXPECT_FALSE(narrow.Holds(101 + kU32));
+  for (const Timestamp t : {Timestamp{100}, Timestamp{100 + kU32}}) {
+    uint8_t bytes[4];
+    TimeCodec<uint32_t>::Store(bytes, 0, TimeCodec<uint32_t>::Encode(100, t));
+    EXPECT_EQ(narrow.Decode(bytes, 0), t);
+  }
+  for (const Timestamp t : {kMin, Timestamp{-1}, Timestamp{0}, kMax}) {
+    uint8_t bytes[8];
+    TimeCodec<uint64_t>::Store(bytes, 0, TimeCodec<uint64_t>::Encode(kMin, t));
+    EXPECT_EQ(TimeEncoding{}.Decode(bytes, 0), t);
+  }
+
+  // An arena takes only the times its encoding holds.
+  SketchArena arena(kPrecision, kSalt, 2, {2, 2}, narrow);
+  const auto one_pair = [](Timestamp time) {
+    return [time](size_t c, uint8_t* ranks, int64_t* times, size_t) {
+      if (c != 0) return 0;
+      ranks[0] = 1;
+      times[0] = time;
+      return 1;
+    };
+  };
+  EXPECT_FALSE(arena.AppendNode(0, one_pair(99)));
+  EXPECT_FALSE(arena.AppendNode(0, one_pair(101 + kU32)));
+  ASSERT_TRUE(arena.AppendNode(0, one_pair(100 + kU32)));
+  EXPECT_EQ(arena.ContiguousRange(0, 1)->time(0), 100 + kU32);
+}
+
 // A cell that breaks a vHLL invariant rejects the whole node, and RollBack
 // removes nodes appended after a mark without touching earlier ones.
 TEST(SketchArenaTest, AppendRejectsBadCellsAndRollsBack) {
-  SketchArena arena(kPrecision, kSalt, 4, {4, 16});
+  SketchArena arena(kPrecision, kSalt, 4, {4, 16}, TimeEncoding{});
   const auto one_pair = [](uint8_t rank) {
     return [rank](size_t c, uint8_t* ranks, int64_t* times, size_t) {
       if (c != 0) return 0;
@@ -182,10 +228,16 @@ TEST(SketchArenaTest, AppendRejectsBadCellsAndRollsBack) {
   EXPECT_TRUE(arena.CheckNodeInvariants(2));
 }
 
-// The bytes of a ContiguousRange's times, as a saved index stores them.
-std::vector<uint8_t> TimeBytes(std::span<const int64_t> times) {
-  std::vector<uint8_t> bytes(times.size_bytes());
-  if (!bytes.empty()) std::memcpy(bytes.data(), times.data(), bytes.size());
+// The bytes of `times` as an arena (and a saved index) in `encoding`
+// stores them.
+std::vector<uint8_t> TimeBytes(std::span<const int64_t> times,
+                               const TimeEncoding& encoding) {
+  std::vector<uint8_t> bytes(times.size() * encoding.width);
+  WithTimeCodec(encoding.width, [&](auto codec) {
+    for (size_t i = 0; i < times.size(); ++i) {
+      codec.Store(bytes.data(), i, codec.Encode(encoding.base, times[i]));
+    }
+  });
   return bytes;
 }
 
@@ -195,7 +247,8 @@ TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
   const auto sketches = BuildSketches(20, 6);
   const SketchArena sealed(kPrecision, kSalt, std::span(sketches));
   SketchArena copy(kPrecision, kSalt, 20,
-                   {sealed.NumAllocated(), sealed.TotalEntries()});
+                   {sealed.NumAllocated(), sealed.TotalEntries()},
+                   sealed.time_encoding());
   for (const auto& [first, end] :
        {std::pair<NodeId, NodeId>{0, 7}, {7, 8}, {8, 20}}) {
     const auto range = sealed.ContiguousRange(first, end);
@@ -203,7 +256,7 @@ TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
     std::vector<uint8_t> present;
     for (NodeId u = first; u < end; ++u) present.push_back(sealed.has_node(u));
     ASSERT_TRUE(copy.AppendNodes(first, present, range->cell_counts,
-                                 range->ranks, TimeBytes(range->times)));
+                                 range->ranks, range->time_bytes));
   }
   EXPECT_EQ(copy.NumAllocated(), sealed.NumAllocated());
   EXPECT_EQ(copy.TotalEntries(), sealed.TotalEntries());
@@ -222,7 +275,8 @@ TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
 
   // Slots out of node order have no contiguous range.
   const size_t entries = sealed.NodeNumEntries(0) + sealed.NodeNumEntries(2);
-  SketchArena shuffled(kPrecision, kSalt, 3, {2, entries});
+  SketchArena shuffled(kPrecision, kSalt, 3, {2, entries},
+                       sealed.time_encoding());
   shuffled.AppendCopy(2, SketchView(&sealed, 2));
   shuffled.AppendCopy(0, SketchView(&sealed, 0));
   EXPECT_FALSE(shuffled.ContiguousRange(0, 3).has_value());
@@ -243,7 +297,8 @@ TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
   const std::vector<uint8_t> ranks = {2, 5, 1, 4};
   const std::vector<int64_t> times = {10, 20, 5, 7};
 
-  SketchArena arena(kPrecision, kSalt, 4, {3, 5});
+  const TimeEncoding encoding = TimeEncoding::Covering(0, 100);
+  SketchArena arena(kPrecision, kSalt, 4, {3, 5}, encoding);
   const auto one_pair = [](size_t c, uint8_t* r, int64_t* t, size_t) {
     if (c != 0) return 0;
     r[0] = 9;
@@ -254,7 +309,8 @@ TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
   const auto expect_rejected = [&](std::vector<uint8_t> c,
                                    std::vector<uint8_t> r,
                                    std::vector<int64_t> t, const char* what) {
-    EXPECT_FALSE(arena.AppendNodes(1, present, c, r, TimeBytes(t))) << what;
+    EXPECT_FALSE(arena.AppendNodes(1, present, c, r, TimeBytes(t, encoding)))
+        << what;
     EXPECT_EQ(arena.NumAllocated(), 1u) << what;
     for (const NodeId u : {NodeId{1}, NodeId{2}}) {
       EXPECT_FALSE(arena.has_node(u)) << what;
@@ -280,7 +336,8 @@ TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
   expect_rejected(c, many, std::vector<int64_t>(65, 0), "count 65");
 
   // The same run, valid: ranks may fall and times go back across cells.
-  ASSERT_TRUE(arena.AppendNodes(1, present, counts, ranks, TimeBytes(times)));
+  ASSERT_TRUE(
+      arena.AppendNodes(1, present, counts, ranks, TimeBytes(times, encoding)));
   EXPECT_EQ(arena.rank_row(1)[0], 5);
   EXPECT_EQ(arena.rank_row(1)[1], 1);
   EXPECT_EQ(arena.rank_row(2)[3], 4);
@@ -296,7 +353,6 @@ TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
 TEST(SketchArenaTest, ViewAgreesAcrossStorageModes) {
   const auto sketches = BuildSketches(20, 5);
   const SketchArena arena(kPrecision, kSalt, std::span(sketches));
-  std::vector<uint8_t> scratch_a, scratch_b;
   for (NodeId u = 0; u < 20; ++u) {
     const SketchView build_view(sketches[u].get());
     const SketchView sealed_view(&arena, u);
@@ -308,14 +364,6 @@ TEST(SketchArenaTest, ViewAgreesAcrossStorageModes) {
     EXPECT_EQ(sealed_view.Estimate(), build_view.Estimate());
     EXPECT_TRUE(sealed_view.CheckInvariants());
     EXPECT_EQ(CellsOf(sealed_view), CellsOf(build_view)) << "node " << u;
-    EXPECT_EQ(sealed_view.EstimateBefore(400, &scratch_a),
-              build_view.EstimateBefore(400, &scratch_b))
-        << "node " << u;
-    std::vector<uint8_t> ra(size_t{1} << kPrecision, 1);
-    std::vector<uint8_t> rb(size_t{1} << kPrecision, 1);
-    build_view.MaxRanks(400, &ra);
-    sealed_view.MaxRanks(400, &rb);
-    EXPECT_EQ(rb, ra) << "node " << u;
   }
 }
 

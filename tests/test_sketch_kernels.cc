@@ -8,7 +8,6 @@
 
 #include "ipin/common/random.h"
 #include "ipin/sketch/estimators.h"
-#include "ipin/sketch/vhll.h"
 
 namespace ipin {
 namespace {
@@ -98,88 +97,6 @@ TEST(SketchKernelsTest, EstimateFromRanksBitIdenticalFuzz) {
       }
       // And the public entry point routes through the same kernels.
       ASSERT_EQ(EstimateFromRanks(ranks), want) << precision;
-    }
-  }
-}
-
-// bounded_max_into against both the scalar kernel and a brute-force model,
-// over struct-of-arrays cells built from real vHLL sketches (so counts,
-// times, and ranks carry the genuine invariants), with many bounds per
-// sketch including exact-hit timestamps.
-TEST(SketchKernelsTest, BoundedMaxIntoMatchesScalarFuzz) {
-  Rng rng(31337);
-  for (int precision = 4; precision <= 10; precision += 2) {
-    const size_t beta = size_t{1} << precision;
-    VersionedHll sketch(precision, 99);
-    for (int i = 0; i < 4000; ++i) {
-      sketch.Add(rng.NextUint64(), static_cast<Timestamp>(rng.NextBounded(500)));
-    }
-    // Flatten into the arena layout.
-    std::vector<uint8_t> counts(beta, 0);
-    std::vector<uint8_t> ranks;
-    std::vector<int64_t> times;
-    for (size_t c = 0; c < beta; ++c) {
-      counts[c] = static_cast<uint8_t>(sketch.cell(c).size());
-      for (const auto& e : sketch.cell(c)) {
-        ranks.push_back(e.rank);
-        times.push_back(e.time);
-      }
-    }
-    const size_t total = ranks.size();
-    for (const Timestamp bound : {Timestamp{-1}, Timestamp{0}, Timestamp{1},
-                                  Timestamp{17}, Timestamp{250},
-                                  Timestamp{499}, Timestamp{500},
-                                  Timestamp{100000}}) {
-      // Accumulation semantics: dst starts non-zero.
-      std::vector<uint8_t> init(beta);
-      for (auto& r : init) r = static_cast<uint8_t>(rng.NextBounded(8));
-
-      std::vector<uint8_t> want = init;
-      Scalar().bounded_max_into(counts.data(), ranks.data(), times.data(),
-                                beta, total, bound, want.data());
-
-      // Cross-check the scalar kernel against the vHLL's own prefix query.
-      std::vector<uint8_t> model(init.begin(), init.end());
-      sketch.MaxRanks(bound, &model);
-      ASSERT_EQ(want, model) << "precision " << precision << " bound "
-                             << bound;
-
-      for (const SimdTarget target : RunnableTargets()) {
-        std::vector<uint8_t> got = init;
-        KernelsFor(target)->bounded_max_into(counts.data(), ranks.data(),
-                                             times.data(), beta, total, bound,
-                                             got.data());
-        ASSERT_EQ(got, want) << SimdTargetName(target) << " precision "
-                             << precision << " bound " << bound;
-      }
-    }
-  }
-}
-
-// Ragged entry layouts the vHLL can't produce (single giant cell, empty
-// head/tail cells) still dispatch correctly.
-TEST(SketchKernelsTest, BoundedMaxIntoRaggedLayouts) {
-  const size_t beta = 16;
-  std::vector<uint8_t> counts(beta, 0);
-  std::vector<uint8_t> ranks;
-  std::vector<int64_t> times;
-  // Cell 7 holds a long strictly-ascending run; everything else is empty.
-  for (int i = 0; i < 60; ++i) {
-    counts[7] = 60;
-    ranks.push_back(static_cast<uint8_t>(i + 1));
-    times.push_back(10 * i);
-  }
-  for (const Timestamp bound : {Timestamp{0}, Timestamp{5}, Timestamp{11},
-                                Timestamp{305}, Timestamp{1000}}) {
-    std::vector<uint8_t> want(beta, 0);
-    Scalar().bounded_max_into(counts.data(), ranks.data(), times.data(), beta,
-                              ranks.size(), bound, want.data());
-    for (const SimdTarget target : RunnableTargets()) {
-      std::vector<uint8_t> got(beta, 0);
-      KernelsFor(target)->bounded_max_into(counts.data(), ranks.data(),
-                                           times.data(), beta, ranks.size(),
-                                           bound, got.data());
-      ASSERT_EQ(got, want) << SimdTargetName(target) << " bound " << bound;
     }
   }
 }

@@ -71,17 +71,22 @@ inline void PrintTo(const SketchCells& cells, std::ostream* os) {
 }
 
 /// Copies `sketch` into a one-node SketchArena (AppendCopy) and returns the
-/// node's ContiguousRange.
+/// node's ContiguousRange, its times decoded.
 inline SketchCells CellsOf(const SketchView& sketch) {
+  // The wide encoding holds every time.
   SketchArena arena(sketch.precision(), sketch.salt(), 1,
-                    {1, sketch.NumEntries()});
+                    {1, sketch.NumEntries()}, TimeEncoding{});
   arena.AppendCopy(0, sketch);
   const SketchArena::NodeRange range = *arena.ContiguousRange(0, 1);
-  return {sketch.precision(),
-          sketch.salt(),
-          {range.cell_counts.begin(), range.cell_counts.end()},
-          {range.ranks.begin(), range.ranks.end()},
-          {range.times.begin(), range.times.end()}};
+  SketchCells cells{sketch.precision(),
+                    sketch.salt(),
+                    {range.cell_counts.begin(), range.cell_counts.end()},
+                    {range.ranks.begin(), range.ranks.end()},
+                    {}};
+  for (size_t i = 0; i < range.ranks.size(); ++i) {
+    cells.times.push_back(range.time(i));
+  }
+  return cells;
 }
 
 }  // namespace ipin

@@ -409,10 +409,11 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
                   piece.window() != pieces[0].window() ||
                   piece.options().precision !=
                       pieces[0].options().precision ||
-                  piece.options().salt != pieces[0].options().salt)) {
+                  piece.options().salt != pieces[0].options().salt ||
+                  piece.time_encoding() != pieces[0].time_encoding())) {
       std::fprintf(stderr,
                    "ipin_shard: piece '%s' disagrees with piece 0 on node "
-                   "space, window, or sketch parameters\n",
+                   "space, window, sketch parameters, or time encoding\n",
                    path.c_str());
       return std::nullopt;
     }
@@ -442,7 +443,7 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
     capacity.entries += sketch.NumEntries();
   }
   SketchArena arena(first.options().precision, first.options().salt,
-                    first.num_nodes(), capacity);
+                    first.num_nodes(), capacity, first.time_encoding());
   for (NodeId u = 0; u < first.num_nodes(); ++u) {
     const SketchView sketch = pieces[old_map.OwnerOf(u)].Sketch(u);
     if (sketch) arena.AppendCopy(u, sketch);
