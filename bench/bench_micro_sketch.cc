@@ -75,35 +75,6 @@ void BM_VhllEstimate(benchmark::State& state) {
 }
 BENCHMARK(BM_VhllEstimate)->Arg(6)->Arg(9);
 
-// Time-bounded estimation: the fresh-allocation overload builds a max-rank
-// vector per call, the scratch overload reuses a caller-owned buffer. Run
-// side by side they show what threading the scratch buffer through hot
-// query loops (oracle InfluenceOfAll, greedy gain evaluation) saves.
-void BM_VhllEstimateBeforeFreshAlloc(benchmark::State& state) {
-  VersionedHll vhll(static_cast<int>(state.range(0)));
-  Rng rng(8);
-  for (int i = 0; i < 50000; ++i) {
-    vhll.Add(rng.NextUint64(), static_cast<Timestamp>(rng.NextBounded(10000)));
-  }
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vhll.EstimateBefore(5000));
-  }
-}
-BENCHMARK(BM_VhllEstimateBeforeFreshAlloc)->Arg(6)->Arg(9);
-
-void BM_VhllEstimateBeforeScratch(benchmark::State& state) {
-  VersionedHll vhll(static_cast<int>(state.range(0)));
-  Rng rng(8);
-  for (int i = 0; i < 50000; ++i) {
-    vhll.Add(rng.NextUint64(), static_cast<Timestamp>(rng.NextBounded(10000)));
-  }
-  std::vector<uint8_t> scratch;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(vhll.EstimateBefore(5000, &scratch));
-  }
-}
-BENCHMARK(BM_VhllEstimateBeforeScratch)->Arg(6)->Arg(9);
-
 // Ablation: what domination pruning buys. The naive variant appends every
 // (rank, time) pair; memory and per-bound scans degrade from O(log) to O(n)
 // per cell.

@@ -12,11 +12,11 @@
 // ipin/common/memory.h estimates footprints analytically from container
 // shapes, a MemoryTally counts the bytes the component actually requested
 // from the allocator: containers on the accounted paths (exact IRS summary
-// maps, vHLL cell lists, versioned bottom-k entry lists) use the
-// TallyAllocator adaptor below, and explicit buffers (oracle index
-// serialization) report through ScopedMemoryCharge. PublishMemoryGauges()
-// mirrors every tally into "mem.<component>.bytes" / ".peak_bytes" gauges
-// (plus the process RSS) so run reports carry measured numbers.
+// maps, vHLL cell lists) use the TallyAllocator adaptor below, and
+// explicit buffers (oracle index serialization) report through
+// ScopedMemoryCharge. PublishMemoryGauges() mirrors every tally into
+// "mem.<component>.bytes" / ".peak_bytes" gauges (plus the process RSS) so
+// run reports carry measured numbers.
 //
 // Cost model: two relaxed atomic updates per allocate/deallocate — noise
 // next to the allocation itself, so tallies stay active even under

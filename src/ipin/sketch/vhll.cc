@@ -212,59 +212,8 @@ void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
   p.cell_updates += kept;
 }
 
-bool VersionedHll::MergeWithFloor(const VersionedHll& other, Timestamp floor,
-                                  Timestamp bound) {
-  IPIN_CHECK_EQ(precision_, other.precision_);
-  IPIN_CHECK_EQ(salt_, other.salt_);
-  bool changed = false;
-  for (size_t c = 0; c < heads_.size(); ++c) {
-    for (const Entry& e : other.cell(c)) {
-      if (e.time >= bound) break;  // ascending time: rest is out of window
-      changed |= AddEntry(c, e.rank, std::max(e.time, floor));
-    }
-  }
-  return changed;
-}
-
 double VersionedHll::Estimate() const {
   return EstimateFromRanks({max_ranks_.data(), max_ranks_.size()});
-}
-
-double VersionedHll::EstimateBefore(Timestamp bound) const {
-  std::vector<uint8_t> scratch;
-  return EstimateBefore(bound, &scratch);
-}
-
-double VersionedHll::EstimateBefore(Timestamp bound,
-                                    std::vector<uint8_t>* scratch) const {
-  scratch->assign(heads_.size(), 0);
-  MaxRanks(bound, scratch);
-  return EstimateFromRanks(*scratch);
-}
-
-void VersionedHll::MaxRanks(Timestamp bound,
-                            std::vector<uint8_t>* ranks) const {
-  IPIN_CHECK_EQ(ranks->size(), heads_.size());
-  for (size_t c = 0; c < heads_.size(); ++c) {
-    const CellList list = cell(c);
-    // Times ascend and ranks strictly ascend, so the in-window entries are
-    // a prefix whose max rank is its last entry — no max fold needed.
-    size_t k = 0;
-    while (k < list.size() && list.times()[k] < bound) ++k;
-    if (k > 0 && list.ranks()[k - 1] > (*ranks)[c]) {
-      (*ranks)[c] = list.ranks()[k - 1];
-    }
-  }
-}
-
-void VersionedHll::CompactExpired(Timestamp frontier, Duration window) {
-  const Timestamp bound = frontier + window;
-  for (size_t c = 0; c < heads_.size(); ++c) {
-    CellHead& head = heads_[c];
-    const CellList list = cell(c);
-    while (head.len > 0 && list.times()[head.len - 1] >= bound) --head.len;
-    max_ranks_[c] = head.len == 0 ? 0 : list.ranks()[head.len - 1];
-  }
 }
 
 void VersionedHll::Clear() {

@@ -29,15 +29,8 @@ obs::MemoryTally& VhllMemTally();
 /// t1 <= t2 and r1 >= r2 — an earlier, higher-rank pair makes the other one
 /// useless for every possible bound. Undominated lists are therefore
 /// strictly increasing in both time and rank; we keep them sorted ascending
-/// by time, which makes every windowed query a prefix scan and keeps the
-/// expected list length logarithmic (Lemma 4).
-///
-/// Note on expiry: the paper's generic sliding-window vHLL periodically
-/// drops entries far ahead of the scan frontier. In the IRS application
-/// those entries still belong to sigma_omega(u) (only their merge
-/// eligibility has expired), so dropping them would bias Estimate(); the
-/// IRS algorithm therefore never calls CompactExpired. It is provided for
-/// callers that only ever issue windowed queries (EstimateBefore).
+/// by time, which makes MergeWindow's window filter a prefix scan and keeps
+/// the expected list length logarithmic (Lemma 4).
 ///
 /// Storage: pooled entry buffers, not one heap vector per cell. The cells
 /// are split into `num_parts` contiguous ranges ("parts"; part k holds
@@ -168,31 +161,9 @@ class VersionedHll {
   void MergeWindow(const VersionedHll& other, Timestamp merge_time,
                    Duration window, size_t part);
 
-  /// Merge for sliding-window neighborhood profiles (Kumar et al. 2015):
-  /// folds in entries of `other` with time < bound, CLAMPING each merged
-  /// timestamp to at least `floor` (in the negated-time encoding this caps
-  /// a path's freshness at the connecting edge's timestamp). Returns true
-  /// if the sketch changed.
-  bool MergeWithFloor(const VersionedHll& other, Timestamp floor,
-                      Timestamp bound);
-
   /// Estimated number of distinct items ever inserted. O(beta): reads the
   /// per-cell max-rank cache, not the entry lists.
   double Estimate() const;
-
-  /// Estimated number of distinct items with timestamp < `bound`.
-  double EstimateBefore(Timestamp bound) const;
-
-  /// As above, but reuses `*scratch` for the rank vector instead of
-  /// allocating one per call (hot in oracle serving, where one worker
-  /// answers many windowed queries back to back). `*scratch` is resized as
-  /// needed; contents on entry are ignored.
-  double EstimateBefore(Timestamp bound, std::vector<uint8_t>* scratch) const;
-
-  /// Drops entries that can no longer affect any windowed query with
-  /// merge_time <= frontier: entries with time >= frontier + window.
-  /// WARNING: biases Estimate() downwards; see class comment.
-  void CompactExpired(Timestamp frontier, Duration window);
 
   /// Resets to the empty sketch.
   void Clear();
@@ -241,11 +212,6 @@ class VersionedHll {
   std::span<const uint8_t> max_ranks() const {
     return {max_ranks_.data(), max_ranks_.size()};
   }
-
-  /// Fills `ranks` (size num_cells) with the per-cell max rank, optionally
-  /// bounded: only entries with time < bound count. Used by the oracle's
-  /// union-estimate fast path.
-  void MaxRanks(Timestamp bound, std::vector<uint8_t>* ranks) const;
 
   /// Verifies the per-cell invariants (sortedness, strict domination-freeness).
   /// Test helper; O(total entries).

@@ -7,11 +7,9 @@
 
 #include "ipin/core/information_channel.h"
 #include "ipin/core/irs_exact.h"
-#include "ipin/core/neighborhood_profile.h"
 #include "ipin/core/source_sets.h"
 #include "ipin/core/tcic.h"
 #include "ipin/datasets/synthetic.h"
-#include "ipin/graph/static_graph.h"
 #include "ipin/graph/temporal_paths.h"
 #include "test_util.h"
 
@@ -116,49 +114,6 @@ TEST_P(CrossValidationTest, SummaryTimesAreRealizableChannels) {
       EXPECT_EQ(path.back().time, lambda) << "u=" << u << " v=" << v;
       EXPECT_LE(path.back().time - path.front().time + 1, w);
     }
-  }
-}
-
-TEST_P(CrossValidationTest, HopBoundedProfilesConvergeToReachability) {
-  // With a window covering everything and max_distance >= n, the windowed
-  // neighborhood profile equals plain (static) reachability on the
-  // flattened graph... which for this stream equals the number of nodes
-  // reachable ignoring time order. Compare against a BFS on the flattened
-  // static graph.
-  const InteractionGraph g = MakeGraph();
-  if (g.empty()) return;
-  // Only run for the small cases (exact profile propagation is O(n^2 d)).
-  if (g.num_nodes() > 16) return;
-  const auto stats = g.ComputeStats();
-  ProfileOptions options;
-  options.max_distance = static_cast<int>(g.num_nodes());
-  options.window = stats.time_span + 1;
-  WindowedProfileExact profiles(g.num_nodes(), options);
-  for (const Interaction& e : g.interactions()) {
-    profiles.ProcessInteraction(e);
-  }
-  const StaticGraph flat = StaticGraph::FromInteractions(g);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    // BFS on the flattened graph.
-    std::vector<char> seen(g.num_nodes(), 0);
-    std::vector<NodeId> stack = {u};
-    seen[u] = 1;
-    size_t count = 0;
-    while (!stack.empty()) {
-      const NodeId x = stack.back();
-      stack.pop_back();
-      for (const NodeId y : flat.Neighbors(x)) {
-        if (!seen[y]) {
-          seen[y] = 1;
-          ++count;
-          stack.push_back(y);
-        }
-      }
-    }
-    // Note: `seen[u]` is pre-marked so cycles never re-count the source,
-    // matching the profiles' self-exclusion.
-    EXPECT_EQ(profiles.NeighborhoodSize(u, options.max_distance), count)
-        << "u=" << u;
   }
 }
 

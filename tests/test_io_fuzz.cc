@@ -18,8 +18,8 @@
 #include "ipin/core/oracle_io.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/graph_io.h"
+#include "ipin/serve/protocol.h"
 #include "ipin/sketch/sketch_arena.h"
-#include "ipin/sketch/versioned_bottom_k.h"
 #include "ipin/sketch/vhll.h"
 #include "test_util.h"
 
@@ -623,24 +623,124 @@ TEST_F(IoFuzzTest, V2CheckpointIsSkippedCleanly) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(BottomKFuzzTest, DeserializeSurvivesBitFlips) {
-  VersionedBottomK sketch(16, 3);
-  Rng rng(8);
-  for (int i = 0; i < 300; ++i) {
-    sketch.Add(rng.NextUint64(), static_cast<Timestamp>(rng.NextBounded(50)));
-  }
-  std::string blob;
-  sketch.Serialize(&blob);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string corrupted = blob;
-    const size_t pos = rng.NextBounded(corrupted.size());
-    corrupted[pos] = static_cast<char>(rng.NextUint64() & 0xff);
-    size_t offset = 0;
-    const auto result = VersionedBottomK::Deserialize(corrupted, &offset);
-    if (result.has_value()) {
-      EXPECT_TRUE(result->CheckInvariants());
+// One to three random edits of a protocol line: a byte flip, a substitution
+// or insertion from the JSON alphabet, an erased run, or a truncation.
+std::string MutateWireLine(std::string line, Rng* rng) {
+  static constexpr std::string_view kJsonAlphabet =
+      "{}[]\":,.-+eE0123456789 \\/truefalsnl";
+  const auto json_char = [&] {
+    return kJsonAlphabet[rng->NextBounded(kJsonAlphabet.size())];
+  };
+  const uint64_t edits = 1 + rng->NextBounded(3);
+  for (uint64_t e = 0; e < edits; ++e) {
+    const size_t pos = rng->NextBounded(line.size() + 1);
+    const bool at_end = pos == line.size();
+    switch (rng->NextBounded(5)) {
+      case 0:
+        if (!at_end) line[pos] ^= static_cast<char>(1 + rng->NextBounded(255));
+        break;
+      case 1:
+        if (!at_end) line[pos] = json_char();
+        break;
+      case 2:
+        line.insert(pos, 1, json_char());
+        break;
+      case 3:
+        line.erase(pos, 1 + rng->NextBounded(8));
+        break;
+      default:
+        line.resize(pos);
+        break;
     }
   }
+  return line;
+}
+
+// Mutated request and response lines, built from fixtures that set every
+// field the wire carries: whatever the parser accepts must serialize to a
+// line that parses back and serializes to the same bytes, so a value the
+// parser admits is always one the writer can carry.
+TEST_F(IoFuzzTest, WireLinesParseToFixedPointsOrNothing) {
+  std::vector<serve::Request> requests(8);
+  requests[0].id = 42;
+  requests[0].seeds = {1, 5, 9};
+  requests[0].mode = serve::QueryMode::kExact;
+  requests[0].deadline_ms = 250;
+  requests[1].method = serve::Method::kTopk;
+  requests[1].k = 25;
+  requests[2].id = -3;
+  requests[2].seeds = {4294967295u};
+  requests[2].trace_id = 0x00c0ffee0badf00dULL;
+  requests[2].parent_span = 1;
+  requests[3].seeds = {0, 7};
+  requests[3].mode = serve::QueryMode::kSketch;
+  requests[3].want_ranks = true;
+  requests[4].method = serve::Method::kMetrics;
+  requests[4].format = serve::MetricsFormat::kJson;
+  requests[5].method = serve::Method::kDebug;
+  requests[6].method = serve::Method::kHealth;
+  requests[7].method = serve::Method::kReshardStatus;
+  requests[7].trace_id = 0xffffffffffffffffULL;
+
+  std::vector<serve::Response> responses(6);
+  responses[0].id = 13;
+  responses[0].estimate = 123.5;
+  responses[0].degraded = true;
+  responses[0].epoch = 4;
+  responses[1].topk = {{4, 99.5}, {2, 1e-7}, {11, 0.0}};
+  responses[2].ranks = {0x0a, 0x03, 0x00, 0x3f};
+  responses[2].trace_id = 0x00c0ffee0badf00dULL;
+  responses[3].estimate = 77.25;
+  responses[3].degraded = true;
+  responses[3].shards_total = 3;
+  responses[3].shards_answered = 2;
+  responses[3].coverage = 0.66;
+  responses[4].status = serve::StatusCode::kOverloaded;
+  responses[4].retry_after_ms = 75;
+  responses[4].error = "queue \"full\"\n\\ at\t1";
+  responses[5].info = {{"queue_depth", 0.0}, {"epoch", 3.0}};
+  responses[5].payload = R"({"schema": "ipin.debug.v1", "slow": [1, 2]})";
+
+  const auto parse_request = [](std::string_view line) {
+    return serve::ParseRequest(line, nullptr);
+  };
+  size_t accepted = 0;
+  size_t rejected = 0;
+  // Parses `line`; an accepted value must serialize to a fixed point.
+  const auto check = [&](const std::string& line, const auto& parse,
+                         const auto& serialize) {
+    const auto parsed = parse(line);
+    if (!parsed.has_value()) {
+      ++rejected;
+      return;
+    }
+    ++accepted;
+    const std::string once = serialize(*parsed);
+    const auto again = parse(std::string_view(once).substr(0, once.size() - 1));
+    ASSERT_TRUE(again.has_value()) << "accepted: " << line
+                                   << "\nwrote: " << once;
+    EXPECT_EQ(serialize(*again), once) << "accepted: " << line;
+  };
+
+  Rng rng(20261018);
+  for (int trial = 0; trial < 20000 && !HasFailure(); ++trial) {
+    if (trial % 2 == 0) {
+      std::string line =
+          serve::SerializeRequest(requests[rng.NextBounded(requests.size())]);
+      line.pop_back();
+      check(MutateWireLine(std::move(line), &rng), parse_request,
+            serve::SerializeRequest);
+    } else {
+      std::string line = serve::SerializeResponse(
+          responses[rng.NextBounded(responses.size())]);
+      line.pop_back();
+      check(MutateWireLine(std::move(line), &rng), serve::ParseResponse,
+            serve::SerializeResponse);
+    }
+  }
+  // Both outcomes occur, so the property was tested, not skipped.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
 }
 
 }  // namespace

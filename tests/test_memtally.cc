@@ -10,7 +10,6 @@
 #include "ipin/core/source_sets.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/sketch/versioned_bottom_k.h"
 #include "ipin/sketch/vhll.h"
 
 namespace ipin {
@@ -170,22 +169,6 @@ TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
   EXPECT_GE(measured,
             static_cast<int64_t>(entries * (sizeof(uint8_t) +
                                             sizeof(Timestamp))));
-}
-
-TEST(TallyAllocatorTest, BottomKChargesAndReleases) {
-  obs::MemoryTally& tally = obs::GetMemoryTally("bottom_k");
-  const int64_t before = tally.CurrentBytes();
-  {
-    VersionedBottomK sketch(16);
-    for (uint64_t i = 0; i < 500; ++i) {
-      sketch.Add(i * 2654435761ULL, static_cast<Timestamp>(i % 31));
-    }
-    const int64_t during = tally.CurrentBytes() - before;
-    EXPECT_EQ(during,
-              static_cast<int64_t>(sketch.entries().capacity() *
-                                   sizeof(VersionedBottomK::Entry)));
-  }
-  EXPECT_EQ(tally.CurrentBytes(), before);
 }
 
 TEST(MemoryTallyTest, SourceSetsShareIrsExactTally) {

@@ -34,20 +34,12 @@ class VhllModel {
     cells_[cell].push_back({rank, t});
   }
 
-  // Mirrors MergeWithFloor (and, with floor = min, MergeWindow):
-  // every pair of `other` with time < bound, its time clamped up to floor.
-  void MergeFrom(const VhllModel& other, Timestamp floor, Timestamp bound) {
+  // Mirrors MergeWindow: every pair of `other` with time < bound.
+  void MergeFrom(const VhllModel& other, Timestamp bound) {
     for (size_t c = 0; c < cells_.size(); ++c) {
       for (const Pair& p : other.cells_[c]) {
-        if (p.t < bound) cells_[c].push_back({p.rank, std::max(p.t, floor)});
+        if (p.t < bound) cells_[c].push_back(p);
       }
-    }
-  }
-
-  // Mirrors CompactExpired: forgets every pair with time >= bound.
-  void DropFrom(Timestamp bound) {
-    for (auto& pairs : cells_) {
-      std::erase_if(pairs, [bound](const Pair& p) { return p.t >= bound; });
     }
   }
 
@@ -208,17 +200,6 @@ TEST(VhllTest, EstimateMatchesPlainHllOnSameItems) {
   EXPECT_DOUBLE_EQ(vhll.Estimate(), hll.Estimate());
 }
 
-TEST(VhllTest, EstimateBeforeCountsOnlyEarlyItems) {
-  VersionedHll vhll(10);
-  // 1000 items at time 10, 1000 different items at time 1000.
-  for (uint64_t i = 0; i < 1000; ++i) vhll.Add(i, 10);
-  for (uint64_t i = 10000; i < 11000; ++i) vhll.Add(i, 1000);
-  const double early = vhll.EstimateBefore(500);
-  const double all = vhll.Estimate();
-  EXPECT_NEAR(early, 1000.0, 150.0);
-  EXPECT_NEAR(all, 2000.0, 300.0);
-}
-
 TEST(VhllTest, MergeWindowRespectsBound) {
   VersionedHll source(8);
   for (uint64_t i = 0; i < 500; ++i) source.Add(i, 100);        // in window
@@ -264,22 +245,6 @@ TEST(VhllTest, MergePreservesPerBoundMaxRanks) {
   }
 }
 
-TEST(VhllTest, CompactExpiredKeepsWindowedQueriesIntact) {
-  VersionedHll vhll(8);
-  Rng rng(13);
-  for (int i = 0; i < 3000; ++i) {
-    vhll.Add(rng.NextBounded(5000), static_cast<Timestamp>(rng.NextBounded(1000)));
-  }
-  const Timestamp frontier = 200;
-  const Duration window = 300;
-  const double before = vhll.EstimateBefore(frontier + window);
-  const size_t entries_before = vhll.NumEntries();
-  vhll.CompactExpired(frontier, window);
-  EXPECT_LT(vhll.NumEntries(), entries_before);
-  EXPECT_DOUBLE_EQ(vhll.EstimateBefore(frontier + window), before);
-  EXPECT_TRUE(vhll.CheckInvariants());
-}
-
 TEST(VhllTest, CellListsStayLogarithmic) {
   // Lemma 4: expected undominated pairs per cell is O(log inserts). Insert
   // many items in reverse time order and check the max list length is far
@@ -317,52 +282,6 @@ TEST(VhllTest, MemoryGrowsWithEntries) {
   EXPECT_GT(vhll.MemoryUsageBytes(), empty_bytes);
 }
 
-
-TEST(VhllTest, MergeWithFloorClampsTimestamps) {
-  VersionedHll source(4);
-  source.AddEntry(0, 3, 10);
-  source.AddEntry(1, 2, 50);
-  source.AddEntry(2, 4, 90);
-  VersionedHll target(4);
-  // floor 40, bound 80: entry (0,3,10) clamps to time 40; (1,2,50) stays;
-  // (2,4,90) is filtered by the bound.
-  EXPECT_TRUE(target.MergeWithFloor(source, 40, 80));
-  ASSERT_EQ(target.cell(0).size(), 1u);
-  EXPECT_EQ(target.cell(0)[0].time, 40);
-  EXPECT_EQ(target.cell(0)[0].rank, 3);
-  ASSERT_EQ(target.cell(1).size(), 1u);
-  EXPECT_EQ(target.cell(1)[0].time, 50);
-  EXPECT_TRUE(target.cell(2).empty());
-  EXPECT_TRUE(target.CheckInvariants());
-}
-
-TEST(VhllTest, MergeWithFloorReportsNoChangeWhenDominated) {
-  VersionedHll source(4);
-  source.AddEntry(0, 2, 30);
-  VersionedHll target(4);
-  target.AddEntry(0, 5, 10);  // dominates anything with rank <= 5, t >= 10
-  EXPECT_FALSE(target.MergeWithFloor(source, 20, 100));
-  EXPECT_EQ(target.NumEntries(), 1u);
-}
-
-TEST(VhllTest, MergeWithFloorPreservesInvariantsUnderFuzz) {
-  Rng rng(77);
-  for (int trial = 0; trial < 15; ++trial) {
-    VersionedHll a(4);
-    VersionedHll b(4);
-    for (int i = 0; i < 150; ++i) {
-      a.AddEntry(rng.NextBounded(16), static_cast<uint8_t>(1 + rng.NextBounded(12)),
-                 static_cast<Timestamp>(rng.NextBounded(200)));
-      b.AddEntry(rng.NextBounded(16), static_cast<uint8_t>(1 + rng.NextBounded(12)),
-                 static_cast<Timestamp>(rng.NextBounded(200)));
-    }
-    const Timestamp floor = static_cast<Timestamp>(rng.NextBounded(100));
-    const Timestamp bound = floor + static_cast<Timestamp>(rng.NextBounded(150));
-    a.MergeWithFloor(b, floor, bound);
-    EXPECT_TRUE(a.CheckInvariants()) << "trial " << trial;
-  }
-}
-
 TEST(VhllTest, AddReturnsWhetherSketchChanged) {
   VersionedHll vhll(6);
   EXPECT_TRUE(vhll.Add(42, 10));
@@ -373,7 +292,7 @@ TEST(VhllTest, AddReturnsWhetherSketchChanged) {
 // Drives a few cells of a pooled sketch through every block size class and
 // back, many times: each cycle grows every cell to 64 entries (ranks 1..64
 // with time rising in rank never dominate each other, so the order they
-// arrive in does not matter), trims it, then evicts it down to 1 entry. The
+// arrive in does not matter), then evicts it down to 1 entry. The
 // pairs arrive through every mutating operation, and freed blocks are
 // handed from cell to cell. After every batch the sketch must still be
 // lossless (model agreement), structurally sound, and charge the "vhll"
@@ -382,7 +301,6 @@ TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
   constexpr size_t kCells = 4;
   constexpr int kMaxRank = static_cast<int>(VersionedHll::kMaxCellEntries);
   constexpr Timestamp kFar = std::numeric_limits<Timestamp>::max() / 4;
-  constexpr Timestamp kNoFloor = std::numeric_limits<Timestamp>::min();
   obs::MemoryTally& tally = VhllMemTally();
   const int64_t tally_before = tally.CurrentBytes();
   Rng rng(2024);
@@ -434,36 +352,23 @@ TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
       if (i % 16 != 15) continue;
       const Timestamp cut = base + 100 + 1 + static_cast<Timestamp>(
                                                  rng.NextBounded(kMaxRank + 1));
-      switch (rng.NextBounded(3)) {
-        case 0:  // keeps b's pairs with time < cut
-          a.MergeWindow(b, cut - 50, 50);
-          model_a.MergeFrom(model_b, kNoFloor, cut);
-          break;
-        case 1:
-          a.MergeWindow(b, 0, kWholeWindow);
-          model_a.MergeFrom(model_b, kNoFloor, kFar);
-          break;
-        default:  // clamps b's early pairs up to `cut`
-          a.MergeWithFloor(b, cut, kFar);
-          model_a.MergeFrom(model_b, cut, kFar);
-          break;
+      if (rng.NextBounded(2) == 0) {  // keeps b's pairs with time < cut
+        a.MergeWindow(b, cut - 50, 50);
+        model_a.MergeFrom(model_b, cut);
+      } else {
+        a.MergeWindow(b, 0, kWholeWindow);
+        model_a.MergeFrom(model_b, kFar);
       }
       check("grow", cycle);
     }
     a.MergeWindow(b, 0, kWholeWindow);
-    model_a.MergeFrom(model_b, kNoFloor, kFar);
+    model_a.MergeFrom(model_b, kFar);
     check("grown", cycle);
     for (size_t c = 0; c < kCells; ++c) {
       ASSERT_EQ(a.cell(c).size(), VersionedHll::kMaxCellEntries) << c;
     }
 
-    // Shrink: trim the newest pairs, then evict each cell down to one pair
-    // that dominates the rest.
-    const Timestamp trim = base + 100 + 2 +
-                           static_cast<Timestamp>(rng.NextBounded(kMaxRank));
-    a.CompactExpired(trim, 0);
-    model_a.DropFrom(trim);
-    check("trimmed", cycle);
+    // Shrink: evict each cell down to one pair that dominates the rest.
     for (size_t c = 0; c < kCells; ++c) {
       const auto top = static_cast<uint8_t>(kMaxRank);
       if (rng.NextBounded(2) == 0) {
@@ -473,7 +378,7 @@ TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
         b.AddEntry(c, top, base + 100);
         model_b.Add(c, top, base + 100);
         a.MergeWindow(b, 0, kWholeWindow);
-        model_a.MergeFrom(model_b, kNoFloor, kFar);
+        model_a.MergeFrom(model_b, kFar);
       }
       ASSERT_EQ(a.cell(c).size(), 1u) << c;
     }
@@ -543,10 +448,6 @@ TEST(VhllTest, RefilledSketchKeepsGrowing) {
           break;
         }
         case 1:
-          original.MergeWithFloor(source, t, t + 200);
-          copy.MergeWithFloor(source, t, t + 200);
-          break;
-        case 2:
           source.AddEntry(cell, rank, t);
           break;
         default:
@@ -555,8 +456,6 @@ TEST(VhllTest, RefilledSketchKeepsGrowing) {
           break;
       }
     }
-    original.CompactExpired(300, 100);
-    copy.CompactExpired(300, 100);
     ASSERT_TRUE(copy.CheckInvariants());
     EXPECT_EQ(CellsOf(SketchView(&copy)), CellsOf(SketchView(&original)))
         << "trial " << trial;
@@ -671,23 +570,6 @@ class DominationModel {
     }
   }
 
-  void MergeWithFloor(const DominationModel& other, Timestamp floor,
-                      Timestamp bound) {
-    for (size_t c = 0; c < cells_.size(); ++c) {
-      for (const Pair& p : other.cells_[c]) {
-        if (p.t < bound) AddEntry(c, p.rank, std::max(p.t, floor));
-      }
-    }
-  }
-
-  void CompactExpired(Timestamp frontier, Duration window) {
-    for (auto& pairs : cells_) {
-      std::erase_if(pairs, [&](const Pair& p) {
-        return p.t >= frontier + window;
-      });
-    }
-  }
-
   void Clear() {
     for (auto& pairs : cells_) pairs.clear();
   }
@@ -799,6 +681,9 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
     DominationModel model_a(kPrecision, kSalt, parts);
     DominationModel model_b(kPrecision, kSalt, parts);
     size_t longest = 0;
+    // Tallies of sketches a refill replaced: a refill starts from zero.
+    size_t evictions = 0;
+    size_t cell_updates = 0;
     const auto time = [&rng] {
       return static_cast<Timestamp>(rng.NextBounded(4000));
     };
@@ -809,7 +694,7 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
     for (int batch = 0; batch < 60; ++batch) {
       for (int op = 0; op < 40; ++op) {
         const size_t cell = rng.NextBounded(16);
-        switch (rng.NextBounded(12)) {
+        switch (rng.NextBounded(10)) {
           case 0:
           case 1: {
             const Timestamp t = time();
@@ -864,21 +749,6 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
             break;
           }
           case 8: {
-            const Timestamp floor = time();
-            const Timestamp bound = floor + time();
-            a->MergeWithFloor(b, floor, bound);
-            model_a.MergeWithFloor(model_b, floor, bound);
-            break;
-          }
-          case 9: {
-            if (rng.NextBounded(8) != 0) break;
-            const Timestamp frontier = time();
-            const auto window = static_cast<Duration>(rng.NextBounded(1000));
-            a->CompactExpired(frontier, window);
-            model_a.CompactExpired(frontier, window);
-            break;
-          }
-          case 10: {
             if (rng.NextBounded(10) != 0) break;
             if (rng.NextBounded(2) == 0) {
               a->Clear();
@@ -898,6 +768,8 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
             if (parts == 1) {
               a.emplace(kPrecision, kSalt, stored.counts, stored.ranks,
                         stored.times);
+              evictions += model_a.evictions;
+              cell_updates += model_a.cell_updates;
               model_a = model_a.Refilled();
             } else {
               const VersionedHll copy(kPrecision, kSalt, stored.counts,
@@ -921,8 +793,8 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
     }
     // The run reached the largest size classes and pruned along the way.
     EXPECT_GT(longest, VersionedHll::kMaxCellEntries / 2);
-    EXPECT_GT(model_a.evictions, 0u);
-    EXPECT_GT(model_a.cell_updates, 0u);
+    EXPECT_GT(evictions + model_a.evictions, 0u);
+    EXPECT_GT(cell_updates + model_a.cell_updates, 0u);
   }
 }
 
