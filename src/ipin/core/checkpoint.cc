@@ -81,6 +81,16 @@ class CheckpointAccess {
                             std::unique_ptr<VersionedHll> sketch) {
     irs->sketches_[u] = std::move(sketch);
   }
+  // An empty approx build over `graph`, its sketches storing times in the
+  // encoding a plain build over the same graph uses.
+  static IrsApprox MakeBuild(const InteractionGraph& graph, Duration window,
+                             const IrsApproxOptions& options) {
+    return IrsApprox(graph.num_nodes(), window, options,
+                     IrsApprox::ScanTimeEncoding(graph));
+  }
+  static const TimeEncoding& BuildTimes(const IrsApprox& irs) {
+    return irs.times_;
+  }
   static void Publish(const IrsExact& irs) { irs.PublishBuildMetrics(); }
   static void Publish(const IrsApprox& irs) { irs.PublishBuildMetrics(); }
 };
@@ -294,7 +304,8 @@ bool ParseExactChunk(std::string_view payload, NodeId expected_first,
 
 // Approx: the index file's sketch chunk, written by EncodeSketchChunk
 // (oracle_io.h) in the meta frame's time encoding: the one the build's
-// sketches would seal to (exact builds store no times this way).
+// sketches would seal to, their own when it is narrow (exact builds store
+// no times this way).
 TimeEncoding ChunkTimes(const IrsExact& /*irs*/) { return {}; }
 TimeEncoding ChunkTimes(const IrsApprox& irs) { return irs.time_encoding(); }
 
@@ -304,11 +315,14 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
 }
 
 // The chunk is checked into a scratch arena, then each node's cells, their
-// times decoded, refill a VersionedHll for the scan to keep growing.
+// times re-encoded from the checkpoint's encoding into the build's, refill
+// a VersionedHll for the scan to keep growing. A time the build's encoding
+// cannot hold (a checkpoint no scan of this graph wrote) fails the chunk.
 bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
                         uint32_t expected_count, const MetaFrame& meta,
                         IrsApprox* irs) {
   const Fingerprint& fp = meta.fp;
+  const TimeEncoding& build_times = CheckpointAccess::BuildTimes(*irs);
   SketchChunk chunk;
   if (!MeasureSketchChunk(payload, fp.precision, meta.times.width,
                           expected_first, expected_count, &chunk)) {
@@ -322,12 +336,15 @@ bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
     if (!scratch.has_node(i)) continue;
     const SketchArena::NodeRange cells = *scratch.ContiguousRange(i, i + 1);
     times.resize(cells.ranks.size());
-    for (size_t e = 0; e < times.size(); ++e) times[e] = cells.time(e);
+    for (size_t e = 0; e < times.size(); ++e) {
+      times[e] = cells.time(e);
+      if (!build_times.Holds(times[e])) return false;
+    }
     CheckpointAccess::InstallSketch(
         irs, expected_first + i,
         std::make_unique<VersionedHll>(fp.precision, fp.salt,
-                                       cells.cell_counts, cells.ranks,
-                                       times));
+                                       cells.cell_counts, cells.ranks, times,
+                                       build_times));
   }
   return true;
 }
@@ -553,16 +570,15 @@ IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
   fp.precision = static_cast<uint8_t>(irs_options.precision);
   fp.salt = irs_options.salt;
 
-  IrsApprox irs(graph.num_nodes(), window, irs_options);
+  const auto make_fresh = [&] {
+    return CheckpointAccess::MakeBuild(graph, window, irs_options);
+  };
+  IrsApprox irs = make_fresh();
   const bool enabled = options.enabled() && EnsureDir(options.dir);
-  uint64_t done = enabled
-                      ? TryResume(options, fp, &irs, stats,
-                                  [&] {
-                                    return IrsApprox(graph.num_nodes(),
-                                                     window, irs_options);
-                                  },
-                                  RestoreApproxChunk)
-                      : 0;
+  uint64_t done =
+      enabled ? TryResume(options, fp, &irs, stats, make_fresh,
+                          RestoreApproxChunk)
+              : 0;
 
   obs::ProgressPhase phase("irs.approx.scan", m);
   phase.SetDone(done);  // resumed edges count as completed work

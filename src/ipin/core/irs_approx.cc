@@ -36,11 +36,26 @@ bool ScanEdge(const Interaction& edge, VersionedHll& sketch_u,
 
 IrsApprox::IrsApprox(size_t num_nodes, Duration window,
                      const IrsApproxOptions& options)
+    : IrsApprox(num_nodes, window, options, TimeEncoding{}) {}
+
+IrsApprox::IrsApprox(size_t num_nodes, Duration window,
+                     const IrsApproxOptions& options, TimeEncoding times)
     : window_(window),
       options_(options),
       num_nodes_(num_nodes),
+      times_(times),
       sketches_(num_nodes) {
   IPIN_CHECK_GE(window, 1);
+}
+
+TimeEncoding IrsApprox::ScanTimeEncoding(const InteractionGraph& graph) {
+  IPIN_CHECK(graph.is_sorted());
+  const std::span<const Interaction> edges = graph.interactions();
+  const auto sends = [](const Interaction& e) { return e.src != e.dst; };
+  const auto first = std::find_if(edges.begin(), edges.end(), sends);
+  if (first == edges.end()) return TimeEncoding::Covering(1, 0);
+  const auto last = std::find_if(edges.rbegin(), edges.rend(), sends);
+  return TimeEncoding::Covering(first->time, last->time);
 }
 
 IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
@@ -65,7 +80,7 @@ void IrsApprox::Seal() {
   sealed_merge_entries_scanned_ = TotalMergeEntriesScanned();
   sealed_cell_updates_ = TotalCellUpdates();
   arena_ = std::make_unique<SketchArena>(options_.precision, options_.salt,
-                                         std::span(sketches_));
+                                         std::span(sketches_), time_encoding());
   sealed_ = true;
   sketches_.clear();
   sketches_.shrink_to_fit();
@@ -96,7 +111,7 @@ IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
   const std::span<const Interaction> edges = graph.interactions();
   const size_t num_cells = size_t{1} << options.precision;
   const size_t parts = std::clamp<size_t>(num_parts, 1, num_cells);
-  IrsApprox irs(graph.num_nodes(), window, options);
+  IrsApprox irs(graph.num_nodes(), window, options, ScanTimeEncoding(graph));
   // last_sent[v] is one past the index of v's last edge as a source (0 if
   // v never sends). The one-pass scan allocates phi(v) at that edge, so
   // while scanning edge i - 1 it holds a sketch for v iff last_sent[v] > i.
@@ -105,7 +120,7 @@ IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
   for (size_t v = 0; v < irs.num_nodes_; ++v) {
     if (last_sent[v] > 0) {
       irs.sketches_[v] = std::make_unique<VersionedHll>(
-          options.precision, options.salt, parts);
+          options.precision, options.salt, parts, irs.times_);
     }
   }
 
@@ -157,8 +172,8 @@ void IrsApprox::PublishBuildMetrics() const {
 
 VersionedHll* IrsApprox::MutableSketch(NodeId u) {
   if (sketches_[u] == nullptr) {
-    sketches_[u] =
-        std::make_unique<VersionedHll>(options_.precision, options_.salt);
+    sketches_[u] = std::make_unique<VersionedHll>(
+        options_.precision, options_.salt, /*num_parts=*/1, times_);
   }
   return sketches_[u].get();
 }

@@ -87,10 +87,14 @@ class IrsApprox {
   const SketchArena* arena() const { return arena_.get(); }
 
   /// The encoding of stored times (time_codec.h): the arena's once sealed;
-  /// before that, the one Seal() would choose (O(cells)). Saves and
-  /// checkpoints write times in it.
+  /// before that, the one Seal() would choose. That is the sketches' own
+  /// when it is narrow, as a build's is when its input's times span less
+  /// than 2^32 (DESIGN.md §12), and otherwise the narrowest that holds
+  /// their times (TimeEncodingOf, O(cells)). Saves and checkpoints write
+  /// times in it.
   TimeEncoding time_encoding() const {
-    return sealed_ ? arena_->time_encoding() : TimeEncodingOf(sketches_);
+    if (sealed_) return arena_->time_encoding();
+    return times_.width == 4 ? times_ : TimeEncodingOf(sketches_);
   }
 
   /// Estimated |sigma_omega(u)|.
@@ -144,6 +148,18 @@ class IrsApprox {
   // resumed build is indistinguishable from an uninterrupted one.
   friend class CheckpointAccess;
 
+  // An empty build whose sketches store times in `times`.
+  IrsApprox(size_t num_nodes, Duration window, const IrsApproxOptions& options,
+            TimeEncoding times);
+
+  // The encoding a build over `graph` stores its sketches' times in: the
+  // narrowest covering its earliest and latest non-self-loop interaction
+  // times, the only times a scan stores. A sketch entry at the earliest
+  // one always survives (only an entry at the same time can evict it), so
+  // when this encoding is narrow it is exactly the TimeEncodingOf the
+  // finished build's sketches.
+  static TimeEncoding ScanTimeEncoding(const InteractionGraph& graph);
+
   VersionedHll* MutableSketch(NodeId u);
 
   // Rolls the plain-member scan tallies up into the metrics registry; called
@@ -162,6 +178,10 @@ class IrsApprox {
   // Compute() rolls them up into the metrics registry once per build.
   size_t edges_scanned_ = 0;
   size_t merge_calls_ = 0;
+  // The encoding every build sketch stores its times in: a scan's
+  // (ScanTimeEncoding), or the wide default for an instance fed by
+  // ProcessInteraction alone.
+  TimeEncoding times_;
   // Dual-mode storage. While building, only nodes that send own a sketch
   // (a node that never sends has an empty IRS and needs no sketch — phi(v)
   // = {} in the exact algorithm, memory proportional to *active* sources):

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "ipin/common/check.h"
 #include "ipin/common/memory.h"
@@ -92,9 +93,15 @@ Duration InteractionGraph::WindowFromPercent(double percent) const {
     min_t = std::min(min_t, e.time);
     max_t = std::max(max_t, e.time);
   }
-  const double span = static_cast<double>(max_t - min_t + 1);
-  const Duration w = static_cast<Duration>(std::llround(span * percent / 100.0));
-  return std::max<Duration>(w, 1);
+  // The span max_t - min_t + 1 reaches 2^64, past every i64: take the
+  // difference unsigned, and cap a window beyond INT64_MAX at it.
+  const double span =
+      static_cast<double>(static_cast<uint64_t>(max_t) -
+                          static_cast<uint64_t>(min_t)) +
+      1.0;
+  const double w = span * percent / 100.0;
+  if (w >= 0x1p63) return std::numeric_limits<Duration>::max();
+  return std::max<Duration>(static_cast<Duration>(std::llround(w)), 1);
 }
 
 size_t InteractionGraph::MemoryUsageBytes() const {

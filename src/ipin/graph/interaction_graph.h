@@ -73,8 +73,9 @@ class InteractionGraph {
   /// count).
   InteractionGraphStats ComputeStats() const;
 
-  /// Duration corresponding to `percent`% of the total time span, at least 1.
-  /// This is how the paper expresses window lengths ("omega = 10%").
+  /// Duration corresponding to `percent`% of the total time span, at least 1
+  /// and at most INT64_MAX (a span may reach 2^64). This is how the paper
+  /// expresses window lengths ("omega = 10%").
   Duration WindowFromPercent(double percent) const;
 
   /// Approximate heap footprint in bytes.

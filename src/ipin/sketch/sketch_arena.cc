@@ -55,8 +55,8 @@ TimeEncoding TimeEncodingOf(
     for (size_t c = 0; c < sketch->num_cells(); ++c) {
       const VersionedHll::CellList list = sketch->cell(c);
       if (list.empty()) continue;
-      first = std::min(first, list.times()[0]);
-      last = std::max(last, list.times()[list.size() - 1]);
+      first = std::min(first, list.time(0));
+      last = std::max(last, list.time(list.size() - 1));
     }
   }
   return TimeEncoding::Covering(first, last);
@@ -80,8 +80,14 @@ SketchArena::Capacity CapacityFor(
 SketchArena::SketchArena(
     int precision, uint64_t salt,
     std::span<const std::unique_ptr<VersionedHll>> sketches)
+    : SketchArena(precision, salt, sketches, TimeEncodingOf(sketches)) {}
+
+SketchArena::SketchArena(
+    int precision, uint64_t salt,
+    std::span<const std::unique_ptr<VersionedHll>> sketches,
+    TimeEncoding times)
     : SketchArena(precision, salt, sketches.size(), CapacityFor(sketches),
-                  TimeEncodingOf(sketches)) {
+                  times) {
   // Entries keep their in-cell order (ascending time, strictly ascending
   // rank — the vHLL invariant the kernels rely on).
   for (size_t u = 0; u < num_nodes_; ++u) {
@@ -128,12 +134,15 @@ void SketchArena::AppendSketch(NodeId u, const VersionedHll& hll) {
   // The sketch keeps its invariants and its max-rank cache on every
   // mutation, so its cells are copied, not re-checked (a cell's times
   // ascend, so the encoding holds them if it holds the ends), and the
-  // rank-plane row is that cache. Plain loops copy each cell's runs of at
-  // most 64: a memcpy call per run would cost more.
+  // rank-plane row is that cache. A sketch stored in the arena's own
+  // encoding (a build's, DESIGN.md §12) hands over its offsets as they
+  // are; any other is decoded and re-encoded. Plain loops copy each cell's
+  // runs of at most 64: a memcpy call per run would cost more.
   uint8_t* counts = cell_counts_.data() + s * beta_;
   uint8_t* const ranks = entry_ranks_.data();
   uint8_t* const times = entry_times_.data();
   const int64_t time_base = times_.base;
+  const bool same_encoding = hll.time_encoding() == times_;
   size_t entry = base;
   WithTimeCodec(times_.width, [&](auto codec) {
     for (size_t c = 0; c < beta_; ++c) {
@@ -141,11 +150,16 @@ void SketchArena::AppendSketch(NodeId u, const VersionedHll& hll) {
       const size_t n = list.size();
       counts[c] = static_cast<uint8_t>(n);
       if (n == 0) continue;
-      IPIN_CHECK(times_.Holds(list.times()[0]) &&
-                 times_.Holds(list.times()[n - 1]));
       for (size_t i = 0; i < n; ++i) ranks[entry + i] = list.ranks()[i];
+      if (same_encoding) {
+        for (size_t i = 0; i < n; ++i, ++entry) {
+          codec.Store(times, entry, codec.Load(list.time_bytes(), i));
+        }
+        continue;
+      }
+      IPIN_CHECK(times_.Holds(list.time(0)) && times_.Holds(list.time(n - 1)));
       for (size_t i = 0; i < n; ++i, ++entry) {
-        codec.Store(times, entry, codec.Encode(time_base, list.times()[i]));
+        codec.Store(times, entry, codec.Encode(time_base, list.time(i)));
       }
     }
   });

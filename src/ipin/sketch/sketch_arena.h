@@ -32,8 +32,8 @@
 //                allows).
 //
 // Every array, and the encoding, is fixed up front. Nodes are filled one at
-// a time by AppendCopy (sealing a build, each cell a copied rank run and an
-// encoded time run; or copying between arenas for shard extraction and
+// a time by AppendCopy (sealing a build, each cell a copied rank run and a
+// copied or re-encoded time run; or copying between arenas for shard extraction and
 // reshard reconstruction, through AppendNode), or a run at a time by
 // AppendNodes, which restores saved sketches: index files and build
 // checkpoints store each 256-node chunk as the ContiguousRange of this
@@ -65,9 +65,16 @@ class SketchArena {
               Capacity capacity, TimeEncoding times);
 
   /// Seals `sketches` (indexed by node id; null entries = absent node):
-  /// sizes the arena exactly, takes the narrowest encoding of their times
-  /// (TimeEncodingOf) and appends every sketch in node order. The arena
-  /// copies everything out; callers free the source sketches afterwards.
+  /// sizes the arena exactly, stores times in encoding `times` (which must
+  /// hold every one) and appends every sketch in node order. Sketches
+  /// stored in `times` hand over their offsets without re-encoding. The
+  /// arena copies everything out; callers free the source sketches
+  /// afterwards.
+  SketchArena(int precision, uint64_t salt,
+              std::span<const std::unique_ptr<VersionedHll>> sketches,
+              TimeEncoding times);
+
+  /// As above, in the narrowest encoding of their times (TimeEncodingOf).
   SketchArena(int precision, uint64_t salt,
               std::span<const std::unique_ptr<VersionedHll>> sketches);
 

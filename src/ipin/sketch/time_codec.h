@@ -8,10 +8,11 @@
 
 #include "ipin/graph/types.h"
 
-// The one encoding of stored sketch times (DESIGN.md §12). A sealed
-// SketchArena, an index file and a build checkpoint store each entry's time
-// as an unsigned offset from one base time: u32 offsets when every time
-// lies within 2^32 - 1 of the earliest one, u64 offsets otherwise. Offsets
+// The one encoding of stored sketch times (DESIGN.md §12). A build
+// sketch's entry pools, a sealed SketchArena, an index file and a build
+// checkpoint store each entry's time as an unsigned offset from one base
+// time: u32 offsets when every time lies within 2^32 - 1 of the earliest
+// one, u64 offsets otherwise. Offsets
 // order exactly as the times do, so invariant checks compare them as they
 // are, and decoding is exact.
 
@@ -26,12 +27,15 @@ struct TimeEncoding {
   uint8_t width = 8;
 
   /// The narrowest encoding of the times in [first, last]; first > last
-  /// stands for no times at all.
+  /// stands for no times at all. A u32 encoding's base is `first`, or the
+  /// largest valid base when `first` lies above it (within 2^32 - 1 of
+  /// INT64_MAX), so the result is always valid.
   static TimeEncoding Covering(Timestamp first, Timestamp last) {
+    constexpr uint32_t kTop = std::numeric_limits<uint32_t>::max();
+    constexpr int64_t kHighestBase = std::numeric_limits<int64_t>::max() - kTop;
     if (first > last) return {0, 4};
-    if (static_cast<uint64_t>(last) - static_cast<uint64_t>(first) <=
-        std::numeric_limits<uint32_t>::max()) {
-      return {first, 4};
+    if (static_cast<uint64_t>(last) - static_cast<uint64_t>(first) <= kTop) {
+      return {first < kHighestBase ? first : kHighestBase, 4};
     }
     return {};
   }

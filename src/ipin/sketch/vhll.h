@@ -9,6 +9,7 @@
 
 #include "ipin/graph/types.h"
 #include "ipin/obs/memtally.h"
+#include "ipin/sketch/time_codec.h"
 
 namespace ipin {
 
@@ -36,22 +37,29 @@ obs::MemoryTally& VhllMemTally();
 /// are split into `num_parts` contiguous ranges ("parts"; part k holds
 /// cells [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns an entry
 /// pool, its free lists and its lifetime tallies. A pool is two parallel
-/// arrays at the same offsets, u8 ranks and i64 times — the split layout
-/// of the sealed SketchArena and of the index file, which store the times
-/// as narrower offsets (time_codec.h) — so an entry costs 9 bytes, not a
-/// padded 16-byte pair. `heads_[c]` gives the offset (into c's
-/// part's pool), length and capacity of cell c's block. Block capacities
-/// are powers of two from 1 to 64 (a list never exceeds 64 entries: ranks
-/// are distinct and at most 64 - precision + 1). A full cell moves to a
-/// block twice its size, taken from the free list of that size class or,
-/// when the list is empty, appended to the end of the pool; the old block
-/// goes onto its own class's free list, linked through its first time
-/// slot. A pool that runs out of room grows by a quarter, not by vector
-/// doubling, so at most a fifth of its slots are unused tail. Blocks never
-/// shrink and pools never compact, so a sketch's footprint is its pools'
-/// capacity — free-listed blocks included — plus the two beta-sized arrays
-/// and, with more than one part, the array of parts 1..P-1;
-/// MemoryUsageBytes() reports exactly that.
+/// arrays at the same slot offsets: u8 ranks, and times stored as offsets
+/// in the sketch's TimeEncoding (time_codec.h), the one codec the sealed
+/// SketchArena, the index file and checkpoints use. The encoding is fixed
+/// at construction by the sketch's owner: a build takes the narrowest one
+/// that covers its input's interaction times (IrsApprox), so a slot costs
+/// 1 + 4 bytes when the times span less than 2^32, and 1 + 8 bytes under
+/// the default wide encoding, which holds every time. The public API reads
+/// and writes Timestamps: inserts encode (checked to be held), CellList
+/// decodes. Offsets order as their times do, so domination and the merge
+/// window compare offsets as they are. `heads_[c]` gives the slot offset
+/// (into c's part's pool), length and capacity of cell c's block. Block
+/// capacities are powers of two from 1 to 64 (a list never exceeds 64
+/// entries: ranks are distinct and at most 64 - precision + 1). A full
+/// cell moves to a block twice its size, taken from the free list of that
+/// size class or, when the list is empty, appended to the end of the pool;
+/// the old block goes onto its own class's free list, linked through its
+/// first time slot (a u32 slot offset fits either width). A pool that runs
+/// out of room grows by a quarter, not by vector doubling, so at most a
+/// fifth of its slots are unused tail. Blocks never shrink and pools never
+/// compact, so a sketch's footprint is its pools' capacity — free-listed
+/// blocks included — plus the two beta-sized arrays and, with more than
+/// one part, the array of parts 1..P-1; MemoryUsageBytes() reports exactly
+/// that.
 ///
 /// No operation reads two cells together, so parts never interact: a
 /// parallel build gives each worker one part of every sketch, and workers
@@ -67,71 +75,79 @@ class VersionedHll {
     Timestamp time = 0;
   };
 
-  /// Read-only view of one cell's entries: its runs of ranks and times in
-  /// the part's pool, read as (rank, time) pairs. Valid until the next
-  /// mutation of the sketch.
+  /// Read-only view of one cell's entries: its runs of ranks and time
+  /// offsets in the part's pool, read as (rank, time) pairs with the times
+  /// decoded. Valid until the next mutation of the sketch.
   class CellList {
    public:
     // For range-for loops. Yields Entry values, not references: no Entry
     // is stored.
     class Iterator {
      public:
-      Iterator(const uint8_t* rank, const Timestamp* time)
-          : rank_(rank), time_(time) {}
-      Entry operator*() const { return {*rank_, *time_}; }
+      Iterator(const CellList* list, size_t i) : list_(list), i_(i) {}
+      Entry operator*() const { return (*list_)[i_]; }
       Iterator& operator++() {
-        ++rank_;
-        ++time_;
+        ++i_;
         return *this;
       }
-      bool operator==(const Iterator& other) const {
-        return rank_ == other.rank_;
-      }
+      bool operator==(const Iterator& other) const { return i_ == other.i_; }
 
      private:
-      const uint8_t* rank_;
-      const Timestamp* time_;
+      const CellList* list_;
+      size_t i_;
     };
 
-    CellList(const uint8_t* ranks, const Timestamp* times, size_t size)
-        : ranks_(ranks), times_(times), size_(size) {}
+    CellList(const uint8_t* ranks, const uint8_t* time_bytes,
+             const TimeEncoding& encoding, size_t size)
+        : ranks_(ranks),
+          time_bytes_(time_bytes),
+          encoding_(encoding),
+          size_(size) {}
 
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
-    Entry operator[](size_t i) const { return {ranks_[i], times_[i]}; }
+    Entry operator[](size_t i) const { return {ranks_[i], time(i)}; }
     Entry back() const { return (*this)[size_ - 1]; }
-    Iterator begin() const { return {ranks_, times_}; }
-    Iterator end() const { return {ranks_ + size_, times_ + size_}; }
-    /// The cell's ranks and times as contiguous runs of size() each.
+    Iterator begin() const { return {this, 0}; }
+    Iterator end() const { return {this, size_}; }
+    /// The time of entry i, decoded.
+    Timestamp time(size_t i) const { return encoding_.Decode(time_bytes_, i); }
+    /// The cell's ranks, and its time offsets in encoding() (width bytes
+    /// each), as contiguous runs of size() entries.
     const uint8_t* ranks() const { return ranks_; }
-    const Timestamp* times() const { return times_; }
+    const uint8_t* time_bytes() const { return time_bytes_; }
+    const TimeEncoding& encoding() const { return encoding_; }
 
    private:
     const uint8_t* ranks_;
-    const Timestamp* times_;
+    const uint8_t* time_bytes_;
+    TimeEncoding encoding_;
     size_t size_;
   };
 
   /// Longest possible cell list, and the largest block size class.
   static constexpr size_t kMaxCellEntries = 64;
 
-  /// `precision` must be in [4, 18] and `num_parts` in [1, beta]; all
-  /// sketches that will ever be merged must share `precision` and `salt`,
-  /// and MergeWindow's operands also `num_parts` (checked).
+  /// `precision` must be in [4, 18] and `num_parts` in [1, beta];
+  /// `encoding` must be valid, and every time inserted must be one it
+  /// holds (checked). All sketches that will ever be merged must share
+  /// `precision` and `salt`, and MergeWindow's operands also `num_parts`
+  /// and `encoding` (checked).
   explicit VersionedHll(int precision, uint64_t salt = 0,
-                        size_t num_parts = 1);
+                        size_t num_parts = 1, TimeEncoding encoding = {});
 
   /// A sketch holding the given cell lists, in the stored form of a
   /// SketchArena node (its NodeRange): `cell_counts` (one per cell) cut
   /// `ranks` and the parallel `times` into lists in cell order. The lists
   /// must already satisfy the vHLL invariants, as an arena's checked ones
-  /// do; the sizes are checked. Each cell gets the smallest block that
-  /// holds it, and the pool is sized to exactly those blocks. The sketch
-  /// has one part; lifetime tallies start at zero.
+  /// do, and `encoding` must hold every time; the sizes and the times are
+  /// checked. Each cell gets the smallest block that holds it, and the
+  /// pool is sized to exactly those blocks. The sketch has one part;
+  /// lifetime tallies start at zero.
   VersionedHll(int precision, uint64_t salt,
                std::span<const uint8_t> cell_counts,
                std::span<const uint8_t> ranks,
-               std::span<const int64_t> times);
+               std::span<const int64_t> times, TimeEncoding encoding = {});
 
   /// Inserts item observed at time `t` (hashes the item internally).
   /// Returns true if the sketch changed.
@@ -152,7 +168,8 @@ class VersionedHll {
   bool AddEntry(size_t cell, uint8_t rank, Timestamp t);
 
   /// The paper's ApproxMerge: folds in every entry of `other` whose time t_x
-  /// satisfies t_x - merge_time < window.
+  /// satisfies t_x - merge_time < window (exactly, at any i64 values: no
+  /// sum is formed that could overflow).
   void MergeWindow(const VersionedHll& other, Timestamp merge_time,
                    Duration window);
 
@@ -172,6 +189,7 @@ class VersionedHll {
   uint64_t salt() const { return salt_; }
   size_t num_cells() const { return heads_.size(); }
   size_t num_parts() const { return more_parts_.size() + 1; }
+  const TimeEncoding& time_encoding() const { return encoding_; }
 
   /// The part that holds cell `c`: floor(c * P / beta).
   size_t PartOf(size_t c) const { return (c * num_parts()) >> precision_; }
@@ -202,7 +220,8 @@ class VersionedHll {
   CellList cell(size_t i) const {
     const Part& p = part(PartOf(i));
     const CellHead& head = heads_[i];
-    return {p.ranks.data() + head.offset, p.times.data() + head.offset,
+    return {p.ranks.data() + head.offset,
+            p.times.data() + size_t{head.offset} * encoding_.width, encoding_,
             head.len};
   }
 
@@ -218,7 +237,8 @@ class VersionedHll {
   bool CheckInvariants() const;
 
   /// Heap footprint in bytes: the capacity of the cell heads, the entry
-  /// pools (9 bytes a slot, free-listed blocks and unused tail included),
+  /// pools (1 + width bytes a slot, free-listed blocks and unused tail
+  /// included),
   /// the max-rank cache and the array of parts 1..P-1. Equals what the
   /// sketch charges the "vhll" tally.
   size_t MemoryUsageBytes() const;
@@ -227,7 +247,7 @@ class VersionedHll {
   template <typename T>
   using TallyVector = std::vector<T, obs::TallyAllocator<T, &VhllMemTally>>;
 
-  // Where cell c's block lives in its part's pool: entries
+  // Where cell c's block lives in its part's pool: slots
   // [offset, offset + len), block capacity `cap` (0 for a cell that never
   // held an entry).
   struct CellHead {
@@ -243,10 +263,11 @@ class VersionedHll {
   // The storage of one cell range, touched only by operations on its cells.
   struct Part {
     Part() { free_blocks.fill(kNoBlock); }
-    // The entry pool: ranks[i] and times[i] are one entry. Both arrays
-    // always have the same size and the same capacity.
+    // The entry pool: ranks[i] and the time offset at times[i * width]
+    // are one entry. Both arrays always hold the same number of slots, in
+    // size and in capacity.
     TallyVector<uint8_t> ranks;
-    TallyVector<Timestamp> times;
+    TallyVector<uint8_t> times;
     // Head of each size class's free list (kNoBlock when empty).
     std::array<uint32_t, kNumSizeClasses> free_blocks;
     size_t insert_attempts = 0;
@@ -265,20 +286,34 @@ class VersionedHll {
   }
   size_t SumOverParts(size_t Part::*tally) const;
 
+  // The private operations work on time offsets of type Offset, the
+  // encoding's width (uint32_t or uint64_t); each public call dispatches
+  // once (WithTimeCodec).
+  //
   // ApproxAdd of (rank, t) into cell c, whose block lives in p's pool:
   // AddEntry without the lookup and the tallies. Adds the number of pairs
   // the new one dominated to *evicted. Returns true if the pair was kept.
-  bool Insert(Part& p, size_t c, uint8_t rank, Timestamp t, size_t* evicted);
+  template <typename Offset>
+  bool Insert(Part& p, size_t c, uint8_t rank, Offset t, size_t* evicted);
+  // Folds in the entries of `other`'s cells of part `part_index` whose
+  // offset is at most `last`.
+  template <typename Offset>
+  void MergeCells(const VersionedHll& other, size_t part_index, Offset last);
   // Moves cell `head` to a block twice its capacity. May reallocate p's
   // pool.
+  template <typename Offset>
   void GrowCell(Part& p, CellHead& head);
-  // Returns the offset of a free block of `cap` entries (a power of two),
-  // reusing a free-listed one when there is one. May reallocate p's pool.
+  // Returns the slot offset of a free block of `cap` entries (a power of
+  // two), reusing a free-listed one when there is one. May reallocate p's
+  // pool.
+  template <typename Offset>
   uint32_t AllocateBlock(Part& p, size_t cap);
+  template <typename Offset>
   void FreeBlock(Part& p, uint32_t offset, size_t cap);
 
   int precision_;
   uint64_t salt_;
+  TimeEncoding encoding_;
   TallyVector<CellHead> heads_;
   // Cache of cell(c).back().rank (0 when empty), kept in sync by every
   // mutating method so Estimate() and the union fast paths are O(beta).

@@ -623,6 +623,68 @@ TEST_F(IoFuzzTest, V2CheckpointIsSkippedCleanly) {
   std::filesystem::remove_all(dir);
 }
 
+// CRC-valid approx checkpoints whose times lie outside the resuming build's
+// time encoding (u32 offsets from the log's earliest time): one claims u32
+// offsets from a base 2^33 below it, one u64 offsets that decode 2^40
+// above the log's times. No scan of this graph wrote them, so resume skips
+// each cleanly, without a CHECK, and the build saves an index
+// byte-identical to an uninterrupted one's.
+TEST_F(IoFuzzTest, CheckpointTimesOutsideTheBuildEncodingAreSkipped) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
+  const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
+  IrsApprox want = IrsApprox::Compute(g, 90, sketch);
+  want.Seal();
+  ASSERT_TRUE(SaveInfluenceIndex(want, path_));
+  const std::string want_bytes = ReadFile(path_);
+  const std::string dir = path_ + ".ckpt";
+  const CheckpointOptions options{dir, /*every_edges=*/1000, /*keep=*/1};
+  (void)ComputeIrsApproxCheckpointed(g, 90, sketch, options);
+  const auto files = ReadDir(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string& path = files[0].first;
+  uint32_t version = 0;
+  const std::vector<std::string> frames =
+      ReadFrames(path, kCheckpointType, &version);
+  ASSERT_EQ(frames.size(), 4u);  // meta + three chunks
+  // The meta frame ends with the chunks' i64 base time and u8 width.
+  const std::string& meta = frames[0];
+  TimeEncoding times;
+  std::memcpy(&times.base, meta.data() + meta.size() - 9, sizeof(times.base));
+  times.width = static_cast<uint8_t>(meta.back());
+  ASSERT_EQ(times.width, 4);
+  ASSERT_EQ(times, want.time_encoding());
+
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  const TimeEncoding below{times.base - (int64_t{1} << 33), 4};
+  const TimeEncoding wide;
+  for (const TimeEncoding& hostile : {below, wide}) {
+    SCOPED_TRACE(testing::Message() << "width " << int{hostile.width});
+    std::vector<std::string> edited = frames;
+    std::memcpy(edited[0].data() + meta.size() - 9, &hostile.base,
+                sizeof(hostile.base));
+    edited[0].back() = static_cast<char>(hostile.width);
+    if (hostile.width == 8) {
+      // Offsets from INT64_MIN - 2^40 (mod 2^64): read from INT64_MIN,
+      // each decodes to its time plus 2^40.
+      const auto shifted = static_cast<int64_t>(static_cast<uint64_t>(kMin) -
+                                                (uint64_t{1} << 40));
+      for (size_t k = 1; k < frames.size(); ++k) {
+        edited[k] = ReencodeTimes(frames[k], 4, times, 8, shifted);
+      }
+    }
+    WriteFrames(path, kCheckpointType, version, edited);
+
+    CheckpointStats stats;
+    const IrsApprox got =
+        ComputeIrsApproxCheckpointed(g, 90, sketch, options, &stats);
+    EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
+    EXPECT_EQ(stats.resumed_edges, 0u);
+    ASSERT_TRUE(SaveInfluenceIndex(got, path_));
+    EXPECT_EQ(ReadFile(path_), want_bytes);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 // One to three random edits of a protocol line: a byte flip, a substitution
 // or insertion from the JSON alphabet, an erased run, or a truncation.
 std::string MutateWireLine(std::string line, Rng* rng) {

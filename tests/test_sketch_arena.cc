@@ -22,13 +22,15 @@ constexpr uint64_t kSalt = 42;
 
 // A ragged population: some nodes absent, some empty-but-present, some
 // dense — the three shapes the arena must pack distinctly.
-std::vector<std::unique_ptr<VersionedHll>> BuildSketches(size_t num_nodes,
-                                                         uint64_t seed) {
+// Their times lie in [0, 1000), stored in `times`.
+std::vector<std::unique_ptr<VersionedHll>> BuildSketches(
+    size_t num_nodes, uint64_t seed, TimeEncoding times = {}) {
   Rng rng(seed);
   std::vector<std::unique_ptr<VersionedHll>> sketches(num_nodes);
   for (size_t u = 0; u < num_nodes; ++u) {
     if (u % 3 == 1) continue;  // absent
-    sketches[u] = std::make_unique<VersionedHll>(kPrecision, kSalt);
+    sketches[u] = std::make_unique<VersionedHll>(kPrecision, kSalt,
+                                                 /*num_parts=*/1, times);
     if (u % 3 == 2) continue;  // allocated but empty
     const size_t items = 1 + rng.NextBounded(300);
     for (size_t i = 0; i < items; ++i) {
@@ -60,6 +62,30 @@ TEST(SketchArenaTest, SealedNodeStoresTheSourceCellLists) {
       }
     }
     EXPECT_EQ(entry, range.ranks.size()) << "node " << u;
+  }
+}
+
+// Sketches stored as u32 offsets seal alike in their own encoding, whose
+// offsets are handed over as they are, and in any other that holds their
+// times: the narrowest (a later base) and the wide one.
+TEST(SketchArenaTest, NarrowSketchesSealInAnyEncodingThatHoldsThem) {
+  const TimeEncoding own{-500, 4};
+  const auto sketches = BuildSketches(20, 7, own);
+  const TimeEncoding narrowest = TimeEncodingOf(sketches);
+  EXPECT_EQ(narrowest.width, 4);
+  EXPECT_NE(narrowest, own);
+  for (const TimeEncoding& times : {own, narrowest, TimeEncoding{}}) {
+    SCOPED_TRACE(testing::Message() << "base " << times.base);
+    const SketchArena arena(kPrecision, kSalt, std::span(sketches), times);
+    EXPECT_EQ(arena.time_encoding(), times);
+    for (NodeId u = 0; u < 20; ++u) {
+      ASSERT_EQ(arena.has_node(u), sketches[u] != nullptr) << "node " << u;
+      if (sketches[u] == nullptr) continue;
+      EXPECT_TRUE(arena.CheckNodeInvariants(u)) << "node " << u;
+      EXPECT_EQ(CellsOf(SketchView(&arena, u)),
+                CellsOf(SketchView(sketches[u].get())))
+          << "node " << u;
+    }
   }
 }
 
@@ -142,6 +168,10 @@ TEST(SketchArenaTest, TimeEncodingIsTheNarrowestThatHoldsTheSpan) {
   EXPECT_EQ(TimeEncoding::Covering(-3, -3 + kU32), (TimeEncoding{-3, 4}));
   EXPECT_EQ(TimeEncoding::Covering(-3, -2 + kU32), TimeEncoding{});
   EXPECT_EQ(TimeEncoding::Covering(kMax - kU32, kMax),
+            (TimeEncoding{kMax - kU32, 4}));
+  // Times within 2^32 - 1 of INT64_MAX take the largest valid base.
+  EXPECT_EQ(TimeEncoding::Covering(kMax, kMax), (TimeEncoding{kMax - kU32, 4}));
+  EXPECT_EQ(TimeEncoding::Covering(kMax - 7, kMax - 3),
             (TimeEncoding{kMax - kU32, 4}));
   EXPECT_EQ(TimeEncoding::Covering(kMin, kMax), TimeEncoding{});
   EXPECT_EQ(TimeEncoding::Covering(1, 0), (TimeEncoding{0, 4}));  // no times

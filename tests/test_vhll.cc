@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -660,35 +661,81 @@ void ExpectMatchesModel(const VersionedHll& sketch,
   EXPECT_EQ(sketch.NumCellUpdates(), model.cell_updates);
 }
 
+// The base time of the narrow run below: its times are all negative.
+constexpr Timestamp kNarrowBase = -3'000'000'000'000;
+
 // Random batches of every mutation against DominationModel, at 1 to 4
-// parts: after each batch the cell lists, the max-rank cache, the entry
-// count and the four lifetime tallies must equal the model's, and the
-// sketches' byte counts must add up to what they charged the "vhll" tally.
-// Long ascending runs push cells through every block size class, so the
-// pools grow, free-list blocks and get refilled from them.
-TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
+// parts and at both time widths: after each batch the cell lists, the
+// max-rank cache, the entry count and the four lifetime tallies must equal
+// the model's, and the sketches' byte counts must add up to what they
+// charged the "vhll" tally. Long ascending runs push cells through every
+// block size class, so the pools grow, free-list blocks and get refilled
+// from them. The wide run draws times from [0, 4000); the narrow one (u32
+// offsets from a negative base) spreads them across all 2^32 offsets, ends
+// included, and also merges with bounds at or below the base (nothing is
+// eligible) and beyond the top offset (everything is).
+void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
   constexpr int kPrecision = 4;  // 16 cells: lists grow long
   constexpr uint64_t kSalt = 77;
   constexpr int kMaxRank = 64 - kPrecision + 1;
+  constexpr Timestamp kTop = std::numeric_limits<uint32_t>::max();
+  constexpr Timestamp kBase = kNarrowBase;
+  // A step of the narrow time grid: 4000 steps span the offsets.
+  constexpr Timestamp kStride = kTop / 3999;
   obs::MemoryTally& tally = VhllMemTally();
+  const bool narrow = encoding.width == 4;
   Rng rng(2525);
   for (size_t parts = 1; parts <= 4; ++parts) {
-    SCOPED_TRACE(testing::Message() << parts << " parts");
+    SCOPED_TRACE(testing::Message() << parts << " parts, width "
+                                    << int{encoding.width});
     const int64_t tally_before = tally.CurrentBytes();
     // a: the sketch under test; b: merge source, same part count.
-    std::optional<VersionedHll> a(std::in_place, kPrecision, kSalt, parts);
-    VersionedHll b(kPrecision, kSalt, parts);
+    std::optional<VersionedHll> a(std::in_place, kPrecision, kSalt, parts,
+                                  encoding);
+    VersionedHll b(kPrecision, kSalt, parts, encoding);
     DominationModel model_a(kPrecision, kSalt, parts);
     DominationModel model_b(kPrecision, kSalt, parts);
     size_t longest = 0;
     // Tallies of sketches a refill replaced: a refill starts from zero.
     size_t evictions = 0;
     size_t cell_updates = 0;
-    const auto time = [&rng] {
-      return static_cast<Timestamp>(rng.NextBounded(4000));
+    const auto time = [&rng, narrow] {
+      if (!narrow) return static_cast<Timestamp>(rng.NextBounded(4000));
+      switch (rng.NextBounded(20)) {
+        case 0:
+          return kBase;
+        case 1:
+          return kBase + kTop;
+        default:
+          return kBase + kStride * static_cast<Timestamp>(rng.NextBounded(4000));
+      }
     };
     const auto rank = [&rng] {
       return static_cast<uint8_t>(1 + rng.NextBounded(kMaxRank));
+    };
+    // A merge's (merge_time, window), its bound merge_time + window drawn
+    // around the narrow encoding's ends a third of the time.
+    const auto merge_args = [&rng, &time, narrow] {
+      if (!narrow) {
+        const Timestamp merge_time = time();
+        return std::pair(merge_time,
+                         static_cast<Duration>(rng.NextBounded(3000)));
+      }
+      const auto window =
+          static_cast<Duration>(1 + rng.NextBounded(3000 * kStride));
+      const auto near = static_cast<Timestamp>(rng.NextBounded(1 << 20));
+      Timestamp bound = 0;
+      switch (rng.NextBounded(6)) {
+        case 0:
+          bound = kBase - near;  // at or below the base
+          break;
+        case 1:
+          bound = kBase + kTop + 1 + near;  // beyond the top offset
+          break;
+        default:
+          return std::pair(time(), window);
+      }
+      return std::pair(bound - window, window);
     };
 
     for (int batch = 0; batch < 60; ++batch) {
@@ -724,7 +771,9 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
             // A staircase: ascending ranks at ascending times, none
             // dominating another, so the cell climbs the size classes.
             const auto steps = static_cast<int>(1 + rng.NextBounded(40));
-            Timestamp t = time();
+            // The narrow run's climb stays below the top offset.
+            Timestamp t = narrow ? std::min(time(), kBase + kTop - 5 * 64)
+                                 : time();
             for (int r = 1; r <= std::min(steps, kMaxRank); ++r) {
               t += 1 + static_cast<Timestamp>(rng.NextBounded(5));
               b.AddEntry(cell, static_cast<uint8_t>(r), t);
@@ -734,8 +783,7 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
           }
           case 6:
           case 7: {
-            const Timestamp merge_time = time();
-            const auto window = static_cast<Duration>(rng.NextBounded(3000));
+            const auto [merge_time, window] = merge_args();
             if (rng.NextBounded(2) == 0) {
               a->MergeWindow(b, merge_time, window);
               for (size_t part = 0; part < parts; ++part) {
@@ -767,13 +815,13 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
             const SketchCells stored = model_a.Stored();
             if (parts == 1) {
               a.emplace(kPrecision, kSalt, stored.counts, stored.ranks,
-                        stored.times);
+                        stored.times, encoding);
               evictions += model_a.evictions;
               cell_updates += model_a.cell_updates;
               model_a = model_a.Refilled();
             } else {
               const VersionedHll copy(kPrecision, kSalt, stored.counts,
-                                      stored.ranks, stored.times);
+                                      stored.ranks, stored.times, encoding);
               ExpectMatchesModel(copy, model_a.Refilled());
             }
             break;
@@ -796,6 +844,34 @@ TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
     EXPECT_GT(evictions + model_a.evictions, 0u);
     EXPECT_GT(cell_updates + model_a.cell_updates, 0u);
   }
+}
+
+TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
+  AgreesWithDominationModelUnderRandomBatches(TimeEncoding{});
+  AgreesWithDominationModelUnderRandomBatches(TimeEncoding{kNarrowBase, 4});
+}
+
+// A pool slot costs one rank byte plus one time offset of the encoding's
+// width: fed the same pairs, a u32 sketch and a u64 one have the same
+// slots, and beyond the cell heads and the max-rank cache their byte
+// counts are 5 and 9 per slot.
+TEST(VhllTest, PoolSlotsCostOnePlusTheTimeWidth) {
+  constexpr int kPrecision = 5;
+  constexpr size_t kFixed = (size_t{1} << kPrecision) * (8 + 1);
+  VersionedHll narrow(kPrecision, 1, 1, TimeEncoding{1000, 4});
+  VersionedHll wide(kPrecision, 1);
+  Rng rng(5);
+  for (int i = 0; i < 3000; ++i) {
+    const uint64_t item = rng.NextUint64();
+    const auto t = static_cast<Timestamp>(1000 + rng.NextBounded(5000));
+    narrow.Add(item, t);
+    wide.Add(item, t);
+  }
+  EXPECT_EQ(CellsOf(SketchView(&narrow)), CellsOf(SketchView(&wide)));
+  const size_t slots = (wide.MemoryUsageBytes() - kFixed) / 9;
+  EXPECT_GT(slots, narrow.NumEntries());
+  EXPECT_EQ(wide.MemoryUsageBytes(), kFixed + 9 * slots);
+  EXPECT_EQ(narrow.MemoryUsageBytes(), kFixed + 5 * slots);
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};

@@ -3,13 +3,18 @@
 // requires duration <= omega. Off-by-one errors here would silently distort
 // every experiment, so the exact boundaries get their own suite.
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "ipin/common/thread_pool.h"
+#include "ipin/core/checkpoint.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
 #include "ipin/core/source_sets.h"
 #include "ipin/core/tcic.h"
 #include "ipin/graph/temporal_paths.h"
+#include "test_util.h"
 
 namespace ipin {
 namespace {
@@ -132,6 +137,61 @@ TEST(WindowBoundaryTest, MergeUsesStrictInequality) {
   irs2.ProcessInteraction({1, 2, 15});
   irs2.ProcessInteraction({0, 1, 10});  // duration 6 <= 6 -> included
   EXPECT_TRUE(irs2.Summary(0).count(2));
+}
+
+// A same-time relay at the top of the i64 range: 0 -> 1 and 1 -> 2 both at
+// INT64_MAX, 1 -> 2 scanned first (ties keep their log order, and the scan
+// runs backwards), so phi(1) exists when 0 -> 1 merges it. The relayed
+// entry has t_x - t = 0 < omega, so 2 is in 0's IRS; the merge bound
+// merge_time + omega lies past INT64_MAX and must neither wrap nor trap.
+// Every build holds in phi(0) exactly the sketch of IrsExact's reach, one
+// pair per reached node at its time, and seals and saves it.
+TEST(WindowBoundaryTest, SameTimeRelayAtTheTopOfTheTimeRangeIsMerged) {
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  InteractionGraph g(3);
+  g.AddInteraction(0, 1, kMax);
+  g.AddInteraction(1, 2, kMax);
+  g.SortByTime();
+  const IrsApproxOptions options{/*precision=*/10, /*salt=*/3};
+  for (const Duration window : {Duration{1}, Duration{1000}, kMax}) {
+    SCOPED_TRACE(testing::Message() << "window " << window);
+    const IrsExact exact = IrsExact::Compute(g, window);
+    ASSERT_EQ(exact.Summary(0).size(), 2u);
+    EXPECT_EQ(exact.Summary(0).at(1), kMax);
+    EXPECT_EQ(exact.Summary(0).at(2), kMax);
+    VersionedHll reach(options.precision, options.salt);
+    for (const auto& [v, t] : exact.Summary(0)) reach.Add(v, t);
+    ASSERT_EQ(reach.NumEntries(), 2u);  // 1 and 2 land in distinct cells
+    const SketchCells want = CellsOf(SketchView(&reach));
+
+    for (const size_t parts : {1u, 2u}) {
+      SetGlobalThreads(parts);
+      IrsApprox irs = IrsApprox::Compute(g, window, options);
+      EXPECT_EQ(CellsOf(irs.Sketch(0)), want) << parts << " parts";
+      irs.Seal();
+      EXPECT_EQ(CellsOf(irs.Sketch(0)), want) << parts << " parts, sealed";
+    }
+    SetGlobalThreads(1);
+    const IrsApprox checkpointed =
+        ComputeIrsApproxCheckpointed(g, window, options, CheckpointOptions{});
+    EXPECT_EQ(CellsOf(checkpointed.Sketch(0)), want) << "checkpointed";
+  }
+}
+
+// A log spanning the whole i64 range has a span of 2^64: percentages of it
+// are exact, and a window past INT64_MAX is capped there.
+TEST(WindowBoundaryTest, WindowFromPercentSpansTheWholeTimeRange) {
+  constexpr Timestamp kMin = std::numeric_limits<Timestamp>::min();
+  constexpr Timestamp kMax = std::numeric_limits<Timestamp>::max();
+  InteractionGraph g(2);
+  g.AddInteraction(0, 1, kMin);
+  g.AddInteraction(1, 0, kMax);
+  g.SortByTime();
+  EXPECT_EQ(g.WindowFromPercent(25.0), Duration{1} << 62);
+  EXPECT_EQ(g.WindowFromPercent(12.5), Duration{1} << 61);
+  EXPECT_EQ(g.WindowFromPercent(50.0), kMax);
+  EXPECT_EQ(g.WindowFromPercent(100.0), kMax);
+  EXPECT_EQ(g.WindowFromPercent(0.0), 1);
 }
 
 }  // namespace
