@@ -271,16 +271,17 @@ int CmdBuildIndex(const FlagMap& flags) {
   const double build_seconds = timer.ElapsedSeconds();
   if (ckpt.enabled()) {
     std::printf(
-        "checkpointing: resumed %zu edges, wrote %zu checkpoints "
+        "checkpointing: resumed %zu edges, wrote %zu checkpoints in %.2fs "
         "(%zu save failures, %zu invalid skipped)\n",
         ckpt_stats.resumed_edges, ckpt_stats.checkpoints_written,
-        ckpt_stats.checkpoint_failures,
+        ckpt_stats.save_seconds, ckpt_stats.checkpoint_failures,
         ckpt_stats.invalid_checkpoints_skipped);
   }
   if (!SaveInfluenceIndex(index, out)) return 1;
   obs::RunLedger::Global().RecordOutput(out);
   std::printf(
-      "built index in %.2fs (window %lld, beta %zu, %.1f MB) -> %s\n",
+      "built index in %.2fs (window %lld, beta %zu, build store %.1f MB) "
+      "-> %s\n",
       build_seconds, static_cast<long long>(index.window()),
       static_cast<size_t>(1) << options.precision,
       index.MemoryUsageBytes() / (1024.0 * 1024.0), out.c_str());

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -15,6 +17,8 @@
 #include "ipin/common/logging.h"
 #include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
+#include "ipin/common/thread_pool.h"
+#include "ipin/common/timer.h"
 #include "ipin/core/oracle_io.h"
 #include "ipin/obs/ledger.h"
 #include "ipin/obs/metrics.h"
@@ -29,11 +33,6 @@ namespace ipin {
 class CheckpointAccess {
  public:
   static void SetScanPosition(IrsExact* irs, Timestamp last_time,
-                              bool saw_interaction) {
-    irs->last_time_ = last_time;
-    irs->saw_interaction_ = saw_interaction;
-  }
-  static void SetScanPosition(IrsApprox* irs, Timestamp last_time,
                               bool saw_interaction) {
     irs->last_time_ = last_time;
     irs->saw_interaction_ = saw_interaction;
@@ -65,31 +64,34 @@ class CheckpointAccess {
     irs->merge_calls_ = tally[1];
   }
 
-  static Timestamp LastTime(const IrsExact& irs) { return irs.last_time_; }
-  static Timestamp LastTime(const IrsApprox& irs) { return irs.last_time_; }
-  static bool SawInteraction(const IrsExact& irs) {
-    return irs.saw_interaction_;
-  }
-  static bool SawInteraction(const IrsApprox& irs) {
-    return irs.saw_interaction_;
-  }
-
   static IrsSummaryMap* MutableSummary(IrsExact* irs, NodeId u) {
     return &irs->summaries_[u];
   }
-  static void InstallSketch(IrsApprox* irs, NodeId u,
-                            std::unique_ptr<VersionedHll> sketch) {
-    irs->sketches_[u] = std::move(sketch);
+  // Refills u's build sketch from a checkpoint's cells, in the build's
+  // parts and time encoding; false if that encoding cannot hold a time.
+  static bool RefillSketch(IrsApprox* irs, NodeId u,
+                           const SketchArena::NodeRange& cells) {
+    std::vector<Timestamp> times(cells.ranks.size());
+    for (size_t e = 0; e < times.size(); ++e) {
+      times[e] = cells.time(e);
+      if (!irs->times_.Holds(times[e])) return false;
+    }
+    irs->sketches_[u] = std::make_unique<VersionedHll>(
+        irs->options_.precision, irs->options_.salt, irs->parts_,
+        cells.cell_counts, cells.ranks, times, irs->times_);
+    return true;
   }
-  // An empty approx build over `graph`, its sketches storing times in the
-  // encoding a plain build over the same graph uses.
+  // An empty approx build over `graph`, its sketches split into parts and
+  // storing times as a plain build over the same graph does.
   static IrsApprox MakeBuild(const InteractionGraph& graph, Duration window,
-                             const IrsApproxOptions& options) {
-    return IrsApprox(graph.num_nodes(), window, options,
-                     IrsApprox::ScanTimeEncoding(graph));
+                             const IrsApproxOptions& options,
+                             size_t num_parts) {
+    return IrsApprox(graph, window, options, num_parts);
   }
-  static const TimeEncoding& BuildTimes(const IrsApprox& irs) {
-    return irs.times_;
+  static void Scan(IrsApprox* irs, const InteractionGraph& graph, size_t done,
+                   size_t epoch_edges,
+                   const std::function<void(size_t)>& after_epoch) {
+    irs->Scan(graph, done, epoch_edges, after_epoch);
   }
   static void Publish(const IrsExact& irs) { irs.PublishBuildMetrics(); }
   static void Publish(const IrsApprox& irs) { irs.PublishBuildMetrics(); }
@@ -316,13 +318,14 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
 
 // The chunk is checked into a scratch arena, then each node's cells, their
 // times re-encoded from the checkpoint's encoding into the build's, refill
-// a VersionedHll for the scan to keep growing. A time the build's encoding
-// cannot hold (a checkpoint no scan of this graph wrote) fails the chunk.
+// a VersionedHll with the build's part count for the scan to keep growing
+// (a chunk records no parts, so any part count resumes any other). A time
+// the build's encoding cannot hold (a checkpoint no scan of this graph
+// wrote) fails the chunk.
 bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
                         uint32_t expected_count, const MetaFrame& meta,
                         IrsApprox* irs) {
   const Fingerprint& fp = meta.fp;
-  const TimeEncoding& build_times = CheckpointAccess::BuildTimes(*irs);
   SketchChunk chunk;
   if (!MeasureSketchChunk(payload, fp.precision, meta.times.width,
                           expected_first, expected_count, &chunk)) {
@@ -331,20 +334,12 @@ bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
   SketchArena scratch(fp.precision, fp.salt, expected_count, chunk.size,
                       meta.times);
   if (!chunk.AppendTo(&scratch, 0)) return false;
-  std::vector<Timestamp> times;
   for (NodeId i = 0; i < expected_count; ++i) {
-    if (!scratch.has_node(i)) continue;
-    const SketchArena::NodeRange cells = *scratch.ContiguousRange(i, i + 1);
-    times.resize(cells.ranks.size());
-    for (size_t e = 0; e < times.size(); ++e) {
-      times[e] = cells.time(e);
-      if (!build_times.Holds(times[e])) return false;
+    if (scratch.has_node(i) &&
+        !CheckpointAccess::RefillSketch(irs, expected_first + i,
+                                        *scratch.ContiguousRange(i, i + 1))) {
+      return false;
     }
-    CheckpointAccess::InstallSketch(
-        irs, expected_first + i,
-        std::make_unique<VersionedHll>(fp.precision, fp.salt,
-                                       cells.cell_counts, cells.ranks, times,
-                                       build_times));
   }
   return true;
 }
@@ -411,25 +406,46 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
   return true;
 }
 
+// An exact build resumes at the scan position the meta frame records.
+bool ResumeAt(const MetaFrame& meta, const InteractionGraph& /*graph*/,
+              IrsExact* irs) {
+  CheckpointAccess::SetScanPosition(irs, meta.last_time,
+                                    meta.saw_interaction != 0);
+  return true;
+}
+
+// An approx build resumes only from the sketches its scan held at the
+// checkpoint: one for each node that sends among the scanned edges, and
+// no other. Every checkpoint the scan writes holds exactly those.
+bool ResumeAt(const MetaFrame& meta, const InteractionGraph& graph,
+              IrsApprox* irs) {
+  const std::span<const Interaction> edges = graph.interactions();
+  std::vector<bool> sent(graph.num_nodes(), false);
+  for (const auto& e : edges.last(meta.edges_processed)) sent[e.src] = true;
+  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
+    if (irs->Sketch(u).valid() != sent[u]) return false;
+  }
+  return true;
+}
+
 // Walks checkpoints newest-first until one verifies, restoring scan state
 // and tallies into *irs. Returns the resumed edge count (0 = fresh start).
 template <typename Irs, typename MakeFresh, typename ParseChunk>
 uint64_t TryResume(const CheckpointOptions& options,
-                   const Fingerprint& expected, Irs* irs,
-                   CheckpointStats* stats, MakeFresh make_fresh,
+                   const InteractionGraph& graph, const Fingerprint& expected,
+                   Irs* irs, CheckpointStats* stats, MakeFresh make_fresh,
                    ParseChunk parse_chunk) {
   IPIN_TRACE_SPAN("checkpoint.resume");
   for (const auto& [edges, path] :
        ListCheckpoints(options.dir, expected.algo)) {
     MetaFrame meta;
     Irs candidate = make_fresh();
-    if (!LoadCheckpoint(path, expected, &candidate, &meta, parse_chunk)) {
+    if (!LoadCheckpoint(path, expected, &candidate, &meta, parse_chunk) ||
+        !ResumeAt(meta, graph, &candidate)) {
       ++stats->invalid_checkpoints_skipped;
       LogWarning("checkpoint " + path + " failed verification, skipped");
       continue;
     }
-    CheckpointAccess::SetScanPosition(&candidate, meta.last_time,
-                                      meta.saw_interaction != 0);
     CheckpointAccess::SetTallies(&candidate, meta.tally);
     *irs = std::move(candidate);
     stats->resumed_edges = meta.edges_processed;
@@ -445,26 +461,34 @@ uint64_t TryResume(const CheckpointOptions& options,
   return 0;
 }
 
+// Writes the checkpoint of `irs` after the scan's first `done` edges (the
+// log's last) and prunes older ones. A failed save only counts and logs.
 template <typename Irs, typename SerializeChunk>
-void MaybeCheckpoint(const Irs& irs, const Fingerprint& fp, uint64_t done,
-                     uint64_t total, const CheckpointOptions& options,
-                     CheckpointStats* stats, SerializeChunk serialize_chunk) {
-  if (done % options.every_edges != 0 || done >= total) return;
+void WriteCheckpoint(const Irs& irs, const Fingerprint& fp,
+                     std::span<const Interaction> edges, uint64_t done,
+                     const CheckpointOptions& options, CheckpointStats* stats,
+                     SerializeChunk serialize_chunk) {
   MetaFrame meta;
   meta.fp = fp;
   meta.edges_processed = done;
-  meta.last_time = CheckpointAccess::LastTime(irs);
-  meta.saw_interaction = CheckpointAccess::SawInteraction(irs) ? 1 : 0;
+  // The scan position: the time of the last edge scanned.
+  meta.last_time = edges[edges.size() - done].time;
+  meta.saw_interaction = 1;
   meta.chunk_size = kChunkSize;
   CheckpointAccess::GetTallies(irs, meta.tally);
   meta.times = ChunkTimes(irs);
-  if (SaveCheckpoint(irs, meta, options.dir, serialize_chunk)) {
+  const WallTimer timer;
+  const bool saved = SaveCheckpoint(irs, meta, options.dir, serialize_chunk);
+  const double save_ms = timer.ElapsedMillis();
+  IPIN_HISTOGRAM_RECORD("robustness.checkpoint.save_ms", save_ms);
+  stats->save_seconds += save_ms / 1e3;
+  if (saved) {
     ++stats->checkpoints_written;
     obs::RunLedger::Global().RecordEvent(
         "checkpoint.save",
         StrFormat("%llu/%llu edges",
                   static_cast<unsigned long long>(done),
-                  static_cast<unsigned long long>(total)));
+                  static_cast<unsigned long long>(edges.size())));
     PruneCheckpoints(options.dir, fp.algo, options.keep);
   } else {
     ++stats->checkpoint_failures;
@@ -523,7 +547,7 @@ IrsExact ComputeIrsExactCheckpointed(const InteractionGraph& graph,
   uint64_t done =
       enabled
           ? TryResume(
-                options, fp, &irs, stats,
+                options, graph, fp, &irs, stats,
                 [&] { return IrsExact(graph.num_nodes(), window); },
                 ParseExactChunk)
           : 0;
@@ -538,8 +562,9 @@ IrsExact ComputeIrsExactCheckpointed(const InteractionGraph& graph,
       phase.SetDone(done);
       since_tick = 0;
     }
-    if (enabled) {
-      MaybeCheckpoint(irs, fp, done, m, options, stats, SerializeExactChunk);
+    if (enabled && done % options.every_edges == 0 && done < m) {
+      WriteCheckpoint(irs, fp, edges, done, options, stats,
+                      SerializeExactChunk);
     }
   }
   phase.SetDone(done);
@@ -571,37 +596,23 @@ IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
   fp.salt = irs_options.salt;
 
   const auto make_fresh = [&] {
-    return CheckpointAccess::MakeBuild(graph, window, irs_options);
+    return CheckpointAccess::MakeBuild(graph, window, irs_options,
+                                       GlobalThreads());
   };
   IrsApprox irs = make_fresh();
   const bool enabled = options.enabled() && EnsureDir(options.dir);
-  uint64_t done =
-      enabled ? TryResume(options, fp, &irs, stats, make_fresh,
+  const uint64_t done =
+      enabled ? TryResume(options, graph, fp, &irs, stats, make_fresh,
                           RestoreApproxChunk)
               : 0;
-
-  obs::ProgressPhase phase("irs.approx.scan", m);
-  phase.SetDone(done);  // resumed edges count as completed work
-  uint64_t since_tick = 0;
-  for (uint64_t i = m - done; i > 0; --i) {
-    irs.ProcessInteraction(edges[i - 1]);
-    ++done;
-    if (++since_tick == (uint64_t{64} << 10)) {
-      phase.SetDone(done);
-      since_tick = 0;
-    }
-    if (enabled) {
-      MaybeCheckpoint(irs, fp, done, m, options, stats, SerializeApproxChunk);
-    }
-  }
-  phase.SetDone(done);
+  CheckpointAccess::Scan(
+      &irs, graph, done, enabled ? options.every_edges : 0,
+      [&](size_t scanned) {
+        WriteCheckpoint(irs, fp, edges, scanned, options, stats,
+                        SerializeApproxChunk);
+      });
   CheckpointAccess::Publish(irs);
   PublishCheckpointMetrics(*stats);
-  // Checkpointed builds feed the save/serve path directly, so pack into the
-  // arena here (plain Compute() defers this to the caller). A resumed build
-  // holds the same cell lists as an uninterrupted one, so both seal to the
-  // same arena and save to identical files.
-  irs.Seal();
   return irs;
 }
 

@@ -58,6 +58,10 @@ struct CheckpointStats {
   /// Newer checkpoints that failed verification and were skipped before a
   /// valid one (or a fresh start) was chosen.
   size_t invalid_checkpoints_skipped = 0;
+  /// Wall time spent writing checkpoints, failed writes included (each
+  /// write is also recorded in the robustness.checkpoint.save_ms
+  /// histogram).
+  double save_seconds = 0;
 };
 
 /// IrsExact::Compute with checkpoint/resume. Identical results to
@@ -68,8 +72,13 @@ IrsExact ComputeIrsExactCheckpointed(const InteractionGraph& graph,
                                      const CheckpointOptions& options,
                                      CheckpointStats* stats = nullptr);
 
-/// IrsApprox::Compute with checkpoint/resume. Identical results to
-/// IrsApprox::Compute(graph, window, irs_options).
+/// IrsApprox::Compute with checkpoint/resume: Compute's cell-partitioned
+/// scan, one part per global thread, run in epochs of
+/// `options.every_edges` edges; the workers meet at each epoch's end and
+/// the checkpoint is cut there. Identical results to
+/// IrsApprox::Compute(graph, window, irs_options), returned unsealed as
+/// Compute's are, whatever the thread counts the checkpoints were written
+/// and resumed at.
 IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
                                        Duration window,
                                        const IrsApproxOptions& irs_options,

@@ -32,23 +32,13 @@ bool ScanEdge(const Interaction& edge, VersionedHll& sketch_u,
   return true;
 }
 
-}  // namespace
-
-IrsApprox::IrsApprox(size_t num_nodes, Duration window,
-                     const IrsApproxOptions& options)
-    : IrsApprox(num_nodes, window, options, TimeEncoding{}) {}
-
-IrsApprox::IrsApprox(size_t num_nodes, Duration window,
-                     const IrsApproxOptions& options, TimeEncoding times)
-    : window_(window),
-      options_(options),
-      num_nodes_(num_nodes),
-      times_(times),
-      sketches_(num_nodes) {
-  IPIN_CHECK_GE(window, 1);
-}
-
-TimeEncoding IrsApprox::ScanTimeEncoding(const InteractionGraph& graph) {
+// The encoding a build over `graph` stores its sketches' times in: the
+// narrowest covering its earliest and latest non-self-loop interaction
+// times, the only times a scan stores. A sketch entry at the earliest one
+// always survives (only an entry at the same time can evict it), so when
+// this encoding is narrow it is exactly the TimeEncodingOf the finished
+// build's sketches.
+TimeEncoding ScanTimeEncoding(const InteractionGraph& graph) {
   IPIN_CHECK(graph.is_sorted());
   const std::span<const Interaction> edges = graph.interactions();
   const auto sends = [](const Interaction& e) { return e.src != e.dst; };
@@ -56,6 +46,19 @@ TimeEncoding IrsApprox::ScanTimeEncoding(const InteractionGraph& graph) {
   if (first == edges.end()) return TimeEncoding::Covering(1, 0);
   const auto last = std::find_if(edges.rbegin(), edges.rend(), sends);
   return TimeEncoding::Covering(first->time, last->time);
+}
+
+}  // namespace
+
+IrsApprox::IrsApprox(const InteractionGraph& graph, Duration window,
+                     const IrsApproxOptions& options, size_t num_parts)
+    : window_(window),
+      options_(options),
+      num_nodes_(graph.num_nodes()),
+      parts_(std::clamp<size_t>(num_parts, 1, size_t{1} << options.precision)),
+      times_(ScanTimeEncoding(graph)),
+      sketches_(num_nodes_) {
+  IPIN_CHECK_GE(window, 1);
 }
 
 IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
@@ -97,63 +100,75 @@ IrsApprox IrsApprox::Compute(const InteractionGraph& graph, Duration window,
   return ComputeParallel(graph, window, options, GlobalThreads());
 }
 
-// Cell-partitioned scan (DESIGN.md §10). Algorithm 3 touches a sketch only
-// cell by cell, so worker k runs the whole reverse scan but applies only
-// the inserts that land in part k of each sketch. Every cell then receives
-// exactly the inserts of the one-pass scan, in the same order, so the
-// sketches are bit-identical for every part count.
 IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
                                      Duration window,
                                      const IrsApproxOptions& options,
                                      size_t num_parts) {
   IPIN_TRACE_SPAN("irs.approx.compute");
+  IrsApprox irs(graph, window, options, num_parts);
+  irs.Scan(graph, /*done=*/0, /*epoch_edges=*/0, {});
+  irs.PublishBuildMetrics();
+  return irs;
+}
+
+// Cell-partitioned scan (DESIGN.md §10). Algorithm 3 touches a sketch only
+// cell by cell, so worker k runs the whole reverse scan but applies only
+// the inserts that land in part k of each sketch. Every cell then receives
+// exactly the inserts of the one-pass scan, in the same order, so the
+// sketches are bit-identical for every part count.
+void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
+                     size_t epoch_edges,
+                     const std::function<void(size_t)>& after_epoch) {
   IPIN_CHECK(graph.is_sorted());
   const std::span<const Interaction> edges = graph.interactions();
-  const size_t num_cells = size_t{1} << options.precision;
-  const size_t parts = std::clamp<size_t>(num_parts, 1, num_cells);
-  IrsApprox irs(graph.num_nodes(), window, options, ScanTimeEncoding(graph));
+  const size_t m = edges.size();
   // last_sent[v] is one past the index of v's last edge as a source (0 if
   // v never sends). The one-pass scan allocates phi(v) at that edge, so
   // while scanning edge i - 1 it holds a sketch for v iff last_sent[v] > i.
-  std::vector<size_t> last_sent(irs.num_nodes_, 0);
-  for (size_t i = 0; i < edges.size(); ++i) last_sent[edges[i].src] = i + 1;
-  for (size_t v = 0; v < irs.num_nodes_; ++v) {
-    if (last_sent[v] > 0) {
-      irs.sketches_[v] = std::make_unique<VersionedHll>(
-          options.precision, options.salt, parts, irs.times_);
-    }
-  }
+  std::vector<size_t> last_sent(num_nodes_, 0);
+  for (size_t i = 0; i < m; ++i) last_sent[edges[i].src] = i + 1;
 
-  obs::ProgressPhase phase("irs.approx.scan", edges.size());
-  ParallelFor(0, parts, 1, [&](size_t lo, size_t hi) {
-    for (size_t part = lo; part < hi; ++part) {
-      size_t merges = 0;
-      size_t since_tick = 0;
-      for (size_t i = edges.size(); i > 0; --i) {
-        const Interaction& edge = edges[i - 1];
-        const NodeId v = edge.dst;
-        merges += ScanEdge(edge, *irs.sketches_[edge.src],
-                           last_sent[v] > i ? irs.sketches_[v].get() : nullptr,
-                           window, part);
-        // Worker 0 reports progress; chunked ticks keep the per-edge path
-        // atomics-free.
-        if (part == 0 && ++since_tick == (size_t{64} << 10)) {
-          phase.Tick(since_tick);
-          since_tick = 0;
-        }
+  obs::ProgressPhase phase("irs.approx.scan", m);
+  phase.SetDone(done);  // resumed edges count as completed work
+  while (done < m) {
+    // This epoch scans edges [lo, hi) backwards.
+    const size_t hi = m - done;
+    const size_t epoch =
+        epoch_edges == 0 ? m : epoch_edges - done % epoch_edges;
+    const size_t lo = hi - std::min(hi, epoch);
+    for (size_t i = lo; i < hi; ++i) {
+      const NodeId u = edges[i].src;
+      if (last_sent[u] == i + 1) {
+        sketches_[u] = std::make_unique<VersionedHll>(
+            options_.precision, options_.salt, parts_, times_);
       }
-      if (part == 0) irs.merge_calls_ = merges;
     }
-  });
-  phase.SetDone(edges.size());
-
-  irs.edges_scanned_ = edges.size();
-  if (!edges.empty()) {
-    irs.saw_interaction_ = true;
-    irs.last_time_ = edges.front().time;
+    ParallelFor(0, parts_, 1, [&](size_t first, size_t last) {
+      for (size_t part = first; part < last; ++part) {
+        size_t part_merges = 0;
+        size_t since_tick = 0;
+        for (size_t i = hi; i > lo; --i) {
+          const Interaction& edge = edges[i - 1];
+          const NodeId v = edge.dst;
+          part_merges +=
+              ScanEdge(edge, *sketches_[edge.src],
+                       last_sent[v] > i ? sketches_[v].get() : nullptr,
+                       window_, part);
+          // Worker 0 reports progress; chunked ticks keep the per-edge path
+          // atomics-free.
+          if (part == 0 && ++since_tick == (size_t{64} << 10)) {
+            phase.Tick(since_tick);
+            since_tick = 0;
+          }
+        }
+        if (part == 0) merge_calls_ += part_merges;
+      }
+    });
+    done = m - lo;
+    edges_scanned_ += hi - lo;
+    phase.SetDone(done);
+    if (done < m && after_epoch) after_epoch(done);
   }
-  irs.PublishBuildMetrics();
-  return irs;
 }
 
 void IrsApprox::PublishBuildMetrics() const {
@@ -168,31 +183,6 @@ void IrsApprox::PublishBuildMetrics() const {
   IPIN_COUNTER_ADD("sketch.vhll.dominance_evictions", TotalEvictions());
   IPIN_GAUGE_SET("sketch.vhll.total_entries", TotalSketchEntries());
   IPIN_GAUGE_SET("irs.approx.allocated_sketches", NumAllocatedSketches());
-}
-
-VersionedHll* IrsApprox::MutableSketch(NodeId u) {
-  if (sketches_[u] == nullptr) {
-    sketches_[u] = std::make_unique<VersionedHll>(
-        options_.precision, options_.salt, /*num_parts=*/1, times_);
-  }
-  return sketches_[u].get();
-}
-
-void IrsApprox::ProcessInteraction(const Interaction& interaction) {
-  const auto [u, v, t] = interaction;
-  IPIN_CHECK(!sealed_);
-  IPIN_CHECK_LT(u, sketches_.size());
-  IPIN_CHECK_LT(v, sketches_.size());
-  if (saw_interaction_) {
-    IPIN_CHECK_LE(t, last_time_);  // reverse chronological order required
-  }
-  last_time_ = t;
-  saw_interaction_ = true;
-
-  ++edges_scanned_;
-  VersionedHll& sketch_u = *MutableSketch(u);
-  merge_calls_ +=
-      ScanEdge(interaction, sketch_u, sketches_[v].get(), window_, /*part=*/0);
 }
 
 double IrsApprox::EstimateIrsSize(NodeId u) const {

@@ -2,6 +2,7 @@
 #define IPIN_CORE_IRS_APPROX_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -25,6 +26,8 @@ struct IrsApproxOptions {
 /// Approximate influence-reachability-set computation (the paper's
 /// Algorithm 3): the same one-pass reverse scan as IrsExact, with each
 /// node's exact summary phi(u) replaced by a versioned HyperLogLog sketch.
+/// Every build runs ComputeParallel's scan: a plain build as one epoch, a
+/// checkpointed one (core/checkpoint.h) in epochs cut by checkpoints.
 ///
 /// Expected complexity: O(m * beta * log^2(window)) time and
 /// O(n * beta * log^2(window)) space (Lemmas 5-6); estimates carry the HLL
@@ -51,10 +54,6 @@ class IrsApprox {
                                    const IrsApproxOptions& options,
                                    size_t num_parts);
 
-  /// Empty instance; feed interactions with ProcessInteraction in reverse
-  /// time order.
-  IrsApprox(size_t num_nodes, Duration window, const IrsApproxOptions& options);
-
   /// Wraps an already-packed arena (its precision and salt must match
   /// `options`; checked). Used by the oracle persistence layer
   /// (oracle_io.h), shard extraction and reshard reconstruction, which fill
@@ -62,21 +61,17 @@ class IrsApprox {
   IrsApprox(Duration window, const IrsApproxOptions& options,
             SketchArena arena);
 
-  /// Processes one interaction; MUST be called in non-increasing time order
-  /// (checked). Only valid while the instance is unsealed.
-  void ProcessInteraction(const Interaction& interaction);
-
   /// Packs the per-node build sketches into a read-only SketchArena
   /// (struct-of-arrays; DESIGN.md §12) and frees them. Queries answered
   /// after sealing are bit-identical to before (same entries, same
   /// kernels), just faster: unions and estimates stream the contiguous
-  /// max-rank plane. Compute/ComputeParallel return UNSEALED so the pack +
-  /// free cost stays out of the timed build scan (fig3; about 9% of the
-  /// scan, measured in DESIGN.md §12). Call Seal() at the build->query
-  /// handoff, before sustained querying. The restore paths
-  /// (oracle load, shard extraction) never hold unsealed sketches: they
-  /// build the arena directly. Idempotent. After sealing,
-  /// ProcessInteraction is forbidden (checked).
+  /// max-rank plane. Every build (Compute, ComputeParallel and the
+  /// checkpointed build) returns UNSEALED so the pack + free cost stays
+  /// out of the timed build scan (fig3; about 9% of the scan, measured in
+  /// DESIGN.md §12). Call Seal() at the build->query handoff, before
+  /// sustained querying. The restore paths (oracle load, shard extraction)
+  /// never hold unsealed sketches: they build the arena directly.
+  /// Idempotent.
   void Seal();
 
   /// True once Seal() ran, and for instances built from an arena.
@@ -148,19 +143,20 @@ class IrsApprox {
   // resumed build is indistinguishable from an uninterrupted one.
   friend class CheckpointAccess;
 
-  // An empty build whose sketches store times in `times`.
-  IrsApprox(size_t num_nodes, Duration window, const IrsApproxOptions& options,
-            TimeEncoding times);
+  // An empty build over `graph` whose sketches will have
+  // min(max(num_parts, 1), beta) parts and store times in the graph's
+  // scan encoding (irs_approx.cc).
+  IrsApprox(const InteractionGraph& graph, Duration window,
+            const IrsApproxOptions& options, size_t num_parts);
 
-  // The encoding a build over `graph` stores its sketches' times in: the
-  // narrowest covering its earliest and latest non-self-loop interaction
-  // times, the only times a scan stores. A sketch entry at the earliest
-  // one always survives (only an entry at the same time can evict it), so
-  // when this encoding is narrow it is exactly the TimeEncodingOf the
-  // finished build's sketches.
-  static TimeEncoding ScanTimeEncoding(const InteractionGraph& graph);
-
-  VersionedHll* MutableSketch(NodeId u);
+  // The reverse scan of the edges not yet in the sketches (all but the
+  // last `done`), on parts_ workers (ComputeParallel), in epochs ending
+  // where the scanned count reaches a multiple of `epoch_edges` (0: one
+  // epoch). At each epoch's end the workers meet, the build holds the
+  // one-pass scan's sketches, and, if edges remain,
+  // `after_epoch(edges scanned)` runs on the calling thread.
+  void Scan(const InteractionGraph& graph, size_t done, size_t epoch_edges,
+            const std::function<void(size_t)>& after_epoch);
 
   // Rolls the plain-member scan tallies up into the metrics registry; called
   // once per completed build (by Compute and the checkpointed variant).
@@ -172,21 +168,19 @@ class IrsApprox {
   Duration window_;
   IrsApproxOptions options_;
   size_t num_nodes_ = 0;
-  Timestamp last_time_ = 0;
-  bool saw_interaction_ = false;
+  // The part count of every build sketch (1 for an arena-built instance).
+  size_t parts_ = 1;
   // Scan tallies: plain members so the per-edge path stays atomics-free;
   // Compute() rolls them up into the metrics registry once per build.
   size_t edges_scanned_ = 0;
   size_t merge_calls_ = 0;
-  // The encoding every build sketch stores its times in: a scan's
-  // (ScanTimeEncoding), or the wide default for an instance fed by
-  // ProcessInteraction alone.
+  // The encoding every build sketch stores its times in: the scan's
+  // (ScanTimeEncoding).
   TimeEncoding times_;
   // Dual-mode storage. While building, only nodes that send own a sketch
   // (a node that never sends has an empty IRS and needs no sketch — phi(v)
   // = {} in the exact algorithm, memory proportional to *active* sources):
-  // ProcessInteraction allocates it at the node's first send, Compute up
-  // front for every sender.
+  // Scan allocates it at the epoch of the node's first send in scan order.
   // Seal() packs them into arena_ and frees them; exactly one of the two
   // representations is live at a time.
   std::vector<std::unique_ptr<VersionedHll>> sketches_;

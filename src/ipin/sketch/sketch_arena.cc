@@ -342,7 +342,7 @@ double SketchView::Estimate() const {
 
 bool SketchView::CheckInvariants() const {
   if (hll_ != nullptr) return hll_->CheckInvariants();
-  return arena_->CheckNodeInvariants(node_);
+  return arena_ == nullptr || arena_->CheckNodeInvariants(node_);
 }
 
 }  // namespace ipin

@@ -281,6 +281,8 @@ class SketchView {
   }
 
   double Estimate() const;
+  /// The vHLL invariants of the sketch; true for an absent one, in either
+  /// storage mode.
   bool CheckInvariants() const;
 
  private:

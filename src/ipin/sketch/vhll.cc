@@ -28,22 +28,24 @@ VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
   more_parts_.resize(num_parts - 1);
 }
 
-VersionedHll::VersionedHll(int precision, uint64_t salt,
+VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
                            std::span<const uint8_t> cell_counts,
                            std::span<const uint8_t> ranks,
                            std::span<const int64_t> times,
                            TimeEncoding encoding)
-    : VersionedHll(precision, salt, /*num_parts=*/1, encoding) {
+    : VersionedHll(precision, salt, num_parts, encoding) {
   IPIN_CHECK_EQ(cell_counts.size(), heads_.size());
   IPIN_CHECK_EQ(ranks.size(), times.size());
-  size_t slots = 0;
-  for (const uint8_t n : cell_counts) {
-    IPIN_CHECK_LE(n, kMaxCellEntries);
-    slots += n == 0 ? 0 : std::bit_ceil(size_t{n});
+  for (size_t k = 0; k < num_parts; ++k) {
+    size_t slots = 0;
+    for (size_t c = PartBegin(k); c < PartBegin(k + 1); ++c) {
+      const size_t n = cell_counts[c];
+      IPIN_CHECK_LE(n, kMaxCellEntries);
+      slots += n == 0 ? 0 : std::bit_ceil(n);
+    }
+    part(k).ranks.reserve(slots);
+    part(k).times.reserve(slots * encoding_.width);
   }
-  Part& p = first_part_;
-  p.ranks.reserve(slots);
-  p.times.reserve(slots * encoding_.width);
   WithTimeCodec(encoding_.width, [&](auto codec) {
     using Offset = decltype(codec.Encode(0, 0));
     size_t entry = 0;
@@ -51,6 +53,7 @@ VersionedHll::VersionedHll(int precision, uint64_t salt,
       const size_t n = cell_counts[c];
       if (n == 0) continue;
       IPIN_CHECK_LE(n, ranks.size() - entry);
+      Part& p = part(PartOf(c));
       const size_t cap = std::bit_ceil(n);
       const uint32_t block = AllocateBlock<Offset>(p, cap);
       std::copy_n(ranks.data() + entry, n, p.ranks.data() + block);

@@ -141,10 +141,11 @@ class VersionedHll {
   /// `ranks` and the parallel `times` into lists in cell order. The lists
   /// must already satisfy the vHLL invariants, as an arena's checked ones
   /// do, and `encoding` must hold every time; the sizes and the times are
-  /// checked. Each cell gets the smallest block that holds it, and the
-  /// pool is sized to exactly those blocks. The sketch has one part;
-  /// lifetime tallies start at zero.
-  VersionedHll(int precision, uint64_t salt,
+  /// checked. The sketch has `num_parts` parts (in [1, beta]), as the
+  /// first constructor's; each cell gets the smallest block that holds it
+  /// in its part's pool, and each pool is sized to exactly its blocks.
+  /// Lifetime tallies start at zero.
+  VersionedHll(int precision, uint64_t salt, size_t num_parts,
                std::span<const uint8_t> cell_counts,
                std::span<const uint8_t> ranks,
                std::span<const int64_t> times, TimeEncoding encoding = {});

@@ -140,14 +140,21 @@ ls "${WORK}/ckpt" | grep -q '\.ipinckpt$'
 cmp "${WORK}/index4.bin" "${WORK}/index5.bin" \
   || { echo "resumed index differs from the uninterrupted one" >&2; exit 1; }
 
-# The build writes the same index bytes at every thread count; 3 threads
-# split beta = 512 cells into parts of unequal size.
+# The build writes the same index bytes at every thread count, with
+# checkpoints or without; 3 threads split beta = 512 cells into parts of
+# unequal size.
 for threads in 1 3; do
   "${CLI}" build-index --in="${WORK}/net.txt" --window-pct=10 \
     --threads="${threads}" --out="${WORK}/index_t${threads}.bin" > /dev/null
+  "${CLI}" build-index --in="${WORK}/net.txt" --window-pct=10 \
+    --threads="${threads}" --checkpoint_dir="${WORK}/ckpt_t${threads}" \
+    --checkpoint_every=500 --out="${WORK}/index_ckpt_t${threads}.bin" \
+    > /dev/null
 done
-cmp "${WORK}/index_t1.bin" "${WORK}/index_t3.bin" \
-  || { echo "index built at 3 threads differs from 1 thread" >&2; exit 1; }
+for built in index_t3 index_ckpt_t1 index_ckpt_t3; do
+  cmp "${WORK}/index_t1.bin" "${WORK}/${built}.bin" \
+    || { echo "${built} differs from the 1-thread index" >&2; exit 1; }
+done
 
 # Failpoints are reachable from the environment: an injected load error
 # must fail the command...

@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -11,7 +12,10 @@
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/safe_io.h"
+#include "ipin/common/thread_pool.h"
+#include "ipin/core/oracle_io.h"
 #include "ipin/datasets/synthetic.h"
+#include "ipin/obs/metrics.h"
 #include "test_util.h"
 
 namespace ipin {
@@ -58,6 +62,29 @@ void ExpectApproxEqual(const IrsApprox& got, const IrsApprox& want) {
   }
 }
 
+// The bytes of the index file `irs` saves to `path` (removed after).
+std::string IndexBytes(const IrsApprox& irs, const std::string& path) {
+  std::string bytes;
+  EXPECT_TRUE(SaveInfluenceIndex(irs, path));
+  EXPECT_TRUE(ReadWholeFile(path, &bytes));
+  fs::remove(path);
+  return bytes;
+}
+
+// (name, bytes) of every file in `dir`, by name.
+std::vector<std::pair<std::string, std::string>> FilesIn(
+    const std::string& dir) {
+  std::vector<std::pair<std::string, std::string>> files;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator(dir, ec)) {
+    std::string bytes;
+    EXPECT_TRUE(ReadWholeFile(entry.path().string(), &bytes));
+    files.emplace_back(entry.path().filename().string(), std::move(bytes));
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
 class CheckpointTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -68,6 +95,7 @@ class CheckpointTest : public ::testing::Test {
   }
   void TearDown() override {
     failpoint::ClearAll();
+    SetGlobalThreads(0);  // restore the default
     fs::remove_all(dir_);
   }
 
@@ -161,6 +189,8 @@ TEST_F(CheckpointTest, ExactKillMidScanThenResumeBitIdentical) {
 }
 
 TEST_F(CheckpointTest, ApproxKillMidScanThenResumeBitIdentical) {
+  // The killed build runs on the thread pool, which a forked child lacks.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   const InteractionGraph g = TestGraph();
   const IrsApproxOptions irs_options{/*precision=*/5, /*salt=*/9};
   const CheckpointOptions options{dir_, /*every_edges=*/32};
@@ -178,6 +208,123 @@ TEST_F(CheckpointTest, ApproxKillMidScanThenResumeBitIdentical) {
       ComputeIrsApproxCheckpointed(g, kWindow, irs_options, options, &stats);
   EXPECT_EQ(stats.resumed_edges, 64u);
   ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, irs_options));
+}
+
+// A build killed at 4 parts resumes at 1, 2 and 3: a checkpoint's chunks
+// record no parts, so each resume refills its own part count and ends with
+// plain Compute's cells and index bytes.
+TEST_F(CheckpointTest, ApproxKillAtFourPartsResumesAtAnyPartCount) {
+  // The killed build runs on the thread pool, which a forked child lacks.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const InteractionGraph g = TestGraph();
+  const IrsApproxOptions irs_options{/*precision=*/5, /*salt=*/9};
+  EXPECT_EXIT(
+      {
+        SetGlobalThreads(4);
+        failpoint::Set("checkpoint.save", "crash_after_n(2)");
+        (void)ComputeIrsApproxCheckpointed(g, kWindow, irs_options,
+                                           {dir_, /*every_edges=*/32});
+      },
+      ::testing::ExitedWithCode(134), "failpoint");
+  ASSERT_FALSE(CheckpointFiles().empty()) << "crash left no checkpoint";
+
+  const IrsApprox want = IrsApprox::Compute(g, kWindow, irs_options);
+  const std::string want_bytes = IndexBytes(want, dir_ + ".idx");
+  for (const size_t parts : {1u, 2u, 3u}) {
+    SCOPED_TRACE(testing::Message() << "resumed at " << parts << " parts");
+    // Every resume starts from the killed build's checkpoints.
+    const std::string dir = dir_ + "_" + std::to_string(parts);
+    fs::remove_all(dir);
+    fs::copy(dir_, dir);
+    SetGlobalThreads(parts);
+    CheckpointStats stats;
+    const IrsApprox got = ComputeIrsApproxCheckpointed(
+        g, kWindow, irs_options, {dir, /*every_edges=*/32}, &stats);
+    EXPECT_EQ(stats.resumed_edges, 64u);
+    ExpectApproxEqual(got, want);
+    EXPECT_EQ(IndexBytes(got, dir + ".idx"), want_bytes);
+    fs::remove_all(dir);
+  }
+}
+
+// Checkpoints are cut at the same edges with the same bytes at every
+// thread count: at each epoch's end the partitioned scan holds exactly the
+// one-part scan's sketches. Each write is timed.
+TEST_F(CheckpointTest, ApproxCheckpointBytesDoNotDependOnThreadCount) {
+  const InteractionGraph g = TestGraph();
+  const IrsApproxOptions irs_options{/*precision=*/5, /*salt=*/3};
+  obs::Histogram* save_ms = obs::MetricsRegistry::Global().GetHistogram(
+      "robustness.checkpoint.save_ms");
+  std::vector<std::pair<std::string, std::string>> files[2];
+  for (const size_t threads : {1u, 4u}) {
+    SCOPED_TRACE(testing::Message() << threads << " threads");
+    SetGlobalThreads(threads);
+    const std::string dir = dir_ + "_t" + std::to_string(threads);
+    fs::remove_all(dir);
+    [[maybe_unused]] const uint64_t saves_before = save_ms->Count();
+    CheckpointStats stats;
+    (void)ComputeIrsApproxCheckpointed(
+        g, kWindow, irs_options, {dir, /*every_edges=*/32, /*keep=*/10},
+        &stats);
+    EXPECT_EQ(stats.checkpoints_written, 6u);  // edges 32, 64 ... 192
+    EXPECT_GT(stats.save_seconds, 0.0);
+#ifndef IPIN_OBS_DISABLED
+    EXPECT_EQ(save_ms->Count() - saves_before, 6u);
+#endif
+    files[threads == 1 ? 0 : 1] = FilesIn(dir);
+    fs::remove_all(dir);
+  }
+  ASSERT_EQ(files[0].size(), 6u);
+  ASSERT_EQ(files[1].size(), files[0].size());
+  for (size_t i = 0; i < files[0].size(); ++i) {
+    EXPECT_EQ(files[1][i].first, files[0][i].first);
+    EXPECT_TRUE(files[1][i].second == files[0][i].second)
+        << files[0][i].first << " differs";
+  }
+}
+
+// A checkpoint written under one cadence resumes under another: resumed at
+// edge 64 with checkpoints every 50 edges, the build cuts its next ones at
+// edges 100 and 150, byte-identical to an uninterrupted every-50 build's,
+// and ends with plain Compute's index bytes.
+TEST_F(CheckpointTest, ApproxResumeUnderAnotherCadenceIsByteIdentical) {
+  const InteractionGraph g = TestGraph();
+  const IrsApproxOptions irs_options{/*precision=*/5, /*salt=*/3};
+  (void)ComputeIrsApproxCheckpointed(
+      g, kWindow, irs_options, {dir_, /*every_edges=*/32, /*keep=*/10});
+  const std::string at_64 = "ckpt_approx_00000000000000000064.ipinckpt";
+  for (const std::string& name : CheckpointFiles()) {
+    if (name != at_64) fs::remove(dir_ + "/" + name);
+  }
+  ASSERT_EQ(CheckpointFiles(), std::vector<std::string>{at_64});
+
+  SetGlobalThreads(3);
+  CheckpointStats stats;
+  const IrsApprox got = ComputeIrsApproxCheckpointed(
+      g, kWindow, irs_options, {dir_, /*every_edges=*/50, /*keep=*/10},
+      &stats);
+  EXPECT_EQ(stats.resumed_edges, 64u);
+  EXPECT_EQ(stats.checkpoints_written, 2u);
+  const IrsApprox want = IrsApprox::Compute(g, kWindow, irs_options);
+  ExpectApproxEqual(got, want);
+  EXPECT_EQ(IndexBytes(got, dir_ + ".got.idx"),
+            IndexBytes(want, dir_ + ".want.idx"));
+
+  const std::string fresh = dir_ + "_fresh";
+  fs::remove_all(fresh);
+  (void)ComputeIrsApproxCheckpointed(
+      g, kWindow, irs_options, {fresh, /*every_edges=*/50, /*keep=*/10});
+  std::vector<std::pair<std::string, std::string>> resumed = FilesIn(dir_);
+  resumed.erase(resumed.begin());  // the checkpoint at edge 64
+  const auto uninterrupted = FilesIn(fresh);
+  fs::remove_all(fresh);
+  ASSERT_EQ(uninterrupted.size(), 3u);  // edges 50, 100, 150
+  ASSERT_EQ(resumed.size(), 2u);
+  for (size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(resumed[i].first, uninterrupted[i + 1].first);
+    EXPECT_TRUE(resumed[i].second == uninterrupted[i + 1].second)
+        << resumed[i].first << " differs";
+  }
 }
 
 // A damaged newest checkpoint must not poison the build: it is skipped and

@@ -1,6 +1,7 @@
 // Robustness fuzzing of the text/binary parsers: random byte soup must
 // never crash the loaders — they either parse or cleanly return nullopt.
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -672,6 +673,121 @@ TEST_F(IoFuzzTest, CheckpointTimesOutsideTheBuildEncodingAreSkipped) {
         edited[k] = ReencodeTimes(frames[k], 4, times, 8, shifted);
       }
     }
+    WriteFrames(path, kCheckpointType, version, edited);
+
+    CheckpointStats stats;
+    const IrsApprox got =
+        ComputeIrsApproxCheckpointed(g, 90, sketch, options, &stats);
+    EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
+    EXPECT_EQ(stats.resumed_edges, 0u);
+    ASSERT_TRUE(SaveInfluenceIndex(got, path_));
+    EXPECT_EQ(ReadFile(path_), want_bytes);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A sketch chunk (oracle_io.h) of sketches with 2^precision cells and
+// `width`-byte time offsets, with node `u` made absent (its cell counts
+// and pairs cut out) or, when it is absent, present with empty cells.
+std::string ToggleNode(const std::string& chunk, int precision, size_t width,
+                       NodeId u) {
+  uint64_t first = 0;
+  uint32_t count = 0;
+  uint64_t entries = 0;
+  std::memcpy(&first, chunk.data(), sizeof(first));
+  std::memcpy(&count, chunk.data() + 8, sizeof(count));
+  std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
+  const size_t beta = size_t{1} << precision;
+  const size_t local = u - first;
+  const auto cell_count = [&](size_t at) {
+    return static_cast<size_t>(static_cast<uint8_t>(chunk[at]));
+  };
+  // u's block of cell counts follows those of the present nodes before
+  // it, and its pairs follow theirs.
+  const size_t counts_at = 20 + count;
+  size_t present = 0;
+  size_t block = 0;
+  size_t pair = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (chunk[20 + i] == 0) continue;
+    if (i < local) {
+      for (size_t c = 0; c < beta; ++c) {
+        pair += cell_count(counts_at + block * beta + c);
+      }
+      ++block;
+    }
+    ++present;
+  }
+  const size_t ranks_at = counts_at + present * beta;
+  const size_t times_at = ranks_at + entries;
+  std::string out = chunk;
+  if (chunk[20 + local] != 0) {
+    size_t n = 0;
+    for (size_t c = 0; c < beta; ++c) {
+      n += cell_count(counts_at + block * beta + c);
+    }
+    out.erase(times_at + pair * width, n * width);
+    out.erase(ranks_at + pair, n);
+    out.erase(counts_at + block * beta, beta);
+    out[20 + local] = 0;
+    entries -= n;
+    std::memcpy(out.data() + 12, &entries, sizeof(entries));
+  } else {
+    out.insert(counts_at + block * beta, beta, '\0');
+    out[20 + local] = 1;
+  }
+  return out;
+}
+
+// CRC-valid approx checkpoints at edge 1000 of 1200 whose well-formed
+// chunks hold another set of sketches than the scan held there: one lacks
+// the sketch of a node that sends both among the scanned edges and among
+// the 200 left, one holds a sketch for a node that sends only among the
+// 200 left. Resume skips each, and the build saves the uninterrupted
+// index's bytes.
+TEST_F(IoFuzzTest, CheckpointWithAnotherSketchSetIsSkipped) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
+  const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
+  ASSERT_TRUE(SaveInfluenceIndex(IrsApprox::Compute(g, 90, sketch), path_));
+  const std::string want_bytes = ReadFile(path_);
+  const std::string dir = path_ + ".ckpt";
+  const CheckpointOptions options{dir, /*every_edges=*/1000, /*keep=*/1};
+  (void)ComputeIrsApproxCheckpointed(g, 90, sketch, options);
+  const auto files = ReadDir(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string& path = files[0].first;
+  uint32_t version = 0;
+  const std::vector<std::string> frames =
+      ReadFrames(path, kCheckpointType, &version);
+  ASSERT_EQ(frames.size(), 4u);  // meta + three chunks of 256 nodes
+  const size_t width = static_cast<uint8_t>(frames[0].back());
+
+  const auto edges = g.interactions();
+  std::vector<bool> sends_scanned(g.num_nodes(), false);
+  std::vector<bool> sends_left(g.num_nodes(), false);
+  for (size_t i = 0; i < edges.size(); ++i) {
+    (i < 200 ? sends_left : sends_scanned)[edges[i].src] = true;
+  }
+  std::vector<NodeId> toggled;
+  for (const bool scanned : {true, false}) {
+    for (NodeId u = 0; u < g.num_nodes(); ++u) {
+      if (sends_left[u] && sends_scanned[u] == scanned) {
+        toggled.push_back(u);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(toggled.size(), 2u);
+  for (const NodeId u : toggled) {
+    SCOPED_TRACE(testing::Message() << "node " << u);
+    std::vector<std::string> edited = frames;
+    std::string& chunk = edited[1 + u / 256];
+    chunk = ToggleNode(chunk, 4, width, u);
+    SketchChunk measured;
+    ASSERT_TRUE(MeasureSketchChunk(
+        chunk, 4, width, u / 256 * 256,
+        static_cast<uint32_t>(std::min<size_t>(256, 600 - u / 256 * 256)),
+        &measured));
     WriteFrames(path, kCheckpointType, version, edited);
 
     CheckpointStats stats;

@@ -196,9 +196,11 @@ TEST(IrsApproxTest, EmptyGraphBehaves) {
 
 TEST(IrsApproxDeathTest, RejectsOutOfOrderInteractions) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  IrsApprox approx(3, 5, Options(6));
-  approx.ProcessInteraction({0, 1, 10});
-  EXPECT_DEATH(approx.ProcessInteraction({1, 2, 20}), "CHECK failed");
+  InteractionGraph g(3);
+  g.AddInteraction(0, 1, 20);
+  g.AddInteraction(1, 2, 10);  // earlier than the edge before it
+  ASSERT_FALSE(g.is_sorted());
+  EXPECT_DEATH(IrsApprox::Compute(g, 5, Options(6)), "is_sorted");
 }
 
 TEST(IrsApproxTest, DifferentSaltsGiveDifferentButCloseEstimates) {

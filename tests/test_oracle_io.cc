@@ -188,7 +188,7 @@ TEST_F(OracleIoTest, TornSectionsDegradeGracefully) {
 TEST_F(OracleIoTest, EmptyIndexRoundtrips) {
   IrsApproxOptions options;
   options.precision = 6;
-  const IrsApprox index(5, 10, options);  // no interactions processed
+  const IrsApprox index = IrsApprox::Compute(InteractionGraph(5), 10, options);
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
   const auto loaded = LoadInfluenceIndexDetailed(path_).index;
   ASSERT_TRUE(loaded.has_value());
@@ -685,6 +685,8 @@ void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
 // shards, checkpointed, killed and resumed — holds the unsealed build's
 // cells and estimates bit for bit.
 TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
+  // The killed build runs on the thread pool, which a forked child lacks.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   struct Case {
     Timestamp first;
     uint64_t span;

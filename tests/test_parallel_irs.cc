@@ -8,6 +8,7 @@
 // parallel paths are exercised even on single-core CI runners.
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -16,6 +17,7 @@
 
 #include "ipin/common/safe_io.h"
 #include "ipin/common/thread_pool.h"
+#include "ipin/core/checkpoint.h"
 #include "ipin/core/influence_maximization.h"
 #include "ipin/core/influence_oracle.h"
 #include "ipin/core/irs_approx.h"
@@ -147,7 +149,7 @@ TEST_F(ParallelIrsTest, BuildTalliesDoNotDependOnThreadCount) {
 // during the build cannot move it: on a fixed enron-shaped log (beta = 512,
 // omega = 10% of the span) the four lifetime tallies and the CRC32C of the
 // saved index file, unsealed and sealed, are these constants at 1 part and
-// at 3.
+// at 3, built plainly and with checkpoints every 1,000 edges.
 TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   constexpr size_t kInsertAttempts = 634865;
   constexpr size_t kEvictions = 184667;
@@ -162,24 +164,34 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   const std::string path =
       ::testing::TempDir() + "/ipin_pinned_" +
       std::to_string(reinterpret_cast<uintptr_t>(this)) + ".idx";
+  const CheckpointOptions checkpoints{path + ".ckpt", /*every_edges=*/1000};
   for (const size_t parts : {1u, 3u}) {
-    SCOPED_TRACE(testing::Message() << parts << " parts");
-    SetGlobalThreads(parts);
-    IrsApprox irs = IrsApprox::ComputeParallel(g, g.WindowFromPercent(10),
-                                               Options(9), parts);
-    EXPECT_EQ(irs.TotalInsertAttempts(), kInsertAttempts);
-    EXPECT_EQ(irs.TotalEvictions(), kEvictions);
-    EXPECT_EQ(irs.TotalMergeEntriesScanned(), kMergeEntriesScanned);
-    EXPECT_EQ(irs.TotalCellUpdates(), kCellUpdates);
-    EXPECT_EQ(irs.TotalSketchEntries(), kEntries);
-    for (const bool sealed : {false, true}) {
-      if (sealed) irs.Seal();
-      ASSERT_TRUE(SaveInfluenceIndex(irs, path));
-      std::string bytes;
-      ASSERT_TRUE(ReadWholeFile(path, &bytes));
-      EXPECT_EQ(Crc32c(bytes), kIndexCrc32c) << "sealed " << sealed;
+    for (const bool checkpointed : {false, true}) {
+      SCOPED_TRACE(testing::Message() << parts << " parts, checkpointed "
+                                      << checkpointed);
+      SetGlobalThreads(parts);
+      std::filesystem::remove_all(checkpoints.dir);
+      IrsApprox irs =
+          checkpointed
+              ? ComputeIrsApproxCheckpointed(g, g.WindowFromPercent(10),
+                                             Options(9), checkpoints)
+              : IrsApprox::ComputeParallel(g, g.WindowFromPercent(10),
+                                           Options(9), parts);
+      EXPECT_EQ(irs.TotalInsertAttempts(), kInsertAttempts);
+      EXPECT_EQ(irs.TotalEvictions(), kEvictions);
+      EXPECT_EQ(irs.TotalMergeEntriesScanned(), kMergeEntriesScanned);
+      EXPECT_EQ(irs.TotalCellUpdates(), kCellUpdates);
+      EXPECT_EQ(irs.TotalSketchEntries(), kEntries);
+      for (const bool sealed : {false, true}) {
+        if (sealed) irs.Seal();
+        ASSERT_TRUE(SaveInfluenceIndex(irs, path));
+        std::string bytes;
+        ASSERT_TRUE(ReadWholeFile(path, &bytes));
+        EXPECT_EQ(Crc32c(bytes), kIndexCrc32c) << "sealed " << sealed;
+      }
     }
   }
+  std::filesystem::remove_all(checkpoints.dir);
   std::remove(path.c_str());
 }
 

@@ -322,16 +322,17 @@ TEST(ShardMapV2Test, V1MirrorParsesAsTheNextReplica) {
 
 class ShardIndexTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    SetLogLevel(LogLevel::kError);
+  void SetUp() override { SetLogLevel(LogLevel::kError); }
+
+  static IrsApprox BuildFull() {
     const InteractionGraph graph =
         GenerateUniformRandomNetwork(60, 600, 1000, 7);
     IrsApproxOptions options;
     options.precision = 5;
-    full_ = IrsApprox::Compute(graph, 200, options);
+    return IrsApprox::Compute(graph, 200, options);
   }
 
-  IrsApprox full_{0, 1, IrsApproxOptions{}};
+  IrsApprox full_ = BuildFull();
 };
 
 TEST_F(ShardIndexTest, ExtractKeepsFullNodeSpaceAndOnlyOwnedSketches) {

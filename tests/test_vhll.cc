@@ -420,19 +420,22 @@ TEST(VhllTest, PoolStorageIsReused) {
 
 // Checkpoint resume: a sketch refilled from its stored cells must keep
 // evolving exactly like the one it was saved from, including growing cells
-// past the blocks the refill sized for them.
+// past the blocks the refill sized for them, at 1, 2 and 3 parts.
 TEST(VhllTest, RefilledSketchKeepsGrowing) {
   Rng rng(808);
   for (int trial = 0; trial < 10; ++trial) {
-    VersionedHll original(5, 11);
-    VersionedHll source(5, 11);
+    const size_t parts = 1 + trial % 3;
+    VersionedHll original(5, 11, parts);
+    VersionedHll source(5, 11, parts);
     for (int i = 0; i < 400; ++i) {
       original.AddEntry(rng.NextBounded(32),
                         static_cast<uint8_t>(1 + rng.NextBounded(30)),
                         static_cast<Timestamp>(rng.NextBounded(500)));
     }
     const SketchCells stored = CellsOf(SketchView(&original));
-    VersionedHll copy(5, 11, stored.counts, stored.ranks, stored.times);
+    VersionedHll copy(5, 11, parts, stored.counts, stored.ranks,
+                      stored.times);
+    ASSERT_EQ(copy.num_parts(), parts);
     ASSERT_TRUE(copy.CheckInvariants());
     ASSERT_EQ(CellsOf(SketchView(&copy)), stored);
     EXPECT_EQ(copy.Estimate(), original.Estimate());
@@ -575,10 +578,10 @@ class DominationModel {
     for (auto& pairs : cells_) pairs.clear();
   }
 
-  // A model of the sketch refilled from this one's cells: same lists, no
-  // history, one part.
+  // A model of the sketch refilled from this one's cells: same lists and
+  // parts, no history.
   DominationModel Refilled() const {
-    DominationModel copy(precision_, salt_, 1);
+    DominationModel copy(precision_, salt_, num_parts_);
     copy.cells_ = cells_;
     return copy;
   }
@@ -809,21 +812,14 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
           }
           default: {
             if (rng.NextBounded(10) != 0) break;
-            // Checkpoint resume: the one-part sketch refilled from a's
-            // stored cells. At one part it replaces a and lives on; with
-            // more (a refill always has one part) it is checked and dropped.
+            // Checkpoint resume: the sketch refilled from a's stored
+            // cells, on a's parts, replaces a and lives on.
             const SketchCells stored = model_a.Stored();
-            if (parts == 1) {
-              a.emplace(kPrecision, kSalt, stored.counts, stored.ranks,
-                        stored.times, encoding);
-              evictions += model_a.evictions;
-              cell_updates += model_a.cell_updates;
-              model_a = model_a.Refilled();
-            } else {
-              const VersionedHll copy(kPrecision, kSalt, stored.counts,
-                                      stored.ranks, stored.times, encoding);
-              ExpectMatchesModel(copy, model_a.Refilled());
-            }
+            a.emplace(kPrecision, kSalt, parts, stored.counts, stored.ranks,
+                      stored.times, encoding);
+            evictions += model_a.evictions;
+            cell_updates += model_a.cell_updates;
+            model_a = model_a.Refilled();
             break;
           }
         }
