@@ -61,9 +61,9 @@ void AppendRaw(std::string* out, T value) {
 }
 
 template <typename T>
-T ReadRawAt(const std::string& buffer, size_t offset) {
+T ReadRawAt(const FileImage& image, size_t offset) {
   T value;
-  std::memcpy(&value, buffer.data() + offset, sizeof(T));
+  std::memcpy(&value, image.data() + offset, sizeof(T));
   return value;
 }
 
@@ -144,36 +144,46 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
   return crc32c(data, size, seed);
 }
 
-bool ReadWholeFile(const std::string& path, std::string* contents) {
-  contents->clear();
+FileImage::FileImage(std::string_view bytes)
+    : bytes_(std::make_unique_for_overwrite<uint8_t[]>(bytes.size())),
+      size_(bytes.size()) {
+  if (size_ != 0) std::memcpy(bytes_.get(), bytes.data(), size_);
+}
+
+std::shared_ptr<const FileImage> ReadWholeFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
+  if (fd < 0) return nullptr;
   struct stat st {};
   const size_t expected =
       ::fstat(fd, &st) == 0 && st.st_size > 0 ? static_cast<size_t>(st.st_size)
                                               : 0;
   // One spare byte, so a file whose size matches fstat ends with a 0-byte
-  // read rather than a regrow.
-  contents->reserve(expected + 1);
-  AdviseHugePages(contents->data(), contents->capacity());
-  contents->resize(expected + 1);
+  // read rather than a regrow. The buffer is not zero-filled: read() is the
+  // first write to every byte the image exposes.
+  auto image = std::shared_ptr<FileImage>(new FileImage());
+  size_t room = expected + 1;
+  image->bytes_ = std::make_unique_for_overwrite<uint8_t[]>(room);
+  AdviseHugePages(image->bytes_.get(), room);
   size_t size = 0;
   for (;;) {
-    if (size == contents->size()) contents->resize(2 * size);
-    const ssize_t n =
-        ::read(fd, contents->data() + size, contents->size() - size);
+    if (size == room) {
+      room *= 2;
+      auto grown = std::make_unique_for_overwrite<uint8_t[]>(room);
+      std::memcpy(grown.get(), image->bytes_.get(), size);
+      image->bytes_ = std::move(grown);
+    }
+    const ssize_t n = ::read(fd, image->bytes_.get() + size, room - size);
     if (n < 0) {
       if (errno == EINTR) continue;
       ::close(fd);
-      contents->clear();
-      return false;
+      return nullptr;
     }
     if (n == 0) break;
     size += static_cast<size_t>(n);
   }
   ::close(fd);
-  contents->resize(size);
-  return true;
+  image->size_ = size;
+  return image;
 }
 
 SafeFileWriter::SafeFileWriter(std::string path, uint32_t file_type,
@@ -292,66 +302,59 @@ bool SafeFileWriter::Commit() {
 
 SafeOpenStatus SafeFileReader::Open(const std::string& path,
                                     uint32_t expected_type) {
-  buffer_.clear();
+  image_.reset();
   offset_ = 0;
-  exhausted_ = false;
+  exhausted_ = true;
   if (IPIN_FAILPOINT("safe_io.read").fail) {
     LogError("safe_io: injected read failure for " + path);
-    exhausted_ = true;
     return SafeOpenStatus::kMissing;
   }
-  if (!ReadWholeFile(path, &buffer_)) {
-    exhausted_ = true;
-    return SafeOpenStatus::kMissing;
-  }
-  if (buffer_.size() < sizeof(kMagic)) {
-    exhausted_ = true;
-    return SafeOpenStatus::kTruncated;
-  }
-  if (std::memcmp(buffer_.data(), kMagic, sizeof(kMagic)) != 0) {
-    exhausted_ = true;
+  image_ = ReadWholeFile(path);
+  if (image_ == nullptr) return SafeOpenStatus::kMissing;
+  const FileImage& image = *image_;
+  if (image.size() < sizeof(kMagic)) return SafeOpenStatus::kTruncated;
+  if (std::memcmp(image.data(), kMagic, sizeof(kMagic)) != 0) {
     return SafeOpenStatus::kCorrupt;
   }
-  if (buffer_.size() < kHeaderSize) {
-    exhausted_ = true;
-    return SafeOpenStatus::kTruncated;
-  }
-  const auto file_type = ReadRawAt<uint32_t>(buffer_, sizeof(kMagic));
-  version_ = ReadRawAt<uint32_t>(buffer_, sizeof(kMagic) + 4);
-  const auto header_crc = ReadRawAt<uint32_t>(buffer_, sizeof(kMagic) + 8);
-  if (Crc32c(buffer_.data(), kHeaderSize - sizeof(uint32_t)) != header_crc ||
+  if (image.size() < kHeaderSize) return SafeOpenStatus::kTruncated;
+  const auto file_type = ReadRawAt<uint32_t>(image, sizeof(kMagic));
+  version_ = ReadRawAt<uint32_t>(image, sizeof(kMagic) + 4);
+  const auto header_crc = ReadRawAt<uint32_t>(image, sizeof(kMagic) + 8);
+  if (Crc32c(image.data(), kHeaderSize - sizeof(uint32_t)) != header_crc ||
       file_type != expected_type) {
-    exhausted_ = true;
     return SafeOpenStatus::kCorrupt;
   }
   offset_ = kHeaderSize;
+  exhausted_ = false;
   return SafeOpenStatus::kOk;
 }
 
 FrameStatus SafeFileReader::ReadFrame(std::string_view* payload) {
   *payload = {};
   if (exhausted_) return FrameStatus::kEndOfFile;
-  if (offset_ == buffer_.size()) {
+  const FileImage& image = *image_;
+  if (offset_ == image.size()) {
     exhausted_ = true;
     return FrameStatus::kEndOfFile;
   }
-  if (buffer_.size() - offset_ < kFrameHeaderSize) {
+  if (image.size() - offset_ < kFrameHeaderSize) {
     exhausted_ = true;
     return FrameStatus::kTruncated;
   }
-  const auto payload_len = ReadRawAt<uint32_t>(buffer_, offset_);
-  const auto payload_crc = ReadRawAt<uint32_t>(buffer_, offset_ + 4);
-  const auto header_crc = ReadRawAt<uint32_t>(buffer_, offset_ + 8);
-  if (Crc32c(buffer_.data() + offset_, 2 * sizeof(uint32_t)) != header_crc) {
+  const auto payload_len = ReadRawAt<uint32_t>(image, offset_);
+  const auto payload_crc = ReadRawAt<uint32_t>(image, offset_ + 4);
+  const auto header_crc = ReadRawAt<uint32_t>(image, offset_ + 8);
+  if (Crc32c(image.data() + offset_, 2 * sizeof(uint32_t)) != header_crc) {
     // The length field cannot be trusted, so later frames are unreachable.
     exhausted_ = true;
     return FrameStatus::kCorrupt;
   }
-  if (buffer_.size() - offset_ - kFrameHeaderSize < payload_len) {
+  if (image.size() - offset_ - kFrameHeaderSize < payload_len) {
     exhausted_ = true;
     return FrameStatus::kTruncated;
   }
-  const char* data = buffer_.data() + offset_ + kFrameHeaderSize;
+  const auto* data =
+      reinterpret_cast<const char*>(image.data() + offset_ + kFrameHeaderSize);
   offset_ += kFrameHeaderSize + payload_len;
   if (Crc32c(static_cast<const void*>(data), payload_len) != payload_crc) {
     return FrameStatus::kCorrupt;  // this frame only; the next is intact

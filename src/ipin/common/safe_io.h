@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -56,6 +57,35 @@ uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed);
 uint32_t Crc32cSse42(const void* data, size_t size, uint32_t seed);
 
 }  // namespace internal
+
+/// A whole file's bytes in one allocation that is written once, by read(),
+/// and never moves or grows afterwards: views into it stay valid for as long
+/// as any holder keeps the image. SafeFileReader holds the file it reads
+/// this way, and a loaded index keeps it as its sketch-list storage.
+class FileImage {
+ public:
+  /// An image of a copy of `bytes` (an in-memory file).
+  explicit FileImage(std::string_view bytes);
+
+  const uint8_t* data() const { return bytes_.get(); }
+  size_t size() const { return size_; }
+  std::string_view view() const {
+    return {reinterpret_cast<const char*>(bytes_.get()), size_};
+  }
+
+ private:
+  FileImage() = default;
+  friend std::shared_ptr<const FileImage> ReadWholeFile(const std::string&);
+
+  std::unique_ptr<uint8_t[]> bytes_;
+  size_t size_ = 0;
+};
+
+/// Reads the whole file at `path` with one fstat-sized read into an
+/// uninitialised buffer, so read() is the first write to it (growing only
+/// if the file is longer than fstat said, e.g. a pipe). Null if the file
+/// cannot be opened or read.
+std::shared_ptr<const FileImage> ReadWholeFile(const std::string& path);
 
 /// Writes one framed file atomically. Usage:
 ///   SafeFileWriter writer(path, kMyFileType, kMyVersion);
@@ -112,8 +142,10 @@ enum class FrameStatus {
 };
 
 /// Reads a file written by SafeFileWriter, frame by frame, verifying every
-/// checksum. The whole file is buffered on open with one read sized by
-/// fstat (these files are read once into memory anyway by their consumers).
+/// checksum. The whole file is read on open into a FileImage (one read sized
+/// by fstat) that the reader holds by shared ownership, so payload views stay
+/// valid wherever the image goes: a consumer that keeps image() keeps every
+/// view it took.
 class SafeFileReader {
  public:
   /// Opens and validates the header. `expected_type` guards against feeding
@@ -124,13 +156,16 @@ class SafeFileReader {
   uint32_t version() const { return version_; }
 
   /// Bytes held in memory: the whole file, header included.
-  size_t file_size() const { return buffer_.size(); }
+  size_t file_size() const { return image_ == nullptr ? 0 : image_->size(); }
+
+  /// The file read by the last Open (null if it could not be read).
+  const std::shared_ptr<const FileImage>& image() const { return image_; }
 
   /// Bytes not yet consumed by ReadFrame.
-  size_t remaining() const { return buffer_.size() - offset_; }
+  size_t remaining() const { return file_size() - offset_; }
 
-  /// Points *payload at the next frame's bytes inside the reader's buffer
-  /// (valid until the next Open or the reader's destruction). On kCorrupt
+  /// Points *payload at the next frame's bytes inside image() (valid for as
+  /// long as the image is held, by the reader or anyone else). On kCorrupt
   /// with CanContinue(), the damaged frame was skipped and the next call
   /// reads the following frame; otherwise the reader is exhausted.
   FrameStatus ReadFrame(std::string_view* payload);
@@ -139,16 +174,11 @@ class SafeFileReader {
   bool CanContinue() const { return !exhausted_; }
 
  private:
-  std::string buffer_;
+  std::shared_ptr<const FileImage> image_;
   size_t offset_ = 0;
   uint32_t version_ = 0;
-  bool exhausted_ = false;
+  bool exhausted_ = true;  // until an Open succeeds
 };
-
-/// Reads the whole file at `path` into *contents with one fstat-sized
-/// read (growing only if the file is longer than fstat said, e.g. a pipe).
-/// False if the file cannot be opened or read.
-bool ReadWholeFile(const std::string& path, std::string* contents);
 
 }  // namespace ipin
 

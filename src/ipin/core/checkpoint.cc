@@ -275,7 +275,8 @@ size_t SerializeExactChunk(const IrsExact& irs, const MetaFrame& /*meta*/,
   return out->size();
 }
 
-bool ParseExactChunk(std::string_view payload, NodeId expected_first,
+bool ParseExactChunk(const std::shared_ptr<const FileImage>& /*image*/,
+                     std::string_view payload, NodeId expected_first,
                      uint32_t expected_count, const MetaFrame& meta,
                      IrsExact* irs) {
   const Fingerprint& fp = meta.fp;
@@ -316,13 +317,15 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
   return EncodeSketchChunk(irs, meta.times, first, count, out);
 }
 
-// The chunk is checked into a scratch arena, then each node's cells, their
-// times re-encoded from the checkpoint's encoding into the build's, refill
-// a VersionedHll with the build's part count for the scan to keep growing
+// The chunk is checked in place by a scratch arena that adopts the file
+// `image` the payload lies in, then each node's cells, their times
+// re-encoded from the checkpoint's encoding into the build's, refill a
+// VersionedHll with the build's part count for the scan to keep growing
 // (a chunk records no parts, so any part count resumes any other). A time
 // the build's encoding cannot hold (a checkpoint no scan of this graph
 // wrote) fails the chunk.
-bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
+bool RestoreApproxChunk(const std::shared_ptr<const FileImage>& image,
+                        std::string_view payload, NodeId expected_first,
                         uint32_t expected_count, const MetaFrame& meta,
                         IrsApprox* irs) {
   const Fingerprint& fp = meta.fp;
@@ -331,8 +334,8 @@ bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
                           expected_first, expected_count, &chunk)) {
     return false;
   }
-  SketchArena scratch(fp.precision, fp.salt, expected_count, chunk.size,
-                      meta.times);
+  SketchArena scratch(fp.precision, fp.salt, expected_count,
+                      chunk.sketches, meta.times, image);
   if (!chunk.AppendTo(&scratch, 0)) return false;
   for (NodeId i = 0; i < expected_count; ++i) {
     if (scratch.has_node(i) &&
@@ -398,8 +401,8 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(meta->chunk_size, meta->fp.num_nodes - first));
     if (reader.ReadFrame(&payload) != FrameStatus::kOk ||
-        !parse_chunk(payload, static_cast<NodeId>(first), count, *meta,
-                     irs)) {
+        !parse_chunk(reader.image(), payload, static_cast<NodeId>(first),
+                     count, *meta, irs)) {
       return false;
     }
   }

@@ -10,8 +10,10 @@
 #include "ipin/common/logging.h"
 #include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
+#include "ipin/common/timer.h"
 #include "ipin/obs/memtally.h"
 #include "ipin/obs/metrics.h"
+#include "ipin/obs/trace.h"
 
 namespace ipin {
 namespace {
@@ -195,7 +197,7 @@ bool MeasureSketchChunk(std::string_view payload, int precision,
   const size_t num_entries = static_cast<size_t>(entries);
   chunk->first_node = first;
   chunk->count = count;
-  chunk->size = {sketches, num_entries};
+  chunk->sketches = sketches;
   chunk->present = present;
   chunk->cell_counts = {bytes + offset, counts_bytes};
   chunk->ranks = {bytes + offset + counts_bytes, num_entries};
@@ -242,7 +244,9 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   return writer.Commit();
 }
 
-IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
+namespace {
+
+IndexLoadResult LoadIndex(const std::string& path) {
   IndexLoadResult result;
   if (IPIN_FAILPOINT("oracle_io.load").fail) {
     LogError("oracle_io: injected load failure for " + path);
@@ -250,7 +254,12 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
   }
 
   SafeFileReader reader;
-  switch (reader.Open(path, kIndexFileType)) {
+  SafeOpenStatus open_status = SafeOpenStatus::kMissing;
+  {
+    IPIN_TRACE_SPAN("index.load.read");
+    open_status = reader.Open(path, kIndexFileType);
+  }
+  switch (open_status) {
     case SafeOpenStatus::kOk:
       break;
     case SafeOpenStatus::kMissing:
@@ -278,82 +287,90 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
     return result;
   }
 
-  // The reader holds the whole file for the duration of the load.
-  const obs::ScopedMemoryCharge charge(OracleIoMemTally(), reader.file_size());
-  std::string_view payload;
-  const FrameStatus header_status = reader.ReadFrame(&payload);
-  IndexHeader header;
-  if (header_status != FrameStatus::kOk || !ParseIndexHeader(payload, &header)) {
-    LogError("index header frame unreadable: " + path);
-    result.status = header_status == FrameStatus::kTruncated
-                        ? IndexLoadStatus::kTruncated
-                        : IndexLoadStatus::kCorrupt;
-    return result;
-  }
-  if (!HeaderFitsFile(header, reader.remaining())) {
-    LogError(StrFormat("index %s: header claims %llu nodes in chunks of %u, "
-                       "more than the file holds",
-                       path.c_str(),
-                       static_cast<unsigned long long>(header.num_nodes),
-                       header.chunk_size));
-    result.status = IndexLoadStatus::kCorrupt;
-    return result;
-  }
-
   // Pass 1: verify every frame and measure the chunks, so the arena is
   // sized once. A chunk counts only at its documented place — frame k
   // covers the whole slice starting at node (k - 1) * chunk_size — so no
-  // node can be placed twice.
-  result.sections_total = static_cast<size_t>(header.num_sections());
+  // node can be placed twice. Until the arena adopts the file image, the
+  // image is charged here.
+  IndexHeader header;
   std::vector<SketchChunk> chunks;
-  chunks.reserve(result.sections_total);
-  SketchArena::Capacity capacity;
-  size_t sections_read = 0;
-  while (sections_read < result.sections_total) {
-    const FrameStatus status = reader.ReadFrame(&payload);
-    if (status == FrameStatus::kOk) {
-      const uint64_t first = sections_read * uint64_t{header.chunk_size};
-      const auto count = static_cast<uint32_t>(
-          std::min<uint64_t>(header.chunk_size, header.num_nodes - first));
-      SketchChunk chunk;
-      if (MeasureSketchChunk(payload, header.precision, header.times.width,
-                             first, count, &chunk)) {
-        chunks.push_back(chunk);
-        capacity.sketches += chunk.size.sketches;
-        capacity.entries += chunk.size.entries;
-      } else {
-        ++result.sections_dropped;
-        LogWarning(StrFormat("index %s: section %zu unparsable, dropped",
-                             path.c_str(), sections_read));
+  size_t sketches = 0;
+  {
+    IPIN_TRACE_SPAN("index.load.verify");
+    const obs::ScopedMemoryCharge charge(OracleIoMemTally(),
+                                         reader.file_size());
+    std::string_view payload;
+    const FrameStatus header_status = reader.ReadFrame(&payload);
+    if (header_status != FrameStatus::kOk ||
+        !ParseIndexHeader(payload, &header)) {
+      LogError("index header frame unreadable: " + path);
+      result.status = header_status == FrameStatus::kTruncated
+                          ? IndexLoadStatus::kTruncated
+                          : IndexLoadStatus::kCorrupt;
+      return result;
+    }
+    if (!HeaderFitsFile(header, reader.remaining())) {
+      LogError(StrFormat("index %s: header claims %llu nodes in chunks of %u, "
+                         "more than the file holds",
+                         path.c_str(),
+                         static_cast<unsigned long long>(header.num_nodes),
+                         header.chunk_size));
+      result.status = IndexLoadStatus::kCorrupt;
+      return result;
+    }
+    result.sections_total = static_cast<size_t>(header.num_sections());
+    chunks.reserve(result.sections_total);
+    size_t sections_read = 0;
+    while (sections_read < result.sections_total) {
+      const FrameStatus status = reader.ReadFrame(&payload);
+      if (status == FrameStatus::kOk) {
+        const uint64_t first = sections_read * uint64_t{header.chunk_size};
+        const auto count = static_cast<uint32_t>(
+            std::min<uint64_t>(header.chunk_size, header.num_nodes - first));
+        SketchChunk chunk;
+        if (MeasureSketchChunk(payload, header.precision, header.times.width,
+                               first, count, &chunk)) {
+          chunks.push_back(chunk);
+          sketches += chunk.sketches;
+        } else {
+          ++result.sections_dropped;
+          LogWarning(StrFormat("index %s: section %zu unparsable, dropped",
+                               path.c_str(), sections_read));
+        }
+        ++sections_read;
+        continue;
       }
-      ++sections_read;
-      continue;
+      if (status == FrameStatus::kCorrupt && reader.CanContinue()) {
+        ++sections_read;
+        ++result.sections_dropped;
+        LogWarning(StrFormat("index %s: section %zu failed checksum, dropped",
+                             path.c_str(), sections_read - 1));
+        continue;
+      }
+      // Truncation, an untrustworthy frame header, or a premature clean
+      // EOF: every section not yet seen is unreachable.
+      result.sections_dropped += result.sections_total - sections_read;
+      LogWarning(StrFormat("index %s: %zu trailing section(s) unreachable",
+                           path.c_str(), result.sections_total - sections_read));
+      break;
     }
-    if (status == FrameStatus::kCorrupt && reader.CanContinue()) {
-      ++sections_read;
-      ++result.sections_dropped;
-      LogWarning(StrFormat("index %s: section %zu failed checksum, dropped",
-                           path.c_str(), sections_read - 1));
-      continue;
-    }
-    // Truncation, an untrustworthy frame header, or a premature clean EOF:
-    // every section not yet seen is unreachable.
-    result.sections_dropped += result.sections_total - sections_read;
-    LogWarning(StrFormat("index %s: %zu trailing section(s) unreachable",
-                         path.c_str(), result.sections_total - sections_read));
-    break;
   }
 
-  // Pass 2: append each measured chunk straight into the arena.
-  SketchArena arena(header.precision, header.salt, header.num_nodes,
-                    capacity, header.times);
-  for (const SketchChunk& chunk : chunks) {
-    if (!chunk.AppendTo(&arena, static_cast<NodeId>(chunk.first_node))) {
-      ++result.sections_dropped;
-      LogWarning(StrFormat("index %s: section %llu unparsable, dropped",
-                           path.c_str(),
-                           static_cast<unsigned long long>(
-                               chunk.first_node / header.chunk_size)));
+  // Pass 2: the arena adopts the file image, and each measured chunk's
+  // slots point into it where the chunk lies. A dropped chunk's bytes stay
+  // in the image, unreferenced.
+  SketchArena arena(header.precision, header.salt, header.num_nodes, sketches,
+                    header.times, reader.image());
+  {
+    IPIN_TRACE_SPAN("index.load.place");
+    for (const SketchChunk& chunk : chunks) {
+      if (!chunk.AppendTo(&arena, static_cast<NodeId>(chunk.first_node))) {
+        ++result.sections_dropped;
+        LogWarning(StrFormat("index %s: section %llu unparsable, dropped",
+                             path.c_str(),
+                             static_cast<unsigned long long>(
+                                 chunk.first_node / header.chunk_size)));
+      }
     }
   }
 
@@ -370,6 +387,15 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
   }
   IPIN_GAUGE_SET("robustness.index.degraded",
                  result.status == IndexLoadStatus::kDegraded ? 1 : 0);
+  return result;
+}
+
+}  // namespace
+
+IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path) {
+  [[maybe_unused]] const WallTimer timer;
+  IndexLoadResult result = LoadIndex(path);
+  IPIN_HISTOGRAM_RECORD("robustness.index.load_ms", timer.ElapsedMillis());
   return result;
 }
 

@@ -30,11 +30,16 @@
 // plane is not stored. Save bulk-copies those slices (an unsealed index is
 // first packed chunk by chunk into a scratch arena in the encoding Seal()
 // would choose); restore reads the file with one sized read, verifies
-// every frame, measures each chunk (MeasureSketchChunk), then bulk-copies
-// each chunk into an arena allocated once in the header's encoding and
-// checks it there (SketchArena::AppendNodes). The rank plane is rebuilt on
-// the way. A chunk out of place or failing any check is dropped whole. No
-// VersionedHll is constructed and nothing is sealed at restore.
+// every frame, measures each chunk (MeasureSketchChunk), then hands the
+// file image to an arena in the header's encoding, which keeps it as its
+// list storage: each chunk's slots point into the image where the chunk
+// lies, and are checked there (SketchArena::AppendNodes). Only the rank
+// plane is built; no list is copied. A chunk out of place or failing any
+// check is dropped whole, its bytes left in the image unreferenced. No
+// VersionedHll is constructed and nothing is sealed at restore. Each load's
+// wall time lands in the robustness.index.load_ms histogram, and its
+// stages in the index.load.read, index.load.verify and index.load.place
+// trace spans.
 //
 // The sketch chunk is the only byte layout for a set of vHLL sketches:
 // build checkpoints (checkpoint.h) store theirs the same way. Files of
@@ -87,13 +92,14 @@ IndexLoadResult LoadInfluenceIndexDetailed(const std::string& path);
 struct SketchChunk {
   uint64_t first_node = 0;
   uint32_t count = 0;
-  SketchArena::Capacity size;  // present sketches, stored pairs
+  size_t sketches = 0;  // present sketches
   std::span<const uint8_t> present, cell_counts, ranks, time_bytes;
 
   /// Appends the chunk's sketches to `arena` (in the encoding the chunk
-  /// was written in) as nodes [first, first + count), every vHLL invariant
-  /// checked (SketchArena::AppendNodes). False, with nothing appended, if
-  /// one fails.
+  /// was written in, and adopting the image the chunk views) as nodes
+  /// [first, first + count), every vHLL invariant checked
+  /// (SketchArena::AppendNodes). False, with nothing appended, if one
+  /// fails.
   bool AppendTo(SketchArena* arena, NodeId first) const {
     return arena->AppendNodes(first, present, cell_counts, ranks, time_bytes);
   }

@@ -64,11 +64,11 @@ void ExpectApproxEqual(const IrsApprox& got, const IrsApprox& want) {
 
 // The bytes of the index file `irs` saves to `path` (removed after).
 std::string IndexBytes(const IrsApprox& irs, const std::string& path) {
-  std::string bytes;
   EXPECT_TRUE(SaveInfluenceIndex(irs, path));
-  EXPECT_TRUE(ReadWholeFile(path, &bytes));
+  const auto image = ReadWholeFile(path);
+  EXPECT_NE(image, nullptr);
   fs::remove(path);
-  return bytes;
+  return image == nullptr ? std::string() : std::string(image->view());
 }
 
 // (name, bytes) of every file in `dir`, by name.
@@ -77,9 +77,10 @@ std::vector<std::pair<std::string, std::string>> FilesIn(
   std::vector<std::pair<std::string, std::string>> files;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    std::string bytes;
-    EXPECT_TRUE(ReadWholeFile(entry.path().string(), &bytes));
-    files.emplace_back(entry.path().filename().string(), std::move(bytes));
+    const auto image = ReadWholeFile(entry.path().string());
+    EXPECT_NE(image, nullptr);
+    files.emplace_back(entry.path().filename().string(),
+                       image == nullptr ? "" : image->view());
   }
   std::sort(files.begin(), files.end());
   return files;

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -100,6 +101,38 @@ TEST_F(IoFuzzTest, IndexLoaderSurvivesBinarySoup) {
   }
 }
 
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+// A hostile file the loader accepted is a fixed point: the loaded index,
+// whose lists are views into that file's image, saves to `scratch`, reloads
+// whole to the same sketches and estimates, and saves again to the same
+// bytes.
+void ExpectReSavesToAFixedPoint(const IrsApprox& loaded,
+                                const std::string& scratch) {
+  ASSERT_TRUE(SaveInfluenceIndex(loaded, scratch));
+  const std::string saved = ReadFile(scratch);
+  const IndexLoadResult again = LoadInfluenceIndexDetailed(scratch);
+  ASSERT_EQ(again.status, IndexLoadStatus::kOk);
+  ASSERT_EQ(again.index->num_nodes(), loaded.num_nodes());
+  for (NodeId u = 0; u < loaded.num_nodes(); ++u) {
+    ASSERT_EQ(again.index->Sketch(u).valid(), loaded.Sketch(u).valid())
+        << "node " << u;
+    ASSERT_EQ(again.index->EstimateIrsSize(u), loaded.EstimateIrsSize(u))
+        << "node " << u;
+    if (loaded.Sketch(u)) {
+      ASSERT_EQ(CellsOf(again.index->Sketch(u)), CellsOf(loaded.Sketch(u)))
+          << "node " << u;
+    }
+  }
+  ASSERT_TRUE(SaveInfluenceIndex(*again.index, scratch));
+  EXPECT_EQ(ReadFile(scratch), saved);
+  std::remove(scratch.c_str());
+}
+
 // Randomized corruption of a *valid* saved index: for every bit flip or
 // truncation, the load must either reject the file or serve only sections
 // whose checksums verify — a node estimate is the saved value or 0 (its
@@ -129,6 +162,8 @@ TEST_F(IoFuzzTest, SavedIndexSurvivesRandomCorruption) {
     const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
     if (!result.usable()) continue;  // clean rejection is always fine
     ASSERT_EQ(result.index->num_nodes(), index.num_nodes()) << trial;
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectReSavesToAFixedPoint(*result.index, path_ + ".again");
     for (NodeId u = 0; u < index.num_nodes(); ++u) {
       const double got = result.index->EstimateIrsSize(u);
       const double want = index.EstimateIrsSize(u);
@@ -219,6 +254,8 @@ TEST_F(IoFuzzTest, SavedV4IndexSurvivesFlipsAndHostileChunks) {
     if (!result.usable()) continue;
     ASSERT_LE(result.sections_dropped, result.sections_total) << trial;
     ASSERT_EQ(result.index->num_nodes(), index.num_nodes()) << trial;
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    ExpectReSavesToAFixedPoint(*result.index, path_ + ".again");
     const SketchArena& arena = *result.index->arena();
     for (NodeId u = 0; u < index.num_nodes(); ++u) {
       ASSERT_TRUE(arena.CheckNodeInvariants(u))
@@ -234,12 +271,6 @@ TEST_F(IoFuzzTest, SavedV4IndexSurvivesFlipsAndHostileChunks) {
       }
     }
   }
-}
-
-std::string ReadFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
 }
 
 void WriteFile(const std::string& path, const std::string& bytes) {
@@ -542,6 +573,7 @@ TEST_F(IoFuzzTest, HostileV4TimeEncodingsFailCleanly) {
       result = LoadInfluenceIndexDetailed(path_);
       ASSERT_EQ(result.status, IndexLoadStatus::kDegraded) << k;
       EXPECT_EQ(result.sections_dropped, 1u) << k;
+      ExpectReSavesToAFixedPoint(*result.index, path_ + ".again");
       for (NodeId u = 0; u < index.num_nodes(); ++u) {
         const bool dropped = u / 256 == k - 1;
         ASSERT_EQ(result.index->Sketch(u).valid(),

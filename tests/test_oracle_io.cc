@@ -566,8 +566,19 @@ TEST_F(CraftedV4IndexTest, RetiredFormatsLoadAsCorrupt) {
   EXPECT_FALSE(result.index.has_value());
 }
 
-// Two sealed indexes agree on every query surface, byte for byte, and
-// their arenas are the same size.
+// Every node of `got` holds exactly the cells and estimate of the same
+// node of `want`.
+void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (NodeId u = 0; u < want.num_nodes(); ++u) {
+    ASSERT_EQ(got.Sketch(u).valid(), want.Sketch(u).valid()) << "node " << u;
+    EXPECT_EQ(got.EstimateIrsSize(u), want.EstimateIrsSize(u)) << "node " << u;
+    if (!want.Sketch(u)) continue;
+    ASSERT_EQ(CellsOf(got.Sketch(u)), CellsOf(want.Sketch(u))) << "node " << u;
+  }
+}
+
+// Two sealed indexes agree on every query surface, byte for byte.
 void ExpectSameIndex(const IrsApprox& want, const IrsApprox& got) {
   ASSERT_TRUE(want.sealed());
   ASSERT_TRUE(got.sealed());
@@ -575,7 +586,6 @@ void ExpectSameIndex(const IrsApprox& want, const IrsApprox& got) {
   EXPECT_EQ(got.window(), want.window());
   const SketchArena& a = *want.arena();
   const SketchArena& b = *got.arena();
-  EXPECT_EQ(b.MemoryUsageBytes(), a.MemoryUsageBytes());
   EXPECT_EQ(b.TotalEntries(), a.TotalEntries());
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
     ASSERT_EQ(b.has_node(u), a.has_node(u)) << "node " << u;
@@ -617,6 +627,13 @@ TEST_F(OracleIoTest, RestoredIndexIsTheSealedBuildByteForByte) {
       << "restore must not build VersionedHll objects";
   ASSERT_EQ(loaded.status, IndexLoadStatus::kOk);
   ExpectSameIndex(built, *loaded.index);
+  // The restored arena holds the file where the sealed one holds its lists,
+  // and is otherwise the same size.
+  const SketchArena& sealed = *built.arena();
+  const size_t lists = sealed.NumAllocated() * sealed.num_cells() +
+                       sealed.TotalEntries() * (1 + sealed.time_encoding().width);
+  EXPECT_EQ(loaded.index->arena()->MemoryUsageBytes(),
+            sealed.MemoryUsageBytes() - lists + ReadFileBytes().size());
 
   std::vector<serve::ShardInfo> shards(3);
   for (size_t i = 0; i < shards.size(); ++i) {
@@ -632,24 +649,145 @@ TEST_F(OracleIoTest, RestoredIndexIsTheSealedBuildByteForByte) {
     const IrsApprox got = serve::ExtractShardIndex(*loaded.index, map, s);
     EXPECT_EQ(vhll.PeakBytes(), vhll_before) << "shard " << s;
     ExpectSameIndex(want, got);
+    EXPECT_EQ(got.arena()->MemoryUsageBytes(), want.arena()->MemoryUsageBytes())
+        << "shard " << s;
   }
 }
 
-// The oracle_io tally covers the reader's whole file buffer while loading.
+// The reader's whole file buffer is charged from the read on: to the
+// oracle_io tally while the load verifies it, then to the sketch_arena tally
+// for as long as the loaded index keeps it as its list storage. The arena
+// counts it, and destroying the index returns both tallies to where they
+// were.
 TEST_F(OracleIoTest, LoadChargesTheWholeFileBuffer) {
   const InteractionGraph g = GenerateUniformRandomNetwork(300, 2000, 4000, 4);
   IrsApproxOptions options;
   options.precision = 6;
   const IrsApprox index = IrsApprox::Compute(g, 1000, options);
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
-  const size_t file_size = ReadFileBytes().size();
+  const auto file_size = static_cast<int64_t>(ReadFileBytes().size());
 
-  obs::MemoryTally& tally = obs::GetMemoryTally("oracle_io");
-  const int64_t before = tally.CurrentBytes();
-  tally.ResetPeak();
-  ASSERT_TRUE(LoadInfluenceIndexDetailed(path_).usable());
-  EXPECT_GE(tally.PeakBytes() - before, static_cast<int64_t>(file_size));
-  EXPECT_EQ(tally.CurrentBytes(), before);
+  obs::MemoryTally& io = obs::GetMemoryTally("oracle_io");
+  obs::MemoryTally& arena = SketchArenaMemTally();
+  const int64_t io_before = io.CurrentBytes();
+  const int64_t arena_before = arena.CurrentBytes();
+  io.ResetPeak();
+  {
+    const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
+    ASSERT_TRUE(loaded.usable());
+    EXPECT_GE(io.PeakBytes() - io_before, file_size);
+    EXPECT_EQ(io.CurrentBytes(), io_before);
+    EXPECT_GE(arena.CurrentBytes() - arena_before, file_size);
+    EXPECT_GE(loaded.index->MemoryUsageBytes(), static_cast<size_t>(file_size));
+  }
+  EXPECT_EQ(arena.CurrentBytes(), arena_before);
+  EXPECT_EQ(io.CurrentBytes(), io_before);
+}
+
+// A 600-node build whose times span `span` from `first`: u32 offsets below
+// 2^32, u64 from there on.
+IrsApprox BuildSpanning(Timestamp first, uint64_t span) {
+  InteractionGraph g(600);
+  Rng rng(span);
+  for (int i = 0; i < 4000; ++i) {
+    g.AddInteraction(static_cast<NodeId>(rng.NextBounded(600)),
+                     static_cast<NodeId>(rng.NextBounded(600)),
+                     first + static_cast<Timestamp>(rng.NextBounded(span)));
+  }
+  g.SortByTime();
+  return IrsApprox::Compute(g, static_cast<Duration>(span / 4),
+                            IrsApproxOptions{/*precision=*/6, /*salt=*/5});
+}
+
+// The frames of the index file at `path`, header frame first.
+std::vector<std::string> FramesOf(const std::string& path) {
+  constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
+  SafeFileReader reader;
+  EXPECT_EQ(reader.Open(path, kIndexFileType), SafeOpenStatus::kOk);
+  std::vector<std::string> frames;
+  std::string_view payload;
+  while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+    frames.emplace_back(payload);
+  }
+  return frames;
+}
+
+// A loaded index serves its lists from the file image it was read from, so
+// saving it again writes that file byte for byte, at either time width —
+// also after the index has moved through a vector that reallocated (the
+// reshard tool keeps loaded pieces that way).
+TEST_F(OracleIoTest, LoadedIndexReSavesByteForByte) {
+  const std::string resaved = path_ + ".resaved";
+  for (const uint64_t span : {uint64_t{1} << 20, uint64_t{1} << 40}) {
+    SCOPED_TRACE(testing::Message() << "span " << span);
+    const IrsApprox built = BuildSpanning(1'700'000'000, span);
+    EXPECT_EQ(built.time_encoding().width, span < (uint64_t{1} << 32) ? 4 : 8);
+    ASSERT_TRUE(SaveInfluenceIndex(built, path_));
+    const std::string original = ReadFileBytes();
+
+    std::vector<IrsApprox> pieces;
+    {
+      IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
+      ASSERT_EQ(loaded.status, IndexLoadStatus::kOk);
+      ASSERT_TRUE(SaveInfluenceIndex(*loaded.index, resaved));
+      EXPECT_EQ(FramesOf(resaved), FramesOf(path_));
+      pieces.push_back(std::move(*loaded.index));
+    }
+    const InteractionGraph small = GenerateUniformRandomNetwork(8, 20, 100, 1);
+    for (int i = 0; i < 8; ++i) {
+      pieces.push_back(IrsApprox::Compute(small, 10, IrsApproxOptions{}));
+    }
+    std::remove(path_.c_str());  // the pieces hold the image, not the file
+    ASSERT_TRUE(SaveInfluenceIndex(pieces.front(), resaved));
+    const auto image = ReadWholeFile(resaved);
+    ASSERT_NE(image, nullptr);
+    EXPECT_EQ(image->view(), original);
+    ExpectSameCells(built, pieces.front());
+  }
+  std::remove(resaved.c_str());
+}
+
+// A degraded load keeps the dropped chunk's bytes unreferenced: the
+// re-saved file lacks exactly that chunk's nodes, and every other frame is
+// the original's byte for byte.
+TEST_F(OracleIoTest, DegradedIndexReSavesAllButTheDroppedChunk) {
+  const IrsApprox built = BuildSpanning(0, 100'000);
+  ASSERT_TRUE(SaveInfluenceIndex(built, path_));
+  const std::vector<std::string> frames = FramesOf(path_);
+  ASSERT_EQ(frames.size(), 4u);  // header + 3 chunks of 256 nodes
+
+  // Flip one byte inside the middle chunk's payload: the frame after the
+  // file header (20 bytes), the header frame and the first chunk frame.
+  std::string contents = ReadFileBytes();
+  const size_t middle =
+      20 + (12 + frames[0].size()) + (12 + frames[1].size()) + 12;
+  contents[middle + frames[2].size() / 2] ^= 0x01;
+  WriteFileBytes(contents);
+  const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
+  ASSERT_EQ(loaded.status, IndexLoadStatus::kDegraded);
+  ASSERT_EQ(loaded.sections_dropped, 1u);
+
+  const std::string resaved = path_ + ".resaved";
+  ASSERT_TRUE(SaveInfluenceIndex(*loaded.index, resaved));
+  const std::vector<std::string> got = FramesOf(resaved);
+  std::remove(resaved.c_str());
+  ASSERT_EQ(got.size(), frames.size());
+  for (const size_t k : {size_t{0}, size_t{1}, size_t{3}}) {
+    EXPECT_EQ(got[k], frames[k]) << "frame " << k;
+  }
+  for (NodeId u = 0; u < built.num_nodes(); ++u) {
+    const bool dropped = u >= 256 && u < 512;
+    EXPECT_EQ(loaded.index->Sketch(u).valid(),
+              !dropped && built.Sketch(u).valid())
+        << "node " << u;
+  }
+  // The middle chunk: its 256 nodes, none present, no pairs.
+  std::string empty;
+  Put<uint64_t>(&empty, 256);
+  Put<uint32_t>(&empty, 256);
+  Put<uint64_t>(&empty, 0);
+  empty.append(256, '\0');
+  EXPECT_EQ(got[2], empty);
 }
 
 // An unsealed index and its sealed twin write the same bytes: both go
@@ -665,18 +803,6 @@ TEST_F(OracleIoTest, SealedAndUnsealedIndexesWriteTheSameFile) {
   index.Seal();
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
   EXPECT_EQ(ReadFileBytes(), unsealed);
-}
-
-// Every node of `got` holds exactly the cells and estimate of the same
-// node of `want`.
-void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    ASSERT_EQ(got.Sketch(u).valid(), want.Sketch(u).valid()) << "node " << u;
-    EXPECT_EQ(got.EstimateIrsSize(u), want.EstimateIrsSize(u)) << "node " << u;
-    if (!want.Sketch(u)) continue;
-    ASSERT_EQ(CellsOf(got.Sketch(u)), CellsOf(want.Sketch(u))) << "node " << u;
-  }
 }
 
 // Times spanning 2^32 or more (nanosecond-style timestamps) keep 8-byte

@@ -185,9 +185,9 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
       for (const bool sealed : {false, true}) {
         if (sealed) irs.Seal();
         ASSERT_TRUE(SaveInfluenceIndex(irs, path));
-        std::string bytes;
-        ASSERT_TRUE(ReadWholeFile(path, &bytes));
-        EXPECT_EQ(Crc32c(bytes), kIndexCrc32c) << "sealed " << sealed;
+        const auto image = ReadWholeFile(path);
+        ASSERT_NE(image, nullptr);
+        EXPECT_EQ(Crc32c(image->view()), kIndexCrc32c) << "sealed " << sealed;
       }
     }
   }

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -214,6 +215,30 @@ TEST_F(SafeIoTest, RoundtripMultipleFrames) {
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kEndOfFile);
 }
 
+// Payload views point into the reader's FileImage, which stays where it is
+// for as long as anyone holds it: past a later Open and past the reader.
+TEST_F(SafeIoTest, PayloadViewsLiveAsLongAsTheImage) {
+  WriteFrames({"alpha", "omega"});
+  std::shared_ptr<const FileImage> image;
+  std::string_view alpha;
+  {
+    SafeFileReader reader;
+    EXPECT_EQ(reader.image(), nullptr);
+    ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
+    ASSERT_EQ(reader.ReadFrame(&alpha), FrameStatus::kOk);
+    image = reader.image();
+    EXPECT_EQ(image->size(), reader.file_size());
+    WriteFrames({"other"});
+    ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
+    EXPECT_NE(reader.image(), image);
+  }
+  EXPECT_EQ(image.use_count(), 1);
+  EXPECT_EQ(alpha, "alpha");
+  EXPECT_GE(alpha.data(), image->view().data());
+  EXPECT_LE(alpha.data() + alpha.size(),
+            image->view().data() + image->view().size());
+}
+
 TEST_F(SafeIoTest, MissingFile) {
   SafeFileReader reader;
   EXPECT_EQ(reader.Open(path_ + ".nope", kType), SafeOpenStatus::kMissing);
@@ -350,19 +375,18 @@ TEST_F(SafeIoTest, EmptyFileIsTruncated) {
 TEST_F(SafeIoTest, ReadWholeFileReadsExactlyTheFile) {
   const std::string contents(100000, 'z');
   WriteFileBytes(contents);
-  std::string got;
-  ASSERT_TRUE(ReadWholeFile(path_, &got));
-  EXPECT_EQ(got, contents);
-  EXPECT_FALSE(ReadWholeFile(path_ + ".absent", &got));
-  EXPECT_TRUE(got.empty());
+  const auto got = ReadWholeFile(path_);
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(got->view(), contents);
+  EXPECT_EQ(ReadWholeFile(path_ + ".absent"), nullptr);
 }
 
 // procfs files report size 0 to fstat, so the read must grow its buffer.
 TEST_F(SafeIoTest, ReadWholeFileGrowsPastTheFstatSize) {
-  std::string got;
-  ASSERT_TRUE(ReadWholeFile("/proc/self/maps", &got));
-  EXPECT_GT(got.size(), 1u);
-  EXPECT_NE(got.find('\n'), std::string::npos);
+  const auto got = ReadWholeFile("/proc/self/maps");
+  ASSERT_NE(got, nullptr);
+  EXPECT_GT(got->size(), 1u);
+  EXPECT_NE(got->view().find('\n'), std::string_view::npos);
 }
 
 }  // namespace

@@ -1,14 +1,17 @@
 #include "ipin/sketch/sketch_arena.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ipin/common/random.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/source_sets.h"
 #include "ipin/graph/interaction_graph.h"
@@ -271,29 +274,57 @@ std::vector<uint8_t> TimeBytes(std::span<const int64_t> times,
   return bytes;
 }
 
-// Runs of nodes copied in bulk through ContiguousRange + AppendNodes
-// reproduce the sealed arena exactly: rows, entries, encodings and size.
-TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
+// Appends `bytes` to *image and returns where they start.
+size_t Put(std::string* image, std::span<const uint8_t> bytes) {
+  const size_t at = image->size();
+  image->append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  return at;
+}
+
+// Runs of nodes laid out in an image as ContiguousRange returns them, and
+// placed there by AppendNodes, reproduce the sealed arena exactly: rows,
+// entries and encodings. The arena keeps the image, and counts it.
+TEST(SketchArenaTest, AppendNodesPlacesRunsWhereTheyLieInTheImage) {
   const auto sketches = BuildSketches(20, 6);
   const SketchArena sealed(kPrecision, kSalt, std::span(sketches));
-  SketchArena copy(kPrecision, kSalt, 20,
-                   {sealed.NumAllocated(), sealed.TotalEntries()},
-                   sealed.time_encoding());
+  struct Run {
+    NodeId first, end;
+    std::vector<uint8_t> present;
+    size_t counts_at, ranks_at, times_at;
+    SketchArena::NodeRange range;
+  };
+  std::vector<Run> runs;
+  std::string bytes = "header";  // the runs need not start the image
   for (const auto& [first, end] :
        {std::pair<NodeId, NodeId>{0, 7}, {7, 8}, {8, 20}}) {
     const auto range = sealed.ContiguousRange(first, end);
     ASSERT_TRUE(range.has_value());
-    std::vector<uint8_t> present;
-    for (NodeId u = first; u < end; ++u) present.push_back(sealed.has_node(u));
-    ASSERT_TRUE(copy.AppendNodes(first, present, range->cell_counts,
-                                 range->ranks, range->time_bytes));
+    Run run{first, end, {}, 0, 0, 0, *range};
+    for (NodeId u = first; u < end; ++u) run.present.push_back(sealed.has_node(u));
+    run.counts_at = Put(&bytes, range->cell_counts);
+    run.ranks_at = Put(&bytes, range->ranks);
+    run.times_at = Put(&bytes, range->time_bytes);
+    runs.push_back(std::move(run));
   }
+  auto image = std::make_shared<const FileImage>(bytes);
+  SketchArena copy(kPrecision, kSalt, 20, sealed.NumAllocated(),
+                   sealed.time_encoding(), image);
+  for (const Run& run : runs) {
+    const uint8_t* at = image->data();
+    ASSERT_TRUE(copy.AppendNodes(
+        run.first, run.present,
+        {at + run.counts_at, run.range.cell_counts.size()},
+        {at + run.ranks_at, run.range.ranks.size()},
+        {at + run.times_at, run.range.time_bytes.size()}));
+  }
+  image.reset();  // the arena holds its own reference
   EXPECT_EQ(copy.NumAllocated(), sealed.NumAllocated());
   EXPECT_EQ(copy.TotalEntries(), sealed.TotalEntries());
-  EXPECT_EQ(copy.MemoryUsageBytes(), sealed.MemoryUsageBytes());
+  EXPECT_GE(copy.MemoryUsageBytes(), bytes.size());
   for (NodeId u = 0; u < 20; ++u) {
     ASSERT_EQ(copy.has_node(u), sealed.has_node(u)) << "node " << u;
     EXPECT_TRUE(copy.CheckNodeInvariants(u)) << "node " << u;
+    EXPECT_EQ(copy.NodeNumEntries(u), sealed.NodeNumEntries(u)) << "node " << u;
     const auto want = sealed.rank_row(u);
     const auto got = copy.rank_row(u);
     EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
@@ -302,6 +333,16 @@ TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
     EXPECT_EQ(CellsOf(SketchView(&copy, u)), CellsOf(SketchView(&sealed, u)))
         << "node " << u;
   }
+  // Each run is one contiguous range of the image; runs that lie apart
+  // have none, though their slots are consecutive.
+  for (const Run& run : runs) {
+    const auto range = copy.ContiguousRange(run.first, run.end);
+    ASSERT_TRUE(range.has_value());
+    EXPECT_TRUE(std::ranges::equal(range->cell_counts, run.range.cell_counts));
+    EXPECT_TRUE(std::ranges::equal(range->ranks, run.range.ranks));
+    EXPECT_TRUE(std::ranges::equal(range->time_bytes, run.range.time_bytes));
+  }
+  EXPECT_FALSE(copy.ContiguousRange(0, 20).has_value());
 
   // Slots out of node order have no contiguous range.
   const size_t entries = sealed.NodeNumEntries(0) + sealed.NodeNumEntries(2);
@@ -317,7 +358,7 @@ TEST(SketchArenaTest, AppendNodesRebuildsContiguousRanges) {
 // as they were; the arena stays usable.
 TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
   constexpr size_t kBeta = size_t{1} << kPrecision;
-  // Node 0: cell 0 holds (2, 10), (5, 20); cell 1 holds (1, 5). Node 1:
+  // Node 1: cell 0 holds (2, 10), (5, 20); cell 1 holds (1, 5). Node 2:
   // cell 3 holds (4, 7).
   const std::vector<uint8_t> present = {1, 1};
   std::vector<uint8_t> counts(2 * kBeta, 0);
@@ -326,35 +367,25 @@ TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
   counts[kBeta + 3] = 1;
   const std::vector<uint8_t> ranks = {2, 5, 1, 4};
   const std::vector<int64_t> times = {10, 20, 5, 7};
-
   const TimeEncoding encoding = TimeEncoding::Covering(0, 100);
-  SketchArena arena(kPrecision, kSalt, 4, {3, 5}, encoding);
-  const auto one_pair = [](size_t c, uint8_t* r, int64_t* t, size_t) {
-    if (c != 0) return 0;
-    r[0] = 9;
-    t[0] = 1;
-    return 1;
+
+  // Every run tried lies in one image, each as counts | ranks | offsets.
+  struct Lists {
+    std::vector<uint8_t> counts, ranks, time_bytes;
   };
-  ASSERT_TRUE(arena.AppendNode(3, one_pair));
-  const auto expect_rejected = [&](std::vector<uint8_t> c,
-                                   std::vector<uint8_t> r,
-                                   std::vector<int64_t> t, const char* what) {
-    EXPECT_FALSE(arena.AppendNodes(1, present, c, r, TimeBytes(t, encoding)))
-        << what;
-    EXPECT_EQ(arena.NumAllocated(), 1u) << what;
-    for (const NodeId u : {NodeId{1}, NodeId{2}}) {
-      EXPECT_FALSE(arena.has_node(u)) << what;
-      for (const uint8_t x : arena.rank_row(u)) EXPECT_EQ(x, 0) << what;
-    }
+  std::vector<Lists> tried;
+  const auto add = [&](std::vector<uint8_t> c, std::vector<uint8_t> r,
+                       std::vector<int64_t> t) {
+    tried.push_back({std::move(c), std::move(r), TimeBytes(t, encoding)});
   };
   std::vector<uint8_t> c = counts;
   c[5] = 1;  // counts sum to 5, four pairs given
-  expect_rejected(c, ranks, times, "sum");
-  expect_rejected(counts, {2, 5, 1}, {10, 20, 5}, "sizes");
-  expect_rejected(counts, {2, 2, 1, 4}, times, "equal ranks");
-  expect_rejected(counts, {0, 5, 1, 4}, times, "rank 0");
-  expect_rejected(counts, {2, 5, 1, 0}, times, "rank 0 last");
-  expect_rejected(counts, ranks, {20, 10, 5, 7}, "descending time");
+  add(c, ranks, times);
+  add(counts, {2, 5, 1}, {10, 20, 5});
+  add(counts, {2, 2, 1, 4}, times);
+  add(counts, {0, 5, 1, 4}, times);
+  add(counts, {2, 5, 1, 0}, times);
+  add(counts, ranks, {20, 10, 5, 7});
   c = counts;
   c[0] = 65;
   c[1] = 0;
@@ -363,21 +394,61 @@ TEST(SketchArenaTest, AppendNodesRejectsBadRunsWhole) {
   for (size_t i = 0; i < many.size(); ++i) {
     many[i] = static_cast<uint8_t>(i + 1);
   }
-  expect_rejected(c, many, std::vector<int64_t>(65, 0), "count 65");
+  add(c, many, std::vector<int64_t>(65, 0));
+  add(counts, ranks, times);  // valid
+  add(std::vector<uint8_t>(kBeta, 0), {}, {});  // valid, one empty sketch
+  const char* const what[] = {"sum",          "sizes",          "equal ranks",
+                              "rank 0",       "rank 0 last",    "descending time",
+                              "count 65"};
+  std::string bytes;
+  std::vector<std::array<size_t, 3>> at;
+  for (const Lists& lists : tried) {
+    at.push_back({Put(&bytes, lists.counts), Put(&bytes, lists.ranks),
+                  Put(&bytes, lists.time_bytes)});
+  }
+  const auto image = std::make_shared<const FileImage>(bytes);
+  const auto append = [&](SketchArena* arena, NodeId first,
+                          std::span<const uint8_t> run_present, size_t i) {
+    const uint8_t* base = image->data();
+    return arena->AppendNodes(
+        first, run_present, {base + at[i][0], tried[i].counts.size()},
+        {base + at[i][1], tried[i].ranks.size()},
+        {base + at[i][2], tried[i].time_bytes.size()});
+  };
+
+  SketchArena arena(kPrecision, kSalt, 4, 3, encoding, image);
+  ASSERT_TRUE(append(&arena, 3, std::vector<uint8_t>{1}, tried.size() - 1));
+  for (size_t i = 0; i < std::size(what); ++i) {
+    EXPECT_FALSE(append(&arena, 1, present, i)) << what[i];
+    EXPECT_EQ(arena.NumAllocated(), 1u) << what[i];
+    for (const NodeId u : {NodeId{1}, NodeId{2}}) {
+      EXPECT_FALSE(arena.has_node(u)) << what[i];
+      for (const uint8_t x : arena.rank_row(u)) EXPECT_EQ(x, 0) << what[i];
+    }
+  }
 
   // The same run, valid: ranks may fall and times go back across cells.
-  ASSERT_TRUE(
-      arena.AppendNodes(1, present, counts, ranks, TimeBytes(times, encoding)));
+  ASSERT_TRUE(append(&arena, 1, present, std::size(what)));
   EXPECT_EQ(arena.rank_row(1)[0], 5);
   EXPECT_EQ(arena.rank_row(1)[1], 1);
   EXPECT_EQ(arena.rank_row(2)[3], 4);
   EXPECT_EQ(arena.NodeNumEntries(1), 3u);
   EXPECT_EQ(arena.NodeNumEntries(2), 1u);
-  EXPECT_EQ(arena.rank_row(3)[0], 9);
+  EXPECT_EQ(arena.NodeNumEntries(3), 0u);
   for (NodeId u = 0; u < 4; ++u) EXPECT_TRUE(arena.CheckNodeInvariants(u));
   // Full: no room for another sketch.
-  EXPECT_FALSE(arena.AppendNodes(0, std::vector<uint8_t>{1},
-                                 std::vector<uint8_t>(kBeta, 0), {}, {}));
+  EXPECT_FALSE(append(&arena, 0, std::vector<uint8_t>{1}, tried.size() - 1));
+}
+
+// Runs handed to AppendNodes must lie in the arena's image.
+TEST(SketchArenaDeathTest, AppendNodesOutsideTheImageDies) {
+  constexpr size_t kBeta = size_t{1} << kPrecision;
+  const auto image = std::make_shared<const FileImage>(std::string(kBeta, '\0'));
+  const std::vector<uint8_t> elsewhere(kBeta, 0);
+  const std::vector<uint8_t> present = {1};
+  SketchArena arena(kPrecision, kSalt, 1, 1, TimeEncoding::Covering(0, 1),
+                    image);
+  EXPECT_DEATH(arena.AppendNodes(0, present, elsewhere, {}, {}), "");
 }
 
 TEST(SketchArenaTest, ViewAgreesAcrossStorageModes) {
