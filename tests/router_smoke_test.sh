@@ -101,6 +101,25 @@ cp "${WORK}/map.json" "${WORK}/map.good"
 "${SHARD_TOOL}" show --map="${WORK}/map.json" --nodes=1000 \
   | grep -q "shard0" || fail "show does not list shard0"
 
+# --- Rebalance: a 2-shard split grown to 3 is the 3-shard split ----------
+# The new pieces are rebuilt from the old ones, and must be byte for byte
+# the pieces split writes from the full index.
+mkdir -p "${WORK}/two"
+"${SHARD_TOOL}" split --index="${WORK}/index.bin" --shards=2 \
+  --out_prefix="${WORK}/two/piece" --map_out="${WORK}/two/map.json" \
+  --socket_prefix="${WORK}/shard" > /dev/null
+"${SHARD_TOOL}" rebalance --map="${WORK}/two/map.json" --shards=3 \
+  --out_prefix="${WORK}/two/grown" --map_out="${WORK}/two/grown.json" \
+  --socket_prefix="${WORK}/shard" > "${WORK}/rebalance.txt" \
+  || { cat "${WORK}/rebalance.txt" >&2; fail "rebalance from 2 to 3 failed"; }
+"${SHARD_TOOL}" verify "${WORK}/two/grown.json" "${WORK}/two" \
+  > "${WORK}/verify.txt" \
+  || { cat "${WORK}/verify.txt" >&2; fail "verify rejects the rebalance"; }
+for i in $(seq 0 $((NUM_SHARDS - 1))); do
+  cmp -s "${WORK}/two/grown${i}.bin" "${WORK}/piece${i}.bin" \
+    || fail "rebalanced piece ${i} differs from the 3-shard split's"
+done
+
 # --- Start the fleet: N shards, the reference daemon, and the router ------
 for i in $(seq 0 $((NUM_SHARDS - 1))); do start_shard "${i}"; done
 

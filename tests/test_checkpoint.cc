@@ -284,6 +284,22 @@ TEST_F(CheckpointTest, ApproxCheckpointBytesDoNotDependOnThreadCount) {
   }
 }
 
+// The approx checkpoint bytes are frozen: the file a fixed-seed build
+// (beta = 256) cuts at edge 1,000 of 2,000 has this CRC32C.
+TEST_F(CheckpointTest, ApproxCheckpointBytesArePinned) {
+  constexpr uint32_t kCheckpointCrc32c = 0x8b353ff8;
+  const InteractionGraph g = GenerateUniformRandomNetwork(
+      /*num_nodes=*/200, /*num_interactions=*/2000, /*time_span=*/5000,
+      /*seed=*/23);
+  const IrsApproxOptions irs_options{/*precision=*/8, /*salt=*/7};
+  (void)ComputeIrsApproxCheckpointed(g, /*window=*/500, irs_options,
+                                     {dir_, /*every_edges=*/1000});
+  const auto image =
+      ReadWholeFile(dir_ + "/ckpt_approx_00000000000000001000.ipinckpt");
+  ASSERT_NE(image, nullptr);
+  EXPECT_EQ(Crc32c(image->view()), kCheckpointCrc32c);
+}
+
 // A checkpoint written under one cadence resumes under another: resumed at
 // edge 64 with checkpoints every 50 edges, the build cuts its next ones at
 // edges 100 and 150, byte-identical to an uninterrupted every-50 build's,

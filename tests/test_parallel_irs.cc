@@ -61,6 +61,27 @@ std::vector<SketchCells> Fingerprint(const IrsApprox& irs) {
   return out;
 }
 
+// CRC32C over every build sketch's cell lists in node order: per cell its
+// entry count (u8), then each entry's rank (u8) and time (i64), little-endian.
+// Pins the lists themselves, which the index file does not store.
+uint32_t ListsCrc32c(const IrsApprox& irs) {
+  uint32_t crc = 0;
+  for (NodeId u = 0; u < irs.num_nodes(); ++u) {
+    const SketchView sketch = irs.Sketch(u);
+    if (!sketch) continue;
+    const SketchCells cells = CellsOf(sketch);
+    size_t entry = 0;
+    for (const uint8_t count : cells.counts) {
+      crc = Crc32c(&count, 1, crc);
+      for (size_t i = 0; i < count; ++i, ++entry) {
+        crc = Crc32c(&cells.ranks[entry], 1, crc);
+        crc = Crc32c(&cells.times[entry], sizeof(int64_t), crc);
+      }
+    }
+  }
+  return crc;
+}
+
 TEST_F(ParallelIrsTest, SlabStitchedBuildIsBitIdentical) {
   const InteractionGraph g = TestGraph();
   const Duration window = 2500;
@@ -147,15 +168,17 @@ TEST_F(ParallelIrsTest, BuildTalliesDoNotDependOnThreadCount) {
 
 // The build's output, pinned so that a change to how sketches are stored
 // during the build cannot move it: on a fixed enron-shaped log (beta = 512,
-// omega = 10% of the span) the four lifetime tallies and the CRC32C of the
-// saved index file, unsealed and sealed, are these constants at 1 part and
-// at 3, built plainly and with checkpoints every 1,000 edges.
+// omega = 10% of the span) the four lifetime tallies, the CRC32C of the
+// build sketches' cell lists, and the CRC32C of the saved index file,
+// unsealed and sealed, are these constants at 1 part and at 3, built
+// plainly and with checkpoints every 1,000 edges.
 TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   constexpr size_t kInsertAttempts = 634865;
   constexpr size_t kEvictions = 184667;
   constexpr size_t kMergeEntriesScanned = 623384;
   constexpr size_t kCellUpdates = 333295;
   constexpr size_t kEntries = 160109;
+  constexpr uint32_t kListsCrc32c = 0x5e729a74;
   constexpr uint32_t kIndexCrc32c = 0xe6f192da;
   SyntheticConfig config = *GetDatasetConfig("enron", 0.01);
   config.seed = 25;
@@ -182,6 +205,7 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
       EXPECT_EQ(irs.TotalMergeEntriesScanned(), kMergeEntriesScanned);
       EXPECT_EQ(irs.TotalCellUpdates(), kCellUpdates);
       EXPECT_EQ(irs.TotalSketchEntries(), kEntries);
+      EXPECT_EQ(ListsCrc32c(irs), kListsCrc32c);
       for (const bool sealed : {false, true}) {
         if (sealed) irs.Seal();
         ASSERT_TRUE(SaveInfluenceIndex(irs, path));
