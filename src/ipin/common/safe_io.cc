@@ -144,13 +144,7 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
   return crc32c(data, size, seed);
 }
 
-FileImage::FileImage(std::string_view bytes)
-    : bytes_(std::make_unique_for_overwrite<uint8_t[]>(bytes.size())),
-      size_(bytes.size()) {
-  if (size_ != 0) std::memcpy(bytes_.get(), bytes.data(), size_);
-}
-
-std::shared_ptr<const FileImage> ReadWholeFile(const std::string& path) {
+std::unique_ptr<const FileImage> ReadWholeFile(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return nullptr;
   struct stat st {};
@@ -160,7 +154,7 @@ std::shared_ptr<const FileImage> ReadWholeFile(const std::string& path) {
   // One spare byte, so a file whose size matches fstat ends with a 0-byte
   // read rather than a regrow. The buffer is not zero-filled: read() is the
   // first write to every byte the image exposes.
-  auto image = std::shared_ptr<FileImage>(new FileImage());
+  auto image = std::unique_ptr<FileImage>(new FileImage());
   size_t room = expected + 1;
   image->bytes_ = std::make_unique_for_overwrite<uint8_t[]>(room);
   AdviseHugePages(image->bytes_.get(), room);

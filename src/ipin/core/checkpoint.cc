@@ -19,7 +19,6 @@
 #include "ipin/common/string_util.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/common/timer.h"
-#include "ipin/core/oracle_io.h"
 #include "ipin/obs/ledger.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/progress.h"
@@ -67,18 +66,20 @@ class CheckpointAccess {
   static IrsSummaryMap* MutableSummary(IrsExact* irs, NodeId u) {
     return &irs->summaries_[u];
   }
-  // Refills u's build sketch from a checkpoint's cells, in the build's
-  // parts and time encoding; false if that encoding cannot hold a time.
+  // Refills u's build sketch from a checkpoint's cells (`cell_counts` cut
+  // `ranks` and `times` into lists, already checked against the vHLL
+  // invariants), in the build's parts and time encoding; false if that
+  // encoding cannot hold a time.
   static bool RefillSketch(IrsApprox* irs, NodeId u,
-                           const SketchArena::NodeRange& cells) {
-    std::vector<Timestamp> times(cells.ranks.size());
-    for (size_t e = 0; e < times.size(); ++e) {
-      times[e] = cells.time(e);
-      if (!irs->times_.Holds(times[e])) return false;
+                           std::span<const uint8_t> cell_counts,
+                           std::span<const uint8_t> ranks,
+                           std::span<const Timestamp> times) {
+    for (const Timestamp t : times) {
+      if (!irs->times_.Holds(t)) return false;
     }
     irs->sketches_[u] = std::make_unique<VersionedHll>(
-        irs->options_.precision, irs->options_.salt, irs->parts_,
-        cells.cell_counts, cells.ranks, times, irs->times_);
+        irs->options_.precision, irs->options_.salt, irs->parts_, cell_counts,
+        ranks, times, irs->times_);
     return true;
   }
   // An empty approx build over `graph`, its sketches split into parts and
@@ -102,7 +103,7 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP" little-endian
-// Version 3: approx chunks are sketch chunks (oracle_io.h) whose times are
+// Version 3: approx chunks are sketch chunks (below) whose times are
 // offsets in the TimeEncoding the meta frame records. Files of other
 // versions fail verification and are skipped.
 constexpr uint32_t kCheckpointVersion = 3;
@@ -255,7 +256,7 @@ void PruneCheckpoints(const std::string& dir, uint8_t algo, size_t keep) {
 
 // Exact: per node, u64 entry count then (u32 target, i64 time) pairs sorted
 // by target id — deterministic bytes for identical summaries. Like
-// EncodeSketchChunk, writes the chunk into *out and returns its length.
+// SerializeApproxChunk, writes the chunk into *out and returns its length.
 size_t SerializeExactChunk(const IrsExact& irs, const MetaFrame& /*meta*/,
                            uint64_t first, uint32_t count, std::string* out) {
   out->clear();
@@ -275,8 +276,7 @@ size_t SerializeExactChunk(const IrsExact& irs, const MetaFrame& /*meta*/,
   return out->size();
 }
 
-bool ParseExactChunk(const std::shared_ptr<const FileImage>& /*image*/,
-                     std::string_view payload, NodeId expected_first,
+bool ParseExactChunk(std::string_view payload, NodeId expected_first,
                      uint32_t expected_count, const MetaFrame& meta,
                      IrsExact* irs) {
   const Fingerprint& fp = meta.fp;
@@ -305,46 +305,164 @@ bool ParseExactChunk(const std::shared_ptr<const FileImage>& /*image*/,
   return offset == payload.size();
 }
 
-// Approx: the index file's sketch chunk, written by EncodeSketchChunk
-// (oracle_io.h) in the meta frame's time encoding: the one the build's
-// sketches would seal to, their own when it is narrow (exact builds store
+// Approx: each chunk frame is the sketch chunk of the build's sketches of
+// nodes [first_node, first_node + count):
+//   u64 first_node, u32 count, u64 entries, u8 present[count],
+//   u8 cell_counts[present x beta], u8 ranks[entries],
+//   time offsets[entries] (the meta frame's TimeEncoding, 4 or 8 bytes
+//   each)
+// — per present node its cells' entry counts, then every pair's rank and
+// time offset in node and cell order. The encoding is the one the build's
+// sketches store their times in when it is narrow, and otherwise the
+// narrowest that holds them (IrsApprox::time_encoding; exact builds store
 // no times this way).
 TimeEncoding ChunkTimes(const IrsExact& /*irs*/) { return {}; }
 TimeEncoding ChunkTimes(const IrsApprox& irs) { return irs.time_encoding(); }
 
+// A sketch chunk's fixed prefix: u64 first_node, u32 count, u64 entries.
+constexpr size_t kSketchChunkPrefixBytes =
+    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t);
+
+// Writes the chunk straight from the build sketches' cells. A sketch stored
+// in the chunk's encoding hands over its offsets as they are; any other is
+// decoded and re-encoded.
 size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
                             uint64_t first, uint32_t count, std::string* out) {
-  return EncodeSketchChunk(irs, meta.times, first, count, out);
-}
-
-// The chunk is checked in place by a scratch arena that adopts the file
-// `image` the payload lies in, then each node's cells, their times
-// re-encoded from the checkpoint's encoding into the build's, refill a
-// VersionedHll with the build's part count for the scan to keep growing
-// (a chunk records no parts, so any part count resumes any other). A time
-// the build's encoding cannot hold (a checkpoint no scan of this graph
-// wrote) fails the chunk.
-bool RestoreApproxChunk(const std::shared_ptr<const FileImage>& image,
-                        std::string_view payload, NodeId expected_first,
-                        uint32_t expected_count, const MetaFrame& meta,
-                        IrsApprox* irs) {
-  const Fingerprint& fp = meta.fp;
-  SketchChunk chunk;
-  if (!MeasureSketchChunk(payload, fp.precision, meta.times.width,
-                          expected_first, expected_count, &chunk)) {
-    return false;
-  }
-  SketchArena scratch(fp.precision, fp.salt, expected_count,
-                      chunk.sketches, meta.times, image);
-  if (!chunk.AppendTo(&scratch, 0)) return false;
-  for (NodeId i = 0; i < expected_count; ++i) {
-    if (scratch.has_node(i) &&
-        !CheckpointAccess::RefillSketch(irs, expected_first + i,
-                                        *scratch.ContiguousRange(i, i + 1))) {
-      return false;
+  const TimeEncoding& times = meta.times;
+  const size_t beta = size_t{1} << meta.fp.precision;
+  const NodeId lo = static_cast<NodeId>(first);
+  size_t present = 0;
+  uint64_t entries = 0;
+  for (NodeId u = lo; u < lo + count; ++u) {
+    if (const VersionedHll* sketch = irs.Sketch(u).build_sketch()) {
+      ++present;
+      entries += sketch->NumEntries();
     }
   }
-  return true;
+  const size_t size = kSketchChunkPrefixBytes + count + present * beta +
+                      entries * (1 + times.width);
+  if (out->size() < size) out->resize(size);
+  auto* bytes = reinterpret_cast<uint8_t*>(out->data());
+  std::memcpy(bytes, &first, sizeof(first));
+  std::memcpy(bytes + 8, &count, sizeof(count));
+  std::memcpy(bytes + 12, &entries, sizeof(entries));
+  uint8_t* flags = bytes + kSketchChunkPrefixBytes;
+  uint8_t* counts = flags + count;
+  uint8_t* const ranks = counts + present * beta;
+  uint8_t* const time_bytes = ranks + entries;
+  size_t pair = 0;
+  WithTimeCodec(times.width, [&](auto codec) {
+    for (uint32_t i = 0; i < count; ++i) {
+      const VersionedHll* sketch = irs.Sketch(lo + i).build_sketch();
+      flags[i] = sketch != nullptr ? 1 : 0;
+      if (sketch == nullptr) continue;
+      const bool same_encoding = sketch->time_encoding() == times;
+      for (size_t c = 0; c < beta; ++c) {
+        const VersionedHll::CellList list = sketch->cell(c);
+        const size_t n = list.size();
+        *counts++ = static_cast<uint8_t>(n);
+        if (n == 0) continue;
+        std::memcpy(ranks + pair, list.ranks(), n);
+        if (same_encoding) {
+          for (size_t j = 0; j < n; ++j) {
+            codec.Store(time_bytes, pair + j, codec.Load(list.time_bytes(), j));
+          }
+        } else {
+          IPIN_CHECK(times.Holds(list.time(0)) &&
+                     times.Holds(list.time(n - 1)));
+          for (size_t j = 0; j < n; ++j) {
+            codec.Store(time_bytes, pair + j,
+                        codec.Encode(times.base, list.time(j)));
+          }
+        }
+        pair += n;
+      }
+    }
+  });
+  return size;
+}
+
+// Measures the chunk — it must cover exactly [expected_first,
+// expected_first + expected_count), every present byte be 0 or 1, and the
+// payload be exactly 20 + count + present x beta + (1 + width) x entries
+// bytes — then checks each present node's cells (at most 64 pairs each,
+// together exactly the chunk's entries, each list a vHLL cell list) and
+// refills its VersionedHll with the build's part count for the scan to keep
+// growing (a chunk records no parts, so any part count resumes any other).
+// A time the build's encoding cannot hold (a checkpoint no scan of this
+// graph wrote) fails the chunk.
+bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
+                        uint32_t expected_count, const MetaFrame& meta,
+                        IrsApprox* irs) {
+  const int precision = meta.fp.precision;
+  const size_t beta = size_t{1} << precision;
+  const TimeEncoding& times = meta.times;
+  size_t offset = 0;
+  uint64_t first = 0;
+  uint32_t count = 0;
+  uint64_t entries = 0;
+  if (!ReadRaw(payload, &offset, &first) ||
+      !ReadRaw(payload, &offset, &count) ||
+      !ReadRaw(payload, &offset, &entries) || first != expected_first ||
+      count != expected_count || payload.size() - offset < count) {
+    return false;
+  }
+  const auto* bytes = reinterpret_cast<const uint8_t*>(payload.data());
+  const uint8_t* present = bytes + offset;
+  uint8_t flags = 0;
+  size_t sketches = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    flags |= present[i];
+    sketches += present[i];
+  }
+  offset += count;
+  const size_t pair_bytes = 1 + times.width;  // u8 rank + time offset
+  const size_t rest = payload.size() - offset;
+  if (flags > 1 || entries > rest / pair_bytes ||
+      rest != sketches * beta + entries * pair_bytes) {
+    return false;
+  }
+  const uint8_t* counts = bytes + offset;
+  const uint8_t* ranks = counts + sketches * beta;
+  const uint8_t* time_bytes = ranks + entries;
+  const int max_rank = VersionedHll::MaxRank(precision);
+  std::vector<Timestamp> node_times;
+  size_t pair = 0;
+  for (uint32_t i = 0; i < count; ++i) {
+    if (present[i] == 0) continue;
+    const std::span<const uint8_t> cell_counts(counts, beta);
+    counts += beta;
+    size_t node_entries = 0;
+    for (const uint8_t n : cell_counts) {
+      if (n > VersionedHll::kMaxCellEntries) return false;
+      node_entries += n;
+    }
+    if (node_entries > entries - pair) return false;
+    const uint8_t* node_ranks = ranks + pair;
+    node_times.resize(node_entries);
+    for (size_t e = 0; e < node_entries; ++e) {
+      node_times[e] = times.Decode(time_bytes, pair + e);
+    }
+    // Each cell's list: ranks in [1, MaxRank] and strictly ascending,
+    // times non-descending.
+    size_t e = 0;
+    for (const uint8_t n : cell_counts) {
+      for (size_t j = 0; j < n; ++j, ++e) {
+        if (node_ranks[e] == 0 || node_ranks[e] > max_rank ||
+            (j > 0 && (node_ranks[e] <= node_ranks[e - 1] ||
+                       node_times[e] < node_times[e - 1]))) {
+          return false;
+        }
+      }
+    }
+    if (!CheckpointAccess::RefillSketch(irs, expected_first + i, cell_counts,
+                                        {node_ranks, node_entries},
+                                        node_times)) {
+      return false;
+    }
+    pair += node_entries;
+  }
+  return pair == entries;
 }
 
 // ---- save / load ----------------------------------------------------------
@@ -401,8 +519,8 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(meta->chunk_size, meta->fp.num_nodes - first));
     if (reader.ReadFrame(&payload) != FrameStatus::kOk ||
-        !parse_chunk(reader.image(), payload, static_cast<NodeId>(first),
-                     count, *meta, irs)) {
+        !parse_chunk(payload, static_cast<NodeId>(first), count, *meta,
+                     irs)) {
       return false;
     }
   }

@@ -14,12 +14,11 @@
 // checkpointing enabled, the scan state is written through common/safe_io
 // every N edges — a meta frame (position, tallies, fingerprint, and the
 // time encoding of the sketch chunks) plus one frame per 256 nodes, holding
-// their summaries (exact) or their sketches in the index file's sketch
-// chunk layout (approx, oracle_io.h) — and a
-// restarted build resumes from the newest checkpoint that verifies,
-// falling back to the next-older one when the newest is damaged or of
-// another format version. A resumed build produces results identical to an
-// uninterrupted run.
+// their summaries (exact) or their sketches' cell lists (approx; the only
+// files that store them, checkpoint.cc) — and a restarted build resumes
+// from the newest checkpoint that verifies, falling back to the next-older
+// one when the newest is damaged or of another format version. A resumed
+// build produces results identical to an uninterrupted run.
 //
 // Checkpoint files are named ckpt_<algo>_<edges>.ipinckpt inside
 // `options.dir`. They carry a fingerprint of (graph, window, sketch

@@ -83,7 +83,7 @@ void IrsApprox::Seal() {
   sealed_merge_entries_scanned_ = TotalMergeEntriesScanned();
   sealed_cell_updates_ = TotalCellUpdates();
   arena_ = std::make_unique<SketchArena>(options_.precision, options_.salt,
-                                         std::span(sketches_), time_encoding());
+                                         std::span(sketches_));
   sealed_ = true;
   sketches_.clear();
   sketches_.shrink_to_fit();

@@ -7,6 +7,7 @@
 #include <span>
 #include <vector>
 
+#include "ipin/common/check.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/graph/types.h"
 #include "ipin/sketch/sketch_arena.h"
@@ -61,17 +62,16 @@ class IrsApprox {
   IrsApprox(Duration window, const IrsApproxOptions& options,
             SketchArena arena);
 
-  /// Packs the per-node build sketches into a read-only SketchArena
-  /// (struct-of-arrays; DESIGN.md §12) and frees them. Queries answered
-  /// after sealing are bit-identical to before (same entries, same
-  /// kernels), just faster: unions and estimates stream the contiguous
-  /// max-rank plane. Every build (Compute, ComputeParallel and the
-  /// checkpointed build) returns UNSEALED so the pack + free cost stays
-  /// out of the timed build scan (fig3; about 9% of the scan, measured in
-  /// DESIGN.md §12). Call Seal() at the build->query handoff, before
-  /// sustained querying. The restore paths (oracle load, shard extraction)
-  /// never hold unsealed sketches: they build the arena directly.
-  /// Idempotent.
+  /// Copies the per-node build sketches' max-rank rows and entry counts
+  /// into a read-only SketchArena (DESIGN.md §12) and frees the sketches.
+  /// Queries answered after sealing are bit-identical to before (the same
+  /// rows, the same kernels), just faster: unions and estimates stream the
+  /// contiguous max-rank plane. Every build (Compute, ComputeParallel and
+  /// the checkpointed build) returns UNSEALED so the copy + free cost stays
+  /// out of the timed build scan (fig3). Call Seal() at the build->query
+  /// handoff, before sustained querying. The restore paths (oracle load,
+  /// shard extraction) never hold unsealed sketches: they build the arena
+  /// directly. Idempotent.
   void Seal();
 
   /// True once Seal() ran, and for instances built from an arena.
@@ -81,14 +81,13 @@ class IrsApprox {
   /// (influence_oracle.cc) use it to stream rank-plane rows directly.
   const SketchArena* arena() const { return arena_.get(); }
 
-  /// The encoding of stored times (time_codec.h): the arena's once sealed;
-  /// before that, the one Seal() would choose. That is the sketches' own
-  /// when it is narrow, as a build's is when its input's times span less
-  /// than 2^32 (DESIGN.md §12), and otherwise the narrowest that holds
-  /// their times (TimeEncodingOf, O(cells)). Saves and checkpoints write
-  /// times in it.
+  /// The encoding checkpoints write the build sketches' times in
+  /// (time_codec.h): the sketches' own when it is narrow, as a build's is
+  /// when its input's times span less than 2^32 (DESIGN.md §12), and
+  /// otherwise the narrowest that holds their times (TimeEncodingOf,
+  /// O(cells)). Unsealed only: a sealed index stores no times.
   TimeEncoding time_encoding() const {
-    if (sealed_) return arena_->time_encoding();
+    IPIN_CHECK(!sealed_);
     return times_.width == 4 ? times_ : TimeEncodingOf(sketches_);
   }
 
@@ -181,8 +180,8 @@ class IrsApprox {
   // (a node that never sends has an empty IRS and needs no sketch — phi(v)
   // = {} in the exact algorithm, memory proportional to *active* sources):
   // Scan allocates it at the epoch of the node's first send in scan order.
-  // Seal() packs them into arena_ and frees them; exactly one of the two
-  // representations is live at a time.
+  // Seal() copies their rows into arena_ and frees them; exactly one of the
+  // two representations is live at a time.
   std::vector<std::unique_ptr<VersionedHll>> sketches_;
   std::unique_ptr<SketchArena> arena_;
   bool sealed_ = false;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
-#include <span>
 #include <vector>
 
 #include "ipin/common/failpoint.h"
@@ -25,18 +24,18 @@ obs::MemoryTally& OracleIoMemTally() {
   return tally;
 }
 
-// Framed (safe_io) format: file type tag "IIDX", version 4.
+// Framed (safe_io) format: file type tag "IIDX", version 5.
 //   frame 0: i64 window, u8 precision, u64 salt, u64 num_nodes,
-//            u32 chunk_size, i64 base_time, u8 time_width
-//   frame k: the sketch chunk (SketchChunk, oracle_io.h) of nodes
-//            [(k - 1) * chunk_size, k * chunk_size), each pair's time
-//            stored as a time_width-byte offset from base_time
-//            (TimeEncoding, sketch/time_codec.h).
+//            u32 chunk_size
+//   frame k: the chunk of nodes [(k - 1) * chunk_size, k * chunk_size):
+//            u64 first_node, u32 count, u8 present[count],
+//            u32 entries[present], u8 rows[present x beta] — for each
+//            present node, in node order, the pairs its build sketch held
+//            and its max-rank row.
 // Chunks cover [0, num_nodes) in order, kChunkSize nodes each, so a dropped
-// frame loses exactly one known slice of nodes. The header's encoding must
-// be valid: width 4 or 8, and every offset decoding to an i64.
+// frame loses exactly one known slice of nodes.
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX" little-endian
-constexpr uint32_t kIndexFormatVersion = 4;
+constexpr uint32_t kIndexFormatVersion = 5;
 constexpr uint32_t kChunkSize = 256;
 
 template <typename T>
@@ -58,7 +57,6 @@ struct IndexHeader {
   uint64_t salt = 0;
   uint64_t num_nodes = 0;
   uint32_t chunk_size = 0;
-  TimeEncoding times;
 
   uint64_t num_sections() const {
     return num_nodes / chunk_size + (num_nodes % chunk_size != 0 ? 1 : 0);
@@ -71,23 +69,19 @@ bool ParseIndexHeader(std::string_view payload, IndexHeader* header) {
       !ReadRaw(payload, &offset, &header->precision) ||
       !ReadRaw(payload, &offset, &header->salt) ||
       !ReadRaw(payload, &offset, &header->num_nodes) ||
-      !ReadRaw(payload, &offset, &header->chunk_size) ||
-      !ReadRaw(payload, &offset, &header->times.base) ||
-      !ReadRaw(payload, &offset, &header->times.width)) {
+      !ReadRaw(payload, &offset, &header->chunk_size)) {
     return false;
   }
-  return header->window >= 1 && header->precision >= 4 &&
-         header->precision <= 18 && header->chunk_size >= 1 &&
-         header->times.valid();
+  return offset == payload.size() && header->window >= 1 &&
+         header->precision >= 4 && header->precision <= 18 &&
+         header->chunk_size >= 1;
 }
 
-// A chunk's fixed prefix: u64 first_node, u32 count, u64 entries.
-constexpr size_t kChunkPrefixBytes =
-    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t);
+// A chunk's fixed prefix: u64 first_node, u32 count.
+constexpr size_t kChunkPrefixBytes = sizeof(uint64_t) + sizeof(uint32_t);
 // The least a chunk frame is taken to cost: safe_io's 12-byte frame header
-// plus the chunk's first_node and count.
-constexpr uint64_t kMinChunkFrameBytes =
-    12 + sizeof(uint64_t) + sizeof(uint32_t);
+// plus the chunk's prefix.
+constexpr uint64_t kMinChunkFrameBytes = 12 + kChunkPrefixBytes;
 
 // A header is checked against the file before anything is sized by
 // num_nodes. Every chunk frame costs at least kMinChunkFrameBytes (a
@@ -100,111 +94,100 @@ bool HeaderFitsFile(const IndexHeader& header, size_t remaining) {
          header.num_sections() <= remaining / kMinChunkFrameBytes;
 }
 
-// Writes the chunk of `count` nodes — arena nodes
-// [local_first, local_first + count), stored as `range` — that the file
-// numbers from `first_node`, into *buffer (grown, never shrunk). Returns
-// the payload's length.
-size_t EncodeChunk(const SketchArena& arena, NodeId local_first,
-                   uint64_t first_node, uint32_t count,
-                   const SketchArena::NodeRange& range, std::string* buffer) {
-  const uint64_t entries = range.ranks.size();
-  const size_t size = kChunkPrefixBytes + count + range.cell_counts.size() +
-                      range.ranks.size() + range.time_bytes.size();
+// Writes the chunk of nodes [first, first + count) of `index` into *buffer
+// (grown, never shrunk). Returns the payload's length.
+size_t EncodeChunk(const IrsApprox& index, uint64_t first, uint32_t count,
+                   std::string* buffer) {
+  const size_t beta = size_t{1} << index.options().precision;
+  const NodeId lo = static_cast<NodeId>(first);
+  size_t present = 0;
+  for (NodeId u = lo; u < lo + count; ++u) present += index.Sketch(u) ? 1 : 0;
+  const size_t size =
+      kChunkPrefixBytes + count + present * (sizeof(uint32_t) + beta);
   if (buffer->size() < size) buffer->resize(size);
   char* out = buffer->data();
-  const auto put = [&out](const void* data, size_t n) {
-    if (n != 0) std::memcpy(out, data, n);
-    out += n;
-  };
-  put(&first_node, sizeof(first_node));
-  put(&count, sizeof(count));
-  put(&entries, sizeof(entries));
+  std::memcpy(out, &first, sizeof(first));
+  std::memcpy(out + sizeof(first), &count, sizeof(count));
+  char* flags = out + kChunkPrefixBytes;
+  char* entries = flags + count;
+  char* rows = entries + present * sizeof(uint32_t);
   for (uint32_t i = 0; i < count; ++i) {
-    *out++ = arena.has_node(local_first + i) ? 1 : 0;
+    const SketchView sketch = index.Sketch(lo + i);
+    flags[i] = sketch ? 1 : 0;
+    if (!sketch) continue;
+    const auto n = static_cast<uint32_t>(sketch.NumEntries());
+    std::memcpy(entries, &n, sizeof(n));
+    entries += sizeof(n);
+    std::memcpy(rows, sketch.max_ranks().data(), beta);
+    rows += beta;
   }
-  put(range.cell_counts.data(), range.cell_counts.size());
-  put(range.ranks.data(), range.ranks.size());
-  put(range.time_bytes.data(), range.time_bytes.size());
   return size;
 }
 
-}  // namespace
+// A chunk frame cut into its sections: present flags, entry counts and
+// rows, views into the reader's file buffer.
+struct Chunk {
+  uint64_t first_node = 0;
+  uint32_t count = 0;
+  size_t sketches = 0;
+  const uint8_t* present = nullptr;
+  const uint8_t* entries = nullptr;
+  const uint8_t* rows = nullptr;
+};
 
-size_t EncodeSketchChunk(const IrsApprox& index, const TimeEncoding& times,
-                         uint64_t first, uint32_t count, std::string* buffer) {
-  const NodeId lo = static_cast<NodeId>(first);
-  const NodeId hi = static_cast<NodeId>(first + count);
-  const SketchArena* arena = index.arena();
-  if (arena != nullptr && arena->time_encoding() == times) {
-    if (const auto range = arena->ContiguousRange(lo, hi)) {
-      return EncodeChunk(*arena, lo, first, count, *range, buffer);
-    }
-  }
-  // Unsealed sketches (or an arena filled out of node order, or in another
-  // encoding): pack the chunk into a scratch arena first, so one encoder
-  // writes every chunk.
-  SketchArena::Capacity capacity;
-  for (NodeId u = lo; u < hi; ++u) {
-    if (const SketchView sketch = index.Sketch(u)) {
-      ++capacity.sketches;
-      capacity.entries += sketch.NumEntries();
-    }
-  }
-  SketchArena scratch(index.options().precision, index.options().salt, count,
-                      capacity, times);
-  for (NodeId u = lo; u < hi; ++u) {
-    if (const SketchView sketch = index.Sketch(u)) {
-      scratch.AppendCopy(u - lo, sketch);
-    }
-  }
-  return EncodeChunk(scratch, 0, first, count,
-                     *scratch.ContiguousRange(0, count), buffer);
-}
-
-// Measuring is arithmetic: the sections are cut out of the payload once
-// its prefix, present bytes and length agree.
-bool MeasureSketchChunk(std::string_view payload, int precision,
-                        size_t time_width, uint64_t first, uint32_t count,
-                        SketchChunk* chunk) {
+// Measuring is arithmetic: the chunk must cover exactly [first, first +
+// count), every present byte be 0 or 1, and the payload be exactly
+// 12 + count + present x (4 + beta) bytes.
+bool MeasureChunk(std::string_view payload, size_t beta, uint64_t first,
+                  uint32_t count, Chunk* chunk) {
   size_t offset = 0;
   uint64_t first_node = 0;
   uint32_t num_nodes = 0;
-  uint64_t entries = 0;
   if (!ReadRaw(payload, &offset, &first_node) ||
-      !ReadRaw(payload, &offset, &num_nodes) ||
-      !ReadRaw(payload, &offset, &entries) || first_node != first ||
+      !ReadRaw(payload, &offset, &num_nodes) || first_node != first ||
       num_nodes != count || payload.size() - offset < count) {
     return false;
   }
   const auto* bytes = reinterpret_cast<const uint8_t*>(payload.data());
-  const std::span<const uint8_t> present(bytes + offset, count);
+  const uint8_t* present = bytes + offset;
   uint8_t flags = 0;
   size_t sketches = 0;
-  for (const uint8_t p : present) {
-    flags |= p;
-    sketches += p;
+  for (uint32_t i = 0; i < count; ++i) {
+    flags |= present[i];
+    sketches += present[i];
   }
-  if (flags > 1) return false;
   offset += count;
-  const size_t beta = size_t{1} << precision;
-  const size_t pair_bytes = 1 + time_width;  // u8 rank + time offset
-  const size_t rest = payload.size() - offset;
-  if (entries > rest / pair_bytes ||
-      rest != sketches * beta + entries * pair_bytes) {
+  if (flags > 1 ||
+      payload.size() - offset != sketches * (sizeof(uint32_t) + beta)) {
     return false;
   }
-  const size_t counts_bytes = sketches * beta;
-  const size_t num_entries = static_cast<size_t>(entries);
-  chunk->first_node = first;
-  chunk->count = count;
-  chunk->sketches = sketches;
-  chunk->present = present;
-  chunk->cell_counts = {bytes + offset, counts_bytes};
-  chunk->ranks = {bytes + offset + counts_bytes, num_entries};
-  chunk->time_bytes = {bytes + offset + counts_bytes + num_entries,
-                       num_entries * time_width};
+  *chunk = {first, count, sketches, present, bytes + offset,
+            bytes + offset + sketches * sizeof(uint32_t)};
   return true;
 }
+
+// Copies the chunk's rows into `arena`, each checked (SketchArena::Append).
+// False, with nothing appended, if one fails.
+bool PlaceChunk(const Chunk& chunk, SketchArena* arena) {
+  const size_t beta = arena->num_cells();
+  const NodeId first = static_cast<NodeId>(chunk.first_node);
+  const size_t mark = arena->NumAllocated();
+  size_t k = 0;
+  for (uint32_t i = 0; i < chunk.count; ++i) {
+    if (chunk.present[i] == 0) continue;
+    uint32_t entries = 0;
+    std::memcpy(&entries, chunk.entries + k * sizeof(entries),
+                sizeof(entries));
+    if (!arena->Append(first + i, {chunk.rows + k * beta, beta}, entries)) {
+      arena->RollBack(mark, first, first + chunk.count);
+      return false;
+    }
+    ++k;
+  }
+  return true;
+}
+
+}  // namespace
 
 bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   if (IPIN_FAILPOINT("oracle_io.save").fail) {
@@ -219,9 +202,6 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   AppendRaw<uint64_t>(&header, index.options().salt);
   AppendRaw<uint64_t>(&header, index.num_nodes());
   AppendRaw<uint32_t>(&header, kChunkSize);
-  const TimeEncoding times = index.time_encoding();
-  AppendRaw<int64_t>(&header, times.base);
-  AppendRaw<uint8_t>(&header, times.width);
   if (!writer.AppendFrame(header)) return false;
 
   std::string chunk;
@@ -229,7 +209,7 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   for (uint64_t first = 0; first < index.num_nodes(); first += kChunkSize) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(kChunkSize, index.num_nodes() - first));
-    const size_t size = EncodeSketchChunk(index, times, first, count, &chunk);
+    const size_t size = EncodeChunk(index, first, count, &chunk);
     charge.Resize(chunk.capacity());
     // Torn-section injection: hand safe_io a CRC-consistent but truncated
     // payload, producing a frame that verifies yet fails to parse — the
@@ -290,15 +270,14 @@ IndexLoadResult LoadIndex(const std::string& path) {
   // Pass 1: verify every frame and measure the chunks, so the arena is
   // sized once. A chunk counts only at its documented place — frame k
   // covers the whole slice starting at node (k - 1) * chunk_size — so no
-  // node can be placed twice. Until the arena adopts the file image, the
-  // image is charged here.
+  // node can be placed twice. The file buffer is charged here until the
+  // reader frees it, when the load returns.
+  const obs::ScopedMemoryCharge charge(OracleIoMemTally(), reader.file_size());
   IndexHeader header;
-  std::vector<SketchChunk> chunks;
+  std::vector<Chunk> chunks;
   size_t sketches = 0;
   {
     IPIN_TRACE_SPAN("index.load.verify");
-    const obs::ScopedMemoryCharge charge(OracleIoMemTally(),
-                                         reader.file_size());
     std::string_view payload;
     const FrameStatus header_status = reader.ReadFrame(&payload);
     if (header_status != FrameStatus::kOk ||
@@ -318,6 +297,7 @@ IndexLoadResult LoadIndex(const std::string& path) {
       result.status = IndexLoadStatus::kCorrupt;
       return result;
     }
+    const size_t beta = size_t{1} << header.precision;
     result.sections_total = static_cast<size_t>(header.num_sections());
     chunks.reserve(result.sections_total);
     size_t sections_read = 0;
@@ -327,9 +307,8 @@ IndexLoadResult LoadIndex(const std::string& path) {
         const uint64_t first = sections_read * uint64_t{header.chunk_size};
         const auto count = static_cast<uint32_t>(
             std::min<uint64_t>(header.chunk_size, header.num_nodes - first));
-        SketchChunk chunk;
-        if (MeasureSketchChunk(payload, header.precision, header.times.width,
-                               first, count, &chunk)) {
+        Chunk chunk;
+        if (MeasureChunk(payload, beta, first, count, &chunk)) {
           chunks.push_back(chunk);
           sketches += chunk.sketches;
         } else {
@@ -356,17 +335,15 @@ IndexLoadResult LoadIndex(const std::string& path) {
     }
   }
 
-  // Pass 2: the arena adopts the file image, and each measured chunk's
-  // slots point into it where the chunk lies. A dropped chunk's bytes stay
-  // in the image, unreferenced.
-  SketchArena arena(header.precision, header.salt, header.num_nodes, sketches,
-                    header.times, reader.image());
+  // Pass 2: copy each measured chunk's rows into the arena's rank plane.
+  SketchArena arena(header.precision, header.salt, header.num_nodes, sketches);
   {
     IPIN_TRACE_SPAN("index.load.place");
-    for (const SketchChunk& chunk : chunks) {
-      if (!chunk.AppendTo(&arena, static_cast<NodeId>(chunk.first_node))) {
+    for (const Chunk& chunk : chunks) {
+      if (!PlaceChunk(chunk, &arena)) {
         ++result.sections_dropped;
-        LogWarning(StrFormat("index %s: section %llu unparsable, dropped",
+        LogWarning(StrFormat("index %s: section %llu fails its checks, "
+                             "dropped",
                              path.c_str(),
                              static_cast<unsigned long long>(
                                  chunk.first_node / header.chunk_size)));

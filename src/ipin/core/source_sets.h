@@ -98,9 +98,10 @@ class SourceSetApprox {
   /// (the class stays a streaming structure unless the caller seals it).
   void ProcessInteraction(const Interaction& interaction);
 
-  /// Packs the per-node sketches into a read-only SketchArena and frees
-  /// them (see IrsApprox::Seal). Compute() seals its result; hand-streamed
-  /// instances stay unsealed — and feedable — until sealed explicitly.
+  /// Copies the per-node sketches' rows into a read-only SketchArena and
+  /// frees them (see IrsApprox::Seal). Compute() seals its result;
+  /// hand-streamed instances stay unsealed — and feedable — until sealed
+  /// explicitly.
   void Seal();
   bool sealed() const { return sealed_; }
   const SketchArena* arena() const { return arena_.get(); }
@@ -139,7 +140,7 @@ class SourceSetApprox {
   Timestamp last_time_ = 0;
   bool saw_interaction_ = false;
   // Dual-mode storage, same scheme as IrsApprox: build sketches until
-  // Seal() packs them into arena_.
+  // Seal() copies their rows into arena_.
   std::vector<std::unique_ptr<VersionedHll>> sketches_;
   std::unique_ptr<SketchArena> arena_;
   bool sealed_ = false;

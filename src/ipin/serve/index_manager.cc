@@ -56,6 +56,7 @@ IndexManager::FileStamp IndexManager::StampOf(const std::string& path) {
       .mtime_ns = static_cast<int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
                   st.st_mtim.tv_nsec,
       .size = static_cast<int64_t>(st.st_size),
+      .inode = static_cast<uint64_t>(st.st_ino),
   };
 }
 

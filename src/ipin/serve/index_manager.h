@@ -73,7 +73,7 @@ class IndexManager {
   ReloadStatus Reload(bool force = true);
 
   /// Starts/stops a background thread that polls the file every
-  /// `check_interval_ms` and reloads when its mtime or size changed.
+  /// `check_interval_ms` and reloads when its mtime, size or inode changed.
   void StartWatcher(int64_t check_interval_ms);
   void StopWatcher();
 
@@ -93,9 +93,14 @@ class IndexManager {
   const std::string& index_path() const { return index_path_; }
 
  private:
+  // What identifies one version of the file. Saves replace the file by
+  // renaming a new one over it, so each save has a new inode: two indexes
+  // of one node set have the same size, and two saves within one mtime
+  // tick the same mtime.
   struct FileStamp {
     int64_t mtime_ns = -1;
     int64_t size = -1;
+    uint64_t inode = 0;
     bool operator==(const FileStamp&) const = default;
   };
   static FileStamp StampOf(const std::string& path);

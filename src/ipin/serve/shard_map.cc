@@ -342,19 +342,11 @@ std::string ShardMap::ToJson() const {
 IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
                             size_t shard) {
   std::vector<NodeId> owned;
-  SketchArena::Capacity capacity;
   for (NodeId u = 0; u < full.num_nodes(); ++u) {
-    const SketchView sketch = full.Sketch(u);
-    if (sketch && map.OwnerOf(u) == shard) {
-      owned.push_back(u);
-      ++capacity.sketches;
-      capacity.entries += sketch.NumEntries();
-    }
+    if (full.Sketch(u) && map.OwnerOf(u) == shard) owned.push_back(u);
   }
-  // The shard keeps its parent's time encoding, so every pair's time
-  // offset is copied unchanged.
   SketchArena arena(full.options().precision, full.options().salt,
-                    full.num_nodes(), capacity, full.time_encoding());
+                    full.num_nodes(), owned.size());
   for (const NodeId u : owned) arena.AppendCopy(u, full.Sketch(u));
   return IrsApprox(full.window(), full.options(), std::move(arena));
 }

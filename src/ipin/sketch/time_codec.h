@@ -9,10 +9,9 @@
 #include "ipin/graph/types.h"
 
 // The one encoding of stored sketch times (DESIGN.md §12). A build
-// sketch's entry pools, a sealed SketchArena, an index file and a build
-// checkpoint store each entry's time as an unsigned offset from one base
-// time: u32 offsets when every time lies within 2^32 - 1 of the earliest
-// one, u64 offsets otherwise. Offsets
+// sketch's entry pools and a build checkpoint store each entry's time as an
+// unsigned offset from one base time: u32 offsets when every time lies
+// within 2^32 - 1 of the earliest one, u64 offsets otherwise. Offsets
 // order exactly as the times do, so invariant checks compare them as they
 // are, and decoding is exact.
 

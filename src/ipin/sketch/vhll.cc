@@ -78,7 +78,7 @@ bool VersionedHll::Add(uint64_t item, Timestamp t) {
 bool VersionedHll::AddHash(uint64_t hash, Timestamp t) {
   const size_t cell = static_cast<size_t>(hash & (heads_.size() - 1));
   const uint64_t rest = hash >> precision_;
-  const int r = std::min(RhoLsb(rest), 64 - precision_ + 1);
+  const int r = std::min(RhoLsb(rest), MaxRank(precision_));
   return AddEntry(cell, static_cast<uint8_t>(r), t);
 }
 
@@ -328,6 +328,22 @@ size_t VersionedHll::MemoryUsageBytes() const {
     bytes += part(k).ranks.capacity() + part(k).times.capacity();
   }
   return bytes;
+}
+
+TimeEncoding TimeEncodingOf(
+    std::span<const std::unique_ptr<VersionedHll>> sketches) {
+  Timestamp first = std::numeric_limits<Timestamp>::max();
+  Timestamp last = std::numeric_limits<Timestamp>::min();
+  for (const auto& sketch : sketches) {
+    if (sketch == nullptr) continue;
+    for (size_t c = 0; c < sketch->num_cells(); ++c) {
+      const VersionedHll::CellList list = sketch->cell(c);
+      if (list.empty()) continue;
+      first = std::min(first, list.time(0));
+      last = std::max(last, list.time(list.size() - 1));
+    }
+  }
+  return TimeEncoding::Covering(first, last);
 }
 
 }  // namespace ipin

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -38,9 +39,9 @@ obs::MemoryTally& VhllMemTally();
 /// cells [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns an entry
 /// pool, its free lists and its lifetime tallies. A pool is two parallel
 /// arrays at the same slot offsets: u8 ranks, and times stored as offsets
-/// in the sketch's TimeEncoding (time_codec.h), the one codec the sealed
-/// SketchArena, the index file and checkpoints use. The encoding is fixed
-/// at construction by the sketch's owner: a build takes the narrowest one
+/// in the sketch's TimeEncoding (time_codec.h), the one codec build
+/// checkpoints use too. The encoding is fixed at construction by the
+/// sketch's owner: a build takes the narrowest one
 /// that covers its input's interaction times (IrsApprox), so a slot costs
 /// 1 + 4 bytes when the times span less than 2^32, and 1 + 8 bytes under
 /// the default wide encoding, which holds every time. The public API reads
@@ -128,6 +129,9 @@ class VersionedHll {
   /// Longest possible cell list, and the largest block size class.
   static constexpr size_t kMaxCellEntries = 64;
 
+  /// The largest rank a sketch of `precision` stores: 64 - precision + 1.
+  static constexpr int MaxRank(int precision) { return 65 - precision; }
+
   /// `precision` must be in [4, 18] and `num_parts` in [1, beta];
   /// `encoding` must be valid, and every time inserted must be one it
   /// holds (checked). All sketches that will ever be merged must share
@@ -137,14 +141,14 @@ class VersionedHll {
                         size_t num_parts = 1, TimeEncoding encoding = {});
 
   /// A sketch holding the given cell lists, in the stored form of a
-  /// SketchArena node (its NodeRange): `cell_counts` (one per cell) cut
-  /// `ranks` and the parallel `times` into lists in cell order. The lists
-  /// must already satisfy the vHLL invariants, as an arena's checked ones
-  /// do, and `encoding` must hold every time; the sizes and the times are
-  /// checked. The sketch has `num_parts` parts (in [1, beta]), as the
-  /// first constructor's; each cell gets the smallest block that holds it
-  /// in its part's pool, and each pool is sized to exactly its blocks.
-  /// Lifetime tallies start at zero.
+  /// checkpoint's sketch chunk: `cell_counts` (one per cell) cut `ranks`
+  /// and the parallel `times` into lists in cell order. The lists must
+  /// already satisfy the vHLL invariants, as a restored checkpoint's
+  /// checked ones do, and `encoding` must hold every time; the sizes and
+  /// the times are checked. The sketch has `num_parts` parts (in
+  /// [1, beta]), as the first constructor's; each cell gets the smallest
+  /// block that holds it in its part's pool, and each pool is sized to
+  /// exactly its blocks. Lifetime tallies start at zero.
   VersionedHll(int precision, uint64_t salt, size_t num_parts,
                std::span<const uint8_t> cell_counts,
                std::span<const uint8_t> ranks,
@@ -323,6 +327,12 @@ class VersionedHll {
   // Parts 1..P-1; empty (no allocation) for a one-part sketch.
   TallyVector<Part> more_parts_;
 };
+
+/// The narrowest TimeEncoding holding every time in `sketches` (null
+/// entries skipped). Times ascend within a cell, so only each cell's first
+/// and last time are read: O(cells), not O(entries).
+TimeEncoding TimeEncodingOf(
+    std::span<const std::unique_ptr<VersionedHll>> sketches);
 
 }  // namespace ipin
 

@@ -107,10 +107,9 @@ std::string ReadFile(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
-// A hostile file the loader accepted is a fixed point: the loaded index,
-// whose lists are views into that file's image, saves to `scratch`, reloads
-// whole to the same sketches and estimates, and saves again to the same
-// bytes.
+// A hostile file the loader accepted is a fixed point: the loaded index
+// saves to `scratch`, reloads whole to the same rows, entry counts and
+// estimates, and saves again to the same bytes.
 void ExpectReSavesToAFixedPoint(const IrsApprox& loaded,
                                 const std::string& scratch) {
   ASSERT_TRUE(SaveInfluenceIndex(loaded, scratch));
@@ -124,7 +123,7 @@ void ExpectReSavesToAFixedPoint(const IrsApprox& loaded,
     ASSERT_EQ(again.index->EstimateIrsSize(u), loaded.EstimateIrsSize(u))
         << "node " << u;
     if (loaded.Sketch(u)) {
-      ASSERT_EQ(CellsOf(again.index->Sketch(u)), CellsOf(loaded.Sketch(u)))
+      ASSERT_EQ(RowOf(again.index->Sketch(u)), RowOf(loaded.Sketch(u)))
           << "node " << u;
     }
   }
@@ -201,10 +200,11 @@ void EditChunk(Rng* rng, std::string* chunk) {
 // Files from SaveInfluenceIndex under two kinds of damage: byte
 // flips and truncation of the file (which the frame CRCs catch), and
 // hostile chunk payloads re-framed with valid CRCs (which only the chunk's
-// own checks can catch). Every load ends in a clean status, and every node
-// the loaded arena holds passes the vHLL invariants; nodes outside the
-// damaged chunk are exactly as saved.
-TEST_F(IoFuzzTest, SavedV4IndexSurvivesFlipsAndHostileChunks) {
+// own checks can catch). Every load ends in a clean status, every node
+// the loaded arena holds has a row a VersionedHll can hold, and every
+// accepted file re-saves to a fixed point; nodes outside the damaged chunk
+// are exactly as saved.
+TEST_F(IoFuzzTest, SavedIndexSurvivesFlipsAndHostileChunks) {
   constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
   const InteractionGraph g = GenerateUniformRandomNetwork(700, 3000, 4000, 24);
   IrsApprox index = IrsApprox::Compute(g, 400, {/*precision=*/4});
@@ -453,10 +453,10 @@ void WriteFrames(const std::string& path, uint32_t type, uint32_t version,
   ASSERT_TRUE(writer.Commit());
 }
 
-// A sketch chunk (oracle_io.h) of sketches with 2^precision cells, its time
-// offsets (in `from`) re-encoded as the low `width` bytes of each time
-// minus `base`. At width 8 and base 0 these are the i64 times of the
-// retired formats.
+// A checkpoint's sketch chunk (checkpoint.cc) of sketches with
+// 2^precision cells, its time offsets (in `from`) re-encoded as the low
+// `width` bytes of each time minus `base`. At width 8 and base 0 these are
+// the i64 times of the retired formats.
 std::string ReencodeTimes(const std::string& chunk, int precision,
                           const TimeEncoding& from, size_t width,
                           int64_t base) {
@@ -479,145 +479,38 @@ std::string ReencodeTimes(const std::string& chunk, int precision,
 
 constexpr uint32_t kIndexType = 0x58444949;       // "IIDX"
 constexpr uint32_t kCheckpointType = 0x504b4349;  // "ICKP"
-// Offsets in an IIDX v4 header frame: i64 window, u8 precision, u64 salt,
-// u64 num_nodes, u32 chunk_size, then i64 base_time and u8 time_width.
-constexpr size_t kBaseTimeAt = 29;
-constexpr size_t kTimeWidthAt = 37;
-
-// A header frame with its time encoding replaced.
-std::string WithTimes(std::string header, int64_t base, uint8_t width) {
-  std::memcpy(header.data() + kBaseTimeAt, &base, sizeof(base));
-  header[kTimeWidthAt] = static_cast<char>(width);
-  return header;
-}
-
-// The uniform network of SavedV4IndexSurvivesFlipsAndHostileChunks, its
-// times in nanoseconds from 2023 when `nanoseconds` is set (a span beyond
-// 2^32, so the index keeps 8-byte offsets).
-InteractionGraph TestNetwork(bool nanoseconds) {
+// Files of the retired index versions 3 and 4 are refused whole, and the
+// error says to rebuild the index. Their frames here are today's,
+// relabelled, so only the version check can tell.
+TEST_F(IoFuzzTest, RetiredIndexVersionsLoadAsCorruptWithTheRebuildMessage) {
   const InteractionGraph g = GenerateUniformRandomNetwork(700, 3000, 4000, 24);
-  if (!nanoseconds) return g;
-  InteractionGraph scaled(g.num_nodes());
-  for (const Interaction& e : g.interactions()) {
-    scaled.AddInteraction(e.src, e.dst,
-                          1'700'000'000'000'000'000 + e.time * 1'000'000'000);
-  }
-  scaled.SortByTime();
-  return scaled;
-}
-
-// Hostile time encodings in IIDX v4 files. A header's time width other than
-// 4 or 8, or a base time from which some offset of the width decodes past
-// INT64_MAX, makes the file kCorrupt. A CRC-valid chunk whose length fits
-// the other width is dropped, never read at that width; the rest of the
-// file loads as saved.
-TEST_F(IoFuzzTest, HostileV4TimeEncodingsFailCleanly) {
-  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
-  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
-  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
-  for (const bool nanoseconds : {false, true}) {
-    SCOPED_TRACE(nanoseconds ? "u64 offsets" : "u32 offsets");
-    IrsApprox index = IrsApprox::Compute(TestNetwork(nanoseconds), 400,
-                                         {/*precision=*/4});
-    index.Seal();
-    const TimeEncoding times = index.time_encoding();
-    ASSERT_EQ(times.width, nanoseconds ? 8 : 4);
-    ASSERT_TRUE(SaveInfluenceIndex(index, path_));
-    uint32_t version = 0;
-    const std::vector<std::string> frames =
-        ReadFrames(path_, kIndexType, &version);
-    ASSERT_EQ(frames.size(), 4u);  // header + three chunks
-    const auto load_with_header = [&](const std::string& header) {
-      std::vector<std::string> edited = frames;
-      edited[0] = header;
-      WriteFrames(path_, kIndexType, version, edited);
-      return LoadInfluenceIndexDetailed(path_);
-    };
-
-    for (const uint8_t width : {0, 1, 2, 3, 5, 7, 9, 16, 255}) {
-      const IndexLoadResult result =
-          load_with_header(WithTimes(frames[0], times.base, width));
-      EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt) << int{width};
-      EXPECT_FALSE(result.usable());
-    }
-    for (const TimeEncoding overflow :
-         {TimeEncoding{kMax - kU32 + 1, 4}, TimeEncoding{kMax, 4},
-          TimeEncoding{kMin + 1, 8}, TimeEncoding{0, 8}}) {
-      EXPECT_EQ(
-          load_with_header(WithTimes(frames[0], overflow.base, overflow.width))
-              .status,
-          IndexLoadStatus::kCorrupt)
-          << overflow.base << " width " << int{overflow.width};
-    }
-    // The largest base a u32 offset allows still loads, its chunks intact.
-    EXPECT_EQ(load_with_header(WithTimes(frames[0], kMax - kU32, 4)).status,
-              times.width == 4 ? IndexLoadStatus::kOk
-                               : IndexLoadStatus::kDegraded);
-
-    // The header claims the other width: no chunk fits it.
-    const TimeEncoding other = times.width == 4 ? TimeEncoding{}
-                                                : TimeEncoding{0, 4};
-    IndexLoadResult result =
-        load_with_header(WithTimes(frames[0], other.base, other.width));
-    EXPECT_EQ(result.status, IndexLoadStatus::kDegraded);
-    EXPECT_EQ(result.sections_dropped, 3u);
-    EXPECT_EQ(result.index->NumAllocatedSketches(), 0u);
-
-    // One chunk re-encoded at the other width: only it is dropped.
-    for (size_t k = 1; k < frames.size(); ++k) {
-      std::vector<std::string> edited = frames;
-      edited[k] =
-          ReencodeTimes(frames[k], 4, times, other.width, times.base);
-      ASSERT_NE(edited[k].size(), frames[k].size());
-      WriteFrames(path_, kIndexType, version, edited);
-      result = LoadInfluenceIndexDetailed(path_);
-      ASSERT_EQ(result.status, IndexLoadStatus::kDegraded) << k;
-      EXPECT_EQ(result.sections_dropped, 1u) << k;
-      ExpectReSavesToAFixedPoint(*result.index, path_ + ".again");
-      for (NodeId u = 0; u < index.num_nodes(); ++u) {
-        const bool dropped = u / 256 == k - 1;
-        ASSERT_EQ(result.index->Sketch(u).valid(),
-                  !dropped && index.Sketch(u).valid())
-            << "chunk " << k << " node " << u;
-        if (!dropped && index.Sketch(u)) {
-          ASSERT_EQ(CellsOf(result.index->Sketch(u)), CellsOf(index.Sketch(u)))
-              << "chunk " << k << " node " << u;
-        }
-      }
-    }
-  }
-}
-
-// A well-formed version-3 index (i64 times, no time encoding in the
-// header) is refused whole, and the error says to rebuild it.
-TEST_F(IoFuzzTest, RetiredV3IndexLoadsAsCorruptWithTheRebuildMessage) {
-  IrsApprox index = IrsApprox::Compute(TestNetwork(false), 400,
-                                       {/*precision=*/4});
+  IrsApprox index = IrsApprox::Compute(g, 400, {/*precision=*/4});
   index.Seal();
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
   uint32_t version = 0;
-  std::vector<std::string> frames = ReadFrames(path_, kIndexType, &version);
-  ASSERT_EQ(version, 4u);
-  frames[0].resize(kBaseTimeAt);
-  for (size_t k = 1; k < frames.size(); ++k) {
-    frames[k] = ReencodeTimes(frames[k], 4, index.time_encoding(), 8, 0);
+  const std::vector<std::string> frames =
+      ReadFrames(path_, kIndexType, &version);
+  ASSERT_EQ(version, 5u);
+  for (const uint32_t retired : {3u, 4u}) {
+    SCOPED_TRACE(testing::Message() << "version " << retired);
+    WriteFrames(path_, kIndexType, retired, frames);
+    std::vector<std::string> errors;
+    SetLogSink([&errors](LogLevel level, const std::string& message) {
+      if (level == LogLevel::kError) errors.push_back(message);
+    });
+    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+    SetLogSink(nullptr);
+    EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
+    EXPECT_FALSE(result.usable());
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("version " + std::to_string(retired) +
+                             " is not read"),
+              std::string::npos)
+        << errors[0];
+    EXPECT_NE(errors[0].find("rebuild it with ipin_cli build-index"),
+              std::string::npos)
+        << errors[0];
   }
-  WriteFrames(path_, kIndexType, 3, frames);
-
-  std::vector<std::string> errors;
-  SetLogSink([&errors](LogLevel level, const std::string& message) {
-    if (level == LogLevel::kError) errors.push_back(message);
-  });
-  const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
-  SetLogSink(nullptr);
-  EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
-  EXPECT_FALSE(result.usable());
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("version 3 is not read"), std::string::npos)
-      << errors[0];
-  EXPECT_NE(errors[0].find("rebuild it with ipin_cli build-index"),
-            std::string::npos)
-      << errors[0];
 }
 
 // A well-formed version-2 checkpoint (i64 times, no time encoding in the
@@ -666,6 +559,7 @@ TEST_F(IoFuzzTest, CheckpointTimesOutsideTheBuildEncodingAreSkipped) {
   const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
   const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
   IrsApprox want = IrsApprox::Compute(g, 90, sketch);
+  const TimeEncoding build_times = want.time_encoding();
   want.Seal();
   ASSERT_TRUE(SaveInfluenceIndex(want, path_));
   const std::string want_bytes = ReadFile(path_);
@@ -685,7 +579,7 @@ TEST_F(IoFuzzTest, CheckpointTimesOutsideTheBuildEncodingAreSkipped) {
   std::memcpy(&times.base, meta.data() + meta.size() - 9, sizeof(times.base));
   times.width = static_cast<uint8_t>(meta.back());
   ASSERT_EQ(times.width, 4);
-  ASSERT_EQ(times, want.time_encoding());
+  ASSERT_EQ(times, build_times);
 
   constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
   const TimeEncoding below{times.base - (int64_t{1} << 33), 4};
@@ -718,7 +612,7 @@ TEST_F(IoFuzzTest, CheckpointTimesOutsideTheBuildEncodingAreSkipped) {
   std::filesystem::remove_all(dir);
 }
 
-// A sketch chunk (oracle_io.h) of sketches with 2^precision cells and
+// A checkpoint's sketch chunk of sketches with 2^precision cells and
 // `width`-byte time offsets, with node `u` made absent (its cell counts
 // and pairs cut out) or, when it is absent, present with empty cells.
 std::string ToggleNode(const std::string& chunk, int precision, size_t width,
@@ -815,13 +709,108 @@ TEST_F(IoFuzzTest, CheckpointWithAnotherSketchSetIsSkipped) {
     std::vector<std::string> edited = frames;
     std::string& chunk = edited[1 + u / 256];
     chunk = ToggleNode(chunk, 4, width, u);
-    SketchChunk measured;
-    ASSERT_TRUE(MeasureSketchChunk(
-        chunk, 4, width, u / 256 * 256,
-        static_cast<uint32_t>(std::min<size_t>(256, 600 - u / 256 * 256)),
-        &measured));
+    // Still well formed: 20 + count + present x beta + (1 + width) x
+    // entries bytes.
+    uint32_t count = 0;
+    uint64_t entries = 0;
+    std::memcpy(&count, chunk.data() + 8, sizeof(count));
+    std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
+    const auto present = static_cast<size_t>(
+        std::count(chunk.begin() + 20, chunk.begin() + 20 + count, 1));
+    ASSERT_EQ(chunk.size(), 20 + count + present * 16 + entries * (1 + width));
     WriteFrames(path, kCheckpointType, version, edited);
 
+    CheckpointStats stats;
+    const IrsApprox got =
+        ComputeIrsApproxCheckpointed(g, 90, sketch, options, &stats);
+    EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
+    EXPECT_EQ(stats.resumed_edges, 0u);
+    ASSERT_TRUE(SaveInfluenceIndex(got, path_));
+    EXPECT_EQ(ReadFile(path_), want_bytes);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// CRC-valid approx checkpoints whose chunk keeps its length but breaks one
+// vHLL invariant the restore checks, and that nothing else catches: a list
+// ending in rank 200 (above 65 - precision, still strictly ascending), a
+// list whose second time precedes its first (a time the build's encoding
+// holds), and cell counts summing to one pair fewer than the chunk's
+// entries (the last list loses its last pair). Resume skips each, and the
+// build saves the uninterrupted index's bytes.
+TEST_F(IoFuzzTest, CheckpointChunkBreakingAnInvariantIsSkipped) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
+  const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
+  ASSERT_TRUE(SaveInfluenceIndex(IrsApprox::Compute(g, 90, sketch), path_));
+  const std::string want_bytes = ReadFile(path_);
+  const std::string dir = path_ + ".ckpt";
+  const CheckpointOptions options{dir, /*every_edges=*/1000, /*keep=*/1};
+  (void)ComputeIrsApproxCheckpointed(g, 90, sketch, options);
+  const auto files = ReadDir(dir);
+  ASSERT_EQ(files.size(), 1u);
+  const std::string& path = files[0].first;
+  uint32_t version = 0;
+  const std::vector<std::string> frames =
+      ReadFrames(path, kCheckpointType, &version);
+  ASSERT_EQ(frames.size(), 4u);  // meta + three chunks of 256 nodes
+  ASSERT_EQ(frames[0].back(), 4);  // u32 time offsets
+
+  // Chunk 1: u64 first_node, u32 count, u64 entries, present[count], 16
+  // cell counts per present node, the ranks, then the time offsets.
+  const std::string& chunk = frames[1];
+  uint32_t count = 0;
+  uint64_t entries = 0;
+  std::memcpy(&count, chunk.data() + 8, sizeof(count));
+  std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
+  const auto present = static_cast<size_t>(
+      std::count(chunk.begin() + 20, chunk.begin() + 20 + count, 1));
+  const size_t counts_at = 20 + count;
+  const size_t ranks_at = counts_at + present * 16;
+  const size_t times_at = ranks_at + entries;
+  const auto cell_count = [&](size_t c) {
+    return static_cast<size_t>(static_cast<uint8_t>(chunk[counts_at + c]));
+  };
+  const auto offset_at = [&](const std::string& bytes, size_t pair) {
+    uint32_t offset = 0;
+    std::memcpy(&offset, bytes.data() + times_at + 4 * pair, 4);
+    return offset;
+  };
+
+  std::vector<std::pair<std::string, std::string>> edits;
+  {
+    std::string edited = chunk;
+    size_t c = 0;
+    while (cell_count(c) == 0) ++c;
+    edited[ranks_at + cell_count(c) - 1] = static_cast<char>(200);
+    edits.emplace_back("rank 200", edited);
+  }
+  {
+    // The first list of two or more pairs whose first time is above the
+    // encoding's base: its second time becomes the first time minus one.
+    std::string edited = chunk;
+    size_t pair = 0;
+    size_t c = 0;
+    while (cell_count(c) < 2 || offset_at(chunk, pair) == 0) {
+      pair += cell_count(c++);
+      ASSERT_LT(c, present * 16);
+    }
+    const uint32_t earlier = offset_at(chunk, pair) - 1;
+    std::memcpy(edited.data() + times_at + 4 * (pair + 1), &earlier, 4);
+    edits.emplace_back("descending times", edited);
+  }
+  {
+    std::string edited = chunk;
+    size_t c = present * 16 - 1;
+    while (cell_count(c) == 0) --c;
+    --edited[counts_at + c];
+    edits.emplace_back("counts sum below entries", edited);
+  }
+  for (const auto& [what, edited] : edits) {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(edited.size(), chunk.size());
+    std::vector<std::string> damaged = frames;
+    damaged[1] = edited;
+    WriteFrames(path, kCheckpointType, version, damaged);
     CheckpointStats stats;
     const IrsApprox got =
         ComputeIrsApproxCheckpointed(g, 90, sketch, options, &stats);

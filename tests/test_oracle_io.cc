@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -199,18 +200,17 @@ TEST_F(OracleIoTest, EmptyIndexRoundtrips) {
 // --- Hand-crafted framed files -------------------------------------------
 //
 // The framed index format (oracle_io.cc): safe_io file type "IIDX",
-// version 4; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
-// u32 chunk_size, i64 base_time, u8 time_width; chunk frame k = u64
-// first_node, u32 count, u64 entries, u8 present[count],
-// u8 cell_counts[present x beta], u8 ranks[entries], then each time as a
-// time_width-byte offset from base_time. The crafted files use base 0 and
-// u32 offsets.
+// version 5; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
+// u32 chunk_size; chunk frame k = u64 first_node, u32 count,
+// u8 present[count], u32 entries[present], u8 rows[present x beta].
 
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
-constexpr uint32_t kIndexFormatVersion = 4;
+constexpr uint32_t kIndexFormatVersion = 5;
 constexpr int kCraftPrecision = 4;
 constexpr uint64_t kCraftSalt = 9;
 constexpr size_t kCraftBeta = size_t{1} << kCraftPrecision;
+// The largest rank a precision-4 sketch stores.
+constexpr uint8_t kCraftMaxRank = 61;
 
 template <typename T>
 void Put(std::string* out, T value) {
@@ -224,8 +224,6 @@ std::string HeaderFrame(uint64_t num_nodes, uint32_t chunk_size) {
   Put<uint64_t>(&frame, kCraftSalt);
   Put<uint64_t>(&frame, num_nodes);
   Put<uint32_t>(&frame, chunk_size);
-  Put<int64_t>(&frame, 0);  // base_time
-  Put<uint8_t>(&frame, 4);  // time_width
   return frame;
 }
 
@@ -248,41 +246,84 @@ Cells RandomCells(Rng* rng) {
   return cells;
 }
 
-// The sections of a chunk, kept apart so a test can damage one before
+// What an index stores of the node: its row and entry count.
+SketchRow RowOfCells(const Cells& cells) {
+  SketchRow row{kCraftPrecision, kCraftSalt, {}, 0};
+  for (const auto& cell : cells) {
+    row.row.push_back(cell.empty() ? 0 : cell.back().first);
+    row.entries += cell.size();
+  }
+  return row;
+}
+
+// The sections of a v5 chunk, kept apart so a test can damage one before
 // Encode() lays them out.
 struct Chunk {
   uint64_t first_node = 0;
   uint32_t count = 0;
-  uint64_t entries = 0;
-  std::string present, cell_counts, ranks, times;
+  std::string present, entries, rows;
 
   Chunk(uint64_t first, std::span<const Cells> nodes)
       : first_node(first), count(static_cast<uint32_t>(nodes.size())) {
     for (const Cells& cells : nodes) {
       Put<uint8_t>(&present, cells.empty() ? 0 : 1);
-      for (const auto& cell : cells) {
-        Put<uint8_t>(&cell_counts, static_cast<uint8_t>(cell.size()));
-        for (const auto& [rank, time] : cell) {
-          Put<uint8_t>(&ranks, rank);
-          Put<uint32_t>(&times, static_cast<uint32_t>(time));
-          ++entries;
-        }
-      }
+      if (cells.empty()) continue;
+      const SketchRow row = RowOfCells(cells);
+      Put<uint32_t>(&entries, static_cast<uint32_t>(row.entries));
+      rows.append(row.row.begin(), row.row.end());
     }
   }
+
+  // The entry count and row of the chunk's k-th present node.
+  void SetEntries(size_t k, uint32_t n) {
+    std::memcpy(entries.data() + k * sizeof(n), &n, sizeof(n));
+  }
+  char& RowByte(size_t k, size_t cell) { return rows[k * kCraftBeta + cell]; }
 
   std::string Encode() const {
     std::string frame;
     Put<uint64_t>(&frame, first_node);
     Put<uint32_t>(&frame, count);
-    Put<uint64_t>(&frame, entries);
-    return frame + present + cell_counts + ranks + times;
+    return frame + present + entries + rows;
   }
 };
 
-// The per-node records of the retired formats: u8 present, then for a
-// present node a sketch blob — u8 blob version 1, u8 precision, u64 salt,
-// and per cell u32 count plus count x (u8 rank, i64 time).
+// A version-4 file's frames: the header with a u32 time encoding from base
+// 0, and each chunk as the sealed arena's lists — u64 first_node,
+// u32 count, u64 entries, u8 present[count], u8 cell_counts[present x
+// beta], u8 ranks[entries], u32 time offsets[entries].
+std::string RetiredV4HeaderFrame(uint64_t num_nodes, uint32_t chunk_size) {
+  std::string frame = HeaderFrame(num_nodes, chunk_size);
+  Put<int64_t>(&frame, 0);  // base_time
+  Put<uint8_t>(&frame, 4);  // time_width
+  return frame;
+}
+
+std::string RetiredV4ChunkFrame(uint64_t first_node,
+                                std::span<const Cells> nodes) {
+  std::string present, cell_counts, ranks, times;
+  uint64_t entries = 0;
+  for (const Cells& cells : nodes) {
+    Put<uint8_t>(&present, cells.empty() ? 0 : 1);
+    for (const auto& cell : cells) {
+      Put<uint8_t>(&cell_counts, static_cast<uint8_t>(cell.size()));
+      for (const auto& [rank, time] : cell) {
+        Put<uint8_t>(&ranks, rank);
+        Put<uint32_t>(&times, static_cast<uint32_t>(time));
+        ++entries;
+      }
+    }
+  }
+  std::string frame;
+  Put<uint64_t>(&frame, first_node);
+  Put<uint32_t>(&frame, static_cast<uint32_t>(nodes.size()));
+  Put<uint64_t>(&frame, entries);
+  return frame + present + cell_counts + ranks + times;
+}
+
+// The per-node records of the retired formats 1 and 2: u8 present, then
+// for a present node a sketch blob — u8 blob version 1, u8 precision,
+// u64 salt, and per cell u32 count plus count x (u8 rank, i64 time).
 std::string RetiredNodeRecords(std::span<const Cells> nodes) {
   std::string out;
   for (const Cells& cells : nodes) {
@@ -311,7 +352,7 @@ std::string RetiredChunkFrame(uint64_t first_node,
   return frame + RetiredNodeRecords(nodes);
 }
 
-class CraftedV4IndexTest : public OracleIoTest {
+class CraftedIndexTest : public OracleIoTest {
  protected:
   void WriteFrames(const std::vector<std::string>& frames,
                    uint32_t version = kIndexFormatVersion) const {
@@ -322,8 +363,8 @@ class CraftedV4IndexTest : public OracleIoTest {
     ASSERT_TRUE(writer.Commit());
   }
 
-  // Node u of the loaded index holds exactly `want` (or is absent with an
-  // all-zero rank row when `want` is empty).
+  // Node u of the loaded index holds exactly the row and entry count of
+  // `want` (or is absent with an all-zero rank row when `want` is empty).
   static void ExpectNode(const IrsApprox& index, NodeId u, const Cells& want) {
     const SketchView sketch = index.Sketch(u);
     ASSERT_EQ(sketch.valid(), !want.empty()) << "node " << u;
@@ -333,15 +374,7 @@ class CraftedV4IndexTest : public OracleIoTest {
       }
       return;
     }
-    SketchCells cells{kCraftPrecision, kCraftSalt, {}, {}, {}};
-    for (const auto& cell : want) {
-      cells.counts.push_back(static_cast<uint8_t>(cell.size()));
-      for (const auto& [rank, time] : cell) {
-        cells.ranks.push_back(rank);
-        cells.times.push_back(time);
-      }
-    }
-    EXPECT_EQ(CellsOf(sketch), cells) << "node " << u;
+    EXPECT_EQ(RowOf(sketch), RowOfCells(want)) << "node " << u;
   }
 
   // Twelve random nodes (node 6 absent) in three 4-node chunks.
@@ -357,14 +390,19 @@ class CraftedV4IndexTest : public OracleIoTest {
   }
   Chunk ChunkOf(int k) const { return Chunk(4 * k, Slice(k)); }
 
+  // Loads chunks 0 and 2 intact around `middle`.
+  IndexLoadResult LoadAround(const std::string& middle) const {
+    WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), middle,
+                 ChunkOf(2).Encode()});
+    return LoadInfluenceIndexDetailed(path_);
+  }
+
   // Writes chunks 0 and 2 intact around `middle` and expects exactly
   // chunk 1's nodes to be dropped.
   void ExpectOnlyMiddleDropped(const std::string& middle,
                                const std::string& what) {
     SCOPED_TRACE(what);
-    WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), middle,
-                 ChunkOf(2).Encode()});
-    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+    const IndexLoadResult result = LoadAround(middle);
     ASSERT_TRUE(result.usable());
     EXPECT_EQ(result.status, IndexLoadStatus::kDegraded);
     EXPECT_EQ(result.sections_total, 3u);
@@ -376,19 +414,32 @@ class CraftedV4IndexTest : public OracleIoTest {
     }
   }
 
+  // Expects `middle` to load whole.
+  void ExpectLoads(const std::string& middle, const std::string& what) {
+    SCOPED_TRACE(what);
+    const IndexLoadResult result = LoadAround(middle);
+    ASSERT_EQ(result.status, IndexLoadStatus::kOk);
+    EXPECT_EQ(result.index->NumAllocatedSketches(), 11u);
+  }
+
   std::vector<Cells> nodes_;
 };
 
-TEST_F(CraftedV4IndexTest, CraftedFileLoadsExactly) {
+TEST_F(CraftedIndexTest, CraftedFileLoadsExactly) {
   WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), ChunkOf(1).Encode(),
                ChunkOf(2).Encode()});
   const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
   ASSERT_EQ(result.status, IndexLoadStatus::kOk);
   EXPECT_EQ(result.index->NumAllocatedSketches(), 11u);
-  for (NodeId u = 0; u < 12; ++u) ExpectNode(*result.index, u, nodes_[u]);
+  size_t entries = 0;
+  for (NodeId u = 0; u < 12; ++u) {
+    ExpectNode(*result.index, u, nodes_[u]);
+    entries += RowOfCells(nodes_[u]).entries;
+  }
+  EXPECT_EQ(result.index->TotalSketchEntries(), entries);
 }
 
-TEST_F(CraftedV4IndexTest, HostileHeaderFailsCleanly) {
+TEST_F(CraftedIndexTest, HostileHeaderFailsCleanly) {
   // 2^50 nodes would size a rank plane of 2^54 bytes.
   WriteFrames({HeaderFrame(uint64_t{1} << 50, 256)});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
@@ -402,44 +453,34 @@ TEST_F(CraftedV4IndexTest, HostileHeaderFailsCleanly) {
   WriteFrames({HeaderFrame(256 * 1000, 256), ChunkOf(0).Encode()});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
+  // A header frame with trailing bytes (a version-4 header's time
+  // encoding) is not a version-5 header.
+  WriteFrames({RetiredV4HeaderFrame(12, 4), ChunkOf(0).Encode(),
+               ChunkOf(1).Encode(), ChunkOf(2).Encode()});
+  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
+            IndexLoadStatus::kCorrupt);
 }
 
-// The payload must be exactly 20 + count + present x beta + 5 x entries
-// bytes; any disagreement drops the chunk and nothing else.
-TEST_F(CraftedV4IndexTest, PayloadLengthMustMatchItsCounts) {
-  Chunk more_entries = ChunkOf(1);
-  ++more_entries.entries;
-  ExpectOnlyMiddleDropped(more_entries.Encode(), "entries + 1");
-
-  Chunk fewer_entries = ChunkOf(1);
-  --fewer_entries.entries;
-  ExpectOnlyMiddleDropped(fewer_entries.Encode(), "entries - 1");
-
-  Chunk huge_entries = ChunkOf(1);
-  huge_entries.entries = ~uint64_t{0} / 5 + 1;  // 5 x entries wraps
-  ExpectOnlyMiddleDropped(huge_entries.Encode(), "entries overflow");
-
+// The payload must be exactly 12 + count + present x (4 + beta) bytes; any
+// disagreement drops the chunk and nothing else.
+TEST_F(CraftedIndexTest, PayloadLengthMustMatchItsCounts) {
   Chunk absent = ChunkOf(1);
-  absent.present[0] = 0;  // one node fewer than the counts provide for
+  absent.present[0] = 0;  // one node fewer than the rows provide for
   ExpectOnlyMiddleDropped(absent.Encode(), "present flag cleared");
 
   Chunk extra = ChunkOf(1);
-  extra.present[2] = 1;  // node 6 claimed, but it has no counts
+  extra.present[2] = 1;  // node 6 claimed, but it has no row
   ExpectOnlyMiddleDropped(extra.Encode(), "present flag set");
 
-  Chunk two = ChunkOf(1);
-  two.present[0] = 2;  // not a flag
-  ExpectOnlyMiddleDropped(two.Encode(), "present byte 2");
+  Chunk short_rows = ChunkOf(1);
+  short_rows.rows.pop_back();
+  ExpectOnlyMiddleDropped(short_rows.Encode(), "truncated rows");
 
-  Chunk short_times = ChunkOf(1);
-  short_times.times.pop_back();
-  ExpectOnlyMiddleDropped(short_times.Encode(), "truncated times");
+  Chunk long_rows = ChunkOf(1);
+  long_rows.rows.push_back('\0');
+  ExpectOnlyMiddleDropped(long_rows.Encode(), "trailing byte");
 
-  Chunk long_times = ChunkOf(1);
-  long_times.times.push_back('\0');
-  ExpectOnlyMiddleDropped(long_times.Encode(), "trailing byte");
-
-  ExpectOnlyMiddleDropped(ChunkOf(1).Encode().substr(0, 19), "short prefix");
+  ExpectOnlyMiddleDropped(ChunkOf(1).Encode().substr(0, 11), "short prefix");
 
   Chunk more_nodes = ChunkOf(1);
   ++more_nodes.count;
@@ -447,70 +488,72 @@ TEST_F(CraftedV4IndexTest, PayloadLengthMustMatchItsCounts) {
   ExpectOnlyMiddleDropped(more_nodes.Encode(), "count + 1");
 }
 
-// Well-framed chunks whose contents break a vHLL invariant: only the
-// append's checks catch these, and they drop exactly the chunk.
-TEST_F(CraftedV4IndexTest, BadCellsDropExactlyTheirChunk) {
-  const std::vector<Cells> nodes(Slice(1).begin(), Slice(1).end());
-  const auto with_node5_cell0 =
-      [&](std::vector<std::pair<uint8_t, int64_t>> pairs) {
-        std::vector<Cells> bad = nodes;
-        bad[1][0] = std::move(pairs);
-        return Chunk(4, bad);
-      };
-  // The good version of the edit loads: ranks may fall across cells.
-  Chunk good = with_node5_cell0({{60, 1}, {61, 1}, {62, 5}});
-  WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), good.Encode(),
-               ChunkOf(2).Encode()});
-  ASSERT_EQ(LoadInfluenceIndexDetailed(path_).status, IndexLoadStatus::kOk);
-
-  Chunk sum_high = ChunkOf(1);
-  ++sum_high.cell_counts[kCraftBeta + 3];  // counts sum to entries + 1
-  ExpectOnlyMiddleDropped(sum_high.Encode(), "counts sum above entries");
-
-  // The chunk's last cell claims one pair more than there is: only the
-  // sum check sees it, as no pair moves to another cell.
-  Chunk last_high = ChunkOf(1);
-  ++last_high.cell_counts.back();
-  ExpectOnlyMiddleDropped(last_high.Encode(), "last cell above entries");
-
-  // Same total, but every cell boundary after the first non-empty cell
-  // moves back one pair. Whether that breaks an order or not, whatever
-  // loads must hold the invariants.
-  Chunk sum_shifted = ChunkOf(1);
-  for (char& n : sum_shifted.cell_counts) {
-    if (n != 0) {
-      --n;
-      break;
-    }
-  }
-  ++sum_shifted.cell_counts.back();
-  WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), sum_shifted.Encode(),
-               ChunkOf(2).Encode()});
-  {
-    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
-    ASSERT_TRUE(result.usable());
-    for (NodeId u = 0; u < 12; ++u) {
-      EXPECT_TRUE(result.index->arena()->CheckNodeInvariants(u)) << u;
-    }
-  }
-
-  std::vector<std::pair<uint8_t, int64_t>> sixty_five;
-  for (int i = 0; i < 65; ++i) {
-    sixty_five.emplace_back(static_cast<uint8_t>(i + 1), i);
-  }
-  ExpectOnlyMiddleDropped(with_node5_cell0(sixty_five).Encode(), "count 65");
-  ExpectOnlyMiddleDropped(with_node5_cell0({{0, 1}}).Encode(), "rank 0");
-  ExpectOnlyMiddleDropped(with_node5_cell0({{3, 1}, {0, 2}}).Encode(),
-                          "rank 0 second");
-  ExpectOnlyMiddleDropped(with_node5_cell0({{4, 1}, {4, 2}}).Encode(),
-                          "equal ranks");
-  ExpectOnlyMiddleDropped(with_node5_cell0({{4, 1}, {3, 2}}).Encode(),
-                          "descending ranks");
-  ExpectOnlyMiddleDropped(with_node5_cell0({{3, 5}, {4, 4}}).Encode(),
-                          "descending time");
+// A present byte is a flag: 0 or 1. Node 4's byte of 2 with node 5's
+// cleared keeps the bytes' sum, and so the payload's length, as written:
+// only the flag check can drop the chunk.
+TEST_F(CraftedIndexTest, PresentByteAboveOneDropsItsChunk) {
+  Chunk two = ChunkOf(1);
+  two.present[0] = 2;
+  two.present[1] = 0;
+  ExpectOnlyMiddleDropped(two.Encode(), "present bytes 2, 0");
 }
 
-TEST_F(CraftedV4IndexTest, MisplacedChunksAreDropped) {
+// A row byte above 65 - precision is a rank no VersionedHll gives; it would
+// inflate every estimate the node takes part in. Node 5's cell 5 takes the
+// rank, and its entry count stays within the row's bounds.
+TEST_F(CraftedIndexTest, RankAboveTheLargestDropsItsChunk) {
+  const auto with_rank = [&](int rank) {
+    std::vector<uint8_t> row = RowOfCells(nodes_[5]).row;
+    row[5] = static_cast<uint8_t>(rank);
+    Chunk chunk = ChunkOf(1);
+    chunk.RowByte(1, 5) = static_cast<char>(rank);
+    const auto non_zero = std::count_if(row.begin(), row.end(),
+                                        [](uint8_t r) { return r != 0; });
+    chunk.SetEntries(1, static_cast<uint32_t>(non_zero));
+    return chunk.Encode();
+  };
+  ExpectLoads(with_rank(kCraftMaxRank), "rank 61");
+  ExpectOnlyMiddleDropped(with_rank(kCraftMaxRank + 1), "rank 62");
+  ExpectOnlyMiddleDropped(with_rank(200), "rank 200");
+}
+
+// Every non-empty cell keeps at least one pair, so a node's entry count is
+// at least its row's non-zero cells.
+TEST_F(CraftedIndexTest, EntryCountBelowTheNonZeroCellsDropsItsChunk) {
+  const std::vector<uint8_t> row = RowOfCells(nodes_[5]).row;
+  const auto non_zero = static_cast<uint32_t>(
+      std::count_if(row.begin(), row.end(), [](uint8_t r) { return r != 0; }));
+  Chunk least = ChunkOf(1);
+  least.SetEntries(1, non_zero);
+  ExpectLoads(least.Encode(), "entries = non-zero cells");
+
+  Chunk below = ChunkOf(1);
+  below.SetEntries(1, non_zero - 1);
+  ExpectOnlyMiddleDropped(below.Encode(), "entries below non-zero cells");
+  Chunk zero = ChunkOf(1);
+  zero.SetEntries(0, 0);
+  ExpectOnlyMiddleDropped(zero.Encode(), "no entries");
+}
+
+// A cell's ranks strictly ascend to its row value, so it keeps at most that
+// many pairs: a node's entry count is at most the sum of its row.
+TEST_F(CraftedIndexTest, EntryCountAboveTheRowSumDropsItsChunk) {
+  const std::vector<uint8_t> row = RowOfCells(nodes_[5]).row;
+  uint32_t sum = 0;
+  for (const uint8_t r : row) sum += r;
+  Chunk most = ChunkOf(1);
+  most.SetEntries(1, sum);
+  ExpectLoads(most.Encode(), "entries = row sum");
+
+  Chunk above = ChunkOf(1);
+  above.SetEntries(1, sum + 1);
+  ExpectOnlyMiddleDropped(above.Encode(), "entries above the row sum");
+  Chunk huge = ChunkOf(1);
+  huge.SetEntries(2, 0xffffffffu);
+  ExpectOnlyMiddleDropped(huge.Encode(), "entries 2^32 - 1");
+}
+
+TEST_F(CraftedIndexTest, MisplacedChunksAreDropped) {
   WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), ChunkOf(0).Encode(),
                ChunkOf(2).Encode()});
   IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
@@ -534,24 +577,47 @@ TEST_F(CraftedV4IndexTest, MisplacedChunksAreDropped) {
   wrapping.first_node = ~uint64_t{0} - 1;
   ExpectOnlyMiddleDropped(wrapping.Encode(), "wrapping first_node");
 
-  // A version-2 chunk in a version-4 file is malformed, not reinterpreted.
+  // Chunks of retired versions in a version-5 file are malformed, not
+  // reinterpreted.
   ExpectOnlyMiddleDropped(RetiredChunkFrame(4, Slice(1)), "v2 chunk");
+  ExpectOnlyMiddleDropped(RetiredV4ChunkFrame(4, Slice(1)), "v4 chunk");
 }
 
 // A version this loader does not know is refused whole.
-TEST_F(CraftedV4IndexTest, UnknownVersionIsCorrupt) {
-  WriteFrames({HeaderFrame(0, 256)}, 5);
+TEST_F(CraftedIndexTest, UnknownVersionIsCorrupt) {
+  WriteFrames({HeaderFrame(0, 256)}, 6);
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
 }
 
-// The retired formats — version 2 (per-node sketch blobs in IIDX frames)
-// and the unframed version 1 — are refused whole, however well formed.
-TEST_F(CraftedV4IndexTest, RetiredFormatsLoadAsCorrupt) {
+// The retired formats — version 4 (the sealed arena's cell lists), version
+// 2 (per-node sketch blobs in IIDX frames) and the unframed version 1 — are
+// refused whole, however well formed. A version-4 file's error says to
+// rebuild it.
+TEST_F(CraftedIndexTest, RetiredFormatsLoadAsCorrupt) {
+  WriteFrames({RetiredV4HeaderFrame(12, 4), RetiredV4ChunkFrame(0, Slice(0)),
+               RetiredV4ChunkFrame(4, Slice(1)),
+               RetiredV4ChunkFrame(8, Slice(2))},
+              4);
+  std::vector<std::string> errors;
+  SetLogSink([&errors](LogLevel level, const std::string& message) {
+    if (level == LogLevel::kError) errors.push_back(message);
+  });
+  IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+  SetLogSink(nullptr);
+  EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
+  EXPECT_FALSE(result.index.has_value());
+  ASSERT_EQ(errors.size(), 1u);
+  EXPECT_NE(errors[0].find("version 4 is not read"), std::string::npos)
+      << errors[0];
+  EXPECT_NE(errors[0].find("rebuild it with ipin_cli build-index"),
+            std::string::npos)
+      << errors[0];
+
   WriteFrames({HeaderFrame(12, 4), RetiredChunkFrame(0, Slice(0)),
                RetiredChunkFrame(4, Slice(1)), RetiredChunkFrame(8, Slice(2))},
               2);
-  IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+  result = LoadInfluenceIndexDetailed(path_);
   EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
   EXPECT_FALSE(result.index.has_value());
 
@@ -566,13 +632,23 @@ TEST_F(CraftedV4IndexTest, RetiredFormatsLoadAsCorrupt) {
   EXPECT_FALSE(result.index.has_value());
 }
 
-// Every node of `got` holds exactly the cells and estimate of the same
-// node of `want`.
-void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
+// Every node of `got` holds exactly the row, entry count and estimate of
+// the same node of `want`, whatever the storage of either.
+void ExpectSameRows(const IrsApprox& want, const IrsApprox& got) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
     ASSERT_EQ(got.Sketch(u).valid(), want.Sketch(u).valid()) << "node " << u;
     EXPECT_EQ(got.EstimateIrsSize(u), want.EstimateIrsSize(u)) << "node " << u;
+    if (!want.Sketch(u)) continue;
+    ASSERT_EQ(RowOf(got.Sketch(u)), RowOf(want.Sketch(u))) << "node " << u;
+  }
+}
+
+// Every build sketch of `got` holds exactly the cell lists of `want`'s.
+void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
+  ASSERT_EQ(got.num_nodes(), want.num_nodes());
+  for (NodeId u = 0; u < want.num_nodes(); ++u) {
+    ASSERT_EQ(got.Sketch(u).valid(), want.Sketch(u).valid()) << "node " << u;
     if (!want.Sketch(u)) continue;
     ASSERT_EQ(CellsOf(got.Sketch(u)), CellsOf(want.Sketch(u))) << "node " << u;
   }
@@ -582,23 +658,9 @@ void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
 void ExpectSameIndex(const IrsApprox& want, const IrsApprox& got) {
   ASSERT_TRUE(want.sealed());
   ASSERT_TRUE(got.sealed());
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
   EXPECT_EQ(got.window(), want.window());
-  const SketchArena& a = *want.arena();
-  const SketchArena& b = *got.arena();
-  EXPECT_EQ(b.TotalEntries(), a.TotalEntries());
-  for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    ASSERT_EQ(b.has_node(u), a.has_node(u)) << "node " << u;
-    const auto row_a = a.rank_row(u);
-    const auto row_b = b.rank_row(u);
-    ASSERT_TRUE(std::equal(row_a.begin(), row_a.end(), row_b.begin(),
-                           row_b.end()))
-        << "node " << u;
-    ASSERT_EQ(b.NodeNumEntries(u), a.NodeNumEntries(u)) << "node " << u;
-    if (!a.has_node(u)) continue;
-    ASSERT_EQ(CellsOf(SketchView(&b, u)), CellsOf(SketchView(&a, u)))
-        << "node " << u;
-  }
+  EXPECT_EQ(got.TotalSketchEntries(), want.TotalSketchEntries());
+  ExpectSameRows(want, got);
   Rng rng(17);
   for (int trial = 0; trial < 50; ++trial) {
     std::vector<NodeId> group(1 + rng.NextBounded(8));
@@ -627,13 +689,10 @@ TEST_F(OracleIoTest, RestoredIndexIsTheSealedBuildByteForByte) {
       << "restore must not build VersionedHll objects";
   ASSERT_EQ(loaded.status, IndexLoadStatus::kOk);
   ExpectSameIndex(built, *loaded.index);
-  // The restored arena holds the file where the sealed one holds its lists,
-  // and is otherwise the same size.
-  const SketchArena& sealed = *built.arena();
-  const size_t lists = sealed.NumAllocated() * sealed.num_cells() +
-                       sealed.TotalEntries() * (1 + sealed.time_encoding().width);
+  // The restored arena is the sealed one: its rank plane, row_of_ and
+  // entry counts, sized exactly.
   EXPECT_EQ(loaded.index->arena()->MemoryUsageBytes(),
-            sealed.MemoryUsageBytes() - lists + ReadFileBytes().size());
+            built.arena()->MemoryUsageBytes());
 
   std::vector<serve::ShardInfo> shards(3);
   for (size_t i = 0; i < shards.size(); ++i) {
@@ -654,12 +713,11 @@ TEST_F(OracleIoTest, RestoredIndexIsTheSealedBuildByteForByte) {
   }
 }
 
-// The reader's whole file buffer is charged from the read on: to the
-// oracle_io tally while the load verifies it, then to the sketch_arena tally
-// for as long as the loaded index keeps it as its list storage. The arena
-// counts it, and destroying the index returns both tallies to where they
-// were.
-TEST_F(OracleIoTest, LoadChargesTheWholeFileBuffer) {
+// The reader's whole file buffer is charged to the oracle_io tally while
+// the load reads it, and freed when the load returns: the loaded index
+// holds only its arena, which the sketch_arena tally counts. Destroying
+// the index returns both tallies to where they were.
+TEST_F(OracleIoTest, LoadChargesTheFileBufferUntilItReturns) {
   const InteractionGraph g = GenerateUniformRandomNetwork(300, 2000, 4000, 4);
   IrsApproxOptions options;
   options.precision = 6;
@@ -677,8 +735,8 @@ TEST_F(OracleIoTest, LoadChargesTheWholeFileBuffer) {
     ASSERT_TRUE(loaded.usable());
     EXPECT_GE(io.PeakBytes() - io_before, file_size);
     EXPECT_EQ(io.CurrentBytes(), io_before);
-    EXPECT_GE(arena.CurrentBytes() - arena_before, file_size);
-    EXPECT_GE(loaded.index->MemoryUsageBytes(), static_cast<size_t>(file_size));
+    EXPECT_EQ(arena.CurrentBytes() - arena_before,
+              static_cast<int64_t>(loaded.index->MemoryUsageBytes()));
   }
   EXPECT_EQ(arena.CurrentBytes(), arena_before);
   EXPECT_EQ(io.CurrentBytes(), io_before);
@@ -712,16 +770,14 @@ std::vector<std::string> FramesOf(const std::string& path) {
   return frames;
 }
 
-// A loaded index serves its lists from the file image it was read from, so
-// saving it again writes that file byte for byte, at either time width —
-// also after the index has moved through a vector that reallocated (the
-// reshard tool keeps loaded pieces that way).
+// A loaded index saves again to the file it was read from, byte for byte,
+// whatever its times' span — also after the index has moved through a
+// vector that reallocated (the reshard tool keeps loaded pieces that way).
 TEST_F(OracleIoTest, LoadedIndexReSavesByteForByte) {
   const std::string resaved = path_ + ".resaved";
   for (const uint64_t span : {uint64_t{1} << 20, uint64_t{1} << 40}) {
     SCOPED_TRACE(testing::Message() << "span " << span);
     const IrsApprox built = BuildSpanning(1'700'000'000, span);
-    EXPECT_EQ(built.time_encoding().width, span < (uint64_t{1} << 32) ? 4 : 8);
     ASSERT_TRUE(SaveInfluenceIndex(built, path_));
     const std::string original = ReadFileBytes();
 
@@ -737,19 +793,18 @@ TEST_F(OracleIoTest, LoadedIndexReSavesByteForByte) {
     for (int i = 0; i < 8; ++i) {
       pieces.push_back(IrsApprox::Compute(small, 10, IrsApproxOptions{}));
     }
-    std::remove(path_.c_str());  // the pieces hold the image, not the file
+    std::remove(path_.c_str());  // the pieces hold their rows, not the file
     ASSERT_TRUE(SaveInfluenceIndex(pieces.front(), resaved));
     const auto image = ReadWholeFile(resaved);
     ASSERT_NE(image, nullptr);
     EXPECT_EQ(image->view(), original);
-    ExpectSameCells(built, pieces.front());
+    ExpectSameRows(built, pieces.front());
   }
   std::remove(resaved.c_str());
 }
 
-// A degraded load keeps the dropped chunk's bytes unreferenced: the
-// re-saved file lacks exactly that chunk's nodes, and every other frame is
-// the original's byte for byte.
+// A degraded load drops one chunk's nodes: the re-saved file lacks exactly
+// those nodes, and every other frame is the original's byte for byte.
 TEST_F(OracleIoTest, DegradedIndexReSavesAllButTheDroppedChunk) {
   const IrsApprox built = BuildSpanning(0, 100'000);
   ASSERT_TRUE(SaveInfluenceIndex(built, path_));
@@ -781,17 +836,16 @@ TEST_F(OracleIoTest, DegradedIndexReSavesAllButTheDroppedChunk) {
               !dropped && built.Sketch(u).valid())
         << "node " << u;
   }
-  // The middle chunk: its 256 nodes, none present, no pairs.
+  // The middle chunk: its 256 nodes, none present.
   std::string empty;
   Put<uint64_t>(&empty, 256);
   Put<uint32_t>(&empty, 256);
-  Put<uint64_t>(&empty, 0);
   empty.append(256, '\0');
   EXPECT_EQ(got[2], empty);
 }
 
-// An unsealed index and its sealed twin write the same bytes: both go
-// through the one chunk encoder.
+// An unsealed index and its sealed twin write the same bytes: both save
+// each node's row and entry count.
 TEST_F(OracleIoTest, SealedAndUnsealedIndexesWriteTheSameFile) {
   const InteractionGraph g = GenerateUniformRandomNetwork(600, 4000, 9000, 29);
   IrsApproxOptions options;
@@ -807,9 +861,10 @@ TEST_F(OracleIoTest, SealedAndUnsealedIndexesWriteTheSameFile) {
 
 // Times spanning 2^32 or more (nanosecond-style timestamps) keep 8-byte
 // offsets; a span of exactly 2^32 - 1 still takes u32 offsets. At either
-// width, every store of a build — sealed, saved and loaded, cut into
-// shards, checkpointed, killed and resumed — holds the unsealed build's
-// cells and estimates bit for bit.
+// width, the build's cells hold the log's own times, every served store of
+// it — sealed, saved and loaded, cut into shards — holds the unsealed
+// build's rows and estimates bit for bit, and a checkpointed build that is
+// killed and resumed holds its cells.
 TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
   // The killed build runs on the thread pool, which a forked child lacks.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -845,15 +900,14 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
 
     IrsApprox sealed = IrsApprox::Compute(g, window, options);
     sealed.Seal();
-    EXPECT_EQ(sealed.time_encoding(), times);
-    ExpectSameCells(unsealed, sealed);
+    ExpectSameRows(unsealed, sealed);
     // The decoded times are the log's own, both ends of the span included.
     std::set<Timestamp> logged;
     for (const Interaction& e : g.interactions()) logged.insert(e.time);
     std::set<Timestamp> stored;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (!sealed.Sketch(u)) continue;
-      const SketchCells cells = CellsOf(sealed.Sketch(u));
+      if (!unsealed.Sketch(u)) continue;
+      const SketchCells cells = CellsOf(unsealed.Sketch(u));
       stored.insert(cells.times.begin(), cells.times.end());
     }
     ASSERT_FALSE(stored.empty());
@@ -865,8 +919,7 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     ASSERT_TRUE(SaveInfluenceIndex(unsealed, path_));
     const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
     ASSERT_EQ(loaded.status, IndexLoadStatus::kOk);
-    EXPECT_EQ(loaded.index->time_encoding(), times);
-    ExpectSameCells(unsealed, *loaded.index);
+    ExpectSameRows(unsealed, *loaded.index);
 
     std::vector<serve::ShardInfo> shards(2);
     for (size_t i = 0; i < shards.size(); ++i) {
@@ -878,10 +931,9 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     ASSERT_EQ(map.num_shards(), 2u);
     for (size_t s = 0; s < map.num_shards(); ++s) {
       const IrsApprox shard = serve::ExtractShardIndex(*loaded.index, map, s);
-      EXPECT_EQ(shard.time_encoding(), times);
       for (NodeId u = 0; u < g.num_nodes(); ++u) {
         if (map.OwnerOf(u) != s || !unsealed.Sketch(u)) continue;
-        ASSERT_EQ(CellsOf(shard.Sketch(u)), CellsOf(unsealed.Sketch(u)))
+        ASSERT_EQ(RowOf(shard.Sketch(u)), RowOf(unsealed.Sketch(u)))
             << "shard " << s << " node " << u;
         EXPECT_EQ(shard.EstimateIrsSize(u), unsealed.EstimateIrsSize(u));
       }

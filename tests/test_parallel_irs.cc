@@ -179,7 +179,7 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   constexpr size_t kCellUpdates = 333295;
   constexpr size_t kEntries = 160109;
   constexpr uint32_t kListsCrc32c = 0x5e729a74;
-  constexpr uint32_t kIndexCrc32c = 0xe6f192da;
+  constexpr uint32_t kIndexCrc32c = 0xbeb26eb1;
   SyntheticConfig config = *GetDatasetConfig("enron", 0.01);
   config.seed = 25;
   const InteractionGraph g = GenerateInteractionNetwork(config);

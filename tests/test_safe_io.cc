@@ -215,30 +215,6 @@ TEST_F(SafeIoTest, RoundtripMultipleFrames) {
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kEndOfFile);
 }
 
-// Payload views point into the reader's FileImage, which stays where it is
-// for as long as anyone holds it: past a later Open and past the reader.
-TEST_F(SafeIoTest, PayloadViewsLiveAsLongAsTheImage) {
-  WriteFrames({"alpha", "omega"});
-  std::shared_ptr<const FileImage> image;
-  std::string_view alpha;
-  {
-    SafeFileReader reader;
-    EXPECT_EQ(reader.image(), nullptr);
-    ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-    ASSERT_EQ(reader.ReadFrame(&alpha), FrameStatus::kOk);
-    image = reader.image();
-    EXPECT_EQ(image->size(), reader.file_size());
-    WriteFrames({"other"});
-    ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-    EXPECT_NE(reader.image(), image);
-  }
-  EXPECT_EQ(image.use_count(), 1);
-  EXPECT_EQ(alpha, "alpha");
-  EXPECT_GE(alpha.data(), image->view().data());
-  EXPECT_LE(alpha.data() + alpha.size(),
-            image->view().data() + image->view().size());
-}
-
 TEST_F(SafeIoTest, MissingFile) {
   SafeFileReader reader;
   EXPECT_EQ(reader.Open(path_ + ".nope", kType), SafeOpenStatus::kMissing);

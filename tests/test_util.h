@@ -4,15 +4,17 @@
 #include <cstdint>
 #include <map>
 #include <ostream>
+#include <span>
 #include <vector>
 
+#include "ipin/common/check.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/graph/types.h"
 #include "ipin/sketch/sketch_arena.h"
 
 // Shared fixtures for the core-algorithm tests: the paper's running
-// examples, with nodes a..f mapped to ids 0..5, and a storage-independent
-// snapshot of a sketch's cells.
+// examples, with nodes a..f mapped to ids 0..5, and snapshots of a build
+// sketch's cells and of any sketch's row.
 
 namespace ipin {
 
@@ -51,9 +53,10 @@ inline std::vector<std::map<NodeId, Timestamp>> FigureOneSummariesW3() {
   };
 }
 
-/// Everything a sketch stores, in the arena's layout: per-cell entry counts
-/// and every (rank, time) pair in cell order. Two sketches hold the same
-/// cell lists iff their SketchCells compare equal, whatever their storage.
+/// Everything a build sketch stores: per-cell entry counts and every
+/// (rank, time) pair in cell order. Two sketches hold the same cell lists
+/// iff their SketchCells compare equal, whatever their parts or time
+/// encoding.
 struct SketchCells {
   int precision = 0;
   uint64_t salt = 0;
@@ -70,23 +73,48 @@ inline void PrintTo(const SketchCells& cells, std::ostream* os) {
       << cells.ranks.size() << " pairs}";
 }
 
-/// Copies `sketch` into a one-node SketchArena (AppendCopy) and returns the
-/// node's ContiguousRange, its times decoded.
-inline SketchCells CellsOf(const SketchView& sketch) {
-  // The wide encoding holds every time.
-  SketchArena arena(sketch.precision(), sketch.salt(), 1,
-                    {1, sketch.NumEntries()}, TimeEncoding{});
-  arena.AppendCopy(0, sketch);
-  const SketchArena::NodeRange range = *arena.ContiguousRange(0, 1);
-  SketchCells cells{sketch.precision(),
-                    sketch.salt(),
-                    {range.cell_counts.begin(), range.cell_counts.end()},
-                    {range.ranks.begin(), range.ranks.end()},
-                    {}};
-  for (size_t i = 0; i < range.ranks.size(); ++i) {
-    cells.times.push_back(range.time(i));
+/// The cell lists of `sketch`, read through VersionedHll::cell().
+inline SketchCells CellsOf(const VersionedHll& sketch) {
+  SketchCells cells{sketch.precision(), sketch.salt(), {}, {}, {}};
+  for (size_t c = 0; c < sketch.num_cells(); ++c) {
+    const VersionedHll::CellList list = sketch.cell(c);
+    cells.counts.push_back(static_cast<uint8_t>(list.size()));
+    for (const VersionedHll::Entry& e : list) {
+      cells.ranks.push_back(e.rank);
+      cells.times.push_back(e.time);
+    }
   }
   return cells;
+}
+
+/// The cell lists behind a build sketch's view. A sealed view stores no
+/// lists (checked).
+inline SketchCells CellsOf(const SketchView& sketch) {
+  IPIN_CHECK(sketch.build_sketch() != nullptr);
+  return CellsOf(*sketch.build_sketch());
+}
+
+/// What a served sketch stores: its max-rank row and the pairs its build
+/// sketch held. Every storage of a sketch (build, sealed, loaded, shard)
+/// agrees on it.
+struct SketchRow {
+  int precision = 0;
+  uint64_t salt = 0;
+  std::vector<uint8_t> row;
+  size_t entries = 0;
+
+  bool operator==(const SketchRow&) const = default;
+};
+
+inline void PrintTo(const SketchRow& row, std::ostream* os) {
+  *os << "{precision " << row.precision << ", salt " << row.salt << ", "
+      << row.entries << " pairs}";
+}
+
+inline SketchRow RowOf(const SketchView& sketch) {
+  const std::span<const uint8_t> row = sketch.max_ranks();
+  return {sketch.precision(), sketch.salt(), {row.begin(), row.end()},
+          sketch.NumEntries()};
 }
 
 }  // namespace ipin

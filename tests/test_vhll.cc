@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -868,6 +869,60 @@ TEST(VhllTest, PoolSlotsCostOnePlusTheTimeWidth) {
   EXPECT_GT(slots, narrow.NumEntries());
   EXPECT_EQ(wide.MemoryUsageBytes(), kFixed + 9 * slots);
   EXPECT_EQ(narrow.MemoryUsageBytes(), kFixed + 5 * slots);
+}
+
+// The narrowest encoding is chosen from the span alone: u32 offsets from
+// the first time up to a span of 2^32 - 1, u64 offsets from INT64_MIN
+// beyond. Only valid encodings decode every offset of their width.
+TEST(VhllTest, TimeEncodingIsTheNarrowestThatHoldsTheSpan) {
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kU32 = std::numeric_limits<uint32_t>::max();
+  EXPECT_EQ(TimeEncoding::Covering(-3, -3 + kU32), (TimeEncoding{-3, 4}));
+  EXPECT_EQ(TimeEncoding::Covering(-3, -2 + kU32), TimeEncoding{});
+  EXPECT_EQ(TimeEncoding::Covering(kMax - kU32, kMax),
+            (TimeEncoding{kMax - kU32, 4}));
+  // Times within 2^32 - 1 of INT64_MAX take the largest valid base.
+  EXPECT_EQ(TimeEncoding::Covering(kMax, kMax), (TimeEncoding{kMax - kU32, 4}));
+  EXPECT_EQ(TimeEncoding::Covering(kMax - 7, kMax - 3),
+            (TimeEncoding{kMax - kU32, 4}));
+  EXPECT_EQ(TimeEncoding::Covering(kMin, kMax), TimeEncoding{});
+  EXPECT_EQ(TimeEncoding::Covering(1, 0), (TimeEncoding{0, 4}));  // no times
+  EXPECT_TRUE(TimeEncoding{}.valid());
+  EXPECT_TRUE((TimeEncoding{kMax - kU32, 4}.valid()));
+  EXPECT_FALSE((TimeEncoding{kMax - kU32 + 1, 4}.valid()));
+  EXPECT_FALSE((TimeEncoding{0, 8}.valid()));
+  EXPECT_FALSE((TimeEncoding{0, 2}.valid()));
+
+  const TimeEncoding narrow{100, 4};
+  EXPECT_TRUE(narrow.Holds(100));
+  EXPECT_TRUE(narrow.Holds(100 + kU32));
+  EXPECT_FALSE(narrow.Holds(99));
+  EXPECT_FALSE(narrow.Holds(101 + kU32));
+  for (const Timestamp t : {Timestamp{100}, Timestamp{100 + kU32}}) {
+    uint8_t bytes[4];
+    TimeCodec<uint32_t>::Store(bytes, 0, TimeCodec<uint32_t>::Encode(100, t));
+    EXPECT_EQ(narrow.Decode(bytes, 0), t);
+  }
+  for (const Timestamp t : {kMin, Timestamp{-1}, Timestamp{0}, kMax}) {
+    uint8_t bytes[8];
+    TimeCodec<uint64_t>::Store(bytes, 0, TimeCodec<uint64_t>::Encode(kMin, t));
+    EXPECT_EQ(TimeEncoding{}.Decode(bytes, 0), t);
+  }
+
+  // TimeEncodingOf reads the sketches' times: the narrowest that holds
+  // them, whatever encoding they are stored in.
+  std::vector<std::unique_ptr<VersionedHll>> sketches(3);
+  sketches[0] = std::make_unique<VersionedHll>(5, 1, 1, TimeEncoding{-500, 4});
+  sketches[2] = std::make_unique<VersionedHll>(5, 1);
+  sketches[0]->AddEntry(0, 1, 40);
+  sketches[0]->AddEntry(1, 1, 70);
+  sketches[2]->AddEntry(0, 1, -20);
+  EXPECT_EQ(TimeEncodingOf(sketches), (TimeEncoding{-20, 4}));
+  sketches[2]->AddEntry(2, 1, kMax);
+  EXPECT_EQ(TimeEncodingOf(sketches), TimeEncoding{});
+  EXPECT_EQ(TimeEncodingOf(std::span<const std::unique_ptr<VersionedHll>>()),
+            (TimeEncoding{0, 4}));
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};

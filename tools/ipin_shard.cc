@@ -382,7 +382,7 @@ int RunPlan(const FlagMap& flags) {
 }
 
 /// Loads the old pieces and reassembles the full index, copying each
-/// node's sketch arena-to-arena from its owner's piece. Every piece may
+/// node's row and entry count from its owner's piece. Every piece may
 /// hold only nodes its shard owns (checked), so the pieces are disjoint.
 /// nullopt (with a message on stderr) on any load or ownership violation.
 std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
@@ -409,11 +409,10 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
                   piece.window() != pieces[0].window() ||
                   piece.options().precision !=
                       pieces[0].options().precision ||
-                  piece.options().salt != pieces[0].options().salt ||
-                  piece.time_encoding() != pieces[0].time_encoding())) {
+                  piece.options().salt != pieces[0].options().salt)) {
       std::fprintf(stderr,
                    "ipin_shard: piece '%s' disagrees with piece 0 on node "
-                   "space, window, sketch parameters, or time encoding\n",
+                   "space, window or sketch parameters\n",
                    path.c_str());
       return std::nullopt;
     }
@@ -435,15 +434,12 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
   }
 
   const IrsApprox& first = pieces[0];
-  SketchArena::Capacity capacity;
-  for (NodeId u = 0; u < first.num_nodes(); ++u) {
-    const SketchView sketch = pieces[old_map.OwnerOf(u)].Sketch(u);
-    if (!sketch) continue;
-    ++capacity.sketches;
-    capacity.entries += sketch.NumEntries();
+  size_t sketches = 0;
+  for (const IrsApprox& piece : pieces) {
+    sketches += piece.NumAllocatedSketches();
   }
   SketchArena arena(first.options().precision, first.options().salt,
-                    first.num_nodes(), capacity, first.time_encoding());
+                    first.num_nodes(), sketches);
   for (NodeId u = 0; u < first.num_nodes(); ++u) {
     const SketchView sketch = pieces[old_map.OwnerOf(u)].Sketch(u);
     if (sketch) arena.AppendCopy(u, sketch);
