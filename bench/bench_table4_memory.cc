@@ -1,7 +1,9 @@
 // Table 4: memory (MB) used by the approximate algorithm's sketches after
-// processing all interactions, at window lengths 1/10/20 percent. Each
-// index is then sealed, so the table also shows what the sealed arena (the
-// served form) costs, next to the build's peak bytes per stored entry.
+// processing all interactions, at window lengths 1/10/20 percent: the
+// build sketches plus the arena of rows every build ends with. Each index
+// is then sealed (its build sketches freed), so the table also shows what
+// the arena alone (the served form) costs, next to the build's peak bytes
+// per stored entry.
 //
 // Gauges for the w=20% build of the last dataset: mem.vhll.peak_bytes is
 // that build's peak (the vhll tally is re-armed before every build),

@@ -28,7 +28,7 @@ size_t HashMapBytes(size_t num_elements, size_t num_buckets,
 /// [data, data + bytes) with transparent huge pages (Linux MADV_HUGEPAGE; a
 /// no-op elsewhere and for ranges without such an interior). Meant for
 /// large buffers that are filled whole right after allocation — a file
-/// read, a sealed arena — and called before their first touch: each fault
+/// read, an arena — and called before their first touch: each fault
 /// then maps 2 MiB instead of 4 KiB, and the buffer's memory use is
 /// unchanged because every page of it is written anyway.
 void AdviseHugePages(void* data, size_t bytes);

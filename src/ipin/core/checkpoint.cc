@@ -54,13 +54,13 @@ class CheckpointAccess {
     irs->window_prunes_ = tally[3];
   }
   static void GetTallies(const IrsApprox& irs, uint64_t tally[4]) {
-    tally[0] = irs.edges_scanned_;
-    tally[1] = irs.merge_calls_;
+    tally[0] = irs.build_->edges_scanned;
+    tally[1] = irs.build_->merge_calls;
     tally[2] = tally[3] = 0;
   }
   static void SetTallies(IrsApprox* irs, const uint64_t tally[4]) {
-    irs->edges_scanned_ = tally[0];
-    irs->merge_calls_ = tally[1];
+    irs->build_->edges_scanned = tally[0];
+    irs->build_->merge_calls = tally[1];
   }
 
   static IrsSummaryMap* MutableSummary(IrsExact* irs, NodeId u) {
@@ -74,13 +74,19 @@ class CheckpointAccess {
                            std::span<const uint8_t> cell_counts,
                            std::span<const uint8_t> ranks,
                            std::span<const Timestamp> times) {
+    IrsApprox::Build& build = *irs->build_;
     for (const Timestamp t : times) {
-      if (!irs->times_.Holds(t)) return false;
+      if (!build.times.Holds(t)) return false;
     }
-    irs->sketches_[u] = std::make_unique<VersionedHll>(
-        irs->options_.precision, irs->options_.salt, irs->parts_, cell_counts,
-        ranks, times, irs->times_);
+    build.sketches[u] = std::make_unique<VersionedHll>(
+        irs->options_.precision, irs->options_.salt, build.parts, cell_counts,
+        ranks, times, build.times);
     return true;
+  }
+  // The build store's sketches, indexed by node id (null: absent).
+  static std::span<const std::unique_ptr<VersionedHll>> Sketches(
+      const IrsApprox& irs) {
+    return irs.build_->sketches;
   }
   // An empty approx build over `graph`, its sketches split into parts and
   // storing times as a plain build over the same graph does.
@@ -95,7 +101,8 @@ class CheckpointAccess {
     irs->Scan(graph, done, epoch_edges, after_epoch);
   }
   static void Publish(const IrsExact& irs) { irs.PublishBuildMetrics(); }
-  static void Publish(const IrsApprox& irs) { irs.PublishBuildMetrics(); }
+  // Ends an approx build: its rows land in the arena every query reads.
+  static void Finish(IrsApprox* irs) { irs->Finish(); }
 };
 
 namespace {
@@ -330,11 +337,12 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
                             uint64_t first, uint32_t count, std::string* out) {
   const TimeEncoding& times = meta.times;
   const size_t beta = size_t{1} << meta.fp.precision;
-  const NodeId lo = static_cast<NodeId>(first);
+  const std::span<const std::unique_ptr<VersionedHll>> sketches =
+      CheckpointAccess::Sketches(irs).subspan(first, count);
   size_t present = 0;
   uint64_t entries = 0;
-  for (NodeId u = lo; u < lo + count; ++u) {
-    if (const VersionedHll* sketch = irs.Sketch(u).build_sketch()) {
+  for (const auto& sketch : sketches) {
+    if (sketch != nullptr) {
       ++present;
       entries += sketch->NumEntries();
     }
@@ -353,7 +361,7 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
   size_t pair = 0;
   WithTimeCodec(times.width, [&](auto codec) {
     for (uint32_t i = 0; i < count; ++i) {
-      const VersionedHll* sketch = irs.Sketch(lo + i).build_sketch();
+      const VersionedHll* sketch = sketches[i].get();
       flags[i] = sketch != nullptr ? 1 : 0;
       if (sketch == nullptr) continue;
       const bool same_encoding = sketch->time_encoding() == times;
@@ -543,8 +551,10 @@ bool ResumeAt(const MetaFrame& meta, const InteractionGraph& graph,
   const std::span<const Interaction> edges = graph.interactions();
   std::vector<bool> sent(graph.num_nodes(), false);
   for (const auto& e : edges.last(meta.edges_processed)) sent[e.src] = true;
+  const std::span<const std::unique_ptr<VersionedHll>> sketches =
+      CheckpointAccess::Sketches(*irs);
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    if (irs->Sketch(u).valid() != sent[u]) return false;
+    if ((sketches[u] != nullptr) != sent[u]) return false;
   }
   return true;
 }
@@ -732,7 +742,7 @@ IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
         WriteCheckpoint(irs, fp, edges, scanned, options, stats,
                         SerializeApproxChunk);
       });
-  CheckpointAccess::Publish(irs);
+  CheckpointAccess::Finish(&irs);
   PublishCheckpointMetrics(*stats);
   return irs;
 }

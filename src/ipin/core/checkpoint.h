@@ -75,9 +75,9 @@ IrsExact ComputeIrsExactCheckpointed(const InteractionGraph& graph,
 /// scan, one part per global thread, run in epochs of
 /// `options.every_edges` edges; the workers meet at each epoch's end and
 /// the checkpoint is cut there. Identical results to
-/// IrsApprox::Compute(graph, window, irs_options), returned unsealed as
-/// Compute's are, whatever the thread counts the checkpoints were written
-/// and resumed at.
+/// IrsApprox::Compute(graph, window, irs_options), its rows in the arena and
+/// its build store kept as Compute's are, whatever the thread counts the
+/// checkpoints were written and resumed at.
 IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
                                        Duration window,
                                        const IrsApproxOptions& irs_options,

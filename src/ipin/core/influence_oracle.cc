@@ -48,30 +48,26 @@ class ExactCoverage : public CoverageState {
 class SketchCoverage : public CoverageState {
  public:
   explicit SketchCoverage(const IrsApprox* irs)
-      : irs_(irs),
-        ranks_(static_cast<size_t>(1) << irs->options().precision, 0),
-        covered_(0.0) {}
+      : arena_(irs->arena()), ranks_(arena_->num_cells(), 0), covered_(0.0) {}
 
   double Covered() const override { return covered_; }
 
   double GainOf(NodeId u) const override {
-    const SketchView sketch = irs_->Sketch(u);
-    if (!sketch) return 0.0;
+    if (!arena_->has_node(u)) return 0.0;
     // thread_local scratch instead of a per-call copy: GainOf is the inner
     // loop of greedy/CELF and may be called concurrently by the parallel
     // maximizer, which forbids a shared mutable member.
     static thread_local std::vector<uint8_t> merged;
     merged = ranks_;
-    kernels::CellwiseMaxU8(merged.data(), sketch.max_ranks().data(),
+    kernels::CellwiseMaxU8(merged.data(), arena_->rank_row(u).data(),
                            merged.size());
     const double with_u = EstimateOf(merged);
     return std::max(0.0, with_u - covered_);
   }
 
   void Commit(NodeId u) override {
-    const SketchView sketch = irs_->Sketch(u);
-    if (!sketch) return;
-    kernels::CellwiseMaxU8(ranks_.data(), sketch.max_ranks().data(),
+    if (!arena_->has_node(u)) return;
+    kernels::CellwiseMaxU8(ranks_.data(), arena_->rank_row(u).data(),
                            ranks_.size());
     covered_ = EstimateOf(ranks_);
   }
@@ -88,7 +84,7 @@ class SketchCoverage : public CoverageState {
     return any ? EstimateFromRanks(ranks) : 0.0;
   }
 
-  const IrsApprox* irs_;
+  const SketchArena* arena_;
   std::vector<uint8_t> ranks_;
   double covered_;
 };
@@ -200,8 +196,8 @@ double SketchInfluenceOracle::InfluenceOfSet(
 BudgetedValue SketchInfluenceOracle::InfluenceOfSetBudgeted(
     std::span<const NodeId> seeds, const QueryBudget& budget) const {
   IPIN_LATENCY_SCOPE("oracle.sketch.query_us");
-  const size_t beta =
-      static_cast<size_t>(1) << irs_->options().precision;
+  const SketchArena& arena = *irs_->arena();
+  const size_t beta = arena.num_cells();
   // thread_local scratch: serving workers answer many budgeted queries
   // back to back and this path must not allocate per call.
   static thread_local std::vector<uint8_t> ranks;
@@ -213,10 +209,10 @@ BudgetedValue SketchInfluenceOracle::InfluenceOfSetBudgeted(
           any ? EstimateFromRanks(ranks) : 0.0;
       return {partial, true};
     }
-    const SketchView sketch = irs_->Sketch(seeds[i]);
-    if (!sketch) continue;
+    if (!arena.has_node(seeds[i])) continue;
     any = true;
-    kernels::CellwiseMaxU8(ranks.data(), sketch.max_ranks().data(), beta);
+    kernels::CellwiseMaxU8(ranks.data(), arena.rank_row(seeds[i]).data(),
+                           beta);
   }
   return {any ? EstimateFromRanks(ranks) : 0.0, false};
 }

@@ -55,10 +55,12 @@ IrsApprox::IrsApprox(const InteractionGraph& graph, Duration window,
     : window_(window),
       options_(options),
       num_nodes_(graph.num_nodes()),
-      parts_(std::clamp<size_t>(num_parts, 1, size_t{1} << options.precision)),
-      times_(ScanTimeEncoding(graph)),
-      sketches_(num_nodes_) {
+      build_(std::make_unique<Build>()) {
   IPIN_CHECK_GE(window, 1);
+  build_->sketches.resize(num_nodes_);
+  build_->parts =
+      std::clamp<size_t>(num_parts, 1, size_t{1} << options.precision);
+  build_->times = ScanTimeEncoding(graph);
 }
 
 IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
@@ -66,8 +68,7 @@ IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
     : window_(window),
       options_(options),
       num_nodes_(arena.num_nodes()),
-      arena_(std::make_unique<SketchArena>(std::move(arena))),
-      sealed_(true) {
+      arena_(std::move(arena)) {
   IPIN_CHECK_GE(window, 1);
   IPIN_CHECK_EQ(arena_->precision(), options_.precision);
   IPIN_CHECK_EQ(arena_->salt(), options_.salt);
@@ -75,19 +76,20 @@ IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
 }
 
 void IrsApprox::Seal() {
-  if (sealed_) return;
+  if (build_ == nullptr) return;
   IPIN_TRACE_SPAN("irs.approx.seal");
-  // Capture the per-sketch lifetime tallies before freeing their owners.
-  sealed_insert_attempts_ = TotalInsertAttempts();
-  sealed_evictions_ = TotalEvictions();
-  sealed_merge_entries_scanned_ = TotalMergeEntriesScanned();
-  sealed_cell_updates_ = TotalCellUpdates();
-  arena_ = std::make_unique<SketchArena>(options_.precision, options_.salt,
-                                         std::span(sketches_));
-  sealed_ = true;
-  sketches_.clear();
-  sketches_.shrink_to_fit();
-  PublishArenaGauges();
+  build_.reset();
+}
+
+const VersionedHll* IrsApprox::BuildSketch(NodeId u) const {
+  IPIN_CHECK_LT(u, num_nodes());
+  return build_ == nullptr ? nullptr : build_->sketches[u].get();
+}
+
+TimeEncoding IrsApprox::time_encoding() const {
+  IPIN_CHECK(build_ != nullptr);
+  return build_->times.width == 4 ? build_->times
+                                  : TimeEncodingOf(build_->sketches);
 }
 
 void IrsApprox::PublishArenaGauges() const {
@@ -107,7 +109,7 @@ IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
   IPIN_TRACE_SPAN("irs.approx.compute");
   IrsApprox irs(graph, window, options, num_parts);
   irs.Scan(graph, /*done=*/0, /*epoch_edges=*/0, {});
-  irs.PublishBuildMetrics();
+  irs.Finish();
   return irs;
 }
 
@@ -120,6 +122,8 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
                      size_t epoch_edges,
                      const std::function<void(size_t)>& after_epoch) {
   IPIN_CHECK(graph.is_sorted());
+  Build& build = *build_;
+  std::vector<std::unique_ptr<VersionedHll>>& sketches = build.sketches;
   const std::span<const Interaction> edges = graph.interactions();
   const size_t m = edges.size();
   // last_sent[v] is one past the index of v's last edge as a source (0 if
@@ -139,11 +143,11 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
     for (size_t i = lo; i < hi; ++i) {
       const NodeId u = edges[i].src;
       if (last_sent[u] == i + 1) {
-        sketches_[u] = std::make_unique<VersionedHll>(
-            options_.precision, options_.salt, parts_, times_);
+        sketches[u] = std::make_unique<VersionedHll>(
+            options_.precision, options_.salt, build.parts, build.times);
       }
     }
-    ParallelFor(0, parts_, 1, [&](size_t first, size_t last) {
+    ParallelFor(0, build.parts, 1, [&](size_t first, size_t last) {
       for (size_t part = first; part < last; ++part) {
         size_t part_merges = 0;
         size_t since_tick = 0;
@@ -151,8 +155,8 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
           const Interaction& edge = edges[i - 1];
           const NodeId v = edge.dst;
           part_merges +=
-              ScanEdge(edge, *sketches_[edge.src],
-                       last_sent[v] > i ? sketches_[v].get() : nullptr,
+              ScanEdge(edge, *sketches[edge.src],
+                       last_sent[v] > i ? sketches[v].get() : nullptr,
                        window_, part);
           // Worker 0 reports progress; chunked ticks keep the per-edge path
           // atomics-free.
@@ -161,37 +165,43 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
             since_tick = 0;
           }
         }
-        if (part == 0) merge_calls_ += part_merges;
+        if (part == 0) build.merge_calls += part_merges;
       }
     });
     done = m - lo;
-    edges_scanned_ += hi - lo;
+    build.edges_scanned += hi - lo;
     phase.SetDone(done);
     if (done < m && after_epoch) after_epoch(done);
   }
 }
 
-void IrsApprox::PublishBuildMetrics() const {
+void IrsApprox::Finish() {
+  for (const auto& s : build_->sketches) {
+    if (s == nullptr) continue;
+    tallies_.insert_attempts += s->NumInsertAttempts();
+    tallies_.evictions += s->NumEvictions();
+    tallies_.merge_entries_scanned += s->NumMergeEntriesScanned();
+    tallies_.cell_updates += s->NumCellUpdates();
+  }
+  arena_.emplace(options_.precision, options_.salt,
+                 std::span(build_->sketches));
   // Scan and per-sketch tallies (plain members, free to maintain) roll up
   // into the registry once per build, keeping the per-edge path atomics-free.
-  IPIN_COUNTER_ADD("irs.approx.edges_scanned", edges_scanned_);
-  IPIN_COUNTER_ADD("sketch.vhll.merges", merge_calls_);
+  IPIN_COUNTER_ADD("irs.approx.edges_scanned", build_->edges_scanned);
+  IPIN_COUNTER_ADD("sketch.vhll.merges", build_->merge_calls);
   IPIN_COUNTER_ADD("sketch.vhll.merge_entries_scanned",
-                   TotalMergeEntriesScanned());
-  IPIN_COUNTER_ADD("sketch.vhll.cell_updates", TotalCellUpdates());
-  IPIN_COUNTER_ADD("sketch.vhll.insert_attempts", TotalInsertAttempts());
-  IPIN_COUNTER_ADD("sketch.vhll.dominance_evictions", TotalEvictions());
+                   tallies_.merge_entries_scanned);
+  IPIN_COUNTER_ADD("sketch.vhll.cell_updates", tallies_.cell_updates);
+  IPIN_COUNTER_ADD("sketch.vhll.insert_attempts", tallies_.insert_attempts);
+  IPIN_COUNTER_ADD("sketch.vhll.dominance_evictions", tallies_.evictions);
   IPIN_GAUGE_SET("sketch.vhll.total_entries", TotalSketchEntries());
   IPIN_GAUGE_SET("irs.approx.allocated_sketches", NumAllocatedSketches());
+  PublishArenaGauges();
 }
 
 double IrsApprox::EstimateIrsSize(NodeId u) const {
-  IPIN_CHECK_LT(u, num_nodes_);
-  if (sealed_) {
-    return arena_->has_node(u) ? arena_->EstimateNode(u) : 0.0;
-  }
-  const VersionedHll* sketch = sketches_[u].get();
-  return sketch == nullptr ? 0.0 : sketch->Estimate();
+  IPIN_CHECK_LT(u, num_nodes());
+  return arena_->has_node(u) ? arena_->EstimateNode(u) : 0.0;
 }
 
 double IrsApprox::EstimateUnionSize(std::span<const NodeId> seeds) const {
@@ -201,87 +211,26 @@ double IrsApprox::EstimateUnionSize(std::span<const NodeId> seeds) const {
 
 double IrsApprox::EstimateUnionSize(std::span<const NodeId> seeds,
                                     std::vector<uint8_t>* scratch) const {
-  const size_t beta = static_cast<size_t>(1) << options_.precision;
+  const size_t beta = arena_->num_cells();
   scratch->assign(beta, 0);
   uint8_t* const ranks = scratch->data();
   bool any = false;
   for (const NodeId u : seeds) {
-    IPIN_CHECK_LT(u, num_nodes_);
-    if (sealed_) {
-      if (!arena_->has_node(u)) continue;
-      any = true;
-      // Sealed fast path: fold the node's rank-plane row straight in —
-      // one contiguous vector max per seed.
-      kernels::CellwiseMaxU8(ranks, arena_->rank_row(u).data(), beta);
-      continue;
-    }
-    const VersionedHll* sketch = sketches_[u].get();
-    if (sketch == nullptr) continue;
+    IPIN_CHECK_LT(u, num_nodes());
+    if (!arena_->has_node(u)) continue;
     any = true;
-    kernels::CellwiseMaxU8(ranks, sketch->max_ranks().data(), beta);
+    // One contiguous vector max per seed.
+    kernels::CellwiseMaxU8(ranks, arena_->rank_row(u).data(), beta);
   }
   if (!any) return 0.0;
   return kernels::Dispatched().estimate_from_ranks(ranks, beta);
 }
 
-size_t IrsApprox::NumAllocatedSketches() const {
-  if (sealed_) return arena_->NumAllocated();
-  size_t count = 0;
-  for (const auto& s : sketches_) {
-    if (s != nullptr) ++count;
-  }
-  return count;
-}
-
-size_t IrsApprox::TotalSketchEntries() const {
-  if (sealed_) return arena_->TotalEntries();
-  size_t total = 0;
-  for (const auto& s : sketches_) {
-    if (s != nullptr) total += s->NumEntries();
-  }
-  return total;
-}
-
-size_t IrsApprox::TotalInsertAttempts() const {
-  if (sealed_) return sealed_insert_attempts_;
-  size_t total = 0;
-  for (const auto& s : sketches_) {
-    if (s != nullptr) total += s->NumInsertAttempts();
-  }
-  return total;
-}
-
-size_t IrsApprox::TotalEvictions() const {
-  if (sealed_) return sealed_evictions_;
-  size_t total = 0;
-  for (const auto& s : sketches_) {
-    if (s != nullptr) total += s->NumEvictions();
-  }
-  return total;
-}
-
-size_t IrsApprox::TotalMergeEntriesScanned() const {
-  if (sealed_) return sealed_merge_entries_scanned_;
-  size_t total = 0;
-  for (const auto& s : sketches_) {
-    if (s != nullptr) total += s->NumMergeEntriesScanned();
-  }
-  return total;
-}
-
-size_t IrsApprox::TotalCellUpdates() const {
-  if (sealed_) return sealed_cell_updates_;
-  size_t total = 0;
-  for (const auto& s : sketches_) {
-    if (s != nullptr) total += s->NumCellUpdates();
-  }
-  return total;
-}
-
 size_t IrsApprox::MemoryUsageBytes() const {
-  if (sealed_) return arena_->MemoryUsageBytes();
-  size_t bytes = sketches_.capacity() * sizeof(std::unique_ptr<VersionedHll>);
-  for (const auto& s : sketches_) {
+  size_t bytes = arena_->MemoryUsageBytes();
+  if (build_ == nullptr) return bytes;
+  bytes += build_->sketches.capacity() * sizeof(std::unique_ptr<VersionedHll>);
+  for (const auto& s : build_->sketches) {
     if (s != nullptr) bytes += sizeof(VersionedHll) + s->MemoryUsageBytes();
   }
   return bytes;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -28,7 +29,9 @@ struct IrsApproxOptions {
 /// Algorithm 3): the same one-pass reverse scan as IrsExact, with each
 /// node's exact summary phi(u) replaced by a versioned HyperLogLog sketch.
 /// Every build runs ComputeParallel's scan: a plain build as one epoch, a
-/// checkpointed one (core/checkpoint.h) in epochs cut by checkpoints.
+/// checkpointed one (core/checkpoint.h) in epochs cut by checkpoints. Every
+/// build ends with its sketches' rows in a SketchArena, and every answer
+/// reads only that arena.
 ///
 /// Expected complexity: O(m * beta * log^2(window)) time and
 /// O(n * beta * log^2(window)) space (Lemmas 5-6); estimates carry the HLL
@@ -58,38 +61,33 @@ class IrsApprox {
   /// Wraps an already-packed arena (its precision and salt must match
   /// `options`; checked). Used by the oracle persistence layer
   /// (oracle_io.h), shard extraction and reshard reconstruction, which fill
-  /// the arena directly. The result is sealed (query-facing from birth).
+  /// the arena directly. The result holds no build store.
   IrsApprox(Duration window, const IrsApproxOptions& options,
             SketchArena arena);
 
-  /// Copies the per-node build sketches' max-rank rows and entry counts
-  /// into a read-only SketchArena (DESIGN.md §12) and frees the sketches.
-  /// Queries answered after sealing are bit-identical to before (the same
-  /// rows, the same kernels), just faster: unions and estimates stream the
-  /// contiguous max-rank plane. Every build (Compute, ComputeParallel and
-  /// the checkpointed build) returns UNSEALED so the copy + free cost stays
-  /// out of the timed build scan (fig3). Call Seal() at the build->query
-  /// handoff, before sustained querying. The restore paths (oracle load,
-  /// shard extraction) never hold unsealed sketches: they build the arena
-  /// directly. Idempotent.
+  /// Frees the build store: the per-node VersionedHll sketches, their
+  /// parts and the scan's time encoding. Every build already ends with its
+  /// rows in arena() (DESIGN.md §12), so no answer changes; only
+  /// BuildSketch, time_encoding and the checkpoint layer lose their input.
+  /// Call it at the build->query handoff to return the build's memory.
+  /// Idempotent, and a no-op for loaded and shard indexes.
   void Seal();
 
-  /// True once Seal() ran, and for instances built from an arena.
-  bool sealed() const { return sealed_; }
+  /// The store every query, save and shard extraction reads: each present
+  /// node's max-rank row and entry count. Never null.
+  const SketchArena* arena() const { return &*arena_; }
 
-  /// The packed sketch store, or nullptr while unsealed. Query hot loops
-  /// (influence_oracle.cc) use it to stream rank-plane rows directly.
-  const SketchArena* arena() const { return arena_.get(); }
+  /// Node u's build sketch, or null if u never sent, once Seal() has run,
+  /// and for loaded and shard indexes. For checks that the served rows are
+  /// the build's.
+  const VersionedHll* BuildSketch(NodeId u) const;
 
   /// The encoding checkpoints write the build sketches' times in
   /// (time_codec.h): the sketches' own when it is narrow, as a build's is
   /// when its input's times span less than 2^32 (DESIGN.md §12), and
   /// otherwise the narrowest that holds their times (TimeEncodingOf,
-  /// O(cells)). Unsealed only: a sealed index stores no times.
-  TimeEncoding time_encoding() const {
-    IPIN_CHECK(!sealed_);
-    return times_.width == 4 ? times_ : TimeEncodingOf(sketches_);
-  }
+  /// O(cells)). Only while the build store exists (checked).
+  TimeEncoding time_encoding() const;
 
   /// Estimated |sigma_omega(u)|.
   double EstimateIrsSize(NodeId u) const;
@@ -105,35 +103,30 @@ class IrsApprox {
   double EstimateUnionSize(std::span<const NodeId> seeds,
                            std::vector<uint8_t>* scratch) const;
 
-  /// View of node u's sketch (invalid if u never appeared as a source —
-  /// its IRS is empty). Works in both storage modes; see SketchView.
-  SketchView Sketch(NodeId u) const {
-    if (sealed_) return SketchView(arena_.get(), u);
-    return SketchView(sketches_[u].get());
-  }
-
   size_t num_nodes() const { return num_nodes_; }
   Duration window() const { return window_; }
   const IrsApproxOptions& options() const { return options_; }
 
-  /// Number of nodes that own a (non-null) sketch.
-  size_t NumAllocatedSketches() const;
+  /// Number of nodes that own a sketch.
+  size_t NumAllocatedSketches() const { return arena_->NumAllocated(); }
 
   /// Total (rank, time) entries across all sketches.
-  size_t TotalSketchEntries() const;
+  size_t TotalSketchEntries() const { return arena_->TotalEntries(); }
 
-  /// Total AddEntry attempts across all sketches (pre-pruning volume).
-  size_t TotalInsertAttempts() const;
+  /// The build sketches' lifetime tallies, summed when the build ended
+  /// (zero for loaded and shard indexes: their build history is not
+  /// stored). AddEntry attempts (pre-pruning volume), dominance-pair
+  /// evictions, entries examined by MergeWindow, and the subset of those
+  /// that survived domination filtering and updated a cell.
+  size_t TotalInsertAttempts() const { return tallies_.insert_attempts; }
+  size_t TotalEvictions() const { return tallies_.evictions; }
+  size_t TotalMergeEntriesScanned() const {
+    return tallies_.merge_entries_scanned;
+  }
+  size_t TotalCellUpdates() const { return tallies_.cell_updates; }
 
-  /// Total dominance-pair evictions across all sketches.
-  size_t TotalEvictions() const;
-
-  /// Total entries examined by MergeWindow across all sketches, and the
-  /// subset that survived domination filtering and updated a cell.
-  size_t TotalMergeEntriesScanned() const;
-  size_t TotalCellUpdates() const;
-
-  /// Approximate heap footprint in bytes (the paper's Table 4 quantity).
+  /// Approximate heap footprint in bytes (the paper's Table 4 quantity):
+  /// the arena, plus the build store while it exists.
   size_t MemoryUsageBytes() const;
 
  private:
@@ -142,6 +135,32 @@ class IrsApprox {
   // resumed build is indistinguishable from an uninterrupted one.
   friend class CheckpointAccess;
 
+  struct Tallies {
+    size_t insert_attempts = 0;
+    size_t evictions = 0;
+    size_t merge_entries_scanned = 0;
+    size_t cell_updates = 0;
+  };
+
+  // What only a build reads: the scan, the checkpoint layer,
+  // MemoryUsageBytes and BuildSketch.
+  struct Build {
+    // Only nodes that send own a sketch (a node that never sends has an
+    // empty IRS and needs no sketch — phi(v) = {} in the exact algorithm,
+    // memory proportional to *active* sources): Scan allocates it at the
+    // epoch of the node's first send in scan order.
+    std::vector<std::unique_ptr<VersionedHll>> sketches;
+    // The part count of every sketch.
+    size_t parts = 1;
+    // The encoding every sketch stores its times in: the scan's
+    // (ScanTimeEncoding).
+    TimeEncoding times;
+    // Scan tallies: plain members so the per-edge path stays atomics-free;
+    // Finish() rolls them up into the metrics registry once per build.
+    size_t edges_scanned = 0;
+    size_t merge_calls = 0;
+  };
+
   // An empty build over `graph` whose sketches will have
   // min(max(num_parts, 1), beta) parts and store times in the graph's
   // scan encoding (irs_approx.cc).
@@ -149,49 +168,30 @@ class IrsApprox {
             const IrsApproxOptions& options, size_t num_parts);
 
   // The reverse scan of the edges not yet in the sketches (all but the
-  // last `done`), on parts_ workers (ComputeParallel), in epochs ending
-  // where the scanned count reaches a multiple of `epoch_edges` (0: one
-  // epoch). At each epoch's end the workers meet, the build holds the
+  // last `done`), on build_->parts workers (ComputeParallel), in epochs
+  // ending where the scanned count reaches a multiple of `epoch_edges` (0:
+  // one epoch). At each epoch's end the workers meet, the build holds the
   // one-pass scan's sketches, and, if edges remain,
   // `after_epoch(edges scanned)` runs on the calling thread.
   void Scan(const InteractionGraph& graph, size_t done, size_t epoch_edges,
             const std::function<void(size_t)>& after_epoch);
 
-  // Rolls the plain-member scan tallies up into the metrics registry; called
-  // once per completed build (by Compute and the checkpointed variant).
-  void PublishBuildMetrics() const;
+  // The end of every build (plain and checkpointed): sums the sketches'
+  // lifetime tallies, copies their rows into arena_, and publishes the
+  // build metrics and the arena gauges.
+  void Finish();
 
-  // Sets the sketch.arena.* gauges from the live arena.
+  // Sets the sketch.arena.* gauges from the arena.
   void PublishArenaGauges() const;
 
   Duration window_;
   IrsApproxOptions options_;
   size_t num_nodes_ = 0;
-  // The part count of every build sketch (1 for an arena-built instance).
-  size_t parts_ = 1;
-  // Scan tallies: plain members so the per-edge path stays atomics-free;
-  // Compute() rolls them up into the metrics registry once per build.
-  size_t edges_scanned_ = 0;
-  size_t merge_calls_ = 0;
-  // The encoding every build sketch stores its times in: the scan's
-  // (ScanTimeEncoding).
-  TimeEncoding times_;
-  // Dual-mode storage. While building, only nodes that send own a sketch
-  // (a node that never sends has an empty IRS and needs no sketch — phi(v)
-  // = {} in the exact algorithm, memory proportional to *active* sources):
-  // Scan allocates it at the epoch of the node's first send in scan order.
-  // Seal() copies their rows into arena_ and frees them; exactly one of the
-  // two representations is live at a time.
-  std::vector<std::unique_ptr<VersionedHll>> sketches_;
-  std::unique_ptr<SketchArena> arena_;
-  bool sealed_ = false;
-  // Per-sketch lifetime tallies, captured by Seal() before the sketches
-  // are freed so the Total*() accessors keep working (zero for instances
-  // built from an arena: their build history is not stored).
-  size_t sealed_insert_attempts_ = 0;
-  size_t sealed_evictions_ = 0;
-  size_t sealed_merge_entries_scanned_ = 0;
-  size_t sealed_cell_updates_ = 0;
+  // Null for loaded and shard indexes, and once Seal() has run.
+  std::unique_ptr<Build> build_;
+  Tallies tallies_;
+  // Unset only while a build runs: Finish() sets it.
+  std::optional<SketchArena> arena_;
 };
 
 }  // namespace ipin

@@ -98,10 +98,11 @@ bool HeaderFitsFile(const IndexHeader& header, size_t remaining) {
 // (grown, never shrunk). Returns the payload's length.
 size_t EncodeChunk(const IrsApprox& index, uint64_t first, uint32_t count,
                    std::string* buffer) {
-  const size_t beta = size_t{1} << index.options().precision;
+  const SketchArena& arena = *index.arena();
+  const size_t beta = arena.num_cells();
   const NodeId lo = static_cast<NodeId>(first);
   size_t present = 0;
-  for (NodeId u = lo; u < lo + count; ++u) present += index.Sketch(u) ? 1 : 0;
+  for (NodeId u = lo; u < lo + count; ++u) present += arena.has_node(u);
   const size_t size =
       kChunkPrefixBytes + count + present * (sizeof(uint32_t) + beta);
   if (buffer->size() < size) buffer->resize(size);
@@ -112,13 +113,13 @@ size_t EncodeChunk(const IrsApprox& index, uint64_t first, uint32_t count,
   char* entries = flags + count;
   char* rows = entries + present * sizeof(uint32_t);
   for (uint32_t i = 0; i < count; ++i) {
-    const SketchView sketch = index.Sketch(lo + i);
-    flags[i] = sketch ? 1 : 0;
-    if (!sketch) continue;
-    const auto n = static_cast<uint32_t>(sketch.NumEntries());
+    const NodeId u = lo + i;
+    flags[i] = arena.has_node(u) ? 1 : 0;
+    if (!arena.has_node(u)) continue;
+    const auto n = static_cast<uint32_t>(arena.NodeNumEntries(u));
     std::memcpy(entries, &n, sizeof(n));
     entries += sizeof(n);
-    std::memcpy(rows, sketch.max_ranks().data(), beta);
+    std::memcpy(rows, arena.rank_row(u).data(), beta);
     rows += beta;
   }
   return size;

@@ -23,20 +23,20 @@
 // num_nodes, chunk_size), then one chunk per 256 nodes: a present flag per
 // node, then for each present node its entry count (the (rank, time) pairs
 // its build sketch held) and its beta-byte max-rank row. No (rank, time)
-// list is stored, and no time. Save writes each node's Sketch(u) row and
-// entry count, sealed or not; restore reads the file with one sized read,
-// verifies every frame, checks each chunk and copies its rows into an
-// owned rank plane (SketchArena::Append), and frees the file buffer when
-// the load returns. A chunk out of place or failing any check — a present
-// byte other than 0 or 1, a length that disagrees with its counts, a rank
-// above VersionedHll::MaxRank, or an entry count outside
+// list is stored, and no time. Save writes each node's arena row and entry
+// count, with or without a build store; restore reads the file with one
+// sized read, verifies every frame, checks each chunk and copies its rows
+// into an owned rank plane (SketchArena::Append), and frees the file
+// buffer when the load returns. A chunk out of place or failing any check
+// — a present byte other than 0 or 1, a length that disagrees with its
+// counts, a rank above VersionedHll::MaxRank, or an entry count outside
 // [non-zero cells, sum of the row] — is dropped whole. No VersionedHll is
-// constructed and nothing is sealed at restore. Each load's wall time lands
-// in the robustness.index.load_ms histogram, and its stages in the
+// constructed at restore. Each load's wall time lands in the
+// robustness.index.load_ms histogram, and its stages in the
 // index.load.read, index.load.verify and index.load.place trace spans.
 //
-// Files of versions 1 to 4 (per-node sketch blobs, then the sealed arena's
-// cell lists) are no longer read: they load as kCorrupt, and the index is
+// Files of versions 1 to 4 (per-node sketch blobs, then the arena's cell
+// lists) are no longer read: they load as kCorrupt, and the index is
 // rebuilt from its interaction log.
 
 namespace ipin {
@@ -62,7 +62,7 @@ struct IndexLoadResult {
   bool usable() const { return index.has_value(); }
 };
 
-/// Writes the index (sealed or not) to `path` atomically, in the version-5
+/// Writes the index's arena to `path` atomically, in the version-5
 /// framed format.
 /// Returns false on I/O error (the previous file at `path`, if any, is left
 /// intact). Failpoints: oracle_io.save, oracle_io.write.short.

@@ -106,17 +106,7 @@ SourceSetApprox SourceSetApprox::Compute(const InteractionGraph& graph,
   for (const Interaction& e : graph.interactions()) {
     sets.ProcessInteraction(e);
   }
-  sets.Seal();
   return sets;
-}
-
-void SourceSetApprox::Seal() {
-  if (sealed_) return;
-  arena_ = std::make_unique<SketchArena>(options_.precision, options_.salt,
-                                         std::span(sketches_));
-  sealed_ = true;
-  sketches_.clear();
-  sketches_.shrink_to_fit();
 }
 
 VersionedHll* SourceSetApprox::MutableSketch(NodeId v) {
@@ -129,7 +119,6 @@ VersionedHll* SourceSetApprox::MutableSketch(NodeId v) {
 
 void SourceSetApprox::ProcessInteraction(const Interaction& interaction) {
   const auto [u, v, t] = interaction;
-  IPIN_CHECK(!sealed_);
   IPIN_CHECK_LT(u, sketches_.size());
   IPIN_CHECK_LT(v, sketches_.size());
   if (saw_interaction_) {
@@ -153,9 +142,6 @@ void SourceSetApprox::ProcessInteraction(const Interaction& interaction) {
 
 double SourceSetApprox::EstimateSourceSetSize(NodeId v) const {
   IPIN_CHECK_LT(v, num_nodes_);
-  if (sealed_) {
-    return arena_->has_node(v) ? arena_->EstimateNode(v) : 0.0;
-  }
   const VersionedHll* sketch = sketches_[v].get();
   return sketch == nullptr ? 0.0 : sketch->Estimate();
 }
@@ -174,17 +160,16 @@ double SourceSetApprox::EstimateUnionSize(
   bool any = false;
   for (const NodeId v : targets) {
     IPIN_CHECK_LT(v, num_nodes_);
-    const SketchView sketch = Sketch(v);
-    if (!sketch) continue;
+    const VersionedHll* sketch = Sketch(v);
+    if (sketch == nullptr) continue;
     any = true;
-    kernels::CellwiseMaxU8(ranks, sketch.max_ranks().data(), beta);
+    kernels::CellwiseMaxU8(ranks, sketch->max_ranks().data(), beta);
   }
   if (!any) return 0.0;
   return kernels::Dispatched().estimate_from_ranks(ranks, beta);
 }
 
 size_t SourceSetApprox::NumAllocatedSketches() const {
-  if (sealed_) return arena_->NumAllocated();
   size_t count = 0;
   for (const auto& s : sketches_) {
     if (s != nullptr) ++count;
@@ -193,7 +178,6 @@ size_t SourceSetApprox::NumAllocatedSketches() const {
 }
 
 size_t SourceSetApprox::TotalSketchEntries() const {
-  if (sealed_) return arena_->TotalEntries();
   size_t total = 0;
   for (const auto& s : sketches_) {
     if (s != nullptr) total += s->NumEntries();
@@ -202,7 +186,6 @@ size_t SourceSetApprox::TotalSketchEntries() const {
 }
 
 size_t SourceSetApprox::MemoryUsageBytes() const {
-  if (sealed_) return arena_->MemoryUsageBytes();
   size_t bytes = sketches_.capacity() * sizeof(std::unique_ptr<VersionedHll>);
   for (const auto& s : sketches_) {
     if (s != nullptr) bytes += sizeof(VersionedHll) + s->MemoryUsageBytes();
@@ -223,22 +206,22 @@ class SourceSetCoverage : public CoverageState {
   double Covered() const override { return covered_; }
 
   double GainOf(NodeId v) const override {
-    const SketchView sketch = sets_->Sketch(v);
-    if (!sketch) return 0.0;
+    const VersionedHll* sketch = sets_->Sketch(v);
+    if (sketch == nullptr) return 0.0;
     // thread_local scratch instead of a per-call copy: GainOf is the inner
     // loop of greedy/CELF and may be called concurrently by the parallel
     // maximizer, which forbids a shared mutable member.
     static thread_local std::vector<uint8_t> merged;
     merged = ranks_;
-    kernels::CellwiseMaxU8(merged.data(), sketch.max_ranks().data(),
+    kernels::CellwiseMaxU8(merged.data(), sketch->max_ranks().data(),
                            merged.size());
     return std::max(0.0, EstimateOf(merged) - covered_);
   }
 
   void Commit(NodeId v) override {
-    const SketchView sketch = sets_->Sketch(v);
-    if (!sketch) return;
-    kernels::CellwiseMaxU8(ranks_.data(), sketch.max_ranks().data(),
+    const VersionedHll* sketch = sets_->Sketch(v);
+    if (sketch == nullptr) return;
+    kernels::CellwiseMaxU8(ranks_.data(), sketch->max_ranks().data(),
                            ranks_.size());
     covered_ = EstimateOf(ranks_);
   }

@@ -12,7 +12,6 @@
 #include "ipin/core/irs_exact.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/graph/types.h"
-#include "ipin/sketch/sketch_arena.h"
 #include "ipin/sketch/vhll.h"
 
 // Influence SOURCE sets: the exact dual of the paper's influence
@@ -94,17 +93,10 @@ class SourceSetApprox {
                                  Duration window,
                                  const IrsApproxOptions& options = {});
 
-  /// Processes one interaction in arrival order. Only valid while unsealed
-  /// (the class stays a streaming structure unless the caller seals it).
+  /// Processes one interaction in arrival order. A Compute() result stays
+  /// feedable: the class is a streaming structure, and its sketches change
+  /// on every interaction, so it answers from them directly.
   void ProcessInteraction(const Interaction& interaction);
-
-  /// Copies the per-node sketches' rows into a read-only SketchArena and
-  /// frees them (see IrsApprox::Seal). Compute() seals its result;
-  /// hand-streamed instances stay unsealed — and feedable — until sealed
-  /// explicitly.
-  void Seal();
-  bool sealed() const { return sealed_; }
-  const SketchArena* arena() const { return arena_.get(); }
 
   /// Estimated |tau_omega(v)|.
   double EstimateSourceSetSize(NodeId v) const;
@@ -117,11 +109,8 @@ class SourceSetApprox {
   double EstimateUnionSize(std::span<const NodeId> targets,
                            std::vector<uint8_t>* scratch) const;
 
-  /// View of node v's sketch (invalid if v never received anything).
-  SketchView Sketch(NodeId v) const {
-    if (sealed_) return SketchView(arena_.get(), v);
-    return SketchView(sketches_[v].get());
-  }
+  /// Node v's sketch (null if v never received anything).
+  const VersionedHll* Sketch(NodeId v) const { return sketches_[v].get(); }
 
   size_t num_nodes() const { return num_nodes_; }
   Duration window() const { return window_; }
@@ -139,11 +128,8 @@ class SourceSetApprox {
   size_t num_nodes_ = 0;
   Timestamp last_time_ = 0;
   bool saw_interaction_ = false;
-  // Dual-mode storage, same scheme as IrsApprox: build sketches until
-  // Seal() copies their rows into arena_.
+  // Only nodes that receive own a sketch.
   std::vector<std::unique_ptr<VersionedHll>> sketches_;
-  std::unique_ptr<SketchArena> arena_;
-  bool sealed_ = false;
 };
 
 /// Influence-oracle adapter over the sketch-based source sets: treats

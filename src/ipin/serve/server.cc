@@ -73,6 +73,7 @@ Response OracleServer::Evaluate(const Request& request,
                         std::vector<std::pair<NodeId, double>>,
                         decltype(better)>
         worst_first(better);
+    const SketchArena& arena = *index->arena();
     QueryBudget budget;
     budget.deadline = deadline;
     for (NodeId u = 0; u < index->num_nodes(); ++u) {
@@ -81,9 +82,8 @@ Response OracleServer::Evaluate(const Request& request,
         IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
         return response;
       }
-      const SketchView sketch = index->Sketch(u);
-      if (!sketch) continue;
-      worst_first.emplace(u, sketch.Estimate());
+      if (!arena.has_node(u)) continue;
+      worst_first.emplace(u, arena.EstimateNode(u));
       if (worst_first.size() > k) worst_first.pop();
     }
     response.topk.resize(worst_first.size());
@@ -152,8 +152,8 @@ Response OracleServer::Evaluate(const Request& request,
     // scatter-gather router folds (cellwise max) into an exact global
     // answer. An all-zero vector (no seed has a sketch) is both the merge
     // identity and EstimateFromRanks == 0.0, matching the plain path.
-    const size_t beta = static_cast<size_t>(1)
-                        << index->options().precision;
+    const SketchArena& arena = *index->arena();
+    const size_t beta = arena.num_cells();
     std::vector<uint8_t> ranks(beta, 0);
     bool any = false;
     QueryBudget budget;
@@ -165,10 +165,9 @@ Response OracleServer::Evaluate(const Request& request,
         IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
         return response;
       }
-      const SketchView sketch = index->Sketch(u);
-      if (!sketch) continue;
+      if (!arena.has_node(u)) continue;
       any = true;
-      kernels::CellwiseMaxU8(ranks.data(), sketch.max_ranks().data(), beta);
+      kernels::CellwiseMaxU8(ranks.data(), arena.rank_row(u).data(), beta);
     }
     estimate = any ? EstimateFromRanks(ranks) : 0.0;
     response.ranks = std::move(ranks);

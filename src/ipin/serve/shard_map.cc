@@ -44,7 +44,6 @@ std::optional<std::string> ReadFileToString(const std::string& path) {
 bool ParseEndpoint(const JsonValue& shard, const std::string& prefix,
                    ShardEndpoint* out, std::string* error) {
   *out = ShardEndpoint{};
-  out->tcp_host.clear();
   out->unix_socket_path = shard.FindString(prefix + "unix_socket", "");
   const JsonValue* port = shard.Find(prefix + "tcp_port");
   if (port != nullptr) {
@@ -55,10 +54,15 @@ bool ParseEndpoint(const JsonValue& shard, const std::string& prefix,
     }
     out->tcp_port = static_cast<int>(port->number_value());
   }
-  out->tcp_host = shard.FindString(prefix + "tcp_host", "127.0.0.1");
   if (!out->unix_socket_path.empty() && out->tcp_port >= 0) {
     return Fail(error,
                 "shard endpoint must be unix_socket OR tcp_port, not both");
+  }
+  // A unix-socket endpoint dials no host, and ToJson writes none: its
+  // tcp_host keeps the default, so endpoints compare by what they dial and
+  // every map re-parses from its own ToJson.
+  if (out->unix_socket_path.empty()) {
+    out->tcp_host = shard.FindString(prefix + "tcp_host", out->tcp_host);
   }
   return true;
 }
@@ -341,13 +345,14 @@ std::string ShardMap::ToJson() const {
 
 IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
                             size_t shard) {
+  const SketchArena& from = *full.arena();
   std::vector<NodeId> owned;
   for (NodeId u = 0; u < full.num_nodes(); ++u) {
-    if (full.Sketch(u) && map.OwnerOf(u) == shard) owned.push_back(u);
+    if (from.has_node(u) && map.OwnerOf(u) == shard) owned.push_back(u);
   }
-  SketchArena arena(full.options().precision, full.options().salt,
-                    full.num_nodes(), owned.size());
-  for (const NodeId u : owned) arena.AppendCopy(u, full.Sketch(u));
+  SketchArena arena(from.precision(), from.salt(), full.num_nodes(),
+                    owned.size());
+  for (const NodeId u : owned) arena.AppendCopy(u, from);
   return IrsApprox(full.window(), full.options(), std::move(arena));
 }
 

@@ -67,9 +67,12 @@ SketchArena::SketchArena(
     std::span<const std::unique_ptr<VersionedHll>> sketches)
     : SketchArena(precision, salt, sketches.size(), CountSketches(sketches)) {
   for (size_t u = 0; u < num_nodes_; ++u) {
-    if (sketches[u] != nullptr) {
-      AppendCopy(static_cast<NodeId>(u), SketchView(sketches[u].get()));
-    }
+    const VersionedHll* sketch = sketches[u].get();
+    if (sketch == nullptr) continue;
+    IPIN_CHECK_EQ(sketch->precision(), precision_);
+    IPIN_CHECK_EQ(sketch->salt(), salt_);
+    IPIN_CHECK(Append(static_cast<NodeId>(u), sketch->max_ranks(),
+                      sketch->NumEntries()));
   }
 }
 
@@ -94,11 +97,11 @@ bool SketchArena::Append(NodeId u, std::span<const uint8_t> row,
   return true;
 }
 
-void SketchArena::AppendCopy(NodeId u, const SketchView& sketch) {
-  IPIN_CHECK(sketch.valid());
-  IPIN_CHECK_EQ(sketch.precision(), precision_);
-  IPIN_CHECK_EQ(sketch.salt(), salt_);
-  IPIN_CHECK(Append(u, sketch.max_ranks(), sketch.NumEntries()));
+void SketchArena::AppendCopy(NodeId u, const SketchArena& from) {
+  IPIN_CHECK(from.has_node(u));
+  IPIN_CHECK_EQ(from.precision_, precision_);
+  IPIN_CHECK_EQ(from.salt_, salt_);
+  IPIN_CHECK(Append(u, from.rank_row(u), from.NodeNumEntries(u)));
 }
 
 void SketchArena::RollBack(size_t num_allocated, NodeId first, NodeId end) {
@@ -124,16 +127,6 @@ size_t SketchArena::MemoryUsageBytes() const {
   return rank_plane_.capacity() * sizeof(uint8_t) +
          row_of_.capacity() * sizeof(uint32_t) +
          entries_.capacity() * sizeof(uint32_t);
-}
-
-double SketchView::Estimate() const {
-  if (hll_ != nullptr) return hll_->Estimate();
-  return arena_->EstimateNode(node_);
-}
-
-bool SketchView::CheckInvariants() const {
-  if (hll_ != nullptr) return hll_->CheckInvariants();
-  return arena_ == nullptr || arena_->CheckNodeInvariants(node_);
 }
 
 }  // namespace ipin

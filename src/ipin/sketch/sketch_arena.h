@@ -11,11 +11,11 @@
 #include "ipin/obs/memtally.h"
 #include "ipin/sketch/vhll.h"
 
-// Storage for a sealed set of per-node versioned-HLL sketches (DESIGN.md
-// §12). Index builds still mutate one VersionedHll per node (domination
-// pruning needs the per-cell lists to be insertable), but every query reads
-// only a sketch's max-rank registers, so once a build finishes its served
-// form is those registers alone:
+// The store every vHLL query reads (DESIGN.md §12). Index builds still
+// mutate one VersionedHll per node (domination pruning needs the per-cell
+// lists to be insertable), but every query reads only a sketch's max-rank
+// registers, so a build ends by copying those registers here, and from then
+// on answers, saves and shard extraction read only this arena:
 //
 //   rank plane   one beta-byte max-rank row per slot (present node), plus
 //                one shared all-zero row that every absent node points at,
@@ -24,15 +24,13 @@
 //   row_of_      per node: its slot + 1, or 0 if absent;
 //   entries      per slot: how many (rank, time) pairs the build sketch
 //                held, kept so entry counts (and the bytes-per-entry
-//                metrics) read the same before and after sealing.
+//                metrics) outlive the build sketches.
 //
-// Sealing copies each build sketch's max-rank cache and entry count;
-// shard extraction, reshard reconstruction and index loads append rows the
-// same way (Append). No (rank, time) list is stored.
+// The end of a build copies each build sketch's max-rank cache and entry
+// count; shard extraction, reshard reconstruction and index loads append
+// rows the same way (Append). No (rank, time) list is stored.
 
 namespace ipin {
-
-class SketchView;
 
 /// Byte tally charged for all arena allocations (component "sketch_arena");
 /// published as the mem.sketch_arena.* gauges.
@@ -52,10 +50,9 @@ class SketchArena {
   /// rows. Fill it with Append or AppendCopy.
   SketchArena(int precision, uint64_t salt, size_t num_nodes, size_t sketches);
 
-  /// Seals `sketches` (indexed by node id; null entries = absent node):
-  /// sizes the arena exactly and copies every sketch's max-rank row and
-  /// entry count in node order. Callers free the source sketches
-  /// afterwards.
+  /// The rows of `sketches` (indexed by node id; null entries = absent
+  /// node; precision and salt must match): sizes the arena exactly and
+  /// copies every sketch's max-rank row and entry count in node order.
   SketchArena(int precision, uint64_t salt,
               std::span<const std::unique_ptr<VersionedHll>> sketches);
 
@@ -69,10 +66,9 @@ class SketchArena {
   /// (RowIsValid).
   bool Append(NodeId u, std::span<const uint8_t> row, uint64_t entries);
 
-  /// Appends a copy of `sketch` (either storage mode; precision and salt
-  /// must match) as node `u`. The source is trusted: failure is a bug
-  /// (checked).
-  void AppendCopy(NodeId u, const SketchView& sketch);
+  /// Appends a copy of node `u` of `from` (present; precision and salt must
+  /// match) as node `u`. The source is trusted: failure is a bug (checked).
+  void AppendCopy(NodeId u, const SketchArena& from);
 
   /// Removes every node appended since NumAllocated() was `num_allocated`,
   /// so a group of appends that fails part-way leaves nothing behind. All
@@ -128,57 +124,6 @@ class SketchArena {
   TallyVec<uint8_t> rank_plane_;  // (sketches + 1) x beta
   TallyVec<uint32_t> row_of_;     // num_nodes: slot + 1, 0 if absent
   TallyVec<uint32_t> entries_;    // sketches: pairs per slot
-};
-
-/// Uniform read handle over one node's sketch in either storage mode:
-/// a live VersionedHll during a build, or an arena slot once sealed.
-/// Query code written against SketchView works identically in both modes,
-/// and a save writes either one the same way (its row and entry count).
-class SketchView {
- public:
-  SketchView() = default;
-  explicit SketchView(const VersionedHll* hll) : hll_(hll) {}
-  SketchView(const SketchArena* arena, NodeId node)
-      : arena_(arena), node_(node) {}
-
-  /// False for absent nodes (no sketch ever allocated).
-  bool valid() const {
-    return hll_ != nullptr || (arena_ != nullptr && arena_->has_node(node_));
-  }
-  explicit operator bool() const { return valid(); }
-
-  int precision() const {
-    return hll_ != nullptr ? hll_->precision() : arena_->precision();
-  }
-  uint64_t salt() const {
-    return hll_ != nullptr ? hll_->salt() : arena_->salt();
-  }
-  size_t num_cells() const {
-    return hll_ != nullptr ? hll_->num_cells() : arena_->num_cells();
-  }
-
-  /// Per-cell max rank, contiguous (the union fast path input).
-  std::span<const uint8_t> max_ranks() const {
-    return hll_ != nullptr ? hll_->max_ranks() : arena_->rank_row(node_);
-  }
-
-  size_t NumEntries() const {
-    return hll_ != nullptr ? hll_->NumEntries() : arena_->NodeNumEntries(node_);
-  }
-
-  /// The build sketch behind the view, or null for an arena slot (whose
-  /// cell lists are not stored).
-  const VersionedHll* build_sketch() const { return hll_; }
-
-  double Estimate() const;
-  /// The sketch's invariants (VersionedHll::CheckInvariants, or the arena
-  /// row's); true for an absent one.
-  bool CheckInvariants() const;
-
- private:
-  const VersionedHll* hll_ = nullptr;
-  const SketchArena* arena_ = nullptr;
-  NodeId node_ = kInvalidNode;
 };
 
 }  // namespace ipin

@@ -52,11 +52,11 @@ void ExpectExactEqual(const IrsExact& got, const IrsExact& want) {
 void ExpectApproxEqual(const IrsApprox& got, const IrsApprox& want) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    const SketchView a = got.Sketch(u);
-    const SketchView b = want.Sketch(u);
-    ASSERT_EQ(a.valid(), b.valid()) << "node " << u;
-    if (!b) continue;
-    EXPECT_EQ(CellsOf(a), CellsOf(b)) << "node " << u;
+    const VersionedHll* a = got.BuildSketch(u);
+    const VersionedHll* b = want.BuildSketch(u);
+    ASSERT_EQ(a != nullptr, b != nullptr) << "node " << u;
+    if (b == nullptr) continue;
+    EXPECT_EQ(CellsOf(*a), CellsOf(*b)) << "node " << u;
     EXPECT_EQ(got.EstimateIrsSize(u), want.EstimateIrsSize(u))
         << "node " << u;
   }

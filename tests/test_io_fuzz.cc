@@ -7,6 +7,8 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,6 +23,7 @@
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/graph_io.h"
 #include "ipin/serve/protocol.h"
+#include "ipin/serve/shard_map.h"
 #include "ipin/sketch/sketch_arena.h"
 #include "ipin/sketch/vhll.h"
 #include "test_util.h"
@@ -118,14 +121,12 @@ void ExpectReSavesToAFixedPoint(const IrsApprox& loaded,
   ASSERT_EQ(again.status, IndexLoadStatus::kOk);
   ASSERT_EQ(again.index->num_nodes(), loaded.num_nodes());
   for (NodeId u = 0; u < loaded.num_nodes(); ++u) {
-    ASSERT_EQ(again.index->Sketch(u).valid(), loaded.Sketch(u).valid())
+    ASSERT_EQ(again.index->arena()->has_node(u), loaded.arena()->has_node(u))
         << "node " << u;
     ASSERT_EQ(again.index->EstimateIrsSize(u), loaded.EstimateIrsSize(u))
         << "node " << u;
-    if (loaded.Sketch(u)) {
-      ASSERT_EQ(RowOf(again.index->Sketch(u)), RowOf(loaded.Sketch(u)))
-          << "node " << u;
-    }
+    ASSERT_EQ(RowOf(*again.index->arena(), u), RowOf(*loaded.arena(), u))
+        << "node " << u;
   }
   ASSERT_TRUE(SaveInfluenceIndex(*again.index, scratch));
   EXPECT_EQ(ReadFile(scratch), saved);
@@ -322,11 +323,11 @@ void ExpectSameSketches(const IrsApprox& got, const IrsApprox& want,
                         int trial) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes()) << trial;
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    const SketchView a = got.Sketch(u);
-    const SketchView b = want.Sketch(u);
-    ASSERT_EQ(a.valid(), b.valid()) << "trial " << trial << " node " << u;
-    if (b) {
-      ASSERT_EQ(CellsOf(a), CellsOf(b)) << "trial " << trial << " node " << u;
+    const VersionedHll* a = got.BuildSketch(u);
+    const VersionedHll* b = want.BuildSketch(u);
+    ASSERT_EQ(a != nullptr, b != nullptr) << "trial " << trial << " node " << u;
+    if (b != nullptr) {
+      ASSERT_EQ(CellsOf(*a), CellsOf(*b)) << "trial " << trial << " node " << u;
     }
   }
 }
@@ -420,7 +421,10 @@ TEST_F(IoFuzzTest, ApproxCheckpointSurvivesHostileChunks) {
     } else {
       ASSERT_EQ(stats.resumed_edges, 1000u) << trial;
       for (NodeId u = 0; u < got.num_nodes(); ++u) {
-        ASSERT_TRUE(got.Sketch(u).CheckInvariants())
+        const VersionedHll* sketch = got.BuildSketch(u);
+        ASSERT_TRUE(sketch == nullptr || sketch->CheckInvariants())
+            << "trial " << trial << " node " << u;
+        ASSERT_TRUE(got.arena()->CheckNodeInvariants(u))
             << "trial " << trial << " node " << u;
       }
     }
@@ -935,6 +939,81 @@ TEST_F(IoFuzzTest, WireLinesParseToFixedPointsOrNothing) {
       line.pop_back();
       check(MutateWireLine(std::move(line), &rng), serve::ParseResponse,
             serve::SerializeResponse);
+    }
+  }
+  // Both outcomes occur, so the property was tested, not skipped.
+  EXPECT_GT(accepted, 1000u);
+  EXPECT_GT(rejected, 1000u);
+}
+
+// Mutated shard maps: the ToJson of a v1 map with mirrors (parsed from its
+// v1 text, which is fuzzed too: ToJson writes mirrors as replicas), of a v2
+// map with replicas, index files and fingerprints, and of a map in
+// transition. Whatever Parse rejects comes with an error; whatever it
+// accepts re-parses from its own ToJson to the same JSON and the same
+// owner for every node probed.
+TEST_F(IoFuzzTest, ShardMapsParseToFixedPointsOrNothing) {
+  const std::string v1_text =
+      R"({"schema":"ipin.shardmap.v1","virtual_points":16,"shards":[)"
+      R"({"name":"a","unix_socket":"/tmp/a.sock",)"
+      R"("mirror_unix_socket":"/tmp/a-mirror.sock"},)"
+      R"({"name":"b","tcp_host":"10.0.0.2","tcp_port":7101,)"
+      R"("mirror_tcp_port":7102}]})";
+  std::string error;
+  const std::optional<serve::ShardMap> v1 =
+      serve::ShardMap::Parse(v1_text, &error);
+  ASSERT_TRUE(v1.has_value()) << error;
+
+  std::vector<serve::ShardInfo> shards(3);
+  for (size_t i = 0; i < shards.size(); ++i) {
+    shards[i].name = "s" + std::to_string(i);
+    shards[i].endpoint.unix_socket_path = "/tmp/s" + std::to_string(i);
+    shards[i].index_file = "piece" + std::to_string(i) + ".bin";
+    shards[i].fingerprint = "0123abcd" + std::to_string(i);
+  }
+  shards[0].replicas.resize(2);
+  shards[0].replicas[0].unix_socket_path = "/tmp/s0-r";
+  shards[0].replicas[1].tcp_host = "::1";
+  shards[0].replicas[1].tcp_port = 7200;
+  shards[2].endpoint = shards[0].replicas[1];
+  shards[2].endpoint.tcp_port = 7300;
+  const serve::ShardMap v2(shards, /*virtual_points=*/8);
+  serve::ShardMap moving(std::vector<serve::ShardInfo>(shards.begin(),
+                                                       shards.begin() + 2),
+                         /*virtual_points=*/8);
+  moving.BeginTransition(std::make_shared<const serve::ShardMap>(v2));
+  ASSERT_TRUE(moving.InTransition());
+  const std::vector<std::string> fixtures = {v1_text, v1->ToJson(),
+                                             v2.ToJson(), moving.ToJson()};
+  for (const std::string& json : fixtures) {
+    ASSERT_TRUE(serve::ShardMap::Parse(json, &error).has_value())
+        << error << "\n" << json;
+  }
+
+  size_t accepted = 0;
+  size_t rejected = 0;
+  Rng rng(20261019);
+  for (int trial = 0; trial < 10000 && !HasFailure(); ++trial) {
+    const std::string line = MutateWireLine(
+        fixtures[rng.NextBounded(fixtures.size())], &rng);
+    error.clear();
+    const std::optional<serve::ShardMap> m =
+        serve::ShardMap::Parse(line, &error);
+    if (!m.has_value()) {
+      ++rejected;
+      EXPECT_FALSE(error.empty()) << "rejected without an error: " << line;
+      continue;
+    }
+    ++accepted;
+    const std::string once = m->ToJson();
+    const std::optional<serve::ShardMap> m2 =
+        serve::ShardMap::Parse(once, &error);
+    ASSERT_TRUE(m2.has_value()) << error << "\naccepted: " << line
+                                << "\nwrote: " << once;
+    EXPECT_EQ(m2->ToJson(), once) << "accepted: " << line;
+    for (NodeId u = 0; u < 1000; ++u) {
+      ASSERT_EQ(m2->OwnerOf(u), m->OwnerOf(u))
+          << "node " << u << ", accepted: " << line;
     }
   }
   // Both outcomes occur, so the property was tested, not skipped.

@@ -40,9 +40,10 @@ TEST(IrsApproxTest, SketchesKeepInvariantsDuringScan) {
   const InteractionGraph g = GenerateUniformRandomNetwork(50, 600, 2000, 17);
   const IrsApprox approx = IrsApprox::Compute(g, 400, Options(6));
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (approx.Sketch(u)) {
-      EXPECT_TRUE(approx.Sketch(u).CheckInvariants()) << "node " << u;
+    if (const VersionedHll* sketch = approx.BuildSketch(u)) {
+      EXPECT_TRUE(sketch->CheckInvariants()) << "node " << u;
     }
+    EXPECT_TRUE(approx.arena()->CheckNodeInvariants(u)) << "node " << u;
   }
 }
 
@@ -51,9 +52,12 @@ TEST(IrsApproxTest, LazyAllocationOnlyForSources) {
   g.AddInteraction(0, 1, 1);
   g.AddInteraction(0, 2, 2);
   const IrsApprox approx = IrsApprox::Compute(g, 10, Options(6));
-  EXPECT_TRUE(approx.Sketch(0).valid());
-  EXPECT_FALSE(approx.Sketch(1).valid());  // pure receiver
-  EXPECT_FALSE(approx.Sketch(3).valid());  // isolated
+  EXPECT_NE(approx.BuildSketch(0), nullptr);
+  EXPECT_EQ(approx.BuildSketch(1), nullptr);  // pure receiver
+  EXPECT_EQ(approx.BuildSketch(3), nullptr);  // isolated
+  EXPECT_TRUE(approx.arena()->has_node(0));
+  EXPECT_FALSE(approx.arena()->has_node(1));
+  EXPECT_FALSE(approx.arena()->has_node(3));
   EXPECT_EQ(approx.NumAllocatedSketches(), 1u);
   EXPECT_DOUBLE_EQ(approx.EstimateIrsSize(1), 0.0);
 }

@@ -366,15 +366,15 @@ class CraftedIndexTest : public OracleIoTest {
   // Node u of the loaded index holds exactly the row and entry count of
   // `want` (or is absent with an all-zero rank row when `want` is empty).
   static void ExpectNode(const IrsApprox& index, NodeId u, const Cells& want) {
-    const SketchView sketch = index.Sketch(u);
-    ASSERT_EQ(sketch.valid(), !want.empty()) << "node " << u;
+    const SketchArena& arena = *index.arena();
+    ASSERT_EQ(arena.has_node(u), !want.empty()) << "node " << u;
     if (want.empty()) {
-      for (const uint8_t r : index.arena()->rank_row(u)) {
+      for (const uint8_t r : arena.rank_row(u)) {
         ASSERT_EQ(r, 0) << "node " << u;
       }
       return;
     }
-    EXPECT_EQ(RowOf(sketch), RowOfCells(want)) << "node " << u;
+    EXPECT_EQ(RowOf(arena, u), RowOfCells(want)) << "node " << u;
   }
 
   // Twelve random nodes (node 6 absent) in three 4-node chunks.
@@ -633,14 +633,14 @@ TEST_F(CraftedIndexTest, RetiredFormatsLoadAsCorrupt) {
 }
 
 // Every node of `got` holds exactly the row, entry count and estimate of
-// the same node of `want`, whatever the storage of either.
+// the same node of `want`.
 void ExpectSameRows(const IrsApprox& want, const IrsApprox& got) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    ASSERT_EQ(got.Sketch(u).valid(), want.Sketch(u).valid()) << "node " << u;
+    ASSERT_EQ(got.arena()->has_node(u), want.arena()->has_node(u))
+        << "node " << u;
     EXPECT_EQ(got.EstimateIrsSize(u), want.EstimateIrsSize(u)) << "node " << u;
-    if (!want.Sketch(u)) continue;
-    ASSERT_EQ(RowOf(got.Sketch(u)), RowOf(want.Sketch(u))) << "node " << u;
+    ASSERT_EQ(RowOf(*got.arena(), u), RowOf(*want.arena(), u)) << "node " << u;
   }
 }
 
@@ -648,16 +648,16 @@ void ExpectSameRows(const IrsApprox& want, const IrsApprox& got) {
 void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    ASSERT_EQ(got.Sketch(u).valid(), want.Sketch(u).valid()) << "node " << u;
-    if (!want.Sketch(u)) continue;
-    ASSERT_EQ(CellsOf(got.Sketch(u)), CellsOf(want.Sketch(u))) << "node " << u;
+    const VersionedHll* a = got.BuildSketch(u);
+    const VersionedHll* b = want.BuildSketch(u);
+    ASSERT_EQ(a != nullptr, b != nullptr) << "node " << u;
+    if (b == nullptr) continue;
+    ASSERT_EQ(CellsOf(*a), CellsOf(*b)) << "node " << u;
   }
 }
 
-// Two sealed indexes agree on every query surface, byte for byte.
+// Two indexes agree on every query surface, byte for byte.
 void ExpectSameIndex(const IrsApprox& want, const IrsApprox& got) {
-  ASSERT_TRUE(want.sealed());
-  ASSERT_TRUE(got.sealed());
   EXPECT_EQ(got.window(), want.window());
   EXPECT_EQ(got.TotalSketchEntries(), want.TotalSketchEntries());
   ExpectSameRows(want, got);
@@ -832,8 +832,8 @@ TEST_F(OracleIoTest, DegradedIndexReSavesAllButTheDroppedChunk) {
   }
   for (NodeId u = 0; u < built.num_nodes(); ++u) {
     const bool dropped = u >= 256 && u < 512;
-    EXPECT_EQ(loaded.index->Sketch(u).valid(),
-              !dropped && built.Sketch(u).valid())
+    EXPECT_EQ(loaded.index->arena()->has_node(u),
+              !dropped && built.arena()->has_node(u))
         << "node " << u;
   }
   // The middle chunk: its 256 nodes, none present.
@@ -844,27 +844,26 @@ TEST_F(OracleIoTest, DegradedIndexReSavesAllButTheDroppedChunk) {
   EXPECT_EQ(got[2], empty);
 }
 
-// An unsealed index and its sealed twin write the same bytes: both save
-// each node's row and entry count.
-TEST_F(OracleIoTest, SealedAndUnsealedIndexesWriteTheSameFile) {
+// Freeing the build store changes no saved byte: a save writes each node's
+// arena row and entry count, which the build already holds.
+TEST_F(OracleIoTest, SealKeepsTheSavedFile) {
   const InteractionGraph g = GenerateUniformRandomNetwork(600, 4000, 9000, 29);
   IrsApproxOptions options;
   options.precision = 5;
   IrsApprox index = IrsApprox::Compute(g, 2000, options);
-  ASSERT_FALSE(index.sealed());
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
-  const std::string unsealed = ReadFileBytes();
+  const std::string built = ReadFileBytes();
   index.Seal();
   ASSERT_TRUE(SaveInfluenceIndex(index, path_));
-  EXPECT_EQ(ReadFileBytes(), unsealed);
+  EXPECT_EQ(ReadFileBytes(), built);
 }
 
 // Times spanning 2^32 or more (nanosecond-style timestamps) keep 8-byte
 // offsets; a span of exactly 2^32 - 1 still takes u32 offsets. At either
 // width, the build's cells hold the log's own times, every served store of
-// it — sealed, saved and loaded, cut into shards — holds the unsealed
-// build's rows and estimates bit for bit, and a checkpointed build that is
-// killed and resumed holds its cells.
+// it — sealed, saved and loaded, cut into shards — holds the build's rows
+// and estimates bit for bit, and a checkpointed build that is killed and
+// resumed holds its cells.
 TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
   // The killed build runs on the thread pool, which a forked child lacks.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -891,8 +890,8 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     const Duration window = static_cast<Duration>(c.span / 8);
     const IrsApproxOptions options{/*precision=*/5, /*salt=*/11};
 
-    const IrsApprox unsealed = IrsApprox::Compute(g, window, options);
-    const TimeEncoding times = unsealed.time_encoding();
+    const IrsApprox built = IrsApprox::Compute(g, window, options);
+    const TimeEncoding times = built.time_encoding();
     EXPECT_EQ(times.width, c.width);
     if (c.width == 4) {
       EXPECT_EQ(times.base, c.first);
@@ -900,14 +899,14 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
 
     IrsApprox sealed = IrsApprox::Compute(g, window, options);
     sealed.Seal();
-    ExpectSameRows(unsealed, sealed);
+    ExpectSameRows(built, sealed);
     // The decoded times are the log's own, both ends of the span included.
     std::set<Timestamp> logged;
     for (const Interaction& e : g.interactions()) logged.insert(e.time);
     std::set<Timestamp> stored;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (!unsealed.Sketch(u)) continue;
-      const SketchCells cells = CellsOf(unsealed.Sketch(u));
+      if (built.BuildSketch(u) == nullptr) continue;
+      const SketchCells cells = CellsOf(*built.BuildSketch(u));
       stored.insert(cells.times.begin(), cells.times.end());
     }
     ASSERT_FALSE(stored.empty());
@@ -916,10 +915,10 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     EXPECT_EQ(*stored.begin(), c.first);
     EXPECT_EQ(*stored.rbegin(), c.first + static_cast<Timestamp>(c.span));
 
-    ASSERT_TRUE(SaveInfluenceIndex(unsealed, path_));
+    ASSERT_TRUE(SaveInfluenceIndex(built, path_));
     const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
     ASSERT_EQ(loaded.status, IndexLoadStatus::kOk);
-    ExpectSameRows(unsealed, *loaded.index);
+    ExpectSameRows(built, *loaded.index);
 
     std::vector<serve::ShardInfo> shards(2);
     for (size_t i = 0; i < shards.size(); ++i) {
@@ -932,10 +931,10 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     for (size_t s = 0; s < map.num_shards(); ++s) {
       const IrsApprox shard = serve::ExtractShardIndex(*loaded.index, map, s);
       for (NodeId u = 0; u < g.num_nodes(); ++u) {
-        if (map.OwnerOf(u) != s || !unsealed.Sketch(u)) continue;
-        ASSERT_EQ(RowOf(shard.Sketch(u)), RowOf(unsealed.Sketch(u)))
+        if (map.OwnerOf(u) != s || !built.arena()->has_node(u)) continue;
+        ASSERT_EQ(RowOf(*shard.arena(), u), RowOf(*built.arena(), u))
             << "shard " << s << " node " << u;
-        EXPECT_EQ(shard.EstimateIrsSize(u), unsealed.EstimateIrsSize(u));
+        EXPECT_EQ(shard.EstimateIrsSize(u), built.EstimateIrsSize(u));
       }
     }
 
@@ -956,7 +955,7 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
         g, window, options, checkpoints, &stats);
     EXPECT_EQ(stats.resumed_edges, 200u);
     EXPECT_EQ(resumed.time_encoding(), times);
-    ExpectSameCells(unsealed, resumed);
+    ExpectSameCells(built, resumed);
     std::filesystem::remove_all(dir);
   }
 }

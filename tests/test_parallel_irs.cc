@@ -56,7 +56,9 @@ InteractionGraph TestGraph() {
 std::vector<SketchCells> Fingerprint(const IrsApprox& irs) {
   std::vector<SketchCells> out(irs.num_nodes());
   for (NodeId u = 0; u < irs.num_nodes(); ++u) {
-    if (const SketchView sketch = irs.Sketch(u)) out[u] = CellsOf(sketch);
+    if (const VersionedHll* sketch = irs.BuildSketch(u)) {
+      out[u] = CellsOf(*sketch);
+    }
   }
   return out;
 }
@@ -67,9 +69,9 @@ std::vector<SketchCells> Fingerprint(const IrsApprox& irs) {
 uint32_t ListsCrc32c(const IrsApprox& irs) {
   uint32_t crc = 0;
   for (NodeId u = 0; u < irs.num_nodes(); ++u) {
-    const SketchView sketch = irs.Sketch(u);
-    if (!sketch) continue;
-    const SketchCells cells = CellsOf(sketch);
+    const VersionedHll* sketch = irs.BuildSketch(u);
+    if (sketch == nullptr) continue;
+    const SketchCells cells = CellsOf(*sketch);
     size_t entry = 0;
     for (const uint8_t count : cells.counts) {
       crc = Crc32c(&count, 1, crc);
@@ -170,8 +172,11 @@ TEST_F(ParallelIrsTest, BuildTalliesDoNotDependOnThreadCount) {
 // during the build cannot move it: on a fixed enron-shaped log (beta = 512,
 // omega = 10% of the span) the four lifetime tallies, the CRC32C of the
 // build sketches' cell lists, and the CRC32C of the saved index file,
-// unsealed and sealed, are these constants at 1 part and at 3, built
-// plainly and with checkpoints every 1,000 edges.
+// before and after Seal(), are these constants at 1 part and at 3, built
+// plainly and with checkpoints every 1,000 edges. The rows every query
+// reads are the build's: each node's arena row and entry count are its
+// build sketch's max ranks and entries, and Seal() frees every build
+// sketch.
 TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   constexpr size_t kInsertAttempts = 634865;
   constexpr size_t kEvictions = 184667;
@@ -206,8 +211,25 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
       EXPECT_EQ(irs.TotalCellUpdates(), kCellUpdates);
       EXPECT_EQ(irs.TotalSketchEntries(), kEntries);
       EXPECT_EQ(ListsCrc32c(irs), kListsCrc32c);
+      const SketchArena& arena = *irs.arena();
+      for (NodeId u = 0; u < irs.num_nodes(); ++u) {
+        const VersionedHll* sketch = irs.BuildSketch(u);
+        ASSERT_EQ(arena.has_node(u), sketch != nullptr) << "node " << u;
+        if (sketch == nullptr) continue;
+        ASSERT_EQ(RowOf(arena, u), RowOf(*sketch)) << "node " << u;
+      }
       for (const bool sealed : {false, true}) {
-        if (sealed) irs.Seal();
+        if (sealed) {
+          irs.Seal();
+          for (NodeId u = 0; u < irs.num_nodes(); ++u) {
+            ASSERT_EQ(irs.BuildSketch(u), nullptr) << "node " << u;
+          }
+          EXPECT_EQ(irs.TotalInsertAttempts(), kInsertAttempts);
+          EXPECT_EQ(irs.TotalEvictions(), kEvictions);
+          EXPECT_EQ(irs.TotalMergeEntriesScanned(), kMergeEntriesScanned);
+          EXPECT_EQ(irs.TotalCellUpdates(), kCellUpdates);
+          EXPECT_EQ(irs.TotalSketchEntries(), kEntries);
+        }
         ASSERT_TRUE(SaveInfluenceIndex(irs, path));
         const auto image = ReadWholeFile(path);
         ASSERT_NE(image, nullptr);

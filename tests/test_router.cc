@@ -200,10 +200,9 @@ TEST_F(RouterTest, TopkMergeMatchesSingleProcessOrder) {
   // Ground truth straight off the full index: nodes with sketches, ranked
   // by estimate descending, ties by node id ascending.
   std::vector<std::pair<NodeId, double>> expected;
+  const SketchArena& arena = *full_->arena();
   for (NodeId u = 0; u < full_->num_nodes(); ++u) {
-    if (full_->Sketch(u)) {
-      expected.emplace_back(u, full_->Sketch(u).Estimate());
-    }
+    if (arena.has_node(u)) expected.emplace_back(u, arena.EstimateNode(u));
   }
   std::sort(expected.begin(), expected.end(),
             [](const auto& a, const auto& b) {

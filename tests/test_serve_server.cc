@@ -895,9 +895,9 @@ TEST_F(ServeServerTest, TopkVerbMatchesLocalRanking) {
   // estimate descending, ties by ascending node id.
   std::vector<std::pair<NodeId, double>> truth;
   const auto index = index_->Current();
+  const SketchArena& arena = *index->arena();
   for (NodeId u = 0; u < index->num_nodes(); ++u) {
-    const SketchView sketch = index->Sketch(u);
-    if (sketch) truth.emplace_back(u, sketch.Estimate());
+    if (arena.has_node(u)) truth.emplace_back(u, arena.EstimateNode(u));
   }
   std::sort(truth.begin(), truth.end(), [](const auto& a, const auto& b) {
     if (a.second != b.second) return a.second > b.second;

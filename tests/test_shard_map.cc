@@ -266,6 +266,42 @@ TEST(ShardMapV2Test, ParseRejectsNestedTransitionsAndBadReplicas) {
   EXPECT_FALSE(error.empty());
 }
 
+// A unix-socket endpoint dials no host, and ToJson writes none, so its
+// tcp_host is not part of it: each of these maps names one socket twice,
+// and Parse rejects it with its duplicate error (were it accepted, its own
+// ToJson would not re-parse).
+void ExpectDuplicateSocketRejected(const std::string& json,
+                                   const std::string& want_error) {
+  std::string error;
+  EXPECT_FALSE(ShardMap::Parse(json, &error).has_value());
+  EXPECT_NE(error.find(want_error), std::string::npos) << error;
+}
+
+TEST(ShardMapV2Test, ReplicaOnThePrimarySocketIsADuplicate) {
+  ExpectDuplicateSocketRejected(
+      R"({"schema":"ipin.shardmap.v2","shards":[)"
+      R"({"name":"a","unix_socket":"/tmp/a.sock","tcp_host":"x",)"
+      R"("replicas":[{"unix_socket":"/tmp/a.sock"}]}]})",
+      "replica duplicates the primary endpoint");
+}
+
+TEST(ShardMapV2Test, V1MirrorOnThePrimarySocketIsADuplicate) {
+  ExpectDuplicateSocketRejected(
+      R"({"schema":"ipin.shardmap.v1","shards":[)"
+      R"({"name":"a","unix_socket":"/tmp/a.sock",)"
+      R"("mirror_unix_socket":"/tmp/a.sock","mirror_tcp_host":"y"}]})",
+      "replica duplicates the primary endpoint");
+}
+
+TEST(ShardMapV2Test, ReplicasOnOneSocketAreDuplicates) {
+  ExpectDuplicateSocketRejected(
+      R"({"schema":"ipin.shardmap.v2","shards":[)"
+      R"({"name":"a","unix_socket":"/tmp/a.sock","replicas":[)"
+      R"({"unix_socket":"/tmp/r.sock","tcp_host":"x"},)"
+      R"({"unix_socket":"/tmp/r.sock","tcp_host":"y"}]}]})",
+      "duplicate replica");
+}
+
 TEST(ShardMapV2Test, V1MirrorParsesAsTheNextReplica) {
   // A v1 map's mirror endpoint is one more entry of the ordered endpoint
   // list: replicas[0] when the shard lists none.
@@ -341,12 +377,11 @@ TEST_F(ShardIndexTest, ExtractKeepsFullNodeSpaceAndOnlyOwnedSketches) {
     const IrsApprox piece = ExtractShardIndex(full_, map, s);
     ASSERT_EQ(piece.num_nodes(), full_.num_nodes());
     for (NodeId u = 0; u < full_.num_nodes(); ++u) {
-      if (map.OwnerOf(u) == s && full_.Sketch(u)) {
-        ASSERT_TRUE(piece.Sketch(u).valid()) << "owned node " << u;
-        EXPECT_DOUBLE_EQ(piece.Sketch(u).Estimate(),
-                         full_.Sketch(u).Estimate());
+      if (map.OwnerOf(u) == s && full_.arena()->has_node(u)) {
+        ASSERT_TRUE(piece.arena()->has_node(u)) << "owned node " << u;
+        EXPECT_DOUBLE_EQ(piece.EstimateIrsSize(u), full_.EstimateIrsSize(u));
       } else {
-        EXPECT_FALSE(piece.Sketch(u).valid()) << "unowned node " << u;
+        EXPECT_FALSE(piece.arena()->has_node(u)) << "unowned node " << u;
       }
     }
   }
@@ -370,9 +405,9 @@ TEST_F(ShardIndexTest, ShardedRankMergeMatchesFullUnionExactly) {
       const auto parts = map.PartitionSeeds(seeds);
       for (size_t s = 0; s < num_shards; ++s) {
         for (const NodeId u : parts[s]) {
-          const SketchView sketch = pieces[s].Sketch(u);
-          if (!sketch) continue;
-          const auto ranks = sketch.max_ranks();
+          const SketchArena& arena = *pieces[s].arena();
+          if (!arena.has_node(u)) continue;
+          const auto ranks = arena.rank_row(u);
           for (size_t c = 0; c < beta; ++c) {
             if (ranks[c] > merged[c]) merged[c] = ranks[c];
           }

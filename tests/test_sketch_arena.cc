@@ -9,8 +9,8 @@
 
 #include "ipin/common/random.h"
 #include "ipin/core/irs_approx.h"
-#include "ipin/core/source_sets.h"
 #include "ipin/graph/interaction_graph.h"
+#include "ipin/sketch/estimators.h"
 #include "test_util.h"
 
 namespace ipin {
@@ -73,29 +73,22 @@ TEST(SketchArenaTest, EstimatesMatchSourceSketches) {
   }
 }
 
-// AppendCopy from either store reproduces the node's row and entry count,
-// and an arena sized from the copied nodes is exactly as large as the
-// sealed one.
-TEST(SketchArenaTest, AppendCopyFromEitherStoreIsExact) {
+// AppendCopy reproduces the node's row and entry count, and an arena sized
+// from the copied nodes is exactly as large as the source.
+TEST(SketchArenaTest, AppendCopyIsExact) {
   const auto sketches = BuildSketches(20, 4);
-  const SketchArena sealed(kPrecision, kSalt, std::span(sketches));
-  SketchArena from_arena(kPrecision, kSalt, 20, sealed.NumAllocated());
-  SketchArena from_hll(kPrecision, kSalt, 20, sealed.NumAllocated());
+  const SketchArena source(kPrecision, kSalt, std::span(sketches));
+  SketchArena copy(kPrecision, kSalt, 20, source.NumAllocated());
   for (NodeId u = 0; u < 20; ++u) {
-    if (sketches[u] == nullptr) continue;
-    from_arena.AppendCopy(u, SketchView(&sealed, u));
-    from_hll.AppendCopy(u, SketchView(sketches[u].get()));
+    if (source.has_node(u)) copy.AppendCopy(u, source);
   }
-  for (const SketchArena* copy : {&from_arena, &from_hll}) {
-    EXPECT_EQ(copy->NumAllocated(), sealed.NumAllocated());
-    EXPECT_EQ(copy->TotalEntries(), sealed.TotalEntries());
-    EXPECT_EQ(copy->MemoryUsageBytes(), sealed.MemoryUsageBytes());
-    for (NodeId u = 0; u < 20; ++u) {
-      ASSERT_EQ(copy->has_node(u), sealed.has_node(u)) << "node " << u;
-      EXPECT_TRUE(copy->CheckNodeInvariants(u)) << "node " << u;
-      EXPECT_EQ(RowOf(SketchView(copy, u)), RowOf(SketchView(&sealed, u)))
-          << "node " << u;
-    }
+  EXPECT_EQ(copy.NumAllocated(), source.NumAllocated());
+  EXPECT_EQ(copy.TotalEntries(), source.TotalEntries());
+  EXPECT_EQ(copy.MemoryUsageBytes(), source.MemoryUsageBytes());
+  for (NodeId u = 0; u < 20; ++u) {
+    ASSERT_EQ(copy.has_node(u), source.has_node(u)) << "node " << u;
+    EXPECT_TRUE(copy.CheckNodeInvariants(u)) << "node " << u;
+    EXPECT_EQ(RowOf(copy, u), RowOf(source, u)) << "node " << u;
   }
 }
 
@@ -167,25 +160,6 @@ TEST(SketchArenaTest, AppendRejectsInvalidRowsAndRollsBack) {
   EXPECT_TRUE(arena.CheckNodeInvariants(2));
 }
 
-TEST(SketchArenaTest, ViewAgreesAcrossStorageModes) {
-  const auto sketches = BuildSketches(20, 5);
-  const SketchArena arena(kPrecision, kSalt, std::span(sketches));
-  for (NodeId u = 0; u < 20; ++u) {
-    const SketchView build_view(sketches[u].get());
-    const SketchView sealed_view(&arena, u);
-    ASSERT_EQ(build_view.valid(), sealed_view.valid()) << "node " << u;
-    if (!build_view) continue;
-    EXPECT_EQ(sealed_view.precision(), build_view.precision());
-    EXPECT_EQ(sealed_view.salt(), build_view.salt());
-    EXPECT_EQ(sealed_view.NumEntries(), build_view.NumEntries());
-    EXPECT_EQ(sealed_view.Estimate(), build_view.Estimate());
-    EXPECT_TRUE(sealed_view.CheckInvariants());
-    EXPECT_EQ(sealed_view.build_sketch(), nullptr);
-    EXPECT_EQ(build_view.build_sketch(), sketches[u].get());
-    EXPECT_EQ(RowOf(sealed_view), RowOf(build_view)) << "node " << u;
-  }
-}
-
 InteractionGraph TestGraph(size_t num_nodes, size_t num_edges, uint64_t seed) {
   Rng rng(seed);
   InteractionGraph g(num_nodes);
@@ -199,76 +173,78 @@ InteractionGraph TestGraph(size_t num_nodes, size_t num_edges, uint64_t seed) {
   return g;
 }
 
-// Sealing must not change a single answer: an unsealed Compute() result
-// and an explicitly sealed one agree bit for bit on every query surface.
-TEST(SketchArenaTest, SealedIrsAnswersAreBitIdenticalToUnsealed) {
+// Build rows = served rows: a finished build's arena holds, for exactly the
+// nodes with a build sketch, that sketch's max-rank row and entry count, so
+// every answer read from the arena is the build sketches' answer. Seal()
+// frees the sketches and changes no answer, row or tally.
+TEST(SketchArenaTest, BuildRowsAreServedRows) {
   const InteractionGraph g = TestGraph(40, 800, 9);
   IrsApproxOptions options;
   options.precision = kPrecision;
   options.salt = kSalt;
 
-  const IrsApprox streamed = IrsApprox::Compute(g, 300, options);
-  ASSERT_FALSE(streamed.sealed());
-
-  IrsApprox sealed = IrsApprox::Compute(g, 300, options);
-  ASSERT_FALSE(sealed.sealed());  // builds return unsealed
-  sealed.Seal();
-  ASSERT_TRUE(sealed.sealed());
-  ASSERT_NE(sealed.arena(), nullptr);
-
-  EXPECT_EQ(sealed.NumAllocatedSketches(), streamed.NumAllocatedSketches());
-  EXPECT_EQ(sealed.TotalSketchEntries(), streamed.TotalSketchEntries());
-  EXPECT_EQ(sealed.TotalInsertAttempts(), streamed.TotalInsertAttempts());
-  EXPECT_EQ(sealed.TotalEvictions(), streamed.TotalEvictions());
-
-  std::vector<uint8_t> scratch;
+  IrsApprox irs = IrsApprox::Compute(g, 300, options);
+  const SketchArena& arena = *irs.arena();
+  ASSERT_EQ(arena.precision(), kPrecision);
+  ASSERT_EQ(arena.salt(), kSalt);
+  size_t allocated = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    ASSERT_EQ(sealed.Sketch(u).valid(), streamed.Sketch(u).valid())
-        << "node " << u;
-    EXPECT_EQ(sealed.EstimateIrsSize(u), streamed.EstimateIrsSize(u))
-        << "node " << u;
-    EXPECT_EQ(RowOf(sealed.Sketch(u)), RowOf(streamed.Sketch(u)))
-        << "node " << u;
+    const VersionedHll* sketch = irs.BuildSketch(u);
+    ASSERT_EQ(arena.has_node(u), sketch != nullptr) << "node " << u;
+    EXPECT_TRUE(arena.CheckNodeInvariants(u)) << "node " << u;
+    if (sketch == nullptr) {
+      EXPECT_EQ(irs.EstimateIrsSize(u), 0.0) << "node " << u;
+      continue;
+    }
+    ++allocated;
+    EXPECT_EQ(RowOf(arena, u), RowOf(*sketch)) << "node " << u;
+    EXPECT_EQ(irs.EstimateIrsSize(u), sketch->Estimate()) << "node " << u;
   }
+  EXPECT_EQ(irs.NumAllocatedSketches(), allocated);
+
+  // A union read from the arena is the cellwise max of the build rows.
   const std::vector<std::vector<NodeId>> seed_sets = {
       {0}, {1, 2, 3}, {4, 9, 14, 19, 24}, {39}};
+  std::vector<double> unions;
   for (const auto& seeds : seed_sets) {
-    EXPECT_EQ(sealed.EstimateUnionSize(seeds),
-              streamed.EstimateUnionSize(seeds));
-    EXPECT_EQ(sealed.EstimateUnionSize(seeds, &scratch),
-              streamed.EstimateUnionSize(seeds));
+    std::vector<uint8_t> ranks(arena.num_cells(), 0);
+    for (const NodeId u : seeds) {
+      if (const VersionedHll* sketch = irs.BuildSketch(u)) {
+        const auto row = sketch->max_ranks();
+        for (size_t c = 0; c < ranks.size(); ++c) {
+          ranks[c] = std::max(ranks[c], row[c]);
+        }
+      }
+    }
+    unions.push_back(irs.EstimateUnionSize(seeds));
+    EXPECT_EQ(unions.back(), EstimateFromRanks(ranks));
   }
-}
 
-TEST(SketchArenaTest, SealedSourceSetsAnswersAreBitIdenticalToUnsealed) {
-  const InteractionGraph g = TestGraph(40, 800, 10);
-  IrsApproxOptions options;
-  options.precision = kPrecision;
-  options.salt = kSalt;
+  const size_t attempts = irs.TotalInsertAttempts();
+  const size_t evictions = irs.TotalEvictions();
+  const size_t entries = irs.TotalSketchEntries();
+  std::vector<SketchRow> rows;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) rows.push_back(RowOf(arena, u));
+  const size_t build_bytes = irs.MemoryUsageBytes();
 
-  SourceSetApprox streamed(g.num_nodes(), 300, options);
-  for (const Interaction& e : g.interactions()) {
-    streamed.ProcessInteraction(e);
+  irs.Seal();
+  irs.Seal();  // idempotent
+  EXPECT_EQ(irs.arena(), &arena);
+  EXPECT_EQ(irs.MemoryUsageBytes(), arena.MemoryUsageBytes());
+  EXPECT_LT(irs.MemoryUsageBytes(), build_bytes);
+  EXPECT_EQ(irs.NumAllocatedSketches(), allocated);
+  EXPECT_EQ(irs.TotalInsertAttempts(), attempts);
+  EXPECT_EQ(irs.TotalEvictions(), evictions);
+  EXPECT_EQ(irs.TotalSketchEntries(), entries);
+  std::vector<uint8_t> scratch;
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    EXPECT_EQ(irs.BuildSketch(u), nullptr) << "node " << u;
+    EXPECT_EQ(RowOf(arena, u), rows[u]) << "node " << u;
   }
-  ASSERT_FALSE(streamed.sealed());
-
-  const SourceSetApprox sealed = SourceSetApprox::Compute(g, 300, options);
-  ASSERT_TRUE(sealed.sealed());
-
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    ASSERT_EQ(sealed.Sketch(v).valid(), streamed.Sketch(v).valid())
-        << "node " << v;
-    EXPECT_EQ(sealed.EstimateSourceSetSize(v),
-              streamed.EstimateSourceSetSize(v))
-        << "node " << v;
+  for (size_t i = 0; i < seed_sets.size(); ++i) {
+    EXPECT_EQ(irs.EstimateUnionSize(seed_sets[i]), unions[i]);
+    EXPECT_EQ(irs.EstimateUnionSize(seed_sets[i], &scratch), unions[i]);
   }
-  EXPECT_EQ(sealed.EstimateUnionSize(std::vector<NodeId>{1, 5, 9}),
-            streamed.EstimateUnionSize(std::vector<NodeId>{1, 5, 9}));
-
-  // Sealing the streamed instance by hand converges the storage modes.
-  streamed.Seal();
-  EXPECT_TRUE(streamed.sealed());
-  EXPECT_EQ(sealed.TotalSketchEntries(), streamed.TotalSketchEntries());
 }
 
 }  // namespace

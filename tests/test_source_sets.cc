@@ -106,8 +106,8 @@ TEST(SourceSetApproxTest, SketchesKeepInvariants) {
   options.precision = 6;
   const SourceSetApprox approx = SourceSetApprox::Compute(g, 500, options);
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (approx.Sketch(v)) {
-      EXPECT_TRUE(approx.Sketch(v).CheckInvariants()) << "node " << v;
+    if (const VersionedHll* sketch = approx.Sketch(v)) {
+      EXPECT_TRUE(sketch->CheckInvariants()) << "node " << v;
     }
   }
 }
@@ -157,10 +157,41 @@ TEST(SourceSetApproxTest, LazyAllocationOnlyForReceivers) {
   IrsApproxOptions options;
   options.precision = 6;
   const SourceSetApprox approx = SourceSetApprox::Compute(g, 5, options);
-  EXPECT_TRUE(approx.Sketch(1).valid());
-  EXPECT_FALSE(approx.Sketch(0).valid());  // pure sender
+  EXPECT_NE(approx.Sketch(1), nullptr);
+  EXPECT_EQ(approx.Sketch(0), nullptr);  // pure sender
   EXPECT_EQ(approx.NumAllocatedSketches(), 1u);
   EXPECT_DOUBLE_EQ(approx.EstimateSourceSetSize(0), 0.0);
+}
+
+// A hand-streamed instance, fed one interaction at a time, is Compute()'s
+// result row for row: the same nodes hold sketches, with the same cell
+// lists, and every answer agrees bit for bit.
+TEST(SourceSetApproxTest, HandStreamedEqualsCompute) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(40, 800, 2000, 10);
+  const IrsApproxOptions options{/*precision=*/6, /*salt=*/42};
+
+  SourceSetApprox streamed(g.num_nodes(), 300, options);
+  for (const Interaction& e : g.interactions()) {
+    streamed.ProcessInteraction(e);
+  }
+  const SourceSetApprox computed = SourceSetApprox::Compute(g, 300, options);
+
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    const VersionedHll* a = streamed.Sketch(v);
+    const VersionedHll* b = computed.Sketch(v);
+    ASSERT_EQ(a != nullptr, b != nullptr) << "node " << v;
+    EXPECT_EQ(streamed.EstimateSourceSetSize(v),
+              computed.EstimateSourceSetSize(v))
+        << "node " << v;
+    if (b == nullptr) continue;
+    EXPECT_EQ(RowOf(*a), RowOf(*b)) << "node " << v;
+    EXPECT_EQ(CellsOf(*a), CellsOf(*b)) << "node " << v;
+  }
+  EXPECT_EQ(streamed.EstimateUnionSize(std::vector<NodeId>{1, 5, 9}),
+            computed.EstimateUnionSize(std::vector<NodeId>{1, 5, 9}));
+  EXPECT_EQ(streamed.NumAllocatedSketches(), computed.NumAllocatedSketches());
+  EXPECT_EQ(streamed.TotalSketchEntries(), computed.TotalSketchEntries());
+  EXPECT_EQ(streamed.MemoryUsageBytes(), computed.MemoryUsageBytes());
 }
 
 TEST(SourceSetApproxDeathTest, RejectsOutOfOrderInteractions) {

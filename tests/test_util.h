@@ -7,7 +7,6 @@
 #include <span>
 #include <vector>
 
-#include "ipin/common/check.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/graph/types.h"
 #include "ipin/sketch/sketch_arena.h"
@@ -87,16 +86,9 @@ inline SketchCells CellsOf(const VersionedHll& sketch) {
   return cells;
 }
 
-/// The cell lists behind a build sketch's view. A sealed view stores no
-/// lists (checked).
-inline SketchCells CellsOf(const SketchView& sketch) {
-  IPIN_CHECK(sketch.build_sketch() != nullptr);
-  return CellsOf(*sketch.build_sketch());
-}
-
 /// What a served sketch stores: its max-rank row and the pairs its build
-/// sketch held. Every storage of a sketch (build, sealed, loaded, shard)
-/// agrees on it.
+/// sketch held. A build sketch and every arena holding its node (built,
+/// loaded, shard) agree on it.
 struct SketchRow {
   int precision = 0;
   uint64_t salt = 0;
@@ -111,10 +103,17 @@ inline void PrintTo(const SketchRow& row, std::ostream* os) {
       << row.entries << " pairs}";
 }
 
-inline SketchRow RowOf(const SketchView& sketch) {
+inline SketchRow RowOf(const VersionedHll& sketch) {
   const std::span<const uint8_t> row = sketch.max_ranks();
   return {sketch.precision(), sketch.salt(), {row.begin(), row.end()},
           sketch.NumEntries()};
+}
+
+/// Node u's row in `arena` (all zero and no pairs if u is absent).
+inline SketchRow RowOf(const SketchArena& arena, NodeId u) {
+  const std::span<const uint8_t> row = arena.rank_row(u);
+  return {arena.precision(), arena.salt(), {row.begin(), row.end()},
+          arena.NodeNumEntries(u)};
 }
 
 }  // namespace ipin

@@ -433,12 +433,12 @@ TEST(VhllTest, RefilledSketchKeepsGrowing) {
                         static_cast<uint8_t>(1 + rng.NextBounded(30)),
                         static_cast<Timestamp>(rng.NextBounded(500)));
     }
-    const SketchCells stored = CellsOf(SketchView(&original));
+    const SketchCells stored = CellsOf(original);
     VersionedHll copy(5, 11, parts, stored.counts, stored.ranks,
                       stored.times);
     ASSERT_EQ(copy.num_parts(), parts);
     ASSERT_TRUE(copy.CheckInvariants());
-    ASSERT_EQ(CellsOf(SketchView(&copy)), stored);
+    ASSERT_EQ(CellsOf(copy), stored);
     EXPECT_EQ(copy.Estimate(), original.Estimate());
 
     for (int op = 0; op < 600; ++op) {
@@ -462,7 +462,7 @@ TEST(VhllTest, RefilledSketchKeepsGrowing) {
       }
     }
     ASSERT_TRUE(copy.CheckInvariants());
-    EXPECT_EQ(CellsOf(SketchView(&copy)), CellsOf(SketchView(&original)))
+    EXPECT_EQ(CellsOf(copy), CellsOf(original))
         << "trial " << trial;
   }
 }
@@ -524,7 +524,7 @@ TEST(VhllTest, PartitionedSketchMatchesOnePart) {
     }
   }
   ASSERT_TRUE(split.CheckInvariants());
-  EXPECT_EQ(CellsOf(SketchView(&split)), CellsOf(SketchView(&whole)));
+  EXPECT_EQ(CellsOf(split), CellsOf(whole));
   EXPECT_EQ(split.NumInsertAttempts(), whole.NumInsertAttempts());
   EXPECT_EQ(split.NumEvictions(), whole.NumEvictions());
   EXPECT_EQ(split.NumMergeEntriesScanned(), whole.NumMergeEntriesScanned());
@@ -864,7 +864,7 @@ TEST(VhllTest, PoolSlotsCostOnePlusTheTimeWidth) {
     narrow.Add(item, t);
     wide.Add(item, t);
   }
-  EXPECT_EQ(CellsOf(SketchView(&narrow)), CellsOf(SketchView(&wide)));
+  EXPECT_EQ(CellsOf(narrow), CellsOf(wide));
   const size_t slots = (wide.MemoryUsageBytes() - kFixed) / 9;
   EXPECT_GT(slots, narrow.NumEntries());
   EXPECT_EQ(wide.MemoryUsageBytes(), kFixed + 9 * slots);

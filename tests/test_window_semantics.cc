@@ -162,20 +162,21 @@ TEST(WindowBoundaryTest, SameTimeRelayAtTheTopOfTheTimeRangeIsMerged) {
     VersionedHll reach(options.precision, options.salt);
     for (const auto& [v, t] : exact.Summary(0)) reach.Add(v, t);
     ASSERT_EQ(reach.NumEntries(), 2u);  // 1 and 2 land in distinct cells
-    const SketchCells want = CellsOf(SketchView(&reach));
+    const SketchCells want = CellsOf(reach);
 
     for (const size_t parts : {1u, 2u}) {
       SetGlobalThreads(parts);
-      IrsApprox irs = IrsApprox::Compute(g, window, options);
-      EXPECT_EQ(CellsOf(irs.Sketch(0)), want) << parts << " parts";
-      irs.Seal();
-      EXPECT_EQ(RowOf(irs.Sketch(0)), RowOf(SketchView(&reach)))
-          << parts << " parts, sealed";
+      const IrsApprox irs = IrsApprox::Compute(g, window, options);
+      ASSERT_NE(irs.BuildSketch(0), nullptr);
+      EXPECT_EQ(CellsOf(*irs.BuildSketch(0)), want) << parts << " parts";
+      EXPECT_EQ(RowOf(*irs.arena(), 0), RowOf(reach))
+          << parts << " parts, served row";
     }
     SetGlobalThreads(1);
     const IrsApprox checkpointed =
         ComputeIrsApproxCheckpointed(g, window, options, CheckpointOptions{});
-    EXPECT_EQ(CellsOf(checkpointed.Sketch(0)), want) << "checkpointed";
+    ASSERT_NE(checkpointed.BuildSketch(0), nullptr);
+    EXPECT_EQ(CellsOf(*checkpointed.BuildSketch(0)), want) << "checkpointed";
   }
 }
 

@@ -215,10 +215,7 @@ int RunSplit(const FlagMap& flags) {
 
   for (size_t i = 0; i < map.num_shards(); ++i) {
     const IrsApprox piece = serve::ExtractShardIndex(full, map, i);
-    size_t owned = 0;
-    for (NodeId u = 0; u < piece.num_nodes(); ++u) {
-      if (piece.Sketch(u)) ++owned;
-    }
+    const size_t owned = piece.NumAllocatedSketches();
     const std::string out = StrFormat("%s%zu.bin", out_prefix.c_str(), i);
     if (!SaveInfluenceIndex(piece, out)) {
       std::fprintf(stderr, "ipin_shard: cannot write '%s'\n", out.c_str());
@@ -417,7 +414,7 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
       return std::nullopt;
     }
     for (NodeId u = 0; u < piece.num_nodes(); ++u) {
-      if (piece.Sketch(u) && old_map.OwnerOf(u) != i) {
+      if (piece.arena()->has_node(u) && old_map.OwnerOf(u) != i) {
         std::fprintf(stderr,
                      "ipin_shard: piece '%s' holds node %llu owned by "
                      "shard %zu\n",
@@ -441,8 +438,8 @@ std::optional<IrsApprox> ReconstructFullIndex(const serve::ShardMap& old_map,
   SketchArena arena(first.options().precision, first.options().salt,
                     first.num_nodes(), sketches);
   for (NodeId u = 0; u < first.num_nodes(); ++u) {
-    const SketchView sketch = pieces[old_map.OwnerOf(u)].Sketch(u);
-    if (sketch) arena.AppendCopy(u, sketch);
+    const SketchArena& from = *pieces[old_map.OwnerOf(u)].arena();
+    if (from.has_node(u)) arena.AppendCopy(u, from);
   }
   return IrsApprox(first.window(), first.options(), std::move(arena));
 }
@@ -508,13 +505,11 @@ int RunRebalance(const FlagMap& flags) {
       const NodeId u =
           static_cast<NodeId>(rng.NextBounded(full->num_nodes()));
       if (new_map.OwnerOf(u) != i) continue;
-      const SketchView want = full->Sketch(u);
-      const SketchView got = reload.index->Sketch(u);
+      const SketchArena& want = *full->arena();
+      const SketchArena& got = *reload.index->arena();
       const bool equal =
-          want.valid() == got.valid() &&
-          (!want ||
-           std::equal(want.max_ranks().begin(), want.max_ranks().end(),
-                      got.max_ranks().begin(), got.max_ranks().end()));
+          want.has_node(u) == got.has_node(u) &&
+          std::ranges::equal(want.rank_row(u), got.rank_row(u));
       if (!equal) {
         std::fprintf(stderr,
                      "ipin_shard: rank mismatch for node %llu in '%s'\n",
@@ -628,7 +623,7 @@ size_t VerifyAssignment(const serve::ShardMap& map, const std::string& dir,
     size_t owned = 0;
     size_t foreign = 0;
     for (NodeId u = 0; u < piece.num_nodes(); ++u) {
-      if (!piece.Sketch(u)) continue;
+      if (!piece.arena()->has_node(u)) continue;
       if (map.OwnerOf(u) == i) {
         ++owned;
       } else {
