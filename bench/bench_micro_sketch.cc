@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <vector>
 
@@ -211,6 +213,75 @@ void BM_KernelEstimateFromRanksDispatched(benchmark::State& state) {
   RunEstimateFromRanks(state, kernels::Dispatched());
 }
 BENCHMARK(BM_KernelEstimateFromRanksDispatched)->Arg(9)->Arg(12);
+
+// A campaign-median row: 24 set cells of 512 (half the campaign index's
+// rows hold this few), geometric ranks at random cells.
+void RunEstimateSparse(benchmark::State& state,
+                       const kernels::KernelOps& ops) {
+  const size_t beta = size_t{1} << static_cast<int>(state.range(0));
+  const auto dense = RandomRankRows(beta, 1)[0];
+  std::vector<uint8_t> ranks(beta, 0);
+  Rng rng(10);
+  for (size_t i = 0; i < 24; ++i) ranks[rng.NextBounded(beta)] = dense[i];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops.estimate_from_ranks(ranks.data(), beta));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(beta));
+}
+
+void BM_KernelEstimateSparseScalar(benchmark::State& state) {
+  RunEstimateSparse(state, *kernels::KernelsFor(kernels::SimdTarget::kScalar));
+}
+BENCHMARK(BM_KernelEstimateSparseScalar)->Arg(9);
+
+void BM_KernelEstimateSparseDispatched(benchmark::State& state) {
+  state.SetLabel(kernels::SimdTargetName(kernels::DispatchedTarget()));
+  RunEstimateSparse(state, kernels::Dispatched());
+}
+BENCHMARK(BM_KernelEstimateSparseDispatched)->Arg(9);
+
+constexpr size_t kCoverRows = 25;  // CELF seeds folded into the cover
+constexpr size_t kCandidates = 64;
+
+// One CELF gain evaluation against a 25-row cover, as RankRowCoverage
+// runs it: copy the cover's histogram, move the counts of the cells the
+// candidate raises, estimate. Candidates come from the same generator.
+void RunCoverageGain(benchmark::State& state, const kernels::KernelOps& ops) {
+  const size_t beta = size_t{1} << static_cast<int>(state.range(0));
+  const auto rows = RandomRankRows(beta, kCoverRows + kCandidates);
+  std::vector<uint8_t> covered(beta, 0);
+  for (size_t i = 0; i < kCoverRows; ++i) {
+    ops.cellwise_max_u8(covered.data(), rows[i].data(), beta);
+  }
+  std::array<uint32_t, kernels::kRankBins> hist;
+  const uint8_t top = ops.rank_histogram(covered.data(), beta, hist.data());
+  const double covered_estimate =
+      kernels::EstimateFromHistogram(hist.data(), size_t{top} + 1, beta);
+  size_t next = 0;
+  for (auto _ : state) {
+    const auto& candidate = rows[kCoverRows + next];
+    next = (next + 1) % kCandidates;
+    std::array<uint32_t, kernels::kRankBins> scratch = hist;
+    const uint8_t raised = ops.coverage_delta(covered.data(), candidate.data(),
+                                              beta, scratch.data());
+    const size_t bins = size_t{std::max(top, raised)} + 1;
+    benchmark::DoNotOptimize(
+        kernels::EstimateFromHistogram(scratch.data(), bins, beta) -
+        covered_estimate);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(beta));
+}
+
+void BM_KernelCoverageGainScalar(benchmark::State& state) {
+  RunCoverageGain(state, *kernels::KernelsFor(kernels::SimdTarget::kScalar));
+}
+BENCHMARK(BM_KernelCoverageGainScalar)->Arg(9);
+
+void BM_KernelCoverageGainDispatched(benchmark::State& state) {
+  state.SetLabel(kernels::SimdTargetName(kernels::DispatchedTarget()));
+  RunCoverageGain(state, kernels::Dispatched());
+}
+BENCHMARK(BM_KernelCoverageGainDispatched)->Arg(9);
 
 void BM_BottomKAdd(benchmark::State& state) {
   BottomK sketch(static_cast<size_t>(state.range(0)));

@@ -43,52 +43,6 @@ class ExactCoverage : public CoverageState {
   std::unordered_set<NodeId> covered_;
 };
 
-// Coverage over vHLL sketches: the covered set is a plain rank vector
-// (cellwise max of committed sketches).
-class SketchCoverage : public CoverageState {
- public:
-  explicit SketchCoverage(const IrsApprox* irs)
-      : arena_(irs->arena()), ranks_(arena_->num_cells(), 0), covered_(0.0) {}
-
-  double Covered() const override { return covered_; }
-
-  double GainOf(NodeId u) const override {
-    if (!arena_->has_node(u)) return 0.0;
-    // thread_local scratch instead of a per-call copy: GainOf is the inner
-    // loop of greedy/CELF and may be called concurrently by the parallel
-    // maximizer, which forbids a shared mutable member.
-    static thread_local std::vector<uint8_t> merged;
-    merged = ranks_;
-    kernels::CellwiseMaxU8(merged.data(), arena_->rank_row(u).data(),
-                           merged.size());
-    const double with_u = EstimateOf(merged);
-    return std::max(0.0, with_u - covered_);
-  }
-
-  void Commit(NodeId u) override {
-    if (!arena_->has_node(u)) return;
-    kernels::CellwiseMaxU8(ranks_.data(), arena_->rank_row(u).data(),
-                           ranks_.size());
-    covered_ = EstimateOf(ranks_);
-  }
-
- private:
-  static double EstimateOf(const std::vector<uint8_t>& ranks) {
-    bool any = false;
-    for (const uint8_t r : ranks) {
-      if (r != 0) {
-        any = true;
-        break;
-      }
-    }
-    return any ? EstimateFromRanks(ranks) : 0.0;
-  }
-
-  const SketchArena* arena_;
-  std::vector<uint8_t> ranks_;
-  double covered_;
-};
-
 // Coverage over explicit sets.
 class SetCoverage : public CoverageState {
  public:
@@ -116,6 +70,39 @@ class SetCoverage : public CoverageState {
 };
 
 }  // namespace
+
+RankRowCoverage::RankRowCoverage(size_t num_cells, RowOf row_of)
+    : row_of_(std::move(row_of)), ranks_(num_cells, 0) {
+  hist_.fill(0);
+  hist_[0] = static_cast<uint32_t>(num_cells);
+}
+
+double RankRowCoverage::GainOf(NodeId u) const {
+  const uint8_t* row = row_of_(u);
+  if (row == nullptr) return 0.0;
+  // A stack copy, not a shared scratch: the parallel greedy calls GainOf
+  // from several threads at once.
+  std::array<uint32_t, kernels::kRankBins> hist = hist_;
+  const size_t n = ranks_.size();
+  const uint8_t raised = kernels::Dispatched().coverage_delta(
+      ranks_.data(), row, n, hist.data());
+  if (hist[0] == n) return 0.0;  // every cell still untouched
+  const size_t bins = size_t{std::max(top_, raised)} + 1;
+  const double with_u = kernels::EstimateFromHistogram(hist.data(), bins, n);
+  return std::max(0.0, with_u - covered_);
+}
+
+void RankRowCoverage::Commit(NodeId u) {
+  const uint8_t* row = row_of_(u);
+  if (row == nullptr) return;
+  const kernels::KernelOps& ops = kernels::Dispatched();
+  const size_t n = ranks_.size();
+  ops.cellwise_max_u8(ranks_.data(), row, n);
+  top_ = ops.rank_histogram(ranks_.data(), n, hist_.data());
+  covered_ = hist_[0] == n ? 0.0
+                           : kernels::EstimateFromHistogram(
+                                 hist_.data(), size_t{top_} + 1, n);
+}
 
 std::vector<double> InfluenceOracle::InfluenceOfAll() const {
   IPIN_TRACE_SPAN("oracle.influence_of_all");
@@ -218,7 +205,11 @@ BudgetedValue SketchInfluenceOracle::InfluenceOfSetBudgeted(
 }
 
 std::unique_ptr<CoverageState> SketchInfluenceOracle::NewCoverage() const {
-  return std::make_unique<SketchCoverage>(irs_);
+  const SketchArena* arena = irs_->arena();
+  return std::make_unique<RankRowCoverage>(
+      arena->num_cells(), [arena](NodeId u) -> const uint8_t* {
+        return arena->has_node(u) ? arena->rank_row(u).data() : nullptr;
+      });
 }
 
 SetCoverageOracle::SetCoverageOracle(std::vector<std::vector<NodeId>> sets)

@@ -1,7 +1,10 @@
 #ifndef IPIN_CORE_INFLUENCE_ORACLE_H_
 #define IPIN_CORE_INFLUENCE_ORACLE_H_
 
+#include <array>
 #include <chrono>
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <unordered_set>
@@ -10,6 +13,7 @@
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
 #include "ipin/graph/types.h"
+#include "ipin/sketch/kernels.h"
 
 namespace ipin {
 
@@ -31,6 +35,33 @@ class CoverageState {
 
   /// Folds sigma(u) into the covered set.
   virtual void Commit(NodeId u) = 0;
+};
+
+/// Coverage over per-node max-rank rows (vHLL or source-set sketches): the
+/// covered set is the cellwise max of the committed rows, kept with its
+/// rank histogram. A gain copies the histogram, moves the counts of the
+/// cells the candidate raises (kernels::KernelOps::coverage_delta) and
+/// estimates from the result, so it costs the cells that change. The
+/// histogram equals the merged row's exactly, so every gain is bit-identical
+/// to estimating the merged row.
+class RankRowCoverage : public CoverageState {
+ public:
+  /// Node u's row of `num_cells` ranks, or null when u has no sketch. Rows
+  /// must outlive the coverage.
+  using RowOf = std::function<const uint8_t*(NodeId)>;
+
+  RankRowCoverage(size_t num_cells, RowOf row_of);
+
+  double Covered() const override { return covered_; }
+  double GainOf(NodeId u) const override;
+  void Commit(NodeId u) override;
+
+ private:
+  RowOf row_of_;
+  std::vector<uint8_t> ranks_;
+  std::array<uint32_t, kernels::kRankBins> hist_;
+  uint8_t top_ = 0;
+  double covered_ = 0.0;
 };
 
 /// Wall-clock budget for one oracle query, used by the serving layer to

@@ -432,7 +432,11 @@ LedgerLoadResult LoadRunLedger(const std::string& path) {
     const size_t close_brace = payload.rfind('}');
     const std::string_view inner =
         payload.substr(open_brace + 1, close_brace - open_brace - 1);
-    if (inner.empty()) continue;
+    // An empty object, whitespace inside or not, adds no member (and no
+    // comma that would break the splice).
+    if (inner.find_first_not_of(" \t\r\n") == std::string_view::npos) {
+      continue;
+    }
     if (any_member) merged += ",";
     any_member = true;
     merged += inner;

@@ -33,23 +33,13 @@ namespace ipin::kernels {
 namespace {
 
 // ---------------------------------------------------------------------------
-// Shared estimate epilogue.
-//
-// Ranks restored from a file are only bounded by the cell invariants, not by
-// value, so the histogram covers the full uint8_t range. Each term
-// hist[r] * 2^-r is exact in double (hist[r] <= 2^18 well under 2^53, the
-// power is a power of two), and the terms are summed in fixed ascending-rank
-// order, so the resulting double depends only on the histogram contents —
-// never on how a target built the histogram. That is the bit-identity
-// argument for the one floating-point kernel.
+// Shared estimate epilogue: a table of 2^-r, one entry per rank bin.
 // ---------------------------------------------------------------------------
 
-constexpr size_t kHistBins = 256;
-
 struct Pow2NegTable {
-  double value[kHistBins];
+  double value[kRankBins];
   Pow2NegTable() {
-    for (size_t r = 0; r < kHistBins; ++r) {
+    for (size_t r = 0; r < kRankBins; ++r) {
       value[r] = std::ldexp(1.0, -static_cast<int>(r));
     }
   }
@@ -60,25 +50,23 @@ const Pow2NegTable& Pow2Neg() {
   return table;
 }
 
-// `bins` is an upper bound on the nonzero region (all ranks < bins): the
-// summation still visits exactly the nonzero bins in ascending order, so
-// the result is bit-identical whatever bound a target derives.
-double EstimateFromHistogram(const uint32_t* hist, size_t bins, size_t m) {
-  const Pow2NegTable& table = Pow2Neg();
-  double inverse_sum = 0.0;
-  for (size_t r = 0; r < bins; ++r) {
-    if (hist[r] != 0) {
-      inverse_sum += static_cast<double>(hist[r]) * table.value[r];
-    }
-  }
-  const size_t zeros = hist[0];
-  const double md = static_cast<double>(m);
-  const double raw = HllAlpha(m) * md * md / inverse_sum;
-  if (raw <= 2.5 * md && zeros > 0) {
-    // Linear counting in the small-cardinality regime.
-    return md * std::log(md / static_cast<double>(zeros));
-  }
-  return raw;
+// Every target's estimate_from_ranks: the target's histogram of bins
+// [0, top], then the shared epilogue. `hist` is left uninitialized on
+// purpose: the epilogue reads only bins [0, top], and zeroing all 256 would
+// cost a sparse row more than counting it.
+template <uint8_t (*HistogramPrefix)(const uint8_t*, size_t, uint32_t*)>
+double EstimateVia(const uint8_t* ranks, size_t n) {
+  uint32_t hist[kRankBins];
+  const uint8_t top = HistogramPrefix(ranks, n, hist);
+  return EstimateFromHistogram(hist, size_t{top} + 1, n);
+}
+
+// Every target's rank_histogram: the prefix, then zeros above top.
+template <uint8_t (*HistogramPrefix)(const uint8_t*, size_t, uint32_t*)>
+uint8_t RankHistogramVia(const uint8_t* ranks, size_t n, uint32_t* hist) {
+  const uint8_t top = HistogramPrefix(ranks, n, hist);
+  std::fill(hist + size_t{top} + 1, hist + kRankBins, 0u);
+  return top;
 }
 
 // ---------------------------------------------------------------------------
@@ -94,22 +82,52 @@ void CellwiseMaxU8Scalar(uint8_t* dst, const uint8_t* src, size_t n) {
 }
 
 IPIN_NO_AUTOVEC
-double EstimateFromRanksScalar(const uint8_t* ranks, size_t n) {
-  uint32_t hist[kHistBins] = {0};
+uint8_t RankHistogramScalar(const uint8_t* ranks, size_t n, uint32_t* hist) {
+  std::fill(hist, hist + kRankBins, 0u);
   for (size_t i = 0; i < n; ++i) ++hist[ranks[i]];
-  return EstimateFromHistogram(hist, kHistBins, n);
+  size_t top = kRankBins - 1;
+  while (top > 0 && hist[top] == 0) --top;
+  return static_cast<uint8_t>(top);
 }
 
-// Shared fast histogram build for the SIMD targets. Rank data is geometric
-// (half the cells hold rank 1), so a single histogram stalls on
-// store-to-load forwarding between back-to-back increments of the same bin;
-// eight interleaved sub-histograms fed from one u64 load break that chain.
-// The caller passes `bins` = max rank + 1 (from a vector max-reduce) so
-// zeroing and merging touch only the live prefix instead of all 256 bins —
-// that fixed cost is what would otherwise swamp small precisions. Integer
-// adds throughout: the merged histogram is exactly the scalar one.
-double EstimateInterleaved(const uint8_t* ranks, size_t n, size_t bins) {
-  uint32_t hist[8][kHistBins];
+double EstimateFromRanksScalar(const uint8_t* ranks, size_t n) {
+  uint32_t hist[kRankBins];
+  RankHistogramScalar(ranks, n, hist);
+  return EstimateFromHistogram(hist, kRankBins, n);
+}
+
+IPIN_NO_AUTOVEC
+uint8_t CoverageDeltaScalar(const uint8_t* covered, const uint8_t* candidate,
+                            size_t n, uint32_t* hist) {
+  uint8_t top = 0;
+  for (size_t i = 0; i < n; ++i) {
+    const uint8_t c = candidate[i];
+    if (c > covered[i]) {
+      --hist[covered[i]];
+      ++hist[c];
+      if (c > top) top = c;
+    }
+  }
+  return top;
+}
+
+constexpr KernelOps kScalarOps = {
+    &CellwiseMaxU8Scalar,
+    &RankHistogramScalar,
+    &EstimateFromRanksScalar,
+    &CoverageDeltaScalar,
+};
+
+// The NEON histogram, kept outside the NEON block so every build type-checks
+// it. Rank data is geometric (half the cells hold rank 1), so a single
+// histogram stalls on store-to-load forwarding between back-to-back
+// increments of the same bin; eight interleaved sub-histograms fed from one
+// u64 load break that chain. `bins` = max rank + 1, so zeroing and merging
+// touch only the live prefix. Integer adds throughout: the merged histogram
+// is exactly the scalar one.
+[[maybe_unused]] void HistogramInterleaved(const uint8_t* ranks, size_t n,
+                                           size_t bins, uint32_t* out) {
+  uint32_t hist[8][kRankBins];
   for (auto& h : hist) std::memset(h, 0, bins * sizeof(uint32_t));
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -126,21 +144,73 @@ double EstimateInterleaved(const uint8_t* ranks, size_t n, size_t bins) {
   }
   for (; i < n; ++i) ++hist[0][ranks[i]];
   for (size_t r = 0; r < bins; ++r) {
-    for (int h = 1; h < 8; ++h) hist[0][r] += hist[h][r];
+    uint32_t total = hist[0][r];
+    for (int h = 1; h < 8; ++h) total += hist[h][r];
+    out[r] = total;
   }
-  return EstimateFromHistogram(hist[0], bins, n);
 }
 
-constexpr KernelOps kScalarOps = {
-    &CellwiseMaxU8Scalar,
-    &EstimateFromRanksScalar,
-};
+// ---------------------------------------------------------------------------
+// x86: lane-count rank histograms and movemask coverage deltas.
+//
+// The histogram finds top with a vector max-reduce, then for each rank
+// r = 1..top subtracts cmpeq(cell, r) (0 or -1 per lane) into u8 lane
+// counters. A lane gains at most one per vector, so the counters are
+// flushed through sad_epu8 into u64 totals every kLaneBlock vectors, before
+// any can wrap. hist[0] = n - sum of the others. The cost is top x n / width
+// vector ops: sparse rows, whose top is small, pay little, and no rank
+// value up to 255 is wrong, only slower.
+//
+// The delta compares max(covered, candidate) with covered; the movemask of
+// the lanes that differ lists, bit by bit, the cells whose counts move.
+// ---------------------------------------------------------------------------
+
+#ifdef IPIN_KERNELS_X86
+
+constexpr size_t kLaneBlock = 255;  // vectors per u8 lane-counter flush
+
+uint8_t HorizontalMaxU8(__m128i m) {
+  m = _mm_max_epu8(m, _mm_srli_si128(m, 8));
+  m = _mm_max_epu8(m, _mm_srli_si128(m, 4));
+  m = _mm_max_epu8(m, _mm_srli_si128(m, 2));
+  m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
+  return static_cast<uint8_t>(_mm_cvtsi128_si32(m) & 0xff);
+}
+
+// Sum of the two u64 lanes of a sad_epu8 result. One flush sums at most
+// 32 lane counters of at most 255 each, so the low 32 bits hold it.
+uint32_t HorizontalSumU64(__m128i s) {
+  s = _mm_add_epi64(s, _mm_unpackhi_epi64(s, s));
+  return static_cast<uint32_t>(_mm_cvtsi128_si32(s));
+}
+
+// The scalar tail of a lane-count histogram: counts the cells past the
+// vector part into bins 1..top, then derives bin 0 from n.
+uint8_t FinishHistogram(const uint8_t* ranks, size_t vec_end, size_t n,
+                        uint8_t top, uint32_t* hist) {
+  for (size_t i = vec_end; i < n; ++i) ++hist[ranks[i]];
+  size_t counted = 0;
+  for (size_t r = 1; r <= top; ++r) counted += hist[r];
+  hist[0] = static_cast<uint32_t>(n - counted);
+  return top;
+}
+
+// Moves the counts of the cells set in `mask` (bit j = cell base + j).
+inline void MoveCounts(uint32_t mask, const uint8_t* covered,
+                       const uint8_t* candidate, size_t base, uint32_t* hist,
+                       uint8_t* top) {
+  while (mask != 0) {
+    const size_t i = base + static_cast<size_t>(__builtin_ctz(mask));
+    mask &= mask - 1;
+    --hist[covered[i]];
+    ++hist[candidate[i]];
+    if (candidate[i] > *top) *top = candidate[i];
+  }
+}
 
 // ---------------------------------------------------------------------------
 // SSE2 (x86_64 baseline — always runnable there).
 // ---------------------------------------------------------------------------
-
-#ifdef IPIN_KERNELS_X86
 
 void CellwiseMaxU8Sse2(uint8_t* dst, const uint8_t* src, size_t n) {
   size_t i = 0;
@@ -154,25 +224,55 @@ void CellwiseMaxU8Sse2(uint8_t* dst, const uint8_t* src, size_t n) {
   }
 }
 
-double EstimateFromRanksSse2(const uint8_t* ranks, size_t n) {
+uint8_t HistogramPrefixSse2(const uint8_t* ranks, size_t n, uint32_t* hist) {
+  const size_t vec_end = n - n % 16;
   __m128i m = _mm_setzero_si128();
-  size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
+  for (size_t i = 0; i < vec_end; i += 16) {
     m = _mm_max_epu8(
         m, _mm_loadu_si128(reinterpret_cast<const __m128i*>(ranks + i)));
   }
-  m = _mm_max_epu8(m, _mm_srli_si128(m, 8));
-  m = _mm_max_epu8(m, _mm_srli_si128(m, 4));
-  m = _mm_max_epu8(m, _mm_srli_si128(m, 2));
-  m = _mm_max_epu8(m, _mm_srli_si128(m, 1));
-  uint8_t rmax = static_cast<uint8_t>(_mm_cvtsi128_si32(m) & 0xff);
-  for (; i < n; ++i) rmax = std::max(rmax, ranks[i]);
-  return EstimateInterleaved(ranks, n, static_cast<size_t>(rmax) + 1);
+  uint8_t top = HorizontalMaxU8(m);
+  for (size_t i = vec_end; i < n; ++i) top = std::max(top, ranks[i]);
+  std::fill(hist, hist + size_t{top} + 1, 0u);
+  const __m128i zero = _mm_setzero_si128();
+  for (size_t block = 0; block < vec_end; block += kLaneBlock * 16) {
+    const size_t block_end = std::min(vec_end, block + kLaneBlock * 16);
+    for (size_t r = 1; r <= top; ++r) {
+      const __m128i needle = _mm_set1_epi8(static_cast<char>(r));
+      __m128i lanes = zero;
+      for (size_t i = block; i < block_end; i += 16) {
+        const __m128i v =
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(ranks + i));
+        lanes = _mm_sub_epi8(lanes, _mm_cmpeq_epi8(v, needle));
+      }
+      hist[r] += HorizontalSumU64(_mm_sad_epu8(lanes, zero));
+    }
+  }
+  return FinishHistogram(ranks, vec_end, n, top, hist);
+}
+
+uint8_t CoverageDeltaSse2(const uint8_t* covered, const uint8_t* candidate,
+                          size_t n, uint32_t* hist) {
+  uint8_t top = 0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const __m128i c =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(covered + i));
+    const __m128i d =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(candidate + i));
+    const uint32_t same = static_cast<uint32_t>(
+        _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_max_epu8(c, d), c)));
+    MoveCounts(~same & 0xffffu, covered, candidate, i, hist, &top);
+  }
+  return std::max(top, CoverageDeltaScalar(covered + i, candidate + i, n - i,
+                                           hist));
 }
 
 constexpr KernelOps kSse2Ops = {
     &CellwiseMaxU8Sse2,
-    &EstimateFromRanksSse2,
+    &RankHistogramVia<HistogramPrefixSse2>,
+    &EstimateVia<HistogramPrefixSse2>,
+    &CoverageDeltaSse2,
 };
 
 // ---------------------------------------------------------------------------
@@ -215,34 +315,71 @@ __attribute__((target("avx2"))) void CellwiseMaxU8Avx2(uint8_t* dst,
   }
 }
 
-__attribute__((target("avx2"))) double EstimateFromRanksAvx2(
-    const uint8_t* ranks, size_t n) {
+__attribute__((target("avx2"))) uint8_t HistogramPrefixAvx2(
+    const uint8_t* ranks, size_t n, uint32_t* hist) {
+  const size_t vec_end = n - n % 32;
   __m256i m = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 32 <= n; i += 32) {
+  for (size_t i = 0; i < vec_end; i += 32) {
     m = _mm256_max_epu8(
         m, _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ranks + i)));
   }
-  __m128i m128 = _mm_max_epu8(_mm256_castsi256_si128(m),
-                              _mm256_extracti128_si256(m, 1));
-  m128 = _mm_max_epu8(m128, _mm_srli_si128(m128, 8));
-  m128 = _mm_max_epu8(m128, _mm_srli_si128(m128, 4));
-  m128 = _mm_max_epu8(m128, _mm_srli_si128(m128, 2));
-  m128 = _mm_max_epu8(m128, _mm_srli_si128(m128, 1));
-  uint8_t rmax = static_cast<uint8_t>(_mm_cvtsi128_si32(m128) & 0xff);
-  for (; i < n; ++i) rmax = std::max(rmax, ranks[i]);
-  return EstimateInterleaved(ranks, n, static_cast<size_t>(rmax) + 1);
+  uint8_t top = HorizontalMaxU8(_mm_max_epu8(_mm256_castsi256_si128(m),
+                                             _mm256_extracti128_si256(m, 1)));
+  for (size_t i = vec_end; i < n; ++i) top = std::max(top, ranks[i]);
+  std::fill(hist, hist + size_t{top} + 1, 0u);
+  const __m256i zero = _mm256_setzero_si256();
+  for (size_t block = 0; block < vec_end; block += kLaneBlock * 32) {
+    const size_t block_end = std::min(vec_end, block + kLaneBlock * 32);
+    for (size_t r = 1; r <= top; ++r) {
+      const __m256i needle = _mm256_set1_epi8(static_cast<char>(r));
+      __m256i lanes = zero;
+      for (size_t i = block; i < block_end; i += 32) {
+        const __m256i v =
+            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ranks + i));
+        lanes = _mm256_sub_epi8(lanes, _mm256_cmpeq_epi8(v, needle));
+      }
+      const __m256i sums = _mm256_sad_epu8(lanes, zero);
+      hist[r] += HorizontalSumU64(_mm_add_epi64(
+          _mm256_castsi256_si128(sums), _mm256_extracti128_si256(sums, 1)));
+    }
+  }
+  return FinishHistogram(ranks, vec_end, n, top, hist);
+}
+
+__attribute__((target("avx2"))) uint8_t CoverageDeltaAvx2(
+    const uint8_t* covered, const uint8_t* candidate, size_t n,
+    uint32_t* hist) {
+  uint8_t top = 0;
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i c =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(covered + i));
+    const __m256i d =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(candidate + i));
+    const uint32_t same = static_cast<uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_max_epu8(c, d), c)));
+    MoveCounts(~same, covered, candidate, i, hist, &top);
+  }
+  // GCC emits no vzeroupper here by itself; without one, the dirty upper
+  // halves slow every SSE instruction that follows (the estimate epilogue
+  // first) until some other AVX function clears them.
+  _mm256_zeroupper();
+  return std::max(top, CoverageDeltaScalar(covered + i, candidate + i, n - i,
+                                           hist));
 }
 
 constexpr KernelOps kAvx2Ops = {
     &CellwiseMaxU8Avx2,
-    &EstimateFromRanksAvx2,
+    &RankHistogramVia<HistogramPrefixAvx2>,
+    &EstimateVia<HistogramPrefixAvx2>,
+    &CoverageDeltaAvx2,
 };
 
 #endif  // IPIN_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// NEON (aarch64 baseline).
+// NEON (aarch64 baseline). The histogram is the interleaved one above; the
+// coverage delta is the scalar reference.
 // ---------------------------------------------------------------------------
 
 #ifdef IPIN_KERNELS_NEON
@@ -257,20 +394,23 @@ void CellwiseMaxU8Neon(uint8_t* dst, const uint8_t* src, size_t n) {
   }
 }
 
-double EstimateFromRanksNeon(const uint8_t* ranks, size_t n) {
+uint8_t HistogramPrefixNeon(const uint8_t* ranks, size_t n, uint32_t* hist) {
   uint8x16_t m = vdupq_n_u8(0);
   size_t i = 0;
   for (; i + 16 <= n; i += 16) {
     m = vmaxq_u8(m, vld1q_u8(ranks + i));
   }
-  uint8_t rmax = vmaxvq_u8(m);
-  for (; i < n; ++i) rmax = std::max(rmax, ranks[i]);
-  return EstimateInterleaved(ranks, n, static_cast<size_t>(rmax) + 1);
+  uint8_t top = vmaxvq_u8(m);
+  for (; i < n; ++i) top = std::max(top, ranks[i]);
+  HistogramInterleaved(ranks, n, size_t{top} + 1, hist);
+  return top;
 }
 
 constexpr KernelOps kNeonOps = {
     &CellwiseMaxU8Neon,
-    &EstimateFromRanksNeon,
+    &RankHistogramVia<HistogramPrefixNeon>,
+    &EstimateVia<HistogramPrefixNeon>,
+    &CoverageDeltaScalar,
 };
 
 #endif  // IPIN_KERNELS_NEON
@@ -313,6 +453,24 @@ const Dispatch& GetDispatch() {
 }
 
 }  // namespace
+
+double EstimateFromHistogram(const uint32_t* hist, size_t bins, size_t n) {
+  const Pow2NegTable& table = Pow2Neg();
+  double inverse_sum = 0.0;
+  for (size_t r = 0; r < bins; ++r) {
+    if (hist[r] != 0) {
+      inverse_sum += static_cast<double>(hist[r]) * table.value[r];
+    }
+  }
+  const size_t zeros = hist[0];
+  const double md = static_cast<double>(n);
+  const double raw = HllAlpha(n) * md * md / inverse_sum;
+  if (raw <= 2.5 * md && zeros > 0) {
+    // Linear counting in the small-cardinality regime.
+    return md * std::log(md / static_cast<double>(zeros));
+  }
+  return raw;
+}
 
 const KernelOps* KernelsFor(SimdTarget target) {
   switch (target) {

@@ -1,11 +1,18 @@
 #include "ipin/core/influence_maximization.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ipin/core/influence_oracle.h"
+#include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
+#include "ipin/core/source_sets.h"
+#include "ipin/datasets/registry.h"
 #include "ipin/datasets/synthetic.h"
 #include "test_util.h"
 
@@ -44,6 +51,147 @@ SeedSelection NaiveGreedy(const InfluenceOracle& oracle, size_t k) {
   }
   result.total_coverage = coverage->Covered();
   return result;
+}
+
+// Reference lazy greedy that never touches a CoverageState: every gain is
+// max(0, InfluenceOfSet(seeds + u) - InfluenceOfSet(seeds)), the oracle's
+// independent union path. Each step scans every node for the best cached
+// gain, in CELF's order (gain, then individual influence, then smaller id);
+// a gain cached in an earlier round is re-evaluated, a current one is
+// picked. That is CELF's rule without its heap. An eager full-scan greedy
+// is no reference here: sketch estimates are not submodular, and on these
+// instances it picks differently from CELF before any kernel is involved.
+SeedSelection UnionPathLazyGreedy(const InfluenceOracle& oracle, size_t k) {
+  SeedSelection result;
+  const size_t n = oracle.num_nodes();
+  const std::vector<double> influence = oracle.InfluenceOfAll();
+  std::vector<double> gain = influence;
+  std::vector<size_t> round(n, 0);
+  std::vector<char> selected(n, 0);
+  std::vector<NodeId> with;
+  double covered = 0.0;
+  while (result.seeds.size() < std::min(k, n)) {
+    NodeId best = kInvalidNode;
+    for (NodeId u = 0; u < n; ++u) {
+      if (selected[u]) continue;
+      if (best == kInvalidNode || gain[u] > gain[best] ||
+          (gain[u] == gain[best] && influence[u] > influence[best])) {
+        best = u;
+      }
+    }
+    const size_t current = result.seeds.size() + 1;
+    if (round[best] != current) {
+      with = result.seeds;
+      with.push_back(best);
+      gain[best] = std::max(0.0, oracle.InfluenceOfSet(with) - covered);
+      round[best] = current;
+      ++result.gain_evaluations;
+      continue;
+    }
+    selected[best] = 1;
+    result.seeds.push_back(best);
+    result.gains.push_back(gain[best]);
+    covered = oracle.InfluenceOfSet(result.seeds);
+  }
+  result.total_coverage = covered;
+  return result;
+}
+
+// CELF's seeds and gain count match the union-path reference, and every
+// reported gain is, bit for bit, the union-path difference of its prefix.
+void ExpectCelfMatchesUnionPath(const InfluenceOracle& oracle, size_t k) {
+  const SeedSelection celf = SelectSeedsCelf(oracle, k);
+  const SeedSelection naive = UnionPathLazyGreedy(oracle, k);
+  ASSERT_EQ(celf.seeds, naive.seeds);
+  ASSERT_EQ(celf.gain_evaluations, naive.gain_evaluations);
+  ASSERT_EQ(celf.gains.size(), celf.seeds.size());
+  const std::span<const NodeId> seeds(celf.seeds);
+  for (size_t i = 0; i < seeds.size(); ++i) {
+    const double want =
+        std::max(0.0, oracle.InfluenceOfSet(seeds.first(i + 1)) -
+                          oracle.InfluenceOfSet(seeds.first(i)));
+    ASSERT_EQ(celf.gains[i], want) << "pick " << i;
+    ASSERT_EQ(celf.gains[i], naive.gains[i]) << "pick " << i;
+  }
+  ASSERT_EQ(celf.total_coverage, oracle.InfluenceOfSet(seeds));
+}
+
+TEST(CelfTest, SketchOracleGainsMatchUnionPathBitForBit) {
+  for (const int precision : {6, 9}) {
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(testing::Message()
+                   << "precision " << precision << " seed " << seed);
+      const InteractionGraph g =
+          GenerateUniformRandomNetwork(300, 2400, 4000, seed + 40);
+      IrsApproxOptions options;
+      options.precision = precision;
+      const IrsApprox irs = IrsApprox::Compute(g, 400, options);
+      const SketchInfluenceOracle oracle(&irs);
+      ExpectCelfMatchesUnionPath(oracle, 25);
+    }
+  }
+}
+
+TEST(CelfTest, SourceSetOracleGainsMatchUnionPathBitForBit) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE(testing::Message() << "seed " << seed);
+    const InteractionGraph g =
+        GenerateUniformRandomNetwork(300, 2400, 4000, seed + 50);
+    IrsApproxOptions options;
+    options.precision = 7;
+    const SourceSetApprox sets = SourceSetApprox::Compute(g, 400, options);
+    const SourceSetOracle oracle(&sets);
+    ExpectCelfMatchesUnionPath(oracle, 25);
+  }
+}
+
+// CELF on a fixed generated slashdot index (scale 0.05, generator seed 5,
+// beta = 512, window 10% of the span): the seeds and the bits of every gain,
+// recorded before the estimate and coverage kernels moved to lane-count
+// histograms and histogram deltas. The benchmark's own campaign check
+// compares against a reference built by the same binary, so only constants
+// catch a drift that both sides share.
+TEST(CelfTest, PinnedSlashdotCampaign) {
+  constexpr NodeId kSeeds[] = {
+      1740, 2200, 2265, 1154, 170,  1873, 407,  2456, 554,  300,
+      1330, 2195, 126,  749,  1838, 2477, 1401, 2342, 2347, 2123,
+      947,  904,  2266, 763,  1162, 795,  1206, 2434, 1486, 1312,
+      1528, 1645, 773,  31,   417,  2193, 677,  29,   1153, 452,
+      1880, 1733, 847,  1501, 2436, 260,  2317, 76,   295,  340};
+  constexpr double kGains[] = {
+      0x1.89b0294fcebf2p+9, 0x1.57d1ed4cdf82p+6, 0x1.4085602864a5p+5,
+      0x1.eaaf81e5d1dep+4,  0x1.9edf9b068678p+4, 0x1.458d827c38fap+4,
+      0x1.530716bea29cp+4,  0x1.d425690bc0e4p+3, 0x1.e1eac6c098dp+3,
+      0x1.f085d93e7b88p+3,  0x1.000555888adp+4,  0x1.0847ee856074p+4,
+      0x1.11178a5a14ap+4,   0x1.1a82c0cc78fcp+4, 0x1.249a3f94db34p+4,
+      0x1.2f712d4f04e8p+4,  0x1.3815eb9c9b18p+3, 0x1.3e255aed4248p+3,
+      0x1.44723d272a8p+3,   0x1.4b004bce0acp+3,  0x1.51d38f0cf718p+3,
+      0x1.58f065fe55fp+3,   0x1.605b9005725p+3,  0x1.681a3763c64p+3,
+      0x1.7031fd3bab08p+3,  0x1.78a9073b419p+3,  0x1.81860f35772p+3,
+      0x1.8ad074fc87p+3,    0x1.949052e1d2p+3,   0x1.9ece955321b8p+3,
+      0x1.a9951626617p+3,   0x1.b4eebc43cf58p+3, 0x1.c0e7a0853dd8p+3,
+      0x1.cd8d38d161e8p+3,  0x1.daee8ab72e8p+3,  0x1.e91c671aa92p+3,
+      0x0p+0,               0x0p+0,              0x1.5e465a98183p+2,
+      0x1.1b599579188p+3,   0x1.6563c87a554p+1,  0x1.32ae10024b38p+3,
+      0x1.b54a48b5dc6p+1,   0x1.248ab52d39p+0,   0x1.b8583868c1ep+1,
+      0x0p+0,               0x1.26d8a8fd7e8p+1,  0x0p+0,
+      0x0p+0,               0x1.bb55607d59p-1};
+  std::optional<SyntheticConfig> config = GetDatasetConfig("slashdot", 0.05);
+  ASSERT_TRUE(config.has_value());
+  config->seed = 5;
+  const InteractionGraph g = GenerateInteractionNetwork(*config);
+  const IrsApprox irs =
+      IrsApprox::Compute(g, g.WindowFromPercent(10.0), IrsApproxOptions{});
+  const SketchInfluenceOracle oracle(&irs);
+  const SeedSelection celf = SelectSeedsCelf(oracle, 50);
+  ASSERT_EQ(celf.seeds, std::vector<NodeId>(std::begin(kSeeds),
+                                            std::end(kSeeds)));
+  ASSERT_EQ(celf.gains.size(), std::size(kGains));
+  for (size_t i = 0; i < celf.gains.size(); ++i) {
+    ASSERT_EQ(celf.gains[i], kGains[i]) << "pick " << i;
+  }
+  EXPECT_EQ(celf.total_coverage, 0x1.4a23c9eb3f973p+10);
+  EXPECT_EQ(celf.gain_evaluations, 2011u);
 }
 
 TEST(GreedyTest, PicksObviousWinnerFirst) {

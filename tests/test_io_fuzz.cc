@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ipin/common/json.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/random.h"
 #include "ipin/common/safe_io.h"
@@ -22,6 +23,7 @@
 #include "ipin/core/oracle_io.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/graph_io.h"
+#include "ipin/obs/ledger.h"
 #include "ipin/serve/protocol.h"
 #include "ipin/serve/shard_map.h"
 #include "ipin/sketch/sketch_arena.h"
@@ -1019,6 +1021,112 @@ TEST_F(IoFuzzTest, ShardMapsParseToFixedPointsOrNothing) {
   // Both outcomes occur, so the property was tested, not skipped.
   EXPECT_GT(accepted, 1000u);
   EXPECT_GT(rejected, 1000u);
+}
+
+// Run ledgers whose frames all pass their CRCs but carry hostile JSON.
+// Each trial takes a real ledger's three frames (core, activity, metrics),
+// keeps, mutates (MutateWireLine) or replaces each one with a hand-made
+// hostile payload, and frames the result with SafeFileWriter, so the
+// loader's JSON splice, not the checksum, is what meets the damage.
+// Whatever the input, the status is Ok, Degraded or Corrupt; a usable
+// result carries the run schema and text that parses.
+TEST_F(IoFuzzTest, LedgerFramesWithValidCrcsLoadOrDegrade) {
+  const std::string dir = path_ + "_ledgers";
+  obs::RunLedgerOptions options;
+  options.dir = dir;
+  options.tool = "fuzz";
+  options.command = "ledger";
+  options.args = "--seed={7}";
+  obs::RunLedger& ledger = obs::RunLedger::Global();
+  ledger.Begin(options);
+  ledger.RecordInputFile("/dev/null");
+  for (int i = 0; i < 4; ++i) ledger.RecordEvent("e", "{" + std::to_string(i));
+  const std::string written = ledger.Finish(0);
+  ASSERT_FALSE(written.empty());
+  std::vector<std::string> frames;
+  {
+    SafeFileReader reader;
+    ASSERT_EQ(reader.Open(written, obs::kLedgerFileType), SafeOpenStatus::kOk);
+    std::string_view payload;
+    while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+      frames.emplace_back(payload);
+    }
+  }
+  ASSERT_EQ(frames.size(), 3u);
+
+  const std::vector<std::string> hostile = {
+      "{}",
+      " { } ",
+      "[]",
+      "\"ipin.run.v1\"",
+      "42",
+      "null",
+      R"({"schema":"ipin.run.v1","schema":"ipin.run.v2"})",
+      R"({"schema":"ipin.run.v2"})",
+      R"({"tool":"no schema"})",
+      R"({"schema":7})",
+      R"({"note":"}{","schema":"ipin.run.v1"})",
+      R"({"note":"{\"schema\":\"ipin.run.v1\"}"})",
+      R"({"a":{"b":[{"c":"}"}]},"d":"{"})",
+      R"({"schema":"ipin.run.v1"} {"x":1})",
+      "",
+  };
+  const auto write = [&](const std::vector<std::string>& payloads) {
+    SafeFileWriter writer(path_, obs::kLedgerFileType, obs::kLedgerVersion);
+    for (const std::string& payload : payloads) writer.AppendFrame(payload);
+    return writer.Commit();
+  };
+
+  // The pristine frames, and a core frame followed by empty objects, load.
+  ASSERT_TRUE(write(frames));
+  EXPECT_EQ(obs::LoadRunLedger(path_).status, obs::LedgerLoadStatus::kOk);
+  ASSERT_TRUE(write({frames[0], "{}", " { } "}));
+  EXPECT_EQ(obs::LoadRunLedger(path_).status, obs::LedgerLoadStatus::kOk);
+
+  size_t outcomes[3] = {0, 0, 0};
+  Rng rng(20261020);
+  for (int trial = 0; trial < 3000 && !HasFailure(); ++trial) {
+    std::vector<std::string> payloads = frames;
+    for (std::string& payload : payloads) {
+      switch (rng.NextBounded(3)) {
+        case 0:
+          break;
+        case 1:
+          payload = MutateWireLine(std::move(payload), &rng);
+          break;
+        default:
+          payload = hostile[rng.NextBounded(hostile.size())];
+          break;
+      }
+    }
+    ASSERT_TRUE(write(payloads));
+    const obs::LedgerLoadResult result = obs::LoadRunLedger(path_);
+    SCOPED_TRACE(testing::Message() << "trial " << trial << "\n"
+                                    << payloads[0] << "\n" << payloads[1]
+                                    << "\n" << payloads[2]);
+    switch (result.status) {
+      case obs::LedgerLoadStatus::kOk:
+        ++outcomes[0];
+        break;
+      case obs::LedgerLoadStatus::kDegraded:
+        ++outcomes[1];
+        break;
+      case obs::LedgerLoadStatus::kCorrupt:
+        ++outcomes[2];
+        break;
+      case obs::LedgerLoadStatus::kMissing:
+        FAIL() << "a written ledger loaded as missing";
+    }
+    if (result.usable()) {
+      EXPECT_EQ(result.doc.FindString("schema", ""), "ipin.run.v1");
+      EXPECT_TRUE(JsonValue::Parse(result.text).has_value()) << result.text;
+    }
+  }
+  // Every outcome occurs, so each branch of the property was exercised.
+  EXPECT_GT(outcomes[0], 100u);
+  EXPECT_GT(outcomes[1], 100u);
+  EXPECT_GT(outcomes[2], 100u);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

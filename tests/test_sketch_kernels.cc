@@ -1,6 +1,8 @@
 #include "ipin/sketch/kernels.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -12,6 +14,7 @@
 namespace ipin {
 namespace {
 
+using kernels::kRankBins;
 using kernels::KernelOps;
 using kernels::KernelsFor;
 using kernels::SimdTarget;
@@ -97,6 +100,146 @@ TEST(SketchKernelsTest, EstimateFromRanksBitIdenticalFuzz) {
       }
       // And the public entry point routes through the same kernels.
       ASSERT_EQ(EstimateFromRanks(ranks), want) << precision;
+    }
+  }
+}
+
+using Histogram = std::array<uint32_t, kRankBins>;
+
+// The row shapes the estimate and delta kernels meet: production-like
+// geometric ranks, sparse rows (a few set cells, the campaign median), no
+// set cell at all, and every rank value 1..255 (far past the 65 - p an
+// arena row can hold, which only slows the lane-count histogram down).
+enum class RowKind { kGeometric, kSparse, kZero, kFullRange };
+constexpr RowKind kRowKinds[] = {RowKind::kGeometric, RowKind::kSparse,
+                                 RowKind::kZero, RowKind::kFullRange};
+
+std::vector<uint8_t> MakeRow(RowKind kind, size_t n, Rng* rng) {
+  std::vector<uint8_t> row(n, 0);
+  switch (kind) {
+    case RowKind::kGeometric:
+      for (auto& r : row) {
+        r = static_cast<uint8_t>(
+            std::countr_zero(rng->NextUint64() | (uint64_t{1} << 62)) + 1);
+      }
+      break;
+    case RowKind::kSparse:
+      for (size_t i = 0; i < std::min<size_t>(24, n); ++i) {
+        row[rng->NextBounded(n)] =
+            static_cast<uint8_t>(1 + rng->NextBounded(20));
+      }
+      break;
+    case RowKind::kZero:
+      break;
+    case RowKind::kFullRange:
+      for (auto& r : row) r = static_cast<uint8_t>(1 + rng->NextBounded(255));
+      break;
+  }
+  return row;
+}
+
+// Cell counts from beta = 16 to 2^18 with ragged tails that are not a
+// multiple of any vector width.
+std::vector<size_t> FuzzSizes(int precision) {
+  const size_t beta = size_t{1} << precision;
+  return {beta, beta - 1, beta - 7, beta + 13};
+}
+
+Histogram ScalarHistogram(const std::vector<uint8_t>& ranks, uint8_t* top) {
+  Histogram hist;
+  *top = Scalar().rank_histogram(ranks.data(), ranks.size(), hist.data());
+  return hist;
+}
+
+TEST(SketchKernelsTest, RankHistogramMatchesScalarFuzz) {
+  Rng rng(4242);
+  for (int precision = 4; precision <= 18; ++precision) {
+    for (const size_t n : FuzzSizes(precision)) {
+      for (const RowKind kind : kRowKinds) {
+        const std::vector<uint8_t> ranks = MakeRow(kind, n, &rng);
+        uint8_t want_top = 0;
+        const Histogram want = ScalarHistogram(ranks, &want_top);
+        EXPECT_EQ(want_top, *std::max_element(ranks.begin(), ranks.end()));
+        for (const SimdTarget target : RunnableTargets()) {
+          Histogram got;
+          got.fill(0xdeadbeef);  // every bin must be written
+          const uint8_t top =
+              KernelsFor(target)->rank_histogram(ranks.data(), n, got.data());
+          ASSERT_EQ(top, want_top) << SimdTargetName(target) << " n " << n;
+          ASSERT_EQ(got, want) << SimdTargetName(target) << " n " << n
+                               << " kind " << static_cast<int>(kind);
+        }
+      }
+    }
+  }
+}
+
+// 2^18 cells of one rank: every u8 lane counter sees 2^18 / width hits,
+// far more than 255, so the flush cadence is what keeps the count right.
+TEST(SketchKernelsTest, RankHistogramLaneCountersDoNotWrap) {
+  const size_t n = size_t{1} << 18;
+  for (const uint8_t rank : {uint8_t{1}, uint8_t{7}, uint8_t{255}}) {
+    const std::vector<uint8_t> ranks(n, rank);
+    for (const SimdTarget target : RunnableTargets()) {
+      Histogram hist;
+      const KernelOps& ops = *KernelsFor(target);
+      ASSERT_EQ(ops.rank_histogram(ranks.data(), n, hist.data()), rank);
+      for (size_t r = 0; r < kRankBins; ++r) {
+        ASSERT_EQ(hist[r], r == rank ? n : 0u)
+            << SimdTargetName(target) << " rank " << int{rank} << " bin " << r;
+      }
+      ASSERT_EQ(ops.estimate_from_ranks(ranks.data(), n),
+                Scalar().estimate_from_ranks(ranks.data(), n))
+          << SimdTargetName(target) << " rank " << int{rank};
+    }
+  }
+}
+
+// The coverage delta: moving the counts of the cells a candidate raises
+// turns the covered row's histogram into the merged row's, and the gain
+// path's estimate (EstimateFromHistogram over that histogram) equals
+// estimate_from_ranks of the merged row, bit for bit. Covers are folds of
+// 0, 1 and many rows.
+TEST(SketchKernelsTest, CoverageDeltaMatchesMergedHistogramFuzz) {
+  Rng rng(5150);
+  for (int precision = 4; precision <= 18; ++precision) {
+    for (const size_t n : FuzzSizes(precision)) {
+      for (const size_t cover_rows : {size_t{0}, size_t{1}, size_t{6}}) {
+        for (const RowKind kind : kRowKinds) {
+          std::vector<uint8_t> covered(n, 0);
+          for (size_t i = 0; i < cover_rows; ++i) {
+            const RowKind cover_kind = kRowKinds[rng.NextBounded(4)];
+            const std::vector<uint8_t> row = MakeRow(cover_kind, n, &rng);
+            Scalar().cellwise_max_u8(covered.data(), row.data(), n);
+          }
+          const std::vector<uint8_t> candidate = MakeRow(kind, n, &rng);
+          std::vector<uint8_t> merged = covered;
+          Scalar().cellwise_max_u8(merged.data(), candidate.data(), n);
+          uint8_t want_top = 0;
+          const Histogram want = ScalarHistogram(merged, &want_top);
+          const double want_estimate =
+              Scalar().estimate_from_ranks(merged.data(), n);
+          for (const SimdTarget target : RunnableTargets()) {
+            SCOPED_TRACE(testing::Message()
+                         << SimdTargetName(target) << " n " << n << " cover "
+                         << cover_rows << " kind " << static_cast<int>(kind));
+            const KernelOps& ops = *KernelsFor(target);
+            Histogram hist;
+            const uint8_t covered_top =
+                ops.rank_histogram(covered.data(), n, hist.data());
+            const uint8_t raised = ops.coverage_delta(
+                covered.data(), candidate.data(), n, hist.data());
+            const uint8_t top = std::max(covered_top, raised);
+            ASSERT_EQ(hist, want);
+            ASSERT_EQ(top, want_top);
+            const double estimate =
+                kernels::EstimateFromHistogram(hist.data(), size_t{top} + 1, n);
+            ASSERT_EQ(estimate, want_estimate);
+            ASSERT_EQ(ops.estimate_from_ranks(merged.data(), n),
+                      want_estimate);
+          }
+        }
+      }
     }
   }
 }
