@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
-#include <optional>
 #include <span>
 #include <type_traits>
 #include <utility>
@@ -21,38 +20,18 @@
 #include "ipin/common/timer.h"
 #include "ipin/obs/ledger.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 
 namespace ipin {
 
-// Friend of IrsExact and IrsApprox: the only code that reads/reinstates
-// their private scan state, keeping the checkpoint format out of the
-// algorithm classes.
+// Friend of IrsApprox: the only code that reads/reinstates its private
+// scan state, keeping the checkpoint format out of the algorithm class.
 class CheckpointAccess {
  public:
-  static void SetScanPosition(IrsExact* irs, Timestamp last_time,
-                              bool saw_interaction) {
-    irs->last_time_ = last_time;
-    irs->saw_interaction_ = saw_interaction;
-  }
-
   // Tallies travel in the checkpoint's meta frame so a resumed build
   // publishes the same irs.* scan metrics as an uninterrupted one.
   // (Per-sketch lifetime tallies inside VersionedHll are NOT checkpointed;
   // see DESIGN.md §8.)
-  static void GetTallies(const IrsExact& irs, uint64_t tally[4]) {
-    tally[0] = irs.edges_scanned_;
-    tally[1] = irs.summary_inserts_;
-    tally[2] = irs.summary_updates_;
-    tally[3] = irs.window_prunes_;
-  }
-  static void SetTallies(IrsExact* irs, const uint64_t tally[4]) {
-    irs->edges_scanned_ = tally[0];
-    irs->summary_inserts_ = tally[1];
-    irs->summary_updates_ = tally[2];
-    irs->window_prunes_ = tally[3];
-  }
   static void GetTallies(const IrsApprox& irs, uint64_t tally[4]) {
     tally[0] = irs.build_->edges_scanned;
     tally[1] = irs.build_->merge_calls;
@@ -62,46 +41,37 @@ class CheckpointAccess {
     irs->build_->edges_scanned = tally[0];
     irs->build_->merge_calls = tally[1];
   }
-
-  static IrsSummaryMap* MutableSummary(IrsExact* irs, NodeId u) {
-    return &irs->summaries_[u];
-  }
   // Refills u's build sketch from a checkpoint's cells (`cell_counts` cut
   // `ranks` and `times` into lists, already checked against the vHLL
-  // invariants), in the build's parts and time encoding; false if that
-  // encoding cannot hold a time.
-  static bool RefillSketch(IrsApprox* irs, NodeId u,
+  // invariants and decoded from the build's own time encoding), in the
+  // build's parts and time encoding.
+  static void RefillSketch(IrsApprox* irs, NodeId u,
                            std::span<const uint8_t> cell_counts,
                            std::span<const uint8_t> ranks,
                            std::span<const Timestamp> times) {
     IrsApprox::Build& build = *irs->build_;
-    for (const Timestamp t : times) {
-      if (!build.times.Holds(t)) return false;
-    }
     build.sketches[u] = std::make_unique<VersionedHll>(
         irs->options_.precision, irs->options_.salt, build.parts, cell_counts,
         ranks, times, build.times);
-    return true;
   }
   // The build store's sketches, indexed by node id (null: absent).
   static std::span<const std::unique_ptr<VersionedHll>> Sketches(
       const IrsApprox& irs) {
     return irs.build_->sketches;
   }
-  // An empty approx build over `graph`, its sketches split into parts and
-  // storing times as a plain build over the same graph does.
+  // An empty build over `graph`, its sketches split into one part per
+  // global thread and storing times as a plain build over the same graph
+  // does.
   static IrsApprox MakeBuild(const InteractionGraph& graph, Duration window,
-                             const IrsApproxOptions& options,
-                             size_t num_parts) {
-    return IrsApprox(graph, window, options, num_parts);
+                             const IrsApproxOptions& options) {
+    return IrsApprox(graph, window, options, GlobalThreads());
   }
   static void Scan(IrsApprox* irs, const InteractionGraph& graph, size_t done,
                    size_t epoch_edges,
                    const std::function<void(size_t)>& after_epoch) {
     irs->Scan(graph, done, epoch_edges, after_epoch);
   }
-  static void Publish(const IrsExact& irs) { irs.PublishBuildMetrics(); }
-  // Ends an approx build: its rows land in the arena every query reads.
+  // Ends the build: its rows land in the arena every query reads.
   static void Finish(IrsApprox* irs) { irs->Finish(); }
 };
 
@@ -110,13 +80,15 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP" little-endian
-// Version 3: approx chunks are sketch chunks (below) whose times are
-// offsets in the TimeEncoding the meta frame records. Files of other
-// versions fail verification and are skipped.
+// Version 3: chunks are sketch chunks (below) whose times are offsets in
+// the TimeEncoding the meta frame records. Files of other versions fail
+// verification and are skipped.
 constexpr uint32_t kCheckpointVersion = 3;
 constexpr uint32_t kChunkSize = 256;  // nodes per frame
-constexpr uint8_t kAlgoExact = 1;
+// The meta frame's algorithm byte. Version 3 also named an exact scan (1),
+// whose files (ckpt_exact_*) no build reads or prunes any more.
 constexpr uint8_t kAlgoApprox = 2;
+constexpr char kPrefix[] = "ckpt_approx_";
 constexpr char kSuffix[] = ".ipinckpt";
 
 template <typename T>
@@ -135,13 +107,13 @@ bool ReadRaw(std::string_view data, size_t* offset, T* value) {
 // Everything a checkpoint must agree on with the running build before it is
 // allowed to resume into it.
 struct Fingerprint {
-  uint8_t algo = 0;
+  uint8_t algo = kAlgoApprox;
   int64_t window = 0;
   uint64_t num_nodes = 0;
   uint64_t num_interactions = 0;
   uint64_t graph_hash = 0;
-  uint8_t precision = 0;  // approx only, 0 for exact
-  uint64_t salt = 0;      // approx only, 0 for exact
+  uint8_t precision = 0;
+  uint64_t salt = 0;
 
   bool Matches(const Fingerprint& other) const {
     return algo == other.algo && window == other.window &&
@@ -153,7 +125,12 @@ struct Fingerprint {
 };
 
 // Scan position + tallies carried in the meta frame beside the fingerprint,
-// and the encoding of the approx chunks' times (unused by exact builds).
+// and the encoding of the chunks' times: the build's own, which a resuming
+// build must share. `last_time`, `saw_interaction` and tally[2..3] are read
+// by no build: only the retired exact checkpoint did. They keep the
+// version-3 bytes (written as the last scanned edge's time, 1, and zeros)
+// until the version bump that stores retired registers (ROADMAP.md item
+// 13) drops them.
 struct MetaFrame {
   Fingerprint fp;
   uint64_t edges_processed = 0;
@@ -213,36 +190,29 @@ bool ParseMeta(std::string_view payload, MetaFrame* meta) {
       !ReadRaw(payload, &offset, &meta->times.width)) {
     return false;
   }
-  return offset == payload.size() && meta->chunk_size >= 1 &&
-         meta->times.valid();
+  return offset == payload.size() && meta->chunk_size >= 1;
 }
 
-const char* AlgoName(uint8_t algo) {
-  return algo == kAlgoExact ? "exact" : "approx";
-}
-
-std::string CheckpointPath(const std::string& dir, uint8_t algo,
-                           uint64_t edges) {
-  return StrFormat("%s/ckpt_%s_%020llu%s", dir.c_str(), AlgoName(algo),
+std::string CheckpointPath(const std::string& dir, uint64_t edges) {
+  return StrFormat("%s/%s%020llu%s", dir.c_str(), kPrefix,
                    static_cast<unsigned long long>(edges), kSuffix);
 }
 
-// Checkpoint files for `algo` in `dir`, newest (most edges) first.
+// Checkpoint files in `dir`, newest (most edges) first.
 std::vector<std::pair<uint64_t, std::string>> ListCheckpoints(
-    const std::string& dir, uint8_t algo) {
+    const std::string& dir) {
   std::vector<std::pair<uint64_t, std::string>> found;
-  const std::string prefix = StrFormat("ckpt_%s_", AlgoName(algo));
+  constexpr size_t kPrefixLen = sizeof(kPrefix) - 1;
   constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (!StartsWith(name, prefix) ||
-        name.size() <= prefix.size() + kSuffixLen ||
+    if (!StartsWith(name, kPrefix) || name.size() <= kPrefixLen + kSuffixLen ||
         name.substr(name.size() - kSuffixLen) != kSuffix) {
       continue;
     }
     const auto edges = ParseInt64(
-        name.substr(prefix.size(), name.size() - prefix.size() - kSuffixLen));
+        name.substr(kPrefixLen, name.size() - kPrefixLen - kSuffixLen));
     if (!edges.has_value() || *edges < 0) continue;
     found.emplace_back(static_cast<uint64_t>(*edges), entry.path().string());
   }
@@ -251,91 +221,35 @@ std::vector<std::pair<uint64_t, std::string>> ListCheckpoints(
   return found;
 }
 
-void PruneCheckpoints(const std::string& dir, uint8_t algo, size_t keep) {
-  const auto files = ListCheckpoints(dir, algo);
+void PruneCheckpoints(const std::string& dir, size_t keep) {
+  const auto files = ListCheckpoints(dir);
   for (size_t i = keep; i < files.size(); ++i) {
     std::error_code ec;
     fs::remove(files[i].second, ec);
   }
 }
 
-// ---- per-algorithm chunk encodings ----------------------------------------
+// ---- sketch chunks ---------------------------------------------------------
 
-// Exact: per node, u64 entry count then (u32 target, i64 time) pairs sorted
-// by target id — deterministic bytes for identical summaries. Like
-// SerializeApproxChunk, writes the chunk into *out and returns its length.
-size_t SerializeExactChunk(const IrsExact& irs, const MetaFrame& /*meta*/,
-                           uint64_t first, uint32_t count, std::string* out) {
-  out->clear();
-  AppendRaw<uint64_t>(out, first);
-  AppendRaw<uint32_t>(out, count);
-  std::vector<std::pair<NodeId, Timestamp>> entries;
-  for (NodeId u = static_cast<NodeId>(first); u < first + count; ++u) {
-    const IrsSummaryMap& summary = irs.Summary(u);
-    entries.assign(summary.begin(), summary.end());
-    std::sort(entries.begin(), entries.end());
-    AppendRaw<uint64_t>(out, entries.size());
-    for (const auto& [v, t] : entries) {
-      AppendRaw<uint32_t>(out, v);
-      AppendRaw<int64_t>(out, t);
-    }
-  }
-  return out->size();
-}
-
-bool ParseExactChunk(std::string_view payload, NodeId expected_first,
-                     uint32_t expected_count, const MetaFrame& meta,
-                     IrsExact* irs) {
-  const Fingerprint& fp = meta.fp;
-  size_t offset = 0;
-  uint64_t first = 0;
-  uint32_t count = 0;
-  if (!ReadRaw(payload, &offset, &first) ||
-      !ReadRaw(payload, &offset, &count) || first != expected_first ||
-      count != expected_count || first + count > fp.num_nodes) {
-    return false;
-  }
-  for (NodeId u = static_cast<NodeId>(first); u < first + count; ++u) {
-    uint64_t entries = 0;
-    if (!ReadRaw(payload, &offset, &entries)) return false;
-    IrsSummaryMap* summary = CheckpointAccess::MutableSummary(irs, u);
-    for (uint64_t i = 0; i < entries; ++i) {
-      uint32_t v = 0;
-      int64_t t = 0;
-      if (!ReadRaw(payload, &offset, &v) || !ReadRaw(payload, &offset, &t) ||
-          v >= fp.num_nodes) {
-        return false;
-      }
-      if (!summary->emplace(v, t).second) return false;  // duplicate target
-    }
-  }
-  return offset == payload.size();
-}
-
-// Approx: each chunk frame is the sketch chunk of the build's sketches of
-// nodes [first_node, first_node + count):
+// Each chunk frame is the sketch chunk of the build's sketches of nodes
+// [first_node, first_node + count):
 //   u64 first_node, u32 count, u64 entries, u8 present[count],
 //   u8 cell_counts[present x beta], u8 ranks[entries],
 //   time offsets[entries] (the meta frame's TimeEncoding, 4 or 8 bytes
 //   each)
 // — per present node its cells' entry counts, then every pair's rank and
 // time offset in node and cell order. The encoding is the one the build's
-// sketches store their times in when it is narrow, and otherwise the
-// narrowest that holds them (IrsApprox::time_encoding; exact builds store
-// no times this way).
-TimeEncoding ChunkTimes(const IrsExact& /*irs*/) { return {}; }
-TimeEncoding ChunkTimes(const IrsApprox& irs) { return irs.time_encoding(); }
+// sketches store their times in (IrsApprox::time_encoding).
 
 // A sketch chunk's fixed prefix: u64 first_node, u32 count, u64 entries.
 constexpr size_t kSketchChunkPrefixBytes =
     sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t);
 
-// Writes the chunk straight from the build sketches' cells. A sketch stored
-// in the chunk's encoding hands over its offsets as they are; any other is
-// decoded and re-encoded.
-size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
-                            uint64_t first, uint32_t count, std::string* out) {
-  const TimeEncoding& times = meta.times;
+// Writes the chunk straight from the build sketches' cells, whose time
+// offsets are already in the chunk's encoding.
+size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
+                      uint64_t first, uint32_t count, std::string* out) {
+  const size_t width = meta.times.width;
   const size_t beta = size_t{1} << meta.fp.precision;
   const std::span<const std::unique_ptr<VersionedHll>> sketches =
       CheckpointAccess::Sketches(irs).subspan(first, count);
@@ -348,7 +262,7 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
     }
   }
   const size_t size = kSketchChunkPrefixBytes + count + present * beta +
-                      entries * (1 + times.width);
+                      entries * (1 + width);
   if (out->size() < size) out->resize(size);
   auto* bytes = reinterpret_cast<uint8_t*>(out->data());
   std::memcpy(bytes, &first, sizeof(first));
@@ -359,34 +273,21 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
   uint8_t* const ranks = counts + present * beta;
   uint8_t* const time_bytes = ranks + entries;
   size_t pair = 0;
-  WithTimeCodec(times.width, [&](auto codec) {
-    for (uint32_t i = 0; i < count; ++i) {
-      const VersionedHll* sketch = sketches[i].get();
-      flags[i] = sketch != nullptr ? 1 : 0;
-      if (sketch == nullptr) continue;
-      const bool same_encoding = sketch->time_encoding() == times;
-      for (size_t c = 0; c < beta; ++c) {
-        const VersionedHll::CellList list = sketch->cell(c);
-        const size_t n = list.size();
-        *counts++ = static_cast<uint8_t>(n);
-        if (n == 0) continue;
-        std::memcpy(ranks + pair, list.ranks(), n);
-        if (same_encoding) {
-          for (size_t j = 0; j < n; ++j) {
-            codec.Store(time_bytes, pair + j, codec.Load(list.time_bytes(), j));
-          }
-        } else {
-          IPIN_CHECK(times.Holds(list.time(0)) &&
-                     times.Holds(list.time(n - 1)));
-          for (size_t j = 0; j < n; ++j) {
-            codec.Store(time_bytes, pair + j,
-                        codec.Encode(times.base, list.time(j)));
-          }
-        }
-        pair += n;
-      }
+  for (uint32_t i = 0; i < count; ++i) {
+    const VersionedHll* sketch = sketches[i].get();
+    flags[i] = sketch != nullptr ? 1 : 0;
+    if (sketch == nullptr) continue;
+    IPIN_DCHECK(sketch->time_encoding() == meta.times);
+    for (size_t c = 0; c < beta; ++c) {
+      const VersionedHll::CellList list = sketch->cell(c);
+      const size_t n = list.size();
+      *counts++ = static_cast<uint8_t>(n);
+      if (n == 0) continue;
+      std::memcpy(ranks + pair, list.ranks(), n);
+      std::memcpy(time_bytes + pair * width, list.time_bytes(), n * width);
+      pair += n;
     }
-  });
+  }
   return size;
 }
 
@@ -397,11 +298,11 @@ size_t SerializeApproxChunk(const IrsApprox& irs, const MetaFrame& meta,
 // together exactly the chunk's entries, each list a vHLL cell list) and
 // refills its VersionedHll with the build's part count for the scan to keep
 // growing (a chunk records no parts, so any part count resumes any other).
-// A time the build's encoding cannot hold (a checkpoint no scan of this
-// graph wrote) fails the chunk.
-bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
-                        uint32_t expected_count, const MetaFrame& meta,
-                        IrsApprox* irs) {
+// The meta frame's encoding is the build's (LoadCheckpoint checks), so
+// every decoded time is one the build's sketches can hold.
+bool RestoreChunk(std::string_view payload, NodeId expected_first,
+                  uint32_t expected_count, const MetaFrame& meta,
+                  IrsApprox* irs) {
   const int precision = meta.fp.precision;
   const size_t beta = size_t{1} << precision;
   const TimeEncoding& times = meta.times;
@@ -463,11 +364,8 @@ bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
         }
       }
     }
-    if (!CheckpointAccess::RefillSketch(irs, expected_first + i, cell_counts,
-                                        {node_ranks, node_entries},
-                                        node_times)) {
-      return false;
-    }
+    CheckpointAccess::RefillSketch(irs, expected_first + i, cell_counts,
+                                   {node_ranks, node_entries}, node_times);
     pair += node_entries;
   }
   return pair == entries;
@@ -475,24 +373,22 @@ bool RestoreApproxChunk(std::string_view payload, NodeId expected_first,
 
 // ---- save / load ----------------------------------------------------------
 
-template <typename Irs, typename SerializeChunk>
-bool SaveCheckpoint(const Irs& irs, const MetaFrame& meta,
-                    const std::string& dir, SerializeChunk serialize_chunk) {
+bool SaveCheckpoint(const IrsApprox& irs, const MetaFrame& meta,
+                    const std::string& dir) {
   IPIN_TRACE_SPAN("checkpoint.save");
   if (IPIN_FAILPOINT("checkpoint.save").fail) {
     LogError("checkpoint: injected save failure");
     return false;
   }
-  const std::string path =
-      CheckpointPath(dir, meta.fp.algo, meta.edges_processed);
-  SafeFileWriter writer(path, kCheckpointFileType, kCheckpointVersion);
+  SafeFileWriter writer(CheckpointPath(dir, meta.edges_processed),
+                        kCheckpointFileType, kCheckpointVersion);
   std::string payload;
   SerializeMeta(meta, &payload);
   if (!writer.AppendFrame(payload)) return false;
   for (uint64_t first = 0; first < meta.fp.num_nodes; first += kChunkSize) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(kChunkSize, meta.fp.num_nodes - first));
-    const size_t size = serialize_chunk(irs, meta, first, count, &payload);
+    const size_t size = SerializeChunk(irs, meta, first, count, &payload);
     if (!writer.AppendFrame(std::string_view(payload.data(), size))) {
       return false;
     }
@@ -500,13 +396,14 @@ bool SaveCheckpoint(const Irs& irs, const MetaFrame& meta,
   return writer.Commit();
 }
 
-// Loads one checkpoint file in full. Unlike a saved index, a checkpoint is
-// all-or-nothing: any unverifiable frame invalidates it and the caller falls
-// back to an older file (resuming from a partial state would silently lose
-// summaries). On success fills *irs and *meta.
-template <typename Irs, typename ParseChunk>
+// Loads one checkpoint file in full into *irs, an empty build. Unlike a
+// saved index, a checkpoint is all-or-nothing: any unverifiable frame
+// invalidates it and the caller falls back to an older file (resuming from a
+// partial state would silently lose sketches). So does a meta frame whose
+// time encoding is not the build's: no scan of this graph wrote it. On
+// success fills *irs and *meta.
 bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
-                    Irs* irs, MetaFrame* meta, ParseChunk parse_chunk) {
+                    IrsApprox* irs, MetaFrame* meta) {
   if (IPIN_FAILPOINT("checkpoint.load").fail) {
     LogError("checkpoint: injected load failure for " + path);
     return false;
@@ -519,6 +416,7 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
   std::string_view payload;
   if (reader.ReadFrame(&payload) != FrameStatus::kOk ||
       !ParseMeta(payload, meta) || !meta->fp.Matches(expected) ||
+      meta->times != irs->time_encoding() ||
       meta->edges_processed > meta->fp.num_interactions) {
     return false;
   }
@@ -527,52 +425,42 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(meta->chunk_size, meta->fp.num_nodes - first));
     if (reader.ReadFrame(&payload) != FrameStatus::kOk ||
-        !parse_chunk(payload, static_cast<NodeId>(first), count, *meta,
-                     irs)) {
+        !RestoreChunk(payload, static_cast<NodeId>(first), count, *meta,
+                      irs)) {
       return false;
     }
   }
   return true;
 }
 
-// An exact build resumes at the scan position the meta frame records.
-bool ResumeAt(const MetaFrame& meta, const InteractionGraph& /*graph*/,
-              IrsExact* irs) {
-  CheckpointAccess::SetScanPosition(irs, meta.last_time,
-                                    meta.saw_interaction != 0);
-  return true;
-}
-
-// An approx build resumes only from the sketches its scan held at the
-// checkpoint: one for each node that sends among the scanned edges, and
-// no other. Every checkpoint the scan writes holds exactly those.
-bool ResumeAt(const MetaFrame& meta, const InteractionGraph& graph,
-              IrsApprox* irs) {
+// A build resumes only from the sketches its scan held at the checkpoint:
+// one for each node that sends among the scanned edges, and no other.
+// Every checkpoint the scan writes holds exactly those.
+bool HoldsScannedSenders(const MetaFrame& meta, const InteractionGraph& graph,
+                         const IrsApprox& irs) {
   const std::span<const Interaction> edges = graph.interactions();
   std::vector<bool> sent(graph.num_nodes(), false);
   for (const auto& e : edges.last(meta.edges_processed)) sent[e.src] = true;
   const std::span<const std::unique_ptr<VersionedHll>> sketches =
-      CheckpointAccess::Sketches(*irs);
+      CheckpointAccess::Sketches(irs);
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
     if ((sketches[u] != nullptr) != sent[u]) return false;
   }
   return true;
 }
 
-// Walks checkpoints newest-first until one verifies, restoring scan state
-// and tallies into *irs. Returns the resumed edge count (0 = fresh start).
-template <typename Irs, typename MakeFresh, typename ParseChunk>
+// Walks checkpoints newest-first until one verifies, restoring sketches and
+// tallies into *irs. Returns the resumed edge count (0 = fresh start).
 uint64_t TryResume(const CheckpointOptions& options,
                    const InteractionGraph& graph, const Fingerprint& expected,
-                   Irs* irs, CheckpointStats* stats, MakeFresh make_fresh,
-                   ParseChunk parse_chunk) {
+                   IrsApprox* irs, CheckpointStats* stats) {
   IPIN_TRACE_SPAN("checkpoint.resume");
-  for (const auto& [edges, path] :
-       ListCheckpoints(options.dir, expected.algo)) {
+  for (const auto& [edges, path] : ListCheckpoints(options.dir)) {
     MetaFrame meta;
-    Irs candidate = make_fresh();
-    if (!LoadCheckpoint(path, expected, &candidate, &meta, parse_chunk) ||
-        !ResumeAt(meta, graph, &candidate)) {
+    IrsApprox candidate =
+        CheckpointAccess::MakeBuild(graph, irs->window(), irs->options());
+    if (!LoadCheckpoint(path, expected, &candidate, &meta) ||
+        !HoldsScannedSenders(meta, graph, candidate)) {
       ++stats->invalid_checkpoints_skipped;
       LogWarning("checkpoint " + path + " failed verification, skipped");
       continue;
@@ -581,8 +469,7 @@ uint64_t TryResume(const CheckpointOptions& options,
     *irs = std::move(candidate);
     stats->resumed_edges = meta.edges_processed;
     const std::string detail = StrFormat(
-        "resuming %s IRS build from %s (%llu/%llu edges)",
-        AlgoName(expected.algo), path.c_str(),
+        "resuming approx IRS build from %s (%llu/%llu edges)", path.c_str(),
         static_cast<unsigned long long>(meta.edges_processed),
         static_cast<unsigned long long>(meta.fp.num_interactions));
     LogInfo(detail);
@@ -594,22 +481,20 @@ uint64_t TryResume(const CheckpointOptions& options,
 
 // Writes the checkpoint of `irs` after the scan's first `done` edges (the
 // log's last) and prunes older ones. A failed save only counts and logs.
-template <typename Irs, typename SerializeChunk>
-void WriteCheckpoint(const Irs& irs, const Fingerprint& fp,
+void WriteCheckpoint(const IrsApprox& irs, const Fingerprint& fp,
                      std::span<const Interaction> edges, uint64_t done,
-                     const CheckpointOptions& options, CheckpointStats* stats,
-                     SerializeChunk serialize_chunk) {
+                     const CheckpointOptions& options,
+                     CheckpointStats* stats) {
   MetaFrame meta;
   meta.fp = fp;
   meta.edges_processed = done;
-  // The scan position: the time of the last edge scanned.
   meta.last_time = edges[edges.size() - done].time;
   meta.saw_interaction = 1;
   meta.chunk_size = kChunkSize;
   CheckpointAccess::GetTallies(irs, meta.tally);
-  meta.times = ChunkTimes(irs);
+  meta.times = irs.time_encoding();
   const WallTimer timer;
-  const bool saved = SaveCheckpoint(irs, meta, options.dir, serialize_chunk);
+  const bool saved = SaveCheckpoint(irs, meta, options.dir);
   const double save_ms = timer.ElapsedMillis();
   IPIN_HISTOGRAM_RECORD("robustness.checkpoint.save_ms", save_ms);
   stats->save_seconds += save_ms / 1e3;
@@ -620,7 +505,7 @@ void WriteCheckpoint(const Irs& irs, const Fingerprint& fp,
         StrFormat("%llu/%llu edges",
                   static_cast<unsigned long long>(done),
                   static_cast<unsigned long long>(edges.size())));
-    PruneCheckpoints(options.dir, fp.algo, options.keep);
+    PruneCheckpoints(options.dir, options.keep);
   } else {
     ++stats->checkpoint_failures;
     const std::string detail =
@@ -654,56 +539,6 @@ bool EnsureDir(const std::string& dir) {
 
 }  // namespace
 
-IrsExact ComputeIrsExactCheckpointed(const InteractionGraph& graph,
-                                     Duration window,
-                                     const CheckpointOptions& options,
-                                     CheckpointStats* stats) {
-  IPIN_TRACE_SPAN("irs.exact.compute");
-  IPIN_CHECK(graph.is_sorted());
-  CheckpointStats local_stats;
-  if (stats == nullptr) stats = &local_stats;
-  *stats = CheckpointStats{};
-
-  const auto& edges = graph.interactions();
-  const uint64_t m = edges.size();
-  Fingerprint fp;
-  fp.algo = kAlgoExact;
-  fp.window = window;
-  fp.num_nodes = graph.num_nodes();
-  fp.num_interactions = m;
-  fp.graph_hash = GraphHash(graph);
-
-  IrsExact irs(graph.num_nodes(), window);
-  const bool enabled = options.enabled() && EnsureDir(options.dir);
-  uint64_t done =
-      enabled
-          ? TryResume(
-                options, graph, fp, &irs, stats,
-                [&] { return IrsExact(graph.num_nodes(), window); },
-                ParseExactChunk)
-          : 0;
-
-  obs::ProgressPhase phase("irs.exact.scan", m);
-  phase.SetDone(done);  // resumed edges count as completed work
-  uint64_t since_tick = 0;
-  for (uint64_t i = m - done; i > 0; --i) {
-    irs.ProcessInteraction(edges[i - 1]);
-    ++done;
-    if (++since_tick == (uint64_t{64} << 10)) {
-      phase.SetDone(done);
-      since_tick = 0;
-    }
-    if (enabled && done % options.every_edges == 0 && done < m) {
-      WriteCheckpoint(irs, fp, edges, done, options, stats,
-                      SerializeExactChunk);
-    }
-  }
-  phase.SetDone(done);
-  CheckpointAccess::Publish(irs);
-  PublishCheckpointMetrics(*stats);
-  return irs;
-}
-
 IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
                                        Duration window,
                                        const IrsApproxOptions& irs_options,
@@ -716,32 +551,23 @@ IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
   *stats = CheckpointStats{};
 
   const auto& edges = graph.interactions();
-  const uint64_t m = edges.size();
   Fingerprint fp;
-  fp.algo = kAlgoApprox;
   fp.window = window;
   fp.num_nodes = graph.num_nodes();
-  fp.num_interactions = m;
+  fp.num_interactions = edges.size();
   fp.graph_hash = GraphHash(graph);
   fp.precision = static_cast<uint8_t>(irs_options.precision);
   fp.salt = irs_options.salt;
 
-  const auto make_fresh = [&] {
-    return CheckpointAccess::MakeBuild(graph, window, irs_options,
-                                       GlobalThreads());
-  };
-  IrsApprox irs = make_fresh();
+  IrsApprox irs = CheckpointAccess::MakeBuild(graph, window, irs_options);
   const bool enabled = options.enabled() && EnsureDir(options.dir);
   const uint64_t done =
-      enabled ? TryResume(options, graph, fp, &irs, stats, make_fresh,
-                          RestoreApproxChunk)
-              : 0;
-  CheckpointAccess::Scan(
-      &irs, graph, done, enabled ? options.every_edges : 0,
-      [&](size_t scanned) {
-        WriteCheckpoint(irs, fp, edges, scanned, options, stats,
-                        SerializeApproxChunk);
-      });
+      enabled ? TryResume(options, graph, fp, &irs, stats) : 0;
+  CheckpointAccess::Scan(&irs, graph, done, enabled ? options.every_edges : 0,
+                         [&](size_t scanned) {
+                           WriteCheckpoint(irs, fp, edges, scanned, options,
+                                           stats);
+                         });
   CheckpointAccess::Finish(&irs);
   PublishCheckpointMetrics(*stats);
   return irs;

@@ -5,28 +5,29 @@
 #include <string>
 
 #include "ipin/core/irs_approx.h"
-#include "ipin/core/irs_exact.h"
 #include "ipin/graph/interaction_graph.h"
 
-// Crash-safe checkpoint/resume for the one-pass reverse scan (Algorithms
-// 2/3). The scan is the expensive step of the whole pipeline; on a 100M-edge
-// log, a crash at edge 90M must not cost 90M edges of rework. With
-// checkpointing enabled, the scan state is written through common/safe_io
-// every N edges — a meta frame (position, tallies, fingerprint, and the
-// time encoding of the sketch chunks) plus one frame per 256 nodes, holding
-// their summaries (exact) or their sketches' cell lists (approx; the only
-// files that store them, checkpoint.cc) — and a restarted build resumes
-// from the newest checkpoint that verifies, falling back to the next-older
-// one when the newest is damaged or of another format version. A resumed
-// build produces results identical to an uninterrupted run.
+// Crash-safe checkpoint/resume for the vHLL reverse scan (Algorithm 3; the
+// exact scan of Algorithm 2 needs O(n^2) memory and is never checkpointed).
+// The scan is the expensive step of the whole pipeline; on a 100M-edge log,
+// a crash at edge 90M must not cost 90M edges of rework. With checkpointing
+// enabled, the scan state is written through common/safe_io every N edges
+// — a meta frame (position, tallies, fingerprint, and the build's time
+// encoding) plus one frame per 256 nodes holding their sketches' cell lists
+// (the only files that store them, checkpoint.cc) — and a restarted build
+// resumes from the newest checkpoint that verifies, falling back to the
+// next-older one when the newest is damaged, of another format version, or
+// in another time encoding than the build's. A resumed build produces
+// results identical to an uninterrupted run.
 //
-// Checkpoint files are named ckpt_<algo>_<edges>.ipinckpt inside
-// `options.dir`. They carry a fingerprint of (graph, window, sketch
-// options); a checkpoint taken against different inputs is ignored rather
-// than resumed into a wrong build. Files beyond `options.keep` newest are
-// pruned after each successful save. Checkpoints are kept after a completed
-// build (a rerun with identical inputs resumes at 100% and just replays the
-// final state); delete the directory to force a fresh build.
+// Checkpoint files are named ckpt_approx_<edges>.ipinckpt inside
+// `options.dir`; other files there are neither read nor pruned. They carry
+// a fingerprint of (graph, window, sketch options); a checkpoint taken
+// against different inputs is ignored rather than resumed into a wrong
+// build. Files beyond `options.keep` newest are pruned after each
+// successful save. Checkpoints are kept after a completed build (a rerun
+// with identical inputs resumes at 100% and just replays the final state);
+// delete the directory to force a fresh build.
 //
 // Failpoints: checkpoint.save (arm with crash_after_n to kill a build
 // mid-scan), checkpoint.load, plus everything in common/safe_io.
@@ -40,7 +41,7 @@ struct CheckpointOptions {
   std::string dir;
   /// Checkpoint after every N processed edges (0 = never).
   size_t every_edges = 0;
-  /// Newest checkpoints retained per algorithm; older ones are pruned.
+  /// Newest checkpoints retained; older ones are pruned.
   size_t keep = 2;
 
   bool enabled() const { return !dir.empty() && every_edges > 0; }
@@ -63,21 +64,14 @@ struct CheckpointStats {
   double save_seconds = 0;
 };
 
-/// IrsExact::Compute with checkpoint/resume. Identical results to
-/// IrsExact::Compute(graph, window); `stats` (optional) reports resume and
-/// save activity.
-IrsExact ComputeIrsExactCheckpointed(const InteractionGraph& graph,
-                                     Duration window,
-                                     const CheckpointOptions& options,
-                                     CheckpointStats* stats = nullptr);
-
 /// IrsApprox::Compute with checkpoint/resume: Compute's cell-partitioned
 /// scan, one part per global thread, run in epochs of
 /// `options.every_edges` edges; the workers meet at each epoch's end and
 /// the checkpoint is cut there. Identical results to
 /// IrsApprox::Compute(graph, window, irs_options), its rows in the arena and
 /// its build store kept as Compute's are, whatever the thread counts the
-/// checkpoints were written and resumed at.
+/// checkpoints were written and resumed at. `stats` (optional) reports
+/// resume and save activity.
 IrsApprox ComputeIrsApproxCheckpointed(const InteractionGraph& graph,
                                        Duration window,
                                        const IrsApproxOptions& irs_options,

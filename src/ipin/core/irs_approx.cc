@@ -32,12 +32,9 @@ bool ScanEdge(const Interaction& edge, VersionedHll& sketch_u,
   return true;
 }
 
-// The encoding a build over `graph` stores its sketches' times in: the
-// narrowest covering its earliest and latest non-self-loop interaction
-// times, the only times a scan stores. A sketch entry at the earliest one
-// always survives (only an entry at the same time can evict it), so when
-// this encoding is narrow it is exactly the TimeEncodingOf the finished
-// build's sketches.
+// The encoding a build over `graph` stores its sketches' times in, and its
+// checkpoints write them in: the narrowest covering its earliest and latest
+// non-self-loop interaction times, the only times a scan stores.
 TimeEncoding ScanTimeEncoding(const InteractionGraph& graph) {
   IPIN_CHECK(graph.is_sorted());
   const std::span<const Interaction> edges = graph.interactions();
@@ -88,8 +85,7 @@ const VersionedHll* IrsApprox::BuildSketch(NodeId u) const {
 
 TimeEncoding IrsApprox::time_encoding() const {
   IPIN_CHECK(build_ != nullptr);
-  return build_->times.width == 4 ? build_->times
-                                  : TimeEncodingOf(build_->sketches);
+  return build_->times;
 }
 
 void IrsApprox::PublishArenaGauges() const {

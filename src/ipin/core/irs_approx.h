@@ -82,11 +82,10 @@ class IrsApprox {
   /// the build's.
   const VersionedHll* BuildSketch(NodeId u) const;
 
-  /// The encoding checkpoints write the build sketches' times in
-  /// (time_codec.h): the sketches' own when it is narrow, as a build's is
-  /// when its input's times span less than 2^32 (DESIGN.md §12), and
-  /// otherwise the narrowest that holds their times (TimeEncodingOf,
-  /// O(cells)). Only while the build store exists (checked).
+  /// The encoding the build sketches store their times in, and
+  /// checkpoints write them in (time_codec.h): u32 offsets when the input's
+  /// times span less than 2^32, u64 otherwise (DESIGN.md §12). Only while
+  /// the build store exists (checked).
   TimeEncoding time_encoding() const;
 
   /// Estimated |sigma_omega(u)|.

@@ -36,18 +36,14 @@ IrsExact IrsExact::Compute(const InteractionGraph& graph, Duration window) {
     }
   }
   phase.SetDone(edges.size());
-  irs.PublishBuildMetrics();
-  return irs;
-}
-
-void IrsExact::PublishBuildMetrics() const {
   // Scan tallies (plain members, free to maintain) roll up into the
   // registry once per build, keeping the per-edge path atomics-free.
-  IPIN_COUNTER_ADD("irs.exact.edges_scanned", edges_scanned_);
-  IPIN_COUNTER_ADD("irs.exact.summary_inserts", summary_inserts_);
-  IPIN_COUNTER_ADD("irs.exact.summary_updates", summary_updates_);
-  IPIN_COUNTER_ADD("irs.exact.window_prunes", window_prunes_);
-  IPIN_GAUGE_SET("irs.exact.summary_entries", TotalSummaryEntries());
+  IPIN_COUNTER_ADD("irs.exact.edges_scanned", irs.edges_scanned_);
+  IPIN_COUNTER_ADD("irs.exact.summary_inserts", irs.summary_inserts_);
+  IPIN_COUNTER_ADD("irs.exact.summary_updates", irs.summary_updates_);
+  IPIN_COUNTER_ADD("irs.exact.window_prunes", irs.window_prunes_);
+  IPIN_GAUGE_SET("irs.exact.summary_entries", irs.TotalSummaryEntries());
+  return irs;
 }
 
 IrsExact::AddResult IrsExact::Add(NodeId u, NodeId v, Timestamp t) {

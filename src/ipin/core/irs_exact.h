@@ -74,20 +74,11 @@ class IrsExact {
   size_t MemoryUsageBytes() const;
 
  private:
-  // Serialization/restore hooks for the crash-safe checkpoint layer
-  // (core/checkpoint.cc): reads and reinstates the private scan state so a
-  // resumed build is indistinguishable from an uninterrupted one.
-  friend class CheckpointAccess;
-
   // What Algorithm 2's Add did to phi(u); reported to the metrics registry.
   enum class AddResult { kUnchanged, kInserted, kImproved };
 
   // Algorithm 2's Add: keep the smaller lambda for an existing target.
   AddResult Add(NodeId u, NodeId v, Timestamp t);
-
-  // Rolls the plain-member scan tallies up into the metrics registry; called
-  // once per completed build (by Compute and the checkpointed variant).
-  void PublishBuildMetrics() const;
 
   Duration window_;
   Timestamp last_time_;

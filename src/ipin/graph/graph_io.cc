@@ -266,55 +266,4 @@ bool SaveDimacs(const StaticGraph& graph, const std::string& path) {
   return static_cast<bool>(out);
 }
 
-std::optional<StaticGraph> LoadDimacs(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    LogError("cannot open DIMACS file: " + path);
-    return std::nullopt;
-  }
-  size_t num_nodes = 0;
-  std::vector<std::pair<NodeId, NodeId>> edges;
-  std::string line;
-  size_t line_no = 0;
-  bool saw_header = false;
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string_view trimmed = TrimString(line);
-    if (trimmed.empty() || trimmed[0] == 'c') continue;
-    const auto fields = SplitString(trimmed, " \t");
-    if (fields[0] == "p") {
-      if (fields.size() < 4 || fields[1] != "sp") {
-        LogError(StrFormat("%s:%zu: bad DIMACS header", path.c_str(), line_no));
-        return std::nullopt;
-      }
-      const auto n = ParseInt64(fields[2]);
-      if (!n || *n < 0) return std::nullopt;
-      num_nodes = static_cast<size_t>(*n);
-      saw_header = true;
-    } else if (fields[0] == "a") {
-      if (!saw_header || fields.size() < 3) {
-        LogError(StrFormat("%s:%zu: arc before header or too few fields",
-                           path.c_str(), line_no));
-        return std::nullopt;
-      }
-      const auto u = ParseInt64(fields[1]);
-      const auto v = ParseInt64(fields[2]);
-      if (!u || !v || *u < 1 || *v < 1 ||
-          static_cast<size_t>(*u) > num_nodes ||
-          static_cast<size_t>(*v) > num_nodes) {
-        LogError(StrFormat("%s:%zu: arc endpoint out of range", path.c_str(),
-                           line_no));
-        return std::nullopt;
-      }
-      edges.emplace_back(static_cast<NodeId>(*u - 1),
-                         static_cast<NodeId>(*v - 1));
-    }
-  }
-  if (!saw_header) {
-    LogError("DIMACS file has no 'p sp' header: " + path);
-    return std::nullopt;
-  }
-  return StaticGraph::FromEdges(num_nodes, std::move(edges));
-}
-
 }  // namespace ipin

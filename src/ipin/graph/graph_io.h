@@ -50,10 +50,6 @@ bool SaveInteractionsToFile(const InteractionGraph& graph,
 /// per edge (1-based node ids). Returns false on I/O error.
 bool SaveDimacs(const StaticGraph& graph, const std::string& path);
 
-/// Reads a DIMACS "p sp" file back into a static graph (arc weights are
-/// ignored). Returns nullopt on open/parse failure.
-std::optional<StaticGraph> LoadDimacs(const std::string& path);
-
 }  // namespace ipin
 
 #endif  // IPIN_GRAPH_GRAPH_IO_H_

@@ -330,20 +330,4 @@ size_t VersionedHll::MemoryUsageBytes() const {
   return bytes;
 }
 
-TimeEncoding TimeEncodingOf(
-    std::span<const std::unique_ptr<VersionedHll>> sketches) {
-  Timestamp first = std::numeric_limits<Timestamp>::max();
-  Timestamp last = std::numeric_limits<Timestamp>::min();
-  for (const auto& sketch : sketches) {
-    if (sketch == nullptr) continue;
-    for (size_t c = 0; c < sketch->num_cells(); ++c) {
-      const VersionedHll::CellList list = sketch->cell(c);
-      if (list.empty()) continue;
-      first = std::min(first, list.time(0));
-      last = std::max(last, list.time(list.size() - 1));
-    }
-  }
-  return TimeEncoding::Covering(first, last);
-}
-
 }  // namespace ipin

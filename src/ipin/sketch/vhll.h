@@ -4,7 +4,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -327,12 +326,6 @@ class VersionedHll {
   // Parts 1..P-1; empty (no allocation) for a one-part sketch.
   TallyVector<Part> more_parts_;
 };
-
-/// The narrowest TimeEncoding holding every time in `sketches` (null
-/// entries skipped). Times ascend within a cell, so only each cell's first
-/// and last time are read: O(cells), not O(entries).
-TimeEncoding TimeEncodingOf(
-    std::span<const std::unique_ptr<VersionedHll>> sketches);
 
 }  // namespace ipin
 

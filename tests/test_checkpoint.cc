@@ -1,6 +1,7 @@
 #include "ipin/core/checkpoint.h"
 
 #include <algorithm>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -24,27 +25,12 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr Duration kWindow = 40;
+constexpr IrsApproxOptions kSketch{/*precision=*/5, /*salt=*/3};
 
 InteractionGraph TestGraph() {
   return GenerateUniformRandomNetwork(/*num_nodes=*/40,
                                       /*num_interactions=*/200,
                                       /*time_span=*/500, /*seed=*/11);
-}
-
-// Bit-identical comparison of two exact builds: every node's summary map
-// must match entry for entry.
-void ExpectExactEqual(const IrsExact& got, const IrsExact& want) {
-  ASSERT_EQ(got.num_nodes(), want.num_nodes());
-  for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    const auto& a = got.Summary(u);
-    const auto& b = want.Summary(u);
-    ASSERT_EQ(a.size(), b.size()) << "node " << u;
-    for (const auto& [v, t] : b) {
-      const auto it = a.find(v);
-      ASSERT_NE(it, a.end()) << "node " << u << " missing " << v;
-      EXPECT_EQ(it->second, t) << "lambda(" << u << "," << v << ")";
-    }
-  }
 }
 
 // Bit-identical comparison of two approx builds via every sketch's stored
@@ -116,34 +102,11 @@ class CheckpointTest : public ::testing::Test {
 TEST_F(CheckpointTest, DisabledOptionsMatchPlainCompute) {
   const InteractionGraph g = TestGraph();
   CheckpointStats stats;
-  const IrsExact got =
-      ComputeIrsExactCheckpointed(g, kWindow, CheckpointOptions{}, &stats);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
+  const IrsApprox got =
+      ComputeIrsApproxCheckpointed(g, kWindow, kSketch, {}, &stats);
+  ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, kSketch));
   EXPECT_EQ(stats.checkpoints_written, 0u);
   EXPECT_EQ(stats.resumed_edges, 0u);
-}
-
-TEST_F(CheckpointTest, ExactCheckpointedMatchesPlainCompute) {
-  const InteractionGraph g = TestGraph();
-  const CheckpointOptions options{dir_, /*every_edges=*/32};
-  CheckpointStats stats;
-  const IrsExact got = ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
-  EXPECT_GT(stats.checkpoints_written, 0u);
-  EXPECT_EQ(stats.resumed_edges, 0u);
-  EXPECT_EQ(stats.checkpoint_failures, 0u);
-}
-
-TEST_F(CheckpointTest, ExactRerunResumesFromNewestCheckpoint) {
-  const InteractionGraph g = TestGraph();
-  const CheckpointOptions options{dir_, /*every_edges=*/32};
-  (void)ComputeIrsExactCheckpointed(g, kWindow, options);
-  // The rerun picks up the newest checkpoint and replays only the tail.
-  CheckpointStats stats;
-  const IrsExact got = ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
-  EXPECT_EQ(stats.resumed_edges, 192u);  // newest multiple of 32 < 200
-  EXPECT_EQ(stats.invalid_checkpoints_skipped, 0u);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
 }
 
 TEST_F(CheckpointTest, ApproxCheckpointedAndResumedMatchesPlainCompute) {
@@ -156,39 +119,22 @@ TEST_F(CheckpointTest, ApproxCheckpointedAndResumedMatchesPlainCompute) {
   const IrsApprox first =
       ComputeIrsApproxCheckpointed(g, kWindow, irs_options, options, &stats);
   ExpectApproxEqual(first, want);
-  EXPECT_GT(stats.checkpoints_written, 0u);
+  EXPECT_EQ(stats.checkpoints_written, 6u);  // edges 32, 64 ... 192
+  EXPECT_EQ(stats.resumed_edges, 0u);
+  EXPECT_EQ(stats.checkpoint_failures, 0u);
 
+  // The rerun picks up the newest checkpoint and replays only the tail.
   CheckpointStats resumed;
   const IrsApprox second =
       ComputeIrsApproxCheckpointed(g, kWindow, irs_options, options, &resumed);
-  EXPECT_GT(resumed.resumed_edges, 0u);
+  EXPECT_EQ(resumed.resumed_edges, 192u);  // newest multiple of 32 < 200
+  EXPECT_EQ(resumed.invalid_checkpoints_skipped, 0u);
   ExpectApproxEqual(second, want);
 }
 
-// The tentpole proof: a failpoint kills the build mid-scan; the restarted
-// build resumes from the surviving checkpoint and the result is
-// bit-identical to an uninterrupted run.
-TEST_F(CheckpointTest, ExactKillMidScanThenResumeBitIdentical) {
-  const InteractionGraph g = TestGraph();
-  const CheckpointOptions options{dir_, /*every_edges=*/32};
-
-  // The child arms the crash inside the EXPECT_EXIT statement, so the
-  // parent's registry stays clean. crash_after_n(2): saves at edges 32 and
-  // 64 land, the third attempt (edge 96) kills the process.
-  EXPECT_EXIT(
-      {
-        failpoint::Set("checkpoint.save", "crash_after_n(2)");
-        (void)ComputeIrsExactCheckpointed(g, kWindow, options);
-      },
-      ::testing::ExitedWithCode(134), "failpoint");
-  ASSERT_FALSE(CheckpointFiles().empty()) << "crash left no checkpoint";
-
-  CheckpointStats stats;
-  const IrsExact got = ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
-  EXPECT_EQ(stats.resumed_edges, 64u);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
-}
-
+// A failpoint kills the build mid-scan; the restarted build resumes from
+// the surviving checkpoint and the result is bit-identical to an
+// uninterrupted run.
 TEST_F(CheckpointTest, ApproxKillMidScanThenResumeBitIdentical) {
   // The killed build runs on the thread pool, which a forked child lacks.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -349,7 +295,7 @@ TEST_F(CheckpointTest, ApproxResumeUnderAnotherCadenceIsByteIdentical) {
 TEST_F(CheckpointTest, CorruptNewestFallsBackToOlder) {
   const InteractionGraph g = TestGraph();
   const CheckpointOptions options{dir_, /*every_edges=*/32, /*keep=*/3};
-  (void)ComputeIrsExactCheckpointed(g, kWindow, options);
+  (void)ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options);
 
   const auto files = CheckpointFiles();
   ASSERT_GE(files.size(), 2u);
@@ -357,9 +303,8 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToOlder) {
   const std::string newest = dir_ + "/" + files.back();
   {
     std::fstream f(newest, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(100);  // inside a frame payload, past the file header
     char byte = 0;
-    f.seekg(100);
+    f.seekg(100);  // inside a frame payload, past the file header
     f.read(&byte, 1);
     byte ^= 0x20;
     f.seekp(100);
@@ -367,10 +312,11 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToOlder) {
   }
 
   CheckpointStats stats;
-  const IrsExact got = ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
-  EXPECT_GE(stats.invalid_checkpoints_skipped, 1u);
+  const IrsApprox got =
+      ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options, &stats);
+  EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
   EXPECT_EQ(stats.resumed_edges, 160u);  // the one below the corrupted 192
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
+  ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, kSketch));
 }
 
 // A truncated newest checkpoint (torn write / crash during save) behaves
@@ -378,7 +324,7 @@ TEST_F(CheckpointTest, CorruptNewestFallsBackToOlder) {
 TEST_F(CheckpointTest, TruncatedNewestFallsBackToOlder) {
   const InteractionGraph g = TestGraph();
   const CheckpointOptions options{dir_, /*every_edges=*/32, /*keep=*/3};
-  (void)ComputeIrsExactCheckpointed(g, kWindow, options);
+  (void)ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options);
 
   const auto files = CheckpointFiles();
   ASSERT_GE(files.size(), 2u);
@@ -387,25 +333,39 @@ TEST_F(CheckpointTest, TruncatedNewestFallsBackToOlder) {
   fs::resize_file(newest, size / 2);
 
   CheckpointStats stats;
-  const IrsExact got = ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
-  EXPECT_GE(stats.invalid_checkpoints_skipped, 1u);
+  const IrsApprox got =
+      ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options, &stats);
+  EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
   EXPECT_EQ(stats.resumed_edges, 160u);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
+  ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, kSketch));
 }
 
-// Checkpoints taken against different inputs (here: another window) carry a
-// different fingerprint and must be ignored, not resumed into a wrong build.
+// Checkpoints taken against different inputs (here: another window, or
+// another salt) carry a different fingerprint and must be ignored, not
+// resumed into a wrong build.
 TEST_F(CheckpointTest, FingerprintMismatchIsIgnored) {
   const InteractionGraph g = TestGraph();
-  const CheckpointOptions options{dir_, /*every_edges=*/32};
-  (void)ComputeIrsExactCheckpointed(g, /*window=*/kWindow, options);
-
-  CheckpointStats stats;
-  const IrsExact got =
-      ComputeIrsExactCheckpointed(g, /*window=*/kWindow * 2, options, &stats);
-  EXPECT_EQ(stats.resumed_edges, 0u);
-  EXPECT_GE(stats.invalid_checkpoints_skipped, 1u);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow * 2));
+  (void)ComputeIrsApproxCheckpointed(g, kWindow, kSketch,
+                                     {dir_, /*every_edges=*/32, /*keep=*/1});
+  // A cadence beyond the log's 200 edges: these builds read checkpoints
+  // but write none.
+  const CheckpointOptions read_only{dir_, /*every_edges=*/1000};
+  struct Case {
+    Duration window;
+    IrsApproxOptions sketch;
+  };
+  for (const Case& c :
+       {Case{kWindow * 2, kSketch},
+        Case{kWindow, {kSketch.precision, kSketch.salt + 1}}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "window " << c.window << " salt " << c.sketch.salt);
+    CheckpointStats stats;
+    const IrsApprox got =
+        ComputeIrsApproxCheckpointed(g, c.window, c.sketch, read_only, &stats);
+    EXPECT_EQ(stats.resumed_edges, 0u);
+    EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
+    ExpectApproxEqual(got, IrsApprox::Compute(g, c.window, c.sketch));
+  }
 }
 
 // A checkpoint of the previous format version is skipped whole. Its frames
@@ -445,28 +405,78 @@ TEST_F(CheckpointTest, PreviousVersionCheckpointIsSkipped) {
   ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, irs_options));
 }
 
-// Exact checkpoints must never resume an approx build and vice versa: the
-// two algorithms use distinct file prefixes.
-TEST_F(CheckpointTest, AlgorithmsUseDistinctCheckpointFiles) {
+// A ckpt_exact_* file, which earlier versions wrote for a checkpointed
+// exact scan, is another build's: an approx build neither resumes it, nor
+// counts it as skipped, nor prunes it, and resumes from its own files.
+TEST_F(CheckpointTest, StrayExactCheckpointFilesAreNeitherReadNorPruned) {
+  constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP"
   const InteractionGraph g = TestGraph();
-  const CheckpointOptions options{dir_, /*every_edges=*/64};
-  (void)ComputeIrsExactCheckpointed(g, kWindow, options);
+  (void)ComputeIrsApproxCheckpointed(g, kWindow, kSketch,
+                                     {dir_, /*every_edges=*/32, /*keep=*/10});
+  const std::string at_64 = "ckpt_approx_00000000000000000064.ipinckpt";
+  for (const std::string& name : CheckpointFiles()) {
+    if (name != at_64) fs::remove(dir_ + "/" + name);
+  }
 
+  // An exact build's checkpoint at edge 192, as those versions framed it:
+  // the meta frame names algorithm 1 and no sketch options, and one chunk
+  // holds the 40 nodes' empty summaries (u64 first, u32 count, then a u64
+  // entry count per node).
+  std::string meta;
+  {
+    SafeFileReader reader;
+    ASSERT_EQ(reader.Open(dir_ + "/" + at_64, kCheckpointFileType),
+              SafeOpenStatus::kOk);
+    std::string_view payload;
+    ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
+    meta = payload;
+  }
+  meta[0] = 1;                                         // algo: exact
+  std::fill(meta.begin() + 33, meta.begin() + 42, 0);  // precision, salt
+  const uint64_t edges = 192;
+  std::memcpy(meta.data() + 42, &edges, sizeof(edges));
+  std::string chunk(12 + 40 * 8, '\0');
+  const uint32_t count = 40;
+  std::memcpy(chunk.data() + 8, &count, sizeof(count));
+  const std::string stray = "ckpt_exact_00000000000000000192.ipinckpt";
+  {
+    SafeFileWriter writer(dir_ + "/" + stray, kCheckpointFileType,
+                          /*version=*/3);
+    ASSERT_TRUE(writer.AppendFrame(meta));
+    ASSERT_TRUE(writer.AppendFrame(chunk));
+    ASSERT_TRUE(writer.Commit());
+  }
+  const auto stray_image = ReadWholeFile(dir_ + "/" + stray);
+  ASSERT_NE(stray_image, nullptr);
+  const std::string stray_bytes(stray_image->view());
+
+  // keep = 1: every save prunes down to the newest approx file.
   CheckpointStats stats;
-  const IrsApprox got =
-      ComputeIrsApproxCheckpointed(g, kWindow, {}, options, &stats);
-  EXPECT_EQ(stats.resumed_edges, 0u);
+  const IrsApprox got = ComputeIrsApproxCheckpointed(
+      g, kWindow, kSketch, {dir_, /*every_edges=*/32, /*keep=*/1}, &stats);
+  EXPECT_EQ(stats.resumed_edges, 64u);
   EXPECT_EQ(stats.invalid_checkpoints_skipped, 0u);
-  ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, {}));
+  EXPECT_EQ(stats.checkpoints_written, 4u);  // edges 96, 128, 160, 192
+  ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, kSketch));
+  EXPECT_EQ(CheckpointFiles(),
+            (std::vector<std::string>{
+                "ckpt_approx_00000000000000000192.ipinckpt", stray}));
+  const auto after = ReadWholeFile(dir_ + "/" + stray);
+  ASSERT_NE(after, nullptr);
+  EXPECT_TRUE(after->view() == stray_bytes);
 }
 
+// Pruning keeps the `keep` newest checkpoints, by edge count.
 TEST_F(CheckpointTest, PruneKeepsOnlyNewestCheckpoints) {
   const InteractionGraph g = TestGraph();
   const CheckpointOptions options{dir_, /*every_edges=*/16, /*keep=*/2};
   CheckpointStats stats;
-  (void)ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
-  EXPECT_GT(stats.checkpoints_written, 2u);
-  EXPECT_EQ(CheckpointFiles().size(), 2u);
+  (void)ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options, &stats);
+  EXPECT_EQ(stats.checkpoints_written, 12u);  // edges 16, 32 ... 192
+  EXPECT_EQ(CheckpointFiles(),
+            (std::vector<std::string>{
+                "ckpt_approx_00000000000000000176.ipinckpt",
+                "ckpt_approx_00000000000000000192.ipinckpt"}));
 }
 
 // A failing checkpoint save is an inconvenience, not a build failure.
@@ -475,11 +485,13 @@ TEST_F(CheckpointTest, SaveFailureDoesNotAbortBuild) {
   ASSERT_TRUE(failpoint::Set("checkpoint.save", "error"));
   const CheckpointOptions options{dir_, /*every_edges=*/32};
   CheckpointStats stats;
-  const IrsExact got = ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
+  const IrsApprox got =
+      ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options, &stats);
   failpoint::ClearAll();
   EXPECT_EQ(stats.checkpoints_written, 0u);
-  EXPECT_GT(stats.checkpoint_failures, 0u);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
+  EXPECT_EQ(stats.checkpoint_failures, 6u);
+  EXPECT_TRUE(CheckpointFiles().empty());
+  ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, kSketch));
 }
 
 // checkpoint.load failures (e.g. injected read errors) degrade to a fresh
@@ -487,15 +499,16 @@ TEST_F(CheckpointTest, SaveFailureDoesNotAbortBuild) {
 TEST_F(CheckpointTest, LoadFailureFallsBackToFreshBuild) {
   const InteractionGraph g = TestGraph();
   const CheckpointOptions options{dir_, /*every_edges=*/32};
-  (void)ComputeIrsExactCheckpointed(g, kWindow, options);
+  (void)ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options);
 
   ASSERT_TRUE(failpoint::Set("checkpoint.load", "error"));
   CheckpointStats stats;
-  const IrsExact got = ComputeIrsExactCheckpointed(g, kWindow, options, &stats);
+  const IrsApprox got =
+      ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options, &stats);
   failpoint::ClearAll();
   EXPECT_EQ(stats.resumed_edges, 0u);
-  EXPECT_GE(stats.invalid_checkpoints_skipped, 1u);
-  ExpectExactEqual(got, IrsExact::Compute(g, kWindow));
+  EXPECT_EQ(stats.invalid_checkpoints_skipped, 2u);  // keep = 2
+  ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, kSketch));
 }
 
 }  // namespace

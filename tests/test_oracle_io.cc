@@ -858,12 +858,75 @@ TEST_F(OracleIoTest, SealKeepsTheSavedFile) {
   EXPECT_EQ(ReadFileBytes(), built);
 }
 
+// Rewrites the checkpoint at `path` (checkpoint.cc: a meta frame ending
+// with the chunks' i64 base time and u8 width, then sketch chunks of
+// 2^precision cells) with its times in the narrowest encoding that holds
+// them, with valid CRCs, and returns that encoding.
+TimeEncoding NarrowCheckpointTimes(const std::string& path, int precision) {
+  constexpr uint32_t kCheckpointType = 0x504b4349;  // "ICKP"
+  SafeFileReader reader;
+  EXPECT_EQ(reader.Open(path, kCheckpointType), SafeOpenStatus::kOk);
+  const uint32_t version = reader.version();
+  std::vector<std::string> frames;
+  std::string_view payload;
+  while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+    frames.emplace_back(payload);
+  }
+  EXPECT_GE(frames.size(), 2u);
+  std::string& meta = frames[0];
+  TimeEncoding from;
+  std::memcpy(&from.base, meta.data() + meta.size() - 9, sizeof(from.base));
+  from.width = static_cast<uint8_t>(meta.back());
+  // Per chunk, where its time offsets start and how many there are.
+  std::vector<std::pair<size_t, uint64_t>> sections;
+  std::vector<Timestamp> times;
+  for (size_t k = 1; k < frames.size(); ++k) {
+    uint32_t count = 0;
+    uint64_t entries = 0;
+    std::memcpy(&count, frames[k].data() + 8, sizeof(count));
+    std::memcpy(&entries, frames[k].data() + 12, sizeof(entries));
+    size_t present = 0;
+    for (uint32_t i = 0; i < count; ++i) present += frames[k][20 + i] != 0;
+    const size_t at = 20 + count + (present << precision) + entries;
+    sections.emplace_back(at, entries);
+    const auto* offsets = reinterpret_cast<const uint8_t*>(frames[k].data());
+    for (uint64_t i = 0; i < entries; ++i) {
+      times.push_back(from.Decode(offsets + at, i));
+    }
+  }
+  const auto [first, last] = std::minmax_element(times.begin(), times.end());
+  const TimeEncoding to = times.empty()
+                              ? TimeEncoding::Covering(1, 0)
+                              : TimeEncoding::Covering(*first, *last);
+  std::memcpy(meta.data() + meta.size() - 9, &to.base, sizeof(to.base));
+  meta.back() = static_cast<char>(to.width);
+  size_t next = 0;
+  for (size_t k = 1; k < frames.size(); ++k) {
+    const auto [at, entries] = sections[k - 1];
+    std::string& chunk = frames[k];
+    chunk.resize(at + entries * to.width);
+    WithTimeCodec(to.width, [&](auto codec) {
+      for (uint64_t i = 0; i < entries; ++i) {
+        codec.Store(reinterpret_cast<uint8_t*>(chunk.data() + at), i,
+                    codec.Encode(to.base, times[next++]));
+      }
+    });
+  }
+  SafeFileWriter writer(path, kCheckpointType, version);
+  for (const std::string& frame : frames) {
+    EXPECT_TRUE(writer.AppendFrame(frame));
+  }
+  EXPECT_TRUE(writer.Commit());
+  return to;
+}
+
 // Times spanning 2^32 or more (nanosecond-style timestamps) keep 8-byte
 // offsets; a span of exactly 2^32 - 1 still takes u32 offsets. At either
 // width, the build's cells hold the log's own times, every served store of
 // it — sealed, saved and loaded, cut into shards — holds the build's rows
 // and estimates bit for bit, and a checkpointed build that is killed and
-// resumed holds its cells.
+// resumed holds its cells. A wide build skips a checkpoint in a narrower
+// encoding than its own.
 TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
   // The killed build runs on the thread pool, which a forked child lacks.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -956,6 +1019,32 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     EXPECT_EQ(stats.resumed_edges, 200u);
     EXPECT_EQ(resumed.time_encoding(), times);
     ExpectSameCells(built, resumed);
+    std::filesystem::remove_all(dir);
+    if (c.width == 4) continue;
+
+    // Earlier versions wrote a wide build's checkpoint in the narrowest
+    // encoding holding its times. The checkpoint at edge 1 (every later
+    // save fails) holds only the last edge's time, so it narrows to u32
+    // offsets. A checkpoint must be in the build's own encoding: resume
+    // skips it like a damaged file and builds fresh.
+    ASSERT_TRUE(failpoint::Set("checkpoint.save", "error(2)"));
+    (void)ComputeIrsApproxCheckpointed(g, window, options,
+                                       {dir, /*every_edges=*/1, /*keep=*/1});
+    failpoint::ClearAll();
+    const std::string at_1 = dir + "/ckpt_approx_00000000000000000001.ipinckpt";
+    ASSERT_TRUE(std::filesystem::exists(at_1));
+    EXPECT_EQ(NarrowCheckpointTimes(at_1, options.precision),
+              (TimeEncoding{c.first + static_cast<Timestamp>(c.span), 4}));
+    CheckpointStats upgraded;
+    const IrsApprox fresh = ComputeIrsApproxCheckpointed(
+        g, window, options, checkpoints, &upgraded);
+    EXPECT_EQ(upgraded.invalid_checkpoints_skipped, 1u);
+    EXPECT_EQ(upgraded.resumed_edges, 0u);
+    ExpectSameCells(built, fresh);
+    ASSERT_TRUE(SaveInfluenceIndex(built, path_));
+    const std::string built_bytes = ReadFileBytes();
+    ASSERT_TRUE(SaveInfluenceIndex(fresh, path_));
+    EXPECT_EQ(ReadFileBytes(), built_bytes);
     std::filesystem::remove_all(dir);
   }
 }

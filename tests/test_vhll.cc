@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -909,20 +908,6 @@ TEST(VhllTest, TimeEncodingIsTheNarrowestThatHoldsTheSpan) {
     TimeCodec<uint64_t>::Store(bytes, 0, TimeCodec<uint64_t>::Encode(kMin, t));
     EXPECT_EQ(TimeEncoding{}.Decode(bytes, 0), t);
   }
-
-  // TimeEncodingOf reads the sketches' times: the narrowest that holds
-  // them, whatever encoding they are stored in.
-  std::vector<std::unique_ptr<VersionedHll>> sketches(3);
-  sketches[0] = std::make_unique<VersionedHll>(5, 1, 1, TimeEncoding{-500, 4});
-  sketches[2] = std::make_unique<VersionedHll>(5, 1);
-  sketches[0]->AddEntry(0, 1, 40);
-  sketches[0]->AddEntry(1, 1, 70);
-  sketches[2]->AddEntry(0, 1, -20);
-  EXPECT_EQ(TimeEncodingOf(sketches), (TimeEncoding{-20, 4}));
-  sketches[2]->AddEntry(2, 1, kMax);
-  EXPECT_EQ(TimeEncodingOf(sketches), TimeEncoding{});
-  EXPECT_EQ(TimeEncodingOf(std::span<const std::unique_ptr<VersionedHll>>()),
-            (TimeEncoding{0, 4}));
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};
