@@ -245,8 +245,10 @@ void PruneCheckpoints(const std::string& dir, size_t keep) {
 constexpr size_t kSketchChunkPrefixBytes =
     sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t);
 
-// Writes the chunk straight from the build sketches' cells, whose time
-// offsets are already in the chunk's encoding.
+// Writes the chunk straight from the build sketches' parts. A part holds a
+// run of cells in cell order as the chunk lays them out — its cell counts,
+// then its pairs' ranks and time offsets, already in the chunk's encoding —
+// so each part is one copy of each of its three runs.
 size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
                       uint64_t first, uint32_t count, std::string* out) {
   const size_t width = meta.times.width;
@@ -278,14 +280,15 @@ size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
     flags[i] = sketch != nullptr ? 1 : 0;
     if (sketch == nullptr) continue;
     IPIN_DCHECK(sketch->time_encoding() == meta.times);
-    for (size_t c = 0; c < beta; ++c) {
-      const VersionedHll::CellList list = sketch->cell(c);
-      const size_t n = list.size();
-      *counts++ = static_cast<uint8_t>(n);
-      if (n == 0) continue;
-      std::memcpy(ranks + pair, list.ranks(), n);
-      std::memcpy(time_bytes + pair * width, list.time_bytes(), n * width);
-      pair += n;
+    for (size_t k = 0; k < sketch->num_parts(); ++k) {
+      const VersionedHll::PartRuns part = sketch->part_runs(k);
+      std::memcpy(counts, part.counts.data(), part.counts.size());
+      counts += part.counts.size();
+      if (part.ranks.empty()) continue;
+      std::memcpy(ranks + pair, part.ranks.data(), part.ranks.size());
+      std::memcpy(time_bytes + pair * width, part.time_bytes.data(),
+                  part.time_bytes.size());
+      pair += part.ranks.size();
     }
   }
   return size;
@@ -352,14 +355,15 @@ bool RestoreChunk(std::string_view payload, NodeId expected_first,
     for (size_t e = 0; e < node_entries; ++e) {
       node_times[e] = times.Decode(time_bytes, pair + e);
     }
-    // Each cell's list: ranks in [1, MaxRank] and strictly ascending,
-    // times non-descending.
+    // Each cell's list: ranks in [1, MaxRank], ranks and times strictly
+    // ascending. A scan never leaves two pairs with one time in a cell (the
+    // higher rank evicts the lower), so such a list is not one it wrote.
     size_t e = 0;
     for (const uint8_t n : cell_counts) {
       for (size_t j = 0; j < n; ++j, ++e) {
         if (node_ranks[e] == 0 || node_ranks[e] > max_rank ||
             (j > 0 && (node_ranks[e] <= node_ranks[e - 1] ||
-                       node_times[e] < node_times[e - 1]))) {
+                       node_times[e] <= node_times[e - 1]))) {
           return false;
         }
       }

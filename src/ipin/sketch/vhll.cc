@@ -1,7 +1,7 @@
 #include "ipin/sketch/vhll.h"
 
 #include <algorithm>
-#include <bit>
+#include <cstring>
 #include <limits>
 
 #include "ipin/common/check.h"
@@ -15,17 +15,87 @@ obs::MemoryTally& VhllMemTally() {
   return tally;
 }
 
+namespace {
+
+// The buffer a merge writes the cells it rewrites to, one per thread:
+// merges allocate nothing once it has grown to the largest rewrite.
+struct MergeScratch {
+  std::vector<uint8_t> ranks;
+  std::vector<uint8_t> times;
+};
+thread_local MergeScratch t_merge_scratch;
+
+// One cell's skyline merge. Folds the `nv` pairs (vr, vt) into the `nu`
+// pairs (ur, ut), both lists strictly ascending in time and rank, and
+// writes the skyline of their union to (out_r, out_t): pairs go in order
+// of time ascending, rank descending, u's pair first on a full tie, and a
+// pair is kept iff its rank exceeds every rank before it. That is exactly
+// what inserting v's pairs one by one keeps. Returns the output length and
+// adds the number of v's pairs kept to *kept; u's pairs dropped are then
+// nu - (length - kept).
+template <typename Offset>
+size_t MergeCell(const uint8_t* ur, const uint8_t* ut, size_t nu,
+                 const uint8_t* vr, const uint8_t* vt, size_t nv,
+                 uint8_t* out_r, uint8_t* out_t, size_t* kept) {
+  using Codec = TimeCodec<Offset>;
+  size_t i = 0;
+  size_t j = 0;
+  size_t n = 0;
+  uint8_t top = 0;
+  const auto take = [&](uint8_t rank, Offset t) {
+    if (rank <= top) return false;
+    top = rank;
+    out_r[n] = rank;
+    Codec::Store(out_t, n++, t);
+    return true;
+  };
+  while (i < nu && j < nv) {
+    const Offset a = Codec::Load(ut, i);
+    const Offset b = Codec::Load(vt, j);
+    if (a < b || (a == b && ur[i] >= vr[j])) {
+      take(ur[i++], a);
+    } else {
+      *kept += take(vr[j], b);
+      ++j;
+    }
+  }
+  for (; i < nu; ++i) take(ur[i], Codec::Load(ut, i));
+  for (; j < nv; ++j) *kept += take(vr[j], Codec::Load(vt, j));
+  return n;
+}
+
+// True if merging the `nv` pairs (vr, vt) into the `nu` pairs (ur, ut)
+// keeps a pair of v: one outranks every pair of u no later than it. (The
+// pairs of v before it rank lower, so only u's can dominate it.)
+template <typename Offset>
+bool GainsPair(const uint8_t* ur, const uint8_t* ut, size_t nu,
+               const uint8_t* vr, const uint8_t* vt, size_t nv) {
+  using Codec = TimeCodec<Offset>;
+  size_t i = 0;
+  uint8_t top = 0;
+  for (size_t j = 0; j < nv; ++j) {
+    const Offset t = Codec::Load(vt, j);
+    while (i < nu && Codec::Load(ut, i) <= t) top = ur[i++];
+    if (vr[j] > top) return true;
+  }
+  return false;
+}
+
+}  // namespace
+
 VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
                            TimeEncoding encoding)
     : precision_(precision), salt_(salt), encoding_(encoding) {
   IPIN_CHECK_GE(precision, 4);
   IPIN_CHECK_LE(precision, 18);
   IPIN_CHECK(encoding_.valid());
-  heads_.resize(static_cast<size_t>(1) << precision);
-  max_ranks_.resize(heads_.size(), 0);
+  max_ranks_.resize(static_cast<size_t>(1) << precision, 0);
   IPIN_CHECK_GE(num_parts, 1u);
-  IPIN_CHECK_LE(num_parts, heads_.size());
+  IPIN_CHECK_LE(num_parts, num_cells());
   more_parts_.resize(num_parts - 1);
+  for (size_t k = 0; k < num_parts; ++k) {
+    part(k).counts.resize(PartBegin(k + 1) - PartBegin(k), 0);
+  }
 }
 
 VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
@@ -34,37 +104,33 @@ VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
                            std::span<const int64_t> times,
                            TimeEncoding encoding)
     : VersionedHll(precision, salt, num_parts, encoding) {
-  IPIN_CHECK_EQ(cell_counts.size(), heads_.size());
+  IPIN_CHECK_EQ(cell_counts.size(), num_cells());
   IPIN_CHECK_EQ(ranks.size(), times.size());
-  for (size_t k = 0; k < num_parts; ++k) {
-    size_t slots = 0;
-    for (size_t c = PartBegin(k); c < PartBegin(k + 1); ++c) {
-      const size_t n = cell_counts[c];
-      IPIN_CHECK_LE(n, kMaxCellEntries);
-      slots += n == 0 ? 0 : std::bit_ceil(n);
-    }
-    part(k).ranks.reserve(slots);
-    part(k).times.reserve(slots * encoding_.width);
-  }
   WithTimeCodec(encoding_.width, [&](auto codec) {
     using Offset = decltype(codec.Encode(0, 0));
     size_t entry = 0;
-    for (size_t c = 0; c < heads_.size(); ++c) {
-      const size_t n = cell_counts[c];
-      if (n == 0) continue;
-      IPIN_CHECK_LE(n, ranks.size() - entry);
-      Part& p = part(PartOf(c));
-      const size_t cap = std::bit_ceil(n);
-      const uint32_t block = AllocateBlock<Offset>(p, cap);
-      std::copy_n(ranks.data() + entry, n, p.ranks.data() + block);
-      for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < num_parts; ++k) {
+      Part& p = part(k);
+      const size_t first = PartBegin(k);
+      size_t slots = 0;
+      for (size_t j = 0; j < p.counts.size(); ++j) {
+        const uint8_t n = cell_counts[first + j];
+        IPIN_CHECK_LE(n, kMaxCellEntries);
+        slots += n;
+        IPIN_CHECK_LE(slots, ranks.size() - entry);
+        p.counts[j] = n;
+        if (n > 0) max_ranks_[first + j] = ranks[entry + slots - 1];
+      }
+      p.ranks.reserve(slots);
+      p.times.reserve(slots * sizeof(Offset));
+      p.ranks.assign(ranks.begin() + entry, ranks.begin() + entry + slots);
+      p.times.resize(slots * sizeof(Offset));
+      for (size_t i = 0; i < slots; ++i) {
         IPIN_CHECK(encoding_.Holds(times[entry + i]));
-        codec.Store(p.times.data(), block + i,
+        codec.Store(p.times.data(), i,
                     codec.Encode(encoding_.base, times[entry + i]));
       }
-      entry += n;
-      heads_[c] = {block, static_cast<uint8_t>(n), static_cast<uint8_t>(cap)};
-      max_ranks_[c] = p.ranks[block + n - 1];
+      entry += slots;
     }
     IPIN_CHECK_EQ(entry, ranks.size());
   });
@@ -76,7 +142,7 @@ bool VersionedHll::Add(uint64_t item, Timestamp t) {
 }
 
 bool VersionedHll::AddHash(uint64_t hash, Timestamp t) {
-  const size_t cell = static_cast<size_t>(hash & (heads_.size() - 1));
+  const size_t cell = static_cast<size_t>(hash & (num_cells() - 1));
   const uint64_t rest = hash >> precision_;
   const int r = std::min(RhoLsb(rest), MaxRank(precision_));
   return AddEntry(cell, static_cast<uint8_t>(r), t);
@@ -84,124 +150,74 @@ bool VersionedHll::AddHash(uint64_t hash, Timestamp t) {
 
 bool VersionedHll::AddInPart(uint64_t item, Timestamp t, size_t part) {
   const uint64_t hash = Hash64(item, salt_);
-  if (PartOf(hash & (heads_.size() - 1)) != part) return false;
+  if (PartOf(hash & (num_cells() - 1)) != part) return false;
   return AddHash(hash, t);
 }
 
 bool VersionedHll::AddEntry(size_t cell_index, uint8_t rank, Timestamp t) {
-  IPIN_DCHECK(cell_index < heads_.size());
+  IPIN_DCHECK(cell_index < num_cells());
   IPIN_CHECK(encoding_.Holds(t));
-  Part& p = part(PartOf(cell_index));
-  ++p.insert_attempts;
+  ++part(PartOf(cell_index)).insert_attempts;
   bool kept = false;
   WithTimeCodec(encoding_.width, [&](auto codec) {
-    kept = Insert(p, cell_index, rank, codec.Encode(encoding_.base, t),
-                  &p.evictions);
+    kept = Insert(cell_index, rank, codec.Encode(encoding_.base, t));
   });
   return kept;
 }
 
 template <typename Offset>
-bool VersionedHll::Insert(Part& p, size_t cell_index, uint8_t rank, Offset t,
-                          size_t* evicted) {
+bool VersionedHll::Insert(size_t cell_index, uint8_t rank, Offset t) {
   using Codec = TimeCodec<Offset>;
   IPIN_DCHECK(rank > 0);
-  CellHead& head = heads_[cell_index];
-  uint8_t* ranks = p.ranks.data() + head.offset;
-  uint8_t* times = p.times.data() + size_t{head.offset} * sizeof(Offset);
-  const size_t len = head.len;
+  const size_t k = PartOf(cell_index);
+  Part& p = part(k);
+  const size_t j = cell_index - PartBegin(k);
+  const size_t begin = CellBegin(p, j);
+  const size_t len = p.counts[j];
 
-  // Lists are ascending in both time and rank. Locate the first entry with
-  // time > t; every entry before it has time <= t, and the largest rank in
-  // that prefix sits immediately before the insertion point.
-  size_t pos = len;
-  while (pos > 0 && Codec::Load(times, pos - 1) > t) --pos;
+  // The cell's new list: the skyline of its pairs and the new one.
+  uint8_t new_ranks[kMaxCellEntries + 1];
+  uint8_t new_times[(kMaxCellEntries + 1) * sizeof(Offset)];
+  uint8_t t_bytes[sizeof(Offset)];
+  Codec::Store(t_bytes, 0, t);
+  size_t kept = 0;
+  const size_t n = MergeCell<Offset>(
+      p.ranks.data() + begin, p.times.data() + begin * sizeof(Offset), len,
+      &rank, t_bytes, 1, new_ranks, new_times, &kept);
+  if (kept == 0) return false;  // dominated by an earlier (or equal) pair
+  p.evictions += len + 1 - n;   // the pairs the new one dominated
 
-  if (pos > 0 && ranks[pos - 1] >= rank) {
-    return false;  // dominated by an earlier (or simultaneous) >=-rank entry
-  }
-
-  // Entries sharing timestamp t all have rank < `rank` at this point (the
-  // prefix max did), so the new pair dominates them too; pull them into the
-  // removal run.
-  while (pos > 0 && Codec::Load(times, pos - 1) == t) --pos;
-
-  // The new pair dominates every later entry with rank <= `rank`; since
-  // ranks ascend, those form a contiguous run starting at pos.
-  size_t end = pos;
-  while (end < len && ranks[end] <= rank) ++end;
-
-  // The shifts below are plain loops that move both arrays in one pass: a
-  // list is short, and a memmove call per array costs more than the move.
-  if (end == pos) {
-    if (len == head.cap) {
-      GrowCell<Offset>(p, head);
-      ranks = p.ranks.data() + head.offset;
-      times = p.times.data() + size_t{head.offset} * sizeof(Offset);
-    }
-    for (size_t i = len; i > pos; --i) {
-      ranks[i] = ranks[i - 1];
-      Codec::Store(times, i, Codec::Load(times, i - 1));
-    }
-    ++head.len;
-  } else {
-    *evicted += end - pos;  // dominated pairs dropped for the new one
-    for (size_t i = end, j = pos + 1; i < len; ++i, ++j) {
-      ranks[j] = ranks[i];
-      Codec::Store(times, j, Codec::Load(times, i));
-    }
-    head.len = static_cast<uint8_t>(len - (end - pos - 1));
-  }
-  ranks[pos] = rank;
-  Codec::Store(times, pos, t);
+  // Splice it in: the part's later pairs move by n - len slots (n - len is
+  // at most 1).
+  const size_t old_slots = p.ranks.size();
+  const size_t tail = old_slots - (begin + len);
+  if (n > len) ResizePart<Offset>(p, old_slots + 1);
+  std::memmove(p.ranks.data() + begin + n, p.ranks.data() + begin + len, tail);
+  std::memmove(p.times.data() + (begin + n) * sizeof(Offset),
+               p.times.data() + (begin + len) * sizeof(Offset),
+               tail * sizeof(Offset));
+  if (n < len) ResizePart<Offset>(p, old_slots - (len - n));
+  std::memcpy(p.ranks.data() + begin, new_ranks, n);
+  std::memcpy(p.times.data() + begin * sizeof(Offset), new_times,
+              n * sizeof(Offset));
+  p.counts[j] = static_cast<uint8_t>(n);
   // Ranks ascend within a list, so the cached cell max is just the tail.
-  max_ranks_[cell_index] = ranks[head.len - 1];
+  max_ranks_[cell_index] = new_ranks[n - 1];
   return true;
 }
 
 template <typename Offset>
-void VersionedHll::GrowCell(Part& p, CellHead& head) {
-  IPIN_CHECK_LT(head.cap, kMaxCellEntries);
-  const size_t cap = head.cap == 0 ? 1 : 2 * size_t{head.cap};
-  const uint32_t block = AllocateBlock<Offset>(p, cap);
-  std::copy_n(p.ranks.data() + head.offset, head.len, p.ranks.data() + block);
-  std::copy_n(p.times.data() + size_t{head.offset} * sizeof(Offset),
-              head.len * sizeof(Offset),
-              p.times.data() + size_t{block} * sizeof(Offset));
-  if (head.cap > 0) FreeBlock<Offset>(p, head.offset, head.cap);
-  head.offset = block;
-  head.cap = static_cast<uint8_t>(cap);
-}
-
-template <typename Offset>
-uint32_t VersionedHll::AllocateBlock(Part& p, size_t cap) {
-  using Codec = TimeCodec<Offset>;
-  uint32_t& free_head = p.free_blocks[std::countr_zero(cap)];
-  if (free_head != kNoBlock) {
-    const uint32_t block = free_head;
-    free_head = static_cast<uint32_t>(Codec::Load(p.times.data(), block));
-    return block;
-  }
-  const size_t size = p.ranks.size();
-  IPIN_CHECK_LE(size + cap, size_t{kNoBlock});
-  if (size + cap > p.ranks.capacity()) {
-    // Grow by a quarter, not by doubling: the pools are most of a build's
-    // memory, and doubling leaves up to half of every pool unused.
+void VersionedHll::ResizePart(Part& p, size_t slots) {
+  if (slots > p.ranks.capacity()) {
+    // Grow by a quarter, not by doubling: the parts are most of a build's
+    // memory, and doubling leaves up to half of every part unused.
     const size_t capacity =
-        std::max(size + cap, p.ranks.capacity() + p.ranks.capacity() / 4);
+        std::max(slots, p.ranks.capacity() + p.ranks.capacity() / 4);
     p.ranks.reserve(capacity);
     p.times.reserve(capacity * sizeof(Offset));
   }
-  p.ranks.resize(size + cap);
-  p.times.resize((size + cap) * sizeof(Offset));
-  return static_cast<uint32_t>(size);
-}
-
-template <typename Offset>
-void VersionedHll::FreeBlock(Part& p, uint32_t offset, size_t cap) {
-  uint32_t& free_head = p.free_blocks[std::countr_zero(cap)];
-  TimeCodec<Offset>::Store(p.times.data(), offset, Offset{free_head});
-  free_head = offset;
+  p.ranks.resize(slots);
+  p.times.resize(slots * sizeof(Offset));
 }
 
 void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
@@ -237,25 +253,98 @@ template <typename Offset>
 void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
                               Offset last) {
   using Codec = TimeCodec<Offset>;
+  constexpr size_t kWidth = sizeof(Offset);
   // One part lookup per call, not per cell: this loop is the build's hot
   // path.
   Part& p = part(part_index);
   const Part& from = other.part(part_index);
-  const uint8_t* const from_ranks = from.ranks.data();
-  const uint8_t* const from_times = from.times.data();
+  if (from.ranks.empty()) return;
+  const size_t cells = p.counts.size();
+  uint8_t* const counts = p.counts.data();
+  const uint8_t* const from_counts = from.counts.data();
+  const uint8_t* const ur = p.ranks.data();
+  const uint8_t* const ut = p.times.data();
+  const uint8_t* const vr = from.ranks.data();
+  const uint8_t* const vt = from.times.data();
+  uint8_t* const max_ranks = max_ranks_.data() + PartBegin(part_index);
+  // The number of pairs of `from`'s cell c, starting at slot v_begin, in
+  // the window: its times ascend, so they are a prefix.
+  const auto window = [vt, last, from_counts](size_t c, size_t v_begin) {
+    size_t nv = 0;
+    while (nv < from_counts[c] && Codec::Load(vt, v_begin + nv) <= last) {
+      ++nv;
+    }
+    return nv;
+  };
+
+  // Up to the first cell that gains a pair, nothing changes.
   size_t scanned = 0;
+  size_t c = 0;
+  size_t u_begin = 0;
+  size_t v_begin = 0;
+  for (; c < cells; ++c) {
+    const size_t nv = window(c, v_begin);
+    if (nv > 0 && GainsPair<Offset>(ur + u_begin, ut + u_begin * kWidth,
+                                     counts[c], vr + v_begin,
+                                     vt + v_begin * kWidth, nv)) {
+      break;
+    }
+    scanned += nv;
+    u_begin += counts[c];
+    v_begin += from_counts[c];
+  }
+  if (c == cells) {
+    p.insert_attempts += scanned;
+    p.merge_entries_scanned += scanned;
+    return;
+  }
+
+  // From cell c on, the part's pairs are rewritten into the scratch buffer:
+  // merged cells, and runs of cells with nothing in the window copied
+  // whole. `copy_from` is the first slot of the run not yet copied.
+  const size_t rewrite_from = u_begin;
+  const size_t old_slots = p.ranks.size();
+  const size_t most = old_slots - rewrite_from + from.ranks.size() - v_begin;
+  MergeScratch& scratch = t_merge_scratch;
+  if (scratch.ranks.size() < most) scratch.ranks.resize(most);
+  if (scratch.times.size() < most * kWidth) scratch.times.resize(most * kWidth);
+  uint8_t* const sr = scratch.ranks.data();
+  uint8_t* const st = scratch.times.data();
+  size_t n = 0;
+  size_t copy_from = rewrite_from;
+  const auto copy_run = [&](size_t until) {
+    if (until == copy_from) return;  // ur may be null
+    std::memcpy(sr + n, ur + copy_from, until - copy_from);
+    std::memcpy(st + n * kWidth, ut + copy_from * kWidth,
+                (until - copy_from) * kWidth);
+    n += until - copy_from;
+  };
   size_t kept = 0;
   size_t evicted = 0;
-  const size_t end = PartBegin(part_index + 1);
-  for (size_t c = PartBegin(part_index); c < end; ++c) {
-    const CellHead& head = other.heads_[c];
-    for (size_t i = head.offset; i < size_t{head.offset} + head.len; ++i) {
-      const Offset t = Codec::Load(from_times, i);
-      if (t > last) break;  // ascending time: rest is out
-      ++scanned;
-      kept += Insert(p, c, from_ranks[i], t, &evicted);
+  for (; c < cells; ++c) {
+    const size_t nv = window(c, v_begin);
+    scanned += nv;
+    const size_t nu = counts[c];
+    if (nv > 0) {
+      copy_run(u_begin);
+      size_t gained = 0;
+      const size_t len = MergeCell<Offset>(
+          ur + u_begin, ut + u_begin * kWidth, nu, vr + v_begin,
+          vt + v_begin * kWidth, nv, sr + n, st + n * kWidth, &gained);
+      n += len;
+      kept += gained;
+      evicted += nu - (len - gained);
+      counts[c] = static_cast<uint8_t>(len);
+      max_ranks[c] = sr[n - 1];
+      copy_from = u_begin + nu;
     }
+    u_begin += nu;
+    v_begin += from_counts[c];
   }
+  copy_run(old_slots);
+  ResizePart<Offset>(p, rewrite_from + n);
+  std::memcpy(p.ranks.data() + rewrite_from, sr, n);
+  std::memcpy(p.times.data() + rewrite_from * kWidth, st, n * kWidth);
   p.insert_attempts += scanned;
   p.evictions += evicted;
   p.merge_entries_scanned += scanned;
@@ -267,14 +356,13 @@ double VersionedHll::Estimate() const {
 }
 
 void VersionedHll::Clear() {
-  // Keeps the pools' capacity (like clearing a vector) but forgets every
-  // block: the next inserts carve fresh blocks from the start of the pools.
+  // Keeps the parts' capacity, like clearing a vector.
   for (size_t k = 0; k < num_parts(); ++k) {
-    part(k).ranks.clear();
-    part(k).times.clear();
-    part(k).free_blocks.fill(kNoBlock);
+    Part& p = part(k);
+    p.ranks.clear();
+    p.times.clear();
+    std::fill(p.counts.begin(), p.counts.end(), 0);
   }
-  std::fill(heads_.begin(), heads_.end(), CellHead{});
   std::fill(max_ranks_.begin(), max_ranks_.end(), 0);
 }
 
@@ -284,9 +372,24 @@ size_t VersionedHll::SumOverParts(size_t Part::*tally) const {
   return total;
 }
 
+size_t VersionedHll::CellBegin(const Part& p, size_t j) {
+  size_t begin = 0;
+  for (size_t i = 0; i < j; ++i) begin += p.counts[i];
+  return begin;
+}
+
+VersionedHll::CellList VersionedHll::cell(size_t i) const {
+  const size_t k = PartOf(i);
+  const Part& p = part(k);
+  const size_t j = i - PartBegin(k);
+  const size_t begin = CellBegin(p, j);
+  return {p.ranks.data() + begin, p.times.data() + begin * encoding_.width,
+          encoding_, p.counts[j]};
+}
+
 size_t VersionedHll::NumEntries() const {
   size_t total = 0;
-  for (const CellHead& head : heads_) total += head.len;
+  for (size_t k = 0; k < num_parts(); ++k) total += part(k).ranks.size();
   return total;
 }
 
@@ -294,24 +397,21 @@ bool VersionedHll::CheckInvariants() const {
   const size_t width = encoding_.width;
   for (size_t k = 0; k < num_parts(); ++k) {
     const Part& p = part(k);
-    if (p.ranks.size() * width != p.times.size() ||
+    if (p.counts.size() != PartBegin(k + 1) - PartBegin(k) ||
+        CellBegin(p, p.counts.size()) != p.ranks.size() ||
+        p.ranks.size() * width != p.times.size() ||
         p.ranks.capacity() * width != p.times.capacity()) {
       return false;
     }
   }
-  for (size_t c = 0; c < heads_.size(); ++c) {
-    const CellHead& head = heads_[c];
-    if (head.len > head.cap ||
-        size_t{head.offset} + head.cap > part(PartOf(c)).ranks.size()) {
-      return false;
-    }
+  for (size_t c = 0; c < num_cells(); ++c) {
     const CellList list = cell(c);
+    if (list.size() > kMaxCellEntries) return false;
     if (max_ranks_[c] != (list.empty() ? 0 : list.back().rank)) return false;
     for (size_t i = 1; i < list.size(); ++i) {
-      // Strictly ascending rank; non-descending time; no domination either
-      // way (equal times with equal ranks would have been collapsed).
+      // Strictly ascending rank and time: no pair dominates another.
       if (list[i].rank <= list[i - 1].rank) return false;
-      if (list[i].time < list[i - 1].time) return false;
+      if (list[i].time <= list[i - 1].time) return false;
     }
     for (const Entry& e : list) {
       if (e.rank == 0) return false;
@@ -321,11 +421,11 @@ bool VersionedHll::CheckInvariants() const {
 }
 
 size_t VersionedHll::MemoryUsageBytes() const {
-  size_t bytes = heads_.capacity() * sizeof(CellHead) +
-                 max_ranks_.capacity() * sizeof(uint8_t) +
+  size_t bytes = max_ranks_.capacity() * sizeof(uint8_t) +
                  more_parts_.capacity() * sizeof(Part);
   for (size_t k = 0; k < num_parts(); ++k) {
-    bytes += part(k).ranks.capacity() + part(k).times.capacity();
+    const Part& p = part(k);
+    bytes += p.counts.capacity() + p.ranks.capacity() + p.times.capacity();
   }
   return bytes;
 }

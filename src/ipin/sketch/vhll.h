@@ -1,7 +1,6 @@
 #ifndef IPIN_SKETCH_VHLL_H_
 #define IPIN_SKETCH_VHLL_H_
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -13,7 +12,7 @@
 
 namespace ipin {
 
-/// Byte tally charged for every vHLL allocation (cell heads, entry pool,
+/// Byte tally charged for every vHLL allocation (cell counts, pair runs,
 /// max-rank cache; component "vhll"); published as the mem.vhll.* gauges.
 obs::MemoryTally& VhllMemTally();
 
@@ -31,42 +30,46 @@ obs::MemoryTally& VhllMemTally();
 /// useless for every possible bound. Undominated lists are therefore
 /// strictly increasing in both time and rank; we keep them sorted ascending
 /// by time, which makes MergeWindow's window filter a prefix scan and keeps
-/// the expected list length logarithmic (Lemma 4).
+/// the expected list length logarithmic (Lemma 4). A cell's list is the
+/// skyline of every pair it was offered, so it does not depend on the order
+/// they came in.
 ///
-/// Storage: pooled entry buffers, not one heap vector per cell. The cells
-/// are split into `num_parts` contiguous ranges ("parts"; part k holds
-/// cells [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns an entry
-/// pool, its free lists and its lifetime tallies. A pool is two parallel
-/// arrays at the same slot offsets: u8 ranks, and times stored as offsets
-/// in the sketch's TimeEncoding (time_codec.h), the one codec build
+/// Storage: cell-sorted runs, not one heap vector per cell. The cells are
+/// split into `num_parts` contiguous ranges ("parts"; part k holds cells
+/// [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns three arrays
+/// and its lifetime tallies. `counts` holds the length of each cell's list
+/// (u8: a list has at most 64 pairs), and `ranks` (u8) and `times` hold
+/// every pair of the part in cell order, so a cell's list starts where the
+/// lists of the cells before it in its part end. The times are stored as
+/// offsets in the sketch's TimeEncoding (time_codec.h), the one codec build
 /// checkpoints use too. The encoding is fixed at construction by the
-/// sketch's owner: a build takes the narrowest one
-/// that covers its input's interaction times (IrsApprox), so a slot costs
-/// 1 + 4 bytes when the times span less than 2^32, and 1 + 8 bytes under
-/// the default wide encoding, which holds every time. The public API reads
-/// and writes Timestamps: inserts encode (checked to be held), CellList
-/// decodes. Offsets order as their times do, so domination and the merge
-/// window compare offsets as they are. `heads_[c]` gives the slot offset
-/// (into c's part's pool), length and capacity of cell c's block. Block
-/// capacities are powers of two from 1 to 64 (a list never exceeds 64
-/// entries: ranks are distinct and at most 64 - precision + 1). A full
-/// cell moves to a block twice its size, taken from the free list of that
-/// size class or, when the list is empty, appended to the end of the pool;
-/// the old block goes onto its own class's free list, linked through its
-/// first time slot (a u32 slot offset fits either width). A pool that runs
-/// out of room grows by a quarter, not by vector doubling, so at most a
-/// fifth of its slots are unused tail. Blocks never shrink and pools never
-/// compact, so a sketch's footprint is its pools' capacity — free-listed
-/// blocks included — plus the two beta-sized arrays and, with more than
-/// one part, the array of parts 1..P-1; MemoryUsageBytes() reports exactly
-/// that.
+/// sketch's owner: a build takes the narrowest one that covers its input's
+/// interaction times (IrsApprox), so a slot costs 1 + 4 bytes when the
+/// times span less than 2^32, and 1 + 8 bytes under the default wide
+/// encoding, which holds every time. The public API reads and writes
+/// Timestamps: inserts encode (checked to be held), CellList decodes.
+/// Offsets order as their times do, so domination and the merge window
+/// compare offsets as they are.
+///
+/// MergeWindow walks a part's cells once, merging each of its lists with
+/// the other sketch's window prefix of that cell. It writes nothing until
+/// the first cell that gains a pair; from there it writes the rewritten
+/// cells to a per-thread scratch buffer and copies them back in one piece.
+/// A single insert (AddEntry, Add) splices its cell's new list into the
+/// part, moving the part's later pairs: O(part), which every caller pays
+/// anyway in the merge that comes with each insert. A part that runs out
+/// of room grows by a quarter, not by vector doubling, so at most a fifth
+/// of its slots are unused tail; a sketch's footprint is its parts' cell
+/// counts and slot capacity, the beta-byte max-rank cache and, with
+/// more than one part, the array of parts 1..P-1. MemoryUsageBytes()
+/// reports exactly that.
 ///
 /// No operation reads two cells together, so parts never interact: a
 /// parallel build gives each worker one part of every sketch, and workers
-/// write disjoint cells of `heads_` and `max_ranks_` (IrsApprox::Compute).
-/// Part 0 lives inline, so a one-part sketch — every sketch outside the
-/// partitioned build — owns four heap buffers instead of beta + 2, which
-/// is what makes the build scan and freeing the sketches at Seal() cheap.
+/// write only their own part's arrays and disjoint bytes of `max_ranks_`
+/// (IrsApprox::Compute). Part 0 lives inline, so a one-part sketch — every
+/// sketch outside the partitioned build — owns four heap buffers, which is
+/// what makes the build scan and freeing the sketches at Seal() cheap.
 class VersionedHll {
  public:
   /// One (rank, timestamp) pair of a cell list.
@@ -76,7 +79,7 @@ class VersionedHll {
   };
 
   /// Read-only view of one cell's entries: its runs of ranks and time
-  /// offsets in the part's pool, read as (rank, time) pairs with the times
+  /// offsets in the part's arrays, read as (rank, time) pairs with the times
   /// decoded. Valid until the next mutation of the sketch.
   class CellList {
    public:
@@ -112,11 +115,6 @@ class VersionedHll {
     Iterator end() const { return {this, size_}; }
     /// The time of entry i, decoded.
     Timestamp time(size_t i) const { return encoding_.Decode(time_bytes_, i); }
-    /// The cell's ranks, and its time offsets in encoding() (width bytes
-    /// each), as contiguous runs of size() entries.
-    const uint8_t* ranks() const { return ranks_; }
-    const uint8_t* time_bytes() const { return time_bytes_; }
-    const TimeEncoding& encoding() const { return encoding_; }
 
    private:
     const uint8_t* ranks_;
@@ -125,7 +123,8 @@ class VersionedHll {
     size_t size_;
   };
 
-  /// Longest possible cell list, and the largest block size class.
+  /// A bound on a cell list's length: its ranks are distinct and at most
+  /// MaxRank(precision) < 64.
   static constexpr size_t kMaxCellEntries = 64;
 
   /// The largest rank a sketch of `precision` stores: 64 - precision + 1.
@@ -145,9 +144,8 @@ class VersionedHll {
   /// already satisfy the vHLL invariants, as a restored checkpoint's
   /// checked ones do, and `encoding` must hold every time; the sizes and
   /// the times are checked. The sketch has `num_parts` parts (in
-  /// [1, beta]), as the first constructor's; each cell gets the smallest
-  /// block that holds it in its part's pool, and each pool is sized to
-  /// exactly its blocks. Lifetime tallies start at zero.
+  /// [1, beta]), as the first constructor's; each part's arrays are sized
+  /// to exactly its pairs. Lifetime tallies start at zero.
   VersionedHll(int precision, uint64_t salt, size_t num_parts,
                std::span<const uint8_t> cell_counts,
                std::span<const uint8_t> ranks,
@@ -191,7 +189,7 @@ class VersionedHll {
 
   int precision() const { return precision_; }
   uint64_t salt() const { return salt_; }
-  size_t num_cells() const { return heads_.size(); }
+  size_t num_cells() const { return max_ranks_.size(); }
   size_t num_parts() const { return more_parts_.size() + 1; }
   const TimeEncoding& time_encoding() const { return encoding_; }
 
@@ -220,13 +218,25 @@ class VersionedHll {
   }
   size_t NumCellUpdates() const { return SumOverParts(&Part::cell_updates); }
 
-  /// The raw list of cell `i` (ascending time, strictly ascending rank).
-  CellList cell(size_t i) const {
-    const Part& p = part(PartOf(i));
-    const CellHead& head = heads_[i];
-    return {p.ranks.data() + head.offset,
-            p.times.data() + size_t{head.offset} * encoding_.width, encoding_,
-            head.len};
+  /// The raw list of cell `i` (strictly ascending time and rank). Sums
+  /// the counts of the cells before it in its part: O(beta / num_parts()).
+  CellList cell(size_t i) const;
+
+  /// Every pair of part `k`, as the part stores them: the list length of
+  /// each cell of the part (`counts`), and the pairs' ranks and time
+  /// offsets (time_encoding(), width bytes each) as two runs in cell
+  /// order.
+  /// Valid until the next mutation of the sketch.
+  struct PartRuns {
+    std::span<const uint8_t> counts;
+    std::span<const uint8_t> ranks;
+    std::span<const uint8_t> time_bytes;
+  };
+  PartRuns part_runs(size_t k) const {
+    const Part& p = part(k);
+    return {{p.counts.data(), p.counts.size()},
+            {p.ranks.data(), p.ranks.size()},
+            {p.times.data(), p.times.size()}};
   }
 
   /// Per-cell max rank (0 for an empty cell), maintained on every mutation.
@@ -236,44 +246,31 @@ class VersionedHll {
     return {max_ranks_.data(), max_ranks_.size()};
   }
 
-  /// Verifies the per-cell invariants (sortedness, strict domination-freeness).
-  /// Test helper; O(total entries).
+  /// Verifies the per-cell invariants (strictly ascending ranks and times,
+  /// so no pair dominates another) and the parts' layout. Test helper;
+  /// O(total entries).
   bool CheckInvariants() const;
 
-  /// Heap footprint in bytes: the capacity of the cell heads, the entry
-  /// pools (1 + width bytes a slot, free-listed blocks and unused tail
-  /// included),
-  /// the max-rank cache and the array of parts 1..P-1. Equals what the
-  /// sketch charges the "vhll" tally.
+  /// Heap footprint in bytes: the parts' cell counts (1 byte a cell), their
+  /// slot capacity (1 + width bytes a slot, unused tail included), the
+  /// max-rank cache (1 byte a cell) and the array of parts 1..P-1. Equals
+  /// what the sketch charges the "vhll" tally.
   size_t MemoryUsageBytes() const;
 
  private:
   template <typename T>
   using TallyVector = std::vector<T, obs::TallyAllocator<T, &VhllMemTally>>;
 
-  // Where cell c's block lives in its part's pool: slots
-  // [offset, offset + len), block capacity `cap` (0 for a cell that never
-  // held an entry).
-  struct CellHead {
-    uint32_t offset = 0;
-    uint8_t len = 0;
-    uint8_t cap = 0;
-  };
-
-  // Block size classes 1, 2, 4 ... kMaxCellEntries; class k holds 2^k.
-  static constexpr size_t kNumSizeClasses = 7;
-  static constexpr uint32_t kNoBlock = UINT32_MAX;
-
   // The storage of one cell range, touched only by operations on its cells.
   struct Part {
-    Part() { free_blocks.fill(kNoBlock); }
-    // The entry pool: ranks[i] and the time offset at times[i * width]
-    // are one entry. Both arrays always hold the same number of slots, in
-    // size and in capacity.
+    // The list length of each cell of the part; they sum to the part's
+    // pair count.
+    TallyVector<uint8_t> counts;
+    // The pairs in cell order: ranks[i] and the time offset at
+    // times[i * width] are one pair. Both arrays always hold the same
+    // number of slots, in size and in capacity.
     TallyVector<uint8_t> ranks;
     TallyVector<uint8_t> times;
-    // Head of each size class's free list (kNoBlock when empty).
-    std::array<uint32_t, kNumSizeClasses> free_blocks;
     size_t insert_attempts = 0;
     size_t evictions = 0;
     size_t merge_entries_scanned = 0;
@@ -286,39 +283,32 @@ class VersionedHll {
   }
   // First cell of part k (k == num_parts() gives the end of the last part).
   size_t PartBegin(size_t k) const {
-    return (k * heads_.size() + num_parts() - 1) / num_parts();
+    return (k * num_cells() + num_parts() - 1) / num_parts();
   }
   size_t SumOverParts(size_t Part::*tally) const;
+  // The first slot of cell j of part p: the sum of the counts before it.
+  static size_t CellBegin(const Part& p, size_t j);
 
   // The private operations work on time offsets of type Offset, the
   // encoding's width (uint32_t or uint64_t); each public call dispatches
   // once (WithTimeCodec).
   //
-  // ApproxAdd of (rank, t) into cell c, whose block lives in p's pool:
-  // AddEntry without the lookup and the tallies. Adds the number of pairs
-  // the new one dominated to *evicted. Returns true if the pair was kept.
+  // ApproxAdd of (rank, t) into cell c: AddEntry without the lookup and the
+  // attempt tally. Returns true if the pair was kept.
   template <typename Offset>
-  bool Insert(Part& p, size_t c, uint8_t rank, Offset t, size_t* evicted);
+  bool Insert(size_t c, uint8_t rank, Offset t);
   // Folds in the entries of `other`'s cells of part `part_index` whose
   // offset is at most `last`.
   template <typename Offset>
   void MergeCells(const VersionedHll& other, size_t part_index, Offset last);
-  // Moves cell `head` to a block twice its capacity. May reallocate p's
-  // pool.
+  // Resizes p's arrays to `slots` pairs, growing their capacity by at
+  // least a quarter when it is short. May reallocate them.
   template <typename Offset>
-  void GrowCell(Part& p, CellHead& head);
-  // Returns the slot offset of a free block of `cap` entries (a power of
-  // two), reusing a free-listed one when there is one. May reallocate p's
-  // pool.
-  template <typename Offset>
-  uint32_t AllocateBlock(Part& p, size_t cap);
-  template <typename Offset>
-  void FreeBlock(Part& p, uint32_t offset, size_t cap);
+  static void ResizePart(Part& p, size_t slots);
 
   int precision_;
   uint64_t salt_;
   TimeEncoding encoding_;
-  TallyVector<CellHead> heads_;
   // Cache of cell(c).back().rank (0 when empty), kept in sync by every
   // mutating method so Estimate() and the union fast paths are O(beta).
   TallyVector<uint8_t> max_ranks_;

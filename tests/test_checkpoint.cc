@@ -405,6 +405,76 @@ TEST_F(CheckpointTest, PreviousVersionCheckpointIsSkipped) {
   ExpectApproxEqual(got, IrsApprox::Compute(g, kWindow, irs_options));
 }
 
+// Two pairs at one time in a cell list are a dominated pair: a scan never
+// leaves one (the higher rank evicts the lower), and a build resumed from
+// it would count the pair in its index's entries. So a chunk holding such
+// a list fails verification even with valid frame checksums: the file is
+// skipped whole, and the build starts fresh and ends as plain Compute does.
+TEST_F(CheckpointTest, EqualTimesInACellListAreRejected) {
+  constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP"
+  constexpr size_t kBeta = size_t{1} << kSketch.precision;
+  const InteractionGraph g = TestGraph();
+  const CheckpointOptions options{dir_, /*every_edges=*/64, /*keep=*/1};
+  (void)ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options);
+  const std::vector<std::string> files = CheckpointFiles();
+  ASSERT_EQ(files.size(), 1u);
+  const std::string path = dir_ + "/" + files[0];
+
+  std::vector<std::string> frames;
+  {
+    SafeFileReader reader;
+    ASSERT_EQ(reader.Open(path, kCheckpointFileType), SafeOpenStatus::kOk);
+    std::string_view payload;
+    while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+      frames.emplace_back(payload);
+    }
+  }
+  // In the first cell list of two or more pairs, the second pair takes the
+  // first's time. Ranks still ascend strictly and times never descend. A
+  // chunk is u64 first | u32 count | u64 entries | count present bytes |
+  // beta counts per present node | entries ranks | entries time offsets.
+  bool edited = false;
+  for (size_t f = 1; f < frames.size() && !edited; ++f) {
+    std::string& chunk = frames[f];
+    uint32_t count = 0;
+    uint64_t entries = 0;
+    std::memcpy(&count, chunk.data() + 8, sizeof(count));
+    std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
+    if (entries == 0) continue;
+    size_t present = 0;
+    for (uint32_t i = 0; i < count; ++i) present += chunk[20 + i];
+    const size_t counts_at = 20 + count;
+    const size_t times_at = counts_at + present * kBeta + entries;
+    const size_t width = (chunk.size() - times_at) / entries;
+    size_t pair = 0;
+    for (size_t c = 0; c < present * kBeta && !edited; ++c) {
+      const auto n = static_cast<uint8_t>(chunk[counts_at + c]);
+      if (n >= 2) {
+        std::memcpy(&chunk[times_at + (pair + 1) * width],
+                    &chunk[times_at + pair * width], width);
+        edited = true;
+      }
+      pair += n;
+    }
+  }
+  ASSERT_TRUE(edited);
+  SafeFileWriter writer(path, kCheckpointFileType, /*version=*/3);
+  for (const std::string& frame : frames) {
+    ASSERT_TRUE(writer.AppendFrame(frame));
+  }
+  ASSERT_TRUE(writer.Commit());
+
+  CheckpointStats stats;
+  const IrsApprox got =
+      ComputeIrsApproxCheckpointed(g, kWindow, kSketch, options, &stats);
+  EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
+  EXPECT_EQ(stats.resumed_edges, 0u);
+  const IrsApprox want = IrsApprox::Compute(g, kWindow, kSketch);
+  ExpectApproxEqual(got, want);
+  EXPECT_EQ(IndexBytes(got, dir_ + "/got.idx"),
+            IndexBytes(want, dir_ + "/want.idx"));
+}
+
 // A ckpt_exact_* file, which earlier versions wrote for a checkpointed
 // exact scan, is another build's: an approx build neither resumes it, nor
 // counts it as skipped, nor prunes it, and resumes from its own files.

@@ -138,7 +138,7 @@ TEST(TallyAllocatorTest, IrsExactTallyMatchesContainerAccounting) {
       << "measured=" << measured << " expected=" << expected;
 }
 
-// mem.vhll.bytes: every vHLL allocation (cell heads, entry pool, max-rank
+// mem.vhll.bytes: every vHLL allocation (cell counts, pair runs, max-rank
 // cache) charges the tally, and MemoryUsageBytes() reports the capacity of
 // exactly those buffers, so the tally delta equals their sum to the byte.
 TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {

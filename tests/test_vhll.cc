@@ -290,186 +290,105 @@ TEST(VhllTest, AddReturnsWhetherSketchChanged) {
   EXPECT_TRUE(vhll.Add(42, 5));    // earlier sighting improves the entry
 }
 
-// Drives a few cells of a pooled sketch through every block size class and
-// back, many times: each cycle grows every cell to 64 entries (ranks 1..64
-// with time rising in rank never dominate each other, so the order they
-// arrive in does not matter), then evicts it down to 1 entry. The
-// pairs arrive through every mutating operation, and freed blocks are
-// handed from cell to cell. After every batch the sketch must still be
-// lossless (model agreement), structurally sound, and charge the "vhll"
-// tally exactly MemoryUsageBytes().
-TEST(VhllTest, PooledCellsSurviveGrowShrinkCycles) {
-  constexpr size_t kCells = 4;
-  constexpr int kMaxRank = static_cast<int>(VersionedHll::kMaxCellEntries);
-  constexpr Timestamp kFar = std::numeric_limits<Timestamp>::max() / 4;
+// A sketch's bytes are its cell counts and max-rank cache (a byte a cell
+// each), its parts' slot capacity at 1 + width bytes a slot, and with more
+// than one part the array of parts 1..P-1: what an empty sketch of as many
+// parts holds beyond its 2 x beta bytes. A part's capacity follows one
+// rule, modelled here: an operation that leaves it more pairs than it has
+// room for grows it to the larger of that count and a quarter more than
+// before; nothing shrinks it, Clear() included; a refilled part holds
+// exactly its pairs. After every operation, at 1 to 4 parts and both time
+// widths, the bytes must equal that formula and the "vhll" tally's delta.
+TEST(VhllTest, MemoryIsCountsSlotsAndMaxRanks) {
+  constexpr int kPrecision = 5;
+  constexpr size_t kCells = size_t{1} << kPrecision;
   obs::MemoryTally& tally = VhllMemTally();
-  const int64_t tally_before = tally.CurrentBytes();
-  Rng rng(2024);
-  VersionedHll a(4);  // the sketch under test
-  VersionedHll b(4);  // merge source
-  VhllModel model_a(16);
-  VhllModel model_b(16);
-  // Each cycle uses earlier times than the last, so its pairs are never
-  // dominated by the previous cycle's survivor.
-  Timestamp base = 1'000'000;
-
-  const auto check = [&](const char* where, int cycle) {
-    SCOPED_TRACE(testing::Message() << where << " cycle " << cycle);
-    ASSERT_TRUE(a.CheckInvariants());
-    ASSERT_TRUE(b.CheckInvariants());
-    const std::vector<Timestamp> bounds = {
-        base,       base + 101, base + 120, base + 140,
-        base + 165, base + 2000, kFar};
-    ExpectAgreesWithModel(a, model_a, bounds);
-    ExpectAgreesWithModel(b, model_b, bounds);
-    EXPECT_EQ(tally.CurrentBytes() - tally_before,
-              static_cast<int64_t>(a.MemoryUsageBytes() +
-                                   b.MemoryUsageBytes()));
-  };
-
-  for (int cycle = 0; cycle < 8; ++cycle) {
-    base -= 1000;
-    b.Clear();
-    model_b.Clear();
-    std::vector<std::pair<size_t, uint8_t>> pending;
-    for (size_t c = 0; c < kCells; ++c) {
-      for (int r = 1; r <= kMaxRank; ++r) {
-        pending.emplace_back(c, static_cast<uint8_t>(r));
-      }
-    }
-    rng.Shuffle(&pending);
-
-    // Grow: each pair goes in directly or through b and one of the merges.
-    for (size_t i = 0; i < pending.size(); ++i) {
-      const auto [c, r] = pending[i];
-      const Timestamp t = base + 100 + r;
-      if (rng.NextBounded(4) == 0) {
-        a.AddEntry(c, r, t);
-        model_a.Add(c, r, t);
-      } else {
-        b.AddEntry(c, r, t);
-        model_b.Add(c, r, t);
-      }
-      if (i % 16 != 15) continue;
-      const Timestamp cut = base + 100 + 1 + static_cast<Timestamp>(
-                                                 rng.NextBounded(kMaxRank + 1));
-      if (rng.NextBounded(2) == 0) {  // keeps b's pairs with time < cut
-        a.MergeWindow(b, cut - 50, 50);
-        model_a.MergeFrom(model_b, cut);
-      } else {
-        a.MergeWindow(b, 0, kWholeWindow);
-        model_a.MergeFrom(model_b, kFar);
-      }
-      check("grow", cycle);
-    }
-    a.MergeWindow(b, 0, kWholeWindow);
-    model_a.MergeFrom(model_b, kFar);
-    check("grown", cycle);
-    for (size_t c = 0; c < kCells; ++c) {
-      ASSERT_EQ(a.cell(c).size(), VersionedHll::kMaxCellEntries) << c;
-    }
-
-    // Shrink: evict each cell down to one pair that dominates the rest.
-    for (size_t c = 0; c < kCells; ++c) {
-      const auto top = static_cast<uint8_t>(kMaxRank);
-      if (rng.NextBounded(2) == 0) {
-        a.AddEntry(c, top, base + 100);
-        model_a.Add(c, top, base + 100);
-      } else {
-        b.AddEntry(c, top, base + 100);
-        model_b.Add(c, top, base + 100);
-        a.MergeWindow(b, 0, kWholeWindow);
-        model_a.MergeFrom(model_b, kFar);
-      }
-      ASSERT_EQ(a.cell(c).size(), 1u) << c;
-    }
-    check("evicted", cycle);
-
-    // Every other cycle regrows from empty instead of from one pair.
-    if (cycle % 2 == 1) {
-      a.Clear();
-      model_a.Clear();
-      check("cleared", cycle);
-    }
-  }
-}
-
-// A cell that grows up the size classes frees each outgrown block, and
-// the next cell to grow takes those blocks instead of extending the pool.
-// Clear() keeps the pool, so regrowing from empty fits in it too.
-TEST(VhllTest, PoolStorageIsReused) {
-  VersionedHll vhll(4);
-  const auto grow = [&vhll](size_t cell, int entries) {
-    for (int r = 1; r <= entries; ++r) {
-      vhll.AddEntry(cell, static_cast<uint8_t>(r), r);
-    }
-  };
-  grow(0, 64);
-  const size_t bytes = vhll.MemoryUsageBytes();
-  grow(1, 32);
-  EXPECT_EQ(vhll.cell(1).size(), 32u);
-  EXPECT_EQ(vhll.MemoryUsageBytes(), bytes);
-  EXPECT_TRUE(vhll.CheckInvariants());
-
-  vhll.Clear();
-  grow(0, 64);
-  EXPECT_EQ(vhll.cell(0).size(), 64u);
-  EXPECT_EQ(vhll.MemoryUsageBytes(), bytes);
-  EXPECT_TRUE(vhll.CheckInvariants());
-}
-
-// Checkpoint resume: a sketch refilled from its stored cells must keep
-// evolving exactly like the one it was saved from, including growing cells
-// past the blocks the refill sized for them, at 1, 2 and 3 parts.
-TEST(VhllTest, RefilledSketchKeepsGrowing) {
-  Rng rng(808);
-  for (int trial = 0; trial < 10; ++trial) {
-    const size_t parts = 1 + trial % 3;
-    VersionedHll original(5, 11, parts);
-    VersionedHll source(5, 11, parts);
-    for (int i = 0; i < 400; ++i) {
-      original.AddEntry(rng.NextBounded(32),
-                        static_cast<uint8_t>(1 + rng.NextBounded(30)),
-                        static_cast<Timestamp>(rng.NextBounded(500)));
-    }
-    const SketchCells stored = CellsOf(original);
-    VersionedHll copy(5, 11, parts, stored.counts, stored.ranks,
-                      stored.times);
-    ASSERT_EQ(copy.num_parts(), parts);
-    ASSERT_TRUE(copy.CheckInvariants());
-    ASSERT_EQ(CellsOf(copy), stored);
-    EXPECT_EQ(copy.Estimate(), original.Estimate());
-
-    for (int op = 0; op < 600; ++op) {
-      const size_t cell = rng.NextBounded(32);
-      const auto rank = static_cast<uint8_t>(1 + rng.NextBounded(50));
-      const auto t = static_cast<Timestamp>(rng.NextBounded(500));
-      switch (rng.NextBounded(10)) {
-        case 0: {
-          const Timestamp merge_time = static_cast<Timestamp>(rng.NextBounded(500));
-          original.MergeWindow(source, merge_time, 100);
-          copy.MergeWindow(source, merge_time, 100);
-          break;
+  for (const TimeEncoding encoding : {TimeEncoding{}, TimeEncoding{0, 4}}) {
+    for (size_t parts = 1; parts <= 4; ++parts) {
+      SCOPED_TRACE(testing::Message() << parts << " parts, width "
+                                      << int{encoding.width});
+      const int64_t tally_before = tally.CurrentBytes();
+      Rng rng(31 + parts);
+      std::optional<VersionedHll> a(std::in_place, kPrecision, 3, parts,
+                                    encoding);
+      VersionedHll b(kPrecision, 3, parts, encoding);
+      const size_t part_array = b.MemoryUsageBytes() - 2 * kCells;
+      EXPECT_EQ(part_array == 0, parts == 1);
+      // The modelled slot capacity of each part of a and of b.
+      std::vector<size_t> a_slots(parts, 0);
+      std::vector<size_t> b_slots(parts, 0);
+      const auto pairs = [parts](const VersionedHll& sketch) {
+        std::vector<size_t> per_part(parts, 0);
+        for (size_t c = 0; c < kCells; ++c) {
+          per_part[sketch.PartOf(c)] += sketch.cell(c).size();
         }
-        case 1:
-          source.AddEntry(cell, rank, t);
-          break;
-        default:
-          original.AddEntry(cell, rank, t);
-          copy.AddEntry(cell, rank, t);
-          break;
+        return per_part;
+      };
+      const auto grow = [&pairs](std::vector<size_t>* slots,
+                                 const VersionedHll& sketch) {
+        const std::vector<size_t> held = pairs(sketch);
+        for (size_t k = 0; k < held.size(); ++k) {
+          size_t& capacity = (*slots)[k];
+          if (held[k] > capacity) {
+            capacity = std::max(held[k], capacity + capacity / 4);
+          }
+        }
+      };
+      const auto bytes = [&](const std::vector<size_t>& slots) {
+        size_t total = 0;
+        for (const size_t n : slots) total += n;
+        return 2 * kCells + part_array + total * (1 + encoding.width);
+      };
+      for (int op = 0; op < 1500; ++op) {
+        const size_t cell = rng.NextBounded(kCells);
+        const auto rank = static_cast<uint8_t>(1 + rng.NextBounded(40));
+        const auto t = static_cast<Timestamp>(rng.NextBounded(3000));
+        switch (rng.NextBounded(12)) {
+          case 0:
+            a->MergeWindow(b, t, 500);
+            grow(&a_slots, *a);
+            break;
+          case 1:
+            a->MergeWindow(b, t, 500, rng.NextBounded(parts));
+            grow(&a_slots, *a);
+            break;
+          case 2:
+          case 3:
+            b.AddEntry(cell, rank, t);
+            grow(&b_slots, b);
+            break;
+          case 4:
+            if (rng.NextBounded(20) == 0) a->Clear();
+            break;
+          case 5: {
+            if (rng.NextBounded(20) != 0) break;
+            const SketchCells stored = CellsOf(*a);
+            a.emplace(kPrecision, 3, parts, stored.counts, stored.ranks,
+                      stored.times, encoding);
+            a_slots = pairs(*a);
+            break;
+          }
+          default:
+            a->AddEntry(cell, rank, t);
+            grow(&a_slots, *a);
+            break;
+        }
+        ASSERT_EQ(a->MemoryUsageBytes(), bytes(a_slots)) << "op " << op;
+        ASSERT_EQ(b.MemoryUsageBytes(), bytes(b_slots)) << "op " << op;
+        ASSERT_EQ(tally.CurrentBytes() - tally_before,
+                  static_cast<int64_t>(a->MemoryUsageBytes() +
+                                       b.MemoryUsageBytes()))
+            << "op " << op;
       }
+      EXPECT_GT(a->NumEntries(), 0u);
     }
-    ASSERT_TRUE(copy.CheckInvariants());
-    EXPECT_EQ(CellsOf(copy), CellsOf(original))
-        << "trial " << trial;
   }
 }
 
 // A sketch split into parts holds the same cells and tallies as a one-part
 // sketch fed the same operations, whether a merge runs in one call or one
-// part at a time, and its byte count covers every part's pool. A one-part
-// sketch allocates no part array.
+// part at a time, and its byte count covers every part. A one-part sketch
+// allocates no part array.
 TEST(VhllTest, PartitionedSketchMatchesOnePart) {
   constexpr int kPrecision = 5;  // 32 cells in parts [0, 11), [11, 22), [22, 32)
   constexpr size_t kCells = size_t{1} << kPrecision;
@@ -486,8 +405,8 @@ TEST(VhllTest, PartitionedSketchMatchesOnePart) {
   EXPECT_EQ(split.PartOf(21), 1u);
   EXPECT_EQ(split.PartOf(22), 2u);
   EXPECT_EQ(split.PartOf(kCells - 1), 2u);
-  // Cell heads (8 bytes a cell) and the max-rank cache, nothing else.
-  EXPECT_EQ(whole.MemoryUsageBytes(), kCells * (8 + 1));
+  // Cell counts and the max-rank cache (a byte a cell each), nothing else.
+  EXPECT_EQ(whole.MemoryUsageBytes(), kCells * 2);
 
   for (int op = 0; op < 3000; ++op) {
     const size_t cell = rng.NextBounded(kCells);
@@ -539,7 +458,7 @@ TEST(VhllTest, PartitionedSketchMatchesOnePart) {
 // per-cell vectors of (rank, time) pairs. A pair is rejected when a stored
 // pair dominates it (no later, no lower-ranked); a kept pair evicts every
 // stored pair it dominates. It counts the same four lifetime tallies as
-// VersionedHll and knows nothing of blocks, pools or free lists.
+// VersionedHll and knows nothing of parts, runs or scratch buffers.
 class DominationModel {
  public:
   DominationModel(int precision, uint64_t salt, size_t num_parts)
@@ -671,9 +590,12 @@ constexpr Timestamp kNarrowBase = -3'000'000'000'000;
 // parts and at both time widths: after each batch the cell lists, the
 // max-rank cache, the entry count and the four lifetime tallies must equal
 // the model's, and the sketches' byte counts must add up to what they
-// charged the "vhll" tally. Long ascending runs push cells through every
-// block size class, so the pools grow, free-list blocks and get refilled
-// from them. The wide run draws times from [0, 4000); the narrow one (u32
+// charged the "vhll" tally. Long ascending runs grow cells to most of the
+// longest list, so parts grow and their later pairs move. Besides random
+// adds and merges, the batches repeat a merge (the second changes nothing:
+// a's lists and bytes stay put), merge a pair that dominates a part's last
+// cell (the merge's first and only rewritten cell), and add into the first
+// and last cell of every part. The wide run draws times from [0, 4000); the narrow one (u32
 // offsets from a negative base) spreads them across all 2^32 offsets, ends
 // included, and also merges with bounds at or below the base (nothing is
 // eligible) and beyond the top offset (everything is).
@@ -741,10 +663,27 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
       return std::pair(bound - window, window);
     };
 
+    // The first and last cell of each part.
+    std::vector<std::pair<size_t, size_t>> part_cells(parts, {16, 0});
+    for (size_t c = 0; c < 16; ++c) {
+      auto& [first, last] = part_cells[a->PartOf(c)];
+      first = std::min(first, c);
+      last = std::max(last, c);
+    }
+    const auto merge_all = [parts](VersionedHll& to, const VersionedHll& from,
+                                   DominationModel& model_to,
+                                   const DominationModel& model_from,
+                                   Timestamp merge_time, Duration window) {
+      to.MergeWindow(from, merge_time, window);
+      for (size_t part = 0; part < parts; ++part) {
+        model_to.MergeWindow(model_from, merge_time, window, part);
+      }
+    };
+
     for (int batch = 0; batch < 60; ++batch) {
       for (int op = 0; op < 40; ++op) {
         const size_t cell = rng.NextBounded(16);
-        switch (rng.NextBounded(10)) {
+        switch (rng.NextBounded(13)) {
           case 0:
           case 1: {
             const Timestamp t = time();
@@ -772,7 +711,7 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
           }
           case 5: {
             // A staircase: ascending ranks at ascending times, none
-            // dominating another, so the cell climbs the size classes.
+            // dominating another, so the cell's list grows long.
             const auto steps = static_cast<int>(1 + rng.NextBounded(40));
             // The narrow run's climb stays below the top offset.
             Timestamp t = narrow ? std::min(time(), kBase + kTop - 5 * 64)
@@ -788,10 +727,7 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
           case 7: {
             const auto [merge_time, window] = merge_args();
             if (rng.NextBounded(2) == 0) {
-              a->MergeWindow(b, merge_time, window);
-              for (size_t part = 0; part < parts; ++part) {
-                model_a.MergeWindow(model_b, merge_time, window, part);
-              }
+              merge_all(*a, b, model_a, model_b, merge_time, window);
             } else {
               const size_t part = rng.NextBounded(parts);
               a->MergeWindow(b, merge_time, window, part);
@@ -807,6 +743,60 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
             } else {
               b.Clear();
               model_b.Clear();
+            }
+            break;
+          }
+          case 10: {
+            // The second of two equal merges finds every eligible pair of
+            // b in a or dominated there: it writes nothing.
+            const auto [merge_time, window] = merge_args();
+            merge_all(*a, b, model_a, model_b, merge_time, window);
+            const SketchCells before = CellsOf(*a);
+            const size_t bytes = a->MemoryUsageBytes();
+            merge_all(*a, b, model_a, model_b, merge_time, window);
+            EXPECT_EQ(CellsOf(*a), before);
+            EXPECT_EQ(a->MemoryUsageBytes(), bytes);
+            break;
+          }
+          case 11: {
+            // A merge from a sketch whose one pair, at the earliest time
+            // and the top rank, sits in the last cell of a part: it
+            // dominates that cell of a, the only cell that changes.
+            const size_t last = part_cells[rng.NextBounded(parts)].second;
+            const Timestamp earliest = narrow ? kBase : 0;
+            const auto top = static_cast<uint8_t>(kMaxRank);
+            VersionedHll lone(kPrecision, kSalt, parts, encoding);
+            DominationModel model_lone(kPrecision, kSalt, parts);
+            lone.AddEntry(last, top, earliest);
+            model_lone.AddEntry(last, top, earliest);
+            const SketchCells cells = CellsOf(*a);
+            merge_all(*a, lone, model_a, model_lone, earliest, 1);
+            size_t pair = 0;
+            for (size_t c = 0; c < 16; ++c) {
+              const VersionedHll::CellList list = a->cell(c);
+              if (c == last) {
+                ASSERT_EQ(list.size(), 1u);
+                EXPECT_EQ(list[0].rank, top);
+                EXPECT_EQ(list[0].time, earliest);
+              } else {
+                ASSERT_EQ(list.size(), cells.counts[c]) << "cell " << c;
+                for (size_t i = 0; i < list.size(); ++i) {
+                  EXPECT_EQ(list[i].rank, cells.ranks[pair + i]);
+                  EXPECT_EQ(list[i].time, cells.times[pair + i]);
+                }
+              }
+              pair += cells.counts[c];
+            }
+            break;
+          }
+          case 12: {
+            for (const auto& [first, last] : part_cells) {
+              for (const size_t c : {first, last}) {
+                const Timestamp t = time();
+                const uint8_t r = rank();
+                a->AddEntry(c, r, t);
+                model_a.AddEntry(c, r, t);
+              }
             }
             break;
           }
@@ -835,7 +825,7 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
         longest = std::max(longest, model_a.cell(c).size());
       }
     }
-    // The run reached the largest size classes and pruned along the way.
+    // The run grew long lists and pruned along the way.
     EXPECT_GT(longest, VersionedHll::kMaxCellEntries / 2);
     EXPECT_GT(evictions + model_a.evictions, 0u);
     EXPECT_GT(cell_updates + model_a.cell_updates, 0u);
@@ -845,29 +835,6 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
 TEST(VhllTest, AgreesWithDominationModelUnderRandomBatches) {
   AgreesWithDominationModelUnderRandomBatches(TimeEncoding{});
   AgreesWithDominationModelUnderRandomBatches(TimeEncoding{kNarrowBase, 4});
-}
-
-// A pool slot costs one rank byte plus one time offset of the encoding's
-// width: fed the same pairs, a u32 sketch and a u64 one have the same
-// slots, and beyond the cell heads and the max-rank cache their byte
-// counts are 5 and 9 per slot.
-TEST(VhllTest, PoolSlotsCostOnePlusTheTimeWidth) {
-  constexpr int kPrecision = 5;
-  constexpr size_t kFixed = (size_t{1} << kPrecision) * (8 + 1);
-  VersionedHll narrow(kPrecision, 1, 1, TimeEncoding{1000, 4});
-  VersionedHll wide(kPrecision, 1);
-  Rng rng(5);
-  for (int i = 0; i < 3000; ++i) {
-    const uint64_t item = rng.NextUint64();
-    const auto t = static_cast<Timestamp>(1000 + rng.NextBounded(5000));
-    narrow.Add(item, t);
-    wide.Add(item, t);
-  }
-  EXPECT_EQ(CellsOf(narrow), CellsOf(wide));
-  const size_t slots = (wide.MemoryUsageBytes() - kFixed) / 9;
-  EXPECT_GT(slots, narrow.NumEntries());
-  EXPECT_EQ(wide.MemoryUsageBytes(), kFixed + 9 * slots);
-  EXPECT_EQ(narrow.MemoryUsageBytes(), kFixed + 5 * slots);
 }
 
 // The narrowest encoding is chosen from the span alone: u32 offsets from
