@@ -14,7 +14,6 @@
 #include "ipin/common/check.h"
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
-#include "ipin/common/memory.h"
 #include "ipin/common/simd_target.h"
 
 #if defined(__x86_64__)
@@ -61,10 +60,54 @@ void AppendRaw(std::string* out, T value) {
 }
 
 template <typename T>
-T ReadRawAt(const FileImage& image, size_t offset) {
+T ReadRawAt(const char* bytes, size_t offset) {
   T value;
-  std::memcpy(&value, image.data() + offset, sizeof(T));
+  std::memcpy(&value, bytes + offset, sizeof(T));
   return value;
+}
+
+// Reads up to `size` bytes at `offset` of `fd` into `out`, retrying
+// interrupted and partial reads. Returns the bytes read, fewer than `size`
+// only where the file ends, or -1 on a read error.
+ssize_t ReadAt(int fd, void* out, size_t size, size_t offset) {
+  auto* bytes = static_cast<char*>(out);
+  size_t done = 0;
+  while (done < size) {
+    const ssize_t n = ::pread(fd, bytes + done, size - done,
+                              static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n < 0) return -1;
+    if (n == 0) break;
+    done += static_cast<size_t>(n);
+  }
+  return static_cast<ssize_t>(done);
+}
+
+// Reads the frame header at `offset` of the open file `fd`, `file_size`
+// bytes long. kOk, with *payload_len and *payload_crc set, if the header's
+// CRC verifies and its payload fits in the file; otherwise the status at
+// which a reader stops for good: kEndOfFile exactly at the end, kTruncated
+// for a header or payload cut short, kCorrupt for a header that fails its
+// CRC (its length cannot be trusted, so later frames are unreachable).
+FrameStatus ReadFrameHeader(int fd, size_t file_size, size_t offset,
+                            uint32_t* payload_len, uint32_t* payload_crc) {
+  if (offset == file_size) return FrameStatus::kEndOfFile;
+  char header[kFrameHeaderSize];
+  if (file_size - offset < kFrameHeaderSize ||
+      ReadAt(fd, header, kFrameHeaderSize, offset) !=
+          static_cast<ssize_t>(kFrameHeaderSize)) {
+    return FrameStatus::kTruncated;
+  }
+  if (Crc32c(header, 2 * sizeof(uint32_t)) !=
+      ReadRawAt<uint32_t>(header, 2 * sizeof(uint32_t))) {
+    return FrameStatus::kCorrupt;
+  }
+  *payload_len = ReadRawAt<uint32_t>(header, 0);
+  *payload_crc = ReadRawAt<uint32_t>(header, sizeof(uint32_t));
+  if (file_size - offset - kFrameHeaderSize < *payload_len) {
+    return FrameStatus::kTruncated;
+  }
+  return FrameStatus::kOk;
 }
 
 std::string DirectoryOf(const std::string& path) {
@@ -142,42 +185,6 @@ Crc32cFn ResolveCrc32c() {
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
   static const Crc32cFn crc32c = ResolveCrc32c();
   return crc32c(data, size, seed);
-}
-
-std::unique_ptr<const FileImage> ReadWholeFile(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return nullptr;
-  struct stat st {};
-  const size_t expected =
-      ::fstat(fd, &st) == 0 && st.st_size > 0 ? static_cast<size_t>(st.st_size)
-                                              : 0;
-  // One spare byte, so a file whose size matches fstat ends with a 0-byte
-  // read rather than a regrow. The buffer is not zero-filled: read() is the
-  // first write to every byte the image exposes.
-  auto image = std::unique_ptr<FileImage>(new FileImage());
-  size_t room = expected + 1;
-  image->bytes_ = std::make_unique_for_overwrite<uint8_t[]>(room);
-  AdviseHugePages(image->bytes_.get(), room);
-  size_t size = 0;
-  for (;;) {
-    if (size == room) {
-      room *= 2;
-      auto grown = std::make_unique_for_overwrite<uint8_t[]>(room);
-      std::memcpy(grown.get(), image->bytes_.get(), size);
-      image->bytes_ = std::move(grown);
-    }
-    const ssize_t n = ::read(fd, image->bytes_.get() + size, room - size);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return nullptr;
-    }
-    if (n == 0) break;
-    size += static_cast<size_t>(n);
-  }
-  ::close(fd);
-  image->size_ = size;
-  return image;
 }
 
 SafeFileWriter::SafeFileWriter(std::string path, uint32_t file_type,
@@ -294,27 +301,47 @@ bool SafeFileWriter::Commit() {
   return true;
 }
 
-SafeOpenStatus SafeFileReader::Open(const std::string& path,
-                                    uint32_t expected_type) {
-  image_.reset();
+SafeFileReader::~SafeFileReader() { Close(); }
+
+void SafeFileReader::Close() {
+  if (fd_ >= 0) ::close(fd_);
+  fd_ = -1;
+  file_size_ = 0;
   offset_ = 0;
   exhausted_ = true;
+}
+
+SafeOpenStatus SafeFileReader::Open(const std::string& path,
+                                    uint32_t expected_type) {
+  Close();
   if (IPIN_FAILPOINT("safe_io.read").fail) {
     LogError("safe_io: injected read failure for " + path);
     return SafeOpenStatus::kMissing;
   }
-  image_ = ReadWholeFile(path);
-  if (image_ == nullptr) return SafeOpenStatus::kMissing;
-  const FileImage& image = *image_;
-  if (image.size() < sizeof(kMagic)) return SafeOpenStatus::kTruncated;
-  if (std::memcmp(image.data(), kMagic, sizeof(kMagic)) != 0) {
+  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  struct stat st {};
+  if (fd_ < 0 || ::fstat(fd_, &st) != 0) {
+    Close();
+    return SafeOpenStatus::kMissing;
+  }
+  file_size_ = st.st_size > 0 ? static_cast<size_t>(st.st_size) : 0;
+  char header[kHeaderSize];
+  const ssize_t got =
+      ReadAt(fd_, header, std::min(kHeaderSize, file_size_), 0);
+  if (got < 0) {
+    Close();
+    return SafeOpenStatus::kMissing;
+  }
+  const auto size = static_cast<size_t>(got);
+  if (size < sizeof(kMagic)) return SafeOpenStatus::kTruncated;
+  if (std::memcmp(header, kMagic, sizeof(kMagic)) != 0) {
     return SafeOpenStatus::kCorrupt;
   }
-  if (image.size() < kHeaderSize) return SafeOpenStatus::kTruncated;
-  const auto file_type = ReadRawAt<uint32_t>(image, sizeof(kMagic));
-  version_ = ReadRawAt<uint32_t>(image, sizeof(kMagic) + 4);
-  const auto header_crc = ReadRawAt<uint32_t>(image, sizeof(kMagic) + 8);
-  if (Crc32c(image.data(), kHeaderSize - sizeof(uint32_t)) != header_crc ||
+  if (size < kHeaderSize) return SafeOpenStatus::kTruncated;
+  const auto file_type = ReadRawAt<uint32_t>(header, sizeof(kMagic));
+  version_ = ReadRawAt<uint32_t>(header, sizeof(kMagic) + 4);
+  const auto header_crc = ReadRawAt<uint32_t>(header, sizeof(kMagic) + 8);
+  if (Crc32c(header, kHeaderSize - sizeof(uint32_t)) != header_crc ||
       file_type != expected_type) {
     return SafeOpenStatus::kCorrupt;
   }
@@ -326,35 +353,50 @@ SafeOpenStatus SafeFileReader::Open(const std::string& path,
 FrameStatus SafeFileReader::ReadFrame(std::string_view* payload) {
   *payload = {};
   if (exhausted_) return FrameStatus::kEndOfFile;
-  const FileImage& image = *image_;
-  if (offset_ == image.size()) {
+  uint32_t payload_len = 0;
+  uint32_t payload_crc = 0;
+  const FrameStatus status =
+      ReadFrameHeader(fd_, file_size_, offset_, &payload_len, &payload_crc);
+  if (status != FrameStatus::kOk) {
     exhausted_ = true;
-    return FrameStatus::kEndOfFile;
+    return status;
   }
-  if (image.size() - offset_ < kFrameHeaderSize) {
-    exhausted_ = true;
+  // The length fits in the file, so it may size the buffer. The old buffer
+  // goes first, so the reader never holds two.
+  if (payload_len > buffer_size_) {
+    buffer_.reset();
+    buffer_ = std::make_unique_for_overwrite<char[]>(payload_len);
+    buffer_size_ = payload_len;
+  }
+  if (ReadAt(fd_, buffer_.get(), payload_len, offset_ + kFrameHeaderSize) !=
+      static_cast<ssize_t>(payload_len)) {
+    exhausted_ = true;  // the file was cut after Open, or cannot be read
     return FrameStatus::kTruncated;
   }
-  const auto payload_len = ReadRawAt<uint32_t>(image, offset_);
-  const auto payload_crc = ReadRawAt<uint32_t>(image, offset_ + 4);
-  const auto header_crc = ReadRawAt<uint32_t>(image, offset_ + 8);
-  if (Crc32c(image.data() + offset_, 2 * sizeof(uint32_t)) != header_crc) {
-    // The length field cannot be trusted, so later frames are unreachable.
-    exhausted_ = true;
-    return FrameStatus::kCorrupt;
-  }
-  if (image.size() - offset_ - kFrameHeaderSize < payload_len) {
-    exhausted_ = true;
-    return FrameStatus::kTruncated;
-  }
-  const auto* data =
-      reinterpret_cast<const char*>(image.data() + offset_ + kFrameHeaderSize);
   offset_ += kFrameHeaderSize + payload_len;
-  if (Crc32c(static_cast<const void*>(data), payload_len) != payload_crc) {
+  if (Crc32c(static_cast<const void*>(buffer_.get()), payload_len) !=
+      payload_crc) {
     return FrameStatus::kCorrupt;  // this frame only; the next is intact
   }
-  *payload = std::string_view(data, payload_len);
+  *payload = std::string_view(buffer_.get(), payload_len);
   return FrameStatus::kOk;
+}
+
+std::vector<uint32_t> SafeFileReader::PeekFrameLengths(
+    size_t max_frames) const {
+  std::vector<uint32_t> lengths;
+  if (exhausted_) return lengths;
+  lengths.reserve(std::min(max_frames, remaining() / kFrameHeaderSize));
+  size_t offset = offset_;
+  uint32_t payload_len = 0;
+  uint32_t payload_crc = 0;
+  while (lengths.size() < max_frames &&
+         ReadFrameHeader(fd_, file_size_, offset, &payload_len,
+                         &payload_crc) == FrameStatus::kOk) {
+    lengths.push_back(payload_len);
+    offset += kFrameHeaderSize + payload_len;
+  }
+  return lengths;
 }
 
 }  // namespace ipin

@@ -6,6 +6,7 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <vector>
 
 // Crash-safe, checksummed file persistence. Every file written through this
 // layer is:
@@ -57,31 +58,6 @@ uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed);
 uint32_t Crc32cSse42(const void* data, size_t size, uint32_t seed);
 
 }  // namespace internal
-
-/// A whole file's bytes in one allocation that is written once, by read(),
-/// and never moves or grows afterwards: views into it stay valid for as long
-/// as the image lives. SafeFileReader holds the file it reads this way.
-class FileImage {
- public:
-  const uint8_t* data() const { return bytes_.get(); }
-  size_t size() const { return size_; }
-  std::string_view view() const {
-    return {reinterpret_cast<const char*>(bytes_.get()), size_};
-  }
-
- private:
-  FileImage() = default;
-  friend std::unique_ptr<const FileImage> ReadWholeFile(const std::string&);
-
-  std::unique_ptr<uint8_t[]> bytes_;
-  size_t size_ = 0;
-};
-
-/// Reads the whole file at `path` with one fstat-sized read into an
-/// uninitialised buffer, so read() is the first write to it (growing only
-/// if the file is longer than fstat said, e.g. a pipe). Null if the file
-/// cannot be opened or read.
-std::unique_ptr<const FileImage> ReadWholeFile(const std::string& path);
 
 /// Writes one framed file atomically. Usage:
 ///   SafeFileWriter writer(path, kMyFileType, kMyVersion);
@@ -138,11 +114,20 @@ enum class FrameStatus {
 };
 
 /// Reads a file written by SafeFileWriter, frame by frame, verifying every
-/// checksum. The whole file is read on open into a FileImage (one read sized
-/// by fstat) that the reader owns: payload views stay valid until the next
-/// Open or the reader's destruction.
+/// checksum. The reader streams: Open reads only the file header, and each
+/// ReadFrame reads one frame's payload into one buffer the reader reuses,
+/// grown to the largest frame read so far and never zero-filled. A payload
+/// view stays valid until the next ReadFrame or Open. There is no mmap: a
+/// file cut while mapped would fault with SIGBUS, where a cut file read
+/// with pread is a short read, reported kTruncated.
 class SafeFileReader {
  public:
+  SafeFileReader() = default;
+  ~SafeFileReader();
+
+  SafeFileReader(const SafeFileReader&) = delete;
+  SafeFileReader& operator=(const SafeFileReader&) = delete;
+
   /// Opens and validates the header. `expected_type` guards against feeding
   /// one subsystem's file to another (mismatch => kCorrupt).
   SafeOpenStatus Open(const std::string& path, uint32_t expected_type);
@@ -150,24 +135,38 @@ class SafeFileReader {
   /// Format version from the header (valid after a kOk Open).
   uint32_t version() const { return version_; }
 
-  /// Bytes held in memory: the whole file, header included.
-  size_t file_size() const { return image_ == nullptr ? 0 : image_->size(); }
+  /// Bytes not yet consumed by ReadFrame, of the file's size as fstat gave
+  /// it at Open. Frames are read only within that size.
+  size_t remaining() const { return file_size_ - offset_; }
 
-  /// Bytes not yet consumed by ReadFrame.
-  size_t remaining() const { return file_size() - offset_; }
+  /// Bytes the frame buffer holds: the largest payload this reader has read.
+  size_t buffer_bytes() const { return buffer_size_; }
 
-  /// Points *payload at the next frame's bytes inside the file the reader
-  /// holds (valid until the next Open or the reader's destruction). On
-  /// kCorrupt with CanContinue(), the damaged frame was skipped and the next
-  /// call reads the following frame; otherwise the reader is exhausted.
+  /// Reads the next frame and points *payload at its bytes in the reader's
+  /// buffer (valid until the next ReadFrame or Open). A frame length is
+  /// checked against the bytes left before it sizes the buffer. On kCorrupt
+  /// with CanContinue(), the damaged frame was skipped and the next call
+  /// reads the following frame; otherwise the reader is exhausted.
   FrameStatus ReadFrame(std::string_view* payload);
 
   /// True while later frames are still reachable after a kCorrupt frame.
   bool CanContinue() const { return !exhausted_; }
 
+  /// The payload lengths of the next `max_frames` frames, read from their
+  /// 12-byte headers alone: no payload is read and the next ReadFrame is
+  /// unmoved. Stops early where ReadFrame would stop for good: at the end of
+  /// the file, a short frame header, a header whose CRC fails, or a length
+  /// past the file's end.
+  std::vector<uint32_t> PeekFrameLengths(size_t max_frames) const;
+
  private:
-  std::unique_ptr<const FileImage> image_;
+  void Close();
+
+  int fd_ = -1;
+  size_t file_size_ = 0;
   size_t offset_ = 0;
+  std::unique_ptr<char[]> buffer_;  // one payload, not zero-filled
+  size_t buffer_size_ = 0;
   uint32_t version_ = 0;
   bool exhausted_ = true;  // until an Open succeeds
 };

@@ -126,11 +126,10 @@ size_t EncodeChunk(const IrsApprox& index, uint64_t first, uint32_t count,
 }
 
 // A chunk frame cut into its sections: present flags, entry counts and
-// rows, views into the reader's file buffer.
+// rows, views into the reader's frame buffer.
 struct Chunk {
   uint64_t first_node = 0;
   uint32_t count = 0;
-  size_t sketches = 0;
   const uint8_t* present = nullptr;
   const uint8_t* entries = nullptr;
   const uint8_t* rows = nullptr;
@@ -162,9 +161,23 @@ bool MeasureChunk(std::string_view payload, size_t beta, uint64_t first,
       payload.size() - offset != sketches * (sizeof(uint32_t) + beta)) {
     return false;
   }
-  *chunk = {first, count, sketches, present, bytes + offset,
+  *chunk = {first, count, present, bytes + offset,
             bytes + offset + sketches * sizeof(uint32_t)};
   return true;
+}
+
+// The rows a chunk of `count` nodes holds if its payload is `length` bytes
+// long: a valid chunk is exactly 12 + count + present x (4 + beta) bytes
+// (MeasureChunk). A length that fits no row count holds none; that chunk
+// fails MeasureChunk.
+size_t RowsInChunk(uint64_t length, size_t beta, uint32_t count) {
+  const uint64_t fixed = kChunkPrefixBytes + count;
+  const uint64_t row_bytes = sizeof(uint32_t) + beta;
+  if (length < fixed || (length - fixed) % row_bytes != 0 ||
+      (length - fixed) / row_bytes > count) {
+    return 0;
+  }
+  return (length - fixed) / row_bytes;
 }
 
 // Copies the chunk's rows into `arena`, each checked (SketchArena::Append).
@@ -237,7 +250,7 @@ IndexLoadResult LoadIndex(const std::string& path) {
   SafeFileReader reader;
   SafeOpenStatus open_status = SafeOpenStatus::kMissing;
   {
-    IPIN_TRACE_SPAN("index.load.read");
+    IPIN_TRACE_SPAN("index.load.open");
     open_status = reader.Open(path, kIndexFileType);
   }
   switch (open_status) {
@@ -268,53 +281,72 @@ IndexLoadResult LoadIndex(const std::string& path) {
     return result;
   }
 
-  // Pass 1: verify every frame and measure the chunks, so the arena is
-  // sized once. A chunk counts only at its documented place — frame k
-  // covers the whole slice starting at node (k - 1) * chunk_size — so no
-  // node can be placed twice. The file buffer is charged here until the
-  // reader frees it, when the load returns.
-  const obs::ScopedMemoryCharge charge(OracleIoMemTally(), reader.file_size());
+  // The frame buffer is charged here as it grows; the reader frees it when
+  // the load returns.
+  obs::ScopedMemoryCharge charge(OracleIoMemTally(), 0);
   IndexHeader header;
-  std::vector<Chunk> chunks;
+  std::string_view payload;
+  const FrameStatus header_status = reader.ReadFrame(&payload);
+  charge.Resize(reader.buffer_bytes());
+  if (header_status != FrameStatus::kOk ||
+      !ParseIndexHeader(payload, &header)) {
+    LogError("index header frame unreadable: " + path);
+    result.status = header_status == FrameStatus::kTruncated
+                        ? IndexLoadStatus::kTruncated
+                        : IndexLoadStatus::kCorrupt;
+    return result;
+  }
+  if (!HeaderFitsFile(header, reader.remaining())) {
+    LogError(StrFormat("index %s: header claims %llu nodes in chunks of %u, "
+                       "more than the file holds",
+                       path.c_str(),
+                       static_cast<unsigned long long>(header.num_nodes),
+                       header.chunk_size));
+    result.status = IndexLoadStatus::kCorrupt;
+    return result;
+  }
+  const size_t beta = size_t{1} << header.precision;
+  result.sections_total = static_cast<size_t>(header.num_sections());
+  // Frame k covers the whole slice starting at node (k - 1) * chunk_size.
+  const auto chunk_count = [&header](size_t section) {
+    const uint64_t first = section * uint64_t{header.chunk_size};
+    return static_cast<uint32_t>(
+        std::min<uint64_t>(header.chunk_size, header.num_nodes - first));
+  };
+
+  // The frame headers size the arena exactly: a chunk's length fixes its
+  // row count.
   size_t sketches = 0;
   {
-    IPIN_TRACE_SPAN("index.load.verify");
-    std::string_view payload;
-    const FrameStatus header_status = reader.ReadFrame(&payload);
-    if (header_status != FrameStatus::kOk ||
-        !ParseIndexHeader(payload, &header)) {
-      LogError("index header frame unreadable: " + path);
-      result.status = header_status == FrameStatus::kTruncated
-                          ? IndexLoadStatus::kTruncated
-                          : IndexLoadStatus::kCorrupt;
-      return result;
+    IPIN_TRACE_SPAN("index.load.size");
+    const std::vector<uint32_t> lengths =
+        reader.PeekFrameLengths(result.sections_total);
+    for (size_t k = 0; k < lengths.size(); ++k) {
+      sketches += RowsInChunk(lengths[k], beta, chunk_count(k));
     }
-    if (!HeaderFitsFile(header, reader.remaining())) {
-      LogError(StrFormat("index %s: header claims %llu nodes in chunks of %u, "
-                         "more than the file holds",
-                         path.c_str(),
-                         static_cast<unsigned long long>(header.num_nodes),
-                         header.chunk_size));
-      result.status = IndexLoadStatus::kCorrupt;
-      return result;
-    }
-    const size_t beta = size_t{1} << header.precision;
-    result.sections_total = static_cast<size_t>(header.num_sections());
-    chunks.reserve(result.sections_total);
+  }
+
+  // One pass: read, verify, measure and place each chunk in turn. A chunk
+  // counts only at its documented place, so no node can be placed twice.
+  SketchArena arena(header.precision, header.salt, header.num_nodes, sketches);
+  {
+    IPIN_TRACE_SPAN("index.load.place");
     size_t sections_read = 0;
     while (sections_read < result.sections_total) {
       const FrameStatus status = reader.ReadFrame(&payload);
+      charge.Resize(reader.buffer_bytes());
       if (status == FrameStatus::kOk) {
         const uint64_t first = sections_read * uint64_t{header.chunk_size};
-        const auto count = static_cast<uint32_t>(
-            std::min<uint64_t>(header.chunk_size, header.num_nodes - first));
         Chunk chunk;
-        if (MeasureChunk(payload, beta, first, count, &chunk)) {
-          chunks.push_back(chunk);
-          sketches += chunk.sketches;
-        } else {
+        if (!MeasureChunk(payload, beta, first, chunk_count(sections_read),
+                          &chunk)) {
           ++result.sections_dropped;
           LogWarning(StrFormat("index %s: section %zu unparsable, dropped",
+                               path.c_str(), sections_read));
+        } else if (!PlaceChunk(chunk, &arena)) {
+          ++result.sections_dropped;
+          LogWarning(StrFormat("index %s: section %zu fails its checks, "
+                               "dropped",
                                path.c_str(), sections_read));
         }
         ++sections_read;
@@ -333,22 +365,6 @@ IndexLoadResult LoadIndex(const std::string& path) {
       LogWarning(StrFormat("index %s: %zu trailing section(s) unreachable",
                            path.c_str(), result.sections_total - sections_read));
       break;
-    }
-  }
-
-  // Pass 2: copy each measured chunk's rows into the arena's rank plane.
-  SketchArena arena(header.precision, header.salt, header.num_nodes, sketches);
-  {
-    IPIN_TRACE_SPAN("index.load.place");
-    for (const Chunk& chunk : chunks) {
-      if (!PlaceChunk(chunk, &arena)) {
-        ++result.sections_dropped;
-        LogWarning(StrFormat("index %s: section %llu fails its checks, "
-                             "dropped",
-                             path.c_str(),
-                             static_cast<unsigned long long>(
-                                 chunk.first_node / header.chunk_size)));
-      }
     }
   }
 

@@ -24,16 +24,18 @@
 // node, then for each present node its entry count (the (rank, time) pairs
 // its build sketch held) and its beta-byte max-rank row. No (rank, time)
 // list is stored, and no time. Save writes each node's arena row and entry
-// count, with or without a build store; restore reads the file with one
-// sized read, verifies every frame, checks each chunk and copies its rows
-// into an owned rank plane (SketchArena::Append), and frees the file
-// buffer when the load returns. A chunk out of place or failing any check
+// count, with or without a build store. Restore streams: it sizes the
+// arena exactly from the chunk frames' headers (a chunk's length fixes its
+// row count), then reads one frame at a time into the reader's one buffer,
+// verifies it, checks the chunk and writes its rows once into an owned rank
+// plane (SketchArena::Append). No more than one frame of the file is held
+// at a time. A chunk out of place or failing any check
 // — a present byte other than 0 or 1, a length that disagrees with its
 // counts, a rank above VersionedHll::MaxRank, or an entry count outside
 // [non-zero cells, sum of the row] — is dropped whole. No VersionedHll is
 // constructed at restore. Each load's wall time lands in the
 // robustness.index.load_ms histogram, and its stages in the
-// index.load.read, index.load.verify and index.load.place trace spans.
+// index.load.open, index.load.size and index.load.place trace spans.
 //
 // Files of versions 1 to 4 (per-node sketch blobs, then the arena's cell
 // lists) are no longer read: they load as kCorrupt, and the index is

@@ -1,7 +1,8 @@
 #include "ipin/sketch/sketch_arena.h"
 
 #include <algorithm>
-#include <cstring>
+#include <mutex>
+#include <new>
 
 #include "ipin/common/check.h"
 #include "ipin/common/memory.h"
@@ -16,13 +17,36 @@ obs::MemoryTally& SketchArenaMemTally() {
 
 namespace {
 
-// Sizes one of the arena's arrays exactly, huge-page-backed where the
-// kernel allows: every array is written whole right away.
-template <typename Vec, typename T>
-void Allocate(Vec* array, size_t size, T value) {
+// Reserves one of the arena's arrays exactly, huge-page-backed where the
+// kernel allows, and writes nothing: every element is written once, by the
+// first resize or append that reaches it.
+template <typename Vec>
+void Reserve(Vec* array, size_t size) {
   array->reserve(size);
-  AdviseHugePages(array->data(), size * sizeof(T));
-  array->resize(size, value);
+  AdviseHugePages(array->data(), size * sizeof(typename Vec::value_type));
+}
+
+// The rank plane of the last load's or shard's arena dropped. An index
+// restored again and again (each `topk` run, each IndexManager reload)
+// asks for a plane of the same size each time. Handed back to the heap, the
+// plane would leave a hole of its size, and the first allocation that splits
+// that hole (any buffer that grows between two loads) would make the next
+// plane extend the heap by its own size: peak memory would depend on what
+// else ran between loads. Kept, the block stays resident as the hole would
+// have, and no other allocation can land in it. A build's plane goes back to
+// the heap instead: the next build's own buffers reuse its pages, where a
+// kept plane would sit idle beside them until the build ends.
+struct KeptPlane {
+  std::mutex mu;
+  void* data = nullptr;
+  size_t bytes = 0;
+};
+
+// Never destroyed, so an arena dropped during static destruction still
+// finds it.
+KeptPlane& Kept() {
+  static KeptPlane* const kept = new KeptPlane;
+  return *kept;
 }
 
 size_t CountSketches(std::span<const std::unique_ptr<VersionedHll>> sketches) {
@@ -51,21 +75,30 @@ bool RowIsValid(std::span<const uint8_t> row, uint64_t entries,
 
 SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,
                          size_t sketches)
+    : SketchArena(precision, salt, num_nodes, sketches, /*keep_plane=*/true) {}
+
+SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,
+                         size_t sketches, bool keep_plane)
     : precision_(precision),
       salt_(salt),
       beta_(static_cast<size_t>(1) << precision),
-      num_nodes_(num_nodes) {
+      num_nodes_(num_nodes),
+      slots_(sketches),
+      rank_plane_(PlaneAllocator<uint8_t>(keep_plane)) {
   IPIN_CHECK_GE(precision, 4);
   IPIN_CHECK_LE(precision, 18);
-  Allocate(&rank_plane_, (sketches + 1) * beta_, uint8_t{0});
-  Allocate(&row_of_, num_nodes_, uint32_t{0});
-  Allocate(&entries_, sketches, uint32_t{0});
+  Reserve(&rank_plane_, (sketches + 1) * beta_);
+  rank_plane_.resize(beta_, 0);  // the shared all-zero row
+  Reserve(&row_of_, num_nodes_);
+  row_of_.resize(num_nodes_, 0);
+  Reserve(&entries_, sketches);
 }
 
 SketchArena::SketchArena(
     int precision, uint64_t salt,
     std::span<const std::unique_ptr<VersionedHll>> sketches)
-    : SketchArena(precision, salt, sketches.size(), CountSketches(sketches)) {
+    : SketchArena(precision, salt, sketches.size(), CountSketches(sketches),
+                  /*keep_plane=*/false) {
   for (size_t u = 0; u < num_nodes_; ++u) {
     const VersionedHll* sketch = sketches[u].get();
     if (sketch == nullptr) continue;
@@ -74,6 +107,33 @@ SketchArena::SketchArena(
     IPIN_CHECK(Append(static_cast<NodeId>(u), sketch->max_ranks(),
                       sketch->NumEntries()));
   }
+}
+
+void* SketchArena::TakePlane(size_t bytes) {
+  SketchArenaMemTally().Add(bytes);
+  KeptPlane& kept = Kept();
+  void* other = nullptr;
+  size_t other_bytes = 0;
+  {
+    std::lock_guard<std::mutex> lock(kept.mu);
+    std::swap(other, kept.data);
+    std::swap(other_bytes, kept.bytes);
+  }
+  if (other != nullptr && other_bytes == bytes) return other;
+  // A plane of another size is of no use to this arena: hand it back.
+  if (other != nullptr) ::operator delete(other, other_bytes);
+  return ::operator new(bytes);
+}
+
+void SketchArena::DropPlane(void* data, size_t bytes, bool keep) {
+  SketchArenaMemTally().Sub(bytes);
+  if (keep) {
+    KeptPlane& kept = Kept();
+    std::lock_guard<std::mutex> lock(kept.mu);
+    std::swap(data, kept.data);
+    std::swap(bytes, kept.bytes);
+  }
+  if (data != nullptr) ::operator delete(data, bytes);
 }
 
 SketchArena::SketchArena(SketchArena&&) noexcept = default;
@@ -85,15 +145,13 @@ bool SketchArena::Append(NodeId u, std::span<const uint8_t> row,
   IPIN_CHECK_LT(u, num_nodes_);
   IPIN_CHECK_EQ(row_of_[u], 0u);
   IPIN_CHECK_EQ(row.size(), beta_);
-  const size_t s = num_allocated_;
-  if (s == entries_.size() || !RowIsValid(row, entries, precision_)) {
+  if (entries_.size() == slots_ || !RowIsValid(row, entries, precision_)) {
     return false;
   }
-  std::memcpy(rank_plane_.data() + (s + 1) * beta_, row.data(), beta_);
-  entries_[s] = static_cast<uint32_t>(entries);
-  row_of_[u] = static_cast<uint32_t>(s + 1);
+  rank_plane_.insert(rank_plane_.end(), row.data(), row.data() + beta_);
+  entries_.push_back(static_cast<uint32_t>(entries));
+  row_of_[u] = static_cast<uint32_t>(entries_.size());
   total_entries_ += entries;
-  num_allocated_ = s + 1;
   return true;
 }
 
@@ -105,14 +163,15 @@ void SketchArena::AppendCopy(NodeId u, const SketchArena& from) {
 }
 
 void SketchArena::RollBack(size_t num_allocated, NodeId first, NodeId end) {
-  IPIN_CHECK_LE(num_allocated, num_allocated_);
+  IPIN_CHECK_LE(num_allocated, entries_.size());
   for (NodeId u = first; u < end; ++u) {
     if (has_node(u) && row_of_[u] - 1 >= num_allocated) row_of_[u] = 0;
   }
-  for (size_t s = num_allocated; s < num_allocated_; ++s) {
+  for (size_t s = num_allocated; s < entries_.size(); ++s) {
     total_entries_ -= entries_[s];
   }
-  num_allocated_ = num_allocated;
+  rank_plane_.resize((num_allocated + 1) * beta_);
+  entries_.resize(num_allocated);
 }
 
 double SketchArena::EstimateNode(NodeId u) const {

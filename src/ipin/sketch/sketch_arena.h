@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "ipin/graph/types.h"
@@ -28,7 +29,11 @@
 //
 // The end of a build copies each build sketch's max-rank cache and entry
 // count; shard extraction, reshard reconstruction and index loads append
-// rows the same way (Append). No (rank, time) list is stored.
+// rows the same way (Append). The arrays are sized exactly up front but not
+// filled: each row is written once, by its Append. No (rank, time) list is
+// stored. A load's or a shard's arena keeps its rank plane when it is
+// dropped, for the next arena of the same size (see PlaneAllocator), so an
+// index restored again and again reuses one block.
 
 namespace ipin {
 
@@ -47,12 +52,14 @@ bool RowIsValid(std::span<const uint8_t> row, uint64_t entries,
 class SketchArena {
  public:
   /// An arena over `num_nodes` nodes, all absent, with room for `sketches`
-  /// rows. Fill it with Append or AppendCopy.
+  /// rows, reserved but not written. Fill it with Append or AppendCopy. Its
+  /// rank plane is kept when it is dropped, for the next arena of its size.
   SketchArena(int precision, uint64_t salt, size_t num_nodes, size_t sketches);
 
   /// The rows of `sketches` (indexed by node id; null entries = absent
   /// node; precision and salt must match): sizes the arena exactly and
-  /// copies every sketch's max-rank row and entry count in node order.
+  /// copies every sketch's max-rank row and entry count in node order. Its
+  /// rank plane goes back to the heap when it is dropped.
   SketchArena(int precision, uint64_t salt,
               std::span<const std::unique_ptr<VersionedHll>> sketches);
 
@@ -71,8 +78,9 @@ class SketchArena {
   void AppendCopy(NodeId u, const SketchArena& from);
 
   /// Removes every node appended since NumAllocated() was `num_allocated`,
-  /// so a group of appends that fails part-way leaves nothing behind. All
-  /// of those nodes must lie in [first, end).
+  /// so a group of appends that fails part-way leaves nothing behind: their
+  /// rows are trimmed and their slots reused. All of those nodes must lie in
+  /// [first, end).
   void RollBack(size_t num_allocated, NodeId first, NodeId end);
 
   int precision() const { return precision_; }
@@ -84,7 +92,7 @@ class SketchArena {
   bool has_node(NodeId u) const { return u < num_nodes_ && row_of_[u] != 0; }
 
   /// Number of nodes with a sketch.
-  size_t NumAllocated() const { return num_allocated_; }
+  size_t NumAllocated() const { return entries_.size(); }
 
   /// The node's row of the max-rank plane (the shared all-zero row for
   /// absent nodes, so union loops index without branching).
@@ -115,15 +123,43 @@ class SketchArena {
   template <typename T>
   using TallyVec = std::vector<T, obs::TallyAllocator<T, &SketchArenaMemTally>>;
 
+  // The rank plane's allocator: charges SketchArenaMemTally like
+  // TallyAllocator, takes its block from TakePlane, and gives it to
+  // DropPlane, which keeps it for the next plane if `keep` (see the .cc).
+  template <typename T>
+  struct PlaneAllocator {
+    using value_type = T;
+    using propagate_on_container_move_assignment = std::true_type;
+    using is_always_equal = std::true_type;
+    explicit PlaneAllocator(bool keep) : keep(keep) {}
+    template <typename U>
+    PlaneAllocator(const PlaneAllocator<U>& other)  // NOLINT(runtime/explicit)
+        : keep(other.keep) {}
+    T* allocate(size_t n) { return static_cast<T*>(TakePlane(n * sizeof(T))); }
+    void deallocate(T* p, size_t n) { DropPlane(p, n * sizeof(T), keep); }
+    friend bool operator==(const PlaneAllocator&, const PlaneAllocator&) {
+      return true;
+    }
+    bool keep;
+  };
+  static void* TakePlane(size_t bytes);
+  static void DropPlane(void* data, size_t bytes, bool keep);
+
+  SketchArena(int precision, uint64_t salt, size_t num_nodes, size_t sketches,
+              bool keep_plane);
+
   int precision_;
   uint64_t salt_;
   size_t beta_;
   size_t num_nodes_;
-  size_t num_allocated_ = 0;
+  size_t slots_;  // rows reserved: Append fails past this many
   size_t total_entries_ = 0;
-  TallyVec<uint8_t> rank_plane_;  // (sketches + 1) x beta
-  TallyVec<uint32_t> row_of_;     // num_nodes: slot + 1, 0 if absent
-  TallyVec<uint32_t> entries_;    // sketches: pairs per slot
+  // rank_plane_ and entries_ are reserved for slots_ rows and grow only by
+  // Append, so each row is written once and never moves.
+  std::vector<uint8_t, PlaneAllocator<uint8_t>>
+      rank_plane_;               // (NumAllocated() + 1) x beta
+  TallyVec<uint32_t> row_of_;   // num_nodes: slot + 1, 0 if absent
+  TallyVec<uint32_t> entries_;  // pairs per slot, one per present node
 };
 
 }  // namespace ipin

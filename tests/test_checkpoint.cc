@@ -51,10 +51,10 @@ void ExpectApproxEqual(const IrsApprox& got, const IrsApprox& want) {
 // The bytes of the index file `irs` saves to `path` (removed after).
 std::string IndexBytes(const IrsApprox& irs, const std::string& path) {
   EXPECT_TRUE(SaveInfluenceIndex(irs, path));
-  const auto image = ReadWholeFile(path);
-  EXPECT_NE(image, nullptr);
+  const auto bytes = FileContents(path);
+  EXPECT_TRUE(bytes.has_value());
   fs::remove(path);
-  return image == nullptr ? std::string() : std::string(image->view());
+  return bytes.value_or("");
 }
 
 // (name, bytes) of every file in `dir`, by name.
@@ -63,10 +63,10 @@ std::vector<std::pair<std::string, std::string>> FilesIn(
   std::vector<std::pair<std::string, std::string>> files;
   std::error_code ec;
   for (const auto& entry : fs::directory_iterator(dir, ec)) {
-    const auto image = ReadWholeFile(entry.path().string());
-    EXPECT_NE(image, nullptr);
+    const auto bytes = FileContents(entry.path().string());
+    EXPECT_TRUE(bytes.has_value());
     files.emplace_back(entry.path().filename().string(),
-                       image == nullptr ? "" : image->view());
+                       bytes.value_or(""));
   }
   std::sort(files.begin(), files.end());
   return files;
@@ -240,10 +240,10 @@ TEST_F(CheckpointTest, ApproxCheckpointBytesArePinned) {
   const IrsApproxOptions irs_options{/*precision=*/8, /*salt=*/7};
   (void)ComputeIrsApproxCheckpointed(g, /*window=*/500, irs_options,
                                      {dir_, /*every_edges=*/1000});
-  const auto image =
-      ReadWholeFile(dir_ + "/ckpt_approx_00000000000000001000.ipinckpt");
-  ASSERT_NE(image, nullptr);
-  EXPECT_EQ(Crc32c(image->view()), kCheckpointCrc32c);
+  const auto bytes =
+      FileContents(dir_ + "/ckpt_approx_00000000000000001000.ipinckpt");
+  ASSERT_TRUE(bytes.has_value());
+  EXPECT_EQ(Crc32c(*bytes), kCheckpointCrc32c);
 }
 
 // A checkpoint written under one cadence resumes under another: resumed at
@@ -516,9 +516,8 @@ TEST_F(CheckpointTest, StrayExactCheckpointFilesAreNeitherReadNorPruned) {
     ASSERT_TRUE(writer.AppendFrame(chunk));
     ASSERT_TRUE(writer.Commit());
   }
-  const auto stray_image = ReadWholeFile(dir_ + "/" + stray);
-  ASSERT_NE(stray_image, nullptr);
-  const std::string stray_bytes(stray_image->view());
+  const auto stray_bytes = FileContents(dir_ + "/" + stray);
+  ASSERT_TRUE(stray_bytes.has_value());
 
   // keep = 1: every save prunes down to the newest approx file.
   CheckpointStats stats;
@@ -531,9 +530,9 @@ TEST_F(CheckpointTest, StrayExactCheckpointFilesAreNeitherReadNorPruned) {
   EXPECT_EQ(CheckpointFiles(),
             (std::vector<std::string>{
                 "ckpt_approx_00000000000000000192.ipinckpt", stray}));
-  const auto after = ReadWholeFile(dir_ + "/" + stray);
-  ASSERT_NE(after, nullptr);
-  EXPECT_TRUE(after->view() == stray_bytes);
+  const auto after = FileContents(dir_ + "/" + stray);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_TRUE(*after == *stray_bytes);
 }
 
 // Pruning keeps the `keep` newest checkpoints, by edge count.

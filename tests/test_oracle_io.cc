@@ -713,35 +713,6 @@ TEST_F(OracleIoTest, RestoredIndexIsTheSealedBuildByteForByte) {
   }
 }
 
-// The reader's whole file buffer is charged to the oracle_io tally while
-// the load reads it, and freed when the load returns: the loaded index
-// holds only its arena, which the sketch_arena tally counts. Destroying
-// the index returns both tallies to where they were.
-TEST_F(OracleIoTest, LoadChargesTheFileBufferUntilItReturns) {
-  const InteractionGraph g = GenerateUniformRandomNetwork(300, 2000, 4000, 4);
-  IrsApproxOptions options;
-  options.precision = 6;
-  const IrsApprox index = IrsApprox::Compute(g, 1000, options);
-  ASSERT_TRUE(SaveInfluenceIndex(index, path_));
-  const auto file_size = static_cast<int64_t>(ReadFileBytes().size());
-
-  obs::MemoryTally& io = obs::GetMemoryTally("oracle_io");
-  obs::MemoryTally& arena = SketchArenaMemTally();
-  const int64_t io_before = io.CurrentBytes();
-  const int64_t arena_before = arena.CurrentBytes();
-  io.ResetPeak();
-  {
-    const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
-    ASSERT_TRUE(loaded.usable());
-    EXPECT_GE(io.PeakBytes() - io_before, file_size);
-    EXPECT_EQ(io.CurrentBytes(), io_before);
-    EXPECT_EQ(arena.CurrentBytes() - arena_before,
-              static_cast<int64_t>(loaded.index->MemoryUsageBytes()));
-  }
-  EXPECT_EQ(arena.CurrentBytes(), arena_before);
-  EXPECT_EQ(io.CurrentBytes(), io_before);
-}
-
 // A 600-node build whose times span `span` from `first`: u32 offsets below
 // 2^32, u64 from there on.
 IrsApprox BuildSpanning(Timestamp first, uint64_t span) {
@@ -770,6 +741,68 @@ std::vector<std::string> FramesOf(const std::string& path) {
   return frames;
 }
 
+// The reader's frame buffer is charged to the oracle_io tally while the
+// load reads it, and freed when the load returns: the load holds one frame
+// of the file at a time, never the whole file, and the loaded index holds
+// only its arena, which the sketch_arena tally counts. Destroying the index
+// returns both tallies to where they were.
+TEST_F(OracleIoTest, LoadChargesOneFrameUntilItReturns) {
+  const InteractionGraph g = GenerateUniformRandomNetwork(1200, 6000, 8000, 4);
+  IrsApproxOptions options;
+  options.precision = 6;
+  const IrsApprox index = IrsApprox::Compute(g, 1000, options);
+  ASSERT_TRUE(SaveInfluenceIndex(index, path_));
+  size_t largest_frame = 0;
+  for (const std::string& frame : FramesOf(path_)) {
+    largest_frame = std::max(largest_frame, frame.size());
+  }
+  ASSERT_LT(largest_frame, ReadFileBytes().size() / 2);
+
+  obs::MemoryTally& io = obs::GetMemoryTally("oracle_io");
+  obs::MemoryTally& arena = SketchArenaMemTally();
+  const int64_t io_before = io.CurrentBytes();
+  const int64_t arena_before = arena.CurrentBytes();
+  io.ResetPeak();
+  {
+    const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
+    ASSERT_TRUE(loaded.usable());
+    EXPECT_GT(io.PeakBytes() - io_before, 0);
+    EXPECT_LE(io.PeakBytes() - io_before,
+              static_cast<int64_t>(largest_frame));
+    EXPECT_EQ(io.CurrentBytes(), io_before);
+    EXPECT_EQ(arena.CurrentBytes() - arena_before,
+              static_cast<int64_t>(loaded.index->MemoryUsageBytes()));
+  }
+  EXPECT_EQ(arena.CurrentBytes(), arena_before);
+  EXPECT_EQ(io.CurrentBytes(), io_before);
+}
+
+// An index cut 100 bytes short loses exactly its last section: the cut
+// frame reads as truncated, and every earlier chunk loads whole.
+TEST_F(OracleIoTest, IndexCutShortLosesOnlyItsLastSection) {
+  const IrsApprox built = BuildSpanning(0, 100'000);
+  ASSERT_TRUE(SaveInfluenceIndex(built, path_));
+  const std::vector<std::string> frames = FramesOf(path_);
+  ASSERT_EQ(frames.size(), 4u);  // header + 3 chunks of 256 nodes
+  ASSERT_GT(frames.back().size(), 100u);
+  std::string contents = ReadFileBytes();
+  contents.resize(contents.size() - 100);
+  WriteFileBytes(contents);
+
+  const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);
+  ASSERT_EQ(loaded.status, IndexLoadStatus::kDegraded);
+  EXPECT_EQ(loaded.sections_total, 3u);
+  EXPECT_EQ(loaded.sections_dropped, 1u);
+  const SketchArena& got = *loaded.index->arena();
+  for (NodeId u = 0; u < built.num_nodes(); ++u) {
+    if (u < 512) {
+      EXPECT_EQ(RowOf(got, u), RowOf(*built.arena(), u)) << "node " << u;
+    } else {
+      EXPECT_FALSE(got.has_node(u)) << "node " << u;
+    }
+  }
+}
+
 // A loaded index saves again to the file it was read from, byte for byte,
 // whatever its times' span — also after the index has moved through a
 // vector that reallocated (the reshard tool keeps loaded pieces that way).
@@ -795,9 +828,9 @@ TEST_F(OracleIoTest, LoadedIndexReSavesByteForByte) {
     }
     std::remove(path_.c_str());  // the pieces hold their rows, not the file
     ASSERT_TRUE(SaveInfluenceIndex(pieces.front(), resaved));
-    const auto image = ReadWholeFile(resaved);
-    ASSERT_NE(image, nullptr);
-    EXPECT_EQ(image->view(), original);
+    const auto bytes = FileContents(resaved);
+    ASSERT_TRUE(bytes.has_value());
+    EXPECT_EQ(*bytes, original);
     ExpectSameRows(built, pieces.front());
   }
   std::remove(resaved.c_str());

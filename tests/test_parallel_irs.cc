@@ -231,9 +231,9 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
           EXPECT_EQ(irs.TotalSketchEntries(), kEntries);
         }
         ASSERT_TRUE(SaveInfluenceIndex(irs, path));
-        const auto image = ReadWholeFile(path);
-        ASSERT_NE(image, nullptr);
-        EXPECT_EQ(Crc32c(image->view()), kIndexCrc32c) << "sealed " << sealed;
+        const auto bytes = FileContents(path);
+        ASSERT_TRUE(bytes.has_value());
+        EXPECT_EQ(Crc32c(*bytes), kIndexCrc32c) << "sealed " << sealed;
       }
     }
   }

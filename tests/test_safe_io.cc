@@ -1,5 +1,8 @@
 #include "ipin/common/safe_io.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <memory>
@@ -348,21 +351,97 @@ TEST_F(SafeIoTest, EmptyFileIsTruncated) {
   EXPECT_EQ(reader.Open(path_, kType), SafeOpenStatus::kTruncated);
 }
 
-TEST_F(SafeIoTest, ReadWholeFileReadsExactlyTheFile) {
-  const std::string contents(100000, 'z');
-  WriteFileBytes(contents);
-  const auto got = ReadWholeFile(path_);
-  ASSERT_NE(got, nullptr);
-  EXPECT_EQ(got->view(), contents);
-  EXPECT_EQ(ReadWholeFile(path_ + ".absent"), nullptr);
+// A file cut after Open is a short read: the frame it cuts reads as
+// kTruncated, and the reader is then exhausted.
+TEST_F(SafeIoTest, FileCutAfterOpenReadsAsTruncated) {
+  WriteFrames({"first", std::string(1000, 'x')});
+  SafeFileReader reader;
+  ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
+  // Cut inside the second payload: file header (20), the first frame
+  // (12 + 5), the second frame's header (12) and 100 of its bytes.
+  const int fd = ::open(path_.c_str(), O_WRONLY);
+  ASSERT_GE(fd, 0);
+  ASSERT_EQ(::ftruncate(fd, 20 + 17 + 12 + 100), 0);
+  ::close(fd);
+
+  std::string_view payload;
+  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
+  EXPECT_EQ(payload, "first");
+  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kTruncated);
+  EXPECT_FALSE(reader.CanContinue());
+  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kEndOfFile);
 }
 
-// procfs files report size 0 to fstat, so the read must grow its buffer.
-TEST_F(SafeIoTest, ReadWholeFileGrowsPastTheFstatSize) {
-  const auto got = ReadWholeFile("/proc/self/maps");
-  ASSERT_NE(got, nullptr);
-  EXPECT_GT(got->size(), 1u);
-  EXPECT_NE(got->view().find('\n'), std::string_view::npos);
+// A frame header whose CRC verifies but whose length runs past the file is
+// kTruncated, and that length sizes no buffer.
+TEST_F(SafeIoTest, FrameLengthPastTheFileSizesNoBuffer) {
+  WriteFrames({});
+  std::string bytes = ReadFileBytes();
+  std::string header;
+  const uint32_t words[2] = {0xffffffffu, 0};
+  header.append(reinterpret_cast<const char*>(words), sizeof(words));
+  const uint32_t header_crc = Crc32c(header);
+  header.append(reinterpret_cast<const char*>(&header_crc),
+                sizeof(header_crc));
+  bytes += header;
+  bytes.resize(1024, '\0');
+  WriteFileBytes(bytes);
+
+  SafeFileReader reader;
+  ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
+  EXPECT_TRUE(reader.PeekFrameLengths(1).empty());
+  std::string_view payload;
+  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kTruncated);
+  EXPECT_EQ(reader.buffer_bytes(), 0u);
+  EXPECT_FALSE(reader.CanContinue());
+  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kEndOfFile);
+}
+
+// One buffer holds one frame: a view keeps its frame's bytes until the next
+// ReadFrame, and the buffer is as large as the largest frame read.
+TEST_F(SafeIoTest, PayloadViewHoldsItsFrameUntilTheNextRead) {
+  WriteFrames({std::string(300, 'a'), std::string(100, 'b'),
+               std::string(200, 'c')});
+  SafeFileReader reader;
+  ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
+  EXPECT_EQ(reader.buffer_bytes(), 0u);
+  std::string_view payload;
+  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
+  const std::string_view first = payload;
+  EXPECT_EQ(reader.PeekFrameLengths(2), (std::vector<uint32_t>{100, 200}));
+  EXPECT_EQ(first, std::string(300, 'a'));
+  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
+  EXPECT_EQ(payload, std::string(100, 'b'));
+  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
+  EXPECT_EQ(payload, std::string(200, 'c'));
+  EXPECT_EQ(reader.buffer_bytes(), 300u);
+  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kEndOfFile);
+}
+
+// PeekFrameLengths reads frame headers only and leaves the next ReadFrame
+// where it was. It lists a frame whose payload fails its CRC (ReadFrame
+// skips it and goes on) and stops at a frame header that fails its own.
+TEST_F(SafeIoTest, PeekFrameLengthsStopsWhereTheReaderStops) {
+  WriteFrames({"first", "second", "third", "fourth"});
+  std::string bytes = ReadFileBytes();
+  bytes[20 + 17 + 12] ^= 0x01;           // "second"'s payload
+  bytes[20 + 17 + 18 + 17 + 1] ^= 0xff;  // "fourth"'s frame header
+  WriteFileBytes(bytes);
+
+  SafeFileReader reader;
+  ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
+  EXPECT_EQ(reader.PeekFrameLengths(10), (std::vector<uint32_t>{5, 6, 5}));
+  EXPECT_EQ(reader.PeekFrameLengths(2), (std::vector<uint32_t>{5, 6}));
+  std::string_view payload;
+  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
+  EXPECT_EQ(payload, "first");
+  EXPECT_EQ(reader.PeekFrameLengths(10), (std::vector<uint32_t>{6, 5}));
+  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
+  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
+  EXPECT_EQ(payload, "third");
+  EXPECT_TRUE(reader.PeekFrameLengths(10).empty());
+  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
+  EXPECT_FALSE(reader.CanContinue());
 }
 
 }  // namespace

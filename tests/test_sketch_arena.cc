@@ -160,6 +160,45 @@ TEST(SketchArenaTest, AppendRejectsInvalidRowsAndRollsBack) {
   EXPECT_TRUE(arena.CheckNodeInvariants(2));
 }
 
+// The plane of a dropped arena is the plane of the next arena of its size,
+// and that arena reads every node as absent. The tally charges only the
+// arenas alive.
+TEST(SketchArenaTest, DroppedPlaneIsReusedBySameSizedArena) {
+  constexpr size_t kBeta = size_t{1} << kPrecision;
+  const int64_t baseline = SketchArenaMemTally().CurrentBytes();
+  std::vector<uint8_t> row(kBeta, 0);
+  row[0] = 3;
+  const uint8_t* plane = nullptr;
+  {
+    SketchArena arena(kPrecision, kSalt, 4, 3);
+    ASSERT_TRUE(arena.Append(0, row, 2));
+    plane = arena.rank_row(1).data();  // absent: the plane's zero row
+  }
+  EXPECT_EQ(SketchArenaMemTally().CurrentBytes(), baseline);
+  // A heap block of the plane's size, allocated in between, would take a
+  // plane that had been handed back to the heap.
+  const std::vector<uint8_t> squatter(4 * kBeta, 1);
+  {
+    SketchArena arena(kPrecision, kSalt, 4, 3);
+    EXPECT_EQ(arena.rank_row(0).data(), plane);
+    EXPECT_NE(squatter.data(), plane);
+    for (NodeId u = 0; u < 4; ++u) {
+      EXPECT_FALSE(arena.has_node(u));
+      for (const uint8_t r : arena.rank_row(u)) EXPECT_EQ(r, 0);
+    }
+    ASSERT_TRUE(arena.Append(2, row, 2));
+    EXPECT_EQ(arena.rank_row(2)[0], 3);
+    EXPECT_EQ(arena.TotalEntries(), 2u);
+  }
+  {
+    SketchArena smaller(kPrecision, kSalt, 4, 2);
+    ASSERT_TRUE(smaller.Append(1, row, 2));
+    EXPECT_EQ(smaller.MemoryUsageBytes(),
+              3 * kBeta + 4 * sizeof(uint32_t) + 2 * sizeof(uint32_t));
+  }
+  EXPECT_EQ(SketchArenaMemTally().CurrentBytes(), baseline);
+}
+
 InteractionGraph TestGraph(size_t num_nodes, size_t num_edges, uint64_t seed) {
   Rng rng(seed);
   InteractionGraph g(num_nodes);

@@ -2,9 +2,13 @@
 #define IPIN_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <map>
+#include <optional>
 #include <ostream>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "ipin/graph/interaction_graph.h"
@@ -12,8 +16,8 @@
 #include "ipin/sketch/sketch_arena.h"
 
 // Shared fixtures for the core-algorithm tests: the paper's running
-// examples, with nodes a..f mapped to ids 0..5, and snapshots of a build
-// sketch's cells and of any sketch's row.
+// examples, with nodes a..f mapped to ids 0..5, snapshots of a build
+// sketch's cells and of any sketch's row, and a file's bytes.
 
 namespace ipin {
 
@@ -114,6 +118,14 @@ inline SketchRow RowOf(const SketchArena& arena, NodeId u) {
   const std::span<const uint8_t> row = arena.rank_row(u);
   return {arena.precision(), arena.salt(), {row.begin(), row.end()},
           arena.NodeNumEntries(u)};
+}
+
+/// The bytes of the file at `path`, or nullopt if it cannot be opened.
+inline std::optional<std::string> FileContents(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in.is_open()) return std::nullopt;
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
 }
 
 }  // namespace ipin
