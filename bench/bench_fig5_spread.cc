@@ -10,10 +10,8 @@
 #include "bench_common.h"
 #include "ipin/baselines/continest.h"
 #include "ipin/baselines/degree.h"
-#include "ipin/baselines/degree_discount.h"
 #include "ipin/baselines/pagerank.h"
 #include "ipin/baselines/skim.h"
-#include "ipin/baselines/temporal_pagerank.h"
 #include "ipin/core/influence_maximization.h"
 #include "ipin/core/influence_oracle.h"
 #include "ipin/core/irs_approx.h"
@@ -39,18 +37,12 @@ double ContinestHorizon(double window_percent) {
 
 std::vector<MethodSeeds> SelectAllSeeds(const InteractionGraph& graph,
                                         Duration window, double probability,
-                                        double window_percent, size_t k,
-                                        bool extended) {
+                                        double window_percent, size_t k) {
   std::vector<MethodSeeds> all;
 
   all.push_back({"PR", SelectSeedsPageRank(graph, k)});
   all.push_back({"HD", SelectSeedsHighDegree(graph, k)});
   all.push_back({"SHD", SelectSeedsSmartHighDegree(graph, k)});
-  if (extended) {
-    // Extension baselines beyond the paper's Figure 5 line-up.
-    all.push_back({"DD", SelectSeedsDegreeDiscount(graph, k, probability)});
-    all.push_back({"TPR", SelectSeedsTemporalPageRank(graph, k)});
-  }
 
   SkimOptions skim_options;
   skim_options.probability = probability;
@@ -84,7 +76,6 @@ int Run(int argc, char** argv) {
   const double scale = flags.GetDouble("scale", 0.02);
   const size_t runs = static_cast<size_t>(flags.GetInt("runs", 20));
   const size_t max_k = static_cast<size_t>(flags.GetInt("k", 50));
-  const bool extended = flags.GetBool("extended", false);
   PrintBanner("Figure 5: TCIC spread of top-k seeds per method", flags, scale);
 
   const std::vector<std::string> datasets = [&flags] {
@@ -105,7 +96,7 @@ int Run(int argc, char** argv) {
         const Duration window = graph.WindowFromPercent(window_percent);
 
         const std::vector<MethodSeeds> methods = SelectAllSeeds(
-            graph, window, probability, window_percent, max_k, extended);
+            graph, window, probability, window_percent, max_k);
 
         TcicOptions tcic;
         tcic.window = window;

@@ -1,14 +1,12 @@
-// Micro-benchmarks for the extension structures: streaming source sets,
-// temporal paths and transforms (google-benchmark).
+// Micro-benchmarks for the extension structures: streaming source sets
+// and temporal paths (google-benchmark).
 
 #include <benchmark/benchmark.h>
 
-#include "ipin/baselines/temporal_pagerank.h"
 #include "ipin/common/random.h"
 #include "ipin/core/source_sets.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/temporal_paths.h"
-#include "ipin/graph/transforms.h"
 
 namespace ipin {
 namespace {
@@ -69,27 +67,6 @@ void BM_FastestPaths(benchmark::State& state) {
 }
 BENCHMARK(BM_FastestPaths)->Arg(10000)->Arg(50000)
     ->Unit(benchmark::kMillisecond);
-
-void BM_TemporalPageRank(benchmark::State& state) {
-  const InteractionGraph g = MakeGraph(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeTemporalPageRank(g));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.num_interactions()));
-}
-BENCHMARK(BM_TemporalPageRank)->Arg(10000)->Arg(50000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_TemporalTranspose(benchmark::State& state) {
-  const InteractionGraph g = MakeGraph(static_cast<size_t>(state.range(0)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(TemporalTranspose(g));
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.num_interactions()));
-}
-BENCHMARK(BM_TemporalTranspose)->Arg(50000)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace ipin

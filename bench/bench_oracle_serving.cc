@@ -29,9 +29,7 @@
 #include "ipin/obs/metrics.h"
 #include "ipin/serve/client.h"
 #include "ipin/serve/index_manager.h"
-#include "ipin/serve/router.h"
 #include "ipin/serve/server.h"
-#include "ipin/serve/shard_map.h"
 
 namespace ipin {
 namespace {
@@ -106,100 +104,9 @@ LevelResult RunLevel(const serve::ClientOptions& client_options,
   return result;
 }
 
-// Scatter-gather sweep: the same closed-loop load against an ipin_routerd
-// core routing N in-process shard servers, for each N in `shard_counts`.
-// The interesting curve is the fan-out cost: every query pays the slowest
-// of its shard legs, so p99 tracks max-of-N leg latencies while goodput
-// gains from the per-shard worker pools.
-void RunShardedSweep(const IrsApprox& full, const serve::Request& request,
-                     const std::vector<size_t>& shard_counts,
-                     const std::vector<size_t>& concurrency_levels,
-                     size_t requests, int workers, TablePrinter* table) {
-  for (const size_t num_shards : shard_counts) {
-    std::vector<serve::ShardInfo> infos(num_shards);
-    for (size_t i = 0; i < num_shards; ++i) {
-      infos[i].name = StrFormat("shard%zu", i);
-      infos[i].endpoint.unix_socket_path =
-          StrFormat("/tmp/ipin_bench_shard_%d_%zu_%zu.sock",
-                    static_cast<int>(getpid()), num_shards, i);
-    }
-    auto map = std::make_shared<const serve::ShardMap>(infos);
-
-    std::vector<std::unique_ptr<serve::IndexManager>> managers;
-    std::vector<std::unique_ptr<serve::OracleServer>> shards;
-    for (size_t i = 0; i < num_shards; ++i) {
-      managers.push_back(std::make_unique<serve::IndexManager>(""));
-      managers.back()->Install(std::make_shared<const IrsApprox>(
-          serve::ExtractShardIndex(full, *map, i)));
-      serve::ServerOptions options;
-      options.unix_socket_path = infos[i].endpoint.unix_socket_path;
-      options.num_workers = workers;
-      options.queue_capacity = requests + 1;
-      options.default_deadline_ms = 10000;
-      shards.push_back(std::make_unique<serve::OracleServer>(
-          managers.back().get(), options));
-      if (!shards.back()->Start()) {
-        std::fprintf(stderr, "cannot start shard %zu/%zu\n", i, num_shards);
-        return;
-      }
-    }
-
-    serve::ShardMapManager map_manager("");
-    map_manager.Install(map);
-    serve::RouterOptions router_options;
-    router_options.unix_socket_path = StrFormat(
-        "/tmp/ipin_bench_router_%d_%zu.sock", static_cast<int>(getpid()),
-        num_shards);
-    router_options.num_workers = workers;
-    router_options.queue_capacity = requests + 1;
-    router_options.default_deadline_ms = 10000;
-    serve::RouterServer router(&map_manager, router_options);
-    if (!router.Start()) {
-      std::fprintf(stderr, "cannot start router for %zu shards\n", num_shards);
-      return;
-    }
-
-    serve::ClientOptions client_options;
-    client_options.unix_socket_path = router_options.unix_socket_path;
-    client_options.max_attempts = 1;
-
-    for (const size_t concurrency : concurrency_levels) {
-      LevelResult result =
-          RunLevel(client_options, request, concurrency, requests);
-      const double goodput =
-          result.elapsed_s > 0
-              ? static_cast<double>(result.ok) / result.elapsed_s
-              : 0.0;
-      table->AddRow({StrFormat("%zu", num_shards),
-                     TablePrinter::Cell(concurrency),
-                     TablePrinter::Cell(result.Percentile(0.50), 1),
-                     TablePrinter::Cell(result.Percentile(0.95), 1),
-                     TablePrinter::Cell(result.Percentile(0.99), 1),
-                     TablePrinter::Cell(goodput, 0),
-                     TablePrinter::Cell(result.shed),
-                     TablePrinter::Cell(result.errors)});
-      // Registry lookup, not the IPIN_* macro: the macro caches the metric
-      // per call-site, which would fold every N into the first name.
-#ifndef IPIN_OBS_DISABLED
-      obs::MetricsRegistry::Global()
-          .GetHistogram(StrFormat("bench.serve.shards%zu.p99_us", num_shards))
-          ->Record(static_cast<uint64_t>(result.Percentile(0.99)));
-      obs::MetricsRegistry::Global()
-          .GetHistogram(StrFormat("bench.serve.shards%zu.goodput", num_shards))
-          ->Record(static_cast<uint64_t>(goodput));
-#endif
-    }
-
-    router.Shutdown();
-    for (auto& shard : shards) shard->Shutdown();
-  }
-}
-
 int Run(int argc, char** argv) {
   const FlagMap flags = FlagMap::Parse(argc, argv);
-  const bool sharded_only = flags.GetBool("sharded_only", false);
-  SetupBenchObservability(
-      flags, sharded_only ? "oracle_serving_shards" : "oracle_serving");
+  SetupBenchObservability(flags, "oracle_serving");
   const double scale = flags.GetDouble("scale", 0.01);
   const int precision = static_cast<int>(flags.GetInt("precision", 9));
   const size_t requests = static_cast<size_t>(flags.GetInt("requests", 2000));
@@ -231,10 +138,6 @@ int Run(int argc, char** argv) {
 
   const std::vector<size_t> concurrency_levels = {1, 4, 16, 32};
 
-  if (sharded_only) {
-    // Harness mode for BENCH_oracle_serving_shards: only the scatter-gather
-    // load curves, so the two history documents stay independent.
-  } else {
   TablePrinter table(StrFormat(
       "Oracle serving — %d workers, %zu sketch queries per level, "
       "client-side latency (us)",
@@ -279,9 +182,15 @@ int Run(int argc, char** argv) {
                     TablePrinter::Cell(goodput, 0),
                     TablePrinter::Cell(result.shed),
                     TablePrinter::Cell(result.errors)});
-      IPIN_HISTOGRAM_RECORD(
-          shedding ? "bench.serve.shed_on.p99_us" : "bench.serve.shed_off.p99_us",
-          static_cast<uint64_t>(result.Percentile(0.99)));
+      // One call site per name: the macro caches its histogram per site,
+      // so a single site with a computed name would fold "off" into "on".
+      if (shedding) {
+        IPIN_HISTOGRAM_RECORD("bench.serve.shed_on.p99_us",
+                              result.Percentile(0.99));
+      } else {
+        IPIN_HISTOGRAM_RECORD("bench.serve.shed_off.p99_us",
+                              result.Percentile(0.99));
+      }
     }
     server.Shutdown();
   }
@@ -291,37 +200,6 @@ int Run(int argc, char** argv) {
       "at every load level\n(excess demand is rejected with a retry hint); "
       "with shedding off, p99 grows with the\nbacklog as clients queue "
       "behind each other.\n");
-  }
-
-  // --- Scatter-gather load curves: N shards behind the router ------------
-  const std::string shards_flag =
-      flags.GetString("shards", sharded_only ? "2,4,8" : "");
-  if (!shards_flag.empty()) {
-    std::vector<size_t> shard_counts;
-    for (const auto piece : SplitString(shards_flag, ",")) {
-      const auto n = ParseInt64(piece);
-      if (!n.has_value() || *n < 1) {
-        std::fprintf(stderr, "bad --shards entry '%.*s'\n",
-                     static_cast<int>(piece.size()), piece.data());
-        return 2;
-      }
-      shard_counts.push_back(static_cast<size_t>(*n));
-    }
-    TablePrinter sharded_table(StrFormat(
-        "Sharded serving — router over N shards, %d workers each, %zu "
-        "sketch queries per level, client-side latency (us)",
-        workers, requests));
-    sharded_table.SetHeader({"Shards", "Clients", "p50", "p95", "p99",
-                             "goodput/s", "shed", "errors"});
-    RunShardedSweep(*index.Current(), request, shard_counts,
-                    concurrency_levels, requests, workers, &sharded_table);
-    sharded_table.Print();
-    std::printf(
-        "\nExpected shape: the merged answer is exact at every N, p50 "
-        "stays near the single-shard\nservice time plus one router hop, "
-        "and p99 tracks the max of N shard legs — the\nscatter-gather tax "
-        "the partial-result degradation exists to bound.\n");
-  }
 
   EmitRunReport(flags);
   return 0;

@@ -124,22 +124,14 @@ done
 HARNESSES=(table4_memory)
 if [[ $QUICK == 0 ]]; then
   HARNESSES=(fig3_processing_time fig4_oracle_query table4_memory
-             oracle_serving oracle_serving_shards reshard)
+             oracle_serving reshard)
 fi
 for bench in "${HARNESSES[@]}"; do
-  # oracle_serving_shards is the same binary in scatter-gather mode: the
-  # router over 2/4/8 in-process shards, its own history document.
-  exe="$bench"
-  extra=()
-  if [[ "$bench" == oracle_serving_shards ]]; then
-    exe=oracle_serving
-    extra=(--sharded_only=1 --shards=2,4,8)
-  fi
   reps=()
   for ((r = 1; r <= REPS; ++r)); do
     rep_file="$OUT_DIR/reps/${bench}.rep${r}.json"
     echo "== bench_${bench} rep $r/$REPS"
-    "$BUILD_DIR/bench/bench_${exe}" "${extra[@]}" \
+    "$BUILD_DIR/bench/bench_${bench}" \
       --datasets="$DATASETS" --scale="$SCALE" --threads="$THREADS" \
       --metrics_out="$rep_file" >/dev/null
     reps+=("$rep_file")

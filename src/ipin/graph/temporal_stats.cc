@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "ipin/common/check.h"
-#include "ipin/common/string_util.h"
 
 namespace ipin {
 
@@ -98,26 +97,6 @@ TemporalStats ComputeTemporalStats(const InteractionGraph& graph,
                                      : 0.0;
   }
   return stats;
-}
-
-std::string TemporalStatsReport(const TemporalStats& stats) {
-  std::string out;
-  out += StrFormat("nodes %zu, interactions %zu\n", stats.num_nodes,
-                   stats.num_interactions);
-  const auto line = [&out](const char* name, const DistributionSummary& d) {
-    out += StrFormat(
-        "%-13s mean %.2f median %.0f p90 %.0f p99 %.0f max %.0f "
-        "top1%%-share %.2f\n",
-        name, d.mean, d.median, d.p90, d.p99, d.max, d.top1_percent_share);
-  };
-  line("out-activity", stats.out_activity);
-  line("in-activity", stats.in_activity);
-  line("out-degree", stats.out_degree);
-  out += StrFormat("reciprocity   %.3f\n", stats.reciprocity);
-  out += StrFormat("reply-frac    %.3f (horizon %lld)\n", stats.reply_fraction,
-                   static_cast<long long>(stats.reply_horizon));
-  out += StrFormat("burstiness CV %.2f\n", stats.burstiness_cv);
-  return out;
 }
 
 }  // namespace ipin

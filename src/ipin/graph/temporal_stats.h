@@ -2,7 +2,6 @@
 #define IPIN_GRAPH_TEMPORAL_STATS_H_
 
 #include <cstddef>
-#include <string>
 #include <vector>
 
 #include "ipin/graph/interaction_graph.h"
@@ -57,9 +56,6 @@ TemporalStats ComputeTemporalStats(const InteractionGraph& graph,
 
 /// Summarizes a vector of per-node counts.
 DistributionSummary SummarizeCounts(std::vector<double> counts);
-
-/// Multi-line human-readable report.
-std::string TemporalStatsReport(const TemporalStats& stats);
 
 }  // namespace ipin
 

@@ -64,10 +64,14 @@ struct RequestRecord {
   /// record per shard RPC plus one overall record per request, all under
   /// the request's trace_id, so a dump shows which leg made a request slow.
   int shard = -1;
-  /// Per-stage timings. admission covers parse + admission decision,
-  /// queue the bounded-queue wait, eval the oracle evaluation, write the
-  /// response serialization + socket write. total is end-to-end and can
-  /// exceed the sum (scheduling gaps between stages).
+  /// Per-stage timings. The clock starts once the request line is parsed:
+  /// the socket read and the parse are not recorded, which is time the
+  /// client sees and no stage accounts for. admission covers the drain
+  /// check and deadline set-up, queue the wait at the admission gate for
+  /// an evaluation slot, eval the oracle evaluation, write the response
+  /// serialization + socket write. total runs from the parsed request to
+  /// the written response and can exceed the sum (scheduling gaps between
+  /// stages).
   int64_t admission_us = 0;
   int64_t queue_us = 0;
   int64_t eval_us = 0;

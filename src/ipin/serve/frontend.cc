@@ -82,6 +82,8 @@ bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
   options->num_workers = static_cast<int>(flags.GetInt("workers", 4));
   // Read signed: a negative count must not wrap into a huge size_t.
   const int64_t queue_capacity = flags.GetInt("queue_capacity", 64);
+  const int64_t flight_size = flags.GetInt("flight_size", 256);
+  const int64_t flight_slow_size = flags.GetInt("flight_slow_size", 64);
   options->queue_capacity = static_cast<size_t>(queue_capacity);
   options->max_connections = static_cast<size_t>(
       std::max<int64_t>(0, flags.GetInt("max_connections", 64)));
@@ -89,13 +91,16 @@ bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
   options->retry_after_ms = flags.GetInt("retry_after_ms", 50);
   options->drain_deadline_ms = flags.GetInt("drain_deadline_ms", 2000);
   options->slow_query_us = flags.GetInt("slow_query_us", 100000);
-  options->flight_recorder_size =
-      static_cast<size_t>(flags.GetInt("flight_size", 256));
-  options->flight_slow_size =
-      static_cast<size_t>(flags.GetInt("flight_slow_size", 64));
+  options->flight_recorder_size = static_cast<size_t>(flight_size);
+  options->flight_slow_size = static_cast<size_t>(flight_slow_size);
   options->stats_window_s = flags.GetInt("stats_window_s", 10);
-  *error = queue_capacity < 0 ? "queue_capacity must not be negative"
-                              : OptionsError(*options);
+  if (queue_capacity < 0) {
+    *error = "queue_capacity must not be negative";
+  } else if (flight_size < 0 || flight_slow_size < 0) {
+    *error = "flight_size and flight_slow_size must not be negative";
+  } else {
+    *error = OptionsError(*options);
+  }
   return error->empty();
 }
 

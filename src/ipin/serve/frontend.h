@@ -125,7 +125,8 @@ struct FrontendOptions {
 /// --flight_slow_size and --stats_window_s (absent flags keep the defaults
 /// above; without --port, tcp_port stays -1). False, with the reason in
 /// *error, for options that would hang every query: fewer than one worker
-/// or connection, or a negative capacity, deadline or retry hint.
+/// or connection, or a negative queue or recorder capacity, deadline or
+/// retry hint.
 bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
                         std::string* error);
 

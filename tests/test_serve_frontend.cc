@@ -505,7 +505,7 @@ TEST(FrontendFlagsTest, RejectsValuesThatWouldHang) {
        {"--workers=0", "--workers=-2", "--max_connections=0",
         "--max_connections=-1", "--queue_capacity=-1",
         "--default_deadline_ms=-1", "--drain_deadline_ms=-5",
-        "--retry_after_ms=-1"}) {
+        "--retry_after_ms=-1", "--flight_size=-1", "--flight_slow_size=-1"}) {
     error.clear();
     EXPECT_FALSE(parse({"--socket=/tmp/x.sock", bad}, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;

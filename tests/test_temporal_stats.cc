@@ -88,14 +88,5 @@ TEST(TemporalStatsTest, EmptyGraph) {
   EXPECT_DOUBLE_EQ(stats.reciprocity, 0.0);
 }
 
-TEST(TemporalStatsTest, ReportMentionsKeyFields) {
-  InteractionGraph g(2);
-  g.AddInteraction(0, 1, 1);
-  const std::string report = TemporalStatsReport(ComputeTemporalStats(g, 10));
-  EXPECT_NE(report.find("out-activity"), std::string::npos);
-  EXPECT_NE(report.find("reciprocity"), std::string::npos);
-  EXPECT_NE(report.find("burstiness"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace ipin
