@@ -71,6 +71,37 @@ class SetCoverage : public CoverageState {
 
 }  // namespace
 
+UnionRow FoldRankRows(const IrsApprox& irs, std::span<const NodeId> seeds,
+                      const QueryBudget& budget) {
+  const SketchArena& arena = *irs.arena();
+  return FoldRankRows(seeds, irs.num_nodes(), arena.num_cells(),
+                      [&arena](NodeId u) -> const uint8_t* {
+                        return arena.has_node(u) ? arena.rank_row(u).data()
+                                                 : nullptr;
+                      },
+                      budget);
+}
+
+BudgetedValue ExactUnion(std::span<const IrsSummaryMap> rows,
+                         std::span<const NodeId> seeds,
+                         const QueryBudget& budget) {
+  std::unordered_set<NodeId> seen;
+  const auto partial = [&seen] {
+    return BudgetedValue{static_cast<double>(seen.size()), true};
+  };
+  if (budget.Expired()) return partial();
+  size_t scanned = 0;
+  for (const NodeId u : seeds) {
+    IPIN_CHECK_LT(u, rows.size());
+    for (const auto& [v, t] : rows[u]) {
+      (void)t;
+      seen.insert(v);
+      if (++scanned % 1024 == 0 && budget.Expired()) return partial();
+    }
+  }
+  return {static_cast<double>(seen.size()), false};
+}
+
 RankRowCoverage::RankRowCoverage(size_t num_cells, RowOf row_of)
     : row_of_(std::move(row_of)), ranks_(num_cells, 0) {
   hist_.fill(0);
@@ -127,36 +158,10 @@ double ExactInfluenceOracle::InfluenceOf(NodeId u) const {
   return static_cast<double>(irs_->IrsSize(u));
 }
 
-double ExactInfluenceOracle::InfluenceOfSet(
-    std::span<const NodeId> seeds) const {
-  IPIN_LATENCY_SCOPE("oracle.exact.query_us");
-  return static_cast<double>(irs_->UnionSize(seeds));
-}
-
 BudgetedValue ExactInfluenceOracle::InfluenceOfSetBudgeted(
     std::span<const NodeId> seeds, const QueryBudget& budget) const {
   IPIN_LATENCY_SCOPE("oracle.exact.query_us");
-  std::unordered_set<NodeId> seen;
-  size_t until_check = budget.check_every;
-  for (const NodeId u : seeds) {
-    // At least one check per seed: a budget that was already burned before
-    // the call (e.g. by a slow-eval fault) is noticed even when every
-    // summary is far smaller than check_every.
-    if (budget.Expired()) {
-      return {static_cast<double>(seen.size()), true};
-    }
-    for (const auto& [v, t] : irs_->Summary(u)) {
-      (void)t;
-      seen.insert(v);
-      if (--until_check == 0) {
-        until_check = budget.check_every;
-        if (budget.Expired()) {
-          return {static_cast<double>(seen.size()), true};
-        }
-      }
-    }
-  }
-  return {static_cast<double>(seen.size()), false};
+  return ExactUnion(irs_->summaries(), seeds, budget);
 }
 
 std::unique_ptr<CoverageState> ExactInfluenceOracle::NewCoverage() const {
@@ -174,34 +179,18 @@ double SketchInfluenceOracle::InfluenceOf(NodeId u) const {
   return irs_->EstimateIrsSize(u);
 }
 
-double SketchInfluenceOracle::InfluenceOfSet(
-    std::span<const NodeId> seeds) const {
-  IPIN_LATENCY_SCOPE("oracle.sketch.query_us");
-  return irs_->EstimateUnionSize(seeds);
+BudgetedValue SketchInfluenceOracle::InfluenceOfSetBudgeted(
+    std::span<const NodeId> seeds, const QueryBudget& budget) const {
+  return InfluenceOfSetBudgeted(seeds, budget, nullptr);
 }
 
 BudgetedValue SketchInfluenceOracle::InfluenceOfSetBudgeted(
-    std::span<const NodeId> seeds, const QueryBudget& budget) const {
+    std::span<const NodeId> seeds, const QueryBudget& budget,
+    std::vector<uint8_t>* ranks) const {
   IPIN_LATENCY_SCOPE("oracle.sketch.query_us");
-  const SketchArena& arena = *irs_->arena();
-  const size_t beta = arena.num_cells();
-  // thread_local scratch: serving workers answer many budgeted queries
-  // back to back and this path must not allocate per call.
-  static thread_local std::vector<uint8_t> ranks;
-  ranks.assign(beta, 0);
-  bool any = false;
-  for (size_t i = 0; i < seeds.size(); ++i) {
-    if (budget.Expired()) {
-      const double partial =
-          any ? EstimateFromRanks(ranks) : 0.0;
-      return {partial, true};
-    }
-    if (!arena.has_node(seeds[i])) continue;
-    any = true;
-    kernels::CellwiseMaxU8(ranks.data(), arena.rank_row(seeds[i]).data(),
-                           beta);
-  }
-  return {any ? EstimateFromRanks(ranks) : 0.0, false};
+  const UnionRow row = FoldRankRows(*irs_, seeds, budget);
+  if (ranks != nullptr) ranks->assign(row.ranks.begin(), row.ranks.end());
+  return {EstimateFromRanks(row.ranks), row.exceeded};
 }
 
 std::unique_ptr<CoverageState> SketchInfluenceOracle::NewCoverage() const {
@@ -221,13 +210,15 @@ double SetCoverageOracle::InfluenceOf(NodeId u) const {
   return static_cast<double>(sets_[u].size());
 }
 
-double SetCoverageOracle::InfluenceOfSet(std::span<const NodeId> seeds) const {
+BudgetedValue SetCoverageOracle::InfluenceOfSetBudgeted(
+    std::span<const NodeId> seeds, const QueryBudget& budget) const {
+  (void)budget;
   std::unordered_set<NodeId> seen;
   for (const NodeId u : seeds) {
     IPIN_CHECK_LT(u, sets_.size());
     seen.insert(sets_[u].begin(), sets_[u].end());
   }
-  return static_cast<double>(seen.size());
+  return {static_cast<double>(seen.size()), false};
 }
 
 std::unique_ptr<CoverageState> SetCoverageOracle::NewCoverage() const {

@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "ipin/common/check.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
 #include "ipin/graph/types.h"
@@ -68,15 +69,15 @@ class RankRowCoverage : public CoverageState {
 /// bound tail latency: evaluation checks the deadline periodically and
 /// abandons the query instead of running to completion.
 struct QueryBudget {
-  /// Evaluation must not run past this instant.
+  /// Evaluation must not run past this instant; the default is no deadline.
   std::chrono::steady_clock::time_point deadline =
       std::chrono::steady_clock::time_point::max();
-  /// Summary entries scanned between deadline checks (amortizes the clock
-  /// read on the exact path, whose summaries can hold millions of entries).
-  size_t check_every = 1024;
 
+  /// True once the deadline has passed. Reads no clock when there is no
+  /// deadline.
   bool Expired() const {
-    return std::chrono::steady_clock::now() >= deadline;
+    return deadline != std::chrono::steady_clock::time_point::max() &&
+           std::chrono::steady_clock::now() >= deadline;
   }
 };
 
@@ -87,6 +88,61 @@ struct BudgetedValue {
   double value = 0.0;
   bool exceeded = false;
 };
+
+/// A sketch union: the cellwise max of the seeds' rank rows, whose
+/// EstimateFromRanks is the union's size (exactly 0.0 for an all-zero row).
+/// `ranks` lives in the calling thread's fold buffer until its next fold;
+/// if `exceeded`, it holds the union of the seeds folded so far.
+struct UnionRow {
+  std::span<const uint8_t> ranks;
+  bool exceeded = false;
+};
+
+/// The one sketch union (Section 4.1): folds the rank rows of `seeds` into
+/// one row of `num_cells` cells. row_of(u) is node u's row, or null if u has
+/// no sketch; every seed must be below `num_nodes` (checked), and a seed may
+/// repeat. Rows go to the kernel (kernels::KernelOps::cellwise_max_rows) 64
+/// at a time, so the fold makes no indirect call per seed. The deadline is
+/// read on entry and after each block of 64 rows, and never when the budget
+/// has none. The buffer only grows, so a thread allocates once.
+template <typename RowOf>
+UnionRow FoldRankRows(std::span<const NodeId> seeds, size_t num_nodes,
+                      size_t num_cells, const RowOf& row_of,
+                      const QueryBudget& budget) {
+  constexpr size_t kBlock = 64;
+  static thread_local std::vector<uint8_t> buffer;
+  buffer.assign(num_cells, 0);
+  const std::span<uint8_t> ranks(buffer);
+  if (budget.Expired()) return {ranks, true};
+  const kernels::KernelOps& ops = kernels::Dispatched();
+  const uint8_t* rows[kBlock];
+  size_t count = 0;
+  for (const NodeId u : seeds) {
+    IPIN_CHECK_LT(u, num_nodes);
+    const uint8_t* row = row_of(u);
+    if (row == nullptr) continue;
+    rows[count++] = row;
+    if (count == kBlock) {
+      ops.cellwise_max_rows(ranks.data(), rows, count, num_cells);
+      count = 0;
+      if (budget.Expired()) return {ranks, true};
+    }
+  }
+  ops.cellwise_max_rows(ranks.data(), rows, count, num_cells);
+  return {ranks, false};
+}
+
+/// FoldRankRows over an index's arena rows.
+UnionRow FoldRankRows(const IrsApprox& irs, std::span<const NodeId> seeds,
+                      const QueryBudget& budget);
+
+/// The one exact union: |union of the key sets rows[u] for u in seeds|, for
+/// the exact IRS summaries and their source-set transpose. Every seed must
+/// be below rows.size() (checked). The deadline is read on entry and after
+/// every 1024 entries scanned.
+BudgetedValue ExactUnion(std::span<const IrsSummaryMap> rows,
+                         std::span<const NodeId> seeds,
+                         const QueryBudget& budget);
 
 /// The paper's Influence Oracle (Section 4.1): answers influence-spread
 /// queries |union of sigma_omega(s)| for arbitrary seed sets, plus the
@@ -107,16 +163,16 @@ class InfluenceOracle {
   /// depend on the thread count.
   virtual std::vector<double> InfluenceOfAll() const;
 
-  /// |union of sigma(s) for s in seeds|.
-  virtual double InfluenceOfSet(std::span<const NodeId> seeds) const = 0;
-
-  /// InfluenceOfSet under a wall-clock budget. The default runs the
-  /// unbudgeted query (never reports exceeded); oracles whose evaluation
-  /// can take long override it with periodic deadline checks.
+  /// |union of sigma(s) for s in seeds| under a wall-clock budget: the
+  /// oracle's one union. Oracles whose evaluation can take long check the
+  /// deadline periodically and report exceeded with a partial value.
   virtual BudgetedValue InfluenceOfSetBudgeted(
-      std::span<const NodeId> seeds, const QueryBudget& budget) const {
-    (void)budget;
-    return {InfluenceOfSet(seeds), false};
+      std::span<const NodeId> seeds, const QueryBudget& budget) const = 0;
+
+  /// |union of sigma(s) for s in seeds|: the budgeted union with no
+  /// deadline.
+  double InfluenceOfSet(std::span<const NodeId> seeds) const {
+    return InfluenceOfSetBudgeted(seeds, {}).value;
   }
 
   /// Fresh, empty coverage accumulator.
@@ -132,11 +188,8 @@ class ExactInfluenceOracle : public InfluenceOracle {
 
   size_t num_nodes() const override;
   double InfluenceOf(NodeId u) const override;
-  double InfluenceOfSet(std::span<const NodeId> seeds) const override;
-  /// Exact union evaluation with deadline checks every
-  /// `budget.check_every` summary entries; an expired budget abandons the
-  /// scan (partial value, exceeded = true) so a worker never runs an
-  /// oversized exact query to completion.
+  /// ExactUnion over the summaries: an expired budget abandons the scan, so
+  /// a worker never runs an oversized exact query to completion.
   BudgetedValue InfluenceOfSetBudgeted(
       std::span<const NodeId> seeds, const QueryBudget& budget) const override;
   std::unique_ptr<CoverageState> NewCoverage() const override;
@@ -154,11 +207,14 @@ class SketchInfluenceOracle : public InfluenceOracle {
 
   size_t num_nodes() const override;
   double InfluenceOf(NodeId u) const override;
-  double InfluenceOfSet(std::span<const NodeId> seeds) const override;
-  /// Sketch unions are O(|seeds| * beta); the budget is checked once per
-  /// seed, which is plenty at that granularity.
+  /// The estimate of FoldRankRows over the index's rows.
   BudgetedValue InfluenceOfSetBudgeted(
       std::span<const NodeId> seeds, const QueryBudget& budget) const override;
+  /// As above, also copying the union row into *ranks when `ranks` is not
+  /// null: the partial a router folds (cellwise max) into the global answer.
+  BudgetedValue InfluenceOfSetBudgeted(std::span<const NodeId> seeds,
+                                       const QueryBudget& budget,
+                                       std::vector<uint8_t>* ranks) const;
   std::unique_ptr<CoverageState> NewCoverage() const override;
 
  private:
@@ -175,7 +231,9 @@ class SetCoverageOracle : public InfluenceOracle {
 
   size_t num_nodes() const override;
   double InfluenceOf(NodeId u) const override;
-  double InfluenceOfSet(std::span<const NodeId> seeds) const override;
+  /// Exact over the explicit sets; the budget is not checked.
+  BudgetedValue InfluenceOfSetBudgeted(
+      std::span<const NodeId> seeds, const QueryBudget& budget) const override;
   std::unique_ptr<CoverageState> NewCoverage() const override;
 
   const std::vector<NodeId>& set(NodeId u) const { return sets_[u]; }

@@ -6,11 +6,11 @@
 #include "ipin/common/check.h"
 #include "ipin/common/hash.h"
 #include "ipin/common/thread_pool.h"
+#include "ipin/core/influence_oracle.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 #include "ipin/sketch/estimators.h"
-#include "ipin/sketch/kernels.h"
 
 namespace ipin {
 namespace {
@@ -201,25 +201,7 @@ double IrsApprox::EstimateIrsSize(NodeId u) const {
 }
 
 double IrsApprox::EstimateUnionSize(std::span<const NodeId> seeds) const {
-  std::vector<uint8_t> ranks;
-  return EstimateUnionSize(seeds, &ranks);
-}
-
-double IrsApprox::EstimateUnionSize(std::span<const NodeId> seeds,
-                                    std::vector<uint8_t>* scratch) const {
-  const size_t beta = arena_->num_cells();
-  scratch->assign(beta, 0);
-  uint8_t* const ranks = scratch->data();
-  bool any = false;
-  for (const NodeId u : seeds) {
-    IPIN_CHECK_LT(u, num_nodes());
-    if (!arena_->has_node(u)) continue;
-    any = true;
-    // One contiguous vector max per seed.
-    kernels::CellwiseMaxU8(ranks, arena_->rank_row(u).data(), beta);
-  }
-  if (!any) return 0.0;
-  return kernels::Dispatched().estimate_from_ranks(ranks, beta);
+  return EstimateFromRanks(FoldRankRows(*this, seeds, {}).ranks);
 }
 
 size_t IrsApprox::MemoryUsageBytes() const {

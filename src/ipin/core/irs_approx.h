@@ -92,15 +92,10 @@ class IrsApprox {
   double EstimateIrsSize(NodeId u) const;
 
   /// Estimated |union of sigma_omega(s) for s in seeds| — the sketch-based
-  /// Influence Oracle (Section 4.1): cellwise max over the seeds' sketches,
-  /// O(|seeds| * beta * log) time, independent of the set sizes.
+  /// Influence Oracle (Section 4.1): the estimate of FoldRankRows
+  /// (influence_oracle.h) over the arena's rows, O(|seeds| * beta) time,
+  /// independent of the set sizes.
   double EstimateUnionSize(std::span<const NodeId> seeds) const;
-
-  /// As above, reusing *scratch for the union rank vector instead of
-  /// allocating one per call (hot under greedy/CELF and oracle serving).
-  /// *scratch is resized as needed; contents on entry are ignored.
-  double EstimateUnionSize(std::span<const NodeId> seeds,
-                           std::vector<uint8_t>* scratch) const;
 
   size_t num_nodes() const { return num_nodes_; }
   Duration window() const { return window_; }

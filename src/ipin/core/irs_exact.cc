@@ -4,6 +4,7 @@
 
 #include "ipin/common/check.h"
 #include "ipin/common/memory.h"
+#include "ipin/core/influence_oracle.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
@@ -107,15 +108,7 @@ std::vector<NodeId> IrsExact::IrsSet(NodeId u) const {
 }
 
 size_t IrsExact::UnionSize(std::span<const NodeId> seeds) const {
-  std::unordered_map<NodeId, char> seen;
-  for (const NodeId u : seeds) {
-    IPIN_CHECK_LT(u, summaries_.size());
-    for (const auto& [v, t] : summaries_[u]) {
-      (void)t;
-      seen.emplace(v, 1);
-    }
-  }
-  return seen.size();
+  return static_cast<size_t>(ExactUnion(summaries_, seeds, {}).value);
 }
 
 size_t IrsExact::TotalSummaryEntries() const {

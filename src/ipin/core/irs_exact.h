@@ -54,6 +54,9 @@ class IrsExact {
   /// phi(u): reachable node -> earliest channel end time.
   const IrsSummaryMap& Summary(NodeId u) const { return summaries_[u]; }
 
+  /// Every node's summary, indexed by node id.
+  std::span<const IrsSummaryMap> summaries() const { return summaries_; }
+
   /// |sigma_omega(u)|.
   size_t IrsSize(NodeId u) const { return summaries_[u].size(); }
 
@@ -61,7 +64,7 @@ class IrsExact {
   std::vector<NodeId> IrsSet(NodeId u) const;
 
   /// Exact cardinality of the union of the seeds' IRSs (the Influence
-  /// Oracle of Section 4.1, exact flavour).
+  /// Oracle of Section 4.1, exact flavour): ExactUnion with no deadline.
   size_t UnionSize(std::span<const NodeId> seeds) const;
 
   size_t num_nodes() const { return summaries_.size(); }

@@ -4,7 +4,7 @@
 
 #include "ipin/common/check.h"
 #include "ipin/common/memory.h"
-#include "ipin/sketch/kernels.h"
+#include "ipin/sketch/estimators.h"
 
 namespace ipin {
 
@@ -62,15 +62,7 @@ std::vector<NodeId> SourceSetExact::SourceSet(NodeId v) const {
 }
 
 size_t SourceSetExact::UnionSize(std::span<const NodeId> targets) const {
-  std::unordered_map<NodeId, char> seen;
-  for (const NodeId v : targets) {
-    IPIN_CHECK_LT(v, summaries_.size());
-    for (const auto& [x, s] : summaries_[v]) {
-      (void)s;
-      seen.emplace(x, 1);
-    }
-  }
-  return seen.size();
+  return static_cast<size_t>(ExactUnion(summaries_, targets, {}).value);
 }
 
 size_t SourceSetExact::TotalSummaryEntries() const {
@@ -147,25 +139,7 @@ double SourceSetApprox::EstimateSourceSetSize(NodeId v) const {
 
 double SourceSetApprox::EstimateUnionSize(
     std::span<const NodeId> targets) const {
-  std::vector<uint8_t> ranks;
-  return EstimateUnionSize(targets, &ranks);
-}
-
-double SourceSetApprox::EstimateUnionSize(
-    std::span<const NodeId> targets, std::vector<uint8_t>* scratch) const {
-  const size_t beta = static_cast<size_t>(1) << options_.precision;
-  scratch->assign(beta, 0);
-  uint8_t* const ranks = scratch->data();
-  bool any = false;
-  for (const NodeId v : targets) {
-    IPIN_CHECK_LT(v, num_nodes_);
-    const VersionedHll* sketch = Sketch(v);
-    if (sketch == nullptr) continue;
-    any = true;
-    kernels::CellwiseMaxU8(ranks, sketch->max_ranks().data(), beta);
-  }
-  if (!any) return 0.0;
-  return kernels::Dispatched().estimate_from_ranks(ranks, beta);
+  return EstimateFromRanks(FoldRankRows(*this, targets, {}).ranks);
 }
 
 size_t SourceSetApprox::NumAllocatedSketches() const {
@@ -192,6 +166,19 @@ size_t SourceSetApprox::MemoryUsageBytes() const {
   return bytes;
 }
 
+UnionRow FoldRankRows(const SourceSetApprox& sets,
+                      std::span<const NodeId> targets,
+                      const QueryBudget& budget) {
+  return FoldRankRows(targets, sets.num_nodes(),
+                      size_t{1} << sets.options().precision,
+                      [&sets](NodeId v) -> const uint8_t* {
+                        const VersionedHll* sketch = sets.Sketch(v);
+                        return sketch == nullptr ? nullptr
+                                                 : sketch->max_ranks().data();
+                      },
+                      budget);
+}
+
 SourceSetOracle::SourceSetOracle(const SourceSetApprox* sets) : sets_(sets) {
   IPIN_CHECK(sets != nullptr);
 }
@@ -202,8 +189,10 @@ double SourceSetOracle::InfluenceOf(NodeId v) const {
   return sets_->EstimateSourceSetSize(v);
 }
 
-double SourceSetOracle::InfluenceOfSet(std::span<const NodeId> targets) const {
-  return sets_->EstimateUnionSize(targets);
+BudgetedValue SourceSetOracle::InfluenceOfSetBudgeted(
+    std::span<const NodeId> targets, const QueryBudget& budget) const {
+  const UnionRow row = FoldRankRows(*sets_, targets, budget);
+  return {EstimateFromRanks(row.ranks), row.exceeded};
 }
 
 std::unique_ptr<CoverageState> SourceSetOracle::NewCoverage() const {

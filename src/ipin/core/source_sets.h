@@ -59,7 +59,8 @@ class SourceSetExact {
   std::vector<NodeId> SourceSet(NodeId v) const;
 
   /// Exact |union of tau_omega(v) for v in targets| ("how many distinct
-  /// nodes could have influenced any of these targets?").
+  /// nodes could have influenced any of these targets?"): ExactUnion with
+  /// no deadline.
   size_t UnionSize(std::span<const NodeId> targets) const;
 
   size_t num_nodes() const { return summaries_.size(); }
@@ -101,13 +102,9 @@ class SourceSetApprox {
   /// Estimated |tau_omega(v)|.
   double EstimateSourceSetSize(NodeId v) const;
 
-  /// Estimated |union of tau_omega(v)| over the targets.
+  /// Estimated |union of tau_omega(v)| over the targets: the estimate of
+  /// FoldRankRows over the sketches' rows, with no deadline.
   double EstimateUnionSize(std::span<const NodeId> targets) const;
-
-  /// As above, reusing *scratch for the union rank vector (contents on
-  /// entry are ignored).
-  double EstimateUnionSize(std::span<const NodeId> targets,
-                           std::vector<uint8_t>* scratch) const;
 
   /// Node v's sketch (null if v never received anything).
   const VersionedHll* Sketch(NodeId v) const { return sketches_[v].get(); }
@@ -132,6 +129,12 @@ class SourceSetApprox {
   std::vector<std::unique_ptr<VersionedHll>> sketches_;
 };
 
+/// FoldRankRows (influence_oracle.h) over the source-set sketches'
+/// max-rank rows.
+UnionRow FoldRankRows(const SourceSetApprox& sets,
+                      std::span<const NodeId> targets,
+                      const QueryBudget& budget);
+
 /// Influence-oracle adapter over the sketch-based source sets: treats
 /// tau_omega(v) as node v's "set". With the greedy maximizers this solves
 /// the dual of influence maximization — SUSCEPTIBILITY maximization: pick k
@@ -145,7 +148,10 @@ class SourceSetOracle : public InfluenceOracle {
 
   size_t num_nodes() const override;
   double InfluenceOf(NodeId v) const override;
-  double InfluenceOfSet(std::span<const NodeId> targets) const override;
+  /// The estimate of FoldRankRows over the sets' rows.
+  BudgetedValue InfluenceOfSetBudgeted(
+      std::span<const NodeId> targets,
+      const QueryBudget& budget) const override;
   std::unique_ptr<CoverageState> NewCoverage() const override;
 
  private:

@@ -10,8 +10,6 @@
 #include "ipin/common/thread_pool.h"
 #include "ipin/core/influence_oracle.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/sketch/estimators.h"
-#include "ipin/sketch/kernels.h"
 
 namespace ipin::serve {
 
@@ -145,41 +143,16 @@ Response OracleServer::Evaluate(const Request& request,
   }
 
   bool answered_by_sketch = false;
-  if (!answered && request.want_ranks) {
-    // Rank-vector variant of IrsApprox::EstimateUnionSize, mirrored here so
-    // the estimate is bit-identical to the plain sketch path AND the union's
-    // per-cell max ranks travel back in the response — the partial a
-    // scatter-gather router folds (cellwise max) into an exact global
-    // answer. An all-zero vector (no seed has a sketch) is both the merge
-    // identity and EstimateFromRanks == 0.0, matching the plain path.
-    const SketchArena& arena = *index->arena();
-    const size_t beta = arena.num_cells();
-    std::vector<uint8_t> ranks(beta, 0);
-    bool any = false;
-    QueryBudget budget;
-    budget.deadline = deadline;
-    size_t scanned = 0;
-    for (const NodeId u : request.seeds) {
-      if (++scanned % 64 == 0 && budget.Expired()) {
-        response.status = StatusCode::kDeadlineExceeded;
-        IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
-        return response;
-      }
-      if (!arena.has_node(u)) continue;
-      any = true;
-      kernels::CellwiseMaxU8(ranks.data(), arena.rank_row(u).data(), beta);
-    }
-    estimate = any ? EstimateFromRanks(ranks) : 0.0;
-    response.ranks = std::move(ranks);
-    answered = true;
-    answered_by_sketch = true;
-  }
+  std::vector<uint8_t> ranks;
   if (!answered) {
+    // The sketch answer. A want_ranks request also gets the union row, the
+    // partial a scatter-gather router folds (cellwise max) into an exact
+    // global answer; its estimate is the plain answer's, bit for bit.
     const SketchInfluenceOracle oracle(index.get());
     QueryBudget budget;
     budget.deadline = deadline;
-    const BudgetedValue result =
-        oracle.InfluenceOfSetBudgeted(request.seeds, budget);
+    const BudgetedValue result = oracle.InfluenceOfSetBudgeted(
+        request.seeds, budget, request.want_ranks ? &ranks : nullptr);
     if (result.exceeded) {
       response.status = StatusCode::kDeadlineExceeded;
       IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
@@ -197,6 +170,7 @@ Response OracleServer::Evaluate(const Request& request,
   }
   response.status = StatusCode::kOk;
   response.estimate = estimate;
+  response.ranks = std::move(ranks);
   response.degraded = degraded;
   IPIN_COUNTER_ADD("serve.requests.ok", 1);
   if (degraded) {

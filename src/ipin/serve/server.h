@@ -81,9 +81,12 @@ class OracleServer : private FrontendHandler {
 
   const ServerOptions& options() const { return options_; }
 
- private:
+  /// Answers one query or topk request under `deadline`, as the frontend
+  /// does for every admitted request.
   Response Evaluate(const Request& request,
                     Clock::time_point deadline) override;
+
+ private:
   uint64_t Epoch() const override { return index_->Epoch(); }
   void AppendStats(StatsInfo* info) override;
   Response ReshardStatus(const Request& request) override;

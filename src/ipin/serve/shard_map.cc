@@ -1,7 +1,5 @@
 #include "ipin/serve/shard_map.h"
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -375,24 +373,8 @@ ShardMapSnapshot ShardMapManager::Snapshot() const {
   return {current_, epoch_.load(std::memory_order_acquire)};
 }
 
-ShardMapManager::FileStamp ShardMapManager::StampOf(const std::string& path) {
-  struct stat st{};
-  if (::stat(path.c_str(), &st) != 0) return {};
-  return {static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-              st.st_mtim.tv_nsec,
-          static_cast<int64_t>(st.st_size)};
-}
-
-ReloadStatus ShardMapManager::Reload(bool force) {
+ReloadStatus ShardMapManager::Reload() {
   std::lock_guard<std::mutex> reload_lock(reload_mu_);
-
-  const FileStamp stamp = StampOf(map_path_);
-  if (!force) {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stamp == last_stamp_ && current_ != nullptr) {
-      return ReloadStatus::kNoChange;
-    }
-  }
 
   const auto rollback = [this](const std::string& reason) {
     IPIN_COUNTER_ADD("serve.shard.map.rollback", 1);
@@ -412,7 +394,6 @@ ReloadStatus ShardMapManager::Reload(bool force) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     current_ = std::move(shared);
-    last_stamp_ = stamp;
     epoch_.fetch_add(1, std::memory_order_acq_rel);
   }
   IPIN_COUNTER_ADD("serve.shard.map.ok", 1);

@@ -220,8 +220,7 @@ class ShardMapManager {
   void Install(std::shared_ptr<const ShardMap> map);
 
   /// Re-reads map_path; swaps atomically on success, rolls back otherwise.
-  /// `force` bypasses the file-unchanged short-circuit.
-  ReloadStatus Reload(bool force = true);
+  ReloadStatus Reload();
 
   std::shared_ptr<const ShardMap> Current() const;
   ShardMapSnapshot Snapshot() const;
@@ -230,18 +229,10 @@ class ShardMapManager {
   const std::string& map_path() const { return map_path_; }
 
  private:
-  struct FileStamp {
-    int64_t mtime_ns = -1;
-    int64_t size = -1;
-    bool operator==(const FileStamp&) const = default;
-  };
-  static FileStamp StampOf(const std::string& path);
-
   const std::string map_path_;
 
-  mutable std::mutex mu_;  // guards current_, last_stamp_
+  mutable std::mutex mu_;  // guards current_
   std::shared_ptr<const ShardMap> current_;
-  FileStamp last_stamp_;
   std::atomic<uint64_t> epoch_{0};
 
   std::mutex reload_mu_;  // serializes reload attempts

@@ -61,6 +61,14 @@ double EstimateVia(const uint8_t* ranks, size_t n) {
   return EstimateFromHistogram(hist, size_t{top} + 1, n);
 }
 
+// Every target's cellwise_max_rows: its cellwise max, called directly once
+// per row.
+template <void (*CellwiseMax)(uint8_t*, const uint8_t*, size_t)>
+void CellwiseMaxRowsVia(uint8_t* dst, const uint8_t* const* rows, size_t count,
+                        size_t n) {
+  for (size_t j = 0; j < count; ++j) CellwiseMax(dst, rows[j], n);
+}
+
 // Every target's rank_histogram: the prefix, then zeros above top.
 template <uint8_t (*HistogramPrefix)(const uint8_t*, size_t, uint32_t*)>
 uint8_t RankHistogramVia(const uint8_t* ranks, size_t n, uint32_t* hist) {
@@ -113,6 +121,7 @@ uint8_t CoverageDeltaScalar(const uint8_t* covered, const uint8_t* candidate,
 
 constexpr KernelOps kScalarOps = {
     &CellwiseMaxU8Scalar,
+    &CellwiseMaxRowsVia<CellwiseMaxU8Scalar>,
     &RankHistogramScalar,
     &EstimateFromRanksScalar,
     &CoverageDeltaScalar,
@@ -270,6 +279,7 @@ uint8_t CoverageDeltaSse2(const uint8_t* covered, const uint8_t* candidate,
 
 constexpr KernelOps kSse2Ops = {
     &CellwiseMaxU8Sse2,
+    &CellwiseMaxRowsVia<CellwiseMaxU8Sse2>,
     &RankHistogramVia<HistogramPrefixSse2>,
     &EstimateVia<HistogramPrefixSse2>,
     &CoverageDeltaSse2,
@@ -370,6 +380,7 @@ __attribute__((target("avx2"))) uint8_t CoverageDeltaAvx2(
 
 constexpr KernelOps kAvx2Ops = {
     &CellwiseMaxU8Avx2,
+    &CellwiseMaxRowsVia<CellwiseMaxU8Avx2>,
     &RankHistogramVia<HistogramPrefixAvx2>,
     &EstimateVia<HistogramPrefixAvx2>,
     &CoverageDeltaAvx2,
@@ -408,6 +419,7 @@ uint8_t HistogramPrefixNeon(const uint8_t* ranks, size_t n, uint32_t* hist) {
 
 constexpr KernelOps kNeonOps = {
     &CellwiseMaxU8Neon,
+    &CellwiseMaxRowsVia<CellwiseMaxU8Neon>,
     &RankHistogramVia<HistogramPrefixNeon>,
     &EstimateVia<HistogramPrefixNeon>,
     &CoverageDeltaScalar,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 
 #include "ipin/common/simd_target.h"
 
@@ -12,6 +11,7 @@
 // floating-point epilogue:
 //
 //   cellwise_max_u8     - the union fast path (cellwise max of two rows)
+//   cellwise_max_rows   - the same over a block of rows
 //   rank_histogram      - exact count of cells per rank (0..255)
 //   coverage_delta      - moves, within a histogram, the counts of the
 //                         cells where a candidate row beats a covered row
@@ -39,6 +39,12 @@ inline constexpr size_t kRankBins = 256;
 struct KernelOps {
   /// dst[i] = max(dst[i], src[i]) for i in [0, n). Unions are folds of this.
   void (*cellwise_max_u8)(uint8_t* dst, const uint8_t* src, size_t n);
+
+  /// cellwise_max_u8 of dst with each of rows[0 .. count), in order: the
+  /// sketch union's fold (core/influence_oracle.h), one call per block of
+  /// rows.
+  void (*cellwise_max_rows)(uint8_t* dst, const uint8_t* const* rows,
+                            size_t count, size_t n);
 
   /// hist[r] = number of i in [0, n) with ranks[i] == r, for all kRankBins
   /// bins. Returns the highest rank present (0 for an all-zero row).
@@ -73,12 +79,9 @@ SimdTarget DispatchedTarget();
 /// cannot run it. The fuzz tests iterate all runnable targets.
 const KernelOps* KernelsFor(SimdTarget target);
 
-/// Convenience wrappers over Dispatched().
+/// Convenience wrapper over Dispatched().
 inline void CellwiseMaxU8(uint8_t* dst, const uint8_t* src, size_t n) {
   Dispatched().cellwise_max_u8(dst, src, n);
-}
-inline double EstimateFromRanksDispatched(std::span<const uint8_t> ranks) {
-  return Dispatched().estimate_from_ranks(ranks.data(), ranks.size());
 }
 
 }  // namespace ipin::kernels

@@ -22,6 +22,14 @@ TEST(ExactOracleTest, MatchesIrsDirectly) {
                    static_cast<double>(irs.UnionSize(seeds)));
 }
 
+TEST(ExactOracleTest, BudgetedUnionChecksSeedRange) {
+  const IrsExact irs = IrsExact::Compute(FigureOneGraph(), 3);
+  const ExactInfluenceOracle oracle(&irs);
+  const std::vector<NodeId> seeds = {kA, 6};
+  EXPECT_DEATH(oracle.InfluenceOfSetBudgeted(seeds, QueryBudget{}),
+               "CHECK failed");
+}
+
 TEST(ExactOracleTest, CoverageGainsAreConsistent) {
   const InteractionGraph g = GenerateUniformRandomNetwork(30, 250, 800, 3);
   const IrsExact irs = IrsExact::Compute(g, 200);
@@ -53,6 +61,14 @@ TEST(ExactOracleTest, GainShrinksAsCoverGrows) {
   coverage->Commit(3);
   coverage->Commit(11);
   EXPECT_LE(coverage->GainOf(7), gain_empty);  // submodularity
+}
+
+TEST(SketchOracleTest, BudgetedUnionChecksSeedRange) {
+  const IrsApprox irs = IrsApprox::Compute(FigureOneGraph(), 3);
+  const SketchInfluenceOracle oracle(&irs);
+  const std::vector<NodeId> seeds = {kA, 6};
+  EXPECT_DEATH(oracle.InfluenceOfSetBudgeted(seeds, QueryBudget{}),
+               "CHECK failed");
 }
 
 TEST(SketchOracleTest, TracksExactOracle) {

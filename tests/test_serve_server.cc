@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -879,6 +880,94 @@ TEST_F(ServeServerTest, WantRanksReturnsTheUnionRankVector) {
   EXPECT_DOUBLE_EQ(EstimateFromRanks(response->ranks), response->estimate);
   EXPECT_DOUBLE_EQ(response->estimate,
                    index_->Current()->EstimateUnionSize(request.seeds));
+}
+
+// Every answer path of a union gives the same answer, over the seed sets
+// where the paths once differed: no seed, a node without a sketch, repeated
+// seeds, one seed, and 100 random seeds. The sketch answer is the library's
+// union, the oracle's with and without a deadline, and the server's with
+// and without the rank row, in process and over the wire; the exact union
+// is the budgeted exact oracle's.
+TEST_F(ServeServerTest, EveryUnionPathGivesTheSameAnswer) {
+  // The fixture's interactions over one node more, which never sends and
+  // so has no sketch.
+  const NodeId unsketched = kNumNodes;
+  const InteractionGraph graph(
+      kNumNodes + 1, std::vector<Interaction>(graph_.interactions().begin(),
+                                              graph_.interactions().end()));
+  IrsApproxOptions options;
+  options.precision = 5;
+  const auto irs = std::make_shared<const IrsApprox>(
+      IrsApprox::Compute(graph, 200, options));
+  ASSERT_FALSE(irs->arena()->has_node(unsketched));
+  const IrsExact exact = IrsExact::Compute(graph, 200);
+  index_->Install(irs);
+  StartServer();
+  OracleClient client(MakeClientOptions());
+
+  std::mt19937 rng(11);
+  std::vector<NodeId> random(100);
+  for (NodeId& u : random) u = static_cast<NodeId>(rng() % (kNumNodes + 1));
+  const std::vector<std::vector<NodeId>> seed_sets = {
+      {}, {unsketched}, {3, 7, 3, unsketched, 7}, {5}, random};
+
+  using std::chrono::steady_clock;
+  QueryBudget far;
+  far.deadline = steady_clock::now() + std::chrono::hours(1);
+  QueryBudget expired;
+  expired.deadline = steady_clock::now() - std::chrono::milliseconds(1);
+  const SketchInfluenceOracle sketch(irs.get());
+  const ExactInfluenceOracle exact_oracle(&exact);
+  const obs::Histogram* query_us =
+      obs::MetricsRegistry::Global().GetHistogram("oracle.sketch.query_us");
+
+  for (const std::vector<NodeId>& seeds : seed_sets) {
+    SCOPED_TRACE(testing::Message() << seeds.size() << " seeds");
+    const double want = irs->EstimateUnionSize(seeds);
+    EXPECT_EQ(sketch.InfluenceOfSet(seeds), want);
+    const BudgetedValue in_time = sketch.InfluenceOfSetBudgeted(seeds, far);
+    EXPECT_FALSE(in_time.exceeded);
+    EXPECT_EQ(in_time.value, want);
+    EXPECT_TRUE(sketch.InfluenceOfSetBudgeted(seeds, expired).exceeded);
+
+    for (const bool want_ranks : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "want_ranks=" << want_ranks);
+      Request request;
+      request.method = Method::kQuery;
+      request.seeds = seeds;
+      request.mode = QueryMode::kSketch;
+      request.want_ranks = want_ranks;
+      const uint64_t recorded = query_us->Count();
+      const Response served = server_->Evaluate(request, far.deadline);
+      ASSERT_EQ(served.status, StatusCode::kOk);
+      EXPECT_EQ(served.estimate, want);
+      if (want_ranks) {
+        EXPECT_EQ(served.ranks.size(), irs->arena()->num_cells());
+        EXPECT_EQ(EstimateFromRanks(served.ranks), served.estimate);
+      } else {
+        EXPECT_TRUE(served.ranks.empty());
+      }
+#ifndef IPIN_OBS_DISABLED
+      EXPECT_EQ(query_us->Count(), recorded + 1);
+#else
+      (void)recorded;
+#endif
+      EXPECT_EQ(server_->Evaluate(request, expired.deadline).status,
+                StatusCode::kDeadlineExceeded);
+      if (seeds.empty()) continue;  // the wire refuses a query without seeds
+      const auto wired = client.Call(request);
+      ASSERT_TRUE(wired.has_value());
+      ASSERT_EQ(wired->status, StatusCode::kOk);
+      EXPECT_EQ(wired->estimate, want);
+      EXPECT_EQ(wired->ranks, served.ranks);
+    }
+
+    const BudgetedValue exact_in_time =
+        exact_oracle.InfluenceOfSetBudgeted(seeds, far);
+    EXPECT_FALSE(exact_in_time.exceeded);
+    EXPECT_EQ(exact_in_time.value, static_cast<double>(exact.UnionSize(seeds)));
+    EXPECT_TRUE(exact_oracle.InfluenceOfSetBudgeted(seeds, expired).exceeded);
+  }
 }
 
 TEST_F(ServeServerTest, TopkVerbMatchesLocalRanking) {

@@ -275,14 +275,12 @@ TEST(SketchArenaTest, BuildRowsAreServedRows) {
   EXPECT_EQ(irs.TotalInsertAttempts(), attempts);
   EXPECT_EQ(irs.TotalEvictions(), evictions);
   EXPECT_EQ(irs.TotalSketchEntries(), entries);
-  std::vector<uint8_t> scratch;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
     EXPECT_EQ(irs.BuildSketch(u), nullptr) << "node " << u;
     EXPECT_EQ(RowOf(arena, u), rows[u]) << "node " << u;
   }
   for (size_t i = 0; i < seed_sets.size(); ++i) {
     EXPECT_EQ(irs.EstimateUnionSize(seed_sets[i]), unions[i]);
-    EXPECT_EQ(irs.EstimateUnionSize(seed_sets[i], &scratch), unions[i]);
   }
 }
 

@@ -72,6 +72,38 @@ TEST(SketchKernelsTest, CellwiseMaxMatchesScalarFuzz) {
   }
 }
 
+// The block fold equals one scalar cellwise max per row, in order, for
+// every target, block size (0 included) and ragged row length.
+TEST(SketchKernelsTest, CellwiseMaxRowsMatchesScalarFuzz) {
+  Rng rng(20261019);
+  for (const SimdTarget target : RunnableTargets()) {
+    const KernelOps& ops = *KernelsFor(target);
+    for (const size_t n : {size_t{512}, size_t{16}, size_t{67}, size_t{1}}) {
+      for (const size_t count : {size_t{0}, size_t{1}, size_t{5}, size_t{64}}) {
+        std::vector<std::vector<uint8_t>> rows(count, std::vector<uint8_t>(n));
+        std::vector<const uint8_t*> row_ptrs;
+        for (auto& row : rows) {
+          for (uint8_t& rank : row) {
+            rank = static_cast<uint8_t>(rng.NextBounded(256));
+          }
+          row_ptrs.push_back(row.data());
+        }
+        std::vector<uint8_t> want(n);
+        for (uint8_t& rank : want) {
+          rank = static_cast<uint8_t>(rng.NextBounded(256));
+        }
+        std::vector<uint8_t> got = want;
+        for (const auto& row : rows) {
+          Scalar().cellwise_max_u8(want.data(), row.data(), n);
+        }
+        ops.cellwise_max_rows(got.data(), row_ptrs.data(), count, n);
+        ASSERT_EQ(got, want) << SimdTargetName(target) << " n " << n
+                             << " rows " << count;
+      }
+    }
+  }
+}
+
 // The one floating-point kernel must be BITWISE identical across targets
 // (fixed histogram summation order), for dense, sparse, and all-zero rank
 // vectors at every precision.
