@@ -21,6 +21,7 @@
 #include "ipin/obs/ledger.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/trace.h"
+#include "ipin/sketch/sketch_arena.h"
 
 namespace ipin {
 
@@ -28,31 +29,48 @@ namespace ipin {
 // scan state, keeping the checkpoint format out of the algorithm class.
 class CheckpointAccess {
  public:
-  // Tallies travel in the checkpoint's meta frame so a resumed build
-  // publishes the same irs.* scan metrics as an uninterrupted one.
+  // The scan tallies travel in the checkpoint's meta frame so a resumed
+  // build publishes the same irs.* scan metrics as an uninterrupted one.
   // (Per-sketch lifetime tallies inside VersionedHll are NOT checkpointed;
   // see DESIGN.md §8.)
-  static void GetTallies(const IrsApprox& irs, uint64_t tally[4]) {
-    tally[0] = irs.build_->edges_scanned;
-    tally[1] = irs.build_->merge_calls;
-    tally[2] = tally[3] = 0;
+  static void GetTallies(const IrsApprox& irs, uint64_t* edges_scanned,
+                         uint64_t* merge_calls) {
+    *edges_scanned = irs.build_->edges_scanned;
+    *merge_calls = irs.build_->merge_calls;
   }
-  static void SetTallies(IrsApprox* irs, const uint64_t tally[4]) {
-    irs->build_->edges_scanned = tally[0];
-    irs->build_->merge_calls = tally[1];
+  static void SetTallies(IrsApprox* irs, uint64_t edges_scanned,
+                         uint64_t merge_calls) {
+    irs->build_->edges_scanned = edges_scanned;
+    irs->build_->merge_calls = merge_calls;
   }
-  // Refills u's build sketch from a checkpoint's cells (`cell_counts` cut
-  // `ranks` and `times` into lists, already checked against the vHLL
+  // Refills u's build sketch from a checkpoint's live node (its cells'
+  // live lists and retired runs, already checked against the vHLL
   // invariants and decoded from the build's own time encoding), in the
   // build's parts and time encoding.
   static void RefillSketch(IrsApprox* irs, NodeId u,
-                           std::span<const uint8_t> cell_counts,
+                           std::span<const uint8_t> counts,
                            std::span<const uint8_t> ranks,
-                           std::span<const Timestamp> times) {
+                           std::span<const Timestamp> times,
+                           std::span<const uint8_t> retired,
+                           std::span<const uint8_t> retired_ranks) {
     IrsApprox::Build& build = *irs->build_;
     build.sketches[u] = std::make_unique<VersionedHll>(
-        irs->options_.precision, irs->options_.salt, build.parts, cell_counts,
-        ranks, times, build.times);
+        irs->options_.precision, irs->options_.salt, build.parts, counts,
+        ranks, times, retired, retired_ranks, build.times);
+  }
+  // Refills u's build sketch from a checkpoint's collapsed node: its row
+  // (checked) and entry count.
+  static void RefillCollapsed(IrsApprox* irs, NodeId u,
+                              std::span<const uint8_t> row, size_t entries) {
+    IrsApprox::Build& build = *irs->build_;
+    build.sketches[u] = std::make_unique<VersionedHll>(
+        irs->options_.precision, irs->options_.salt, build.parts, row,
+        entries, build.times);
+  }
+  // True if the scan at time t has collapsed the sketch of a sender whose
+  // first send is at time `first_send`.
+  static bool Collapses(Timestamp first_send, Timestamp t, Duration window) {
+    return IrsApprox::WindowPassed(first_send, t, window);
   }
   // The build store's sketches, indexed by node id (null: absent).
   static std::span<const std::unique_ptr<VersionedHll>> Sketches(
@@ -80,14 +98,11 @@ namespace {
 namespace fs = std::filesystem;
 
 constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP" little-endian
-// Version 3: chunks are sketch chunks (below) whose times are offsets in
-// the TimeEncoding the meta frame records. Files of other versions fail
-// verification and are skipped.
-constexpr uint32_t kCheckpointVersion = 3;
+// Version 4: chunks store each node absent, live (its cells' runs) or
+// collapsed (its row), and the meta frame holds only what a resume reads.
+// Files of other versions fail verification and are skipped.
+constexpr uint32_t kCheckpointVersion = 4;
 constexpr uint32_t kChunkSize = 256;  // nodes per frame
-// The meta frame's algorithm byte. Version 3 also named an exact scan (1),
-// whose files (ckpt_exact_*) no build reads or prunes any more.
-constexpr uint8_t kAlgoApprox = 2;
 constexpr char kPrefix[] = "ckpt_approx_";
 constexpr char kSuffix[] = ".ipinckpt";
 
@@ -107,7 +122,6 @@ bool ReadRaw(std::string_view data, size_t* offset, T* value) {
 // Everything a checkpoint must agree on with the running build before it is
 // allowed to resume into it.
 struct Fingerprint {
-  uint8_t algo = kAlgoApprox;
   int64_t window = 0;
   uint64_t num_nodes = 0;
   uint64_t num_interactions = 0;
@@ -116,28 +130,22 @@ struct Fingerprint {
   uint64_t salt = 0;
 
   bool Matches(const Fingerprint& other) const {
-    return algo == other.algo && window == other.window &&
-           num_nodes == other.num_nodes &&
+    return window == other.window && num_nodes == other.num_nodes &&
            num_interactions == other.num_interactions &&
            graph_hash == other.graph_hash && precision == other.precision &&
            salt == other.salt;
   }
 };
 
-// Scan position + tallies carried in the meta frame beside the fingerprint,
-// and the encoding of the chunks' times: the build's own, which a resuming
-// build must share. `last_time`, `saw_interaction` and tally[2..3] are read
-// by no build: only the retired exact checkpoint did. They keep the
-// version-3 bytes (written as the last scanned edge's time, 1, and zeros)
-// until the version bump that stores retired registers (ROADMAP.md item
-// 13) drops them.
+// Scan position and tallies carried in the meta frame beside the
+// fingerprint, and the encoding of the chunks' times: the build's own,
+// which a resuming build must share.
 struct MetaFrame {
   Fingerprint fp;
   uint64_t edges_processed = 0;
-  int64_t last_time = 0;
-  uint8_t saw_interaction = 0;
   uint32_t chunk_size = 0;
-  uint64_t tally[4] = {0, 0, 0, 0};
+  uint64_t edges_scanned = 0;
+  uint64_t merge_calls = 0;
   TimeEncoding times;
 };
 
@@ -152,7 +160,6 @@ uint64_t GraphHash(const InteractionGraph& graph) {
 }
 
 void SerializeMeta(const MetaFrame& meta, std::string* out) {
-  AppendRaw<uint8_t>(out, meta.fp.algo);
   AppendRaw<int64_t>(out, meta.fp.window);
   AppendRaw<uint64_t>(out, meta.fp.num_nodes);
   AppendRaw<uint64_t>(out, meta.fp.num_interactions);
@@ -160,33 +167,26 @@ void SerializeMeta(const MetaFrame& meta, std::string* out) {
   AppendRaw<uint8_t>(out, meta.fp.precision);
   AppendRaw<uint64_t>(out, meta.fp.salt);
   AppendRaw<uint64_t>(out, meta.edges_processed);
-  AppendRaw<int64_t>(out, meta.last_time);
-  AppendRaw<uint8_t>(out, meta.saw_interaction);
   AppendRaw<uint32_t>(out, meta.chunk_size);
-  for (const uint64_t t : meta.tally) AppendRaw<uint64_t>(out, t);
+  AppendRaw<uint64_t>(out, meta.edges_scanned);
+  AppendRaw<uint64_t>(out, meta.merge_calls);
   AppendRaw<int64_t>(out, meta.times.base);
   AppendRaw<uint8_t>(out, meta.times.width);
 }
 
 bool ParseMeta(std::string_view payload, MetaFrame* meta) {
   size_t offset = 0;
-  if (!ReadRaw(payload, &offset, &meta->fp.algo) ||
-      !ReadRaw(payload, &offset, &meta->fp.window) ||
+  if (!ReadRaw(payload, &offset, &meta->fp.window) ||
       !ReadRaw(payload, &offset, &meta->fp.num_nodes) ||
       !ReadRaw(payload, &offset, &meta->fp.num_interactions) ||
       !ReadRaw(payload, &offset, &meta->fp.graph_hash) ||
       !ReadRaw(payload, &offset, &meta->fp.precision) ||
       !ReadRaw(payload, &offset, &meta->fp.salt) ||
       !ReadRaw(payload, &offset, &meta->edges_processed) ||
-      !ReadRaw(payload, &offset, &meta->last_time) ||
-      !ReadRaw(payload, &offset, &meta->saw_interaction) ||
-      !ReadRaw(payload, &offset, &meta->chunk_size)) {
-    return false;
-  }
-  for (uint64_t& t : meta->tally) {
-    if (!ReadRaw(payload, &offset, &t)) return false;
-  }
-  if (!ReadRaw(payload, &offset, &meta->times.base) ||
+      !ReadRaw(payload, &offset, &meta->chunk_size) ||
+      !ReadRaw(payload, &offset, &meta->edges_scanned) ||
+      !ReadRaw(payload, &offset, &meta->merge_calls) ||
+      !ReadRaw(payload, &offset, &meta->times.base) ||
       !ReadRaw(payload, &offset, &meta->times.width)) {
     return false;
   }
@@ -231,78 +231,119 @@ void PruneCheckpoints(const std::string& dir, size_t keep) {
 
 // ---- sketch chunks ---------------------------------------------------------
 
-// Each chunk frame is the sketch chunk of the build's sketches of nodes
+// Each chunk frame holds the build's sketches of nodes
 // [first_node, first_node + count):
-//   u64 first_node, u32 count, u64 entries, u8 present[count],
-//   u8 cell_counts[present x beta], u8 ranks[entries],
-//   time offsets[entries] (the meta frame's TimeEncoding, 4 or 8 bytes
-//   each)
-// — per present node its cells' entry counts, then every pair's rank and
-// time offset in node and cell order. The encoding is the one the build's
-// sketches store their times in (IrsApprox::time_encoding).
+//   u64 first_node, u32 count, u64 ranks, u64 pairs, u8 form[count],
+//   then a block per present node in node order:
+//     live (form 1):      u8 counts[beta], u8 retired[beta]
+//     collapsed (form 2): u8 row[beta], u32 entries
+//   u8 ranks[ranks], time offsets[pairs]
+// — form 0 is an absent node. A live node's `counts` are its cells' live
+// pairs and `retired` their retired ones. Its ranks are its live pairs'
+// ranks in cell order, then its retired ranks in cell order, and its time
+// offsets its live pairs' times, in node order. The encoding is the one
+// the build's sketches store their times in (IrsApprox::time_encoding),
+// given by the meta frame.
 
-// A sketch chunk's fixed prefix: u64 first_node, u32 count, u64 entries.
-constexpr size_t kSketchChunkPrefixBytes =
-    sizeof(uint64_t) + sizeof(uint32_t) + sizeof(uint64_t);
+constexpr uint8_t kAbsent = 0;
+constexpr uint8_t kLive = 1;
+constexpr uint8_t kCollapsed = 2;
+
+// A chunk's fixed prefix: u64 first_node, u32 count, u64 ranks, u64 pairs.
+constexpr size_t kChunkPrefixBytes =
+    sizeof(uint64_t) + sizeof(uint32_t) + 2 * sizeof(uint64_t);
 
 // Writes the chunk straight from the build sketches' parts. A part holds a
-// run of cells in cell order as the chunk lays them out — its cell counts,
-// then its pairs' ranks and time offsets, already in the chunk's encoding —
-// so each part is one copy of each of its three runs.
+// run of cells in cell order as the chunk lays them out — its counts, then
+// its ranks and time offsets, already in the chunk's encoding — so each
+// live part is one copy of each of its runs.
 size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
                       uint64_t first, uint32_t count, std::string* out) {
   const size_t width = meta.times.width;
   const size_t beta = size_t{1} << meta.fp.precision;
   const std::span<const std::unique_ptr<VersionedHll>> sketches =
       CheckpointAccess::Sketches(irs).subspan(first, count);
-  size_t present = 0;
-  uint64_t entries = 0;
+  size_t blocks = 0;
+  uint64_t ranks = 0;
+  uint64_t pairs = 0;
   for (const auto& sketch : sketches) {
-    if (sketch != nullptr) {
-      ++present;
-      entries += sketch->NumEntries();
+    if (sketch == nullptr) continue;
+    if (sketch->collapsed()) {
+      blocks += beta + sizeof(uint32_t);
+      continue;
+    }
+    blocks += 2 * beta;
+    ranks += sketch->NumEntries();
+    for (size_t k = 0; k < sketch->num_parts(); ++k) {
+      pairs += sketch->part_runs(k).ranks.size();
     }
   }
-  const size_t size = kSketchChunkPrefixBytes + count + present * beta +
-                      entries * (1 + width);
+  const size_t size =
+      kChunkPrefixBytes + count + blocks + ranks + pairs * width;
   if (out->size() < size) out->resize(size);
   auto* bytes = reinterpret_cast<uint8_t*>(out->data());
   std::memcpy(bytes, &first, sizeof(first));
   std::memcpy(bytes + 8, &count, sizeof(count));
-  std::memcpy(bytes + 12, &entries, sizeof(entries));
-  uint8_t* flags = bytes + kSketchChunkPrefixBytes;
-  uint8_t* counts = flags + count;
-  uint8_t* const ranks = counts + present * beta;
-  uint8_t* const time_bytes = ranks + entries;
-  size_t pair = 0;
+  std::memcpy(bytes + 12, &ranks, sizeof(ranks));
+  std::memcpy(bytes + 20, &pairs, sizeof(pairs));
+  uint8_t* const forms = bytes + kChunkPrefixBytes;
+  uint8_t* block = forms + count;
+  uint8_t* rank_out = block + blocks;
+  uint8_t* time_out = rank_out + ranks;
+  const auto put = [](uint8_t** to, std::span<const uint8_t> run) {
+    if (run.empty()) return;
+    std::memcpy(*to, run.data(), run.size());
+    *to += run.size();
+  };
   for (uint32_t i = 0; i < count; ++i) {
     const VersionedHll* sketch = sketches[i].get();
-    flags[i] = sketch != nullptr ? 1 : 0;
-    if (sketch == nullptr) continue;
+    if (sketch == nullptr) {
+      forms[i] = kAbsent;
+      continue;
+    }
     IPIN_DCHECK(sketch->time_encoding() == meta.times);
+    if (sketch->collapsed()) {
+      forms[i] = kCollapsed;
+      put(&block, sketch->max_ranks());
+      const auto entries = static_cast<uint32_t>(sketch->NumEntries());
+      std::memcpy(block, &entries, sizeof(entries));
+      block += sizeof(entries);
+      continue;
+    }
+    forms[i] = kLive;
+    uint8_t* retired = block + beta;
     for (size_t k = 0; k < sketch->num_parts(); ++k) {
       const VersionedHll::PartRuns part = sketch->part_runs(k);
-      std::memcpy(counts, part.counts.data(), part.counts.size());
-      counts += part.counts.size();
-      if (part.ranks.empty()) continue;
-      std::memcpy(ranks + pair, part.ranks.data(), part.ranks.size());
-      std::memcpy(time_bytes + pair * width, part.time_bytes.data(),
-                  part.time_bytes.size());
-      pair += part.ranks.size();
+      if (part.retired.empty()) {
+        std::memset(retired, 0, part.counts.size());
+        retired += part.counts.size();
+      }
+      put(&block, part.counts);
+      put(&retired, part.retired);
+      put(&rank_out, part.ranks);
+      put(&time_out, part.time_bytes);
     }
+    for (size_t k = 0; k < sketch->num_parts(); ++k) {
+      put(&rank_out, sketch->part_runs(k).retired_ranks);
+    }
+    block = retired;
   }
   return size;
 }
 
 // Measures the chunk — it must cover exactly [expected_first,
-// expected_first + expected_count), every present byte be 0 or 1, and the
-// payload be exactly 20 + count + present x beta + (1 + width) x entries
-// bytes — then checks each present node's cells (at most 64 pairs each,
-// together exactly the chunk's entries, each list a vHLL cell list) and
-// refills its VersionedHll with the build's part count for the scan to keep
-// growing (a chunk records no parts, so any part count resumes any other).
-// The meta frame's encoding is the build's (LoadCheckpoint checks), so
-// every decoded time is one the build's sketches can hold.
+// expected_first + expected_count), every form be 0, 1 or 2, and the
+// payload be exactly 28 + count + its nodes' blocks + ranks + width x
+// pairs bytes — then checks each present node and refills its
+// VersionedHll with the build's part count for the scan to keep growing (a
+// chunk records no parts, so any part count resumes any other). A live
+// node's cells hold at most 64 pairs each, together exactly its share of
+// the chunk's ranks and pairs; each cell's ranks, live then retired, are
+// one strictly ascending run in [1, MaxRank] and its live times strictly
+// ascend. A collapsed node's row and entry count must be one a sketch can
+// hold (RowIsValid). The meta frame's encoding is the build's
+// (LoadCheckpoint checks), so every decoded time is one the build's
+// sketches can hold.
 bool RestoreChunk(std::string_view payload, NodeId expected_first,
                   uint32_t expected_count, const MetaFrame& meta,
                   IrsApprox* irs) {
@@ -312,67 +353,101 @@ bool RestoreChunk(std::string_view payload, NodeId expected_first,
   size_t offset = 0;
   uint64_t first = 0;
   uint32_t count = 0;
-  uint64_t entries = 0;
+  uint64_t ranks = 0;
+  uint64_t pairs = 0;
   if (!ReadRaw(payload, &offset, &first) ||
       !ReadRaw(payload, &offset, &count) ||
-      !ReadRaw(payload, &offset, &entries) || first != expected_first ||
+      !ReadRaw(payload, &offset, &ranks) ||
+      !ReadRaw(payload, &offset, &pairs) || first != expected_first ||
       count != expected_count || payload.size() - offset < count) {
     return false;
   }
   const auto* bytes = reinterpret_cast<const uint8_t*>(payload.data());
-  const uint8_t* present = bytes + offset;
-  uint8_t flags = 0;
-  size_t sketches = 0;
+  const uint8_t* forms = bytes + offset;
+  size_t blocks = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    flags |= present[i];
-    sketches += present[i];
+    if (forms[i] > kCollapsed) return false;
+    blocks += forms[i] == kLive        ? 2 * beta
+              : forms[i] == kCollapsed ? beta + sizeof(uint32_t)
+                                       : 0;
   }
   offset += count;
-  const size_t pair_bytes = 1 + times.width;  // u8 rank + time offset
   const size_t rest = payload.size() - offset;
-  if (flags > 1 || entries > rest / pair_bytes ||
-      rest != sketches * beta + entries * pair_bytes) {
+  if (blocks > rest || ranks > rest - blocks ||
+      pairs > (rest - blocks - ranks) / times.width ||
+      rest != blocks + ranks + pairs * times.width) {
     return false;
   }
-  const uint8_t* counts = bytes + offset;
-  const uint8_t* ranks = counts + sketches * beta;
-  const uint8_t* time_bytes = ranks + entries;
+  const uint8_t* block = bytes + offset;
+  const uint8_t* const rank_in = block + blocks;
+  const uint8_t* const time_in = rank_in + ranks;
   const int max_rank = VersionedHll::MaxRank(precision);
   std::vector<Timestamp> node_times;
+  size_t rank = 0;
   size_t pair = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    if (present[i] == 0) continue;
-    const std::span<const uint8_t> cell_counts(counts, beta);
-    counts += beta;
-    size_t node_entries = 0;
-    for (const uint8_t n : cell_counts) {
-      if (n > VersionedHll::kMaxCellEntries) return false;
-      node_entries += n;
+    if (forms[i] == kAbsent) continue;
+    const NodeId u = expected_first + i;
+    if (forms[i] == kCollapsed) {
+      const std::span<const uint8_t> row(block, beta);
+      uint32_t entries = 0;
+      std::memcpy(&entries, block + beta, sizeof(entries));
+      block += beta + sizeof(entries);
+      if (!RowIsValid(row, entries, precision)) return false;
+      CheckpointAccess::RefillCollapsed(irs, u, row, entries);
+      continue;
     }
-    if (node_entries > entries - pair) return false;
-    const uint8_t* node_ranks = ranks + pair;
-    node_times.resize(node_entries);
-    for (size_t e = 0; e < node_entries; ++e) {
-      node_times[e] = times.Decode(time_bytes, pair + e);
+    const std::span<const uint8_t> counts(block, beta);
+    const std::span<const uint8_t> retired(block + beta, beta);
+    block += 2 * beta;
+    size_t live_pairs = 0;
+    size_t retired_pairs = 0;
+    for (size_t c = 0; c < beta; ++c) {
+      if (size_t{counts[c]} + retired[c] > VersionedHll::kMaxCellEntries) {
+        return false;
+      }
+      live_pairs += counts[c];
+      retired_pairs += retired[c];
     }
-    // Each cell's list: ranks in [1, MaxRank], ranks and times strictly
-    // ascending. A scan never leaves two pairs with one time in a cell (the
-    // higher rank evicts the lower), so such a list is not one it wrote.
+    if (live_pairs > pairs - pair ||
+        live_pairs + retired_pairs > ranks - rank) {
+      return false;
+    }
+    const uint8_t* live_ranks = rank_in + rank;
+    const uint8_t* retired_ranks = live_ranks + live_pairs;
+    node_times.resize(live_pairs);
+    for (size_t e = 0; e < live_pairs; ++e) {
+      node_times[e] = times.Decode(time_in, pair + e);
+    }
+    // Each cell: ranks in [1, MaxRank] strictly ascending through its live
+    // pairs and then its retired ones, and live times strictly ascending.
+    // A scan never leaves two pairs with one time in a cell (the higher
+    // rank evicts the lower), so such a list is not one it wrote.
     size_t e = 0;
-    for (const uint8_t n : cell_counts) {
-      for (size_t j = 0; j < n; ++j, ++e) {
-        if (node_ranks[e] == 0 || node_ranks[e] > max_rank ||
-            (j > 0 && (node_ranks[e] <= node_ranks[e - 1] ||
-                       node_times[e] <= node_times[e - 1]))) {
+    size_t r = 0;
+    for (size_t c = 0; c < beta; ++c) {
+      uint8_t top = 0;
+      for (size_t j = 0; j < counts[c]; ++j, ++e) {
+        if (live_ranks[e] <= top || live_ranks[e] > max_rank ||
+            (j > 0 && node_times[e] <= node_times[e - 1])) {
           return false;
         }
+        top = live_ranks[e];
+      }
+      for (size_t j = 0; j < retired[c]; ++j, ++r) {
+        if (retired_ranks[r] <= top || retired_ranks[r] > max_rank) {
+          return false;
+        }
+        top = retired_ranks[r];
       }
     }
-    CheckpointAccess::RefillSketch(irs, expected_first + i, cell_counts,
-                                   {node_ranks, node_entries}, node_times);
-    pair += node_entries;
+    CheckpointAccess::RefillSketch(irs, u, counts, {live_ranks, live_pairs},
+                                   node_times, retired,
+                                   {retired_ranks, retired_pairs});
+    rank += live_pairs + retired_pairs;
+    pair += live_pairs;
   }
-  return pair == entries;
+  return rank == ranks && pair == pairs;
 }
 
 // ---- save / load ----------------------------------------------------------
@@ -438,17 +513,35 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
 }
 
 // A build resumes only from the sketches its scan held at the checkpoint:
-// one for each node that sends among the scanned edges, and no other.
-// Every checkpoint the scan writes holds exactly those.
+// one for each node that sends among the scanned edges, and no other,
+// collapsed exactly when the scan is a window past its first send. Every
+// checkpoint the scan writes holds exactly those.
 bool HoldsScannedSenders(const MetaFrame& meta, const InteractionGraph& graph,
                          const IrsApprox& irs) {
   const std::span<const Interaction> edges = graph.interactions();
-  std::vector<bool> sent(graph.num_nodes(), false);
-  for (const auto& e : edges.last(meta.edges_processed)) sent[e.src] = true;
+  const size_t m = edges.size();
   const std::span<const std::unique_ptr<VersionedHll>> sketches =
       CheckpointAccess::Sketches(irs);
+  // Each node's first and last send over the whole log; it sends among
+  // the scanned edges (the last `done`) iff its last send is one of them.
+  const size_t unscanned = m - meta.edges_processed;
+  std::vector<size_t> first_sent(graph.num_nodes(), m);
+  std::vector<size_t> last_sent(graph.num_nodes(), m);
+  for (size_t i = m; i-- > 0;) {
+    first_sent[edges[i].src] = i;
+    if (last_sent[edges[i].src] == m) last_sent[edges[i].src] = i;
+  }
   for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    if ((sketches[u] != nullptr) != sent[u]) return false;
+    const VersionedHll* sketch = sketches[u].get();
+    const bool sent = last_sent[u] < m && last_sent[u] >= unscanned;
+    if ((sketch != nullptr) != sent) return false;
+    if (sketch != nullptr &&
+        sketch->collapsed() !=
+            CheckpointAccess::Collapses(edges[first_sent[u]].time,
+                                        edges[unscanned].time,
+                                        meta.fp.window)) {
+      return false;
+    }
   }
   return true;
 }
@@ -469,7 +562,8 @@ uint64_t TryResume(const CheckpointOptions& options,
       LogWarning("checkpoint " + path + " failed verification, skipped");
       continue;
     }
-    CheckpointAccess::SetTallies(&candidate, meta.tally);
+    CheckpointAccess::SetTallies(&candidate, meta.edges_scanned,
+                                 meta.merge_calls);
     *irs = std::move(candidate);
     stats->resumed_edges = meta.edges_processed;
     const std::string detail = StrFormat(
@@ -492,10 +586,8 @@ void WriteCheckpoint(const IrsApprox& irs, const Fingerprint& fp,
   MetaFrame meta;
   meta.fp = fp;
   meta.edges_processed = done;
-  meta.last_time = edges[edges.size() - done].time;
-  meta.saw_interaction = 1;
   meta.chunk_size = kChunkSize;
-  CheckpointAccess::GetTallies(irs, meta.tally);
+  CheckpointAccess::GetTallies(irs, &meta.edges_scanned, &meta.merge_calls);
   meta.times = irs.time_encoding();
   const WallTimer timer;
   const bool saved = SaveCheckpoint(irs, meta, options.dir);

@@ -13,8 +13,9 @@
 // a crash at edge 90M must not cost 90M edges of rework. With checkpointing
 // enabled, the scan state is written through common/safe_io every N edges
 // — a meta frame (position, tallies, fingerprint, and the build's time
-// encoding) plus one frame per 256 nodes holding their sketches' cell lists
-// (the only files that store them, checkpoint.cc) — and a restarted build
+// encoding) plus one frame per 256 nodes holding their sketches, each live
+// (its cell lists and retired ranks: the only files that store them) or
+// collapsed to its row (checkpoint.cc) — and a restarted build
 // resumes from the newest checkpoint that verifies, falling back to the
 // next-older one when the newest is damaged, of another format version, or
 // in another time encoding than the build's. A resumed build produces

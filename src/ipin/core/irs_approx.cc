@@ -1,6 +1,7 @@
 #include "ipin/core/irs_approx.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "ipin/common/check.h"
@@ -93,6 +94,11 @@ void IrsApprox::PublishArenaGauges() const {
   IPIN_GAUGE_SET("sketch.arena.entries", arena_->TotalEntries());
 }
 
+bool IrsApprox::WindowPassed(Timestamp later, Timestamp t, Duration window) {
+  return later > t && static_cast<uint64_t>(later) - static_cast<uint64_t>(t) >=
+                          static_cast<uint64_t>(window);
+}
+
 IrsApprox IrsApprox::Compute(const InteractionGraph& graph, Duration window,
                              const IrsApproxOptions& options) {
   return ComputeParallel(graph, window, options, GlobalThreads());
@@ -114,6 +120,20 @@ IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
 // the inserts that land in part k of each sketch. Every cell then receives
 // exactly the inserts of the one-pass scan, in the same order, so the
 // sketches are bit-identical for every part count.
+//
+// The scan also releases what the window makes unreachable (the
+// "Retirement" rules of vhll.h). Every pair of phi(u) is at or after u's
+// latest scanned send, so once the scan is a whole window before that
+// send and u has not sent again, every pair of phi(u) is dead: no merge
+// reads it, and it can never dominate a new pair. If that send was u's
+// first, phi(u) is final, and the scan collapses it to its row and entry
+// count then. Otherwise, if u stays silent for another window at least
+// (two windows after the send, in scan order), the scan retires its
+// pairs then, which u's next sends evict or keep as ranks; a shorter
+// silence would pay a walk of the sketch for little time without its
+// times. Such a send is "quiet". The log alone fixes the quiet sends, and
+// each worker acts on its own part with its own cursor into one shared
+// list, so every part count, and every resume, does the same.
 void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
                      size_t epoch_edges,
                      const std::function<void(size_t)>& after_epoch) {
@@ -125,11 +145,42 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
   // last_sent[v] is one past the index of v's last edge as a source (0 if
   // v never sends). The one-pass scan allocates phi(v) at that edge, so
   // while scanning edge i - 1 it holds a sketch for v iff last_sent[v] > i.
+  // first_sent[v] is the index of v's first edge as a source.
   std::vector<size_t> last_sent(num_nodes_, 0);
-  for (size_t i = 0; i < m; ++i) last_sent[edges[i].src] = i + 1;
+  std::vector<size_t> first_sent(num_nodes_, m);
+  // The quiet sends, newest first.
+  const Duration quiet_gap =
+      window_ > std::numeric_limits<Duration>::max() / 2
+          ? std::numeric_limits<Duration>::max()
+          : 2 * window_;
+  std::vector<size_t> quiet;
+  for (size_t i = 0; i < m; ++i) {
+    const NodeId u = edges[i].src;
+    if (last_sent[u] == 0) {
+      first_sent[u] = i;
+      quiet.push_back(i);
+    } else if (WindowPassed(edges[i].time, edges[last_sent[u] - 1].time,
+                            quiet_gap)) {
+      quiet.push_back(i);
+    }
+    last_sent[u] = i + 1;
+  }
+  std::reverse(quiet.begin(), quiet.end());
+  // How many quiet sends a scan at time t is a window before, counting on
+  // from `from` of them.
+  const auto due_at = [&](Timestamp t, size_t from) {
+    while (from < quiet.size() &&
+           WindowPassed(edges[quiet[from]].time, t, window_)) {
+      ++from;
+    }
+    return from;
+  };
 
   obs::ProgressPhase phase("irs.approx.scan", m);
   phase.SetDone(done);  // resumed edges count as completed work
+  // The quiet sends acted on before this epoch: a resumed scan's restored
+  // sketches already show them.
+  size_t acted = done == 0 ? 0 : due_at(edges[m - done].time, 0);
   while (done < m) {
     // This epoch scans edges [lo, hi) backwards.
     const size_t hi = m - done;
@@ -147,8 +198,19 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
       for (size_t part = first; part < last; ++part) {
         size_t part_merges = 0;
         size_t since_tick = 0;
+        size_t cursor = acted;
         for (size_t i = hi; i > lo; --i) {
           const Interaction& edge = edges[i - 1];
+          for (const size_t end = due_at(edge.time, cursor); cursor < end;
+               ++cursor) {
+            const size_t send = quiet[cursor];
+            VersionedHll& sketch = *sketches[edges[send].src];
+            if (first_sent[edges[send].src] == send) {
+              sketch.Collapse(part);
+            } else {
+              sketch.Retire(edge.time, window_, part);
+            }
+          }
           const NodeId v = edge.dst;
           part_merges +=
               ScanEdge(edge, *sketches[edge.src],
@@ -164,6 +226,7 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
         if (part == 0) build.merge_calls += part_merges;
       }
     });
+    acted = due_at(edges[lo].time, acted);
     done = m - lo;
     build.edges_scanned += hi - lo;
     phase.SetDone(done);

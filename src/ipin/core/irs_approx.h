@@ -78,8 +78,9 @@ class IrsApprox {
   const SketchArena* arena() const { return &*arena_; }
 
   /// Node u's build sketch, or null if u never sent, once Seal() has run,
-  /// and for loaded and shard indexes. For checks that the served rows are
-  /// the build's.
+  /// and for loaded and shard indexes. It may have collapsed to its row,
+  /// or hold retired ranks (DESIGN.md §10). For checks that the served
+  /// rows are the build's.
   const VersionedHll* BuildSketch(NodeId u) const;
 
   /// The encoding the build sketches store their times in, and
@@ -120,7 +121,10 @@ class IrsApprox {
   size_t TotalCellUpdates() const { return tallies_.cell_updates; }
 
   /// Approximate heap footprint in bytes (the paper's Table 4 quantity):
-  /// the arena, plus the build store while it exists.
+  /// the arena, plus the build store while it exists. After a build this
+  /// is the end-of-scan store, no longer the build's peak: sketches the
+  /// scan collapsed or retired have given their bytes back. The peak is
+  /// the "vhll" memory tally's (VhllMemTally().PeakBytes()).
   size_t MemoryUsageBytes() const;
 
  private:
@@ -169,6 +173,11 @@ class IrsApprox {
   // `after_epoch(edges scanned)` runs on the calling thread.
   void Scan(const InteractionGraph& graph, size_t done, size_t epoch_edges,
             const std::function<void(size_t)>& after_epoch);
+
+  // True once a scan at time t is a whole window before `later`
+  // (later - t >= window, exactly at any i64 values): the scan then
+  // collapses the sketch of a sender whose first send is at `later`.
+  static bool WindowPassed(Timestamp later, Timestamp t, Duration window);
 
   // The end of every build (plain and checkpointed): sums the sketches'
   // lifetime tallies, copies their rows into arena_, and publishes the

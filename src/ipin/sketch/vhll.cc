@@ -81,6 +81,47 @@ bool GainsPair(const uint8_t* ur, const uint8_t* ut, size_t nu,
   return false;
 }
 
+// Sets `run`'s size to `size` bytes, growing its capacity by at least a
+// quarter when short: not by doubling, since the parts are most of a
+// build's memory, and doubling leaves up to half of every part unused.
+template <typename Run>
+void ResizeRun(Run& run, size_t size) {
+  if (size > run.capacity()) {
+    run.reserve(std::max(size, run.capacity() + run.capacity() / 4));
+  }
+  run.resize(size);
+}
+
+// Frees a run's heap buffer.
+template <typename Run>
+void Free(Run& run) {
+  Run().swap(run);
+}
+
+// The number of the `n` ascending offsets at `times` that are at most
+// `live_last`: the rest, a tail, are dead.
+template <typename Offset>
+size_t LivePrefix(const uint8_t* times, size_t n, Offset live_last) {
+  while (n > 0 && TimeCodec<Offset>::Load(times, n - 1) > live_last) --n;
+  return n;
+}
+
+// The number of the `n` ascending ranks at `retired` that a list topped by
+// rank `top` evicts: those not above it. (They are later than any pair a
+// list gains, so rank alone decides.)
+size_t EvictedBy(uint8_t top, const uint8_t* retired, size_t n) {
+  size_t evicted = 0;
+  while (evicted < n && retired[evicted] <= top) ++evicted;
+  return evicted;
+}
+
+// The eight bytes at `p`, as one word.
+uint64_t Eight(const uint8_t* p) {
+  uint64_t word;
+  std::memcpy(&word, p, sizeof(word));
+  return word;
+}
+
 }  // namespace
 
 VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
@@ -99,27 +140,41 @@ VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
 }
 
 VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
-                           std::span<const uint8_t> cell_counts,
+                           std::span<const uint8_t> counts,
                            std::span<const uint8_t> ranks,
                            std::span<const int64_t> times,
+                           std::span<const uint8_t> retired,
+                           std::span<const uint8_t> retired_ranks,
                            TimeEncoding encoding)
     : VersionedHll(precision, salt, num_parts, encoding) {
-  IPIN_CHECK_EQ(cell_counts.size(), num_cells());
+  IPIN_CHECK_EQ(counts.size(), num_cells());
+  IPIN_CHECK(retired.empty() || retired.size() == num_cells());
   IPIN_CHECK_EQ(ranks.size(), times.size());
   WithTimeCodec(encoding_.width, [&](auto codec) {
     using Offset = decltype(codec.Encode(0, 0));
     size_t entry = 0;
+    size_t retired_entry = 0;
     for (size_t k = 0; k < num_parts; ++k) {
       Part& p = part(k);
       const size_t first = PartBegin(k);
+      const size_t cells = p.counts.size();
       size_t slots = 0;
-      for (size_t j = 0; j < p.counts.size(); ++j) {
-        const uint8_t n = cell_counts[first + j];
-        IPIN_CHECK_LE(n, kMaxCellEntries);
+      size_t retired_slots = 0;
+      for (size_t j = 0; j < cells; ++j) {
+        const uint8_t n = counts[first + j];
+        const uint8_t r = retired.empty() ? 0 : retired[first + j];
+        IPIN_CHECK_LE(size_t{n} + r, kMaxCellEntries);
         slots += n;
+        retired_slots += r;
         IPIN_CHECK_LE(slots, ranks.size() - entry);
+        IPIN_CHECK_LE(retired_slots, retired_ranks.size() - retired_entry);
         p.counts[j] = n;
-        if (n > 0) max_ranks_[first + j] = ranks[entry + slots - 1];
+        if (r > 0) {
+          max_ranks_[first + j] =
+              retired_ranks[retired_entry + retired_slots - 1];
+        } else if (n > 0) {
+          max_ranks_[first + j] = ranks[entry + slots - 1];
+        }
       }
       p.ranks.reserve(slots);
       p.times.reserve(slots * sizeof(Offset));
@@ -130,11 +185,35 @@ VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
         codec.Store(p.times.data(), i,
                     codec.Encode(encoding_.base, times[entry + i]));
       }
+      if (retired_slots > 0) {
+        p.retired.assign(retired.begin() + first,
+                         retired.begin() + first + cells);
+        p.retired_ranks.reserve(retired_slots);
+        p.retired_ranks.assign(
+            retired_ranks.begin() + retired_entry,
+            retired_ranks.begin() + retired_entry + retired_slots);
+      }
       entry += slots;
+      retired_entry += retired_slots;
     }
     IPIN_CHECK_EQ(entry, ranks.size());
+    IPIN_CHECK_EQ(retired_entry, retired_ranks.size());
   });
   IPIN_DCHECK(CheckInvariants());
+}
+
+VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
+                           std::span<const uint8_t> row, size_t entries,
+                           TimeEncoding encoding)
+    : VersionedHll(precision, salt, num_parts, encoding) {
+  IPIN_CHECK_EQ(row.size(), num_cells());
+  for (size_t c = 0; c < row.size(); ++c) {
+    IPIN_CHECK_LE(row[c], MaxRank(precision_));
+    max_ranks_[c] = row[c];
+  }
+  for (size_t k = 0; k < num_parts; ++k) Collapse(k);
+  // The count is the sketch's, not a part's: part 0 carries it.
+  first_part_.collapsed_entries = entries;
 }
 
 bool VersionedHll::Add(uint64_t item, Timestamp t) {
@@ -171,6 +250,7 @@ bool VersionedHll::Insert(size_t cell_index, uint8_t rank, Offset t) {
   IPIN_DCHECK(rank > 0);
   const size_t k = PartOf(cell_index);
   Part& p = part(k);
+  IPIN_DCHECK(!Collapsed(p));
   const size_t j = cell_index - PartBegin(k);
   const size_t begin = CellBegin(p, j);
   const size_t len = p.counts[j];
@@ -185,7 +265,23 @@ bool VersionedHll::Insert(size_t cell_index, uint8_t rank, Offset t) {
       p.ranks.data() + begin, p.times.data() + begin * sizeof(Offset), len,
       &rank, t_bytes, 1, new_ranks, new_times, &kept);
   if (kept == 0) return false;  // dominated by an earlier (or equal) pair
-  p.evictions += len + 1 - n;   // the pairs the new one dominated
+  // The cell's max rank: its new list's last, unless a retired rank above
+  // it survives. The new pair evicts the retired ranks not above it.
+  uint8_t top = new_ranks[n - 1];
+  size_t evicted = 0;
+  if (!p.retired.empty() && p.retired[j] > 0) {
+    const size_t r_begin = RetiredBegin(p, j);
+    const size_t r_len = p.retired[j];
+    const uint8_t* const run = p.retired_ranks.data() + r_begin;
+    evicted = EvictedBy(top, run, r_len);
+    if (evicted < r_len) top = run[r_len - 1];
+    if (evicted > 0) {
+      const auto at = p.retired_ranks.begin() + static_cast<ptrdiff_t>(r_begin);
+      p.retired_ranks.erase(at, at + static_cast<ptrdiff_t>(evicted));
+      p.retired[j] = static_cast<uint8_t>(r_len - evicted);
+    }
+  }
+  p.evictions += len + 1 - n + evicted;  // the pairs the new one dominated
 
   // Splice it in: the part's later pairs move by n - len slots (n - len is
   // at most 1).
@@ -201,8 +297,7 @@ bool VersionedHll::Insert(size_t cell_index, uint8_t rank, Offset t) {
   std::memcpy(p.times.data() + begin * sizeof(Offset), new_times,
               n * sizeof(Offset));
   p.counts[j] = static_cast<uint8_t>(n);
-  // Ranks ascend within a list, so the cached cell max is just the tail.
-  max_ranks_[cell_index] = new_ranks[n - 1];
+  max_ranks_[cell_index] = top;
   return true;
 }
 
@@ -218,6 +313,32 @@ void VersionedHll::ResizePart(Part& p, size_t slots) {
   }
   p.ranks.resize(slots);
   p.times.resize(slots * sizeof(Offset));
+}
+
+template <typename Offset>
+void VersionedHll::ShrinkPart(Part& p, size_t slots) {
+  if (slots < p.ranks.capacity() / 2) {
+    // What retirement freed goes back to the heap: both arrays are
+    // reallocated to their size plus a quarter.
+    const size_t capacity = slots + slots / 4;
+    TallyVector<uint8_t> ranks;
+    TallyVector<uint8_t> times;
+    ranks.reserve(capacity);
+    times.reserve(capacity * sizeof(Offset));
+    ranks.assign(p.ranks.begin(), p.ranks.begin() + slots);
+    times.assign(p.times.begin(), p.times.begin() + slots * sizeof(Offset));
+    p.ranks.swap(ranks);
+    p.times.swap(times);
+  }
+  ResizePart<Offset>(p, slots);
+}
+
+template <typename Offset>
+bool VersionedHll::LastBelow(__int128 bound, Offset* last) {
+  constexpr Offset kTop = std::numeric_limits<Offset>::max();
+  if (bound <= 0) return false;
+  *last = bound > kTop ? kTop : static_cast<Offset>(bound - 1);
+  return true;
 }
 
 void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
@@ -239,17 +360,20 @@ void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
   // largest offset everything is.
   const __int128 bound =
       static_cast<__int128>(merge_time) - encoding_.base + window;
-  if (bound <= 0) return;
   WithTimeCodec(encoding_.width, [&](auto codec) {
     using Offset = decltype(codec.Encode(0, 0));
-    constexpr Offset kTop = std::numeric_limits<Offset>::max();
-    const Offset last =
-        bound > kTop ? kTop : static_cast<Offset>(bound - 1);
-    MergeCells(other, part_index, last);
+    Offset last = 0;
+    if (!LastBelow(bound, &last)) return;
+    // Only a part that has retired ranks can evict some.
+    if (part(part_index).retired_ranks.empty()) {
+      MergeCells<Offset, false>(other, part_index, last);
+    } else {
+      MergeCells<Offset, true>(other, part_index, last);
+    }
   });
 }
 
-template <typename Offset>
+template <typename Offset, bool kRetired>
 void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
                               Offset last) {
   using Codec = TimeCodec<Offset>;
@@ -258,7 +382,8 @@ void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
   // path.
   Part& p = part(part_index);
   const Part& from = other.part(part_index);
-  if (from.ranks.empty()) return;
+  if (from.ranks.empty()) return;  // no live pair: a collapsed part or none
+  IPIN_DCHECK(!Collapsed(p));
   const size_t cells = p.counts.size();
   uint8_t* const counts = p.counts.data();
   const uint8_t* const from_counts = from.counts.data();
@@ -277,7 +402,8 @@ void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
     return nv;
   };
 
-  // Up to the first cell that gains a pair, nothing changes.
+  // Up to the first cell that gains a pair, nothing changes: a retired
+  // rank is evicted only by a pair a cell gains.
   size_t scanned = 0;
   size_t c = 0;
   size_t u_begin = 0;
@@ -319,12 +445,26 @@ void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
                 (until - copy_from) * kWidth);
     n += until - copy_from;
   };
+  // The retired ranks a merged cell evicts leave the part's retired runs
+  // in place: the ranks between two evicting cells move down as one block.
+  // `r_begin` is cell c's first retired rank before any moved.
+  uint8_t* const retired = kRetired ? p.retired.data() : nullptr;
+  uint8_t* const rr = kRetired ? p.retired_ranks.data() : nullptr;
+  size_t r_begin = kRetired ? RetiredBegin(p, c) : 0;
+  size_t r_block = r_begin;
+  size_t r_dropped = 0;
+  const auto move_retired = [&](size_t until) {
+    if (r_dropped > 0 && until > r_block) {
+      std::memmove(rr + r_block - r_dropped, rr + r_block, until - r_block);
+    }
+  };
   size_t kept = 0;
   size_t evicted = 0;
   for (; c < cells; ++c) {
     const size_t nv = window(c, v_begin);
     scanned += nv;
     const size_t nu = counts[c];
+    const size_t r_len = kRetired ? retired[c] : 0;
     if (nv > 0) {
       copy_run(u_begin);
       size_t gained = 0;
@@ -332,23 +472,154 @@ void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
           ur + u_begin, ut + u_begin * kWidth, nu, vr + v_begin,
           vt + v_begin * kWidth, nv, sr + n, st + n * kWidth, &gained);
       n += len;
+      size_t dropped = 0;
+      if (kRetired && r_len > 0) {
+        dropped = EvictedBy(sr[n - 1], rr + r_begin, r_len);
+        if (dropped > 0) {
+          move_retired(r_begin);
+          r_block = r_begin + dropped;
+          r_dropped += dropped;
+          retired[c] = static_cast<uint8_t>(r_len - dropped);
+        }
+      }
       kept += gained;
-      evicted += nu - (len - gained);
+      evicted += nu - (len - gained) + dropped;
       counts[c] = static_cast<uint8_t>(len);
-      max_ranks[c] = sr[n - 1];
+      max_ranks[c] = dropped < r_len ? rr[r_begin + r_len - 1] : sr[n - 1];
       copy_from = u_begin + nu;
     }
     u_begin += nu;
     v_begin += from_counts[c];
+    r_begin += r_len;
   }
   copy_run(old_slots);
   ResizePart<Offset>(p, rewrite_from + n);
   std::memcpy(p.ranks.data() + rewrite_from, sr, n);
   std::memcpy(p.times.data() + rewrite_from * kWidth, st, n * kWidth);
+  if (r_dropped > 0) {
+    move_retired(p.retired_ranks.size());
+    ResizeRun(p.retired_ranks, p.retired_ranks.size() - r_dropped);
+  }
   p.insert_attempts += scanned;
   p.evictions += evicted;
   p.merge_entries_scanned += scanned;
   p.cell_updates += kept;
+}
+
+void VersionedHll::Retire(Timestamp t, Duration window, size_t part_index) {
+  IPIN_CHECK(encoding_.Holds(t));
+  IPIN_CHECK_GE(window, 1);
+  const __int128 bound = static_cast<__int128>(t) - encoding_.base + window;
+  WithTimeCodec(encoding_.width, [&](auto codec) {
+    using Offset = decltype(codec.Encode(0, 0));
+    Offset last = 0;
+    LastBelow(bound, &last);  // t is held, so the bound is positive
+    RetireCells(part(part_index), last);
+  });
+}
+
+template <typename Offset>
+void VersionedHll::RetireCells(Part& p, Offset live_last) {
+  using Codec = TimeCodec<Offset>;
+  constexpr size_t kWidth = sizeof(Offset);
+  const size_t pairs = p.ranks.size();
+  uint8_t* const counts = p.counts.data();
+  uint8_t* const ranks = p.ranks.data();
+  uint8_t* const times = p.times.data();
+  // Up to the first cell whose last live pair is dead, nothing changes.
+  size_t j = 0;
+  size_t read = 0;  // cell j's first live pair
+  for (;; ++j) {
+    if (read == pairs) return;
+    read += counts[j];
+    if (counts[j] > 0 && Codec::Load(times, read - 1) > live_last) break;
+  }
+  read -= counts[j];
+
+  // When no pair has retired yet and every live pair is dead, the live
+  // ranks are the retired runs as they stand.
+  if (p.retired_ranks.empty() && read == 0) {
+    size_t first = 0;  // cell c's first live pair
+    bool all_dead = true;
+    for (size_t c = 0; c < p.counts.size() && all_dead; ++c) {
+      all_dead = counts[c] == 0 || Codec::Load(times, first) > live_last;
+      first += counts[c];
+    }
+    if (all_dead) {
+      p.retired.assign(p.counts.begin(), p.counts.end());
+      std::fill(p.counts.begin(), p.counts.end(), 0);
+      p.retired_ranks.swap(p.ranks);
+      Free(p.ranks);
+      Free(p.times);
+      return;
+    }
+  }
+
+  // From cell j on, each cell's dead pairs — its live list's tail — go to
+  // the front of its retired run, and its live pairs move down over the
+  // dead ones before them. The retired runs from cell j on are rebuilt
+  // in the scratch buffer.
+  if (p.retired.empty()) p.retired.resize(p.counts.size(), 0);
+  uint8_t* const retired = p.retired.data();
+  const size_t r_from = RetiredBegin(p, j);
+  const uint8_t* const old_retired = p.retired_ranks.data();
+  const size_t old_retired_len = p.retired_ranks.size();
+  std::vector<uint8_t>& scratch = t_merge_scratch.ranks;
+  const size_t most = old_retired_len - r_from + pairs - read;
+  if (scratch.size() < most) scratch.resize(most);
+  uint8_t* const out = scratch.data();
+  size_t out_len = 0;
+  size_t r_read = r_from;  // cell j's first retired rank
+  size_t write = read;     // where cell j's live pairs go
+  const size_t cells = p.counts.size();
+  for (; read < pairs; ++j) {
+    // Runs of empty cells hold nothing to move: skip them eight at a time.
+    while (j + 8 <= cells && (Eight(counts + j) | Eight(retired + j)) == 0) {
+      j += 8;
+    }
+    const size_t n = counts[j];
+    const size_t keep =
+        n == 0 ? 0 : LivePrefix(times + read * kWidth, n, live_last);
+    for (size_t i = 0; i < keep; ++i) {
+      ranks[write + i] = ranks[read + i];
+      Codec::Store(times, write + i, Codec::Load(times, read + i));
+    }
+    for (size_t i = keep; i < n; ++i) out[out_len++] = ranks[read + i];
+    const size_t r_len = retired[j];
+    for (size_t i = 0; i < r_len; ++i) out[out_len++] = old_retired[r_read + i];
+    counts[j] = static_cast<uint8_t>(keep);
+    retired[j] = static_cast<uint8_t>(r_len + n - keep);
+    read += n;
+    write += keep;
+    r_read += r_len;
+  }
+  ShrinkPart<Offset>(p, write);
+  // The cells after the last live pair keep their retired runs.
+  const size_t rest = old_retired_len - r_read;
+  ResizeRun(p.retired_ranks, r_from + out_len + rest);
+  uint8_t* const runs = p.retired_ranks.data();
+  if (rest > 0) {
+    std::memmove(runs + r_from + out_len, runs + r_read, rest);
+  }
+  std::memcpy(runs + r_from, out, out_len);
+}
+
+void VersionedHll::Collapse(size_t part_index) {
+  Part& p = part(part_index);
+  if (Collapsed(p)) return;
+  p.collapsed_entries = p.ranks.size() + p.retired_ranks.size();
+  Free(p.counts);
+  Free(p.ranks);
+  Free(p.times);
+  Free(p.retired);
+  Free(p.retired_ranks);
+}
+
+bool VersionedHll::collapsed() const {
+  for (size_t k = 0; k < num_parts(); ++k) {
+    if (!Collapsed(part(k))) return false;
+  }
+  return true;
 }
 
 double VersionedHll::Estimate() const {
@@ -361,7 +632,10 @@ void VersionedHll::Clear() {
     Part& p = part(k);
     p.ranks.clear();
     p.times.clear();
-    std::fill(p.counts.begin(), p.counts.end(), 0);
+    p.retired.clear();
+    p.retired_ranks.clear();
+    p.collapsed_entries = 0;
+    p.counts.assign(PartBegin(k + 1) - PartBegin(k), 0);
   }
   std::fill(max_ranks_.begin(), max_ranks_.end(), 0);
 }
@@ -378,18 +652,42 @@ size_t VersionedHll::CellBegin(const Part& p, size_t j) {
   return begin;
 }
 
+size_t VersionedHll::RetiredBegin(const Part& p, size_t j) {
+  size_t begin = 0;
+  if (p.retired.empty()) return begin;
+  for (size_t i = 0; i < j; ++i) begin += p.retired[i];
+  return begin;
+}
+
 VersionedHll::CellList VersionedHll::cell(size_t i) const {
   const size_t k = PartOf(i);
   const Part& p = part(k);
+  IPIN_CHECK(!Collapsed(p));
   const size_t j = i - PartBegin(k);
   const size_t begin = CellBegin(p, j);
+  const size_t r_len = p.retired.empty() ? 0 : p.retired[j];
   return {p.ranks.data() + begin, p.times.data() + begin * encoding_.width,
-          encoding_, p.counts[j]};
+          encoding_, p.counts[j],
+          {p.retired_ranks.data() + RetiredBegin(p, j), r_len}};
+}
+
+VersionedHll::PartRuns VersionedHll::part_runs(size_t k) const {
+  const Part& p = part(k);
+  IPIN_CHECK(!Collapsed(p));
+  return {{p.counts.data(), p.counts.size()},
+          {p.ranks.data(), p.ranks.size()},
+          {p.times.data(), p.times.size()},
+          {p.retired.data(), p.retired.size()},
+          {p.retired_ranks.data(), p.retired_ranks.size()}};
 }
 
 size_t VersionedHll::NumEntries() const {
   size_t total = 0;
-  for (size_t k = 0; k < num_parts(); ++k) total += part(k).ranks.size();
+  for (size_t k = 0; k < num_parts(); ++k) {
+    const Part& p = part(k);
+    total += Collapsed(p) ? p.collapsed_entries
+                          : p.ranks.size() + p.retired_ranks.size();
+  }
   return total;
 }
 
@@ -397,25 +695,44 @@ bool VersionedHll::CheckInvariants() const {
   const size_t width = encoding_.width;
   for (size_t k = 0; k < num_parts(); ++k) {
     const Part& p = part(k);
-    if (p.counts.size() != PartBegin(k + 1) - PartBegin(k) ||
-        CellBegin(p, p.counts.size()) != p.ranks.size() ||
+    if (Collapsed(p)) {
+      if (!p.ranks.empty() || !p.times.empty() || !p.retired.empty() ||
+          !p.retired_ranks.empty()) {
+        return false;
+      }
+      continue;
+    }
+    const size_t cells = PartBegin(k + 1) - PartBegin(k);
+    if (p.counts.size() != cells ||
+        (!p.retired.empty() && p.retired.size() != cells) ||
+        CellBegin(p, cells) != p.ranks.size() ||
         p.ranks.size() * width != p.times.size() ||
-        p.ranks.capacity() * width != p.times.capacity()) {
+        p.ranks.capacity() * width != p.times.capacity() ||
+        (p.retired.empty() ? 0 : RetiredBegin(p, cells)) !=
+            p.retired_ranks.size()) {
       return false;
     }
   }
   for (size_t c = 0; c < num_cells(); ++c) {
+    if (Collapsed(part(PartOf(c)))) continue;
     const CellList list = cell(c);
-    if (list.size() > kMaxCellEntries) return false;
-    if (max_ranks_[c] != (list.empty() ? 0 : list.back().rank)) return false;
-    for (size_t i = 1; i < list.size(); ++i) {
-      // Strictly ascending rank and time: no pair dominates another.
-      if (list[i].rank <= list[i - 1].rank) return false;
-      if (list[i].time <= list[i - 1].time) return false;
-    }
+    if (list.num_entries() > kMaxCellEntries) return false;
+    // Strictly ascending ranks through the live pairs and then the
+    // retired ones, and strictly ascending live times: no pair dominates
+    // another.
+    uint8_t top = 0;
     for (const Entry& e : list) {
-      if (e.rank == 0) return false;
+      if (e.rank <= top) return false;
+      top = e.rank;
     }
+    for (const uint8_t rank : list.retired()) {
+      if (rank <= top) return false;
+      top = rank;
+    }
+    for (size_t i = 1; i < list.size(); ++i) {
+      if (list.time(i) <= list.time(i - 1)) return false;
+    }
+    if (max_ranks_[c] != top) return false;
   }
   return true;
 }
@@ -425,7 +742,8 @@ size_t VersionedHll::MemoryUsageBytes() const {
                  more_parts_.capacity() * sizeof(Part);
   for (size_t k = 0; k < num_parts(); ++k) {
     const Part& p = part(k);
-    bytes += p.counts.capacity() + p.ranks.capacity() + p.times.capacity();
+    bytes += p.counts.capacity() + p.ranks.capacity() + p.times.capacity() +
+             p.retired.capacity() + p.retired_ranks.capacity();
   }
   return bytes;
 }

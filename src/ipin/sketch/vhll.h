@@ -36,20 +36,36 @@ obs::MemoryTally& VhllMemTally();
 ///
 /// Storage: cell-sorted runs, not one heap vector per cell. The cells are
 /// split into `num_parts` contiguous ranges ("parts"; part k holds cells
-/// [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns three arrays
-/// and its lifetime tallies. `counts` holds the length of each cell's list
-/// (u8: a list has at most 64 pairs), and `ranks` (u8) and `times` hold
-/// every pair of the part in cell order, so a cell's list starts where the
-/// lists of the cells before it in its part end. The times are stored as
-/// offsets in the sketch's TimeEncoding (time_codec.h), the one codec build
-/// checkpoints use too. The encoding is fixed at construction by the
-/// sketch's owner: a build takes the narrowest one that covers its input's
-/// interaction times (IrsApprox), so a slot costs 1 + 4 bytes when the
-/// times span less than 2^32, and 1 + 8 bytes under the default wide
-/// encoding, which holds every time. The public API reads and writes
-/// Timestamps: inserts encode (checked to be held), CellList decodes.
-/// Offsets order as their times do, so domination and the merge window
-/// compare offsets as they are.
+/// [ceil(k*beta/P), ceil((k+1)*beta/P))), and each part owns its arrays and
+/// its lifetime tallies. `counts` holds the number of live pairs of each
+/// cell of the part (u8: a cell holds at most 64 pairs), and `ranks` (u8)
+/// and `times` hold every live pair of the part in cell order, so a cell's
+/// list starts where the lists of the cells before it in its part end. The
+/// times are stored as offsets in the sketch's TimeEncoding
+/// (time_codec.h), the one codec build checkpoints use too. The encoding is
+/// fixed at construction by the sketch's owner: a build takes the narrowest
+/// one that covers its input's interaction times (IrsApprox), so a live
+/// pair costs 1 + 4 bytes when the times span less than 2^32, and 1 + 8
+/// bytes under the default wide encoding, which holds every time. The
+/// public API reads and writes Timestamps: inserts encode (checked to be
+/// held), CellList decodes. Offsets order as their times do, so domination
+/// and the merge window compare offsets as they are.
+///
+/// Retirement (the reverse scan's window, Lemmas 1-3 of the paper). The
+/// scan's time t never increases, a merge at t reads only pairs before
+/// t + omega, and every pair it stores from then on is before t + omega
+/// too. So a pair at or after that horizon is dead: no merge reads it, and
+/// it can never dominate a new pair. It still counts as an entry until a
+/// new pair of at least its rank evicts it, so Retire keeps it as its rank
+/// alone, 1 byte: `retired` holds each cell's count of retired pairs and
+/// `retired_ranks` their ranks, in cell order, both allocated at the part's
+/// first retirement. A cell's retired ranks are above its live ones, and
+/// later than every pair it gains, so a new pair evicts exactly the retired
+/// ranks not above its own, and the cell's live ranks and then its retired
+/// ones form one strictly ascending run: its max rank is the run's last and
+/// its entry count the run's length, exactly as without retirement.
+/// Collapse frees a whole part once no operation will write or read it
+/// again, keeping its max-rank row and its entry count.
 ///
 /// MergeWindow walks a part's cells once, merging each of its lists with
 /// the other sketch's window prefix of that cell. It writes nothing until
@@ -59,17 +75,18 @@ obs::MemoryTally& VhllMemTally();
 /// part, moving the part's later pairs: O(part), which every caller pays
 /// anyway in the merge that comes with each insert. A part that runs out
 /// of room grows by a quarter, not by vector doubling, so at most a fifth
-/// of its slots are unused tail; a sketch's footprint is its parts' cell
-/// counts and slot capacity, the beta-byte max-rank cache and, with
-/// more than one part, the array of parts 1..P-1. MemoryUsageBytes()
-/// reports exactly that.
+/// of its slots are unused tail; one a retirement leaves less than half
+/// full is reallocated to its size plus a quarter, so what retirement
+/// frees goes back to the heap. A sketch's footprint is its parts' arrays
+/// (capacity), the beta-byte max-rank cache and, with more than one part,
+/// the array of parts 1..P-1. MemoryUsageBytes() reports exactly that.
 ///
 /// No operation reads two cells together, so parts never interact: a
 /// parallel build gives each worker one part of every sketch, and workers
 /// write only their own part's arrays and disjoint bytes of `max_ranks_`
-/// (IrsApprox::Compute). Part 0 lives inline, so a one-part sketch — every
-/// sketch outside the partitioned build — owns four heap buffers, which is
-/// what makes the build scan and freeing the sketches at Seal() cheap.
+/// (IrsApprox::Compute). Part 0 lives inline, so a one-part sketch that
+/// never retires — every sketch outside the partitioned build — owns four
+/// heap buffers.
 class VersionedHll {
  public:
   /// One (rank, timestamp) pair of a cell list.
@@ -78,13 +95,13 @@ class VersionedHll {
     Timestamp time = 0;
   };
 
-  /// Read-only view of one cell's entries: its runs of ranks and time
-  /// offsets in the part's arrays, read as (rank, time) pairs with the times
-  /// decoded. Valid until the next mutation of the sketch.
+  /// Read-only view of one cell: its live pairs, read as (rank, time)
+  /// pairs with the times decoded, and the ranks of its retired pairs.
+  /// Valid until the next mutation of the sketch.
   class CellList {
    public:
-    // For range-for loops. Yields Entry values, not references: no Entry
-    // is stored.
+    // For range-for loops over the live pairs. Yields Entry values, not
+    // references: no Entry is stored.
     class Iterator {
      public:
       Iterator(const CellList* list, size_t i) : list_(list), i_(i) {}
@@ -101,29 +118,37 @@ class VersionedHll {
     };
 
     CellList(const uint8_t* ranks, const uint8_t* time_bytes,
-             const TimeEncoding& encoding, size_t size)
+             const TimeEncoding& encoding, size_t size,
+             std::span<const uint8_t> retired)
         : ranks_(ranks),
           time_bytes_(time_bytes),
           encoding_(encoding),
-          size_(size) {}
+          size_(size),
+          retired_(retired) {}
 
+    /// The number of live pairs.
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
     Entry operator[](size_t i) const { return {ranks_[i], time(i)}; }
     Entry back() const { return (*this)[size_ - 1]; }
     Iterator begin() const { return {this, 0}; }
     Iterator end() const { return {this, size_}; }
-    /// The time of entry i, decoded.
+    /// The time of live pair i, decoded.
     Timestamp time(size_t i) const { return encoding_.Decode(time_bytes_, i); }
+    /// The ranks of the retired pairs, ascending; all above the live ones.
+    std::span<const uint8_t> retired() const { return retired_; }
+    /// The cell's entry count: live and retired pairs.
+    size_t num_entries() const { return size_ + retired_.size(); }
 
    private:
     const uint8_t* ranks_;
     const uint8_t* time_bytes_;
     TimeEncoding encoding_;
     size_t size_;
+    std::span<const uint8_t> retired_;
   };
 
-  /// A bound on a cell list's length: its ranks are distinct and at most
+  /// A bound on a cell's entry count: its ranks are distinct and at most
   /// MaxRank(precision) < 64.
   static constexpr size_t kMaxCellEntries = 64;
 
@@ -138,18 +163,30 @@ class VersionedHll {
   explicit VersionedHll(int precision, uint64_t salt = 0,
                         size_t num_parts = 1, TimeEncoding encoding = {});
 
-  /// A sketch holding the given cell lists, in the stored form of a
-  /// checkpoint's sketch chunk: `cell_counts` (one per cell) cut `ranks`
-  /// and the parallel `times` into lists in cell order. The lists must
-  /// already satisfy the vHLL invariants, as a restored checkpoint's
-  /// checked ones do, and `encoding` must hold every time; the sizes and
-  /// the times are checked. The sketch has `num_parts` parts (in
-  /// [1, beta]), as the first constructor's; each part's arrays are sized
-  /// to exactly its pairs. Lifetime tallies start at zero.
+  /// A sketch holding the given cells, in the stored form of a
+  /// checkpoint's live node: `counts` (one per cell) cut `ranks` and the
+  /// parallel `times` into the cells' live lists, and `retired` (one per
+  /// cell, or empty for none) cuts `retired_ranks` into their retired
+  /// runs, all in cell order. The cells must already satisfy the vHLL
+  /// invariants, as a restored checkpoint's checked ones do, and
+  /// `encoding` must hold every time; the sizes and the times are checked.
+  /// The sketch has `num_parts` parts (in [1, beta]), as the first
+  /// constructor's; each part's arrays are sized to exactly its pairs.
+  /// Lifetime tallies start at zero.
   VersionedHll(int precision, uint64_t salt, size_t num_parts,
-               std::span<const uint8_t> cell_counts,
+               std::span<const uint8_t> counts,
                std::span<const uint8_t> ranks,
-               std::span<const int64_t> times, TimeEncoding encoding = {});
+               std::span<const int64_t> times,
+               std::span<const uint8_t> retired,
+               std::span<const uint8_t> retired_ranks,
+               TimeEncoding encoding = {});
+
+  /// A collapsed sketch (Collapse), in the stored form of a checkpoint's
+  /// collapsed node: its max-rank row (beta bytes, each at most MaxRank;
+  /// checked) and its entry count. Lifetime tallies start at zero.
+  VersionedHll(int precision, uint64_t salt, size_t num_parts,
+               std::span<const uint8_t> row, size_t entries,
+               TimeEncoding encoding = {});
 
   /// Inserts item observed at time `t` (hashes the item internally).
   /// Returns true if the sketch changed.
@@ -180,11 +217,26 @@ class VersionedHll {
   void MergeWindow(const VersionedHll& other, Timestamp merge_time,
                    Duration window, size_t part);
 
+  /// Retires every pair of part `part` at or after t + window (see
+  /// "Retirement" above). The caller guarantees what makes that exact:
+  /// no later operation stores or reads a pair at or after that horizon,
+  /// and later retirements' horizons are no later.
+  void Retire(Timestamp t, Duration window, size_t part);
+
+  /// Frees part `part` once no operation will write or read its pairs
+  /// again, keeping its max-rank row and entry count. Later merges from
+  /// it read nothing; nothing may be written into it. Idempotent.
+  void Collapse(size_t part);
+
+  /// True once every part has collapsed (a restored collapsed sketch, or
+  /// one the scan collapsed). cell() and part_runs() need a live sketch.
+  bool collapsed() const;
+
   /// Estimated number of distinct items ever inserted. O(beta): reads the
   /// per-cell max-rank cache, not the entry lists.
   double Estimate() const;
 
-  /// Resets to the empty sketch.
+  /// Resets to the empty sketch, also a collapsed one.
   void Clear();
 
   int precision() const { return precision_; }
@@ -196,7 +248,7 @@ class VersionedHll {
   /// The part that holds cell `c`: floor(c * P / beta).
   size_t PartOf(size_t c) const { return (c * num_parts()) >> precision_; }
 
-  /// Total number of stored (rank, time) pairs across all cells.
+  /// Total number of stored pairs, live and retired, across all cells.
   size_t NumEntries() const;
 
   /// Lifetime count of AddEntry calls (before domination filtering); the
@@ -205,8 +257,9 @@ class VersionedHll {
     return SumOverParts(&Part::insert_attempts);
   }
 
-  /// Lifetime count of stored pairs evicted because a newly inserted pair
-  /// dominated them (the flip side of NumInsertAttempts' rejected inserts).
+  /// Lifetime count of stored pairs, live or retired, evicted because a
+  /// newly inserted pair dominated them (the flip side of
+  /// NumInsertAttempts' rejected inserts).
   size_t NumEvictions() const { return SumOverParts(&Part::evictions); }
 
   /// Lifetime count of entries examined by MergeWindow (window-eligible
@@ -218,26 +271,25 @@ class VersionedHll {
   }
   size_t NumCellUpdates() const { return SumOverParts(&Part::cell_updates); }
 
-  /// The raw list of cell `i` (strictly ascending time and rank). Sums
-  /// the counts of the cells before it in its part: O(beta / num_parts()).
+  /// Cell `i`: its live pairs (strictly ascending time and rank) and
+  /// retired ranks. Sums the counts of the cells before it in its part:
+  /// O(beta / num_parts()). Its part must not have collapsed.
   CellList cell(size_t i) const;
 
-  /// Every pair of part `k`, as the part stores them: the list length of
-  /// each cell of the part (`counts`), and the pairs' ranks and time
-  /// offsets (time_encoding(), width bytes each) as two runs in cell
-  /// order.
-  /// Valid until the next mutation of the sketch.
+  /// Every pair of part `k`, as the part stores them, in cell order: the
+  /// live pairs of each cell of the part (`counts`), their ranks and time
+  /// offsets (time_encoding(), width bytes each), and the retired pairs of
+  /// each cell (`retired`, empty if the part never retired) and their
+  /// ranks. The part must not have collapsed. Valid until the next
+  /// mutation of the sketch.
   struct PartRuns {
     std::span<const uint8_t> counts;
     std::span<const uint8_t> ranks;
     std::span<const uint8_t> time_bytes;
+    std::span<const uint8_t> retired;
+    std::span<const uint8_t> retired_ranks;
   };
-  PartRuns part_runs(size_t k) const {
-    const Part& p = part(k);
-    return {{p.counts.data(), p.counts.size()},
-            {p.ranks.data(), p.ranks.size()},
-            {p.times.data(), p.times.size()}};
-  }
+  PartRuns part_runs(size_t k) const;
 
   /// Per-cell max rank (0 for an empty cell), maintained on every mutation.
   /// Contiguous, so cellwise-max union loops (the oracle's hot path) touch
@@ -246,15 +298,14 @@ class VersionedHll {
     return {max_ranks_.data(), max_ranks_.size()};
   }
 
-  /// Verifies the per-cell invariants (strictly ascending ranks and times,
-  /// so no pair dominates another) and the parts' layout. Test helper;
-  /// O(total entries).
+  /// Verifies the per-cell invariants (one strictly ascending run of
+  /// ranks, strictly ascending live times, so no pair dominates another)
+  /// and the parts' layout. Test helper; O(total entries).
   bool CheckInvariants() const;
 
-  /// Heap footprint in bytes: the parts' cell counts (1 byte a cell), their
-  /// slot capacity (1 + width bytes a slot, unused tail included), the
-  /// max-rank cache (1 byte a cell) and the array of parts 1..P-1. Equals
-  /// what the sketch charges the "vhll" tally.
+  /// Heap footprint in bytes: the parts' arrays (capacity, unused tail
+  /// included), the max-rank cache (1 byte a cell) and the array of parts
+  /// 1..P-1. Equals what the sketch charges the "vhll" tally.
   size_t MemoryUsageBytes() const;
 
  private:
@@ -262,15 +313,22 @@ class VersionedHll {
   using TallyVector = std::vector<T, obs::TallyAllocator<T, &VhllMemTally>>;
 
   // The storage of one cell range, touched only by operations on its cells.
+  // A collapsed part has freed its arrays: `counts` is empty only then (a
+  // part has at least one cell).
   struct Part {
-    // The list length of each cell of the part; they sum to the part's
-    // pair count.
+    // The live list length of each cell of the part; they sum to the
+    // part's live pairs.
     TallyVector<uint8_t> counts;
-    // The pairs in cell order: ranks[i] and the time offset at
-    // times[i * width] are one pair. Both arrays always hold the same
-    // number of slots, in size and in capacity.
+    // The live pairs in cell order: ranks[i] and the time offset at
+    // times[i * width] are one pair.
     TallyVector<uint8_t> ranks;
     TallyVector<uint8_t> times;
+    // The retired pairs: their count in each cell of the part, and their
+    // ranks in cell order. Both empty until the part first retires.
+    TallyVector<uint8_t> retired;
+    TallyVector<uint8_t> retired_ranks;
+    // The entry count the part had when it collapsed.
+    size_t collapsed_entries = 0;
     size_t insert_attempts = 0;
     size_t evictions = 0;
     size_t merge_entries_scanned = 0;
@@ -281,6 +339,7 @@ class VersionedHll {
   const Part& part(size_t k) const {
     return k == 0 ? first_part_ : more_parts_[k - 1];
   }
+  static bool Collapsed(const Part& p) { return p.counts.empty(); }
   // First cell of part k (k == num_parts() gives the end of the last part).
   size_t PartBegin(size_t k) const {
     return (k * num_cells() + num_parts() - 1) / num_parts();
@@ -288,6 +347,8 @@ class VersionedHll {
   size_t SumOverParts(size_t Part::*tally) const;
   // The first slot of cell j of part p: the sum of the counts before it.
   static size_t CellBegin(const Part& p, size_t j);
+  // The first retired rank of cell j of part p (0 if p never retired).
+  static size_t RetiredBegin(const Part& p, size_t j);
 
   // The private operations work on time offsets of type Offset, the
   // encoding's width (uint32_t or uint64_t); each public call dispatches
@@ -297,20 +358,32 @@ class VersionedHll {
   // attempt tally. Returns true if the pair was kept.
   template <typename Offset>
   bool Insert(size_t c, uint8_t rank, Offset t);
-  // Folds in the entries of `other`'s cells of part `part_index` whose
-  // offset is at most `last`.
-  template <typename Offset>
+  // Folds in the live pairs of `other`'s cells of part `part_index` whose
+  // offset is at most `last`. kRetired: the part has retired ranks, which
+  // the pairs it gains may evict.
+  template <typename Offset, bool kRetired>
   void MergeCells(const VersionedHll& other, size_t part_index, Offset last);
-  // Resizes p's arrays to `slots` pairs, growing their capacity by at
-  // least a quarter when it is short. May reallocate them.
+  // Resizes p's live arrays to `slots` pairs, growing their capacity by at
+  // least a quarter when it is short; ShrinkPart also reallocates them to
+  // their size plus a quarter when they are less than half full.
   template <typename Offset>
   static void ResizePart(Part& p, size_t slots);
+  template <typename Offset>
+  static void ShrinkPart(Part& p, size_t slots);
+  // Retires every live pair of p whose offset is above `live_last`.
+  template <typename Offset>
+  static void RetireCells(Part& p, Offset live_last);
+  // The largest offset below `bound`, an offset bound formed in 128 bits;
+  // false if there is none (bound <= 0).
+  template <typename Offset>
+  static bool LastBelow(__int128 bound, Offset* last);
 
   int precision_;
   uint64_t salt_;
   TimeEncoding encoding_;
-  // Cache of cell(c).back().rank (0 when empty), kept in sync by every
-  // mutating method so Estimate() and the union fast paths are O(beta).
+  // Cache of each cell's largest rank (0 when empty), kept in sync by
+  // every mutating method so Estimate() and the union fast paths are
+  // O(beta). A collapsed part keeps its cells' bytes.
   TallyVector<uint8_t> max_ranks_;
   Part first_part_;
   // Parts 1..P-1; empty (no allocation) for a one-part sketch.

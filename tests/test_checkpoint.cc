@@ -231,19 +231,53 @@ TEST_F(CheckpointTest, ApproxCheckpointBytesDoNotDependOnThreadCount) {
 }
 
 // The approx checkpoint bytes are frozen: the file a fixed-seed build
-// (beta = 256) cuts at edge 1,000 of 2,000 has this CRC32C.
+// (beta = 256) cuts at edge 1,000 of 2,002 has this CRC32C. Beside the
+// random log's 200 nodes, node 200 sends only at the start (absent at the
+// checkpoint) and node 201 only at the end (collapsed by then), so the
+// file holds every form of node, and retired ranks.
 TEST_F(CheckpointTest, ApproxCheckpointBytesArePinned) {
-  constexpr uint32_t kCheckpointCrc32c = 0x8b353ff8;
-  const InteractionGraph g = GenerateUniformRandomNetwork(
+  constexpr uint32_t kCheckpointCrc32c = 0x8662c155;
+  const InteractionGraph random = GenerateUniformRandomNetwork(
       /*num_nodes=*/200, /*num_interactions=*/2000, /*time_span=*/5000,
       /*seed=*/23);
+  InteractionGraph g(202);
+  for (const Interaction& e : random.interactions()) {
+    g.AddInteraction(e.src, e.dst, e.time);
+  }
+  g.AddInteraction(200, 3, 0);
+  g.AddInteraction(201, 4, 5000);
+  g.SortByTime();
   const IrsApproxOptions irs_options{/*precision=*/8, /*salt=*/7};
   (void)ComputeIrsApproxCheckpointed(g, /*window=*/500, irs_options,
                                      {dir_, /*every_edges=*/1000});
-  const auto bytes =
-      FileContents(dir_ + "/ckpt_approx_00000000000000001000.ipinckpt");
+  const std::string path = dir_ + "/ckpt_approx_00000000000000001000.ipinckpt";
+  const auto bytes = FileContents(path);
   ASSERT_TRUE(bytes.has_value());
   EXPECT_EQ(Crc32c(*bytes), kCheckpointCrc32c);
+  // What the pin covers: every form of node, and retired ranks.
+  constexpr uint32_t kCheckpointFileType = 0x504b4349;  // "ICKP"
+  SafeFileReader reader;
+  ASSERT_EQ(reader.Open(path, kCheckpointFileType), SafeOpenStatus::kOk);
+  std::string_view payload;
+  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);  // meta
+  size_t forms[3] = {0, 0, 0};
+  size_t retired = 0;
+  while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
+    const std::string chunk(payload);
+    const ChunkLayout layout = LayoutOf(chunk, irs_options.precision);
+    for (uint32_t i = 0; i < layout.count; ++i) {
+      const auto form = static_cast<uint8_t>(chunk[28 + i]);
+      ++forms[form];
+      if (form != 1) continue;
+      for (size_t c = 0; c < 256; ++c) {
+        retired += static_cast<uint8_t>(chunk[layout.blocks[i] + 256 + c]);
+      }
+    }
+  }
+  EXPECT_GT(forms[0], 0u);
+  EXPECT_GT(forms[1], 0u);
+  EXPECT_GT(forms[2], 0u);
+  EXPECT_GT(retired, 0u);
 }
 
 // A checkpoint written under one cadence resumes under another: resumed at
@@ -385,13 +419,13 @@ TEST_F(CheckpointTest, PreviousVersionCheckpointIsSkipped) {
   {
     SafeFileReader reader;
     ASSERT_EQ(reader.Open(path, kCheckpointFileType), SafeOpenStatus::kOk);
-    ASSERT_EQ(reader.version(), 3u);
+    ASSERT_EQ(reader.version(), 4u);
     std::string_view payload;
     while (reader.ReadFrame(&payload) == FrameStatus::kOk) {
       frames.emplace_back(payload);
     }
   }
-  SafeFileWriter writer(path, kCheckpointFileType, /*version=*/2);
+  SafeFileWriter writer(path, kCheckpointFileType, /*version=*/3);
   for (const std::string& frame : frames) {
     ASSERT_TRUE(writer.AppendFrame(frame));
   }
@@ -429,36 +463,31 @@ TEST_F(CheckpointTest, EqualTimesInACellListAreRejected) {
       frames.emplace_back(payload);
     }
   }
-  // In the first cell list of two or more pairs, the second pair takes the
-  // first's time. Ranks still ascend strictly and times never descend. A
-  // chunk is u64 first | u32 count | u64 entries | count present bytes |
-  // beta counts per present node | entries ranks | entries time offsets.
+  // In the first cell list of two or more live pairs, the second pair
+  // takes the first's time. Ranks still ascend strictly and times never
+  // descend (the chunk layout: test_util.h, ChunkLayout).
   bool edited = false;
   for (size_t f = 1; f < frames.size() && !edited; ++f) {
     std::string& chunk = frames[f];
-    uint32_t count = 0;
-    uint64_t entries = 0;
-    std::memcpy(&count, chunk.data() + 8, sizeof(count));
-    std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
-    if (entries == 0) continue;
-    size_t present = 0;
-    for (uint32_t i = 0; i < count; ++i) present += chunk[20 + i];
-    const size_t counts_at = 20 + count;
-    const size_t times_at = counts_at + present * kBeta + entries;
-    const size_t width = (chunk.size() - times_at) / entries;
+    const ChunkLayout layout = LayoutOf(chunk, kSketch.precision);
+    if (layout.pairs == 0) continue;
+    const size_t width = (chunk.size() - layout.times_at) / layout.pairs;
     size_t pair = 0;
-    for (size_t c = 0; c < present * kBeta && !edited; ++c) {
-      const auto n = static_cast<uint8_t>(chunk[counts_at + c]);
-      if (n >= 2) {
-        std::memcpy(&chunk[times_at + (pair + 1) * width],
-                    &chunk[times_at + pair * width], width);
-        edited = true;
+    for (uint32_t i = 0; i < layout.count && !edited; ++i) {
+      if (layout.blocks[i] == 0 || chunk[28 + i] != 1) continue;
+      for (size_t c = 0; c < kBeta && !edited; ++c) {
+        const auto n = static_cast<uint8_t>(chunk[layout.blocks[i] + c]);
+        if (n >= 2) {
+          std::memcpy(&chunk[layout.times_at + (pair + 1) * width],
+                      &chunk[layout.times_at + pair * width], width);
+          edited = true;
+        }
+        pair += n;
       }
-      pair += n;
     }
   }
   ASSERT_TRUE(edited);
-  SafeFileWriter writer(path, kCheckpointFileType, /*version=*/3);
+  SafeFileWriter writer(path, kCheckpointFileType, /*version=*/4);
   for (const std::string& frame : frames) {
     ASSERT_TRUE(writer.AppendFrame(frame));
   }

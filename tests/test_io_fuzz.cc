@@ -372,7 +372,7 @@ TEST_F(IoFuzzTest, ApproxCheckpointSurvivesHostileChunks) {
 
   Rng rng(10);
   size_t skipped = 0;
-  for (int trial = 0; trial < 60; ++trial) {
+  for (int trial = 0; trial < 100; ++trial) {
     std::vector<std::string> edited = frames;
     EditChunk(&rng, &edited[1 + rng.NextBounded(frames.size() - 1)]);
     {
@@ -400,8 +400,8 @@ TEST_F(IoFuzzTest, ApproxCheckpointSurvivesHostileChunks) {
       }
     }
   }
-  EXPECT_GT(skipped, 30u);
-  EXPECT_LT(skipped, 60u);  // some edits pass every check
+  EXPECT_GT(skipped, 50u);
+  EXPECT_LT(skipped, 100u);  // some edits pass every check
   std::filesystem::remove_all(dir);
 }
 
@@ -428,23 +428,18 @@ void WriteFrames(const std::string& path, uint32_t type, uint32_t version,
   ASSERT_TRUE(writer.Commit());
 }
 
-// A checkpoint's sketch chunk (checkpoint.cc) of sketches with
-// 2^precision cells, its time offsets (in `from`) re-encoded as the low
-// `width` bytes of each time minus `base`. At width 8 and base 0 these are
-// the i64 times of the retired formats.
+// A checkpoint's sketch chunk (checkpoint.cc; layout: test_util.h,
+// ChunkLayout) of sketches with 2^precision cells, its time offsets (in
+// `from`) re-encoded as the low `width` bytes of each time minus `base`.
+// At width 8 and base 0 these are the i64 times of the retired formats.
 std::string ReencodeTimes(const std::string& chunk, int precision,
                           const TimeEncoding& from, size_t width,
                           int64_t base) {
-  uint32_t count = 0;
-  uint64_t entries = 0;
-  std::memcpy(&count, chunk.data() + 8, sizeof(count));
-  std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
-  size_t present = 0;
-  for (uint32_t i = 0; i < count; ++i) present += chunk[20 + i] != 0 ? 1 : 0;
-  const size_t at = 20 + count + (present << precision) + entries;
-  std::string out = chunk.substr(0, at);
-  const auto* offsets = reinterpret_cast<const uint8_t*>(chunk.data()) + at;
-  for (size_t i = 0; i < entries; ++i) {
+  const ChunkLayout layout = LayoutOf(chunk, precision);
+  std::string out = chunk.substr(0, layout.times_at);
+  const auto* offsets =
+      reinterpret_cast<const uint8_t*>(chunk.data()) + layout.times_at;
+  for (size_t i = 0; i < layout.pairs; ++i) {
     const uint64_t offset = static_cast<uint64_t>(from.Decode(offsets, i)) -
                             static_cast<uint64_t>(base);
     out.append(reinterpret_cast<const char*>(&offset), width);
@@ -488,36 +483,58 @@ TEST_F(IoFuzzTest, RetiredIndexVersionsLoadAsCorruptWithTheRebuildMessage) {
   }
 }
 
-// A well-formed version-2 checkpoint (i64 times, no time encoding in the
-// meta frame) is skipped, and the build runs fresh to the uninterrupted
-// result.
-TEST_F(IoFuzzTest, V2CheckpointIsSkippedCleanly) {
+// A well-formed version-3 checkpoint is skipped, and the build runs fresh
+// to the uninterrupted result. It is today's checkpoint at edge 50 of
+// 1,200, before any sketch retires or collapses, written out in the
+// version-3 layout: a meta frame with the algorithm byte, the last scanned
+// time, the saw-interaction byte and four tallies, and chunks of u64
+// first, u32 count, u64 entries, present[count], cell counts[present x
+// beta], ranks[entries] and time offsets[entries].
+TEST_F(IoFuzzTest, V3CheckpointIsSkippedCleanly) {
   const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
   const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
   const std::string dir = path_ + ".ckpt";
-  const CheckpointOptions options{dir, /*every_edges=*/1000, /*keep=*/1};
+  const CheckpointOptions options{dir, /*every_edges=*/50, /*keep=*/30};
   (void)ComputeIrsApproxCheckpointed(g, 90, sketch, options);
-  const auto files = ReadDir(dir);
-  ASSERT_EQ(files.size(), 1u);
-  const std::string& path = files[0].first;
+  const std::string path = dir + "/ckpt_approx_00000000000000000050.ipinckpt";
   uint32_t version = 0;
-  std::vector<std::string> frames =
-      ReadFrames(path, kCheckpointType, &version);
-  ASSERT_EQ(version, 3u);
-  // The meta frame ends with the chunks' i64 base time and u8 width.
-  std::string& meta = frames[0];
-  TimeEncoding times;
-  std::memcpy(&times.base, meta.data() + meta.size() - 9, sizeof(times.base));
-  times.width = static_cast<uint8_t>(meta.back());
-  meta.resize(meta.size() - 9);
+  std::vector<std::string> frames = ReadFrames(path, kCheckpointType, &version);
+  ASSERT_EQ(version, 4u);
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  // Meta: i64 window ... u64 salt (41 bytes), u64 edges, u32 chunk size,
+  // u64 edges scanned, u64 merges, i64 base, u8 width.
+  const std::string& meta = frames[0];
+  ASSERT_EQ(meta.size(), 41u + 8 + 4 + 8 + 8 + 9);
+  const auto raw = [](auto value) {
+    return std::string(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  const int64_t last_time = g.interactions()[1150].time;
+  std::string v3_meta = std::string(1, '\x02') + meta.substr(0, 49) +
+                        raw(last_time) + std::string(1, '\x01') +
+                        meta.substr(49, 4) + meta.substr(53, 16) +
+                        raw(uint64_t{0}) + raw(uint64_t{0}) +
+                        meta.substr(69, 9);
+  std::vector<std::string> v3_frames = {v3_meta};
   for (size_t k = 1; k < frames.size(); ++k) {
-    frames[k] = ReencodeTimes(frames[k], 4, times, 8, 0);
+    const std::string& chunk = frames[k];
+    const ChunkLayout layout = LayoutOf(chunk, 4);
+    ASSERT_EQ(layout.ranks, layout.pairs);  // nothing retired yet
+    std::string present;
+    std::string counts;
+    for (uint32_t i = 0; i < layout.count; ++i) {
+      ASSERT_LE(static_cast<uint8_t>(chunk[28 + i]), 1);  // none collapsed
+      present += chunk[28 + i];
+      if (layout.blocks[i] != 0) counts += chunk.substr(layout.blocks[i], 16);
+    }
+    v3_frames.push_back(chunk.substr(0, 12) + raw(layout.pairs) + present +
+                        counts + chunk.substr(layout.ranks_at));
   }
-  WriteFrames(path, kCheckpointType, 2, frames);
+  WriteFrames(path, kCheckpointType, 3, v3_frames);
 
   CheckpointStats stats;
   const IrsApprox got =
-      ComputeIrsApproxCheckpointed(g, 90, sketch, options, &stats);
+      ComputeIrsApproxCheckpointed(g, 90, sketch, {dir, 1000, 1}, &stats);
   EXPECT_EQ(stats.invalid_checkpoints_skipped, 1u);
   EXPECT_EQ(stats.resumed_edges, 0u);
   ExpectSameSketches(got, IrsApprox::Compute(g, 90, sketch), 0);
@@ -588,55 +605,55 @@ TEST_F(IoFuzzTest, CheckpointTimesOutsideTheBuildEncodingAreSkipped) {
 }
 
 // A checkpoint's sketch chunk of sketches with 2^precision cells and
-// `width`-byte time offsets, with node `u` made absent (its cell counts
-// and pairs cut out) or, when it is absent, present with empty cells.
+// `width`-byte time offsets, with live node `u` made absent (its block,
+// ranks and times cut out) or, when it is absent, live with empty cells.
 std::string ToggleNode(const std::string& chunk, int precision, size_t width,
                        NodeId u) {
-  uint64_t first = 0;
-  uint32_t count = 0;
-  uint64_t entries = 0;
-  std::memcpy(&first, chunk.data(), sizeof(first));
-  std::memcpy(&count, chunk.data() + 8, sizeof(count));
-  std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
   const size_t beta = size_t{1} << precision;
-  const size_t local = u - first;
-  const auto cell_count = [&](size_t at) {
-    return static_cast<size_t>(static_cast<uint8_t>(chunk[at]));
-  };
-  // u's block of cell counts follows those of the present nodes before
-  // it, and its pairs follow theirs.
-  const size_t counts_at = 20 + count;
-  size_t present = 0;
-  size_t block = 0;
+  const ChunkLayout layout = LayoutOf(chunk, precision);
+  const size_t local = u - layout.first;
+  // u's ranks and times follow those of the live nodes before it.
+  size_t rank = 0;
   size_t pair = 0;
-  for (size_t i = 0; i < count; ++i) {
-    if (chunk[20 + i] == 0) continue;
-    if (i < local) {
-      for (size_t c = 0; c < beta; ++c) {
-        pair += cell_count(counts_at + block * beta + c);
-      }
-      ++block;
+  size_t block = layout.ranks_at;  // where u's block is, or would go
+  for (size_t i = 0; i < layout.count; ++i) {
+    if (layout.blocks[i] == 0) continue;
+    if (i >= local) {
+      block = layout.blocks[i];
+      break;
     }
-    ++present;
-  }
-  const size_t ranks_at = counts_at + present * beta;
-  const size_t times_at = ranks_at + entries;
-  std::string out = chunk;
-  if (chunk[20 + local] != 0) {
-    size_t n = 0;
+    if (chunk[28 + i] != 1) continue;
     for (size_t c = 0; c < beta; ++c) {
-      n += cell_count(counts_at + block * beta + c);
+      const auto live = static_cast<uint8_t>(chunk[layout.blocks[i] + c]);
+      const auto retired =
+          static_cast<uint8_t>(chunk[layout.blocks[i] + beta + c]);
+      rank += live + retired;
+      pair += live;
     }
-    out.erase(times_at + pair * width, n * width);
-    out.erase(ranks_at + pair, n);
-    out.erase(counts_at + block * beta, beta);
-    out[20 + local] = 0;
-    entries -= n;
-    std::memcpy(out.data() + 12, &entries, sizeof(entries));
-  } else {
-    out.insert(counts_at + block * beta, beta, '\0');
-    out[20 + local] = 1;
   }
+  std::string out = chunk;
+  uint64_t ranks = layout.ranks;
+  uint64_t pairs = layout.pairs;
+  if (chunk[28 + local] == 1) {
+    size_t n_ranks = 0;
+    size_t n_pairs = 0;
+    for (size_t c = 0; c < beta; ++c) {
+      const auto live = static_cast<uint8_t>(chunk[block + c]);
+      n_ranks += live + static_cast<uint8_t>(chunk[block + beta + c]);
+      n_pairs += live;
+    }
+    out.erase(layout.times_at + pair * width, n_pairs * width);
+    out.erase(layout.ranks_at + rank, n_ranks);
+    out.erase(block, 2 * beta);
+    out[28 + local] = 0;
+    ranks -= n_ranks;
+    pairs -= n_pairs;
+  } else {
+    out.insert(block, 2 * beta, '\0');
+    out[28 + local] = 1;
+  }
+  std::memcpy(out.data() + 12, &ranks, sizeof(ranks));
+  std::memcpy(out.data() + 20, &pairs, sizeof(pairs));
   return out;
 }
 
@@ -672,7 +689,8 @@ TEST_F(IoFuzzTest, CheckpointWithAnotherSketchSetIsSkipped) {
   std::vector<NodeId> toggled;
   for (const bool scanned : {true, false}) {
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (sends_left[u] && sends_scanned[u] == scanned) {
+      if (sends_left[u] && sends_scanned[u] == scanned &&
+          (!scanned || frames[1 + u / 256][28 + u % 256] == 1)) {
         toggled.push_back(u);
         break;
       }
@@ -684,15 +702,9 @@ TEST_F(IoFuzzTest, CheckpointWithAnotherSketchSetIsSkipped) {
     std::vector<std::string> edited = frames;
     std::string& chunk = edited[1 + u / 256];
     chunk = ToggleNode(chunk, 4, width, u);
-    // Still well formed: 20 + count + present x beta + (1 + width) x
-    // entries bytes.
-    uint32_t count = 0;
-    uint64_t entries = 0;
-    std::memcpy(&count, chunk.data() + 8, sizeof(count));
-    std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
-    const auto present = static_cast<size_t>(
-        std::count(chunk.begin() + 20, chunk.begin() + 20 + count, 1));
-    ASSERT_EQ(chunk.size(), 20 + count + present * 16 + entries * (1 + width));
+    // Still well formed: 28 + count + blocks + ranks + width x pairs bytes.
+    const ChunkLayout layout = LayoutOf(chunk, 4);
+    ASSERT_EQ(chunk.size(), layout.times_at + layout.pairs * width);
     WriteFrames(path, kCheckpointType, version, edited);
 
     CheckpointStats stats;
@@ -706,13 +718,23 @@ TEST_F(IoFuzzTest, CheckpointWithAnotherSketchSetIsSkipped) {
   std::filesystem::remove_all(dir);
 }
 
-// CRC-valid approx checkpoints whose chunk keeps its length but breaks one
-// vHLL invariant the restore checks, and that nothing else catches: a list
-// ending in rank 200 (above 65 - precision, still strictly ascending), a
-// list whose second time precedes its first (a time the build's encoding
-// holds), and cell counts summing to one pair fewer than the chunk's
-// entries (the last list loses its last pair). Resume skips each, and the
-// build saves the uninterrupted index's bytes.
+// CRC-valid approx checkpoints whose chunk breaks one check of the restore
+// and that nothing else catches, in the only checkpoint there is (edge
+// 1000 of 1200, so it holds live nodes with retired ranks and collapsed
+// ones):
+// - a live list ending in rank 200 (above 65 - precision, still strictly
+//   ascending);
+// - a live list whose second time precedes its first (a time the build's
+//   encoding holds);
+// - live counts summing to one pair fewer than the chunk's (the last list
+//   loses its last pair);
+// - a node's form byte of 3;
+// - a collapsed row with a rank above MaxRank;
+// - a collapsed entry count above 64 x beta;
+// - a retired rank not above its cell's last live rank;
+// - a cell whose live and retired counts add up to more than 64.
+// Each edit keeps the chunk's length. Resume skips each cleanly, without a
+// CHECK, and the build saves the uninterrupted index's bytes.
 TEST_F(IoFuzzTest, CheckpointChunkBreakingAnInvariantIsSkipped) {
   const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
   const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
@@ -730,55 +752,103 @@ TEST_F(IoFuzzTest, CheckpointChunkBreakingAnInvariantIsSkipped) {
   ASSERT_EQ(frames.size(), 4u);  // meta + three chunks of 256 nodes
   ASSERT_EQ(frames[0].back(), 4);  // u32 time offsets
 
-  // Chunk 1: u64 first_node, u32 count, u64 entries, present[count], 16
-  // cell counts per present node, the ranks, then the time offsets.
+  // Chunk 1, and per cell of its live nodes: where its live count, retired
+  // count, first rank and first time offset are (test_util.h, ChunkLayout).
   const std::string& chunk = frames[1];
-  uint32_t count = 0;
-  uint64_t entries = 0;
-  std::memcpy(&count, chunk.data() + 8, sizeof(count));
-  std::memcpy(&entries, chunk.data() + 12, sizeof(entries));
-  const auto present = static_cast<size_t>(
-      std::count(chunk.begin() + 20, chunk.begin() + 20 + count, 1));
-  const size_t counts_at = 20 + count;
-  const size_t ranks_at = counts_at + present * 16;
-  const size_t times_at = ranks_at + entries;
-  const auto cell_count = [&](size_t c) {
-    return static_cast<size_t>(static_cast<uint8_t>(chunk[counts_at + c]));
+  const ChunkLayout layout = LayoutOf(chunk, 4);
+  struct Cell {
+    size_t count_at, retired_at, rank, pair;
+    uint8_t live, retired;
   };
-  const auto offset_at = [&](const std::string& bytes, size_t pair) {
+  std::vector<Cell> cells;
+  std::vector<size_t> collapsed;  // blocks of the collapsed nodes
+  size_t rank = 0;
+  size_t pair = 0;
+  for (uint32_t i = 0; i < layout.count; ++i) {
+    if (chunk[28 + i] == 2) collapsed.push_back(layout.blocks[i]);
+    if (chunk[28 + i] != 1) continue;
+    for (size_t c = 0; c < 16; ++c) {
+      Cell cell{layout.blocks[i] + c, layout.blocks[i] + 16 + c, 0, 0,
+                static_cast<uint8_t>(chunk[layout.blocks[i] + c]),
+                static_cast<uint8_t>(chunk[layout.blocks[i] + 16 + c])};
+      cell.rank = rank;
+      cell.pair = pair;
+      rank += cell.live + cell.retired;
+      pair += cell.live;
+      cells.push_back(cell);
+    }
+  }
+  ASSERT_EQ(rank, layout.ranks);
+  ASSERT_EQ(pair, layout.pairs);
+  ASSERT_FALSE(collapsed.empty());
+  const auto offset_at = [&](size_t at) {
     uint32_t offset = 0;
-    std::memcpy(&offset, bytes.data() + times_at + 4 * pair, 4);
+    std::memcpy(&offset, chunk.data() + layout.times_at + 4 * at, 4);
     return offset;
+  };
+  const auto find = [&](auto pred) {
+    const auto it = std::find_if(cells.begin(), cells.end(), pred);
+    EXPECT_NE(it, cells.end());
+    return it == cells.end() ? cells.front() : *it;
   };
 
   std::vector<std::pair<std::string, std::string>> edits;
   {
     std::string edited = chunk;
-    size_t c = 0;
-    while (cell_count(c) == 0) ++c;
-    edited[ranks_at + cell_count(c) - 1] = static_cast<char>(200);
+    const Cell c = find([](const Cell& c) { return c.live > 0; });
+    edited[layout.ranks_at + c.rank + c.live - 1] = static_cast<char>(200);
     edits.emplace_back("rank 200", edited);
   }
   {
-    // The first list of two or more pairs whose first time is above the
-    // encoding's base: its second time becomes the first time minus one.
+    // The first list of two or more live pairs whose first time is above
+    // the encoding's base: its second time becomes the first minus one.
     std::string edited = chunk;
-    size_t pair = 0;
-    size_t c = 0;
-    while (cell_count(c) < 2 || offset_at(chunk, pair) == 0) {
-      pair += cell_count(c++);
-      ASSERT_LT(c, present * 16);
-    }
-    const uint32_t earlier = offset_at(chunk, pair) - 1;
-    std::memcpy(edited.data() + times_at + 4 * (pair + 1), &earlier, 4);
+    const Cell c = find([&](const Cell& c) {
+      return c.live >= 2 && offset_at(c.pair) > 0;
+    });
+    const uint32_t earlier = offset_at(c.pair) - 1;
+    std::memcpy(edited.data() + layout.times_at + 4 * (c.pair + 1), &earlier,
+                4);
     edits.emplace_back("descending times", edited);
   }
   {
     std::string edited = chunk;
-    size_t c = present * 16 - 1;
-    while (cell_count(c) == 0) --c;
-    --edited[counts_at + c];
-    edits.emplace_back("counts sum below entries", edited);
+    const Cell c = *std::find_if(cells.rbegin(), cells.rend(),
+                                 [](const Cell& c) { return c.live > 0; });
+    --edited[c.count_at];
+    edits.emplace_back("counts sum below pairs", edited);
+  }
+  {
+    std::string edited = chunk;
+    size_t i = 0;
+    while (layout.blocks[i] == 0) ++i;
+    edited[28 + i] = 3;
+    edits.emplace_back("form 3", edited);
+  }
+  {
+    std::string edited = chunk;
+    edited[collapsed[0]] = static_cast<char>(VersionedHll::MaxRank(4) + 1);
+    edits.emplace_back("collapsed rank above MaxRank", edited);
+  }
+  {
+    std::string edited = chunk;
+    const uint32_t entries = 64 * 16 + 1;
+    std::memcpy(edited.data() + collapsed[0] + 16, &entries, 4);
+    edits.emplace_back("collapsed count above 64 x beta", edited);
+  }
+  {
+    std::string edited = chunk;
+    const Cell c =
+        find([](const Cell& c) { return c.live > 0 && c.retired > 0; });
+    edited[layout.ranks_at + c.rank + c.live] =
+        edited[layout.ranks_at + c.rank + c.live - 1];
+    edits.emplace_back("retired rank not above the last live one", edited);
+  }
+  {
+    std::string edited = chunk;
+    const Cell c = find([](const Cell& c) { return c.live > 0; });
+    edited[c.retired_at] = static_cast<char>(65 - c.live);
+    edits.emplace_back("live and retired above 64", edited);
   }
   for (const auto& [what, edited] : edits) {
     SCOPED_TRACE(what);

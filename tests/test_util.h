@@ -2,6 +2,7 @@
 #define IPIN_TESTS_TEST_UTIL_H_
 
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <map>
@@ -56,16 +57,23 @@ inline std::vector<std::map<NodeId, Timestamp>> FigureOneSummariesW3() {
   };
 }
 
-/// Everything a build sketch stores: per-cell entry counts and every
-/// (rank, time) pair in cell order. Two sketches hold the same cell lists
-/// iff their SketchCells compare equal, whatever their parts or time
-/// encoding.
+/// Everything a build sketch stores. A live sketch: per cell its live
+/// list's length, and every live pair's rank and time, in cell order; then
+/// per cell its retired pairs, and their ranks in cell order. A collapsed
+/// one: no cells. Either way its max-rank row and entry count. Two sketches
+/// hold the same cells iff their SketchCells compare equal, whatever their
+/// parts or time encoding.
 struct SketchCells {
   int precision = 0;
   uint64_t salt = 0;
+  bool collapsed = false;
   std::vector<uint8_t> counts;
   std::vector<uint8_t> ranks;
   std::vector<int64_t> times;
+  std::vector<uint8_t> retired;
+  std::vector<uint8_t> retired_ranks;
+  std::vector<uint8_t> row;
+  size_t entries = 0;
 
   bool operator==(const SketchCells&) const = default;
 };
@@ -73,12 +81,20 @@ struct SketchCells {
 /// Failure messages name the sketch's size instead of dumping its bytes.
 inline void PrintTo(const SketchCells& cells, std::ostream* os) {
   *os << "{precision " << cells.precision << ", salt " << cells.salt << ", "
-      << cells.ranks.size() << " pairs}";
+      << (cells.collapsed ? "collapsed, " : "") << cells.entries
+      << " entries, " << cells.times.size() << " live}";
 }
 
-/// The cell lists of `sketch`, read through VersionedHll::cell().
+/// The cells of `sketch`, read through VersionedHll::cell().
 inline SketchCells CellsOf(const VersionedHll& sketch) {
-  SketchCells cells{sketch.precision(), sketch.salt(), {}, {}, {}};
+  const std::span<const uint8_t> row = sketch.max_ranks();
+  SketchCells cells;
+  cells.precision = sketch.precision();
+  cells.salt = sketch.salt();
+  cells.collapsed = sketch.collapsed();
+  cells.row.assign(row.begin(), row.end());
+  cells.entries = sketch.NumEntries();
+  if (cells.collapsed) return cells;
   for (size_t c = 0; c < sketch.num_cells(); ++c) {
     const VersionedHll::CellList list = sketch.cell(c);
     cells.counts.push_back(static_cast<uint8_t>(list.size()));
@@ -86,8 +102,45 @@ inline SketchCells CellsOf(const VersionedHll& sketch) {
       cells.ranks.push_back(e.rank);
       cells.times.push_back(e.time);
     }
+    cells.retired.push_back(static_cast<uint8_t>(list.retired().size()));
+    for (const uint8_t rank : list.retired()) {
+      cells.retired_ranks.push_back(rank);
+    }
   }
   return cells;
+}
+
+/// Where the sections of a checkpoint's sketch chunk start (checkpoint.cc,
+/// version 4): u64 first_node, u32 count, u64 ranks, u64 pairs, u8
+/// form[count] (0 absent, 1 live, 2 collapsed), then a block per present
+/// node (live: counts[beta] and retired[beta]; collapsed: row[beta] and a
+/// u32 entry count), the ranks, and the time offsets.
+struct ChunkLayout {
+  uint64_t first = 0;
+  uint32_t count = 0;
+  uint64_t ranks = 0;
+  uint64_t pairs = 0;
+  std::vector<size_t> blocks;  // each node's block (0 for an absent one)
+  size_t ranks_at = 0;
+  size_t times_at = 0;
+};
+
+inline ChunkLayout LayoutOf(const std::string& chunk, int precision) {
+  const size_t beta = size_t{1} << precision;
+  ChunkLayout layout;
+  std::memcpy(&layout.first, chunk.data(), 8);
+  std::memcpy(&layout.count, chunk.data() + 8, 4);
+  std::memcpy(&layout.ranks, chunk.data() + 12, 8);
+  std::memcpy(&layout.pairs, chunk.data() + 20, 8);
+  size_t at = 28 + layout.count;
+  for (uint32_t i = 0; i < layout.count; ++i) {
+    const auto form = static_cast<uint8_t>(chunk[28 + i]);
+    layout.blocks.push_back(form == 0 ? 0 : at);
+    at += form == 1 ? 2 * beta : form == 2 ? beta + 4 : 0;
+  }
+  layout.ranks_at = at;
+  layout.times_at = at + layout.ranks;
+  return layout;
 }
 
 /// What a served sketch stores: its max-rank row and the pairs its build

@@ -364,7 +364,8 @@ TEST(VhllTest, MemoryIsCountsSlotsAndMaxRanks) {
             if (rng.NextBounded(20) != 0) break;
             const SketchCells stored = CellsOf(*a);
             a.emplace(kPrecision, 3, parts, stored.counts, stored.ranks,
-                      stored.times, encoding);
+                      stored.times, stored.retired, stored.retired_ranks,
+                      encoding);
             a_slots = pairs(*a);
             break;
           }
@@ -383,6 +384,60 @@ TEST(VhllTest, MemoryIsCountsSlotsAndMaxRanks) {
       EXPECT_GT(a->NumEntries(), 0u);
     }
   }
+}
+
+// Retiring every live pair keeps each cell's ranks, in order, as retired
+// ranks and frees the times: the row and the entry count stay. A later
+// pair evicts exactly the retired ranks not above its own, and counts
+// them as evictions; a collapse then keeps the row and the entry count.
+TEST(VhllTest, RetiredRanksStayUntilEvicted) {
+  VersionedHll vhll(4, 0, 1, TimeEncoding{0, 4});
+  // Cell 3: ranks 2 < 5 < 9 at times 100 < 200 < 300; cell 7: rank 4.
+  vhll.AddEntry(3, 2, 100);
+  vhll.AddEntry(3, 5, 200);
+  vhll.AddEntry(3, 9, 300);
+  vhll.AddEntry(7, 4, 150);
+  const std::vector<uint8_t> row(vhll.max_ranks().begin(),
+                                 vhll.max_ranks().end());
+  // Cell counts and max ranks (16 bytes each), 4 ranks, 4 u32 times.
+  EXPECT_EQ(vhll.MemoryUsageBytes(), 16u + 16 + 4 + 4 * 4);
+  // At scan time 50 with window 50, every pair (times >= 100) is dead.
+  vhll.Retire(50, 50, 0);
+  ASSERT_TRUE(vhll.CheckInvariants());
+  EXPECT_EQ(vhll.cell(3).size(), 0u);
+  EXPECT_EQ(std::vector<uint8_t>(vhll.cell(3).retired().begin(),
+                                 vhll.cell(3).retired().end()),
+            (std::vector<uint8_t>{2, 5, 9}));
+  EXPECT_EQ(vhll.cell(7).retired().size(), 1u);
+  EXPECT_EQ(std::vector<uint8_t>(vhll.max_ranks().begin(),
+                                 vhll.max_ranks().end()),
+            row);
+  EXPECT_EQ(vhll.NumEntries(), 4u);
+  // The times are gone; the retired counts (16 bytes) are new.
+  EXPECT_EQ(vhll.MemoryUsageBytes(), 16u + 16 + 4 + 16);
+  // A pair of rank 5 at time 60 evicts the retired 2 and 5, not 9.
+  const size_t evictions = vhll.NumEvictions();
+  EXPECT_TRUE(vhll.AddEntry(3, 5, 60));
+  ASSERT_TRUE(vhll.CheckInvariants());
+  EXPECT_EQ(vhll.NumEvictions(), evictions + 2);
+  EXPECT_EQ(vhll.cell(3).size(), 1u);
+  EXPECT_EQ(vhll.cell(3)[0].time, 60);
+  EXPECT_EQ(std::vector<uint8_t>(vhll.cell(3).retired().begin(),
+                                 vhll.cell(3).retired().end()),
+            (std::vector<uint8_t>{9}));
+  EXPECT_EQ(vhll.max_ranks()[3], 9);
+  EXPECT_EQ(vhll.NumEntries(), 3u);
+  // A pair of rank 9 or more evicts the last retired rank too.
+  EXPECT_TRUE(vhll.AddEntry(3, 10, 55));
+  EXPECT_EQ(vhll.NumEvictions(), evictions + 4);
+  EXPECT_EQ(vhll.max_ranks()[3], 10);
+  EXPECT_EQ(vhll.NumEntries(), 2u);
+  vhll.Collapse(0);
+  EXPECT_TRUE(vhll.collapsed());
+  EXPECT_TRUE(vhll.CheckInvariants());
+  EXPECT_EQ(vhll.NumEntries(), 2u);
+  EXPECT_EQ(vhll.max_ranks()[3], 10);
+  EXPECT_EQ(vhll.max_ranks()[7], 4);
 }
 
 // A sketch split into parts holds the same cells and tallies as a one-part
@@ -486,10 +541,20 @@ class DominationModel {
     for (size_t c = PartBegin(part); c < PartBegin(part + 1); ++c) {
       for (const Pair& p : other.cells_[c]) {
         if (p.t >= merge_time + window) continue;
+        // A retired pair lies at or after every window a merge reads.
+        EXPECT_FALSE(p.retired);
         ++insert_attempts;
         ++merge_entries_scanned;
         cell_updates += Insert(c, p.rank, p.t) ? 1 : 0;
       }
+    }
+  }
+
+  // Marks the pairs of part `part` at or after t + window retired: they
+  // keep their time here, which the sketch drops.
+  void Retire(Timestamp t, Duration window, size_t part) {
+    for (size_t c = PartBegin(part); c < PartBegin(part + 1); ++c) {
+      for (Pair& p : cells_[c]) p.retired |= p.t >= t + window;
     }
   }
 
@@ -505,15 +570,27 @@ class DominationModel {
     return copy;
   }
 
-  // The refill constructor's input: counts, ranks and times in cell order.
+  // The refill constructor's input: per cell the live pairs, and the
+  // retired ranks, in cell order.
   SketchCells Stored() const {
-    SketchCells out{precision_, salt_, {}, {}, {}};
+    SketchCells out;
+    out.precision = precision_;
+    out.salt = salt_;
     for (const auto& pairs : cells_) {
-      out.counts.push_back(static_cast<uint8_t>(pairs.size()));
+      uint8_t live = 0;
+      uint8_t retired = 0;
       for (const Pair& p : pairs) {
-        out.ranks.push_back(p.rank);
-        out.times.push_back(p.t);
+        if (p.retired) {
+          ++retired;
+          out.retired_ranks.push_back(p.rank);
+        } else {
+          ++live;
+          out.ranks.push_back(p.rank);
+          out.times.push_back(p.t);
+        }
       }
+      out.counts.push_back(live);
+      out.retired.push_back(retired);
     }
     return out;
   }
@@ -521,6 +598,7 @@ class DominationModel {
   struct Pair {
     uint8_t rank;
     Timestamp t;
+    bool retired = false;
   };
   const std::vector<Pair>& cell(size_t c) const { return cells_[c]; }
   size_t num_cells() const { return cells_.size(); }
@@ -549,7 +627,7 @@ class DominationModel {
     evictions += before - pairs.size();
     const auto at = std::find_if(pairs.begin(), pairs.end(),
                                  [t](const Pair& p) { return p.t > t; });
-    pairs.insert(at, {rank, t});
+    pairs.insert(at, {rank, t, false});
     return true;
   }
 
@@ -565,16 +643,25 @@ void ExpectMatchesModel(const VersionedHll& sketch,
   ASSERT_EQ(sketch.num_cells(), model.num_cells());
   size_t entries = 0;
   for (size_t c = 0; c < model.num_cells(); ++c) {
-    const VersionedHll::CellList list = sketch.cell(c);
     const std::vector<DominationModel::Pair>& want = model.cell(c);
-    ASSERT_EQ(list.size(), want.size()) << "cell " << c;
-    for (size_t i = 0; i < want.size(); ++i) {
-      EXPECT_EQ(list[i].rank, want[i].rank) << "cell " << c << " entry " << i;
-      EXPECT_EQ(list[i].time, want[i].t) << "cell " << c << " entry " << i;
-    }
     EXPECT_EQ(sketch.max_ranks()[c], want.empty() ? 0 : want.back().rank)
         << "cell " << c;
     entries += want.size();
+    if (sketch.collapsed()) continue;
+    // The live pairs come first, then the retired ones as bare ranks.
+    const VersionedHll::CellList list = sketch.cell(c);
+    ASSERT_EQ(list.num_entries(), want.size()) << "cell " << c;
+    for (size_t i = 0; i < want.size(); ++i) {
+      const bool live = i < list.size();
+      ASSERT_EQ(!want[i].retired, live) << "cell " << c << " entry " << i;
+      if (live) {
+        EXPECT_EQ(list[i].rank, want[i].rank) << "cell " << c << " entry " << i;
+        EXPECT_EQ(list[i].time, want[i].t) << "cell " << c << " entry " << i;
+      } else {
+        EXPECT_EQ(list.retired()[i - list.size()], want[i].rank)
+            << "cell " << c << " entry " << i;
+      }
+    }
   }
   EXPECT_EQ(sketch.NumEntries(), entries);
   EXPECT_EQ(sketch.NumInsertAttempts(), model.insert_attempts);
@@ -806,7 +893,8 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
             // cells, on a's parts, replaces a and lives on.
             const SketchCells stored = model_a.Stored();
             a.emplace(kPrecision, kSalt, parts, stored.counts, stored.ranks,
-                      stored.times, encoding);
+                      stored.times, stored.retired, stored.retired_ranks,
+                      encoding);
             evictions += model_a.evictions;
             cell_updates += model_a.cell_updates;
             model_a = model_a.Refilled();
@@ -825,6 +913,107 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
         longest = std::max(longest, model_a.cell(c).size());
       }
     }
+    // The reverse scan's phase: a clock `now` that never rises, with every
+    // time drawn from [now, now + window), merges at (now, window), and
+    // retirements at it, of one part or all, of a or b, partial or (after
+    // a jump of the clock past a window) of every live pair. Retired pairs
+    // keep their ranks, which later pairs evict by rank alone: the model,
+    // which keeps their times, must agree, tallies included.
+    const Duration window = narrow ? 300 * kStride : 300;
+    const Timestamp floor = narrow ? kBase : 0;
+    Timestamp now = narrow ? kBase + 3000 * kStride : 3000;
+    size_t retired = 0;
+    for (int batch = 0; batch < 30; ++batch) {
+      for (int op = 0; op < 40; ++op) {
+        const Timestamp step = rng.NextBounded(40) == 0
+                                   ? window + window / 2
+                                   : static_cast<Timestamp>(
+                                         rng.NextBounded(window / 32 + 1));
+        now = std::max(floor, now - step);
+        const Timestamp t =
+            now + static_cast<Timestamp>(rng.NextBounded(window));
+        const size_t cell = rng.NextBounded(16);
+        const size_t part = rng.NextBounded(parts);
+        switch (rng.NextBounded(8)) {
+          case 0: {
+            const uint8_t r = rank();
+            a->AddEntry(cell, r, t);
+            model_a.AddEntry(cell, r, t);
+            break;
+          }
+          case 1: {
+            const uint8_t r = rank();
+            b.AddEntry(cell, r, t);
+            model_b.AddEntry(cell, r, t);
+            break;
+          }
+          case 2: {
+            const uint64_t item = rng.NextUint64();
+            for (size_t k = 0; k < parts; ++k) {
+              a->AddInPart(item, t, k);
+              model_a.AddInPart(item, t, k);
+            }
+            break;
+          }
+          case 3:
+          case 4:
+            a->MergeWindow(b, now, window, part);
+            model_a.MergeWindow(model_b, now, window, part);
+            break;
+          case 5:
+            for (size_t k = 0; k < parts; ++k) {
+              a->Retire(now, window, k);
+              model_a.Retire(now, window, k);
+            }
+            break;
+          case 6:
+            if (rng.NextBounded(2) == 0) {
+              a->Retire(now, window, part);
+              model_a.Retire(now, window, part);
+            } else {
+              b.Retire(now, window, part);
+              model_b.Retire(now, window, part);
+            }
+            break;
+          default: {
+            if (rng.NextBounded(8) != 0) break;
+            // Checkpoint resume, retired ranks included.
+            const SketchCells stored = model_a.Stored();
+            a.emplace(kPrecision, kSalt, parts, stored.counts, stored.ranks,
+                      stored.times, stored.retired, stored.retired_ranks,
+                      encoding);
+            evictions += model_a.evictions;
+            cell_updates += model_a.cell_updates;
+            model_a = model_a.Refilled();
+            break;
+          }
+        }
+      }
+      SCOPED_TRACE(testing::Message() << "scan batch " << batch);
+      ExpectMatchesModel(*a, model_a);
+      ExpectMatchesModel(b, model_b);
+      EXPECT_EQ(tally.CurrentBytes() - tally_before,
+                static_cast<int64_t>(a->MemoryUsageBytes() +
+                                     b.MemoryUsageBytes()));
+      if (testing::Test::HasFailure()) return;
+      for (size_t c = 0; c < 16; ++c) retired += a->cell(c).retired().size();
+    }
+    EXPECT_GT(retired, 0u);
+    // Collapse: a keeps its row and entry count and frees its pairs, and a
+    // merge from it reads nothing.
+    for (size_t k = 0; k < parts; ++k) a->Collapse(k);
+    ASSERT_TRUE(a->collapsed());
+    ExpectMatchesModel(*a, model_a);
+    VersionedHll fresh(kPrecision, kSalt, parts, encoding);
+    fresh.MergeWindow(*a, now, window);
+    EXPECT_EQ(fresh.NumEntries(), 0u);
+    EXPECT_EQ(fresh.NumInsertAttempts(), 0u);
+    EXPECT_EQ(fresh.NumMergeEntriesScanned(), 0u);
+    EXPECT_EQ(tally.CurrentBytes() - tally_before,
+              static_cast<int64_t>(a->MemoryUsageBytes() +
+                                   b.MemoryUsageBytes() +
+                                   fresh.MemoryUsageBytes()));
+
     // The run grew long lists and pruned along the way.
     EXPECT_GT(longest, VersionedHll::kMaxCellEntries / 2);
     EXPECT_GT(evictions + model_a.evictions, 0u);
