@@ -67,10 +67,12 @@ class CheckpointAccess {
         irs->options_.precision, irs->options_.salt, build.parts, row,
         entries, build.times);
   }
-  // True if the scan at time t has collapsed the sketch of a sender whose
-  // first send is at time `first_send`.
-  static bool Collapses(Timestamp first_send, Timestamp t, Duration window) {
-    return IrsApprox::WindowPassed(first_send, t, window);
+  // A build resumes only from the sketches its scan held at the
+  // checkpoint; every checkpoint the scan writes holds exactly those.
+  static bool HoldsScannedSenders(const IrsApprox& irs,
+                                  const InteractionGraph& graph,
+                                  size_t done) {
+    return irs.HoldsScannedSenders(graph, done);
   }
   // The build store's sketches, indexed by node id (null: absent).
   static std::span<const std::unique_ptr<VersionedHll>> Sketches(
@@ -313,10 +315,17 @@ size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
     forms[i] = kLive;
     uint8_t* retired = block + beta;
     for (size_t k = 0; k < sketch->num_parts(); ++k) {
+      // A part that holds retired ranks alone has no live counts, and one
+      // that never retired no retired counts: both are zeros.
       const VersionedHll::PartRuns part = sketch->part_runs(k);
+      const size_t cells = std::max(part.counts.size(), part.retired.size());
+      if (part.counts.empty()) {
+        std::memset(block, 0, cells);
+        block += cells;
+      }
       if (part.retired.empty()) {
-        std::memset(retired, 0, part.counts.size());
-        retired += part.counts.size();
+        std::memset(retired, 0, cells);
+        retired += cells;
       }
       put(&block, part.counts);
       put(&retired, part.retired);
@@ -512,40 +521,6 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
   return true;
 }
 
-// A build resumes only from the sketches its scan held at the checkpoint:
-// one for each node that sends among the scanned edges, and no other,
-// collapsed exactly when the scan is a window past its first send. Every
-// checkpoint the scan writes holds exactly those.
-bool HoldsScannedSenders(const MetaFrame& meta, const InteractionGraph& graph,
-                         const IrsApprox& irs) {
-  const std::span<const Interaction> edges = graph.interactions();
-  const size_t m = edges.size();
-  const std::span<const std::unique_ptr<VersionedHll>> sketches =
-      CheckpointAccess::Sketches(irs);
-  // Each node's first and last send over the whole log; it sends among
-  // the scanned edges (the last `done`) iff its last send is one of them.
-  const size_t unscanned = m - meta.edges_processed;
-  std::vector<size_t> first_sent(graph.num_nodes(), m);
-  std::vector<size_t> last_sent(graph.num_nodes(), m);
-  for (size_t i = m; i-- > 0;) {
-    first_sent[edges[i].src] = i;
-    if (last_sent[edges[i].src] == m) last_sent[edges[i].src] = i;
-  }
-  for (NodeId u = 0; u < graph.num_nodes(); ++u) {
-    const VersionedHll* sketch = sketches[u].get();
-    const bool sent = last_sent[u] < m && last_sent[u] >= unscanned;
-    if ((sketch != nullptr) != sent) return false;
-    if (sketch != nullptr &&
-        sketch->collapsed() !=
-            CheckpointAccess::Collapses(edges[first_sent[u]].time,
-                                        edges[unscanned].time,
-                                        meta.fp.window)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 // Walks checkpoints newest-first until one verifies, restoring sketches and
 // tallies into *irs. Returns the resumed edge count (0 = fresh start).
 uint64_t TryResume(const CheckpointOptions& options,
@@ -557,7 +532,8 @@ uint64_t TryResume(const CheckpointOptions& options,
     IrsApprox candidate =
         CheckpointAccess::MakeBuild(graph, irs->window(), irs->options());
     if (!LoadCheckpoint(path, expected, &candidate, &meta) ||
-        !HoldsScannedSenders(meta, graph, candidate)) {
+        !CheckpointAccess::HoldsScannedSenders(candidate, graph,
+                                               meta.edges_processed)) {
       ++stats->invalid_checkpoints_skipped;
       LogWarning("checkpoint " + path + " failed verification, skipped");
       continue;

@@ -46,6 +46,48 @@ TimeEncoding ScanTimeEncoding(const InteractionGraph& graph) {
   return TimeEncoding::Covering(first->time, last->time);
 }
 
+// True once a scan at time t is a whole window before `later`
+// (later - t >= window, exactly at any i64 values): the scan then acts on
+// a sketch whose owner's send at `later` is quiet.
+bool WindowPassed(Timestamp later, Timestamp t, Duration window) {
+  return later > t && static_cast<uint64_t>(later) - static_cast<uint64_t>(t) >=
+                          static_cast<uint64_t>(window);
+}
+
+// Where each node sends in a time-sorted log of m edges, and which of its
+// sends are quiet (IrsApprox::Scan).
+struct Sends {
+  // One past the index of each node's last edge as a source (0: none).
+  std::vector<size_t> last;
+  // The index of each node's first edge as a source (m: none).
+  std::vector<size_t> first;
+  // The quiet sends, newest first.
+  std::vector<size_t> quiet;
+};
+
+Sends FindSends(std::span<const Interaction> edges, size_t num_nodes,
+                Duration window) {
+  const size_t m = edges.size();
+  Sends sends{std::vector<size_t>(num_nodes, 0),
+              std::vector<size_t>(num_nodes, m), {}};
+  const Duration quiet_gap = window > std::numeric_limits<Duration>::max() / 2
+                                 ? std::numeric_limits<Duration>::max()
+                                 : 2 * window;
+  for (size_t i = 0; i < m; ++i) {
+    const NodeId u = edges[i].src;
+    if (sends.last[u] == 0) {
+      sends.first[u] = i;
+      sends.quiet.push_back(i);
+    } else if (WindowPassed(edges[i].time, edges[sends.last[u] - 1].time,
+                            quiet_gap)) {
+      sends.quiet.push_back(i);
+    }
+    sends.last[u] = i + 1;
+  }
+  std::reverse(sends.quiet.begin(), sends.quiet.end());
+  return sends;
+}
+
 }  // namespace
 
 IrsApprox::IrsApprox(const InteractionGraph& graph, Duration window,
@@ -94,11 +136,6 @@ void IrsApprox::PublishArenaGauges() const {
   IPIN_GAUGE_SET("sketch.arena.entries", arena_->TotalEntries());
 }
 
-bool IrsApprox::WindowPassed(Timestamp later, Timestamp t, Duration window) {
-  return later > t && static_cast<uint64_t>(later) - static_cast<uint64_t>(t) >=
-                          static_cast<uint64_t>(window);
-}
-
 IrsApprox IrsApprox::Compute(const InteractionGraph& graph, Duration window,
                              const IrsApproxOptions& options) {
   return ComputeParallel(graph, window, options, GlobalThreads());
@@ -129,9 +166,9 @@ IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
 // first, phi(u) is final, and the scan collapses it to its row and entry
 // count then. Otherwise, if u stays silent for another window at least
 // (two windows after the send, in scan order), the scan retires its
-// pairs then, which u's next sends evict or keep as ranks; a shorter
-// silence would pay a walk of the sketch for little time without its
-// times. Such a send is "quiet". The log alone fixes the quiet sends, and
+// pairs then, which u's next sends evict or keep as ranks; after a
+// shorter silence u soon sends again, and the retirements cost more scan
+// time than they save memory (EXPERIMENTS.md). Such a send is "quiet". The log alone fixes the quiet sends, and
 // each worker acts on its own part with its own cursor into one shared
 // list, so every part count, and every resume, does the same.
 void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
@@ -142,30 +179,12 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
   std::vector<std::unique_ptr<VersionedHll>>& sketches = build.sketches;
   const std::span<const Interaction> edges = graph.interactions();
   const size_t m = edges.size();
-  // last_sent[v] is one past the index of v's last edge as a source (0 if
-  // v never sends). The one-pass scan allocates phi(v) at that edge, so
-  // while scanning edge i - 1 it holds a sketch for v iff last_sent[v] > i.
-  // first_sent[v] is the index of v's first edge as a source.
-  std::vector<size_t> last_sent(num_nodes_, 0);
-  std::vector<size_t> first_sent(num_nodes_, m);
-  // The quiet sends, newest first.
-  const Duration quiet_gap =
-      window_ > std::numeric_limits<Duration>::max() / 2
-          ? std::numeric_limits<Duration>::max()
-          : 2 * window_;
-  std::vector<size_t> quiet;
-  for (size_t i = 0; i < m; ++i) {
-    const NodeId u = edges[i].src;
-    if (last_sent[u] == 0) {
-      first_sent[u] = i;
-      quiet.push_back(i);
-    } else if (WindowPassed(edges[i].time, edges[last_sent[u] - 1].time,
-                            quiet_gap)) {
-      quiet.push_back(i);
-    }
-    last_sent[u] = i + 1;
-  }
-  std::reverse(quiet.begin(), quiet.end());
+  // sends.last[v] is one past the index of v's last edge as a source (0
+  // if v never sends). The one-pass scan allocates phi(v) at that edge, so
+  // while scanning edge i - 1 it holds a sketch for v iff
+  // sends.last[v] > i.
+  const Sends sends = FindSends(edges, num_nodes_, window_);
+  const std::vector<size_t>& quiet = sends.quiet;
   // How many quiet sends a scan at time t is a window before, counting on
   // from `from` of them.
   const auto due_at = [&](Timestamp t, size_t from) {
@@ -189,7 +208,7 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
     const size_t lo = hi - std::min(hi, epoch);
     for (size_t i = lo; i < hi; ++i) {
       const NodeId u = edges[i].src;
-      if (last_sent[u] == i + 1) {
+      if (sends.last[u] == i + 1) {
         sketches[u] = std::make_unique<VersionedHll>(
             options_.precision, options_.salt, build.parts, build.times);
       }
@@ -204,17 +223,17 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
           for (const size_t end = due_at(edge.time, cursor); cursor < end;
                ++cursor) {
             const size_t send = quiet[cursor];
-            VersionedHll& sketch = *sketches[edges[send].src];
-            if (first_sent[edges[send].src] == send) {
-              sketch.Collapse(part);
+            const NodeId sender = edges[send].src;
+            if (sends.first[sender] == send) {
+              sketches[sender]->Collapse(part);
             } else {
-              sketch.Retire(edge.time, window_, part);
+              sketches[sender]->Retire(part);
             }
           }
           const NodeId v = edge.dst;
           part_merges +=
               ScanEdge(edge, *sketches[edge.src],
-                       last_sent[v] > i ? sketches[v].get() : nullptr,
+                       sends.last[v] > i ? sketches[v].get() : nullptr,
                        window_, part);
           // Worker 0 reports progress; chunked ticks keep the per-edge path
           // atomics-free.
@@ -232,6 +251,26 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
     phase.SetDone(done);
     if (done < m && after_epoch) after_epoch(done);
   }
+}
+
+bool IrsApprox::HoldsScannedSenders(const InteractionGraph& graph,
+                                    size_t done) const {
+  const std::span<const Interaction> edges = graph.interactions();
+  IPIN_CHECK_LE(done, edges.size());
+  const Sends sends = FindSends(edges, num_nodes_, window_);
+  // The scan's latest step is at edge lo, the earliest scanned.
+  const size_t lo = edges.size() - done;
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    const VersionedHll* sketch = build_->sketches[u].get();
+    if ((sketch != nullptr) != (sends.last[u] > lo)) return false;
+    if (sketch != nullptr &&
+        sketch->collapsed() !=
+            WindowPassed(edges[sends.first[u]].time, edges[lo].time,
+                         window_)) {
+      return false;
+    }
+  }
+  return true;
 }
 
 void IrsApprox::Finish() {

@@ -174,10 +174,12 @@ class IrsApprox {
   void Scan(const InteractionGraph& graph, size_t done, size_t epoch_edges,
             const std::function<void(size_t)>& after_epoch);
 
-  // True once a scan at time t is a whole window before `later`
-  // (later - t >= window, exactly at any i64 values): the scan then
-  // collapses the sketch of a sender whose first send is at `later`.
-  static bool WindowPassed(Timestamp later, Timestamp t, Duration window);
+  // True if the build store holds what Scan holds after the log's last
+  // `done` edges (at most the edge count): a sketch for each node that
+  // sends among them and no other, collapsed exactly when the scan is a
+  // window past the node's first send. A resumed build starts only from
+  // such a store.
+  bool HoldsScannedSenders(const InteractionGraph& graph, size_t done) const;
 
   // The end of every build (plain and checkpointed): sums the sketches'
   // lifetime tallies, copies their rows into arena_, and publishes the

@@ -98,14 +98,6 @@ void Free(Run& run) {
   Run().swap(run);
 }
 
-// The number of the `n` ascending offsets at `times` that are at most
-// `live_last`: the rest, a tail, are dead.
-template <typename Offset>
-size_t LivePrefix(const uint8_t* times, size_t n, Offset live_last) {
-  while (n > 0 && TimeCodec<Offset>::Load(times, n - 1) > live_last) --n;
-  return n;
-}
-
 // The number of the `n` ascending ranks at `retired` that a list topped by
 // rank `top` evicts: those not above it. (They are later than any pair a
 // list gains, so rank alone decides.)
@@ -113,13 +105,6 @@ size_t EvictedBy(uint8_t top, const uint8_t* retired, size_t n) {
   size_t evicted = 0;
   while (evicted < n && retired[evicted] <= top) ++evicted;
   return evicted;
-}
-
-// The eight bytes at `p`, as one word.
-uint64_t Eight(const uint8_t* p) {
-  uint64_t word;
-  std::memcpy(&word, p, sizeof(word));
-  return word;
 }
 
 }  // namespace
@@ -192,6 +177,7 @@ VersionedHll::VersionedHll(int precision, uint64_t salt, size_t num_parts,
         p.retired_ranks.assign(
             retired_ranks.begin() + retired_entry,
             retired_ranks.begin() + retired_entry + retired_slots);
+        if (slots == 0) Free(p.counts);  // retired ranks alone, as Retire
       }
       entry += slots;
       retired_entry += retired_slots;
@@ -251,6 +237,8 @@ bool VersionedHll::Insert(size_t cell_index, uint8_t rank, Offset t) {
   const size_t k = PartOf(cell_index);
   Part& p = part(k);
   IPIN_DCHECK(!Collapsed(p));
+  // A part with retired ranks alone keeps the pair: its counts come back.
+  if (p.counts.empty()) p.counts.resize(p.retired.size(), 0);
   const size_t j = cell_index - PartBegin(k);
   const size_t begin = CellBegin(p, j);
   const size_t len = p.counts[j];
@@ -315,32 +303,6 @@ void VersionedHll::ResizePart(Part& p, size_t slots) {
   p.times.resize(slots * sizeof(Offset));
 }
 
-template <typename Offset>
-void VersionedHll::ShrinkPart(Part& p, size_t slots) {
-  if (slots < p.ranks.capacity() / 2) {
-    // What retirement freed goes back to the heap: both arrays are
-    // reallocated to their size plus a quarter.
-    const size_t capacity = slots + slots / 4;
-    TallyVector<uint8_t> ranks;
-    TallyVector<uint8_t> times;
-    ranks.reserve(capacity);
-    times.reserve(capacity * sizeof(Offset));
-    ranks.assign(p.ranks.begin(), p.ranks.begin() + slots);
-    times.assign(p.times.begin(), p.times.begin() + slots * sizeof(Offset));
-    p.ranks.swap(ranks);
-    p.times.swap(times);
-  }
-  ResizePart<Offset>(p, slots);
-}
-
-template <typename Offset>
-bool VersionedHll::LastBelow(__int128 bound, Offset* last) {
-  constexpr Offset kTop = std::numeric_limits<Offset>::max();
-  if (bound <= 0) return false;
-  *last = bound > kTop ? kTop : static_cast<Offset>(bound - 1);
-  return true;
-}
-
 void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
                                Duration window) {
   for (size_t k = 0; k < num_parts(); ++k) {
@@ -360,10 +322,11 @@ void VersionedHll::MergeWindow(const VersionedHll& other, Timestamp merge_time,
   // largest offset everything is.
   const __int128 bound =
       static_cast<__int128>(merge_time) - encoding_.base + window;
+  if (bound <= 0) return;
   WithTimeCodec(encoding_.width, [&](auto codec) {
     using Offset = decltype(codec.Encode(0, 0));
-    Offset last = 0;
-    if (!LastBelow(bound, &last)) return;
+    constexpr Offset kTop = std::numeric_limits<Offset>::max();
+    const Offset last = bound > kTop ? kTop : static_cast<Offset>(bound - 1);
     // Only a part that has retired ranks can evict some.
     if (part(part_index).retired_ranks.empty()) {
       MergeCells<Offset, false>(other, part_index, last);
@@ -384,13 +347,24 @@ void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
   const Part& from = other.part(part_index);
   if (from.ranks.empty()) return;  // no live pair: a collapsed part or none
   IPIN_DCHECK(!Collapsed(p));
-  const size_t cells = p.counts.size();
-  uint8_t* const counts = p.counts.data();
   const uint8_t* const from_counts = from.counts.data();
-  const uint8_t* const ur = p.ranks.data();
-  const uint8_t* const ut = p.times.data();
   const uint8_t* const vr = from.ranks.data();
   const uint8_t* const vt = from.times.data();
+  if (p.counts.empty()) {
+    // The part holds retired ranks alone, so the first cell with a pair in
+    // the window gains it: its counts come back only if there is one.
+    size_t v_begin = 0;
+    size_t c = 0;
+    for (; c < from.counts.size(); v_begin += from_counts[c++]) {
+      if (from_counts[c] > 0 && Codec::Load(vt, v_begin) <= last) break;
+    }
+    if (c == from.counts.size()) return;
+    p.counts.resize(p.retired.size(), 0);
+  }
+  const size_t cells = p.counts.size();
+  uint8_t* const counts = p.counts.data();
+  const uint8_t* const ur = p.ranks.data();
+  const uint8_t* const ut = p.times.data();
   uint8_t* const max_ranks = max_ranks_.data() + PartBegin(part_index);
   // The number of pairs of `from`'s cell c, starting at slot v_begin, in
   // the window: its times ascend, so they are a prefix.
@@ -506,102 +480,35 @@ void VersionedHll::MergeCells(const VersionedHll& other, size_t part_index,
   p.cell_updates += kept;
 }
 
-void VersionedHll::Retire(Timestamp t, Duration window, size_t part_index) {
-  IPIN_CHECK(encoding_.Holds(t));
-  IPIN_CHECK_GE(window, 1);
-  const __int128 bound = static_cast<__int128>(t) - encoding_.base + window;
-  WithTimeCodec(encoding_.width, [&](auto codec) {
-    using Offset = decltype(codec.Encode(0, 0));
-    Offset last = 0;
-    LastBelow(bound, &last);  // t is held, so the bound is positive
-    RetireCells(part(part_index), last);
-  });
-}
-
-template <typename Offset>
-void VersionedHll::RetireCells(Part& p, Offset live_last) {
-  using Codec = TimeCodec<Offset>;
-  constexpr size_t kWidth = sizeof(Offset);
-  const size_t pairs = p.ranks.size();
-  uint8_t* const counts = p.counts.data();
-  uint8_t* const ranks = p.ranks.data();
-  uint8_t* const times = p.times.data();
-  // Up to the first cell whose last live pair is dead, nothing changes.
-  size_t j = 0;
-  size_t read = 0;  // cell j's first live pair
-  for (;; ++j) {
-    if (read == pairs) return;
-    read += counts[j];
-    if (counts[j] > 0 && Codec::Load(times, read - 1) > live_last) break;
-  }
-  read -= counts[j];
-
-  // When no pair has retired yet and every live pair is dead, the live
-  // ranks are the retired runs as they stand.
-  if (p.retired_ranks.empty() && read == 0) {
-    size_t first = 0;  // cell c's first live pair
-    bool all_dead = true;
-    for (size_t c = 0; c < p.counts.size() && all_dead; ++c) {
-      all_dead = counts[c] == 0 || Codec::Load(times, first) > live_last;
-      first += counts[c];
+void VersionedHll::Retire(size_t part_index) {
+  Part& p = part(part_index);
+  IPIN_DCHECK(!Collapsed(p));
+  if (p.ranks.empty()) return;
+  if (p.retired_ranks.empty()) {
+    // The live counts and ranks are the retired runs as they stand.
+    p.retired.swap(p.counts);
+    p.retired_ranks.swap(p.ranks);
+  } else {
+    // Each cell's live ranks go in front of its retired run.
+    TallyVector<uint8_t> runs;
+    runs.reserve(p.ranks.size() + p.retired_ranks.size());
+    size_t live = 0;
+    size_t dead = 0;
+    for (size_t j = 0; j < p.counts.size(); ++j) {
+      runs.insert(runs.end(), p.ranks.begin() + live,
+                  p.ranks.begin() + live + p.counts[j]);
+      runs.insert(runs.end(), p.retired_ranks.begin() + dead,
+                  p.retired_ranks.begin() + dead + p.retired[j]);
+      live += p.counts[j];
+      dead += p.retired[j];
+      p.retired[j] = static_cast<uint8_t>(p.retired[j] + p.counts[j]);
     }
-    if (all_dead) {
-      p.retired.assign(p.counts.begin(), p.counts.end());
-      std::fill(p.counts.begin(), p.counts.end(), 0);
-      p.retired_ranks.swap(p.ranks);
-      Free(p.ranks);
-      Free(p.times);
-      return;
-    }
+    p.retired_ranks.swap(runs);
   }
-
-  // From cell j on, each cell's dead pairs — its live list's tail — go to
-  // the front of its retired run, and its live pairs move down over the
-  // dead ones before them. The retired runs from cell j on are rebuilt
-  // in the scratch buffer.
-  if (p.retired.empty()) p.retired.resize(p.counts.size(), 0);
-  uint8_t* const retired = p.retired.data();
-  const size_t r_from = RetiredBegin(p, j);
-  const uint8_t* const old_retired = p.retired_ranks.data();
-  const size_t old_retired_len = p.retired_ranks.size();
-  std::vector<uint8_t>& scratch = t_merge_scratch.ranks;
-  const size_t most = old_retired_len - r_from + pairs - read;
-  if (scratch.size() < most) scratch.resize(most);
-  uint8_t* const out = scratch.data();
-  size_t out_len = 0;
-  size_t r_read = r_from;  // cell j's first retired rank
-  size_t write = read;     // where cell j's live pairs go
-  const size_t cells = p.counts.size();
-  for (; read < pairs; ++j) {
-    // Runs of empty cells hold nothing to move: skip them eight at a time.
-    while (j + 8 <= cells && (Eight(counts + j) | Eight(retired + j)) == 0) {
-      j += 8;
-    }
-    const size_t n = counts[j];
-    const size_t keep =
-        n == 0 ? 0 : LivePrefix(times + read * kWidth, n, live_last);
-    for (size_t i = 0; i < keep; ++i) {
-      ranks[write + i] = ranks[read + i];
-      Codec::Store(times, write + i, Codec::Load(times, read + i));
-    }
-    for (size_t i = keep; i < n; ++i) out[out_len++] = ranks[read + i];
-    const size_t r_len = retired[j];
-    for (size_t i = 0; i < r_len; ++i) out[out_len++] = old_retired[r_read + i];
-    counts[j] = static_cast<uint8_t>(keep);
-    retired[j] = static_cast<uint8_t>(r_len + n - keep);
-    read += n;
-    write += keep;
-    r_read += r_len;
-  }
-  ShrinkPart<Offset>(p, write);
-  // The cells after the last live pair keep their retired runs.
-  const size_t rest = old_retired_len - r_read;
-  ResizeRun(p.retired_ranks, r_from + out_len + rest);
-  uint8_t* const runs = p.retired_ranks.data();
-  if (rest > 0) {
-    std::memmove(runs + r_from + out_len, runs + r_read, rest);
-  }
-  std::memcpy(runs + r_from, out, out_len);
+  // No live pair is left: the counts go too, until the part gains one.
+  Free(p.counts);
+  Free(p.ranks);
+  Free(p.times);
 }
 
 void VersionedHll::Collapse(size_t part_index) {
@@ -648,6 +555,7 @@ size_t VersionedHll::SumOverParts(size_t Part::*tally) const {
 
 size_t VersionedHll::CellBegin(const Part& p, size_t j) {
   size_t begin = 0;
+  if (p.counts.empty()) return begin;
   for (size_t i = 0; i < j; ++i) begin += p.counts[i];
   return begin;
 }
@@ -667,7 +575,7 @@ VersionedHll::CellList VersionedHll::cell(size_t i) const {
   const size_t begin = CellBegin(p, j);
   const size_t r_len = p.retired.empty() ? 0 : p.retired[j];
   return {p.ranks.data() + begin, p.times.data() + begin * encoding_.width,
-          encoding_, p.counts[j],
+          encoding_, p.counts.empty() ? size_t{0} : p.counts[j],
           {p.retired_ranks.data() + RetiredBegin(p, j), r_len}};
 }
 
@@ -703,7 +611,9 @@ bool VersionedHll::CheckInvariants() const {
       continue;
     }
     const size_t cells = PartBegin(k + 1) - PartBegin(k);
-    if (p.counts.size() != cells ||
+    // Empty counts: retired ranks alone (a collapsed part has none).
+    if ((p.counts.empty() ? p.retired_ranks.empty()
+                          : p.counts.size() != cells) ||
         (!p.retired.empty() && p.retired.size() != cells) ||
         CellBegin(p, cells) != p.ranks.size() ||
         p.ranks.size() * width != p.times.size() ||

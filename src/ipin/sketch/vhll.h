@@ -56,16 +56,18 @@ obs::MemoryTally& VhllMemTally();
 /// t + omega, and every pair it stores from then on is before t + omega
 /// too. So a pair at or after that horizon is dead: no merge reads it, and
 /// it can never dominate a new pair. It still counts as an entry until a
-/// new pair of at least its rank evicts it, so Retire keeps it as its rank
-/// alone, 1 byte: `retired` holds each cell's count of retired pairs and
-/// `retired_ranks` their ranks, in cell order, both allocated at the part's
-/// first retirement. A cell's retired ranks are above its live ones, and
-/// later than every pair it gains, so a new pair evicts exactly the retired
-/// ranks not above its own, and the cell's live ranks and then its retired
-/// ones form one strictly ascending run: its max rank is the run's last and
-/// its entry count the run's length, exactly as without retirement.
-/// Collapse frees a whole part once no operation will write or read it
-/// again, keeping its max-rank row and its entry count.
+/// new pair of at least its rank evicts it, so Retire, called once every
+/// live pair of a part is dead, keeps each as its rank alone, 1 byte:
+/// `retired` holds each cell's count of retired pairs and `retired_ranks`
+/// their ranks, in cell order, both allocated at the part's first
+/// retirement, and the part's live arrays, its counts included, are freed
+/// until it gains a pair again. A cell's retired ranks are above its live
+/// ones, and later than every pair it gains, so a new pair evicts exactly
+/// the retired ranks not above its own, and the cell's live ranks and then
+/// its retired ones form one strictly ascending run: its max rank is the
+/// run's last and its entry count the run's length, exactly as without
+/// retirement. Collapse frees a whole part once no operation will write or
+/// read it again, keeping its max-rank row and its entry count.
 ///
 /// MergeWindow walks a part's cells once, merging each of its lists with
 /// the other sketch's window prefix of that cell. It writes nothing until
@@ -75,9 +77,7 @@ obs::MemoryTally& VhllMemTally();
 /// part, moving the part's later pairs: O(part), which every caller pays
 /// anyway in the merge that comes with each insert. A part that runs out
 /// of room grows by a quarter, not by vector doubling, so at most a fifth
-/// of its slots are unused tail; one a retirement leaves less than half
-/// full is reallocated to its size plus a quarter, so what retirement
-/// frees goes back to the heap. A sketch's footprint is its parts' arrays
+/// of its slots are unused tail. A sketch's footprint is its parts' arrays
 /// (capacity), the beta-byte max-rank cache and, with more than one part,
 /// the array of parts 1..P-1. MemoryUsageBytes() reports exactly that.
 ///
@@ -217,11 +217,12 @@ class VersionedHll {
   void MergeWindow(const VersionedHll& other, Timestamp merge_time,
                    Duration window, size_t part);
 
-  /// Retires every pair of part `part` at or after t + window (see
-  /// "Retirement" above). The caller guarantees what makes that exact:
-  /// no later operation stores or reads a pair at or after that horizon,
-  /// and later retirements' horizons are no later.
-  void Retire(Timestamp t, Duration window, size_t part);
+  /// Retires every live pair of part `part` (see "Retirement" above). The
+  /// caller guarantees what makes that exact: every one is dead, at or
+  /// after the horizon t + window of every later merge at t, and later
+  /// than every pair the part gains from then on. Nothing may be
+  /// retired in a collapsed part.
+  void Retire(size_t part);
 
   /// Frees part `part` once no operation will write or read its pairs
   /// again, keeping its max-rank row and entry count. Later merges from
@@ -277,11 +278,11 @@ class VersionedHll {
   CellList cell(size_t i) const;
 
   /// Every pair of part `k`, as the part stores them, in cell order: the
-  /// live pairs of each cell of the part (`counts`), their ranks and time
-  /// offsets (time_encoding(), width bytes each), and the retired pairs of
-  /// each cell (`retired`, empty if the part never retired) and their
-  /// ranks. The part must not have collapsed. Valid until the next
-  /// mutation of the sketch.
+  /// live pairs of each cell of the part (`counts`, empty if it has none
+  /// and has retired), their ranks and time offsets (time_encoding(),
+  /// width bytes each), and the retired pairs of each cell (`retired`,
+  /// empty if the part never retired) and their ranks. The part must not
+  /// have collapsed. Valid until the next mutation of the sketch.
   struct PartRuns {
     std::span<const uint8_t> counts;
     std::span<const uint8_t> ranks;
@@ -313,11 +314,12 @@ class VersionedHll {
   using TallyVector = std::vector<T, obs::TallyAllocator<T, &VhllMemTally>>;
 
   // The storage of one cell range, touched only by operations on its cells.
-  // A collapsed part has freed its arrays: `counts` is empty only then (a
-  // part has at least one cell).
+  // A collapsed part has freed its arrays: `counts` and `retired` are both
+  // empty only then (a part has at least one cell).
   struct Part {
     // The live list length of each cell of the part; they sum to the
-    // part's live pairs.
+    // part's live pairs. Empty while the part holds retired ranks alone
+    // (Retire frees it; the next pair the part gains brings it back).
     TallyVector<uint8_t> counts;
     // The live pairs in cell order: ranks[i] and the time offset at
     // times[i * width] are one pair.
@@ -339,7 +341,9 @@ class VersionedHll {
   const Part& part(size_t k) const {
     return k == 0 ? first_part_ : more_parts_[k - 1];
   }
-  static bool Collapsed(const Part& p) { return p.counts.empty(); }
+  static bool Collapsed(const Part& p) {
+    return p.counts.empty() && p.retired.empty();
+  }
   // First cell of part k (k == num_parts() gives the end of the last part).
   size_t PartBegin(size_t k) const {
     return (k * num_cells() + num_parts() - 1) / num_parts();
@@ -364,19 +368,9 @@ class VersionedHll {
   template <typename Offset, bool kRetired>
   void MergeCells(const VersionedHll& other, size_t part_index, Offset last);
   // Resizes p's live arrays to `slots` pairs, growing their capacity by at
-  // least a quarter when it is short; ShrinkPart also reallocates them to
-  // their size plus a quarter when they are less than half full.
+  // least a quarter when it is short.
   template <typename Offset>
   static void ResizePart(Part& p, size_t slots);
-  template <typename Offset>
-  static void ShrinkPart(Part& p, size_t slots);
-  // Retires every live pair of p whose offset is above `live_last`.
-  template <typename Offset>
-  static void RetireCells(Part& p, Offset live_last);
-  // The largest offset below `bound`, an offset bound formed in 128 bits;
-  // false if there is none (bound <= 0).
-  template <typename Offset>
-  static bool LastBelow(__int128 bound, Offset* last);
 
   int precision_;
   uint64_t salt_;

@@ -62,6 +62,35 @@ TEST(IrsApproxTest, LazyAllocationOnlyForSources) {
   EXPECT_DOUBLE_EQ(approx.EstimateIrsSize(1), 0.0);
 }
 
+// A sender whose earliest send is a self-loop, more than two windows
+// before its one real send. The scan's time encoding covers only the real
+// send, and the scan retires phi(0) at the self-loop, outside that
+// encoding: the build must still finish, at every part count, with 1's
+// rank kept as a retired one.
+TEST(IrsApproxTest, RetiresAtASelfLoopOutsideTheTimeEncoding) {
+  InteractionGraph g(2);
+  g.AddInteraction(0, 0, 0);
+  g.AddInteraction(0, 1, 200);
+  for (const size_t parts : {1, 3}) {
+    const IrsApprox approx =
+        IrsApprox::ComputeParallel(g, 10, Options(6), parts);
+    ASSERT_EQ(approx.time_encoding(), (TimeEncoding{200, 4}));
+    const VersionedHll* sketch = approx.BuildSketch(0);
+    ASSERT_NE(sketch, nullptr);
+    ASSERT_TRUE(sketch->CheckInvariants());
+    EXPECT_FALSE(sketch->collapsed());
+    size_t live = 0;
+    size_t retired = 0;
+    for (size_t c = 0; c < sketch->num_cells(); ++c) {
+      live += sketch->cell(c).size();
+      retired += sketch->cell(c).retired().size();
+    }
+    EXPECT_EQ(live, 0u) << parts << " parts";
+    EXPECT_EQ(retired, 1u) << parts << " parts";
+    EXPECT_NEAR(approx.EstimateIrsSize(0), 1.0, 0.1) << parts << " parts";
+  }
+}
+
 struct AccuracyCase {
   int precision;
   Duration window;

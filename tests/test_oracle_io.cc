@@ -955,8 +955,9 @@ TimeEncoding NarrowCheckpointTimes(const std::string& path, int precision) {
 // width, the build's cells hold the log's own times, every served store of
 // it — sealed, saved and loaded, cut into shards — holds the build's rows
 // and estimates bit for bit, and a checkpointed build that is killed and
-// resumed holds its cells. A wide build skips a checkpoint in a narrower
-// encoding than its own.
+// resumed holds its cells. The end of the span comes back exact from the
+// checkpoint a build writes after its first edge. A wide build skips a
+// checkpoint in a narrower encoding than its own.
 TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
   // The killed build runs on the thread pool, which a forked child lacks.
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
@@ -969,7 +970,9 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
                         Case{-7, (uint64_t{1} << 32) - 1, 4}}) {
     SCOPED_TRACE(testing::Message() << "span " << c.span);
     // Nodes 0..49 interact at random times; node 50 sends only at the first
-    // time and node 52 only at the last, so both ends of the span are kept.
+    // time and node 52 only at the last, so both ends of the span are
+    // stored: the end's pair until the scan, a window before it, collapses
+    // phi(52) to its row.
     InteractionGraph g(54);
     Rng rng(c.span);
     g.AddInteraction(50, 51, c.first);
@@ -993,9 +996,8 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     IrsApprox sealed = IrsApprox::Compute(g, window, options);
     sealed.Seal();
     ExpectSameRows(built, sealed);
-    // The decoded times are the log's own, the start of the span included.
-    // (The end's pair was node 52's, which collapsed to its row once the
-    // scan passed a window before it: its row is kept.)
+    // The decoded times are the log's own, the start of the span included
+    // (the end's is checked in a checkpoint below).
     std::set<Timestamp> logged;
     for (const Interaction& e : g.interactions()) logged.insert(e.time);
     std::set<Timestamp> stored;
@@ -1053,13 +1055,11 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     EXPECT_EQ(resumed.time_encoding(), times);
     ExpectSameCells(built, resumed);
     std::filesystem::remove_all(dir);
-    if (c.width == 4) continue;
 
-    // Earlier versions wrote a wide build's checkpoint in the narrowest
-    // encoding holding its times. The checkpoint at edge 1 (every later
-    // save fails) holds only the last edge's time, so it narrows to u32
-    // offsets. A checkpoint must be in the build's own encoding: resume
-    // skips it like a damaged file and builds fresh.
+    // The checkpoint at edge 1 (every later save fails) holds phi(52)
+    // alone, its one pair at the end of the span, before it collapses:
+    // that time decodes exact, so the narrowest encoding holding it is
+    // based there.
     ASSERT_TRUE(failpoint::Set("checkpoint.save", "error(2)"));
     (void)ComputeIrsApproxCheckpointed(g, window, options,
                                        {dir, /*every_edges=*/1, /*keep=*/1});
@@ -1068,6 +1068,15 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     ASSERT_TRUE(std::filesystem::exists(at_1));
     EXPECT_EQ(NarrowCheckpointTimes(at_1, options.precision),
               (TimeEncoding{c.first + static_cast<Timestamp>(c.span), 4}));
+    if (c.width == 4) {
+      std::filesystem::remove_all(dir);
+      continue;
+    }
+
+    // Earlier versions wrote a wide build's checkpoint in the narrowest
+    // encoding holding its times, as the rewrite above did. A checkpoint
+    // must be in the build's own encoding: resume skips it like a damaged
+    // file and builds fresh.
     CheckpointStats upgraded;
     const IrsApprox fresh = ComputeIrsApproxCheckpointed(
         g, window, options, checkpoints, &upgraded);

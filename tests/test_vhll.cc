@@ -387,9 +387,10 @@ TEST(VhllTest, MemoryIsCountsSlotsAndMaxRanks) {
 }
 
 // Retiring every live pair keeps each cell's ranks, in order, as retired
-// ranks and frees the times: the row and the entry count stay. A later
-// pair evicts exactly the retired ranks not above its own, and counts
-// them as evictions; a collapse then keeps the row and the entry count.
+// ranks and frees the times and the live counts: the row and the entry
+// count stay. A later pair brings the live counts back and evicts exactly
+// the retired ranks not above its own, counting them as evictions; a
+// collapse then keeps the row and the entry count.
 TEST(VhllTest, RetiredRanksStayUntilEvicted) {
   VersionedHll vhll(4, 0, 1, TimeEncoding{0, 4});
   // Cell 3: ranks 2 < 5 < 9 at times 100 < 200 < 300; cell 7: rank 4.
@@ -402,7 +403,7 @@ TEST(VhllTest, RetiredRanksStayUntilEvicted) {
   // Cell counts and max ranks (16 bytes each), 4 ranks, 4 u32 times.
   EXPECT_EQ(vhll.MemoryUsageBytes(), 16u + 16 + 4 + 4 * 4);
   // At scan time 50 with window 50, every pair (times >= 100) is dead.
-  vhll.Retire(50, 50, 0);
+  vhll.Retire(0);
   ASSERT_TRUE(vhll.CheckInvariants());
   EXPECT_EQ(vhll.cell(3).size(), 0u);
   EXPECT_EQ(std::vector<uint8_t>(vhll.cell(3).retired().begin(),
@@ -413,13 +414,15 @@ TEST(VhllTest, RetiredRanksStayUntilEvicted) {
                                  vhll.max_ranks().end()),
             row);
   EXPECT_EQ(vhll.NumEntries(), 4u);
-  // The times are gone; the retired counts (16 bytes) are new.
-  EXPECT_EQ(vhll.MemoryUsageBytes(), 16u + 16 + 4 + 16);
+  // The times are gone, and the live counts became the retired ones.
+  EXPECT_EQ(vhll.MemoryUsageBytes(), 16u + 16 + 4);
   // A pair of rank 5 at time 60 evicts the retired 2 and 5, not 9.
   const size_t evictions = vhll.NumEvictions();
   EXPECT_TRUE(vhll.AddEntry(3, 5, 60));
   ASSERT_TRUE(vhll.CheckInvariants());
   EXPECT_EQ(vhll.NumEvictions(), evictions + 2);
+  // Live counts again (16 bytes), one rank and one u32 time.
+  EXPECT_EQ(vhll.MemoryUsageBytes(), 16u + 16 + 4 + 16 + 1 + 4);
   EXPECT_EQ(vhll.cell(3).size(), 1u);
   EXPECT_EQ(vhll.cell(3)[0].time, 60);
   EXPECT_EQ(std::vector<uint8_t>(vhll.cell(3).retired().begin(),
@@ -550,11 +553,15 @@ class DominationModel {
     }
   }
 
-  // Marks the pairs of part `part` at or after t + window retired: they
-  // keep their time here, which the sketch drops.
-  void Retire(Timestamp t, Duration window, size_t part) {
+  // Marks every pair of part `part` retired, each of which must be at or
+  // after `horizon` (Retire's contract): they keep their time here, which
+  // the sketch drops.
+  void Retire(Timestamp horizon, size_t part) {
     for (size_t c = PartBegin(part); c < PartBegin(part + 1); ++c) {
-      for (Pair& p : cells_[c]) p.retired |= p.t >= t + window;
+      for (Pair& p : cells_[c]) {
+        EXPECT_GE(p.t, horizon);
+        p.retired = true;
+      }
     }
   }
 
@@ -914,27 +921,30 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
       }
     }
     // The reverse scan's phase: a clock `now` that never rises, with every
-    // time drawn from [now, now + window), merges at (now, window), and
-    // retirements at it, of one part or all, of a or b, partial or (after
-    // a jump of the clock past a window) of every live pair. Retired pairs
-    // keep their ranks, which later pairs evict by rank alone: the model,
-    // which keeps their times, must agree, tallies included.
-    const Duration window = narrow ? 300 * kStride : 300;
+    // time drawn from [now, now + window), and merges at (now, window).
+    // The sketches start empty, so every pair is at or after `now`. Now
+    // and then the clock jumps back a whole window, which leaves every
+    // pair of a and b dead, and retires every part of a, or one part of a
+    // or b. Retired pairs keep their ranks, which later pairs evict by rank
+    // alone: the model, which keeps their times, must agree, tallies
+    // included.
+    a->Clear();
+    b.Clear();
+    model_a.Clear();
+    model_b.Clear();
+    const Duration window = narrow ? 100 * kStride : 100;
     const Timestamp floor = narrow ? kBase : 0;
-    Timestamp now = narrow ? kBase + 3000 * kStride : 3000;
+    Timestamp now = narrow ? kBase + 3800 * kStride : 3800;
     size_t retired = 0;
     for (int batch = 0; batch < 30; ++batch) {
       for (int op = 0; op < 40; ++op) {
-        const Timestamp step = rng.NextBounded(40) == 0
-                                   ? window + window / 2
-                                   : static_cast<Timestamp>(
-                                         rng.NextBounded(window / 32 + 1));
-        now = std::max(floor, now - step);
+        now = std::max(floor, now - static_cast<Timestamp>(
+                                        rng.NextBounded(window / 64 + 1)));
         const Timestamp t =
             now + static_cast<Timestamp>(rng.NextBounded(window));
         const size_t cell = rng.NextBounded(16);
         const size_t part = rng.NextBounded(parts);
-        switch (rng.NextBounded(8)) {
+        switch (rng.NextBounded(7)) {
           case 0: {
             const uint8_t r = rank();
             a->AddEntry(cell, r, t);
@@ -960,21 +970,28 @@ void AgreesWithDominationModelUnderRandomBatches(const TimeEncoding& encoding) {
             a->MergeWindow(b, now, window, part);
             model_a.MergeWindow(model_b, now, window, part);
             break;
-          case 5:
-            for (size_t k = 0; k < parts; ++k) {
-              a->Retire(now, window, k);
-              model_a.Retire(now, window, k);
+          case 5: {
+            if (rng.NextBounded(8) != 0 || now - window < floor) break;
+            const Timestamp horizon = now;
+            now -= window;
+            switch (rng.NextBounded(3)) {
+              case 0:
+                for (size_t k = 0; k < parts; ++k) {
+                  a->Retire(k);
+                  model_a.Retire(horizon, k);
+                }
+                break;
+              case 1:
+                a->Retire(part);
+                model_a.Retire(horizon, part);
+                break;
+              default:
+                b.Retire(part);
+                model_b.Retire(horizon, part);
+                break;
             }
             break;
-          case 6:
-            if (rng.NextBounded(2) == 0) {
-              a->Retire(now, window, part);
-              model_a.Retire(now, window, part);
-            } else {
-              b.Retire(now, window, part);
-              model_b.Retire(now, window, part);
-            }
-            break;
+          }
           default: {
             if (rng.NextBounded(8) != 0) break;
             // Checkpoint resume, retired ranks included.
