@@ -283,6 +283,28 @@ void BM_KernelCoverageGainDispatched(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelCoverageGainDispatched)->Arg(9);
 
+// The row check a load runs on every row it copies (RowIsValid): zero
+// cells, rank sum and top rank of one production-shaped row.
+void RunRowCheck(benchmark::State& state, const kernels::KernelOps& ops) {
+  const size_t beta = size_t{1} << static_cast<int>(state.range(0));
+  const auto ranks = RandomRankRows(beta, 1)[0];
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ops.row_stats(ranks.data(), beta));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(beta));
+}
+
+void BM_KernelRowCheckScalar(benchmark::State& state) {
+  RunRowCheck(state, *kernels::KernelsFor(kernels::SimdTarget::kScalar));
+}
+BENCHMARK(BM_KernelRowCheckScalar)->Arg(9)->Arg(12);
+
+void BM_KernelRowCheckDispatched(benchmark::State& state) {
+  state.SetLabel(kernels::SimdTargetName(kernels::DispatchedTarget()));
+  RunRowCheck(state, kernels::Dispatched());
+}
+BENCHMARK(BM_KernelRowCheckDispatched)->Arg(9)->Arg(12);
+
 void BM_BottomKAdd(benchmark::State& state) {
   BottomK sketch(static_cast<size_t>(state.range(0)));
   Rng rng(7);

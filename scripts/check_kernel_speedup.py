@@ -11,7 +11,8 @@ Fails (exit 1) if the dispatched target is avx2 and any enforced kernel —
 union estimate, cellwise max, estimate-from-ranks, CELF coverage gain — is
 below --min-speedup x scalar. On hosts where dispatch resolves to
 scalar/sse2/neon the ratios are reported but nothing is enforced: the 2x
-contract is an AVX2 claim. The sparse-row estimate is report-only.
+contract is an AVX2 claim. The sparse-row estimate and the row check are
+report-only.
 
 Usage:
   scripts/check_kernel_speedup.py --bench=build/bench/bench_micro_sketch \
@@ -24,7 +25,8 @@ import re
 import subprocess
 import sys
 
-# Kernels under contract.
+# Kernels under contract. Every other Kernel* pair (EstimateSparse,
+# RowCheck) is reported only.
 ENFORCED = ("UnionEstimate", "CellwiseMax", "EstimateFromRanks", "CoverageGain")
 
 NAME_RE = re.compile(r"^BM_Kernel(\w+?)(Scalar|Dispatched)/(\d+)$")

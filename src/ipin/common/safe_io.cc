@@ -27,8 +27,10 @@ constexpr char kMagic[8] = {'I', 'P', 'I', 'N', 'S', 'A', 'F', '1'};
 constexpr size_t kHeaderSize = sizeof(kMagic) + 3 * sizeof(uint32_t);
 constexpr size_t kFrameHeaderSize = 3 * sizeof(uint32_t);
 
-// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), slicing-by-8.
-// tables[0] is the classic byte-at-a-time table; tables[k][b] is the CRC
+// CRC-32C (Castagnoli), reflected.
+constexpr uint32_t kCrc32cPoly = 0x82F63B78u;
+
+// Slicing-by-8: tables[0] is the classic byte-at-a-time table; tables[k][b] is the CRC
 // state after byte b followed by k zero bytes, so one step folds eight
 // input bytes with eight independent lookups instead of a serial chain of
 // eight. Same CRC values as the byte-at-a-time loop, several times faster.
@@ -39,7 +41,7 @@ constexpr Crc32cTables MakeCrc32cTables() {
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t crc = i;
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+      crc = (crc >> 1) ^ ((crc & 1) ? kCrc32cPoly : 0u);
     }
     tables[0][i] = crc;
   }
@@ -144,18 +146,140 @@ uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed) {
 }
 
 #if defined(__x86_64__)
+namespace {
+
+// Three-stream CRC32C, after Mark Adler's crc32c.c. The crc32 instruction
+// takes three cycles to give its result but can start one every cycle, so a
+// single dependent chain runs the unit at a third of its rate. A run of
+// 3 x block bytes is split into thirds A, B, C whose chains interleave: A
+// continues the running register, B and C start from zero. The register
+// is linear in its input, so the register after A|B is shift(A) ^ B, where
+// shift multiplies by x^(8 * block) mod P, the effect of `block` zero
+// bytes; then the same again with C. Long blocks carry a frame's bulk;
+// short ones carry what is left of it.
+constexpr size_t kCrcLongBlock = 8192;
+constexpr size_t kCrcShortBlock = 256;
+
+// A linear map on the 32-bit CRC register, over GF(2): the images of its
+// 32 unit vectors.
+using Gf2Matrix = std::array<uint32_t, 32>;
+
+uint32_t Apply(const Gf2Matrix& map, uint32_t v) {
+  uint32_t out = 0;
+  for (size_t i = 0; i < map.size(); ++i) out ^= map[i] & (0u - ((v >> i) & 1));
+  return out;
+}
+
+Gf2Matrix Compose(const Gf2Matrix& a, const Gf2Matrix& b) {
+  Gf2Matrix out;
+  for (size_t i = 0; i < out.size(); ++i) out[i] = Apply(a, b[i]);
+  return out;
+}
+
+// The map `bytes` zero bytes make on the register, x^(8 * bytes) mod P, by
+// square-and-multiply from the map of one zero bit: a few dozen matrix
+// products, where feeding zeros through the CRC would take one step per
+// byte for every table entry.
+Gf2Matrix ZeroBytesMap(size_t bytes) {
+  Gf2Matrix power{};  // one zero bit: reg -> (reg >> 1) ^ (reg & 1 ? P : 0)
+  power[0] = kCrc32cPoly;
+  for (size_t i = 1; i < power.size(); ++i) power[i] = 1u << (i - 1);
+  for (int square = 0; square < 3; ++square) power = Compose(power, power);
+  Gf2Matrix map;
+  for (size_t i = 0; i < map.size(); ++i) map[i] = 1u << i;
+  for (; bytes != 0; bytes >>= 1) {
+    if (bytes & 1) map = Compose(power, map);
+    power = Compose(power, power);
+  }
+  return map;
+}
+
+// ZeroBytesMap(bytes) as four 256-entry tables, one per register byte.
+// The map is linear, so each entry is the entry without its lowest set bit
+// plus that bit's image: one XOR per entry.
+class Crc32cShift {
+ public:
+  explicit Crc32cShift(size_t bytes) {
+    const Gf2Matrix map = ZeroBytesMap(bytes);
+    for (size_t k = 0; k < 4; ++k) {
+      table_[k][0] = 0;
+      for (uint32_t b = 1; b < 256; ++b) {
+        table_[k][b] =
+            table_[k][b & (b - 1)] ^ map[8 * k + std::countr_zero(b)];
+      }
+    }
+  }
+
+  uint32_t operator()(uint32_t crc) const {
+    return table_[0][crc & 0xff] ^ table_[1][(crc >> 8) & 0xff] ^
+           table_[2][(crc >> 16) & 0xff] ^ table_[3][crc >> 24];
+  }
+
+ private:
+  uint32_t table_[4][256];
+};
+
+struct Crc32cShifts {
+  Crc32cShift long_block{kCrcLongBlock};
+  Crc32cShift short_block{kCrcShortBlock};
+};
+
+const Crc32cShifts& Shifts() {
+  static const Crc32cShifts shifts;
+  return shifts;
+}
+
+uint64_t LoadWord(const unsigned char* bytes) {
+  uint64_t word;
+  std::memcpy(&word, bytes, sizeof(word));
+  return word;
+}
+
+// Folds every whole run of 3 x `block` bytes at *bytes into `crc` (the
+// running, pre-inverted register) and advances *bytes and *size past them.
+__attribute__((target("sse4.2"))) uint32_t Crc32cThreeStreams(
+    uint32_t crc, const unsigned char** bytes, size_t* size, size_t block,
+    const Crc32cShift& shift) {
+  const unsigned char* next = *bytes;
+  size_t left = *size;
+  for (; left >= 3 * block; next += 3 * block, left -= 3 * block) {
+    uint64_t crc0 = crc;
+    uint64_t crc1 = 0;
+    uint64_t crc2 = 0;
+    for (size_t i = 0; i < block; i += 8) {
+      crc0 = _mm_crc32_u64(crc0, LoadWord(next + i));
+      crc1 = _mm_crc32_u64(crc1, LoadWord(next + block + i));
+      crc2 = _mm_crc32_u64(crc2, LoadWord(next + 2 * block + i));
+    }
+    crc = shift(static_cast<uint32_t>(crc0)) ^ static_cast<uint32_t>(crc1);
+    crc = shift(crc) ^ static_cast<uint32_t>(crc2);
+  }
+  *bytes = next;
+  *size = left;
+  return crc;
+}
+
+}  // namespace
+
 // The SSE4.2 crc32 instruction computes exactly this polynomial, reflected,
 // on the running (pre-inverted) state, so it is a drop-in for the tables:
-// one instruction folds eight bytes.
+// one instruction folds eight bytes. Runs of at least 3 x 256 bytes go
+// through three interleaved streams (above); the rest, one chain.
 __attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
                                                        size_t size,
                                                        uint32_t seed) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  uint64_t crc = ~seed;
+  uint32_t running = ~seed;
+  if (size >= 3 * kCrcShortBlock) {
+    const Crc32cShifts& shifts = Shifts();
+    running = Crc32cThreeStreams(running, &bytes, &size, kCrcLongBlock,
+                                 shifts.long_block);
+    running = Crc32cThreeStreams(running, &bytes, &size, kCrcShortBlock,
+                                 shifts.short_block);
+  }
+  uint64_t crc = running;
   for (; size >= 8; bytes += 8, size -= 8) {
-    uint64_t word;
-    std::memcpy(&word, bytes, sizeof(word));
-    crc = _mm_crc32_u64(crc, word);
+    crc = _mm_crc32_u64(crc, LoadWord(bytes));
   }
   auto crc32 = static_cast<uint32_t>(crc);
   for (; size > 0; ++bytes, --size) crc32 = _mm_crc32_u8(crc32, *bytes);

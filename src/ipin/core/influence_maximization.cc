@@ -1,7 +1,6 @@
 #include "ipin/core/influence_maximization.h"
 
 #include <algorithm>
-#include <queue>
 #include <span>
 
 #include "ipin/common/check.h"
@@ -124,45 +123,51 @@ SeedSelection SelectSeedsCelf(const InfluenceOracle& oracle, size_t k) {
   // thread-count independent.
   const std::vector<double> influence = oracle.InfluenceOfAll();
 
-  // Max-heap of (cached gain, node, round the gain was computed in).
+  // Max-heap of (cached gain, individual influence, node, round the gain
+  // was computed in). Each entry carries its own influence, so a comparison
+  // reads no side array, and the queue is one reserved vector heapified in
+  // linear time. The order is total (no two entries share a node), so the
+  // pops, and with them every pick and count, do not depend on how the heap
+  // was built.
   struct HeapEntry {
     double gain;
+    double influence;
     NodeId node;
     size_t round;
   };
-  const auto cmp = [&influence](const HeapEntry& a, const HeapEntry& b) {
+  const auto cmp = [](const HeapEntry& a, const HeapEntry& b) {
     if (a.gain != b.gain) return a.gain < b.gain;
-    if (influence[a.node] != influence[b.node]) {
-      return influence[a.node] < influence[b.node];
-    }
+    if (a.influence != b.influence) return a.influence < b.influence;
     return a.node > b.node;  // final tie-break: smaller id wins
   };
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, decltype(cmp)> heap(
-      cmp);
+  std::vector<HeapEntry> heap;
+  heap.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    const NodeId u = static_cast<NodeId>(i);
     // Initial upper bound: individual influence (gain against empty cover).
-    heap.push(HeapEntry{influence[i], u, 0});
+    heap.push_back(HeapEntry{influence[i], influence[i],
+                             static_cast<NodeId>(i), 0});
   }
+  std::make_heap(heap.begin(), heap.end(), cmp);
 
   size_t round = 1;
   size_t reinserts = 0;
   obs::ProgressPhase phase("im.celf.rounds", k);
   while (result.seeds.size() < k && !heap.empty()) {
-    HeapEntry top = heap.top();
-    heap.pop();
+    std::pop_heap(heap.begin(), heap.end(), cmp);
+    HeapEntry& top = heap.back();
     if (top.round != round) {
       // Stale: re-evaluate against the current cover and re-insert.
       top.gain = coverage->GainOf(top.node);
       ++result.gain_evaluations;
       ++reinserts;
       top.round = round;
-      heap.push(top);
+      std::push_heap(heap.begin(), heap.end(), cmp);
       continue;
     }
     coverage->Commit(top.node);
     result.seeds.push_back(top.node);
     result.gains.push_back(top.gain);
+    heap.pop_back();
     ++round;
     phase.Tick();
   }

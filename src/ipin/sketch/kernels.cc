@@ -119,12 +119,25 @@ uint8_t CoverageDeltaScalar(const uint8_t* covered, const uint8_t* candidate,
   return top;
 }
 
+IPIN_NO_AUTOVEC
+RowStats RowStatsScalar(const uint8_t* ranks, size_t n) {
+  RowStats stats;
+  for (size_t i = 0; i < n; ++i) {
+    const uint8_t r = ranks[i];
+    stats.zeros += r == 0;
+    stats.sum += r;
+    if (r > stats.max) stats.max = r;
+  }
+  return stats;
+}
+
 constexpr KernelOps kScalarOps = {
     &CellwiseMaxU8Scalar,
     &CellwiseMaxRowsVia<CellwiseMaxU8Scalar>,
     &RankHistogramScalar,
     &EstimateFromRanksScalar,
     &CoverageDeltaScalar,
+    &RowStatsScalar,
 };
 
 // The NEON histogram, kept outside the NEON block so every build type-checks
@@ -172,6 +185,10 @@ constexpr KernelOps kScalarOps = {
 //
 // The delta compares max(covered, candidate) with covered; the movemask of
 // the lanes that differ lists, bit by bit, the cells whose counts move.
+//
+// The row stats keep a running u8 max, add each vector's sad_epu8 (its
+// byte sum, in u64 lanes) to the rank sum, and count zero cells in u8 lane
+// counters flushed like the histogram's, every kLaneBlock vectors.
 // ---------------------------------------------------------------------------
 
 #ifdef IPIN_KERNELS_X86
@@ -202,6 +219,21 @@ uint8_t FinishHistogram(const uint8_t* ranks, size_t vec_end, size_t n,
   for (size_t r = 1; r <= top; ++r) counted += hist[r];
   hist[0] = static_cast<uint32_t>(n - counted);
   return top;
+}
+
+uint64_t SumU64Lanes(__m128i s) {
+  uint64_t lanes[2];
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(lanes), s);
+  return lanes[0] + lanes[1];
+}
+
+// Folds a vector part's accumulators into the scalar stats of its tail.
+RowStats FinishRowStats(RowStats tail, __m128i top, __m128i sums,
+                        __m128i zeros) {
+  tail.zeros += SumU64Lanes(zeros);
+  tail.sum += SumU64Lanes(sums);
+  tail.max = std::max(tail.max, HorizontalMaxU8(top));
+  return tail;
 }
 
 // Moves the counts of the cells set in `mask` (bit j = cell base + j).
@@ -277,12 +309,35 @@ uint8_t CoverageDeltaSse2(const uint8_t* covered, const uint8_t* candidate,
                                            hist));
 }
 
+RowStats RowStatsSse2(const uint8_t* ranks, size_t n) {
+  const size_t vec_end = n - n % 16;
+  const __m128i zero = _mm_setzero_si128();
+  __m128i top = zero;
+  __m128i sums = zero;
+  __m128i zeros = zero;
+  for (size_t block = 0; block < vec_end; block += kLaneBlock * 16) {
+    const size_t block_end = std::min(vec_end, block + kLaneBlock * 16);
+    __m128i lanes = zero;
+    for (size_t i = block; i < block_end; i += 16) {
+      const __m128i v =
+          _mm_loadu_si128(reinterpret_cast<const __m128i*>(ranks + i));
+      top = _mm_max_epu8(top, v);
+      sums = _mm_add_epi64(sums, _mm_sad_epu8(v, zero));
+      lanes = _mm_sub_epi8(lanes, _mm_cmpeq_epi8(v, zero));
+    }
+    zeros = _mm_add_epi64(zeros, _mm_sad_epu8(lanes, zero));
+  }
+  return FinishRowStats(RowStatsScalar(ranks + vec_end, n - vec_end), top,
+                        sums, zeros);
+}
+
 constexpr KernelOps kSse2Ops = {
     &CellwiseMaxU8Sse2,
     &CellwiseMaxRowsVia<CellwiseMaxU8Sse2>,
     &RankHistogramVia<HistogramPrefixSse2>,
     &EstimateVia<HistogramPrefixSse2>,
     &CoverageDeltaSse2,
+    &RowStatsSse2,
 };
 
 // ---------------------------------------------------------------------------
@@ -378,19 +433,52 @@ __attribute__((target("avx2"))) uint8_t CoverageDeltaAvx2(
                                            hist));
 }
 
+__attribute__((target("avx2"))) RowStats RowStatsAvx2(const uint8_t* ranks,
+                                                      size_t n) {
+  const size_t vec_end = n - n % 32;
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i top = zero;
+  __m256i sums = zero;
+  __m256i zeros = zero;
+  for (size_t block = 0; block < vec_end; block += kLaneBlock * 32) {
+    const size_t block_end = std::min(vec_end, block + kLaneBlock * 32);
+    __m256i lanes = zero;
+    for (size_t i = block; i < block_end; i += 32) {
+      const __m256i v =
+          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(ranks + i));
+      top = _mm256_max_epu8(top, v);
+      sums = _mm256_add_epi64(sums, _mm256_sad_epu8(v, zero));
+      lanes = _mm256_sub_epi8(lanes, _mm256_cmpeq_epi8(v, zero));
+    }
+    zeros = _mm256_add_epi64(zeros, _mm256_sad_epu8(lanes, zero));
+  }
+  const __m128i top128 = _mm_max_epu8(_mm256_castsi256_si128(top),
+                                      _mm256_extracti128_si256(top, 1));
+  const __m128i sums128 = _mm_add_epi64(_mm256_castsi256_si128(sums),
+                                        _mm256_extracti128_si256(sums, 1));
+  const __m128i zeros128 = _mm_add_epi64(_mm256_castsi256_si128(zeros),
+                                         _mm256_extracti128_si256(zeros, 1));
+  _mm256_zeroupper();  // as in CoverageDeltaAvx2: SSE code follows
+  return FinishRowStats(RowStatsScalar(ranks + vec_end, n - vec_end), top128,
+                        sums128, zeros128);
+}
+
 constexpr KernelOps kAvx2Ops = {
     &CellwiseMaxU8Avx2,
     &CellwiseMaxRowsVia<CellwiseMaxU8Avx2>,
     &RankHistogramVia<HistogramPrefixAvx2>,
     &EstimateVia<HistogramPrefixAvx2>,
     &CoverageDeltaAvx2,
+    &RowStatsAvx2,
 };
 
 #endif  // IPIN_KERNELS_X86
 
 // ---------------------------------------------------------------------------
 // NEON (aarch64 baseline). The histogram is the interleaved one above; the
-// coverage delta is the scalar reference.
+// coverage delta is the scalar reference. The row stats sum ranks pairwise
+// into u16 lanes, which gain at most 2 x 255 a vector, so both they and the
+// u8 zero counters are flushed every kNeonStatsBlock vectors.
 // ---------------------------------------------------------------------------
 
 #ifdef IPIN_KERNELS_NEON
@@ -417,12 +505,41 @@ uint8_t HistogramPrefixNeon(const uint8_t* ranks, size_t n, uint32_t* hist) {
   return top;
 }
 
+constexpr size_t kNeonStatsBlock = 128;  // vectors per u16 / u8 flush
+
+RowStats RowStatsNeon(const uint8_t* ranks, size_t n) {
+  const size_t vec_end = n - n % 16;
+  const uint8x16_t zero = vdupq_n_u8(0);
+  uint8x16_t top = zero;
+  uint64_t sum = 0;
+  uint64_t zeros = 0;
+  for (size_t block = 0; block < vec_end; block += kNeonStatsBlock * 16) {
+    const size_t block_end = std::min(vec_end, block + kNeonStatsBlock * 16);
+    uint16x8_t sums = vdupq_n_u16(0);
+    uint8x16_t lanes = zero;
+    for (size_t i = block; i < block_end; i += 16) {
+      const uint8x16_t v = vld1q_u8(ranks + i);
+      top = vmaxq_u8(top, v);
+      sums = vpadalq_u8(sums, v);
+      lanes = vsubq_u8(lanes, vceqq_u8(v, zero));
+    }
+    sum += vaddlvq_u16(sums);
+    zeros += vaddlvq_u8(lanes);
+  }
+  RowStats stats = RowStatsScalar(ranks + vec_end, n - vec_end);
+  stats.zeros += zeros;
+  stats.sum += sum;
+  stats.max = std::max(stats.max, vmaxvq_u8(top));
+  return stats;
+}
+
 constexpr KernelOps kNeonOps = {
     &CellwiseMaxU8Neon,
     &CellwiseMaxRowsVia<CellwiseMaxU8Neon>,
     &RankHistogramVia<HistogramPrefixNeon>,
     &EstimateVia<HistogramPrefixNeon>,
     &CoverageDeltaScalar,
+    &RowStatsNeon,
 };
 
 #endif  // IPIN_KERNELS_NEON

@@ -15,6 +15,8 @@
 //   rank_histogram      - exact count of cells per rank (0..255)
 //   coverage_delta      - moves, within a histogram, the counts of the
 //                         cells where a candidate row beats a covered row
+//   row_stats           - zero cells, rank sum and top rank of a row: the
+//                         row check every restored row passes
 //   EstimateFromHistogram - the one float step: histogram -> estimate
 //
 // Each integer primitive has one implementation per SIMD target, selected
@@ -35,6 +37,15 @@ using ::ipin::SimdTargetName;
 
 /// Bins of a rank histogram: one per uint8_t rank.
 inline constexpr size_t kRankBins = 256;
+
+/// What row_stats reports of a rank row.
+struct RowStats {
+  uint64_t zeros = 0;  // cells of rank 0
+  uint64_t sum = 0;    // sum of the ranks
+  uint8_t max = 0;     // highest rank (0 for an all-zero row)
+
+  bool operator==(const RowStats&) const = default;
+};
 
 struct KernelOps {
   /// dst[i] = max(dst[i], src[i]) for i in [0, n). Unions are folds of this.
@@ -60,6 +71,9 @@ struct KernelOps {
   /// Returns the highest rank a moved cell reached (0 if none moved).
   uint8_t (*coverage_delta)(const uint8_t* covered, const uint8_t* candidate,
                             size_t n, uint32_t* hist);
+
+  /// Zero cells, rank sum and highest rank of ranks[0 .. n), in one pass.
+  RowStats (*row_stats)(const uint8_t* ranks, size_t n);
 };
 
 /// The HyperLogLog estimate of n cells from their rank histogram, with the

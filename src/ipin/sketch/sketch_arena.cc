@@ -59,18 +59,12 @@ size_t CountSketches(std::span<const std::unique_ptr<VersionedHll>> sketches) {
 
 bool RowIsValid(std::span<const uint8_t> row, uint64_t entries,
                 int precision) {
-  // Branch-free, with u32 sums (a row sums to at most 255 x 2^18) and a u8
-  // maximum, so the loop vectorizes: a load checks every row it copies.
-  uint32_t zeros = 0;
-  uint32_t sum = 0;
-  uint8_t top = 0;
-  for (const uint8_t r : row) {
-    zeros += r == 0;
-    sum += r;
-    top = std::max(top, r);
-  }
-  return top <= VersionedHll::MaxRank(precision) &&
-         entries >= row.size() - zeros && entries <= sum;
+  // One pass of the dispatched row_stats kernel: a load checks every row it
+  // copies, so the check runs at the speed of the SIMD target.
+  const kernels::RowStats stats =
+      kernels::Dispatched().row_stats(row.data(), row.size());
+  return stats.max <= VersionedHll::MaxRank(precision) &&
+         entries >= row.size() - stats.zeros && entries <= stats.sum;
 }
 
 SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,

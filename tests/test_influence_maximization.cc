@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "ipin/core/source_sets.h"
 #include "ipin/datasets/registry.h"
 #include "ipin/datasets/synthetic.h"
+#include "ipin/obs/metrics.h"
 #include "test_util.h"
 
 namespace ipin {
@@ -192,6 +194,52 @@ TEST(CelfTest, PinnedSlashdotCampaign) {
   }
   EXPECT_EQ(celf.total_coverage, 0x1.4a23c9eb3f973p+10);
   EXPECT_EQ(celf.gain_evaluations, 2011u);
+}
+
+// CELF where gain and individual influence tie across many nodes, so the
+// node id alone orders them: a quarter of the sets are empty, a quarter are
+// one identical set, and the rest overlap it and each other. k exceeds the
+// non-empty count, so the last picks are all zero-gain ties. Seeds, gains,
+// evaluations and re-inserts are those of the priority_queue CELF that
+// built its queue one push at a time; any queue that pops the same total
+// order (gain, then influence, then smaller id) reproduces them.
+TEST(CelfTest, HeapifiedQueueKeepsTieOrder) {
+  std::vector<std::vector<NodeId>> sets(48);
+  for (NodeId u = 0; u < sets.size(); ++u) {
+    switch (u % 4) {
+      case 0:
+        break;  // empty
+      case 1:
+        sets[u] = {0, 1, 2};
+        break;
+      case 2:
+        sets[u] = {2, 3, 4};
+        break;
+      default:
+        sets[u] = {4, 10 + u % 5};
+        break;
+    }
+  }
+  const SetCoverageOracle oracle(std::move(sets));
+  obs::Counter* reinserts =
+      obs::MetricsRegistry::Global().GetCounter("im.celf.heap_reinserts");
+  const uint64_t before = reinserts->Value();
+  const SeedSelection celf = SelectSeedsCelf(oracle, 40);
+  const std::vector<NodeId> want_seeds = {
+      1,  2,  3,  7,  11, 15, 19, 5,  6,  9,  10, 13, 14, 17,
+      18, 21, 22, 25, 26, 29, 30, 33, 34, 37, 38, 41, 42, 45,
+      46, 23, 27, 31, 35, 39, 43, 47, 0,  4,  8,  12};
+  std::vector<double> want_gains(want_seeds.size(), 0.0);
+  want_gains[0] = 3.0;
+  want_gains[1] = 2.0;
+  std::fill(want_gains.begin() + 2, want_gains.begin() + 7, 1.0);
+  EXPECT_EQ(celf.seeds, want_seeds);
+  EXPECT_EQ(celf.gains, want_gains);
+  EXPECT_EQ(celf.total_coverage, 10.0);
+  EXPECT_EQ(celf.gain_evaluations, 91u);
+#ifndef IPIN_OBS_DISABLED
+  EXPECT_EQ(reinserts->Value() - before, 91u);
+#endif
 }
 
 TEST(GreedyTest, PicksObviousWinnerFirst) {

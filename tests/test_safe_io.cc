@@ -191,6 +191,53 @@ TEST(Crc32cImplTest, SeedChainsAtEverySplit) {
   }
 }
 
+// The three-stream path at its block boundaries, at every start offset mod
+// 8: lengths around one run of three 8 KiB blocks, a long run followed by
+// short runs and a word tail (5 x 8192 + 3), and 1 MiB + 5.
+TEST(Crc32cImplTest, MatchesBitwiseReferenceAtLongBlockBoundaries) {
+  constexpr size_t kLongRun = 3 * 8192;
+  Rng rng(16);
+  std::vector<unsigned char> buffer((size_t{1} << 20) + 5 + 8);
+  for (unsigned char& b : buffer) {
+    b = static_cast<unsigned char>(rng.NextUint64());
+  }
+  std::vector<size_t> lengths;
+  for (size_t len = kLongRun - 1; len <= kLongRun + 9; ++len) {
+    lengths.push_back(len);
+  }
+  lengths.push_back(5 * 8192 + 3);
+  lengths.push_back((size_t{1} << 20) + 5);
+  for (size_t align = 0; align < 8; ++align) {
+    for (const size_t len : lengths) {
+      const unsigned char* data = buffer.data() + align;
+      const uint32_t want = BitwiseCrc32c(data, len);
+      for (const Crc32cImpl& impl : Crc32cImpls()) {
+        ASSERT_EQ(impl.fn(data, len, 0), want)
+            << impl.name << " align " << align << " len " << len;
+      }
+    }
+  }
+}
+
+// A seed chained across a split inside a long block: the head ends, and
+// the seeded tail starts, part-way through one of the three streams.
+TEST(Crc32cImplTest, SeedChainsAcrossSplitsInsideLongBlocks) {
+  Rng rng(17);
+  std::string data(4 * 8192 + 100, '\0');
+  for (char& c : data) c = static_cast<char>(rng.NextUint64());
+  const std::string_view view = data;
+  const uint32_t whole = BitwiseCrc32c(
+      reinterpret_cast<const unsigned char*>(data.data()), data.size());
+  for (const Crc32cImpl& impl : Crc32cImpls()) {
+    for (const size_t split : {size_t{7}, size_t{8192 + 5}, size_t{12345},
+                               size_t{3 * 8192 - 3}, size_t{3 * 8192 + 1}}) {
+      const uint32_t head = Crc(impl, view.substr(0, split));
+      ASSERT_EQ(Crc(impl, view.substr(split), head), whole)
+          << impl.name << " split " << split;
+    }
+  }
+}
+
 // The dispatched Crc32c is one of the two, so it agrees with both.
 TEST(Crc32cImplTest, DispatchedAgreesWithEveryImplementation) {
   Rng rng(15);

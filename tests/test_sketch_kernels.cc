@@ -4,12 +4,14 @@
 #include <array>
 #include <bit>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ipin/common/random.h"
 #include "ipin/sketch/estimators.h"
+#include "ipin/sketch/vhll.h"
 
 namespace ipin {
 namespace {
@@ -272,6 +274,63 @@ TEST(SketchKernelsTest, CoverageDeltaMatchesMergedHistogramFuzz) {
           }
         }
       }
+    }
+  }
+}
+
+// The row check's kernel: zero cells, rank sum and top rank equal a direct
+// count and the scalar reference's on every runnable target, at precisions
+// 4..18 with ragged sizes. Rows mix geometric ranks with the bytes the check
+// turns on (0, MaxRank, MaxRank + 1, 255), or hold only those bytes, or
+// are all 0 or all 255.
+TEST(SketchKernelsTest, RowStatsMatchesScalarFuzz) {
+  Rng rng(6161);
+  for (int precision = 4; precision <= 18; ++precision) {
+    const auto max_rank =
+        static_cast<uint8_t>(VersionedHll::MaxRank(precision));
+    const uint8_t edges[] = {0, max_rank, static_cast<uint8_t>(max_rank + 1),
+                             255};
+    for (const size_t n : FuzzSizes(precision)) {
+      std::vector<std::vector<uint8_t>> rows;
+      rows.push_back(MakeRow(RowKind::kGeometric, n, &rng));
+      for (size_t i = 0; i < 8; ++i) {
+        rows.back()[rng.NextBounded(n)] = edges[rng.NextBounded(4)];
+      }
+      rows.emplace_back(n);
+      for (uint8_t& r : rows.back()) r = edges[rng.NextBounded(4)];
+      rows.emplace_back(n, uint8_t{0});
+      rows.emplace_back(n, uint8_t{255});
+      for (const std::vector<uint8_t>& row : rows) {
+        const kernels::RowStats want = Scalar().row_stats(row.data(), n);
+        ASSERT_EQ(want.zeros,
+                  static_cast<uint64_t>(std::count(row.begin(), row.end(), 0)));
+        ASSERT_EQ(want.sum, std::accumulate(row.begin(), row.end(),
+                                            uint64_t{0}));
+        ASSERT_EQ(want.max, *std::max_element(row.begin(), row.end()));
+        for (const SimdTarget target : RunnableTargets()) {
+          const kernels::RowStats got =
+              KernelsFor(target)->row_stats(row.data(), n);
+          ASSERT_EQ(got.zeros, want.zeros) << SimdTargetName(target) << " n "
+                                           << n;
+          ASSERT_EQ(got.sum, want.sum) << SimdTargetName(target) << " n " << n;
+          ASSERT_EQ(got.max, want.max) << SimdTargetName(target) << " n " << n;
+        }
+      }
+    }
+  }
+}
+
+// An all-zero row of beta = 2^18 cells: each u8 zero counter sees 2^18 /
+// width hits, far more than 255, so only the flush keeps the count right.
+// The all-255 row of the same size is the largest sum a row can have.
+TEST(SketchKernelsTest, RowStatsLaneCountersDoNotWrap) {
+  const size_t n = size_t{1} << 18;
+  for (const uint8_t rank : {uint8_t{0}, uint8_t{255}}) {
+    const std::vector<uint8_t> row(n, rank);
+    const kernels::RowStats want{rank == 0 ? n : 0, uint64_t{rank} * n, rank};
+    for (const SimdTarget target : RunnableTargets()) {
+      EXPECT_EQ(KernelsFor(target)->row_stats(row.data(), n), want)
+          << SimdTargetName(target) << " rank " << int{rank};
     }
   }
 }
