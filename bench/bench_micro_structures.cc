@@ -1,10 +1,9 @@
-// Micro-benchmarks for the extension structures: streaming source sets
-// and temporal paths (google-benchmark).
+// Micro-benchmarks for the single-source temporal path solvers
+// (google-benchmark).
 
 #include <benchmark/benchmark.h>
 
 #include "ipin/common/random.h"
-#include "ipin/core/source_sets.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/temporal_paths.h"
 
@@ -19,26 +18,6 @@ InteractionGraph MakeGraph(size_t num_interactions) {
   config.seed = 17;
   return GenerateInteractionNetwork(config);
 }
-
-void BM_SourceSetApproxStream(benchmark::State& state) {
-  const InteractionGraph g = MakeGraph(static_cast<size_t>(state.range(0)));
-  const Duration window = g.WindowFromPercent(10.0);
-  IrsApproxOptions options;
-  options.precision = static_cast<int>(state.range(1));
-  for (auto _ : state) {
-    SourceSetApprox sets(g.num_nodes(), window, options);
-    for (const Interaction& e : g.interactions()) {
-      sets.ProcessInteraction(e);
-    }
-    benchmark::DoNotOptimize(sets.TotalSketchEntries());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.num_interactions()));
-}
-BENCHMARK(BM_SourceSetApproxStream)
-    ->Args({10000, 6})
-    ->Args({10000, 9})
-    ->Unit(benchmark::kMillisecond);
 
 void BM_EarliestArrival(benchmark::State& state) {
   const InteractionGraph g = MakeGraph(static_cast<size_t>(state.range(0)));

@@ -1,6 +1,8 @@
 #include "ipin/core/influence_oracle.h"
 
 #include <algorithm>
+#include <array>
+#include <unordered_set>
 
 #include "ipin/common/check.h"
 #include "ipin/common/thread_pool.h"
@@ -69,17 +71,83 @@ class SetCoverage : public CoverageState {
   std::unordered_set<NodeId> covered_;
 };
 
+// Coverage over the arena's max-rank rows: the covered set is the cellwise
+// max of the committed rows, kept with its rank histogram. A gain copies the
+// histogram, moves the counts of the cells the candidate raises
+// (kernels::KernelOps::coverage_delta) and estimates from the result, so it
+// costs the cells that change. The histogram equals the merged row's
+// exactly, so every gain is bit-identical to estimating the merged row.
+class RankRowCoverage : public CoverageState {
+ public:
+  explicit RankRowCoverage(const SketchArena* arena)
+      : arena_(arena), ranks_(arena->num_cells(), 0) {
+    hist_.fill(0);
+    hist_[0] = static_cast<uint32_t>(ranks_.size());
+  }
+
+  double Covered() const override { return covered_; }
+
+  double GainOf(NodeId u) const override {
+    if (!arena_->has_node(u)) return 0.0;
+    // A stack copy, not a shared scratch: the parallel greedy calls GainOf
+    // from several threads at once.
+    std::array<uint32_t, kernels::kRankBins> hist = hist_;
+    const size_t n = ranks_.size();
+    const uint8_t raised = kernels::Dispatched().coverage_delta(
+        ranks_.data(), arena_->rank_row(u).data(), n, hist.data());
+    if (hist[0] == n) return 0.0;  // every cell still untouched
+    const size_t bins = size_t{std::max(top_, raised)} + 1;
+    const double with_u =
+        kernels::EstimateFromHistogram(hist.data(), bins, n);
+    return std::max(0.0, with_u - covered_);
+  }
+
+  void Commit(NodeId u) override {
+    if (!arena_->has_node(u)) return;
+    const kernels::KernelOps& ops = kernels::Dispatched();
+    const size_t n = ranks_.size();
+    ops.cellwise_max_u8(ranks_.data(), arena_->rank_row(u).data(), n);
+    top_ = ops.rank_histogram(ranks_.data(), n, hist_.data());
+    covered_ = hist_[0] == n ? 0.0
+                             : kernels::EstimateFromHistogram(
+                                   hist_.data(), size_t{top_} + 1, n);
+  }
+
+ private:
+  const SketchArena* arena_;
+  std::vector<uint8_t> ranks_;
+  std::array<uint32_t, kernels::kRankBins> hist_;
+  uint8_t top_ = 0;
+  double covered_ = 0.0;
+};
+
 }  // namespace
 
 UnionRow FoldRankRows(const IrsApprox& irs, std::span<const NodeId> seeds,
                       const QueryBudget& budget) {
+  constexpr size_t kBlock = 64;
   const SketchArena& arena = *irs.arena();
-  return FoldRankRows(seeds, irs.num_nodes(), arena.num_cells(),
-                      [&arena](NodeId u) -> const uint8_t* {
-                        return arena.has_node(u) ? arena.rank_row(u).data()
-                                                 : nullptr;
-                      },
-                      budget);
+  const size_t num_nodes = irs.num_nodes();
+  const size_t num_cells = arena.num_cells();
+  static thread_local std::vector<uint8_t> buffer;
+  buffer.assign(num_cells, 0);
+  const std::span<uint8_t> ranks(buffer);
+  if (budget.Expired()) return {ranks, true};
+  const kernels::KernelOps& ops = kernels::Dispatched();
+  const uint8_t* rows[kBlock];
+  size_t count = 0;
+  for (const NodeId u : seeds) {
+    IPIN_CHECK_LT(u, num_nodes);
+    if (!arena.has_node(u)) continue;
+    rows[count++] = arena.rank_row(u).data();
+    if (count == kBlock) {
+      ops.cellwise_max_rows(ranks.data(), rows, count, num_cells);
+      count = 0;
+      if (budget.Expired()) return {ranks, true};
+    }
+  }
+  ops.cellwise_max_rows(ranks.data(), rows, count, num_cells);
+  return {ranks, false};
 }
 
 BudgetedValue ExactUnion(std::span<const IrsSummaryMap> rows,
@@ -100,39 +168,6 @@ BudgetedValue ExactUnion(std::span<const IrsSummaryMap> rows,
     }
   }
   return {static_cast<double>(seen.size()), false};
-}
-
-RankRowCoverage::RankRowCoverage(size_t num_cells, RowOf row_of)
-    : row_of_(std::move(row_of)), ranks_(num_cells, 0) {
-  hist_.fill(0);
-  hist_[0] = static_cast<uint32_t>(num_cells);
-}
-
-double RankRowCoverage::GainOf(NodeId u) const {
-  const uint8_t* row = row_of_(u);
-  if (row == nullptr) return 0.0;
-  // A stack copy, not a shared scratch: the parallel greedy calls GainOf
-  // from several threads at once.
-  std::array<uint32_t, kernels::kRankBins> hist = hist_;
-  const size_t n = ranks_.size();
-  const uint8_t raised = kernels::Dispatched().coverage_delta(
-      ranks_.data(), row, n, hist.data());
-  if (hist[0] == n) return 0.0;  // every cell still untouched
-  const size_t bins = size_t{std::max(top_, raised)} + 1;
-  const double with_u = kernels::EstimateFromHistogram(hist.data(), bins, n);
-  return std::max(0.0, with_u - covered_);
-}
-
-void RankRowCoverage::Commit(NodeId u) {
-  const uint8_t* row = row_of_(u);
-  if (row == nullptr) return;
-  const kernels::KernelOps& ops = kernels::Dispatched();
-  const size_t n = ranks_.size();
-  ops.cellwise_max_u8(ranks_.data(), row, n);
-  top_ = ops.rank_histogram(ranks_.data(), n, hist_.data());
-  covered_ = hist_[0] == n ? 0.0
-                           : kernels::EstimateFromHistogram(
-                                 hist_.data(), size_t{top_} + 1, n);
 }
 
 std::vector<double> InfluenceOracle::InfluenceOfAll() const {
@@ -194,11 +229,7 @@ BudgetedValue SketchInfluenceOracle::InfluenceOfSetBudgeted(
 }
 
 std::unique_ptr<CoverageState> SketchInfluenceOracle::NewCoverage() const {
-  const SketchArena* arena = irs_->arena();
-  return std::make_unique<RankRowCoverage>(
-      arena->num_cells(), [arena](NodeId u) -> const uint8_t* {
-        return arena->has_node(u) ? arena->rank_row(u).data() : nullptr;
-      });
+  return std::make_unique<RankRowCoverage>(irs_->arena());
 }
 
 SetCoverageOracle::SetCoverageOracle(std::vector<std::vector<NodeId>> sets)

@@ -1,20 +1,15 @@
 #ifndef IPIN_CORE_INFLUENCE_ORACLE_H_
 #define IPIN_CORE_INFLUENCE_ORACLE_H_
 
-#include <array>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <span>
-#include <unordered_set>
 #include <vector>
 
-#include "ipin/common/check.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
 #include "ipin/graph/types.h"
-#include "ipin/sketch/kernels.h"
 
 namespace ipin {
 
@@ -36,33 +31,6 @@ class CoverageState {
 
   /// Folds sigma(u) into the covered set.
   virtual void Commit(NodeId u) = 0;
-};
-
-/// Coverage over per-node max-rank rows (vHLL or source-set sketches): the
-/// covered set is the cellwise max of the committed rows, kept with its
-/// rank histogram. A gain copies the histogram, moves the counts of the
-/// cells the candidate raises (kernels::KernelOps::coverage_delta) and
-/// estimates from the result, so it costs the cells that change. The
-/// histogram equals the merged row's exactly, so every gain is bit-identical
-/// to estimating the merged row.
-class RankRowCoverage : public CoverageState {
- public:
-  /// Node u's row of `num_cells` ranks, or null when u has no sketch. Rows
-  /// must outlive the coverage.
-  using RowOf = std::function<const uint8_t*(NodeId)>;
-
-  RankRowCoverage(size_t num_cells, RowOf row_of);
-
-  double Covered() const override { return covered_; }
-  double GainOf(NodeId u) const override;
-  void Commit(NodeId u) override;
-
- private:
-  RowOf row_of_;
-  std::vector<uint8_t> ranks_;
-  std::array<uint32_t, kernels::kRankBins> hist_;
-  uint8_t top_ = 0;
-  double covered_ = 0.0;
 };
 
 /// Wall-clock budget for one oracle query, used by the serving layer to
@@ -98,48 +66,19 @@ struct UnionRow {
   bool exceeded = false;
 };
 
-/// The one sketch union (Section 4.1): folds the rank rows of `seeds` into
-/// one row of `num_cells` cells. row_of(u) is node u's row, or null if u has
-/// no sketch; every seed must be below `num_nodes` (checked), and a seed may
-/// repeat. Rows go to the kernel (kernels::KernelOps::cellwise_max_rows) 64
-/// at a time, so the fold makes no indirect call per seed. The deadline is
-/// read on entry and after each block of 64 rows, and never when the budget
-/// has none. The buffer only grows, so a thread allocates once.
-template <typename RowOf>
-UnionRow FoldRankRows(std::span<const NodeId> seeds, size_t num_nodes,
-                      size_t num_cells, const RowOf& row_of,
-                      const QueryBudget& budget) {
-  constexpr size_t kBlock = 64;
-  static thread_local std::vector<uint8_t> buffer;
-  buffer.assign(num_cells, 0);
-  const std::span<uint8_t> ranks(buffer);
-  if (budget.Expired()) return {ranks, true};
-  const kernels::KernelOps& ops = kernels::Dispatched();
-  const uint8_t* rows[kBlock];
-  size_t count = 0;
-  for (const NodeId u : seeds) {
-    IPIN_CHECK_LT(u, num_nodes);
-    const uint8_t* row = row_of(u);
-    if (row == nullptr) continue;
-    rows[count++] = row;
-    if (count == kBlock) {
-      ops.cellwise_max_rows(ranks.data(), rows, count, num_cells);
-      count = 0;
-      if (budget.Expired()) return {ranks, true};
-    }
-  }
-  ops.cellwise_max_rows(ranks.data(), rows, count, num_cells);
-  return {ranks, false};
-}
-
-/// FoldRankRows over an index's arena rows.
+/// The one sketch union (Section 4.1): folds the arena rank rows of `seeds`
+/// into one row of the arena's num_cells() cells. A seed with no row adds
+/// nothing; every seed must be below irs.num_nodes() (checked), and a seed
+/// may repeat. Rows go to the kernel (kernels::KernelOps::cellwise_max_rows)
+/// 64 at a time, so the fold makes no indirect call per seed. The deadline
+/// is read on entry and after each block of 64 rows, and never when the
+/// budget has none. The buffer only grows, so a thread allocates once.
 UnionRow FoldRankRows(const IrsApprox& irs, std::span<const NodeId> seeds,
                       const QueryBudget& budget);
 
 /// The one exact union: |union of the key sets rows[u] for u in seeds|, for
-/// the exact IRS summaries and their source-set transpose. Every seed must
-/// be below rows.size() (checked). The deadline is read on entry and after
-/// every 1024 entries scanned.
+/// the exact IRS summaries. Every seed must be below rows.size() (checked).
+/// The deadline is read on entry and after every 1024 entries scanned.
 BudgetedValue ExactUnion(std::span<const IrsSummaryMap> rows,
                          std::span<const NodeId> seeds,
                          const QueryBudget& budget);

@@ -1,6 +1,6 @@
 #include "ipin/graph/temporal_paths.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "ipin/common/check.h"
 
@@ -27,34 +27,6 @@ EarliestArrivalResult EarliestArrival(const InteractionGraph& graph,
     if (result.arrival[e.dst] == kNoTimestamp) {
       result.arrival[e.dst] = e.time;  // first reach = earliest (sorted scan)
       if (e.dst != source) ++result.num_reachable;
-    }
-  }
-  return result;
-}
-
-LatestDepartureResult LatestDeparture(const InteractionGraph& graph,
-                                      NodeId target, Timestamp t_start,
-                                      Timestamp t_end) {
-  IPIN_CHECK(graph.is_sorted());
-  IPIN_CHECK_LT(target, graph.num_nodes());
-  LatestDepartureResult result;
-  result.departure.assign(graph.num_nodes(), kNoTimestamp);
-  result.departure[target] = t_end;
-
-  const auto& edges = graph.interactions();
-  for (size_t i = edges.size(); i > 0; --i) {
-    const Interaction& e = edges[i - 1];
-    if (e.time < t_start) break;  // sorted: nothing earlier qualifies
-    if (e.time > t_end) continue;
-    const Timestamp dep_v = result.departure[e.dst];
-    if (dep_v == kNoTimestamp) continue;
-    // Arriving at the target node itself completes the path; transit must
-    // depart strictly later than this edge's time.
-    const bool usable = e.dst == target ? e.time <= dep_v : e.time < dep_v;
-    if (!usable) continue;
-    if (result.departure[e.src] == kNoTimestamp) {
-      result.departure[e.src] = e.time;  // first set = latest (reverse scan)
-      if (e.src != target) ++result.num_sources;
     }
   }
   return result;
@@ -103,63 +75,6 @@ FastestPathResult FastestPaths(const InteractionGraph& graph, NodeId source) {
       if (result.duration[e.dst] < 0 || dur < result.duration[e.dst]) {
         if (result.duration[e.dst] < 0) ++result.num_reachable;
         result.duration[e.dst] = dur;
-      }
-    }
-  }
-  return result;
-}
-
-ShortestPathResult ShortestTemporalPaths(const InteractionGraph& graph,
-                                         NodeId source, Timestamp t_start,
-                                         Timestamp t_end) {
-  IPIN_CHECK(graph.is_sorted());
-  IPIN_CHECK_LT(source, graph.num_nodes());
-  ShortestPathResult result;
-  result.hops.assign(graph.num_nodes(), -1);
-  result.hops[source] = 0;
-
-  // Pareto frontier per node: (arrival, hops) with arrival ascending and
-  // hops strictly descending (a later arrival is only kept if cheaper).
-  struct Frontier {
-    std::vector<std::pair<Timestamp, int64_t>> pairs;  // (arrival, hops)
-  };
-  std::vector<Frontier> frontier(graph.num_nodes());
-
-  for (const Interaction& e : graph.interactions()) {
-    if (e.time > t_end) break;
-    if (e.time < t_start) continue;
-
-    int64_t hops_u = -1;
-    if (e.src == source) hops_u = 0;
-    // Transit: cheapest hop count among paths arriving strictly earlier.
-    const auto& src_pairs = frontier[e.src].pairs;
-    for (size_t i = src_pairs.size(); i > 0; --i) {
-      if (src_pairs[i - 1].first < e.time) {
-        const int64_t h = src_pairs[i - 1].second;
-        if (hops_u < 0 || h < hops_u) hops_u = h;
-        break;  // descending hops: the latest qualifying entry is cheapest
-      }
-    }
-    if (hops_u < 0) continue;
-    const int64_t hops_v = hops_u + 1;
-
-    std::vector<std::pair<Timestamp, int64_t>>& pairs = frontier[e.dst].pairs;
-    if (!pairs.empty() && pairs.back().second <= hops_v &&
-        pairs.back().first <= e.time) {
-      // Dominated: an earlier-or-equal arrival with fewer-or-equal hops.
-    } else {
-      if (!pairs.empty() && pairs.back().first == e.time) {
-        pairs.back().second = std::min(pairs.back().second, hops_v);
-      } else {
-        pairs.emplace_back(e.time, hops_v);
-      }
-    }
-    if (e.dst != source) {
-      if (result.hops[e.dst] < 0) {
-        result.hops[e.dst] = hops_v;
-        ++result.num_reachable;
-      } else {
-        result.hops[e.dst] = std::min(result.hops[e.dst], hops_v);
       }
     }
   }

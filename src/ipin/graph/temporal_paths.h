@@ -31,20 +31,6 @@ EarliestArrivalResult EarliestArrival(const InteractionGraph& graph,
                                       NodeId source, Timestamp t_start,
                                       Timestamp t_end);
 
-/// Result of a single-target latest-departure computation: for each node,
-/// the latest time a time-respecting path can leave it and still reach the
-/// target by t_end, or kNoTimestamp if impossible. The target gets `t_end`.
-struct LatestDepartureResult {
-  std::vector<Timestamp> departure;
-  size_t num_sources = 0;
-};
-
-/// Latest departure towards `target` using interactions in [t_start, t_end].
-/// O(m) single reverse scan.
-LatestDepartureResult LatestDeparture(const InteractionGraph& graph,
-                                      NodeId target, Timestamp t_start,
-                                      Timestamp t_end);
-
 /// Result of a single-source fastest-path computation: for each node, the
 /// minimum duration (t_last - t_first + 1) over all time-respecting paths
 /// from the source, or -1 if unreachable. Note the direct correspondence to
@@ -59,21 +45,6 @@ struct FastestPathResult {
 /// One forward scan keeping a Pareto frontier of (start, arrival) pairs per
 /// node; expected cost O(m * frontier), frontier typically tiny.
 FastestPathResult FastestPaths(const InteractionGraph& graph, NodeId source);
-
-/// Result of a single-source shortest (fewest-hops) temporal path
-/// computation within a time interval: hop count per node, or -1 if
-/// unreachable. The source gets 0.
-struct ShortestPathResult {
-  std::vector<int64_t> hops;
-  size_t num_reachable = 0;
-};
-
-/// Minimum number of interactions on any time-respecting path from `source`
-/// using interactions in [t_start, t_end]. One forward scan keeping a
-/// Pareto frontier of (arrival, hops) pairs per node.
-ShortestPathResult ShortestTemporalPaths(const InteractionGraph& graph,
-                                         NodeId source, Timestamp t_start,
-                                         Timestamp t_end);
 
 }  // namespace ipin
 

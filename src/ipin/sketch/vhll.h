@@ -85,7 +85,7 @@ obs::MemoryTally& VhllMemTally();
 /// parallel build gives each worker one part of every sketch, and workers
 /// write only their own part's arrays and disjoint bytes of `max_ranks_`
 /// (IrsApprox::Compute). Part 0 lives inline, so a one-part sketch that
-/// never retires — every sketch outside the partitioned build — owns four
+/// never retires, as the tests and micro benches build directly, owns four
 /// heap buffers.
 class VersionedHll {
  public:

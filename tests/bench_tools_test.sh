@@ -106,6 +106,23 @@ sed 's/"median": 102/"median": 51/' "$WORKDIR/BENCH_micro_test.json" \
   --current="$WORKDIR/BENCH_improved.json" \
   || fail "bench_compare flagged an improvement as regression"
 
+# --- bench_compare: a metric in only one file is named, never a failure --
+# A current file whose bench dropped BM_Scan/200: the baseline's metric is
+# printed by name with its side, and the gate still exits 0.
+cat > "$WORKDIR/rep_retired.json" <<'EOF'
+{"context": {"date": "x"}, "benchmarks": [
+  {"name": "BM_Scan/100", "real_time": 102.0, "cpu_time": 101.0,
+   "time_unit": "us"}
+]}
+EOF
+"$BENCH_HISTORY" --bench=micro_test --out="$WORKDIR/BENCH_retired.json" \
+  "$WORKDIR/rep_retired.json" || fail "bench_history (one rep) exited nonzero"
+"$BENCH_COMPARE" --baseline="$WORKDIR/BENCH_micro_test.json" \
+  --current="$WORKDIR/BENCH_retired.json" > "$WORKDIR/one_side.out" \
+  || fail "a metric missing from the current file must not fail the gate"
+grep -Eq '^BM_Scan/200 +only in baseline$' "$WORKDIR/one_side.out" \
+  || fail "a baseline-only metric should be printed by name and side"
+
 # --- provenance -----------------------------------------------------------
 # bench_history stamps the collecting machine's environment into the
 # document so later comparisons can tell like-for-like from cross-machine.

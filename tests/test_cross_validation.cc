@@ -7,7 +7,6 @@
 
 #include "ipin/core/information_channel.h"
 #include "ipin/core/irs_exact.h"
-#include "ipin/core/source_sets.h"
 #include "ipin/core/tcic.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/temporal_paths.h"
@@ -78,26 +77,6 @@ TEST_P(CrossValidationTest, IrsEqualsWindowSweptFastestPaths) {
       }
       EXPECT_EQ(irs.IrsSize(u), count) << "u=" << u << " w=" << w;
     }
-  }
-}
-
-TEST_P(CrossValidationTest, UnlimitedWindowSourceSetsMatchLatestDeparture) {
-  // With the window covering the whole span, tau(v) equals the set of
-  // nodes with ANY time-respecting path into v, which LatestDeparture
-  // computes independently.
-  const InteractionGraph g = MakeGraph();
-  if (g.empty()) return;
-  const auto stats = g.ComputeStats();
-  const Duration whole = stats.time_span + 1;
-  const SourceSetExact sources = SourceSetExact::Compute(g, whole);
-  for (NodeId v = 0; v < std::min<size_t>(g.num_nodes(), 10); ++v) {
-    const auto departures =
-        LatestDeparture(g, v, stats.min_time, stats.max_time);
-    size_t count = 0;
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (u != v && departures.departure[u] != kNoTimestamp) ++count;
-    }
-    EXPECT_EQ(sources.SourceSetSize(v), count) << "v=" << v;
   }
 }
 

@@ -12,7 +12,6 @@
 #include "ipin/core/influence_oracle.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
-#include "ipin/core/source_sets.h"
 #include "ipin/datasets/registry.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/obs/metrics.h"
@@ -131,19 +130,6 @@ TEST(CelfTest, SketchOracleGainsMatchUnionPathBitForBit) {
       const SketchInfluenceOracle oracle(&irs);
       ExpectCelfMatchesUnionPath(oracle, 25);
     }
-  }
-}
-
-TEST(CelfTest, SourceSetOracleGainsMatchUnionPathBitForBit) {
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
-    SCOPED_TRACE(testing::Message() << "seed " << seed);
-    const InteractionGraph g =
-        GenerateUniformRandomNetwork(300, 2400, 4000, seed + 50);
-    IrsApproxOptions options;
-    options.precision = 7;
-    const SourceSetApprox sets = SourceSetApprox::Compute(g, 400, options);
-    const SourceSetOracle oracle(&sets);
-    ExpectCelfMatchesUnionPath(oracle, 25);
   }
 }
 

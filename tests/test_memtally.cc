@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "ipin/core/irs_exact.h"
-#include "ipin/core/source_sets.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/sketch/vhll.h"
@@ -169,15 +168,6 @@ TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
   EXPECT_GE(measured,
             static_cast<int64_t>(entries * (sizeof(uint8_t) +
                                             sizeof(Timestamp))));
-}
-
-TEST(MemoryTallyTest, SourceSetsShareIrsExactTally) {
-  obs::MemoryTally& tally = IrsExactMemTally();
-  const int64_t before = tally.CurrentBytes();
-  const InteractionGraph graph = TestGraph(100, 800);
-  const SourceSetExact sets = SourceSetExact::Compute(graph, 32);
-  EXPECT_GT(tally.CurrentBytes(), before);
-  EXPECT_GT(sets.TotalSummaryEntries(), 0u);
 }
 
 TEST(MemoryTallyTest, PublishMemoryGaugesMirrorsTallies) {

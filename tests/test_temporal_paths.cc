@@ -40,35 +40,6 @@ TEST(EarliestArrivalTest, EndTimeTruncates) {
   EXPECT_EQ(result.num_reachable, 2u);
 }
 
-TEST(LatestDepartureTest, FigureOneToC) {
-  const InteractionGraph g = FigureOneGraph();
-  const auto result = LatestDeparture(g, kC, 0, 100);
-  EXPECT_EQ(result.departure[kC], 100);
-  EXPECT_EQ(result.departure[kB], 8);  // b->c at 8
-  EXPECT_EQ(result.departure[kE], 7);  // e->c at 7
-  EXPECT_EQ(result.departure[kA], 5);  // a->b at 5, b->e... a->b(5),b->c(8)
-  EXPECT_EQ(result.departure[kD], 3);  // d->e(3), e->c(7)
-  EXPECT_EQ(result.departure[kF], kNoTimestamp);
-  EXPECT_EQ(result.num_sources, 4u);
-}
-
-TEST(LatestDepartureTest, AgreesWithEarliestArrivalOnReachability) {
-  // u can reach v (within [0, horizon]) iff u appears in v's latest-
-  // departure set.
-  const InteractionGraph g = GenerateUniformRandomNetwork(25, 200, 500, 3);
-  const Timestamp horizon = 500;
-  for (NodeId v = 0; v < 10; ++v) {
-    const auto departures = LatestDeparture(g, v, 0, horizon);
-    for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (u == v) continue;
-      const auto arrivals = EarliestArrival(g, u, 0, horizon);
-      const bool reaches = arrivals.arrival[v] != kNoTimestamp;
-      const bool listed = departures.departure[u] != kNoTimestamp;
-      EXPECT_EQ(reaches, listed) << "u=" << u << " v=" << v;
-    }
-  }
-}
-
 TEST(FastestPathsTest, FigureOneFromA) {
   const InteractionGraph g = FigureOneGraph();
   const auto result = FastestPaths(g, kA);
@@ -106,50 +77,10 @@ TEST(FastestPathsTest, MatchesIrsMembershipForEveryWindow) {
   }
 }
 
-TEST(ShortestTemporalPathsTest, CountsHops) {
-  const InteractionGraph g = FigureOneGraph();
-  const auto result = ShortestTemporalPaths(g, kA, 0, 100);
-  EXPECT_EQ(result.hops[kA], 0);
-  EXPECT_EQ(result.hops[kD], 1);
-  EXPECT_EQ(result.hops[kB], 1);  // direct a->b at 5
-  EXPECT_EQ(result.hops[kE], 2);  // a->d->e
-  EXPECT_EQ(result.hops[kC], 2);  // a->b(5), b->c(8)
-  EXPECT_EQ(result.hops[kF], -1);
-}
-
-TEST(ShortestTemporalPathsTest, LaterCheaperPathIsFound) {
-  // First reach of target is via 3 hops (times 1,2,3); a direct edge at
-  // time 10 later gives 1 hop. Min hops must be 1.
-  InteractionGraph g(4);
-  g.AddInteraction(0, 1, 1);
-  g.AddInteraction(1, 2, 2);
-  g.AddInteraction(2, 3, 3);
-  g.AddInteraction(0, 3, 10);
-  const auto result = ShortestTemporalPaths(g, 0, 0, 100);
-  EXPECT_EQ(result.hops[3], 1);
-  EXPECT_EQ(result.hops[2], 2);
-}
-
-TEST(ShortestTemporalPathsTest, WindowRestrictsEdges) {
-  InteractionGraph g(4);
-  g.AddInteraction(0, 1, 1);
-  g.AddInteraction(1, 2, 2);
-  g.AddInteraction(0, 2, 50);
-  const auto within = ShortestTemporalPaths(g, 0, 0, 10);
-  EXPECT_EQ(within.hops[2], 2);
-  const auto all = ShortestTemporalPaths(g, 0, 0, 100);
-  EXPECT_EQ(all.hops[2], 1);
-  const auto late = ShortestTemporalPaths(g, 0, 40, 100);
-  EXPECT_EQ(late.hops[1], -1);
-  EXPECT_EQ(late.hops[2], 1);
-}
-
 TEST(TemporalPathsTest, EmptyGraph) {
   const InteractionGraph g(3);
   EXPECT_EQ(EarliestArrival(g, 0, 0, 10).num_reachable, 0u);
-  EXPECT_EQ(LatestDeparture(g, 0, 0, 10).num_sources, 0u);
   EXPECT_EQ(FastestPaths(g, 0).num_reachable, 0u);
-  EXPECT_EQ(ShortestTemporalPaths(g, 0, 0, 10).num_reachable, 0u);
 }
 
 TEST(FastestPathsTest, SelfLoopIgnoredForSource) {

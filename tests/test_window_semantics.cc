@@ -11,7 +11,6 @@
 #include "ipin/core/checkpoint.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
-#include "ipin/core/source_sets.h"
 #include "ipin/core/tcic.h"
 #include "ipin/graph/temporal_paths.h"
 #include "test_util.h"
@@ -48,12 +47,6 @@ TEST(WindowBoundaryTest, WindowOneForbidsAnyTwoHopChannel) {
   EXPECT_TRUE(irs.Summary(0).count(1));
   EXPECT_TRUE(irs.Summary(1).count(2));
   EXPECT_FALSE(irs.Summary(0).count(2));
-}
-
-TEST(WindowBoundaryTest, SourceSetsShareTheBoundary) {
-  const InteractionGraph g = Chain(4);  // duration 5
-  EXPECT_TRUE(SourceSetExact::Compute(g, 5).Summary(2).count(0));
-  EXPECT_FALSE(SourceSetExact::Compute(g, 4).Summary(2).count(0));
 }
 
 TEST(WindowBoundaryTest, ApproxSharesTheBoundaryExactlyOnTinyInput) {

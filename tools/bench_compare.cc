@@ -11,8 +11,9 @@
 //     one noisy rep) of each metric present in BOTH files.
 //   * With lower_is_better (the default; bench metrics are times/bytes), a
 //     metric regresses when current > baseline * (1 + threshold).
-//   * Metrics only in one file are listed as a note, never a failure —
-//     benches gain and lose counters across commits.
+//   * Metrics only in one file are listed by name with their side, never a
+//     failure — benches gain and lose counters across commits, and a
+//     retired bench left in a committed baseline shows up by name.
 //   * Exit code: 0 = no regression, 1 = at least one regression,
 //     2 = usage/parse error. Identical inputs always exit 0.
 
@@ -119,10 +120,15 @@ int Run(int argc, char** argv) {
   size_t regressions = 0;
   size_t compared = 0;
   size_t only_one_side = 0;
+  const auto note_one_side = [&only_one_side](const std::string& name,
+                                              const char* side) {
+    std::printf("%-48s only in %s\n", name.c_str(), side);
+    ++only_one_side;
+  };
   for (const auto& [name, base_value] : baseline) {
     const auto it = current.find(name);
     if (it == current.end()) {
-      ++only_one_side;
+      note_one_side(name, "baseline");
       continue;
     }
     ++compared;
@@ -140,7 +146,7 @@ int Run(int argc, char** argv) {
   }
   for (const auto& [name, value] : current) {
     (void)value;
-    if (baseline.find(name) == baseline.end()) ++only_one_side;
+    if (baseline.find(name) == baseline.end()) note_one_side(name, "current");
   }
 
   std::printf("# %zu compared, %zu regression(s), %zu metric(s) in only one "
