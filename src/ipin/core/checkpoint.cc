@@ -31,8 +31,8 @@ class CheckpointAccess {
  public:
   // The scan tallies travel in the checkpoint's meta frame so a resumed
   // build publishes the same irs.* scan metrics as an uninterrupted one.
-  // (Per-sketch lifetime tallies inside VersionedHll are NOT checkpointed;
-  // see DESIGN.md §8.)
+  // (The worker stores' lifetime tallies are NOT checkpointed; see
+  // DESIGN.md §8.)
   static void GetTallies(const IrsApprox& irs, uint64_t* edges_scanned,
                          uint64_t* merge_calls) {
     *edges_scanned = irs.build_->edges_scanned;
@@ -43,41 +43,21 @@ class CheckpointAccess {
     irs->build_->edges_scanned = edges_scanned;
     irs->build_->merge_calls = merge_calls;
   }
-  // Refills u's build sketch from a checkpoint's live node (its cells'
-  // live lists and retired runs, already checked against the vHLL
-  // invariants and decoded from the build's own time encoding), in the
-  // build's parts and time encoding.
-  static void RefillSketch(IrsApprox* irs, NodeId u,
-                           std::span<const uint8_t> counts,
-                           std::span<const uint8_t> ranks,
-                           std::span<const Timestamp> times,
-                           std::span<const uint8_t> retired,
-                           std::span<const uint8_t> retired_ranks) {
-    IrsApprox::Build& build = *irs->build_;
-    build.sketches[u] = std::make_unique<VersionedHll>(
-        irs->options_.precision, irs->options_.salt, build.parts, counts,
-        ranks, times, retired, retired_ranks, build.times);
+  // The build's worker stores, store k holding part k of every sketch.
+  static std::span<PartStore> Stores(IrsApprox* irs) {
+    return irs->build_->stores;
   }
-  // Refills u's build sketch from a checkpoint's collapsed node: its row
-  // (checked) and entry count.
-  static void RefillCollapsed(IrsApprox* irs, NodeId u,
-                              std::span<const uint8_t> row, size_t entries) {
-    IrsApprox::Build& build = *irs->build_;
-    build.sketches[u] = std::make_unique<VersionedHll>(
-        irs->options_.precision, irs->options_.salt, build.parts, row,
-        entries, build.times);
+  // Node u's arena row (u must send), where a restored collapsed sketch's
+  // row goes; a live one's stores write theirs.
+  static uint8_t* Row(IrsApprox* irs, NodeId u) {
+    SketchArena& arena = irs->arena_;
+    return arena.build_rows() + arena.slot(u) * arena.num_cells();
   }
-  // A build resumes only from the sketches its scan held at the
-  // checkpoint; every checkpoint the scan writes holds exactly those.
-  static bool HoldsScannedSenders(const IrsApprox& irs,
-                                  const InteractionGraph& graph,
-                                  size_t done) {
-    return irs.HoldsScannedSenders(graph, done);
-  }
-  // The build store's sketches, indexed by node id (null: absent).
-  static std::span<const std::unique_ptr<VersionedHll>> Sketches(
-      const IrsApprox& irs) {
-    return irs.build_->sketches;
+  // The form each node's sketch has once the scan has scanned the log's
+  // last `done` edges; every checkpoint the scan writes holds exactly these.
+  static std::vector<PartStore::Form> ScannedForms(
+      const IrsApprox& irs, const InteractionGraph& graph, size_t done) {
+    return irs.ScannedForms(graph, done);
   }
   // An empty build over `graph`, its sketches split into one part per
   // global thread and storing times as a plain build over the same graph
@@ -91,7 +71,7 @@ class CheckpointAccess {
                    const std::function<void(size_t)>& after_epoch) {
     irs->Scan(graph, done, epoch_edges, after_epoch);
   }
-  // Ends the build: its rows land in the arena every query reads.
+  // Ends the build: each arena row, written in place, gets its entry count.
   static void Finish(IrsApprox* irs) { irs->Finish(); }
 };
 
@@ -250,34 +230,45 @@ void PruneCheckpoints(const std::string& dir, size_t keep) {
 constexpr uint8_t kAbsent = 0;
 constexpr uint8_t kLive = 1;
 constexpr uint8_t kCollapsed = 2;
+// A node's form byte is its worker stores' form.
+static_assert(static_cast<uint8_t>(PartStore::Form::kAbsent) == kAbsent &&
+              static_cast<uint8_t>(PartStore::Form::kLive) == kLive &&
+              static_cast<uint8_t>(PartStore::Form::kCollapsed) == kCollapsed);
 
 // A chunk's fixed prefix: u64 first_node, u32 count, u64 ranks, u64 pairs.
 constexpr size_t kChunkPrefixBytes =
     sizeof(uint64_t) + sizeof(uint32_t) + 2 * sizeof(uint64_t);
 
-// Writes the chunk straight from the build sketches' parts. A part holds a
-// run of cells in cell order as the chunk lays them out — its counts, then
-// its ranks and time offsets, already in the chunk's encoding — so each
-// live part is one copy of each of its runs.
+// Writes the chunk straight from the worker stores, gathering each node's
+// runs in part order. A store holds a run of cells in cell order as the
+// chunk lays them out — its counts, then its ranks and time offsets,
+// already in the chunk's encoding — so each live part is one copy of each
+// of its runs. A collapsed node's row is its arena row.
 size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
                       uint64_t first, uint32_t count, std::string* out) {
   const size_t width = meta.times.width;
   const size_t beta = size_t{1} << meta.fp.precision;
-  const std::span<const std::unique_ptr<VersionedHll>> sketches =
-      CheckpointAccess::Sketches(irs).subspan(first, count);
+  const SketchArena& arena = *irs.arena();
+  const std::span<const PartStore> stores = irs.build_stores();
+  // Every store holds a node's sketch in the same form.
+  const auto form = [&](NodeId u) {
+    return arena.has_node(u) ? stores[0].form(arena.slot(u))
+                             : PartStore::Form::kAbsent;
+  };
   size_t blocks = 0;
   uint64_t ranks = 0;
   uint64_t pairs = 0;
-  for (const auto& sketch : sketches) {
-    if (sketch == nullptr) continue;
-    if (sketch->collapsed()) {
+  for (uint32_t i = 0; i < count; ++i) {
+    const auto u = static_cast<NodeId>(first + i);
+    if (form(u) == PartStore::Form::kCollapsed) {
       blocks += beta + sizeof(uint32_t);
-      continue;
-    }
-    blocks += 2 * beta;
-    ranks += sketch->NumEntries();
-    for (size_t k = 0; k < sketch->num_parts(); ++k) {
-      pairs += sketch->part_runs(k).ranks.size();
+    } else if (form(u) == PartStore::Form::kLive) {
+      blocks += 2 * beta;
+      for (const PartStore& store : stores) {
+        const PartStore::Runs runs = store.runs(arena.slot(u));
+        ranks += runs.ranks.size() + runs.retired_ranks.size();
+        pairs += runs.ranks.size();
+      }
     }
   }
   const size_t size =
@@ -298,42 +289,39 @@ size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
     *to += run.size();
   };
   for (uint32_t i = 0; i < count; ++i) {
-    const VersionedHll* sketch = sketches[i].get();
-    if (sketch == nullptr) {
-      forms[i] = kAbsent;
+    const auto u = static_cast<NodeId>(first + i);
+    forms[i] = static_cast<uint8_t>(form(u));
+    if (forms[i] == kAbsent) continue;
+    const size_t slot = arena.slot(u);
+    if (forms[i] == kCollapsed) {
+      put(&block, arena.rank_row(u));
+      size_t entries = 0;
+      for (const PartStore& store : stores) entries += store.NumEntries(slot);
+      const auto entries32 = static_cast<uint32_t>(entries);
+      std::memcpy(block, &entries32, sizeof(entries32));
+      block += sizeof(entries32);
       continue;
     }
-    IPIN_DCHECK(sketch->time_encoding() == meta.times);
-    if (sketch->collapsed()) {
-      forms[i] = kCollapsed;
-      put(&block, sketch->max_ranks());
-      const auto entries = static_cast<uint32_t>(sketch->NumEntries());
-      std::memcpy(block, &entries, sizeof(entries));
-      block += sizeof(entries);
-      continue;
-    }
-    forms[i] = kLive;
     uint8_t* retired = block + beta;
-    for (size_t k = 0; k < sketch->num_parts(); ++k) {
+    for (const PartStore& store : stores) {
       // A part that holds retired ranks alone has no live counts, and one
-      // that never retired no retired counts: both are zeros.
-      const VersionedHll::PartRuns part = sketch->part_runs(k);
-      const size_t cells = std::max(part.counts.size(), part.retired.size());
-      if (part.counts.empty()) {
-        std::memset(block, 0, cells);
-        block += cells;
+      // that holds no retired rank no retired counts: both are zeros.
+      const PartStore::Runs runs = store.runs(slot);
+      if (runs.counts.empty()) {
+        std::memset(block, 0, store.num_cells());
+        block += store.num_cells();
       }
-      if (part.retired.empty()) {
-        std::memset(retired, 0, cells);
-        retired += cells;
+      if (runs.retired.empty()) {
+        std::memset(retired, 0, store.num_cells());
+        retired += store.num_cells();
       }
-      put(&block, part.counts);
-      put(&retired, part.retired);
-      put(&rank_out, part.ranks);
-      put(&time_out, part.time_bytes);
+      put(&block, runs.counts);
+      put(&retired, runs.retired);
+      put(&rank_out, runs.ranks);
+      put(&time_out, runs.time_bytes);
     }
-    for (size_t k = 0; k < sketch->num_parts(); ++k) {
-      put(&rank_out, sketch->part_runs(k).retired_ranks);
+    for (const PartStore& store : stores) {
+      put(&rank_out, store.runs(slot).retired_ranks);
     }
     block = retired;
   }
@@ -341,21 +329,23 @@ size_t SerializeChunk(const IrsApprox& irs, const MetaFrame& meta,
 }
 
 // Measures the chunk — it must cover exactly [expected_first,
-// expected_first + expected_count), every form be 0, 1 or 2, and the
-// payload be exactly 28 + count + its nodes' blocks + ranks + width x
-// pairs bytes — then checks each present node and refills its
-// VersionedHll with the build's part count for the scan to keep growing (a
-// chunk records no parts, so any part count resumes any other). A live
-// node's cells hold at most 64 pairs each, together exactly its share of
-// the chunk's ranks and pairs; each cell's ranks, live then retired, are
-// one strictly ascending run in [1, MaxRank] and its live times strictly
-// ascend. A collapsed node's row and entry count must be one a sketch can
-// hold (RowIsValid). The meta frame's encoding is the build's
-// (LoadCheckpoint checks), so every decoded time is one the build's
-// sketches can hold.
+// expected_first + expected_count), every form be the one the scan left
+// its node in (`forms`, ScannedForms), and the payload be exactly 28 +
+// count + its nodes' blocks + ranks + width x pairs bytes — then checks
+// each present node, and only once every node has passed places them in
+// the worker stores for the scan to keep growing (a chunk records no parts,
+// so any part count resumes any other). A live node's cells hold at most
+// 64 pairs each, together exactly its share of the chunk's ranks and
+// pairs; each cell's ranks, live then retired, are one strictly ascending
+// run in [1, MaxRank] and its live times strictly ascend. A collapsed
+// node's row and entry count must be one a sketch can hold (RowIsValid).
+// The meta frame's encoding is the build's (LoadCheckpoint checks), so
+// the time offsets go into the stores as they are. Nothing the chunk holds
+// can fail a check in the stores or the arena: a frame that breaks a rule
+// is refused before anything is written.
 bool RestoreChunk(std::string_view payload, NodeId expected_first,
                   uint32_t expected_count, const MetaFrame& meta,
-                  IrsApprox* irs) {
+                  std::span<const PartStore::Form> scanned, IrsApprox* irs) {
   const int precision = meta.fp.precision;
   const size_t beta = size_t{1} << precision;
   const TimeEncoding& times = meta.times;
@@ -375,7 +365,9 @@ bool RestoreChunk(std::string_view payload, NodeId expected_first,
   const uint8_t* forms = bytes + offset;
   size_t blocks = 0;
   for (uint32_t i = 0; i < count; ++i) {
-    if (forms[i] > kCollapsed) return false;
+    if (forms[i] != static_cast<uint8_t>(scanned[expected_first + i])) {
+      return false;
+    }
     blocks += forms[i] == kLive        ? 2 * beta
               : forms[i] == kCollapsed ? beta + sizeof(uint32_t)
                                        : 0;
@@ -387,76 +379,105 @@ bool RestoreChunk(std::string_view payload, NodeId expected_first,
       rest != blocks + ranks + pairs * times.width) {
     return false;
   }
-  const uint8_t* block = bytes + offset;
-  const uint8_t* const rank_in = block + blocks;
+  const uint8_t* const rank_in = bytes + offset + blocks;
   const uint8_t* const time_in = rank_in + ranks;
-  const int max_rank = VersionedHll::MaxRank(precision);
-  std::vector<Timestamp> node_times;
-  size_t rank = 0;
-  size_t pair = 0;
-  for (uint32_t i = 0; i < count; ++i) {
-    if (forms[i] == kAbsent) continue;
-    const NodeId u = expected_first + i;
-    if (forms[i] == kCollapsed) {
-      const std::span<const uint8_t> row(block, beta);
-      uint32_t entries = 0;
-      std::memcpy(&entries, block + beta, sizeof(entries));
-      block += beta + sizeof(entries);
-      if (!RowIsValid(row, entries, precision)) return false;
-      CheckpointAccess::RefillCollapsed(irs, u, row, entries);
-      continue;
-    }
-    const std::span<const uint8_t> counts(block, beta);
-    const std::span<const uint8_t> retired(block + beta, beta);
-    block += 2 * beta;
-    size_t live_pairs = 0;
-    size_t retired_pairs = 0;
-    for (size_t c = 0; c < beta; ++c) {
-      if (size_t{counts[c]} + retired[c] > VersionedHll::kMaxCellEntries) {
-        return false;
+  const int max_rank = VhllMaxRank(precision);
+  const std::span<PartStore> stores = CheckpointAccess::Stores(irs);
+  // Walks the nodes: checks each (place = false), or places each, checked.
+  const auto walk = [&](bool place) {
+    const uint8_t* block = bytes + offset;
+    size_t rank = 0;
+    size_t pair = 0;
+    for (uint32_t i = 0; i < count; ++i) {
+      if (forms[i] == kAbsent) continue;
+      const NodeId u = expected_first + i;
+      if (forms[i] == kCollapsed) {
+        const std::span<const uint8_t> row(block, beta);
+        uint32_t entries = 0;
+        std::memcpy(&entries, block + beta, sizeof(entries));
+        block += beta + sizeof(entries);
+        if (!place) {
+          if (!RowIsValid(row, entries, precision)) return false;
+          continue;
+        }
+        std::memcpy(CheckpointAccess::Row(irs, u), row.data(), beta);
+        const size_t slot = irs->arena()->slot(u);
+        for (PartStore& store : stores) {
+          // The count is the sketch's, not a part's: part 0 carries it.
+          store.RestoreCollapsed(slot, &store == &stores[0] ? entries : 0);
+        }
+        continue;
       }
-      live_pairs += counts[c];
-      retired_pairs += retired[c];
-    }
-    if (live_pairs > pairs - pair ||
-        live_pairs + retired_pairs > ranks - rank) {
-      return false;
-    }
-    const uint8_t* live_ranks = rank_in + rank;
-    const uint8_t* retired_ranks = live_ranks + live_pairs;
-    node_times.resize(live_pairs);
-    for (size_t e = 0; e < live_pairs; ++e) {
-      node_times[e] = times.Decode(time_in, pair + e);
-    }
-    // Each cell: ranks in [1, MaxRank] strictly ascending through its live
-    // pairs and then its retired ones, and live times strictly ascending.
-    // A scan never leaves two pairs with one time in a cell (the higher
-    // rank evicts the lower), so such a list is not one it wrote.
-    size_t e = 0;
-    size_t r = 0;
-    for (size_t c = 0; c < beta; ++c) {
-      uint8_t top = 0;
-      for (size_t j = 0; j < counts[c]; ++j, ++e) {
-        if (live_ranks[e] <= top || live_ranks[e] > max_rank ||
-            (j > 0 && node_times[e] <= node_times[e - 1])) {
+      const uint8_t* const counts = block;
+      const uint8_t* const retired = block + beta;
+      block += 2 * beta;
+      size_t live_pairs = 0;
+      size_t retired_pairs = 0;
+      for (size_t c = 0; c < beta; ++c) {
+        live_pairs += counts[c];
+        retired_pairs += retired[c];
+      }
+      const uint8_t* live_ranks = rank_in + rank;
+      const uint8_t* retired_ranks = live_ranks + live_pairs;
+      if (!place) {
+        if (live_pairs > pairs - pair ||
+            live_pairs + retired_pairs > ranks - rank) {
           return false;
         }
-        top = live_ranks[e];
-      }
-      for (size_t j = 0; j < retired[c]; ++j, ++r) {
-        if (retired_ranks[r] <= top || retired_ranks[r] > max_rank) {
-          return false;
+        // Each cell: at most 64 pairs, ranks in [1, MaxRank] strictly
+        // ascending through its live pairs and then its retired ones, and
+        // live times strictly ascending. A scan never leaves two pairs
+        // with one time in a cell (the higher rank evicts the lower), so
+        // such a list is not one it wrote.
+        size_t e = 0;
+        size_t r = 0;
+        for (size_t c = 0; c < beta; ++c) {
+          if (size_t{counts[c]} + retired[c] > kVhllMaxCellEntries) {
+            return false;
+          }
+          uint8_t top = 0;
+          for (size_t j = 0; j < counts[c]; ++j, ++e) {
+            if (live_ranks[e] <= top || live_ranks[e] > max_rank ||
+                (j > 0 && times.Decode(time_in, pair + e) <=
+                              times.Decode(time_in, pair + e - 1))) {
+              return false;
+            }
+            top = live_ranks[e];
+          }
+          for (size_t j = 0; j < retired[c]; ++j, ++r) {
+            if (retired_ranks[r] <= top || retired_ranks[r] > max_rank) {
+              return false;
+            }
+            top = retired_ranks[r];
+          }
         }
-        top = retired_ranks[r];
+      } else {
+        // Each store takes its cells' counts and its share of the runs.
+        const size_t slot = irs->arena()->slot(u);
+        const uint8_t* part_times = time_in + pair * times.width;
+        for (PartStore& store : stores) {
+          const size_t b = store.begin();
+          const size_t cells = store.num_cells();
+          size_t n = 0;
+          size_t d = 0;
+          for (size_t c = b; c < b + cells; ++c) {
+            n += counts[c];
+            d += retired[c];
+          }
+          store.Restore(slot, {counts + b, cells}, {live_ranks, n},
+                        {part_times, n * times.width}, {retired + b, cells},
+                        {retired_ranks, d});
+          live_ranks += n;
+          retired_ranks += d;
+          part_times += n * times.width;
+        }
       }
+      rank += live_pairs + retired_pairs;
+      pair += live_pairs;
     }
-    CheckpointAccess::RefillSketch(irs, u, counts, {live_ranks, live_pairs},
-                                   node_times, retired,
-                                   {retired_ranks, retired_pairs});
-    rank += live_pairs + retired_pairs;
-    pair += live_pairs;
-  }
-  return rank == ranks && pair == pairs;
+    return rank == ranks && pair == pairs;
+  };
+  return walk(/*place=*/false) && walk(/*place=*/true);
 }
 
 // ---- save / load ----------------------------------------------------------
@@ -488,10 +509,12 @@ bool SaveCheckpoint(const IrsApprox& irs, const MetaFrame& meta,
 // saved index, a checkpoint is all-or-nothing: any unverifiable frame
 // invalidates it and the caller falls back to an older file (resuming from a
 // partial state would silently lose sketches). So does a meta frame whose
-// time encoding is not the build's: no scan of this graph wrote it. On
-// success fills *irs and *meta.
+// time encoding is not the build's, and a chunk whose nodes are not in the
+// forms the scan of `graph` leaves them in at the meta frame's position:
+// no scan of this graph wrote it. On success fills *irs and *meta.
 bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
-                    IrsApprox* irs, MetaFrame* meta) {
+                    const InteractionGraph& graph, IrsApprox* irs,
+                    MetaFrame* meta) {
   if (IPIN_FAILPOINT("checkpoint.load").fail) {
     LogError("checkpoint: injected load failure for " + path);
     return false;
@@ -508,13 +531,15 @@ bool LoadCheckpoint(const std::string& path, const Fingerprint& expected,
       meta->edges_processed > meta->fp.num_interactions) {
     return false;
   }
+  const std::vector<PartStore::Form> scanned =
+      CheckpointAccess::ScannedForms(*irs, graph, meta->edges_processed);
   for (uint64_t first = 0; first < meta->fp.num_nodes;
        first += meta->chunk_size) {
     const uint32_t count = static_cast<uint32_t>(
         std::min<uint64_t>(meta->chunk_size, meta->fp.num_nodes - first));
     if (reader.ReadFrame(&payload) != FrameStatus::kOk ||
         !RestoreChunk(payload, static_cast<NodeId>(first), count, *meta,
-                      irs)) {
+                      scanned, irs)) {
       return false;
     }
   }
@@ -531,9 +556,7 @@ uint64_t TryResume(const CheckpointOptions& options,
     MetaFrame meta;
     IrsApprox candidate =
         CheckpointAccess::MakeBuild(graph, irs->window(), irs->options());
-    if (!LoadCheckpoint(path, expected, &candidate, &meta) ||
-        !CheckpointAccess::HoldsScannedSenders(candidate, graph,
-                                               meta.edges_processed)) {
+    if (!LoadCheckpoint(path, expected, graph, &candidate, &meta)) {
       ++stats->invalid_checkpoints_skipped;
       LogWarning("checkpoint " + path + " failed verification, skipped");
       continue;

@@ -1,5 +1,9 @@
 #include "ipin/core/irs_approx.h"
 
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
+
 #include <algorithm>
 #include <limits>
 #include <utility>
@@ -15,23 +19,6 @@
 
 namespace ipin {
 namespace {
-
-// Algorithm 3's step for edge (u, v, t) on the cells of `part`: ApproxAdd
-// of v into phi(u), then ApproxMerge of phi(v) (`sketch_v`, null while v
-// has no sketch). Self-loops do neither, like in IrsExact: a node is not
-// in its own IRS, and merging a sketch into itself is a no-op. A merge can
-// still fold u's own hash in via a temporal cycle — a one-item bias the
-// sketch cannot distinguish, documented in DESIGN.md. Returns true if it
-// merged.
-bool ScanEdge(const Interaction& edge, VersionedHll& sketch_u,
-              const VersionedHll* sketch_v, Duration window, size_t part) {
-  const auto [u, v, t] = edge;
-  if (u == v) return false;
-  sketch_u.AddInPart(static_cast<uint64_t>(v), t, part);
-  if (sketch_v == nullptr) return false;
-  sketch_u.MergeWindow(*sketch_v, t, window, part);
-  return true;
-}
 
 // The encoding a build over `graph` stores its sketches' times in, and its
 // checkpoints write them in: the narrowest covering its earliest and latest
@@ -52,6 +39,13 @@ TimeEncoding ScanTimeEncoding(const InteractionGraph& graph) {
 bool WindowPassed(Timestamp later, Timestamp t, Duration window) {
   return later > t && static_cast<uint64_t>(later) - static_cast<uint64_t>(t) >=
                           static_cast<uint64_t>(window);
+}
+
+// Marks the nodes that send in `graph`: the nodes that own a sketch.
+std::vector<bool> Senders(const InteractionGraph& graph) {
+  std::vector<bool> senders(graph.num_nodes(), false);
+  for (const Interaction& edge : graph.interactions()) senders[edge.src] = true;
+  return senders;
 }
 
 // Where each node sends in a time-sorted log of m edges, and which of its
@@ -95,12 +89,25 @@ IrsApprox::IrsApprox(const InteractionGraph& graph, Duration window,
     : window_(window),
       options_(options),
       num_nodes_(graph.num_nodes()),
-      build_(std::make_unique<Build>()) {
+      build_(std::make_unique<Build>()),
+      arena_(options.precision, options.salt, Senders(graph)) {
   IPIN_CHECK_GE(window, 1);
-  build_->sketches.resize(num_nodes_);
-  build_->parts =
+#if defined(__GLIBC__)
+  // The scan allocates nothing from the heap: the worker stores map their
+  // own slabs, and the rows are the arena's. So the heap's free memory (a
+  // parse's buffers, say) would sit idle through the scan, resident; give
+  // its pages back to the kernel instead.
+  malloc_trim(0);
+#endif
+  const size_t parts =
       std::clamp<size_t>(num_parts, 1, size_t{1} << options.precision);
   build_->times = ScanTimeEncoding(graph);
+  build_->stores.reserve(parts);
+  for (size_t k = 0; k < parts; ++k) {
+    build_->stores.emplace_back(options.precision, k, parts,
+                                arena_.NumAllocated(), build_->times,
+                                arena_.build_rows());
+  }
 }
 
 IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
@@ -110,8 +117,8 @@ IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
       num_nodes_(arena.num_nodes()),
       arena_(std::move(arena)) {
   IPIN_CHECK_GE(window, 1);
-  IPIN_CHECK_EQ(arena_->precision(), options_.precision);
-  IPIN_CHECK_EQ(arena_->salt(), options_.salt);
+  IPIN_CHECK_EQ(arena_.precision(), options_.precision);
+  IPIN_CHECK_EQ(arena_.salt(), options_.salt);
   PublishArenaGauges();
 }
 
@@ -121,9 +128,9 @@ void IrsApprox::Seal() {
   build_.reset();
 }
 
-const VersionedHll* IrsApprox::BuildSketch(NodeId u) const {
-  IPIN_CHECK_LT(u, num_nodes());
-  return build_ == nullptr ? nullptr : build_->sketches[u].get();
+std::span<const PartStore> IrsApprox::build_stores() const {
+  if (build_ == nullptr) return {};
+  return build_->stores;
 }
 
 TimeEncoding IrsApprox::time_encoding() const {
@@ -132,8 +139,8 @@ TimeEncoding IrsApprox::time_encoding() const {
 }
 
 void IrsApprox::PublishArenaGauges() const {
-  IPIN_GAUGE_SET("sketch.arena.bytes", arena_->MemoryUsageBytes());
-  IPIN_GAUGE_SET("sketch.arena.entries", arena_->TotalEntries());
+  IPIN_GAUGE_SET("sketch.arena.bytes", arena_.MemoryUsageBytes());
+  IPIN_GAUGE_SET("sketch.arena.entries", arena_.TotalEntries());
 }
 
 IrsApprox IrsApprox::Compute(const InteractionGraph& graph, Duration window,
@@ -153,10 +160,16 @@ IrsApprox IrsApprox::ComputeParallel(const InteractionGraph& graph,
 }
 
 // Cell-partitioned scan (DESIGN.md §10). Algorithm 3 touches a sketch only
-// cell by cell, so worker k runs the whole reverse scan but applies only
-// the inserts that land in part k of each sketch. Every cell then receives
-// exactly the inserts of the one-pass scan, in the same order, so the
-// sketches are bit-identical for every part count.
+// cell by cell, so worker k runs the whole reverse scan over its own store,
+// which holds part k of every sketch, and applies only the inserts that
+// land in that part. Every cell then receives exactly the inserts of the
+// one-pass scan, in the same order, so the sketches are bit-identical for
+// every part count. For edge (u, v, t) a worker does Algorithm 3's step:
+// ApproxAdd of v into phi(u), then ApproxMerge of phi(v) once v has a
+// sketch. Self-loops do neither, like in IrsExact: a node is not in its
+// own IRS, and merging a sketch into itself is a no-op. A merge can still
+// fold u's own hash in via a temporal cycle — a one-item bias the sketch
+// cannot distinguish, documented in DESIGN.md.
 //
 // The scan also releases what the window makes unreachable (the
 // "Retirement" rules of vhll.h). Every pair of phi(u) is at or after u's
@@ -176,11 +189,10 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
                      const std::function<void(size_t)>& after_epoch) {
   IPIN_CHECK(graph.is_sorted());
   Build& build = *build_;
-  std::vector<std::unique_ptr<VersionedHll>>& sketches = build.sketches;
   const std::span<const Interaction> edges = graph.interactions();
   const size_t m = edges.size();
   // sends.last[v] is one past the index of v's last edge as a source (0
-  // if v never sends). The one-pass scan allocates phi(v) at that edge, so
+  // if v never sends). The one-pass scan opens phi(v) at that edge, so
   // while scanning edge i - 1 it holds a sketch for v iff
   // sends.last[v] > i.
   const Sends sends = FindSends(edges, num_nodes_, window_);
@@ -206,15 +218,9 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
     const size_t epoch =
         epoch_edges == 0 ? m : epoch_edges - done % epoch_edges;
     const size_t lo = hi - std::min(hi, epoch);
-    for (size_t i = lo; i < hi; ++i) {
-      const NodeId u = edges[i].src;
-      if (sends.last[u] == i + 1) {
-        sketches[u] = std::make_unique<VersionedHll>(
-            options_.precision, options_.salt, build.parts, build.times);
-      }
-    }
-    ParallelFor(0, build.parts, 1, [&](size_t first, size_t last) {
+    ParallelFor(0, build.stores.size(), 1, [&](size_t first, size_t last) {
       for (size_t part = first; part < last; ++part) {
+        PartStore& store = build.stores[part];
         size_t part_merges = 0;
         size_t since_tick = 0;
         size_t cursor = acted;
@@ -224,17 +230,24 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
                ++cursor) {
             const size_t send = quiet[cursor];
             const NodeId sender = edges[send].src;
+            const size_t slot = arena_.slot(sender);
             if (sends.first[sender] == send) {
-              sketches[sender]->Collapse(part);
+              store.Collapse(slot);
             } else {
-              sketches[sender]->Retire(part);
+              store.Retire(slot);
             }
           }
-          const NodeId v = edge.dst;
-          part_merges +=
-              ScanEdge(edge, *sketches[edge.src],
-                       sends.last[v] > i ? sketches[v].get() : nullptr,
-                       window_, part);
+          const auto [u, v, t] = edge;
+          const size_t su = arena_.slot(u);
+          if (sends.last[u] == i) store.Open(su);
+          if (u != v) {
+            store.AddHash(su, Hash64(static_cast<uint64_t>(v), options_.salt),
+                          t);
+            if (sends.last[v] > i) {
+              store.MergeWindow(su, store, arena_.slot(v), t, window_);
+              ++part_merges;
+            }
+          }
           // Worker 0 reports progress; chunked ticks keep the per-edge path
           // atomics-free.
           if (part == 0 && ++since_tick == (size_t{64} << 10)) {
@@ -253,36 +266,39 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
   }
 }
 
-bool IrsApprox::HoldsScannedSenders(const InteractionGraph& graph,
-                                    size_t done) const {
+std::vector<PartStore::Form> IrsApprox::ScannedForms(
+    const InteractionGraph& graph, size_t done) const {
   const std::span<const Interaction> edges = graph.interactions();
   IPIN_CHECK_LE(done, edges.size());
   const Sends sends = FindSends(edges, num_nodes_, window_);
   // The scan's latest step is at edge lo, the earliest scanned.
   const size_t lo = edges.size() - done;
+  std::vector<PartStore::Form> forms(num_nodes_, PartStore::Form::kAbsent);
   for (NodeId u = 0; u < num_nodes_; ++u) {
-    const VersionedHll* sketch = build_->sketches[u].get();
-    if ((sketch != nullptr) != (sends.last[u] > lo)) return false;
-    if (sketch != nullptr &&
-        sketch->collapsed() !=
-            WindowPassed(edges[sends.first[u]].time, edges[lo].time,
-                         window_)) {
-      return false;
-    }
+    if (sends.last[u] <= lo) continue;
+    forms[u] = WindowPassed(edges[sends.first[u]].time, edges[lo].time,
+                            window_)
+                   ? PartStore::Form::kCollapsed
+                   : PartStore::Form::kLive;
   }
-  return true;
+  return forms;
 }
 
 void IrsApprox::Finish() {
-  for (const auto& s : build_->sketches) {
-    if (s == nullptr) continue;
-    tallies_.insert_attempts += s->NumInsertAttempts();
-    tallies_.evictions += s->NumEvictions();
-    tallies_.merge_entries_scanned += s->NumMergeEntriesScanned();
-    tallies_.cell_updates += s->NumCellUpdates();
+  const std::vector<PartStore>& stores = build_->stores;
+  for (const PartStore& store : stores) {
+    tallies_.insert_attempts += store.tallies().insert_attempts;
+    tallies_.evictions += store.tallies().evictions;
+    tallies_.merge_entries_scanned += store.tallies().merge_entries_scanned;
+    tallies_.cell_updates += store.tallies().cell_updates;
   }
-  arena_.emplace(options_.precision, options_.salt,
-                 std::span(build_->sketches));
+  for (NodeId u = 0; u < num_nodes_; ++u) {
+    if (!arena_.has_node(u)) continue;
+    const size_t slot = arena_.slot(u);
+    size_t entries = 0;
+    for (const PartStore& store : stores) entries += store.NumEntries(slot);
+    IPIN_CHECK(arena_.SetEntries(u, entries));
+  }
   // Scan and per-sketch tallies (plain members, free to maintain) roll up
   // into the registry once per build, keeping the per-edge path atomics-free.
   IPIN_COUNTER_ADD("irs.approx.edges_scanned", build_->edges_scanned);
@@ -299,7 +315,7 @@ void IrsApprox::Finish() {
 
 double IrsApprox::EstimateIrsSize(NodeId u) const {
   IPIN_CHECK_LT(u, num_nodes());
-  return arena_->has_node(u) ? arena_->EstimateNode(u) : 0.0;
+  return arena_.has_node(u) ? arena_.EstimateNode(u) : 0.0;
 }
 
 double IrsApprox::EstimateUnionSize(std::span<const NodeId> seeds) const {
@@ -307,11 +323,9 @@ double IrsApprox::EstimateUnionSize(std::span<const NodeId> seeds) const {
 }
 
 size_t IrsApprox::MemoryUsageBytes() const {
-  size_t bytes = arena_->MemoryUsageBytes();
-  if (build_ == nullptr) return bytes;
-  bytes += build_->sketches.capacity() * sizeof(std::unique_ptr<VersionedHll>);
-  for (const auto& s : build_->sketches) {
-    if (s != nullptr) bytes += sizeof(VersionedHll) + s->MemoryUsageBytes();
+  size_t bytes = arena_.MemoryUsageBytes();
+  for (const PartStore& store : build_stores()) {
+    bytes += store.MemoryUsageBytes();
   }
   return bytes;
 }

@@ -7,6 +7,7 @@
 #include "ipin/common/check.h"
 #include "ipin/common/memory.h"
 #include "ipin/sketch/kernels.h"
+#include "ipin/sketch/part_store.h"
 
 namespace ipin {
 
@@ -49,12 +50,6 @@ KeptPlane& Kept() {
   return *kept;
 }
 
-size_t CountSketches(std::span<const std::unique_ptr<VersionedHll>> sketches) {
-  size_t count = 0;
-  for (const auto& sketch : sketches) count += sketch != nullptr ? 1 : 0;
-  return count;
-}
-
 }  // namespace
 
 bool RowIsValid(std::span<const uint8_t> row, uint64_t entries,
@@ -63,7 +58,7 @@ bool RowIsValid(std::span<const uint8_t> row, uint64_t entries,
   // copies, so the check runs at the speed of the SIMD target.
   const kernels::RowStats stats =
       kernels::Dispatched().row_stats(row.data(), row.size());
-  return stats.max <= VersionedHll::MaxRank(precision) &&
+  return stats.max <= VhllMaxRank(precision) &&
          entries >= row.size() - stats.zeros && entries <= stats.sum;
 }
 
@@ -88,19 +83,27 @@ SketchArena::SketchArena(int precision, uint64_t salt, size_t num_nodes,
   Reserve(&entries_, sketches);
 }
 
-SketchArena::SketchArena(
-    int precision, uint64_t salt,
-    std::span<const std::unique_ptr<VersionedHll>> sketches)
-    : SketchArena(precision, salt, sketches.size(), CountSketches(sketches),
+SketchArena::SketchArena(int precision, uint64_t salt,
+                         const std::vector<bool>& present)
+    : SketchArena(precision, salt, present.size(),
+                  static_cast<size_t>(
+                      std::count(present.begin(), present.end(), true)),
                   /*keep_plane=*/false) {
+  rank_plane_.resize((slots_ + 1) * beta_, 0);
+  entries_.resize(slots_, 0);
+  uint32_t slot = 0;
   for (size_t u = 0; u < num_nodes_; ++u) {
-    const VersionedHll* sketch = sketches[u].get();
-    if (sketch == nullptr) continue;
-    IPIN_CHECK_EQ(sketch->precision(), precision_);
-    IPIN_CHECK_EQ(sketch->salt(), salt_);
-    IPIN_CHECK(Append(static_cast<NodeId>(u), sketch->max_ranks(),
-                      sketch->NumEntries()));
+    if (present[u]) row_of_[u] = ++slot;
   }
+}
+
+bool SketchArena::SetEntries(NodeId u, uint64_t entries) {
+  IPIN_CHECK(has_node(u));
+  if (!RowIsValid(rank_row(u), entries, precision_)) return false;
+  uint32_t& slot_entries = entries_[slot(u)];
+  total_entries_ += entries - slot_entries;
+  slot_entries = static_cast<uint32_t>(entries);
+  return true;
 }
 
 void* SketchArena::TakePlane(size_t bytes) {

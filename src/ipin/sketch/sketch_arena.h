@@ -3,20 +3,18 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
 #include "ipin/graph/types.h"
 #include "ipin/obs/memtally.h"
-#include "ipin/sketch/vhll.h"
 
-// The store every vHLL query reads (DESIGN.md §12). Index builds still
-// mutate one VersionedHll per node (domination pruning needs the per-cell
-// lists to be insertable), but every query reads only a sketch's max-rank
-// registers, so a build ends by copying those registers here, and from then
-// on answers, saves and shard extraction read only this arena:
+// The store every vHLL query reads (DESIGN.md §12). Index builds mutate
+// per-cell lists in their worker stores (part_store.h; domination pruning
+// needs the lists to be insertable), but every query reads only a sketch's
+// max-rank registers, so those registers live here from a build's first
+// insert on, and answers, saves and shard extraction read only this arena:
 //
 //   rank plane   one beta-byte max-rank row per slot (present node), plus
 //                one shared all-zero row that every absent node points at,
@@ -27,13 +25,15 @@
 //                held, kept so entry counts (and the bytes-per-entry
 //                metrics) outlive the build sketches.
 //
-// The end of a build copies each build sketch's max-rank cache and entry
-// count; shard extraction, reshard reconstruction and index loads append
-// rows the same way (Append). The arrays are sized exactly up front but not
-// filled: each row is written once, by its Append. No (rank, time) list is
-// stored. A load's or a shard's arena keeps its rank plane when it is
-// dropped, for the next arena of the same size (see PlaneAllocator), so an
-// index restored again and again reuses one block.
+// A build's arena holds a zero row for every sender from the start, which
+// the build's stores write in place, and the end of the build sets each
+// row's entry count (SetEntries), checking the row. Shard extraction,
+// reshard reconstruction and index loads append rows instead (Append): the
+// arrays are sized exactly up front but not filled, and each row is written
+// once, by its Append. No (rank, time) list is stored. A load's or a
+// shard's arena keeps its rank plane when it is dropped, for the next arena
+// of the same size (see PlaneAllocator), so an index restored again and
+// again reuses one block.
 
 namespace ipin {
 
@@ -41,8 +41,8 @@ namespace ipin {
 /// published as the mem.sketch_arena.* gauges.
 obs::MemoryTally& SketchArenaMemTally();
 
-/// True if `row` (beta bytes) with `entries` pairs is one a VersionedHll of
-/// `precision` can hold: every rank at most VersionedHll::MaxRank, and
+/// True if `row` (beta bytes) with `entries` pairs is one a vHLL sketch of
+/// `precision` can hold: every rank at most VhllMaxRank, and
 /// `entries` between the row's non-zero cells (a non-empty cell keeps at
 /// least one pair) and the sum of its ranks (a cell's ranks strictly
 /// ascend to its row value, so it keeps at most that many pairs).
@@ -56,12 +56,11 @@ class SketchArena {
   /// rank plane is kept when it is dropped, for the next arena of its size.
   SketchArena(int precision, uint64_t salt, size_t num_nodes, size_t sketches);
 
-  /// The rows of `sketches` (indexed by node id; null entries = absent
-  /// node; precision and salt must match): sizes the arena exactly and
-  /// copies every sketch's max-rank row and entry count in node order. Its
-  /// rank plane goes back to the heap when it is dropped.
-  SketchArena(int precision, uint64_t salt,
-              std::span<const std::unique_ptr<VersionedHll>> sketches);
+  /// A build's arena: a row for each node `present` marks, in node order,
+  /// all zero and with no entries. The build's stores write the rows in
+  /// place (build_rows), and SetEntries gives each its entry count once the
+  /// scan ends. Its rank plane goes back to the heap when it is dropped.
+  SketchArena(int precision, uint64_t salt, const std::vector<bool>& present);
 
   SketchArena(SketchArena&&) noexcept;
   SketchArena& operator=(SketchArena&&) noexcept;
@@ -72,6 +71,17 @@ class SketchArena {
   /// nothing appended, if the arena is full or the row is not valid
   /// (RowIsValid).
   bool Append(NodeId u, std::span<const uint8_t> row, uint64_t entries);
+
+  /// Sets present node `u`'s entry count. False, with nothing set, if its
+  /// row and `entries` are not valid together (RowIsValid).
+  bool SetEntries(NodeId u, uint64_t entries);
+
+  /// Slot 0's row, where a build's stores write: slot s's row is the beta
+  /// bytes at build_rows() + s * beta.
+  uint8_t* build_rows() { return rank_plane_.data() + beta_; }
+
+  /// Present node `u`'s slot: its row's index among the present nodes'.
+  size_t slot(NodeId u) const { return row_of_[u] - 1; }
 
   /// Appends a copy of node `u` of `from` (present; precision and salt must
   /// match) as node `u`. The source is trusted: failure is a bug (checked).

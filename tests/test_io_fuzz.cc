@@ -314,12 +314,8 @@ void ExpectSameSketches(const IrsApprox& got, const IrsApprox& want,
                         int trial) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes()) << trial;
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    const VersionedHll* a = got.BuildSketch(u);
-    const VersionedHll* b = want.BuildSketch(u);
-    ASSERT_EQ(a != nullptr, b != nullptr) << "trial " << trial << " node " << u;
-    if (b != nullptr) {
-      ASSERT_EQ(CellsOf(*a), CellsOf(*b)) << "trial " << trial << " node " << u;
-    }
+    ASSERT_EQ(BuildCellsOf(got, u), BuildCellsOf(want, u))
+        << "trial " << trial << " node " << u;
   }
 }
 
@@ -391,10 +387,10 @@ TEST_F(IoFuzzTest, ApproxCheckpointSurvivesHostileChunks) {
       ExpectSameSketches(got, want, trial);
     } else {
       ASSERT_EQ(stats.resumed_edges, 1000u) << trial;
+      for (const PartStore& store : got.build_stores()) {
+        ASSERT_TRUE(store.CheckInvariants()) << "trial " << trial;
+      }
       for (NodeId u = 0; u < got.num_nodes(); ++u) {
-        const VersionedHll* sketch = got.BuildSketch(u);
-        ASSERT_TRUE(sketch == nullptr || sketch->CheckInvariants())
-            << "trial " << trial << " node " << u;
         ASSERT_TRUE(got.arena()->CheckNodeInvariants(u))
             << "trial " << trial << " node " << u;
       }
@@ -726,15 +722,22 @@ TEST_F(IoFuzzTest, CheckpointWithAnotherSketchSetIsSkipped) {
 //   ascending);
 // - a live list whose second time precedes its first (a time the build's
 //   encoding holds);
+// - a live list whose second time equals its first;
+// - a live list whose second rank equals its first (not ascending);
 // - live counts summing to one pair fewer than the chunk's (the last list
-//   loses its last pair);
+//   loses its last pair), or one more (the first list claims a pair of the
+//   next);
+// - a header claiming one pair more than the chunk holds;
 // - a node's form byte of 3;
+// - a live node's form byte swapped with an absent neighbour's, so the
+//   runs are whole but a node the scan has not reached holds a sketch;
 // - a collapsed row with a rank above MaxRank;
 // - a collapsed entry count above 64 x beta;
 // - a retired rank not above its cell's last live rank;
 // - a cell whose live and retired counts add up to more than 64.
-// Each edit keeps the chunk's length. Resume skips each cleanly, without a
-// CHECK, and the build saves the uninterrupted index's bytes.
+// Each edit keeps the chunk's length. The restore checks a whole chunk
+// before it places a node in a worker store, so resume skips each cleanly,
+// without a CHECK, and the build saves the uninterrupted index's bytes.
 TEST_F(IoFuzzTest, CheckpointChunkBreakingAnInvariantIsSkipped) {
   const InteractionGraph g = GenerateUniformRandomNetwork(600, 1200, 900, 25);
   const IrsApproxOptions sketch{/*precision=*/4, /*salt=*/5};
@@ -793,6 +796,7 @@ TEST_F(IoFuzzTest, CheckpointChunkBreakingAnInvariantIsSkipped) {
   };
 
   std::vector<std::pair<std::string, std::string>> edits;
+  edits.reserve(16);
   {
     std::string edited = chunk;
     const Cell c = find([](const Cell& c) { return c.live > 0; });
@@ -810,6 +814,45 @@ TEST_F(IoFuzzTest, CheckpointChunkBreakingAnInvariantIsSkipped) {
     std::memcpy(edited.data() + layout.times_at + 4 * (c.pair + 1), &earlier,
                 4);
     edits.emplace_back("descending times", edited);
+  }
+  {
+    std::string edited = chunk;
+    const Cell c = find([](const Cell& c) { return c.live >= 2; });
+    std::memcpy(edited.data() + layout.times_at + 4 * (c.pair + 1),
+                chunk.data() + layout.times_at + 4 * c.pair, 4);
+    edits.emplace_back("equal times", edited);
+  }
+  {
+    std::string edited = chunk;
+    const Cell c = find([](const Cell& c) { return c.live >= 2; });
+    edited[layout.ranks_at + c.rank + 1] = edited[layout.ranks_at + c.rank];
+    edits.emplace_back("equal live ranks", edited);
+  }
+  {
+    std::string edited = chunk;
+    const Cell c = find([](const Cell& c) { return c.live > 0; });
+    ++edited[c.count_at];
+    edits.emplace_back("counts sum above pairs", edited);
+  }
+  {
+    // The header's pair count one above, with the chunk's length: the
+    // sizes no longer add up.
+    std::string edited = chunk;
+    const uint64_t pairs = layout.pairs + 1;
+    std::memcpy(edited.data() + 20, &pairs, 8);
+    edits.emplace_back("header pairs one above", edited);
+  }
+  {
+    std::string edited = chunk;
+    size_t live = 0;
+    while (live + 1 < layout.count &&
+           (chunk[28 + live] != 1 || chunk[28 + live + 1] != 0)) {
+      ++live;
+    }
+    ASSERT_LT(live + 1, layout.count);
+    std::swap(edited[28 + live], edited[28 + live + 1]);
+    edits.emplace_back("live form on a node the scan has not reached",
+                       edited);
   }
   {
     std::string edited = chunk;

@@ -39,10 +39,10 @@ TEST(IrsApproxTest, SmallGraphEstimatesAreNearExact) {
 TEST(IrsApproxTest, SketchesKeepInvariantsDuringScan) {
   const InteractionGraph g = GenerateUniformRandomNetwork(50, 600, 2000, 17);
   const IrsApprox approx = IrsApprox::Compute(g, 400, Options(6));
+  for (const PartStore& store : approx.build_stores()) {
+    EXPECT_TRUE(store.CheckInvariants());
+  }
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    if (const VersionedHll* sketch = approx.BuildSketch(u)) {
-      EXPECT_TRUE(sketch->CheckInvariants()) << "node " << u;
-    }
     EXPECT_TRUE(approx.arena()->CheckNodeInvariants(u)) << "node " << u;
   }
 }
@@ -52,9 +52,9 @@ TEST(IrsApproxTest, LazyAllocationOnlyForSources) {
   g.AddInteraction(0, 1, 1);
   g.AddInteraction(0, 2, 2);
   const IrsApprox approx = IrsApprox::Compute(g, 10, Options(6));
-  EXPECT_NE(approx.BuildSketch(0), nullptr);
-  EXPECT_EQ(approx.BuildSketch(1), nullptr);  // pure receiver
-  EXPECT_EQ(approx.BuildSketch(3), nullptr);  // isolated
+  EXPECT_TRUE(BuildCellsOf(approx, 0).has_value());
+  EXPECT_FALSE(BuildCellsOf(approx, 1).has_value());  // pure receiver
+  EXPECT_FALSE(BuildCellsOf(approx, 3).has_value());  // isolated
   EXPECT_TRUE(approx.arena()->has_node(0));
   EXPECT_FALSE(approx.arena()->has_node(1));
   EXPECT_FALSE(approx.arena()->has_node(3));
@@ -75,18 +75,14 @@ TEST(IrsApproxTest, RetiresAtASelfLoopOutsideTheTimeEncoding) {
     const IrsApprox approx =
         IrsApprox::ComputeParallel(g, 10, Options(6), parts);
     ASSERT_EQ(approx.time_encoding(), (TimeEncoding{200, 4}));
-    const VersionedHll* sketch = approx.BuildSketch(0);
-    ASSERT_NE(sketch, nullptr);
-    ASSERT_TRUE(sketch->CheckInvariants());
-    EXPECT_FALSE(sketch->collapsed());
-    size_t live = 0;
-    size_t retired = 0;
-    for (size_t c = 0; c < sketch->num_cells(); ++c) {
-      live += sketch->cell(c).size();
-      retired += sketch->cell(c).retired().size();
+    for (const PartStore& store : approx.build_stores()) {
+      ASSERT_TRUE(store.CheckInvariants());
     }
-    EXPECT_EQ(live, 0u) << parts << " parts";
-    EXPECT_EQ(retired, 1u) << parts << " parts";
+    const std::optional<SketchCells> sketch = BuildCellsOf(approx, 0);
+    ASSERT_TRUE(sketch.has_value());
+    EXPECT_FALSE(sketch->collapsed);
+    EXPECT_EQ(sketch->ranks.size(), 0u) << parts << " parts";
+    EXPECT_EQ(sketch->retired_ranks.size(), 1u) << parts << " parts";
     EXPECT_NEAR(approx.EstimateIrsSize(0), 1.0, 0.1) << parts << " parts";
   }
 }

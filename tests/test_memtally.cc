@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
+#include "ipin/datasets/synthetic.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/sketch/vhll.h"
+#include "ipin/sketch/part_store.h"
 
 namespace ipin {
 namespace {
@@ -137,37 +139,43 @@ TEST(TallyAllocatorTest, IrsExactTallyMatchesContainerAccounting) {
       << "measured=" << measured << " expected=" << expected;
 }
 
-// mem.vhll.bytes: every vHLL allocation (cell counts, pair runs, max-rank
-// cache) charges the tally, and MemoryUsageBytes() reports the capacity of
-// exactly those buffers, so the tally delta equals their sum to the byte.
+// mem.vhll.bytes: a build's worker stores charge the tally for their
+// slabs, holes included, and their records, and IrsApprox's
+// MemoryUsageBytes() counts exactly those beside the arena, so after the
+// scan the tally's delta equals them to the byte, at one part and at
+// three. Seal() gives every byte back.
 TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
   obs::MemoryTally& tally = obs::GetMemoryTally("vhll");
-  const int64_t before = tally.CurrentBytes();
-
-  std::vector<VersionedHll> sketches;
-  uint64_t state = 999;
-  for (int s = 0; s < 8; ++s) {
-    sketches.emplace_back(/*precision=*/6, /*salt=*/7);
-    for (int i = 0; i < 2000; ++i) {
-      state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-      sketches.back().Add(state >> 8, static_cast<Timestamp>(i % 97));
+  const InteractionGraph g = GenerateUniformRandomNetwork(
+      /*num_nodes=*/200, /*num_interactions=*/6000, /*time_span=*/20000,
+      /*seed=*/5);
+  const IrsApproxOptions options{/*precision=*/6, /*salt=*/7};
+  for (const size_t parts : {1u, 3u}) {
+    const int64_t before = tally.CurrentBytes();
+    IrsApprox irs = IrsApprox::ComputeParallel(g, 2000, options, parts);
+    const int64_t measured = tally.CurrentBytes() - before;
+    size_t store_bytes = 0;
+    size_t pairs = 0;
+    for (const PartStore& store : irs.build_stores()) {
+      store_bytes += store.MemoryUsageBytes();
+      for (NodeId u = 0; u < g.num_nodes(); ++u) {
+        if (!irs.arena()->has_node(u)) continue;
+        const size_t slot = irs.arena()->slot(u);
+        if (store.form(slot) == PartStore::Form::kLive) {
+          pairs += store.runs(slot).ranks.size();
+        }
+      }
     }
+    ASSERT_GT(measured, 0) << parts << " parts";
+    EXPECT_EQ(measured, static_cast<int64_t>(store_bytes)) << parts;
+    EXPECT_EQ(irs.MemoryUsageBytes(),
+              irs.arena()->MemoryUsageBytes() + store_bytes);
+    // The slabs hold at least every live pair: a u8 rank and a u32 time
+    // offset.
+    EXPECT_GE(store_bytes, pairs * (sizeof(uint8_t) + sizeof(uint32_t)));
+    irs.Seal();
+    EXPECT_EQ(tally.CurrentBytes(), before) << parts << " parts";
   }
-  const int64_t measured = tally.CurrentBytes() - before;
-
-  int64_t expected = 0;
-  size_t entries = 0;
-  for (const VersionedHll& sketch : sketches) {
-    expected += static_cast<int64_t>(sketch.MemoryUsageBytes());
-    entries += sketch.NumEntries();
-  }
-
-  ASSERT_GT(measured, 0);
-  EXPECT_EQ(measured, expected);
-  // The pools hold at least every stored pair: a u8 rank and an i64 time.
-  EXPECT_GE(measured,
-            static_cast<int64_t>(entries * (sizeof(uint8_t) +
-                                            sizeof(Timestamp))));
 }
 
 TEST(MemoryTallyTest, PublishMemoryGaugesMirrorsTallies) {

@@ -648,11 +648,7 @@ void ExpectSameRows(const IrsApprox& want, const IrsApprox& got) {
 void ExpectSameCells(const IrsApprox& want, const IrsApprox& got) {
   ASSERT_EQ(got.num_nodes(), want.num_nodes());
   for (NodeId u = 0; u < want.num_nodes(); ++u) {
-    const VersionedHll* a = got.BuildSketch(u);
-    const VersionedHll* b = want.BuildSketch(u);
-    ASSERT_EQ(a != nullptr, b != nullptr) << "node " << u;
-    if (b == nullptr) continue;
-    ASSERT_EQ(CellsOf(*a), CellsOf(*b)) << "node " << u;
+    ASSERT_EQ(BuildCellsOf(got, u), BuildCellsOf(want, u)) << "node " << u;
   }
 }
 
@@ -1002,16 +998,17 @@ TEST_F(OracleIoTest, TimeWidthFollowsTheSpanAndEveryStoreIsExact) {
     for (const Interaction& e : g.interactions()) logged.insert(e.time);
     std::set<Timestamp> stored;
     for (NodeId u = 0; u < g.num_nodes(); ++u) {
-      if (built.BuildSketch(u) == nullptr) continue;
-      const SketchCells cells = CellsOf(*built.BuildSketch(u));
-      stored.insert(cells.times.begin(), cells.times.end());
+      const std::optional<SketchCells> cells = BuildCellsOf(built, u);
+      if (cells.has_value()) {
+        stored.insert(cells->times.begin(), cells->times.end());
+      }
     }
     ASSERT_FALSE(stored.empty());
     EXPECT_TRUE(std::includes(logged.begin(), logged.end(), stored.begin(),
                               stored.end()));
     EXPECT_EQ(*stored.begin(), c.first);
-    ASSERT_TRUE(built.BuildSketch(52)->collapsed());
-    EXPECT_EQ(built.BuildSketch(52)->NumEntries(), 1u);
+    ASSERT_TRUE(BuildCellsOf(built, 52)->collapsed);
+    EXPECT_EQ(BuildCellsOf(built, 52)->entries, 1u);
 
     ASSERT_TRUE(SaveInfluenceIndex(built, path_));
     const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path_);

@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ipin/common/random.h"
 #include "ipin/common/safe_io.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/core/checkpoint.h"
@@ -56,9 +57,7 @@ InteractionGraph TestGraph() {
 std::vector<SketchCells> Fingerprint(const IrsApprox& irs) {
   std::vector<SketchCells> out(irs.num_nodes());
   for (NodeId u = 0; u < irs.num_nodes(); ++u) {
-    if (const VersionedHll* sketch = irs.BuildSketch(u)) {
-      out[u] = CellsOf(*sketch);
-    }
+    out[u] = BuildCellsOf(irs, u).value_or(SketchCells{});
   }
   return out;
 }
@@ -89,26 +88,32 @@ std::vector<std::unique_ptr<VersionedHll>> ReplayWithoutRetirement(
 }
 
 // The retiring build holds what the replay holds: the same sketches, rows
-// and entry counts, and in every sketch that has not collapsed each cell's
-// ranks run is the replay's list's ranks, and its live pairs the replay's
-// list's first pairs. Counts the collapsed sketches and the retired ranks
-// in *collapsed and *retired, so a caller can see that retirement ran.
+// (in the arena, where the stores write them) and entry counts, and in
+// every sketch that has not collapsed each cell's ranks run, read from the
+// worker stores, is the replay's list's ranks, and its live pairs the
+// replay's list's first pairs. The stores hold their invariants. Counts
+// the collapsed sketches and the retired ranks in *collapsed and
+// *retired, so a caller can see that retirement ran.
 void ExpectRunsMatchReplay(
     const IrsApprox& irs,
     std::span<const std::unique_ptr<VersionedHll>> replay, size_t* collapsed,
     size_t* retired) {
   *collapsed = 0;
   *retired = 0;
+  for (const PartStore& store : irs.build_stores()) {
+    EXPECT_TRUE(store.CheckInvariants());
+  }
   for (NodeId u = 0; u < irs.num_nodes(); ++u) {
-    const VersionedHll* sketch = irs.BuildSketch(u);
-    EXPECT_EQ(sketch != nullptr, replay[u] != nullptr) << "node " << u;
-    if (sketch == nullptr || replay[u] == nullptr) continue;
+    const std::optional<SketchCells> sketch = BuildCellsOf(irs, u);
+    EXPECT_EQ(sketch.has_value(), replay[u] != nullptr) << "node " << u;
+    if (!sketch.has_value() || replay[u] == nullptr) continue;
     EXPECT_EQ(RowOf(*sketch), RowOf(*replay[u])) << "node " << u;
-    if (sketch->collapsed()) {
+    EXPECT_EQ(RowOf(*irs.arena(), u), RowOf(*replay[u])) << "node " << u;
+    if (sketch->collapsed) {
       ++*collapsed;
       continue;
     }
-    const SketchCells got = CellsOf(*sketch);
+    const SketchCells& got = *sketch;
     const SketchCells want = CellsOf(*replay[u]);
     size_t pair = 0;
     size_t want_pair = 0;
@@ -225,8 +230,8 @@ TEST_F(ParallelIrsTest, BuildTalliesDoNotDependOnThreadCount) {
 // 1,000 edges. The build retires and collapses as it scans; a replay of
 // the same scan that does neither has the same tallies, and the build's
 // runs are its lists (ExpectRunsMatchReplay). The rows every query reads
-// are the build's: each node's arena row and entry count are its build
-// sketch's max ranks and entries, and Seal() frees every build sketch.
+// are the build's: each node's arena row and entry count are the replay's
+// max ranks and entries, and Seal() frees every worker store.
 TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   constexpr size_t kInsertAttempts = 634865;
   constexpr size_t kEvictions = 184667;
@@ -288,16 +293,14 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
       EXPECT_GT(retired, 0u);
       const SketchArena& arena = *irs.arena();
       for (NodeId u = 0; u < irs.num_nodes(); ++u) {
-        const VersionedHll* sketch = irs.BuildSketch(u);
-        ASSERT_EQ(arena.has_node(u), sketch != nullptr) << "node " << u;
-        if (sketch == nullptr) continue;
-        ASSERT_EQ(RowOf(arena, u), RowOf(*sketch)) << "node " << u;
+        ASSERT_EQ(arena.has_node(u), replay[u] != nullptr) << "node " << u;
       }
       for (const bool sealed : {false, true}) {
         if (sealed) {
           irs.Seal();
+          EXPECT_TRUE(irs.build_stores().empty());
           for (NodeId u = 0; u < irs.num_nodes(); ++u) {
-            ASSERT_EQ(irs.BuildSketch(u), nullptr) << "node " << u;
+            ASSERT_FALSE(BuildCellsOf(irs, u).has_value()) << "node " << u;
           }
           EXPECT_EQ(irs.TotalInsertAttempts(), kInsertAttempts);
           EXPECT_EQ(irs.TotalEvictions(), kEvictions);
@@ -314,6 +317,86 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   }
   std::filesystem::remove_all(checkpoints.dir);
   std::remove(path.c_str());
+}
+
+// The five tallies of a replay's sketches (ReplayWithoutRetirement):
+// insert attempts, evictions, merge entries scanned, cell updates and
+// entries.
+std::vector<size_t> ReplayTallies(
+    std::span<const std::unique_ptr<VersionedHll>> replay) {
+  std::vector<size_t> tallies(5, 0);
+  for (const auto& sketch : replay) {
+    if (sketch == nullptr) continue;
+    tallies[0] += sketch->NumInsertAttempts();
+    tallies[1] += sketch->NumEvictions();
+    tallies[2] += sketch->NumMergeEntriesScanned();
+    tallies[3] += sketch->NumCellUpdates();
+    tallies[4] += sketch->NumEntries();
+  }
+  return tallies;
+}
+
+// A hub that sends a quarter of a long log grows its runs past their
+// capacity again and again while the other senders' runs lie after them
+// in every worker's slabs, so its runs move to the slabs' ends, and the
+// holes they leave, with those of retired and collapsed sketches, make
+// the slabs compact. At beta = 16 over 7 parts and beta = 512 over 1 and
+// 3, plain and checkpointed, the build's rows, entry counts, runs and
+// tallies still equal the replay's.
+TEST_F(ParallelIrsTest, RelocatedRunsAndCompactedSlabsMatchReplay) {
+  constexpr size_t kNodes = 300;
+  InteractionGraph g(kNodes);
+  Rng rng(77);
+  for (Timestamp t = 0; t < 30000; ++t) {
+    const auto u = static_cast<NodeId>(
+        rng.NextBounded(4) == 0 ? 0 : rng.NextBounded(kNodes));
+    g.AddInteraction(u, static_cast<NodeId>(rng.NextBounded(kNodes)), t);
+  }
+  const Duration window = 300;
+  const std::string dir = ::testing::TempDir() + "/ipin_relocate_" +
+                          std::to_string(reinterpret_cast<uintptr_t>(this));
+  struct Case {
+    int precision;
+    size_t parts;
+    bool checkpointed;
+  };
+  for (const Case c : {Case{4, 7, false}, Case{9, 1, false},
+                       Case{9, 3, false}, Case{9, 3, true}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "beta " << (1 << c.precision) << ", " << c.parts
+                 << " parts, checkpointed " << c.checkpointed);
+    const auto replay =
+        ReplayWithoutRetirement(g, window, Options(c.precision));
+    SetGlobalThreads(c.parts);
+    std::filesystem::remove_all(dir);
+    const IrsApprox irs =
+        c.checkpointed
+            ? ComputeIrsApproxCheckpointed(g, window, Options(c.precision),
+                                           {dir, /*every_edges=*/4000})
+            : IrsApprox::ComputeParallel(g, window, Options(c.precision),
+                                         c.parts);
+    ASSERT_EQ(irs.build_stores().size(), c.parts);
+    EXPECT_EQ(ReplayTallies(replay),
+              (std::vector<size_t>{irs.TotalInsertAttempts(),
+                                   irs.TotalEvictions(),
+                                   irs.TotalMergeEntriesScanned(),
+                                   irs.TotalCellUpdates(),
+                                   irs.TotalSketchEntries()}));
+    size_t collapsed = 0;
+    size_t retired = 0;
+    ExpectRunsMatchReplay(irs, replay, &collapsed, &retired);
+    EXPECT_GT(collapsed, 0u);
+    EXPECT_GT(retired, 0u);
+    size_t relocations = 0;
+    size_t compactions = 0;
+    for (const PartStore& store : irs.build_stores()) {
+      relocations += store.relocations();
+      compactions += store.compactions();
+    }
+    EXPECT_GT(relocations, 0u);
+    EXPECT_GT(compactions, 0u);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // beta = 16 cells: 16 threads give every part one cell, and 32 threads are

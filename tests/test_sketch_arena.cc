@@ -38,9 +38,25 @@ std::vector<std::unique_ptr<VersionedHll>> BuildSketches(size_t num_nodes,
   return sketches;
 }
 
+// An arena of the rows of `sketches` (null: absent), appended in node
+// order.
+SketchArena ArenaOf(
+    const std::vector<std::unique_ptr<VersionedHll>>& sketches) {
+  const auto present = static_cast<size_t>(std::count_if(
+      sketches.begin(), sketches.end(),
+      [](const auto& sketch) { return sketch != nullptr; }));
+  SketchArena arena(kPrecision, kSalt, sketches.size(), present);
+  for (NodeId u = 0; u < sketches.size(); ++u) {
+    if (sketches[u] == nullptr) continue;
+    EXPECT_TRUE(
+        arena.Append(u, sketches[u]->max_ranks(), sketches[u]->NumEntries()));
+  }
+  return arena;
+}
+
 TEST(SketchArenaTest, RankPlaneAndCountsMatchSource) {
   const auto sketches = BuildSketches(20, 2);
-  const SketchArena arena(kPrecision, kSalt, std::span(sketches));
+  const SketchArena arena = ArenaOf(sketches);
   size_t allocated = 0;
   size_t entries = 0;
   for (NodeId u = 0; u < 20; ++u) {
@@ -66,7 +82,7 @@ TEST(SketchArenaTest, RankPlaneAndCountsMatchSource) {
 
 TEST(SketchArenaTest, EstimatesMatchSourceSketches) {
   const auto sketches = BuildSketches(20, 3);
-  const SketchArena arena(kPrecision, kSalt, std::span(sketches));
+  const SketchArena arena = ArenaOf(sketches);
   for (NodeId u = 0; u < 20; ++u) {
     if (sketches[u] == nullptr) continue;
     EXPECT_EQ(arena.EstimateNode(u), sketches[u]->Estimate()) << "node " << u;
@@ -77,7 +93,7 @@ TEST(SketchArenaTest, EstimatesMatchSourceSketches) {
 // from the copied nodes is exactly as large as the source.
 TEST(SketchArenaTest, AppendCopyIsExact) {
   const auto sketches = BuildSketches(20, 4);
-  const SketchArena source(kPrecision, kSalt, std::span(sketches));
+  const SketchArena source = ArenaOf(sketches);
   SketchArena copy(kPrecision, kSalt, 20, source.NumAllocated());
   for (NodeId u = 0; u < 20; ++u) {
     if (source.has_node(u)) copy.AppendCopy(u, source);
@@ -212,10 +228,40 @@ InteractionGraph TestGraph(size_t num_nodes, size_t num_edges, uint64_t seed) {
   return g;
 }
 
-// Build rows = served rows: a finished build's arena holds, for exactly the
-// nodes with a build sketch, that sketch's max-rank row and entry count, so
+// A build's arena: a zero row for each present node, in node order, which
+// the build writes in place, and an entry count set once the scan ends,
+// refused (nothing set) when the row could not hold it.
+TEST(SketchArenaTest, BuildArenaRowsAreWrittenInPlace) {
+  constexpr size_t kBeta = size_t{1} << kPrecision;
+  SketchArena arena(kPrecision, kSalt, std::vector<bool>{true, false, true});
+  ASSERT_EQ(arena.NumAllocated(), 2u);
+  EXPECT_TRUE(arena.has_node(0));
+  EXPECT_FALSE(arena.has_node(1));
+  EXPECT_EQ(arena.slot(0), 0u);
+  EXPECT_EQ(arena.slot(2), 1u);
+  for (const NodeId u : {0u, 2u}) {
+    for (const uint8_t r : arena.rank_row(u)) EXPECT_EQ(r, 0);
+  }
+  // Node 2's cells 3 and 5 hold ranks 4 and 1.
+  uint8_t* const row2 = arena.build_rows() + arena.slot(2) * kBeta;
+  row2[3] = 4;
+  row2[5] = 1;
+  EXPECT_EQ(arena.rank_row(2)[3], 4);
+  EXPECT_FALSE(arena.SetEntries(2, 1));  // two non-empty cells
+  EXPECT_FALSE(arena.SetEntries(2, 6));  // above the ranks' sum
+  EXPECT_EQ(arena.TotalEntries(), 0u);
+  EXPECT_TRUE(arena.SetEntries(2, 3));
+  EXPECT_TRUE(arena.SetEntries(0, 0));
+  EXPECT_EQ(arena.NodeNumEntries(2), 3u);
+  EXPECT_EQ(arena.TotalEntries(), 3u);
+  EXPECT_TRUE(arena.CheckNodeInvariants(2));
+}
+
+// Build rows = served rows: a finished build's arena holds a row for
+// exactly the nodes with a build sketch, written in place by the worker
+// stores (whose cells top out at it) and that sketch's entry count, so
 // every answer read from the arena is the build sketches' answer. Seal()
-// frees the sketches and changes no answer, row or tally.
+// frees the stores and changes no answer, row or tally.
 TEST(SketchArenaTest, BuildRowsAreServedRows) {
   const InteractionGraph g = TestGraph(40, 800, 9);
   IrsApproxOptions options;
@@ -226,18 +272,22 @@ TEST(SketchArenaTest, BuildRowsAreServedRows) {
   const SketchArena& arena = *irs.arena();
   ASSERT_EQ(arena.precision(), kPrecision);
   ASSERT_EQ(arena.salt(), kSalt);
+  for (const PartStore& store : irs.build_stores()) {
+    EXPECT_TRUE(store.CheckInvariants());
+  }
   size_t allocated = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const VersionedHll* sketch = irs.BuildSketch(u);
-    ASSERT_EQ(arena.has_node(u), sketch != nullptr) << "node " << u;
+    const std::optional<SketchCells> sketch = BuildCellsOf(irs, u);
+    ASSERT_EQ(arena.has_node(u), sketch.has_value()) << "node " << u;
     EXPECT_TRUE(arena.CheckNodeInvariants(u)) << "node " << u;
-    if (sketch == nullptr) {
+    if (!sketch.has_value()) {
       EXPECT_EQ(irs.EstimateIrsSize(u), 0.0) << "node " << u;
       continue;
     }
     ++allocated;
     EXPECT_EQ(RowOf(arena, u), RowOf(*sketch)) << "node " << u;
-    EXPECT_EQ(irs.EstimateIrsSize(u), sketch->Estimate()) << "node " << u;
+    EXPECT_EQ(irs.EstimateIrsSize(u), EstimateFromRanks(sketch->row))
+        << "node " << u;
   }
   EXPECT_EQ(irs.NumAllocatedSketches(), allocated);
 
@@ -248,10 +298,9 @@ TEST(SketchArenaTest, BuildRowsAreServedRows) {
   for (const auto& seeds : seed_sets) {
     std::vector<uint8_t> ranks(arena.num_cells(), 0);
     for (const NodeId u : seeds) {
-      if (const VersionedHll* sketch = irs.BuildSketch(u)) {
-        const auto row = sketch->max_ranks();
+      if (const std::optional<SketchCells> sketch = BuildCellsOf(irs, u)) {
         for (size_t c = 0; c < ranks.size(); ++c) {
-          ranks[c] = std::max(ranks[c], row[c]);
+          ranks[c] = std::max(ranks[c], sketch->row[c]);
         }
       }
     }
@@ -276,7 +325,7 @@ TEST(SketchArenaTest, BuildRowsAreServedRows) {
   EXPECT_EQ(irs.TotalEvictions(), evictions);
   EXPECT_EQ(irs.TotalSketchEntries(), entries);
   for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    EXPECT_EQ(irs.BuildSketch(u), nullptr) << "node " << u;
+    EXPECT_FALSE(BuildCellsOf(irs, u).has_value()) << "node " << u;
     EXPECT_EQ(RowOf(arena, u), rows[u]) << "node " << u;
   }
   for (size_t i = 0; i < seed_sets.size(); ++i) {

@@ -12,9 +12,12 @@
 #include <string>
 #include <vector>
 
+#include "ipin/core/irs_approx.h"
 #include "ipin/graph/interaction_graph.h"
 #include "ipin/graph/types.h"
+#include "ipin/sketch/part_store.h"
 #include "ipin/sketch/sketch_arena.h"
+#include "ipin/sketch/vhll.h"
 
 // Shared fixtures for the core-algorithm tests: the paper's running
 // examples, with nodes a..f mapped to ids 0..5, snapshots of a build
@@ -57,12 +60,12 @@ inline std::vector<std::map<NodeId, Timestamp>> FigureOneSummariesW3() {
   };
 }
 
-/// Everything a build sketch stores. A live sketch: per cell its live
-/// list's length, and every live pair's rank and time, in cell order; then
-/// per cell its retired pairs, and their ranks in cell order. A collapsed
-/// one: no cells. Either way its max-rank row and entry count. Two sketches
-/// hold the same cells iff their SketchCells compare equal, whatever their
-/// parts or time encoding.
+/// Everything a sketch stores. A live sketch: per cell its live list's
+/// length, and every live pair's rank and time, in cell order; then per
+/// cell its retired pairs, and their ranks in cell order. A collapsed one:
+/// no cells. Either way its max-rank row and entry count. Two sketches hold
+/// the same cells iff their SketchCells compare equal, whatever their parts
+/// or time encoding.
 struct SketchCells {
   int precision = 0;
   uint64_t salt = 0;
@@ -85,16 +88,15 @@ inline void PrintTo(const SketchCells& cells, std::ostream* os) {
       << " entries, " << cells.times.size() << " live}";
 }
 
-/// The cells of `sketch`, read through VersionedHll::cell().
+/// The cells of `sketch`, read through VersionedHll::cell(). A
+/// VersionedHll never retires or collapses.
 inline SketchCells CellsOf(const VersionedHll& sketch) {
   const std::span<const uint8_t> row = sketch.max_ranks();
   SketchCells cells;
   cells.precision = sketch.precision();
   cells.salt = sketch.salt();
-  cells.collapsed = sketch.collapsed();
   cells.row.assign(row.begin(), row.end());
   cells.entries = sketch.NumEntries();
-  if (cells.collapsed) return cells;
   for (size_t c = 0; c < sketch.num_cells(); ++c) {
     const VersionedHll::CellList list = sketch.cell(c);
     cells.counts.push_back(static_cast<uint8_t>(list.size()));
@@ -102,12 +104,53 @@ inline SketchCells CellsOf(const VersionedHll& sketch) {
       cells.ranks.push_back(e.rank);
       cells.times.push_back(e.time);
     }
-    cells.retired.push_back(static_cast<uint8_t>(list.retired().size()));
-    for (const uint8_t rank : list.retired()) {
-      cells.retired_ranks.push_back(rank);
-    }
+    cells.retired.push_back(0);
   }
   return cells;
+}
+
+/// The sketch in slot `slot` of `stores` (part k of it in store k),
+/// gathered in part order, with its row `row`: nullopt if it is absent.
+inline std::optional<SketchCells> GatherCells(
+    std::span<const PartStore> stores, size_t slot,
+    std::span<const uint8_t> row, int precision, uint64_t salt) {
+  const PartStore::Form form = stores[0].form(slot);
+  if (form == PartStore::Form::kAbsent) return std::nullopt;
+  SketchCells cells;
+  cells.precision = precision;
+  cells.salt = salt;
+  cells.collapsed = form == PartStore::Form::kCollapsed;
+  cells.row.assign(row.begin(), row.end());
+  for (const PartStore& store : stores) {
+    cells.entries += store.NumEntries(slot);
+    if (cells.collapsed) continue;
+    const PartStore::Runs runs = store.runs(slot);
+    for (size_t j = 0; j < store.num_cells(); ++j) {
+      cells.counts.push_back(runs.counts.empty() ? 0 : runs.counts[j]);
+      cells.retired.push_back(runs.retired.empty() ? 0 : runs.retired[j]);
+    }
+    cells.ranks.insert(cells.ranks.end(), runs.ranks.begin(),
+                       runs.ranks.end());
+    for (size_t i = 0; i < runs.ranks.size(); ++i) {
+      cells.times.push_back(
+          store.time_encoding().Decode(runs.time_bytes.data(), i));
+    }
+    cells.retired_ranks.insert(cells.retired_ranks.end(),
+                               runs.retired_ranks.begin(),
+                               runs.retired_ranks.end());
+  }
+  return cells;
+}
+
+/// Node u's build sketch as the worker stores of `irs` hold it, with its
+/// arena row (where the stores write it): nullopt if u holds none (it has
+/// not sent yet in scan order, or `irs` has no build store).
+inline std::optional<SketchCells> BuildCellsOf(const IrsApprox& irs,
+                                               NodeId u) {
+  const SketchArena& arena = *irs.arena();
+  if (irs.build_stores().empty() || !arena.has_node(u)) return std::nullopt;
+  return GatherCells(irs.build_stores(), arena.slot(u), arena.rank_row(u),
+                     arena.precision(), arena.salt());
 }
 
 /// Where the sections of a checkpoint's sketch chunk start (checkpoint.cc,
@@ -158,6 +201,11 @@ struct SketchRow {
 inline void PrintTo(const SketchRow& row, std::ostream* os) {
   *os << "{precision " << row.precision << ", salt " << row.salt << ", "
       << row.entries << " pairs}";
+}
+
+/// The row and entry count of `cells`.
+inline SketchRow RowOf(const SketchCells& cells) {
+  return {cells.precision, cells.salt, cells.row, cells.entries};
 }
 
 inline SketchRow RowOf(const VersionedHll& sketch) {

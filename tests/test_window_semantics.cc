@@ -160,16 +160,14 @@ TEST(WindowBoundaryTest, SameTimeRelayAtTheTopOfTheTimeRangeIsMerged) {
     for (const size_t parts : {1u, 2u}) {
       SetGlobalThreads(parts);
       const IrsApprox irs = IrsApprox::Compute(g, window, options);
-      ASSERT_NE(irs.BuildSketch(0), nullptr);
-      EXPECT_EQ(CellsOf(*irs.BuildSketch(0)), want) << parts << " parts";
+      EXPECT_EQ(BuildCellsOf(irs, 0), want) << parts << " parts";
       EXPECT_EQ(RowOf(*irs.arena(), 0), RowOf(reach))
           << parts << " parts, served row";
     }
     SetGlobalThreads(1);
     const IrsApprox checkpointed =
         ComputeIrsApproxCheckpointed(g, window, options, CheckpointOptions{});
-    ASSERT_NE(checkpointed.BuildSketch(0), nullptr);
-    EXPECT_EQ(CellsOf(*checkpointed.BuildSketch(0)), want) << "checkpointed";
+    EXPECT_EQ(BuildCellsOf(checkpointed, 0), want) << "checkpointed";
   }
 }
 
