@@ -101,8 +101,9 @@ void ParallelFor(size_t begin, size_t end, size_t grain,
 
 // ---- Per-phase pool profiling ---------------------------------------------
 //
-// Parallel sections tagged with a phase name (obs::ProgressPhase tags the
-// calling thread automatically; SetCurrentPoolPhase does it by hand)
+// Parallel sections tagged with a phase name (every obs::TraceSpan tags
+// the calling thread with its own name until it closes;
+// SetCurrentPoolPhase does it by hand)
 // accumulate task-level accounting: how many chunks ran under the tag, the
 // summed and slowest chunk execution times, and the caller-side wall time of
 // the tagged sections. From those the skew and utilization of a phase are

@@ -6,7 +6,6 @@
 #include "ipin/common/check.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 
 namespace ipin {
@@ -27,7 +26,7 @@ std::vector<NodeId> NodesByInfluence(std::span<const double> influence) {
 }  // namespace
 
 SeedSelection SelectSeedsGreedy(const InfluenceOracle& oracle, size_t k) {
-  IPIN_TRACE_SPAN("im.greedy.select");
+  obs::PhaseSpan phase("im.greedy.select", k);
   SeedSelection result;
   const size_t n = oracle.num_nodes();
   if (n == 0 || k == 0) return result;
@@ -52,7 +51,6 @@ SeedSelection SelectSeedsGreedy(const InfluenceOracle& oracle, size_t k) {
 
   size_t early_exits = 0;
   size_t speculative = 0;
-  obs::ProgressPhase phase("im.greedy.rounds", k);
   while (result.seeds.size() < k) {
     double best_gain = 0.0;
     NodeId best_node = kInvalidNode;
@@ -109,7 +107,7 @@ SeedSelection SelectSeedsGreedy(const InfluenceOracle& oracle, size_t k) {
 }
 
 SeedSelection SelectSeedsCelf(const InfluenceOracle& oracle, size_t k) {
-  IPIN_TRACE_SPAN("im.celf.select");
+  obs::PhaseSpan phase("im.celf.select", k);
   SeedSelection result;
   const size_t n = oracle.num_nodes();
   if (n == 0 || k == 0) return result;
@@ -151,7 +149,6 @@ SeedSelection SelectSeedsCelf(const InfluenceOracle& oracle, size_t k) {
 
   size_t round = 1;
   size_t reinserts = 0;
-  obs::ProgressPhase phase("im.celf.rounds", k);
   while (result.seeds.size() < k && !heap.empty()) {
     std::pop_heap(heap.begin(), heap.end(), cmp);
     HeapEntry& top = heap.back();

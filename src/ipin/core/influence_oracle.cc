@@ -7,7 +7,6 @@
 #include "ipin/common/check.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 #include "ipin/sketch/estimators.h"
 #include "ipin/sketch/kernels.h"
@@ -171,9 +170,8 @@ BudgetedValue ExactUnion(std::span<const IrsSummaryMap> rows,
 }
 
 std::vector<double> InfluenceOracle::InfluenceOfAll() const {
-  IPIN_TRACE_SPAN("oracle.influence_of_all");
+  obs::PhaseSpan phase("oracle.influence_of_all", num_nodes());
   std::vector<double> influence(num_nodes());
-  obs::ProgressPhase phase("oracle.influence_all", influence.size());
   ParallelFor(0, influence.size(), 256, [&](size_t lo, size_t hi) {
     for (size_t u = lo; u < hi; ++u) {
       influence[u] = InfluenceOf(static_cast<NodeId>(u));

@@ -13,7 +13,6 @@
 #include "ipin/common/thread_pool.h"
 #include "ipin/core/influence_oracle.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 #include "ipin/sketch/estimators.h"
 
@@ -207,7 +206,7 @@ void IrsApprox::Scan(const InteractionGraph& graph, size_t done,
     return from;
   };
 
-  obs::ProgressPhase phase("irs.approx.scan", m);
+  obs::PhaseSpan phase("irs.approx.scan", m);
   phase.SetDone(done);  // resumed edges count as completed work
   // The quiet sends acted on before this epoch: a resumed scan's restored
   // sketches already show them.

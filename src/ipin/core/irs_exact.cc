@@ -6,7 +6,6 @@
 #include "ipin/common/memory.h"
 #include "ipin/core/influence_oracle.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 
 namespace ipin {
@@ -22,11 +21,10 @@ IrsExact::IrsExact(size_t num_nodes, Duration window)
 }
 
 IrsExact IrsExact::Compute(const InteractionGraph& graph, Duration window) {
-  IPIN_TRACE_SPAN("irs.exact.compute");
+  obs::PhaseSpan phase("irs.exact.compute", graph.num_interactions());
   IPIN_CHECK(graph.is_sorted());
   IrsExact irs(graph.num_nodes(), window);
   const auto& edges = graph.interactions();
-  obs::ProgressPhase phase("irs.exact.scan", edges.size());
   size_t since_tick = 0;
   for (size_t i = edges.size(); i > 0; --i) {
     irs.ProcessInteraction(edges[i - 1]);

@@ -5,7 +5,6 @@
 #include "ipin/common/check.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 
 namespace ipin {
@@ -67,13 +66,12 @@ double AverageTcicSpread(const InteractionGraph& graph,
                          std::span<const NodeId> seeds,
                          const TcicOptions& options, size_t num_runs,
                          uint64_t seed) {
-  IPIN_TRACE_SPAN("tcic.average_spread");
+  obs::PhaseSpan phase("tcic.average_spread", num_runs);
   IPIN_CHECK_GE(num_runs, 1u);
   // Monte Carlo runs are independent, each on its own SplitMix-derived RNG
   // stream keyed by the run index — so the per-run spreads, and the sum
   // accumulated below in run order, are identical for any thread count.
   std::vector<double> spread(num_runs);
-  obs::ProgressPhase phase("tcic.mc_runs", num_runs);
   ParallelFor(0, num_runs, 1, [&](size_t lo, size_t hi) {
     for (size_t run = lo; run < hi; ++run) {
       Rng rng(seed + run * 0x9e3779b97f4a7c15ULL);

@@ -11,7 +11,6 @@
 #include "ipin/common/string_util.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
 
 namespace ipin {
@@ -120,8 +119,7 @@ std::optional<InteractionGraph> LoadInteractionsFromFile(
   }
   std::vector<ParsedChunk> chunks(starts.size());
   {
-    IPIN_TRACE_SPAN("graph.load.parse");
-    obs::ProgressPhase phase("graph.parse", text.size());  // units: bytes
+    obs::PhaseSpan phase("graph.parse", text.size());  // units: bytes
     ParallelFor(0, starts.size(), 1, [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
         const size_t begin = starts[i];

@@ -21,6 +21,7 @@
 #include "ipin/obs/memtally.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/progress.h"
+#include "ipin/obs/trace.h"
 
 namespace ipin::obs {
 namespace {
@@ -177,22 +178,24 @@ struct RunLedger::Impl {
     out += "],";
     AppendU64("events_dropped", events_dropped, &out);
     out += ",\"phases\":[";
+    std::vector<SpanStats> spans = SpanTreeSnapshot();
+    for (SpanStats& open : OpenPhaseSpans()) spans.push_back(std::move(open));
     bool first = true;
-    for (const ProgressPhaseSnapshot& p : ProgressPhases()) {
+    for (const SpanStats& p : spans) {
       if (!first) out += ",";
       first = false;
       out += "{\"name\":";
-      AppendJsonString(p.name, &out);
+      AppendJsonString(p.path, &out);
       out += ",";
-      AppendU64("instances", p.instances, &out);
+      AppendU64("instances", p.calls, &out);
       out += ",";
       AppendU64("units_done", p.units_done, &out);
       out += ",";
       AppendU64("units_total", p.units_total, &out);
       out += ",";
-      AppendU64("wall_us", p.wall_us, &out);
+      AppendU64("wall_us", p.total_ns / 1000u, &out);
       out += ",";
-      AppendU64("cpu_us", p.cpu_us, &out);
+      AppendU64("cpu_us", p.cpu_ns / 1000u, &out);
       out += StrFormat(",\"active\":%s}", p.active ? "true" : "false");
     }
     out += StrFormat("],\"pool\":{\"threads\":%llu,\"phases\":[",

@@ -19,8 +19,9 @@
 //             provenance (git sha, hostname, cpus, threads, build type,
 //             obs mode), input-file fingerprints (size + CRC32C of the
 //             first MiB), output paths, peak RSS;
-//   activity  recorded events (checkpoint saves/resumes, ...), per-phase
-//             wall/CPU/work-unit timings from the progress engine, the
+//   activity  recorded events (checkpoint saves/resumes, ...), per-span
+//             wall/CPU/work-unit timings from the span tree (obs/trace.h,
+//             keyed by span path, open PhaseSpans marked active), the
 //             per-phase thread-pool profiles, and a heartbeat summary with
 //             the most recent heartbeat lines;
 //   metrics   a final snapshot of the metrics registry (counters, gauges,

@@ -2,33 +2,20 @@
 
 #ifndef IPIN_OBS_DISABLED
 
-#include <time.h>
-
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <deque>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <utility>
 
 #include "ipin/common/string_util.h"
-#include "ipin/common/thread_pool.h"
 #include "ipin/obs/memtally.h"
+#include "ipin/obs/trace.h"
 
 namespace ipin::obs {
-
-struct ProgressPhase::State {
-  const char* name = nullptr;
-  std::atomic<uint64_t> done{0};
-  std::atomic<uint64_t> total{0};
-  uint64_t start_steady_us = 0;
-  uint64_t start_cpu_us = 0;
-};
-
 namespace {
 
 constexpr size_t kRecentLines = 64;
@@ -47,30 +34,9 @@ uint64_t NowUnixMillis() {
           .count());
 }
 
-// CPU time consumed by the whole process: overlapping phases each see the
-// process total, which is the honest number when workers serve a phase.
-uint64_t ProcessCpuMicros() {
-  struct timespec ts;
-  if (clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts) != 0) return 0;
-  return static_cast<uint64_t>(ts.tv_sec) * 1000000u +
-         static_cast<uint64_t>(ts.tv_nsec) / 1000u;
-}
-
-// Completed phases fold into one aggregate per name so repeated phases
-// (bench reps, serving queries that select seeds) cost bounded memory.
-struct PhaseAgg {
-  uint64_t instances = 0;
-  uint64_t units_done = 0;
-  uint64_t units_total = 0;
-  uint64_t wall_us = 0;
-  uint64_t cpu_us = 0;
-};
-
 struct EngineState {
   std::mutex mu;
   std::condition_variable cv;
-  std::vector<ProgressPhase::State*> active;  // creation order
-  std::map<std::string, PhaseAgg> completed;
   std::deque<std::string> recent;  // last kRecentLines heartbeat lines
   uint64_t heartbeats = 0;
   // Reporter thread state.
@@ -95,13 +61,13 @@ void EmitHeartbeat(EngineState* e) {
   uint64_t total = 0;
   double rate = 0.0;
   double eta_s = -1.0;
-  if (!e->active.empty()) {
-    const ProgressPhase::State* s = e->active.back();  // innermost
-    phase = s->name;
-    done = s->done.load(std::memory_order_relaxed);
-    total = s->total.load(std::memory_order_relaxed);
-    const double phase_seconds =
-        static_cast<double>(NowSteadyMicros() - s->start_steady_us) / 1e6;
+  const std::vector<SpanStats> open = OpenPhaseSpans();
+  if (!open.empty()) {
+    const SpanStats& s = open.back();  // innermost
+    phase = s.name.c_str();
+    done = s.units_done;
+    total = s.units_total;
+    const double phase_seconds = s.TotalSeconds();
     if (phase_seconds > 0.0) rate = static_cast<double>(done) / phase_seconds;
     if (rate > 0.0 && total > done) {
       eta_s = static_cast<double>(total - done) / rate;
@@ -159,46 +125,6 @@ void ReporterMain() {
 
 }  // namespace
 
-ProgressPhase::ProgressPhase(const char* name, uint64_t total_units)
-    : state_(new State) {
-  state_->name = name;
-  state_->total.store(total_units, std::memory_order_relaxed);
-  state_->start_steady_us = NowSteadyMicros();
-  state_->start_cpu_us = ProcessCpuMicros();
-  {
-    EngineState& e = Engine();
-    std::lock_guard<std::mutex> lock(e.mu);
-    e.active.push_back(state_);
-  }
-  prev_pool_phase_ = SetCurrentPoolPhase(name);
-}
-
-ProgressPhase::~ProgressPhase() {
-  SetCurrentPoolPhase(prev_pool_phase_);
-  const uint64_t wall_us = NowSteadyMicros() - state_->start_steady_us;
-  const uint64_t cpu_us = ProcessCpuMicros() - state_->start_cpu_us;
-  {
-    EngineState& e = Engine();
-    std::lock_guard<std::mutex> lock(e.mu);
-    e.active.erase(std::find(e.active.begin(), e.active.end(), state_));
-    PhaseAgg& agg = e.completed[state_->name];
-    ++agg.instances;
-    agg.units_done += state_->done.load(std::memory_order_relaxed);
-    agg.units_total += state_->total.load(std::memory_order_relaxed);
-    agg.wall_us += wall_us;
-    agg.cpu_us += cpu_us;
-  }
-  delete state_;
-}
-
-void ProgressPhase::Tick(uint64_t delta) {
-  state_->done.fetch_add(delta, std::memory_order_relaxed);
-}
-
-void ProgressPhase::SetDone(uint64_t done) {
-  state_->done.store(done, std::memory_order_relaxed);
-}
-
 bool StartProgressReporting(const ProgressOptions& options) {
   EngineState& e = Engine();
   std::lock_guard<std::mutex> lock(e.mu);
@@ -231,34 +157,6 @@ void StopProgressReporting() {
   reporter.join();
 }
 
-std::vector<ProgressPhaseSnapshot> ProgressPhases() {
-  std::vector<ProgressPhaseSnapshot> out;
-  EngineState& e = Engine();
-  std::lock_guard<std::mutex> lock(e.mu);
-  for (const auto& [name, agg] : e.completed) {
-    ProgressPhaseSnapshot snap;
-    snap.name = name;
-    snap.instances = agg.instances;
-    snap.units_done = agg.units_done;
-    snap.units_total = agg.units_total;
-    snap.wall_us = agg.wall_us;
-    snap.cpu_us = agg.cpu_us;
-    out.push_back(std::move(snap));
-  }
-  for (const ProgressPhase::State* s : e.active) {
-    ProgressPhaseSnapshot snap;
-    snap.name = s->name;
-    snap.instances = 1;
-    snap.units_done = s->done.load(std::memory_order_relaxed);
-    snap.units_total = s->total.load(std::memory_order_relaxed);
-    snap.wall_us = NowSteadyMicros() - s->start_steady_us;
-    snap.cpu_us = ProcessCpuMicros() - s->start_cpu_us;
-    snap.active = true;
-    out.push_back(std::move(snap));
-  }
-  return out;
-}
-
 uint64_t ProgressHeartbeatsEmitted() {
   EngineState& e = Engine();
   std::lock_guard<std::mutex> lock(e.mu);
@@ -269,13 +167,6 @@ std::vector<std::string> RecentHeartbeatLines() {
   EngineState& e = Engine();
   std::lock_guard<std::mutex> lock(e.mu);
   return {e.recent.begin(), e.recent.end()};
-}
-
-void ResetProgressForTest() {
-  EngineState& e = Engine();
-  std::lock_guard<std::mutex> lock(e.mu);
-  e.completed.clear();
-  e.recent.clear();
 }
 
 }  // namespace ipin::obs

@@ -207,9 +207,11 @@ TEST(CelfTest, HeapifiedQueueKeepsTieOrder) {
     }
   }
   const SetCoverageOracle oracle(std::move(sets));
+#ifndef IPIN_OBS_DISABLED
   obs::Counter* reinserts =
       obs::MetricsRegistry::Global().GetCounter("im.celf.heap_reinserts");
   const uint64_t before = reinserts->Value();
+#endif
   const SeedSelection celf = SelectSeedsCelf(oracle, 40);
   const std::vector<NodeId> want_seeds = {
       1,  2,  3,  7,  11, 15, 19, 5,  6,  9,  10, 13, 14, 17,

@@ -1,15 +1,18 @@
-// Progress/heartbeat engine coverage: phase aggregation, heartbeat
-// monotonicity under a multi-threaded workload, reporter lifecycle, and
-// the per-phase pool tagging handshake. The substantive tests compile out
-// together with the engine under IPIN_OBS_DISABLED; the no-op contract is
-// asserted instead so the suite still runs in that configuration.
+// Phase-span coverage: one span per batch phase feeds the span tree, the
+// trace histograms, the pool profiles, the run ledger and the heartbeat
+// reporter. Cases: unit aggregation by path, one record agreeing across
+// every output, heartbeat monotonicity under a multi-threaded workload,
+// heartbeats naming the innermost phase, reporter lifecycle, and pool
+// tagging. The substantive tests compile out together with the reporter
+// under IPIN_OBS_DISABLED; the PhaseSpan stub's no-op contract is asserted
+// instead so the suite still runs in that configuration.
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -19,7 +22,10 @@
 #include "ipin/common/json.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/thread_pool.h"
+#include "ipin/obs/ledger.h"
+#include "ipin/obs/metrics.h"
 #include "ipin/obs/progress.h"
+#include "ipin/obs/trace.h"
 
 namespace ipin::obs {
 namespace {
@@ -45,11 +51,11 @@ class ProgressTest : public ::testing::Test {
                 std::to_string(reinterpret_cast<uintptr_t>(this)) + ".jsonl";
     fs::remove(out_path_);
     StopProgressReporting();  // in case a previous test leaked a reporter
-    ResetProgressForTest();
+    ResetSpanTreeForTest();
   }
   void TearDown() override {
     StopProgressReporting();
-    ResetProgressForTest();
+    ResetSpanTreeForTest();
     fs::remove(out_path_);
   }
 
@@ -67,45 +73,137 @@ class ProgressTest : public ::testing::Test {
 
 #ifndef IPIN_OBS_DISABLED
 
-const ProgressPhaseSnapshot* FindPhase(
-    const std::vector<ProgressPhaseSnapshot>& phases, const std::string& name,
-    bool active) {
-  for (const ProgressPhaseSnapshot& p : phases) {
-    if (p.name == name && p.active == active) return &p;
+const SpanStats* FindSpan(const std::vector<SpanStats>& spans,
+                          const std::string& path) {
+  for (const SpanStats& s : spans) {
+    if (s.path == path) return &s;
   }
   return nullptr;
 }
 
-TEST_F(ProgressTest, CompletedPhasesAggregateByName) {
+TEST_F(ProgressTest, PhaseSpansAggregateByPath) {
   for (int i = 0; i < 3; ++i) {
-    ProgressPhase phase("test.aggregate", 10);
+    PhaseSpan phase("test.aggregate", 10);
     phase.Tick(4);
     phase.Tick(6);
   }
   {
-    ProgressPhase other("test.other", 0);
+    PhaseSpan other("test.other", 0);
     other.SetDone(7);
     other.SetDone(5);  // SetDone is absolute, last write wins
+    // A busy interval, so the span's process CPU time cannot read zero.
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::milliseconds(3);
+    while (std::chrono::steady_clock::now() < until) {
+    }
 
-    const auto live = ProgressPhases();
-    const ProgressPhaseSnapshot* active = FindPhase(live, "test.other", true);
+    const auto live = OpenPhaseSpans();
+    const SpanStats* active = FindSpan(live, "test.other");
     ASSERT_NE(active, nullptr);
+    EXPECT_TRUE(active->active);
     EXPECT_EQ(active->units_done, 5u);
     EXPECT_EQ(active->units_total, 0u);
   }
 
-  const auto phases = ProgressPhases();
-  const ProgressPhaseSnapshot* agg =
-      FindPhase(phases, "test.aggregate", false);
+  const auto spans = SpanTreeSnapshot();
+  const SpanStats* agg = FindSpan(spans, "test.aggregate");
   ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->instances, 3u);
+  EXPECT_EQ(agg->calls, 3u);
   EXPECT_EQ(agg->units_done, 30u);
   EXPECT_EQ(agg->units_total, 30u);
-  const ProgressPhaseSnapshot* other = FindPhase(phases, "test.other", false);
+  EXPECT_FALSE(agg->active);
+  const SpanStats* other = FindSpan(spans, "test.other");
   ASSERT_NE(other, nullptr);
-  EXPECT_EQ(other->instances, 1u);
+  EXPECT_EQ(other->calls, 1u);
   EXPECT_EQ(other->units_done, 5u);
-  EXPECT_EQ(FindPhase(phases, "test.other", true), nullptr);
+  EXPECT_GT(other->cpu_ns, 0u);
+  EXPECT_EQ(FindSpan(OpenPhaseSpans(), "test.other"), nullptr);
+}
+
+TEST_F(ProgressTest, OnePhaseRecordFeedsEveryOutput) {
+  GlobalThreadsGuard threads(4);
+  ResetPoolPhaseProfiles();
+  Histogram* hist =
+      MetricsRegistry::Global().GetHistogram("trace.test.one_record.us");
+  const uint64_t hist_before = hist->Count();
+  const std::string ledger_dir =
+      ::testing::TempDir() + "/ipin_progress_ledger_" +
+      std::to_string(reinterpret_cast<uintptr_t>(this));
+  fs::remove_all(ledger_dir);
+  RunLedger& ledger = RunLedger::Global();
+  ledger.Begin({ledger_dir, "test_progress", "one_record", ""});
+
+  constexpr size_t kItems = 256;
+  {
+    PhaseSpan phase("test.one_record", kItems);
+    ParallelFor(size_t{0}, kItems, size_t{16}, [&](size_t lo, size_t hi) {
+      TraceSpan chunk("test.one_record.chunk");
+      phase.Tick(hi - lo);
+    });
+  }
+  const std::string ledger_path = ledger.Finish(0);
+  ASSERT_FALSE(ledger_path.empty());
+
+  // The span tree: one call, every unit.
+  const std::vector<SpanStats> spans = SpanTreeSnapshot();
+  const SpanStats* phase = FindSpan(spans, "test.one_record");
+  ASSERT_NE(phase, nullptr);
+  EXPECT_EQ(phase->calls, 1u);
+  EXPECT_EQ(phase->units_done, kItems);
+  EXPECT_EQ(phase->units_total, kItems);
+  // The nested chunk spans: children on the calling thread, roots on the
+  // workers (nesting is per thread).
+  uint64_t chunk_calls = 0;
+  for (const SpanStats& s : spans) {
+    if (s.name == "test.one_record.chunk") chunk_calls += s.calls;
+  }
+
+  // The histogram saw the same one call.
+  EXPECT_EQ(hist->Count() - hist_before, 1u);
+
+  // The pool profile under the span's name ran one task per chunk span,
+  // inside the span's wall time.
+  const PoolPhaseProfile* profile = nullptr;
+  const std::vector<PoolPhaseProfile> profiles = PoolPhaseProfiles();
+  for (const PoolPhaseProfile& p : profiles) {
+    if (p.name == "test.one_record") profile = &p;
+  }
+  ASSERT_NE(profile, nullptr);
+  EXPECT_GT(profile->tasks, 1u);
+  EXPECT_EQ(profile->tasks, chunk_calls);
+  EXPECT_LE(profile->wall_us, phase->total_ns / 1000u + 1);  // us rounding
+
+  // The ledger's activity frame carries the same record.
+  const LedgerLoadResult loaded = LoadRunLedger(ledger_path);
+  ASSERT_EQ(loaded.status, LedgerLoadStatus::kOk);
+  const JsonValue* phases = loaded.doc.Find("phases");
+  ASSERT_NE(phases, nullptr);
+  const JsonValue* entry = nullptr;
+  for (const JsonValue& p : phases->array_items()) {
+    if (p.FindString("name", "") == "test.one_record") entry = &p;
+  }
+  ASSERT_NE(entry, nullptr);
+  EXPECT_EQ(entry->FindNumber("instances", 0.0), 1.0);
+  EXPECT_EQ(entry->FindNumber("units_done", 0.0),
+            static_cast<double>(kItems));
+  EXPECT_EQ(entry->FindNumber("units_total", 0.0),
+            static_cast<double>(kItems));
+  EXPECT_EQ(entry->FindNumber("wall_us", 0.0),
+            static_cast<double>(phase->total_ns / 1000u));
+  EXPECT_EQ(entry->FindNumber("cpu_us", 0.0),
+            static_cast<double>(phase->cpu_ns / 1000u));
+  const JsonValue* pool = loaded.doc.Find("pool");
+  ASSERT_NE(pool, nullptr);
+  const JsonValue* pool_entry = nullptr;
+  for (const JsonValue& p : pool->Find("phases")->array_items()) {
+    if (p.FindString("name", "") == "test.one_record") pool_entry = &p;
+  }
+  ASSERT_NE(pool_entry, nullptr);
+  EXPECT_EQ(pool_entry->FindNumber("tasks", 0.0),
+            static_cast<double>(chunk_calls));
+
+  fs::remove_all(ledger_dir);
+  ResetPoolPhaseProfiles();
 }
 
 TEST_F(ProgressTest, HeartbeatsAreMonotoneUnderThreadedTicking) {
@@ -117,7 +215,7 @@ TEST_F(ProgressTest, HeartbeatsAreMonotoneUnderThreadedTicking) {
 
   const uint64_t before = ProgressHeartbeatsEmitted();
   {
-    ProgressPhase phase("test.threaded", 4000);
+    PhaseSpan phase("test.threaded", 4000);
     ParallelFor(size_t{0}, size_t{4000}, size_t{64},
                 [&](size_t lo, size_t hi) {
       for (size_t i = lo; i < hi; ++i) {
@@ -163,6 +261,50 @@ TEST_F(ProgressTest, HeartbeatsAreMonotoneUnderThreadedTicking) {
   EXPECT_FALSE(RecentHeartbeatLines().empty());
 }
 
+// The first heartbeat emitted after the call, parsed; nullopt after 5 s.
+std::optional<JsonValue> NextHeartbeat() {
+  const double seen = static_cast<double>(ProgressHeartbeatsEmitted());
+  for (int attempt = 0; attempt < 5000; ++attempt) {
+    for (const std::string& line : RecentHeartbeatLines()) {
+      auto doc = JsonValue::Parse(line);
+      if (doc.has_value() && doc->FindNumber("seq", 0.0) > seen) return doc;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return std::nullopt;
+}
+
+TEST_F(ProgressTest, HeartbeatsNameTheInnermostPhaseSpan) {
+  ProgressOptions options;
+  options.interval_ms = 2;
+  ASSERT_TRUE(StartProgressReporting(options));
+  {
+    PhaseSpan outer("test.hb_outer", 3);
+    outer.Tick();
+    {
+      TraceSpan plain("test.hb_plain");  // no units: never named
+      {
+        PhaseSpan inner("test.hb_inner", 5);
+        inner.Tick(2);
+        const auto beat = NextHeartbeat();
+        ASSERT_TRUE(beat.has_value());
+        EXPECT_EQ(beat->FindString("phase", ""), "test.hb_inner");
+        EXPECT_EQ(beat->FindNumber("units_done", 0.0), 2.0);
+        EXPECT_EQ(beat->FindNumber("units_total", 0.0), 5.0);
+      }
+      const auto beat = NextHeartbeat();
+      ASSERT_TRUE(beat.has_value());
+      EXPECT_EQ(beat->FindString("phase", ""), "test.hb_outer");
+      EXPECT_EQ(beat->FindNumber("units_done", 0.0), 1.0);
+      EXPECT_EQ(beat->FindNumber("units_total", 0.0), 3.0);
+    }
+  }
+  const auto beat = NextHeartbeat();
+  ASSERT_TRUE(beat.has_value());
+  EXPECT_EQ(beat->FindString("phase", ""), "idle");
+  StopProgressReporting();
+}
+
 TEST_F(ProgressTest, ReporterLifecycle) {
   ProgressOptions options;
   options.interval_ms = 50;
@@ -181,11 +323,12 @@ TEST_F(ProgressTest, ReporterLifecycle) {
   StopProgressReporting();
 }
 
-TEST_F(ProgressTest, PhaseTagsPoolSections) {
+TEST_F(ProgressTest, SpanTagsPoolSections) {
   GlobalThreadsGuard threads(2);
   ResetPoolPhaseProfiles();
+  const char* const untagged = CurrentPoolPhase();
   {
-    ProgressPhase phase("test.pooltag", 64);
+    PhaseSpan phase("test.pooltag", 64);
     std::atomic<uint64_t> sink{0};
     ParallelFor(size_t{0}, size_t{64}, size_t{8}, [&](size_t lo, size_t hi) {
       uint64_t local = 0;
@@ -194,7 +337,13 @@ TEST_F(ProgressTest, PhaseTagsPoolSections) {
       phase.Tick(hi - lo);
     });
     EXPECT_GT(sink.load(), 0u);
+    {
+      TraceSpan nested("test.pooltag.nested");
+      EXPECT_STREQ(CurrentPoolPhase(), "test.pooltag.nested");
+    }
+    EXPECT_STREQ(CurrentPoolPhase(), "test.pooltag");  // restored on close
   }
+  EXPECT_EQ(CurrentPoolPhase(), untagged);
   bool found = false;
   for (const PoolPhaseProfile& profile : PoolPhaseProfiles()) {
     if (profile.name == "test.pooltag") {
@@ -211,10 +360,14 @@ TEST_F(ProgressTest, PhaseTagsPoolSections) {
 #else  // IPIN_OBS_DISABLED
 
 TEST_F(ProgressTest, DisabledModeIsInert) {
-  ProgressPhase phase("test.noop", 10);
-  phase.Tick(3);
-  phase.SetDone(5);
-  EXPECT_TRUE(ProgressPhases().empty());
+  {
+    PhaseSpan phase("test.noop", 10);
+    phase.Tick(3);
+    phase.SetDone(5);
+    EXPECT_TRUE(OpenPhaseSpans().empty());
+    EXPECT_EQ(CurrentPoolPhase(), nullptr);
+  }
+  EXPECT_TRUE(SpanTreeSnapshot().empty());
   ProgressOptions options;
   options.out_path = out_path_;
   EXPECT_FALSE(StartProgressReporting(options));

@@ -9,12 +9,14 @@
 //   ipin_runs diff <A> <B> [--threshold=0.10] [--quiet]
 //
 // `diff` compares run B against baseline A: total wall seconds and the
-// wall time of every phase present in both, plus pool utilization.
+// wall time of every phase (span path) present in both, plus pool
+// utilization.
 // Exit codes (mirroring bench_compare): 0 = within threshold, 1 = at least
 // one timing regressed by more than --threshold (B slower than A), 2 =
 // usage error or unusable ledger. Negative ratios are reported as
 // speedups; only slowdowns can fail the gate.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <map>
@@ -69,7 +71,17 @@ bool LoadOrComplain(const std::string& path, obs::LedgerLoadResult* out) {
   return true;
 }
 
-// phase name -> wall_us from the activity section (completed aggregates).
+// Width of a table's name column: the longest "name", and at least
+// `min_width`, so long span paths keep the columns aligned.
+int NameWidth(const std::vector<JsonValue>& items, size_t min_width) {
+  size_t width = min_width;
+  for (const JsonValue& item : items) {
+    width = std::max(width, item.FindString("name", "?").size());
+  }
+  return static_cast<int>(width);
+}
+
+// span path -> wall_us from the activity section's phases.
 std::map<std::string, double> PhaseWalls(const JsonValue& doc) {
   std::map<std::string, double> walls;
   const JsonValue* phases = doc.Find("phases");
@@ -187,12 +199,13 @@ int CmdShow(const std::string& path) {
       phases != nullptr && phases->is_array() &&
       !phases->array_items().empty()) {
     std::printf("\n# phases\n");
-    std::printf("%-28s %10s %12s %12s %12s\n", "phase", "wall_ms",
+    const int width = NameWidth(phases->array_items(), 28);
+    std::printf("%-*s %10s %12s %12s %12s\n", width, "phase", "wall_ms",
                 "cpu_ms", "units", "units/s");
     for (const JsonValue& p : phases->array_items()) {
       const double wall_us = p.FindNumber("wall_us", 0.0);
       const double units = p.FindNumber("units_done", 0.0);
-      std::printf("%-28s %10.1f %12.1f %12.0f %12.0f\n",
+      std::printf("%-*s %10.1f %12.1f %12.0f %12.0f\n", width,
                   p.FindString("name", "?").c_str(), wall_us / 1000.0,
                   p.FindNumber("cpu_us", 0.0) / 1000.0, units,
                   wall_us > 0 ? units / (wall_us / 1e6) : 0.0);
@@ -205,10 +218,11 @@ int CmdShow(const std::string& path) {
         !phases->array_items().empty()) {
       std::printf("\n# pool (%d threads)\n",
                   static_cast<int>(pool->FindNumber("threads", 0.0)));
-      std::printf("%-28s %8s %10s %10s %10s %6s\n", "phase", "tasks",
+      const int width = NameWidth(phases->array_items(), 28);
+      std::printf("%-*s %8s %10s %10s %10s %6s\n", width, "phase", "tasks",
                   "busy_ms", "wall_ms", "imbal", "util");
       for (const JsonValue& p : phases->array_items()) {
-        std::printf("%-28s %8.0f %10.1f %10.1f %10.2f %6.2f\n",
+        std::printf("%-*s %8.0f %10.1f %10.1f %10.2f %6.2f\n", width,
                     p.FindString("name", "?").c_str(),
                     p.FindNumber("tasks", 0.0),
                     p.FindNumber("busy_us", 0.0) / 1000.0,
@@ -263,6 +277,8 @@ int CmdDiff(const FlagMap& flags) {
     if (base_walls.count(name) == 0) ++unshared;
   }
 
+  size_t width = 36;
+  for (const DiffRow& row : rows) width = std::max(width, row.name.size());
   if (!quiet) {
     std::printf("baseline:  %s (%s, threads %d)\n", base_path.c_str(),
                 base.doc.FindString("outcome", "?").c_str(),
@@ -276,8 +292,8 @@ int CmdDiff(const FlagMap& flags) {
                                      ? cand.doc.Find("provenance")
                                            ->FindNumber("threads", 0.0)
                                      : 0.0));
-    std::printf("%-36s %12s %12s %9s %9s\n", "timing", "base_s", "cand_s",
-                "delta", "speedup");
+    std::printf("%-*s %12s %12s %9s %9s\n", static_cast<int>(width),
+                "timing", "base_s", "cand_s", "delta", "speedup");
   }
 
   int rc = 0;
@@ -288,9 +304,10 @@ int CmdDiff(const FlagMap& flags) {
     const bool regressed = row.base > 0 && delta > threshold;
     if (regressed) rc = 1;
     if (!quiet) {
-      std::printf("%-36s %12.4f %12.4f %+8.1f%% %8.2fx%s\n",
-                  row.name.c_str(), row.base, row.candidate, delta * 100.0,
-                  speedup, regressed ? "  REGRESSED" : "");
+      std::printf("%-*s %12.4f %12.4f %+8.1f%% %8.2fx%s\n",
+                  static_cast<int>(width), row.name.c_str(), row.base,
+                  row.candidate, delta * 100.0, speedup,
+                  regressed ? "  REGRESSED" : "");
     }
   }
   if (!quiet) {
