@@ -305,6 +305,38 @@ void BM_KernelRowCheckDispatched(benchmark::State& state) {
 }
 BENCHMARK(BM_KernelRowCheckDispatched)->Arg(9)->Arg(12);
 
+// The row unpack a load runs on every packed row of an index file: one
+// production-shaped row, stored as 4-bit offsets from base 1 (geometric
+// ranks, so some exceed 15 and wrap; the unpack's cost does not depend on
+// the values), unpacked back to one byte per cell.
+void RunUnpackRow(benchmark::State& state, const kernels::KernelOps& ops) {
+  const size_t beta = size_t{1} << static_cast<int>(state.range(0));
+  const auto ranks = RandomRankRows(beta, 1)[0];
+  std::vector<uint8_t> nibbles(beta / 2);
+  for (size_t j = 0; j < beta / 2; ++j) {
+    nibbles[j] = static_cast<uint8_t>(((ranks[2 * j] - 1) & 0x0f) |
+                                      (((ranks[2 * j + 1] - 1) & 0x0f) << 4));
+  }
+  std::vector<uint8_t> row(beta);
+  for (auto _ : state) {
+    ops.unpack_row(nibbles.data(), 1, beta, row.data());
+    benchmark::DoNotOptimize(row.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(beta));
+}
+
+void BM_KernelUnpackRowScalar(benchmark::State& state) {
+  RunUnpackRow(state, *kernels::KernelsFor(kernels::SimdTarget::kScalar));
+}
+BENCHMARK(BM_KernelUnpackRowScalar)->Arg(9)->Arg(12);
+
+void BM_KernelUnpackRowDispatched(benchmark::State& state) {
+  state.SetLabel(kernels::SimdTargetName(kernels::DispatchedTarget()));
+  RunUnpackRow(state, kernels::Dispatched());
+}
+BENCHMARK(BM_KernelUnpackRowDispatched)->Arg(9)->Arg(12);
+
 void BM_BottomKAdd(benchmark::State& state) {
   BottomK sketch(static_cast<size_t>(state.range(0)));
   Rng rng(7);

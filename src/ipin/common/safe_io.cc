@@ -506,21 +506,4 @@ FrameStatus SafeFileReader::ReadFrame(std::string_view* payload) {
   return FrameStatus::kOk;
 }
 
-std::vector<uint32_t> SafeFileReader::PeekFrameLengths(
-    size_t max_frames) const {
-  std::vector<uint32_t> lengths;
-  if (exhausted_) return lengths;
-  lengths.reserve(std::min(max_frames, remaining() / kFrameHeaderSize));
-  size_t offset = offset_;
-  uint32_t payload_len = 0;
-  uint32_t payload_crc = 0;
-  while (lengths.size() < max_frames &&
-         ReadFrameHeader(fd_, file_size_, offset, &payload_len,
-                         &payload_crc) == FrameStatus::kOk) {
-    lengths.push_back(payload_len);
-    offset += kFrameHeaderSize + payload_len;
-  }
-  return lengths;
-}
-
 }  // namespace ipin

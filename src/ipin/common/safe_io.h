@@ -6,7 +6,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 // Crash-safe, checksummed file persistence. Every file written through this
 // layer is:
@@ -151,13 +150,6 @@ class SafeFileReader {
 
   /// True while later frames are still reachable after a kCorrupt frame.
   bool CanContinue() const { return !exhausted_; }
-
-  /// The payload lengths of the next `max_frames` frames, read from their
-  /// 12-byte headers alone: no payload is read and the next ReadFrame is
-  /// unmoved. Stops early where ReadFrame would stop for good: at the end of
-  /// the file, a short frame header, a header whose CRC fails, or a length
-  /// past the file's end.
-  std::vector<uint32_t> PeekFrameLengths(size_t max_frames) const;
 
  private:
   void Close();

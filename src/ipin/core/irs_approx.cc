@@ -284,6 +284,7 @@ std::vector<PartStore::Form> IrsApprox::ScannedForms(
 }
 
 void IrsApprox::Finish() {
+  IPIN_TRACE_SPAN("irs.approx.finish");
   const std::vector<PartStore>& stores = build_->stores;
   for (const PartStore& store : stores) {
     tallies_.insert_attempts += store.tallies().insert_attempts;

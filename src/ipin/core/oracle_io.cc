@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <optional>
-#include <vector>
+#include <span>
 
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
@@ -13,6 +13,7 @@
 #include "ipin/obs/memtally.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/trace.h"
+#include "ipin/sketch/part_store.h"
 
 namespace ipin {
 namespace {
@@ -24,19 +25,25 @@ obs::MemoryTally& OracleIoMemTally() {
   return tally;
 }
 
-// Framed (safe_io) format: file type tag "IIDX", version 5.
+// Framed (safe_io) format: file type tag "IIDX", version 6.
 //   frame 0: i64 window, u8 precision, u64 salt, u64 num_nodes,
-//            u32 chunk_size
+//            u32 chunk_size, u64 present (the rows the file holds)
 //   frame k: the chunk of nodes [(k - 1) * chunk_size, k * chunk_size):
 //            u64 first_node, u32 count, u8 present[count],
-//            u32 entries[present], u8 rows[present x beta] — for each
-//            present node, in node order, the pairs its build sketch held
-//            and its max-rank row.
+//            u32 entries[present], then for each present node, in node
+//            order, its max-rank row in one of two forms:
+//              packed: u8 base (the row's least rank), u8 nibbles[beta / 2]
+//                      (cell 2j's rank - base in byte j's low half, cell
+//                      2j + 1's in its high half);
+//              raw:    u8 kRawRow, u8 ranks[beta] — only for a row whose
+//                      ranks span more than 15.
 // Chunks cover [0, num_nodes) in order, kChunkSize nodes each, so a dropped
 // frame loses exactly one known slice of nodes.
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX" little-endian
-constexpr uint32_t kIndexFormatVersion = 5;
+constexpr uint32_t kIndexFormatVersion = 6;
 constexpr uint32_t kChunkSize = 256;
+// The base byte of a raw row. No rank reaches it (VhllMaxRank < 64).
+constexpr uint8_t kRawRow = 0xff;
 
 template <typename T>
 void AppendRaw(std::string* out, T value) {
@@ -57,6 +64,7 @@ struct IndexHeader {
   uint64_t salt = 0;
   uint64_t num_nodes = 0;
   uint32_t chunk_size = 0;
+  uint64_t present = 0;
 
   uint64_t num_sections() const {
     return num_nodes / chunk_size + (num_nodes % chunk_size != 0 ? 1 : 0);
@@ -69,7 +77,8 @@ bool ParseIndexHeader(std::string_view payload, IndexHeader* header) {
       !ReadRaw(payload, &offset, &header->precision) ||
       !ReadRaw(payload, &offset, &header->salt) ||
       !ReadRaw(payload, &offset, &header->num_nodes) ||
-      !ReadRaw(payload, &offset, &header->chunk_size)) {
+      !ReadRaw(payload, &offset, &header->chunk_size) ||
+      !ReadRaw(payload, &offset, &header->present)) {
     return false;
   }
   return offset == payload.size() && header->window >= 1 &&
@@ -83,6 +92,10 @@ constexpr size_t kChunkPrefixBytes = sizeof(uint64_t) + sizeof(uint32_t);
 // plus the chunk's prefix.
 constexpr uint64_t kMinChunkFrameBytes = 12 + kChunkPrefixBytes;
 
+// The least a present row costs in a chunk: its present flag, its entry
+// count, and a packed row (a base byte and beta / 2 bytes of nibbles).
+size_t MinRowBytes(size_t beta) { return 1 + sizeof(uint32_t) + 1 + beta / 2; }
+
 // A header is checked against the file before anything is sized by
 // num_nodes. Every chunk frame costs at least kMinChunkFrameBytes (a
 // CRC-valid torn chunk may be no longer than that), and no chunk covers
@@ -94,6 +107,39 @@ bool HeaderFitsFile(const IndexHeader& header, size_t remaining) {
          header.num_sections() <= remaining / kMinChunkFrameBytes;
 }
 
+// The rows the arena reserves: the header's present count, bounded by the
+// nodes and by the rows the `remaining` file bytes can hold. A cut or torn
+// file holds fewer rows than its header says, and a forged count sizes no
+// more than the file could fill; a chunk whose rows overflow the
+// reservation fails to place (SketchArena::Append) and is dropped.
+size_t ArenaSlots(const IndexHeader& header, size_t remaining) {
+  const size_t beta = size_t{1} << header.precision;
+  return static_cast<size_t>(std::min<uint64_t>(
+      {header.present, header.num_nodes, remaining / MinRowBytes(beta)}));
+}
+
+// Writes `row` (beta ranks) at `out` in its file form, packed if its ranks
+// span at most 15, else raw. Returns the bytes written.
+size_t EncodeRow(std::span<const uint8_t> row, uint8_t* out) {
+  uint8_t lo = kRawRow;
+  uint8_t hi = 0;
+  for (const uint8_t r : row) {
+    lo = std::min(lo, r);
+    hi = std::max(hi, r);
+  }
+  if (hi - lo > 15) {
+    out[0] = kRawRow;
+    std::memcpy(out + 1, row.data(), row.size());
+    return 1 + row.size();
+  }
+  out[0] = lo;
+  for (size_t j = 0; j < row.size() / 2; ++j) {
+    out[1 + j] = static_cast<uint8_t>((row[2 * j] - lo) |
+                                      ((row[2 * j + 1] - lo) << 4));
+  }
+  return 1 + row.size() / 2;
+}
+
 // Writes the chunk of nodes [first, first + count) of `index` into *buffer
 // (grown, never shrunk). Returns the payload's length.
 size_t EncodeChunk(const IrsApprox& index, uint64_t first, uint32_t count,
@@ -103,15 +149,16 @@ size_t EncodeChunk(const IrsApprox& index, uint64_t first, uint32_t count,
   const NodeId lo = static_cast<NodeId>(first);
   size_t present = 0;
   for (NodeId u = lo; u < lo + count; ++u) present += arena.has_node(u);
-  const size_t size =
-      kChunkPrefixBytes + count + present * (sizeof(uint32_t) + beta);
-  if (buffer->size() < size) buffer->resize(size);
-  char* out = buffer->data();
+  // Room for every row raw; packed rows use about half of theirs.
+  const size_t most =
+      kChunkPrefixBytes + count + present * (sizeof(uint32_t) + 1 + beta);
+  if (buffer->size() < most) buffer->resize(most);
+  auto* out = reinterpret_cast<uint8_t*>(buffer->data());
   std::memcpy(out, &first, sizeof(first));
   std::memcpy(out + sizeof(first), &count, sizeof(count));
-  char* flags = out + kChunkPrefixBytes;
-  char* entries = flags + count;
-  char* rows = entries + present * sizeof(uint32_t);
+  uint8_t* flags = out + kChunkPrefixBytes;
+  uint8_t* entries = flags + count;
+  uint8_t* rows = entries + present * sizeof(uint32_t);
   for (uint32_t i = 0; i < count; ++i) {
     const NodeId u = lo + i;
     flags[i] = arena.has_node(u) ? 1 : 0;
@@ -119,10 +166,9 @@ size_t EncodeChunk(const IrsApprox& index, uint64_t first, uint32_t count,
     const auto n = static_cast<uint32_t>(arena.NodeNumEntries(u));
     std::memcpy(entries, &n, sizeof(n));
     entries += sizeof(n);
-    std::memcpy(rows, arena.rank_row(u).data(), beta);
-    rows += beta;
+    rows += EncodeRow(arena.rank_row(u), rows);
   }
-  return size;
+  return static_cast<size_t>(rows - out);
 }
 
 // A chunk frame cut into its sections: present flags, entry counts and
@@ -133,11 +179,13 @@ struct Chunk {
   const uint8_t* present = nullptr;
   const uint8_t* entries = nullptr;
   const uint8_t* rows = nullptr;
+  const uint8_t* end = nullptr;  // one past the payload's last byte
 };
 
 // Measuring is arithmetic: the chunk must cover exactly [first, first +
-// count), every present byte be 0 or 1, and the payload be exactly
-// 12 + count + present x (4 + beta) bytes.
+// count), every present byte be 0 or 1, and the payload hold at least
+// the entry counts and a packed row for each present node. Whether the rows
+// fill the rest exactly is known once PlaceChunk has walked them.
 bool MeasureChunk(std::string_view payload, size_t beta, uint64_t first,
                   uint32_t count, Chunk* chunk) {
   size_t offset = 0;
@@ -157,46 +205,53 @@ bool MeasureChunk(std::string_view payload, size_t beta, uint64_t first,
     sketches += present[i];
   }
   offset += count;
+  // The present flags are read; each row still costs the rest.
   if (flags > 1 ||
-      payload.size() - offset != sketches * (sizeof(uint32_t) + beta)) {
+      sketches > (payload.size() - offset) / (MinRowBytes(beta) - 1)) {
     return false;
   }
-  *chunk = {first, count, present, bytes + offset,
-            bytes + offset + sketches * sizeof(uint32_t)};
+  *chunk = {first,
+            count,
+            present,
+            bytes + offset,
+            bytes + offset + sketches * sizeof(uint32_t),
+            bytes + payload.size()};
   return true;
 }
 
-// The rows a chunk of `count` nodes holds if its payload is `length` bytes
-// long: a valid chunk is exactly 12 + count + present x (4 + beta) bytes
-// (MeasureChunk). A length that fits no row count holds none; that chunk
-// fails MeasureChunk.
-size_t RowsInChunk(uint64_t length, size_t beta, uint32_t count) {
-  const uint64_t fixed = kChunkPrefixBytes + count;
-  const uint64_t row_bytes = sizeof(uint32_t) + beta;
-  if (length < fixed || (length - fixed) % row_bytes != 0 ||
-      (length - fixed) / row_bytes > count) {
-    return 0;
-  }
-  return (length - fixed) / row_bytes;
-}
-
-// Copies the chunk's rows into `arena`, each checked (SketchArena::Append).
-// False, with nothing appended, if one fails.
+// Decodes the chunk's rows into `arena`, each into its slot and checked
+// (SketchArena::Append, AppendUnpacked). A packed row's base must be a rank
+// a sketch can hold, and the rows must end exactly at the payload's end.
+// False, with nothing appended, if any check fails.
 bool PlaceChunk(const Chunk& chunk, SketchArena* arena) {
   const size_t beta = arena->num_cells();
+  const auto max_rank = static_cast<uint8_t>(VhllMaxRank(arena->precision()));
   const NodeId first = static_cast<NodeId>(chunk.first_node);
   const size_t mark = arena->NumAllocated();
-  size_t k = 0;
+  const uint8_t* entries = chunk.entries;
+  const uint8_t* row = chunk.rows;
   for (uint32_t i = 0; i < chunk.count; ++i) {
     if (chunk.present[i] == 0) continue;
-    uint32_t entries = 0;
-    std::memcpy(&entries, chunk.entries + k * sizeof(entries),
-                sizeof(entries));
-    if (!arena->Append(first + i, {chunk.rows + k * beta, beta}, entries)) {
+    uint32_t n = 0;
+    std::memcpy(&n, entries, sizeof(n));
+    entries += sizeof(n);
+    const size_t left = static_cast<size_t>(chunk.end - row);
+    const bool raw = left > 0 && row[0] == kRawRow;
+    const size_t size = 1 + (raw ? beta : beta / 2);
+    const bool placed =
+        left >= size &&
+        (raw ? arena->Append(first + i, {row + 1, beta}, n)
+             : row[0] <= max_rank &&
+                   arena->AppendUnpacked(first + i, row + 1, row[0], n));
+    if (!placed) {
       arena->RollBack(mark, first, first + chunk.count);
       return false;
     }
-    ++k;
+    row += size;
+  }
+  if (row != chunk.end) {
+    arena->RollBack(mark, first, first + chunk.count);
+    return false;
   }
   return true;
 }
@@ -208,6 +263,7 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
     LogError("oracle_io: injected save failure for " + path);
     return false;
   }
+  IPIN_TRACE_SPAN("index.save");
   SafeFileWriter writer(path, kIndexFileType, kIndexFormatVersion);
 
   std::string header;
@@ -216,6 +272,7 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
   AppendRaw<uint64_t>(&header, index.options().salt);
   AppendRaw<uint64_t>(&header, index.num_nodes());
   AppendRaw<uint32_t>(&header, kChunkSize);
+  AppendRaw<uint64_t>(&header, index.arena()->NumAllocated());
   if (!writer.AppendFrame(header)) return false;
 
   std::string chunk;
@@ -314,21 +371,10 @@ IndexLoadResult LoadIndex(const std::string& path) {
         std::min<uint64_t>(header.chunk_size, header.num_nodes - first));
   };
 
-  // The frame headers size the arena exactly: a chunk's length fixes its
-  // row count.
-  size_t sketches = 0;
-  {
-    IPIN_TRACE_SPAN("index.load.size");
-    const std::vector<uint32_t> lengths =
-        reader.PeekFrameLengths(result.sections_total);
-    for (size_t k = 0; k < lengths.size(); ++k) {
-      sketches += RowsInChunk(lengths[k], beta, chunk_count(k));
-    }
-  }
-
   // One pass: read, verify, measure and place each chunk in turn. A chunk
   // counts only at its documented place, so no node can be placed twice.
-  SketchArena arena(header.precision, header.salt, header.num_nodes, sketches);
+  SketchArena arena(header.precision, header.salt, header.num_nodes,
+                    ArenaSlots(header, reader.remaining()));
   {
     IPIN_TRACE_SPAN("index.load.place");
     size_t sections_read = 0;

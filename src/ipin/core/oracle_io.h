@@ -18,28 +18,45 @@
 // every chunk whose checksum and checks pass is loaded, the rest are
 // dropped and reported (robustness.index.* metrics, log warnings).
 //
-// The file (type "IIDX", version 5) holds what every query reads: each
+// The file (type "IIDX", version 6) holds what every query reads: each
 // sketch's max-rank registers. A header section (window, precision, salt,
-// num_nodes, chunk_size), then one chunk per 256 nodes: a present flag per
-// node, then for each present node its entry count (the (rank, time) pairs
-// its build sketch held) and its beta-byte max-rank row. No (rank, time)
-// list is stored, and no time. Save writes each node's arena row and entry
-// count, with or without a build store. Restore streams: it sizes the
-// arena exactly from the chunk frames' headers (a chunk's length fixes its
-// row count), then reads one frame at a time into the reader's one buffer,
-// verifies it, checks the chunk and writes its rows once into an owned rank
-// plane (SketchArena::Append). No more than one frame of the file is held
-// at a time. A chunk out of place or failing any check
-// — a present byte other than 0 or 1, a length that disagrees with its
-// counts, a rank above VersionedHll::MaxRank, or an entry count outside
-// [non-zero cells, sum of the row] — is dropped whole. No VersionedHll is
-// constructed at restore. Each load's wall time lands in the
-// robustness.index.load_ms histogram, and its stages in the
-// index.load.open, index.load.size and index.load.place trace spans.
+// num_nodes, chunk_size, and the count of present rows), then one chunk
+// per 256 nodes: a present flag per node, then for each present node its
+// entry count (the (rank, time) pairs its build sketch held), then each
+// present node's max-rank row in one of two forms:
 //
-// Files of versions 1 to 4 (per-node sketch blobs, then the arena's cell
-// lists) are no longer read: they load as kCorrupt, and the index is
-// rebuilt from its interaction log.
+//   packed  u8 base, u8 nibbles[beta / 2]: base is the row's least rank
+//           (0 if any cell is empty), and each cell holds rank - base in
+//           4 bits, cell 2j in byte j's low half;
+//   raw     u8 0xff, u8 ranks[beta]: only for a row whose ranks span more
+//           than 15.
+//
+// A rank never exceeds VhllMaxRank <= 61, and rows are geometric: on the
+// benchmark indexes no rank is above 14 and every row packs, and on
+// ladder-scale indexes (enron 1.0, us2016 0.05 at beta 512) the top rank is
+// 18-19 and 0.05-0.19% of rows are raw. So a row costs 1 + beta / 2 bytes,
+// about half its one byte per cell in the arena (the layout of Apache
+// DataSketches' HLL_4, without its exception list). No (rank, time) list
+// is stored, and no time. Save writes each node's arena row and entry
+// count, with or without a build store. Restore streams: the header's
+// present count, bounded by the rows the file's bytes could hold, sizes
+// the arena; then it reads one frame at a time into the reader's one
+// buffer, verifies it, checks the chunk and decodes its rows straight into
+// an owned rank plane (SketchArena::AppendUnpacked, the dispatched
+// unpack_row kernel, or SketchArena::Append for a raw row), each checked
+// once written. No more than one frame of the file is held at a time. A
+// chunk out of place or failing any check — a present byte other than 0 or
+// 1, rows that do not end at the payload's end, a packed base above
+// VersionedHll::MaxRank, a rank above it, or an entry count outside
+// [non-zero cells, sum of the row] — is dropped whole, and so is a chunk
+// whose rows overflow the arena. No VersionedHll is constructed at
+// restore. Each load's wall time lands in the robustness.index.load_ms
+// histogram, its stages in the index.load.open and index.load.place trace
+// spans, and each save in the index.save span.
+//
+// Files of versions 1 to 5 (per-node sketch blobs, then the arena's cell
+// lists, then one byte per register) are no longer read: they load as
+// kCorrupt, and the index is rebuilt from its interaction log.
 
 namespace ipin {
 
@@ -64,7 +81,7 @@ struct IndexLoadResult {
   bool usable() const { return index.has_value(); }
 };
 
-/// Writes the index's arena to `path` atomically, in the version-5
+/// Writes the index's arena to `path` atomically, in the version-6
 /// framed format.
 /// Returns false on I/O error (the previous file at `path`, if any, is left
 /// intact). Failpoints: oracle_io.save, oracle_io.write.short.

@@ -131,6 +131,16 @@ RowStats RowStatsScalar(const uint8_t* ranks, size_t n) {
   return stats;
 }
 
+IPIN_NO_AUTOVEC
+void UnpackRowScalar(const uint8_t* nibbles, uint8_t base, size_t n,
+                     uint8_t* ranks) {
+  for (size_t i = 0; i < n; ++i) {
+    const uint8_t byte = nibbles[i / 2];
+    const uint8_t nibble = i % 2 == 0 ? byte & 0x0f : byte >> 4;
+    ranks[i] = static_cast<uint8_t>(base + nibble);
+  }
+}
+
 constexpr KernelOps kScalarOps = {
     &CellwiseMaxU8Scalar,
     &CellwiseMaxRowsVia<CellwiseMaxU8Scalar>,
@@ -138,6 +148,7 @@ constexpr KernelOps kScalarOps = {
     &EstimateFromRanksScalar,
     &CoverageDeltaScalar,
     &RowStatsScalar,
+    &UnpackRowScalar,
 };
 
 // The NEON histogram, kept outside the NEON block so every build type-checks
@@ -189,6 +200,10 @@ constexpr KernelOps kScalarOps = {
 // The row stats keep a running u8 max, add each vector's sad_epu8 (its
 // byte sum, in u64 lanes) to the rank sum, and count zero cells in u8 lane
 // counters flushed like the histogram's, every kLaneBlock vectors.
+//
+// The row unpack splits each vector of packed bytes into its low and high
+// halves, interleaves them with unpacklo/hi_epi8 (cell 2j from byte j's
+// low half, cell 2j + 1 from its high half), and adds the base.
 // ---------------------------------------------------------------------------
 
 #ifdef IPIN_KERNELS_X86
@@ -331,6 +346,24 @@ RowStats RowStatsSse2(const uint8_t* ranks, size_t n) {
                         sums, zeros);
 }
 
+void UnpackRowSse2(const uint8_t* nibbles, uint8_t base, size_t n,
+                   uint8_t* ranks) {
+  const __m128i low = _mm_set1_epi8(0x0f);
+  const __m128i add = _mm_set1_epi8(static_cast<char>(base));
+  size_t i = 0;  // cells written: a multiple of 32, so i / 2 is exact
+  for (; i + 32 <= n; i += 32) {
+    const __m128i v =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(nibbles + i / 2));
+    const __m128i lo = _mm_and_si128(v, low);
+    const __m128i hi = _mm_and_si128(_mm_srli_epi16(v, 4), low);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ranks + i),
+                     _mm_add_epi8(_mm_unpacklo_epi8(lo, hi), add));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(ranks + i + 16),
+                     _mm_add_epi8(_mm_unpackhi_epi8(lo, hi), add));
+  }
+  UnpackRowScalar(nibbles + i / 2, base, n - i, ranks + i);
+}
+
 constexpr KernelOps kSse2Ops = {
     &CellwiseMaxU8Sse2,
     &CellwiseMaxRowsVia<CellwiseMaxU8Sse2>,
@@ -338,6 +371,7 @@ constexpr KernelOps kSse2Ops = {
     &EstimateVia<HistogramPrefixSse2>,
     &CoverageDeltaSse2,
     &RowStatsSse2,
+    &UnpackRowSse2,
 };
 
 // ---------------------------------------------------------------------------
@@ -463,6 +497,33 @@ __attribute__((target("avx2"))) RowStats RowStatsAvx2(const uint8_t* ranks,
                         sums128, zeros128);
 }
 
+// unpacklo/hi_epi8 interleave within each 128-bit lane: of 32 packed
+// bytes, `a` holds cells 0-15 and 32-47, `b` cells 16-31 and 48-63, and
+// one permute per output puts them back in order.
+__attribute__((target("avx2"))) void UnpackRowAvx2(const uint8_t* nibbles,
+                                                   uint8_t base, size_t n,
+                                                   uint8_t* ranks) {
+  const __m256i low = _mm256_set1_epi8(0x0f);
+  const __m256i add = _mm256_set1_epi8(static_cast<char>(base));
+  size_t i = 0;  // cells written: a multiple of 64, so i / 2 is exact
+  for (; i + 64 <= n; i += 64) {
+    const __m256i v =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(nibbles + i / 2));
+    const __m256i lo = _mm256_and_si256(v, low);
+    const __m256i hi = _mm256_and_si256(_mm256_srli_epi16(v, 4), low);
+    const __m256i a = _mm256_unpacklo_epi8(lo, hi);
+    const __m256i b = _mm256_unpackhi_epi8(lo, hi);
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(ranks + i),
+        _mm256_add_epi8(_mm256_permute2x128_si256(a, b, 0x20), add));
+    _mm256_storeu_si256(
+        reinterpret_cast<__m256i*>(ranks + i + 32),
+        _mm256_add_epi8(_mm256_permute2x128_si256(a, b, 0x31), add));
+  }
+  _mm256_zeroupper();  // as in CoverageDeltaAvx2: SSE code follows
+  UnpackRowSse2(nibbles + i / 2, base, n - i, ranks + i);
+}
+
 constexpr KernelOps kAvx2Ops = {
     &CellwiseMaxU8Avx2,
     &CellwiseMaxRowsVia<CellwiseMaxU8Avx2>,
@@ -470,6 +531,7 @@ constexpr KernelOps kAvx2Ops = {
     &EstimateVia<HistogramPrefixAvx2>,
     &CoverageDeltaAvx2,
     &RowStatsAvx2,
+    &UnpackRowAvx2,
 };
 
 #endif  // IPIN_KERNELS_X86
@@ -478,7 +540,9 @@ constexpr KernelOps kAvx2Ops = {
 // NEON (aarch64 baseline). The histogram is the interleaved one above; the
 // coverage delta is the scalar reference. The row stats sum ranks pairwise
 // into u16 lanes, which gain at most 2 x 255 a vector, so both they and the
-// u8 zero counters are flushed every kNeonStatsBlock vectors.
+// u8 zero counters are flushed every kNeonStatsBlock vectors. The row
+// unpack splits 16 packed bytes into their halves and stores them
+// interleaved with vst2q_u8.
 // ---------------------------------------------------------------------------
 
 #ifdef IPIN_KERNELS_NEON
@@ -533,6 +597,21 @@ RowStats RowStatsNeon(const uint8_t* ranks, size_t n) {
   return stats;
 }
 
+void UnpackRowNeon(const uint8_t* nibbles, uint8_t base, size_t n,
+                   uint8_t* ranks) {
+  const uint8x16_t low = vdupq_n_u8(0x0f);
+  const uint8x16_t add = vdupq_n_u8(base);
+  size_t i = 0;  // cells written: a multiple of 32, so i / 2 is exact
+  for (; i + 32 <= n; i += 32) {
+    const uint8x16_t v = vld1q_u8(nibbles + i / 2);
+    uint8x16x2_t cells;
+    cells.val[0] = vaddq_u8(vandq_u8(v, low), add);
+    cells.val[1] = vaddq_u8(vshrq_n_u8(v, 4), add);
+    vst2q_u8(ranks + i, cells);
+  }
+  UnpackRowScalar(nibbles + i / 2, base, n - i, ranks + i);
+}
+
 constexpr KernelOps kNeonOps = {
     &CellwiseMaxU8Neon,
     &CellwiseMaxRowsVia<CellwiseMaxU8Neon>,
@@ -540,6 +619,7 @@ constexpr KernelOps kNeonOps = {
     &EstimateVia<HistogramPrefixNeon>,
     &CoverageDeltaScalar,
     &RowStatsNeon,
+    &UnpackRowNeon,
 };
 
 #endif  // IPIN_KERNELS_NEON

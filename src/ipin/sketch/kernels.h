@@ -17,6 +17,9 @@
 //                         cells where a candidate row beats a covered row
 //   row_stats           - zero cells, rank sum and top rank of a row: the
 //                         row check every restored row passes
+//   unpack_row          - a row stored as 4-bit offsets from a base rank
+//                         back to one byte per cell: how a load decodes
+//                         the index file's packed rows
 //   EstimateFromHistogram - the one float step: histogram -> estimate
 //
 // Each integer primitive has one implementation per SIMD target, selected
@@ -74,6 +77,12 @@ struct KernelOps {
 
   /// Zero cells, rank sum and highest rank of ranks[0 .. n), in one pass.
   RowStats (*row_stats)(const uint8_t* ranks, size_t n);
+
+  /// ranks[i] = base + nibble i (mod 256) for i in [0, n), where nibble 2j
+  /// is the low half of nibbles[j] and nibble 2j + 1 its high half. Reads
+  /// (n + 1) / 2 bytes; for odd n the last byte's high half is ignored.
+  void (*unpack_row)(const uint8_t* nibbles, uint8_t base, size_t n,
+                     uint8_t* ranks);
 };
 
 /// The HyperLogLog estimate of n cells from their rank histogram, with the

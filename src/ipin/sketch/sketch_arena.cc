@@ -1,6 +1,7 @@
 #include "ipin/sketch/sketch_arena.h"
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
 #include <new>
 
@@ -137,19 +138,43 @@ SketchArena::SketchArena(SketchArena&&) noexcept = default;
 SketchArena& SketchArena::operator=(SketchArena&&) noexcept = default;
 SketchArena::~SketchArena() = default;
 
-bool SketchArena::Append(NodeId u, std::span<const uint8_t> row,
-                         uint64_t entries) {
+uint8_t* SketchArena::NextRow(NodeId u) {
   IPIN_CHECK_LT(u, num_nodes_);
   IPIN_CHECK_EQ(row_of_[u], 0u);
-  IPIN_CHECK_EQ(row.size(), beta_);
-  if (entries_.size() == slots_ || !RowIsValid(row, entries, precision_)) {
+  if (entries_.size() == slots_) return nullptr;
+  rank_plane_.resize(rank_plane_.size() + beta_);  // within the reservation
+  return rank_plane_.data() + rank_plane_.size() - beta_;
+}
+
+bool SketchArena::CommitRow(NodeId u, uint64_t entries) {
+  const std::span<const uint8_t> row(rank_plane_.data() + rank_plane_.size() -
+                                         beta_,
+                                     beta_);
+  if (!RowIsValid(row, entries, precision_)) {
+    rank_plane_.resize(rank_plane_.size() - beta_);
     return false;
   }
-  rank_plane_.insert(rank_plane_.end(), row.data(), row.data() + beta_);
   entries_.push_back(static_cast<uint32_t>(entries));
   row_of_[u] = static_cast<uint32_t>(entries_.size());
   total_entries_ += entries;
   return true;
+}
+
+bool SketchArena::Append(NodeId u, std::span<const uint8_t> row,
+                         uint64_t entries) {
+  IPIN_CHECK_EQ(row.size(), beta_);
+  uint8_t* slot = NextRow(u);
+  if (slot == nullptr) return false;
+  std::memcpy(slot, row.data(), beta_);
+  return CommitRow(u, entries);
+}
+
+bool SketchArena::AppendUnpacked(NodeId u, const uint8_t* nibbles,
+                                 uint8_t base, uint64_t entries) {
+  uint8_t* slot = NextRow(u);
+  if (slot == nullptr) return false;
+  kernels::Dispatched().unpack_row(nibbles, base, beta_, slot);
+  return CommitRow(u, entries);
 }
 
 void SketchArena::AppendCopy(NodeId u, const SketchArena& from) {

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ipin/graph/types.h"
@@ -28,9 +29,10 @@
 // A build's arena holds a zero row for every sender from the start, which
 // the build's stores write in place, and the end of the build sets each
 // row's entry count (SetEntries), checking the row. Shard extraction,
-// reshard reconstruction and index loads append rows instead (Append): the
-// arrays are sized exactly up front but not filled, and each row is written
-// once, by its Append. No (rank, time) list is stored. A load's or a
+// reshard reconstruction and index loads append rows instead (Append, or
+// AppendUnpacked for a row an index file packs): the arrays are sized
+// exactly up front but not filled, and each row is written once, by its
+// append. No (rank, time) list is stored. A load's or a
 // shard's arena keeps its rank plane when it is dropped, for the next arena
 // of the same size (see PlaneAllocator), so an index restored again and
 // again reuses one block.
@@ -71,6 +73,12 @@ class SketchArena {
   /// nothing appended, if the arena is full or the row is not valid
   /// (RowIsValid).
   bool Append(NodeId u, std::span<const uint8_t> row, uint64_t entries);
+
+  /// Append for a row packed as 4-bit offsets from `base` (beta / 2 bytes
+  /// at `nibbles`; see kernels' unpack_row), unpacked straight into the
+  /// slot.
+  bool AppendUnpacked(NodeId u, const uint8_t* nibbles, uint8_t base,
+                      uint64_t entries);
 
   /// Sets present node `u`'s entry count. False, with nothing set, if its
   /// row and `entries` are not valid together (RowIsValid).
@@ -145,6 +153,16 @@ class SketchArena {
     template <typename U>
     PlaneAllocator(const PlaneAllocator<U>& other)  // NOLINT(runtime/explicit)
         : keep(other.keep) {}
+    // Default-initialises: a resize leaves the new bytes unwritten, for the
+    // row an append writes there next. Fills and copies construct as usual.
+    template <typename U>
+    void construct(U* p) {
+      ::new (static_cast<void*>(p)) U;
+    }
+    template <typename U, typename... Args>
+    void construct(U* p, Args&&... args) {
+      ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+    }
     T* allocate(size_t n) { return static_cast<T*>(TakePlane(n * sizeof(T))); }
     void deallocate(T* p, size_t n) { DropPlane(p, n * sizeof(T), keep); }
     friend bool operator==(const PlaneAllocator&, const PlaneAllocator&) {
@@ -157,6 +175,13 @@ class SketchArena {
 
   SketchArena(int precision, uint64_t salt, size_t num_nodes, size_t sketches,
               bool keep_plane);
+
+  // Append's two halves: NextRow checks `u` and makes room for its row,
+  // beta unwritten bytes (nullptr if the arena is full); the caller writes
+  // the row there, and CommitRow checks it and gives it to `u`, or takes
+  // the room back.
+  uint8_t* NextRow(NodeId u);
+  bool CommitRow(NodeId u, uint64_t entries);
 
   int precision_;
   uint64_t salt_;

@@ -445,8 +445,8 @@ std::string ReencodeTimes(const std::string& chunk, int precision,
 
 constexpr uint32_t kIndexType = 0x58444949;       // "IIDX"
 constexpr uint32_t kCheckpointType = 0x504b4349;  // "ICKP"
-// Files of the retired index versions 3 and 4 are refused whole, and the
-// error says to rebuild the index. Their frames here are today's,
+// Files of the retired index versions 3, 4 and 5 are refused whole, and
+// the error says to rebuild the index. Their frames here are today's,
 // relabelled, so only the version check can tell.
 TEST_F(IoFuzzTest, RetiredIndexVersionsLoadAsCorruptWithTheRebuildMessage) {
   const InteractionGraph g = GenerateUniformRandomNetwork(700, 3000, 4000, 24);
@@ -456,8 +456,8 @@ TEST_F(IoFuzzTest, RetiredIndexVersionsLoadAsCorruptWithTheRebuildMessage) {
   uint32_t version = 0;
   const std::vector<std::string> frames =
       ReadFrames(path_, kIndexType, &version);
-  ASSERT_EQ(version, 5u);
-  for (const uint32_t retired : {3u, 4u}) {
+  ASSERT_EQ(version, 6u);
+  for (const uint32_t retired : {3u, 4u, 5u}) {
     SCOPED_TRACE(testing::Message() << "version " << retired);
     WriteFrames(path_, kIndexType, retired, frames);
     std::vector<std::string> errors;

@@ -200,30 +200,41 @@ TEST_F(OracleIoTest, EmptyIndexRoundtrips) {
 // --- Hand-crafted framed files -------------------------------------------
 //
 // The framed index format (oracle_io.cc): safe_io file type "IIDX",
-// version 5; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
-// u32 chunk_size; chunk frame k = u64 first_node, u32 count,
-// u8 present[count], u32 entries[present], u8 rows[present x beta].
+// version 6; frame 0 = i64 window, u8 precision, u64 salt, u64 num_nodes,
+// u32 chunk_size, u64 present; chunk frame k = u64 first_node, u32 count,
+// u8 present[count], u32 entries[present], then each present node's row:
+// packed (u8 base, u8 nibbles[beta / 2]) or raw (u8 0xff, u8 ranks[beta]).
 
 constexpr uint32_t kIndexFileType = 0x58444949;  // "IIDX"
-constexpr uint32_t kIndexFormatVersion = 5;
+constexpr uint32_t kIndexFormatVersion = 6;
 constexpr int kCraftPrecision = 4;
 constexpr uint64_t kCraftSalt = 9;
 constexpr size_t kCraftBeta = size_t{1} << kCraftPrecision;
 // The largest rank a precision-4 sketch stores.
 constexpr uint8_t kCraftMaxRank = 61;
+// The crafted file's present nodes: 12, less node 6.
+constexpr uint64_t kCraftPresent = 11;
 
 template <typename T>
 void Put(std::string* out, T value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
-std::string HeaderFrame(uint64_t num_nodes, uint32_t chunk_size) {
+// The fields every version's header frame begins with.
+std::string HeaderFields(uint64_t num_nodes, uint32_t chunk_size) {
   std::string frame;
   Put<int64_t>(&frame, 100);
   Put<uint8_t>(&frame, kCraftPrecision);
   Put<uint64_t>(&frame, kCraftSalt);
   Put<uint64_t>(&frame, num_nodes);
   Put<uint32_t>(&frame, chunk_size);
+  return frame;
+}
+
+std::string HeaderFrame(uint64_t num_nodes, uint32_t chunk_size,
+                        uint64_t present = kCraftPresent) {
+  std::string frame = HeaderFields(num_nodes, chunk_size);
+  Put<uint64_t>(&frame, present);
   return frame;
 }
 
@@ -256,12 +267,36 @@ SketchRow RowOfCells(const Cells& cells) {
   return row;
 }
 
-// The sections of a v5 chunk, kept apart so a test can damage one before
-// Encode() lays them out.
+// `row` in the raw form: the byte 0xff, then its ranks.
+std::string RawRow(const std::vector<uint8_t>& row) {
+  return "\xff" + std::string(row.begin(), row.end());
+}
+
+// `row` in the packed form from `base`: the base byte, then each cell's
+// rank - base (mod 16) in a nibble, cell 2j in byte j's low half.
+std::string PackedRow(uint8_t base, const std::vector<uint8_t>& row) {
+  std::string out(1, static_cast<char>(base));
+  for (size_t j = 0; j + 1 < row.size(); j += 2) {
+    out.push_back(static_cast<char>(((row[j] - base) & 0x0f) |
+                                    (((row[j + 1] - base) & 0x0f) << 4)));
+  }
+  return out;
+}
+
+// `row` as the writer stores it: packed from its least rank if its ranks
+// span at most 15, else raw.
+std::string WrittenRow(const std::vector<uint8_t>& row) {
+  const auto [lo, hi] = std::minmax_element(row.begin(), row.end());
+  return *hi - *lo > 15 ? RawRow(row) : PackedRow(*lo, row);
+}
+
+// The sections of a v6 chunk, kept apart so a test can damage one before
+// Encode() lays them out: rows[k] is the k-th present node's stored row.
 struct Chunk {
   uint64_t first_node = 0;
   uint32_t count = 0;
-  std::string present, entries, rows;
+  std::string present, entries;
+  std::vector<std::string> rows;
 
   Chunk(uint64_t first, std::span<const Cells> nodes)
       : first_node(first), count(static_cast<uint32_t>(nodes.size())) {
@@ -270,30 +305,50 @@ struct Chunk {
       if (cells.empty()) continue;
       const SketchRow row = RowOfCells(cells);
       Put<uint32_t>(&entries, static_cast<uint32_t>(row.entries));
-      rows.append(row.row.begin(), row.row.end());
+      rows.push_back(WrittenRow(row.row));
     }
   }
 
-  // The entry count and row of the chunk's k-th present node.
+  // The entry count of the chunk's k-th present node.
   void SetEntries(size_t k, uint32_t n) {
     std::memcpy(entries.data() + k * sizeof(n), &n, sizeof(n));
   }
-  char& RowByte(size_t k, size_t cell) { return rows[k * kCraftBeta + cell]; }
 
   std::string Encode() const {
     std::string frame;
     Put<uint64_t>(&frame, first_node);
     Put<uint32_t>(&frame, count);
-    return frame + present + entries + rows;
+    frame += present + entries;
+    for (const std::string& row : rows) frame += row;
+    return frame;
   }
 };
+
+// A version-5 chunk frame: u64 first_node, u32 count, u8 present[count],
+// u32 entries[present], u8 rows[present x beta] — every row raw, with no
+// marker byte.
+std::string RetiredV5ChunkFrame(uint64_t first_node,
+                                std::span<const Cells> nodes) {
+  std::string present, entries, rows;
+  for (const Cells& cells : nodes) {
+    Put<uint8_t>(&present, cells.empty() ? 0 : 1);
+    if (cells.empty()) continue;
+    const SketchRow row = RowOfCells(cells);
+    Put<uint32_t>(&entries, static_cast<uint32_t>(row.entries));
+    rows.append(row.row.begin(), row.row.end());
+  }
+  std::string frame;
+  Put<uint64_t>(&frame, first_node);
+  Put<uint32_t>(&frame, static_cast<uint32_t>(nodes.size()));
+  return frame + present + entries + rows;
+}
 
 // A version-4 file's frames: the header with a u32 time encoding from base
 // 0, and each chunk as the sealed arena's lists — u64 first_node,
 // u32 count, u64 entries, u8 present[count], u8 cell_counts[present x
 // beta], u8 ranks[entries], u32 time offsets[entries].
 std::string RetiredV4HeaderFrame(uint64_t num_nodes, uint32_t chunk_size) {
-  std::string frame = HeaderFrame(num_nodes, chunk_size);
+  std::string frame = HeaderFields(num_nodes, chunk_size);
   Put<int64_t>(&frame, 0);  // base_time
   Put<uint8_t>(&frame, 4);  // time_width
   return frame;
@@ -453,16 +508,82 @@ TEST_F(CraftedIndexTest, HostileHeaderFailsCleanly) {
   WriteFrames({HeaderFrame(256 * 1000, 256), ChunkOf(0).Encode()});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
-  // A header frame with trailing bytes (a version-4 header's time
-  // encoding) is not a version-5 header.
+  // Header frames with trailing or missing bytes: a version-4 header's time
+  // encoding, or a version-5 header, which has no present count.
   WriteFrames({RetiredV4HeaderFrame(12, 4), ChunkOf(0).Encode(),
                ChunkOf(1).Encode(), ChunkOf(2).Encode()});
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
+  WriteFrames({HeaderFields(12, 4), ChunkOf(0).Encode(), ChunkOf(1).Encode(),
+               ChunkOf(2).Encode()});
+  EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
+            IndexLoadStatus::kCorrupt);
+  // A precision outside [4, 18] never reaches the arena's constructor,
+  // which checks those bounds.
+  for (const uint8_t precision : {0, 3, 19, 255}) {
+    std::string header = HeaderFrame(12, 4);
+    header[sizeof(int64_t)] = static_cast<char>(precision);
+    WriteFrames({header, ChunkOf(0).Encode(), ChunkOf(1).Encode(),
+                 ChunkOf(2).Encode()});
+    EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
+              IndexLoadStatus::kCorrupt)
+        << "precision " << int{precision};
+  }
 }
 
-// The payload must be exactly 12 + count + present x (4 + beta) bytes; any
-// disagreement drops the chunk and nothing else.
+// The header's present count sizes the arena, bounded by the rows the
+// file's bytes could hold. A count above the chunks' present flags reserves
+// slots that stay unwritten, and every chunk loads; a count below them
+// fills the arena early, and each chunk whose rows no longer fit is dropped
+// whole (SketchArena::Append fails cleanly when the arena is full).
+TEST_F(CraftedIndexTest, HeaderPresentCountBoundsTheArena) {
+  const auto load_with = [&](uint64_t present) {
+    WriteFrames({HeaderFrame(12, 4, present), ChunkOf(0).Encode(),
+                 ChunkOf(1).Encode(), ChunkOf(2).Encode()});
+    return LoadInfluenceIndexDetailed(path_);
+  };
+  for (const uint64_t above : {kCraftPresent + 1, uint64_t{1} << 40}) {
+    SCOPED_TRACE(testing::Message() << "present " << above);
+    const IndexLoadResult result = load_with(above);
+    ASSERT_EQ(result.status, IndexLoadStatus::kOk);
+    for (NodeId u = 0; u < 12; ++u) ExpectNode(*result.index, u, nodes_[u]);
+  }
+  // 1,024 nodes, none present, under a header that claims them all: the
+  // count is bounded by the rows the file's bytes could hold, each at least
+  // 1 + 4 + 1 + beta / 2 = 14 bytes, not by the nodes. The arena is its
+  // slots' rows and entry counts, one shared zero row and a u32 per node.
+  std::vector<std::string> sparse = {HeaderFrame(1024, 256, 1024)};
+  for (uint64_t first = 0; first < 1024; first += 256) {
+    std::string chunk;
+    Put<uint64_t>(&chunk, first);
+    Put<uint32_t>(&chunk, 256);
+    sparse.push_back(chunk + std::string(256, '\0'));
+  }
+  WriteFrames(sparse);
+  const IndexLoadResult empty = LoadInfluenceIndexDetailed(path_);
+  ASSERT_EQ(empty.status, IndexLoadStatus::kOk);
+  EXPECT_EQ(empty.index->NumAllocatedSketches(), 0u);
+  const size_t slots =
+      (empty.index->MemoryUsageBytes() - kCraftBeta - 1024 * sizeof(uint32_t)) /
+      (kCraftBeta + sizeof(uint32_t));
+  EXPECT_LE(slots, ReadFileBytes().size() / 14);
+
+  // Ten slots: chunks 0 and 1 take seven, and chunk 2's four overflow.
+  IndexLoadResult result = load_with(kCraftPresent - 1);
+  ASSERT_EQ(result.status, IndexLoadStatus::kDegraded);
+  EXPECT_EQ(result.sections_dropped, 1u);
+  for (NodeId u = 0; u < 12; ++u) {
+    ExpectNode(*result.index, u, u >= 8 ? Cells{} : nodes_[u]);
+  }
+  result = load_with(0);
+  ASSERT_EQ(result.status, IndexLoadStatus::kDegraded);
+  EXPECT_EQ(result.sections_dropped, 3u);
+  EXPECT_EQ(result.index->NumAllocatedSketches(), 0u);
+}
+
+// The rows must end exactly at the payload's end, after 12 + count +
+// present x 4 bytes of prefix, flags and entry counts; any disagreement
+// drops the chunk and nothing else.
 TEST_F(CraftedIndexTest, PayloadLengthMustMatchItsCounts) {
   Chunk absent = ChunkOf(1);
   absent.present[0] = 0;  // one node fewer than the rows provide for
@@ -472,15 +593,16 @@ TEST_F(CraftedIndexTest, PayloadLengthMustMatchItsCounts) {
   extra.present[2] = 1;  // node 6 claimed, but it has no row
   ExpectOnlyMiddleDropped(extra.Encode(), "present flag set");
 
-  Chunk short_rows = ChunkOf(1);
-  short_rows.rows.pop_back();
-  ExpectOnlyMiddleDropped(short_rows.Encode(), "truncated rows");
+  const std::string whole = ChunkOf(1).Encode();
+  ExpectOnlyMiddleDropped(whole.substr(0, whole.size() - 1),
+                          "payload one byte short");
+  ExpectOnlyMiddleDropped(whole + '\0', "payload one byte long");
 
-  Chunk long_rows = ChunkOf(1);
-  long_rows.rows.push_back('\0');
-  ExpectOnlyMiddleDropped(long_rows.Encode(), "trailing byte");
+  Chunk short_row = ChunkOf(1);
+  short_row.rows[1].pop_back();
+  ExpectOnlyMiddleDropped(short_row.Encode(), "middle row one byte short");
 
-  ExpectOnlyMiddleDropped(ChunkOf(1).Encode().substr(0, 11), "short prefix");
+  ExpectOnlyMiddleDropped(whole.substr(0, 11), "short prefix");
 
   Chunk more_nodes = ChunkOf(1);
   ++more_nodes.count;
@@ -500,13 +622,13 @@ TEST_F(CraftedIndexTest, PresentByteAboveOneDropsItsChunk) {
 
 // A row byte above 65 - precision is a rank no VersionedHll gives; it would
 // inflate every estimate the node takes part in. Node 5's cell 5 takes the
-// rank, and its entry count stays within the row's bounds.
+// rank, raw, and its entry count stays within the row's bounds.
 TEST_F(CraftedIndexTest, RankAboveTheLargestDropsItsChunk) {
   const auto with_rank = [&](int rank) {
     std::vector<uint8_t> row = RowOfCells(nodes_[5]).row;
     row[5] = static_cast<uint8_t>(rank);
     Chunk chunk = ChunkOf(1);
-    chunk.RowByte(1, 5) = static_cast<char>(rank);
+    chunk.rows[1] = RawRow(row);
     const auto non_zero = std::count_if(row.begin(), row.end(),
                                         [](uint8_t r) { return r != 0; });
     chunk.SetEntries(1, static_cast<uint32_t>(non_zero));
@@ -515,6 +637,61 @@ TEST_F(CraftedIndexTest, RankAboveTheLargestDropsItsChunk) {
   ExpectLoads(with_rank(kCraftMaxRank), "rank 61");
   ExpectOnlyMiddleDropped(with_rank(kCraftMaxRank + 1), "rank 62");
   ExpectOnlyMiddleDropped(with_rank(200), "rank 200");
+}
+
+// `chunk` with node 5's row replaced by `stored` and its entry count by 16:
+// every row stored below has 16 non-zero cells and a sum of at least 16.
+std::string WithRow(Chunk chunk, const std::string& stored) {
+  chunk.rows[1] = stored;
+  chunk.SetEntries(1, static_cast<uint32_t>(kCraftBeta));
+  return chunk.Encode();
+}
+
+// A packed row's base byte is a rank or the raw marker 0xff. A base above
+// VhllMaxRank is dropped even where its nibbles wrap every cell back into
+// range: base 254 with nibble 5 is 259 mod 256 = rank 3.
+TEST_F(CraftedIndexTest, BaseAboveTheLargestRankDropsItsChunk) {
+  const std::vector<uint8_t> threes(kCraftBeta, 3);
+  const std::vector<uint8_t> tops(kCraftBeta, kCraftMaxRank);
+  ExpectLoads(WithRow(ChunkOf(1), PackedRow(3, threes)), "base 3");
+  ExpectLoads(WithRow(ChunkOf(1), PackedRow(kCraftMaxRank, tops)),
+              "base 61");
+  const std::vector<uint8_t> over(kCraftBeta, kCraftMaxRank + 1);
+  ExpectOnlyMiddleDropped(WithRow(ChunkOf(1), PackedRow(kCraftMaxRank + 1,
+                                                        over)),
+                          "base 62");
+  ExpectOnlyMiddleDropped(WithRow(ChunkOf(1), PackedRow(254, threes)),
+                          "base 254, wrapping to rank 3");
+}
+
+// A packed cell is base + nibble, and that sum too must be a rank a sketch
+// can hold: base 50 with one nibble of 12 is rank 62.
+TEST_F(CraftedIndexTest, BasePlusNibbleAboveTheLargestRankDropsItsChunk) {
+  std::vector<uint8_t> row(kCraftBeta, 50);
+  row[5] = kCraftMaxRank;
+  ExpectLoads(WithRow(ChunkOf(1), PackedRow(50, row)), "50 + 11");
+  row[5] = kCraftMaxRank + 1;
+  ExpectOnlyMiddleDropped(WithRow(ChunkOf(1), PackedRow(50, row)), "50 + 12");
+}
+
+// A row's first byte fixes its length: 0xff a raw row of beta ranks, any
+// other a packed row of beta / 2 bytes. A marker that disagrees with the
+// bytes that follow shifts every later row, and the rows no longer end at
+// the payload's end. A raw row the writer would have packed is still a
+// valid row, and loads.
+TEST_F(CraftedIndexTest, RowMarkerMustMatchItsLength) {
+  const std::vector<uint8_t> row = RowOfCells(nodes_[5]).row;
+  const uint8_t lo = *std::min_element(row.begin(), row.end());
+  Chunk packed = ChunkOf(1);
+  ASSERT_EQ(packed.rows[1], PackedRow(lo, row)) << "node 5 packs";
+  packed.rows[1][0] = '\xff';
+  ExpectOnlyMiddleDropped(packed.Encode(), "packed row marked raw");
+
+  Chunk raw = ChunkOf(1);
+  raw.rows[1] = RawRow(row);
+  ExpectLoads(raw.Encode(), "raw row of a span <= 15");
+  raw.rows[1][0] = static_cast<char>(lo);
+  ExpectOnlyMiddleDropped(raw.Encode(), "raw row marked packed");
 }
 
 // Every non-empty cell keeps at least one pair, so a node's entry count is
@@ -553,6 +730,10 @@ TEST_F(CraftedIndexTest, EntryCountAboveTheRowSumDropsItsChunk) {
   ExpectOnlyMiddleDropped(huge.Encode(), "entries 2^32 - 1");
 }
 
+// A chunk counts only at its own place: a duplicate, a chunk out of order,
+// one whose first node wraps, and a last chunk claiming nodes past
+// num_nodes are dropped before any row is placed, so the arena's checks
+// that a node is in range and still absent are never reached.
 TEST_F(CraftedIndexTest, MisplacedChunksAreDropped) {
   WriteFrames({HeaderFrame(12, 4), ChunkOf(0).Encode(), ChunkOf(0).Encode(),
                ChunkOf(2).Encode()});
@@ -573,51 +754,71 @@ TEST_F(CraftedIndexTest, MisplacedChunksAreDropped) {
     ExpectNode(*result.index, u, u < 8 ? Cells{} : nodes_[u]);
   }
 
+  // Ten nodes: the last chunk covers nodes 8 and 9 only.
+  WriteFrames({HeaderFrame(10, 4), ChunkOf(0).Encode(), ChunkOf(1).Encode(),
+               ChunkOf(2).Encode()});
+  result = LoadInfluenceIndexDetailed(path_);
+  ASSERT_EQ(result.status, IndexLoadStatus::kDegraded);
+  EXPECT_EQ(result.sections_dropped, 1u);
+  EXPECT_EQ(result.index->NumAllocatedSketches(), 7u);
+
   Chunk wrapping = ChunkOf(1);
   wrapping.first_node = ~uint64_t{0} - 1;
   ExpectOnlyMiddleDropped(wrapping.Encode(), "wrapping first_node");
 
-  // Chunks of retired versions in a version-5 file are malformed, not
+  // Chunks of retired versions in a version-6 file are malformed, not
   // reinterpreted.
   ExpectOnlyMiddleDropped(RetiredChunkFrame(4, Slice(1)), "v2 chunk");
   ExpectOnlyMiddleDropped(RetiredV4ChunkFrame(4, Slice(1)), "v4 chunk");
+  ExpectOnlyMiddleDropped(RetiredV5ChunkFrame(4, Slice(1)), "v5 chunk");
 }
 
 // A version this loader does not know is refused whole.
 TEST_F(CraftedIndexTest, UnknownVersionIsCorrupt) {
-  WriteFrames({HeaderFrame(0, 256)}, 6);
+  WriteFrames({HeaderFrame(0, 256, 0)}, 7);
   EXPECT_EQ(LoadInfluenceIndexDetailed(path_).status,
             IndexLoadStatus::kCorrupt);
 }
 
-// The retired formats — version 4 (the sealed arena's cell lists), version
-// 2 (per-node sketch blobs in IIDX frames) and the unframed version 1 — are
-// refused whole, however well formed. A version-4 file's error says to
+// The retired formats — version 5 (every row raw, no present count),
+// version 4 (the sealed arena's cell lists), version 2 (per-node sketch
+// blobs in IIDX frames) and the unframed version 1 — are refused whole,
+// however well formed. A version-5 or version-4 file's error says to
 // rebuild it.
 TEST_F(CraftedIndexTest, RetiredFormatsLoadAsCorrupt) {
+  const auto expect_rebuild_message = [&](uint32_t version) {
+    std::vector<std::string> errors;
+    SetLogSink([&errors](LogLevel level, const std::string& message) {
+      if (level == LogLevel::kError) errors.push_back(message);
+    });
+    const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+    SetLogSink(nullptr);
+    EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
+    EXPECT_FALSE(result.index.has_value());
+    ASSERT_EQ(errors.size(), 1u);
+    EXPECT_NE(errors[0].find("version " + std::to_string(version) +
+                             " is not read"),
+              std::string::npos)
+        << errors[0];
+    EXPECT_NE(errors[0].find("rebuild it with ipin_cli build-index"),
+              std::string::npos)
+        << errors[0];
+  };
+  WriteFrames({HeaderFields(12, 4), RetiredV5ChunkFrame(0, Slice(0)),
+               RetiredV5ChunkFrame(4, Slice(1)),
+               RetiredV5ChunkFrame(8, Slice(2))},
+              5);
+  expect_rebuild_message(5);
   WriteFrames({RetiredV4HeaderFrame(12, 4), RetiredV4ChunkFrame(0, Slice(0)),
                RetiredV4ChunkFrame(4, Slice(1)),
                RetiredV4ChunkFrame(8, Slice(2))},
               4);
-  std::vector<std::string> errors;
-  SetLogSink([&errors](LogLevel level, const std::string& message) {
-    if (level == LogLevel::kError) errors.push_back(message);
-  });
-  IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
-  SetLogSink(nullptr);
-  EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
-  EXPECT_FALSE(result.index.has_value());
-  ASSERT_EQ(errors.size(), 1u);
-  EXPECT_NE(errors[0].find("version 4 is not read"), std::string::npos)
-      << errors[0];
-  EXPECT_NE(errors[0].find("rebuild it with ipin_cli build-index"),
-            std::string::npos)
-      << errors[0];
+  expect_rebuild_message(4);
 
-  WriteFrames({HeaderFrame(12, 4), RetiredChunkFrame(0, Slice(0)),
+  WriteFrames({HeaderFields(12, 4), RetiredChunkFrame(0, Slice(0)),
                RetiredChunkFrame(4, Slice(1)), RetiredChunkFrame(8, Slice(2))},
               2);
-  result = LoadInfluenceIndexDetailed(path_);
+  IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
   EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
   EXPECT_FALSE(result.index.has_value());
 
@@ -833,7 +1034,8 @@ TEST_F(OracleIoTest, LoadedIndexReSavesByteForByte) {
 }
 
 // A degraded load drops one chunk's nodes: the re-saved file lacks exactly
-// those nodes, and every other frame is the original's byte for byte.
+// those nodes, its header's present count is short by their rows, and
+// every other frame is the original's byte for byte.
 TEST_F(OracleIoTest, DegradedIndexReSavesAllButTheDroppedChunk) {
   const IrsApprox built = BuildSpanning(0, 100'000);
   ASSERT_TRUE(SaveInfluenceIndex(built, path_));
@@ -856,15 +1058,23 @@ TEST_F(OracleIoTest, DegradedIndexReSavesAllButTheDroppedChunk) {
   const std::vector<std::string> got = FramesOf(resaved);
   std::remove(resaved.c_str());
   ASSERT_EQ(got.size(), frames.size());
-  for (const size_t k : {size_t{0}, size_t{1}, size_t{3}}) {
+  for (const size_t k : {size_t{1}, size_t{3}}) {
     EXPECT_EQ(got[k], frames[k]) << "frame " << k;
   }
+  uint64_t dropped_rows = 0;
   for (NodeId u = 0; u < built.num_nodes(); ++u) {
     const bool dropped = u >= 256 && u < 512;
+    dropped_rows += dropped && built.arena()->has_node(u);
     EXPECT_EQ(loaded.index->arena()->has_node(u),
               !dropped && built.arena()->has_node(u))
         << "node " << u;
   }
+  ASSERT_GT(dropped_rows, 0u);
+  std::string header = frames[0];
+  const uint64_t present = built.NumAllocatedSketches() - dropped_rows;
+  std::memcpy(header.data() + header.size() - sizeof(present), &present,
+              sizeof(present));
+  EXPECT_EQ(got[0], header);
   // The middle chunk: its 256 nodes, none present.
   std::string empty;
   Put<uint64_t>(&empty, 256);

@@ -38,6 +38,26 @@ class ParallelIrsTest : public ::testing::Test {
   void TearDown() override { SetGlobalThreads(0); }  // restore default
 };
 
+// The CRC32C of an arena's rank plane and entry counts: every present
+// node's row in node order, then every present node's entry count as a
+// u32, in the same order. It pins what a load restores, whatever the
+// file's layout.
+uint32_t RowsCrc32c(const SketchArena& arena) {
+  uint32_t crc = 0;
+  for (NodeId u = 0; u < arena.num_nodes(); ++u) {
+    if (arena.has_node(u)) {
+      crc = Crc32c(arena.rank_row(u).data(), arena.num_cells(), crc);
+    }
+  }
+  for (NodeId u = 0; u < arena.num_nodes(); ++u) {
+    if (arena.has_node(u)) {
+      const auto entries = static_cast<uint32_t>(arena.NodeNumEntries(u));
+      crc = Crc32c(&entries, sizeof(entries), crc);
+    }
+  }
+  return crc;
+}
+
 IrsApproxOptions Options(int precision) {
   IrsApproxOptions options;
   options.precision = precision;
@@ -224,10 +244,12 @@ TEST_F(ParallelIrsTest, BuildTalliesDoNotDependOnThreadCount) {
 
 // The build's output, pinned so that a change to how sketches are stored
 // during the build cannot move it: on a fixed enron-shaped log (beta = 512,
-// omega = 10% of the span) the four lifetime tallies, the entry count and
-// the CRC32C of the saved index file, before and after Seal(), are these
-// constants at 1 part and at 3, built plainly and with checkpoints every
-// 1,000 edges. The build retires and collapses as it scans; a replay of
+// omega = 10% of the span) the four lifetime tallies, the entry count, the
+// CRC32C of the saved index file and that of the rows and entry counts it
+// loads back (RowsCrc32c), before and after Seal(), are these constants at
+// 1 part and at 3, built plainly and with checkpoints every 1,000 edges.
+// The file pin moves with the file's layout (0xbeb26eb1 in IIDX version 5);
+// the rows pin does not. The build retires and collapses as it scans; a replay of
 // the same scan that does neither has the same tallies, and the build's
 // runs are its lists (ExpectRunsMatchReplay). The rows every query reads
 // are the build's: each node's arena row and entry count are the replay's
@@ -238,7 +260,8 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
   constexpr size_t kMergeEntriesScanned = 623384;
   constexpr size_t kCellUpdates = 333295;
   constexpr size_t kEntries = 160109;
-  constexpr uint32_t kIndexCrc32c = 0xbeb26eb1;
+  constexpr uint32_t kIndexCrc32c = 0x83e3081f;
+  constexpr uint32_t kRowsCrc32c = 0x6b833785;
   SyntheticConfig config = *GetDatasetConfig("enron", 0.01);
   config.seed = 25;
   const InteractionGraph g = GenerateInteractionNetwork(config);
@@ -312,6 +335,10 @@ TEST_F(ParallelIrsTest, BuildOutputIsPinned) {
         const auto bytes = FileContents(path);
         ASSERT_TRUE(bytes.has_value());
         EXPECT_EQ(Crc32c(*bytes), kIndexCrc32c) << "sealed " << sealed;
+        const IndexLoadResult loaded = LoadInfluenceIndexDetailed(path);
+        ASSERT_EQ(loaded.status, IndexLoadStatus::kOk);
+        EXPECT_EQ(RowsCrc32c(*loaded.index->arena()), kRowsCrc32c)
+            << "sealed " << sealed;
       }
     }
   }

@@ -436,7 +436,6 @@ TEST_F(SafeIoTest, FrameLengthPastTheFileSizesNoBuffer) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  EXPECT_TRUE(reader.PeekFrameLengths(1).empty());
   std::string_view payload;
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kTruncated);
   EXPECT_EQ(reader.buffer_bytes(), 0u);
@@ -455,7 +454,6 @@ TEST_F(SafeIoTest, PayloadViewHoldsItsFrameUntilTheNextRead) {
   std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   const std::string_view first = payload;
-  EXPECT_EQ(reader.PeekFrameLengths(2), (std::vector<uint32_t>{100, 200}));
   EXPECT_EQ(first, std::string(300, 'a'));
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, std::string(100, 'b'));
@@ -463,32 +461,6 @@ TEST_F(SafeIoTest, PayloadViewHoldsItsFrameUntilTheNextRead) {
   EXPECT_EQ(payload, std::string(200, 'c'));
   EXPECT_EQ(reader.buffer_bytes(), 300u);
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kEndOfFile);
-}
-
-// PeekFrameLengths reads frame headers only and leaves the next ReadFrame
-// where it was. It lists a frame whose payload fails its CRC (ReadFrame
-// skips it and goes on) and stops at a frame header that fails its own.
-TEST_F(SafeIoTest, PeekFrameLengthsStopsWhereTheReaderStops) {
-  WriteFrames({"first", "second", "third", "fourth"});
-  std::string bytes = ReadFileBytes();
-  bytes[20 + 17 + 12] ^= 0x01;           // "second"'s payload
-  bytes[20 + 17 + 18 + 17 + 1] ^= 0xff;  // "fourth"'s frame header
-  WriteFileBytes(bytes);
-
-  SafeFileReader reader;
-  ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  EXPECT_EQ(reader.PeekFrameLengths(10), (std::vector<uint32_t>{5, 6, 5}));
-  EXPECT_EQ(reader.PeekFrameLengths(2), (std::vector<uint32_t>{5, 6}));
-  std::string_view payload;
-  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
-  EXPECT_EQ(payload, "first");
-  EXPECT_EQ(reader.PeekFrameLengths(10), (std::vector<uint32_t>{6, 5}));
-  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
-  ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
-  EXPECT_EQ(payload, "third");
-  EXPECT_TRUE(reader.PeekFrameLengths(10).empty());
-  EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
-  EXPECT_FALSE(reader.CanContinue());
 }
 
 }  // namespace

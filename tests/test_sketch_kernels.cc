@@ -335,5 +335,45 @@ TEST(SketchKernelsTest, RowStatsLaneCountersDoNotWrap) {
   }
 }
 
+// The row unpack of every runnable target equals the scalar reference,
+// and the reference equals the nibbles read one at a time: bases odd, even
+// and wrapping past 255, nibbles random, all 0 and all 15, and beta from 16
+// to 2^18 with ragged tails (an odd cell count ignores the last byte's high
+// half). No target writes past the n-th cell.
+TEST(SketchKernelsTest, UnpackRowMatchesScalarFuzz) {
+  Rng rng(7171);
+  constexpr uint8_t kSentinel = 0xab;
+  for (int precision = 4; precision <= 18; ++precision) {
+    for (const size_t n : FuzzSizes(precision)) {
+      std::vector<std::vector<uint8_t>> inputs(3);
+      inputs[0].resize((n + 1) / 2);
+      for (uint8_t& b : inputs[0]) b = static_cast<uint8_t>(rng.NextUint64());
+      inputs[1].assign((n + 1) / 2, uint8_t{0});
+      inputs[2].assign((n + 1) / 2, uint8_t{0xff});  // every nibble 15
+      const uint8_t odd = static_cast<uint8_t>(2 * rng.NextBounded(128) + 1);
+      for (const uint8_t base : {uint8_t{0}, uint8_t{13}, uint8_t{61},
+                                 uint8_t{247}, odd}) {
+        for (const std::vector<uint8_t>& nibbles : inputs) {
+          std::vector<uint8_t> want(n + 1, kSentinel);
+          Scalar().unpack_row(nibbles.data(), base, n, want.data());
+          ASSERT_EQ(want[n], kSentinel) << "n " << n;
+          for (size_t i = 0; i < n; ++i) {
+            const uint8_t nibble = (nibbles[i / 2] >> (4 * (i % 2))) & 0x0f;
+            ASSERT_EQ(want[i], static_cast<uint8_t>(base + nibble))
+                << "n " << n << " cell " << i;
+          }
+          for (const SimdTarget target : RunnableTargets()) {
+            std::vector<uint8_t> got(n + 1, kSentinel);
+            KernelsFor(target)->unpack_row(nibbles.data(), base, n,
+                                           got.data());
+            ASSERT_EQ(got, want) << SimdTargetName(target) << " n " << n
+                                 << " base " << int{base};
+          }
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace ipin
