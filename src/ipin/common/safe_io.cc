@@ -57,11 +57,6 @@ constexpr Crc32cTables MakeCrc32cTables() {
 constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
 
 template <typename T>
-void AppendRaw(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
 T ReadRawAt(const char* bytes, size_t offset) {
   T value;
   std::memcpy(&value, bytes + offset, sizeof(T));

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -57,6 +58,23 @@ uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed);
 uint32_t Crc32cSse42(const void* data, size_t size, uint32_t seed);
 
 }  // namespace internal
+
+/// Appends `value`'s bytes to `out` in host (little-endian) order: how the
+/// framing layer and every payload built on it write fixed-width fields.
+template <typename T>
+void AppendRaw(std::string* out, T value) {
+  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
+}
+
+/// Reads a field AppendRaw wrote at `*offset` of `data` and advances the
+/// offset; false, changing nothing, if fewer than sizeof(T) bytes are left.
+template <typename T>
+bool ReadRaw(std::string_view data, size_t* offset, T* value) {
+  if (data.size() - *offset < sizeof(T)) return false;
+  std::memcpy(value, data.data() + *offset, sizeof(T));
+  *offset += sizeof(T);
+  return true;
+}
 
 /// Writes one framed file atomically. Usage:
 ///   SafeFileWriter writer(path, kMyFileType, kMyVersion);

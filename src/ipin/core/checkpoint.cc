@@ -88,19 +88,6 @@ constexpr uint32_t kChunkSize = 256;  // nodes per frame
 constexpr char kPrefix[] = "ckpt_approx_";
 constexpr char kSuffix[] = ".ipinckpt";
 
-template <typename T>
-void AppendRaw(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadRaw(std::string_view data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
 // Everything a checkpoint must agree on with the running build before it is
 // allowed to resume into it.
 struct Fingerprint {

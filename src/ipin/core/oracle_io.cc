@@ -45,19 +45,6 @@ constexpr uint32_t kChunkSize = 256;
 // The base byte of a raw row. No rank reaches it (VhllMaxRank < 64).
 constexpr uint8_t kRawRow = 0xff;
 
-template <typename T>
-void AppendRaw(std::string* out, T value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadRaw(std::string_view data, size_t* offset, T* value) {
-  if (data.size() - *offset < sizeof(T)) return false;
-  std::memcpy(value, data.data() + *offset, sizeof(T));
-  *offset += sizeof(T);
-  return true;
-}
-
 struct IndexHeader {
   int64_t window = 0;
   uint8_t precision = 0;

@@ -100,10 +100,9 @@ size_t g_events_per_thread = 1 << 16;
 // Clock origin shared by all threads in a session.
 std::chrono::steady_clock::time_point g_clock_origin;
 
-uint64_t NowNs() {
+uint64_t NsSinceOrigin(std::chrono::steady_clock::time_point t) {
   return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - g_clock_origin)
+      std::chrono::duration_cast<std::chrono::nanoseconds>(t - g_clock_origin)
           .count());
 }
 
@@ -125,11 +124,13 @@ ThreadEventBuffer* GetThreadBuffer() {
   return t_buffer;
 }
 
-void Record(Phase phase, const char* name, double value, uint64_t id = 0) {
+void Record(Phase phase, const char* name, double value, uint64_t id = 0,
+            std::chrono::steady_clock::time_point at =
+                std::chrono::steady_clock::now()) {
   TraceEvent event;
   event.name = name;
   event.value = value;
-  event.ts_ns = NowNs();
+  event.ts_ns = NsSinceOrigin(at);
   event.id = id;
   event.phase = phase;
   GetThreadBuffer()->Push(event);
@@ -300,14 +301,12 @@ void RecordCounterEvent(const char* name, double value) {
   Record(Phase::kCounter, name, value);
 }
 
-void RecordAsyncBeginEvent(const char* name, uint64_t id) {
-  if (!IsTraceRecording()) return;
-  Record(Phase::kAsyncBegin, name, 0.0, id);
-}
-
-void RecordAsyncEndEvent(const char* name, uint64_t id) {
-  if (!IsTraceRecording()) return;
-  Record(Phase::kAsyncEnd, name, 0.0, id);
+void RecordAsyncStage(const char* name, uint64_t id,
+                      std::chrono::steady_clock::time_point begin,
+                      std::chrono::steady_clock::time_point end) {
+  if (!IsTraceRecording() || begin < g_clock_origin) return;
+  Record(Phase::kAsyncBegin, name, 0.0, id, begin);
+  Record(Phase::kAsyncEnd, name, 0.0, id, end);
 }
 
 void RecordBeginEvent(const char* name) { Record(Phase::kBegin, name, 0.0); }

@@ -2,6 +2,7 @@
 #define IPIN_OBS_TRACE_EVENTS_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -61,14 +62,15 @@ void RecordInstantEvent(const char* name);
 /// for `name`. No-op when not recording.
 void RecordCounterEvent(const char* name, double value);
 
-/// Records one side of an async ("b"/"e") event pair. Async events carry a
-/// 64-bit id; Chrome/Perfetto groups events of the same category by id onto
-/// one async track, so every stage of one request renders as a single lane
-/// no matter which thread (reader, worker, reload) recorded it — this is how
-/// the serving layer turns a wire-propagated trace_id into one request lane.
+/// Records one finished stage of an async ("b"/"e") lane at the caller's
+/// own stamps `begin` and `end`. Chrome/Perfetto draws async events of one
+/// category and id as one lane whichever thread recorded them: the serving
+/// layer's one lane per request trace id. A stage still running when
+/// recording stops has no lane; one begun before the session is skipped.
 /// Same lifetime rule for `name`. No-op when not recording.
-void RecordAsyncBeginEvent(const char* name, uint64_t id);
-void RecordAsyncEndEvent(const char* name, uint64_t id);
+void RecordAsyncStage(const char* name, uint64_t id,
+                      std::chrono::steady_clock::time_point begin,
+                      std::chrono::steady_clock::time_point end);
 
 // Hooks for TraceSpan (trace.cc); callers use IPIN_TRACE_SPAN as before.
 void RecordBeginEvent(const char* name);
@@ -101,31 +103,12 @@ void ResetTraceEventsForTest();
 #define IPIN_TRACE_INSTANT(name) \
   do {                           \
   } while (0)
-#define IPIN_TRACE_ASYNC_BEGIN(name, id) \
-  do {                                   \
-  } while (0)
-#define IPIN_TRACE_ASYNC_END(name, id) \
-  do {                                 \
-  } while (0)
 #else
 /// Records an instant event when a recording session is active.
 #define IPIN_TRACE_INSTANT(name)                         \
   do {                                                   \
     if (::ipin::obs::IsTraceRecording()) {               \
       ::ipin::obs::RecordInstantEvent(name);             \
-    }                                                    \
-  } while (0)
-/// Opens/closes one stage of an async (per-id) lane when recording.
-#define IPIN_TRACE_ASYNC_BEGIN(name, id)                 \
-  do {                                                   \
-    if (::ipin::obs::IsTraceRecording()) {               \
-      ::ipin::obs::RecordAsyncBeginEvent(name, id);      \
-    }                                                    \
-  } while (0)
-#define IPIN_TRACE_ASYNC_END(name, id)                   \
-  do {                                                   \
-    if (::ipin::obs::IsTraceRecording()) {               \
-      ::ipin::obs::RecordAsyncEndEvent(name, id);        \
     }                                                    \
   } while (0)
 #endif  // IPIN_OBS_DISABLED

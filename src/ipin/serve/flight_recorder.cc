@@ -1,28 +1,17 @@
 #include "ipin/serve/flight_recorder.h"
 
-#include <algorithm>
-
 #include "ipin/common/string_util.h"
 
 namespace ipin::serve {
 namespace {
 
-const char* ModeName(QueryMode mode) {
-  switch (mode) {
-    case QueryMode::kSketch:
-      return "sketch";
-    case QueryMode::kExact:
-      return "exact";
-    case QueryMode::kAuto:
-      return "auto";
-  }
-  return "auto";
+int64_t ToMicros(Clock::duration d) {
+  return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
 }
 
-void AppendRecordJson(const RequestRecord& record,
-                      std::chrono::steady_clock::time_point now,
+void AppendRecordJson(const RequestRecord& record, Clock::time_point now,
                       std::string* out) {
-  const int64_t age_us = ToMicros(now - record.completed);
+  const RequestRecord::Stages stages = record.stages();
   if (record.shard >= 0) {
     out->append(StrFormat("{\"shard\":%d,", record.shard));
   } else {
@@ -34,18 +23,36 @@ void AppendRecordJson(const RequestRecord& record,
       "\"admission_us\":%lld,\"queue_us\":%lld,\"eval_us\":%lld,"
       "\"write_us\":%lld,\"total_us\":%lld}",
       TraceIdToHex(record.trace_id).c_str(),
-      static_cast<long long>(record.id), ModeName(record.mode),
+      static_cast<long long>(record.id), QueryModeName(record.mode),
       StatusCodeName(record.status), record.degraded ? "true" : "false",
       record.num_seeds, static_cast<unsigned long long>(record.epoch),
-      static_cast<long long>(age_us),
-      static_cast<long long>(record.admission_us),
-      static_cast<long long>(record.queue_us),
-      static_cast<long long>(record.eval_us),
-      static_cast<long long>(record.write_us),
-      static_cast<long long>(record.total_us)));
+      static_cast<long long>(ToMicros(now - record.last_stamp())),
+      static_cast<long long>(stages.admission_us),
+      static_cast<long long>(stages.queue_us),
+      static_cast<long long>(stages.eval_us),
+      static_cast<long long>(stages.write_us),
+      static_cast<long long>(stages.total_us)));
 }
 
 }  // namespace
+
+RequestRecord::Stages RequestRecord::stages() const {
+  // Each stage steps from the last boundary reached, so they telescope.
+  Stages out;
+  int64_t at = 0;
+  const auto stage = [&](Clock::time_point end) -> int64_t {
+    if (!Reached(end)) return 0;
+    const int64_t from = at;
+    at = ToMicros(end - parsed);
+    return at - from;
+  };
+  out.admission_us = stage(admitted);
+  out.queue_us = stage(entered);
+  out.eval_us = stage(evaluated);
+  out.write_us = stage(written);
+  out.total_us = at;
+  return out;
+}
 
 void FlightRecorder::Ring::Push(const RequestRecord& record) {
   if (slots.size() < capacity) {
@@ -59,12 +66,9 @@ void FlightRecorder::Ring::Push(const RequestRecord& record) {
 std::vector<RequestRecord> FlightRecorder::Ring::OldestFirst() const {
   std::vector<RequestRecord> out;
   out.reserve(slots.size());
-  if (slots.size() < capacity) {
-    out = slots;  // not yet wrapped: insertion order is age order
-  } else {
-    for (size_t i = 0; i < capacity; ++i) {
-      out.push_back(slots[(next + i) % capacity]);
-    }
+  // The oldest is push number next - size; unwrapped, that is slot 0.
+  for (size_t i = 0; i < slots.size(); ++i) {
+    out.push_back(slots[(next - slots.size() + i) % capacity]);
   }
   return out;
 }
@@ -75,75 +79,50 @@ FlightRecorder::FlightRecorder(size_t recent_capacity, size_t slow_capacity,
       recent_(recent_capacity),
       slow_(slow_capacity) {}
 
-uint64_t FlightRecorder::File(RequestRecord record) {
-  record.completed = std::chrono::steady_clock::now();
+uint64_t FlightRecorder::File(const RequestRecord& record) {
   std::lock_guard<std::mutex> lock(mu_);
   const uint64_t seq = recent_.next;
   recent_.Push(record);
   return seq;
 }
 
-void FlightRecorder::Complete(uint64_t seq, RequestRecord record) {
-  record.completed = std::chrono::steady_clock::now();
+void FlightRecorder::Complete(uint64_t seq, const RequestRecord& record) {
+  const bool slow = record.stages().total_us > slow_threshold_us_;
   std::lock_guard<std::mutex> lock(mu_);
   // Push number `seq` is still in the ring unless `capacity` pushes
   // followed it.
   if (recent_.next - seq <= recent_.capacity) {
     recent_.slots[seq % recent_.capacity] = record;
   }
-  if (record.total_us > slow_threshold_us_) slow_.Push(record);
+  if (slow) slow_.Push(record);
+}
+
+FlightRecorder::Contents FlightRecorder::Snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return {recent_.OldestFirst(), slow_.OldestFirst(), recent_.next,
+          slow_.next};
 }
 
 std::string FlightRecorder::DumpJson() const {
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<RequestRecord> recent;
-  std::vector<RequestRecord> slow;
-  uint64_t recorded;
-  uint64_t slow_recorded;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    recent = recent_.OldestFirst();
-    slow = slow_.OldestFirst();
-    recorded = recent_.next;
-    slow_recorded = slow_.next;
-  }
+  const auto now = Clock::now();
+  const Contents contents = Snapshot();
   std::string out = StrFormat(
       "{\"schema\":\"ipin.debug.v1\",\"slow_threshold_us\":%lld,"
       "\"recorded\":%llu,\"slow_recorded\":%llu,\"recent\":[",
       static_cast<long long>(slow_threshold_us_),
-      static_cast<unsigned long long>(recorded),
-      static_cast<unsigned long long>(slow_recorded));
-  for (size_t i = 0; i < recent.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendRecordJson(recent[i], now, &out);
-  }
+      static_cast<unsigned long long>(contents.recorded),
+      static_cast<unsigned long long>(contents.slow_recorded));
+  const auto append = [&](const std::vector<RequestRecord>& ring) {
+    for (size_t i = 0; i < ring.size(); ++i) {
+      if (i > 0) out += ',';
+      AppendRecordJson(ring[i], now, &out);
+    }
+  };
+  append(contents.recent);
   out += "],\"slow\":[";
-  for (size_t i = 0; i < slow.size(); ++i) {
-    if (i > 0) out += ',';
-    AppendRecordJson(slow[i], now, &out);
-  }
+  append(contents.slow);
   out += "]}";
   return out;
-}
-
-std::vector<RequestRecord> FlightRecorder::RecentSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recent_.OldestFirst();
-}
-
-std::vector<RequestRecord> FlightRecorder::SlowSnapshot() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_.OldestFirst();
-}
-
-uint64_t FlightRecorder::recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return recent_.next;
-}
-
-uint64_t FlightRecorder::slow_recorded() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return slow_.next;
 }
 
 }  // namespace ipin::serve

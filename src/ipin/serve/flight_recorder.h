@@ -1,6 +1,7 @@
 #ifndef IPIN_SERVE_FLIGHT_RECORDER_H_
 #define IPIN_SERVE_FLIGHT_RECORDER_H_
 
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <mutex>
@@ -37,20 +38,20 @@
 //               "admission_us": 12, "queue_us": 480, "eval_us": 1790,
 //               "write_us": 55, "total_us": 2337}
 //
-// age_us is the time between the request's completion and the dump, so a
-// reader can line records up against log timestamps. A served query is
+// Every duration derives from the record's stage stamps (RequestRecord),
+// the stamps the histograms and Chrome lanes read too (CompleteRecord,
+// frontend.h). A stage is its boundaries floored to whole µs since parse,
+// so the stages sum to total_us exactly. age_us, the recorder's only clock
+// read, runs from the record's last stamp to the dump. A served query is
 // filed before its response is written (write_us 0, total_us so far) and
-// completed after, so a client that reads the recorder once its answer
-// arrives finds it.
+// completed after, so a client reading the recorder once answered finds it.
 
 namespace ipin::serve {
 
-/// A stage duration in the microseconds every RequestRecord field uses.
-inline int64_t ToMicros(std::chrono::steady_clock::duration d) {
-  return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
-}
+/// The serving stack's clock: every request stamp and deadline.
+using Clock = std::chrono::steady_clock;
 
-/// One completed request, as the flight recorder saw it.
+/// One request, as the flight recorder saw it.
 struct RequestRecord {
   uint64_t trace_id = 0;
   int64_t id = 0;
@@ -64,21 +65,35 @@ struct RequestRecord {
   /// record per shard RPC plus one overall record per request, all under
   /// the request's trace_id, so a dump shows which leg made a request slow.
   int shard = -1;
-  /// Per-stage timings. The clock starts once the request line is parsed:
-  /// the socket read and the parse are not recorded, which is time the
-  /// client sees and no stage accounts for. admission covers the drain
-  /// check and deadline set-up, queue the wait at the admission gate for
-  /// an evaluation slot, eval the oracle evaluation, write the response
-  /// serialization + socket write. total runs from the parsed request to
-  /// the written response and can exceed the sum (scheduling gaps between
-  /// stages).
-  int64_t admission_us = 0;
-  int64_t queue_us = 0;
-  int64_t eval_us = 0;
-  int64_t write_us = 0;
-  int64_t total_us = 0;
-  /// When the request completed (set by File() and again by Complete()).
-  std::chrono::steady_clock::time_point completed{};
+
+  /// Stage boundaries, one clock read each; unset (time_point{}) until
+  /// reached. The clock starts at the parsed request line: the socket read
+  /// and the parse are not recorded. Between them lie admission (deadline
+  /// set-up), queue (the drain check and the wait at the admission gate),
+  /// eval, and write (bookkeeping, serialization, socket write). An unreached
+  /// boundary makes its stage 0 and the next stage start at the last one
+  /// reached: shed requests never queue, draining or expired ones are never
+  /// evaluated. A router leg is one eval stage, parsed to evaluated.
+  Clock::time_point parsed{};
+  Clock::time_point admitted{};
+  Clock::time_point entered{};
+  Clock::time_point evaluated{};
+  Clock::time_point written{};
+
+  static bool Reached(Clock::time_point boundary) {
+    return boundary != Clock::time_point{};
+  }
+  /// The last boundary reached: when the record was filed or completed.
+  Clock::time_point last_stamp() const {
+    return std::max({parsed, admitted, entered, evaluated, written});
+  }
+
+  /// The stage durations the dump reports, in whole microseconds.
+  struct Stages {
+    int64_t admission_us = 0, queue_us = 0, eval_us = 0, write_us = 0;
+    int64_t total_us = 0;
+  };
+  Stages stages() const;
 };
 
 class FlightRecorder {
@@ -96,24 +111,22 @@ class FlightRecorder {
 
   /// Files a request into the recent ring before its response is written
   /// and returns its sequence number. Not yet classified as slow.
-  uint64_t File(RequestRecord record);
-  /// Replaces the filed record `seq` with `record` (the same request, with
-  /// its write and total times), unless the ring has overwritten it since,
-  /// and adds it to the slow ring if total_us exceeds the threshold.
-  void Complete(uint64_t seq, RequestRecord record);
+  uint64_t File(const RequestRecord& record);
+  /// Replaces the filed record `seq` with `record` (the same request, now
+  /// written), unless the ring has overwritten it since, and adds it to the
+  /// slow ring if its total_us exceeds the threshold.
+  void Complete(uint64_t seq, const RequestRecord& record);
 
   /// Renders the "ipin.debug.v1" document described above.
   std::string DumpJson() const;
 
-  /// Snapshots for tests, oldest -> newest.
-  std::vector<RequestRecord> RecentSnapshot() const;
-  std::vector<RequestRecord> SlowSnapshot() const;
-
-  /// Requests seen / requests over the threshold since construction.
-  uint64_t recorded() const;
-  uint64_t slow_recorded() const;
-
-  int64_t slow_threshold_us() const { return slow_threshold_us_; }
+  /// One consistent copy of both rings, oldest -> newest, and of the
+  /// requests seen / over the threshold since construction.
+  struct Contents {
+    std::vector<RequestRecord> recent, slow;
+    uint64_t recorded = 0, slow_recorded = 0;
+  };
+  Contents Snapshot() const;
 
  private:
   // Fixed-capacity ring: write cursor wraps once size reaches capacity.
@@ -123,7 +136,7 @@ class FlightRecorder {
     std::vector<RequestRecord> OldestFirst() const;
     const size_t capacity;
     std::vector<RequestRecord> slots;
-    uint64_t next = 0;  // absolute count of pushes, the recorded() counts
+    uint64_t next = 0;  // absolute count of pushes, the recorded counts
   };
 
   const int64_t slow_threshold_us_;

@@ -38,8 +38,7 @@ void SetSendTimeout(int fd, int64_t timeout_ms) {
 // reading therefore costs at most ~2x timeout_ms of thread time, never a
 // wedged reader.
 bool WriteAll(int fd, const std::string& data, int64_t timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
+  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
   size_t written = 0;
   while (written < data.size()) {
     const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
@@ -53,7 +52,7 @@ bool WriteAll(int fd, const std::string& data, int64_t timeout_ms) {
       return false;
     }
     written += static_cast<size_t>(n);
-    if (written < data.size() && std::chrono::steady_clock::now() >= deadline) {
+    if (written < data.size() && Clock::now() >= deadline) {
       IPIN_COUNTER_ADD("serve.write.timeouts", 1);
       return false;
     }
@@ -68,6 +67,10 @@ std::string OptionsError(const FrontendOptions& options) {
   if (options.default_deadline_ms < 0 || options.drain_deadline_ms < 0 ||
       options.retry_after_ms < 0) {
     return "deadlines and retry_after_ms must not be negative";
+  }
+  if (options.stats_window_s < 1 || options.stats_window_s > kMaxStatsWindowS) {
+    return StrFormat("stats_window_s must be between 1 and %lld",
+                     static_cast<long long>(kMaxStatsWindowS));
   }
   return "";
 }
@@ -190,6 +193,8 @@ Frontend::Frontend(FrontendHandler* handler, const FrontendOptions& options,
       options_(options),
       role_(std::move(role)),
       reload_(std::move(reload)),
+      latency_(obs::MetricsRegistry::Global().GetHistogram(
+          role_.latency_metric)),
       gate_(static_cast<size_t>(std::max(0, options_.num_workers)),
             options_.queue_capacity),
       flight_(std::make_shared<FlightRecorder>(options_.flight_recorder_size,
@@ -197,13 +202,9 @@ Frontend::Frontend(FrontendHandler* handler, const FrontendOptions& options,
                                                options_.slow_query_us)),
       window_(obs::WindowedAggregatorOptions{
           /*sample_period_ms=*/1000,
-          /*num_buckets=*/std::max<size_t>(
-              64, static_cast<size_t>(std::max<int64_t>(
-                      0, options_.stats_window_s)) * 2)}) {
-#ifndef IPIN_OBS_DISABLED
-  latency_ = obs::MetricsRegistry::Global().GetHistogram(role_.latency_metric);
-#endif
-}
+          // Clamped: a window Start() refuses must not exhaust memory here.
+          /*num_buckets=*/static_cast<size_t>(std::clamp<int64_t>(
+              options_.stats_window_s, 32, kMaxStatsWindowS)) * 2}) {}
 
 Frontend::~Frontend() { Shutdown(); }
 
@@ -444,7 +445,6 @@ done:
 
 void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
                              Request&& request) {
-  const Clock::time_point now = Clock::now();
   const int64_t write_timeout = options_.write_timeout_ms;
   switch (request.method) {
     case Method::kHealth: {
@@ -499,19 +499,15 @@ void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
   }
 
   // A query without a trace id gets one here, so every path below
-  // (responses, spans, flight records, logs) can refer to the request by it.
+  // (responses, lanes, flight records, logs) can refer to the request by it.
   if (request.trace_id == 0) {
     request.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   }
-  const uint64_t trace_id = request.trace_id;
-  IPIN_TRACE_ASYNC_BEGIN("serve.request", trace_id);
-
-  RequestRecord record;
-  record.trace_id = trace_id;
-  record.id = request.id;
-  record.mode = request.mode;
-  record.num_seeds = request.seeds.size();
-  const Response response = AdmitAndEvaluate(request, now, &record);
+  RequestRecord record{.trace_id = request.trace_id, .id = request.id,
+                       .mode = request.mode,
+                       .num_seeds = request.seeds.size(),
+                       .parsed = Clock::now()};
+  const Response response = AdmitAndEvaluate(request, &record);
   record.status = response.status;
   record.degraded = response.degraded;
   // Rejections carry no epoch on the wire; their records still do.
@@ -519,62 +515,51 @@ void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
 
   // Filed before the write, so a client that reads the recorder as soon
   // as its answer arrives finds the record; completed after it.
-  const Clock::time_point write_start = Clock::now();
-  record.total_us = ToMicros(write_start - now);
   const uint64_t seq = flight_->File(record);
-  IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
   WriteResponse(conn, response, write_timeout);
-  const Clock::time_point done = Clock::now();
-  IPIN_TRACE_ASYNC_END("serve.write", trace_id);
-  IPIN_TRACE_ASYNC_END("serve.request", trace_id);
-  record.write_us = ToMicros(done - write_start);
-  record.total_us = ToMicros(done - now);
-  flight_->Complete(seq, record);
-  if (record.total_us > options_.slow_query_us) {
+  record.written = Clock::now();
+  const RequestRecord::Stages stages = CompleteRecord(
+      flight_.get(), seq, record, role_.eval_lane, latency_);
+  if (stages.total_us > options_.slow_query_us) {
     LogWarning(StrFormat(
         "%s: slow %s trace_id=%s id=%lld status=%s total_us=%lld "
         "(admission=%lld queue=%lld %s=%lld write=%lld)",
-        role_.log_prefix, role_.request_noun, TraceIdToHex(trace_id).c_str(),
+        role_.log_prefix, role_.request_noun,
+        TraceIdToHex(record.trace_id).c_str(),
         static_cast<long long>(record.id), StatusCodeName(record.status),
-        static_cast<long long>(record.total_us),
-        static_cast<long long>(record.admission_us),
-        static_cast<long long>(record.queue_us), role_.eval_stage,
-        static_cast<long long>(record.eval_us),
-        static_cast<long long>(record.write_us)));
+        static_cast<long long>(stages.total_us),
+        static_cast<long long>(stages.admission_us),
+        static_cast<long long>(stages.queue_us), role_.eval_stage,
+        static_cast<long long>(stages.eval_us),
+        static_cast<long long>(stages.write_us)));
   }
 }
 
 Response Frontend::AdmitAndEvaluate(const Request& request,
-                                    Clock::time_point start,
                                     RequestRecord* record) {
+  const Clock::time_point deadline =
+      record->parsed +
+      std::chrono::milliseconds(request.deadline_ms > 0
+                                    ? request.deadline_ms
+                                    : options_.default_deadline_ms);
+  record->admitted = Clock::now();
   if (draining_.load(std::memory_order_acquire)) {
     Response response = ReplyTo(request, StatusCode::kUnavailable);
     response.retry_after_ms = options_.retry_after_ms;
     response.error = "server is draining";
-    record->admission_us = ToMicros(Clock::now() - start);
     return response;
   }
-  const Clock::time_point deadline =
-      start + std::chrono::milliseconds(request.deadline_ms > 0
-                                            ? request.deadline_ms
-                                            : options_.default_deadline_ms);
-  const Clock::time_point queued = Clock::now();
-  record->admission_us = ToMicros(queued - start);
-  IPIN_TRACE_ASYNC_BEGIN("serve.queue", request.trace_id);
   const AdmissionGate::Entry entry = gate_.Enter(deadline);
-  IPIN_TRACE_ASYNC_END("serve.queue", request.trace_id);
   if (entry == AdmissionGate::Entry::kRefused) {
     // Load shedding: reject now with a backoff hint rather than waiting
-    // beyond capacity.
+    // beyond capacity. The request never entered the queue.
     IPIN_COUNTER_ADD("serve.requests.shed", 1);
     Response response = ReplyTo(request, StatusCode::kOverloaded);
     response.retry_after_ms = options_.retry_after_ms;
     return response;
   }
   IPIN_COUNTER_ADD("serve.requests.accepted", 1);
-  const Clock::time_point entered = Clock::now();
-  record->queue_us = ToMicros(entered - queued);
-  IPIN_HISTOGRAM_RECORD("serve.queue.wait_us", record->queue_us);
+  record->entered = Clock::now();
   if (entry == AdmissionGate::Entry::kExpired) {
     // Past its deadline (or the drain deadline) before its turn: answered
     // without occupying an evaluation slot.
@@ -583,15 +568,43 @@ Response Frontend::AdmitAndEvaluate(const Request& request,
     response.epoch = handler_->Epoch();
     return response;
   }
-  IPIN_TRACE_ASYNC_BEGIN(role_.eval_lane, request.trace_id);
   Response response = handler_->Evaluate(request, deadline);
   gate_.Leave();  // before the write: a slow reader holds no slot
-  record->eval_us = ToMicros(Clock::now() - entered);
-  IPIN_TRACE_ASYNC_END(role_.eval_lane, request.trace_id);
-  if (latency_ != nullptr) {
-    latency_->Record(static_cast<uint64_t>(record->eval_us));
-  }
+  record->evaluated = Clock::now();
   return response;
+}
+
+RequestRecord::Stages CompleteRecord(
+    FlightRecorder* flight, uint64_t seq, const RequestRecord& record,
+    [[maybe_unused]] const char* eval_lane,
+    [[maybe_unused]] obs::Histogram* eval_latency) {
+  flight->Complete(seq, record);
+  const RequestRecord::Stages stages = record.stages();
+#ifndef IPIN_OBS_DISABLED
+  if (RequestRecord::Reached(record.entered)) {
+    IPIN_HISTOGRAM_RECORD("serve.queue.wait_us", stages.queue_us);
+  }
+  if (RequestRecord::Reached(record.evaluated)) {
+    eval_latency->Record(static_cast<uint64_t>(stages.eval_us));
+  }
+  if (!obs::IsTraceRecording()) return stages;
+  // A lane per stage reached after admission, which only serve.request
+  // covers; an unset stamp is the clock's epoch, so a leg starts at parsed.
+  Clock::time_point begin = std::max(record.parsed, record.admitted);
+  const auto lane = [&](const char* name, Clock::time_point end) {
+    if (!RequestRecord::Reached(end)) return;
+    obs::RecordAsyncStage(name, record.trace_id, begin, end);
+    begin = end;
+  };
+  lane("serve.queue", record.entered);
+  lane(eval_lane, record.evaluated);
+  lane("serve.write", record.written);
+  if (RequestRecord::Reached(record.written)) {
+    obs::RecordAsyncStage("serve.request", record.trace_id, record.parsed,
+                          record.written);
+  }
+#endif
+  return stages;
 }
 
 void Frontend::HandleReload(const std::shared_ptr<Connection>& conn,

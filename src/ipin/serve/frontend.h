@@ -58,13 +58,13 @@
 //     refcounted state and the manager, which outlives the daemon.
 //
 // Request observability (DESIGN.md §7): every query carries a 64-bit trace
-// id — the client's, or one assigned at admission — that links its stages
-// (serve.request / serve.queue / the handler's evaluation lane /
-// serve.write) as Chrome-trace async events, tags slow-request log lines,
-// and is echoed in the response. Every query (including shed and expired
-// ones) is filed in the flight recorder before its response is written and
-// completed after; ones over slow_query_us also land in its slow ring and
-// log a warning. A
+// id — the client's, or one assigned at admission — echoed in the response
+// and naming its RequestRecord (flight_recorder.h), which holds one clock
+// stamp per stage boundary. The record is filed in the flight recorder
+// before the response is written (shed and expired queries too); once it
+// is written, CompleteRecord derives every output from the stamps: stage
+// times, serve.queue.wait_us, the role's latency histogram and the async
+// trace lanes. Over slow_query_us a query also logs a warning. A
 // WindowedAggregator samples the metrics registry once a second for the
 // stats verb's win_* fields, which ipin_top reads.
 //
@@ -76,9 +76,9 @@
 // connections.active, write.timeouts, latency.{health,stats,metrics,debug,
 // reload}_us, plus the handler's evaluation latency histogram.
 //
-// Under -DIPIN_OBS_DISABLED the trace events and windowed stats compile
-// out; the flight recorder and the metrics/debug verbs keep answering so
-// the wire protocol keeps its shape in every build.
+// Under -DIPIN_OBS_DISABLED the histograms, lanes and windowed stats
+// compile out; the flight recorder and the metrics/debug verbs keep
+// answering so the wire protocol keeps its shape in every build.
 
 namespace ipin {
 class FlagMap;
@@ -119,6 +119,9 @@ struct FrontendOptions {
   int64_t stats_window_s = 10;
 };
 
+/// Longest stats window: each second of it reserves two registry snapshots.
+constexpr int64_t kMaxStatsWindowS = 3600;
+
 /// Fills `options` from the daemons' shared flags: --socket, --port,
 /// --workers, --queue_capacity, --max_connections, --default_deadline_ms,
 /// --retry_after_ms, --drain_deadline_ms, --slow_query_us, --flight_size,
@@ -126,7 +129,7 @@ struct FrontendOptions {
 /// above; without --port, tcp_port stays -1). False, with the reason in
 /// *error, for options that would hang every query: fewer than one worker
 /// or connection, or a negative queue or recorder capacity, deadline or
-/// retry hint.
+/// retry hint; and for a stats window outside [1, kMaxStatsWindowS].
 bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
                         std::string* error);
 
@@ -207,7 +210,6 @@ using ReloadFn = std::function<ReloadResult()>;
 /// What a daemon plugs into the frontend.
 class FrontendHandler {
  public:
-  using Clock = std::chrono::steady_clock;
   using StatsInfo = std::vector<std::pair<std::string, double>>;
 
   virtual ~FrontendHandler() = default;
@@ -225,10 +227,17 @@ class FrontendHandler {
   virtual Response ReshardStatus(const Request& request) = 0;
 };
 
+/// Completes `record` (filed in `flight` as `seq`) and feeds each stage it
+/// reached, from its own stamps, to serve.queue.wait_us, `eval_latency`
+/// and, while recording, the async lanes serve.queue, `eval_lane`,
+/// serve.write and serve.request. Returns the stage times the dump shows.
+RequestRecord::Stages CompleteRecord(FlightRecorder* flight, uint64_t seq,
+                                     const RequestRecord& record,
+                                     const char* eval_lane,
+                                     obs::Histogram* eval_latency);
+
 class Frontend {
  public:
-  using Clock = std::chrono::steady_clock;
-
   /// `handler` must outlive the frontend; it is called only between
   /// Start() and the end of Shutdown().
   Frontend(FrontendHandler* handler, const FrontendOptions& options,
@@ -275,9 +284,8 @@ class Frontend {
   void HandleRequest(const std::shared_ptr<Connection>& conn,
                      Request&& request);
   /// Passes a query through the gate and evaluates it, unless it is
-  /// rejected first; fills the record's admission, queue and eval stages.
-  Response AdmitAndEvaluate(const Request& request, Clock::time_point start,
-                            RequestRecord* record);
+  /// rejected first; stamps the boundaries it reaches in `record`.
+  Response AdmitAndEvaluate(const Request& request, RequestRecord* record);
   void HandleReload(const std::shared_ptr<Connection>& conn,
                     const Request& request);
   Response StatsResponse(const Request& request);
@@ -292,8 +300,8 @@ class Frontend {
   const FrontendOptions options_;
   const FrontendRole role_;
   const ReloadFn reload_;
-  /// The role's latency histogram; null under IPIN_OBS_DISABLED.
-  obs::Histogram* latency_ = nullptr;
+  /// The role's latency histogram.
+  obs::Histogram* const latency_;
 
   int listen_fd_ = -1;
   int bound_port_ = -1;

@@ -43,18 +43,6 @@ const char* MethodName(Method method) {
   return "query";
 }
 
-const char* ModeName(QueryMode mode) {
-  switch (mode) {
-    case QueryMode::kSketch:
-      return "sketch";
-    case QueryMode::kExact:
-      return "exact";
-    case QueryMode::kAuto:
-      return "auto";
-  }
-  return "auto";
-}
-
 bool Fail(std::string* error, const char* reason) {
   if (error != nullptr) *error = reason;
   return false;
@@ -193,6 +181,18 @@ std::optional<std::vector<uint8_t>> RanksFromHex(std::string_view hex) {
   return ranks;
 }
 
+const char* QueryModeName(QueryMode mode) {
+  switch (mode) {
+    case QueryMode::kSketch:
+      return "sketch";
+    case QueryMode::kExact:
+      return "exact";
+    case QueryMode::kAuto:
+      return "auto";
+  }
+  return "auto";
+}
+
 const char* StatusCodeName(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
@@ -329,7 +329,7 @@ std::string SerializeRequest(const Request& request) {
       out += std::to_string(request.seeds[i]);
     }
     out += "], \"mode\": \"";
-    out += ModeName(request.mode);
+    out += QueryModeName(request.mode);
     out += "\"";
   }
   if (request.method == Method::kQuery && request.want_ranks) {
@@ -403,7 +403,8 @@ std::optional<Response> ParseResponse(std::string_view line) {
   response.trace_id = trace_id.value_or(0);
   response.payload = doc->FindString("payload", "");
   const JsonValue* info = doc->Find("info");
-  if (info != nullptr && info->is_object()) {
+  if (info != nullptr) {
+    if (!info->is_object()) return std::nullopt;
     for (const auto& [key, value] : info->object_items()) {
       if (value.is_number()) response.info.emplace_back(key, value.number_value());
     }

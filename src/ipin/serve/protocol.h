@@ -158,6 +158,8 @@ enum class Method {
 enum class MetricsFormat { kPrometheus, kJson };
 
 enum class QueryMode { kSketch, kExact, kAuto };
+/// "sketch", "exact" or "auto" (the wire spelling).
+const char* QueryModeName(QueryMode mode);
 
 enum class StatusCode {
   kOk,

@@ -7,16 +7,15 @@
 #include "ipin/common/string_util.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
-#include "ipin/obs/trace_events.h"
 #include "ipin/sketch/estimators.h"
 #include "ipin/sketch/kernels.h"
 
 namespace ipin::serve {
 namespace {
 
-int64_t MillisUntil(std::chrono::steady_clock::time_point deadline) {
+int64_t MillisUntil(Clock::time_point deadline) {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
-             deadline - std::chrono::steady_clock::now())
+             deadline - Clock::now())
       .count();
 }
 
@@ -165,27 +164,24 @@ std::optional<Response> RouterServer::RunShardLeg(
     const std::shared_ptr<ShardFleet>& fleet, bool prev, size_t shard,
     const Request& leg, Clock::time_point leg_deadline,
     FlightRecorder* flight) {
-  const Clock::time_point start = Clock::now();
+  // One flight record per leg, tagged with its shard, under the request's
+  // trace id — the dump shows which leg made a request slow or partial. Its
+  // two stamps, start and end, also feed serve.shard.leg_us and the lane.
+  static obs::Histogram* const leg_us =
+      obs::MetricsRegistry::Global().GetHistogram("serve.shard.leg_us");
+  RequestRecord record{.trace_id = leg.trace_id, .id = leg.id, .mode = leg.mode,
+                       .num_seeds = leg.seeds.size(),
+                       .shard = static_cast<int>(shard),
+                       .parsed = Clock::now()};
   IPIN_COUNTER_ADD("serve.shard.legs", 1);
   if (prev) IPIN_COUNTER_ADD("serve.shard.legs.fallback", 1);
-  IPIN_TRACE_ASYNC_BEGIN("serve.shard.leg", leg.trace_id);
   ShardHealthTracker& health = fleet->SideHealth(prev);
-
-  // One flight record per leg, tagged with its shard, under the request's
-  // trace id — the dump shows which leg made a request slow or partial.
   const auto record_leg = [&](StatusCode status, uint64_t epoch) {
-    RequestRecord record;
-    record.shard = static_cast<int>(shard);
-    record.trace_id = leg.trace_id;
-    record.id = leg.id;
-    record.mode = leg.mode;
+    record.evaluated = Clock::now();
     record.status = status;
-    record.num_seeds = leg.seeds.size();
     record.epoch = epoch;
-    record.eval_us = ToMicros(Clock::now() - start);
-    record.total_us = record.eval_us;
-    flight->Record(record);
-    IPIN_TRACE_ASYNC_END("serve.shard.leg", leg.trace_id);
+    CompleteRecord(flight, flight->File(record), record, "serve.shard.leg",
+                   leg_us);
   };
 
   if (!health.AllowRequest(shard)) {
@@ -246,8 +242,6 @@ std::optional<Response> RouterServer::RunShardLeg(
       }
     }
   }
-  IPIN_HISTOGRAM_RECORD("serve.shard.leg_us", ToMicros(Clock::now() - start));
-
   // A usable partial is OK (merged) or BAD_REQUEST (propagated: the seed
   // range check is deterministic across shards). Everything else — no
   // response, OVERLOADED, UNAVAILABLE, DEADLINE_EXCEEDED, INTERNAL — counts

@@ -82,7 +82,10 @@
 // serve.route lane and serve.latency.route_us. The client's trace_id
 // rides every shard leg (parent_span = trace_id), so one id spans the
 // router lane and each backend's lanes; the flight recorder keeps one
-// record per leg (with its shard number) plus one per request.
+// record per leg (with its shard number) plus one per request. A leg reads
+// the clock twice, at its start and its end, and those two stamps are its
+// flight record's eval_us, its serve.shard.leg_us sample and its
+// serve.shard.leg lane stage (CompleteRecord, frontend.h).
 
 namespace ipin::serve {
 
@@ -199,7 +202,7 @@ class RouterServer : private FrontendHandler {
   std::shared_ptr<ShardFleet> Fleet();
 
   /// One shard RPC with health bookkeeping, replica failover, hedging,
-  /// failpoints, and a leg flight record; returns the shard response or
+  /// failpoints, and a completed leg record; returns the shard response or
   /// nullopt. `prev` targets the previous-epoch fleet (double-dispatch
   /// fallback legs during a transition). Static and fed only refcounted
   /// state: a leg stuck in a socket timeout may outlive the scatter wait

@@ -18,7 +18,7 @@
 # "debug" verbs, the slow-query flight recorder (a failpoint-delayed query
 # must show up with per-stage timings), the SIGUSR1 dump, and — in
 # obs-enabled builds — the Chrome trace written by --trace_out, which must
-# contain the request's async span lane.
+# carry every serve stage lane and close each stage of the request's lane.
 #
 # Invoked by ctest: $1=ipin_cli $2=ipin_oracled $3=ipin_oracle_client
 # $4=obs mode ("obs-enabled"/"obs-disabled"; metric assertions only hold in
@@ -334,12 +334,19 @@ fi
 stop_daemon "${WORK}/d6.log"
 if [ "${OBS_MODE}" = "obs-enabled" ]; then
   [ -s "${WORK}/trace.json" ] || fail "--trace_out wrote no Chrome trace"
-  grep -q '"serve.request"' "${WORK}/trace.json" \
-    || fail "trace missing serve.request span"
-  grep -q '"serve.eval"' "${WORK}/trace.json" \
-    || fail "trace missing serve.eval span"
+  for lane in serve.request serve.queue serve.eval serve.write; do
+    grep -q "\"${lane}\"" "${WORK}/trace.json" \
+      || fail "trace missing ${lane} lane"
+  done
   grep -q '"id":"0xc0ffee"' "${WORK}/trace.json" \
     || fail "trace missing the propagated trace id lane"
+  # Every stage of the propagated lane is a closed b/e pair.
+  lane_begins=$(grep '"id":"0xc0ffee"' "${WORK}/trace.json" \
+    | grep -c '"ph":"b"' || true)
+  lane_ends=$(grep '"id":"0xc0ffee"' "${WORK}/trace.json" \
+    | grep -c '"ph":"e"' || true)
+  [ "${lane_begins}" -gt 0 ] && [ "${lane_begins}" -eq "${lane_ends}" ] \
+    || fail "0xc0ffee lane has ${lane_begins} begins and ${lane_ends} ends"
   grep -q '"serve.audit.sampled"' "${WORK}/m6.json" \
     || fail "metrics report missing serve.audit.sampled"
 fi

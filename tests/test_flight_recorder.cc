@@ -1,5 +1,6 @@
 #include "ipin/serve/flight_recorder.h"
 
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -10,7 +11,10 @@
 namespace ipin::serve {
 namespace {
 
+// A request parsed a second ago whose stamps make its stages admission 5,
+// queue 10, eval total_us - 20 and write 5 microseconds.
 RequestRecord MakeRecord(int64_t id, int64_t total_us) {
+  using std::chrono::microseconds;
   RequestRecord record;
   record.trace_id = static_cast<uint64_t>(id) * 0x1111;
   record.id = id;
@@ -18,11 +22,11 @@ RequestRecord MakeRecord(int64_t id, int64_t total_us) {
   record.status = StatusCode::kOk;
   record.num_seeds = 3;
   record.epoch = 1;
-  record.admission_us = 5;
-  record.queue_us = 10;
-  record.eval_us = total_us - 20;
-  record.write_us = 5;
-  record.total_us = total_us;
+  record.parsed = Clock::now() - std::chrono::seconds(1);
+  record.admitted = record.parsed + microseconds(5);
+  record.entered = record.parsed + microseconds(15);
+  record.evaluated = record.parsed + microseconds(total_us - 5);
+  record.written = record.parsed + microseconds(total_us);
   return record;
 }
 
@@ -31,21 +35,21 @@ TEST(FlightRecorderTest, RecentRingKeepsNewestInOrder) {
                           /*slow_threshold_us=*/1000000);
   for (int64_t i = 1; i <= 7; ++i) recorder.Record(MakeRecord(i, 100));
 
-  EXPECT_EQ(recorder.recorded(), 7u);
-  EXPECT_EQ(recorder.slow_recorded(), 0u);
-  const auto recent = recorder.RecentSnapshot();
-  ASSERT_EQ(recent.size(), 4u);
+  const FlightRecorder::Contents contents = recorder.Snapshot();
+  EXPECT_EQ(contents.recorded, 7u);
+  EXPECT_EQ(contents.slow_recorded, 0u);
+  ASSERT_EQ(contents.recent.size(), 4u);
   // Oldest -> newest after the ring wrapped: 4, 5, 6, 7.
-  for (size_t i = 0; i < recent.size(); ++i) {
-    EXPECT_EQ(recent[i].id, static_cast<int64_t>(i + 4));
+  for (size_t i = 0; i < contents.recent.size(); ++i) {
+    EXPECT_EQ(contents.recent[i].id, static_cast<int64_t>(i + 4));
   }
-  EXPECT_TRUE(recorder.SlowSnapshot().empty());
+  EXPECT_TRUE(contents.slow.empty());
 }
 
 TEST(FlightRecorderTest, UnwrappedRingPreservesInsertionOrder) {
   FlightRecorder recorder(8, 8, 1000000);
   for (int64_t i = 1; i <= 3; ++i) recorder.Record(MakeRecord(i, 100));
-  const auto recent = recorder.RecentSnapshot();
+  const auto recent = recorder.Snapshot().recent;
   ASSERT_EQ(recent.size(), 3u);
   EXPECT_EQ(recent[0].id, 1);
   EXPECT_EQ(recent[2].id, 3);
@@ -59,10 +63,11 @@ TEST(FlightRecorderTest, SlowRequestsLandInBothRings) {
   recorder.Record(MakeRecord(4, 500));   // exactly at threshold: not slow
   recorder.Record(MakeRecord(5, 700));   // slow; evicts id 2
 
-  EXPECT_EQ(recorder.recorded(), 5u);
-  EXPECT_EQ(recorder.slow_recorded(), 3u);
-  EXPECT_EQ(recorder.RecentSnapshot().size(), 5u);
-  const auto slow = recorder.SlowSnapshot();
+  const FlightRecorder::Contents contents = recorder.Snapshot();
+  EXPECT_EQ(contents.recorded, 5u);
+  EXPECT_EQ(contents.slow_recorded, 3u);
+  EXPECT_EQ(contents.recent.size(), 5u);
+  const auto& slow = contents.slow;
   ASSERT_EQ(slow.size(), 2u);
   EXPECT_EQ(slow[0].id, 3);
   EXPECT_EQ(slow[1].id, 5);
@@ -71,10 +76,11 @@ TEST(FlightRecorderTest, SlowRequestsLandInBothRings) {
 TEST(FlightRecorderTest, ZeroCapacityRingsStillCount) {
   FlightRecorder recorder(0, 0, 10);
   recorder.Record(MakeRecord(1, 100));
-  EXPECT_EQ(recorder.recorded(), 1u);
-  EXPECT_EQ(recorder.slow_recorded(), 1u);
-  EXPECT_TRUE(recorder.RecentSnapshot().empty());
-  EXPECT_TRUE(recorder.SlowSnapshot().empty());
+  const FlightRecorder::Contents contents = recorder.Snapshot();
+  EXPECT_EQ(contents.recorded, 1u);
+  EXPECT_EQ(contents.slow_recorded, 1u);
+  EXPECT_TRUE(contents.recent.empty());
+  EXPECT_TRUE(contents.slow.empty());
 }
 
 TEST(FlightRecorderTest, DumpJsonMatchesSchema) {
@@ -127,10 +133,10 @@ TEST(FlightRecorderTest, DumpJsonMatchesSchema) {
 
 TEST(FlightRecorderTest, FiledRecordIsDumpedBeforeItCompletes) {
   FlightRecorder recorder(8, 8, /*slow_threshold_us=*/500);
-  // Filed before the response write: stages so far, no write or total.
+  // Filed before the response write: stages so far, no write stage.
   RequestRecord record = MakeRecord(9, 2000);
-  record.write_us = 0;
-  record.total_us = record.admission_us + record.queue_us + record.eval_us;
+  const Clock::time_point written = record.written;
+  record.written = {};
   const uint64_t seq = recorder.File(record);
 
   auto doc = JsonValue::Parse(recorder.DumpJson());
@@ -147,8 +153,7 @@ TEST(FlightRecorderTest, FiledRecordIsDumpedBeforeItCompletes) {
   EXPECT_TRUE(doc->Find("slow")->array_items().empty());
 
   // Completed after the write: the same slot, now with write and total.
-  record.write_us = 5;
-  record.total_us = 2000;
+  record.written = written;
   recorder.Complete(seq, record);
   doc = JsonValue::Parse(recorder.DumpJson());
   ASSERT_TRUE(doc.has_value());
@@ -162,18 +167,58 @@ TEST(FlightRecorderTest, FiledRecordIsDumpedBeforeItCompletes) {
   EXPECT_EQ(doc->Find("slow")->array_items()[0].FindNumber("id", -1), 9.0);
 }
 
+TEST(FlightRecorderTest, StagesFloorBoundariesAndSkipTheUnreached) {
+  using std::chrono::nanoseconds;
+  RequestRecord record;
+  record.parsed = Clock::now();
+  // Shed: never entered the queue, never evaluated. The write stage starts
+  // where admission ended.
+  record.admitted = record.parsed + nanoseconds(1900);
+  record.written = record.parsed + nanoseconds(4100);
+  RequestRecord::Stages stages = record.stages();
+  EXPECT_EQ(stages.admission_us, 1);
+  EXPECT_EQ(stages.queue_us, 0);
+  EXPECT_EQ(stages.eval_us, 0);
+  EXPECT_EQ(stages.write_us, 3);
+  EXPECT_EQ(stages.total_us, 4);
+  EXPECT_EQ(record.last_stamp(), record.written);
+
+  // Boundaries are floored since parsed, so stages of 0.6-1.3 µs each still
+  // add up to the floored total.
+  record.entered = record.parsed + nanoseconds(2500);
+  record.evaluated = record.parsed + nanoseconds(3300);
+  stages = record.stages();
+  EXPECT_EQ(stages.admission_us, 1);
+  EXPECT_EQ(stages.queue_us, 1);
+  EXPECT_EQ(stages.eval_us, 1);
+  EXPECT_EQ(stages.write_us, 1);
+  EXPECT_EQ(stages.total_us, 4);
+
+  // A router leg is one eval stage, from its start to its end.
+  RequestRecord leg;
+  leg.shard = 0;
+  leg.parsed = record.parsed;
+  leg.evaluated = leg.parsed + nanoseconds(250400);
+  stages = leg.stages();
+  EXPECT_EQ(stages.admission_us, 0);
+  EXPECT_EQ(stages.eval_us, 250);
+  EXPECT_EQ(stages.write_us, 0);
+  EXPECT_EQ(stages.total_us, 250);
+  EXPECT_EQ(leg.last_stamp(), leg.evaluated);
+}
+
 TEST(FlightRecorderTest, CompletingAnOverwrittenSlotLeavesItAlone) {
   FlightRecorder recorder(/*recent_capacity=*/2, 4, /*slow_threshold_us=*/500);
   const uint64_t seq = recorder.File(MakeRecord(1, 100));
   recorder.Record(MakeRecord(2, 100));
   recorder.Record(MakeRecord(3, 100));  // overwrites id 1's slot
   recorder.Complete(seq, MakeRecord(1, 900));
-  const auto recent = recorder.RecentSnapshot();
+  const auto recent = recorder.Snapshot().recent;
   ASSERT_EQ(recent.size(), 2u);
   EXPECT_EQ(recent[0].id, 2);
   EXPECT_EQ(recent[1].id, 3);
   // Still classified: a slow request is kept even if its recent slot went.
-  const auto slow = recorder.SlowSnapshot();
+  const auto slow = recorder.Snapshot().slow;
   ASSERT_EQ(slow.size(), 1u);
   EXPECT_EQ(slow[0].id, 1);
 }

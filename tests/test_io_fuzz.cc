@@ -1030,6 +1030,76 @@ TEST_F(IoFuzzTest, WireLinesParseToFixedPointsOrNothing) {
   EXPECT_GT(rejected, 1000u);
 }
 
+// JsonValue's typed accessors (bool_value, number_value, string_value,
+// array_items, object_items) abort on a value of another type. Every wire
+// and shard-map field read through one is type-checked first, so a field
+// of the wrong type is a clean error: one hostile type per surface.
+TEST_F(IoFuzzTest, HostileFieldTypesFailCleanly) {
+  enum class Surface { kRequest, kResponse, kShardMap };
+  struct Case {
+    const char* what;
+    Surface surface;
+    std::string text;
+  };
+  const std::string shard = R"({"schema":"ipin.shardmap.v2","shards":[{)"
+                            R"("name":"a","unix_socket":"/tmp/a.sock",)";
+  const std::vector<Case> cases = {
+      {"trace_id as a number", Surface::kRequest,
+       R"({"id":1,"method":"query","seeds":[1],"trace_id":12648430})"},
+      {"parent_span as a bool", Surface::kRequest,
+       R"({"id":1,"method":"query","seeds":[1],"parent_span":true})"},
+      {"seeds as an object", Surface::kRequest,
+       R"({"id":1,"method":"query","seeds":{"0":1}})"},
+      {"a seed as a string", Surface::kRequest,
+       R"({"id":1,"method":"query","seeds":["1"]})"},
+      {"topk pair not an array", Surface::kResponse,
+       R"({"id":1,"status":"OK","topk":[{"node":1,"estimate":2}]})"},
+      {"topk as a number", Surface::kResponse,
+       R"({"id":1,"status":"OK","topk":3})"},
+      {"info as an array", Surface::kResponse,
+       R"({"id":1,"status":"OK","info":[["queue_depth",0]]})"},
+      {"shards as an object", Surface::kShardMap,
+       R"({"schema":"ipin.shardmap.v2","shards":{"a":1}})"},
+      {"port as a string", Surface::kShardMap,
+       shard + R"("tcp_port":"7101"}]})"},
+      {"replicas as an object", Surface::kShardMap,
+       shard + R"("replicas":{"unix_socket":"/tmp/r.sock"}}]})"},
+      {"a replica as a string", Surface::kShardMap,
+       shard + R"("replicas":["/tmp/r.sock"]}]})"},
+  };
+  // The documents parse with well-typed fields, so each rejection below is
+  // its hostile field's.
+  const std::string request =
+      R"({"id":1,"method":"query","seeds":[1],"trace_id":"c0ffee",)"
+      R"("parent_span":"1"})";
+  const std::string response =
+      R"({"id":1,"status":"OK","topk":[[1,2]],"info":{"queue_depth":0}})";
+  const std::string map =
+      shard + R"("replicas":[{"unix_socket":"/tmp/r.sock"}]}]})";
+  std::string error;
+  ASSERT_TRUE(serve::ParseRequest(request, &error).has_value()) << error;
+  ASSERT_TRUE(serve::ParseResponse(response).has_value());
+  ASSERT_TRUE(serve::ShardMap::Parse(map, &error).has_value()) << error;
+  for (const Case& c : cases) {
+    error.clear();
+    switch (c.surface) {
+      case Surface::kRequest:
+        EXPECT_FALSE(serve::ParseRequest(c.text, &error).has_value())
+            << c.what;
+        EXPECT_FALSE(error.empty()) << c.what;
+        break;
+      case Surface::kResponse:
+        EXPECT_FALSE(serve::ParseResponse(c.text).has_value()) << c.what;
+        break;
+      case Surface::kShardMap:
+        EXPECT_FALSE(serve::ShardMap::Parse(c.text, &error).has_value())
+            << c.what;
+        EXPECT_FALSE(error.empty()) << c.what;
+        break;
+    }
+  }
+}
+
 // Mutated shard maps: the ToJson of a v1 map with mirrors (parsed from its
 // v1 text, which is fuzzed too: ToJson writes mirrors as replicas), of a v2
 // map with replicas, index files and fingerprints, and of a map in

@@ -512,7 +512,7 @@ TEST_F(RouterTest, LegRecordsLandInFlightRecorderWithShardTag) {
 
   // One overall record (shard=-1) plus one record per answering leg, all
   // sharing the request's trace id.
-  const auto records = router_->flight_recorder().RecentSnapshot();
+  const auto records = router_->flight_recorder().Snapshot().recent;
   ASSERT_FALSE(records.empty());
   bool saw_overall = false;
   bool saw_leg = false;

@@ -4,11 +4,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -19,10 +21,12 @@
 
 #include "ipin/common/failpoint.h"
 #include "ipin/common/flags.h"
+#include "ipin/common/json.h"
 #include "ipin/common/logging.h"
 #include "ipin/core/irs_exact.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/obs/metrics.h"
+#include "ipin/obs/trace_events.h"
 #include "ipin/serve/client.h"
 #include "ipin/serve/router.h"
 #include "ipin/serve/server.h"
@@ -417,6 +421,9 @@ TEST_P(ServeFrontendTest, StartRefusesOptionsThatWouldHangEveryQuery) {
   options = {};
   options.retry_after_ms = -1;
   EXPECT_TRUE(refused(options)) << "negative retry hint";
+  options = {};
+  options.stats_window_s = 1000000000;
+  EXPECT_TRUE(refused(options)) << "stats window past an hour";
   EXPECT_FALSE(refused(FrontendOptions{})) << "the defaults serve";
 }
 
@@ -487,6 +494,201 @@ TEST_F(RouterHedgingTest, HedgedLegRetriesOnTheNextEndpoint) {
   ::unlink(blackhole.c_str());
 }
 
+#ifndef IPIN_OBS_DISABLED
+// One stage record per request feeds every output: a traced session of
+// direct queries (one shed, one expired or timed out) and routed requests
+// must show, for every trace id, dumped stages that sum exactly to
+// total_us, a Chrome lane per reached stage within 1 µs of the record's
+// stage, and histogram counts and sums equal to the records' stages.
+TEST_F(FrontendFixture, OneStageRecordFeedsEveryOutput) {
+  ServerOptions backend;
+  backend.unix_socket_path = backend_socket_;
+  backend.num_workers = 1;
+  backend.queue_capacity = 1;
+  backend.flight_recorder_size = 1024;
+  backend_ = std::make_unique<OracleServer>(index_.get(), backend);
+  ASSERT_TRUE(backend_->Start());
+  ShardInfo shard;
+  shard.name = "shard0";
+  shard.endpoint.unix_socket_path = backend_socket_;
+  map_ = std::make_unique<ShardMapManager>("");
+  map_->Install(
+      std::make_shared<const ShardMap>(std::vector<ShardInfo>{shard}));
+  RouterOptions routed;
+  routed.unix_socket_path = socket_;
+  routed.flight_recorder_size = 1024;
+  router_ = std::make_unique<RouterServer>(map_.get(), routed);
+  ASSERT_TRUE(router_->Start());
+
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  const std::vector<const obs::Histogram*> histograms = {
+      registry.GetHistogram("serve.queue.wait_us"),
+      registry.GetHistogram("serve.latency.query_us"),
+      registry.GetHistogram("serve.latency.route_us"),
+      registry.GetHistogram("serve.shard.leg_us")};
+  std::vector<uint64_t> count_before;
+  std::vector<uint64_t> sum_before;
+  for (const obs::Histogram* h : histograms) {
+    count_before.push_back(h->Count());
+    sum_before.push_back(h->Sum());
+  }
+  obs::TraceRecorderOptions trace_options;
+  trace_options.counter_sample_period_ms = 0;
+  ASSERT_TRUE(obs::StartTraceRecording(trace_options));
+
+  // Direct queries on the backend's one worker and one queue slot: A holds
+  // the worker for 400 ms of delayed exact evaluation, B waits behind it
+  // with a 150 ms deadline, C finds the queue full.
+  const auto backend_client = [&] {
+    ClientOptions options;
+    options.unix_socket_path = backend_socket_;
+    options.max_attempts = 1;
+    return std::make_unique<OracleClient>(options);
+  };
+  ASSERT_TRUE(failpoint::Set("serve.eval", "delay(400)"));
+  std::vector<StatusCode> statuses(3, StatusCode::kOk);
+  std::thread a([&] {
+    const auto response =
+        backend_client()->Query({1, 2}, QueryMode::kExact, 5000);
+    if (response.has_value()) statuses[0] = response->status;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  std::thread b([&] {
+    const auto response = backend_client()->Query({3}, QueryMode::kExact, 150);
+    if (response.has_value()) statuses[1] = response->status;
+  });
+  const Clock::time_point give_up = Clock::now() + std::chrono::seconds(2);
+  while (backend_->queue_depth() == 0 && Clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  const auto shed = backend_client()->Query({4}, QueryMode::kSketch);
+  ASSERT_TRUE(shed.has_value());
+  statuses[2] = shed->status;
+  a.join();
+  b.join();
+  failpoint::ClearAll();
+  EXPECT_EQ(statuses[1], StatusCode::kDeadlineExceeded);
+  EXPECT_EQ(statuses[2], StatusCode::kOverloaded);
+
+  // Routed requests: a record per request and per leg on the router, one
+  // per leg on the backend.
+  OracleClient client = Client();
+  for (NodeId i = 0; i < 6; ++i) {
+    const auto response = client.Query({i, i + 7}, QueryMode::kSketch);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, StatusCode::kOk);
+  }
+  Request topk;
+  topk.method = Method::kTopk;
+  topk.k = 3;
+  const auto topk_response = client.Call(topk);
+  ASSERT_TRUE(topk_response.has_value());
+  EXPECT_EQ(topk_response->status, StatusCode::kOk);
+
+  // Shutdown joins every reader, so every record is complete.
+  router_->Shutdown();
+  backend_->Shutdown();
+  obs::StopTraceRecording();
+  const std::string trace_path = ::testing::TempDir() + "/ipin_fe_lanes.json";
+  ASSERT_TRUE(obs::WriteChromeTrace(trace_path));
+  const auto trace = JsonValue::ParseFile(trace_path);
+  std::remove(trace_path.c_str());
+  ASSERT_TRUE(trace.has_value());
+
+  // Lane stage durations by (trace id, lane): each "b" is followed by its
+  // "e" in the recording thread's buffer.
+  using LaneKey = std::pair<uint64_t, std::string>;
+  std::map<LaneKey, std::vector<double>> lanes;
+  const auto& events = trace->Find("traceEvents")->array_items();
+  for (size_t i = 0; i < events.size(); ++i) {
+    if (events[i].FindString("ph", "") != "b") continue;
+    ASSERT_LT(i + 1, events.size());
+    const JsonValue& end = events[i + 1];
+    const std::string name = events[i].FindString("name", "");
+    const std::string id = events[i].FindString("id", "");
+    ASSERT_EQ(end.FindString("ph", ""), "e");
+    ASSERT_EQ(end.FindString("name", ""), name);
+    ASSERT_EQ(end.FindString("id", ""), id);
+    lanes[{std::stoull(id, nullptr, 16), name}].push_back(
+        end.FindNumber("ts", 0) - events[i].FindNumber("ts", 0));
+  }
+
+  // What the records say the same lanes and histograms hold.
+  std::map<LaneKey, std::vector<double>> expected;
+  std::vector<uint64_t> counts(histograms.size(), 0);
+  std::vector<uint64_t> sums(histograms.size(), 0);
+  const auto add = [&](size_t h, int64_t us) {
+    ++counts[h];
+    sums[h] += static_cast<uint64_t>(us);
+  };
+  std::set<StatusCode> seen;
+  for (const bool router : {false, true}) {
+    const FlightRecorder& flight =
+        router ? router_->flight_recorder() : backend_->flight_recorder();
+    const FlightRecorder::Contents contents = flight.Snapshot();
+    const std::vector<RequestRecord>& records = contents.recent;
+    EXPECT_EQ(records.size(), contents.recorded);
+    const auto dump = JsonValue::Parse(flight.DumpJson());
+    ASSERT_TRUE(dump.has_value());
+    const auto& dumped = dump->Find("recent")->array_items();
+    ASSERT_EQ(dumped.size(), records.size());
+    for (size_t i = 0; i < records.size(); ++i) {
+      const RequestRecord& r = records[i];
+      const RequestRecord::Stages st = r.stages();
+      const JsonValue& d = dumped[i];
+      EXPECT_EQ(d.FindString("trace_id", ""), TraceIdToHex(r.trace_id));
+      EXPECT_EQ(d.FindNumber("admission_us", -1) +
+                    d.FindNumber("queue_us", -1) +
+                    d.FindNumber("eval_us", -1) + d.FindNumber("write_us", -1),
+                d.FindNumber("total_us", -2))
+          << "record " << i << " of " << (router ? "router" : "backend");
+      EXPECT_EQ(d.FindNumber("queue_us", -1), static_cast<double>(st.queue_us));
+      EXPECT_EQ(d.FindNumber("eval_us", -1), static_cast<double>(st.eval_us));
+      EXPECT_EQ(d.FindNumber("total_us", -1), static_cast<double>(st.total_us));
+      seen.insert(r.status);
+      const auto lane = [&](const char* name, int64_t us) {
+        expected[{r.trace_id, name}].push_back(static_cast<double>(us));
+      };
+      if (r.shard >= 0) {
+        lane("serve.shard.leg", st.eval_us);
+        add(3, st.eval_us);
+        continue;
+      }
+      ASSERT_TRUE(RequestRecord::Reached(r.written));
+      lane("serve.request", st.total_us);
+      lane("serve.write", st.write_us);
+      if (RequestRecord::Reached(r.entered)) {
+        lane("serve.queue", st.queue_us);
+        add(0, st.queue_us);
+      }
+      if (RequestRecord::Reached(r.evaluated)) {
+        lane(router ? "serve.route" : "serve.eval", st.eval_us);
+        add(router ? 2 : 1, st.eval_us);
+      }
+    }
+  }
+  EXPECT_TRUE(seen.count(StatusCode::kOverloaded));
+  EXPECT_TRUE(seen.count(StatusCode::kDeadlineExceeded));
+
+  ASSERT_EQ(lanes.size(), expected.size());
+  for (auto& [key, want] : expected) {
+    std::vector<double>& got = lanes[key];
+    ASSERT_EQ(got.size(), want.size()) << key.second << " " << key.first;
+    std::sort(got.begin(), got.end());
+    std::sort(want.begin(), want.end());
+    for (size_t i = 0; i < want.size(); ++i) {
+      EXPECT_NEAR(got[i], want[i], 1.0) << key.second << " " << key.first;
+    }
+  }
+  for (size_t h = 0; h < histograms.size(); ++h) {
+    EXPECT_EQ(histograms[h]->Count() - count_before[h], counts[h]) << h;
+    EXPECT_EQ(histograms[h]->Sum() - sum_before[h], sums[h]) << h;
+  }
+  EXPECT_GT(counts[0], 0u);
+  EXPECT_GT(counts[3], 0u);
+}
+#endif  // IPIN_OBS_DISABLED
+
 TEST(FrontendFlagsTest, RejectsValuesThatWouldHang) {
   const auto parse = [](std::vector<std::string> args, std::string* error) {
     args.insert(args.begin(), "daemon");
@@ -505,7 +707,9 @@ TEST(FrontendFlagsTest, RejectsValuesThatWouldHang) {
        {"--workers=0", "--workers=-2", "--max_connections=0",
         "--max_connections=-1", "--queue_capacity=-1",
         "--default_deadline_ms=-1", "--drain_deadline_ms=-5",
-        "--retry_after_ms=-1", "--flight_size=-1", "--flight_slow_size=-1"}) {
+        "--retry_after_ms=-1", "--flight_size=-1", "--flight_slow_size=-1",
+        "--stats_window_s=0", "--stats_window_s=-5",
+        "--stats_window_s=1000000000"}) {
     error.clear();
     EXPECT_FALSE(parse({"--socket=/tmp/x.sock", bad}, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;

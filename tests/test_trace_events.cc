@@ -266,5 +266,36 @@ TEST_F(TraceEventsTest, SecondSessionDiscardsFirstSessionsEvents) {
   EXPECT_EQ(events, 1u);
 }
 
+// An async stage is recorded from the caller's own stamps: its b/e pair
+// spans exactly end - begin, on the lane of its id. A stage that began
+// before the session is skipped, and none is recorded while not recording.
+TEST_F(TraceEventsTest, AsyncStageSpansTheCallersStamps) {
+  using std::chrono::microseconds;
+  const auto before = std::chrono::steady_clock::now();
+  RecordAsyncStage("test.idle", 1, before, before + microseconds(1));
+  TraceRecorderOptions options;
+  options.counter_sample_period_ms = 0;
+  ASSERT_TRUE(StartTraceRecording(options));
+  const auto begin = std::chrono::steady_clock::now();
+  RecordAsyncStage("test.stage", 0xc0ffee, begin, begin + microseconds(250));
+  RecordAsyncStage("test.early", 2, before, begin);
+  StopTraceRecording();
+
+  const std::string text = WriteTraceToTempFile("trace_async.json");
+  const auto doc = JsonValue::Parse(text);
+  ASSERT_TRUE(doc.has_value()) << text;
+  const auto& events = doc->Find("traceEvents")->array_items();
+  ASSERT_EQ(events.size(), 2u) << text;
+  EXPECT_EQ(events[0].FindString("ph", ""), "b");
+  EXPECT_EQ(events[1].FindString("ph", ""), "e");
+  for (const JsonValue& e : events) {
+    EXPECT_EQ(e.FindString("name", ""), "test.stage");
+    EXPECT_EQ(e.FindString("cat", ""), "request");
+    EXPECT_EQ(e.FindString("id", ""), "0xc0ffee");
+  }
+  EXPECT_NEAR(events[1].FindNumber("ts", 0) - events[0].FindNumber("ts", 0),
+              250.0, 1e-3);
+}
+
 }  // namespace
 }  // namespace ipin::obs
