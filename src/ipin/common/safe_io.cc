@@ -10,6 +10,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 
 #include "ipin/common/check.h"
 #include "ipin/common/failpoint.h"
@@ -499,6 +501,33 @@ FrameStatus SafeFileReader::ReadFrame(std::string_view* payload) {
   }
   *payload = std::string_view(buffer_.get(), payload_len);
   return FrameStatus::kOk;
+}
+
+bool WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return false;
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    if (!out.flush()) {
+      std::remove(tmp.c_str());
+      return false;
+    }
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    std::remove(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
+std::optional<std::string> ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  if (in.bad()) return std::nullopt;
+  return buffer.str();
 }
 
 }  // namespace ipin

@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -75,6 +76,16 @@ bool ReadRaw(std::string_view data, size_t* offset, T* value) {
   *offset += sizeof(T);
   return true;
 }
+
+/// Replaces `path` with `bytes` through a sibling temp file and a rename:
+/// a reader polling the path sees the old file or the whole new one, never
+/// a torn write. Unframed and not fsync'd — for small text files (port
+/// files, shard maps) that a crash may lose but never tear. False on I/O
+/// failure (the temp file is removed).
+bool WriteFileAtomic(const std::string& path, std::string_view bytes);
+
+/// The whole file's bytes; nullopt when it cannot be opened or read.
+std::optional<std::string> ReadFileBytes(const std::string& path);
 
 /// Writes one framed file atomically. Usage:
 ///   SafeFileWriter writer(path, kMyFileType, kMyVersion);

@@ -13,14 +13,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "ipin/common/logging.h"
 #include "ipin/common/random.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
+#include "ipin/obs/export.h"
 #include "ipin/serve/port_file.h"
 #include "ipin/serve/protocol.h"
 
@@ -31,34 +31,6 @@ int64_t SteadyNowMs() {
   return std::chrono::duration_cast<std::chrono::milliseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::optional<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
-}
-
-/// Atomic overwrite (tmp + rename): a reloading router must never read a
-/// half-written map.
-bool WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".chaos.tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    if (!out.flush()) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
 }
 
 /// Tally shared between the verifier thread and Run(); mutex-guarded (the
@@ -104,16 +76,17 @@ const char* ChaosActionKindName(ChaosActionKind kind) {
 }
 
 std::string ChaosSchedule::ToJson() const {
-  std::string out = "{\"schema\": \"ipin.chaos.v1\", \"scenario\": \"" +
-                    JsonEscape(scenario) + "\", \"seed\": " +
-                    std::to_string(seed) + ", \"actions\": [";
+  std::string out = "{\"schema\": \"ipin.chaos.v1\", \"scenario\": ";
+  obs::AppendJsonString(scenario, &out);
+  out += ", \"seed\": " + std::to_string(seed) + ", \"actions\": [";
   for (size_t i = 0; i < actions.size(); ++i) {
     if (i > 0) out += ", ";
     out += StrFormat("{\"at_ms\": %lld, \"kind\": \"%s\"",
                      static_cast<long long>(actions[i].at_ms),
                      ChaosActionKindName(actions[i].kind));
     if (!actions[i].target.empty()) {
-      out += ", \"target\": \"" + JsonEscape(actions[i].target) + "\"";
+      out += ", \"target\": ";
+      obs::AppendJsonString(actions[i].target, &out);
     }
     out += "}";
   }
@@ -518,14 +491,18 @@ ChaosDrillReport ChaosDrill::Run() {
     const int64_t actual = SteadyNowMs() - start_ms_;
     std::string action_error;
     const bool ok = ExecuteAction(action, &action_error);
-    LedgerLine(StrFormat(
-        "{\"type\": \"action\", \"kind\": \"%s\", \"target\": \"%s\", "
-        "\"planned_ms\": %lld, \"actual_ms\": %lld, \"ok\": %s%s}",
-        ChaosActionKindName(action.kind), JsonEscape(action.target).c_str(),
-        static_cast<long long>(action.at_ms),
-        static_cast<long long>(actual), ok ? "true" : "false",
-        ok ? ""
-           : (", \"error\": \"" + JsonEscape(action_error) + "\"").c_str()));
+    std::string line = StrFormat("{\"type\": \"action\", \"kind\": \"%s\", "
+                                 "\"target\": ",
+                                 ChaosActionKindName(action.kind));
+    obs::AppendJsonString(action.target, &line);
+    line += StrFormat(", \"planned_ms\": %lld, \"actual_ms\": %lld, \"ok\": %s",
+                      static_cast<long long>(action.at_ms),
+                      static_cast<long long>(actual), ok ? "true" : "false");
+    if (!ok) {
+      line += ", \"error\": ";
+      obs::AppendJsonString(action_error, &line);
+    }
+    LedgerLine(line + "}");
     if (!ok) {
       report.failure = StrFormat("action %s failed: %s",
                                  ChaosActionKindName(action.kind),
@@ -585,8 +562,9 @@ ChaosDrillReport ChaosDrill::Run() {
                          : static_cast<double>(tally.ok) /
                                static_cast<double>(tally.total);
     for (const std::string& detail : tally.wrong_details) {
-      LedgerLine("{\"type\": \"wrong\", \"detail\": \"" +
-                 JsonEscape(detail) + "\"}");
+      std::string line = "{\"type\": \"wrong\", \"detail\": ";
+      obs::AppendJsonString(detail, &line);
+      LedgerLine(line + "}");
     }
   }
 
@@ -612,24 +590,24 @@ ChaosDrillReport ChaosDrill::Run() {
   std::string leaked = "[";
   for (size_t i = 0; i < report.leaked_daemons.size(); ++i) {
     if (i > 0) leaked += ", ";
-    leaked += '"';
-    leaked += JsonEscape(report.leaked_daemons[i]);
-    leaked += '"';
+    obs::AppendJsonString(report.leaked_daemons[i], &leaked);
   }
   leaked += "]";
+  std::string failure;
+  obs::AppendJsonString(report.failure, &failure);
   LedgerLine(StrFormat(
       "{\"type\": \"report\", \"queries_total\": %zu, \"queries_ok\": %zu, "
       "\"queries_degraded\": %zu, \"wrong_answers\": %zu, "
       "\"invariant_violations\": %zu, \"queries_failed\": %zu, "
       "\"availability\": %.6f, \"recovered\": %s, \"recovery_ms\": %lld, "
-      "\"leaked\": %s, \"passed\": %s, \"failure\": \"%s\"}",
+      "\"leaked\": %s, \"passed\": %s, \"failure\": %s}",
       report.queries_total, report.queries_ok, report.queries_degraded,
       report.wrong_answers, report.invariant_violations,
       report.queries_failed, report.availability,
       report.recovered ? "true" : "false",
       static_cast<long long>(report.recovery_ms), leaked.c_str(),
       report.passed ? "true" : "false",
-      JsonEscape(report.failure).c_str()));
+      failure.c_str()));
   return report;
 }
 

@@ -10,6 +10,7 @@
 #include <cerrno>
 #include <cstring>
 #include <deque>
+#include <limits>
 
 #include "ipin/common/failpoint.h"
 #include "ipin/common/flags.h"
@@ -79,31 +80,37 @@ std::string OptionsError(const FrontendOptions& options) {
 
 bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
                         std::string* error) {
+  // Every number is range-checked before it is narrowed: a negative count
+  // must not wrap into a huge size_t, nor a huge one into a small int.
+  error->clear();
+  const auto get = [&](const char* name, int64_t def, int64_t min,
+                       int64_t max = std::numeric_limits<int64_t>::max()) {
+    const int64_t value = flags.GetInt(name, def);
+    if (error->empty() && (value < min || value > max)) {
+      *error = StrFormat("%s must be between %lld and %lld", name,
+                         static_cast<long long>(min),
+                         static_cast<long long>(max));
+    }
+    return value;
+  };
   options->unix_socket_path = flags.GetString("socket");
   options->tcp_port =
-      flags.Has("port") ? static_cast<int>(flags.GetInt("port", 0)) : -1;
-  options->num_workers = static_cast<int>(flags.GetInt("workers", 4));
-  // Read signed: a negative count must not wrap into a huge size_t.
-  const int64_t queue_capacity = flags.GetInt("queue_capacity", 64);
-  const int64_t flight_size = flags.GetInt("flight_size", 256);
-  const int64_t flight_slow_size = flags.GetInt("flight_slow_size", 64);
-  options->queue_capacity = static_cast<size_t>(queue_capacity);
-  options->max_connections = static_cast<size_t>(
-      std::max<int64_t>(0, flags.GetInt("max_connections", 64)));
-  options->default_deadline_ms = flags.GetInt("default_deadline_ms", 1000);
-  options->retry_after_ms = flags.GetInt("retry_after_ms", 50);
-  options->drain_deadline_ms = flags.GetInt("drain_deadline_ms", 2000);
+      flags.Has("port") ? static_cast<int>(get("port", 0, 0, 65535)) : -1;
+  options->num_workers = static_cast<int>(
+      get("workers", 4, 1, std::numeric_limits<int>::max()));
+  options->queue_capacity = static_cast<size_t>(get("queue_capacity", 64, 0));
+  options->max_connections =
+      static_cast<size_t>(get("max_connections", 64, 1));
+  options->default_deadline_ms = get("default_deadline_ms", 1000, 0);
+  options->retry_after_ms = get("retry_after_ms", 50, 0);
+  options->drain_deadline_ms = get("drain_deadline_ms", 2000, 0);
   options->slow_query_us = flags.GetInt("slow_query_us", 100000);
-  options->flight_recorder_size = static_cast<size_t>(flight_size);
-  options->flight_slow_size = static_cast<size_t>(flight_slow_size);
-  options->stats_window_s = flags.GetInt("stats_window_s", 10);
-  if (queue_capacity < 0) {
-    *error = "queue_capacity must not be negative";
-  } else if (flight_size < 0 || flight_slow_size < 0) {
-    *error = "flight_size and flight_slow_size must not be negative";
-  } else {
-    *error = OptionsError(*options);
-  }
+  options->flight_recorder_size =
+      static_cast<size_t>(get("flight_size", 256, 0));
+  options->flight_slow_size =
+      static_cast<size_t>(get("flight_slow_size", 64, 0));
+  options->stats_window_s = get("stats_window_s", 10, 1, kMaxStatsWindowS);
+  options->reload_check_ms = flags.GetInt("reload_check_ms", 0);
   return error->empty();
 }
 
@@ -178,11 +185,7 @@ struct Frontend::Connection {
 struct Frontend::ReloadState {
   std::mutex mu;
   std::condition_variable cv;
-  struct Job {
-    std::shared_ptr<Connection> conn;
-    Request request;
-  };
-  std::deque<Job> jobs;
+  std::deque<ReloadDone> jobs;
   bool stop = false;
   bool exited = false;
 };
@@ -278,48 +281,11 @@ bool Frontend::Start() {
   window_.Start();
 #endif
 
-  // Dedicated reload thread: a slow or wedged reload blocks only this
-  // thread — never a connection reader or an evaluation slot — and
-  // Shutdown() can abandon it (detach) if it outlasts the drain deadline.
-  // It captures refcounted state and the handler's reload closure, never
-  // `this`.
+  // The reload thread: Shutdown() detaches it if a reload outlasts the
+  // drain deadline.
   reload_state_ = std::make_shared<ReloadState>();
-  reload_thread_ = std::thread([state = reload_state_, reload = reload_,
-                                write_timeout = options_.write_timeout_ms] {
-    for (;;) {
-      ReloadState::Job job;
-      bool draining;
-      {
-        std::unique_lock<std::mutex> lock(state->mu);
-        state->cv.wait(lock,
-                       [&] { return state->stop || !state->jobs.empty(); });
-        if (state->jobs.empty()) break;  // stop requested, nothing pending
-        job = std::move(state->jobs.front());
-        state->jobs.pop_front();
-        draining = state->stop;
-      }
-      Response response = ReplyTo(job.request, StatusCode::kOk);
-      if (draining) {
-        // Answer rather than reload: a fresh epoch is useless to a daemon
-        // that is shutting down, and this keeps the drain bounded.
-        response.status = StatusCode::kUnavailable;
-        response.error = "server is draining";
-      } else {
-        IPIN_LATENCY_SCOPE("serve.latency.reload_us");
-        const ReloadResult result = reload();
-        response.epoch = result.epoch;
-        response.info.emplace_back(
-            "rolled_back",
-            result.status == ReloadStatus::kRolledBack ? 1.0 : 0.0);
-      }
-      WriteResponse(job.conn, response, write_timeout);
-    }
-    {
-      std::lock_guard<std::mutex> lock(state->mu);
-      state->exited = true;
-    }
-    state->cv.notify_all();
-  });
+  reload_thread_ = std::thread(&Frontend::ReloadLoop, reload_state_, reload_,
+                               options_.reload_check_ms);
 
   acceptor_ = std::thread([this] { AcceptLoop(); });
   LogInfo(StrFormat(
@@ -329,6 +295,46 @@ bool Frontend::Start() {
           : StrFormat("127.0.0.1:%d", bound_port_).c_str(),
       options_.num_workers, options_.queue_capacity));
   return true;
+}
+
+void Frontend::ReloadLoop(const std::shared_ptr<ReloadState>& state,
+                          const ReloadFn& reload, int64_t check_ms) {
+  const auto ready = [&] { return state->stop || !state->jobs.empty(); };
+  auto next_poll = Clock::now() + std::chrono::milliseconds(check_ms);
+  for (;;) {
+    ReloadDone job;
+    bool draining;
+    {
+      std::unique_lock<std::mutex> lock(state->mu);
+      if (check_ms <= 0) {
+        state->cv.wait(lock, ready);
+      } else if (!state->cv.wait_until(lock, next_poll, ready)) {
+        // The poll: a timed wait on this thread, so it queues behind (and
+        // is detached with) every other reload.
+        lock.unlock();
+        (void)reload(/*force=*/false);
+        next_poll = Clock::now() + std::chrono::milliseconds(check_ms);
+        continue;
+      }
+      if (state->jobs.empty()) break;  // stop requested, nothing pending
+      job = std::move(state->jobs.front());
+      state->jobs.pop_front();
+      draining = state->stop;
+    }
+    // While draining, answer rather than reload: a fresh epoch is useless
+    // to a daemon that is shutting down, and this keeps the drain bounded.
+    ReloadResult result;
+    if (!draining) {
+      IPIN_LATENCY_SCOPE("serve.latency.reload_us");
+      result = reload(/*force=*/true);
+    }
+    job(draining ? nullptr : &result);
+  }
+  {
+    std::lock_guard<std::mutex> lock(state->mu);
+    state->exited = true;
+  }
+  state->cv.notify_all();
 }
 
 void Frontend::AcceptLoop() {
@@ -612,25 +618,41 @@ void Frontend::HandleReload(const std::shared_ptr<Connection>& conn,
   // Handed to the dedicated reload thread (which also writes the response):
   // a slow or wedged reload never occupies an evaluation slot or this
   // reader, and queries keep flowing from the old epoch while it runs.
+  const int64_t write_timeout = options_.write_timeout_ms;
+  const bool queued = RequestReload(
+      [conn, request, write_timeout](const ReloadResult* result) {
+        Response response = ReplyTo(request, StatusCode::kUnavailable);
+        if (result == nullptr) {
+          response.error = "server is draining";
+        } else {
+          response.status = StatusCode::kOk;
+          response.epoch = result->epoch;
+          response.info.emplace_back(
+              "rolled_back",
+              result->status == ReloadStatus::kRolledBack ? 1.0 : 0.0);
+        }
+        WriteResponse(conn, response, write_timeout);
+      });
+  if (queued) return;
   Response response = ReplyTo(request, StatusCode::kUnavailable);
   if (draining_.load(std::memory_order_acquire)) {
     response.error = "server is draining";
-    WriteResponse(conn, response, options_.write_timeout_ms);
-    return;
+  } else {
+    response.status = StatusCode::kOverloaded;
+    response.retry_after_ms = options_.retry_after_ms;
+    IPIN_COUNTER_ADD("serve.requests.shed", 1);
   }
+  WriteResponse(conn, response, write_timeout);
+}
+
+bool Frontend::RequestReload(ReloadDone done) {
   constexpr size_t kMaxPendingReloads = 4;
-  {
-    std::lock_guard<std::mutex> lock(reload_state_->mu);
-    if (reload_state_->jobs.size() < kMaxPendingReloads) {
-      reload_state_->jobs.push_back(ReloadState::Job{conn, request});
-      reload_state_->cv.notify_one();
-      return;
-    }
-  }
-  response.status = StatusCode::kOverloaded;
-  response.retry_after_ms = options_.retry_after_ms;
-  IPIN_COUNTER_ADD("serve.requests.shed", 1);
-  WriteResponse(conn, response, options_.write_timeout_ms);
+  if (!running() || draining_.load(std::memory_order_acquire)) return false;
+  std::lock_guard<std::mutex> lock(reload_state_->mu);
+  if (reload_state_->jobs.size() >= kMaxPendingReloads) return false;
+  reload_state_->jobs.push_back(std::move(done));
+  reload_state_->cv.notify_one();
+  return true;
 }
 
 Response Frontend::StatsResponse(const Request& request) {

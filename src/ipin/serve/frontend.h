@@ -25,37 +25,31 @@
 // once. It speaks the newline-delimited JSON protocol of protocol.h over a
 // Unix-domain or localhost-TCP socket; each connection's reader thread
 // parses, admits, evaluates and answers its requests. Robustness model
-// (DESIGN.md §9):
+// (argued in DESIGN.md §9):
 //
-//   * Admission control. A query passes an AdmissionGate on its reader:
-//     at most num_workers evaluations run at once and at most
-//     queue_capacity readers wait, in arrival order; beyond that it is
-//     answered OVERLOADED with a retry_after_ms hint — load is shed at the
-//     door and the queue-depth gauge stays bounded. Connections beyond
-//     max_connections are answered OVERLOADED ("connection limit reached")
-//     and closed; a request line over 1 MiB drops only its own connection.
-//   * Deadlines. Every query carries a deadline (its own or the default)
-//     fixed at admission. One that passes before the query's turn at the
-//     gate is answered DEADLINE_EXCEEDED without evaluation; otherwise the
-//     handler evaluates under it. The slot is released before the response
-//     is written, so a slow consumer never holds an evaluation slot.
+//   * Admission. A query passes an AdmissionGate: at most num_workers
+//     evaluations run and queue_capacity readers wait, in arrival order;
+//     beyond that it is answered OVERLOADED with a retry_after_ms hint.
+//     Connections past max_connections are answered OVERLOADED and closed;
+//     a request line over 1 MiB drops only its own connection.
+//   * Deadlines. A query whose deadline (its own or the default) passes
+//     before its turn is answered DEADLINE_EXCEEDED unevaluated. The slot
+//     is released before the response is written.
 //   * Inline verbs. health, stats, metrics, debug and reshard_status skip
 //     the gate, so probes and dashboards work when every slot is busy.
-//   * Hot reload. "reload" requests are handed to a dedicated reload thread
-//     that runs the handler's reload closure, so a slow or wedged reload
-//     never occupies an evaluation slot or a connection reader. The closure
-//     captures only the index or shard-map manager, never the handler.
-//   * Slow-consumer protection. Response writes carry a send timeout
-//     (write_timeout_ms); a client that pipelines requests but never reads
-//     its socket gets its connection marked broken and torn down instead
-//     of wedging its reader in a blocking send forever.
-//   * Graceful shutdown. Shutdown() stops accepting, rejects new requests
-//     and half-closes every connection; readers at the gate still answer
-//     (evaluated while the drain deadline allows, DEADLINE_EXCEEDED after)
-//     before they are joined. The write timeout and the drain deadline
-//     bound every join except a reload wedged inside its loader, which is
-//     detached (and logged) rather than waited on forever; it touches only
-//     refcounted state and the manager, which outlives the daemon.
+//   * Hot reload. One reload thread runs every runtime reload through the
+//     handler's reload closure, which captures only the holder
+//     (index_manager.h): "reload" requests, RequestReload() (the runner's
+//     SIGHUP) and, with reload_check_ms > 0, a timed poll that reloads
+//     only a changed file. No reload occupies a slot or a reader.
+//   * Slow consumers. Response writes carry a send timeout
+//     (write_timeout_ms); a peer that never reads is torn down.
+//   * Graceful shutdown. Shutdown() stops accepting and half-closes every
+//     connection; readers at the gate still answer (evaluated while the
+//     drain deadline allows, DEADLINE_EXCEEDED after) before they are
+//     joined. A reload wedged in its loader, whichever path started it, is
+//     detached at the drain deadline rather than waited on; it touches
+//     only refcounted state and the holder, which outlives the daemon.
 //
 // Request observability (DESIGN.md §7): every query carries a 64-bit trace
 // id — the client's, or one assigned at admission — echoed in the response
@@ -117,19 +111,23 @@ struct FrontendOptions {
   int64_t slow_query_us = 100000;
   /// Trailing window (seconds) for the win_* fields of the stats verb.
   int64_t stats_window_s = 10;
+  /// > 0: the reload thread also polls the served file this often and
+  /// reloads it when it changed.
+  int64_t reload_check_ms = 0;
 };
 
 /// Longest stats window: each second of it reserves two registry snapshots.
 constexpr int64_t kMaxStatsWindowS = 3600;
 
 /// Fills `options` from the daemons' shared flags: --socket, --port,
-/// --workers, --queue_capacity, --max_connections, --default_deadline_ms,
-/// --retry_after_ms, --drain_deadline_ms, --slow_query_us, --flight_size,
-/// --flight_slow_size and --stats_window_s (absent flags keep the defaults
-/// above; without --port, tcp_port stays -1). False, with the reason in
-/// *error, for options that would hang every query: fewer than one worker
-/// or connection, or a negative queue or recorder capacity, deadline or
-/// retry hint; and for a stats window outside [1, kMaxStatsWindowS].
+/// --workers, --queue_capacity, --max_connections, the three *_ms deadline
+/// and hint flags, --slow_query_us, --flight_size, --flight_slow_size,
+/// --stats_window_s and --reload_check_ms (absent flags keep the defaults;
+/// without --port, tcp_port stays -1). False, with the reason in *error,
+/// for a value its field cannot hold (a port outside [0, 65535], workers
+/// past INT_MAX) or that would hang every query (fewer than one worker or
+/// connection, a negative capacity, deadline or retry hint, a stats window
+/// outside [1, kMaxStatsWindowS]).
 bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
                         std::string* error);
 
@@ -202,10 +200,14 @@ struct ReloadResult {
   uint64_t epoch = 0;
 };
 
-/// Runs one reload on the frontend's reload thread. It must capture only
-/// state that outlives the daemon (the IndexManager / ShardMapManager):
-/// Shutdown may detach a wedged reload, which then finishes on its own.
-using ReloadFn = std::function<ReloadResult()>;
+/// Runs one reload on the frontend's reload thread; `force` is false only
+/// for the poll, which skips an unchanged file. It must capture only state
+/// that outlives the daemon (the IndexManager / ShardMapManager): Shutdown
+/// may detach a wedged reload, which then finishes on its own.
+using ReloadFn = std::function<ReloadResult(bool force)>;
+/// Told a queued reload's outcome on the reload thread — nullptr when the
+/// frontend began draining first — under the same lifetime rule.
+using ReloadDone = std::function<void(const ReloadResult* result)>;
 
 /// What a daemon plugs into the frontend.
 class FrontendHandler {
@@ -255,6 +257,11 @@ class Frontend {
   /// Graceful drain as described above. Idempotent.
   void Shutdown();
 
+  /// Queues a forced reload on the reload thread, as the reload verb does,
+  /// and hands its outcome to `done`. False, dropping it, while stopped or
+  /// draining or with the reload queue full.
+  bool RequestReload(ReloadDone done);
+
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// Port actually bound (TCP mode; useful with tcp_port = 0).
   int bound_port() const { return bound_port_; }
@@ -268,13 +275,16 @@ class Frontend {
  private:
   struct Connection;
 
-  // Reload requests run on a dedicated thread; the state it shares with
-  // the frontend is refcounted so a wedged reload can be detached at
-  // shutdown without dangling anything.
+  // Shared with the reload thread, refcounted so a wedged reload can be
+  // detached at shutdown without dangling anything.
   struct ReloadState;
 
   bool Listen();
   void AcceptLoop();
+  /// The reload thread's body. Static (no `this`): it may outlive the
+  /// frontend if a wedged reload forces a detach.
+  static void ReloadLoop(const std::shared_ptr<ReloadState>& state,
+                         const ReloadFn& reload, int64_t check_ms);
   void ReadLoop(std::shared_ptr<Connection> conn);
   void ReapFinishedReaders();
   void StopReloadThread();

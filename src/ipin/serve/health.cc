@@ -30,12 +30,6 @@ const char* ShardStateName(ShardState state) {
   return "down";
 }
 
-ShardHealthTracker::ShardHealthTracker(size_t num_shards,
-                                       ShardHealthOptions options)
-    : options_(ClampOptions(options)), shards_(num_shards) {
-  for (Shard& s : shards_) s.endpoints.resize(1);
-}
-
 ShardHealthTracker::ShardHealthTracker(
     const std::vector<size_t>& endpoints_per_shard, ShardHealthOptions options)
     : options_(ClampOptions(options)), shards_(endpoints_per_shard.size()) {
@@ -78,20 +72,10 @@ bool ShardHealthTracker::ProbeDueEndpoint(size_t shard, size_t* endpoint) {
     if (ep.state != ShardState::kDown) continue;
     if (now < ep.next_probe) continue;
     ep.next_probe = now + std::chrono::milliseconds(options_.probe_interval_ms);
-    if (endpoint != nullptr) *endpoint = e;
+    *endpoint = e;
     return true;
   }
   return false;
-}
-
-void ShardHealthTracker::OnSuccess(size_t shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  HandleSuccessLocked(shard, shards_[shard].active);
-}
-
-void ShardHealthTracker::OnFailure(size_t shard) {
-  std::lock_guard<std::mutex> lock(mu_);
-  HandleFailureLocked(shard, shards_[shard].active);
 }
 
 void ShardHealthTracker::OnEndpointSuccess(size_t shard, size_t endpoint) {

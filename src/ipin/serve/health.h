@@ -23,8 +23,8 @@
 //     the shard immediately (a partial answer now beats a full answer
 //     after a guaranteed timeout) and the shard gets no recovery-fighting
 //     load. Recovery is probe-based: the router's prober sends a cheap
-//     health RPC every probe_interval_ms (ProbeDue() rate-limits it) and
-//     one success closes the circuit.
+//     health RPC every probe_interval_ms (ProbeDueEndpoint() rate-limits
+//     it) and one success closes the circuit.
 //
 // Replica failover (shard maps may list R failover endpoints per shard):
 // the state machine above runs PER ENDPOINT — endpoint 0 is the primary,
@@ -65,9 +65,6 @@ struct ShardHealthOptions {
 
 class ShardHealthTracker {
  public:
-  /// One endpoint (the primary) per shard.
-  explicit ShardHealthTracker(size_t num_shards,
-                              ShardHealthOptions options = {});
   /// endpoints_per_shard[s] = 1 + number of replicas of shard s (clamped to
   /// >= 1). Endpoint 0 is the primary and starts active.
   ShardHealthTracker(const std::vector<size_t>& endpoints_per_shard,
@@ -86,15 +83,11 @@ class ShardHealthTracker {
 
   /// Is a recovery probe due for `shard`? True only when some endpoint is
   /// down, at most once per endpoint per probe_interval_ms (the call claims
-  /// the slot and stores the endpoint to probe in *endpoint when non-null;
-  /// the primary is probed first so demotion happens as soon as it heals).
-  bool ProbeDue(size_t shard) { return ProbeDueEndpoint(shard, nullptr); }
+  /// the slot and stores the endpoint to probe in *endpoint; the primary is
+  /// probed first so demotion happens as soon as it heals).
   bool ProbeDueEndpoint(size_t shard, size_t* endpoint);
 
-  /// Outcome of a request or probe leg against `shard`'s ACTIVE endpoint.
-  void OnSuccess(size_t shard);
-  void OnFailure(size_t shard);
-  /// Outcome addressed to a specific endpoint (probes, replica legs).
+  /// Outcome of a request or probe leg against one endpoint of `shard`.
   void OnEndpointSuccess(size_t shard, size_t endpoint);
   void OnEndpointFailure(size_t shard, size_t endpoint);
 

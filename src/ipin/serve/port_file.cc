@@ -2,34 +2,21 @@
 
 #include <unistd.h>
 
-#include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
+#include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
 
 namespace ipin::serve {
 
 bool WritePortFile(const std::string& path, const std::string& program,
                    int port, const std::string& socket) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return false;
-    out << StrFormat("pid=%ld program=%s port=%d socket=%s",
-                     static_cast<long>(::getpid()), program.c_str(), port,
-                     socket.c_str())
-        << '\n';
-    if (!out.flush()) {
-      std::remove(tmp.c_str());
-      return false;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return false;
-  }
-  return true;
+  return WriteFileAtomic(
+      path, StrFormat("pid=%ld program=%s port=%d socket=%s\n",
+                      static_cast<long>(::getpid()), program.c_str(), port,
+                      socket.c_str()));
 }
 
 std::optional<PortFileInfo> ReadPortFile(const std::string& path) {

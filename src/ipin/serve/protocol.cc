@@ -7,6 +7,7 @@
 
 #include "ipin/common/json.h"
 #include "ipin/common/string_util.h"
+#include "ipin/obs/export.h"
 
 namespace ipin::serve {
 namespace {
@@ -84,39 +85,6 @@ bool ParseTraceField(const JsonValue& doc, const char* key, uint64_t* out,
 }
 
 }  // namespace
-
-std::string JsonEscape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string TraceIdToHex(uint64_t id) {
   char buf[17];
@@ -444,21 +412,22 @@ std::string SerializeResponse(const Response& response) {
     out += ", \"retry_after_ms\": " + std::to_string(response.retry_after_ms);
   }
   if (!response.error.empty()) {
-    out += ", \"error\": \"" + JsonEscape(response.error) + "\"";
+    out += ", \"error\": ";
+    obs::AppendJsonString(response.error, &out);
   }
   if (response.trace_id != 0) {
     out += ", \"trace_id\": \"" + TraceIdToHex(response.trace_id) + "\"";
   }
   if (!response.payload.empty()) {
-    out += ", \"payload\": \"" + JsonEscape(response.payload) + "\"";
+    out += ", \"payload\": ";
+    obs::AppendJsonString(response.payload, &out);
   }
   if (!response.info.empty()) {
     out += ", \"info\": {";
     for (size_t i = 0; i < response.info.size(); ++i) {
       if (i > 0) out += ", ";
-      out += '"';
-      out += JsonEscape(response.info[i].first);
-      out += "\": ";
+      obs::AppendJsonString(response.info[i].first, &out);
+      out += ": ";
       out += JsonNumber(response.info[i].second);
     }
     out += "}";

@@ -74,8 +74,9 @@
 //           over the server's stats window when observability is compiled
 //           in.
 //   reload  ask the server to reload its index file now (a router re-reads
-//           its shard map; also triggered by the background reloader and,
-//           for a router, SIGHUP); answers after the attempt with
+//           its shard map; SIGHUP does the same in either daemon, and the
+//           --reload_check_ms poll when the file changed); answers after
+//           the attempt with
 //           "info": {"epoch": ..., "rolled_back": 0|1}.
 //   metrics full metrics snapshot in "payload", answered inline — the
 //           scrape endpoint. "format": "prom" (default, Prometheus text
@@ -258,10 +259,6 @@ std::optional<Response> ParseResponse(std::string_view line);
 
 /// Serializes a response as one line, with the trailing '\n'.
 std::string SerializeResponse(const Response& response);
-
-/// Escapes `s` for use inside a JSON string literal (the serving tier's
-/// hand-rolled writers: protocol lines, shard maps, chaos ledgers).
-std::string JsonEscape(std::string_view s);
 
 }  // namespace ipin::serve
 

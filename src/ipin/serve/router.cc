@@ -109,8 +109,8 @@ RouterServer::RouterServer(ShardMapManager* map, RouterOptions options)
                 // The reload verb swaps the SHARD MAP. Captures only the
                 // ShardMapManager, which outlives the router; a corrupt
                 // file rolls back (the old epoch keeps routing).
-                [map] {
-                  const ReloadStatus status = map->Reload();
+                [map](bool force) {
+                  const ReloadStatus status = map->Reload(force);
                   return ReloadResult{status, map->Epoch()};
                 }) {}
 
@@ -564,7 +564,7 @@ void RouterServer::ProbeLoop() {
     {
       std::unique_lock<std::mutex> lock(probe_mu_);
       // Wake at twice the probe rate so a due probe is never late by more
-      // than half an interval; ProbeDue rate-limits the actual sends.
+      // than half an interval; ProbeDueEndpoint rate-limits the sends.
       probe_cv_.wait_for(lock,
                          std::chrono::milliseconds(std::max<int64_t>(
                              1, interval_ms / 2)),

@@ -11,15 +11,17 @@
 #include <vector>
 
 #include "ipin/serve/client.h"
+#include "ipin/serve/daemon.h"
 #include "ipin/serve/frontend.h"
 #include "ipin/serve/health.h"
 #include "ipin/serve/shard_map.h"
 
 // The scatter-gather router of the sharded serving tier (DESIGN.md §11): the
 // handler ipin_routerd plugs into the shared serving frontend (frontend.h,
-// which owns sockets, framing, admission, deadlines, reload, drain, and the
-// robustness model). It answers each query by fanning it out to per-shard
-// ipin_oracled backends and merging their partials.
+// which owns sockets, framing, admission, deadlines, the reload thread,
+// drain, and the robustness model) and the Service the shared daemon
+// runner drives (daemon.h). It answers each query by fanning it out to
+// per-shard ipin_oracled backends and merging their partials.
 //
 //   * Exact merge. Shard legs are sent with want_ranks=true; each backend
 //     returns the per-cell max-rank vector of its seed subset. Seeds
@@ -56,18 +58,20 @@
 //     BAD_REQUEST from a shard (seed out of range — deterministic, since
 //     every shard keeps the full node space) is propagated as BAD_REQUEST.
 //   * Resharding. The reload closure re-reads the shard map through
-//     ShardMapManager (as does SIGHUP in ipin_routerd): epoch-swapped
-//     pickup, rollback on a corrupt map. In-flight requests finish their
-//     fan-out on the map (and client fleet) they started with. While the
-//     map carries a transition block (a live reshard, see shard_map.h),
-//     the router DOUBLE-DISPATCHES every seed whose owner differs between
-//     the epochs: the seed rides its new owner's leg AND a fallback leg to
-//     its old owner, concurrently. The merge is cellwise max — idempotent
-//     — so the answer stays bit-identical to the single-index answer as
-//     long as either owner is up; coverage counts a seed once ANY leg
-//     carrying it answers. topk fans out to both epochs' fleets and
-//     dedupes candidates by node id. The "reshard_status" verb reports
-//     transition state and per-epoch down counts.
+//     ShardMapManager, the oracle's holder with a shard-map loader, on the
+//     frontend's reload thread (reload verb, SIGHUP, --reload_check_ms
+//     poll): epoch-swapped pickup, rollback on a corrupt map. In-flight
+//     requests finish their fan-out on the map (and client fleet) they
+//     started with. While the map carries a transition block (a live
+//     reshard, see shard_map.h), the router DOUBLE-DISPATCHES every seed
+//     whose owner differs between the epochs: the seed rides its new
+//     owner's leg AND a fallback leg to its old owner, concurrently. The
+//     merge is cellwise max — idempotent — so the answer stays
+//     bit-identical to the single-index answer as long as either owner is
+//     up; coverage counts a seed once ANY leg carrying it answers. topk
+//     fans out to both epochs' fleets and dedupes candidates by node id.
+//     The "reshard_status" verb reports transition state and per-epoch
+//     down counts.
 //
 // Failpoint sites: serve.shard.connect (leg fails before dialing),
 // serve.shard.rpc (each RPC attempt fails — error_prob(p) gives seeded
@@ -102,7 +106,7 @@ struct RouterOptions : FrontendOptions {
   ShardHealthOptions health;
 };
 
-class RouterServer : private FrontendHandler {
+class RouterServer : public Service, private FrontendHandler {
  public:
   /// `map` must outlive the server (and should usually have a map installed
   /// before Start, though the router answers UNAVAILABLE until one is).
@@ -113,11 +117,12 @@ class RouterServer : private FrontendHandler {
   RouterServer& operator=(const RouterServer&) = delete;
 
   /// Binds, listens, and starts serving plus the shard prober.
-  bool Start();
+  bool Start() override;
 
   /// Graceful drain (Frontend::Shutdown), then stops the prober.
   /// Idempotent.
-  void Shutdown();
+  void Shutdown() override;
+  Frontend& frontend() override { return frontend_; }
 
   bool running() const { return frontend_.running(); }
   int bound_port() const { return frontend_.bound_port(); }

@@ -21,8 +21,8 @@ OracleServer::OracleServer(IndexManager* index, ServerOptions options)
                              "serve.latency.query_us", {}},
                 // Captures only the IndexManager, which outlives the server
                 // (and so any reload the frontend had to detach).
-                [index] {
-                  const ReloadStatus status = index->Reload();
+                [index](bool force) {
+                  const ReloadStatus status = index->Reload(force);
                   return ReloadResult{status, index->Epoch()};
                 }) {
   if (options_.audit_rate > 0.0) {

@@ -6,13 +6,16 @@
 #include <string>
 #include <vector>
 
+#include "ipin/serve/daemon.h"
 #include "ipin/serve/frontend.h"
 #include "ipin/serve/index_manager.h"
 
 // The influence-oracle daemon core: the handler ipin_oracled plugs into the
 // shared serving frontend (frontend.h, which owns sockets, framing,
-// admission, deadlines, reload, drain, and the robustness model). What is
-// specific to the oracle lives here:
+// admission, deadlines, the reload thread, drain, and the robustness
+// model), and the Service the shared daemon runner drives (daemon.h, which
+// owns flags, signals and outputs). What is specific to the oracle lives
+// here:
 //
 //   * Evaluation. Queries snapshot the IndexManager epoch and run under a
 //     QueryBudget bounded by the request deadline, so one oversized query
@@ -21,9 +24,11 @@
 //     under an exact-latency budget; when the budget trips, the exact map
 //     is unloaded, or an eval fault is injected, the query falls back to
 //     the sketch estimate and sets degraded=true.
-//   * Hot reload. The reload closure swaps the IndexManager epoch
-//     atomically and rolls back on any validation failure (the old epoch
-//     keeps serving).
+//   * Hot reload. The reload closure reloads the IndexManager (the holder
+//     of index_manager.h), which swaps the epoch atomically and rolls back
+//     on any validation failure (the old epoch keeps serving); the
+//     frontend runs it on its reload thread for the reload verb, SIGHUP and
+//     the --reload_check_ms poll alike.
 //   * Accuracy audit. A deterministic 1-in-N sample of sketch-served
 //     answers is re-evaluated exactly off the hot path (on the shared
 //     global pool) when the exact map is loaded; signed relative error
@@ -56,7 +61,7 @@ struct ServerOptions : FrontendOptions {
   int shard_count = 0;
 };
 
-class OracleServer : private FrontendHandler {
+class OracleServer : public Service, private FrontendHandler {
  public:
   /// `index` must outlive the server.
   OracleServer(IndexManager* index, ServerOptions options);
@@ -66,17 +71,15 @@ class OracleServer : private FrontendHandler {
   OracleServer& operator=(const OracleServer&) = delete;
 
   /// Binds, listens, and starts serving (Frontend::Start).
-  bool Start() { return frontend_.Start(); }
+  bool Start() override { return frontend_.Start(); }
   /// Graceful drain (Frontend::Shutdown). Idempotent.
-  void Shutdown() { frontend_.Shutdown(); }
+  void Shutdown() override { frontend_.Shutdown(); }
+  Frontend& frontend() override { return frontend_; }
 
   bool running() const { return frontend_.running(); }
   int bound_port() const { return frontend_.bound_port(); }
   size_t queue_depth() const { return frontend_.queue_depth(); }
 
-  /// The flight recorder's "ipin.debug.v1" dump (same document the "debug"
-  /// verb returns) — for SIGUSR1 handlers and tests.
-  std::string DebugDump() const { return frontend_.flight()->DumpJson(); }
   const FlightRecorder& flight_recorder() const { return *frontend_.flight(); }
 
   const ServerOptions& options() const { return options_; }

@@ -2,18 +2,14 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
-#include "ipin/common/failpoint.h"
 #include "ipin/common/hash.h"
 #include "ipin/common/json.h"
 #include "ipin/common/logging.h"
-#include "ipin/common/string_util.h"
-#include "ipin/obs/metrics.h"
-#include "ipin/serve/protocol.h"
+#include "ipin/common/safe_io.h"
+#include "ipin/obs/export.h"
 
 namespace ipin::serve {
 namespace {
@@ -24,15 +20,6 @@ constexpr char kSchemaV2[] = "ipin.shardmap.v2";
 bool Fail(std::string* error, std::string reason) {
   if (error != nullptr) *error = std::move(reason);
   return false;
-}
-
-std::optional<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return buffer.str();
 }
 
 // Reads one endpoint from a shard object; `prefix` is "" for the primary
@@ -161,35 +148,43 @@ std::optional<ShardMap> ParseAssignment(const JsonValue& doc,
   return map;
 }
 
-// `"unix_socket": ...` or `"tcp_host": ..., "tcp_port": ...`; empty for an
-// invalid endpoint.
-std::string EndpointJson(const ShardEndpoint& ep) {
+// Appends `"unix_socket": ...` or `"tcp_host": ..., "tcp_port": ...`;
+// nothing for an invalid endpoint.
+void AppendEndpointJson(std::string* out, const ShardEndpoint& ep) {
   if (!ep.unix_socket_path.empty()) {
-    return "\"unix_socket\": \"" + JsonEscape(ep.unix_socket_path) + "\"";
+    *out += "\"unix_socket\": ";
+    obs::AppendJsonString(ep.unix_socket_path, out);
+  } else if (ep.tcp_port >= 0) {
+    *out += "\"tcp_host\": ";
+    obs::AppendJsonString(ep.tcp_host, out);
+    *out += ", \"tcp_port\": " + std::to_string(ep.tcp_port);
   }
-  if (ep.tcp_port < 0) return {};
-  return "\"tcp_host\": \"" + JsonEscape(ep.tcp_host) +
-         "\", \"tcp_port\": " + std::to_string(ep.tcp_port);
 }
 
 void AppendShardJson(std::string* out, const ShardInfo& shard) {
-  *out += "{\"name\": \"" + JsonEscape(shard.name) + "\"";
-  if (shard.endpoint.valid()) *out += ", " + EndpointJson(shard.endpoint);
+  *out += "{\"name\": ";
+  obs::AppendJsonString(shard.name, out);
+  if (shard.endpoint.valid()) {
+    *out += ", ";
+    AppendEndpointJson(out, shard.endpoint);
+  }
   if (!shard.replicas.empty()) {
     *out += ", \"replicas\": [";
     for (size_t r = 0; r < shard.replicas.size(); ++r) {
       if (r > 0) *out += ", ";
       *out += '{';
-      *out += EndpointJson(shard.replicas[r]);
+      AppendEndpointJson(out, shard.replicas[r]);
       *out += '}';
     }
     *out += "]";
   }
   if (!shard.index_file.empty()) {
-    *out += ", \"index_file\": \"" + JsonEscape(shard.index_file) + "\"";
+    *out += ", \"index_file\": ";
+    obs::AppendJsonString(shard.index_file, out);
   }
   if (!shard.fingerprint.empty()) {
-    *out += ", \"fingerprint\": \"" + JsonEscape(shard.fingerprint) + "\"";
+    *out += ", \"fingerprint\": ";
+    obs::AppendJsonString(shard.fingerprint, out);
   }
   *out += "}";
 }
@@ -202,6 +197,13 @@ void AppendAssignmentJson(std::string* out, const ShardMap& map) {
     AppendShardJson(out, map.shard(i));
   }
   *out += "]";
+}
+
+std::shared_ptr<const ShardMap> LoadShardMap(const std::string& path,
+                                             std::string* why) {
+  auto map = ShardMap::ParseFile(path, why);
+  if (!map.has_value()) return nullptr;
+  return std::make_shared<const ShardMap>(std::move(*map));
 }
 
 }  // namespace
@@ -311,7 +313,7 @@ std::optional<ShardMap> ShardMap::Parse(std::string_view json,
 
 std::optional<ShardMap> ShardMap::ParseFile(const std::string& path,
                                             std::string* error) {
-  const auto doc = ReadFileToString(path);
+  const auto doc = ReadFileBytes(path);
   if (!doc.has_value()) {
     Fail(error, "cannot read " + path);
     return std::nullopt;
@@ -355,53 +357,14 @@ IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
 }
 
 ShardMapManager::ShardMapManager(std::string map_path)
-    : map_path_(std::move(map_path)) {}
-
-void ShardMapManager::Install(std::shared_ptr<const ShardMap> map) {
-  std::lock_guard<std::mutex> lock(mu_);
-  current_ = std::move(map);
-  epoch_.fetch_add(1, std::memory_order_acq_rel);
-}
-
-std::shared_ptr<const ShardMap> ShardMapManager::Current() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return current_;
-}
+    : EpochHolder(std::move(map_path),
+                  {"serve.shard.map", "serve.shard.map.ok",
+                   "serve.shard.map.rollback", nullptr, nullptr},
+                  LoadShardMap) {}
 
 ShardMapSnapshot ShardMapManager::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   return {current_, epoch_.load(std::memory_order_acquire)};
-}
-
-ReloadStatus ShardMapManager::Reload() {
-  std::lock_guard<std::mutex> reload_lock(reload_mu_);
-
-  const auto rollback = [this](const std::string& reason) {
-    IPIN_COUNTER_ADD("serve.shard.map.rollback", 1);
-    LogError("serve: shard map reload rejected (" + reason +
-             "); keeping epoch " + std::to_string(Epoch()));
-    return ReloadStatus::kRolledBack;
-  };
-
-  if (IPIN_FAILPOINT("serve.shard.map").fail) {
-    return rollback("injected serve.shard.map fault");
-  }
-  std::string error;
-  auto map = ShardMap::ParseFile(map_path_, &error);
-  if (!map.has_value()) return rollback(error);
-
-  auto shared = std::make_shared<const ShardMap>(std::move(*map));
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    current_ = std::move(shared);
-    epoch_.fetch_add(1, std::memory_order_acq_rel);
-  }
-  IPIN_COUNTER_ADD("serve.shard.map.ok", 1);
-  LogInfo(StrFormat("serve: shard map loaded from %s (%zu shards, epoch %llu%s)",
-                    map_path_.c_str(), Current()->num_shards(),
-                    static_cast<unsigned long long>(Epoch()),
-                    Current()->InTransition() ? ", in transition" : ""));
-  return ReloadStatus::kOk;
 }
 
 }  // namespace ipin::serve

@@ -12,8 +12,9 @@
 #       never errors, while seeds owned by live shards keep exact answers,
 #   (c) RECOVERY — restarting the dead shard closes the circuit via the
 #       router's probes and answers go back to exact and undegraded,
-#   (d) RESHARD SAFETY — a corrupt shard-map reload rolls back (old epoch
-#       keeps routing), and a SIGTERM drains cleanly.
+#   (d) RESHARD SAFETY — a corrupt shard-map reload, by the reload verb or
+#       SIGHUP, rolls back (old epoch keeps routing, answers stay exact),
+#       the restored map advances the epoch, and a SIGTERM drains cleanly.
 #
 # Invoked by ctest: $1=ipin_cli $2=ipin_oracled $3=ipin_oracle_client
 # $4=ipin_routerd $5=ipin_shard $6=obs mode ("obs-enabled"/"obs-disabled").
@@ -272,6 +273,59 @@ cp "${WORK}/map.good" "${WORK}/map.json"
 "${CLIENT}" --socket="${ROUTER_SOCK}" --method=reload > "${WORK}/r_good.txt"
 grep -q "rolled_back=0" "${WORK}/r_good.txt" \
   || fail "reload of the restored map rolled back"
+
+# SIGHUP reloads the map on the same reload thread as the verb: a corrupt
+# map rolls back while routed answers stay exact; the restored map advances
+# the map epoch.
+hup_lines() {
+  grep -c "ipin_routerd: SIGHUP shard-map reload: $1" "${WORK}/router.log" \
+    || true
+}
+# Waits for one more "$1" SIGHUP outcome line than the $2 seen before.
+wait_hup() {
+  for _ in $(seq 1 50); do
+    [ "$(hup_lines "$1")" -gt "$2" ] && return 0
+    kill -0 "${ROUTER_PID}" 2>/dev/null \
+      || { cat "${WORK}/router.log" >&2; fail "SIGHUP killed the router"; }
+    sleep 0.1
+  done
+  cat "${WORK}/router.log" >&2
+  fail "no SIGHUP '$1' outcome logged"
+}
+# Reloads timed on the reload thread (serve.latency.reload_us), from the
+# metrics verb's Prometheus text.
+reloads_timed() {
+  "${CLIENT}" --socket="${ROUTER_SOCK}" --method=metrics \
+    | sed -n 's/.*serve_latency_reload_us_count \([0-9]*\).*/\1/p'
+}
+timed_before="$(reloads_timed)"
+"${CLIENT}" --socket="${ROUTER_SOCK}" --method=health > "${WORK}/h_pre.txt"
+map_epoch="$(field "${WORK}/h_pre.txt" epoch)"
+echo '{"schema": "ipin.shardmap.v1", "shards": [' > "${WORK}/map.json"
+seen="$(hup_lines "rolled back")"
+kill -HUP "${ROUTER_PID}"
+wait_hup "rolled back" "${seen}"
+"${CLIENT}" --socket="${ROUTER_SOCK}" --seeds=0,1,2 --mode=sketch \
+  > "${WORK}/q_hup.txt"
+[ "$(field "${WORK}/q_hup.txt" estimate)" = \
+  "$(field "${WORK}/q_single2.txt" estimate)" ] \
+  || fail "routed answer not exact after a rolled-back SIGHUP"
+[ "$(field "${WORK}/q_hup.txt" epoch)" = "${map_epoch}" ] \
+  || fail "map epoch moved on a rolled-back SIGHUP"
+
+cp "${WORK}/map.good" "${WORK}/map.json"
+seen="$(hup_lines "ok")"
+kill -HUP "${ROUTER_PID}"
+wait_hup "ok" "${seen}"
+"${CLIENT}" --socket="${ROUTER_SOCK}" --method=health > "${WORK}/h_post.txt"
+[ "$(field "${WORK}/h_post.txt" epoch)" -gt "${map_epoch}" ] \
+  || fail "SIGHUP with the restored map did not advance the map epoch"
+# Both SIGHUP reloads ran on the frontend's reload thread, which times
+# every reload it runs.
+if [ "${OBS_MODE}" = "obs-enabled" ]; then
+  [ "$(reloads_timed)" = "$((timed_before + 2))" ] \
+    || fail "SIGHUP reloads did not run on the reload thread"
+fi
 
 # --- Phase 5: clean drain -------------------------------------------------
 # Grab the flight recorder for the artifact bundle before draining.

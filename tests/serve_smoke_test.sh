@@ -10,8 +10,11 @@
 #       DEADLINE_EXCEEDED instead of a late answer,
 #   (c) a corrupted index file rolls back on reload — the old epoch keeps
 #       serving, zero crashes — and recovers once the file is fixed,
-#   (d) SIGTERM drains in-flight work and exits 0; SIGKILL mid-reload
-#       leaves the on-disk index intact for the next start.
+#   (d) SIGTERM drains in-flight work and exits 0 — also with a reload
+#       wedged in the loader, whether the reload verb, SIGHUP or the
+#       --reload_check_ms poll started it; SIGHUP reloads like the verb;
+#       SIGKILL mid-reload leaves the on-disk index intact for the next
+#       start.
 #
 # A fifth phase drills the observability surface: wire-propagated trace
 # context (explicit trace ids echoed and recorded), the "metrics" and
@@ -241,6 +244,27 @@ epoch_post="$(field "${WORK}/r_good.txt" epoch)"
 [ "${epoch_post}" -gt "${epoch_pre}" ] \
   || fail "epoch did not advance after a good reload"
 
+# SIGHUP reloads too, on the same reload thread as the verb: after the file
+# is replaced the epoch advances, and the daemon keeps answering.
+cp "${WORK}/index.good" "${WORK}/index.new"
+mv "${WORK}/index.new" "${WORK}/index.bin"
+kill -HUP "${DAEMON_PID}"
+epoch_hup=""
+for _ in $(seq 1 50); do
+  kill -0 "${DAEMON_PID}" 2>/dev/null \
+    || { cat "${WORK}/d3.log" >&2; fail "SIGHUP killed the daemon"; }
+  "${CLIENT}" --port="${PORT}" --method=health > "${WORK}/h_hup.txt" || true
+  epoch_hup="$(field "${WORK}/h_hup.txt" epoch)"
+  [ -n "${epoch_hup}" ] && [ "${epoch_hup}" -gt "${epoch_post}" ] && break
+  sleep 0.1
+done
+[ -n "${epoch_hup}" ] && [ "${epoch_hup}" -gt "${epoch_post}" ] \
+  || fail "SIGHUP did not advance the epoch past ${epoch_post}"
+grep -q "ipin_oracled: SIGHUP index reload: ok" "${WORK}/d3.log" \
+  || fail "SIGHUP reload not logged"
+"${CLIENT}" --port="${PORT}" --seeds=0,1,2 | grep -q "status=OK" \
+  || fail "daemon stopped answering after SIGHUP"
+
 stop_daemon "${WORK}/d3.log"
 if [ "${OBS_MODE}" = "obs-enabled" ]; then
   grep -q '"serve.reload.rollback"' "${WORK}/m3.json" \
@@ -270,6 +294,34 @@ wait_ready "${WORK}/d5.log"
 "${CLIENT}" --port="${PORT}" --seeds=0,1,2 \
   | grep -q "status=OK" || fail "index unusable after SIGKILL mid-reload"
 stop_daemon "${WORK}/d5.log"
+
+# --- Phase 4b: SIGTERM during a wedged file-watch reload ----------------
+# The --reload_check_ms poll runs on the frontend's reload thread, so a
+# reload wedged in the loader (serve.reload=delay(4000), which also holds
+# the startup load) is detached at the drain deadline like a verb reload:
+# the daemon exits 0 well before the wedge clears.
+IPIN_FAILPOINTS="serve.reload=delay(4000)" \
+  "${DAEMON}" --index="${WORK}/index.bin" --port=0 \
+  --port_file="${PORT_FILE}" --reload_check_ms=50 --drain_deadline_ms=200 \
+  > "${WORK}/d4b.log" 2>&1 &
+register_daemon
+wait_ready "${WORK}/d4b.log"
+cp "${WORK}/index.good" "${WORK}/index.new"
+mv "${WORK}/index.new" "${WORK}/index.bin"
+sleep 0.3  # the poll has picked the new file up and is wedged in the load
+term_start="$(date +%s%N)"
+kill -TERM "${DAEMON_PID}"
+rc=0
+wait "${DAEMON_PID}" || rc=$?
+term_ms=$(( ($(date +%s%N) - term_start) / 1000000 ))
+DAEMON_PID=""
+[ "${rc}" -eq 0 ] || { cat "${WORK}/d4b.log" >&2; fail "drain exited ${rc}"; }
+[ "${term_ms}" -lt 1500 ] || { cat "${WORK}/d4b.log" >&2; \
+  fail "SIGTERM during a wedged poll reload took ${term_ms} ms"; }
+grep -q "ipin_oracled: drained, exiting" "${WORK}/d4b.log" \
+  || fail "missing drain line after the wedged poll reload"
+grep -q "detaching" "${WORK}/d4b.log" \
+  || { cat "${WORK}/d4b.log" >&2; fail "the poll reload was not in flight"; }
 
 # --- Phase 5: observability — trace context, metrics/debug, flight recorder
 # serve.eval=delay(30) slows every exact evaluation past the 5 ms slow-query

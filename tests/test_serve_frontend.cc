@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <future>
 #include <map>
 #include <memory>
 #include <set>
@@ -23,7 +24,9 @@
 #include "ipin/common/flags.h"
 #include "ipin/common/json.h"
 #include "ipin/common/logging.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/core/irs_exact.h"
+#include "ipin/core/oracle_io.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/trace_events.h"
@@ -128,10 +131,17 @@ class FrontendFixture : public ::testing::Test {
 
   // Starts the daemon under test on socket_ with `frontend` as its shared
   // options. The router gets one backend serving the whole index, so its
-  // answers equal the oracle's.
-  void StartDaemon(Daemon daemon, FrontendOptions frontend) {
+  // answers equal the oracle's. With `served_file` set, the daemon's holder
+  // loads its index or shard map from that file instead of in memory.
+  void StartDaemon(Daemon daemon, FrontendOptions frontend,
+                   const std::string& served_file = "") {
     frontend.unix_socket_path = socket_;
     if (daemon == Daemon::kOracle) {
+      if (!served_file.empty()) {
+        ASSERT_TRUE(SaveInfluenceIndex(*full_, served_file));
+        index_ = std::make_unique<IndexManager>(served_file);
+        ASSERT_EQ(index_->Reload(), ReloadStatus::kOk);
+      }
       ServerOptions options;
       static_cast<FrontendOptions&>(options) = frontend;
       oracle_ = std::make_unique<OracleServer>(index_.get(), options);
@@ -146,9 +156,15 @@ class FrontendFixture : public ::testing::Test {
     ShardInfo shard;
     shard.name = "shard0";
     shard.endpoint.unix_socket_path = backend_socket_;
-    map_ = std::make_unique<ShardMapManager>("");
-    map_->Install(
-        std::make_shared<const ShardMap>(std::vector<ShardInfo>{shard}));
+    const auto map =
+        std::make_shared<const ShardMap>(std::vector<ShardInfo>{shard});
+    map_ = std::make_unique<ShardMapManager>(served_file);
+    if (served_file.empty()) {
+      map_->Install(map);
+    } else {
+      ASSERT_TRUE(WriteFileAtomic(served_file, map->ToJson() + "\n"));
+      ASSERT_EQ(map_->Reload(), ReloadStatus::kOk);
+    }
     RouterOptions options;
     static_cast<FrontendOptions&>(options) = frontend;
     router_ = std::make_unique<RouterServer>(map_.get(), options);
@@ -158,6 +174,11 @@ class FrontendFixture : public ::testing::Test {
   void ShutdownDaemon() {
     if (oracle_ != nullptr) oracle_->Shutdown();
     if (router_ != nullptr) router_->Shutdown();
+  }
+
+  // The daemon under test, as the runner drives it.
+  Service& UnderTest() {
+    return oracle_ != nullptr ? static_cast<Service&>(*oracle_) : *router_;
   }
 
   OracleClient Client(int max_attempts = 1) const {
@@ -181,8 +202,9 @@ class FrontendFixture : public ::testing::Test {
 class ServeFrontendTest : public FrontendFixture,
                           public ::testing::WithParamInterface<Daemon> {
  protected:
-  void StartDaemon(FrontendOptions frontend = {}) {
-    FrontendFixture::StartDaemon(GetParam(), frontend);
+  void StartDaemon(FrontendOptions frontend = {},
+                   const std::string& served_file = "") {
+    FrontendFixture::StartDaemon(GetParam(), frontend, served_file);
   }
 };
 
@@ -390,6 +412,51 @@ TEST_P(ServeFrontendTest, PipelinedQueriesOnOneConnectionAllAnswered) {
   }
   EXPECT_EQ(ids.size(), static_cast<size_t>(kQueries));
   ::close(fd);
+}
+
+// Every runtime reload runs on the frontend's reload thread. With
+// reload_check_ms set, a timed wait there polls the served file: replacing
+// it advances the epoch the health verb reports, once, with no reload
+// request. RequestReload (the runner's SIGHUP) queues a forced reload on
+// the same thread and hands back its outcome.
+TEST_P(ServeFrontendTest, WatcherPicksUpChangedFile) {
+  const std::string served = socket_ + ".served";
+  FrontendOptions frontend;
+  frontend.reload_check_ms = 20;
+  StartDaemon(frontend, served);
+  OracleClient client = Client();
+  Request health;
+  health.method = Method::kHealth;
+  const auto epoch = [&] {
+    const auto response = client.Call(health);
+    return response.has_value() ? response->epoch : 0;
+  };
+  ASSERT_EQ(epoch(), 1u);
+
+  // Saved through a rename: a new inode, so a new stamp.
+  if (GetParam() == Daemon::kOracle) {
+    ASSERT_TRUE(SaveInfluenceIndex(*full_, served));
+  } else {
+    ASSERT_TRUE(WriteFileAtomic(served, map_->Current()->ToJson() + "\n"));
+  }
+  for (int i = 0; i < 200 && epoch() < 2; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(epoch(), 2u) << "one change, one reload";
+
+  std::promise<ReloadResult> done;
+  ASSERT_TRUE(UnderTest().frontend().RequestReload(
+      [&done](const ReloadResult* result) { done.set_value(*result); }));
+  std::future<ReloadResult> outcome = done.get_future();
+  ASSERT_EQ(outcome.wait_for(std::chrono::seconds(5)),
+            std::future_status::ready);
+  const ReloadResult result = outcome.get();
+  EXPECT_EQ(result.status, ReloadStatus::kOk);
+  EXPECT_EQ(result.epoch, 3u);
+  EXPECT_EQ(epoch(), 3u);
+  ShutdownDaemon();
+  std::remove(served.c_str());
 }
 
 TEST_P(ServeFrontendTest, StartRefusesOptionsThatWouldHangEveryQuery) {
@@ -709,9 +776,16 @@ TEST(FrontendFlagsTest, RejectsValuesThatWouldHang) {
         "--default_deadline_ms=-1", "--drain_deadline_ms=-5",
         "--retry_after_ms=-1", "--flight_size=-1", "--flight_slow_size=-1",
         "--stats_window_s=0", "--stats_window_s=-5",
-        "--stats_window_s=1000000000"}) {
+        "--stats_window_s=1000000000", "--workers=4294967297"}) {
     error.clear();
     EXPECT_FALSE(parse({"--socket=/tmp/x.sock", bad}, &error)) << bad;
+    EXPECT_FALSE(error.empty()) << bad;
+  }
+  // A port out of range must not wrap into another port (70000 would bind
+  // 4464) or into the ephemeral port 0.
+  for (const char* bad : {"--port=70000", "--port=65536"}) {
+    error.clear();
+    EXPECT_FALSE(parse({bad}, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
   }
 }

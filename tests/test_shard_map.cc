@@ -1,18 +1,14 @@
 #include "ipin/serve/shard_map.h"
 
-#include <cstdio>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/datasets/synthetic.h"
-#include "ipin/obs/metrics.h"
 #include "ipin/sketch/estimators.h"
 
 namespace ipin::serve {
@@ -27,16 +23,6 @@ std::vector<ShardInfo> MakeShards(size_t n) {
   }
   return shards;
 }
-
-#ifndef IPIN_OBS_DISABLED
-// The rollback counter compiles out under IPIN_OBS_DISABLED; the rollback
-// behaviour itself is asserted in every build.
-uint64_t RollbackCount() {
-  return obs::MetricsRegistry::Global()
-      .GetCounter("serve.shard.map.rollback")
-      ->Value();
-}
-#endif
 
 TEST(ShardMapTest, OwnershipIsDeterministicAndCoversEveryNode) {
   const ShardMap a(MakeShards(3));
@@ -418,108 +404,6 @@ TEST_F(ShardIndexTest, ShardedRankMergeMatchesFullUnionExactly) {
           << num_shards << " shards, " << seeds.size() << " seeds";
     }
   }
-}
-
-class ShardMapManagerTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    SetLogLevel(LogLevel::kError);
-    path_ = ::testing::TempDir() + "/ipin_shardmap_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".json";
-  }
-  void TearDown() override {
-    failpoint::ClearAll();
-    std::remove(path_.c_str());
-  }
-
-  void WriteMap(const std::string& content) const {
-    std::ofstream out(path_, std::ios::trunc);
-    out << content << '\n';
-  }
-
-  std::string path_;
-};
-
-TEST_F(ShardMapManagerTest, InstallAndReloadAdvanceEpoch) {
-  ShardMapManager manager(path_);
-  EXPECT_EQ(manager.Epoch(), 0u);
-  EXPECT_EQ(manager.Current(), nullptr);
-
-  WriteMap(ShardMap(MakeShards(2)).ToJson());
-  EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
-  EXPECT_EQ(manager.Epoch(), 1u);
-  ASSERT_NE(manager.Current(), nullptr);
-  EXPECT_EQ(manager.Current()->num_shards(), 2u);
-
-  WriteMap(ShardMap(MakeShards(3)).ToJson());
-  EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
-  EXPECT_EQ(manager.Epoch(), 2u);
-  EXPECT_EQ(manager.Current()->num_shards(), 3u);
-}
-
-TEST_F(ShardMapManagerTest, CorruptMapRollsBackAndKeepsServing) {
-  ShardMapManager manager(path_);
-  WriteMap(ShardMap(MakeShards(2)).ToJson());
-  ASSERT_EQ(manager.Reload(), ReloadStatus::kOk);
-  const auto before = manager.Current();
-
-#ifndef IPIN_OBS_DISABLED
-  const uint64_t rollbacks = RollbackCount();
-#endif
-  WriteMap("{\"schema\": \"ipin.shardmap.v1\", \"shards\": garbage");
-  EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
-  EXPECT_EQ(manager.Epoch(), 1u);
-  EXPECT_EQ(manager.Current(), before);
-#ifndef IPIN_OBS_DISABLED
-  EXPECT_EQ(RollbackCount(), rollbacks + 1);
-#endif
-}
-
-// The robustness satellite: N consecutive corrupt reloads each roll back,
-// each is counted, the old epoch keeps serving throughout, and a good map
-// recovers on the first try afterwards.
-TEST_F(ShardMapManagerTest, RepeatedCorruptReloadsKeepOldEpochThenRecover) {
-  ShardMapManager manager(path_);
-  WriteMap(ShardMap(MakeShards(2)).ToJson());
-  ASSERT_EQ(manager.Reload(), ReloadStatus::kOk);
-  const auto good = manager.Current();
-
-#ifndef IPIN_OBS_DISABLED
-  const uint64_t rollbacks = RollbackCount();
-#endif
-  constexpr int kAttempts = 5;
-  for (int i = 0; i < kAttempts; ++i) {
-    WriteMap("corrupt attempt " + std::to_string(i));
-    EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
-    EXPECT_EQ(manager.Epoch(), 1u);
-    EXPECT_EQ(manager.Current(), good);
-#ifndef IPIN_OBS_DISABLED
-    EXPECT_EQ(RollbackCount(), rollbacks + static_cast<uint64_t>(i) + 1);
-#endif
-  }
-
-  WriteMap(ShardMap(MakeShards(4)).ToJson());
-  EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
-  EXPECT_EQ(manager.Epoch(), 2u);
-  EXPECT_EQ(manager.Current()->num_shards(), 4u);
-#ifndef IPIN_OBS_DISABLED
-  EXPECT_EQ(RollbackCount(), rollbacks + kAttempts);
-#endif
-}
-
-TEST_F(ShardMapManagerTest, FailpointForcesRollback) {
-  ShardMapManager manager(path_);
-  WriteMap(ShardMap(MakeShards(2)).ToJson());
-  ASSERT_EQ(manager.Reload(), ReloadStatus::kOk);
-
-  failpoint::Set("serve.shard.map", "error");
-  WriteMap(ShardMap(MakeShards(3)).ToJson());
-  EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
-  EXPECT_EQ(manager.Current()->num_shards(), 2u);
-
-  failpoint::Clear("serve.shard.map");
-  EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
-  EXPECT_EQ(manager.Current()->num_shards(), 3u);
 }
 
 }  // namespace

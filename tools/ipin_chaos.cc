@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "ipin/common/flags.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/oracle_io.h"
 #include "ipin/datasets/synthetic.h"
@@ -58,14 +59,6 @@ int Usage() {
       "  [--query_deadline_ms=400] [--verifier_pause_ms=2]\n"
       "  [--ledger=<path>]\n");
   return 2;
-}
-
-bool WriteTextFile(const std::string& path, const std::string& text) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const bool ok = std::fwrite(text.data(), 1, text.size(), f) == text.size();
-  std::fclose(f);
-  return ok;
 }
 
 serve::ChaosDaemonSpec OracledSpec(const std::string& binary,
@@ -227,9 +220,9 @@ int Run(int argc, char** argv) {
   serve::ShardMap transition = final_map;
   transition.BeginTransition(
       std::make_shared<const serve::ShardMap>(old_map));
-  if (!WriteTextFile(live_map, old_map.ToJson() + "\n") ||
-      !WriteTextFile(transition_map, transition.ToJson() + "\n") ||
-      !WriteTextFile(final_map_path, final_map.ToJson() + "\n")) {
+  if (!WriteFileAtomic(live_map, old_map.ToJson() + "\n") ||
+      !WriteFileAtomic(transition_map, transition.ToJson() + "\n") ||
+      !WriteFileAtomic(final_map_path, final_map.ToJson() + "\n")) {
     std::fprintf(stderr, "ipin_chaos: cannot write shard maps\n");
     return 2;
   }

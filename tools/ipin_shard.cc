@@ -104,13 +104,6 @@ int Usage() {
   return 2;
 }
 
-bool WriteTextFile(const std::string& path, const std::string& content) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) return false;
-  out << content << '\n';
-  return static_cast<bool>(out.flush());
-}
-
 std::string Dirname(const std::string& path) {
   const size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? std::string(".")
@@ -237,7 +230,7 @@ int RunSplit(const FlagMap& flags) {
   // Same names => same ring => same ownership; this rebuild only picks up
   // the index_file/fingerprint bindings.
   const serve::ShardMap final_map(shards, virtual_points);
-  if (!WriteTextFile(map_out, final_map.ToJson())) {
+  if (!WriteFileAtomic(map_out, final_map.ToJson() + "\n")) {
     std::fprintf(stderr, "ipin_shard: cannot write map '%s'\n",
                  map_out.c_str());
     return 1;
@@ -533,7 +526,7 @@ int RunRebalance(const FlagMap& flags) {
   serve::ShardMap final_map(shards, old_map->virtual_points());
   final_map.BeginTransition(
       std::make_shared<const serve::ShardMap>(*old_map));
-  if (!WriteTextFile(map_out, final_map.ToJson())) {
+  if (!WriteFileAtomic(map_out, final_map.ToJson() + "\n")) {
     std::fprintf(stderr, "ipin_shard: cannot write map '%s'\n",
                  map_out.c_str());
     return 1;
@@ -562,7 +555,7 @@ int RunFinalize(const FlagMap& flags) {
                 map_path.c_str());
   }
   map->ClearTransition();
-  if (!WriteTextFile(map_out, map->ToJson())) {
+  if (!WriteFileAtomic(map_out, map->ToJson() + "\n")) {
     std::fprintf(stderr, "ipin_shard: cannot write map '%s'\n",
                  map_out.c_str());
     return 1;
