@@ -6,11 +6,25 @@
 // re-read the index file and swap it in atomically; corrupt files roll
 // back).
 //
-// Flags: see Usage() below.
+// Usage:
+//   ipin_oracled --index=index.bin --socket=/tmp/ipin.sock
+//   ipin_oracled --index=index.bin --port=0            # ephemeral TCP port
+//       [--graph=net.txt [--window-pct=10]]            # load exact map too
+//       [--workers=4] [--queue_capacity=64] [--max_connections=64]
+//       [--default_deadline_ms=1000] [--exact_budget_ms=50]
+//       [--retry_after_ms=50] [--drain_deadline_ms=2000]
+//       [--reload_check_ms=0]                          # >0: poll the file
+//       [--slow_query_us=100000] [--flight_size=256] [--flight_slow_size=64]
+//       [--audit_rate=0]                               # e.g. 0.01 = 1 in 100
+//       [--stats_window_s=10]
+//       [--ledger_dir=<dir>]                           # run manifest on exit
+//       [--trace_out=trace.json]                       # Chrome trace at exit
+//       [--metrics_out=report.json] [--log_level=debug]
 //
-// Lifecycle (serve/daemon.h): SIGTERM or SIGINT drains in-flight requests
-// (bounded by --drain_deadline_ms) and exits 0; SIGHUP reloads the index;
-// SIGUSR1 logs the slow-query flight recorder dump (the same
+// Lifecycle (serve/daemon.h, shared with ipin_routerd): on SIGTERM or
+// SIGINT the daemon drains in-flight requests (bounded by
+// --drain_deadline_ms) and exits 0. On SIGHUP it reloads the index. On
+// SIGUSR1 it logs the slow-query flight recorder dump (the same
 // "ipin.debug.v1" document the "debug" request verb returns) without
 // interrupting service. Readiness: the line "ipin_oracled: serving ..." on
 // stdout means the socket is accepting.
@@ -63,8 +77,9 @@ int Run(int argc, char** argv) {
     return runner.Fail(2);
   }
 
-  // Optional exact-summary map: costs build time and memory, but lets
-  // "exact"/"auto" queries answer precisely within the latency budget.
+  // Optional exact-summary map, built from the interaction log. Costs build
+  // time and memory but lets "exact"/"auto" queries answer precisely while
+  // the latency budget allows.
   const std::string graph_path = flags.GetString("graph");
   if (!graph_path.empty()) {
     const auto graph = LoadInteractionsFromFile(
@@ -79,7 +94,9 @@ int Run(int argc, char** argv) {
 
   options.exact_budget_ms = flags.GetInt("exact_budget_ms", 50);
   options.audit_rate = flags.GetDouble("audit_rate", 0.0);
-  // A shard's identity, echoed by the stats verb to tell backends apart.
+  // Sharded deployments (ipin_routerd + per-shard indexes from ipin_shard):
+  // the identity is echoed by the stats verb so operators and the shard
+  // drill can tell backends apart.
   options.shard_id = static_cast<int>(flags.GetInt("shard_id", -1));
   options.shard_count = static_cast<int>(flags.GetInt("shard_count", 0));
 

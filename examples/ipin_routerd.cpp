@@ -6,7 +6,21 @@
 // answer (degraded=true, shards_answered < shards_total) when shards are
 // down instead of erroring.
 //
-// Flags: see Usage() below.
+// Usage:
+//   ipin_routerd --map=shards.json --socket=/tmp/ipin-router.sock
+//   ipin_routerd --map=shards.json --port=0        # ephemeral TCP port
+//       [--workers=4] [--queue_capacity=64] [--max_connections=64]
+//       [--default_deadline_ms=1000] [--retry_after_ms=50]
+//       [--drain_deadline_ms=2000]
+//       [--reload_check_ms=0]                      # >0: poll the map file
+//       [--connect_timeout_ms=250] [--shard_deadline_margin_ms=20]
+//       [--hedge_after_ms=0]                       # >0 enables hedging
+//       [--suspect_after=1] [--down_after=3] [--probe_interval_ms=200]
+//       [--slow_query_us=100000] [--flight_size=256] [--flight_slow_size=64]
+//       [--stats_window_s=10]
+//       [--ledger_dir=<dir>]                       # run manifest on exit
+//       [--trace_out=trace.json] [--metrics_out=report.json]
+//       [--log_level=<level>]
 //
 // Lifecycle (serve/daemon.h, shared with ipin_oracled): SIGTERM/SIGINT
 // drain and exit 0; SIGHUP re-reads the shard map (epoch-swapped; a

@@ -3,6 +3,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <thread>
 
 #include "ipin/common/logging.h"
@@ -154,6 +155,12 @@ int DaemonRunner::Serve(
   }
   ledger.Finish(0);
   std::printf("%s: drained, exiting\n", spec_.program);
+  if (frontend.reload_detached()) {
+    // The detached reload thread may still be using the main's holder and
+    // the process-wide registries: end here, destroying none of them.
+    std::fflush(nullptr);
+    std::_Exit(0);
+  }
   return 0;
 }
 

@@ -18,8 +18,11 @@
 // the drain deadline too) and logs and ledgers its outcome; SIGUSR1 logs
 // the flight-recorder dump; SIGTERM or SIGINT drains, writes --trace_out,
 // --metrics_out and the --ledger_dir run ledger, and prints "<program>:
-// drained, exiting". The handlers only set flags, which the main thread
-// polls every 50 ms; it never reloads anything itself after startup.
+// drained, exiting". If the drain detached a wedged reload, whose thread
+// may still use the main's holder, the runner then ends the process with
+// std::_Exit(0) instead of returning, so nothing it uses is destroyed. The
+// handlers only set flags, which the main thread polls every 50 ms; it
+// never reloads anything itself after startup.
 
 namespace ipin::serve {
 
@@ -58,7 +61,7 @@ class DaemonRunner {
   int Fail(int exit_code);
 
   /// Serves until SIGTERM/SIGINT as described above and returns the exit
-  /// code. `ready` completes the readiness line from the bound endpoint.
+  /// code (or exits 0 itself after detaching a reload). `ready` completes the readiness line from the bound endpoint.
   int Serve(Service* service,
             const std::function<std::string(const std::string& endpoint)>&
                 ready);

@@ -80,8 +80,10 @@ std::string OptionsError(const FrontendOptions& options) {
 
 bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
                         std::string* error) {
-  // Every number is range-checked before it is narrowed: a negative count
-  // must not wrap into a huge size_t, nor a huge one into a small int.
+  // Every count and interval is range-checked before it is narrowed or
+  // turned into a deadline: a negative count must not wrap into a huge
+  // size_t, a huge one into a small int, nor a huge interval overflow the
+  // clock. slow_query_us is only compared against, so any value works.
   error->clear();
   const auto get = [&](const char* name, int64_t def, int64_t min,
                        int64_t max = std::numeric_limits<int64_t>::max()) {
@@ -110,7 +112,7 @@ bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
   options->flight_slow_size =
       static_cast<size_t>(get("flight_slow_size", 64, 0));
   options->stats_window_s = get("stats_window_s", 10, 1, kMaxStatsWindowS);
-  options->reload_check_ms = flags.GetInt("reload_check_ms", 0);
+  options->reload_check_ms = get("reload_check_ms", 0, 0, kMaxReloadCheckMs);
   return error->empty();
 }
 
@@ -281,8 +283,10 @@ bool Frontend::Start() {
   window_.Start();
 #endif
 
-  // The reload thread: Shutdown() detaches it if a reload outlasts the
-  // drain deadline.
+  // The reload thread: a slow or wedged reload blocks only this thread —
+  // never a connection reader or an evaluation slot — and Shutdown() can
+  // abandon it (detach) if it outlasts the drain deadline. It captures
+  // refcounted state and the handler's reload closure, never `this`.
   reload_state_ = std::make_shared<ReloadState>();
   reload_thread_ = std::thread(&Frontend::ReloadLoop, reload_state_, reload_,
                                options_.reload_check_ms);
@@ -778,12 +782,14 @@ void Frontend::StopReloadThread() {
   } else if (reload_thread_.joinable()) {
     // Wedged inside the loader (hung disk/NFS, delay failpoint): abandon it
     // rather than blocking shutdown forever. It only touches its
-    // refcounted state, the manager its reload closure captured (which
-    // outlives the daemon by contract), and refcounted connections.
+    // refcounted state, the holder its reload closure captured (which
+    // must then never be destroyed: see reload_detached()), and
+    // refcounted connections.
     LogWarning(StrFormat(
         "%s: reload thread still busy past the drain deadline; detaching",
         role_.log_prefix));
     reload_thread_.detach();
+    reload_detached_ = true;
   }
   reload_state_.reset();
 }

@@ -25,16 +25,20 @@
 // once. It speaks the newline-delimited JSON protocol of protocol.h over a
 // Unix-domain or localhost-TCP socket; each connection's reader thread
 // parses, admits, evaluates and answers its requests. Robustness model
-// (argued in DESIGN.md §9):
+// (DESIGN.md §9):
 //
-//   * Admission. A query passes an AdmissionGate: at most num_workers
-//     evaluations run and queue_capacity readers wait, in arrival order;
-//     beyond that it is answered OVERLOADED with a retry_after_ms hint.
-//     Connections past max_connections are answered OVERLOADED and closed;
-//     a request line over 1 MiB drops only its own connection.
-//   * Deadlines. A query whose deadline (its own or the default) passes
-//     before its turn is answered DEADLINE_EXCEEDED unevaluated. The slot
-//     is released before the response is written.
+//   * Admission control. A query passes an AdmissionGate on its reader:
+//     at most num_workers evaluations run at once and at most
+//     queue_capacity readers wait, in arrival order; beyond that it is
+//     answered OVERLOADED with a retry_after_ms hint — load is shed at the
+//     door and the queue-depth gauge stays bounded. Connections beyond
+//     max_connections are answered OVERLOADED ("connection limit reached")
+//     and closed; a request line over 1 MiB drops only its own connection.
+//   * Deadlines. Every query carries a deadline (its own or the default)
+//     fixed at admission. One that passes before the query's turn at the
+//     gate is answered DEADLINE_EXCEEDED without evaluation; otherwise the
+//     handler evaluates under it. The slot is released before the response
+//     is written, so a slow consumer never holds an evaluation slot.
 //   * Inline verbs. health, stats, metrics, debug and reshard_status skip
 //     the gate, so probes and dashboards work when every slot is busy.
 //   * Hot reload. One reload thread runs every runtime reload through the
@@ -42,14 +46,20 @@
 //     (index_manager.h): "reload" requests, RequestReload() (the runner's
 //     SIGHUP) and, with reload_check_ms > 0, a timed poll that reloads
 //     only a changed file. No reload occupies a slot or a reader.
-//   * Slow consumers. Response writes carry a send timeout
-//     (write_timeout_ms); a peer that never reads is torn down.
-//   * Graceful shutdown. Shutdown() stops accepting and half-closes every
-//     connection; readers at the gate still answer (evaluated while the
-//     drain deadline allows, DEADLINE_EXCEEDED after) before they are
-//     joined. A reload wedged in its loader, whichever path started it, is
-//     detached at the drain deadline rather than waited on; it touches
-//     only refcounted state and the holder, which outlives the daemon.
+//   * Slow-consumer protection. Response writes carry a send timeout
+//     (write_timeout_ms); a client that pipelines requests but never reads
+//     its socket gets its connection marked broken and torn down instead
+//     of wedging its reader in a blocking send forever.
+//   * Graceful shutdown. Shutdown() stops accepting, rejects new requests
+//     and half-closes every connection; readers at the gate still answer
+//     (evaluated while the drain deadline allows, DEADLINE_EXCEEDED after)
+//     before they are joined. The write timeout and the drain deadline
+//     bound every join except a reload wedged inside its loader — whichever
+//     path started it — which is detached (and logged) rather than waited
+//     on forever; reload_detached() then reports it. It touches only
+//     refcounted state and the holder its closure captured, so a daemon
+//     whose reload was detached must end without destroying that holder
+//     (the runner, daemon.h, exits with std::_Exit).
 //
 // Request observability (DESIGN.md §7): every query carries a 64-bit trace
 // id — the client's, or one assigned at admission — echoed in the response
@@ -118,6 +128,8 @@ struct FrontendOptions {
 
 /// Longest stats window: each second of it reserves two registry snapshots.
 constexpr int64_t kMaxStatsWindowS = 3600;
+/// Longest reload poll interval (one day); longer would overflow the clock.
+constexpr int64_t kMaxReloadCheckMs = 86'400'000;
 
 /// Fills `options` from the daemons' shared flags: --socket, --port,
 /// --workers, --queue_capacity, --max_connections, the three *_ms deadline
@@ -125,9 +137,10 @@ constexpr int64_t kMaxStatsWindowS = 3600;
 /// --stats_window_s and --reload_check_ms (absent flags keep the defaults;
 /// without --port, tcp_port stays -1). False, with the reason in *error,
 /// for a value its field cannot hold (a port outside [0, 65535], workers
-/// past INT_MAX) or that would hang every query (fewer than one worker or
-/// connection, a negative capacity, deadline or retry hint, a stats window
-/// outside [1, kMaxStatsWindowS]).
+/// past INT_MAX, a reload poll outside [0, kMaxReloadCheckMs]) or that
+/// would hang every query (fewer than one worker or connection, a negative
+/// capacity, deadline or retry hint, a stats window outside
+/// [1, kMaxStatsWindowS]).
 bool ParseFrontendFlags(const FlagMap& flags, FrontendOptions* options,
                         std::string* error);
 
@@ -201,9 +214,10 @@ struct ReloadResult {
 };
 
 /// Runs one reload on the frontend's reload thread; `force` is false only
-/// for the poll, which skips an unchanged file. It must capture only state
-/// that outlives the daemon (the IndexManager / ShardMapManager): Shutdown
-/// may detach a wedged reload, which then finishes on its own.
+/// for the poll, which skips an unchanged file. It must capture only the
+/// holder (the IndexManager / ShardMapManager): Shutdown may detach a
+/// wedged reload, which then finishes on its own, so after
+/// reload_detached() the holder must never be destroyed.
 using ReloadFn = std::function<ReloadResult(bool force)>;
 /// Told a queued reload's outcome on the reload thread — nullptr when the
 /// frontend began draining first — under the same lifetime rule.
@@ -261,6 +275,10 @@ class Frontend {
   /// and hands its outcome to `done`. False, dropping it, while stopped or
   /// draining or with the reload queue full.
   bool RequestReload(ReloadDone done);
+
+  /// True once Shutdown() gave up waiting on a wedged reload and detached
+  /// its thread, which may still be using the holder.
+  bool reload_detached() const { return reload_detached_; }
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   /// Port actually bound (TCP mode; useful with tcp_port = 0).
@@ -323,6 +341,7 @@ class Frontend {
   std::thread acceptor_;
   std::shared_ptr<ReloadState> reload_state_;
   std::thread reload_thread_;
+  bool reload_detached_ = false;
 
   mutable std::mutex conns_mu_;
   struct ReaderSlot {

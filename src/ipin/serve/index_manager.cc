@@ -50,6 +50,19 @@ std::shared_ptr<const IrsApprox> LoadIndex(const std::string& path,
   return nullptr;
 }
 
+void ReportIndexReload(const std::string& path, const IrsApprox* installed,
+                       const std::string& why, uint64_t epoch) {
+  if (installed == nullptr) {
+    LogError(StrFormat("serve: reload of '%s' rejected (%s); keeping epoch "
+                       "%llu",
+                       path.c_str(), why.c_str(),
+                       static_cast<unsigned long long>(epoch)));
+  } else {
+    LogInfo(StrFormat("serve: reloaded '%s' -> epoch %llu", path.c_str(),
+                      static_cast<unsigned long long>(epoch)));
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -84,23 +97,20 @@ ReloadStatus EpochHolder<T>::Reload(bool force) {
 
   // Before the load: delay mode holds the reload open while queries keep
   // flowing from the old epoch; error mode stands in for a corrupt file.
-  std::string why = "injected failure";
+  std::string why = names_.injected;
   std::shared_ptr<const T> fresh;
   if (!IPIN_FAILPOINT(names_.failpoint).fail) fresh = load_(path_, &why);
   if (fresh == nullptr) {
     AddOne(names_.rollback_counter);
-    LogError(StrFormat(
-        "serve: reload of '%s' rejected (%s); keeping epoch %llu",
-        path_.c_str(), why.c_str(), static_cast<unsigned long long>(Epoch())));
+    report_(path_, nullptr, why, Epoch());
     return ReloadStatus::kRolledBack;
   }
 
-  Install(std::move(fresh));
+  Install(fresh);
   AddOne(names_.ok_counter);
   // Tells request lanes before and after the swap apart in the trace.
   if (names_.swap_event != nullptr) IPIN_TRACE_INSTANT(names_.swap_event);
-  LogInfo(StrFormat("serve: reloaded '%s' -> epoch %llu", path_.c_str(),
-                    static_cast<unsigned long long>(Epoch())));
+  report_(path_, fresh.get(), why, Epoch());
   return ReloadStatus::kOk;
 }
 
@@ -109,9 +119,10 @@ template class EpochHolder<ShardMap>;
 
 IndexManager::IndexManager(std::string index_path)
     : EpochHolder(std::move(index_path),
-                  {"serve.reload", "serve.reload.ok", "serve.reload.rollback",
-                   "serve.index.epoch", "serve.index.reload"},
-                  LoadIndex) {}
+                  {"serve.reload", "injected failure", "serve.reload.ok",
+                   "serve.reload.rollback", "serve.index.epoch",
+                   "serve.index.reload"},
+                  LoadIndex, ReportIndexReload) {}
 
 void IndexManager::SetExact(std::shared_ptr<const IrsExact> exact) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -53,6 +53,7 @@ enum class ReloadStatus {
 /// What a holder reports under; literals only, nullptr for none.
 struct HolderNames {
   const char* failpoint;  // error: forced rollback; delay: a slow load
+  const char* injected;   // the reason a forced rollback logs
   const char* ok_counter;
   const char* rollback_counter;
   const char* epoch_gauge;  // set on every install
@@ -65,6 +66,10 @@ class EpochHolder {
   /// Reads `path`: the value, or nullptr with the reason in *why.
   using Loader = std::shared_ptr<const T> (*)(const std::string& path,
                                               std::string* why);
+  /// Logs a reload's outcome in the holder's own words: the value it
+  /// installed at `epoch`, or nullptr and why it kept serving `epoch`.
+  using Reporter = void (*)(const std::string& path, const T* installed,
+                            const std::string& why, uint64_t epoch);
 
   EpochHolder(const EpochHolder&) = delete;
   EpochHolder& operator=(const EpochHolder&) = delete;
@@ -86,8 +91,9 @@ class EpochHolder {
 
  protected:
   /// An empty `path` (tests, benches) leaves Install() as the only loader.
-  EpochHolder(std::string path, const HolderNames& names, Loader load)
-      : path_(std::move(path)), names_(names), load_(load) {}
+  EpochHolder(std::string path, const HolderNames& names, Loader load,
+              Reporter report)
+      : path_(std::move(path)), names_(names), load_(load), report_(report) {}
   ~EpochHolder() = default;
 
   // Guards current_ and a subclass's serving state; epoch_ is written only
@@ -100,6 +106,7 @@ class EpochHolder {
   const std::string path_;
   const HolderNames names_;
   const Loader load_;
+  const Reporter report_;
 
   std::mutex reload_mu_;  // serializes reload attempts
   // (mtime_ns, size, inode) of the last attempt; guarded by reload_mu_.
@@ -109,7 +116,9 @@ class EpochHolder {
 extern template class EpochHolder<IrsApprox>;
 
 /// The oracle's serving index: serve.reload.{ok,rollback}, failpoint
-/// "serve.reload", serve.index.epoch and the serve.index.reload instant.
+/// "serve.reload", serve.index.epoch, the serve.index.reload instant and
+/// the log lines "serve: reloaded '<path>' -> epoch N" and "serve: reload
+/// of '<path>' rejected (<why>); keeping epoch N".
 class IndexManager : public EpochHolder<IrsApprox> {
  public:
   explicit IndexManager(std::string index_path);

@@ -9,6 +9,7 @@
 #include "ipin/common/json.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/safe_io.h"
+#include "ipin/common/string_util.h"
 #include "ipin/obs/export.h"
 
 namespace ipin::serve {
@@ -206,6 +207,20 @@ std::shared_ptr<const ShardMap> LoadShardMap(const std::string& path,
   return std::make_shared<const ShardMap>(std::move(*map));
 }
 
+void ReportShardMapReload(const std::string& path, const ShardMap* installed,
+                          const std::string& why, uint64_t epoch) {
+  if (installed == nullptr) {
+    LogError("serve: shard map reload rejected (" + why + "); keeping epoch " +
+             std::to_string(epoch));
+  } else {
+    LogInfo(StrFormat(
+        "serve: shard map loaded from %s (%zu shards, epoch %llu%s)",
+        path.c_str(), installed->num_shards(),
+        static_cast<unsigned long long>(epoch),
+        installed->InTransition() ? ", in transition" : ""));
+  }
+}
+
 }  // namespace
 
 ShardMap::ShardMap(std::vector<ShardInfo> shards, int virtual_points)
@@ -358,9 +373,10 @@ IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
 
 ShardMapManager::ShardMapManager(std::string map_path)
     : EpochHolder(std::move(map_path),
-                  {"serve.shard.map", "serve.shard.map.ok",
-                   "serve.shard.map.rollback", nullptr, nullptr},
-                  LoadShardMap) {}
+                  {"serve.shard.map", "injected serve.shard.map fault",
+                   "serve.shard.map.ok", "serve.shard.map.rollback", nullptr,
+                   nullptr},
+                  LoadShardMap, ReportShardMapReload) {}
 
 ShardMapSnapshot ShardMapManager::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);

@@ -11,20 +11,34 @@
 #include "ipin/core/irs_approx.h"
 #include "ipin/serve/index_manager.h"
 
-// The shard map of the scatter-gather serving tier (DESIGN.md §11, which
-// argues each point below at length): which shard owns which slice of the
-// node space, and where to reach it.
+// The shard map of the scatter-gather serving tier (DESIGN.md §11): which
+// shard owns which slice of the node space, and where to reach it.
 //
-// Ownership is consistent hashing: every shard contributes `virtual_points`
-// points on a 64-bit ring (hash of "<name>#<i>"), and a node belongs to the
-// shard owning the first ring point at or after Hash64(node), so adding or
-// removing one shard moves only ~1/N of the node space. The merge is exact
-// because (1) every node has exactly one owner, so a seed set partitions
-// into disjoint per-shard subsets, and (2) ExtractShardIndex keeps the FULL
-// num_nodes() and only nulls the sketches of nodes it does not own, so
-// seed validation is identical on every shard and the cellwise max of the
-// shards' rank vectors is the single-process union vector bit for bit (a
-// node with no sketch contributes the all-zero identity).
+// Ownership uses consistent hashing: every shard contributes
+// `virtual_points` points on a 64-bit ring (hash of "<name>#<i>"), and a
+// node belongs to the shard owning the first ring point at or after
+// Hash64(node). Adding or removing one shard therefore moves only ~1/N of
+// the node space, which is what makes resharding a rolling operation
+// instead of a full rebuild.
+//
+// Exactness of the scatter-gather merge rests on two invariants this
+// header's helpers maintain:
+//
+//   1. Disjoint cover. Every node is owned by exactly one shard
+//      (OwnerOf is a pure function of the map), so a seed set partitions
+//      into disjoint per-shard subsets.
+//   2. Full node space. A shard index produced by ExtractShardIndex keeps
+//      the FULL num_nodes() of the source index and merely nulls out the
+//      sketches of nodes it does not own. Seed-range validation therefore
+//      behaves identically on every shard, and a rank vector computed over
+//      a shard's subset is exactly the cellwise max its seeds would have
+//      contributed on the single-process path. Cellwise max is associative
+//      and commutative, so max over the shard partials equals the
+//      single-process union vector bit for bit, and EstimateFromRanks of
+//      the merged vector equals IrsApprox::EstimateUnionSize of the full
+//      index. (A node with no sketch contributes an all-zero vector — the
+//      identity of cellwise max — matching the single-process "no sketch"
+//      path, which returns 0.)
 //
 // Serialized form: "ipin.shardmap.v1" (still parsed) or "ipin.shardmap.v2"
 // (emitted whenever any v2 feature is present), one JSON document:
@@ -38,19 +52,34 @@
 //      {"name": "shard1", "tcp_host": "127.0.0.1", "tcp_port": 7101}],
 //    "transition": {"virtual_points": 64, "shards": [...]}}
 //
-// Each shard needs a unique name (it seeds the ring points) and exactly one
-// primary endpoint (unix_socket or tcp_port [+ tcp_host, default
-// 127.0.0.1]). v2 adds "replicas" — up to kMaxReplicas more endpoints
-// serving the SAME shard file; with the primary they form one ordered
-// endpoint list (ShardInfo::endpoint_at) along which the router promotes
-// on failure and hedges stragglers; a v1 mirror_* endpoint parses as one
-// more replica — plus "index_file"/"fingerprint" ("crc32c:%08x" of the
-// file, bound by ipin_shard and checked by `ipin_shard verify`), and
-// "transition": the PREVIOUS epoch's assignment during a live reshard.
-// While it is present the router double-dispatches every seed whose owner
-// differs between the epochs, so answers stay bit-identical while either
-// owner is up (cellwise max is idempotent); `ipin_shard rebalance` emits
-// it and `ipin_shard finalize` strips it.
+// Each shard needs a name (unique; it seeds the ring points, so renaming a
+// shard moves its ownership) and exactly one primary endpoint (unix_socket
+// or tcp_port [+ tcp_host, default 127.0.0.1]).
+//
+// v2 additions:
+//   * "replicas": up to kMaxReplicas more endpoints per shard, each a
+//     daemon serving the SAME shard file. The primary and its replicas form
+//     one ordered endpoint list (ShardInfo::endpoint_at) and that list is
+//     the only redundancy concept: the router's health tracker PROMOTES the
+//     next live endpoint when the active one's circuit opens (it carries all
+//     subsequent legs until a probe recovers the primary), and a hedged
+//     retry of a straggling leg goes to the endpoint after the active one.
+//     A v1 map's mirror endpoint (mirror_unix_socket / mirror_tcp_port
+//     [+ mirror_tcp_host]) parses as one more replica, under the same
+//     duplicate and kMaxReplicas checks, and is written back as a replica.
+//   * "index_file" / "fingerprint": the shard's index file (relative name)
+//     and its crc32c fingerprint ("crc32c:%08x" over the file bytes), bound
+//     at materialization time by ipin_shard and checked by `ipin_shard
+//     verify`.
+//   * "transition": the PREVIOUS epoch's assignment (shard list +
+//     virtual_points, same schema minus nesting). While present, the map is
+//     "in transition": the router double-dispatches every seed whose owner
+//     differs between the two assignments — preferring the new owner,
+//     falling back to the old — so a mid-migration answer stays bit-
+//     identical to the single-index answer as long as either epoch's owner
+//     is up (cellwise max is idempotent, so overlapping partials cannot
+//     double-count). `ipin_shard rebalance` emits a transition map;
+//     `ipin_shard finalize` strips the block once the old fleet retires.
 
 namespace ipin::serve {
 
@@ -104,8 +133,9 @@ class ShardMap {
                                            std::string* error);
 
   /// Serializes back to one line with stable field order; Parse(ToJson())
-  /// reproduces the map exactly. Tagged v1 unless a v2 feature (replicas,
-  /// index_file, fingerprint, transition) is present.
+  /// reproduces the map exactly. Emits the v1 schema tag when no v2 feature
+  /// (replicas / index_file / fingerprint / transition) is present, v2
+  /// otherwise.
   std::string ToJson() const;
 
   size_t num_shards() const { return shards_.size(); }
@@ -153,9 +183,11 @@ class ShardMap {
 };
 
 /// Copies out the slice of `full` that `shard` owns under `map`: same
-/// num_nodes, window, precision and salt, with only the owned nodes'
-/// sketches retained (the exactness invariants above). SaveInfluenceIndex
-/// writes it as the file a per-shard ipin_oracled serves.
+/// num_nodes, same window/precision/salt, with only the owned nodes'
+/// sketches (their rows and entry counts) retained (see the exactness
+/// invariants above).
+/// Pair with SaveInfluenceIndex to write shard files a per-shard
+/// ipin_oracled serves.
 IrsApprox ExtractShardIndex(const IrsApprox& full, const ShardMap& map,
                             size_t shard);
 
@@ -169,8 +201,10 @@ extern template class EpochHolder<ShardMap>;
 
 /// The router's shard map, in the holder the oracle's index uses
 /// (index_manager.h): a missing or invalid map rolls back
-/// (serve.shard.map.rollback), a valid one advances the epoch
-/// (serve.shard.map.ok); failpoint "serve.shard.map".
+/// (serve.shard.map.rollback, "serve: shard map reload rejected (<why>);
+/// keeping epoch N"), a valid one advances the epoch (serve.shard.map.ok,
+/// "serve: shard map loaded from <path> (N shards, epoch E[, in
+/// transition])"); failpoint "serve.shard.map".
 class ShardMapManager : public EpochHolder<ShardMap> {
  public:
   explicit ShardMapManager(std::string map_path);

@@ -35,7 +35,8 @@ IrsApprox BuildSmallIndex(uint64_t seed = 3) {
 }
 
 // Each payload: its manager, the names it reports under, distinct values
-// by seed, and how to write a value to the file and damage it there.
+// by seed, a fingerprint that tells them apart, and how to write a value
+// to the file and damage it there.
 struct IndexPayload {
   using Manager = IndexManager;
   static constexpr const char* kFailpoint = "serve.reload";
@@ -43,6 +44,15 @@ struct IndexPayload {
 
   static std::shared_ptr<const IrsApprox> Make(uint64_t seed) {
     return std::make_shared<const IrsApprox>(BuildSmallIndex(seed));
+  }
+  // Node count, sketch entries and the estimate over every node: equal
+  // for an index and its saved-and-reloaded copy, distinct across seeds.
+  static std::string Fingerprint(const IrsApprox& index) {
+    std::vector<NodeId> all(index.num_nodes());
+    for (size_t u = 0; u < all.size(); ++u) all[u] = static_cast<NodeId>(u);
+    return std::to_string(index.num_nodes()) + "/" +
+           std::to_string(index.TotalSketchEntries()) + "/" +
+           std::to_string(index.EstimateUnionSize(all));
   }
   static bool Write(const IrsApprox& index, const std::string& path) {
     return SaveInfluenceIndex(index, path);
@@ -76,6 +86,7 @@ struct ShardMapPayload {
     }
     return std::make_shared<const ShardMap>(std::move(shards));
   }
+  static std::string Fingerprint(const ShardMap& map) { return map.ToJson(); }
   static bool Write(const ShardMap& map, const std::string& path) {
     return WriteFileAtomic(path, map.ToJson() + "\n");
   }
@@ -102,6 +113,15 @@ class EpochHolderTest : public ::testing::Test {
 
   void WriteFile(uint64_t seed) const {
     ASSERT_TRUE(Payload::Write(*Payload::Make(seed), path_));
+  }
+
+  // The manager serves exactly what WriteFile(seed) wrote, not merely some
+  // freshly allocated value.
+  static void ExpectServes(const Manager& manager, uint64_t seed) {
+    const auto current = manager.Current();
+    ASSERT_NE(current, nullptr);
+    EXPECT_EQ(Payload::Fingerprint(*current),
+              Payload::Fingerprint(*Payload::Make(seed)));
   }
 
   // The rollback counter compiles out under IPIN_OBS_DISABLED; the
@@ -137,6 +157,11 @@ class PayloadNames {
 };
 TYPED_TEST_SUITE(EpochHolderTest, Payloads, PayloadNames);
 
+TYPED_TEST(EpochHolderTest, FingerprintsTellSeedsApart) {
+  EXPECT_NE(TypeParam::Fingerprint(*TypeParam::Make(1)),
+            TypeParam::Fingerprint(*TypeParam::Make(2)));
+}
+
 TYPED_TEST(EpochHolderTest, InstallAdvancesEpoch) {
   typename TestFixture::Manager manager("");
   EXPECT_EQ(manager.Epoch(), 0u);
@@ -163,13 +188,12 @@ TYPED_TEST(EpochHolderTest, ReloadLoadsValidFileAndAdvancesEpoch) {
   this->WriteFile(1);
   EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
   EXPECT_EQ(manager.Epoch(), 1u);
-  const auto first = manager.Current();
-  ASSERT_NE(first, nullptr);
+  this->ExpectServes(manager, 1);
 
   this->WriteFile(2);
   EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
   EXPECT_EQ(manager.Epoch(), 2u);
-  EXPECT_NE(manager.Current(), first);
+  this->ExpectServes(manager, 2);
 }
 
 TYPED_TEST(EpochHolderTest, MissingFileRollsBack) {
@@ -204,10 +228,12 @@ TYPED_TEST(EpochHolderTest, InjectedReloadFailureRollsBack) {
   EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
   EXPECT_EQ(manager.Epoch(), 1u);
   EXPECT_EQ(manager.Current(), before);
+  this->ExpectServes(manager, 1);
 
   failpoint::Clear(TypeParam::kFailpoint);
   EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
   EXPECT_EQ(manager.Epoch(), 2u);
+  this->ExpectServes(manager, 2);
 }
 
 TYPED_TEST(EpochHolderTest, UnforcedReloadSkipsUnchangedFile) {
@@ -259,7 +285,8 @@ TYPED_TEST(EpochHolderTest, RepeatedCorruptReloadsKeepOldEpochThenRecover) {
   this->WriteFile(2);
   EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
   EXPECT_EQ(manager.Epoch(), 2u);
-  EXPECT_NE(manager.Current(), before);
+  this->ExpectServes(manager, 2);
+  EXPECT_EQ(this->Rollbacks(), rollbacks + this->Counted(kAttempts));
 }
 
 // --- The index's own cases ------------------------------------------------

@@ -776,7 +776,8 @@ TEST(FrontendFlagsTest, RejectsValuesThatWouldHang) {
         "--default_deadline_ms=-1", "--drain_deadline_ms=-5",
         "--retry_after_ms=-1", "--flight_size=-1", "--flight_slow_size=-1",
         "--stats_window_s=0", "--stats_window_s=-5",
-        "--stats_window_s=1000000000", "--workers=4294967297"}) {
+        "--stats_window_s=1000000000", "--workers=4294967297",
+        "--reload_check_ms=-1", "--reload_check_ms=10000000000000"}) {
     error.clear();
     EXPECT_FALSE(parse({"--socket=/tmp/x.sock", bad}, &error)) << bad;
     EXPECT_FALSE(error.empty()) << bad;
