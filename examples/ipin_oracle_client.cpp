@@ -4,7 +4,7 @@
 //   Single request (default) — send one request, print the response fields:
 //     ipin_oracle_client --socket=/tmp/ipin.sock --seeds=1,2,3 [--mode=auto]
 //         [--deadline_ms=0]
-//         [--method=query|health|stats|reload|metrics|debug|reshard_status]
+//         [--method=query|topk|health|stats|reload|metrics|debug]
 //         [--format=prom|json]           # metrics payload format
 //         [--trace_id=<hex>]             # propagate trace context
 //     Queries print "trace_id=<hex>" (the given one, or the one the client
@@ -47,7 +47,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: ipin_oracle_client (--socket=<path> | --port=<n>) "
                "[--host=127.0.0.1]\n"
-               "  [--method=query|topk|health|stats|reload|metrics|debug|reshard_status]\n"
+               "  [--method=query|topk|health|stats|reload|metrics|debug]\n"
                "  [--seeds=a,b,c] [--mode=sketch|exact|auto] [--k=10] "
                "[--deadline_ms=0]\n"
                "  [--format=prom|json] [--trace_id=<hex>]\n"
@@ -108,8 +108,6 @@ std::optional<serve::Request> BuildRequest(const FlagMap& flags) {
     request.method = serve::Method::kMetrics;
   } else if (method == "debug") {
     request.method = serve::Method::kDebug;
-  } else if (method == "reshard_status") {
-    request.method = serve::Method::kReshardStatus;
   } else if (method == "topk") {
     request.method = serve::Method::kTopk;
     request.k = flags.GetInt("k", 10);

@@ -14,7 +14,6 @@
 //       [--drain_deadline_ms=2000]
 //       [--reload_check_ms=0]                      # >0: poll the map file
 //       [--connect_timeout_ms=250] [--shard_deadline_margin_ms=20]
-//       [--hedge_after_ms=0]                       # >0 enables hedging
 //       [--suspect_after=1] [--down_after=3] [--probe_interval_ms=200]
 //       [--slow_query_us=100000] [--flight_size=256] [--flight_slow_size=64]
 //       [--stats_window_s=10]
@@ -48,8 +47,8 @@ int Usage() {
                "  [--default_deadline_ms=1000] [--retry_after_ms=50]\n"
                "  [--drain_deadline_ms=2000] [--reload_check_ms=0]\n"
                "  [--connect_timeout_ms=250] [--shard_deadline_margin_ms=20]\n"
-               "  [--hedge_after_ms=0] [--suspect_after=1] [--down_after=3]\n"
-               "  [--probe_interval_ms=200] [--slow_query_us=100000]\n"
+               "  [--suspect_after=1] [--down_after=3] [--probe_interval_ms=200]\n"
+               "  [--slow_query_us=100000]\n"
                "  [--flight_size=256] [--flight_slow_size=64]\n"
                "  [--stats_window_s=10] [--ledger_dir=<dir>]\n"
                "  [--trace_out=<json>] [--metrics_out=<json>]\n"
@@ -76,7 +75,6 @@ int Run(int argc, char** argv) {
   options.connect_timeout_ms = flags.GetInt("connect_timeout_ms", 250);
   options.shard_deadline_margin_ms =
       flags.GetInt("shard_deadline_margin_ms", 20);
-  options.hedge_after_ms = flags.GetInt("hedge_after_ms", 0);
   options.health.suspect_after =
       static_cast<int>(flags.GetInt("suspect_after", 1));
   options.health.down_after = static_cast<int>(flags.GetInt("down_after", 3));

@@ -14,8 +14,8 @@
 #                table4_memory's vHLL and sealed-arena byte tallies are
 #                allocator-counted, so every push compares deterministic
 #                memory numbers against the committed baseline.
-#   full (default) additionally runs the fig3/fig4/serving/reshard
-#                harnesses and uses 3 reps.
+#   full (default) additionally runs the fig3/fig4/serving harnesses and
+#                uses 3 reps.
 #   --threads=N  worker-pool size for every bench (harnesses get --threads=N,
 #                micro benches inherit it via IPIN_THREADS). Defaults to 1 so
 #                bench-history documents stay comparable across machines;
@@ -124,7 +124,7 @@ done
 HARNESSES=(table4_memory)
 if [[ $QUICK == 0 ]]; then
   HARNESSES=(fig3_processing_time fig4_oracle_query table4_memory
-             oracle_serving reshard)
+             oracle_serving)
 fi
 for bench in "${HARNESSES[@]}"; do
   reps=()

@@ -60,8 +60,8 @@ class IrsApprox {
 
   /// Wraps an already-packed arena (its precision and salt must match
   /// `options`; checked). Used by the oracle persistence layer
-  /// (oracle_io.h), shard extraction and reshard reconstruction, which fill
-  /// the arena directly. The result holds no build store.
+  /// (oracle_io.h) and shard extraction, which fill the arena directly.
+  /// The result holds no build store.
   IrsApprox(Duration window, const IrsApproxOptions& options,
             SketchArena arena);
 

@@ -67,9 +67,8 @@ class OracleClient {
 
   /// Overrides options().io_timeout_ms from now on (applied to the pooled
   /// connection immediately and to every future connect). The router uses
-  /// this to carve a per-leg timeout — and the shorter hedge timeout of a
-  /// first attempt — out of one request's deadline without rebuilding
-  /// clients. Values < 1 are clamped to 1.
+  /// this to carve a per-leg timeout out of one request's deadline without
+  /// rebuilding clients. Values < 1 are clamped to 1.
   void SetIoTimeout(int64_t io_timeout_ms);
 
   /// Transport attempts that failed and were retried (observability for

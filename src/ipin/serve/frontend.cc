@@ -500,9 +500,6 @@ void Frontend::HandleRequest(const std::shared_ptr<Connection>& conn,
     case Method::kReload:
       HandleReload(conn, request);
       return;
-    case Method::kReshardStatus:
-      WriteResponse(conn, handler_->ReshardStatus(request), write_timeout);
-      return;
     case Method::kQuery:
     case Method::kTopk:
       break;

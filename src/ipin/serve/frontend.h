@@ -39,8 +39,8 @@
 //     gate is answered DEADLINE_EXCEEDED without evaluation; otherwise the
 //     handler evaluates under it. The slot is released before the response
 //     is written, so a slow consumer never holds an evaluation slot.
-//   * Inline verbs. health, stats, metrics, debug and reshard_status skip
-//     the gate, so probes and dashboards work when every slot is busy.
+//   * Inline verbs. health, stats, metrics and debug skip the gate, so
+//     probes and dashboards work when every slot is busy.
 //   * Hot reload. One reload thread runs every runtime reload through the
 //     handler's reload closure, which captures only the holder
 //     (index_manager.h): "reload" requests, RequestReload() (the runner's
@@ -239,8 +239,6 @@ class FrontendHandler {
   virtual uint64_t Epoch() const = 0;
   /// Appends the daemon's own fields to a stats answer.
   virtual void AppendStats(StatsInfo* info) = 0;
-  /// Answers the reshard_status verb inline.
-  virtual Response ReshardStatus(const Request& request) = 0;
 };
 
 /// Completes `record` (filed in `flight` as `seq`) and feeds each stage it

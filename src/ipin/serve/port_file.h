@@ -16,8 +16,7 @@
 // TCP-only one. The file is written to a sibling temp path and renamed
 // into place, so a polling reader sees either nothing or the whole line,
 // never a torn write. ipin_oracled and ipin_routerd expose it as
-// --port_file; serve_smoke_test.sh, router_smoke_test.sh, and the chaos
-// drill read it.
+// --port_file; serve_smoke_test.sh and router_smoke_test.sh read it.
 
 namespace ipin::serve {
 

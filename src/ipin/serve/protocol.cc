@@ -38,8 +38,6 @@ const char* MethodName(Method method) {
       return "metrics";
     case Method::kDebug:
       return "debug";
-    case Method::kReshardStatus:
-      return "reshard_status";
   }
   return "query";
 }
@@ -215,8 +213,6 @@ std::optional<Request> ParseRequest(std::string_view line, std::string* error,
     request.method = Method::kMetrics;
   } else if (method == "debug") {
     request.method = Method::kDebug;
-  } else if (method == "reshard_status") {
-    request.method = Method::kReshardStatus;
   } else {
     Fail(error, "unknown method");
     return std::nullopt;

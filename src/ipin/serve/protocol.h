@@ -28,7 +28,6 @@
 //   {"id": 7,                  // echoed back; any int64 (default 0)
 //    "method": "query",        // "query" | "topk" | "health" | "stats"
 //                              // | "reload" | "metrics" | "debug"
-//                              // | "reshard_status" (router only)
 //    "seeds": [1, 2, 3],       // query only: node ids
 //    "mode": "auto",           // query only: "sketch" | "exact" | "auto"
 //    "k": 10,                  // topk only: result count (default 10)
@@ -83,12 +82,6 @@
 //           exposition) or "json" (the ipin.metrics.v1 report document).
 //   debug   the slow-query flight recorder dump (ipin.debug.v1 JSON, see
 //           flight_recorder.h) in "payload", answered inline.
-//   reshard_status
-//           router-only admin verb, answered inline: the live-reshard state
-//           in "info" — map_epoch, in_transition (0|1), shards /
-//           prev_shards (current and previous-epoch shard counts),
-//           replicas_total, shards_down / prev_shards_down. A plain
-//           ipin_oracled answers BAD_REQUEST (it has no shard map).
 //
 // Response object:
 //   {"id": 7,
@@ -152,7 +145,6 @@ enum class Method {
   kReload,
   kMetrics,
   kDebug,
-  kReshardStatus,
 };
 
 /// Formats accepted by the "metrics" method.

@@ -39,17 +39,6 @@
 //   * Deadlines. Each leg gets the request's remaining budget minus
 //     shard_deadline_margin_ms, so the router always has time left to
 //     merge and answer.
-//   * One ordered endpoint list per shard: the primary, then its replicas
-//     (shard_map.h), each serving the same shard file. The health tracker
-//     runs its state machine per endpoint and keeps an active endpoint per
-//     shard: when the active endpoint's circuit opens the next live one is
-//     PROMOTED (all subsequent legs dial it), a probe healing the primary
-//     demotes it again, and the shard only reports down when every
-//     endpoint is down. With hedge_after_ms > 0 a leg's first attempt is
-//     capped at that much, and a straggler or failure is retried once on
-//     the endpoint after the active one (the same one when the list has a
-//     single entry) with the remaining budget — one slow endpoint no
-//     longer sets the request's latency.
 //   * Partial results. If at least one owning shard answers, the router
 //     answers OK with degraded=true when any shard is missing, plus
 //     shards_total / shards_answered and a conservative coverage bound
@@ -57,21 +46,12 @@
 //     shard answers does the client see UNAVAILABLE (with retry_after_ms).
 //     BAD_REQUEST from a shard (seed out of range — deterministic, since
 //     every shard keeps the full node space) is propagated as BAD_REQUEST.
-//   * Resharding. The reload closure re-reads the shard map through
+//   * Map reload. The reload closure re-reads the shard map through
 //     ShardMapManager, the oracle's holder with a shard-map loader, on the
 //     frontend's reload thread (reload verb, SIGHUP, --reload_check_ms
 //     poll): epoch-swapped pickup, rollback on a corrupt map. In-flight
 //     requests finish their fan-out on the map (and client fleet) they
-//     started with. While the map carries a transition block (a live
-//     reshard, see shard_map.h), the router DOUBLE-DISPATCHES every seed
-//     whose owner differs between the epochs: the seed rides its new
-//     owner's leg AND a fallback leg to its old owner, concurrently. The
-//     merge is cellwise max — idempotent — so the answer stays
-//     bit-identical to the single-index answer as long as either owner is
-//     up; coverage counts a seed once ANY leg carrying it answers. topk
-//     fans out to both epochs' fleets and dedupes candidates by node id.
-//     The "reshard_status" verb reports transition state and per-epoch
-//     down counts.
+//     started with.
 //
 // Failpoint sites: serve.shard.connect (leg fails before dialing),
 // serve.shard.rpc (each RPC attempt fails — error_prob(p) gives seeded
@@ -80,10 +60,10 @@
 //
 // Observability (on top of the frontend's serve.* request metrics; stats
 // adds win_partial_per_s and win_leg_fail_per_s): serve.shard.legs{,.ok,
-// .failed,.skipped}, serve.shard.hedged, serve.shard.leg_us,
-// serve.shard.probe{,.ok}, serve.shard.health.* and serve.shard.down_count
-// (health.h), serve.shard.map.{ok,rollback}, serve.requests.partial, the
-// serve.route lane and serve.latency.route_us. The client's trace_id
+// .failed,.skipped}, serve.shard.leg_us, serve.shard.probe{,.ok},
+// serve.shard.health.* and serve.shard.down_count (health.h),
+// serve.shard.map.{ok,rollback}, serve.requests.partial, the serve.route
+// lane and serve.latency.route_us. The client's trace_id
 // rides every shard leg (parent_span = trace_id), so one id spans the
 // router lane and each backend's lanes; the flight recorder keeps one
 // record per leg (with its shard number) plus one per request. A leg reads
@@ -99,9 +79,6 @@ struct RouterOptions : FrontendOptions {
   /// Carved off the request's remaining budget to form each leg's deadline,
   /// reserving time for the merge + response write.
   int64_t shard_deadline_margin_ms = 20;
-  /// > 0: cap a leg's first attempt here and retry a straggler once on the
-  /// shard's next endpoint with the remaining budget. 0 disables hedging.
-  int64_t hedge_after_ms = 0;
 
   ShardHealthOptions health;
 };
@@ -139,32 +116,19 @@ class RouterServer : public Service, private FrontendHandler {
 
  private:
   // One shard-map epoch's worth of backends: the map, its health tracker,
-  // and a pool of reusable clients per shard endpoint. Legs hold the fleet
-  // via shared_ptr, so a reshard builds a fresh fleet while in-flight
+  // and a pool of reusable clients per shard. Legs hold the fleet via
+  // shared_ptr, so a map reload builds a fresh fleet while in-flight
   // requests finish on the old one (health state starts clean after a
-  // reshard — the prober re-discovers a down backend within one failure
-  // round). When the map is in transition the fleet also carries the
-  // PREVIOUS epoch's pools and health tracker (`prev` = true selects them)
-  // so double-dispatch fallback legs can dial the old owners.
+  // reload — the prober re-discovers a down backend within one failure
+  // round).
   struct ShardFleet {
     ShardFleet(std::shared_ptr<const ShardMap> map, uint64_t epoch,
                const RouterOptions& options);
 
-    const ShardMap& SideMap(bool prev) const {
-      return prev ? *map->previous() : *map;
-    }
-    ShardHealthTracker& SideHealth(bool prev) {
-      return prev ? *prev_health : health;
-    }
-
-    std::unique_ptr<OracleClient> Borrow(bool prev, size_t shard,
-                                         size_t endpoint);
-    void Return(bool prev, size_t shard, size_t endpoint,
-                std::unique_ptr<OracleClient> client);
-    /// A fresh, unpooled client for the given index into the shard's
-    /// ordered endpoint list (ShardInfo::endpoint_at).
-    std::unique_ptr<OracleClient> NewClient(bool prev, size_t shard,
-                                            size_t endpoint) const;
+    std::unique_ptr<OracleClient> Borrow(size_t shard);
+    void Return(size_t shard, std::unique_ptr<OracleClient> client);
+    /// A fresh, unpooled client for `shard`'s endpoint.
+    std::unique_ptr<OracleClient> NewClient(size_t shard) const;
 
     const std::shared_ptr<const ShardMap> map;
     const uint64_t epoch;
@@ -172,16 +136,12 @@ class RouterServer : public Service, private FrontendHandler {
     // must not reference RouterServer members.
     const RouterOptions options;
     ShardHealthTracker health;
-    /// Previous-epoch health; non-null iff map->InTransition().
-    std::unique_ptr<ShardHealthTracker> prev_health;
 
     struct Pool {
       std::mutex mu;
       std::vector<std::unique_ptr<OracleClient>> idle;
     };
-    /// pools[shard][endpoint]; prev_pools mirrors the previous map's shards.
-    std::vector<std::vector<std::unique_ptr<Pool>>> pools;
-    std::vector<std::vector<std::unique_ptr<Pool>>> prev_pools;
+    std::vector<std::unique_ptr<Pool>> pools;  // one per shard
   };
 
   // Scatter-gather rendezvous: one slot per leg, the evaluating reader
@@ -199,21 +159,18 @@ class RouterServer : public Service, private FrontendHandler {
                     Clock::time_point deadline) override;
   uint64_t Epoch() const override { return map_->Epoch(); }
   void AppendStats(StatsInfo* info) override;
-  Response ReshardStatus(const Request& request) override;
   void ProbeLoop();
 
   /// The fleet for the current shard-map epoch, building one on first use
-  /// or after a reshard. nullptr while no map is installed.
+  /// or after a map reload. nullptr while no map is installed.
   std::shared_ptr<ShardFleet> Fleet();
 
-  /// One shard RPC with health bookkeeping, replica failover, hedging,
-  /// failpoints, and a completed leg record; returns the shard response or
-  /// nullopt. `prev` targets the previous-epoch fleet (double-dispatch
-  /// fallback legs during a transition). Static and fed only refcounted
-  /// state: a leg stuck in a socket timeout may outlive the scatter wait
-  /// (and even server shutdown) without dangling.
+  /// One shard RPC with health bookkeeping, failpoints, and a completed leg
+  /// record; returns the shard response or nullopt. Static and fed only
+  /// refcounted state: a leg stuck in a socket timeout may outlive the
+  /// scatter wait (and even server shutdown) without dangling.
   static std::optional<Response> RunShardLeg(
-      const std::shared_ptr<ShardFleet>& fleet, bool prev, size_t shard,
+      const std::shared_ptr<ShardFleet>& fleet, size_t shard,
       const Request& leg, Clock::time_point leg_deadline,
       FlightRecorder* flight);
 

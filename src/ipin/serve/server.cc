@@ -245,14 +245,4 @@ void OracleServer::AppendStats(StatsInfo* info) {
   }
 }
 
-Response OracleServer::ReshardStatus(const Request& request) {
-  // Router-only admin verb: an oracle backend has no shard map to report
-  // on, and answering OK here would make a misconfigured client believe it
-  // is talking to a router.
-  Response response = ReplyTo(request, StatusCode::kBadRequest);
-  response.error = "reshard_status is a router verb";
-  IPIN_COUNTER_ADD("serve.requests.bad", 1);
-  return response;
-}
-
 }  // namespace ipin::serve

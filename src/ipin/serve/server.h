@@ -92,7 +92,6 @@ class OracleServer : public Service, private FrontendHandler {
  private:
   uint64_t Epoch() const override { return index_->Epoch(); }
   void AppendStats(StatsInfo* info) override;
-  Response ReshardStatus(const Request& request) override;
 #ifndef IPIN_OBS_DISABLED
   /// Maybe re-evaluates a sketch-served answer exactly, off the hot path.
   void MaybeAudit(const IndexSnapshot& snapshot,

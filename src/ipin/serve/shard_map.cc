@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <initializer_list>
+#include <string_view>
 #include <unordered_set>
 #include <utility>
 
@@ -23,20 +25,51 @@ bool Fail(std::string* error, std::string reason) {
   return false;
 }
 
-// Reads one endpoint from a shard object; `prefix` is "" for the primary
-// endpoint or a replica, "mirror_" for a v1 mirror. True when the fields are
-// well-formed (including "entirely absent", which leaves *out invalid —
-// the caller decides whether that is acceptable).
-bool ParseEndpoint(const JsonValue& shard, const std::string& prefix,
-                   ShardEndpoint* out, std::string* error) {
+// Fails on the first key of `object` that is not in `known`, naming it. A
+// map is never read past a field it does not know: a field of the removed
+// failover and live-reshard tier (a shard's replicas or v1 mirror, the
+// map's previous-epoch block), dropped, could route seeds to shards that do
+// not hold them.
+bool OnlyKnownFields(const JsonValue& object,
+                     std::initializer_list<std::string_view> known,
+                     const std::string& where, std::string* error) {
+  for (const auto& [key, value] : object.object_items()) {
+    if (std::find(known.begin(), known.end(), key) == known.end()) {
+      return Fail(error, where + "unknown field \"" + key + "\"");
+    }
+  }
+  return true;
+}
+
+// Reads string field `key` of `object` into *out, which keeps its value
+// when the field is absent. A field of another type fails, naming it: a
+// fallback would route by something other than what the map says.
+bool StringField(const JsonValue& object, std::string_view key,
+                 std::string* out, std::string* error) {
+  const JsonValue* field = object.Find(key);
+  if (field == nullptr) return true;
+  if (!field->is_string()) {
+    return Fail(error, "field \"" + std::string(key) + "\" is not a string");
+  }
+  *out = field->string_value();
+  return true;
+}
+
+// Reads a shard object's endpoint. True when the fields are well-formed
+// (including "entirely absent", which leaves *out invalid — the caller
+// rejects that).
+bool ParseEndpoint(const JsonValue& shard, ShardEndpoint* out,
+                   std::string* error) {
   *out = ShardEndpoint{};
-  out->unix_socket_path = shard.FindString(prefix + "unix_socket", "");
-  const JsonValue* port = shard.Find(prefix + "tcp_port");
+  if (!StringField(shard, "unix_socket", &out->unix_socket_path, error)) {
+    return false;
+  }
+  const JsonValue* port = shard.Find("tcp_port");
   if (port != nullptr) {
     if (!port->is_number() || port->number_value() < 0 ||
         port->number_value() > 65535 ||
         port->number_value() != static_cast<int>(port->number_value())) {
-      return Fail(error, "bad " + prefix + "tcp_port");
+      return Fail(error, "bad tcp_port");
     }
     out->tcp_port = static_cast<int>(port->number_value());
   }
@@ -45,108 +78,28 @@ bool ParseEndpoint(const JsonValue& shard, const std::string& prefix,
                 "shard endpoint must be unix_socket OR tcp_port, not both");
   }
   // A unix-socket endpoint dials no host, and ToJson writes none: its
-  // tcp_host keeps the default, so endpoints compare by what they dial and
-  // every map re-parses from its own ToJson.
-  if (out->unix_socket_path.empty()) {
-    out->tcp_host = shard.FindString(prefix + "tcp_host", out->tcp_host);
-  }
-  return true;
+  // tcp_host keeps the default, so every map re-parses from its own ToJson.
+  return !out->unix_socket_path.empty() ||
+         StringField(shard, "tcp_host", &out->tcp_host, error);
 }
 
-// Parses one epoch's {virtual_points, shards} pair out of `doc` into a
-// ShardMap; shared between the top-level document and its transition block.
-std::optional<ShardMap> ParseAssignment(const JsonValue& doc,
-                                        std::string* error) {
-  const double virtual_points = doc.FindNumber("virtual_points", 64.0);
-  if (virtual_points < 1 || virtual_points > 4096 ||
-      virtual_points != static_cast<int>(virtual_points)) {
-    Fail(error, "bad virtual_points (want an integer in [1, 4096])");
-    return std::nullopt;
+// Reads one entry of the shards array into *info.
+bool ParseShard(const JsonValue& entry, ShardInfo* info, std::string* error) {
+  if (!entry.is_object()) return Fail(error, "shard entry is not an object");
+  info->name = entry.FindString("name", "");
+  if (info->name.empty()) return Fail(error, "shard without a name");
+  if (!OnlyKnownFields(entry,
+                       {"name", "unix_socket", "tcp_host", "tcp_port",
+                        "index_file", "fingerprint"},
+                       "shard " + info->name + ": ", error)) {
+    return false;
   }
-  const JsonValue* shards = doc.Find("shards");
-  if (shards == nullptr || !shards->is_array() ||
-      shards->array_items().empty()) {
-    Fail(error, "shard map needs a non-empty shards array");
-    return std::nullopt;
+  if (!ParseEndpoint(entry, &info->endpoint, error)) return false;
+  if (!info->endpoint.valid()) {
+    return Fail(error, "shard " + info->name + " has no endpoint");
   }
-  std::vector<ShardInfo> infos;
-  std::unordered_set<std::string> names;
-  infos.reserve(shards->array_items().size());
-  for (const JsonValue& entry : shards->array_items()) {
-    if (!entry.is_object()) {
-      Fail(error, "shard entry is not an object");
-      return std::nullopt;
-    }
-    ShardInfo info;
-    info.name = entry.FindString("name", "");
-    if (info.name.empty()) {
-      Fail(error, "shard without a name");
-      return std::nullopt;
-    }
-    if (!names.insert(info.name).second) {
-      Fail(error, "duplicate shard name: " + info.name);
-      return std::nullopt;
-    }
-    if (!ParseEndpoint(entry, "", &info.endpoint, error)) return std::nullopt;
-    if (!info.endpoint.valid()) {
-      Fail(error, "shard " + info.name + " has no endpoint");
-      return std::nullopt;
-    }
-    const auto add_replica = [&](ShardEndpoint ep) {
-      if (!ep.valid()) {
-        return Fail(error, "shard " + info.name + ": replica has no endpoint");
-      }
-      if (info.replicas.size() >= kMaxReplicas) {
-        return Fail(error, "shard " + info.name + ": replicas must be an " +
-                               "array of at most " +
-                               std::to_string(kMaxReplicas) + " endpoints");
-      }
-      if (ep == info.endpoint) {
-        return Fail(error, "shard " + info.name +
-                               ": replica duplicates the primary endpoint");
-      }
-      for (const ShardEndpoint& prior : info.replicas) {
-        if (ep == prior) {
-          return Fail(error, "shard " + info.name + ": duplicate replica");
-        }
-      }
-      info.replicas.push_back(std::move(ep));
-      return true;
-    };
-    const JsonValue* replicas = entry.Find("replicas");
-    if (replicas != nullptr) {
-      if (!replicas->is_array()) {
-        Fail(error, "shard " + info.name + ": replicas must be an array");
-        return std::nullopt;
-      }
-      for (const JsonValue& replica : replicas->array_items()) {
-        if (!replica.is_object()) {
-          Fail(error, "shard " + info.name + ": replica is not an object");
-          return std::nullopt;
-        }
-        ShardEndpoint ep;
-        if (!ParseEndpoint(replica, "", &ep, error) || !add_replica(ep)) {
-          return std::nullopt;
-        }
-      }
-    }
-    // A v1 mirror is one more replica: hedged retries simply go to the
-    // next endpoint of the list.
-    ShardEndpoint mirror;
-    if (!ParseEndpoint(entry, "mirror_", &mirror, error) ||
-        (mirror.valid() && !add_replica(mirror))) {
-      return std::nullopt;
-    }
-    info.index_file = entry.FindString("index_file", "");
-    info.fingerprint = entry.FindString("fingerprint", "");
-    infos.push_back(std::move(info));
-  }
-  ShardMap map(std::move(infos), static_cast<int>(virtual_points));
-  if (map.num_shards() == 0) {
-    Fail(error, "invalid shard list");
-    return std::nullopt;
-  }
-  return map;
+  return StringField(entry, "index_file", &info->index_file, error) &&
+         StringField(entry, "fingerprint", &info->fingerprint, error);
 }
 
 // Appends `"unix_socket": ...` or `"tcp_host": ..., "tcp_port": ...`;
@@ -169,16 +122,6 @@ void AppendShardJson(std::string* out, const ShardInfo& shard) {
     *out += ", ";
     AppendEndpointJson(out, shard.endpoint);
   }
-  if (!shard.replicas.empty()) {
-    *out += ", \"replicas\": [";
-    for (size_t r = 0; r < shard.replicas.size(); ++r) {
-      if (r > 0) *out += ", ";
-      *out += '{';
-      AppendEndpointJson(out, shard.replicas[r]);
-      *out += '}';
-    }
-    *out += "]";
-  }
   if (!shard.index_file.empty()) {
     *out += ", \"index_file\": ";
     obs::AppendJsonString(shard.index_file, out);
@@ -188,16 +131,6 @@ void AppendShardJson(std::string* out, const ShardInfo& shard) {
     obs::AppendJsonString(shard.fingerprint, out);
   }
   *out += "}";
-}
-
-void AppendAssignmentJson(std::string* out, const ShardMap& map) {
-  *out += "\"virtual_points\": " + std::to_string(map.virtual_points());
-  *out += ", \"shards\": [";
-  for (size_t i = 0; i < map.num_shards(); ++i) {
-    if (i > 0) *out += ", ";
-    AppendShardJson(out, map.shard(i));
-  }
-  *out += "]";
 }
 
 std::shared_ptr<const ShardMap> LoadShardMap(const std::string& path,
@@ -213,11 +146,10 @@ void ReportShardMapReload(const std::string& path, const ShardMap* installed,
     LogError("serve: shard map reload rejected (" + why + "); keeping epoch " +
              std::to_string(epoch));
   } else {
-    LogInfo(StrFormat(
-        "serve: shard map loaded from %s (%zu shards, epoch %llu%s)",
-        path.c_str(), installed->num_shards(),
-        static_cast<unsigned long long>(epoch),
-        installed->InTransition() ? ", in transition" : ""));
+    LogInfo(StrFormat("serve: shard map loaded from %s (%zu shards, epoch "
+                      "%llu)",
+                      path.c_str(), installed->num_shards(),
+                      static_cast<unsigned long long>(epoch)));
   }
 }
 
@@ -226,6 +158,12 @@ void ReportShardMapReload(const std::string& path, const ShardMap* installed,
 ShardMap::ShardMap(std::vector<ShardInfo> shards, int virtual_points)
     : shards_(std::move(shards)),
       virtual_points_(std::max(1, virtual_points)) {
+  if (shards_.size() > kMaxRingPoints / static_cast<size_t>(virtual_points_)) {
+    LogError(StrFormat("shard_map: %zu shards x %d virtual points exceed "
+                       "the ring cap of %zu points",
+                       shards_.size(), virtual_points_, kMaxRingPoints));
+    shards_.clear();
+  }
   std::unordered_set<std::string> names;
   for (const ShardInfo& shard : shards_) {
     if (shard.name.empty() || !shard.endpoint.valid() ||
@@ -271,24 +209,6 @@ std::vector<std::vector<NodeId>> ShardMap::PartitionSeeds(
   return parts;
 }
 
-void ShardMap::BeginTransition(std::shared_ptr<const ShardMap> previous) {
-  if (previous != nullptr && previous->InTransition()) {
-    // One hop only: a transition's previous epoch is always final. (The
-    // rebalance tool never produces a nested block; defend anyway.)
-    auto flattened = std::make_shared<ShardMap>(*previous);
-    flattened->ClearTransition();
-    previous_ = std::move(flattened);
-    return;
-  }
-  previous_ = std::move(previous);
-}
-
-bool ShardMap::OwnerMoved(NodeId node) const {
-  if (previous_ == nullptr) return false;
-  return shards_[OwnerOf(node)].name !=
-         previous_->shard(previous_->OwnerOf(node)).name;
-}
-
 std::optional<ShardMap> ShardMap::Parse(std::string_view json,
                                         std::string* error) {
   const auto doc = JsonValue::Parse(json);
@@ -302,26 +222,51 @@ std::optional<ShardMap> ShardMap::Parse(std::string_view json,
                     " nor " + kSchemaV2);
     return std::nullopt;
   }
-  auto map = ParseAssignment(*doc, error);
-  if (!map.has_value()) return std::nullopt;
-  const JsonValue* transition = doc->Find("transition");
-  if (transition != nullptr) {
-    if (!transition->is_object()) {
-      Fail(error, "transition is not an object");
+  if (!OnlyKnownFields(*doc, {"schema", "virtual_points", "shards"},
+                       "shard map: ", error)) {
+    return std::nullopt;
+  }
+  // A virtual_points of another type is as bad as one out of range.
+  const JsonValue* points = doc->Find("virtual_points");
+  double virtual_points = 64.0;
+  if (points != nullptr) {
+    virtual_points = points->is_number() ? points->number_value() : 0.0;
+  }
+  if (virtual_points < 1 || virtual_points > 4096 ||
+      virtual_points != static_cast<int>(virtual_points)) {
+    Fail(error, "bad virtual_points (want an integer in [1, 4096])");
+    return std::nullopt;
+  }
+  const JsonValue* shards = doc->Find("shards");
+  if (shards == nullptr || !shards->is_array() ||
+      shards->array_items().empty()) {
+    Fail(error, "shard map needs a non-empty shards array");
+    return std::nullopt;
+  }
+  // Checked before anything is built: the ring is the costly part.
+  const size_t num_shards = shards->array_items().size();
+  if (num_shards > kMaxRingPoints / static_cast<size_t>(virtual_points)) {
+    Fail(error, StrFormat("%zu shards x %d virtual points exceed the ring "
+                          "cap of %zu points",
+                          num_shards, static_cast<int>(virtual_points),
+                          kMaxRingPoints));
+    return std::nullopt;
+  }
+  std::vector<ShardInfo> infos(num_shards);
+  std::unordered_set<std::string> names;
+  for (size_t i = 0; i < num_shards; ++i) {
+    if (!ParseShard(shards->array_items()[i], &infos[i], error)) {
       return std::nullopt;
     }
-    if (transition->Find("transition") != nullptr) {
-      Fail(error, "nested transition blocks are not allowed");
+    if (!names.insert(infos[i].name).second) {
+      Fail(error, "duplicate shard name: " + infos[i].name);
       return std::nullopt;
     }
-    std::string prev_error;
-    auto previous = ParseAssignment(*transition, &prev_error);
-    if (!previous.has_value()) {
-      Fail(error, "transition: " + prev_error);
-      return std::nullopt;
-    }
-    map->BeginTransition(
-        std::make_shared<const ShardMap>(std::move(*previous)));
+  }
+  ShardMap map(std::move(infos), static_cast<int>(virtual_points));
+  if (map.num_shards() == 0) {
+    Fail(error, "invalid shard list");
+    return std::nullopt;
   }
   return map;
 }
@@ -337,24 +282,19 @@ std::optional<ShardMap> ShardMap::ParseFile(const std::string& path,
 }
 
 std::string ShardMap::ToJson() const {
-  bool v2 = InTransition();
+  bool v2 = false;
   for (const ShardInfo& shard : shards_) {
-    if (!shard.replicas.empty() || !shard.index_file.empty() ||
-        !shard.fingerprint.empty()) {
-      v2 = true;
-      break;
-    }
+    v2 = v2 || !shard.index_file.empty() || !shard.fingerprint.empty();
   }
   std::string out = "{\"schema\": \"";
   out += v2 ? kSchemaV2 : kSchemaV1;
-  out += "\", ";
-  AppendAssignmentJson(&out, *this);
-  if (InTransition()) {
-    out += ", \"transition\": {";
-    AppendAssignmentJson(&out, *previous_);
-    out += "}";
+  out += "\", \"virtual_points\": " + std::to_string(virtual_points_);
+  out += ", \"shards\": [";
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    if (i > 0) out += ", ";
+    AppendShardJson(&out, shards_[i]);
   }
-  out += "}";
+  out += "]}";
   return out;
 }
 

@@ -18,8 +18,7 @@
 // `virtual_points` points on a 64-bit ring (hash of "<name>#<i>"), and a
 // node belongs to the shard owning the first ring point at or after
 // Hash64(node). Adding or removing one shard therefore moves only ~1/N of
-// the node space, which is what makes resharding a rolling operation
-// instead of a full rebuild.
+// the node space.
 //
 // Exactness of the scatter-gather merge rests on two invariants this
 // header's helpers maintain:
@@ -40,46 +39,27 @@
 //      identity of cellwise max — matching the single-process "no sketch"
 //      path, which returns 0.)
 //
-// Serialized form: "ipin.shardmap.v1" (still parsed) or "ipin.shardmap.v2"
-// (emitted whenever any v2 feature is present), one JSON document:
+// Serialized form: "ipin.shardmap.v1" or "ipin.shardmap.v2" (emitted when
+// a shard carries an index_file or fingerprint), one JSON document:
 //
 //   {"schema": "ipin.shardmap.v2",
 //    "virtual_points": 64,
 //    "shards": [
 //      {"name": "shard0", "unix_socket": "/tmp/ipin-shard0.sock",
-//       "index_file": "shard0.bin", "fingerprint": "crc32c:89ab12cd",
-//       "replicas": [{"unix_socket": "/tmp/ipin-shard0r.sock"}]},
-//      {"name": "shard1", "tcp_host": "127.0.0.1", "tcp_port": 7101}],
-//    "transition": {"virtual_points": 64, "shards": [...]}}
+//       "index_file": "shard0.bin", "fingerprint": "crc32c:89ab12cd"},
+//      {"name": "shard1", "tcp_host": "127.0.0.1", "tcp_port": 7101}]}
 //
 // Each shard needs a name (unique; it seeds the ring points, so renaming a
-// shard moves its ownership) and exactly one primary endpoint (unix_socket
-// or tcp_port [+ tcp_host, default 127.0.0.1]).
+// shard moves its ownership) and exactly one endpoint (unix_socket or
+// tcp_port [+ tcp_host, default 127.0.0.1]). "index_file" / "fingerprint"
+// name the shard's index file (relative name) and its crc32c fingerprint
+// ("crc32c:%08x" over the file bytes), bound by `ipin_shard split` and
+// checked by `ipin_shard verify`.
 //
-// v2 additions:
-//   * "replicas": up to kMaxReplicas more endpoints per shard, each a
-//     daemon serving the SAME shard file. The primary and its replicas form
-//     one ordered endpoint list (ShardInfo::endpoint_at) and that list is
-//     the only redundancy concept: the router's health tracker PROMOTES the
-//     next live endpoint when the active one's circuit opens (it carries all
-//     subsequent legs until a probe recovers the primary), and a hedged
-//     retry of a straggling leg goes to the endpoint after the active one.
-//     A v1 map's mirror endpoint (mirror_unix_socket / mirror_tcp_port
-//     [+ mirror_tcp_host]) parses as one more replica, under the same
-//     duplicate and kMaxReplicas checks, and is written back as a replica.
-//   * "index_file" / "fingerprint": the shard's index file (relative name)
-//     and its crc32c fingerprint ("crc32c:%08x" over the file bytes), bound
-//     at materialization time by ipin_shard and checked by `ipin_shard
-//     verify`.
-//   * "transition": the PREVIOUS epoch's assignment (shard list +
-//     virtual_points, same schema minus nesting). While present, the map is
-//     "in transition": the router double-dispatches every seed whose owner
-//     differs between the two assignments — preferring the new owner,
-//     falling back to the old — so a mid-migration answer stays bit-
-//     identical to the single-index answer as long as either epoch's owner
-//     is up (cellwise max is idempotent, so overlapping partials cannot
-//     double-count). `ipin_shard rebalance` emits a transition map;
-//     `ipin_shard finalize` strips the block once the old fleet retires.
+// The map is static: one endpoint per shard, one assignment. A document
+// with a field other than these is rejected with an error naming it, since
+// ignoring a field could route seeds to shards that do not hold them. So is
+// a ring of more than kMaxRingPoints points (shards x virtual_points).
 
 namespace ipin::serve {
 
@@ -90,52 +70,42 @@ struct ShardEndpoint {
   int tcp_port = -1;
 
   bool valid() const { return !unix_socket_path.empty() || tcp_port >= 0; }
-  bool operator==(const ShardEndpoint&) const = default;
 };
 
 struct ShardInfo {
   std::string name;
   ShardEndpoint endpoint;
-  /// Further endpoints (v2). Each serves the same shard file as the
-  /// primary; the router promotes replicas[0], replicas[1], ... in order
-  /// when the active endpoint goes down.
-  std::vector<ShardEndpoint> replicas;
   /// Relative file name of this shard's index (v2; set by ipin_shard).
   std::string index_file;
   /// "crc32c:%08x" over the index file's bytes (v2; set by ipin_shard).
   std::string fingerprint;
-
-  /// The ordered endpoint list: 0 = the primary, i = replicas[i - 1].
-  size_t num_endpoints() const { return 1 + replicas.size(); }
-  const ShardEndpoint& endpoint_at(size_t i) const {
-    return i == 0 ? endpoint : replicas[i - 1];
-  }
 };
 
-/// Upper bound on replicas per shard, a v1 mirror included (a sanity cap,
-/// not a tuning knob).
-inline constexpr size_t kMaxReplicas = 4;
+/// Upper bound on a map's ring points (shards x virtual_points). A sanity
+/// cap on what a map file can make the router build, not a tuning knob:
+/// 2^20 points is 16 MiB of ring and well under a second to build.
+inline constexpr size_t kMaxRingPoints = size_t{1} << 20;
 
 class ShardMap {
  public:
   /// Builds the map (and its ring) from explicit shard infos. `shards` must
-  /// be non-empty with unique names and valid endpoints (checked; invalid
-  /// input leaves an empty map — prefer Parse for untrusted input).
+  /// be non-empty with unique names and valid endpoints, and shards x
+  /// virtual_points at most kMaxRingPoints (checked; invalid input leaves an
+  /// empty map — prefer Parse for untrusted input).
   explicit ShardMap(std::vector<ShardInfo> shards, int virtual_points = 64);
 
   /// Parses an "ipin.shardmap.v1" or "ipin.shardmap.v2" document. nullopt
   /// (with *error filled when non-null) on syntax errors, a wrong/missing
   /// schema tag, an empty shard list, duplicate names, a shard without a
-  /// valid endpoint, bad replicas, or a nested transition block.
+  /// valid endpoint, an unknown field, or a ring over kMaxRingPoints.
   static std::optional<ShardMap> Parse(std::string_view json,
                                        std::string* error);
   static std::optional<ShardMap> ParseFile(const std::string& path,
                                            std::string* error);
 
   /// Serializes back to one line with stable field order; Parse(ToJson())
-  /// reproduces the map exactly. Emits the v1 schema tag when no v2 feature
-  /// (replicas / index_file / fingerprint / transition) is present, v2
-  /// otherwise.
+  /// reproduces the map exactly. Emits the v1 schema tag when no shard has
+  /// an index_file or fingerprint, v2 otherwise.
   std::string ToJson() const;
 
   size_t num_shards() const { return shards_.size(); }
@@ -150,36 +120,13 @@ class ShardMap {
   std::vector<std::vector<NodeId>> PartitionSeeds(
       std::span<const NodeId> seeds) const;
 
-  /// --- Transition (v2) ---
-
-  /// True while a previous-epoch assignment rides along (the router then
-  /// double-dispatches moved keys).
-  bool InTransition() const { return previous_ != nullptr; }
-  /// The previous assignment; nullptr when not in transition.
-  const ShardMap* previous() const { return previous_.get(); }
-
-  /// Attaches/clears the previous assignment. `previous` must itself not be
-  /// in transition (one hop only); a nested transition is dropped.
-  void BeginTransition(std::shared_ptr<const ShardMap> previous);
-  void ClearTransition() { previous_.reset(); }
-
-  /// Does `node`'s owning DAEMON differ between the epochs? (Owners are
-  /// compared by shard name, so shard0 staying shard0 is not a move even
-  /// though the two maps index it independently.) Always false when not in
-  /// transition.
-  bool OwnerMoved(NodeId node) const;
-
  private:
-  ShardMap() = default;
-
   void BuildRing();
 
   std::vector<ShardInfo> shards_;
   int virtual_points_ = 64;
   /// (ring point, shard index), sorted by point.
   std::vector<std::pair<uint64_t, uint32_t>> ring_;
-  /// Previous epoch's assignment during a live reshard (never nested).
-  std::shared_ptr<const ShardMap> previous_;
 };
 
 /// Copies out the slice of `full` that `shard` owns under `map`: same
@@ -203,8 +150,8 @@ extern template class EpochHolder<ShardMap>;
 /// (index_manager.h): a missing or invalid map rolls back
 /// (serve.shard.map.rollback, "serve: shard map reload rejected (<why>);
 /// keeping epoch N"), a valid one advances the epoch (serve.shard.map.ok,
-/// "serve: shard map loaded from <path> (N shards, epoch E[, in
-/// transition])"); failpoint "serve.shard.map".
+/// "serve: shard map loaded from <path> (N shards, epoch E)"); failpoint
+/// "serve.shard.map".
 class ShardMapManager : public EpochHolder<ShardMap> {
  public:
   explicit ShardMapManager(std::string map_path);

@@ -28,11 +28,10 @@
 //
 // A build's arena holds a zero row for every sender from the start, which
 // the build's stores write in place, and the end of the build sets each
-// row's entry count (SetEntries), checking the row. Shard extraction,
-// reshard reconstruction and index loads append rows instead (Append, or
-// AppendUnpacked for a row an index file packs): the arrays are sized
-// exactly up front but not filled, and each row is written once, by its
-// append. No (rank, time) list is stored. A load's or a
+// row's entry count (SetEntries), checking the row. Shard extraction and
+// index loads append rows instead (Append, or AppendUnpacked for a row an
+// index file packs): the arrays are sized exactly up front but not filled,
+// and each row is written once, by its append. No (rank, time) list is stored. A load's or a
 // shard's arena keeps its rank plane when it is dropped, for the next arena
 // of the same size (see PlaneAllocator), so an index restored again and
 // again reuses one block.

@@ -12,9 +12,11 @@
 #       never errors, while seeds owned by live shards keep exact answers,
 #   (c) RECOVERY — restarting the dead shard closes the circuit via the
 #       router's probes and answers go back to exact and undegraded,
-#   (d) RESHARD SAFETY — a corrupt shard-map reload, by the reload verb or
+#   (d) RELOAD SAFETY — a corrupt shard-map reload, by the reload verb or
 #       SIGHUP, rolls back (old epoch keeps routing, answers stay exact),
 #       the restored map advances the epoch, and a SIGTERM drains cleanly.
+# Before the fleet starts, ipin_shard's verify, its numeric range checks
+# and the map parser's rejection of removed fields run on the split.
 #
 # Invoked by ctest: $1=ipin_cli $2=ipin_oracled $3=ipin_oracle_client
 # $4=ipin_routerd $5=ipin_shard $6=obs mode ("obs-enabled"/"obs-disabled").
@@ -102,24 +104,38 @@ cp "${WORK}/map.json" "${WORK}/map.good"
 "${SHARD_TOOL}" show --map="${WORK}/map.json" --nodes=1000 \
   | grep -q "shard0" || fail "show does not list shard0"
 
-# --- Rebalance: a 2-shard split grown to 3 is the 3-shard split ----------
-# The new pieces are rebuilt from the old ones, and must be byte for byte
-# the pieces split writes from the full index.
-mkdir -p "${WORK}/two"
-"${SHARD_TOOL}" split --index="${WORK}/index.bin" --shards=2 \
-  --out_prefix="${WORK}/two/piece" --map_out="${WORK}/two/map.json" \
-  --socket_prefix="${WORK}/shard" > /dev/null
-"${SHARD_TOOL}" rebalance --map="${WORK}/two/map.json" --shards=3 \
-  --out_prefix="${WORK}/two/grown" --map_out="${WORK}/two/grown.json" \
-  --socket_prefix="${WORK}/shard" > "${WORK}/rebalance.txt" \
-  || { cat "${WORK}/rebalance.txt" >&2; fail "rebalance from 2 to 3 failed"; }
-"${SHARD_TOOL}" verify "${WORK}/two/grown.json" "${WORK}/two" \
-  > "${WORK}/verify.txt" \
-  || { cat "${WORK}/verify.txt" >&2; fail "verify rejects the rebalance"; }
-for i in $(seq 0 $((NUM_SHARDS - 1))); do
-  cmp -s "${WORK}/two/grown${i}.bin" "${WORK}/piece${i}.bin" \
-    || fail "rebalanced piece ${i} differs from the 3-shard split's"
-done
+"${SHARD_TOOL}" verify "${WORK}/map.json" "${WORK}" > "${WORK}/verify.txt" \
+  || { cat "${WORK}/verify.txt" >&2; fail "verify rejects the split"; }
+
+# --- ipin_shard rejects out-of-range numbers and removed map fields -------
+# Each must exit 2 with a message, promptly: --nodes=-1 used to wrap the
+# node loop and never return, --node past the NodeId range picked another
+# node's owner, and --shards sized its shard list before any bound.
+expect_usage_error() {
+  local want="$1"
+  shift
+  set +e
+  timeout 5 "${SHARD_TOOL}" "$@" > /dev/null 2> "${WORK}/bad_shard.txt"
+  local rc=$?
+  set -e
+  [ "${rc}" -eq 2 ] || fail "ipin_shard $* should exit 2, got ${rc}"
+  grep -q -- "${want}" "${WORK}/bad_shard.txt" \
+    || { cat "${WORK}/bad_shard.txt" >&2; \
+         fail "ipin_shard $* should say '${want}'"; }
+}
+expect_usage_error "--nodes must be between" show --map="${WORK}/map.json" \
+  --nodes=-1
+expect_usage_error "--node must be between" owner --map="${WORK}/map.json" \
+  --node=4294967297
+expect_usage_error "--shards must be between" split \
+  --index="${WORK}/index.bin" --shards=4611686018427387904 \
+  --out_prefix="${WORK}/huge" --map_out="${WORK}/huge.json"
+expect_usage_error "--virtual_points must be between" split \
+  --index="${WORK}/index.bin" --shards=2 --virtual_points=5000 \
+  --out_prefix="${WORK}/huge" --map_out="${WORK}/huge.json"
+sed 's/"shards": \[/"transition": {"shards": []}, "shards": [/' \
+  "${WORK}/map.json" > "${WORK}/map_transition.json"
+expect_usage_error '"transition"' show --map="${WORK}/map_transition.json"
 
 # --- Start the fleet: N shards, the reference daemon, and the router ------
 for i in $(seq 0 $((NUM_SHARDS - 1))); do start_shard "${i}"; done

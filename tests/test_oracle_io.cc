@@ -1002,7 +1002,7 @@ TEST_F(OracleIoTest, IndexCutShortLosesOnlyItsLastSection) {
 
 // A loaded index saves again to the file it was read from, byte for byte,
 // whatever its times' span — also after the index has moved through a
-// vector that reallocated (the reshard tool keeps loaded pieces that way).
+// vector that reallocated.
 TEST_F(OracleIoTest, LoadedIndexReSavesByteForByte) {
   const std::string resaved = path_ + ".resaved";
   for (const uint64_t span : {uint64_t{1} << 20, uint64_t{1} << 40}) {

@@ -528,197 +528,13 @@ TEST_F(RouterTest, LegRecordsLandInFlightRecorderWithShardTag) {
   EXPECT_NE(router_->DebugDump().find("\"shard\""), std::string::npos);
 }
 
-// --- Live resharding: double-dispatch, replica failover, fleet swaps ------
+// --- Fleet replacement: a map install swaps the shard fleet ---------------
 
-// The zero-downtime tentpole, in-process: growing the fleet with a
-// transition block keeps every answer bit-identical to the single index
-// even while the new shards' backends DO NOT EXIST YET — moved seeds fall
-// back to their old owners.
-TEST_F(RouterTest, DoubleDispatchKeepsAnswersExactDuringReshard) {
-  StartShards(2);
-  RouterOptions options;
-  options.connect_timeout_ms = 100;
-  options.health.suspect_after = 1;
-  options.health.down_after = 2;
-  options.health.probe_interval_ms = 30;
-  StartRouter(options);
-  OracleClient client = RouterClient();
-
-  std::vector<ShardInfo> grown_infos(3);
-  for (size_t i = 0; i < 2; ++i) {
-    grown_infos[i].name = "shard" + std::to_string(i);
-    grown_infos[i].endpoint.unix_socket_path = socket_paths_[i];
-  }
-  grown_infos[2].name = "shard2";
-  grown_infos[2].endpoint.unix_socket_path = ShardSocket(2);
-  auto grown = std::make_shared<ShardMap>(grown_infos);
-  grown->BeginTransition(map_);
-  std::vector<NodeId> all_seeds;
-  for (NodeId u = 0; u < kNumNodes; ++u) all_seeds.push_back(u);
-  ASSERT_FALSE(grown->PartitionSeeds(all_seeds)[2].empty())
-      << "the grown map must move some seeds to shard2";
-  manager_->Install(grown);
-
-  // Every instant of the transition answers exactly, repeatedly (the
-  // health tracker is meanwhile marking the absent shard2 down — neither
-  // state may cost coverage).
-  for (int i = 0; i < 5; ++i) {
-    const auto response = client.Query(all_seeds, QueryMode::kSketch);
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->status, StatusCode::kOk) << "iteration " << i;
-    EXPECT_FALSE(response->degraded) << "iteration " << i;
-    EXPECT_DOUBLE_EQ(response->coverage, 1.0);
-    EXPECT_DOUBLE_EQ(response->estimate,
-                     full_->EstimateUnionSize(all_seeds));
-  }
-
-  // Topk merges across BOTH epochs' fleets and dedupes moved nodes.
-  Request topk;
-  topk.method = Method::kTopk;
-  topk.k = 5;
-  std::string error;
-  const auto topk_response = client.Call(topk, &error);
-  ASSERT_TRUE(topk_response.has_value()) << error;
-  EXPECT_EQ(topk_response->status, StatusCode::kOk);
-  EXPECT_FALSE(topk_response->degraded);
-  ASSERT_EQ(topk_response->topk.size(), 5u);
-
-  // The admin verb reports the transition.
-  Request status;
-  status.method = Method::kReshardStatus;
-  const auto mid = client.Call(status, &error);
-  ASSERT_TRUE(mid.has_value()) << error;
-  double in_transition = -1.0, shards = -1.0, prev_shards = -1.0;
-  for (const auto& [name, value] : mid->info) {
-    if (name == "in_transition") in_transition = value;
-    if (name == "shards") shards = value;
-    if (name == "prev_shards") prev_shards = value;
-  }
-  EXPECT_DOUBLE_EQ(in_transition, 1.0);
-  EXPECT_DOUBLE_EQ(shards, 3.0);
-  EXPECT_DOUBLE_EQ(prev_shards, 2.0);
-
-  // Materialize shard2, finalize the map: still exact, transition gone.
-  socket_paths_.push_back(grown_infos[2].endpoint.unix_socket_path);
-  auto index = std::make_unique<IndexManager>("");
-  index->Install(std::make_shared<const IrsApprox>(
-      ExtractShardIndex(*full_, *grown, 2)));
-  shard_indexes_.push_back(std::move(index));
-  shard_servers_.push_back(nullptr);
-  StartShard(2);
-  manager_->Install(std::make_shared<const ShardMap>(grown_infos));
-
-  const auto after = client.Query(all_seeds, QueryMode::kSketch);
-  ASSERT_TRUE(after.has_value());
-  EXPECT_EQ(after->status, StatusCode::kOk);
-  EXPECT_FALSE(after->degraded);
-  EXPECT_DOUBLE_EQ(after->estimate, full_->EstimateUnionSize(all_seeds));
-  const auto done = client.Call(status, &error);
-  ASSERT_TRUE(done.has_value()) << error;
-  for (const auto& [name, value] : done->info) {
-    if (name == "in_transition") {
-      EXPECT_DOUBLE_EQ(value, 0.0);
-    }
-    if (name == "shards") {
-      EXPECT_DOUBLE_EQ(value, 3.0);
-    }
-    if (name == "prev_shards") {
-      EXPECT_DOUBLE_EQ(value, 0.0);
-    }
-  }
-}
-
-// Replica failover end to end: a replica backend keeps the shard's answers
-// exact through the primary's death, and the primary takes traffic back
-// once probes see it healthy.
-TEST_F(RouterTest, ReplicaFailoverKeepsShardAnswersExact) {
-  StartShards(2);
-  std::vector<ShardInfo> infos(2);
-  for (size_t i = 0; i < 2; ++i) {
-    infos[i].name = "shard" + std::to_string(i);
-    infos[i].endpoint.unix_socket_path = socket_paths_[i];
-  }
-  const std::string replica_socket = ShardSocket(9);
-  infos[0].replicas.push_back(
-      ShardEndpoint{.unix_socket_path = replica_socket});
-  auto with_replica = std::make_shared<const ShardMap>(infos);
-  manager_->Install(with_replica);
-
-  // The replica serves the SAME shard-0 slice on its own socket.
-  ServerOptions replica_options;
-  replica_options.unix_socket_path = replica_socket;
-  replica_options.num_workers = 2;
-  OracleServer replica_server(shard_indexes_[0].get(), replica_options);
-  ASSERT_TRUE(replica_server.Start());
-
-  RouterOptions options;
-  options.connect_timeout_ms = 100;
-  options.health.suspect_after = 1;
-  options.health.down_after = 2;
-  options.health.probe_interval_ms = 30;
-  StartRouter(options);
-  OracleClient client = RouterClient();
-
-  std::vector<NodeId> all_seeds;
-  for (NodeId u = 0; u < kNumNodes; ++u) all_seeds.push_back(u);
-  const auto shard0_seeds = with_replica->PartitionSeeds(all_seeds)[0];
-  ASSERT_FALSE(shard0_seeds.empty());
-  const double truth = full_->EstimateUnionSize(shard0_seeds);
-
-  const auto before = client.Query(shard0_seeds, QueryMode::kSketch);
-  ASSERT_TRUE(before.has_value());
-  ASSERT_DOUBLE_EQ(before->estimate, truth);
-
-  // Kill the primary. Failover is promotion, not hedging: once the health
-  // tracker moves the active endpoint, EVERY leg dials the replica, so
-  // answers return to exact and stay there.
-  StopShard(0);
-  bool promoted = false;
-  int unavailable = 0;
-  for (int spin = 0; spin < 300; ++spin) {
-    const auto response = client.Query(shard0_seeds, QueryMode::kSketch);
-    ASSERT_TRUE(response.has_value());
-    // Until down_after consecutive failures open the primary's circuit the
-    // shard0-only request has zero answering legs — UNAVAILABLE, by the
-    // partial-result contract. Promotion must then end the outage; nothing
-    // other than that brief window may surface.
-    if (response->status == StatusCode::kUnavailable) {
-      ++unavailable;
-      EXPECT_FALSE(promoted) << "no outage after the replica took over";
-    } else {
-      ASSERT_EQ(response->status, StatusCode::kOk);
-      if (!response->degraded && response->estimate == truth) {
-        promoted = true;
-        break;
-      }
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  EXPECT_TRUE(promoted) << "replica was never promoted";
-  // The detection window is bounded by the circuit threshold: one failed
-  // query per remaining allowed failure, not a lingering outage.
-  EXPECT_LE(unavailable, options.health.down_after);
-
-  // Restart the primary: probes demote the replica; exactness holds across
-  // the switch-back.
-  StartShard(0);
-  for (int i = 0; i < 20; ++i) {
-    const auto response = client.Query(shard0_seeds, QueryMode::kSketch);
-    ASSERT_TRUE(response.has_value());
-    EXPECT_EQ(response->status, StatusCode::kOk);
-    if (!response->degraded) {
-      EXPECT_DOUBLE_EQ(response->estimate, truth);
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  replica_server.Shutdown();
-  std::remove(replica_socket.c_str());
-}
-
-// Satellite: probe recovery racing a reshard install. A shard dies, the
-// circuit opens, and WHILE it is down the map is swapped for a transition
-// map (fleet replacement). The new fleet's prober must still recover the
-// restarted shard, and the transition must hold coverage at 1 throughout.
+// Probe recovery racing a map install. A shard dies, the circuit opens, and
+// WHILE it is down the map is replaced by a re-built static map of the same
+// fleet (a fleet replacement, as a reload of a rewritten map file makes).
+// The replaced fleet starts with clean health, sees the shard down again,
+// and its prober must recover the restarted shard.
 TEST_F(RouterTest, ProbeRecoveryRacesReshardInstall) {
   StartShards(3);
   RouterOptions options;
@@ -737,21 +553,22 @@ TEST_F(RouterTest, ProbeRecoveryRacesReshardInstall) {
   }
   WaitForShardState(1, ShardState::kDown);
 
-  // Mid-outage fleet replacement: grow 3 -> 4 with shard3 backendless.
-  std::vector<ShardInfo> grown_infos(4);
+  // Mid-outage fleet replacement: the same shards, in a map built afresh.
+  std::vector<ShardInfo> infos(3);
   for (size_t i = 0; i < 3; ++i) {
-    grown_infos[i].name = "shard" + std::to_string(i);
-    grown_infos[i].endpoint.unix_socket_path = socket_paths_[i];
+    infos[i].name = "shard" + std::to_string(i);
+    infos[i].endpoint.unix_socket_path = socket_paths_[i];
   }
-  grown_infos[3].name = "shard3";
-  grown_infos[3].endpoint.unix_socket_path = ShardSocket(3);
-  auto grown = std::make_shared<ShardMap>(grown_infos);
-  grown->BeginTransition(map_);
-  manager_->Install(grown);
+  manager_->Install(std::make_shared<const ShardMap>(infos));
+  for (int i = 0; i < 3; ++i) {
+    const auto response = client.Query(all_seeds, QueryMode::kSketch);
+    ASSERT_TRUE(response.has_value());
+    EXPECT_EQ(response->status, StatusCode::kOk);
+  }
+  WaitForShardState(1, ShardState::kDown);
 
-  // Restart the dead shard: the REPLACED fleet's probes (its health state
-  // started fresh) must pick it up, and with the fallback legs covering
-  // shard3 the answer converges back to exact.
+  // Restart the dead shard: the new fleet's probes must pick it up, and the
+  // answer converges back to exact.
   StartShard(1);
   bool recovered = false;
   for (int spin = 0; spin < 300; ++spin) {
@@ -766,7 +583,7 @@ TEST_F(RouterTest, ProbeRecoveryRacesReshardInstall) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_TRUE(recovered)
-      << "reshard install while a shard was down broke probe recovery";
+      << "a map install while a shard was down broke probe recovery";
 }
 
 // Satellite: a fleet replacement resets the circuit breaker. A down shard

@@ -42,8 +42,7 @@
 // connection cap, the request-line cap, the win_* stats keys ipin_top
 // reads, draining in-flight requests, the admission gate's bound on
 // concurrent evaluations, pipelined queries on one connection, and options
-// that would leave every query hanging. A last case drives the router's
-// hedged retry onto a replica.
+// that would leave every query hanging.
 
 namespace ipin::serve {
 namespace {
@@ -298,24 +297,27 @@ TEST_P(ServeFrontendTest, StatsCarryTheCommonFieldsAndWindowedKeys) {
     EXPECT_EQ(InfoValue(*response, key) >= 0.0, router) << key;
   }
 
-  // reshard_status is not a stats call: it stays out of stats latency. A
+  // The removed reshard_status verb is an unknown method to both daemons:
+  // BAD_REQUEST, and not a stats call, so it stays out of stats latency. A
   // latency sample lands after its response is written, so each count is
   // read only after a health round trip on the same connection, which
-  // that connection's reader serves after finishing the previous verb.
+  // that connection's reader serves after finishing the previous line.
   const obs::Histogram* stats_us =
       obs::MetricsRegistry::Global().GetHistogram("serve.latency.stats_us");
-  Request health;
-  health.method = Method::kHealth;
-  ASSERT_TRUE(client.Call(health, &error).has_value()) << error;
+  const int fd = ConnectUnix(socket_);
+  ASSERT_GE(fd, 0);
+  const std::string health = R"({"id":1,"method":"health"})" "\n";
+  ASSERT_TRUE(SendAll(fd, health));
+  ASSERT_TRUE(ParseResponse(ReadLine(fd)).has_value());
   const uint64_t before = stats_us->Count();
-  Request reshard;
-  reshard.method = Method::kReshardStatus;
-  const auto reshard_response = client.Call(reshard, &error);
-  ASSERT_TRUE(reshard_response.has_value()) << error;
-  EXPECT_EQ(reshard_response->status,
-            router ? StatusCode::kOk : StatusCode::kBadRequest);
-  ASSERT_TRUE(client.Call(health, &error).has_value()) << error;
+  ASSERT_TRUE(SendAll(fd, R"({"id":2,"method":"reshard_status"})" "\n"));
+  const auto reshard = ParseResponse(ReadLine(fd));
+  ASSERT_TRUE(reshard.has_value());
+  EXPECT_EQ(reshard->status, StatusCode::kBadRequest);
+  ASSERT_TRUE(SendAll(fd, health));
+  ASSERT_TRUE(ParseResponse(ReadLine(fd)).has_value());
   EXPECT_EQ(stats_us->Count(), before);
+  ::close(fd);
 #endif
 }
 
@@ -500,66 +502,6 @@ INSTANTIATE_TEST_SUITE_P(BothDaemons, ServeFrontendTest,
                            return info.param == Daemon::kOracle ? "Oracle"
                                                                 : "Router";
                          });
-
-// Hedging: a primary that accepts connections but never replies, plus one
-// real replica. With hedge_after_ms set, the leg's first attempt straggles
-// and the retry goes to the next endpoint of the shard's list.
-using RouterHedgingTest = FrontendFixture;
-
-TEST_F(RouterHedgingTest, HedgedLegRetriesOnTheNextEndpoint) {
-  const std::string blackhole = socket_ + ".primary";
-  const int listener = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, blackhole.c_str(), sizeof(addr.sun_path) - 1);
-  ::unlink(blackhole.c_str());
-  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&addr),
-                   sizeof(addr)),
-            0);
-  ASSERT_EQ(::listen(listener, 16), 0);  // never accept()ed: the kernel
-                                         // queues connections, nobody reads
-
-  ServerOptions replica;
-  replica.unix_socket_path = backend_socket_;
-  backend_ = std::make_unique<OracleServer>(index_.get(), replica);
-  ASSERT_TRUE(backend_->Start());
-
-  ShardInfo shard;
-  shard.name = "shard0";
-  shard.endpoint.unix_socket_path = blackhole;
-  shard.replicas.resize(1);
-  shard.replicas[0].unix_socket_path = backend_socket_;
-  map_ = std::make_unique<ShardMapManager>("");
-  map_->Install(
-      std::make_shared<const ShardMap>(std::vector<ShardInfo>{shard}));
-  RouterOptions options;
-  options.unix_socket_path = socket_;
-  options.hedge_after_ms = 20;
-  router_ = std::make_unique<RouterServer>(map_.get(), options);
-  ASSERT_TRUE(router_->Start());
-
-#ifndef IPIN_OBS_DISABLED
-  const obs::Counter* hedged =
-      obs::MetricsRegistry::Global().GetCounter("serve.shard.hedged");
-  const uint64_t hedged_before = hedged->Value();
-#endif
-  OracleClient client(Client());
-  const std::vector<NodeId> seeds = {1, 2, 3};
-  const auto response = client.Query(seeds, QueryMode::kSketch);
-  ASSERT_TRUE(response.has_value());
-  EXPECT_EQ(response->status, StatusCode::kOk);
-  EXPECT_FALSE(response->degraded);
-  // Bit for bit the single-process answer.
-  EXPECT_EQ(response->estimate, full_->EstimateUnionSize(seeds));
-#ifndef IPIN_OBS_DISABLED
-  EXPECT_GT(hedged->Value(), hedged_before);
-#endif
-
-  router_->Shutdown();
-  ::close(listener);
-  ::unlink(blackhole.c_str());
-}
 
 #ifndef IPIN_OBS_DISABLED
 // One stage record per request feeds every output: a traced session of
